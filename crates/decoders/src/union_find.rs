@@ -13,13 +13,28 @@
 //! # Amortized hot path
 //!
 //! The decoding graph of a sector depends only on the lattice, never on the
-//! syndrome, so the decoder caches a `SectorGraph` per sector — flat
-//! `Vec`-indexed ancilla→vertex maps and a CSR adjacency over the full edge
-//! set instead of the per-call `HashMap`s the first implementation rebuilt on
-//! every round — plus a `UfScratch` arena of support/charge/visited/BFS
-//! buffers.  After [`Decoder::prepare`] (or the first decode on a lattice),
-//! steady-state [`Decoder::decode_into`] calls perform no heap allocation;
-//! the runtime bench guards that invariant with an allocation counter.
+//! syndrome, so the decoder caches one `SectorGraph` per sector — a flat
+//! vertex→ancilla map and a CSR adjacency over the full edge set — together
+//! with one `UfScratch` arena per graph, built full-size by
+//! [`Decoder::prepare`] (or the first decode on a lattice).
+//!
+//! **Cost model.**  A sector decode costs one pass over the sector's
+//! ancillas to collect the defects, plus work proportional to the vertices
+//! and edges its clusters reach: growth walks only the active clusters'
+//! vertices (an intrusive circular list per cluster, spliced in O(1) on
+//! union) and peeling starts only from vertices a fully-grown edge or a
+//! defect touched.  A sector without defects returns after the scan and
+//! writes nothing.  Nothing is proportional to growth rounds × lattice size.
+//!
+//! **Clean-scratch invariant.**  Between decodes every `UfScratch` equals
+//! `UfScratch::new` of its graph, field for field.  A decode sets a bit in
+//! `reached` for every vertex it dirties and pushes every edge it grows onto
+//! `touched_edges`, and restores exactly those before it returns; there is
+//! no per-decode refill of whole-graph buffers.
+//!
+//! Steady-state [`Decoder::decode_into`] calls perform no heap allocation
+//! (every list is bounded by the vertex or edge count and reserved up
+//! front); the runtime bench guards that with an allocation counter.
 
 use crate::traits::{sector_correction_pauli, Correction, Decoder};
 use nisqplus_qec::lattice::{Lattice, QubitKind, Sector};
@@ -35,9 +50,6 @@ struct GraphEdge {
     data_qubit: u32,
 }
 
-/// Sentinel in [`SectorGraph::vertex_of_ancilla`] for other-sector ancillas.
-const NO_VERTEX: u32 = u32::MAX;
-
 /// The decoding graph of one sector: same-sector ancillas plus two virtual
 /// boundary vertices.  Built once per lattice and reused on every decode.
 #[derive(Debug, Clone)]
@@ -46,18 +58,15 @@ struct SectorGraph {
     num_ancilla_vertices: usize,
     /// Total vertices including the two boundary vertices.
     num_vertices: usize,
-    /// Flat map ancilla index -> local vertex index ([`NO_VERTEX`] when the
-    /// ancilla belongs to the other sector).
-    vertex_of_ancilla: Vec<u32>,
+    /// Flat map local ancilla-vertex index -> ancilla index, ascending: the
+    /// defect scan reads exactly this sector's syndrome bits.
+    ancilla_of_vertex: Vec<u32>,
     edges: Vec<GraphEdge>,
     /// CSR adjacency over the full edge set: vertex `v`'s incident
     /// `(neighbor, edge index)` entries are
     /// `adj_entries[adj_offsets[v]..adj_offsets[v + 1]]`, in edge-index order.
     adj_offsets: Vec<u32>,
     adj_entries: Vec<(u32, u32)>,
-    /// Peeling visit order: boundary vertices first (so they root the
-    /// spanning forests and absorb unpaired charge), then ancilla vertices.
-    peel_order: Vec<u32>,
 }
 
 impl SectorGraph {
@@ -66,7 +75,9 @@ impl SectorGraph {
             .ancillas_in_sector(sector)
             .map(|a| a as u32)
             .collect();
-        let mut vertex_of_ancilla = vec![NO_VERTEX; lattice.num_ancillas()];
+        // Build-time inverse of `ancilla_of_vertex`; other-sector ancillas are
+        // never looked up.
+        let mut vertex_of_ancilla = vec![u32::MAX; lattice.num_ancillas()];
         for (v, &a) in ancillas.iter().enumerate() {
             vertex_of_ancilla[a as usize] = v as u32;
         }
@@ -170,18 +181,13 @@ impl SectorGraph {
             cursor[edge.v as usize] += 1;
         }
 
-        let peel_order: Vec<u32> = (num_ancilla_vertices as u32..num_vertices as u32)
-            .chain(0..num_ancilla_vertices as u32)
-            .collect();
-
         SectorGraph {
             num_ancilla_vertices,
             num_vertices,
-            vertex_of_ancilla,
+            ancilla_of_vertex: ancillas,
             edges,
             adj_offsets,
             adj_entries,
-            peel_order,
         }
     }
 
@@ -196,116 +202,272 @@ impl SectorGraph {
     }
 }
 
-/// The reusable scratch arena of one decode call: union-find forests, edge
-/// support, peeling charge and BFS buffers.  All vectors retain their
-/// allocations between rounds; [`UfScratch::reset`] only refills them.
-#[derive(Debug, Clone, Default)]
+/// Per-vertex decode state: union-find forest, cluster membership list and
+/// peeling bookkeeping in one record, so touching a vertex touches one line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct VertexState {
+    /// Union-find parent; a root points at itself.
+    parent: u32,
+    /// Next vertex of the same cluster in a circular list (a singleton points
+    /// at itself); two lists merge by swapping their roots' `next`.
+    next: u32,
+    /// BFS spanning-tree parent and the edge leading to it (peeling).
+    tree_parent: u32,
+    tree_edge: u32,
+    /// Growth round in which this root's cluster was last walked, so a
+    /// cluster holding several defects grows once per round.
+    walked_round: u32,
+    rank: u8,
+    /// Defect parity of the cluster (meaningful on roots).
+    parity: bool,
+    /// Whether the cluster contains a boundary vertex (meaningful on roots).
+    boundary: bool,
+    charge: bool,
+    visited: bool,
+}
+
+impl VertexState {
+    fn fresh(v: u32, boundary: bool) -> Self {
+        VertexState {
+            parent: v,
+            next: v,
+            tree_parent: 0,
+            tree_edge: 0,
+            walked_round: 0,
+            rank: 0,
+            parity: false,
+            boundary,
+            charge: false,
+            visited: false,
+        }
+    }
+
+    /// A cluster is *active* while it holds odd defect parity and does not
+    /// touch a boundary vertex.
+    fn is_active_root(&self) -> bool {
+        self.parity && !self.boundary
+    }
+}
+
+/// Per-edge decode state.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct EdgeState {
+    /// Half-edges grown so far: 0, 1 or 2 (fully grown).
+    support: u8,
+    /// Growth round of the last half-edge, so an edge seen from both
+    /// endpoints (or from two active clusters) grows once per round.
+    grown_round: u32,
+}
+
+/// The vertices whose bits are set in word `w` of a vertex bitmap, ascending.
+fn bitmap_word_vertices(w: usize, mut bits: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let v = (w as u32) << 6 | bits.trailing_zeros();
+            bits &= bits - 1;
+            v
+        })
+    })
+}
+
+/// The scratch arena of one sector graph.  Built full-size once and kept
+/// clean between decodes (see the module docs for the invariant).
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct UfScratch {
-    parent: Vec<u32>,
-    rank: Vec<u8>,
-    parity: Vec<bool>,
-    boundary: Vec<bool>,
-    support: Vec<u8>,
-    charge: Vec<bool>,
-    visited: Vec<bool>,
-    bfs: Vec<u32>,
-    parent_edge: Vec<(u32, u32)>,
+    vertices: Vec<VertexState>,
+    edges: Vec<EdgeState>,
+    /// Bitmap over vertices: those holding a defect or joined by a
+    /// fully-grown edge — every vertex whose `VertexState` is dirty.
+    reached: Vec<u64>,
+    /// Edges with non-zero support, in first-growth order.
+    touched_edges: Vec<u32>,
+    /// Defect vertices, ascending.
+    defects: Vec<u32>,
     newly_full: Vec<u32>,
+    bfs: Vec<u32>,
 }
 
 impl UfScratch {
-    /// Pre-sizes every buffer for a graph, so later resets never allocate.
-    fn reserve_for(&mut self, graph: &SectorGraph) {
+    fn new(graph: &SectorGraph) -> Self {
         let nv = graph.num_vertices;
         let ne = graph.edges.len();
-        self.parent.reserve(nv);
-        self.rank.reserve(nv);
-        self.parity.reserve(nv);
-        self.boundary.reserve(nv);
-        self.charge.reserve(nv);
-        self.visited.reserve(nv);
-        self.parent_edge.reserve(nv);
-        self.bfs.reserve(nv);
-        self.support.reserve(ne);
-        self.newly_full.reserve(ne);
+        UfScratch {
+            vertices: (0..nv as u32)
+                .map(|v| VertexState::fresh(v, graph.is_boundary_vertex(v)))
+                .collect(),
+            edges: vec![EdgeState::default(); ne],
+            reached: vec![0; nv.div_ceil(64)],
+            touched_edges: Vec::with_capacity(ne),
+            defects: Vec::with_capacity(graph.num_ancilla_vertices),
+            newly_full: Vec::with_capacity(ne),
+            bfs: Vec::with_capacity(nv),
+        }
     }
 
-    /// Refills the buffers for a fresh decode on `graph` (allocation-free
-    /// once [`UfScratch::reserve_for`] has run for this graph).
-    fn reset(&mut self, graph: &SectorGraph) {
-        let nv = graph.num_vertices;
-        self.parent.clear();
-        self.parent.extend(0..nv as u32);
-        self.rank.clear();
-        self.rank.resize(nv, 0);
-        self.parity.clear();
-        self.parity.resize(nv, false);
-        self.boundary.clear();
-        self.boundary.resize(nv, false);
-        for v in graph.num_ancilla_vertices..nv {
-            self.boundary[v] = true;
-        }
-        self.charge.clear();
-        self.charge.resize(nv, false);
-        self.visited.clear();
-        self.visited.resize(nv, false);
-        self.parent_edge.clear();
-        self.parent_edge.resize(nv, (0, 0));
-        self.support.clear();
-        self.support.resize(graph.edges.len(), 0);
-        self.bfs.clear();
-        self.newly_full.clear();
+    fn mark_reached(&mut self, v: u32) {
+        self.reached[(v >> 6) as usize] |= 1 << (v & 63);
+    }
+
+    fn is_reached(&self, v: u32) -> bool {
+        self.reached[(v >> 6) as usize] >> (v & 63) & 1 == 1
     }
 
     fn find(&mut self, v: u32) -> u32 {
         let mut root = v;
-        while self.parent[root as usize] != root {
-            root = self.parent[root as usize];
+        while self.vertices[root as usize].parent != root {
+            root = self.vertices[root as usize].parent;
         }
         // Full path compression, matching the seed's recursive find.
         let mut cur = v;
-        while self.parent[cur as usize] != root {
-            let next = self.parent[cur as usize];
-            self.parent[cur as usize] = root;
+        while self.vertices[cur as usize].parent != root {
+            let next = self.vertices[cur as usize].parent;
+            self.vertices[cur as usize].parent = root;
             cur = next;
         }
         root
     }
 
     fn union(&mut self, a: u32, b: u32) {
+        self.mark_reached(a);
+        self.mark_reached(b);
         let ra = self.find(a);
         let rb = self.find(b);
         if ra == rb {
             return;
         }
-        let (big, small) = if self.rank[ra as usize] >= self.rank[rb as usize] {
+        let (big, small) = if self.vertices[ra as usize].rank >= self.vertices[rb as usize].rank {
             (ra, rb)
         } else {
             (rb, ra)
         };
-        self.parent[small as usize] = big;
-        if self.rank[big as usize] == self.rank[small as usize] {
-            self.rank[big as usize] += 1;
+        let absorbed = self.vertices[small as usize];
+        let root = &mut self.vertices[big as usize];
+        if root.rank == absorbed.rank {
+            root.rank += 1;
         }
-        self.parity[big as usize] ^= self.parity[small as usize];
-        self.boundary[big as usize] |= self.boundary[small as usize];
+        root.parity ^= absorbed.parity;
+        root.boundary |= absorbed.boundary;
+        // Splice the two circular membership lists into one.
+        let big_next = std::mem::replace(&mut root.next, absorbed.next);
+        let small_state = &mut self.vertices[small as usize];
+        small_state.next = big_next;
+        small_state.parent = big;
     }
 
-    /// A cluster is *active* while it holds odd defect parity and does not
-    /// touch a boundary vertex.
-    fn is_active_root(&self, root: u32) -> bool {
-        self.parity[root as usize] && !self.boundary[root as usize]
+    /// Grows every not-yet-full edge incident to the cluster rooted at
+    /// `root` by one half-edge, unless it already grew in `round`.
+    fn grow_cluster(&mut self, graph: &SectorGraph, root: u32, round: u32) {
+        let mut v = root;
+        loop {
+            for &(_, edge_idx) in graph.incident(v) {
+                let edge = &mut self.edges[edge_idx as usize];
+                if edge.support >= 2 || edge.grown_round == round {
+                    continue;
+                }
+                if edge.support == 0 {
+                    self.touched_edges.push(edge_idx);
+                }
+                edge.grown_round = round;
+                edge.support += 1;
+                if edge.support == 2 {
+                    self.newly_full.push(edge_idx);
+                }
+            }
+            v = self.vertices[v as usize].next;
+            if v == root {
+                break;
+            }
+        }
+    }
+
+    /// Builds the BFS spanning tree of fully-grown edges from `start` into
+    /// `self.bfs`, neighbours in edge-index order.
+    fn span_from(&mut self, graph: &SectorGraph, start: u32) {
+        self.vertices[start as usize].visited = true;
+        self.bfs.clear();
+        self.bfs.push(start);
+        let mut head = 0;
+        while head < self.bfs.len() {
+            let v = self.bfs[head];
+            head += 1;
+            // Every fully-grown edge has been unioned, so both endpoints
+            // share a cluster and no `find` is needed here.
+            for &(w, edge_idx) in graph.incident(v) {
+                if self.edges[edge_idx as usize].support != 2 {
+                    continue;
+                }
+                let neighbour = &mut self.vertices[w as usize];
+                if !neighbour.visited {
+                    neighbour.visited = true;
+                    neighbour.tree_parent = v;
+                    neighbour.tree_edge = edge_idx;
+                    self.bfs.push(w);
+                }
+            }
+        }
+    }
+
+    /// Peels the spanning tree of fully-grown edges rooted at `start` (unless
+    /// an earlier tree already covered it), applying `pauli` to `out` on the
+    /// data qubit of every tree edge whose child carries a defect.
+    fn peel_from(&mut self, graph: &SectorGraph, start: u32, pauli: Pauli, out: &mut PauliString) {
+        if self.vertices[start as usize].visited {
+            return;
+        }
+        self.span_from(graph, start);
+        // Peel in reverse BFS order: children before parents.  Boundary
+        // vertices absorb any charge pushed into them instead of relaying
+        // it (pairing the chain to the boundary).
+        for bi in (1..self.bfs.len()).rev() {
+            let v = self.bfs[bi];
+            let state = &mut self.vertices[v as usize];
+            if graph.is_boundary_vertex(v) {
+                state.charge = false;
+                continue;
+            }
+            if state.charge {
+                state.charge = false;
+                let (parent, edge_idx) = (state.tree_parent, state.tree_edge);
+                out.apply(graph.edges[edge_idx as usize].data_qubit as usize, pauli);
+                self.vertices[parent as usize].charge ^= true;
+            }
+        }
+        // Any residual charge on the root must sit on a boundary vertex
+        // (odd clusters always grow until they absorb a boundary).
+        let root = &mut self.vertices[start as usize];
+        if root.charge {
+            debug_assert!(
+                graph.is_boundary_vertex(start),
+                "non-boundary root left with residual charge"
+            );
+            root.charge = false;
+        }
+    }
+
+    /// Restores the clean-scratch invariant: resets exactly the vertices and
+    /// edges this decode dirtied.
+    fn restore(&mut self, graph: &SectorGraph) {
+        for w in 0..self.reached.len() {
+            for v in bitmap_word_vertices(w, std::mem::take(&mut self.reached[w])) {
+                self.vertices[v as usize] = VertexState::fresh(v, graph.is_boundary_vertex(v));
+            }
+        }
+        for &edge_idx in &self.touched_edges {
+            self.edges[edge_idx as usize] = EdgeState::default();
+        }
+        self.touched_edges.clear();
+        self.defects.clear();
+        self.newly_full.clear();
+        self.bfs.clear();
     }
 }
 
-/// The lattice-keyed prepared state: one decoding graph per sector plus the
-/// shared scratch arena.
+/// The lattice-keyed prepared state: one decoding graph and its scratch arena
+/// per sector, in `[X, Z]` order.
 #[derive(Debug, Clone)]
 struct PreparedUnionFind {
     distance: usize,
-    /// Sector graphs in `[X, Z]` order.
-    graphs: [SectorGraph; 2],
-    scratch: UfScratch,
+    sectors: [(SectorGraph, UfScratch); 2],
 }
 
 /// The union-find decoder.
@@ -331,17 +493,14 @@ impl UnionFindDecoder {
 
     fn ensure_prepared(&mut self, lattice: &Lattice) -> &mut PreparedUnionFind {
         if !self.is_prepared_for(lattice) {
-            let graphs = [
-                SectorGraph::build(lattice, Sector::X),
-                SectorGraph::build(lattice, Sector::Z),
-            ];
-            let mut scratch = UfScratch::default();
-            scratch.reserve_for(&graphs[0]);
-            scratch.reserve_for(&graphs[1]);
+            let sectors = Sector::ALL.map(|sector| {
+                let graph = SectorGraph::build(lattice, sector);
+                let scratch = UfScratch::new(&graph);
+                (graph, scratch)
+            });
             self.prepared = Some(PreparedUnionFind {
                 distance: lattice.distance(),
-                graphs,
-                scratch,
+                sectors,
             });
         }
         self.prepared.as_mut().expect("just prepared")
@@ -350,58 +509,57 @@ impl UnionFindDecoder {
 
 /// Decodes one sector, applying the correction's data-qubit flips to `out`.
 ///
-/// This is the seed algorithm verbatim — same growth rounds, same union
-/// order, same peeling traversal — re-hosted on the prepared graph and the
-/// scratch arena, so corrections are byte-identical to the original
-/// implementation (pinned by the seed-reference property test).
+/// The result is the seed algorithm's, byte for byte (pinned by the
+/// seed-reference property test): the correction depends only on the final
+/// edge supports and on the peel's traversal order, never on which vertex
+/// roots a cluster or on the order unions happen in.  So growth walks only
+/// the active clusters and peeling starts only from reached vertices — an
+/// unreached vertex has no fully-grown edge and peels nothing — in the seed's
+/// order: boundary vertices first, then ancilla vertices ascending.
 fn decode_sector_into(
     graph: &SectorGraph,
     scratch: &mut UfScratch,
-    lattice: &Lattice,
+    max_rounds: u32,
     syndrome: &Syndrome,
     pauli: Pauli,
     out: &mut PauliString,
 ) {
-    scratch.reset(graph);
-    // Flat-map defect fill: hot ancillas of the other sector map to
-    // `NO_VERTEX` and are skipped, so a combined X/Z syndrome works directly.
-    let mut any_defect = false;
-    for (a, &v) in graph.vertex_of_ancilla.iter().enumerate() {
-        if v != NO_VERTEX && syndrome.is_hot(a) {
-            scratch.parity[v as usize] = true;
-            scratch.charge[v as usize] = true;
-            any_defect = true;
+    // Hot ancillas of the other sector are never read, so a combined X/Z
+    // syndrome works directly.
+    let bits = syndrome.as_bits();
+    for (v, &a) in graph.ancilla_of_vertex.iter().enumerate() {
+        if bits[a as usize] {
+            scratch.defects.push(v as u32);
+            scratch.mark_reached(v as u32);
+            let state = &mut scratch.vertices[v];
+            state.parity = true;
+            state.charge = true;
         }
     }
-    if !any_defect {
+    if scratch.defects.is_empty() {
         return;
     }
 
     // ---- Growth phase ------------------------------------------------
     // Grow every active cluster's incident edges by one half-edge per
-    // round, merging clusters whose connecting edge becomes fully grown.
-    let max_rounds = 4 * lattice.size() + 8;
-    for _ in 0..max_rounds {
-        let any_active = (0..graph.num_vertices as u32).any(|v| {
-            let root = scratch.find(v);
-            root == v && scratch.is_active_root(root)
-        });
-        if !any_active {
-            break;
-        }
+    // round (one half-edge even when both endpoints are active), merging
+    // clusters whose connecting edge becomes fully grown.  Every active
+    // cluster holds a defect, so the defects' roots enumerate them.
+    for round in 1..=max_rounds {
         scratch.newly_full.clear();
-        for (i, edge) in graph.edges.iter().enumerate() {
-            if scratch.support[i] >= 2 {
+        let mut any_active = false;
+        for k in 0..scratch.defects.len() {
+            let root = scratch.find(scratch.defects[k]);
+            let state = &mut scratch.vertices[root as usize];
+            if !state.is_active_root() || state.walked_round == round {
                 continue;
             }
-            let ru = scratch.find(edge.u);
-            let rv = scratch.find(edge.v);
-            if scratch.is_active_root(ru) || scratch.is_active_root(rv) {
-                scratch.support[i] += 1;
-                if scratch.support[i] == 2 {
-                    scratch.newly_full.push(i as u32);
-                }
-            }
+            state.walked_round = round;
+            any_active = true;
+            scratch.grow_cluster(graph, root, round);
+        }
+        if !any_active {
+            break;
         }
         for k in 0..scratch.newly_full.len() {
             let edge = graph.edges[scratch.newly_full[k] as usize];
@@ -412,63 +570,20 @@ fn decode_sector_into(
     // ---- Peeling phase -----------------------------------------------
     // Within each cluster, build a spanning forest of the fully-grown
     // edges (rooted at a boundary vertex when one is present) and peel
-    // leaves, emitting an edge whenever the leaf carries a defect.  The
-    // forest edges are the fully-grown intra-cluster edges, read straight
-    // off the prepared CSR adjacency.
-    for oi in 0..graph.peel_order.len() {
-        let start = graph.peel_order[oi];
-        if scratch.visited[start as usize] {
-            continue;
-        }
-        // BFS spanning tree.
-        scratch.visited[start as usize] = true;
-        scratch.bfs.clear();
-        scratch.bfs.push(start);
-        let mut head = 0;
-        while head < scratch.bfs.len() {
-            let v = scratch.bfs[head];
-            head += 1;
-            let rv = scratch.find(v);
-            for &(w, edge_idx) in graph.incident(v) {
-                if scratch.support[edge_idx as usize] != 2 {
-                    continue;
-                }
-                if scratch.find(w) != rv {
-                    continue;
-                }
-                if !scratch.visited[w as usize] {
-                    scratch.visited[w as usize] = true;
-                    scratch.parent_edge[w as usize] = (v, edge_idx);
-                    scratch.bfs.push(w);
-                }
-            }
-        }
-        // Peel in reverse BFS order: children before parents.  Boundary
-        // vertices absorb any charge pushed into them instead of relaying
-        // it (pairing the chain to the boundary).
-        for bi in (1..scratch.bfs.len()).rev() {
-            let v = scratch.bfs[bi];
-            if graph.is_boundary_vertex(v) {
-                scratch.charge[v as usize] = false;
-                continue;
-            }
-            if scratch.charge[v as usize] {
-                let (parent, edge_idx) = scratch.parent_edge[v as usize];
-                out.apply(graph.edges[edge_idx as usize].data_qubit as usize, pauli);
-                scratch.charge[v as usize] = false;
-                scratch.charge[parent as usize] ^= true;
-            }
-        }
-        // Any residual charge on the root must sit on a boundary vertex
-        // (odd clusters always grow until they absorb a boundary).
-        if scratch.charge[start as usize] {
-            debug_assert!(
-                graph.is_boundary_vertex(start),
-                "non-boundary root left with residual charge"
-            );
-            scratch.charge[start as usize] = false;
+    // leaves, emitting an edge whenever the leaf carries a defect.
+    let boundary_a = graph.num_ancilla_vertices as u32;
+    for start in [boundary_a, boundary_a + 1] {
+        if scratch.is_reached(start) {
+            scratch.peel_from(graph, start, pauli, out);
         }
     }
+    for w in 0..scratch.reached.len() {
+        for start in bitmap_word_vertices(w, scratch.reached[w]) {
+            scratch.peel_from(graph, start, pauli, out);
+        }
+    }
+
+    scratch.restore(graph);
 }
 
 impl Decoder for UnionFindDecoder {
@@ -502,9 +617,9 @@ impl Decoder for UnionFindDecoder {
         );
         out.reset_identity(lattice.num_data());
         let pauli = sector_correction_pauli(sector);
-        let prepared = self.ensure_prepared(lattice);
-        let graph = &prepared.graphs[sector.index()];
-        decode_sector_into(graph, &mut prepared.scratch, lattice, syndrome, pauli, out);
+        let max_rounds = (4 * lattice.size() + 8) as u32;
+        let (graph, scratch) = &mut self.ensure_prepared(lattice).sectors[sector.index()];
+        decode_sector_into(graph, scratch, max_rounds, syndrome, pauli, out);
     }
 }
 
@@ -530,19 +645,22 @@ mod tests {
         assert_eq!(graph.edges.len(), expected);
         // The CSR adjacency covers every edge from both endpoints.
         assert_eq!(graph.adj_entries.len(), 2 * expected);
-        assert_eq!(graph.peel_order.len(), graph.num_vertices);
-        // The flat ancilla map enumerates this sector's ancillas in vertex
-        // order and maps the other sector's ancillas to the sentinel.
-        let mapped: Vec<u32> = graph
-            .vertex_of_ancilla
-            .iter()
-            .copied()
-            .filter(|&v| v != NO_VERTEX)
+        // The vertex map lists exactly this sector's ancillas, ascending, and
+        // the two boundary vertices follow them.
+        let sector_ancillas: Vec<u32> = lat
+            .ancillas_in_sector(Sector::X)
+            .map(|a| a as u32)
             .collect();
-        assert_eq!(
-            mapped,
-            (0..graph.num_ancilla_vertices as u32).collect::<Vec<_>>()
-        );
+        assert_eq!(graph.ancilla_of_vertex, sector_ancillas);
+        assert!(graph.ancilla_of_vertex.windows(2).all(|w| w[0] < w[1]));
+        assert!(!graph.is_boundary_vertex(19));
+        assert!(graph.is_boundary_vertex(20) && graph.is_boundary_vertex(21));
+        // The scratch arena is built full-size: one state per vertex and
+        // edge, one bitmap word per 64 vertices.
+        let scratch = UfScratch::new(&graph);
+        assert_eq!(scratch.vertices.len(), graph.num_vertices);
+        assert_eq!(scratch.edges.len(), expected);
+        assert_eq!(scratch.reached.len(), 1);
     }
 
     #[test]
@@ -636,6 +754,79 @@ mod tests {
                     "union-find produced a syndrome-violating correction at d={d}"
                 );
             }
+        }
+    }
+
+    /// The clean-scratch invariant: after every decode, each sector's scratch
+    /// equals a freshly built one, field for field.
+    fn assert_scratch_clean(decoder: &UnionFindDecoder, context: &str) {
+        let prepared = decoder.prepared.as_ref().expect("prepared");
+        for (graph, scratch) in &prepared.sectors {
+            assert_eq!(
+                scratch,
+                &UfScratch::new(graph),
+                "dirty scratch after {context}"
+            );
+        }
+    }
+
+    #[test]
+    fn scratch_is_clean_after_every_decode() {
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let heavy = PureDephasing::new(0.2).unwrap();
+        let mut buf = PauliString::identity(0);
+        for d in [3, 5, 9] {
+            let lat = Lattice::new(d).unwrap();
+            let mut decoder = UnionFindDecoder::new();
+            decoder.prepare(&lat);
+            assert_scratch_clean(&decoder, "prepare");
+            // Empty sector.
+            let empty = Syndrome::new(lat.num_ancillas());
+            for sector in Sector::ALL {
+                decoder.decode_into(&lat, &empty, sector, &mut buf);
+                assert_scratch_clean(&decoder, "an empty sector");
+            }
+            // Every single defect (a lone hot ancilla pairs to a boundary).
+            for a in 0..lat.num_ancillas() {
+                let syndrome = Syndrome::from_hot(lat.num_ancillas(), &[a]);
+                for sector in Sector::ALL {
+                    decoder.decode_into(&lat, &syndrome, sector, &mut buf);
+                    assert_scratch_clean(&decoder, "a single defect");
+                }
+            }
+            // High-weight syndromes: large merged clusters, both boundaries.
+            for _ in 0..50 {
+                let syndrome = lat.syndrome_of(&heavy.sample(&lat, &mut rng));
+                decoder.decode_into(&lat, &syndrome, Sector::X, &mut buf);
+                assert_scratch_clean(&decoder, "a p = 0.2 syndrome");
+            }
+        }
+    }
+
+    /// No (lattice, syndrome) pair exhausts `max_rounds`: every odd cluster
+    /// meets a boundary first.  Forcing the exit with a smaller bound leaves
+    /// active clusters and half-grown edges behind, which the restore must
+    /// still undo; the peel's residual-charge `debug_assert` fires on such an
+    /// exit, so this runs in release test builds only.
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn scratch_is_clean_after_an_exit_through_the_round_guard() {
+        let lat = Lattice::new(5).unwrap();
+        let graph = SectorGraph::build(&lat, Sector::X);
+        let mut scratch = UfScratch::new(&graph);
+        let mut out = PauliString::identity(lat.num_data());
+        let centre = lat.ancillas_in_sector(Sector::X).nth(10).unwrap();
+        let syndrome = Syndrome::from_hot(lat.num_ancillas(), &[centre]);
+        for max_rounds in 1..4 {
+            decode_sector_into(
+                &graph,
+                &mut scratch,
+                max_rounds,
+                &syndrome,
+                Pauli::Z,
+                &mut out,
+            );
+            assert_eq!(scratch, UfScratch::new(&graph), "max_rounds = {max_rounds}");
         }
     }
 

@@ -290,10 +290,11 @@ mod seed_union_find {
     }
 }
 
-/// Samples a syndrome stream deterministically from a seed.
-fn seeded_syndromes(lattice: &Lattice, seed: u64, count: usize) -> Vec<Syndrome> {
+/// Samples a syndrome stream at physical error rate `p` deterministically
+/// from a seed.
+fn seeded_syndromes(lattice: &Lattice, seed: u64, p: f64, count: usize) -> Vec<Syndrome> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let model = PureDephasing::new(0.08).unwrap();
+    let model = PureDephasing::new(p).unwrap();
     (0..count)
         .map(|_| {
             // Dephasing errors fire only the X sector, so fold in a reversed
@@ -312,6 +313,20 @@ fn seeded_syndromes(lattice: &Lattice, seed: u64, count: usize) -> Vec<Syndrome>
         .collect()
 }
 
+/// The seed implementation's correction for one sector, as a Pauli string.
+fn seed_union_find_correction(
+    lattice: &Lattice,
+    syndrome: &Syndrome,
+    sector: Sector,
+) -> PauliString {
+    let pauli = nisqplus_decoders::traits::sector_correction_pauli(sector);
+    let mut expected = PauliString::identity(lattice.num_data());
+    for q in seed_union_find::decode_sector(lattice, syndrome, sector) {
+        expected.apply(q, pauli);
+    }
+    expected
+}
+
 fn error_from(lattice: &Lattice, raw: &[usize], pauli: Pauli) -> PauliString {
     let support: Vec<usize> = raw.iter().map(|&q| q % lattice.num_data()).collect();
     PauliString::from_sparse(lattice.num_data(), &support, pauli)
@@ -320,10 +335,10 @@ fn error_from(lattice: &Lattice, raw: &[usize], pauli: Pauli) -> PauliString {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The rewritten union-find (cached sector graphs, flat maps, scratch
-    /// arenas) emits corrections byte-identical to the seed implementation,
-    /// across seeds x distances x sectors, through both `decode` and the
-    /// allocation-free `decode_into`.
+    /// The rewritten union-find (cached sector graphs, per-sector clean
+    /// scratch, cluster-local growth and peeling) emits corrections
+    /// byte-identical to the seed implementation, across seeds x distances x
+    /// sectors, through both `decode` and the allocation-free `decode_into`.
     #[test]
     fn union_find_matches_seed_implementation(
         seed in 0u64..10_000,
@@ -334,17 +349,33 @@ proptest! {
         let mut decoder = UnionFindDecoder::new();
         decoder.prepare(&lattice);
         let mut buf = PauliString::identity(lattice.num_data());
-        for syndrome in seeded_syndromes(&lattice, seed, 8) {
-            let seed_qubits = seed_union_find::decode_sector(&lattice, &syndrome, sector);
-            let pauli = nisqplus_decoders::traits::sector_correction_pauli(sector);
-            let mut expected = PauliString::identity(lattice.num_data());
-            for q in seed_qubits {
-                expected.apply(q, pauli);
-            }
+        for syndrome in seeded_syndromes(&lattice, seed, 0.08, 8) {
+            let expected = seed_union_find_correction(&lattice, &syndrome, sector);
             let correction = decoder.decode(&lattice, &syndrome, sector);
             prop_assert_eq!(correction.pauli_string(), &expected);
             decoder.decode_into(&lattice, &syndrome, sector, &mut buf);
             prop_assert_eq!(&buf, &expected);
+        }
+
+        // The same decoder instance, driven X, Z, X, ... over consecutive
+        // syndromes, across lattice changes (5 -> 7 -> 5, then d = 9) and from
+        // mostly-empty sectors to large merged clusters: state leaking from
+        // one decode into the next shows as a byte difference.
+        for (leg, (distance, p)) in [(5, 0.03), (7, 0.15), (5, 0.08), (9, 0.03), (9, 0.08), (9, 0.15)]
+            .into_iter()
+            .enumerate()
+        {
+            let lattice = Lattice::new(distance).unwrap();
+            for syndrome in seeded_syndromes(&lattice, seed + leg as u64, p, 4) {
+                for sector in Sector::ALL {
+                    decoder.decode_into(&lattice, &syndrome, sector, &mut buf);
+                    prop_assert_eq!(
+                        &buf,
+                        &seed_union_find_correction(&lattice, &syndrome, sector),
+                        "d={} p={} sector={:?}", distance, p, sector
+                    );
+                }
+            }
         }
     }
 
@@ -361,7 +392,7 @@ proptest! {
         let mut decoder = GreedyMatchingDecoder::new();
         decoder.prepare(&lattice);
         let mut buf = PauliString::identity(lattice.num_data());
-        for syndrome in seeded_syndromes(&lattice, seed, 8) {
+        for syndrome in seeded_syndromes(&lattice, seed, 0.08, 8) {
             let defects = lattice.defects(&syndrome, sector);
             let expected = decoder
                 .match_defects(&lattice, &defects)
@@ -381,7 +412,7 @@ proptest! {
         let lattice = Lattice::new(3).unwrap();
         let mut decoder = LookupDecoder::new(&lattice).unwrap();
         let mut buf = PauliString::identity(lattice.num_data());
-        for syndrome in seeded_syndromes(&lattice, seed, 8) {
+        for syndrome in seeded_syndromes(&lattice, seed, 0.08, 8) {
             let expected = decoder.decode(&lattice, &syndrome, sector);
             decoder.decode_into(&lattice, &syndrome, sector, &mut buf);
             prop_assert_eq!(&buf, expected.pauli_string());

@@ -117,6 +117,44 @@ proptest! {
     }
 }
 
+/// Runs the seeded machine with worker 0 scheduled to die after
+/// `crash_after` decodes and again crash-free, and checks what recovery
+/// guarantees whether or not the crash fired: consistent fault books, no
+/// round lost, dropped or quarantined, and frames and corrections
+/// byte-identical to the crash-free run.  Returns the injected-crash count.
+fn check_crash_recovery(seed: u64, crash_after: u64, workers: usize) -> Result<u64, TestCaseError> {
+    silence_injected_crash_panics();
+    let plan = FaultPlan::default().crash_worker(0, crash_after);
+    let crashed = run_machine(crash_machine(seed, workers, plan));
+    let baseline = run_machine(crash_machine(seed, workers, FaultPlan::default()));
+
+    // Work stealing decides how many rounds worker 0 decodes, so with
+    // several workers it may finish the run below its crash threshold.
+    let fault = &crashed.report.fault;
+    prop_assert!(fault.injected_crashes <= 1);
+    prop_assert_eq!(fault.observed_crashes, fault.injected_crashes);
+    prop_assert_eq!(fault.worker_restarts, fault.injected_crashes);
+    prop_assert!(fault.reconciled(), "fault books must reconcile: {}", fault);
+
+    prop_assert_eq!(crashed.report.counters.decoded, 120);
+    prop_assert_eq!(crashed.report.counters.dropped, 0);
+    prop_assert_eq!(crashed.report.counters.quarantined, 0);
+    prop_assert_eq!(
+        &crashed.frame().merged(),
+        &baseline.frame().merged(),
+        "merged frames must be byte-identical across the crash"
+    );
+    prop_assert_eq!(crashed.corrections.len(), baseline.corrections.len());
+    for (with_crash, without) in crashed.corrections.iter().zip(&baseline.corrections) {
+        prop_assert_eq!(
+            with_crash,
+            without,
+            "per-round corrections must be byte-identical across the crash"
+        );
+    }
+    Ok(fault.injected_crashes)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -129,26 +167,16 @@ proptest! {
         crash_after in 0u64..30,
         workers in 1usize..4,
     ) {
-        silence_injected_crash_panics();
-        let plan = FaultPlan::default().crash_worker(0, crash_after);
-        let crashed = run_machine(crash_machine(seed, workers, plan));
-        let baseline = run_machine(crash_machine(seed, workers, FaultPlan::default()));
+        check_crash_recovery(seed, crash_after, workers)?;
+    }
+}
 
-        let fault = &crashed.report.fault;
-        prop_assert_eq!(fault.injected_crashes, 1, "worker 0 always decodes enough to die");
-        prop_assert_eq!(fault.observed_crashes, 1);
-        prop_assert_eq!(fault.worker_restarts, 1);
-        prop_assert!(fault.reconciled(), "fault books must reconcile: {}", fault);
-
-        prop_assert_eq!(crashed.report.counters.decoded, 120);
-        prop_assert_eq!(crashed.report.counters.dropped, 0);
-        prop_assert_eq!(crashed.report.counters.quarantined, 0);
-        prop_assert_eq!(&crashed.frame().merged(), &baseline.frame().merged(),
-            "merged frames must be byte-identical across the crash");
-        prop_assert_eq!(crashed.corrections.len(), baseline.corrections.len());
-        for (with_crash, without) in crashed.corrections.iter().zip(&baseline.corrections) {
-            prop_assert_eq!(with_crash, without,
-                "per-round corrections must be byte-identical across the crash");
-        }
+/// With one worker nothing can be stolen: worker 0 decodes all 120 rounds,
+/// so a crash scheduled inside them must fire, exactly once.
+#[test]
+fn a_lone_worker_always_reaches_its_crash_round() {
+    for (seed, crash_after) in [(11, 0), (12, 17), (13, 29)] {
+        let injected = check_crash_recovery(seed, crash_after, 1).expect("recovery holds");
+        assert_eq!(injected, 1, "seed {seed}, crash after {crash_after}");
     }
 }
