@@ -7,6 +7,8 @@
 //! prepared decoder's `decode_into` loop must perform **zero** heap
 //! allocations in steady state.  The guard fails the bench run loudly if a
 //! regression reintroduces per-round allocation.
+//! [`assert_lifetime_trials_are_allocation_free`] holds the offline
+//! Monte-Carlo trial loop to the same rule.
 //! [`assert_obs_hot_path_is_allocation_free`] extends the same guard to the
 //! observability plane: latency-histogram records and event-journal
 //! publishes must not allocate either.
@@ -21,7 +23,7 @@
 //! `NISQ_SOAK_*` environment knobs.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use nisqplus_core::SfqMeshDecoder;
+use nisqplus_core::{DecoderVariant, SfqMeshDecoder};
 use nisqplus_decoders::{
     Decoder, DynDecoder, GreedyMatchingDecoder, LookupDecoder, UnionFindDecoder,
 };
@@ -35,6 +37,7 @@ use nisqplus_runtime::{
     LogHistogram, MachineConfig, PacketCodec, RuntimeConfig, SpmcRing, StreamingEngine,
     SyndromePacket,
 };
+use nisqplus_sim::{run_sfq_lifetime, MonteCarloConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -131,6 +134,42 @@ fn assert_steady_state_decode_is_allocation_free() {
     let lattice = Lattice::new(3).expect("valid distance");
     let mut lookup = LookupDecoder::new(&lattice).expect("d=3 fits the table");
     assert_allocation_free("lookup-table", &mut lookup, 3, 0.06);
+    // The SFQ mesh at the lifetime workload's operating point, and the
+    // baseline variant where pairings with ghosts are frequent.
+    assert_allocation_free("sfq-mesh", &mut SfqMeshDecoder::final_design(), 9, 0.05);
+    assert_allocation_free(
+        "mesh-baseline",
+        &mut SfqMeshDecoder::new(DecoderVariant::Baseline),
+        5,
+        0.08,
+    );
+}
+
+/// The offline trial loop's guard: a `run_sfq_lifetime` call allocates for
+/// its thread, its decoder, its three buffers and its result vectors —
+/// nothing per trial, so twice the trials must cost the same number of
+/// allocations.
+fn assert_lifetime_trials_are_allocation_free() {
+    let lattice = Lattice::new(9).expect("valid distance");
+    let model = PureDephasing::new(0.05).expect("valid probability");
+    let allocations_of = |trials: usize| {
+        let config = MonteCarloConfig::new(trials).with_threads(1).with_seed(7);
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let result = run_sfq_lifetime(&lattice, &model, &config, DecoderVariant::Final);
+        let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(result.cycle_samples.len(), trials);
+        allocated
+    };
+    // Warm-up: the process's first mesh decoder synthesizes the module
+    // hardware model for its cycle time.
+    allocations_of(1);
+    let (short, long) = (allocations_of(2_000), allocations_of(4_000));
+    assert_eq!(
+        short, long,
+        "run_sfq_lifetime allocated {short} times for 2000 trials and {long} times for 4000; \
+         the trial loop must not allocate"
+    );
+    eprintln!("alloc-guard: lifetime trials    : {short} allocations per call, 0 per trial");
 }
 
 /// The observability plane's own allocation guard: recording a latency into
@@ -453,6 +492,7 @@ criterion_group! {
 
 fn main() {
     assert_steady_state_decode_is_allocation_free();
+    assert_lifetime_trials_are_allocation_free();
     assert_streaming_residual_classification_is_allocation_free();
     assert_obs_hot_path_is_allocation_free();
     assert_fault_hooks_are_allocation_free();

@@ -28,7 +28,6 @@ use crate::config::MeshConfig;
 use crate::mesh::MeshDecodeResult;
 use nisqplus_qec::lattice::{Lattice, Sector};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// How a single pairing's latency is modelled, in mesh clock cycles.
 ///
@@ -46,15 +45,15 @@ pub struct SignalTiming {
 /// offsets between the two ancilla modules.
 #[must_use]
 pub fn pair_timing(config: &MeshConfig, delta_row: usize, delta_col: usize) -> SignalTiming {
+    let longest = delta_row.max(delta_col);
     let (detection, longest_leg) = if delta_row == 0 || delta_col == 0 {
         // Head-on collision along a row or column: the waves meet in the
         // middle of the separation.
-        let distance = delta_row + delta_col;
-        (distance.div_ceil(2), distance.div_ceil(2))
+        (longest.div_ceil(2), longest.div_ceil(2))
     } else {
         // The effective corner module sees one wave after `delta_col` cycles
         // and the other after `delta_row` cycles.
-        (delta_row.max(delta_col), delta_row.max(delta_col))
+        (longest, longest)
     };
     let completion = if config.equidistant_handshake {
         // Request, grant and pair each retrace the longest leg.
@@ -101,7 +100,154 @@ pub enum MeshPairing {
     },
 }
 
+/// What a decode reports besides its chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct MeshOutcome {
+    /// Mesh clock cycles consumed.
+    pub(crate) cycles: usize,
+    /// Hot syndromes paired off.
+    pub(crate) cleared_defects: usize,
+    /// Whether every hot syndrome was cleared before the cycle cap.
+    pub(crate) completed: bool,
+}
+
+/// Ends a completion time's list in [`MeshScratch::timetable`].
+const END: usize = usize::MAX;
+
+/// One pairing the decode's defects could make, linked into the list of its
+/// completion time.
+///
+/// `a` and `b` are positions in [`MeshScratch::defects`], `a < b`; `b` is
+/// one past the last defect for a pairing with the boundary.
+#[derive(Debug, Clone, Copy)]
+struct TimetableEntry {
+    a: usize,
+    b: usize,
+    /// The next entry of the same completion time, or [`END`].
+    next: usize,
+}
+
+/// Whom a hot module pairs with in a round.  The variant order, then the
+/// position, is the order in which one module's simultaneous pairings reach
+/// the handshake.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Partner {
+    /// A live defect at a later position.
+    Defect(usize),
+    /// The lattice boundary.
+    Boundary,
+    /// An already-cleared defect whose grow wave lingers (no reset).
+    Ghost(usize),
+}
+
+/// What a decode has done to one data qubit's error output.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ChainMark {
+    /// No chain crossed the qubit; every qubit is here between decodes.
+    Untouched,
+    /// Chains crossed it an even number of times: they cancel.
+    Cancelled,
+    /// Chains crossed it an odd number of times: it is part of the correction.
+    Flagged,
+}
+
+/// The reusable working memory of [`GreedyMeshAlgorithm`].
+///
+/// Invariant (**chain bitmap clean between decodes**): outside a decode every
+/// entry of `chain` is [`ChainMark::Untouched`] and `chain_touched` is empty.
+/// [`GreedyMeshAlgorithm::decode_prepared`] marks only qubits it lists in
+/// `chain_touched`, and [`MeshScratch::drain_chain`], which every caller
+/// runs after it, restores exactly those.  Everything else is rebuilt from
+/// `defects` at the start of a decode, so nothing leaks from one decode (or
+/// lattice) into the next.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MeshScratch {
+    /// The defects to decode (ancilla indices), ascending and distinct;
+    /// filled by the caller.
+    pub(crate) defects: Vec<usize>,
+    /// Per defect position: not yet cleared; one more entry, always `true`,
+    /// stands for the boundary.
+    live: Vec<bool>,
+    /// Per defect position: cleared by the round being selected.
+    cleared_now: Vec<bool>,
+    /// The positions `cleared_now` marks.
+    cleared: Vec<usize>,
+    /// Every possible pairing.
+    timetable: Vec<TimetableEntry>,
+    /// Per completion time, the first entry of its list in `timetable`, in
+    /// which the entries follow each other in enumeration order.
+    first_at: Vec<usize>,
+    /// The pairings still possible at the round's completion time.
+    round: Vec<(usize, Partner)>,
+    /// Per data qubit of the largest lattice seen.
+    chain: Vec<ChainMark>,
+    /// The qubits of `chain` that are not `Untouched`, each once.
+    chain_touched: Vec<usize>,
+}
+
+impl MeshScratch {
+    /// Reserves for the worst case on `lattice` (every ancilla of a sector
+    /// hot), so that no decode on it allocates.
+    pub(crate) fn reserve_for(&mut self, lattice: &Lattice) {
+        let defects = lattice.ancillas_per_sector();
+        let pairings = defects * (defects + 1) / 2;
+        self.defects.reserve(defects);
+        self.live.reserve(defects + 1);
+        self.cleared_now.reserve(defects);
+        self.cleared.reserve(defects);
+        self.timetable.reserve(pairings);
+        self.first_at.reserve(Self::completion_times(lattice));
+        self.round.reserve(pairings);
+        if self.chain.len() < lattice.num_data() {
+            self.chain.resize(lattice.num_data(), ChainMark::Untouched);
+        }
+        self.chain_touched.reserve(lattice.num_data());
+    }
+
+    /// How many completion times a decode on `lattice` can see, zero
+    /// included: grow waves meet after at most a mesh side, one halo cell
+    /// included, and the handshake retraces that leg three times.
+    fn completion_times(lattice: &Lattice) -> usize {
+        4 * (lattice.size() + 1) + 1
+    }
+
+    /// Flips the error output of data qubit `q`.
+    fn toggle(chain: &mut [ChainMark], chain_touched: &mut Vec<usize>, q: usize) {
+        // Chains overlap-toggle rather than accumulate: two chains crossing
+        // the same data qubit cancel, exactly like two pair pulses flipping
+        // the same error output.
+        chain[q] = match chain[q] {
+            ChainMark::Untouched => {
+                chain_touched.push(q);
+                ChainMark::Flagged
+            }
+            ChainMark::Cancelled => ChainMark::Flagged,
+            ChainMark::Flagged => ChainMark::Cancelled,
+        };
+    }
+
+    /// Visits the data qubits the last decode left flagged, in no particular
+    /// order, and restores the clean state.
+    pub(crate) fn drain_chain(&mut self, mut flagged: impl FnMut(usize)) {
+        for q in self.chain_touched.drain(..) {
+            if std::mem::replace(&mut self.chain[q], ChainMark::Untouched) == ChainMark::Flagged {
+                flagged(q);
+            }
+        }
+    }
+}
+
 /// The greedy signal-timing decoder.
+///
+/// A pairing's completion time depends on the pair alone, and a round
+/// completes, among the pairings whose hot modules are still live, all those
+/// of the earliest completion time, in the order one would enumerate them:
+/// by first defect, each with its later defects ascending, then the
+/// boundary, then the ghosts ascending.  So a decode computes every time
+/// once, links the pairings into one list per time (in enumeration order),
+/// and walks the times upwards — O(defects² + rounds), on working memory
+/// that [`SfqMeshDecoder`](crate::SfqMeshDecoder) keeps from decode to
+/// decode.
 #[derive(Debug, Clone)]
 pub struct GreedyMeshAlgorithm {
     config: MeshConfig,
@@ -120,6 +266,181 @@ impl GreedyMeshAlgorithm {
         &self.config
     }
 
+    /// Decodes `scratch.defects`, leaving the chain in `scratch` for
+    /// [`MeshScratch::drain_chain`] and pushing the pairings, in the order
+    /// they completed, onto `pairings` when there is one.
+    pub(crate) fn decode_prepared(
+        &self,
+        lattice: &Lattice,
+        sector: Sector,
+        scratch: &mut MeshScratch,
+        mut pairings: Option<&mut Vec<MeshPairing>>,
+    ) -> MeshOutcome {
+        let cfg = &self.config;
+        let MeshScratch {
+            defects,
+            live,
+            cleared_now,
+            cleared,
+            timetable,
+            first_at,
+            round,
+            chain,
+            chain_touched,
+        } = scratch;
+        for &a in defects.iter() {
+            assert_eq!(
+                lattice.ancilla_sector(a),
+                sector,
+                "defect {a} does not belong to the {sector} sector"
+            );
+        }
+        debug_assert!(defects.windows(2).all(|pair| pair[0] < pair[1]));
+        debug_assert!(chain_touched.is_empty());
+        if chain.len() < lattice.num_data() {
+            chain.resize(lattice.num_data(), ChainMark::Untouched);
+        }
+        let max_cycles = cfg.max_cycles(lattice.size() + 2);
+
+        // --- Time every possible pairing -----------------------------------
+        // Enumerated backwards and linked at the front, so that each time's
+        // list reads forwards.
+        let boundary = defects.len();
+        timetable.clear();
+        first_at.clear();
+        first_at.resize(MeshScratch::completion_times(lattice), END);
+        let mut link = |a: usize, b: usize, completion: usize| {
+            let next = std::mem::replace(&mut first_at[completion], timetable.len());
+            timetable.push(TimetableEntry { a, b, next });
+        };
+        for i in (0..boundary).rev() {
+            let a = defects[i];
+            if cfg.boundary {
+                // Distance (in mesh cells) from an ancilla module to the
+                // nearest boundary module of its sector: one cell beyond the
+                // last data qubit.
+                let distance = 2 * lattice.boundary_distance(a);
+                link(i, boundary, boundary_timing(cfg, distance).completion);
+            }
+            let ca = lattice.ancilla_coord(a);
+            for j in (i + 1..boundary).rev() {
+                let cb = lattice.ancilla_coord(defects[j]);
+                let (dr, dc) = (ca.row.abs_diff(cb.row), ca.col.abs_diff(cb.col));
+                link(i, j, pair_timing(cfg, dr, dc).completion);
+            }
+        }
+
+        // --- Walk the times upwards, one round per iteration ---------------
+        live.clear();
+        live.resize(defects.len() + 1, true);
+        cleared_now.clear();
+        cleared_now.resize(defects.len(), false);
+        let mut remaining = defects.len();
+        let mut cycles = 0usize;
+        let mut time = 0usize;
+        while remaining > 0 && cycles < max_cycles {
+            // The earliest time at which a pairing is still possible.
+            round.clear();
+            while time < first_at.len() {
+                let mut at = first_at[time];
+                while at != END {
+                    let TimetableEntry { a, b, next } = timetable[at];
+                    at = next;
+                    match (live[a], live[b]) {
+                        (true, true) if b == boundary => round.push((a, Partner::Boundary)),
+                        (true, true) => round.push((a, Partner::Defect(b))),
+                        (true, false) if !cfg.reset => round.push((a, Partner::Ghost(b))),
+                        (false, true) if !cfg.reset && b != boundary => {
+                            round.push((b, Partner::Ghost(a)));
+                        }
+                        _ => {}
+                    }
+                }
+                if !round.is_empty() {
+                    break;
+                }
+                time += 1;
+            }
+            if round.is_empty() {
+                // No way to pair the remaining defects (e.g. a lone defect
+                // with no boundary modules): the decode stalls until the cap.
+                cycles = max_cycles;
+                break;
+            }
+            if !cfg.reset {
+                // Ghost pairings were listed where their dead end enumerated
+                // them while it lived.
+                round.sort_unstable();
+            }
+
+            // --- Select which of the tied candidates actually complete -----
+            for &(a, partner) in round.iter() {
+                let other = match partner {
+                    Partner::Defect(b) => Some(b),
+                    Partner::Boundary | Partner::Ghost(_) => None,
+                };
+                let conflict = cleared_now[a] || other.is_some_and(|b| cleared_now[b]);
+                if conflict && cfg.equidistant_handshake {
+                    // The request/grant handshake lets each hot module commit
+                    // to exactly one pairing; later ties are dropped.
+                    continue;
+                }
+                // Without the handshake, equidistant ties all fire (the flaw
+                // Figure 8(c) illustrates); with it, disjoint simultaneous
+                // pairings still complete concurrently.
+                for endpoint in std::iter::once(a).chain(other) {
+                    if !std::mem::replace(&mut cleared_now[endpoint], true) {
+                        cleared.push(endpoint);
+                    }
+                }
+                let toggle = |q| MeshScratch::toggle(chain, chain_touched, q);
+                match partner {
+                    Partner::Defect(b) | Partner::Ghost(b) => {
+                        lattice.for_each_correction_path_qubit(defects[a], defects[b], toggle);
+                    }
+                    Partner::Boundary => lattice.for_each_boundary_path_qubit(defects[a], toggle),
+                }
+                if let Some(pairings) = pairings.as_deref_mut() {
+                    pairings.push(match partner {
+                        Partner::Defect(b) => MeshPairing::Defects(defects[a], defects[b]),
+                        Partner::Boundary => MeshPairing::ToBoundary(defects[a]),
+                        Partner::Ghost(b) => MeshPairing::ToGhost {
+                            live: defects[a],
+                            ghost: defects[b],
+                        },
+                    });
+                }
+            }
+            remaining -= cleared.len();
+            for endpoint in cleared.drain(..) {
+                live[endpoint] = false;
+                cleared_now[endpoint] = false;
+            }
+
+            cycles += time;
+            if cfg.reset {
+                // Every candidate of this time was selected or lost an
+                // endpoint: the time is spent.  Without reset it is scanned
+                // again, because a defect the round cleared is a ghost by
+                // now and can pair at the same time.
+                time += 1;
+                if remaining > 0 {
+                    cycles += usize::from(cfg.module_depth);
+                }
+            }
+            if cycles >= max_cycles {
+                cycles = max_cycles;
+                break;
+            }
+        }
+
+        MeshOutcome {
+            cycles,
+            cleared_defects: defects.len() - remaining,
+            completed: remaining == 0,
+        }
+    }
+
     /// Decodes the given defects, returning the chain, cycle count and the
     /// list of pairings in the order they completed.
     #[must_use]
@@ -129,153 +450,20 @@ impl GreedyMeshAlgorithm {
         sector: Sector,
         defects: &[usize],
     ) -> (MeshDecodeResult, Vec<MeshPairing>) {
-        let cfg = &self.config;
-        for &a in defects {
-            assert_eq!(
-                lattice.ancilla_sector(a),
-                sector,
-                "defect {a} does not belong to the {sector} sector"
-            );
-        }
-        let mut live: BTreeSet<usize> = defects.iter().copied().collect();
-        let mut ghosts: BTreeSet<usize> = BTreeSet::new();
-        let mut chain: BTreeSet<usize> = BTreeSet::new();
+        let mut scratch = MeshScratch::default();
+        scratch.defects.extend_from_slice(defects);
+        scratch.defects.sort_unstable();
+        scratch.defects.dedup();
         let mut pairings = Vec::new();
-        let mut cycles = 0usize;
-        let initial = live.len();
-        let max_cycles = cfg.max_cycles(lattice.size() + 2);
-
-        let mesh_delta = |a: usize, b: usize| {
-            let ca = lattice.ancilla_coord(a);
-            let cb = lattice.ancilla_coord(b);
-            (ca.row.abs_diff(cb.row), ca.col.abs_diff(cb.col))
-        };
-        // Distance (in mesh cells) from an ancilla module to the nearest
-        // boundary module of its sector: one cell beyond the last data qubit.
-        let boundary_mesh_distance = |a: usize| 2 * lattice.boundary_distance(a);
-
-        while !live.is_empty() && cycles < max_cycles {
-            // --- Find the earliest-completing candidate pairings ----------
-            let live_vec: Vec<usize> = live.iter().copied().collect();
-            let mut best_time = usize::MAX;
-            // (completion, pairing) candidates at the minimal completion time.
-            let mut candidates: Vec<(usize, MeshPairing)> = Vec::new();
-            let consider = |time: usize,
-                            pairing: MeshPairing,
-                            best: &mut usize,
-                            cands: &mut Vec<(usize, MeshPairing)>| {
-                if time < *best {
-                    *best = time;
-                    cands.clear();
-                }
-                if time == *best {
-                    cands.push((time, pairing));
-                }
-            };
-
-            for (i, &a) in live_vec.iter().enumerate() {
-                for &b in &live_vec[i + 1..] {
-                    let (dr, dc) = mesh_delta(a, b);
-                    let t = pair_timing(cfg, dr, dc).completion;
-                    consider(
-                        t,
-                        MeshPairing::Defects(a, b),
-                        &mut best_time,
-                        &mut candidates,
-                    );
-                }
-                if cfg.boundary {
-                    let t = boundary_timing(cfg, boundary_mesh_distance(a)).completion;
-                    consider(
-                        t,
-                        MeshPairing::ToBoundary(a),
-                        &mut best_time,
-                        &mut candidates,
-                    );
-                }
-                if !cfg.reset {
-                    for &g in &ghosts {
-                        let (dr, dc) = mesh_delta(a, g);
-                        let t = pair_timing(cfg, dr, dc).completion;
-                        consider(
-                            t,
-                            MeshPairing::ToGhost { live: a, ghost: g },
-                            &mut best_time,
-                            &mut candidates,
-                        );
-                    }
-                }
-            }
-
-            if candidates.is_empty() {
-                // No way to pair the remaining defects (e.g. a lone defect
-                // with no boundary modules): the decode stalls until the cap.
-                cycles = max_cycles;
-                break;
-            }
-
-            // --- Select which of the tied candidates actually complete ----
-            let mut cleared_this_round: BTreeSet<usize> = BTreeSet::new();
-            let mut selected: Vec<MeshPairing> = Vec::new();
-            for (_, pairing) in candidates {
-                let endpoints: Vec<usize> = match &pairing {
-                    MeshPairing::Defects(a, b) => vec![*a, *b],
-                    MeshPairing::ToBoundary(a) => vec![*a],
-                    MeshPairing::ToGhost { live, .. } => vec![*live],
-                };
-                let conflict = endpoints.iter().any(|e| cleared_this_round.contains(e));
-                if conflict && cfg.equidistant_handshake {
-                    // The request/grant handshake lets each hot module commit
-                    // to exactly one pairing; later ties are dropped.
-                    continue;
-                }
-                // Without the handshake, equidistant ties all fire (the flaw
-                // Figure 8(c) illustrates); with it, disjoint simultaneous
-                // pairings still complete concurrently.
-                for e in &endpoints {
-                    cleared_this_round.insert(*e);
-                }
-                selected.push(pairing);
-            }
-
-            // --- Apply the selected pairings -------------------------------
-            for pairing in &selected {
-                let path = match pairing {
-                    MeshPairing::Defects(a, b) => lattice.correction_path(*a, *b),
-                    MeshPairing::ToBoundary(a) => lattice.boundary_path(*a),
-                    MeshPairing::ToGhost { live, ghost } => lattice.correction_path(*live, *ghost),
-                };
-                for q in path {
-                    // Chains overlap-toggle rather than accumulate: two chains
-                    // crossing the same data qubit cancel, exactly like two
-                    // pair pulses flipping the same error output.
-                    if !chain.insert(q) {
-                        chain.remove(&q);
-                    }
-                }
-            }
-            for &e in &cleared_this_round {
-                live.remove(&e);
-                ghosts.insert(e);
-            }
-            pairings.extend(selected);
-
-            cycles += best_time;
-            if cfg.reset && !live.is_empty() {
-                cycles += usize::from(cfg.module_depth);
-            }
-            if cycles >= max_cycles {
-                cycles = max_cycles;
-                break;
-            }
-        }
-
-        let completed = live.is_empty();
+        let outcome = self.decode_prepared(lattice, sector, &mut scratch, Some(&mut pairings));
+        let mut chain_data_qubits = Vec::new();
+        scratch.drain_chain(|q| chain_data_qubits.push(q));
+        chain_data_qubits.sort_unstable();
         let result = MeshDecodeResult {
-            chain_data_qubits: chain.into_iter().collect(),
-            cycles,
-            cleared_defects: initial - live.len(),
-            completed,
+            chain_data_qubits,
+            cycles: outcome.cycles,
+            cleared_defects: outcome.cleared_defects,
+            completed: outcome.completed,
         };
         (result, pairings)
     }

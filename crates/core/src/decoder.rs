@@ -5,15 +5,16 @@
 //! wall-clock nanoseconds, and whether the decode completed — which are what
 //! Table IV and Figure 10(c) of the paper report.
 
-use crate::algorithm::GreedyMeshAlgorithm;
+use crate::algorithm::{GreedyMeshAlgorithm, MeshOutcome, MeshScratch};
 use crate::config::{DecoderVariant, MeshConfig};
 use crate::hardware::DecoderModuleHardware;
-use crate::mesh::{MeshDecodeResult, MeshEngine};
+use crate::mesh::MeshEngine;
 use nisqplus_decoders::traits::{sector_correction_pauli, Correction, Decoder};
 use nisqplus_qec::lattice::{Lattice, Sector};
 use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::syndrome::Syndrome;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Which level of modelling executes the decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -51,9 +52,10 @@ pub struct SfqMeshDecoder {
     cycle_time_ps: f64,
     last_stats: Option<DecodeStats>,
     name: String,
-    /// Reusable defect-list buffer for the streaming hot path (filled by an
-    /// allocation-free syndrome scan instead of `Lattice::defects`).
-    defect_scratch: Vec<usize>,
+    /// The signal-timing algorithm's working memory, whose defect list both
+    /// execution models decode from; sized by `prepare`, so a prepared
+    /// decoder's `decode_into` never allocates.
+    scratch: MeshScratch,
 }
 
 impl SfqMeshDecoder {
@@ -67,7 +69,12 @@ impl SfqMeshDecoder {
     /// beyond the four named variants).
     #[must_use]
     pub fn with_config(variant: DecoderVariant, config: MeshConfig) -> Self {
-        let cycle_time_ps = DecoderModuleHardware::ersfq().cycle_time_ps();
+        // The synthesized module's latency is a constant of the ERSFQ cell
+        // library; synthesizing it costs more than a hundred decodes, so it
+        // is done once per process, not once per decoder.
+        static ERSFQ_CYCLE_TIME_PS: OnceLock<f64> = OnceLock::new();
+        let cycle_time_ps =
+            *ERSFQ_CYCLE_TIME_PS.get_or_init(|| DecoderModuleHardware::ersfq().cycle_time_ps());
         SfqMeshDecoder {
             variant,
             algorithm: GreedyMeshAlgorithm::new(config),
@@ -76,7 +83,7 @@ impl SfqMeshDecoder {
             cycle_time_ps,
             last_stats: None,
             name: format!("sfq-mesh-{}", variant.label()),
-            defect_scratch: Vec::new(),
+            scratch: MeshScratch::default(),
         }
     }
 
@@ -118,36 +125,6 @@ impl SfqMeshDecoder {
     pub fn last_stats(&self) -> Option<DecodeStats> {
         self.last_stats
     }
-
-    fn run(&self, lattice: &Lattice, sector: Sector, defects: &[usize]) -> MeshDecodeResult {
-        match self.execution {
-            ExecutionModel::SignalTiming => self.algorithm.decode_defects(lattice, sector, defects),
-            ExecutionModel::PulseLevel => self.engine.decode_defects(lattice, sector, defects),
-        }
-    }
-}
-
-impl SfqMeshDecoder {
-    /// Runs one sector decode via the reusable defect buffer, recording the
-    /// per-decode statistics.  Shared by `decode` and `decode_into`.
-    fn decode_stats_run(
-        &mut self,
-        lattice: &Lattice,
-        syndrome: &Syndrome,
-        sector: Sector,
-    ) -> MeshDecodeResult {
-        self.defect_scratch.clear();
-        let scratch = &mut self.defect_scratch;
-        lattice.for_each_defect(syndrome, sector, |a| scratch.push(a));
-        let result = self.run(lattice, sector, &self.defect_scratch);
-        self.last_stats = Some(DecodeStats {
-            defects: self.defect_scratch.len(),
-            cycles: result.cycles,
-            time_ns: result.cycles as f64 * self.cycle_time_ps * 1e-3,
-            completed: result.completed,
-        });
-        result
-    }
 }
 
 impl Decoder for SfqMeshDecoder {
@@ -156,15 +133,12 @@ impl Decoder for SfqMeshDecoder {
     }
 
     fn prepare(&mut self, lattice: &Lattice) {
-        // The mesh is configured per decode; preparation sizes the defect
-        // buffer for the worst case (every same-sector ancilla hot).
-        self.defect_scratch.reserve(lattice.ancillas_per_sector());
+        self.scratch.reserve_for(lattice);
     }
 
     fn decode(&mut self, lattice: &Lattice, syndrome: &Syndrome, sector: Sector) -> Correction {
-        let result = self.decode_stats_run(lattice, syndrome, sector);
-        let pauli = sector_correction_pauli(sector);
-        let flips = PauliString::from_sparse(lattice.num_data(), &result.chain_data_qubits, pauli);
+        let mut flips = PauliString::default();
+        self.decode_into(lattice, syndrome, sector, &mut flips);
         Correction::from_pauli_string(flips)
     }
 
@@ -175,12 +149,39 @@ impl Decoder for SfqMeshDecoder {
         sector: Sector,
         out: &mut PauliString,
     ) {
-        let result = self.decode_stats_run(lattice, syndrome, sector);
         out.reset_identity(lattice.num_data());
         let pauli = sector_correction_pauli(sector);
-        for &q in &result.chain_data_qubits {
-            out.apply(q, pauli);
-        }
+        let defects = &mut self.scratch.defects;
+        defects.clear();
+        lattice.for_each_defect(syndrome, sector, |a| defects.push(a));
+        let outcome = match self.execution {
+            ExecutionModel::SignalTiming => {
+                let outcome =
+                    self.algorithm
+                        .decode_prepared(lattice, sector, &mut self.scratch, None);
+                self.scratch.drain_chain(|q| out.set(q, pauli));
+                outcome
+            }
+            ExecutionModel::PulseLevel => {
+                let result = self
+                    .engine
+                    .decode_defects(lattice, sector, &self.scratch.defects);
+                for &q in &result.chain_data_qubits {
+                    out.set(q, pauli);
+                }
+                MeshOutcome {
+                    cycles: result.cycles,
+                    cleared_defects: result.cleared_defects,
+                    completed: result.completed,
+                }
+            }
+        };
+        self.last_stats = Some(DecodeStats {
+            defects: self.scratch.defects.len(),
+            cycles: outcome.cycles,
+            time_ns: outcome.cycles as f64 * self.cycle_time_ps * 1e-3,
+            completed: outcome.completed,
+        });
     }
 }
 

@@ -24,9 +24,25 @@ pub trait ErrorModel {
 
     /// Samples an error pattern over all data qubits of a lattice.
     fn sample<R: Rng + ?Sized>(&self, lattice: &Lattice, rng: &mut R) -> PauliString {
-        (0..lattice.num_data())
-            .map(|_| self.sample_single(rng))
-            .collect()
+        let mut error = PauliString::default();
+        self.sample_into(lattice, rng, &mut error);
+        error
+    }
+
+    /// Samples an error pattern over all data qubits of a lattice into a
+    /// caller-provided buffer, reusing its allocation: exactly one
+    /// [`sample_single`](Self::sample_single) per data qubit, in ascending
+    /// qubit order, so the draws are those of [`sample`](Self::sample).
+    fn sample_into<R: Rng + ?Sized>(
+        &self,
+        lattice: &Lattice,
+        rng: &mut R,
+        error: &mut PauliString,
+    ) {
+        error.reset_identity(lattice.num_data());
+        for qubit in 0..lattice.num_data() {
+            error.set(qubit, self.sample_single(rng));
+        }
     }
 }
 
@@ -375,6 +391,20 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    #[test]
+    fn sample_into_draws_what_sample_draws() {
+        let lattice = Lattice::new(5).unwrap();
+        let model = Depolarizing::new(0.2).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(99);
+        let mut rng_into = ChaCha8Rng::seed_from_u64(99);
+        // Starts at the wrong length: `sample_into` resizes its buffer.
+        let mut buffer = PauliString::identity(3);
+        for _ in 0..20 {
+            model.sample_into(&lattice, &mut rng_into, &mut buffer);
+            assert_eq!(buffer, model.sample(&lattice, &mut rng));
+        }
+    }
 
     #[test]
     fn invalid_probabilities_are_rejected() {

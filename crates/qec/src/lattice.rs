@@ -140,6 +140,9 @@ pub struct CellInfo {
     pub index: usize,
 }
 
+/// Fills the unused slot of a boundary qubit's pair in `Lattice::data_ancillas`.
+const NO_ANCILLA: u32 = u32::MAX;
+
 /// A distance-`d` planar surface-code lattice.
 ///
 /// The lattice owns all geometry: qubit placement, stabilizer supports,
@@ -155,6 +158,15 @@ pub struct Lattice {
     ancilla_kinds: Vec<QubitKind>,
     /// For each ancilla index, the data-qubit indices of its stabilizer support.
     stabilizer_supports: Vec<Vec<usize>>,
+    /// For each data qubit, the ancillas whose stabilizer contains it, one
+    /// pair per sector (indexed by [`Sector::index`]): the transpose of
+    /// `stabilizer_supports`, built from that table.  A qubit on a sector's
+    /// boundary touches one ancilla of the sector; its second slot holds
+    /// [`NO_ANCILLA`].
+    data_ancillas: Vec<[[u32; 2]; 2]>,
+    /// The ancilla indices of each sector (indexed by [`Sector::index`]),
+    /// ascending.
+    sector_ancillas: [Vec<u32>; 2],
     /// Data-qubit indices of the logical-X representative (top row).
     logical_x_support: Vec<usize>,
     /// Data-qubit indices of the logical-Z representative (left column).
@@ -239,6 +251,25 @@ impl Lattice {
             stabilizer_supports[a_idx] = support;
         }
 
+        let mut data_ancillas = vec![[[NO_ANCILLA; 2]; 2]; data_coords.len()];
+        let mut sector_ancillas = [Vec::new(), Vec::new()];
+        for (a_idx, support) in stabilizer_supports.iter().enumerate() {
+            let sector = if ancilla_kinds[a_idx] == QubitKind::AncillaX {
+                Sector::X
+            } else {
+                Sector::Z
+            };
+            let ancilla = u32::try_from(a_idx).expect("ancilla indices fit in 32 bits");
+            sector_ancillas[sector.index()].push(ancilla);
+            for &q in support {
+                let slot = data_ancillas[q][sector.index()]
+                    .iter_mut()
+                    .find(|slot| **slot == NO_ANCILLA)
+                    .expect("a data qubit touches at most two ancillas of a sector");
+                *slot = ancilla;
+            }
+        }
+
         // Logical X: X operators along the top row of data qubits.
         let logical_x_support: Vec<usize> = (0..size)
             .step_by(2)
@@ -258,6 +289,8 @@ impl Lattice {
             ancilla_coords,
             ancilla_kinds,
             stabilizer_supports,
+            data_ancillas,
+            sector_ancillas,
             logical_x_support,
             logical_z_support,
         })
@@ -371,12 +404,9 @@ impl Lattice {
 
     /// Iterates over the ancilla indices belonging to one sector.
     pub fn ancillas_in_sector(&self, sector: Sector) -> impl Iterator<Item = usize> + '_ {
-        let kind = sector.ancilla_kind();
-        self.ancilla_kinds
+        self.sector_ancillas[sector.index()]
             .iter()
-            .enumerate()
-            .filter(move |(_, k)| **k == kind)
-            .map(|(i, _)| i)
+            .map(|&a| a as usize)
     }
 
     /// Data-qubit indices of the logical-X representative (top row).
@@ -402,21 +432,58 @@ impl Lattice {
     /// Panics if `error` is not indexed by this lattice's data qubits.
     #[must_use]
     pub fn syndrome_of(&self, error: &PauliString) -> Syndrome {
+        let mut syndrome = Syndrome::default();
+        self.syndrome_into(error, &mut syndrome);
+        syndrome
+    }
+
+    /// Computes the error syndrome of `error` into a caller-provided buffer,
+    /// reusing its allocation: one scan of the data qubits plus at most four
+    /// bit flips per non-identity operator, whatever the lattice size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `error` is not indexed by this lattice's data qubits.
+    pub fn syndrome_into(&self, error: &PauliString, syndrome: &mut Syndrome) {
+        syndrome.reset_clear(self.num_ancillas());
+        self.for_each_anticommuting_ancilla(error, &Sector::ALL, |a| syndrome.flip(a));
+    }
+
+    /// Calls `flip` once per (non-identity operator of `operator`, adjacent
+    /// ancilla of one of `sectors` it anticommutes with) pair; an ancilla is
+    /// hot when it was visited an odd number of times.
+    fn for_each_anticommuting_ancilla(
+        &self,
+        operator: &PauliString,
+        sectors: &[Sector],
+        mut flip: impl FnMut(usize),
+    ) {
         assert_eq!(
-            error.len(),
+            operator.len(),
             self.num_data(),
-            "error acts on {} qubits but lattice has {} data qubits",
-            error.len(),
+            "operator acts on {} qubits but lattice has {} data qubits",
+            operator.len(),
             self.num_data()
         );
-        let bits = (0..self.num_ancillas())
-            .map(|a| match self.ancilla_kinds[a] {
-                QubitKind::AncillaX => error.z_overlap_parity(&self.stabilizer_supports[a]),
-                QubitKind::AncillaZ => error.x_overlap_parity(&self.stabilizer_supports[a]),
-                QubitKind::Data => unreachable!("ancilla list contains a data qubit"),
-            })
-            .collect();
-        Syndrome::from_bits(bits)
+        for (pauli, ancillas) in operator.iter().zip(&self.data_ancillas) {
+            if pauli.is_identity() {
+                continue;
+            }
+            for &sector in sectors {
+                // X ancillas detect Z components, Z ancillas X components.
+                let detected = match sector {
+                    Sector::X => pauli.has_z_component(),
+                    Sector::Z => pauli.has_x_component(),
+                };
+                if detected {
+                    for &a in &ancillas[sector.index()] {
+                        if a != NO_ANCILLA {
+                            flip(a as usize);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// The ancilla indices that fired ("hot syndromes") in a given sector.
@@ -426,16 +493,9 @@ impl Lattice {
     /// Panics if the syndrome length does not match this lattice.
     #[must_use]
     pub fn defects(&self, syndrome: &Syndrome, sector: Sector) -> Vec<usize> {
-        assert_eq!(
-            syndrome.len(),
-            self.num_ancillas(),
-            "syndrome length {} does not match {} ancillas",
-            syndrome.len(),
-            self.num_ancillas()
-        );
-        self.ancillas_in_sector(sector)
-            .filter(|&a| syndrome.is_hot(a))
-            .collect()
+        let mut defects = Vec::new();
+        self.for_each_defect(syndrome, sector, |a| defects.push(a));
+        defects
     }
 
     /// Distance (number of data qubits crossed) between two same-sector ancillas.
@@ -605,9 +665,8 @@ impl Lattice {
             syndrome.len(),
             self.num_ancillas()
         );
-        let kind = sector.ancilla_kind();
-        for (a, &k) in self.ancilla_kinds.iter().enumerate() {
-            if k == kind && syndrome.is_hot(a) {
+        for a in self.ancillas_in_sector(sector) {
+            if syndrome.is_hot(a) {
                 f(a);
             }
         }
@@ -616,44 +675,134 @@ impl Lattice {
     /// Returns `true` if `operator` triggers no detection event in `sector`,
     /// i.e. it commutes with every stabilizer of that sector.
     ///
-    /// This is the allocation-free equivalent of checking that
-    /// [`Lattice::defects`] on [`Lattice::syndrome_of`]`(operator)` is empty
-    /// for one sector, with early exit on the first hot stabilizer.
+    /// This is the equivalent of checking that [`Lattice::defects`] on
+    /// [`Lattice::syndrome_of`]`(operator)` is empty for one sector, at the
+    /// cost of one scan of the data qubits plus two bit flips per operator
+    /// the sector detects, and without allocating on lattices of at most
+    /// 512 ancillas (`d <= 16`).
     ///
     /// # Panics
     ///
     /// Panics if `operator` is not indexed by this lattice's data qubits.
     #[must_use]
     pub fn sector_is_clear(&self, operator: &PauliString, sector: Sector) -> bool {
-        assert_eq!(
-            operator.len(),
-            self.num_data(),
-            "operator acts on {} qubits but lattice has {} data qubits",
-            operator.len(),
-            self.num_data()
-        );
-        let kind = sector.ancilla_kind();
-        for (a, &k) in self.ancilla_kinds.iter().enumerate() {
-            if k != kind {
-                continue;
-            }
-            let hot = match kind {
-                QubitKind::AncillaX => operator.z_overlap_parity(&self.stabilizer_supports[a]),
-                QubitKind::AncillaZ => operator.x_overlap_parity(&self.stabilizer_supports[a]),
-                QubitKind::Data => unreachable!("ancilla list contains a data qubit"),
-            };
-            if hot {
-                return false;
-            }
-        }
-        true
+        let words = self.num_ancillas().div_ceil(64);
+        let mut on_stack = [0u64; 8];
+        let mut on_heap = Vec::new();
+        let hot: &mut [u64] = if words <= on_stack.len() {
+            &mut on_stack[..words]
+        } else {
+            on_heap.resize(words, 0);
+            &mut on_heap
+        };
+        self.for_each_anticommuting_ancilla(operator, &[sector], |a| hot[a / 64] ^= 1 << (a % 64));
+        hot.iter().all(|&word| word == 0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error_model::{Depolarizing, ErrorModel};
+    use crate::logical::{classify_residual, classify_residual_operator};
     use crate::pauli::{Pauli, PauliString};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    /// The dense reference the sparse syndrome code is pinned against: every
+    /// ancilla's bit is the parity of the components it detects on its
+    /// stabilizer support.
+    fn dense_syndrome_of(lattice: &Lattice, error: &PauliString) -> Syndrome {
+        (0..lattice.num_ancillas())
+            .map(|a| match lattice.ancilla_sector(a) {
+                Sector::X => error.z_overlap_parity(lattice.stabilizer_support(a)),
+                Sector::Z => error.x_overlap_parity(lattice.stabilizer_support(a)),
+            })
+            .collect()
+    }
+
+    /// Asserts everything the sparse code computes from `operator` against
+    /// the dense reference, reusing `buffer` the way a trial loop does.
+    fn assert_matches_dense_reference(
+        lattice: &Lattice,
+        operator: &PauliString,
+        buffer: &mut Syndrome,
+    ) {
+        let expected = dense_syndrome_of(lattice, operator);
+        assert_eq!(lattice.syndrome_of(operator), expected, "{operator}");
+        lattice.syndrome_into(operator, buffer);
+        assert_eq!(*buffer, expected, "{operator}");
+        for sector in Sector::ALL {
+            assert_eq!(
+                lattice.sector_is_clear(operator, sector),
+                lattice.defects(&expected, sector).is_empty(),
+                "{operator} in sector {sector}"
+            );
+        }
+    }
+
+    #[test]
+    fn data_ancillas_is_the_transpose_of_stabilizer_supports() {
+        for d in [3, 5, 9] {
+            let lat = Lattice::new(d).unwrap();
+            for q in 0..lat.num_data() {
+                for sector in Sector::ALL {
+                    let listed: Vec<usize> = lat.data_ancillas[q][sector.index()]
+                        .iter()
+                        .filter(|&&a| a != NO_ANCILLA)
+                        .map(|&a| a as usize)
+                        .collect();
+                    let expected: Vec<usize> = lat
+                        .ancillas_in_sector(sector)
+                        .filter(|&a| lat.stabilizer_support(a).contains(&q))
+                        .collect();
+                    assert_eq!(listed, expected, "d={d} qubit {q} sector {sector}");
+                }
+            }
+            let listed: usize = lat
+                .data_ancillas
+                .iter()
+                .flatten()
+                .flatten()
+                .filter(|&&a| a != NO_ANCILLA)
+                .count();
+            let supported: usize = (0..lat.num_ancillas())
+                .map(|a| lat.stabilizer_support(a).len())
+                .sum();
+            assert_eq!(listed, supported, "d={d}");
+        }
+    }
+
+    #[test]
+    fn sparse_syndromes_match_the_dense_reference() {
+        for d in [3, 5, 9] {
+            let lat = Lattice::new(d).unwrap();
+            // A buffer of the wrong length and content: `syndrome_into` must
+            // not depend on what it is handed.
+            let mut buffer = Syndrome::from_hot(3, &[1]);
+            for q in 0..lat.num_data() {
+                for pauli in Pauli::ERRORS {
+                    let error = PauliString::from_sparse(lat.num_data(), &[q], pauli);
+                    assert_matches_dense_reference(&lat, &error, &mut buffer);
+                }
+            }
+            let model = Depolarizing::new(0.3).unwrap();
+            let mut rng = ChaCha8Rng::seed_from_u64(0xD15E + d as u64);
+            let mut previous = PauliString::identity(lat.num_data());
+            for _ in 0..500 {
+                let error = model.sample(&lat, &mut rng);
+                assert_matches_dense_reference(&lat, &error, &mut buffer);
+                let composed = error.composed(&previous);
+                for sector in Sector::ALL {
+                    assert_eq!(
+                        classify_residual(&lat, &error, &previous, sector),
+                        classify_residual_operator(&lat, &composed, sector)
+                    );
+                }
+                previous = error;
+            }
+        }
+    }
 
     #[test]
     fn rejects_invalid_distances() {

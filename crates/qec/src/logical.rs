@@ -69,22 +69,7 @@ pub fn classify_residual(
     correction: &PauliString,
     sector: Sector,
 ) -> LogicalState {
-    let residual = error.composed(correction);
-    let syndrome = lattice.syndrome_of(&residual);
-    if !lattice.defects(&syndrome, sector).is_empty() {
-        return LogicalState::InvalidCorrection;
-    }
-    let anticommutes = match sector {
-        // Z-type residuals anticommute with the logical X representative.
-        Sector::X => residual.z_overlap_parity(lattice.logical_x_support()),
-        // X-type residuals anticommute with the logical Z representative.
-        Sector::Z => residual.x_overlap_parity(lattice.logical_z_support()),
-    };
-    if anticommutes {
-        LogicalState::LogicalError
-    } else {
-        LogicalState::Success
-    }
+    classify_residual_operator(lattice, &error.composed(correction), sector)
 }
 
 /// Classifies a decode cycle across **both** sectors.
@@ -96,21 +81,18 @@ pub fn classify_both_sectors(
     error: &PauliString,
     correction: &PauliString,
 ) -> (LogicalState, LogicalState) {
-    (
-        classify_residual(lattice, error, correction, Sector::X),
-        classify_residual(lattice, error, correction, Sector::Z),
-    )
+    classify_both_sectors_into(lattice, error, correction, &mut PauliString::default())
 }
 
 /// Classifies an already-composed residual operator in one sector without
 /// allocating.
 ///
-/// Produces exactly the same state as [`classify_residual`] would for any
-/// `(error, correction)` pair composing to `residual`: the stabilizer check
-/// runs directly over the sector's supports ([`Lattice::sector_is_clear`])
-/// instead of materializing a [`Syndrome`](crate::syndrome::Syndrome) and a
-/// defect list, which makes it safe to call from allocation-free decode
-/// loops.
+/// This is the classifier [`classify_residual`] applies to the composition
+/// of its `(error, correction)` pair: the stabilizer check flips only the
+/// ancillas next to the residual's non-identity operators
+/// ([`Lattice::sector_is_clear`]) instead of materializing a
+/// [`Syndrome`](crate::syndrome::Syndrome) and a defect list, which makes it
+/// safe to call from allocation-free decode loops.
 ///
 /// # Panics
 ///

@@ -87,6 +87,14 @@ impl Syndrome {
         self.bits[index] = !self.bits[index];
     }
 
+    /// Resets the syndrome to all-clear on `len` ancillas, reusing the
+    /// existing allocation when it is large enough (the analogue of
+    /// [`PauliString::reset_identity`](crate::pauli::PauliString::reset_identity)).
+    pub fn reset_clear(&mut self, len: usize) {
+        self.bits.clear();
+        self.bits.resize(len, false);
+    }
+
     /// Returns `true` if any ancilla reported a detection event.
     #[must_use]
     pub fn any_hot(&self) -> bool {

@@ -11,8 +11,9 @@ use nisqplus_core::{DecodeStats, DecoderVariant, SfqMeshDecoder};
 use nisqplus_decoders::Decoder;
 use nisqplus_qec::error_model::ErrorModel;
 use nisqplus_qec::lattice::{Lattice, Sector};
-use nisqplus_qec::logical::classify_residual;
-use parking_lot::Mutex;
+use nisqplus_qec::logical::classify_residual_operator;
+use nisqplus_qec::pauli::PauliString;
+use nisqplus_qec::syndrome::Syndrome;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -136,56 +137,80 @@ where
         cycles: Vec<usize>,
         times: Vec<f64>,
     }
-    let results: Mutex<Vec<WorkerResult>> = Mutex::new(Vec::new());
 
-    std::thread::scope(|scope| {
-        for worker in 0..threads {
-            let results = &results;
-            let make_decoder = &make_decoder;
-            let read_stats = &read_stats;
-            let trials = config.trials / threads + usize::from(worker < config.trials % threads);
-            let seed = config.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(worker as u64 + 1));
-            let sector = config.sector;
-            scope.spawn(move || {
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                let mut decoder = make_decoder();
-                let mut failures = 0usize;
-                let mut defects = 0usize;
-                let mut cycles = Vec::new();
-                let mut times = Vec::new();
-                for _ in 0..trials {
-                    let error = model.sample(lattice, &mut rng);
-                    let syndrome = lattice.syndrome_of(&error);
-                    defects += lattice.defects(&syndrome, sector).len();
-                    let correction = decoder.decode(lattice, &syndrome, sector);
-                    let state =
-                        classify_residual(lattice, &error, correction.pauli_string(), sector);
-                    if state.is_failure() {
-                        failures += 1;
+    // Workers are joined in spawn order, so the concatenated samples do not
+    // depend on which worker finishes first.
+    let workers: Vec<WorkerResult> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|worker| {
+                let make_decoder = &make_decoder;
+                let read_stats = &read_stats;
+                let trials =
+                    config.trials / threads + usize::from(worker < config.trials % threads);
+                let seed = config.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(worker as u64 + 1));
+                let sector = config.sector;
+                scope.spawn(move || {
+                    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                    let mut decoder = make_decoder();
+                    decoder.prepare(lattice);
+                    // One buffer each for the whole run: a trial costs a scan
+                    // of the data qubits plus what its errors and defects
+                    // cost, and allocates nothing.
+                    let mut error = PauliString::identity(lattice.num_data());
+                    let mut syndrome = Syndrome::new(lattice.num_ancillas());
+                    let mut correction = PauliString::identity(lattice.num_data());
+                    let mut failures = 0usize;
+                    let mut defects = 0usize;
+                    let mut cycles = Vec::new();
+                    let mut times = Vec::new();
+                    for _ in 0..trials {
+                        model.sample_into(lattice, &mut rng, &mut error);
+                        lattice.syndrome_into(&error, &mut syndrome);
+                        lattice.for_each_defect(&syndrome, sector, |_| defects += 1);
+                        decoder.decode_into(lattice, &syndrome, sector, &mut correction);
+                        // Composition commutes up to phase: the residual can
+                        // be built in the correction's buffer.
+                        correction.compose_with(&error);
+                        if classify_residual_operator(lattice, &correction, sector).is_failure() {
+                            failures += 1;
+                        }
+                        if let Some(stats) = read_stats(&decoder) {
+                            if cycles.capacity() == 0 {
+                                cycles.reserve_exact(trials);
+                                times.reserve_exact(trials);
+                            }
+                            cycles.push(stats.cycles);
+                            times.push(stats.time_ns);
+                        }
                     }
-                    if let Some(stats) = read_stats(&decoder) {
-                        cycles.push(stats.cycles);
-                        times.push(stats.time_ns);
+                    WorkerResult {
+                        failures,
+                        defects,
+                        cycles,
+                        times,
                     }
-                }
-                results.lock().push(WorkerResult {
-                    failures,
-                    defects,
-                    cycles,
-                    times,
-                });
-            });
-        }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
     });
 
+    let samples = workers.iter().map(|worker| worker.cycles.len()).sum();
     let mut out = MonteCarloResult {
         trials: config.trials,
         failures: 0,
         total_defects: 0,
-        cycle_samples: Vec::new(),
-        time_ns_samples: Vec::new(),
+        cycle_samples: Vec::with_capacity(samples),
+        time_ns_samples: Vec::with_capacity(samples),
     };
-    for worker in results.into_inner() {
+    for worker in workers {
         out.failures += worker.failures;
         out.total_defects += worker.defects;
         out.cycle_samples.extend(worker.cycles);
@@ -254,8 +279,11 @@ mod tests {
         let config = MonteCarloConfig::new(300).with_threads(3).with_seed(42);
         let a = run_sfq_lifetime(&lattice, &model, &config, DecoderVariant::Final);
         let b = run_sfq_lifetime(&lattice, &model, &config, DecoderVariant::Final);
-        assert_eq!(a.failures, b.failures);
-        assert_eq!(a.total_defects, b.total_defects);
+        // The whole result, per-trial samples included: worker `i`'s samples
+        // come `i`-th whichever worker finishes first.
+        assert_eq!(a, b);
+        assert_eq!(a.cycle_samples.len(), 300);
+        assert_eq!(a.time_ns_samples.len(), 300);
     }
 
     #[test]
