@@ -409,7 +409,7 @@ pub fn class_entry(
             0.0
         },
         residual_failure_rate: tally.failure_rate(),
-        peak_rss_bytes: 0,
+        peak_rss_bytes: None,
         final_backlog,
         verdict: verdict.to_string(),
     }
@@ -420,7 +420,8 @@ pub fn class_entry(
 /// class present in the profile.  Returns the entries written.
 pub fn emit(profile: &SoakProfile, report: &RuntimeReport) -> Vec<BenchEntry> {
     let mut aggregate = BenchEntry::from_report("soak/aggregate", report);
-    aggregate.peak_rss_bytes = peak_rss_bytes();
+    // `0` means "no procfs here": not measured, so not written.
+    aggregate.peak_rss_bytes = Some(peak_rss_bytes()).filter(|&bytes| bytes > 0);
     let mut entries = vec![aggregate];
     for class in [SoakClass::Block, SoakClass::Drop, SoakClass::Throttled] {
         let members: Vec<&LatticeReport> = report

@@ -28,24 +28,6 @@ pub enum PushPolicy {
     Drop,
 }
 
-/// How residual classification runs when
-/// [`MachineConfig::analyze_residuals`] is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ResidualMode {
-    /// Classify residuals *in stream*: packets carry the round's seeded
-    /// error ([`crate::packet::PacketCodec::with_error_payload`]), workers
-    /// classify immediately after decoding, and the producer classifies shed
-    /// rounds as it sheds them.  Memory stays O(lattices) no matter how many
-    /// rounds stream — the soak-scale default.
-    #[default]
-    Streaming,
-    /// The original end-of-run oracle: record every correction, then replay
-    /// each lattice's seeded error stream and classify round by round.
-    /// Memory grows O(rounds); kept as the equivalence reference the
-    /// streaming path is tested against.
-    Replay,
-}
-
 /// Configuration of the live observability plane
 /// ([`crate::obs::ObsPlane`]): snapshot cadence, journal capacity, and the
 /// optional end-of-run report export.
@@ -144,28 +126,25 @@ pub struct RuntimeConfig {
     /// returns them sorted by `(lattice, round)` — the hook the
     /// stream-versus-batch equivalence tests use.
     pub record_corrections: bool,
-    /// When `true`, every round's residual is classified (shed rounds count
-    /// as identity corrections), filling
+    /// When `true`, every round's residual is classified *in stream*
+    /// (packets carry the round's seeded error,
+    /// [`crate::packet::PacketCodec::with_error_payload`]; workers classify
+    /// as they commit, the producer classifies shed rounds against the
+    /// identity as it sheds them), filling
     /// [`LatticeReport::residual`](crate::telemetry::LatticeReport::residual)
-    /// — the measured logical cost of shedding versus backpressure.  *How*
-    /// the classification runs is [`RuntimeConfig::residual_mode`].
+    /// — the measured logical cost of shedding versus backpressure — in
+    /// O(lattices) memory no matter how many rounds stream.
     pub analyze_residuals: bool,
-    /// Streaming (in-worker, bounded-memory) versus replay (end-of-run
-    /// oracle) residual classification; ignored unless
-    /// [`RuntimeConfig::analyze_residuals`] is on.
-    pub residual_mode: ResidualMode,
     /// When set, each worker keeps at most this many recorded corrections as
     /// a ring of the *most recent* rounds instead of the full history —
     /// the soak-scale memory bound for
-    /// [`RuntimeConfig::record_corrections`].  `None` keeps every correction
-    /// (required by [`ResidualMode::Replay`]).
+    /// [`RuntimeConfig::record_corrections`].  `None` keeps every correction.
     pub correction_cap: Option<usize>,
     /// When `true` (the default), the producer keeps the exact round indices
     /// it shed per lattice
     /// ([`PipelineRun::lattice_shed`](crate::stage::PipelineRun::lattice_shed)).
     /// Soak runs turn this off to stay O(1) per lattice under sustained
-    /// shedding; the shed *counters* always run.  Required by
-    /// [`ResidualMode::Replay`], which replays shed rounds by index.
+    /// shedding; the shed *counters* always run.
     pub track_shed_rounds: bool,
 }
 
@@ -198,7 +177,6 @@ impl RuntimeConfig {
             max_depth_samples: 4096,
             record_corrections: false,
             analyze_residuals: false,
-            residual_mode: ResidualMode::Streaming,
             correction_cap: None,
             track_shed_rounds: true,
         }
@@ -236,7 +214,6 @@ impl From<RuntimeConfig> for MachineConfig {
             max_depth_samples: config.max_depth_samples,
             record_corrections: config.record_corrections,
             analyze_residuals: config.analyze_residuals,
-            residual_mode: config.residual_mode,
             correction_cap: config.correction_cap,
             track_shed_rounds: config.track_shed_rounds,
             obs: ObsConfig::default(),
@@ -278,9 +255,6 @@ pub struct MachineConfig {
     /// as identity corrections), filling
     /// [`LatticeReport::residual`](crate::telemetry::LatticeReport::residual).
     pub analyze_residuals: bool,
-    /// Streaming (in-worker, bounded-memory) versus replay (end-of-run
-    /// oracle) residual classification (see [`ResidualMode`]).
-    pub residual_mode: ResidualMode,
     /// Ring bound on recorded corrections per worker (see
     /// [`RuntimeConfig::correction_cap`]).
     pub correction_cap: Option<usize>,
@@ -336,7 +310,6 @@ impl MachineConfig {
             max_depth_samples: template.max_depth_samples,
             record_corrections: template.record_corrections,
             analyze_residuals: template.analyze_residuals,
-            residual_mode: template.residual_mode,
             correction_cap: template.correction_cap,
             track_shed_rounds: template.track_shed_rounds,
             obs: ObsConfig::default(),
@@ -350,15 +323,7 @@ impl MachineConfig {
     /// rounds.
     #[must_use]
     pub fn streams_residuals(&self) -> bool {
-        self.analyze_residuals && self.residual_mode == ResidualMode::Streaming
-    }
-
-    /// `true` when this run classifies residuals with the end-of-run replay
-    /// oracle (which needs the full correction history and exact shed round
-    /// indices).
-    #[must_use]
-    pub fn replays_residuals(&self) -> bool {
-        self.analyze_residuals && self.residual_mode == ResidualMode::Replay
+        self.analyze_residuals
     }
 
     /// The push policy `spec` runs under: its own override, or this

@@ -21,11 +21,8 @@
 //! ([`BacklogModel`](nisqplus_system::backlog::BacklogModel)), one
 //! [`StageReport`](crate::stage::StageReport) per pipeline stage, and —
 //! when [`MachineConfig::analyze_residuals`] is set — the measured logical
-//! cost of shedding: classified in-stream under
-//! [`ResidualMode::Streaming`](crate::config::ResidualMode) (workers tally
-//! decoded rounds as they commit, the producer tallies shed rounds as it
-//! sheds), or by replaying each lattice's seeded error stream at end of run
-//! under [`ResidualMode::Replay`](crate::config::ResidualMode).
+//! cost of shedding, classified in stream (workers tally decoded rounds as
+//! they commit, the producer tallies shed rounds as it sheds).
 //! [`StreamingEngine::run_with`] accepts custom
 //! [`PipelineOptions`] (placement, consumption discipline, channel fan-out)
 //! for experiments the default wiring can't express, e.g. strict-priority
@@ -39,13 +36,12 @@
 use crate::frame::ShardedPauliFrame;
 use crate::lattice_set::LatticeSet;
 use crate::obs::HistogramSnapshot;
-use crate::residual::{analyze_lattice_residuals, streaming_residual_report};
 use crate::scenario::SyndromeTrace;
 use crate::source::InterleavedSource;
 use crate::stage::{PipelineGraph, PipelineOptions, PipelineRun};
 use crate::telemetry::{
-    LatencyProfile, LatticeDepthSample, LatticeReport, RuntimeCounters, RuntimeReport,
-    WorkerCounters,
+    LatencyProfile, LatticeDepthSample, LatticeReport, ResidualReport, RuntimeCounters,
+    RuntimeReport, WorkerCounters,
 };
 use nisqplus_decoders::traits::DecoderFactory;
 use nisqplus_qec::frame::PauliFrame;
@@ -184,20 +180,6 @@ impl StreamingEngine {
             config.batch_size > 0,
             "batch window needs at least one round"
         );
-        if config.replays_residuals() {
-            // The replay oracle walks the full correction history and the
-            // exact shed-round lists; both memory bounds must stay off.
-            assert!(
-                config.correction_cap.is_none(),
-                "replay residual analysis needs the full correction history \
-                 (correction_cap must be None)"
-            );
-            assert!(
-                config.track_shed_rounds,
-                "replay residual analysis needs the exact shed rounds \
-                 (track_shed_rounds must stay on)"
-            );
-        }
         let set = Arc::new(LatticeSet::new(config.lattices.clone())?);
         // Surface configuration errors now rather than inside the source
         // stage: building a throwaway source validates every noise spec,
@@ -259,7 +241,7 @@ impl StreamingEngine {
         options: PipelineOptions,
         factory: &dyn DecoderFactory,
     ) -> RuntimeOutcome {
-        let counters = RuntimeCounters::with_topology(self.set.len(), self.config.workers);
+        let counters = RuntimeCounters::new(self.set.len(), self.config.workers);
         let graph = PipelineGraph::new(&self.config, &self.set, options);
         let run = graph.run(factory, &counters);
         self.assemble_outcome(run, &counters)
@@ -281,7 +263,6 @@ impl StreamingEngine {
             elapsed_s,
             snapshots,
             journal,
-            metrics,
             fault: injections,
             trace,
             mut noise_epochs,
@@ -310,7 +291,7 @@ impl StreamingEngine {
         let mut per_lattice_total: Vec<HistogramSnapshot> =
             vec![HistogramSnapshot::empty(); set.len()];
         let mut per_lattice_shards: Vec<Vec<PauliFrame>> = vec![Vec::new(); set.len()];
-        // The streaming residual path's decoded-round tallies, merged across
+        // The residual analysis's decoded-round tallies, merged across
         // workers per lattice (absorb is an order-independent integer sum,
         // so worker interleaving cannot change the result).
         let mut decoded_tallies: Vec<ResidualTally> = vec![ResidualTally::default(); set.len()];
@@ -363,26 +344,13 @@ impl StreamingEngine {
                 inter_arrival_ns,
             };
             let comparison = BacklogComparison::against_model(&measured);
-            let residual = if config.streams_residuals() {
-                // Already classified in-stream: the workers tallied decoded
-                // rounds, the producer tallied shed rounds — nothing to
-                // replay, nothing O(rounds) to walk.
-                Some(streaming_residual_report(
-                    decoded_tallies[lattice_id],
-                    shed_tallies[lattice_id],
-                ))
-            } else if config.replays_residuals() {
-                Some(analyze_lattice_residuals(
-                    lattice_id,
-                    spec,
-                    lattice,
-                    &corrections,
-                    shed_rounds,
-                    config.fault.burst_for(lattice_id as u32),
-                ))
-            } else {
-                None
-            };
+            // Already classified in stream: the workers tallied decoded
+            // rounds, the producer tallied shed rounds — nothing O(rounds)
+            // to walk.
+            let residual = config.streams_residuals().then(|| ResidualReport {
+                decoded: decoded_tallies[lattice_id],
+                shed: shed_tallies[lattice_id],
+            });
             // This lattice's slice of the depth sink's timeline: the series
             // that says when *this* patch was falling behind.
             let backlog_timeline: Vec<LatticeDepthSample> = depth_timeline
@@ -441,12 +409,6 @@ impl StreamingEngine {
             machine_decode.merge(&per_lattice_decode[lattice_id]);
             machine_total.merge(&per_lattice_total[lattice_id]);
         }
-        if !config.record_corrections {
-            // The corrections were only recorded to feed the residual
-            // analysis; the caller did not ask for them.
-            corrections.clear();
-        }
-
         let decode_latency = LatencyProfile::from_histogram(&machine_decode);
         let total_latency = LatencyProfile::from_histogram(&machine_total);
         let snapshot = counters.snapshot();
@@ -510,7 +472,6 @@ impl StreamingEngine {
                 stages: stage_reports,
                 snapshots,
                 journal,
-                metrics,
             },
             frames,
             corrections,
@@ -626,46 +587,6 @@ mod tests {
         assert!(counters.batches <= 200);
         assert!(counters.mean_batch_fill() >= 1.0);
         assert_eq!(outcome.report.decode_latency.summary.count, 200);
-    }
-
-    /// Per-worker counter slices sum exactly to the aggregate counters at
-    /// quiescence, and each worker's mean batch fill is internally
-    /// consistent.
-    #[test]
-    fn per_worker_counters_sum_to_the_aggregate() {
-        let mut config = fast_config();
-        config.workers = 3;
-        let engine = StreamingEngine::new(config).unwrap();
-        let outcome = engine.run(&greedy_factory());
-        let counters = outcome.report.counters;
-        let workers = &outcome.report.worker_counters;
-        assert_eq!(workers.len(), 3);
-        assert_eq!(
-            workers.iter().map(|w| w.decoded).sum::<u64>(),
-            counters.decoded
-        );
-        assert_eq!(
-            workers.iter().map(|w| w.stolen).sum::<u64>(),
-            counters.stolen
-        );
-        assert_eq!(
-            workers.iter().map(|w| w.batches).sum::<u64>(),
-            counters.batches
-        );
-        assert_eq!(
-            workers.iter().map(|w| w.stall_polls).sum::<u64>(),
-            counters.stall_polls
-        );
-        for worker in workers {
-            if worker.batches > 0 {
-                assert!(worker.mean_batch_fill() >= 1.0);
-                assert!(worker.mean_batch_fill() <= config_batch_size() as f64);
-            }
-        }
-    }
-
-    fn config_batch_size() -> usize {
-        RuntimeConfig::DEFAULT_BATCH_SIZE
     }
 
     /// Satellite of the stage refactor: every lattice gets its own backlog

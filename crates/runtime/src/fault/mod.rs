@@ -174,17 +174,6 @@ impl FaultPlan {
             && self.bursts.is_empty()
             && self.stalls.is_empty()
     }
-
-    /// The burst overlay scheduled for `lattice_id`, if any (the first one,
-    /// when several are scheduled).  The engine's residual replay uses this
-    /// to regenerate a bursty lattice's error stream exactly.
-    #[must_use]
-    pub fn burst_for(&self, lattice_id: u32) -> Option<BurstOverlay> {
-        self.bursts
-            .iter()
-            .find(|b| b.lattice_id == lattice_id)
-            .map(|b| b.overlay)
-    }
 }
 
 /// The substring every injected crash panic carries, so test harnesses can

@@ -55,8 +55,7 @@
 //! * [`throttle`] — a wrapper making any decoder deliberately slow (for all
 //!   lattices or one code distance), so the backlog blow-up can be provoked
 //!   on demand,
-//! * [`obs`] — the live observability plane: a lock-free
-//!   [`MetricsRegistry`] of named counters, bounded-memory log-bucketed
+//! * [`obs`] — the live observability plane: bounded-memory log-bucketed
 //!   latency histograms ([`LogHistogram`]), a fixed-capacity structured
 //!   [`EventJournal`] (sheds, stalls, budget exhaustion, steals, verdict
 //!   flips), and a snapshot sampler publishing periodic
@@ -77,9 +76,10 @@
 //!   contract, served by which decoder, at what shed rate (verdicted
 //!   against its SLO) — and, when the run enables the residual analysis, at
 //!   what *measured* logical cost ([`ResidualReport`]): shed rounds enter
-//!   the per-lattice frame as identity corrections, the seeded error stream
-//!   is replayed, and every round's residual is classified, so the price of
-//!   load shedding versus backpressure is a measurement, not an assumption.
+//!   the per-lattice frame as identity corrections, every round's seeded
+//!   error rides the wire, and its residual is classified as the round
+//!   commits (or is shed), so the price of load shedding versus
+//!   backpressure is a measurement, not an assumption.
 //!
 //! `docs/OPERATIONS.md` at the repository root is the operator's guide to
 //! every field of the report.
@@ -118,14 +118,13 @@ pub mod obs;
 pub mod packet;
 pub mod queue;
 pub mod report;
-mod residual;
 pub mod scenario;
 pub mod source;
 pub mod stage;
 pub mod telemetry;
 pub mod throttle;
 
-pub use config::{ObsConfig, ResidualMode};
+pub use config::ObsConfig;
 pub use engine::{
     MachineConfig, PushPolicy, RoundCorrection, RuntimeConfig, RuntimeOutcome, StreamingEngine,
 };
@@ -137,8 +136,7 @@ pub use frame::ShardedPauliFrame;
 pub use lattice_set::{LatticeDecoder, LatticeSet, LatticeSpec};
 pub use obs::{
     EventJournal, EventKind, EventSeverity, HistogramSnapshot, JournalSnapshot, LocalHistogram,
-    LogHistogram, MetricSample, MetricsRegistry, MetricsSnapshot, ObsPlane, RuntimeEvent,
-    RuntimeObserver,
+    LogHistogram, MetricsSnapshot, ObsPlane, RuntimeEvent, RuntimeObserver,
 };
 pub use packet::{PacketCodec, PacketError, SyndromePacket};
 pub use queue::{RingFull, SpmcRing};

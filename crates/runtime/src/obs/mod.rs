@@ -1,14 +1,12 @@
 //! The live observability plane.
 //!
 //! Everything the pipeline knows about itself while it is running lives
-//! here, in four bounded-memory pieces threaded through the producer, the
-//! stages, the workers, and the sinks:
+//! here, in three bounded-memory pieces threaded through the producer, the
+//! workers, and the sinks (the flow counters themselves live with their
+//! owners: [`RuntimeCounters`](crate::telemetry::RuntimeCounters) and the
+//! stages' own books, read into
+//! [`StageReport`](crate::stage::StageReport)s at end of run):
 //!
-//! * [`MetricsRegistry`] — named lock-free counters.  Stages register
-//!   their [`StageMetrics`] at construction and
-//!   bump them on the hot path; end-of-run
-//!   [`StageReport`](crate::stage::StageReport)s are snapshot views of this
-//!   live state.
 //! * [`LogHistogram`] / [`LocalHistogram`] — HDR-style log-bucketed
 //!   latency histograms (decode and emit-to-commit), replacing unbounded
 //!   per-round sample vectors.  Fixed 128 buckets, mergeable across
@@ -23,17 +21,16 @@
 //! * [`MetricsSnapshot`]s — periodic samples of all of the above, taken by
 //!   a cadenced sampler thread so liveness is observable mid-run.
 //!
-//! The [`ObsPlane`] bundles the four and is owned by the
+//! The [`ObsPlane`] bundles the three and is owned by the
 //! [`PipelineGraph`](crate::stage::PipelineGraph); a custom
 //! [`RuntimeObserver`] can be installed through
 //! [`PipelineOptions`](crate::stage::PipelineOptions) to tap events and
 //! snapshots live.  Everything here is allocation-free after construction
-//! on the paths the pipeline hits per round (histogram record, counter
-//! bump, journal publish) — the bench alloc-guard enforces it.
+//! on the paths the pipeline hits per round (histogram record, journal
+//! publish) — the bench alloc-guard enforces it.
 
 pub mod hist;
 pub mod journal;
-pub mod registry;
 pub mod snapshot;
 
 pub use hist::{
@@ -43,7 +40,6 @@ pub use journal::{
     EventCounts, EventJournal, EventKind, EventSeverity, JournalSnapshot, RuntimeEvent,
     RuntimeObserver,
 };
-pub use registry::{Counter, MetricSample, MetricsRegistry, StageMetrics};
 pub use snapshot::MetricsSnapshot;
 
 use crate::config::ObsConfig;
@@ -54,7 +50,6 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug)]
 pub struct ObsPlane {
     config: ObsConfig,
-    registry: MetricsRegistry,
     journal: EventJournal,
     decode_hist: Arc<LogHistogram>,
     snapshots: Mutex<Vec<MetricsSnapshot>>,
@@ -76,7 +71,6 @@ impl ObsPlane {
         let snapshots = Mutex::new(Vec::with_capacity(config.max_snapshots.min(4096)));
         ObsPlane {
             config,
-            registry: MetricsRegistry::new(),
             journal,
             decode_hist: Arc::new(LogHistogram::new()),
             snapshots,
@@ -89,12 +83,6 @@ impl ObsPlane {
     #[must_use]
     pub fn config(&self) -> &ObsConfig {
         &self.config
-    }
-
-    /// The shared metric name table.
-    #[must_use]
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
     }
 
     /// The event journal.
@@ -198,7 +186,7 @@ mod tests {
         MetricsSnapshot {
             seq,
             elapsed_ns: seq * 1000,
-            counters: crate::telemetry::RuntimeCounters::with_lattices(1).snapshot(),
+            counters: crate::telemetry::RuntimeCounters::new(1, 1).snapshot(),
             queue_depth: 0,
             backlog: 0,
             per_lattice_backlog: vec![0],

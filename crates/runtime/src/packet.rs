@@ -27,8 +27,7 @@
 //! error — a [`PauliString`] packed as two bitplanes (X components, then Z
 //! components), sized for the largest lattice's data-qubit count — between
 //! the syndrome payload and the checksum trailer.  This is what lets workers
-//! classify residuals *in stream* instead of replaying every round at the end
-//! of a run.  Whether records carry errors is fixed at codec construction for
+//! classify residuals *in stream*, retaining nothing per round.  Whether records carry errors is fixed at codec construction for
 //! the whole run (both sides are built from the same
 //! [`LatticeSet`](crate::lattice_set::LatticeSet)); the checksum covers the
 //! extra words automatically.

@@ -17,8 +17,7 @@
 
 use crate::config::PushPolicy;
 use crate::obs::{
-    EventCounts, EventKind, EventSeverity, JournalSnapshot, MetricSample, MetricsSnapshot,
-    RuntimeEvent,
+    EventCounts, EventKind, EventSeverity, JournalSnapshot, MetricsSnapshot, RuntimeEvent,
 };
 use crate::report::json::{parse, Json, JsonError};
 use crate::source::NoiseEpoch;
@@ -48,7 +47,11 @@ use std::path::Path;
 /// `lattice_added` / `lattice_retired` journal kinds, and per-lattice
 /// `rounds` now reporting rounds *actually streamed* (elastic runs truncate
 /// retired lattices).
-pub const SCHEMA_VERSION: u64 = 4;
+///
+/// v5: one owner per fact — the report-level `metrics` array is gone (it
+/// was `stages` flattened to `stage.<name>.<field>`), and a bench entry's
+/// `peak_rss_bytes` is omitted when unmeasured instead of written as `0`.
+pub const SCHEMA_VERSION: u64 = 5;
 
 /// Why an export or import failed.
 #[derive(Debug)]
@@ -482,20 +485,6 @@ fn stage_from_json(v: &Json) -> Result<StageReport, ExportError> {
     })
 }
 
-fn metric_to_json(m: &MetricSample) -> Json {
-    obj(vec![
-        ("name", Json::from(m.name.as_str())),
-        ("value", Json::from(m.value)),
-    ])
-}
-
-fn metric_from_json(v: &Json) -> Result<MetricSample, ExportError> {
-    Ok(MetricSample {
-        name: get_str(v, "name")?.to_string(),
-        value: get_u64(v, "value")?,
-    })
-}
-
 fn opt_u32_to_json(v: Option<u32>) -> Json {
     match v {
         Some(x) => Json::from(u64::from(x)),
@@ -871,10 +860,6 @@ pub fn report_to_json(report: &RuntimeReport) -> Json {
             Json::Arr(report.snapshots.iter().map(snapshot_to_json).collect()),
         ),
         ("journal", journal_to_json(&report.journal)),
-        (
-            "metrics",
-            Json::Arr(report.metrics.iter().map(metric_to_json).collect()),
-        ),
         ("fault", fault_to_json(&report.fault)),
     ])
 }
@@ -930,10 +915,6 @@ pub fn report_from_json(doc: &Json) -> Result<RuntimeReport, ExportError> {
             .map(snapshot_from_json)
             .collect::<Result<_, _>>()?,
         journal: journal_from_json(field(doc, "journal")?)?,
-        metrics: get_arr(doc, "metrics")?
-            .iter()
-            .map(metric_from_json)
-            .collect::<Result<_, _>>()?,
         fault: fault_from_json(field(doc, "fault")?)?,
     })
 }
@@ -1013,9 +994,10 @@ pub struct BenchEntry {
     /// corrections over all classified rounds); `0.0` when the run did not
     /// classify residuals.
     pub residual_failure_rate: f64,
-    /// Peak resident-set size of the producing process in bytes (`0` when
-    /// not measured — criterion benches don't sample it, soak runs do).
-    pub peak_rss_bytes: u64,
+    /// Peak resident-set size of the producing process in bytes; `None`
+    /// (key omitted) when not measured — criterion benches don't sample it,
+    /// the soak aggregate does.
+    pub peak_rss_bytes: Option<u64>,
     /// Backlog when generation stopped.
     pub final_backlog: u64,
     /// The run's one-word queue verdict (`BOUNDED`/`GROWING`/`SHEDDING`).
@@ -1055,7 +1037,7 @@ impl BenchEntry {
             shed: report.counters.dropped,
             shed_rate,
             residual_failure_rate: residuals.failure_rate(),
-            peak_rss_bytes: 0,
+            peak_rss_bytes: None,
             final_backlog: report.final_backlog,
             verdict: report.verdict().to_string(),
         }
@@ -1063,7 +1045,7 @@ impl BenchEntry {
 }
 
 fn bench_entry_to_json(e: &BenchEntry) -> Json {
-    obj(vec![
+    let mut fields = vec![
         ("id", Json::from(e.id.as_str())),
         ("lattices", Json::from(e.lattices)),
         ("workers", Json::from(e.workers)),
@@ -1079,10 +1061,13 @@ fn bench_entry_to_json(e: &BenchEntry) -> Json {
         ("shed", Json::from(e.shed)),
         ("shed_rate", Json::Num(e.shed_rate)),
         ("residual_failure_rate", Json::Num(e.residual_failure_rate)),
-        ("peak_rss_bytes", Json::from(e.peak_rss_bytes)),
         ("final_backlog", Json::from(e.final_backlog)),
         ("verdict", Json::from(e.verdict.as_str())),
-    ])
+    ];
+    if let Some(bytes) = e.peak_rss_bytes {
+        fields.push(("peak_rss_bytes", Json::from(bytes)));
+    }
+    obj(fields)
 }
 
 fn bench_entry_from_json(v: &Json) -> Result<BenchEntry, ExportError> {
@@ -1106,7 +1091,10 @@ fn bench_entry_from_json(v: &Json) -> Result<BenchEntry, ExportError> {
         shed: get_u64(v, "shed")?,
         shed_rate: get_f64(v, "shed_rate")?,
         residual_failure_rate: get_f64(v, "residual_failure_rate")?,
-        peak_rss_bytes: get_u64(v, "peak_rss_bytes")?,
+        peak_rss_bytes: v
+            .get("peak_rss_bytes")
+            .map(|_| get_u64(v, "peak_rss_bytes"))
+            .transpose()?,
         final_backlog: get_u64(v, "final_backlog")?,
         verdict: verdict.to_string(),
     })
@@ -1194,7 +1182,7 @@ mod tests {
             shed: 0,
             shed_rate: 0.0,
             residual_failure_rate: 0.0125,
-            peak_rss_bytes: 48 * 1024 * 1024,
+            peak_rss_bytes: Some(48 * 1024 * 1024),
             final_backlog: 2,
             verdict: "BOUNDED".to_string(),
         }
@@ -1202,13 +1190,21 @@ mod tests {
 
     #[test]
     fn bench_documents_round_trip() {
-        let entries = vec![sample_entry()];
+        // One entry with a measured peak RSS, one without: the unmeasured
+        // fact is absent from the document, not written as 0.
+        let unmeasured = BenchEntry {
+            peak_rss_bytes: None,
+            ..sample_entry()
+        };
+        let entries = vec![sample_entry(), unmeasured];
         let doc = bench_document("streaming", &entries);
         let (suite, back) = bench_document_entries(&doc).unwrap();
         assert_eq!(suite, "streaming");
         assert_eq!(back, entries);
         // And through text.
-        let reparsed = parse(&doc.to_pretty()).unwrap();
+        let text = doc.to_pretty();
+        assert_eq!(text.matches("peak_rss_bytes").count(), 1);
+        let reparsed = parse(&text).unwrap();
         assert_eq!(bench_document_entries(&reparsed).unwrap().1, entries);
     }
 

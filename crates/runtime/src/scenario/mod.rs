@@ -48,7 +48,7 @@ use nisqplus_qec::logical::ResidualTally;
 /// by construction — they vary run to run even on identical streams.
 ///
 /// The per-lattice residual tally folds decoded and shed rounds together,
-/// so it is meaningful only for runs with the streaming residual path on
+/// so it is meaningful only for runs with the residual analysis on
 /// (all-zero otherwise).
 #[must_use]
 pub fn golden_summary(outcome: &RuntimeOutcome) -> GoldenSummary {

@@ -9,7 +9,7 @@
 //! encode, route, decode, residual classification — against byte-identical
 //! inputs.
 //!
-//! Traces serialize to the same schema-versioned JSON envelope as run reports
+//! Traces serialize to the same JSON envelope as run reports
 //! (`schema_version` + `kind: "syndrome_trace"`), with a trace-local
 //! [`TRACE_VERSION`] for the payload layout.  Syndromes are stored as hot
 //! ancilla indices (sparse — most rounds are quiet), error payloads as the
@@ -24,7 +24,7 @@
 //! outcome matches its summary exactly.
 
 use crate::lattice_set::LatticeSet;
-use crate::report::{ExportError, Json, SCHEMA_VERSION};
+use crate::report::{ExportError, Json};
 use crate::source::SourcedRound;
 use nisqplus_qec::logical::ResidualTally;
 use nisqplus_qec::pauli::PauliString;
@@ -35,6 +35,12 @@ use std::path::Path;
 /// Version of the trace payload layout.  Bumped whenever the meaning or
 /// encoding of recorded rounds changes; readers reject other versions.
 pub const TRACE_VERSION: u64 = 1;
+
+/// The envelope's `schema_version` as trace files carry it: the report
+/// schema current when trace layout v1 was cut.  The payload is versioned by
+/// [`TRACE_VERSION`] alone, so report-schema bumps leave this — and the
+/// committed corpus, byte for byte — alone.
+const ENVELOPE_VERSION: u64 = 4;
 
 /// The `kind` header value of trace documents.
 const TRACE_KIND: &str = "syndrome_trace";
@@ -208,7 +214,7 @@ impl SyndromeTrace {
             None => Json::Null,
         };
         Json::Obj(vec![
-            ("schema_version".to_string(), Json::from(SCHEMA_VERSION)),
+            ("schema_version".to_string(), Json::from(ENVELOPE_VERSION)),
             ("kind".to_string(), Json::Str(TRACE_KIND.to_string())),
             ("trace_version".to_string(), Json::from(TRACE_VERSION)),
             ("lattices".to_string(), lattices),
@@ -230,10 +236,10 @@ impl SyndromeTrace {
             .get("schema_version")
             .and_then(Json::as_u64)
             .ok_or_else(|| ExportError::Schema("missing field 'schema_version'".to_string()))?;
-        if found != SCHEMA_VERSION {
+        if found != ENVELOPE_VERSION {
             return Err(ExportError::Version {
                 found,
-                expected: SCHEMA_VERSION,
+                expected: ENVELOPE_VERSION,
             });
         }
         let kind = doc
@@ -696,7 +702,7 @@ mod tests {
         if let Json::Obj(fields) = &mut doc {
             for (key, value) in fields.iter_mut() {
                 if key == "schema_version" {
-                    *value = Json::from(SCHEMA_VERSION + 1);
+                    *value = Json::from(ENVELOPE_VERSION + 1);
                 }
             }
         }

@@ -116,8 +116,7 @@ impl NoiseModel {
 /// wall clock or extra randomness, so a burst-overlaid stream is exactly as
 /// replayable as a calm one: a second source with the same `(lattice,
 /// noise, seed, burst)` tuple reproduces it bit for bit, which keeps the
-/// end-of-run residual replay and the byte-identical-frames recovery tests
-/// valid under fire.
+/// byte-identical-frames recovery tests valid under fire.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BurstOverlay {
     /// First lattice round the episode covers.
@@ -371,9 +370,9 @@ impl SyndromeSource {
     /// Generates the next round, returning the sampled physical error
     /// together with its syndrome.  Consumes exactly the same randomness as
     /// [`SyndromeSource::next_syndrome`], so a second source with the same
-    /// `(lattice, noise, seed)` triple can *replay* a run's error stream —
-    /// which is how the runtime's end-of-run residual analysis recovers the
-    /// errors behind the syndromes it already decoded (or shed).
+    /// `(lattice, noise, seed)` triple can *replay* a run's error stream.
+    /// The error is what rides the wire beside the syndrome when the run
+    /// analyzes residuals.
     pub fn next_error_and_syndrome(&mut self) -> (nisqplus_qec::pauli::PauliString, Syndrome) {
         // Burst windows are keyed by the round index alone, so live
         // generation and replay pick the same channel for every round.

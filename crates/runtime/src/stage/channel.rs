@@ -17,10 +17,10 @@
 //! may receive, which is what lets an idle worker steal from a busy
 //! channel through [`StealMux`](crate::stage::StealMux).
 
-use crate::obs::StageMetrics;
 use crate::queue::SpmcRing;
 use crate::stage::credit::CreditCounter;
 use crate::stage::StageReport;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A bounded channel whose capacity is enforced by a credit loop.
 ///
@@ -40,11 +40,12 @@ use crate::stage::StageReport;
 pub struct CreditChannel {
     ring: SpmcRing,
     credits: CreditCounter,
-    /// Occupancy peak (gauge), refused sends (`rejected`) and slot waits
-    /// (`stall_cycles`) — live in the metrics registry when attached via
-    /// [`CreditChannel::with_metrics`]; the flow and credit totals are
-    /// mirrored in at report time from the authoritative credit loop.
-    metrics: StageMetrics,
+    /// Sends refused for want of a credit.
+    refused: AtomicU64,
+    /// Spins a credited send spent waiting out another consumer's pop.
+    slot_waits: AtomicU64,
+    /// Occupancy high-water mark, sampled after every send.
+    occupancy_peak: AtomicU64,
 }
 
 impl CreditChannel {
@@ -59,16 +60,10 @@ impl CreditChannel {
         CreditChannel {
             ring: SpmcRing::new(capacity, words_per_slot),
             credits: CreditCounter::new(capacity as u64),
-            metrics: StageMetrics::detached(),
+            refused: AtomicU64::new(0),
+            slot_waits: AtomicU64::new(0),
+            occupancy_peak: AtomicU64::new(0),
         }
-    }
-
-    /// Attaches registry-backed stage metrics, so the channel's refusals,
-    /// stalls and occupancy peak are observable by name mid-run.
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: StageMetrics) -> Self {
-        self.metrics = metrics;
-        self
     }
 
     /// Attempts to send one record.  Returns `false` — counting a refusal,
@@ -80,7 +75,7 @@ impl CreditChannel {
     /// Panics if `record.len()` differs from [`CreditChannel::words_per_slot`].
     pub fn try_send(&self, record: &[u64]) -> bool {
         if !self.credits.try_acquire() {
-            self.metrics.rejected.incr();
+            self.refused.fetch_add(1, Ordering::Relaxed);
             return false;
         }
         // A held credit guarantees a slot, but the slot one lap back may
@@ -88,10 +83,11 @@ impl CreditChannel {
         // pops complete out of order).  That wait is bounded by a few word
         // copies, so spin it out rather than failing a credited send.
         while self.ring.try_push(record).is_err() {
-            self.metrics.stall_cycles.incr();
+            self.slot_waits.fetch_add(1, Ordering::Relaxed);
             std::hint::spin_loop();
         }
-        self.metrics.occupancy_peak.set_max(self.ring.len() as u64);
+        self.occupancy_peak
+            .fetch_max(self.ring.len() as u64, Ordering::Relaxed);
         true
     }
 
@@ -144,15 +140,20 @@ impl CreditChannel {
 
     /// This channel's [`StageReport`]: accepted = sends, emitted =
     /// receives, rejected = refused sends, plus the credit-loop totals and
-    /// the occupancy high-water mark.  The credit loop is authoritative for
-    /// the flow totals; reporting refreshes the registry's mirror of them.
+    /// the occupancy high-water mark.  The credit loop owns the flow totals:
+    /// every send consumed a credit, every receive issued one back.
     #[must_use]
     pub fn report(&self, stage: impl Into<String>) -> StageReport {
-        self.metrics.accepted.store(self.credits.consumed());
-        self.metrics.emitted.store(self.credits.issued());
-        self.metrics.credits_issued.store(self.credits.issued());
-        self.metrics.credits_consumed.store(self.credits.consumed());
-        self.metrics.report(stage)
+        StageReport {
+            stage: stage.into(),
+            accepted: self.credits.consumed(),
+            emitted: self.credits.issued(),
+            rejected: self.refused.load(Ordering::Relaxed),
+            credits_issued: self.credits.issued(),
+            credits_consumed: self.credits.consumed(),
+            occupancy_peak: self.occupancy_peak.load(Ordering::Relaxed),
+            stall_cycles: self.slot_waits.load(Ordering::Relaxed),
+        }
     }
 }
 

@@ -176,7 +176,7 @@ impl<'a> DecodeStage<'a> {
         state.x_buf.compose_with(&state.z_buf);
         // In-stream residual classification: the record carries the seeded
         // error behind its syndrome, so the residual can be judged right
-        // here, allocation-free, instead of by an end-of-run replay.
+        // here, allocation-free.
         let residual = if self.codec.carries_errors() {
             self.codec
                 .decode_error_into(record, lattice_id as u32, &mut state.error_buf);

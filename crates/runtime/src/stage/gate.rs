@@ -23,7 +23,6 @@
 
 use crate::config::{MachineConfig, PushPolicy};
 use crate::lattice_set::LatticeSet;
-use crate::obs::StageMetrics;
 use crate::stage::credit::CreditCounter;
 use crate::stage::StageReport;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,10 +54,6 @@ struct GateLane {
 #[derive(Debug)]
 pub struct QosGate {
     lanes: Vec<GateLane>,
-    /// Registry mirror of the gate-wide flow totals (the per-lane atomics
-    /// above stay authoritative); live for grants/sheds/blocks, refreshed
-    /// from the lane sums at report time.
-    metrics: StageMetrics,
 }
 
 impl QosGate {
@@ -79,7 +74,6 @@ impl QosGate {
                     shed: AtomicU64::new(0),
                 })
                 .collect(),
-            metrics: StageMetrics::detached(),
         }
     }
 
@@ -97,17 +91,7 @@ impl QosGate {
                     shed: AtomicU64::new(0),
                 })
                 .collect(),
-            metrics: StageMetrics::detached(),
         }
-    }
-
-    /// Attaches registry-backed stage metrics: the per-lane counters are
-    /// authoritative and are mirrored into the registry by name whenever a
-    /// report is taken.
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: StageMetrics) -> Self {
-        self.metrics = metrics;
-        self
     }
 
     /// Offers one round of `lattice_id` for admission.
@@ -172,8 +156,7 @@ impl QosGate {
 
     /// This gate's [`StageReport`]: accepted = granted admissions, rejected
     /// = shed rounds, stall cycles = blocked (retried) admissions, credit
-    /// totals summed over every lane's budget loop.  The lane counters are
-    /// authoritative; reporting refreshes the registry's mirror of them.
+    /// totals summed over every lane's budget loop.
     #[must_use]
     pub fn report(&self, stage: impl Into<String>) -> StageReport {
         let mut report = StageReport::named(stage);
@@ -188,7 +171,6 @@ impl QosGate {
                 report.occupancy_peak = report.occupancy_peak.max(budget.in_flight());
             }
         }
-        self.metrics.sync_from(&report);
         report
     }
 }

@@ -23,8 +23,7 @@ use crate::config::{MachineConfig, PushPolicy};
 use crate::fault::{FaultInjections, FaultInjector, CRASH_PANIC_MARKER};
 use crate::lattice_set::LatticeSet;
 use crate::obs::{
-    EventKind, EventSeverity, JournalSnapshot, MetricSample, MetricsSnapshot, ObsPlane,
-    RuntimeObserver, StageMetrics,
+    EventKind, EventSeverity, JournalSnapshot, MetricsSnapshot, ObsPlane, RuntimeObserver,
 };
 use crate::packet::{PacketCodec, SyndromePacket};
 use crate::scenario::{SyndromeTrace, TraceRecorder, TraceSource};
@@ -170,8 +169,8 @@ pub struct PipelineRun {
     /// carry the shed totals, only the O(rounds) round lists are elided.
     pub lattice_shed: Vec<Vec<u64>>,
     /// Per-lattice residual tallies of the *shed* rounds, classified live by
-    /// the producer under the streaming residual path
-    /// ([`MachineConfig::streams_residuals`]); all-zero otherwise.
+    /// the producer when [`MachineConfig::analyze_residuals`] is on; all-zero
+    /// otherwise.
     pub shed_tallies: Vec<ResidualTally>,
     /// One report per stage, in graph order: source, skid, gate,
     /// channels, per-worker decode and sink stages, depth sink.
@@ -184,8 +183,6 @@ pub struct PipelineRun {
     /// The event journal's end-of-run snapshot: totals per severity/kind
     /// plus the configured tail of recent events.
     pub journal: JournalSnapshot,
-    /// Every registered metric by name, read at end of run.
-    pub metrics: Vec<MetricSample>,
     /// The fault injector's own books: how many scheduled faults fired
     /// (all-zero for a plan-free run).
     pub fault: FaultInjections,
@@ -226,8 +223,7 @@ pub struct WorkerSeat<'a> {
     pub batch_size: usize,
     /// The worker's consumption discipline.
     pub consume: ConsumePolicy,
-    /// The run's observability plane (latency histograms, event journal,
-    /// stage metrics registry).
+    /// The run's observability plane (live decode histogram, event journal).
     pub obs: &'a ObsPlane,
     /// The run's armed fault schedule (crash hooks; a plan-free injector
     /// costs one branch per batch).
@@ -258,16 +254,9 @@ impl fmt::Debug for WorkerSeat<'_> {
 /// [`catch_unwind`]: std::panic::catch_unwind
 pub fn run_worker(seat: WorkerSeat<'_>) -> (WorkerOutput, Vec<StageReport>) {
     let worker_id = seat.worker_id;
-    // Metrics are registered once per worker *name*, not per attempt: a
-    // restart must not grow the registry.
-    let decode_metrics =
-        StageMetrics::register(seat.obs.registry(), &format!("decode.{worker_id}"));
     let mut sink = FrameSink::new(seat.set, seat.record_corrections)
         .with_correction_cap(seat.correction_cap)
-        .with_obs(
-            StageMetrics::register(seat.obs.registry(), &format!("sink.{worker_id}")),
-            Arc::clone(seat.obs.decode_hist()),
-        );
+        .with_obs(Arc::clone(seat.obs.decode_hist()));
     let mut stall_polls = 0u64;
     let mut restarts = 0u64;
     loop {
@@ -285,7 +274,6 @@ pub fn run_worker(seat: WorkerSeat<'_>) -> (WorkerOutput, Vec<StageReport>) {
                     stall_cycles: stall_polls,
                     ..StageReport::default()
                 };
-                decode_metrics.sync_from(&decode_report);
                 let sink_report = sink.report(format!("sink.{worker_id}"));
                 let output = sink.finish(lattice_decoders);
                 return (output, vec![decode_report, sink_report]);
@@ -338,7 +326,7 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> (Vec<String>, u64
     let mut batch: Vec<Vec<u64>> = (0..seat.batch_size)
         .map(|_| vec![0u64; seat.codec.words_per_packet()])
         .collect();
-    let worker_counters = counters.per_worker.get(worker_id);
+    let worker_counters = &counters.per_worker[worker_id];
     let mut stall_polls = 0u64;
     loop {
         // The crash hook sits at the batch boundary: no record is in flight
@@ -350,10 +338,9 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> (Vec<String>, u64
         // ---- Fill a batch through the mux ------------------------------
         let fill = mux.fill(channels, &mut batch);
         if fill.stolen > 0 {
-            counters.stolen.fetch_add(fill.stolen, Ordering::Relaxed);
-            if let Some(w) = worker_counters {
-                w.stolen.fetch_add(fill.stolen, Ordering::Relaxed);
-            }
+            worker_counters
+                .stolen
+                .fetch_add(fill.stolen, Ordering::Relaxed);
             obs.publish(
                 EventKind::Steal,
                 EventSeverity::Info,
@@ -367,10 +354,7 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> (Vec<String>, u64
             if seat.done.load(Ordering::Acquire) && channels.iter().all(CreditChannel::is_empty) {
                 return (decode.lattice_decoders().to_vec(), stall_polls);
             }
-            counters.stall_polls.fetch_add(1, Ordering::Relaxed);
-            if let Some(w) = worker_counters {
-                w.stall_polls.fetch_add(1, Ordering::Relaxed);
-            }
+            worker_counters.stall_polls.fetch_add(1, Ordering::Relaxed);
             stall_polls += 1;
             std::hint::spin_loop();
             thread::yield_now();
@@ -384,7 +368,6 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> (Vec<String>, u64
         // packet, so batching amortizes the mux scans and counter updates
         // without flattening latency spikes into a batch mean.
         let mut prev = Instant::now();
-        let mut committed_in_batch = 0u64;
         for record in &batch[..fill.filled] {
             let decoded = match decode.decode(record) {
                 Ok(decoded) => decoded,
@@ -411,8 +394,8 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> (Vec<String>, u64
             };
             let lattice_id = decoded.lattice_id as usize;
             let emitted_ns = decoded.emitted_ns;
-            // The streaming residual path classified this round during the
-            // decode; a failure is surfaced live, not at end of run.
+            // The residual analysis classified this round during the decode;
+            // a failure is surfaced live.
             if let Some((x, z)) = decoded.residual {
                 if x != LogicalState::Success || z != LogicalState::Success {
                     counters.per_lattice[lattice_id]
@@ -430,22 +413,13 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> (Vec<String>, u64
             counters.per_lattice[lattice_id]
                 .decoded
                 .fetch_add(1, Ordering::Relaxed);
-            if let Some(w) = worker_counters {
-                w.decoded.fetch_add(1, Ordering::Relaxed);
-            }
+            worker_counters.decoded.fetch_add(1, Ordering::Relaxed);
             // The round is committed: its budget credit goes home, closing
             // the gate-to-sink credit loop.
             gate.credit_decode(lattice_id);
-            committed_in_batch += 1;
             prev = now;
         }
-        counters
-            .decoded
-            .fetch_add(committed_in_batch, Ordering::Relaxed);
-        counters.batches.fetch_add(1, Ordering::Relaxed);
-        if let Some(w) = worker_counters {
-            w.batches.fetch_add(1, Ordering::Relaxed);
-        }
+        worker_counters.batches.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -549,24 +523,32 @@ fn apply_elastic_events(
     }
 }
 
-/// Classifies one shed round under the streaming residual path.  A shed
-/// round gets the identity correction, so its residual *is* its seeded
-/// error: the classification folds into the lattice's shed tally, and a
-/// failure bumps the live `shed_failures` counter.  Allocation-free
-/// ([`classify_shed_round`] reads the error in place).
-fn tally_shed_round(
-    lattice: &nisqplus_qec::lattice::Lattice,
-    error: &nisqplus_qec::pauli::PauliString,
-    tally: &mut ResidualTally,
+/// Retries `attempt` until it succeeds, counting every refusal as one
+/// backpressure spin against the lattice, for at most `watchdog`: the one
+/// lossless wait of a Block lane, whichever credit loop (budget or channel)
+/// is refusing.  Returns whether the attempt succeeded and how often it was
+/// refused.  The clock is read only from the first refusal on, and then once
+/// per 256 spins.
+fn spin_until(
     lattice_counters: &LatticeCounters,
-) {
-    let (x, z) = classify_shed_round(lattice, error);
-    tally.record_states(x, z);
-    if x != LogicalState::Success || z != LogicalState::Success {
+    watchdog: Duration,
+    mut attempt: impl FnMut() -> bool,
+) -> (bool, u64) {
+    let mut spins = 0u64;
+    let mut deadline: Option<Instant> = None;
+    while !attempt() {
         lattice_counters
-            .shed_failures
+            .backpressure_spins
             .fetch_add(1, Ordering::Relaxed);
+        spins += 1;
+        let limit = *deadline.get_or_insert_with(|| Instant::now() + watchdog);
+        if spins & 0xFF == 0 && Instant::now() >= limit {
+            return (false, spins);
+        }
+        std::hint::spin_loop();
+        thread::yield_now();
     }
+    (true, spins)
 }
 
 /// The source stage: paced interleaved generation, bit-packing into a skid
@@ -629,22 +611,38 @@ fn run_source(
         None
     };
     let total_rounds = feed_total;
-    let mut depth = DepthSink::new(total_rounds, config.max_depth_samples)
-        .with_metrics(StageMetrics::register(obs.registry(), "depth"));
+    let mut depth = DepthSink::new(total_rounds, config.max_depth_samples);
     // The send seam's skid: an encoded record rests here while its channel
     // refuses credits, so a Block-lane round exists in exactly one place at
     // every instant of a stall and a Drop-lane round is shed by an explicit
     // counted discard.
-    let mut skid: SkidBuffer<Vec<u64>> =
-        SkidBuffer::new(1).with_metrics(StageMetrics::register(obs.registry(), "skid"));
-    let source_metrics = StageMetrics::register(obs.registry(), "source");
+    let mut skid: SkidBuffer<Vec<u64>> = SkidBuffer::new(1);
     let words = codec.words_per_packet();
     let mut lattice_stats = vec![LatticeGenStats::default(); set.len()];
     let mut lattice_shed: Vec<Vec<u64>> = vec![Vec::new(); set.len()];
-    // Under the streaming residual path shed rounds are classified here,
-    // the moment they are shed — the replay path defers both to end of run.
-    let streaming = config.streams_residuals();
     let mut shed_tallies = vec![ResidualTally::default(); set.len()];
+    // The one place a shed round is accounted for, whichever seam shed it
+    // (budget lane, full or stalled channel, watchdog, poisoned record).
+    // With the residual analysis on it is classified here, the moment it is
+    // shed: it gets the identity correction, so its residual *is* its seeded
+    // error ([`classify_shed_round`] reads it in place, allocation-free).
+    let mut account_shed = |sourced: &SourcedRound| {
+        let lattice_id = sourced.lattice_id as usize;
+        let lattice_counters = &counters.per_lattice[lattice_id];
+        lattice_counters.dropped.fetch_add(1, Ordering::Relaxed);
+        if config.streams_residuals() {
+            let (x, z) = classify_shed_round(set.lattice(lattice_id), &sourced.error);
+            shed_tallies[lattice_id].record_states(x, z);
+            if x != LogicalState::Success || z != LogicalState::Success {
+                lattice_counters
+                    .shed_failures
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        if config.track_shed_rounds {
+            lattice_shed[lattice_id].push(sourced.round);
+        }
+    };
     let mut emitted_total = 0u64;
 
     while let Some(sourced) = feed.next_round() {
@@ -704,7 +702,7 @@ fn run_source(
         let loaded = skid.accept_with(|slot| {
             slot.resize(words, 0);
             if codec.carries_errors() {
-                // The streaming residual path rides the wire: the round's
+                // The residual analysis rides the wire: the round's
                 // seeded error travels with its syndrome so the decoding
                 // worker can classify the residual the moment it commits.
                 codec.encode_with_error(&packet, &sourced.error, slot);
@@ -717,11 +715,19 @@ fn run_source(
         });
         debug_assert!(loaded, "the source skid is emptied every round");
         let lattice_counters = &counters.per_lattice[lattice_id as usize];
-        counters.generated.fetch_add(1, Ordering::Relaxed);
         lattice_counters.generated.fetch_add(1, Ordering::Relaxed);
         let channel_index = router.route(lattice_id, sourced.round, channels.len());
         let channel = &channels[channel_index];
-        let stalls_scheduled = injector.has_stalls();
+        // Whether an injected stall is holding this round's channel shut
+        // (asking also arms a stall whose round has come).
+        let channel_stalled = || {
+            injector.has_stalls()
+                && injector.stall_active(
+                    channel_index,
+                    emitted_total,
+                    epoch.elapsed().as_nanos() as u64,
+                )
+        };
         // `delivered`: the record reached a channel.  A delivered *poisoned*
         // record is shed-accounted below (the worker will quarantine it, so
         // its budget credit is refunded here and it never counts as
@@ -736,23 +742,9 @@ fn run_source(
                 // record magnitude.  Each lane spins at most `watchdog`
                 // long; past that the round is force-shed with a
                 // WatchdogTrip so a dead consumer cannot hang the run.
-                let mut tripped = false;
-                let mut budget_spins = 0u64;
-                let mut deadline: Option<Instant> = None;
-                while gate.admit(lattice_id as usize) == Admission::Blocked {
-                    counters.backpressure_spins.fetch_add(1, Ordering::Relaxed);
-                    lattice_counters
-                        .backpressure_spins
-                        .fetch_add(1, Ordering::Relaxed);
-                    budget_spins += 1;
-                    let limit = *deadline.get_or_insert_with(|| Instant::now() + watchdog);
-                    if budget_spins & 0xFF == 0 && Instant::now() >= limit {
-                        tripped = true;
-                        break;
-                    }
-                    std::hint::spin_loop();
-                    thread::yield_now();
-                }
+                let (admitted, budget_spins) = spin_until(lattice_counters, watchdog, || {
+                    gate.admit(lattice_id as usize) != Admission::Blocked
+                });
                 if budget_spins > 0 {
                     obs.publish(
                         EventKind::BudgetExhausted,
@@ -763,34 +755,14 @@ fn run_source(
                         budget_spins,
                     );
                 }
-                let mut send_spins = 0u64;
-                if !tripped {
-                    let mut deadline: Option<Instant> = None;
-                    loop {
-                        let refused = stalls_scheduled
-                            && injector.stall_active(
-                                channel_index,
-                                emitted_total,
-                                epoch.elapsed().as_nanos() as u64,
-                            );
-                        if !refused && skid.drain_with(|record| channel.try_send(record)) > 0 {
-                            break;
-                        }
-                        counters.backpressure_spins.fetch_add(1, Ordering::Relaxed);
-                        lattice_counters
-                            .backpressure_spins
-                            .fetch_add(1, Ordering::Relaxed);
-                        send_spins += 1;
-                        let limit = *deadline.get_or_insert_with(|| Instant::now() + watchdog);
-                        if send_spins & 0xFF == 0 && Instant::now() >= limit {
-                            tripped = true;
-                            // The budget credit acquired above is held for a
-                            // round that will never be decoded: it goes home.
-                            gate.refund(lattice_id as usize);
-                            break;
-                        }
-                        std::hint::spin_loop();
-                        thread::yield_now();
+                let sent = admitted && {
+                    let (sent, send_spins) = spin_until(lattice_counters, watchdog, || {
+                        !channel_stalled() && skid.drain_with(|record| channel.try_send(record)) > 0
+                    });
+                    if !sent {
+                        // The budget credit acquired above is held for a
+                        // round that will never be decoded: it goes home.
+                        gate.refund(lattice_id as usize);
                     }
                     if send_spins > 0 {
                         obs.publish(
@@ -802,22 +774,11 @@ fn run_source(
                             send_spins,
                         );
                     }
-                }
-                if tripped {
+                    sent
+                };
+                if !sent {
                     skid.discard_front();
-                    counters.dropped.fetch_add(1, Ordering::Relaxed);
-                    lattice_counters.dropped.fetch_add(1, Ordering::Relaxed);
-                    if streaming {
-                        tally_shed_round(
-                            set.lattice(lattice_id as usize),
-                            &sourced.error,
-                            &mut shed_tallies[lattice_id as usize],
-                            lattice_counters,
-                        );
-                    }
-                    if config.track_shed_rounds {
-                        lattice_shed[lattice_id as usize].push(sourced.round);
-                    }
+                    account_shed(&sourced);
                     obs.publish(
                         EventKind::WatchdogTrip,
                         EventSeverity::Critical,
@@ -827,47 +788,25 @@ fn run_source(
                         sourced.round,
                     );
                 }
-                !tripped
+                sent
             }
             PushPolicy::Drop => {
                 // Shed when the lattice's budget lane refuses *or* the
-                // channel has no credit (or is stalled); a shed round is
-                // recorded so the frame path and the residual analysis can
-                // feed it an identity correction later.
+                // channel has no credit (or is stalled); a shed round enters
+                // the frame path as an identity correction later.
                 let admission = gate.admit(lattice_id as usize);
-                let stalled = stalls_scheduled
-                    && injector.stall_active(
-                        channel_index,
-                        emitted_total,
-                        epoch.elapsed().as_nanos() as u64,
-                    );
-                let delivered = match admission {
-                    Admission::Granted => {
-                        if !stalled && skid.drain_with(|record| channel.try_send(record)) > 0 {
-                            true
-                        } else {
-                            // The granted budget credit goes home unused.
-                            gate.refund(lattice_id as usize);
-                            false
-                        }
+                let stalled = channel_stalled();
+                let delivered = admission == Admission::Granted && {
+                    let sent = !stalled && skid.drain_with(|record| channel.try_send(record)) > 0;
+                    if !sent {
+                        // The granted budget credit goes home unused.
+                        gate.refund(lattice_id as usize);
                     }
-                    _ => false,
+                    sent
                 };
                 if !delivered {
                     skid.discard_front();
-                    counters.dropped.fetch_add(1, Ordering::Relaxed);
-                    lattice_counters.dropped.fetch_add(1, Ordering::Relaxed);
-                    if streaming {
-                        tally_shed_round(
-                            set.lattice(lattice_id as usize),
-                            &sourced.error,
-                            &mut shed_tallies[lattice_id as usize],
-                            lattice_counters,
-                        );
-                    }
-                    if config.track_shed_rounds {
-                        lattice_shed[lattice_id as usize].push(sourced.round);
-                    }
+                    account_shed(&sourced);
                     if admission != Admission::Granted {
                         // Shed at the budget lane, not at a full channel.
                         obs.publish(
@@ -896,22 +835,9 @@ fn run_source(
             // it, so the round is shed-accounted *now* and its budget
             // credit (which `credit_decode` would have returned) refunded.
             gate.refund(lattice_id as usize);
-            counters.dropped.fetch_add(1, Ordering::Relaxed);
-            lattice_counters.dropped.fetch_add(1, Ordering::Relaxed);
-            if streaming {
-                tally_shed_round(
-                    set.lattice(lattice_id as usize),
-                    &sourced.error,
-                    &mut shed_tallies[lattice_id as usize],
-                    lattice_counters,
-                );
-            }
-            if config.track_shed_rounds {
-                lattice_shed[lattice_id as usize].push(sourced.round);
-            }
+            account_shed(&sourced);
             injector.corruption_delivered();
         } else if delivered {
-            counters.enqueued.fetch_add(1, Ordering::Relaxed);
             lattice_counters.enqueued.fetch_add(1, Ordering::Relaxed);
         }
         let stats = &mut lattice_stats[lattice_id as usize];
@@ -940,15 +866,14 @@ fn run_source(
     // closed-form model predicts (rounds keep arriving only while the
     // machine runs); the workers drain the remainder afterwards.
     let final_backlog = counters.backlog();
+    let totals = counters.snapshot();
     let source_report = StageReport {
-        stage: "source".to_string(),
-        accepted: counters.generated.load(Ordering::Relaxed),
-        emitted: counters.enqueued.load(Ordering::Relaxed),
-        rejected: counters.dropped.load(Ordering::Relaxed),
-        stall_cycles: counters.backpressure_spins.load(Ordering::Relaxed),
-        ..StageReport::default()
+        accepted: totals.generated,
+        emitted: totals.enqueued,
+        rejected: totals.dropped,
+        stall_cycles: totals.backpressure_spins,
+        ..StageReport::named("source")
     };
-    source_metrics.sync_from(&source_report);
     let depth_report = depth.report("depth");
     SourceRun {
         depth_timeline: depth.finish(),
@@ -986,14 +911,13 @@ impl<'a> PipelineGraph<'a> {
     /// wiring reproduces the classic engine exactly: one channel per worker
     /// of `queue_capacity / workers` slots, spread placement,
     /// own-then-steal consumption.  The observability plane is built from
-    /// `config.obs` and every stage's metrics are registered up front, so
-    /// nothing allocates on the hot path afterwards.
+    /// `config.obs`.
     #[must_use]
     pub fn new(config: &'a MachineConfig, set: &'a LatticeSet, options: PipelineOptions) -> Self {
         let obs = ObsPlane::with_observer(config.obs.clone(), options.observer);
-        // The streaming residual path widens the wire: each record carries
-        // its round's seeded error after the syndrome, so workers classify
-        // residuals as they commit.  Every other mode keeps the narrow v3
+        // The residual analysis widens the wire: each record carries its
+        // round's seeded error after the syndrome, so workers classify
+        // residuals as they commit.  Without it records keep the narrow
         // layout.
         let codec = if config.streams_residuals() {
             PacketCodec::with_error_payload(&set.ancilla_bits(), &set.data_bits())
@@ -1003,14 +927,9 @@ impl<'a> PipelineGraph<'a> {
         let channel_count = options.channels.unwrap_or(config.workers).max(1);
         let per_channel_capacity = config.queue_capacity.div_ceil(channel_count);
         let channels = (0..channel_count)
-            .map(|index| {
-                CreditChannel::new(per_channel_capacity, codec.words_per_packet()).with_metrics(
-                    StageMetrics::register(obs.registry(), &format!("channel.{index}")),
-                )
-            })
+            .map(|_| CreditChannel::new(per_channel_capacity, codec.words_per_packet()))
             .collect();
-        let gate = QosGate::for_machine(config, set)
-            .with_metrics(StageMetrics::register(obs.registry(), "gate"));
+        let gate = QosGate::for_machine(config, set);
         PipelineGraph {
             config,
             set,
@@ -1093,11 +1012,7 @@ impl<'a> PipelineGraph<'a> {
                             done,
                             epoch,
                             factory,
-                            // Only the *replay* residual path needs every
-                            // correction recorded — the streaming path
-                            // classifies in the worker and keeps nothing.
-                            record_corrections: config.record_corrections
-                                || config.replays_residuals(),
+                            record_corrections: config.record_corrections,
                             correction_cap: config.correction_cap,
                             batch_size: config.batch_size,
                             consume,
@@ -1160,7 +1075,6 @@ impl<'a> PipelineGraph<'a> {
             elapsed_s,
             snapshots: obs.take_snapshots(),
             journal: obs.journal_snapshot(),
-            metrics: obs.registry().snapshot(),
             fault: injector.snapshot(),
             trace: source_run.trace,
             noise_epochs: source_run.noise_epochs,
@@ -1190,7 +1104,8 @@ fn run_sampler(
     loop {
         let finished = done.load(Ordering::Acquire);
         let elapsed_ns = epoch.elapsed().as_nanos() as u64;
-        let backlog = counters.backlog();
+        let per_lattice_backlog = counters.per_lattice_backlog();
+        let backlog: u64 = per_lattice_backlog.iter().sum();
         if !finished {
             let now_falling = backlog > last_backlog;
             if now_falling != falling_behind {
@@ -1218,11 +1133,7 @@ fn run_sampler(
             counters: counters.snapshot(),
             queue_depth: channels.iter().map(|c| c.len() as u64).sum(),
             backlog,
-            per_lattice_backlog: counters
-                .per_lattice
-                .iter()
-                .map(|lattice| lattice.backlog())
-                .collect(),
+            per_lattice_backlog,
             decode_p50_ns: decode.quantile_ns(0.50),
             decode_p99_ns: decode.quantile_ns(0.99),
             decode_p999_ns: decode.quantile_ns(0.999),
@@ -1274,7 +1185,7 @@ mod tests {
             codec.encode(&packet, &mut record);
             assert!(channels[1].try_send(&record));
         }
-        let counters = RuntimeCounters::with_topology(1, 2);
+        let counters = RuntimeCounters::new(1, 2);
         let gate = QosGate::unbounded(1);
         let done = AtomicBool::new(true);
         let factory = greedy_factory();
@@ -1346,7 +1257,7 @@ mod tests {
                 assert!(channels[0].try_send(&record));
             }
         }
-        let counters = RuntimeCounters::with_topology(2, 1);
+        let counters = RuntimeCounters::new(2, 1);
         let gate = QosGate::unbounded(2);
         let done = AtomicBool::new(true);
         let factory = greedy_factory();
@@ -1426,7 +1337,7 @@ mod tests {
         config.workers = 2;
         config.queue_capacity = 64;
         let set = LatticeSet::new(config.lattices.clone()).unwrap();
-        let counters = RuntimeCounters::with_topology(set.len(), config.workers);
+        let counters = RuntimeCounters::new(set.len(), config.workers);
         let graph = PipelineGraph::new(&config, &set, PipelineOptions::default());
         assert_eq!(graph.channels(), 2);
         let factory = greedy_factory();
@@ -1476,11 +1387,13 @@ mod tests {
             spec.rounds = 100;
             spec.cadence_cycles = 0;
         }
-        config.workers = 2;
+        // One worker: with a second one stealing, worker 0 is not guaranteed
+        // to commit the 10 rounds that arm its crash.
+        config.workers = 1;
         config.queue_capacity = 64;
         config.fault = crate::fault::FaultPlan::default().crash_worker(0, 10);
         let set = LatticeSet::new(config.lattices.clone()).unwrap();
-        let counters = RuntimeCounters::with_topology(set.len(), config.workers);
+        let counters = RuntimeCounters::new(set.len(), config.workers);
         let graph = PipelineGraph::new(&config, &set, PipelineOptions::default());
         let factory = greedy_factory();
         let run = graph.run(&factory, &counters);
@@ -1513,7 +1426,7 @@ mod tests {
         config.queue_capacity = 256;
         config.fault = crate::fault::FaultPlan::default().corrupt_record(0, 5, 2, 13);
         let set = LatticeSet::new(config.lattices.clone()).unwrap();
-        let counters = RuntimeCounters::with_topology(set.len(), config.workers);
+        let counters = RuntimeCounters::new(set.len(), config.workers);
         let graph = PipelineGraph::new(&config, &set, PipelineOptions::default());
         let factory = greedy_factory();
         let run = graph.run(&factory, &counters);
@@ -1539,7 +1452,7 @@ mod tests {
         config.queue_capacity = 16;
         config.fault = crate::fault::FaultPlan::default().stall_channel(0, 0, u64::MAX);
         let set = LatticeSet::new(config.lattices.clone()).unwrap();
-        let counters = RuntimeCounters::with_topology(set.len(), config.workers);
+        let counters = RuntimeCounters::new(set.len(), config.workers);
         let options = PipelineOptions {
             watchdog: Duration::from_millis(20),
             ..PipelineOptions::default()

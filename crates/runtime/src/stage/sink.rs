@@ -20,7 +20,7 @@
 
 use crate::engine::RoundCorrection;
 use crate::lattice_set::LatticeSet;
-use crate::obs::{HistogramSnapshot, LocalHistogram, LogHistogram, StageMetrics};
+use crate::obs::{HistogramSnapshot, LocalHistogram, LogHistogram};
 use crate::stage::decode::DecodedRound;
 use crate::stage::StageReport;
 use crate::telemetry::{DepthSample, RuntimeCounters};
@@ -39,8 +39,7 @@ pub struct WorkerLatticeOutput {
     pub total_hist: HistogramSnapshot,
     /// The worker's in-stream residual tally for this lattice (empty unless
     /// the run classifies residuals in stream).  Tallies are plain integer
-    /// sums, so the engine's cross-worker merge is order-independent —
-    /// byte-identical to the end-of-run replay oracle.
+    /// sums, so the engine's cross-worker merge is order-independent.
     pub residuals: ResidualTally,
 }
 
@@ -78,7 +77,6 @@ pub struct FrameSink {
     /// Next ring slot to overwrite once the cap is reached.
     correction_head: usize,
     committed: u64,
-    metrics: StageMetrics,
     /// The machine-wide live decode histogram (shared with the
     /// observability plane's snapshot sampler), fed with one bucket-only
     /// atomic add per round in addition to the exact private books.
@@ -104,7 +102,6 @@ impl FrameSink {
             correction_cap: None,
             correction_head: 0,
             committed: 0,
-            metrics: StageMetrics::detached(),
             live_decode: None,
         }
     }
@@ -118,11 +115,10 @@ impl FrameSink {
         self
     }
 
-    /// Attaches registry-backed stage metrics and the run-wide live decode
-    /// histogram sampled by the observability plane.
+    /// Attaches the run-wide live decode histogram sampled by the
+    /// observability plane.
     #[must_use]
-    pub fn with_obs(mut self, metrics: StageMetrics, live_decode: Arc<LogHistogram>) -> Self {
-        self.metrics = metrics;
+    pub fn with_obs(mut self, live_decode: Arc<LogHistogram>) -> Self {
         self.live_decode = Some(live_decode);
         self
     }
@@ -204,14 +200,13 @@ impl FrameSink {
     }
 
     /// This sink's [`StageReport`]: accepted == emitted == committed rounds.
-    /// The sink's own commit count is authoritative (the commit path is
-    /// single-owner, so it keeps plain books); reporting refreshes the
-    /// registry's mirror of it.
     #[must_use]
     pub fn report(&self, stage: impl Into<String>) -> StageReport {
-        self.metrics.accepted.store(self.committed);
-        self.metrics.emitted.store(self.committed);
-        self.metrics.report(stage)
+        StageReport {
+            accepted: self.committed,
+            emitted: self.committed,
+            ..StageReport::named(stage)
+        }
     }
 }
 
@@ -224,7 +219,8 @@ pub struct DepthSink {
     max_samples: usize,
     offered: u64,
     timeline: Vec<DepthSample>,
-    metrics: StageMetrics,
+    /// Deepest queue seen at a sampling instant.
+    queue_depth_peak: u64,
 }
 
 impl DepthSink {
@@ -241,20 +237,13 @@ impl DepthSink {
             max_samples,
             offered: 0,
             timeline: Vec::new(),
-            metrics: StageMetrics::detached(),
+            queue_depth_peak: 0,
         }
-    }
-
-    /// Attaches registry-backed stage metrics.
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: StageMetrics) -> Self {
-        self.metrics = metrics;
-        self
     }
 
     /// Offers round `emitted_total` for sampling; on the sampling cadence
     /// (and on the very last round) a [`DepthSample`] is recorded with the
-    /// aggregate and per-lattice backlog read from `counters`.
+    /// per-lattice backlogs read from `counters` and their sum.
     ///
     /// When the timeline would exceed its cap (plus one slot of slack for
     /// the always-sampled final round), it is compacted: every other sample
@@ -270,22 +259,18 @@ impl DepthSink {
     ) {
         self.offered += 1;
         if emitted_total % self.sample_every == 0 || emitted_total + 1 == self.total_rounds {
+            let per_lattice_backlog = counters.per_lattice_backlog();
             self.timeline.push(DepthSample {
                 round: emitted_total,
                 elapsed_ns,
                 queue_depth,
-                backlog: counters.backlog(),
-                per_lattice_backlog: counters
-                    .per_lattice
-                    .iter()
-                    .map(|lattice| lattice.backlog())
-                    .collect(),
+                backlog: per_lattice_backlog.iter().sum(),
+                per_lattice_backlog,
             });
-            self.metrics.occupancy_peak.set_max(queue_depth);
+            self.queue_depth_peak = self.queue_depth_peak.max(queue_depth);
             if self.timeline.len() > self.max_samples + 1 {
                 self.compact();
             }
-            self.metrics.emitted.store(self.timeline.len() as u64);
         }
     }
 
@@ -324,13 +309,15 @@ impl DepthSink {
 
     /// This sink's [`StageReport`]: accepted = rounds offered, emitted =
     /// samples kept (the rest were down-sampled away, not lost — they are
-    /// still in the counters).  The offered count is kept in plain books
-    /// (the observe path is single-owner); reporting refreshes the
-    /// registry's mirror of it.
+    /// still in the counters); occupancy peak = the deepest queue sampled.
     #[must_use]
     pub fn report(&self, stage: impl Into<String>) -> StageReport {
-        self.metrics.accepted.store(self.offered);
-        self.metrics.report(stage)
+        StageReport {
+            accepted: self.offered,
+            emitted: self.timeline.len() as u64,
+            occupancy_peak: self.queue_depth_peak,
+            ..StageReport::named(stage)
+        }
     }
 }
 
@@ -455,8 +442,7 @@ mod tests {
     fn frame_sink_feeds_the_live_aggregate_histogram() {
         let set = set_of(&[3]);
         let live_decode = Arc::new(LogHistogram::new());
-        let mut sink = FrameSink::new(&set, false)
-            .with_obs(StageMetrics::detached(), Arc::clone(&live_decode));
+        let mut sink = FrameSink::new(&set, false).with_obs(Arc::clone(&live_decode));
         sink.record_latency(0, 100, 250);
         sink.record_latency(0, 300, 450);
         let output = sink.finish(vec!["greedy".to_string()]);
@@ -471,8 +457,7 @@ mod tests {
 
     #[test]
     fn depth_sink_downsamples_and_breaks_backlog_down_per_lattice() {
-        let counters = RuntimeCounters::with_lattices(2);
-        counters.generated.store(7, Ordering::Relaxed);
+        let counters = RuntimeCounters::new(2, 1);
         counters.per_lattice[0]
             .generated
             .store(4, Ordering::Relaxed);
@@ -480,7 +465,6 @@ mod tests {
             .generated
             .store(3, Ordering::Relaxed);
         counters.per_lattice[1].decoded.store(2, Ordering::Relaxed);
-        counters.decoded.store(2, Ordering::Relaxed);
         // 100 rounds, at most 10 samples → every 10th round plus the last.
         let mut sink = DepthSink::new(100, 10);
         for round in 0..100 {
@@ -497,7 +481,7 @@ mod tests {
 
     #[test]
     fn depth_sink_always_keeps_the_final_round() {
-        let counters = RuntimeCounters::with_lattices(1);
+        let counters = RuntimeCounters::new(1, 1);
         let mut sink = DepthSink::new(7, 3);
         for round in 0..7 {
             sink.observe(round, 0, 0, &counters);
@@ -512,7 +496,7 @@ mod tests {
 
     #[test]
     fn depth_sink_caps_the_timeline_and_retains_the_peak() {
-        let counters = RuntimeCounters::with_lattices(1);
+        let counters = RuntimeCounters::new(1, 1);
         // An endless stream (total_rounds unknown → 0) with a small cap:
         // the sink must never exceed cap + 1 samples, yet still bracket the
         // backlog peak.
@@ -528,7 +512,9 @@ mod tests {
             } else {
                 round % 7
             };
-            counters.generated.store(backlog, Ordering::Relaxed);
+            counters.per_lattice[0]
+                .generated
+                .store(backlog, Ordering::Relaxed);
             sink.observe(round, round, 0, &counters);
             assert!(
                 sink.timeline().len() <= cap + 1,
@@ -551,13 +537,15 @@ mod tests {
 
     #[test]
     fn depth_sink_preserves_the_first_sample_and_monotone_round_order() {
-        let counters = RuntimeCounters::with_lattices(1);
+        let counters = RuntimeCounters::new(1, 1);
         // Small cap over a long stream: the timeline compacts repeatedly,
         // yet round 0 (index 0 is always even) and strict round ordering
         // must survive every compaction.
         let mut sink = DepthSink::new(0, 8);
         for round in 0..5_000u64 {
-            counters.generated.store(round % 13, Ordering::Relaxed);
+            counters.per_lattice[0]
+                .generated
+                .store(round % 13, Ordering::Relaxed);
             sink.observe(round, round * 3, 0, &counters);
             let rounds: Vec<u64> = sink.timeline().iter().map(|s| s.round).collect();
             assert_eq!(rounds.first(), Some(&0), "first sample dropped");
@@ -579,7 +567,7 @@ mod tests {
         // byte-identical timelines — down-sampling is stride arithmetic,
         // never randomized.
         let run = |seed: u64| {
-            let counters = RuntimeCounters::with_lattices(2);
+            let counters = RuntimeCounters::new(2, 1);
             let mut sink = DepthSink::new(0, 12);
             let mut state = seed;
             for round in 0..3_000u64 {
@@ -587,8 +575,10 @@ mod tests {
                 state ^= state << 13;
                 state ^= state >> 7;
                 state ^= state << 17;
-                counters.generated.store(state % 97, Ordering::Relaxed);
                 counters.per_lattice[0]
+                    .generated
+                    .store(state % 97, Ordering::Relaxed);
+                counters.per_lattice[1]
                     .generated
                     .store(state % 31, Ordering::Relaxed);
                 sink.observe(round, round * 11, state % 5, &counters);

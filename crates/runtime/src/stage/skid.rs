@@ -16,7 +16,6 @@
 //! lossless by construction — the record exists in exactly one place at
 //! every instant of the stall.
 
-use crate::obs::StageMetrics;
 use crate::stage::StageReport;
 use std::collections::VecDeque;
 
@@ -54,11 +53,6 @@ pub struct SkidBuffer<T> {
     rejected: u64,
     stalls: u64,
     occupancy_peak: usize,
-    /// Registry mirror of the plain books above, refreshed at report time
-    /// when attached via [`SkidBuffer::with_metrics`].  The skid is
-    /// single-owner (`&mut` on every hot-path call), so its authoritative
-    /// counters stay plain integers — no atomics per round.
-    metrics: StageMetrics,
 }
 
 impl<T> SkidBuffer<T> {
@@ -80,16 +74,7 @@ impl<T> SkidBuffer<T> {
             rejected: 0,
             stalls: 0,
             occupancy_peak: 0,
-            metrics: StageMetrics::detached(),
         }
-    }
-
-    /// Attaches registry-backed stage metrics: the skid's plain books are
-    /// mirrored into the registry by name whenever a report is taken.
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: StageMetrics) -> Self {
-        self.metrics = metrics;
-        self
     }
 
     /// Accepts `item`, or returns it to the caller when the skid is full
@@ -178,11 +163,12 @@ impl<T> SkidBuffer<T> {
 
     /// This skid's [`StageReport`]: accepted/emitted flow, refused accepts
     /// plus explicit discards under `rejected`, downstream stalls, and the
-    /// occupancy high-water mark.  The skid's own plain books are
-    /// authoritative; reporting refreshes the registry's mirror of them.
+    /// occupancy high-water mark.  The skid is single-owner (`&mut` on every
+    /// hot-path call), so its books are plain integers — no atomics per
+    /// round.
     #[must_use]
     pub fn report(&self, stage: impl Into<String>) -> StageReport {
-        let report = StageReport {
+        StageReport {
             stage: stage.into(),
             accepted: self.accepted,
             emitted: self.drained,
@@ -191,9 +177,7 @@ impl<T> SkidBuffer<T> {
             credits_consumed: 0,
             occupancy_peak: self.occupancy_peak as u64,
             stall_cycles: self.stalls,
-        };
-        self.metrics.sync_from(&report);
-        report
+        }
     }
 }
 

@@ -4,8 +4,8 @@
 //! atomic counters ([`RuntimeCounters`]), so queue depth, backlog and
 //! throughput can be observed *while the stream runs* — both for the machine
 //! as a whole and per lattice ([`LatticeCounters`]).  The engine folds the
-//! final counter values, the depth timeline and the per-packet latency
-//! samples into a [`RuntimeReport`]: aggregate counters, an aggregate
+//! final counter values, the depth timeline and the per-lattice latency
+//! histograms into a [`RuntimeReport`]: aggregate counters, an aggregate
 //! backlog-versus-[`BacklogModel`](nisqplus_system::backlog::BacklogModel)
 //! comparison, and one [`LatticeReport`] per registered lattice — which
 //! patch is falling behind, under which QoS contract (push policy, queue
@@ -16,13 +16,11 @@
 //! in `docs/OPERATIONS.md` at the repository root.
 
 use crate::config::PushPolicy;
-use crate::obs::{
-    bucket_bounds, HistogramSnapshot, JournalSnapshot, MetricSample, MetricsSnapshot,
-};
+use crate::obs::{bucket_bounds, HistogramSnapshot, JournalSnapshot, MetricsSnapshot};
 use crate::source::NoiseEpoch;
 use crate::stage::StageReport;
 use nisqplus_qec::logical::ResidualTally;
-use nisqplus_sim::stats::{histogram, quantile_sorted, Summary};
+use nisqplus_sim::stats::Summary;
 use nisqplus_system::backlog::{BacklogComparison, MeasuredBacklog};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -44,15 +42,13 @@ pub struct LatticeCounters {
     /// This lattice's packets decoded and committed to its frame.
     pub decoded: AtomicU64,
     /// Decoded rounds whose residual (error ∘ correction) was classified a
-    /// failure — a logical error or an invalid correction — by the
-    /// *streaming* residual path
-    /// ([`ResidualMode::Streaming`](crate::config::ResidualMode)).  Stays 0
-    /// under replay mode (classification happens after the run) and when the
+    /// failure — a logical error or an invalid correction — by the decoding
+    /// worker, the moment the correction committed.  Stays 0 when the
     /// residual analysis is off.
     pub decode_failures: AtomicU64,
     /// Shed rounds whose seeded error was itself a failure (the identity
-    /// correction left a logical error), classified live by the producer
-    /// under the streaming residual path.  Stays 0 under replay mode.
+    /// correction left a logical error), classified live by the producer.
+    /// Stays 0 when the residual analysis is off.
     pub shed_failures: AtomicU64,
 }
 
@@ -94,87 +90,79 @@ impl LatticeCounters {
 
 /// Shared atomic progress counters, updated lock-free by all threads.
 ///
-/// The aggregate counters and the per-lattice slices are incremented
-/// together, so at quiescence every aggregate flow counter equals the sum of
-/// its per-lattice counterparts (pinned by the multi-lattice telemetry
-/// tests).
-#[derive(Debug, Default)]
+/// Every flow counter has exactly one owner: the source thread bumps the
+/// [`LatticeCounters`] slice of the lattice a round belongs to, each worker
+/// bumps the decoded counter of that lattice and its own [`WorkerCounters`]
+/// slice.  The machine-wide view ([`RuntimeCounters::snapshot`],
+/// [`RuntimeCounters::backlog`]) is the sum of the slices, computed when
+/// read — so "Σ per-lattice = aggregate" holds by construction.
+#[derive(Debug)]
 pub struct RuntimeCounters {
-    /// Rounds of syndrome data generated (whether or not enqueued).
-    pub generated: AtomicU64,
-    /// Packets accepted by the ring buffer.
-    pub enqueued: AtomicU64,
-    /// Packets dropped because the ring was full (drop policy only).
-    pub dropped: AtomicU64,
-    /// Producer spin-retries while the ring was full (block policy only).
-    pub backpressure_spins: AtomicU64,
-    /// Packets decoded and committed to the Pauli frame.
-    pub decoded: AtomicU64,
-    /// Worker polls that found the queue empty (decoder idle time).
-    pub stall_polls: AtomicU64,
-    /// Packets a worker stole from another worker's ring (work stealing).
-    pub stolen: AtomicU64,
-    /// Decode batches executed (each covering 1..=batch_size packets).
-    pub batches: AtomicU64,
     /// Wire records a worker rejected as undecodable (failed header
-    /// validation or checksum) and quarantined instead of decoded.
+    /// validation or checksum) and quarantined instead of decoded.  The one
+    /// machine-wide counter: the header that names the lattice is exactly
+    /// what cannot be trusted.
     pub quarantined: AtomicU64,
     /// One counter slice per registered lattice, indexed by lattice id.
     pub per_lattice: Vec<LatticeCounters>,
-    /// One counter slice per decode worker, indexed by worker id (empty
-    /// when the counters were built without a worker topology — per-worker
-    /// attribution is then simply skipped).
+    /// One counter slice per decode worker, indexed by worker id.
     pub per_worker: Vec<WorkerCounters>,
 }
 
 impl RuntimeCounters {
-    /// Counters for a machine of `num_lattices` lattices, without
-    /// per-worker attribution.
+    /// Counters for a machine of `lattices` lattices decoded by `workers`
+    /// workers, all at zero.
     #[must_use]
-    pub fn with_lattices(num_lattices: usize) -> Self {
-        Self::with_topology(num_lattices, 0)
-    }
-
-    /// Counters for a machine of `num_lattices` lattices decoded by
-    /// `workers` workers: aggregate, per-lattice *and* per-worker slices.
-    #[must_use]
-    pub fn with_topology(num_lattices: usize, workers: usize) -> Self {
+    pub fn new(lattices: usize, workers: usize) -> Self {
         RuntimeCounters {
-            per_lattice: (0..num_lattices)
-                .map(|_| LatticeCounters::default())
-                .collect(),
+            quarantined: AtomicU64::new(0),
+            per_lattice: (0..lattices).map(|_| LatticeCounters::default()).collect(),
             per_worker: (0..workers).map(|_| WorkerCounters::default()).collect(),
-            ..RuntimeCounters::default()
         }
     }
 
-    /// A point-in-time copy of the aggregate counters.
+    /// A point-in-time machine-wide view: the per-lattice and per-worker
+    /// slices summed (each slice counter is read once, relaxed, so a
+    /// mid-run snapshot is per-counter atomic, not globally instantaneous).
     #[must_use]
     pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            generated: self.generated.load(Ordering::Relaxed),
-            enqueued: self.enqueued.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            backpressure_spins: self.backpressure_spins.load(Ordering::Relaxed),
-            decoded: self.decoded.load(Ordering::Relaxed),
-            stall_polls: self.stall_polls.load(Ordering::Relaxed),
-            stolen: self.stolen.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
+        let mut total = CounterSnapshot {
             quarantined: self.quarantined.load(Ordering::Relaxed),
+            ..CounterSnapshot::default()
+        };
+        for lattice in &self.per_lattice {
+            total.generated += lattice.generated.load(Ordering::Relaxed);
+            total.enqueued += lattice.enqueued.load(Ordering::Relaxed);
+            total.dropped += lattice.dropped.load(Ordering::Relaxed);
+            total.backpressure_spins += lattice.backpressure_spins.load(Ordering::Relaxed);
+            total.decoded += lattice.decoded.load(Ordering::Relaxed);
         }
+        for worker in &self.per_worker {
+            total.stall_polls += worker.stall_polls.load(Ordering::Relaxed);
+            total.stolen += worker.stolen.load(Ordering::Relaxed);
+            total.batches += worker.batches.load(Ordering::Relaxed);
+        }
+        total
+    }
+
+    /// Every lattice's current backlog, indexed by lattice id (see
+    /// [`LatticeCounters::backlog`]).
+    #[must_use]
+    pub fn per_lattice_backlog(&self) -> Vec<u64> {
+        self.per_lattice
+            .iter()
+            .map(LatticeCounters::backlog)
+            .collect()
     }
 
     /// The current aggregate backlog: rounds generated but neither decoded
-    /// nor shed.  Dropped rounds are lost, not owed, so they don't count as
-    /// outstanding work (under
+    /// nor shed, summed over the lattices.  Dropped rounds are lost, not
+    /// owed, so they don't count as outstanding work (under
     /// [`PushPolicy::Block`] nothing is
     /// ever dropped and this is exactly generated minus decoded).
     #[must_use]
     pub fn backlog(&self) -> u64 {
-        self.generated
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.decoded.load(Ordering::Relaxed))
-            .saturating_sub(self.dropped.load(Ordering::Relaxed))
+        self.per_lattice.iter().map(LatticeCounters::backlog).sum()
     }
 }
 
@@ -214,10 +202,6 @@ impl CounterSnapshot {
 }
 
 /// Per-worker atomic progress counters (a slice of [`RuntimeCounters`]).
-///
-/// At quiescence the per-worker sums equal their aggregate counterparts —
-/// `Σ decoded == decoded`, `Σ stolen == stolen`, `Σ batches == batches`,
-/// `Σ stall_polls == stall_polls` — pinned by the engine's telemetry tests.
 #[derive(Debug, Default)]
 pub struct WorkerCounters {
     /// Packets this worker decoded and committed to its frame shard.
@@ -284,25 +268,23 @@ pub struct LatticeCounterSnapshot {
     pub backpressure_spins: u64,
     /// This lattice's packets decoded.
     pub decoded: u64,
-    /// Decoded rounds classified a residual failure by the streaming path
-    /// (0 under replay mode or with the analysis off).
+    /// Decoded rounds classified a residual failure (0 with the analysis
+    /// off).
     pub decode_failures: u64,
-    /// Shed rounds classified a residual failure by the streaming path
-    /// (0 under replay mode or with the analysis off).
+    /// Shed rounds classified a residual failure (0 with the analysis off).
     pub shed_failures: u64,
 }
 
 impl LatticeCounterSnapshot {
-    /// Total rounds the streaming residual path has flagged as failures so
-    /// far, decoded and shed together.
+    /// Total rounds the residual analysis has flagged as failures so far,
+    /// decoded and shed together.
     #[must_use]
     pub fn live_failures(&self) -> u64 {
         self.decode_failures + self.shed_failures
     }
 
     /// The live residual failure rate: flagged failures over rounds
-    /// generated so far.  0.0 before any round is generated, and 0.0 for
-    /// the whole run under replay mode (the live counters never move there).
+    /// generated so far.  0.0 before any round is generated.
     #[must_use]
     pub fn live_failure_rate(&self) -> f64 {
         if self.generated == 0 {
@@ -349,10 +331,10 @@ pub struct LatticeDepthSample {
 
 /// Tail quantiles of a latency distribution, nanoseconds.
 ///
-/// Exact when computed from raw samples ([`LatencyProfile::of`]); exact to
-/// within one log-bucket width when read from a bounded-memory
-/// [`HistogramSnapshot`] ([`LatencyProfile::from_histogram`]).  All four
-/// values are finite by construction (0.0 for an empty sample set).
+/// Read from a bounded-memory [`HistogramSnapshot`]
+/// ([`LatencyProfile::from_histogram`]), so exact to within one log-bucket
+/// width.  All four values are finite by construction (0.0 for an empty
+/// sample set).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct LatencyQuantiles {
     /// Median.
@@ -373,53 +355,14 @@ pub struct LatencyProfile {
     pub summary: Summary,
     /// Tail quantiles, in nanoseconds.
     pub quantiles: LatencyQuantiles,
-    /// Histogram bin edges in nanoseconds (empty when no samples).  Fixed
-    /// width from [`LatencyProfile::of`]; log-bucketed (geometric widths)
-    /// from [`LatencyProfile::from_histogram`].
+    /// Histogram bin edges in nanoseconds (empty when no samples):
+    /// log-bucketed, geometric widths.
     pub histogram_edges: Vec<f64>,
     /// Estimated probability mass per bin (empty when no samples).
     pub histogram_density: Vec<f64>,
 }
 
 impl LatencyProfile {
-    /// Number of histogram bins used by [`LatencyProfile::of`].
-    pub const BINS: usize = 20;
-
-    /// Summarizes a sample of latencies (nanoseconds).  Non-finite samples
-    /// are ignored (see [`Summary::of`]); every field of the result is
-    /// finite, whatever the input.
-    #[must_use]
-    pub fn of(samples_ns: &[f64]) -> Self {
-        let summary = Summary::of(samples_ns);
-        // `max <= 0.0` covers both the all-zero sample set (a histogram
-        // over the degenerate range [0, 0) is undefined — `histogram`
-        // asserts max > 0) and any all-non-positive set; the summary still
-        // carries count/mean/extrema, only the shape is omitted.
-        let (histogram_edges, histogram_density) = if summary.count == 0 || summary.max <= 0.0 {
-            (Vec::new(), Vec::new())
-        } else {
-            // Nudge the range so the maximum sample lands inside the last bin.
-            histogram(samples_ns, Self::BINS, summary.max * (1.0 + 1e-9))
-        };
-        let mut sorted: Vec<f64> = samples_ns
-            .iter()
-            .copied()
-            .filter(|s| s.is_finite())
-            .collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples compare"));
-        LatencyProfile {
-            summary,
-            quantiles: LatencyQuantiles {
-                p50: quantile_sorted(&sorted, 0.5),
-                p90: quantile_sorted(&sorted, 0.9),
-                p99: quantile_sorted(&sorted, 0.99),
-                p999: quantile_sorted(&sorted, 0.999),
-            },
-            histogram_edges,
-            histogram_density,
-        }
-    }
-
     /// Builds a profile from a bounded-memory [`HistogramSnapshot`] — the
     /// hot path records into a
     /// [`LogHistogram`](crate::obs::LogHistogram) instead of an unbounded
@@ -475,11 +418,12 @@ impl LatencyProfile {
 /// was served: decoded rounds got the decoder's correction, shed rounds an
 /// identity correction (nothing was done about whatever error occurred).
 ///
-/// Produced by the engine's end-of-run residual analysis
-/// ([`MachineConfig::analyze_residuals`](crate::MachineConfig)): the
-/// lattice's seeded error stream is replayed and every round's residual
-/// (error composed with the applied correction) is classified with
-/// [`nisqplus_qec::logical::classify_residual`] over both sectors.  This is
+/// Produced by the in-stream residual analysis
+/// ([`MachineConfig::analyze_residuals`](crate::MachineConfig)): every
+/// round's seeded error rides the wire with its syndrome, and its residual
+/// (error composed with the applied correction) is classified over both
+/// sectors by the worker that commits it — or by the producer, against the
+/// identity, the moment the round is shed.  This is
 /// what turns "we shed 12% of rounds" into "shedding corrupted 6.3% of
 /// rounds" — the drop-policy error analysis the backlog paper's argument
 /// calls for.
@@ -545,7 +489,7 @@ pub struct LatticeReport {
     pub queue_budget: Option<usize>,
     /// This lattice's shed-rate SLO, if one was configured.
     pub shed_slo: Option<f64>,
-    /// The end-of-run residual analysis, when the run requested it.
+    /// The residual analysis, when the run requested it.
     pub residual: Option<ResidualReport>,
     /// Rounds this lattice actually streamed (fewer than configured when a
     /// scripted retirement truncated its stream or a scripted add never
@@ -708,9 +652,6 @@ pub struct RuntimeReport {
     /// The event journal's end-of-run state: per-kind/per-severity totals
     /// plus the newest resident events.
     pub journal: JournalSnapshot,
-    /// Every registered observability metric by name, read at quiescence
-    /// (the machine-readable twin of [`RuntimeReport::stages`]).
-    pub metrics: Vec<MetricSample>,
     /// The run's fault ledger: injected versus observed versus recovered,
     /// reconciled exactly (all-zero and `enabled: false` for a plan-free
     /// run).
@@ -928,22 +869,47 @@ impl fmt::Display for RuntimeReport {
 mod tests {
     use super::*;
 
+    /// The machine-wide view is derived, never stored: `snapshot()` and
+    /// `backlog()` are the sums of the per-lattice and per-worker slices.
     #[test]
     fn counters_snapshot_and_backlog() {
-        let counters = RuntimeCounters::with_lattices(1);
-        counters.generated.store(10, Ordering::Relaxed);
-        counters.decoded.store(4, Ordering::Relaxed);
-        counters.enqueued.store(9, Ordering::Relaxed);
-        counters.dropped.store(1, Ordering::Relaxed);
-        let snap = counters.snapshot();
-        assert_eq!(snap.generated, 10);
-        assert_eq!(snap.dropped, 1);
-        assert_eq!(counters.backlog(), 5);
+        let counters = RuntimeCounters::new(2, 2);
+        for (lattice, base) in counters.per_lattice.iter().zip([10u64, 100]) {
+            lattice.generated.store(base, Ordering::Relaxed);
+            lattice.enqueued.store(base - 1, Ordering::Relaxed);
+            lattice.dropped.store(1, Ordering::Relaxed);
+            lattice
+                .backpressure_spins
+                .store(base + 2, Ordering::Relaxed);
+            lattice.decoded.store(base - 6, Ordering::Relaxed);
+        }
+        for (worker, base) in counters.per_worker.iter().zip([3u64, 30]) {
+            worker.stall_polls.store(base, Ordering::Relaxed);
+            worker.stolen.store(base + 1, Ordering::Relaxed);
+            worker.batches.store(base + 2, Ordering::Relaxed);
+        }
+        counters.quarantined.store(1, Ordering::Relaxed);
+        assert_eq!(
+            counters.snapshot(),
+            CounterSnapshot {
+                generated: 110,
+                enqueued: 108,
+                dropped: 2,
+                backpressure_spins: 114,
+                decoded: 98,
+                stall_polls: 33,
+                stolen: 35,
+                batches: 37,
+                quarantined: 1,
+            }
+        );
+        assert_eq!(counters.per_lattice_backlog(), vec![5, 5]);
+        assert_eq!(counters.backlog(), 10);
     }
 
     #[test]
     fn per_lattice_counters_track_their_own_backlog() {
-        let counters = RuntimeCounters::with_lattices(2);
+        let counters = RuntimeCounters::new(2, 1);
         counters.per_lattice[0]
             .generated
             .store(10, Ordering::Relaxed);
@@ -962,7 +928,7 @@ mod tests {
 
     #[test]
     fn live_residual_counters_snapshot_and_rate() {
-        let counters = RuntimeCounters::with_lattices(1);
+        let counters = RuntimeCounters::new(1, 1);
         let lattice = &counters.per_lattice[0];
         lattice.generated.store(100, Ordering::Relaxed);
         lattice.decode_failures.store(3, Ordering::Relaxed);
@@ -978,7 +944,7 @@ mod tests {
 
     #[test]
     fn topology_counters_carry_per_worker_slices() {
-        let counters = RuntimeCounters::with_topology(2, 3);
+        let counters = RuntimeCounters::new(2, 3);
         assert_eq!(counters.per_lattice.len(), 2);
         assert_eq!(counters.per_worker.len(), 3);
         counters.per_worker[1].decoded.store(12, Ordering::Relaxed);
@@ -989,83 +955,6 @@ mod tests {
         assert_eq!(snap.stolen, 2);
         assert!((snap.mean_batch_fill() - 3.0).abs() < 1e-12);
         assert_eq!(counters.per_worker[0].snapshot().mean_batch_fill(), 0.0);
-        // The lattice-only constructor skips per-worker attribution.
-        assert!(RuntimeCounters::with_lattices(2).per_worker.is_empty());
-    }
-
-    #[test]
-    fn latency_profile_of_samples() {
-        let profile = LatencyProfile::of(&[100.0, 200.0, 300.0]);
-        assert_eq!(profile.summary.count, 3);
-        assert!((profile.summary.mean - 200.0).abs() < 1e-9);
-        assert_eq!(profile.histogram_edges.len(), LatencyProfile::BINS + 1);
-        let mass: f64 = profile.histogram_density.iter().sum();
-        assert!((mass - 1.0).abs() < 1e-9, "all samples inside the range");
-    }
-
-    #[test]
-    fn empty_latency_profile_is_well_formed() {
-        let profile = LatencyProfile::of(&[]);
-        assert_eq!(profile.summary.count, 0);
-        assert!(profile.histogram_edges.is_empty());
-        assert!(profile.histogram_density.is_empty());
-        for q in [
-            profile.quantiles.p50,
-            profile.quantiles.p90,
-            profile.quantiles.p99,
-            profile.quantiles.p999,
-        ] {
-            assert!(q.is_finite());
-            assert_eq!(q, 0.0);
-        }
-        assert!(profile.summary.mean.is_finite());
-        assert!(profile.summary.std_dev.is_finite());
-    }
-
-    #[test]
-    fn single_sample_profile_pins_every_statistic_to_that_sample() {
-        let profile = LatencyProfile::of(&[42.0]);
-        assert_eq!(profile.summary.count, 1);
-        assert_eq!(profile.summary.mean, 42.0);
-        assert_eq!(profile.summary.std_dev, 0.0);
-        assert_eq!(profile.summary.min, 42.0);
-        assert_eq!(profile.summary.max, 42.0);
-        assert_eq!(profile.quantiles.p50, 42.0);
-        assert_eq!(profile.quantiles.p999, 42.0);
-    }
-
-    #[test]
-    fn identical_samples_yield_zero_spread_and_that_value_everywhere() {
-        let profile = LatencyProfile::of(&[7.0; 64]);
-        assert_eq!(profile.summary.count, 64);
-        assert_eq!(profile.summary.std_dev, 0.0);
-        assert_eq!(profile.quantiles.p50, 7.0);
-        assert_eq!(profile.quantiles.p99, 7.0);
-        let mass: f64 = profile.histogram_density.iter().sum();
-        assert!((mass - 1.0).abs() < 1e-9);
-    }
-
-    /// The documented `max <= 0.0` branch: an all-zero sample set has a
-    /// well-defined summary but no histogram shape (the bin range [0, 0)
-    /// is degenerate), and nothing is NaN.
-    #[test]
-    fn all_zero_samples_skip_the_histogram_without_nan() {
-        let profile = LatencyProfile::of(&[0.0, 0.0, 0.0]);
-        assert_eq!(profile.summary.count, 3);
-        assert_eq!(profile.summary.mean, 0.0);
-        assert!(profile.histogram_edges.is_empty());
-        assert!(profile.quantiles.p50.is_finite());
-        assert_eq!(profile.quantiles.p999, 0.0);
-    }
-
-    #[test]
-    fn non_finite_samples_are_ignored_not_propagated() {
-        let profile = LatencyProfile::of(&[f64::NAN, 10.0, f64::INFINITY, 30.0]);
-        assert_eq!(profile.summary.count, 2, "only the finite samples count");
-        assert!((profile.summary.mean - 20.0).abs() < 1e-9);
-        assert!(profile.summary.std_dev.is_finite());
-        assert_eq!(profile.summary.max, 30.0);
-        assert!(profile.quantiles.p99.is_finite());
     }
 
     #[test]

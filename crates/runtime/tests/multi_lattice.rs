@@ -127,8 +127,10 @@ fn sharded_equivalence_holds_for_every_window_size() {
     }
 }
 
-/// Aggregate flow counters are exactly the sum of the per-lattice slices —
-/// including under load shedding, where drops are attributed per lattice.
+/// The aggregate counters are the per-lattice slices summed (by
+/// construction); what can still disagree are the *independent* books kept
+/// beside them — the sinks' latency histograms and the frames — including
+/// under load shedding, where drops are attributed per lattice.
 #[test]
 fn aggregate_counters_equal_the_sum_of_per_lattice_counters() {
     let mut config = machine(&[3, 5, 3], 300, 1, 29);
@@ -141,30 +143,17 @@ fn aggregate_counters_equal_the_sum_of_per_lattice_counters() {
     let outcome = engine.run(&factory);
     let agg = outcome.report.counters;
     assert!(agg.dropped > 0, "tiny ring should overflow");
-    let lattices = &outcome.report.lattices;
+    assert_eq!(agg.generated, agg.decoded + agg.dropped);
+    for (lattice, frame) in outcome.report.lattices.iter().zip(&outcome.frames) {
+        assert_eq!(
+            lattice.decode_latency.summary.count as u64,
+            lattice.counters.decoded
+        );
+        assert_eq!(frame.total_recorded(), lattice.counters.generated);
+    }
     assert_eq!(
-        agg.generated,
-        lattices.iter().map(|l| l.counters.generated).sum::<u64>()
-    );
-    assert_eq!(
-        agg.enqueued,
-        lattices.iter().map(|l| l.counters.enqueued).sum::<u64>()
-    );
-    assert_eq!(
-        agg.dropped,
-        lattices.iter().map(|l| l.counters.dropped).sum::<u64>()
-    );
-    assert_eq!(
-        agg.decoded,
-        lattices.iter().map(|l| l.counters.decoded).sum::<u64>()
-    );
-    // Per-lattice latency sample counts add up to the aggregate too.
-    assert_eq!(
-        outcome.report.decode_latency.summary.count,
-        lattices
-            .iter()
-            .map(|l| l.decode_latency.summary.count)
-            .sum::<usize>()
+        outcome.report.decode_latency.summary.count as u64,
+        agg.decoded
     );
 }
 

@@ -99,10 +99,9 @@ fn multi_lattice_qos_report_round_trips_through_json() {
     let report = &outcome.report;
     assert!(report.counters.dropped > 0, "Drop lane must shed");
     assert_eq!(report.journal.counts.shed, report.counters.dropped);
-    assert!(!report.metrics.is_empty());
 
-    // Streaming residuals (the default mode) moved the live per-lattice
-    // failure counters; the round trip below must carry them.
+    // The in-stream residual analysis moved the live per-lattice failure
+    // counters; the round trip below must carry them.
     let live_failures: u64 = report
         .lattices
         .iter()
@@ -114,6 +113,10 @@ fn multi_lattice_qos_report_round_trips_through_json() {
     );
 
     let text = report_to_string(report);
+    assert!(
+        !text.contains("\"metrics\""),
+        "v5 dropped the flattened copy of `stages`"
+    );
     let reloaded = report_from_str(&text).expect("round trip");
     assert_eq!(&reloaded, report, "JSON must round-trip bit-for-bit");
     let reloaded_failures: u64 = reloaded
@@ -123,27 +126,30 @@ fn multi_lattice_qos_report_round_trips_through_json() {
         .sum();
     assert_eq!(reloaded_failures, live_failures);
 
-    // A document from a future schema is refused, loudly and typed.
-    let bumped = text.replacen(
-        &format!("\"schema_version\": {SCHEMA_VERSION}"),
-        &format!("\"schema_version\": {}", SCHEMA_VERSION + 1),
-        1,
-    );
-    assert_ne!(bumped, text, "the header must be present to bump");
-    match report_from_str(&bumped) {
-        Err(ExportError::Version { found, expected }) => {
-            assert_eq!(found, SCHEMA_VERSION + 1);
-            assert_eq!(expected, SCHEMA_VERSION);
+    // A document from a future schema — or from the previous one, v4, which
+    // still carried `metrics` — is refused, loudly and typed.
+    for other_version in [SCHEMA_VERSION + 1, 4] {
+        let restamped = text.replacen(
+            &format!("\"schema_version\": {SCHEMA_VERSION}"),
+            &format!("\"schema_version\": {other_version}"),
+            1,
+        );
+        assert_ne!(restamped, text, "the header must be present to restamp");
+        match report_from_str(&restamped) {
+            Err(ExportError::Version { found, expected }) => {
+                assert_eq!(found, other_version);
+                assert_eq!(expected, SCHEMA_VERSION);
+            }
+            other => panic!("v{other_version} must fail with Version, got {other:?}"),
         }
-        other => panic!("bumped schema must fail with Version, got {other:?}"),
     }
 }
 
 /// The sampler thread observes the run from the side: snapshots are
-/// monotonically sequenced, within the configured bound, and the registry
-/// names every stage of the pipeline.
+/// monotonically sequenced and within the configured bound, and the stage
+/// reports name every stage of the pipeline.
 #[test]
-fn sampler_snapshots_and_registry_cover_the_run() {
+fn sampler_snapshots_and_stage_reports_cover_the_run() {
     let mut config = RuntimeConfig::new(3);
     config.rounds = 2_000;
     config.workers = 2;
@@ -166,28 +172,18 @@ fn sampler_snapshots_and_registry_cover_the_run() {
     assert!(last.decode_p999_ns >= last.decode_p99_ns);
     assert!(last.decode_p99_ns >= last.decode_p50_ns);
 
-    // Every pipeline stage registered its counters by name.
-    let names: Vec<&str> = report.metrics.iter().map(|m| m.name.as_str()).collect();
-    for stage in [
-        "source",
-        "gate",
-        "skid",
-        "depth",
-        "channel.0",
-        "decode.0",
-        "sink.0",
-    ] {
-        let name = format!("stage.{stage}.accepted");
-        assert!(names.contains(&name.as_str()), "registry missing {name}");
+    // Every pipeline stage files a report under its name.
+    let stage_of = |name: &str| {
+        report
+            .stages
+            .iter()
+            .find(|s| s.stage == name)
+            .unwrap_or_else(|| panic!("no stage report named {name}"))
+    };
+    for stage in ["source", "skid", "depth", "channel.0", "decode.0", "sink.0"] {
+        let _ = stage_of(stage);
     }
-    // Registry totals agree with the stage reports assembled at shutdown.
-    let gate_accepted = report
-        .metrics
-        .iter()
-        .find(|m| m.name == "stage.gate.accepted")
-        .expect("gate metric")
-        .value;
-    assert_eq!(gate_accepted, 2_000);
+    assert_eq!(stage_of("gate").accepted, 2_000);
 }
 
 /// `max_depth_samples` is a hard cap even when the stream is much longer

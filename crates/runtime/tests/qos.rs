@@ -18,8 +18,8 @@ use nisqplus_qec::frame::PauliFrame;
 use nisqplus_qec::lattice::{Lattice, Sector};
 use nisqplus_qec::pauli::PauliString;
 use nisqplus_runtime::{
-    LatticeSpec, MachineConfig, NoiseSpec, PushPolicy, RuntimeOutcome, StreamingEngine,
-    SyndromeSource, ThrottledDecoder,
+    LatticeSpec, MachineConfig, NoiseSpec, PushPolicy, StreamingEngine, SyndromeSource,
+    ThrottledDecoder,
 };
 
 /// A throttled greedy factory: slow enough that an un-paced producer
@@ -48,35 +48,6 @@ fn machine_of(lattices: Vec<LatticeSpec>) -> MachineConfig {
     config.queue_capacity = 512;
     config.push_policy = PushPolicy::Block;
     config
-}
-
-/// Aggregate flow counters must equal the sum of the per-lattice slices.
-fn assert_aggregate_equals_sum(outcome: &RuntimeOutcome) {
-    let agg = outcome.report.counters;
-    let lattices = &outcome.report.lattices;
-    assert_eq!(
-        agg.generated,
-        lattices.iter().map(|l| l.counters.generated).sum::<u64>()
-    );
-    assert_eq!(
-        agg.enqueued,
-        lattices.iter().map(|l| l.counters.enqueued).sum::<u64>()
-    );
-    assert_eq!(
-        agg.dropped,
-        lattices.iter().map(|l| l.counters.dropped).sum::<u64>()
-    );
-    assert_eq!(
-        agg.decoded,
-        lattices.iter().map(|l| l.counters.decoded).sum::<u64>()
-    );
-    assert_eq!(
-        agg.backpressure_spins,
-        lattices
-            .iter()
-            .map(|l| l.counters.backpressure_spins)
-            .sum::<u64>()
-    );
 }
 
 /// One machine, two contracts: lattice 0 may shed (tight budget), lattice 1
@@ -124,7 +95,6 @@ fn drop_lattice_sheds_while_block_neighbour_stays_lossless() {
         drop.counters.decoded + drop.counters.dropped,
         drop.counters.generated
     );
-    assert_aggregate_equals_sum(&outcome);
 
     // Shed rounds were fed into the frame path as identity corrections, so
     // each lattice's frame owns up to every generated round.
@@ -335,5 +305,4 @@ fn block_lattice_with_budget_backpressures_instead_of_shedding() {
         "budget of 1 outstanding round against a 20 us floor must spin"
     );
     assert_eq!(outcome.frame_for(0).total_recorded(), rounds);
-    assert_aggregate_equals_sum(&outcome);
 }

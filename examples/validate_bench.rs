@@ -9,9 +9,10 @@
 //! written with ([`nisqplus_runtime::report`]) and fails loudly when a file
 //! is missing, malformed, carries a stale `schema_version`, or contains an
 //! entry with an impossible shape (unknown verdict, empty suite, negative
-//! or non-finite rates, shed exceeding rounds).  The soak artifact gets one
-//! extra audit: its `soak/class/*` QoS-class entries must *partition* the
-//! `soak/aggregate` entry — lattices, rounds and shed counts sum exactly.
+//! or non-finite rates, quantiles out of order, shed exceeding rounds).
+//! The soak artifact gets one extra audit: its `soak/class/*` QoS-class
+//! entries must *partition* the `soak/aggregate` entry — lattices, rounds
+//! and shed counts sum exactly.
 //! CI runs it before *and* after regenerating the artifacts, so a bench
 //! change that forgets to refresh the committed files cannot land silently.
 //!
@@ -42,7 +43,7 @@ fn validate(path: &str) -> Result<(String, Vec<BenchEntry>), String> {
 }
 
 /// Shape checks every entry must pass regardless of suite: populated
-/// identity fields and non-negative rates and latencies.
+/// identity fields, non-negative rates and latencies, quantiles in order.
 fn validate_entry(entry: &BenchEntry) -> Result<(), String> {
     if entry.lattices == 0 {
         return Err("serves zero lattices".into());
@@ -77,6 +78,22 @@ fn validate_entry(entry: &BenchEntry) -> Result<(), String> {
     ] {
         if value > 1.0 {
             return Err(format!("{name} is {value}, expected a fraction in [0, 1]"));
+        }
+    }
+    // Quantiles of one distribution are monotone in the rank.
+    let (d50, d99, d999) = (
+        entry.decode_p50_ns,
+        entry.decode_p99_ns,
+        entry.decode_p999_ns,
+    );
+    let (t99, t999) = (entry.total_p99_ns, entry.total_p999_ns);
+    for (low_name, low, high_name, high) in [
+        ("decode_p50_ns", d50, "decode_p99_ns", d99),
+        ("decode_p99_ns", d99, "decode_p999_ns", d999),
+        ("total_p99_ns", t99, "total_p999_ns", t999),
+    ] {
+        if low > high {
+            return Err(format!("{low_name} {low} exceeds {high_name} {high}"));
         }
     }
     if entry.shed > entry.rounds {
