@@ -1,8 +1,11 @@
-//! Shared helpers for the NISQ+ benchmark harness binaries.
+//! Shared helpers for the binaries that regenerate the paper's tables and
+//! figures, plus the soak harness.
 //!
 //! Each table and figure of the paper is regenerated by a dedicated binary in
 //! `src/bin/`; this library holds the small amount of formatting and
-//! configuration code those binaries share.
+//! configuration code those binaries share, and [`soak`], the machine-scale
+//! invariant run.  Performance numbers come from the detached `benchmark/`
+//! crate only; nothing here stores or gates one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

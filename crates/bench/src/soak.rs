@@ -1,13 +1,13 @@
 //! The soak harness: one sustained multi-lattice streaming run at machine
-//! scale, distilled into the repo-root `BENCH_soak.json` perf artifact.
+//! scale, asserting the invariants that only show up there.
 //!
-//! Where the criterion benches measure short, repeated runs, the soak drives
-//! a *single* long run — the full profile streams at least a million rounds
-//! over at least a hundred mixed-distance lattices — and checks the
-//! properties that only show up at that scale: telemetry memory stays
-//! bounded (streaming residual classification, capped timelines, no
-//! correction history), the books balance (every generated round is decoded
-//! or shed, never lost), and the tail latencies and shed rates hold steady.
+//! Where the `benchmark/` crate measures short, repeated runs, the soak
+//! drives a *single* long run — the full profile streams a million rounds
+//! over a hundred mixed-distance lattices — and checks the properties that
+//! only show up at that scale: telemetry memory stays bounded (streaming
+//! residual classification, capped timelines, no correction history) and
+//! the books balance (every generated round is decoded or shed, never
+//! lost).  It asserts; it publishes no number.
 //!
 //! Two profiles, selected by environment:
 //!
@@ -15,30 +15,24 @@
 //!   [`SoakProfile::FULL_LATTICES`] lattices, distances cycling 3/5/7,
 //!   a Drop-policy lane every fourth lattice, and lattice 0 served by a
 //!   deliberately throttled decoder behind a tiny queue budget so sustained
-//!   shedding (and its residual cost) is part of what the soak measures.
+//!   shedding (and its residual cost) is part of what the soak exercises.
 //! * **smoke** (`NISQ_SOAK_SMOKE=1`): [`SoakProfile::SMOKE_ROUNDS`] rounds
 //!   over [`SoakProfile::SMOKE_LATTICES`] lattices, every lane under
 //!   blocking backpressure (an un-paced producer outruns the workers, so
 //!   any Drop lane would shed the moment the ring filled), so every verdict
 //!   must come back `BOUNDED` — the CI-sized regression gate.
 //!
-//! `NISQ_SOAK_ROUNDS`, `NISQ_SOAK_LATTICES` and `NISQ_SOAK_WORKERS`
-//! override either profile's scale.  [`run`] asserts the invariants;
-//! [`emit`] writes the artifact (one `soak/aggregate` entry with the peak
-//! RSS filled in, plus one conservative entry per QoS class), which
-//! `examples/validate_bench.rs` checks in CI like every other `BENCH_*`
-//! artifact.
+//! [`SoakProfile`]'s fields are public for any other scale; [`run`] asserts
+//! the invariants.
 
 use nisqplus_decoders::{DynDecoder, UnionFindDecoder};
-use nisqplus_qec::logical::ResidualTally;
-use nisqplus_runtime::report::write_bench_document;
 use nisqplus_runtime::{
-    BenchEntry, LatticeReport, LatticeSpec, MachineConfig, PushPolicy, RuntimeOutcome,
-    RuntimeReport, StreamingEngine, ThrottledDecoder,
+    LatticeSpec, MachineConfig, PushPolicy, RuntimeOutcome, RuntimeReport, StreamingEngine,
+    ThrottledDecoder,
 };
 use std::sync::Arc;
 
-/// The scale and shape of one soak run, resolved from the environment.
+/// The scale and shape of one soak run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SoakProfile {
     /// Total rounds streamed, split evenly across the lattices.
@@ -52,8 +46,8 @@ pub struct SoakProfile {
     pub smoke: bool,
 }
 
-/// Which QoS class a soak lattice belongs to — the unit the per-class
-/// artifact entries aggregate over.
+/// Which QoS class a soak lattice belongs to — the unit the soak example's
+/// per-class summary sums over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SoakClass {
     /// Blocking backpressure: no round may be lost.
@@ -65,62 +59,37 @@ pub enum SoakClass {
     Throttled,
 }
 
-impl SoakClass {
-    /// The class's artifact-id suffix.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            SoakClass::Block => "block",
-            SoakClass::Drop => "drop",
-            SoakClass::Throttled => "throttled",
-        }
-    }
-}
-
 impl SoakProfile {
-    /// Full-profile default rounds (the ISSUE's soak floor).
+    /// Full-profile rounds.
     pub const FULL_ROUNDS: u64 = 1_000_000;
-    /// Full-profile default lattice count.
+    /// Full-profile lattice count.
     pub const FULL_LATTICES: usize = 100;
-    /// Smoke-profile default rounds (CI scale).
+    /// Smoke-profile rounds (CI scale).
     pub const SMOKE_ROUNDS: u64 = 50_000;
-    /// Smoke-profile default lattice count.
+    /// Smoke-profile lattice count.
     pub const SMOKE_LATTICES: usize = 16;
     /// Seed base: lattice `i` streams from `SEED_BASE + i`.
     pub const SEED_BASE: u64 = 0x50AC;
     /// Enforced decode floor of the throttled lane, nanoseconds.
     pub const THROTTLE_FLOOR_NS: u64 = 2_000;
 
-    /// Resolves the profile from the environment: `NISQ_SOAK_SMOKE` picks
-    /// the smoke defaults, `NISQ_SOAK_ROUNDS` / `NISQ_SOAK_LATTICES` /
-    /// `NISQ_SOAK_WORKERS` override scale either way.
+    /// Resolves the profile from the environment: the smoke scale when
+    /// `NISQ_SOAK_SMOKE` is set, the full scale otherwise; two to four
+    /// workers, by the host's parallelism.
     #[must_use]
     pub fn from_env() -> Self {
         let smoke = std::env::var_os("NISQ_SOAK_SMOKE").is_some();
-        let rounds_total = env_u64(
-            "NISQ_SOAK_ROUNDS",
-            if smoke {
-                Self::SMOKE_ROUNDS
-            } else {
-                Self::FULL_ROUNDS
-            },
-        );
-        let num_lattices = env_u64(
-            "NISQ_SOAK_LATTICES",
-            if smoke {
-                Self::SMOKE_LATTICES as u64
-            } else {
-                Self::FULL_LATTICES as u64
-            },
-        )
-        .max(1) as usize;
-        let default_workers = std::thread::available_parallelism()
+        let (rounds_total, num_lattices) = if smoke {
+            (Self::SMOKE_ROUNDS, Self::SMOKE_LATTICES)
+        } else {
+            (Self::FULL_ROUNDS, Self::FULL_LATTICES)
+        };
+        let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(2)
             .clamp(2, 4);
-        let workers = env_u64("NISQ_SOAK_WORKERS", default_workers as u64).max(1) as usize;
         SoakProfile {
-            rounds_total: rounds_total.max(num_lattices as u64),
+            rounds_total,
             num_lattices,
             workers,
             smoke,
@@ -210,13 +179,6 @@ impl SoakProfile {
         config.obs.snapshot_cadence_us = 0;
         config
     }
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// Peak resident-set size of this process in bytes (`VmHWM` from
@@ -327,140 +289,6 @@ fn check_invariants(profile: &SoakProfile, report: &RuntimeReport) {
     }
 }
 
-/// Distills one QoS class's member lattices into a single conservative
-/// [`BenchEntry`]: counts and tallies are summed, latency quantiles take the
-/// *worst* member (a class is as slow as its slowest lattice), and the
-/// verdict is the worst across members (`GROWING` > `SHEDDING` >
-/// `BOUNDED`).
-#[must_use]
-pub fn class_entry(
-    id: impl Into<String>,
-    report: &RuntimeReport,
-    members: &[&LatticeReport],
-) -> BenchEntry {
-    let mut generated = 0u64;
-    let mut decoded = 0u64;
-    let mut dropped = 0u64;
-    let mut rounds = 0u64;
-    let mut final_backlog = 0u64;
-    let mut tally = ResidualTally::default();
-    let mut decode_p50: f64 = 0.0;
-    let mut decode_p99: f64 = 0.0;
-    let mut decode_p999: f64 = 0.0;
-    let mut total_p99: f64 = 0.0;
-    let mut total_p999: f64 = 0.0;
-    let mut decode_mean_weighted = 0.0f64;
-    let mut growing = false;
-    let mut shedding = false;
-    for lattice in members {
-        let c = &lattice.counters;
-        generated += c.generated;
-        decoded += c.decoded;
-        dropped += c.dropped;
-        rounds += lattice.rounds;
-        final_backlog += lattice.final_backlog;
-        if let Some(residual) = &lattice.residual {
-            tally.absorb(&residual.total());
-        }
-        decode_p50 = decode_p50.max(lattice.decode_latency.quantiles.p50);
-        decode_p99 = decode_p99.max(lattice.decode_latency.quantiles.p99);
-        decode_p999 = decode_p999.max(lattice.decode_latency.quantiles.p999);
-        total_p99 = total_p99.max(lattice.total_latency.quantiles.p99);
-        total_p999 = total_p999.max(lattice.total_latency.quantiles.p999);
-        decode_mean_weighted += lattice.decode_latency.summary.mean * c.decoded as f64;
-        match lattice.verdict() {
-            "GROWING" => growing = true,
-            "SHEDDING" => shedding = true,
-            _ => {}
-        }
-    }
-    let verdict = if growing {
-        "GROWING"
-    } else if shedding {
-        "SHEDDING"
-    } else {
-        "BOUNDED"
-    };
-    BenchEntry {
-        id: id.into(),
-        lattices: members.len(),
-        workers: report.workers,
-        batch_size: report.batch_size,
-        rounds,
-        throughput_per_s: if report.elapsed_s > 0.0 {
-            decoded as f64 / report.elapsed_s
-        } else {
-            0.0
-        },
-        decode_mean_ns: if decoded > 0 {
-            decode_mean_weighted / decoded as f64
-        } else {
-            0.0
-        },
-        decode_p50_ns: decode_p50,
-        decode_p99_ns: decode_p99,
-        decode_p999_ns: decode_p999,
-        total_p99_ns: total_p99,
-        total_p999_ns: total_p999,
-        shed: dropped,
-        shed_rate: if generated > 0 {
-            dropped as f64 / generated as f64
-        } else {
-            0.0
-        },
-        residual_failure_rate: tally.failure_rate(),
-        peak_rss_bytes: None,
-        final_backlog,
-        verdict: verdict.to_string(),
-    }
-}
-
-/// Writes `BENCH_soak.json` at the repository root: the `soak/aggregate`
-/// entry (with this process's measured peak RSS) plus one entry per QoS
-/// class present in the profile.  Returns the entries written.
-pub fn emit(profile: &SoakProfile, report: &RuntimeReport) -> Vec<BenchEntry> {
-    let mut aggregate = BenchEntry::from_report("soak/aggregate", report);
-    // `0` means "no procfs here": not measured, so not written.
-    aggregate.peak_rss_bytes = Some(peak_rss_bytes()).filter(|&bytes| bytes > 0);
-    let mut entries = vec![aggregate];
-    for class in [SoakClass::Block, SoakClass::Drop, SoakClass::Throttled] {
-        let members: Vec<&LatticeReport> = report
-            .lattices
-            .iter()
-            .filter(|l| profile.class_of(l.lattice_id) == class)
-            .collect();
-        if members.is_empty() {
-            continue;
-        }
-        entries.push(class_entry(
-            format!("soak/class/{}", class.label()),
-            report,
-            &members,
-        ));
-    }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_soak.json");
-    write_bench_document(path, "soak", &entries).expect("write BENCH_soak.json");
-    eprintln!("bench-artifact: wrote {path} ({} entries)", entries.len());
-    entries
-}
-
-/// The whole soak in one call — resolve the profile, run, assert, emit —
-/// returning `(profile, outcome, entries)` for callers that print a summary.
-#[must_use]
-pub fn run_and_emit() -> (SoakProfile, RuntimeOutcome, Vec<BenchEntry>) {
-    let profile = SoakProfile::from_env();
-    eprintln!(
-        "soak: {} rounds over {} lattices ({} workers, {} profile)",
-        profile.rounds_per_lattice() * profile.num_lattices as u64,
-        profile.num_lattices,
-        profile.workers,
-        if profile.smoke { "smoke" } else { "full" },
-    );
-    let outcome = run(&profile);
-    let entries = emit(&profile, &outcome.report);
-    (profile, outcome, entries)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,14 +345,5 @@ mod tests {
         // all-BOUNDED smoke gate.
         let outcome = run(&profile);
         assert_eq!(outcome.report.counters.generated, 2_000);
-        let aggregate = BenchEntry::from_report("soak/aggregate", &outcome.report);
-        let block = class_entry(
-            "soak/class/block",
-            &outcome.report,
-            &outcome.report.lattices.iter().collect::<Vec<_>>(),
-        );
-        assert_eq!(aggregate.rounds, 2_000);
-        assert_eq!(block.rounds, 2_000);
-        assert_eq!(block.verdict, "BOUNDED");
     }
 }

@@ -33,8 +33,8 @@
 //! * [`Decoder::decode_into`] overwrites a caller-owned
 //!   [`PauliString`](nisqplus_qec::pauli::PauliString); for the prepared
 //!   decoders in this crate the steady-state loop performs **zero** heap
-//!   allocations (guarded by a counting global allocator in the `runtime`
-//!   bench).
+//!   allocations (guarded by a counting global allocator in
+//!   `tests/allocation_free.rs`).
 //! * Decoders may keep scratch between calls (hence `&mut self`) but must
 //!   not carry information from one syndrome to the next — every round is an
 //!   independent decoding problem, which is what lets the streaming runtime

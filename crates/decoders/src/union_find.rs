@@ -34,7 +34,7 @@
 //!
 //! Steady-state [`Decoder::decode_into`] calls perform no heap allocation
 //! (every list is bounded by the vertex or edge count and reserved up
-//! front); the runtime bench guards that with an allocation counter.
+//! front); `tests/allocation_free.rs` guards that with an allocation counter.
 
 use crate::traits::{sector_correction_pauli, Correction, Decoder};
 use nisqplus_qec::lattice::{Lattice, QubitKind, Sector};

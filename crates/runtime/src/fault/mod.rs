@@ -14,8 +14,8 @@
 //! the producer and worker hot paths but are engineered to cost nothing when
 //! the plan is empty: every hook short-circuits on a pre-computed emptiness
 //! check, performs no allocation either way, and takes no locks (arming is a
-//! compare-and-swap per scheduled fault).  The bench suite's allocation
-//! guard runs the full pipeline with an empty plan to pin this.
+//! compare-and-swap per scheduled fault).  `tests/allocation_free.rs` runs
+//! the hooks of a disabled injector under a counting allocator to pin this.
 //!
 //! What happened under fire is reconciled in the [`FaultReport`] attached to
 //! every [`RuntimeReport`](crate::telemetry::RuntimeReport): injected counts

@@ -61,7 +61,7 @@
 //!   flips), and a snapshot sampler publishing periodic
 //!   [`MetricsSnapshot`]s to an optional [`RuntimeObserver`],
 //! * [`report`] — schema-versioned, dependency-free JSON export of the
-//!   final report and of the repo-root `BENCH_*.json` perf artifacts,
+//!   final report,
 //! * [`scenario`] — the scenario plane: versioned replayable
 //!   [`SyndromeTrace`]s (record a live run's full stream, replay it
 //!   byte-identically through the same pipeline) and scripted elastic
@@ -140,7 +140,7 @@ pub use obs::{
 };
 pub use packet::{PacketCodec, PacketError, SyndromePacket};
 pub use queue::{RingFull, SpmcRing};
-pub use report::{BenchEntry, ExportError, Json, SCHEMA_VERSION};
+pub use report::{ExportError, Json, SCHEMA_VERSION};
 pub use scenario::{
     golden_summary, record_run, replay_run, GoldenSummary, ScenarioAction, ScenarioError,
     ScenarioScript, SyndromeTrace, TraceRecorder, TraceSource, TRACE_VERSION,

@@ -27,7 +27,7 @@
 //! [`PipelineOptions`](crate::stage::PipelineOptions) to tap events and
 //! snapshots live.  Everything here is allocation-free after construction
 //! on the paths the pipeline hits per round (histogram record, journal
-//! publish) — the bench alloc-guard enforces it.
+//! publish) — `tests/allocation_free.rs` enforces it.
 
 pub mod hist;
 pub mod journal;

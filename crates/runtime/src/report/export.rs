@@ -1,4 +1,4 @@
-//! Schema-versioned JSON export of [`RuntimeReport`]s and bench artifacts.
+//! Schema-versioned JSON export of [`RuntimeReport`]s.
 //!
 //! Everything a run measures — counters, stage reports, latency quantiles,
 //! mid-run snapshots, the event journal — serializes to a single JSON
@@ -7,13 +7,8 @@
 //! artifact fails loudly instead of parsing into wrong numbers.  The
 //! serialization round-trips exactly: `report_from_str(report_to_string(r))
 //! == r` for any real report (floats use shortest-round-trip formatting).
-//!
-//! The same machinery exports the repo-root `BENCH_streaming.json` /
-//! `BENCH_lattices.json` perf artifacts: one [`BenchEntry`] per benchmark
-//! configuration, regenerated by `cargo bench --bench runtime` and
-//! validated in CI by `cargo run --example validate_bench`, so the perf
-//! trajectory is diffable per PR.  The exported field layout is documented
-//! field by field in `docs/OPERATIONS.md`.
+//! The exported field layout is documented field by field in
+//! `docs/OPERATIONS.md`.
 
 use crate::config::PushPolicy;
 use crate::obs::{
@@ -39,9 +34,7 @@ use std::path::Path;
 /// event kinds in `journal.counts`, and the report-level `fault` object.
 ///
 /// v3: soak-scale telemetry — per-lattice live residual counters
-/// (`decode_failures`, `shed_failures`, the derived `live_failure_rate`)
-/// and the widened [`BenchEntry`] (end-to-end latency quantiles, shed rate,
-/// residual failure rate, peak RSS).
+/// (`decode_failures`, `shed_failures`, the derived `live_failure_rate`).
 ///
 /// v4: the scenario plane — per-lattice `noise_epochs` timelines, the
 /// `lattice_added` / `lattice_retired` journal kinds, and per-lattice
@@ -49,8 +42,7 @@ use std::path::Path;
 /// retired lattices).
 ///
 /// v5: one owner per fact — the report-level `metrics` array is gone (it
-/// was `stages` flattened to `stage.<name>.<field>`), and a bench entry's
-/// `peak_rss_bytes` is omitted when unmeasured instead of written as `0`.
+/// was `stages` flattened to `stage.<name>.<field>`).
 pub const SCHEMA_VERSION: u64 = 5;
 
 /// Why an export or import failed.
@@ -185,7 +177,10 @@ fn get_u64_arr(value: &Json, key: &str) -> Result<Vec<u64>, ExportError> {
         .collect()
 }
 
-fn check_header(doc: &Json, kind: &str) -> Result<(), ExportError> {
+/// The only document kind this module writes or accepts.
+const KIND: &str = "runtime_report";
+
+fn check_header(doc: &Json) -> Result<(), ExportError> {
     let found = get_u64(doc, "schema_version")?;
     if found != SCHEMA_VERSION {
         return Err(ExportError::Version {
@@ -193,10 +188,10 @@ fn check_header(doc: &Json, kind: &str) -> Result<(), ExportError> {
             expected: SCHEMA_VERSION,
         });
     }
-    let doc_kind = get_str(doc, "kind")?;
-    if doc_kind != kind {
+    let kind = get_str(doc, "kind")?;
+    if kind != KIND {
         return Err(ExportError::Schema(format!(
-            "document kind is '{doc_kind}', expected '{kind}'"
+            "document kind is '{kind}', expected '{KIND}'"
         )));
     }
     Ok(())
@@ -809,7 +804,7 @@ fn lattice_from_json(v: &Json) -> Result<LatticeReport, ExportError> {
 pub fn report_to_json(report: &RuntimeReport) -> Json {
     obj(vec![
         ("schema_version", Json::from(SCHEMA_VERSION)),
-        ("kind", Json::from("runtime_report")),
+        ("kind", Json::from(KIND)),
         ("decoder", Json::from(report.decoder.as_str())),
         ("num_lattices", Json::from(report.num_lattices)),
         ("distances", usize_arr(&report.distances)),
@@ -872,7 +867,7 @@ pub fn report_to_json(report: &RuntimeReport) -> Json {
 /// Rejects documents with a different [`SCHEMA_VERSION`], the wrong kind,
 /// or any missing/mistyped field.
 pub fn report_from_json(doc: &Json) -> Result<RuntimeReport, ExportError> {
-    check_header(doc, "runtime_report")?;
+    check_header(doc)?;
     Ok(RuntimeReport {
         decoder: get_str(doc, "decoder")?.to_string(),
         num_lattices: get_usize(doc, "num_lattices")?,
@@ -953,298 +948,18 @@ pub fn read_report(path: impl AsRef<Path>) -> Result<RuntimeReport, ExportError>
     report_from_str(&std::fs::read_to_string(path)?)
 }
 
-// ---------------------------------------------------------------------------
-// Bench artifacts
-// ---------------------------------------------------------------------------
-
-/// One benchmark configuration's headline numbers, as committed in the
-/// repo-root `BENCH_*.json` artifacts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchEntry {
-    /// The benchmark id, e.g. `streaming_1k_rounds/workers/2`.
-    pub id: String,
-    /// Lattices served.
-    pub lattices: usize,
-    /// Decoder workers.
-    pub workers: usize,
-    /// Batched decode window.
-    pub batch_size: usize,
-    /// Rounds streamed (all lattices).
-    pub rounds: u64,
-    /// Decoded packets per wall-clock second.
-    pub throughput_per_s: f64,
-    /// Mean decode service time, nanoseconds.
-    pub decode_mean_ns: f64,
-    /// Median decode service time, nanoseconds.
-    pub decode_p50_ns: f64,
-    /// 99th-percentile decode service time, nanoseconds.
-    pub decode_p99_ns: f64,
-    /// 99.9th-percentile decode service time, nanoseconds.
-    pub decode_p999_ns: f64,
-    /// 99th-percentile end-to-end (generation to committed correction)
-    /// latency, nanoseconds.
-    pub total_p99_ns: f64,
-    /// 99.9th-percentile end-to-end latency, nanoseconds.
-    pub total_p999_ns: f64,
-    /// Rounds shed.
-    pub shed: u64,
-    /// The fraction of generated rounds that were shed.
-    pub shed_rate: f64,
-    /// The measured residual failure rate (logical errors plus invalid
-    /// corrections over all classified rounds); `0.0` when the run did not
-    /// classify residuals.
-    pub residual_failure_rate: f64,
-    /// Peak resident-set size of the producing process in bytes; `None`
-    /// (key omitted) when not measured — criterion benches don't sample it,
-    /// the soak aggregate does.
-    pub peak_rss_bytes: Option<u64>,
-    /// Backlog when generation stopped.
-    pub final_backlog: u64,
-    /// The run's one-word queue verdict (`BOUNDED`/`GROWING`/`SHEDDING`).
-    pub verdict: String,
-}
-
-impl BenchEntry {
-    /// Extracts the headline numbers of `report` under the given id.
-    #[must_use]
-    pub fn from_report(id: impl Into<String>, report: &RuntimeReport) -> Self {
-        // The machine-wide residual failure rate: every lattice's tallies
-        // folded together (0.0 when the run classified nothing).
-        let mut residuals = ResidualTally::default();
-        for lattice in &report.lattices {
-            if let Some(residual) = &lattice.residual {
-                residuals.absorb(&residual.total());
-            }
-        }
-        let shed_rate = if report.counters.generated == 0 {
-            0.0
-        } else {
-            report.counters.dropped as f64 / report.counters.generated as f64
-        };
-        BenchEntry {
-            id: id.into(),
-            lattices: report.num_lattices,
-            workers: report.workers,
-            batch_size: report.batch_size,
-            rounds: report.rounds,
-            throughput_per_s: report.throughput_per_s,
-            decode_mean_ns: report.decode_latency.summary.mean,
-            decode_p50_ns: report.decode_latency.quantiles.p50,
-            decode_p99_ns: report.decode_latency.quantiles.p99,
-            decode_p999_ns: report.decode_latency.quantiles.p999,
-            total_p99_ns: report.total_latency.quantiles.p99,
-            total_p999_ns: report.total_latency.quantiles.p999,
-            shed: report.counters.dropped,
-            shed_rate,
-            residual_failure_rate: residuals.failure_rate(),
-            peak_rss_bytes: None,
-            final_backlog: report.final_backlog,
-            verdict: report.verdict().to_string(),
-        }
-    }
-}
-
-fn bench_entry_to_json(e: &BenchEntry) -> Json {
-    let mut fields = vec![
-        ("id", Json::from(e.id.as_str())),
-        ("lattices", Json::from(e.lattices)),
-        ("workers", Json::from(e.workers)),
-        ("batch_size", Json::from(e.batch_size)),
-        ("rounds", Json::from(e.rounds)),
-        ("throughput_per_s", Json::Num(e.throughput_per_s)),
-        ("decode_mean_ns", Json::Num(e.decode_mean_ns)),
-        ("decode_p50_ns", Json::Num(e.decode_p50_ns)),
-        ("decode_p99_ns", Json::Num(e.decode_p99_ns)),
-        ("decode_p999_ns", Json::Num(e.decode_p999_ns)),
-        ("total_p99_ns", Json::Num(e.total_p99_ns)),
-        ("total_p999_ns", Json::Num(e.total_p999_ns)),
-        ("shed", Json::from(e.shed)),
-        ("shed_rate", Json::Num(e.shed_rate)),
-        ("residual_failure_rate", Json::Num(e.residual_failure_rate)),
-        ("final_backlog", Json::from(e.final_backlog)),
-        ("verdict", Json::from(e.verdict.as_str())),
-    ];
-    if let Some(bytes) = e.peak_rss_bytes {
-        fields.push(("peak_rss_bytes", Json::from(bytes)));
-    }
-    obj(fields)
-}
-
-fn bench_entry_from_json(v: &Json) -> Result<BenchEntry, ExportError> {
-    let verdict = get_str(v, "verdict")?;
-    if !matches!(verdict, "BOUNDED" | "GROWING" | "SHEDDING") {
-        return Err(ExportError::Schema(format!("unknown verdict '{verdict}'")));
-    }
-    Ok(BenchEntry {
-        id: get_str(v, "id")?.to_string(),
-        lattices: get_usize(v, "lattices")?,
-        workers: get_usize(v, "workers")?,
-        batch_size: get_usize(v, "batch_size")?,
-        rounds: get_u64(v, "rounds")?,
-        throughput_per_s: get_f64(v, "throughput_per_s")?,
-        decode_mean_ns: get_f64(v, "decode_mean_ns")?,
-        decode_p50_ns: get_f64(v, "decode_p50_ns")?,
-        decode_p99_ns: get_f64(v, "decode_p99_ns")?,
-        decode_p999_ns: get_f64(v, "decode_p999_ns")?,
-        total_p99_ns: get_f64(v, "total_p99_ns")?,
-        total_p999_ns: get_f64(v, "total_p999_ns")?,
-        shed: get_u64(v, "shed")?,
-        shed_rate: get_f64(v, "shed_rate")?,
-        residual_failure_rate: get_f64(v, "residual_failure_rate")?,
-        peak_rss_bytes: v
-            .get("peak_rss_bytes")
-            .map(|_| get_u64(v, "peak_rss_bytes"))
-            .transpose()?,
-        final_backlog: get_u64(v, "final_backlog")?,
-        verdict: verdict.to_string(),
-    })
-}
-
-/// Builds a schema-versioned bench-suite document.
-#[must_use]
-pub fn bench_document(suite: &str, entries: &[BenchEntry]) -> Json {
-    obj(vec![
-        ("schema_version", Json::from(SCHEMA_VERSION)),
-        ("kind", Json::from("bench_suite")),
-        ("suite", Json::from(suite)),
-        (
-            "entries",
-            Json::Arr(entries.iter().map(bench_entry_to_json).collect()),
-        ),
-    ])
-}
-
-/// Validates a bench-suite document and returns `(suite, entries)`.
-///
-/// # Errors
-///
-/// Rejects version mismatches, the wrong document kind, empty suites, and
-/// malformed entries.
-pub fn bench_document_entries(doc: &Json) -> Result<(String, Vec<BenchEntry>), ExportError> {
-    check_header(doc, "bench_suite")?;
-    let suite = get_str(doc, "suite")?.to_string();
-    let entries: Vec<BenchEntry> = get_arr(doc, "entries")?
-        .iter()
-        .map(bench_entry_from_json)
-        .collect::<Result<_, _>>()?;
-    if entries.is_empty() {
-        return Err(ExportError::Schema(format!(
-            "suite '{suite}' has no entries"
-        )));
-    }
-    Ok((suite, entries))
-}
-
-/// Writes a bench-suite artifact to `path`.
-///
-/// # Errors
-///
-/// Fails on I/O errors only.
-pub fn write_bench_document(
-    path: impl AsRef<Path>,
-    suite: &str,
-    entries: &[BenchEntry],
-) -> Result<(), ExportError> {
-    std::fs::write(path, bench_document(suite, entries).to_pretty())?;
-    Ok(())
-}
-
-/// Reads and validates a bench-suite artifact from `path`.
-///
-/// # Errors
-///
-/// Fails on I/O errors, malformed JSON, or schema mismatches (including a
-/// stale `schema_version`).
-pub fn read_bench_document(
-    path: impl AsRef<Path>,
-) -> Result<(String, Vec<BenchEntry>), ExportError> {
-    bench_document_entries(&parse(&std::fs::read_to_string(path)?)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_entry() -> BenchEntry {
-        BenchEntry {
-            id: "streaming_1k_rounds/workers/2".to_string(),
-            lattices: 1,
-            workers: 2,
-            batch_size: 4,
-            rounds: 1000,
-            throughput_per_s: 123_456.7,
-            decode_mean_ns: 5_000.25,
-            decode_p50_ns: 4_800.0,
-            decode_p99_ns: 9_900.0,
-            decode_p999_ns: 12_000.0,
-            total_p99_ns: 21_000.0,
-            total_p999_ns: 30_000.0,
-            shed: 0,
-            shed_rate: 0.0,
-            residual_failure_rate: 0.0125,
-            peak_rss_bytes: Some(48 * 1024 * 1024),
-            final_backlog: 2,
-            verdict: "BOUNDED".to_string(),
-        }
-    }
-
-    #[test]
-    fn bench_documents_round_trip() {
-        // One entry with a measured peak RSS, one without: the unmeasured
-        // fact is absent from the document, not written as 0.
-        let unmeasured = BenchEntry {
-            peak_rss_bytes: None,
-            ..sample_entry()
-        };
-        let entries = vec![sample_entry(), unmeasured];
-        let doc = bench_document("streaming", &entries);
-        let (suite, back) = bench_document_entries(&doc).unwrap();
-        assert_eq!(suite, "streaming");
-        assert_eq!(back, entries);
-        // And through text.
-        let text = doc.to_pretty();
-        assert_eq!(text.matches("peak_rss_bytes").count(), 1);
-        let reparsed = parse(&text).unwrap();
-        assert_eq!(bench_document_entries(&reparsed).unwrap().1, entries);
-    }
-
-    #[test]
-    fn bench_document_rejects_a_bumped_schema_version() {
-        let doc = bench_document("streaming", &[sample_entry()]);
-        let Json::Obj(mut fields) = doc else {
-            panic!("bench document is an object")
-        };
-        fields[0].1 = Json::from(SCHEMA_VERSION + 1);
-        let err = bench_document_entries(&Json::Obj(fields)).unwrap_err();
-        assert!(matches!(
-            err,
-            ExportError::Version { found, expected }
-                if found == SCHEMA_VERSION + 1 && expected == SCHEMA_VERSION
-        ));
-    }
-
-    #[test]
-    fn bench_document_rejects_empty_suites_and_bad_verdicts() {
-        assert!(matches!(
-            bench_document_entries(&bench_document("empty", &[])),
-            Err(ExportError::Schema(_))
-        ));
-        let mut bad = sample_entry();
-        bad.verdict = "FINE".to_string();
-        assert!(matches!(
-            bench_document_entries(&bench_document("s", &[bad])),
-            Err(ExportError::Schema(_))
-        ));
-    }
 
     #[test]
     fn wrong_document_kind_is_rejected() {
         let doc = obj(vec![
             ("schema_version", Json::from(SCHEMA_VERSION)),
-            ("kind", Json::from("runtime_report")),
+            ("kind", Json::from("not_a_report")),
         ]);
         assert!(matches!(
-            bench_document_entries(&doc),
+            report_from_json(&doc),
             Err(ExportError::Schema(_))
         ));
     }

@@ -13,7 +13,7 @@
 //! takes periodic [`MetricsSnapshot`](nisqplus_runtime::MetricsSnapshot)s
 //! (latency quantiles from the bounded log-bucket histogram, backlog,
 //! journal totals), and the finished report is exported as schema-versioned
-//! JSON and read back — the same round trip `BENCH_*.json` artifacts use.
+//! JSON and read back.
 //!
 //! Run with `cargo run --release --example streaming_runtime`.
 
