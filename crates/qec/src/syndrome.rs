@@ -211,13 +211,24 @@ impl PackedSyndrome {
     /// Packs an unpacked [`Syndrome`].
     #[must_use]
     pub fn from_syndrome(syndrome: &Syndrome) -> Self {
-        let mut packed = PackedSyndrome::new(syndrome.len());
+        let mut packed = PackedSyndrome::default();
+        packed.pack_from(syndrome);
+        packed
+    }
+
+    /// Re-packs `syndrome` into this buffer, taking its bit length and
+    /// reusing the existing allocation when it is large enough — the
+    /// allocation-free counterpart of [`PackedSyndrome::from_syndrome`] for
+    /// a producer that packs one round after another.
+    pub fn pack_from(&mut self, syndrome: &Syndrome) {
+        self.len = syndrome.len();
+        self.words.clear();
+        self.words.resize(Self::words_for(self.len), 0);
         for (i, hot) in syndrome.iter().enumerate() {
             if hot {
-                packed.words[i / 64] |= 1 << (i % 64);
+                self.words[i / 64] |= 1 << (i % 64);
             }
         }
-        packed
     }
 
     /// Reconstructs a packed syndrome from raw words (e.g. read back out of
@@ -580,6 +591,21 @@ mod tests {
         assert_eq!(packed.to_syndrome(), s);
         assert_eq!(packed.defect_indices().collect::<Vec<_>>(), s.hot_indices());
         assert_eq!(packed.to_string(), s.to_string());
+    }
+
+    #[test]
+    fn pack_from_reuses_the_buffer_across_lengths() {
+        let mut packed = PackedSyndrome::from_syndrome(&Syndrome::from_hot(144, &[0, 143]));
+        let capacity = packed.words.capacity();
+        for syndrome in [
+            Syndrome::from_hot(8, &[1, 6]),
+            Syndrome::from_hot(130, &[63, 64, 129]),
+            Syndrome::new(0),
+        ] {
+            packed.pack_from(&syndrome);
+            assert_eq!(packed, PackedSyndrome::from_syndrome(&syndrome));
+            assert_eq!(packed.words.capacity(), capacity);
+        }
     }
 
     #[test]

@@ -641,10 +641,12 @@ impl PacketCodec {
         self.try_decode(words).expect("compatible packet record")
     }
 
-    /// Restores a packet into an existing buffer without allocating — the
-    /// steady-state decode path used by the worker hot loop (the allocating
-    /// [`PacketCodec::try_decode`] is its setup-time counterpart).  The buffer's syndrome must already have the width of the
-    /// record's lattice (workers keep one buffer per lattice).
+    /// Verifies a record and restores it into an existing buffer without
+    /// allocating (the allocating [`PacketCodec::try_decode`] is its
+    /// setup-time counterpart).  The buffer's syndrome must already have the
+    /// width of the record's lattice.  The decode stage, which has to
+    /// [`verify`](PacketCodec::verify) before it can pick that buffer, unpacks
+    /// the verified record directly instead of verifying it twice here.
     ///
     /// # Errors
     ///
@@ -663,6 +665,25 @@ impl PacketCodec {
         packet: &mut SyndromePacket,
     ) -> Result<(), PacketError> {
         let lattice_id = self.verify(words)?;
+        self.unpack_verified_into(words, lattice_id, packet);
+        Ok(())
+    }
+
+    /// Unpacks a record that [`PacketCodec::verify`] has already accepted as
+    /// belonging to `lattice_id` — the second half of
+    /// [`PacketCodec::try_decode_into`], for the decode stage, which verifies
+    /// once before it picks any per-lattice buffer and must not pay for the
+    /// checksum a second time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `packet`'s syndrome length does not match the lattice.
+    pub(crate) fn unpack_verified_into(
+        &self,
+        words: &[u64],
+        lattice_id: u32,
+        packet: &mut SyndromePacket,
+    ) {
         let bits = self.syndrome_bits(lattice_id);
         assert_eq!(
             packet.syndrome.len(),
@@ -679,7 +700,6 @@ impl PacketCodec {
         packet
             .syndrome
             .copy_from_words(&words[HEADER_WORDS..HEADER_WORDS + payload_words]);
-        Ok(())
     }
 
     /// Infallible wrapper over [`PacketCodec::try_decode_into`].

@@ -11,6 +11,15 @@
 //! plain relaxed atomic stores/loads whose visibility is ordered by the
 //! release/acquire handoff on the slot sequence number.
 //!
+//! Storage is one flat allocation of 64-byte-aligned cache lines.  A slot is
+//! `ceil((1 + words_per_slot) / 8)` consecutive lines: its sequence word
+//! first, its payload right behind it.  A record of up to seven words (a
+//! d = 5 packet is five) therefore crosses from producer to consumer on
+//! exactly one line, and no two slots ever share one — a consumer handing
+//! slot `i` back never invalidates the line the producer is filling slot
+//! `i + 1` on.  The cursors `head` (written by producers) and `tail`
+//! (written by consumers) each sit on a line of their own.
+//!
 //! The implementation is multi-producer/multi-consumer-safe (both cursors
 //! advance by compare-and-swap), though the runtime drives it in SPMC mode:
 //! one producer thread pushing at the syndrome-generation cadence, many
@@ -31,11 +40,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RingFull;
 
-/// One slot: a sequence number guarding a fixed array of payload words.
+/// Words on one cache line.
+const LINE_WORDS: usize = 8;
+
+/// One 64-byte cache line of slot storage.  Word 0 of a slot's first line is
+/// the slot's sequence number; the payload follows, spilling onto further
+/// lines of the same slot when it exceeds seven words.
 #[derive(Debug)]
-struct Slot {
-    seq: AtomicU64,
-    words: Box<[AtomicU64]>,
+#[repr(align(64))]
+struct Line([AtomicU64; LINE_WORDS]);
+
+/// Payload word `k` of `slot`: word `k + 1` of its lines, the sequence word
+/// being word 0.
+fn payload_word(slot: &[Line], k: usize) -> &AtomicU64 {
+    &slot[(k + 1) / LINE_WORDS].0[(k + 1) % LINE_WORDS]
 }
 
 /// A 64-byte-aligned wrapper keeping the producer and consumer cursors on
@@ -60,9 +78,12 @@ struct CacheAligned(AtomicU64);
 /// ```
 #[derive(Debug)]
 pub struct SpmcRing {
-    slots: Box<[Slot]>,
+    /// `capacity * lines_per_slot` lines; slot `i` owns
+    /// `lines[i * lines_per_slot..][..lines_per_slot]`.
+    lines: Box<[Line]>,
     capacity: u64,
     words_per_slot: usize,
+    lines_per_slot: usize,
     /// Next index to push (producer cursor).
     head: CacheAligned,
     /// Next index to pop (consumer cursor).
@@ -79,16 +100,22 @@ impl SpmcRing {
     pub fn new(capacity: usize, words_per_slot: usize) -> Self {
         assert!(capacity > 0, "ring capacity must be positive");
         assert!(words_per_slot > 0, "slot word count must be positive");
-        let slots = (0..capacity as u64)
-            .map(|i| Slot {
-                seq: AtomicU64::new(i),
-                words: (0..words_per_slot).map(|_| AtomicU64::new(0)).collect(),
+        let lines_per_slot = (1 + words_per_slot).div_ceil(LINE_WORDS);
+        let lines = (0..capacity * lines_per_slot)
+            .map(|line| {
+                // A slot's sequence word starts at the slot's own index.
+                let seq = (line / lines_per_slot) as u64;
+                let is_seq = |word| word == 0 && line % lines_per_slot == 0;
+                Line(std::array::from_fn(|word| {
+                    AtomicU64::new(if is_seq(word) { seq } else { 0 })
+                }))
             })
             .collect();
         SpmcRing {
-            slots,
+            lines,
             capacity: capacity as u64,
             words_per_slot,
+            lines_per_slot,
             head: CacheAligned::default(),
             tail: CacheAligned::default(),
         }
@@ -104,6 +131,12 @@ impl SpmcRing {
     #[must_use]
     pub fn words_per_slot(&self) -> usize {
         self.words_per_slot
+    }
+
+    /// The lines of the slot position `pos` maps to.
+    fn slot(&self, pos: u64) -> &[Line] {
+        let first = (pos % self.capacity) as usize * self.lines_per_slot;
+        &self.lines[first..first + self.lines_per_slot]
     }
 
     /// A snapshot of the current occupancy.  Exact when quiescent; during
@@ -142,9 +175,10 @@ impl SpmcRing {
         );
         let mut pos = self.head.0.load(Ordering::Relaxed);
         loop {
-            let slot = &self.slots[(pos % self.capacity) as usize];
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == pos {
+            let slot = self.slot(pos);
+            let seq = &slot[0].0[0];
+            let current = seq.load(Ordering::Acquire);
+            if current == pos {
                 // Slot is free at our position: claim it.
                 match self.head.0.compare_exchange_weak(
                     pos,
@@ -153,17 +187,17 @@ impl SpmcRing {
                     Ordering::Relaxed,
                 ) {
                     Ok(_) => {
-                        for (slot_word, &value) in slot.words.iter().zip(words) {
-                            slot_word.store(value, Ordering::Relaxed);
+                        for (k, &value) in words.iter().enumerate() {
+                            payload_word(slot, k).store(value, Ordering::Relaxed);
                         }
                         // Publish: consumers' acquire-load of `seq` orders the
                         // payload stores above before their payload loads.
-                        slot.seq.store(pos + 1, Ordering::Release);
+                        seq.store(pos + 1, Ordering::Release);
                         return Ok(());
                     }
                     Err(actual) => pos = actual,
                 }
-            } else if seq < pos {
+            } else if current < pos {
                 // The slot still holds an unconsumed record from one lap ago.
                 return Err(RingFull);
             } else {
@@ -191,9 +225,10 @@ impl SpmcRing {
         );
         let mut pos = self.tail.0.load(Ordering::Relaxed);
         loop {
-            let slot = &self.slots[(pos % self.capacity) as usize];
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == pos + 1 {
+            let slot = self.slot(pos);
+            let seq = &slot[0].0[0];
+            let current = seq.load(Ordering::Acquire);
+            if current == pos + 1 {
                 // Slot holds a published record at our position: claim it.
                 match self.tail.0.compare_exchange_weak(
                     pos,
@@ -202,16 +237,16 @@ impl SpmcRing {
                     Ordering::Relaxed,
                 ) {
                     Ok(_) => {
-                        for (out_word, slot_word) in out.iter_mut().zip(slot.words.iter()) {
-                            *out_word = slot_word.load(Ordering::Relaxed);
+                        for (k, out_word) in out.iter_mut().enumerate() {
+                            *out_word = payload_word(slot, k).load(Ordering::Relaxed);
                         }
                         // Hand the slot back to the producer one lap later.
-                        slot.seq.store(pos + self.capacity, Ordering::Release);
+                        seq.store(pos + self.capacity, Ordering::Release);
                         return true;
                     }
                     Err(actual) => pos = actual,
                 }
-            } else if seq <= pos {
+            } else if current <= pos {
                 // Nothing published at our position yet.
                 return false;
             } else {
@@ -317,6 +352,82 @@ mod tests {
             checksum.load(Ordering::Relaxed),
             RECORDS * (RECORDS - 1) / 2
         );
+    }
+
+    /// A slot is a whole number of 64-byte lines and the ring allocates
+    /// exactly `capacity × lines_per_slot` of them.
+    #[test]
+    fn slots_are_whole_aligned_lines() {
+        assert_eq!(std::mem::align_of::<Line>(), 64);
+        assert_eq!(std::mem::size_of::<Line>(), 64);
+        for (words_per_slot, lines_per_slot) in [(1, 1), (5, 1), (7, 1), (8, 2), (15, 2), (16, 3)] {
+            let ring = SpmcRing::new(6, words_per_slot);
+            assert_eq!(
+                ring.lines_per_slot, lines_per_slot,
+                "{words_per_slot} words"
+            );
+            assert_eq!(ring.lines.len(), 6 * lines_per_slot);
+            assert_eq!(ring.lines.as_ptr() as usize % 64, 0);
+        }
+    }
+
+    /// Exactly-once delivery with several producers and consumers, for
+    /// payloads that fit inside one line (1, 7), fill the second exactly
+    /// (15) and straddle or exceed a line boundary (8, 9, 16).  Every word
+    /// of every popped record is checked against the record's id.
+    #[test]
+    fn mpmc_delivers_every_word_exactly_once_across_line_boundaries() {
+        const PRODUCERS: u64 = 2;
+        const CONSUMERS: usize = 3;
+        const PER_PRODUCER: u64 = 4_000;
+        const RECORDS: u64 = PRODUCERS * PER_PRODUCER;
+        // Word 0 is the record's id; every later word is derived from it.
+        let word_of = |id: u64, k: usize| match k {
+            0 => id,
+            _ => (id ^ 0x9E37_79B9_7F4A_7C15).wrapping_mul(2 * k as u64 + 1),
+        };
+        for words_per_slot in [1usize, 7, 8, 9, 15, 16] {
+            let ring = SpmcRing::new(8, words_per_slot);
+            let delivered = AtomicU64::new(0);
+            let id_sum = AtomicU64::new(0);
+            thread::scope(|s| {
+                for _ in 0..CONSUMERS {
+                    s.spawn(|| {
+                        let mut out = vec![0u64; words_per_slot];
+                        while delivered.load(Ordering::Relaxed) < RECORDS {
+                            if !ring.try_pop(&mut out) {
+                                thread::yield_now();
+                                continue;
+                            }
+                            let id = out[0];
+                            assert!(id < RECORDS, "torn or foreign record {id:#x}");
+                            for (k, &word) in out.iter().enumerate() {
+                                assert_eq!(word, word_of(id, k), "record {id} word {k}");
+                            }
+                            id_sum.fetch_add(id, Ordering::Relaxed);
+                            delivered.fetch_add(1, Ordering::Relaxed);
+                        }
+                    });
+                }
+                for producer in 0..PRODUCERS {
+                    let ring = &ring;
+                    s.spawn(move || {
+                        let mut record = vec![0u64; words_per_slot];
+                        for id in (producer * PER_PRODUCER)..((producer + 1) * PER_PRODUCER) {
+                            for (k, word) in record.iter_mut().enumerate() {
+                                *word = word_of(id, k);
+                            }
+                            while ring.try_push(&record).is_err() {
+                                thread::yield_now();
+                            }
+                        }
+                    });
+                }
+            });
+            assert_eq!(delivered.load(Ordering::Relaxed), RECORDS);
+            assert_eq!(id_sum.load(Ordering::Relaxed), RECORDS * (RECORDS - 1) / 2);
+            assert!(ring.is_empty());
+        }
     }
 
     /// Drops under pressure never corrupt the stream: whatever does get

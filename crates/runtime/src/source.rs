@@ -19,6 +19,7 @@ use nisqplus_qec::error_model::{
     BurstEvent, Depolarizing, DriftKind, DriftingErrorModel, ErrorModel, PureDephasing,
 };
 use nisqplus_qec::lattice::Lattice;
+use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::syndrome::Syndrome;
 use nisqplus_qec::QecError;
 use nisqplus_sim::timing::CycleTimeConverter;
@@ -87,22 +88,24 @@ impl NoiseModel {
         })
     }
 
-    /// Samples one round's error pattern.  Every arm consumes exactly one
-    /// RNG draw per data qubit, so the random sequence — and with it every
-    /// later round — is independent of which channel (or which instantaneous
-    /// drifting rate) is active.
-    fn sample<R: rand::Rng + ?Sized>(
+    /// Samples one round's error pattern into `error`, reusing its
+    /// allocation.  Every arm consumes exactly one RNG draw per data qubit,
+    /// so the random sequence — and with it every later round — is
+    /// independent of which channel (or which instantaneous drifting rate)
+    /// is active.
+    fn sample_into<R: rand::Rng + ?Sized>(
         &self,
         lattice: &Lattice,
         rng: &mut R,
         round: u64,
-    ) -> nisqplus_qec::pauli::PauliString {
+        error: &mut PauliString,
+    ) {
         match *self {
-            NoiseModel::Dephasing(m) => m.sample(lattice, rng),
-            NoiseModel::Depolarizing(m) => m.sample(lattice, rng),
+            NoiseModel::Dephasing(m) => m.sample_into(lattice, rng, error),
+            NoiseModel::Depolarizing(m) => m.sample_into(lattice, rng, error),
             NoiseModel::Drifting(d) => PureDephasing::new(d.rate_at(round))
                 .expect("rate_at clamps to [0, 1]")
-                .sample(lattice, rng),
+                .sample_into(lattice, rng, error),
         }
     }
 }
@@ -373,22 +376,37 @@ impl SyndromeSource {
     /// `(lattice, noise, seed)` triple can *replay* a run's error stream.
     /// The error is what rides the wire beside the syndrome when the run
     /// analyzes residuals.
-    pub fn next_error_and_syndrome(&mut self) -> (nisqplus_qec::pauli::PauliString, Syndrome) {
+    pub fn next_error_and_syndrome(&mut self) -> (PauliString, Syndrome) {
+        let (mut error, mut syndrome) = (PauliString::default(), Syndrome::default());
+        self.next_error_and_syndrome_into(&mut error, &mut syndrome);
+        (error, syndrome)
+    }
+
+    /// [`SyndromeSource::next_error_and_syndrome`] into caller-provided
+    /// buffers (resized to the lattice, their allocations reused): the same
+    /// draws in the same order, so the two forms can be mixed freely on one
+    /// stream.  This is the form the pipeline's source stage drives — a
+    /// round generated this way allocates nothing.
+    pub fn next_error_and_syndrome_into(
+        &mut self,
+        error: &mut PauliString,
+        syndrome: &mut Syndrome,
+    ) {
         // Burst windows are keyed by the round index alone, so live
         // generation and replay pick the same channel for every round.
         let model = match self.burst {
             Some((overlay, amplified)) if overlay.covers(self.rounds_emitted) => amplified,
             _ => self.model,
         };
-        let error = model.sample(&self.lattice, &mut self.rng, self.rounds_emitted);
+        model.sample_into(&self.lattice, &mut self.rng, self.rounds_emitted, error);
         self.rounds_emitted += 1;
-        let syndrome = self.lattice.syndrome_of(&error);
-        (error, syndrome)
+        self.lattice.syndrome_into(error, syndrome);
     }
 }
 
-/// One round emitted by an [`InterleavedSource`].
-#[derive(Debug, Clone, PartialEq)]
+/// One round emitted by an [`InterleavedSource`].  The default value is an
+/// empty round, ready to be filled by [`InterleavedSource::next_round_into`].
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SourcedRound {
     /// Id of the lattice the round belongs to.
     pub lattice_id: u32,
@@ -405,7 +423,7 @@ pub struct SourcedRound {
     /// would — and is what lets the pipeline classify residuals *in stream*
     /// (shed rounds at the producer, decoded rounds in the workers) instead
     /// of replaying every lattice at the end of the run.
-    pub error: nisqplus_qec::pauli::PauliString,
+    pub error: PauliString,
 }
 
 /// Per-lattice stream state inside an [`InterleavedSource`].
@@ -719,9 +737,21 @@ impl InterleavedSource {
     /// Emits the next due round, or `None` when every live lattice's stream
     /// has ended (scripted actions due at the terminal round still fire).
     pub fn next_round(&mut self) -> Option<SourcedRound> {
+        let mut round = SourcedRound::default();
+        self.next_round_into(&mut round).then_some(round)
+    }
+
+    /// [`InterleavedSource::next_round`] into a caller-provided round whose
+    /// syndrome and error buffers are reused (they are resized to the
+    /// emitting lattice): returns `false`, leaving `out` untouched, when
+    /// every live lattice's stream has ended.  Once `out` has served the
+    /// machine's largest lattice, emitting a round allocates nothing.
+    pub fn next_round_into(&mut self, out: &mut SourcedRound) -> bool {
         self.fire_due_actions();
         loop {
-            let std::cmp::Reverse(entry) = self.due.pop()?;
+            let Some(std::cmp::Reverse(entry)) = self.due.pop() else {
+                return false;
+            };
             let stream = &mut self.streams[entry.lattice_id];
             if entry.emitted >= stream.rounds {
                 // The lattice retired after this entry was pushed.
@@ -740,14 +770,13 @@ impl InterleavedSource {
             }
             self.global_emitted += 1;
             self.last_due_ns = entry.due_ns;
-            let (error, syndrome) = stream.source.next_error_and_syndrome();
-            return Some(SourcedRound {
-                lattice_id: entry.lattice_id as u32,
-                round,
-                due_ns: entry.due_ns,
-                syndrome,
-                error,
-            });
+            out.lattice_id = entry.lattice_id as u32;
+            out.round = round;
+            out.due_ns = entry.due_ns;
+            stream
+                .source
+                .next_error_and_syndrome_into(&mut out.error, &mut out.syndrome);
+            return true;
         }
     }
 }
@@ -805,6 +834,69 @@ mod tests {
             assert_eq!(replay.lattice().syndrome_of(&error), syndrome);
         }
         assert_eq!(plain.rounds_emitted(), replay.rounds_emitted());
+    }
+
+    /// The `_into` form draws what the allocating form draws, round for
+    /// round, whichever channel is active — dirty, wrong-sized buffers
+    /// included — and the two forms can alternate on one stream.
+    #[test]
+    fn into_form_yields_the_same_error_and_syndrome_sequence() {
+        let drift = DriftingErrorModel::ramp(0.01, 0.002).unwrap();
+        let overlay = BurstOverlay {
+            start_round: 5,
+            rounds: 6,
+            factor: 20.0,
+        };
+        let calm = [
+            NoiseSpec::PureDephasing { p: 0.05 },
+            NoiseSpec::Depolarizing { p: 0.1 },
+            NoiseSpec::Drifting { model: drift },
+        ];
+        let streams = calm
+            .iter()
+            .map(|&noise| SyndromeSource::new(lattice(), noise, 31).unwrap())
+            .chain(calm.iter().map(|&noise| {
+                SyndromeSource::new(lattice(), noise, 32)
+                    .unwrap()
+                    .with_burst(noise, overlay)
+                    .unwrap()
+            }));
+        for mut allocating in streams {
+            let mut reusing = allocating.clone();
+            let mut error = PauliString::identity(3);
+            let mut syndrome = Syndrome::from_hot(2, &[1]);
+            for round in 0..40 {
+                reusing.next_error_and_syndrome_into(&mut error, &mut syndrome);
+                let expected = allocating.next_error_and_syndrome();
+                assert_eq!((error.clone(), syndrome.clone()), expected, "round {round}");
+                if round % 7 == 0 {
+                    // Same stream position, so the forms may be swapped.
+                    std::mem::swap(&mut allocating, &mut reusing);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn next_round_into_matches_next_round_on_a_mixed_machine() {
+        let set = LatticeSet::new(vec![
+            spec(3, 1, 9, 100),
+            spec(7, 2, 5, 0),
+            spec(5, 3, 7, 300),
+        ])
+        .unwrap();
+        let cycle_time = CycleTimeConverter::paper_reference();
+        let mut allocating = InterleavedSource::new(&set, &cycle_time).unwrap();
+        let mut reusing = allocating.clone();
+        let mut round = SourcedRound::default();
+        while let Some(expected) = allocating.next_round() {
+            assert!(reusing.next_round_into(&mut round));
+            assert_eq!(round, expected);
+        }
+        let last = round.clone();
+        assert!(!reusing.next_round_into(&mut round));
+        assert_eq!(round, last, "an exhausted source leaves the buffer alone");
+        assert_eq!(reusing.remaining(), 0);
     }
 
     #[test]

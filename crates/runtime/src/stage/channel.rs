@@ -10,6 +10,14 @@
 //! surfaces exclusively as a failed credit acquisition — a counted,
 //! observable stall at the seam — never as a lost record.
 //!
+//! Who writes what: a send writes the slot line it fills, the ring's `head`,
+//! the credit loop's senders' line and this channel's own sender statistics;
+//! a receive writes the slot's sequence word, the ring's `tail` and the
+//! credit loop's receivers' line.  In a channel that keeps up, the only line
+//! a round moves between the two threads is its slot; a send looks at the
+//! receivers' line only when its cached view of the credits is exhausted or
+//! could raise the occupancy peak (see [`CreditChannel::try_send`]).
+//!
 //! Records are the same fixed-size `u64`-word packets the ring stores (the
 //! typed view lives one layer up: [`PacketCodec`](crate::packet::PacketCodec)
 //! encodes and validates, [`DecodeStage`](crate::stage::DecodeStage)
@@ -40,11 +48,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct CreditChannel {
     ring: SpmcRing,
     credits: CreditCounter,
+    stats: SenderStats,
+}
+
+/// The channel's own statistics, all written by senders only — on a line of
+/// their own so a refused send never invalidates anything a receiver reads.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct SenderStats {
     /// Sends refused for want of a credit.
     refused: AtomicU64,
     /// Spins a credited send spent waiting out another consumer's pop.
     slot_waits: AtomicU64,
-    /// Occupancy high-water mark, sampled after every send.
+    /// Occupancy (credits in flight) high-water mark over the instants right
+    /// after each send.
     occupancy_peak: AtomicU64,
 }
 
@@ -60,9 +77,7 @@ impl CreditChannel {
         CreditChannel {
             ring: SpmcRing::new(capacity, words_per_slot),
             credits: CreditCounter::new(capacity as u64),
-            refused: AtomicU64::new(0),
-            slot_waits: AtomicU64::new(0),
-            occupancy_peak: AtomicU64::new(0),
+            stats: SenderStats::default(),
         }
     }
 
@@ -70,24 +85,39 @@ impl CreditChannel {
     /// enqueueing nothing — when no credit is available; the caller chooses
     /// between retrying (backpressure) and shedding.
     ///
+    /// The occupancy peak is exact without reading the receivers' counter on
+    /// every send: the grant's own view gives the upper bound `consumed −
+    /// issued_seen` on the credits in flight, and the true figure (`consumed
+    /// − issued`, which can only be lower) is looked up only when that bound
+    /// exceeds the recorded peak — whenever it does not, the true figure
+    /// could not have raised the peak either.
+    ///
     /// # Panics
     ///
     /// Panics if `record.len()` differs from [`CreditChannel::words_per_slot`].
     pub fn try_send(&self, record: &[u64]) -> bool {
-        if !self.credits.try_acquire() {
-            self.refused.fetch_add(1, Ordering::Relaxed);
+        let Some(grant) = self.credits.acquire() else {
+            self.stats.refused.fetch_add(1, Ordering::Relaxed);
             return false;
-        }
+        };
         // A held credit guarantees a slot, but the slot one lap back may
         // still be mid-handoff in another consumer (credits are fungible;
         // pops complete out of order).  That wait is bounded by a few word
         // copies, so spin it out rather than failing a credited send.
         while self.ring.try_push(record).is_err() {
-            self.slot_waits.fetch_add(1, Ordering::Relaxed);
+            self.stats.slot_waits.fetch_add(1, Ordering::Relaxed);
             std::hint::spin_loop();
         }
-        self.occupancy_peak
-            .fetch_max(self.ring.len() as u64, Ordering::Relaxed);
+        let peak = &self.stats.occupancy_peak;
+        if grant.consumed - grant.issued_seen > peak.load(Ordering::Relaxed) {
+            // Refreshing the cached view here also keeps the bound tight, so
+            // a steady channel takes this branch about once per `peak` sends.
+            let issued_seen = self.credits.refresh_issued_seen();
+            peak.fetch_max(
+                grant.consumed.saturating_sub(issued_seen),
+                Ordering::Relaxed,
+            );
+        }
         true
     }
 
@@ -140,7 +170,9 @@ impl CreditChannel {
 
     /// This channel's [`StageReport`]: accepted = sends, emitted =
     /// receives, rejected = refused sends, plus the credit-loop totals and
-    /// the occupancy high-water mark.  The credit loop owns the flow totals:
+    /// the occupancy high-water mark (the most credits in flight right after
+    /// any send: records in the ring, plus any a receiver has popped but not
+    /// yet returned the credit for).  The credit loop owns the flow totals:
     /// every send consumed a credit, every receive issued one back.
     #[must_use]
     pub fn report(&self, stage: impl Into<String>) -> StageReport {
@@ -148,11 +180,11 @@ impl CreditChannel {
             stage: stage.into(),
             accepted: self.credits.consumed(),
             emitted: self.credits.issued(),
-            rejected: self.refused.load(Ordering::Relaxed),
+            rejected: self.stats.refused.load(Ordering::Relaxed),
             credits_issued: self.credits.issued(),
             credits_consumed: self.credits.consumed(),
-            occupancy_peak: self.occupancy_peak.load(Ordering::Relaxed),
-            stall_cycles: self.slot_waits.load(Ordering::Relaxed),
+            occupancy_peak: self.stats.occupancy_peak.load(Ordering::Relaxed),
+            stall_cycles: self.stats.slot_waits.load(Ordering::Relaxed),
         }
     }
 }
@@ -199,6 +231,33 @@ mod tests {
         assert_eq!(report.credits_consumed, 3);
         assert_eq!(report.credits_issued, 1);
         assert_eq!(report.occupancy_peak, 2);
+    }
+
+    /// The peak is the true peak, not the sender's stale upper bound: fill to
+    /// five, drain to one, fill to three.  At the sixth send the cached view
+    /// still says no credit ever came back (bound 6, true occupancy 2).
+    #[test]
+    fn occupancy_peak_is_exact_under_a_stale_cached_view() {
+        let channel = CreditChannel::new(16, 1);
+        let mut out = [0u64];
+        for record in 0..5 {
+            assert!(channel.try_send(&[record]));
+        }
+        assert_eq!(channel.report("c").occupancy_peak, 5);
+        for _ in 0..4 {
+            assert!(channel.try_recv(&mut out));
+        }
+        for record in 5..7 {
+            assert!(channel.try_send(&[record]));
+        }
+        assert_eq!(channel.len(), 3);
+        assert_eq!(channel.report("c").occupancy_peak, 5);
+        // Climbing past the old peak is still seen, one send at a time.
+        for record in 7..11 {
+            assert!(channel.try_send(&[record]));
+        }
+        assert_eq!(channel.len(), 7);
+        assert_eq!(channel.report("c").occupancy_peak, 7);
     }
 
     /// The credit loop keeps its books under concurrency: a producer and

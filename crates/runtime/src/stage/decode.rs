@@ -155,9 +155,10 @@ impl<'a> DecodeStage<'a> {
     /// [`PacketError`] without touching any decoder state: the worker
     /// quarantines it instead of panicking the pool.
     pub fn decode(&mut self, record: &[u64]) -> Result<DecodedRound<'_>, PacketError> {
-        // Full validation (header + checksum trailer) *before* indexing any
-        // per-lattice state: a corrupted lattice-id field must not pick a
-        // buffer, let alone panic on an out-of-range slot.
+        // Full validation (header, checksum trailer, retirement watermark),
+        // once, *before* indexing any per-lattice state: a corrupted
+        // lattice-id field must not pick a buffer, let alone panic on an
+        // out-of-range slot.  Everything below works on a verified record.
         let lattice_id = self.codec.verify(record)? as usize;
         let state = &mut self.states[lattice_id];
         let decoder = &mut self.decoders[state.decoder_slot];
@@ -169,7 +170,8 @@ impl<'a> DecodeStage<'a> {
             decoder.prepare(lattice);
             self.prepared[state.decoder_slot] = true;
         }
-        self.codec.try_decode_into(record, &mut state.packet)?;
+        self.codec
+            .unpack_verified_into(record, lattice_id as u32, &mut state.packet);
         state.packet.syndrome.write_to_syndrome(&mut state.syndrome);
         decoder.decode_into(lattice, &state.syndrome, Sector::X, &mut state.x_buf);
         decoder.decode_into(lattice, &state.syndrome, Sector::Z, &mut state.z_buf);
@@ -335,26 +337,63 @@ mod tests {
         assert_eq!(plain_stage.decode(&plain_record).unwrap().residual, None);
     }
 
+    /// Validate before indexing: a corrupted record, a record naming a
+    /// lattice the codec does not know and a record past its lattice's
+    /// retirement watermark each come back as their typed error, having
+    /// touched neither the decode count nor any per-lattice buffer.
     #[test]
     fn corrupted_record_is_rejected_without_touching_state() {
         let set = set_of(&[3, 5]);
         let codec = PacketCodec::for_lattice_bits(&set.ancilla_bits());
         let mut stage = DecodeStage::new(&set, &codec, &factory());
-        let spec = set.spec(0);
-        let mut source =
-            SyndromeSource::new(set.lattice(0).clone(), spec.noise, spec.seed).unwrap();
-        let syndrome = source.next_syndrome();
-        let packet = SyndromePacket::new(0, 0, 17, &syndrome);
-        let mut record = vec![0u64; codec.words_per_packet()];
-        codec.encode(&packet, &mut record);
-        // A single bit flip anywhere — here in the lattice-id header word —
-        // must surface as a typed error, not a panic or a misroute.
-        record[0] ^= 1 << 7;
-        assert!(stage.decode(&record).is_err());
-        assert_eq!(stage.decoded(), 0, "a quarantined record decodes nothing");
-        // The stage still decodes clean records afterwards.
-        record[0] ^= 1 << 7;
-        assert!(stage.decode(&record).is_ok());
-        assert_eq!(stage.decoded(), 1);
+        let record_for = |codec: &PacketCodec, lattice_id: u32, round: u64| {
+            let hot = Syndrome::from_hot(codec.syndrome_bits(lattice_id), &[0, 1]);
+            let mut record = vec![0u64; codec.words_per_packet()];
+            codec.encode(
+                &SyndromePacket::new(lattice_id, round, 17, &hot),
+                &mut record,
+            );
+            record
+        };
+        // Dirty every buffer first, so "untouched" is not "still all-zero".
+        for lattice_id in [0, 1] {
+            stage
+                .decode(&record_for(&codec, lattice_id, 0))
+                .expect("clean record decodes");
+        }
+        let clean = record_for(&codec, 0, 1);
+
+        // A single bit flip the header checks cannot see (the round word).
+        let mut corrupted = clean.clone();
+        corrupted[1] ^= 1 << 40;
+        // Same record width, one more lattice than the stage's codec knows.
+        let wider = PacketCodec::for_lattice_bits(&[8, 40, 40]);
+        assert_eq!(wider.words_per_packet(), codec.words_per_packet());
+        let unknown = record_for(&wider, 2, 0);
+        codec.retire_lattice(1, 3);
+        let retired = record_for(&codec, 1, 3);
+
+        let before = format!("{:?} {:?}", stage.states, stage.prepared);
+        let errors = [&corrupted, &unknown, &retired].map(|record| stage.decode(record).err());
+        assert!(matches!(errors[0], Some(PacketError::Corrupted { .. })));
+        assert_eq!(
+            errors[1],
+            Some(PacketError::UnknownLattice { lattice_id: 2 })
+        );
+        assert_eq!(
+            errors[2],
+            Some(PacketError::RetiredLattice {
+                lattice_id: 1,
+                round: 3,
+                final_round: 3,
+            })
+        );
+        assert_eq!(stage.decoded(), 2, "a quarantined record decodes nothing");
+        assert_eq!(format!("{:?} {:?}", stage.states, stage.prepared), before);
+        // The stage still decodes clean records afterwards, including the
+        // retired lattice's in-flight rounds below the watermark.
+        assert!(stage.decode(&clean).is_ok());
+        assert!(stage.decode(&record_for(&codec, 1, 2)).is_ok());
+        assert_eq!(stage.decoded(), 4);
     }
 }

@@ -447,10 +447,13 @@ enum RoundFeed {
 }
 
 impl RoundFeed {
-    fn next_round(&mut self) -> Option<SourcedRound> {
+    /// Fills `out` with the next round; `false` when the feed has ended.  The
+    /// live feed reuses `out`'s buffers; a replay re-materialises each
+    /// recorded round (replays are regression runs, not the measured path).
+    fn next_round_into(&mut self, out: &mut SourcedRound) -> bool {
         match self {
-            RoundFeed::Live(source) => source.next_round(),
-            RoundFeed::Replay(source) => source.next_round(),
+            RoundFeed::Live(source) => source.next_round_into(out),
+            RoundFeed::Replay(source) => source.next_round().map(|round| *out = round).is_some(),
         }
     }
 
@@ -644,8 +647,12 @@ fn run_source(
         }
     };
     let mut emitted_total = 0u64;
+    // One round and one packet for the whole run, refilled in place: the
+    // loop below builds no syndrome, error or packed syndrome of its own.
+    let mut sourced = SourcedRound::default();
+    let mut packet = SyndromePacket::new(0, 0, 0, &sourced.syndrome);
 
-    while let Some(sourced) = feed.next_round() {
+    while feed.next_round_into(&mut sourced) {
         // The tap sees every emitted round — including ones the gate will
         // shed — so a replay of the trace regenerates the *offered* load,
         // not just the admitted slice.
@@ -694,7 +701,10 @@ fn run_source(
                 );
             }
         }
-        let packet = SyndromePacket::new(lattice_id, sourced.round, emitted_ns, &sourced.syndrome);
+        packet.lattice_id = lattice_id;
+        packet.round = sourced.round;
+        packet.emitted_ns = emitted_ns;
+        packet.syndrome.pack_from(&sourced.syndrome);
         // A scheduled corruption poisons the encoded record *after* the
         // checksum is written — a bit flipped on the wire, not at the
         // source — so the worker's codec must catch it.
@@ -849,12 +859,12 @@ fn run_source(
             // instant is what its per-lattice model comparison predicts.
             stats.final_backlog = lattice_counters.backlog();
         }
-        depth.observe(
-            emitted_total,
-            epoch.elapsed().as_nanos() as u64,
-            channels.iter().map(|c| c.len() as u64).sum(),
-            counters,
-        );
+        depth.observe(emitted_total, counters, || {
+            (
+                epoch.elapsed().as_nanos() as u64,
+                channels.iter().map(|c| c.len() as u64).sum(),
+            )
+        });
         emitted_total += 1;
     }
     // The terminal `next_round` call still fires due actions (a retire

@@ -243,7 +243,10 @@ impl DepthSink {
 
     /// Offers round `emitted_total` for sampling; on the sampling cadence
     /// (and on the very last round) a [`DepthSample`] is recorded with the
-    /// per-lattice backlogs read from `counters` and their sum.
+    /// `(elapsed_ns, queue_depth)` pair `sample` returns, the per-lattice
+    /// backlogs read from `counters`, and their sum.  `sample` is called only
+    /// for rounds that are kept: reading the clock and the consumers' side
+    /// of every channel is paid on one round per stride, not on every round.
     ///
     /// When the timeline would exceed its cap (plus one slot of slack for
     /// the always-sampled final round), it is compacted: every other sample
@@ -253,12 +256,12 @@ impl DepthSink {
     pub fn observe(
         &mut self,
         emitted_total: u64,
-        elapsed_ns: u64,
-        queue_depth: u64,
         counters: &RuntimeCounters,
+        sample: impl FnOnce() -> (u64, u64),
     ) {
         self.offered += 1;
         if emitted_total % self.sample_every == 0 || emitted_total + 1 == self.total_rounds {
+            let (elapsed_ns, queue_depth) = sample();
             let per_lattice_backlog = counters.per_lattice_backlog();
             self.timeline.push(DepthSample {
                 round: emitted_total,
@@ -467,11 +470,21 @@ mod tests {
         counters.per_lattice[1].decoded.store(2, Ordering::Relaxed);
         // 100 rounds, at most 10 samples → every 10th round plus the last.
         let mut sink = DepthSink::new(100, 10);
+        let mut sampled = 0;
         for round in 0..100 {
-            sink.observe(round, round * 5, 1, &counters);
+            sink.observe(round, &counters, || {
+                sampled += 1;
+                (round * 5, 1)
+            });
         }
+        assert_eq!(sink.report("depth").accepted, 100, "every round is offered");
         let timeline = sink.finish();
         assert_eq!(timeline.len(), 11);
+        assert_eq!(
+            sampled, 11,
+            "the clock and queues are read for kept rounds only"
+        );
+        assert_eq!(timeline[3].elapsed_ns, 150);
         assert_eq!(timeline[0].round, 0);
         assert_eq!(timeline[10].round, 99);
         let sample = &timeline[3];
@@ -484,7 +497,7 @@ mod tests {
         let counters = RuntimeCounters::new(1, 1);
         let mut sink = DepthSink::new(7, 3);
         for round in 0..7 {
-            sink.observe(round, 0, 0, &counters);
+            sink.observe(round, &counters, || (0, 0));
         }
         // sample_every = 2: rounds 0, 2, 4, 6 — and 6 is also the final
         // round, recorded exactly once.
@@ -515,7 +528,7 @@ mod tests {
             counters.per_lattice[0]
                 .generated
                 .store(backlog, Ordering::Relaxed);
-            sink.observe(round, round, 0, &counters);
+            sink.observe(round, &counters, || (round, 0));
             assert!(
                 sink.timeline().len() <= cap + 1,
                 "timeline exceeded its cap at round {round}"
@@ -546,7 +559,7 @@ mod tests {
             counters.per_lattice[0]
                 .generated
                 .store(round % 13, Ordering::Relaxed);
-            sink.observe(round, round * 3, 0, &counters);
+            sink.observe(round, &counters, || (round * 3, 0));
             let rounds: Vec<u64> = sink.timeline().iter().map(|s| s.round).collect();
             assert_eq!(rounds.first(), Some(&0), "first sample dropped");
             assert!(
@@ -581,7 +594,7 @@ mod tests {
                 counters.per_lattice[1]
                     .generated
                     .store(state % 31, Ordering::Relaxed);
-                sink.observe(round, round * 11, state % 5, &counters);
+                sink.observe(round, &counters, || (round * 11, state % 5));
             }
             sink.finish()
         };

@@ -26,8 +26,20 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Per-lattice atomic progress counters (a slice of [`RuntimeCounters`]).
+/// A zero-sized, 64-byte-aligned field: in a `repr(C)` struct, whatever is
+/// declared after it starts on a fresh cache line.
 #[derive(Debug, Default)]
+#[repr(align(64))]
+struct NextLine;
+
+/// Per-lattice atomic progress counters (a slice of [`RuntimeCounters`]).
+///
+/// Laid out by writer: the fields the source thread bumps fill one 64-byte
+/// line, the fields the decode workers bump start the next, so a worker
+/// committing a round never invalidates the line the source counts the next
+/// round on (and vice versa).
+#[derive(Debug, Default)]
+#[repr(C, align(64))]
 pub struct LatticeCounters {
     /// Rounds of this lattice's syndrome data generated.
     pub generated: AtomicU64,
@@ -39,6 +51,13 @@ pub struct LatticeCounters {
     /// Producer spin-retries attributable to this lattice: its packet found
     /// the ring full, or its queue budget exhausted, under a blocking policy.
     pub backpressure_spins: AtomicU64,
+    /// Shed rounds whose seeded error was itself a failure (the identity
+    /// correction left a logical error), classified live by the producer.
+    /// Stays 0 when the residual analysis is off.
+    pub shed_failures: AtomicU64,
+    /// Everything above is written by the source, everything below by the
+    /// workers.
+    worker_line: NextLine,
     /// This lattice's packets decoded and committed to its frame.
     pub decoded: AtomicU64,
     /// Decoded rounds whose residual (error ∘ correction) was classified a
@@ -46,10 +65,6 @@ pub struct LatticeCounters {
     /// worker, the moment the correction committed.  Stays 0 when the
     /// residual analysis is off.
     pub decode_failures: AtomicU64,
-    /// Shed rounds whose seeded error was itself a failure (the identity
-    /// correction left a logical error), classified live by the producer.
-    /// Stays 0 when the residual analysis is off.
-    pub shed_failures: AtomicU64,
 }
 
 impl LatticeCounters {
@@ -201,8 +216,10 @@ impl CounterSnapshot {
     }
 }
 
-/// Per-worker atomic progress counters (a slice of [`RuntimeCounters`]).
+/// Per-worker atomic progress counters (a slice of [`RuntimeCounters`]),
+/// one cache line per worker: no worker's commit touches a neighbour's line.
 #[derive(Debug, Default)]
+#[repr(align(64))]
 pub struct WorkerCounters {
     /// Packets this worker decoded and committed to its frame shard.
     pub decoded: AtomicU64,
@@ -905,6 +922,33 @@ mod tests {
         );
         assert_eq!(counters.per_lattice_backlog(), vec![5, 5]);
         assert_eq!(counters.backlog(), 10);
+    }
+
+    /// The layout says who writes what: source-written fields on a lattice's
+    /// first line, worker-written fields on its second, one line per worker.
+    #[test]
+    fn counters_are_laid_out_by_writer() {
+        let offset_in = |base: &LatticeCounters, field: &AtomicU64| {
+            field as *const AtomicU64 as usize - base as *const LatticeCounters as usize
+        };
+        let counters = RuntimeCounters::new(2, 2);
+        let lattice = &counters.per_lattice[1];
+        assert_eq!(lattice as *const LatticeCounters as usize % 64, 0);
+        assert_eq!(std::mem::size_of::<LatticeCounters>(), 128);
+        for source_field in [
+            &lattice.generated,
+            &lattice.enqueued,
+            &lattice.dropped,
+            &lattice.backpressure_spins,
+            &lattice.shed_failures,
+        ] {
+            assert!(offset_in(lattice, source_field) < 64);
+        }
+        for worker_field in [&lattice.decoded, &lattice.decode_failures] {
+            assert!((64..128).contains(&offset_in(lattice, worker_field)));
+        }
+        assert_eq!(std::mem::size_of::<WorkerCounters>(), 64);
+        assert_eq!(std::mem::align_of::<WorkerCounters>(), 64);
     }
 
     #[test]

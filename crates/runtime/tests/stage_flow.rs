@@ -6,10 +6,13 @@
 //! graph through random stall schedules, asserting no lattice's rounds are
 //! ever dropped or reordered.
 
+use nisqplus_decoders::{DynDecoder, GreedyMatchingDecoder};
 use nisqplus_runtime::stage::{
     Admission, BatchMux, CreditChannel, PriorityMux, QosGate, RoundRobinMux, SkidBuffer, StealMux,
 };
-use nisqplus_runtime::{LatticeSet, LatticeSpec, MachineConfig, PushPolicy};
+use nisqplus_runtime::{
+    LatticeSet, LatticeSpec, MachineConfig, PushPolicy, RuntimeConfig, StreamingEngine,
+};
 use proptest::prelude::*;
 
 /// A gate over `lattices` identical Block-policy d=3 lanes, each with the
@@ -203,6 +206,47 @@ fn steal_mux_counts_every_foreign_record() {
     let fill = mux.fill(&channels, &mut batch);
     assert_eq!(fill.filled, 1);
     assert_eq!(fill.stolen, 0);
+}
+
+/// Two workers behind a two-slot queue (one credit per channel): the source
+/// finds its credits exhausted on almost every round, so nearly every send
+/// goes through the refresh-and-retry path of the credit loop.  The books
+/// must still reconcile exactly.
+#[test]
+fn starved_credit_loops_still_reconcile_the_books() {
+    let mut config = RuntimeConfig::new(3);
+    config.seed = 11;
+    config.rounds = 20_000;
+    config.workers = 2;
+    config.cadence_cycles = 0;
+    config.queue_capacity = 2;
+    config.push_policy = PushPolicy::Block;
+    let engine = StreamingEngine::new(config).unwrap();
+    let outcome = engine.run(&|| Box::new(GreedyMatchingDecoder::new()) as DynDecoder);
+    let report = &outcome.report;
+    let counters = report.counters;
+    assert_eq!(counters.generated, config.rounds);
+    assert_eq!(counters.generated, counters.decoded + counters.dropped);
+    assert_eq!(outcome.frame().total_recorded(), counters.decoded);
+    let channels: Vec<_> = report
+        .stages
+        .iter()
+        .filter(|stage| stage.stage.starts_with("channel."))
+        .collect();
+    assert_eq!(channels.len(), 2);
+    for channel in &channels {
+        assert_eq!(
+            channel.credits_consumed, channel.credits_issued,
+            "{channel:?}"
+        );
+        assert_eq!(channel.occupancy_peak, 1, "{channel:?}");
+    }
+    let sent: u64 = channels.iter().map(|c| c.credits_consumed).sum();
+    assert_eq!(sent, counters.decoded);
+    assert!(
+        channels.iter().map(|c| c.rejected).sum::<u64>() > 0,
+        "a one-slot channel never refused a send: the credit loop was not exercised"
+    );
 }
 
 /// One deterministic step of the miniature stage graph used by the

@@ -196,22 +196,39 @@ fn throttled_stream_grows_backlog_as_the_model_predicts() {
     );
 }
 
+/// What a fast decoder guarantees whatever the scheduler does at any one
+/// instant: nothing is lost, the model predicts no growth, and the queue
+/// keeps coming back to its floor — the round just pushed, plus at most one
+/// in a worker's hands — where a decoder that cannot keep up leaves the
+/// floor after the first few rounds and never returns.
+///
+/// Deliberately not judged: the backlog at the one instant generation stops
+/// (`queue_stayed_bounded`; a single deschedule of a worker fails it), and
+/// how *many* samples sit above the floor (samples are taken per emitted
+/// round, and a source that was descheduled emits its overdue rounds as one
+/// burst, each sample seeing the burst so far: on a loaded two-core host
+/// most samples of a healthy run can belong to such bursts).
 #[test]
 fn fast_decoder_keeps_the_queue_bounded() {
     let mut config = equivalence_config(3, 300, 2, 7);
     config.record_corrections = false;
-    // ~100 us cadence: comfortably slower than even a debug-build decode.
-    config.cadence_cycles = 614_552;
+    // ~400 us cadence: far slower than even a debug-build decode, and a
+    // third of the run (40 ms) far longer than any deschedule.
+    config.cadence_cycles = 4 * 614_552;
     let engine = StreamingEngine::new(config).unwrap();
     let outcome = engine.run(&greedy_factory());
-    assert_eq!(outcome.report.counters.decoded, config.rounds);
-    assert!(
-        outcome.report.queue_stayed_bounded(),
-        "final backlog {} on {} rounds",
-        outcome.report.final_backlog,
-        outcome.report.rounds
-    );
-    assert_eq!(outcome.report.comparison.predicted_growth_per_round, 0.0);
+    let report = &outcome.report;
+    assert_eq!(report.counters.decoded, config.rounds);
+    assert_eq!(report.counters.dropped, 0);
+    assert_eq!(report.comparison.predicted_growth_per_round, 0.0);
+    let backlogs: Vec<u64> = report.depth_timeline.iter().map(|s| s.backlog).collect();
+    assert!(backlogs.len() >= 300, "every round is sampled");
+    for third in backlogs.chunks(backlogs.len().div_ceil(3)) {
+        assert!(
+            third.iter().any(|&backlog| backlog <= 2),
+            "the queue never drained during a third of the run: {backlogs:?}"
+        );
+    }
 }
 
 proptest! {

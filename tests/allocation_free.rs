@@ -2,7 +2,9 @@
 //! hot path that promises it to **zero** heap allocations in steady state —
 //! a prepared decoder's `decode_into` loop, the offline Monte-Carlo trial
 //! loop, streaming residual classification, the observability plane's
-//! histogram records and journal publishes, and the disabled fault hooks.
+//! histogram records and journal publishes, the disabled fault hooks, the
+//! source stage's round (generate, re-pack, encode) and a whole engine run,
+//! whose allocations must not scale with its rounds.
 //!
 //! Built with `harness = false`: the allocation counter is process-wide, so
 //! the guards run one after another on the only thread instead of beside
@@ -14,7 +16,12 @@ use nisqplus_qec::error_model::{ErrorModel, PureDephasing};
 use nisqplus_qec::lattice::{Lattice, Sector};
 use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::syndrome::Syndrome;
-use nisqplus_runtime::{EventJournal, EventKind, EventSeverity, FaultInjector, LogHistogram};
+use nisqplus_runtime::{
+    EventJournal, EventKind, EventSeverity, FaultInjector, InterleavedSource, LatticeSet,
+    LatticeSpec, LogHistogram, MachineConfig, PacketCodec, RuntimeConfig, SourcedRound,
+    StreamingEngine, SyndromePacket,
+};
+use nisqplus_sim::timing::CycleTimeConverter;
 use nisqplus_sim::{run_sfq_lifetime, MonteCarloConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -252,10 +259,99 @@ fn assert_fault_hooks_are_allocation_free() {
     eprintln!("alloc-guard: fault hooks       : 0 allocations over 512 disabled-plan rounds");
 }
 
+/// The source side of the hand-off: generating a round into a reused
+/// [`SourcedRound`], re-packing its syndrome into a reused packet and
+/// encoding the record — with and without the error payload — is everything
+/// the source thread does per round before the send, so on a mixed machine
+/// (buffers resized round by round) it must not touch the heap once the
+/// largest lattice has been served.
+fn assert_source_rounds_are_allocation_free() {
+    let specs: Vec<LatticeSpec> = [3, 5, 7, 5, 3, 7]
+        .into_iter()
+        .enumerate()
+        .map(|(id, distance)| {
+            let mut spec = LatticeSpec::new(distance);
+            spec.seed = id as u64;
+            spec.rounds = 100;
+            spec.cadence_cycles = 0;
+            spec
+        })
+        .collect();
+    let set = LatticeSet::new(specs).expect("valid lattice set");
+    let plain = PacketCodec::for_lattice_bits(&set.ancilla_bits());
+    let carrying = PacketCodec::with_error_payload(&set.ancilla_bits(), &set.data_bits());
+    let mut source =
+        InterleavedSource::new(&set, &CycleTimeConverter::paper_reference()).expect("valid noise");
+    let mut round = SourcedRound::default();
+    let mut packet = SyndromePacket::new(0, 0, 0, &round.syndrome);
+    let mut plain_record = vec![0u64; plain.words_per_packet()];
+    let mut carrying_record = vec![0u64; carrying.words_per_packet()];
+    let mut emit = |rounds: u64| {
+        for _ in 0..rounds {
+            assert!(source.next_round_into(&mut round));
+            packet.lattice_id = round.lattice_id;
+            packet.round = round.round;
+            packet.syndrome.pack_from(&round.syndrome);
+            plain.encode(&packet, &mut plain_record);
+            carrying.encode_with_error(&packet, &round.error, &mut carrying_record);
+            std::hint::black_box((&plain_record, &carrying_record));
+        }
+    };
+    // Warm-up: one round of every lattice grows the buffers to d = 7.
+    emit(set.len() as u64);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    emit(512);
+    let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        allocated, 0,
+        "next_round_into + pack_from + encode performed {allocated} heap allocations over 512          rounds of a mixed d = 3/5/7 machine; the source round must not allocate"
+    );
+    eprintln!("alloc-guard: source round      : 0 allocations over 512 mixed-distance rounds");
+}
+
+/// The whole engine: a run allocates for its threads, decoders, rings,
+/// report and (capped) timeline — nothing per round on either side of the
+/// ring, so twice the rounds may cost only a handful of allocations more
+/// (the odd `Vec` doubling in the report path), not thousands.
+fn assert_engine_rounds_are_allocation_free() {
+    let allocations_of = |rounds: u64| {
+        let mut single = RuntimeConfig::new(5);
+        single.rounds = rounds;
+        // One worker: with two, whether the second ever receives a record
+        // (and so prepares its decoder) in a run this short is up to the
+        // scheduler.
+        single.workers = 1;
+        single.cadence_cycles = 0;
+        single.record_corrections = false;
+        single.max_depth_samples = 16;
+        let mut config = MachineConfig::from(single);
+        config.track_shed_rounds = false;
+        // No sampler thread: its snapshots scale with wall time.
+        config.obs.snapshot_cadence_us = 0;
+        let engine = StreamingEngine::with_machine(config).expect("valid machine");
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let outcome = engine.run(&|| Box::new(UnionFindDecoder::new()) as _);
+        let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(outcome.report.counters.decoded, rounds);
+        allocated
+    };
+    allocations_of(500);
+    let (short, long) = (allocations_of(2_000), allocations_of(4_000));
+    assert!(
+        long <= short + 16,
+        "StreamingEngine::run allocated {short} times for 2000 rounds and {long} times for          4000; neither side of the ring may allocate per round"
+    );
+    eprintln!(
+        "alloc-guard: engine run        : {short} allocations for 2000 rounds, {long} for 4000"
+    );
+}
+
 fn main() {
     assert_steady_state_decode_is_allocation_free();
     assert_lifetime_trials_are_allocation_free();
     assert_streaming_residual_classification_is_allocation_free();
     assert_obs_hot_path_is_allocation_free();
     assert_fault_hooks_are_allocation_free();
+    assert_source_rounds_are_allocation_free();
+    assert_engine_rounds_are_allocation_free();
 }
