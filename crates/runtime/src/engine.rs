@@ -2,31 +2,29 @@
 //! streams into a [`RuntimeReport`].
 //!
 //! The engine itself is thin by design.  All of the moving parts — paced
-//! generation, QoS admission, routed placement, credit-backed channels,
-//! batch muxes, the prepared-decoder hot path, frame and depth sinks — live
-//! as composable stages in [`crate::stage`], wired together by a
+//! generation, QoS admission, spread placement, credit-backed channels,
+//! own-then-steal batch filling, the prepared-decoder hot path, frame and
+//! depth sinks — live as stages in [`crate::stage`], wired together by a
 //! [`PipelineGraph`]:
 //!
 //! ```text
-//! source ──► gate ──► route ──► channel[0..C] ──► mux ──► decode ──► sink
-//!  (paced)  (QoS)   (placement)  (credit loops)  (per worker, N threads)
+//! source ──► gate ──► channel[w] ──► steal ──► decode ──► frame
+//!  (paced)  (QoS)   (credit loops)   (per worker, N threads)
 //! ```
 //!
-//! [`StreamingEngine::run`] builds the graph with default options — one
-//! credit channel per worker, spread placement, own-then-steal consumption,
-//! which reproduces the classic engine behaviour byte-for-byte — runs it to
+//! [`StreamingEngine::run`] builds the graph — one credit channel per
+//! worker, spread placement, own-then-steal consumption — runs it to
 //! completion, and folds the [`PipelineRun`] into the final
-//! [`RuntimeOutcome`]: per-lattice reports with backlog timelines, merged
-//! frames, the measured-versus-model backlog comparison
+//! [`RuntimeOutcome`]: per-lattice reports, the depth timeline with its
+//! per-lattice backlog breakdown, merged frames, the measured-versus-model
+//! backlog comparison
 //! ([`BacklogModel`](nisqplus_system::backlog::BacklogModel)), one
 //! [`StageReport`](crate::stage::StageReport) per pipeline stage, and —
 //! when [`MachineConfig::analyze_residuals`] is set — the measured logical
 //! cost of shedding, classified in stream (workers tally decoded rounds as
 //! they commit, the producer tallies shed rounds as it sheds).
-//! [`StreamingEngine::run_with`] accepts custom
-//! [`PipelineOptions`] (placement, consumption discipline, channel fan-out)
-//! for experiments the default wiring can't express, e.g. strict-priority
-//! traffic classes (`examples/stage_pipeline.rs`).
+//! [`StreamingEngine::run_with`] attaches [`PipelineOptions`] to the same
+//! graph: an observer, the watchdog window, a trace to replay or record.
 //!
 //! Shed rounds stay accounted for end to end: they are fed into the
 //! per-lattice frame path as identity corrections, carried in
@@ -40,8 +38,7 @@ use crate::scenario::SyndromeTrace;
 use crate::source::InterleavedSource;
 use crate::stage::{PipelineGraph, PipelineOptions, PipelineRun};
 use crate::telemetry::{
-    LatencyProfile, LatticeDepthSample, LatticeReport, ResidualReport, RuntimeCounters,
-    RuntimeReport, WorkerCounters,
+    LatencyProfile, LatticeReport, ResidualReport, RuntimeCounters, RuntimeReport, WorkerCounters,
 };
 use nisqplus_decoders::traits::DecoderFactory;
 use nisqplus_qec::frame::PauliFrame;
@@ -220,7 +217,7 @@ impl StreamingEngine {
     }
 
     /// Streams every lattice's configured rounds through the worker pool
-    /// under the default pipeline wiring and reports the telemetry.
+    /// and reports the telemetry.
     ///
     /// The calling thread becomes the source; `config.workers` decoder
     /// threads are spawned for the duration of the call.  Returns once every
@@ -231,10 +228,8 @@ impl StreamingEngine {
         self.run_with(PipelineOptions::default(), factory)
     }
 
-    /// Like [`StreamingEngine::run`], with a custom pipeline shape: where
-    /// rounds are placed ([`RouteStage`](crate::stage::RouteStage)), how
-    /// workers consume ([`ConsumePolicy`](crate::stage::ConsumePolicy)),
-    /// and how many channels the graph fans out over.
+    /// Like [`StreamingEngine::run`], with `options` attached to the run: an
+    /// observer, a shorter watchdog, a trace to replay or record.
     #[must_use]
     pub fn run_with(
         &self,
@@ -351,20 +346,6 @@ impl StreamingEngine {
                 decoded: decoded_tallies[lattice_id],
                 shed: shed_tallies[lattice_id],
             });
-            // This lattice's slice of the depth sink's timeline: the series
-            // that says when *this* patch was falling behind.
-            let backlog_timeline: Vec<LatticeDepthSample> = depth_timeline
-                .iter()
-                .map(|sample| LatticeDepthSample {
-                    round: sample.round,
-                    elapsed_ns: sample.elapsed_ns,
-                    backlog: sample
-                        .per_lattice_backlog
-                        .get(lattice_id)
-                        .copied()
-                        .unwrap_or(0),
-                })
-                .collect();
             lattices.push(LatticeReport {
                 lattice_id,
                 distance: spec.distance,
@@ -382,7 +363,6 @@ impl StreamingEngine {
                 cadence_ns: config.cycle_time.cycles_to_ns(spec.cadence_cycles),
                 inter_arrival_ns,
                 counters: snapshot,
-                backlog_timeline,
                 final_backlog: stats.final_backlog,
                 decode_latency,
                 total_latency,
@@ -589,43 +569,6 @@ mod tests {
         assert_eq!(outcome.report.decode_latency.summary.count, 200);
     }
 
-    /// Satellite of the stage refactor: every lattice gets its own backlog
-    /// timeline, aligned sample-for-sample with the aggregate one.
-    #[test]
-    fn per_lattice_backlog_timelines_align_with_the_aggregate() {
-        let mut config = MachineConfig::new(&[3, 5], 21);
-        for spec in &mut config.lattices {
-            spec.rounds = 100;
-            spec.cadence_cycles = 0;
-        }
-        config.workers = 2;
-        config.queue_capacity = 512;
-        let engine = StreamingEngine::with_machine(config).unwrap();
-        let outcome = engine.run(&greedy_factory());
-        let aggregate = &outcome.report.depth_timeline;
-        assert!(!aggregate.is_empty());
-        for lattice in &outcome.report.lattices {
-            assert_eq!(lattice.backlog_timeline.len(), aggregate.len());
-            for (own, agg) in lattice.backlog_timeline.iter().zip(aggregate) {
-                assert_eq!(own.round, agg.round);
-                assert_eq!(own.elapsed_ns, agg.elapsed_ns);
-                assert!(own.backlog <= agg.backlog + 1);
-            }
-        }
-        // The per-lattice series sum to the aggregate at each sample (no
-        // sampling skew here: the source thread reads all counters between
-        // emissions).
-        for (index, sample) in aggregate.iter().enumerate() {
-            let summed: u64 = outcome
-                .report
-                .lattices
-                .iter()
-                .map(|l| l.backlog_timeline[index].backlog)
-                .sum();
-            assert_eq!(summed, sample.per_lattice_backlog.iter().sum::<u64>());
-        }
-    }
-
     /// The run's stage reports describe the whole graph and their books
     /// balance: what the source emitted equals what the channels accepted
     /// equals what the decode stages consumed.
@@ -643,8 +586,6 @@ mod tests {
         assert_eq!(stage_of("source").accepted, 200);
         assert_eq!(stage_of("source").emitted, 200);
         assert_eq!(stage_of("gate").accepted, 200);
-        assert_eq!(stage_of("skid").accepted, 200);
-        assert_eq!(stage_of("skid").emitted, 200);
         let channel_in: u64 = stages
             .iter()
             .filter(|r| r.stage.starts_with("channel."))

@@ -26,13 +26,13 @@
 //! * [`queue`] — the bounded lock-free ring buffer (pure
 //!   `std::sync::atomic`, no external deps); the engine gives each worker
 //!   its own ring and lets idle workers steal from busy ones,
-//! * [`stage`] — the composable pipeline stages the engine is wired from:
-//!   credit counters and credit-backed channels, skid buffers, batch muxes
-//!   (steal / priority / round-robin), the QoS admission gate, the
-//!   prepared-decoder decode stage, frame and depth sinks, and the
-//!   [`PipelineGraph`] builder that assembles them into a running,
-//!   backpressured whole — every stage reporting its flow through a
-//!   uniform [`StageReport`],
+//! * [`stage`] — the pipeline stages the engine is wired from: credit
+//!   counters and credit-backed channels, the QoS admission gate, the
+//!   own-then-steal batch mux, the prepared-decoder decode stage, frame and
+//!   depth sinks, and the [`PipelineGraph`] that wires them into the one
+//!   running, backpressured shape — `source → gate → channel[w] → steal →
+//!   decode → frame` — every stage reporting its flow through a uniform
+//!   [`StageReport`],
 //! * [`config`] — the [`RuntimeConfig`] / [`MachineConfig`] run
 //!   configuration (re-exported through [`engine`] for compatibility),
 //! * [`engine`] — the [`StreamingEngine`]: one paced source thread
@@ -149,13 +149,10 @@ pub use source::{
     BurstOverlay, ElasticEvent, ElasticEventKind, InterleavedSource, NoiseEpoch, NoiseSpec,
     SourcedRound, SyndromeSource,
 };
-pub use stage::{
-    ClassRouter, ConsumePolicy, PipelineGraph, PipelineOptions, RouteStage, SpreadRouter,
-    StageReport,
-};
+pub use stage::{PipelineGraph, PipelineOptions, StageReport};
 pub use telemetry::{
     CounterSnapshot, DepthSample, LatencyProfile, LatencyQuantiles, LatticeCounterSnapshot,
-    LatticeCounters, LatticeDepthSample, LatticeReport, ResidualReport, RuntimeCounters,
-    RuntimeReport, WorkerCounterSnapshot,
+    LatticeCounters, LatticeReport, ResidualReport, RuntimeCounters, RuntimeReport,
+    WorkerCounterSnapshot,
 };
 pub use throttle::ThrottledDecoder;

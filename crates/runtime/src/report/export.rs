@@ -19,7 +19,7 @@ use crate::source::NoiseEpoch;
 use crate::stage::StageReport;
 use crate::telemetry::{
     CounterSnapshot, DepthSample, LatencyProfile, LatencyQuantiles, LatticeCounterSnapshot,
-    LatticeDepthSample, LatticeReport, ResidualReport, RuntimeReport, WorkerCounterSnapshot,
+    LatticeReport, ResidualReport, RuntimeReport, WorkerCounterSnapshot,
 };
 use nisqplus_qec::logical::ResidualTally;
 use nisqplus_sim::stats::Summary;
@@ -43,7 +43,11 @@ use std::path::Path;
 ///
 /// v5: one owner per fact — the report-level `metrics` array is gone (it
 /// was `stages` flattened to `stage.<name>.<field>`).
-pub const SCHEMA_VERSION: u64 = 5;
+///
+/// v6: the per-lattice backlog arrays are gone (each was a column of
+/// `depth_timeline[i].per_lattice_backlog`, re-keyed), and `stages` files
+/// no `skid` or `sink.<w>` row (restatements of `source` and `decode.<w>`).
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// Why an export or import failed.
 #[derive(Debug)]
@@ -346,22 +350,6 @@ fn depth_sample_from_json(v: &Json) -> Result<DepthSample, ExportError> {
         queue_depth: get_u64(v, "queue_depth")?,
         backlog: get_u64(v, "backlog")?,
         per_lattice_backlog: get_u64_arr(v, "per_lattice_backlog")?,
-    })
-}
-
-fn lattice_depth_sample_to_json(s: &LatticeDepthSample) -> Json {
-    obj(vec![
-        ("round", Json::from(s.round)),
-        ("elapsed_ns", Json::from(s.elapsed_ns)),
-        ("backlog", Json::from(s.backlog)),
-    ])
-}
-
-fn lattice_depth_sample_from_json(v: &Json) -> Result<LatticeDepthSample, ExportError> {
-    Ok(LatticeDepthSample {
-        round: get_u64(v, "round")?,
-        elapsed_ns: get_u64(v, "elapsed_ns")?,
-        backlog: get_u64(v, "backlog")?,
     })
 }
 
@@ -735,15 +723,6 @@ fn lattice_to_json(l: &LatticeReport) -> Json {
         ("cadence_ns", Json::Num(l.cadence_ns)),
         ("inter_arrival_ns", Json::Num(l.inter_arrival_ns)),
         ("counters", lattice_counters_to_json(&l.counters)),
-        (
-            "backlog_timeline",
-            Json::Arr(
-                l.backlog_timeline
-                    .iter()
-                    .map(lattice_depth_sample_to_json)
-                    .collect(),
-            ),
-        ),
         ("final_backlog", Json::from(l.final_backlog)),
         ("decode_latency", profile_to_json(&l.decode_latency)),
         ("total_latency", profile_to_json(&l.total_latency)),
@@ -783,10 +762,6 @@ fn lattice_from_json(v: &Json) -> Result<LatticeReport, ExportError> {
         cadence_ns: get_f64(v, "cadence_ns")?,
         inter_arrival_ns: get_f64(v, "inter_arrival_ns")?,
         counters: lattice_counters_from_json(field(v, "counters")?)?,
-        backlog_timeline: get_arr(v, "backlog_timeline")?
-            .iter()
-            .map(lattice_depth_sample_from_json)
-            .collect::<Result<_, _>>()?,
         final_backlog: get_u64(v, "final_backlog")?,
         decode_latency: profile_from_json(field(v, "decode_latency")?)?,
         total_latency: profile_from_json(field(v, "total_latency")?)?,

@@ -16,7 +16,7 @@
 //! credit loop's receivers' line.  In a channel that keeps up, the only line
 //! a round moves between the two threads is its slot; a send looks at the
 //! receivers' line only when its cached view of the credits is exhausted or
-//! could raise the occupancy peak (see [`CreditChannel::try_send`]).
+//! could raise the occupancy peak (see [`CreditCounter`]).
 //!
 //! Records are the same fixed-size `u64`-word packets the ring stores (the
 //! typed view lives one layer up: [`PacketCodec`](crate::packet::PacketCodec)
@@ -60,9 +60,6 @@ struct SenderStats {
     refused: AtomicU64,
     /// Spins a credited send spent waiting out another consumer's pop.
     slot_waits: AtomicU64,
-    /// Occupancy (credits in flight) high-water mark over the instants right
-    /// after each send.
-    occupancy_peak: AtomicU64,
 }
 
 impl CreditChannel {
@@ -85,13 +82,6 @@ impl CreditChannel {
     /// enqueueing nothing — when no credit is available; the caller chooses
     /// between retrying (backpressure) and shedding.
     ///
-    /// The occupancy peak is exact without reading the receivers' counter on
-    /// every send: the grant's own view gives the upper bound `consumed −
-    /// issued_seen` on the credits in flight, and the true figure (`consumed
-    /// − issued`, which can only be lower) is looked up only when that bound
-    /// exceeds the recorded peak — whenever it does not, the true figure
-    /// could not have raised the peak either.
-    ///
     /// # Panics
     ///
     /// Panics if `record.len()` differs from [`CreditChannel::words_per_slot`].
@@ -108,16 +98,7 @@ impl CreditChannel {
             self.stats.slot_waits.fetch_add(1, Ordering::Relaxed);
             std::hint::spin_loop();
         }
-        let peak = &self.stats.occupancy_peak;
-        if grant.consumed - grant.issued_seen > peak.load(Ordering::Relaxed) {
-            // Refreshing the cached view here also keeps the bound tight, so
-            // a steady channel takes this branch about once per `peak` sends.
-            let issued_seen = self.credits.refresh_issued_seen();
-            peak.fetch_max(
-                grant.consumed.saturating_sub(issued_seen),
-                Ordering::Relaxed,
-            );
-        }
+        self.credits.record_peak(grant);
         true
     }
 
@@ -183,7 +164,7 @@ impl CreditChannel {
             rejected: self.stats.refused.load(Ordering::Relaxed),
             credits_issued: self.credits.issued(),
             credits_consumed: self.credits.consumed(),
-            occupancy_peak: self.stats.occupancy_peak.load(Ordering::Relaxed),
+            occupancy_peak: self.credits.in_flight_peak(),
             stall_cycles: self.stats.slot_waits.load(Ordering::Relaxed),
         }
     }

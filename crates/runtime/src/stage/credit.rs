@@ -59,7 +59,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The senders' cache line: written by [`CreditCounter::try_acquire`] only.
+/// The senders' cache line: written by senders only
+/// ([`CreditCounter::try_acquire`], [`CreditCounter::record_peak`]).
 #[derive(Debug)]
 #[repr(align(64))]
 struct SendersLine {
@@ -67,6 +68,9 @@ struct SendersLine {
     consumed: AtomicU64,
     /// The senders' cached lower bound of `ReceiversLine::issued`.
     issued_seen: AtomicU64,
+    /// Credits-in-flight high-water mark over the grants handed to
+    /// [`CreditCounter::record_peak`].
+    in_flight_peak: AtomicU64,
     /// The up-front grant (immutable).
     initial: u64,
 }
@@ -80,8 +84,9 @@ struct ReceiversLine {
     issued: AtomicU64,
 }
 
-/// What a successful acquisition saw, for callers that keep an occupancy
-/// high-water mark without re-reading the receivers' line on every send.
+/// What a successful acquisition saw: what [`CreditCounter::record_peak`]
+/// needs to keep the in-flight high-water mark without re-reading the
+/// receivers' line on every grant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Grant {
     /// `consumed` right after this acquisition (its own credit included).
@@ -108,6 +113,7 @@ impl CreditCounter {
             senders: SendersLine {
                 consumed: AtomicU64::new(0),
                 issued_seen: AtomicU64::new(0),
+                in_flight_peak: AtomicU64::new(0),
                 initial,
             },
             receivers: ReceiversLine {
@@ -156,7 +162,7 @@ impl CreditCounter {
 
     /// Re-reads the receivers' line, folds the value into the senders'
     /// cached view and returns the refreshed view (`≥` the `issued` it read).
-    pub(crate) fn refresh_issued_seen(&self) -> u64 {
+    fn refresh_issued_seen(&self) -> u64 {
         let issued = self.receivers.issued.load(Ordering::Acquire);
         // `fetch_max`, not `store`: with several senders a slower one must
         // not roll the shared view back.
@@ -164,6 +170,33 @@ impl CreditCounter {
             .issued_seen
             .fetch_max(issued, Ordering::AcqRel)
             .max(issued)
+    }
+
+    /// Folds `grant` into the in-flight high-water mark; senders call it
+    /// right after the acquisition (a channel: right after the send the
+    /// credit paid for).  The mark is exact without reading the receivers'
+    /// counter on every grant: the grant's own view gives the upper bound
+    /// `consumed − issued_seen` on the credits in flight, and the true figure
+    /// (`consumed − issued`, which can only be lower) is looked up only when
+    /// that bound exceeds the recorded mark — whenever it does not, the true
+    /// figure could not have raised the mark either.
+    pub(crate) fn record_peak(&self, grant: Grant) {
+        let peak = &self.senders.in_flight_peak;
+        if grant.consumed - grant.issued_seen > peak.load(Ordering::Relaxed) {
+            // Refreshing the cached view here also keeps the bound tight, so
+            // a steady loop takes this branch about once per `peak` grants.
+            let issued_seen = self.refresh_issued_seen();
+            peak.fetch_max(
+                grant.consumed.saturating_sub(issued_seen),
+                Ordering::Relaxed,
+            );
+        }
+    }
+
+    /// The most credits in flight right after any grant handed to
+    /// [`CreditCounter::record_peak`].
+    pub(crate) fn in_flight_peak(&self) -> u64 {
+        self.senders.in_flight_peak.load(Ordering::Relaxed)
     }
 
     /// Returns one credit to the pool.

@@ -13,7 +13,7 @@
 //! one [`PauliString`] borrowed out as a [`DecodedRound`].
 //!
 //! The stage is purely computational — it owns no queue and no thread.  The
-//! pipeline wiring (batch fill via a [`BatchMux`](crate::stage::BatchMux),
+//! pipeline wiring (batch fill via a [`StealMux`](crate::stage::StealMux),
 //! commit via a [`FrameSink`](crate::stage::FrameSink), budget-credit
 //! return via [`QosGate::credit_decode`](crate::stage::QosGate::credit_decode))
 //! lives in [`crate::stage::graph`].

@@ -97,20 +97,25 @@ impl QosGate {
     /// Offers one round of `lattice_id` for admission.
     pub fn admit(&self, lattice_id: usize) -> Admission {
         let lane = &self.lanes[lattice_id];
-        match &lane.budget {
-            Some(budget) if !budget.try_acquire() => match lane.policy {
-                PushPolicy::Block => {
-                    lane.blocked.fetch_add(1, Ordering::Relaxed);
-                    Admission::Blocked
-                }
-                PushPolicy::Drop => {
-                    lane.shed.fetch_add(1, Ordering::Relaxed);
-                    Admission::Shed
-                }
-            },
-            _ => {
+        let admitted = match &lane.budget {
+            Some(budget) => budget
+                .acquire()
+                .map(|grant| budget.record_peak(grant))
+                .is_some(),
+            None => true,
+        };
+        match (admitted, lane.policy) {
+            (true, _) => {
                 lane.granted.fetch_add(1, Ordering::Relaxed);
                 Admission::Granted
+            }
+            (false, PushPolicy::Block) => {
+                lane.blocked.fetch_add(1, Ordering::Relaxed);
+                Admission::Blocked
+            }
+            (false, PushPolicy::Drop) => {
+                lane.shed.fetch_add(1, Ordering::Relaxed);
+                Admission::Shed
             }
         }
     }
@@ -156,7 +161,9 @@ impl QosGate {
 
     /// This gate's [`StageReport`]: accepted = granted admissions, rejected
     /// = shed rounds, stall cycles = blocked (retried) admissions, credit
-    /// totals summed over every lane's budget loop.
+    /// totals summed over every lane's budget loop, occupancy peak = the most
+    /// rounds any one budgeted lane held between admission and commit (0 for
+    /// a gate without budgets).
     #[must_use]
     pub fn report(&self, stage: impl Into<String>) -> StageReport {
         let mut report = StageReport::named(stage);
@@ -168,7 +175,7 @@ impl QosGate {
             if let Some(budget) = &lane.budget {
                 report.credits_consumed += budget.consumed();
                 report.credits_issued += budget.issued();
-                report.occupancy_peak = report.occupancy_peak.max(budget.in_flight());
+                report.occupancy_peak = report.occupancy_peak.max(budget.in_flight_peak());
             }
         }
         report
@@ -233,6 +240,27 @@ mod tests {
         }
         assert_eq!(gate.outstanding(0), 0);
         assert_eq!(gate.report("gate").credits_consumed, 0);
+    }
+
+    /// The gate's occupancy peak is a high-water mark kept at admission, not
+    /// the in-flight count left when the report is assembled.
+    #[test]
+    fn occupancy_peak_is_the_most_rounds_a_budgeted_lane_ever_held() {
+        let gate = gate_with(PushPolicy::Block, Some(2));
+        assert_eq!(gate.admit(0), Admission::Granted);
+        assert_eq!(gate.admit(0), Admission::Granted);
+        gate.credit_decode(0);
+        assert_eq!(gate.admit(0), Admission::Granted);
+        assert_eq!(gate.report("gate").occupancy_peak, 2);
+        // Every credit home again: the peak stands.
+        gate.credit_decode(0);
+        gate.credit_decode(0);
+        assert_eq!(gate.outstanding(0), 0);
+        assert_eq!(gate.report("gate").occupancy_peak, 2);
+
+        let unbudgeted = gate_with(PushPolicy::Block, None);
+        assert_eq!(unbudgeted.admit(0), Admission::Granted);
+        assert_eq!(unbudgeted.report("gate").occupancy_peak, 0);
     }
 
     #[test]

@@ -4,19 +4,21 @@
 //! building blocks and runs it to completion:
 //!
 //! ```text
-//! source ──► gate ──► route ──► channel[0..C] ──► mux ──► decode ──► sink
-//!  (paced)  (QoS)   (placement)  (credit loops)  (per worker, N threads)
+//! source ──► gate ──► channel[w] ──► steal ──► decode ──► frame
+//!  (paced)  (QoS)   (credit loops)   (per worker, N threads)
 //! ```
 //!
 //! One paced source runs on the calling thread; `workers` decode threads
-//! each drive a mux → decode → sink chain.  Every seam is credit-backed:
+//! each drive a steal → decode → frame chain.  Every seam is credit-backed:
 //! the channels carry capacity credits, the gate carries per-lattice budget
-//! credits that only come home when the decode commits.  The graph's shape
-//! is configurable through [`PipelineOptions`] — where rounds are placed
-//! ([`RouteStage`]) and how workers consume ([`ConsumePolicy`]) — with
-//! defaults that reproduce the engine's spread-and-steal behaviour
-//! byte-for-byte.  [`PipelineGraph::run`] returns a [`PipelineRun`]: the
-//! raw worker outputs, timelines, per-lattice producer statistics, and one
+//! credits that only come home when the decode commits.  The shape is
+//! fixed: one channel per worker, round `r` of lattice `l` placed on channel
+//! `(l + r) % workers`, every worker draining its own channel and stealing
+//! a batch from a neighbour when it runs dry ([`StealMux`]).
+//! [`PipelineOptions`] carries what a caller may attach to a run — an
+//! observer, the watchdog window, a trace to replay or record — not its
+//! shape.  [`PipelineGraph::run`] returns a [`PipelineRun`]: the raw worker
+//! outputs, timelines, per-lattice producer statistics, and one
 //! [`StageReport`] per stage.
 
 use crate::config::{MachineConfig, PushPolicy};
@@ -31,9 +33,8 @@ use crate::source::{ElasticEvent, ElasticEventKind, InterleavedSource, NoiseEpoc
 use crate::stage::channel::CreditChannel;
 use crate::stage::decode::DecodeStage;
 use crate::stage::gate::{Admission, QosGate};
-use crate::stage::mux::{BatchMux, PriorityMux, RoundRobinMux, StealMux};
+use crate::stage::mux::StealMux;
 use crate::stage::sink::{DepthSink, FrameSink, WorkerOutput};
-use crate::stage::skid::SkidBuffer;
 use crate::stage::StageReport;
 use crate::telemetry::{DepthSample, LatticeCounters, RuntimeCounters};
 use nisqplus_decoders::traits::DecoderFactory;
@@ -44,70 +45,10 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// The placement stage: which channel a round is sent to.
-pub trait RouteStage: fmt::Debug + Send + Sync {
-    /// The channel index for round `round` of lattice `lattice_id`, given
-    /// `channels` channels.  Must return a value `< channels`.
-    fn route(&self, lattice_id: u32, round: u64, channels: usize) -> usize;
-}
-
-/// The default placement: spread rounds over the pool, offset by lattice
-/// id so co-cadenced lattices don't all land on the same channel; stealing
-/// rebalances whatever placement gets wrong.  For a single lattice this is
-/// plain round-robin.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpreadRouter;
-
-impl RouteStage for SpreadRouter {
-    fn route(&self, lattice_id: u32, round: u64, channels: usize) -> usize {
-        ((u64::from(lattice_id) + round) % channels as u64) as usize
-    }
-}
-
-/// Class-based placement: lattice `i` always lands on channel
-/// `class_of[i] % channels`.  Combined with [`ConsumePolicy::Priority`]
-/// this builds a strict-priority pipeline — traffic classes get their own
-/// channel and workers drain lower-numbered classes first (see
-/// `examples/stage_pipeline.rs`).
-#[derive(Debug, Clone)]
-pub struct ClassRouter {
-    /// The traffic class of each lattice, indexed by lattice id.
-    pub class_of: Vec<usize>,
-}
-
-impl RouteStage for ClassRouter {
-    fn route(&self, lattice_id: u32, _round: u64, channels: usize) -> usize {
-        self.class_of[lattice_id as usize] % channels
-    }
-}
-
-/// How each worker's mux consumes the channels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConsumePolicy {
-    /// Drain the worker's home channel, stealing a whole batch from the
-    /// first busy neighbour when home runs dry (the engine default; see
-    /// [`StealMux`]).
-    #[default]
-    OwnThenSteal,
-    /// Always drain the lowest-indexed busy channel ([`PriorityMux`]).
-    Priority,
-    /// Rotate grants across channels ([`RoundRobinMux`]).
-    RoundRobin,
-}
-
-/// The configurable shape of a [`PipelineGraph`].
-///
-/// The default options reproduce the classic engine wiring exactly: one
-/// channel per worker, spread placement, own-then-steal consumption, a
-/// watchdog far beyond any healthy stall.
+/// What a caller may attach to one run of a [`PipelineGraph`]; the graph's
+/// shape is not among it.
 #[derive(Debug)]
 pub struct PipelineOptions {
-    /// The placement stage; `None` uses [`SpreadRouter`].
-    pub router: Option<Box<dyn RouteStage>>,
-    /// How workers consume the channels.
-    pub consume: ConsumePolicy,
-    /// Number of channels; `None` uses one per worker.
-    pub channels: Option<usize>,
     /// An external tap on the run's events and snapshots; `None` keeps the
     /// journal and snapshot log as the only consumers.
     pub observer: Option<Box<dyn RuntimeObserver>>,
@@ -119,7 +60,7 @@ pub struct PipelineOptions {
     /// existing runs and benches never meet it.
     pub watchdog: Duration,
     /// Re-serve this recorded trace instead of sampling the seeded sources.
-    /// The trace's rounds flow through the same gate/route/decode pipeline
+    /// The trace's rounds flow through the same gate/channel/decode pipeline
     /// verbatim; the machine's scenario script and noise specs are ignored
     /// (the trace already embodies their effects).
     pub replay: Option<SyndromeTrace>,
@@ -131,9 +72,6 @@ pub struct PipelineOptions {
 impl Default for PipelineOptions {
     fn default() -> Self {
         PipelineOptions {
-            router: None,
-            consume: ConsumePolicy::default(),
-            channels: None,
             observer: None,
             watchdog: Duration::from_secs(5),
             replay: None,
@@ -172,8 +110,8 @@ pub struct PipelineRun {
     /// the producer when [`MachineConfig::analyze_residuals`] is on; all-zero
     /// otherwise.
     pub shed_tallies: Vec<ResidualTally>,
-    /// One report per stage, in graph order: source, skid, gate,
-    /// channels, per-worker decode and sink stages, depth sink.
+    /// One report per stage: source, gate, depth sink, then every channel,
+    /// then every worker's decode stage.
     pub stage_reports: Vec<StageReport>,
     /// Wall-clock seconds from epoch to the last worker's exit.
     pub elapsed_s: f64,
@@ -196,7 +134,7 @@ pub struct PipelineRun {
 /// Everything one decode worker needs, bundled to keep spawn sites tidy
 /// (and to let tests drive a worker directly against hand-filled channels).
 pub struct WorkerSeat<'a> {
-    /// This worker's index; its home channel is `worker_id % channels`.
+    /// This worker's index, which is also its home channel's.
     pub worker_id: usize,
     /// The lattices being served.
     pub set: &'a LatticeSet,
@@ -221,8 +159,6 @@ pub struct WorkerSeat<'a> {
     pub correction_cap: Option<usize>,
     /// Maximum rounds decoded as one batch.
     pub batch_size: usize,
-    /// The worker's consumption discipline.
-    pub consume: ConsumePolicy,
     /// The run's observability plane (live decode histogram, event journal).
     pub obs: &'a ObsPlane,
     /// The run's armed fault schedule (crash hooks; a plan-free injector
@@ -236,7 +172,6 @@ impl fmt::Debug for WorkerSeat<'_> {
             .field("worker_id", &self.worker_id)
             .field("channels", &self.channels.len())
             .field("batch_size", &self.batch_size)
-            .field("consume", &self.consume)
             .finish_non_exhaustive()
     }
 }
@@ -249,10 +184,10 @@ impl fmt::Debug for WorkerSeat<'_> {
 /// ([`EventKind::WorkerRestart`]) that rebuilds the decode stage — freshly
 /// `prepare`d decoders — over the *same* sink, so the replacement adopts
 /// the dead worker's frame shard and every round it had already committed.
-/// Returns the worker's output plus its decode and sink [`StageReport`]s.
+/// Returns the worker's output plus its decode [`StageReport`].
 ///
 /// [`catch_unwind`]: std::panic::catch_unwind
-pub fn run_worker(seat: WorkerSeat<'_>) -> (WorkerOutput, Vec<StageReport>) {
+pub fn run_worker(seat: WorkerSeat<'_>) -> (WorkerOutput, StageReport) {
     let worker_id = seat.worker_id;
     let mut sink = FrameSink::new(seat.set, seat.record_corrections)
         .with_correction_cap(seat.correction_cap)
@@ -274,9 +209,7 @@ pub fn run_worker(seat: WorkerSeat<'_>) -> (WorkerOutput, Vec<StageReport>) {
                     stall_cycles: stall_polls,
                     ..StageReport::default()
                 };
-                let sink_report = sink.report(format!("sink.{worker_id}"));
-                let output = sink.finish(lattice_decoders);
-                return (output, vec![decode_report, sink_report]);
+                return (sink.finish(lattice_decoders), decode_report);
             }
             Err(_) => {
                 // The worker died mid-run.  Its sink — and every round it
@@ -306,7 +239,7 @@ pub fn run_worker(seat: WorkerSeat<'_>) -> (WorkerOutput, Vec<StageReport>) {
     }
 }
 
-/// One supervised decode attempt: fill batches through the mux, decode
+/// One supervised decode attempt: fill batches own-channel-then-steal, decode
 /// every record through the lattice's prepared hot path, commit to the
 /// shared frame sink, return each round's budget credit to the gate.
 /// Returns `(lattice decoder names, stall polls)` when the stream drains;
@@ -316,11 +249,7 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> (Vec<String>, u64
     let (channels, gate, counters, obs) = (seat.channels, seat.gate, seat.counters, seat.obs);
     let epoch = seat.epoch;
     let mut decode = DecodeStage::new(seat.set, seat.codec, seat.factory);
-    let mut mux: Box<dyn BatchMux> = match seat.consume {
-        ConsumePolicy::OwnThenSteal => Box::new(StealMux::new(worker_id % channels.len())),
-        ConsumePolicy::Priority => Box::new(PriorityMux::new()),
-        ConsumePolicy::RoundRobin => Box::new(RoundRobinMux::new()),
-    };
+    let mux = StealMux::new(worker_id);
     // Reusable batch records, shared across lattices (records are sized for
     // the largest lattice of the set).
     let mut batch: Vec<Vec<u64>> = (0..seat.batch_size)
@@ -335,7 +264,7 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> (Vec<String>, u64
         if seat.injector.should_crash(worker_id, sink.committed()) {
             panic!("{CRASH_PANIC_MARKER}: worker {worker_id}");
         }
-        // ---- Fill a batch through the mux ------------------------------
+        // ---- Fill a batch: own channel first, then steal ----------------
         let fill = mux.fill(channels, &mut batch);
         if fill.stolen > 0 {
             worker_counters
@@ -554,27 +483,37 @@ fn spin_until(
     (true, spins)
 }
 
-/// The source stage: paced interleaved generation, bit-packing into a skid
-/// buffer, gate admission under each lattice's QoS lane, routed placement
-/// into the credit channels, depth sampling — plus the run's hostile-stream
-/// hooks: scheduled burst overlays, on-the-wire corruption, channel-stall
-/// emulation and the backpressure watchdog.
-#[allow(clippy::too_many_arguments)]
+/// Where round `round` of lattice `lattice_id` is placed: rounds spread over
+/// the pool, offset by lattice id so co-cadenced lattices don't all land on
+/// the same channel; stealing rebalances whatever placement gets wrong.  For
+/// a single lattice this is plain round-robin.
+fn spread_channel(lattice_id: u32, round: u64, channels: usize) -> usize {
+    ((u64::from(lattice_id) + round) % channels as u64) as usize
+}
+
+/// The source stage of `graph`: paced interleaved generation, bit-packing
+/// into one reused record, gate admission under each lattice's QoS lane,
+/// spread placement into the credit channels, depth sampling — plus the
+/// run's hostile-stream hooks: scheduled burst overlays, on-the-wire
+/// corruption, channel-stall emulation and the backpressure watchdog.
 fn run_source(
-    config: &MachineConfig,
-    set: &LatticeSet,
-    codec: &PacketCodec,
-    channels: &[CreditChannel],
-    gate: &QosGate,
-    router: &dyn RouteStage,
+    graph: &PipelineGraph<'_>,
+    replay: Option<SyndromeTrace>,
     counters: &RuntimeCounters,
     epoch: Instant,
-    obs: &ObsPlane,
-    injector: &FaultInjector,
-    watchdog: Duration,
-    replay: Option<SyndromeTrace>,
-    record_trace: bool,
 ) -> SourceRun {
+    let PipelineGraph {
+        config,
+        set,
+        codec,
+        channels,
+        gate,
+        obs,
+        injector,
+        watchdog,
+        record_trace,
+        ..
+    } = graph;
     // How many rounds each lattice will emit: the trace's own tallies on
     // replay (a retired lattice's recorded stream is already truncated), the
     // configured per-lattice rounds live (retirement is handled by its
@@ -608,19 +547,15 @@ fn run_source(
             RoundFeed::Live(Box::new(source))
         }
     };
-    let mut recorder = if record_trace {
-        Some(TraceRecorder::new(set))
-    } else {
-        None
-    };
+    let mut recorder = record_trace.then(|| TraceRecorder::new(set));
     let total_rounds = feed_total;
     let mut depth = DepthSink::new(total_rounds, config.max_depth_samples);
-    // The send seam's skid: an encoded record rests here while its channel
-    // refuses credits, so a Block-lane round exists in exactly one place at
-    // every instant of a stall and a Drop-lane round is shed by an explicit
-    // counted discard.
-    let mut skid: SkidBuffer<Vec<u64>> = SkidBuffer::new(1);
+    // The round's encoded record, overwritten every round: it rests here
+    // while its channel refuses credits, so a Block-lane round exists in
+    // exactly one place at every instant of a stall, and a shed round is
+    // simply never sent.
     let words = codec.words_per_packet();
+    let mut record = vec![0u64; words];
     let mut lattice_stats = vec![LatticeGenStats::default(); set.len()];
     let mut lattice_shed: Vec<Vec<u64>> = vec![Vec::new(); set.len()];
     let mut shed_tallies = vec![ResidualTally::default(); set.len()];
@@ -709,24 +644,20 @@ fn run_source(
         // checksum is written — a bit flipped on the wire, not at the
         // source — so the worker's codec must catch it.
         let poison = injector.corrupt(lattice_id, sourced.round);
-        let loaded = skid.accept_with(|slot| {
-            slot.resize(words, 0);
-            if codec.carries_errors() {
-                // The residual analysis rides the wire: the round's
-                // seeded error travels with its syndrome so the decoding
-                // worker can classify the residual the moment it commits.
-                codec.encode_with_error(&packet, &sourced.error, slot);
-            } else {
-                codec.encode(&packet, slot);
-            }
-            if let Some((word, bit)) = poison {
-                slot[word % words] ^= 1u64 << (bit & 63);
-            }
-        });
-        debug_assert!(loaded, "the source skid is emptied every round");
+        if codec.carries_errors() {
+            // The residual analysis rides the wire: the round's seeded error
+            // travels with its syndrome so the decoding worker can classify
+            // the residual the moment it commits.
+            codec.encode_with_error(&packet, &sourced.error, &mut record);
+        } else {
+            codec.encode(&packet, &mut record);
+        }
+        if let Some((word, bit)) = poison {
+            record[word % words] ^= 1u64 << (bit & 63);
+        }
         let lattice_counters = &counters.per_lattice[lattice_id as usize];
         lattice_counters.generated.fetch_add(1, Ordering::Relaxed);
-        let channel_index = router.route(lattice_id, sourced.round, channels.len());
+        let channel_index = spread_channel(lattice_id, sourced.round, channels.len());
         let channel = &channels[channel_index];
         // Whether an injected stall is holding this round's channel shut
         // (asking also arms a stall whose round has come).
@@ -752,7 +683,7 @@ fn run_source(
                 // record magnitude.  Each lane spins at most `watchdog`
                 // long; past that the round is force-shed with a
                 // WatchdogTrip so a dead consumer cannot hang the run.
-                let (admitted, budget_spins) = spin_until(lattice_counters, watchdog, || {
+                let (admitted, budget_spins) = spin_until(lattice_counters, *watchdog, || {
                     gate.admit(lattice_id as usize) != Admission::Blocked
                 });
                 if budget_spins > 0 {
@@ -766,8 +697,8 @@ fn run_source(
                     );
                 }
                 let sent = admitted && {
-                    let (sent, send_spins) = spin_until(lattice_counters, watchdog, || {
-                        !channel_stalled() && skid.drain_with(|record| channel.try_send(record)) > 0
+                    let (sent, send_spins) = spin_until(lattice_counters, *watchdog, || {
+                        !channel_stalled() && channel.try_send(&record)
                     });
                     if !sent {
                         // The budget credit acquired above is held for a
@@ -787,7 +718,6 @@ fn run_source(
                     sent
                 };
                 if !sent {
-                    skid.discard_front();
                     account_shed(&sourced);
                     obs.publish(
                         EventKind::WatchdogTrip,
@@ -807,7 +737,7 @@ fn run_source(
                 let admission = gate.admit(lattice_id as usize);
                 let stalled = channel_stalled();
                 let delivered = admission == Admission::Granted && {
-                    let sent = !stalled && skid.drain_with(|record| channel.try_send(record)) > 0;
+                    let sent = !stalled && channel.try_send(&record);
                     if !sent {
                         // The granted budget credit goes home unused.
                         gate.refund(lattice_id as usize);
@@ -815,7 +745,6 @@ fn run_source(
                     sent
                 };
                 if !delivered {
-                    skid.discard_front();
                     account_shed(&sourced);
                     if admission != Admission::Granted {
                         // Shed at the budget lane, not at a full channel.
@@ -892,14 +821,14 @@ fn run_source(
         lattice_stats,
         lattice_shed,
         shed_tallies,
-        reports: vec![source_report, skid.report("skid"), depth_report],
+        reports: vec![source_report, depth_report],
         noise_epochs: feed.noise_epochs(set),
         trace: recorder.map(TraceRecorder::into_trace),
     }
 }
 
-/// The assembled pipeline: codec, channels, gate, router and consumption
-/// discipline, ready to run a machine's streams through a worker pool.
+/// The assembled pipeline: codec, one credit channel per worker and the
+/// admission gate, ready to run a machine's streams through a worker pool.
 #[derive(Debug)]
 pub struct PipelineGraph<'a> {
     config: &'a MachineConfig,
@@ -907,8 +836,6 @@ pub struct PipelineGraph<'a> {
     codec: PacketCodec,
     channels: Vec<CreditChannel>,
     gate: QosGate,
-    router: Box<dyn RouteStage>,
-    consume: ConsumePolicy,
     obs: ObsPlane,
     injector: FaultInjector,
     watchdog: Duration,
@@ -917,11 +844,9 @@ pub struct PipelineGraph<'a> {
 }
 
 impl<'a> PipelineGraph<'a> {
-    /// Wires the graph for `config`'s machine.  With default `options` the
-    /// wiring reproduces the classic engine exactly: one channel per worker
-    /// of `queue_capacity / workers` slots, spread placement,
-    /// own-then-steal consumption.  The observability plane is built from
-    /// `config.obs`.
+    /// Wires the graph for `config`'s machine: one channel per worker of
+    /// `queue_capacity / workers` slots.  The observability plane is built
+    /// from `config.obs`.
     #[must_use]
     pub fn new(config: &'a MachineConfig, set: &'a LatticeSet, options: PipelineOptions) -> Self {
         let obs = ObsPlane::with_observer(config.obs.clone(), options.observer);
@@ -934,9 +859,8 @@ impl<'a> PipelineGraph<'a> {
         } else {
             PacketCodec::for_lattice_bits(&set.ancilla_bits())
         };
-        let channel_count = options.channels.unwrap_or(config.workers).max(1);
-        let per_channel_capacity = config.queue_capacity.div_ceil(channel_count);
-        let channels = (0..channel_count)
+        let per_channel_capacity = config.queue_capacity.div_ceil(config.workers);
+        let channels = (0..config.workers)
             .map(|_| CreditChannel::new(per_channel_capacity, codec.words_per_packet()))
             .collect();
         let gate = QosGate::for_machine(config, set);
@@ -946,8 +870,6 @@ impl<'a> PipelineGraph<'a> {
             codec,
             channels,
             gate,
-            router: options.router.unwrap_or_else(|| Box::new(SpreadRouter)),
-            consume: options.consume,
             obs,
             injector: FaultInjector::new(config.fault.clone()),
             watchdog: options.watchdog,
@@ -956,7 +878,7 @@ impl<'a> PipelineGraph<'a> {
         }
     }
 
-    /// The channel fan-out of this graph.
+    /// The channel fan-out of this graph (one per worker).
     #[must_use]
     pub fn channels(&self) -> usize {
         self.channels.len()
@@ -973,21 +895,12 @@ impl<'a> PipelineGraph<'a> {
     /// duration of the call.  Returns once every generated round has been
     /// decoded (or shed) and all workers have exited.
     #[must_use]
-    pub fn run(self, factory: &dyn DecoderFactory, counters: &RuntimeCounters) -> PipelineRun {
-        let PipelineGraph {
-            config,
-            set,
-            codec,
-            channels,
-            gate,
-            router,
-            consume,
-            obs,
-            injector,
-            watchdog,
-            replay,
-            record_trace,
-        } = self;
+    pub fn run(mut self, factory: &dyn DecoderFactory, counters: &RuntimeCounters) -> PipelineRun {
+        let replay = self.replay.take();
+        let graph = &self;
+        let (config, set) = (graph.config, graph.set);
+        let (codec, channels, gate) = (&graph.codec, &graph.channels, &graph.gate);
+        let (obs, injector) = (&graph.obs, &graph.injector);
         let done = AtomicBool::new(false);
         // The sampler outlives the source: it keeps sampling while workers
         // drain the channels, and stops only after they have joined.
@@ -996,8 +909,6 @@ impl<'a> PipelineGraph<'a> {
 
         let (worker_results, source_run) = thread::scope(|s| {
             let sampler = if obs.config().snapshot_cadence_us > 0 {
-                let obs = &obs;
-                let channels = &channels;
                 let sampler_done = &sampler_done;
                 Some(s.spawn(move || run_sampler(obs, counters, channels, sampler_done, epoch)))
             } else {
@@ -1005,12 +916,7 @@ impl<'a> PipelineGraph<'a> {
             };
             let handles: Vec<_> = (0..config.workers)
                 .map(|worker_id| {
-                    let channels = &channels;
-                    let codec = &codec;
-                    let gate = &gate;
                     let done = &done;
-                    let obs = &obs;
-                    let injector = &injector;
                     s.spawn(move || {
                         run_worker(WorkerSeat {
                             worker_id,
@@ -1025,7 +931,6 @@ impl<'a> PipelineGraph<'a> {
                             record_corrections: config.record_corrections,
                             correction_cap: config.correction_cap,
                             batch_size: config.batch_size,
-                            consume,
                             obs,
                             injector,
                         })
@@ -1033,21 +938,7 @@ impl<'a> PipelineGraph<'a> {
                 })
                 .collect();
 
-            let source_run = run_source(
-                config,
-                set,
-                &codec,
-                &channels,
-                &gate,
-                &*router,
-                counters,
-                epoch,
-                &obs,
-                &injector,
-                watchdog,
-                replay,
-                record_trace,
-            );
+            let source_run = run_source(graph, replay, counters, epoch);
             done.store(true, Ordering::Release);
 
             let worker_results: Vec<_> = handles
@@ -1069,9 +960,9 @@ impl<'a> PipelineGraph<'a> {
             stage_reports.push(channel.report(format!("channel.{index}")));
         }
         let mut worker_outputs = Vec::with_capacity(worker_results.len());
-        for (output, reports) in worker_results {
+        for (output, decode_report) in worker_results {
             worker_outputs.push(output);
-            stage_reports.extend(reports);
+            stage_reports.push(decode_report);
         }
         PipelineRun {
             worker_outputs,
@@ -1201,7 +1092,7 @@ mod tests {
         let factory = greedy_factory();
         let obs = ObsPlane::new(ObsConfig::default());
         let injector = FaultInjector::disabled();
-        let (output, reports) = run_worker(WorkerSeat {
+        let (output, decode_report) = run_worker(WorkerSeat {
             worker_id: 0,
             set: &set,
             codec: &codec,
@@ -1214,7 +1105,6 @@ mod tests {
             record_corrections: true,
             correction_cap: None,
             batch_size: 4,
-            consume: ConsumePolicy::OwnThenSteal,
             obs: &obs,
             injector: &injector,
         });
@@ -1234,7 +1124,6 @@ mod tests {
         assert!(channels.iter().all(CreditChannel::is_empty));
         // Every channel credit is home again.
         assert_eq!(channels[1].credits().available(), 64);
-        let decode_report = &reports[0];
         assert_eq!(decode_report.stage, "decode.0");
         assert_eq!(decode_report.accepted, 20);
     }
@@ -1286,7 +1175,6 @@ mod tests {
             record_corrections: true,
             correction_cap: None,
             batch_size: 4,
-            consume: ConsumePolicy::OwnThenSteal,
             obs: &obs,
             injector: &injector,
         });
@@ -1308,30 +1196,17 @@ mod tests {
     }
 
     #[test]
-    fn spread_router_matches_the_classic_placement() {
-        let router = SpreadRouter;
-        for lattice_id in 0..3u32 {
-            for round in 0..8u64 {
-                assert_eq!(
-                    router.route(lattice_id, round, 3),
-                    ((u64::from(lattice_id) + round) % 3) as usize
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn class_router_pins_lattices_to_their_class_channel() {
-        let router = ClassRouter {
-            class_of: vec![0, 1, 1],
+    fn spread_placement_offsets_round_robin_by_lattice_id() {
+        let placed = |lattice_id| -> Vec<usize> {
+            (0..7)
+                .map(|round| spread_channel(lattice_id, round, 3))
+                .collect()
         };
-        for round in 0..8u64 {
-            assert_eq!(router.route(0, round, 2), 0);
-            assert_eq!(router.route(1, round, 2), 1);
-            assert_eq!(router.route(2, round, 2), 1);
-        }
-        // More classes than channels wrap around instead of panicking.
-        assert_eq!(router.route(1, 0, 1), 0);
+        assert_eq!(placed(0), [0, 1, 2, 0, 1, 2, 0]);
+        assert_eq!(placed(1), [1, 2, 0, 1, 2, 0, 1]);
+        assert_eq!(placed(5), [2, 0, 1, 2, 0, 1, 2]);
+        // One channel takes everything.
+        assert_eq!(spread_channel(4, 9, 1), 0);
     }
 
     /// The full graph with default options reproduces the engine contract:
@@ -1359,14 +1234,20 @@ mod tests {
         assert_eq!(run.worker_outputs.len(), 2);
         assert!(!run.depth_timeline.is_empty());
         assert_eq!(run.lattice_shed, vec![Vec::<u64>::new(); 2]);
-        // Stage reports: source, gate, skid, depth, 2 channels, 2 decode +
-        // 2 sink stages.
+        // The stage reports are the graph, and nothing else.
         let names: Vec<&str> = run.stage_reports.iter().map(|r| r.stage.as_str()).collect();
-        assert!(names.contains(&"source"));
-        assert!(names.contains(&"gate"));
-        assert!(names.contains(&"channel.1"));
-        assert!(names.contains(&"decode.0"));
-        assert!(names.contains(&"sink.1"));
+        assert_eq!(
+            names,
+            [
+                "source",
+                "gate",
+                "depth",
+                "channel.0",
+                "channel.1",
+                "decode.0",
+                "decode.1"
+            ]
+        );
         let channel_flow: u64 = run
             .stage_reports
             .iter()

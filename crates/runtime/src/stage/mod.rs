@@ -1,21 +1,19 @@
-//! Composable pipeline stages with credit-based flow control.
+//! The pipeline's stages, with credit-based flow control at every seam.
 //!
 //! The paper's argument is a *pipeline* argument: syndromes must flow
 //! through extraction, transport, and decode without the backlog ever
-//! growing.  This module rebuilds the streaming engine's hand-wired loop as
-//! latency-insensitive stages in the style of hardware combinator
-//! libraries — every seam between two stages is a valid/ready handshake
-//! backed by a credit loop, so backpressure is a first-class, *measurable*
-//! signal instead of an accident of buffer sizes:
+//! growing.  The streaming engine is one fixed graph of latency-insensitive
+//! stages — `source → gate → channel[w] → steal → decode → frame` — in which
+//! every seam between two stages is a valid/ready handshake backed by a
+//! credit loop, so backpressure is a first-class, *measurable* signal
+//! instead of an accident of buffer sizes:
 //!
 //! * [`credit`] — [`CreditCounter`], the flow-control token; exhaustion is
 //!   a counted stall, never a lost record,
 //! * [`channel`] — [`CreditChannel`], a credit-carrying channel over the
 //!   lock-free [`SpmcRing`](crate::queue::SpmcRing),
-//! * [`skid`] — [`SkidBuffer`], the one-or-two-entry buffer that decouples
-//!   a producer's valid from a consumer's ready across a stalled seam,
-//! * [`mux`] — [`RoundRobinMux`], [`StealMux`] and [`PriorityMux`]: the
-//!   arbiters that decide which input feeds a worker next,
+//! * [`mux`] — [`StealMux`], the arbiter that decides which channel feeds a
+//!   worker next: its own, then a busy neighbour's,
 //! * [`gate`] — [`QosGate`], per-lattice admission control (push policy +
 //!   outstanding-round budget as a pipeline-spanning credit loop),
 //! * [`decode`] — [`DecodeStage`], the prepared-decoder hot path that turns
@@ -23,17 +21,17 @@
 //! * [`sink`] — [`FrameSink`] (frame commit + latency telemetry) and
 //!   [`DepthSink`] (down-sampled backlog timelines, aggregate and per
 //!   lattice),
-//! * [`graph`] — [`PipelineGraph`], the builder that wires stages into a
-//!   running pipeline: one paced source thread, N decode workers, and
-//!   backpressure at every seam.
+//! * [`graph`] — [`PipelineGraph`], which wires the stages into the running
+//!   pipeline: one paced source thread, N decode workers, one channel per
+//!   worker, and backpressure at every seam.
 //!
 //! Every stage answers for itself through a uniform [`StageReport`]
 //! (credits issued/consumed, occupancy, stall cycles), and the engine folds
 //! all of them into
 //! [`RuntimeReport::stages`](crate::telemetry::RuntimeReport::stages) — the
 //! flow-control behaviour the paper assumes of hardware, measured per seam
-//! in software.  `docs/ARCHITECTURE.md` draws the graph and explains how to
-//! write a new stage.
+//! in software.  `docs/ARCHITECTURE.md` draws the graph and states the
+//! contract every stage keeps.
 
 pub mod channel;
 pub mod credit;
@@ -42,19 +40,14 @@ pub mod gate;
 pub mod graph;
 pub mod mux;
 pub mod sink;
-pub mod skid;
 
 pub use channel::CreditChannel;
 pub use credit::CreditCounter;
 pub use decode::{DecodeStage, DecodedRound};
 pub use gate::{Admission, QosGate};
-pub use graph::{
-    ClassRouter, ConsumePolicy, LatticeGenStats, PipelineGraph, PipelineOptions, PipelineRun,
-    RouteStage, SpreadRouter, WorkerSeat,
-};
-pub use mux::{BatchMux, FillResult, PriorityMux, RoundRobinMux, StealMux};
+pub use graph::{LatticeGenStats, PipelineGraph, PipelineOptions, PipelineRun, WorkerSeat};
+pub use mux::{FillResult, StealMux};
 pub use sink::{DepthSink, FrameSink, WorkerLatticeOutput, WorkerOutput};
-pub use skid::SkidBuffer;
 
 use serde::{Deserialize, Serialize};
 
@@ -62,7 +55,7 @@ use serde::{Deserialize, Serialize};
 /// [`RuntimeReport::stages`](crate::telemetry::RuntimeReport::stages).
 ///
 /// The fields are deliberately generic so every stage — source, gate,
-/// channel, mux, decode, sink — answers the same questions: how much flowed
+/// channel, decode, depth sink — answers the same questions: how much flowed
 /// through, how often it stalled, and what its credit loop did.  A stage
 /// leaves fields it has no notion of at zero.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]

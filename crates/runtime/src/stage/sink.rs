@@ -198,16 +198,6 @@ impl FrameSink {
             corrections: self.corrections,
         }
     }
-
-    /// This sink's [`StageReport`]: accepted == emitted == committed rounds.
-    #[must_use]
-    pub fn report(&self, stage: impl Into<String>) -> StageReport {
-        StageReport {
-            accepted: self.committed,
-            emitted: self.committed,
-            ..StageReport::named(stage)
-        }
-    }
 }
 
 /// The source-side telemetry sink: a down-sampled backlog timeline with
@@ -374,7 +364,6 @@ mod tests {
             sink.record_latency(id, 10, 20);
         }
         assert_eq!(sink.committed(), 3);
-        assert_eq!(sink.report("sink.0").accepted, 3);
         let output = sink.finish(stage.lattice_decoders().to_vec());
         assert_eq!(output.per_lattice[0].decode_hist.count, 2);
         assert_eq!(output.per_lattice[0].decode_hist.min_ns, 10);

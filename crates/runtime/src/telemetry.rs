@@ -331,21 +331,6 @@ pub struct DepthSample {
     pub per_lattice_backlog: Vec<u64>,
 }
 
-/// One point of a single lattice's backlog timeline (the per-lattice slice
-/// of the [`DepthSample`] series, surfaced in
-/// [`LatticeReport::backlog_timeline`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LatticeDepthSample {
-    /// The machine-wide emission count when the sample was taken (the same
-    /// clock as [`DepthSample::round`], so per-lattice series align).
-    pub round: u64,
-    /// Nanoseconds since the engine epoch.
-    pub elapsed_ns: u64,
-    /// This lattice's rounds generated but neither decoded nor shed at this
-    /// instant.
-    pub backlog: u64,
-}
-
 /// Tail quantiles of a latency distribution, nanoseconds.
 ///
 /// Read from a bounded-memory [`HistogramSnapshot`]
@@ -525,10 +510,6 @@ pub struct LatticeReport {
     pub inter_arrival_ns: f64,
     /// Final values of this lattice's counters.
     pub counters: LatticeCounterSnapshot,
-    /// This lattice's backlog over time: the per-lattice slice of the
-    /// down-sampled depth timeline, so operators see *when* this patch fell
-    /// behind, not just that it did.
-    pub backlog_timeline: Vec<LatticeDepthSample>,
     /// This lattice's backlog when *its* generation stopped: its rounds
     /// generated but neither decoded nor dropped at that instant.
     pub final_backlog: u64,
@@ -659,9 +640,9 @@ pub struct RuntimeReport {
     /// Final values of the per-worker counters, indexed by worker id: who
     /// decoded, stole, and idled how much.
     pub worker_counters: Vec<WorkerCounterSnapshot>,
-    /// One [`StageReport`] per pipeline stage, in graph order (source,
-    /// gate, skid, depth sink, channels, per-worker decode and sink
-    /// stages): the credit flow, occupancy and stall picture at every seam.
+    /// One [`StageReport`] per pipeline stage (source, gate, depth sink,
+    /// every channel, every worker's decode stage): the credit flow,
+    /// occupancy and stall picture at every seam.
     pub stages: Vec<StageReport>,
     /// Mid-run samples taken by the observability sampler thread, in time
     /// order (empty when the snapshot cadence is 0).

@@ -100,6 +100,17 @@ fn drop_lattice_sheds_while_block_neighbour_stays_lossless() {
     // each lattice's frame owns up to every generated round.
     assert_eq!(outcome.frame_for(0).total_recorded(), rounds);
     assert_eq!(outcome.frame_for(1).total_recorded(), rounds);
+
+    // The budget is a cap, and the lane reached it: no sampled instant saw
+    // more of the Drop lattice's rounds outstanding than its budget allows,
+    // and the gate's high-water mark is the budget itself (the neighbour has
+    // no budget lane to raise it).
+    assert!(!report.depth_timeline.is_empty());
+    for sample in &report.depth_timeline {
+        assert!(sample.per_lattice_backlog[0] <= 2, "{sample:?}");
+    }
+    let gate = report.stages.iter().find(|s| s.stage == "gate").unwrap();
+    assert_eq!(gate.occupancy_peak, 2);
 }
 
 /// The regression for shed rounds vanishing from backlog accounting: the

@@ -208,7 +208,6 @@ fn telemetry_memory_is_bounded_in_the_round_count() {
         let report = &outcome.report;
         assert!(report.depth_timeline.len() <= 256 + 1);
         for lattice in &report.lattices {
-            assert!(lattice.backlog_timeline.len() <= 256 + 1);
             // Streaming tallies classified every round without retaining any.
             let residual = lattice.residual.as_ref().expect("residuals on");
             assert_eq!(

@@ -1,15 +1,13 @@
 //! Credit-flow tests for the stage layer: the flow-control behaviour the
 //! paper assumes of hardware, pinned at the seams the software pipeline is
-//! built from.  Exhaustion/replenish on the channel credit loop, lossless
-//! skid buffering under stall, mux fairness under asymmetric load — and a
-//! property test driving a miniature source→gate→skid→channel→consumer
-//! graph through random stall schedules, asserting no lattice's rounds are
-//! ever dropped or reordered.
+//! built from.  Exhaustion/replenish on the channel credit loop, the gate's
+//! admission-to-commit budget loop, steal accounting — and a property test
+//! driving a miniature source→gate→channel→consumer graph through random
+//! stall schedules, asserting no lattice's rounds are ever dropped or
+//! reordered.
 
 use nisqplus_decoders::{DynDecoder, GreedyMatchingDecoder};
-use nisqplus_runtime::stage::{
-    Admission, BatchMux, CreditChannel, PriorityMux, QosGate, RoundRobinMux, SkidBuffer, StealMux,
-};
+use nisqplus_runtime::stage::{Admission, CreditChannel, QosGate, StealMux};
 use nisqplus_runtime::{
     LatticeSet, LatticeSpec, MachineConfig, PushPolicy, RuntimeConfig, StreamingEngine,
 };
@@ -92,102 +90,6 @@ fn gate_budget_credit_spans_admission_to_commit() {
     assert_eq!(report.stall_cycles, 2);
 }
 
-/// A skid in front of a one-slot channel: the consumer stalls on a rude
-/// on/off pattern, and every record still arrives exactly once, in order.
-#[test]
-fn skid_buffer_loses_nothing_into_a_stalled_channel() {
-    let channel = CreditChannel::new(1, 1);
-    let mut skid: SkidBuffer<Vec<u64>> = SkidBuffer::new(2);
-    let mut received = Vec::new();
-    let mut next = 0u64;
-    let mut out = [0u64];
-    for step in 0..200 {
-        // Source: emit whenever the skid has room (a refused accept builds
-        // nothing, so the value is simply re-offered next step).
-        if skid.accept_with(|slot| {
-            slot.clear();
-            slot.push(next);
-        }) {
-            next += 1;
-        }
-        // Consumer side: ready only two steps out of three.
-        if step % 3 != 0 {
-            skid.drain_with(|record| channel.try_send(record));
-            if channel.try_recv(&mut out) {
-                received.push(out[0]);
-            }
-        }
-    }
-    // Drain everything left.
-    loop {
-        skid.drain_with(|record| channel.try_send(record));
-        if channel.try_recv(&mut out) {
-            received.push(out[0]);
-        } else if skid.is_empty() {
-            break;
-        }
-    }
-    assert!(!received.is_empty());
-    assert_eq!(
-        received,
-        (0..received.len() as u64).collect::<Vec<u64>>(),
-        "no loss, no reorder, no duplication"
-    );
-    assert_eq!(channel.credits().available(), 1);
-}
-
-/// Round-robin mux fairness: a light channel beside a heavy one still gets
-/// every other grant, so asymmetric load cannot starve it.
-#[test]
-fn round_robin_mux_is_fair_under_asymmetric_load() {
-    let channels = [CreditChannel::new(32, 1), CreditChannel::new(32, 1)];
-    for value in 0..12u64 {
-        assert!(channels[0].try_send(&[value]));
-    }
-    for value in 100..103u64 {
-        assert!(channels[1].try_send(&[value]));
-    }
-    let mut mux = RoundRobinMux::new();
-    let mut batch: Vec<Vec<u64>> = (0..6).map(|_| vec![0u64]).collect();
-    let fill = mux.fill(&channels, &mut batch);
-    assert_eq!(fill.filled, 6);
-    let light: Vec<usize> = batch
-        .iter()
-        .take(fill.filled)
-        .enumerate()
-        .filter(|(_, record)| record[0] >= 100)
-        .map(|(slot, _)| slot)
-        .collect();
-    // The light channel's records occupy alternating slots of the first
-    // batch instead of waiting behind the heavy channel's twelve.
-    assert_eq!(light, vec![1, 3, 5]);
-}
-
-/// Priority mux strictness: while the high-priority channel has records,
-/// the low-priority one is never granted.
-#[test]
-fn priority_mux_starves_low_priority_while_high_is_busy() {
-    let channels = [CreditChannel::new(32, 1), CreditChannel::new(32, 1)];
-    for value in 0..4u64 {
-        assert!(channels[0].try_send(&[value]));
-        assert!(channels[1].try_send(&[100 + value]));
-    }
-    let mut mux = PriorityMux::new();
-    let mut batch: Vec<Vec<u64>> = (0..4).map(|_| vec![0u64]).collect();
-    let fill = mux.fill(&channels, &mut batch);
-    assert_eq!(fill.filled, 4);
-    assert!(
-        batch.iter().all(|record| record[0] < 100),
-        "high-priority drains first"
-    );
-    let fill = mux.fill(&channels, &mut batch);
-    assert_eq!(fill.filled, 4);
-    assert!(
-        batch.iter().all(|record| record[0] >= 100),
-        "low-priority only once high is dry"
-    );
-}
-
 /// Steal mux accounting: a worker whose home channel is dry takes a whole
 /// batch from the neighbour and counts every record as stolen.
 #[test]
@@ -196,7 +98,7 @@ fn steal_mux_counts_every_foreign_record() {
     for value in 0..3u64 {
         assert!(channels[1].try_send(&[value]));
     }
-    let mut mux = StealMux::new(0);
+    let mux = StealMux::new(0);
     let mut batch: Vec<Vec<u64>> = (0..4).map(|_| vec![0u64]).collect();
     let fill = mux.fill(&channels, &mut batch);
     assert_eq!(fill.filled, 3);
@@ -254,11 +156,12 @@ fn starved_credit_loops_still_reconcile_the_books() {
 struct MiniGraph {
     gate: QosGate,
     channel: CreditChannel,
-    skid: SkidBuffer<Vec<u64>>,
+    /// The one encoded record, overwritten when the next round is staged.
+    record: [u64; 2],
     /// Per-lattice next round to emit.
     next_round: Vec<u64>,
     rounds_per_lattice: u64,
-    /// The round resting in the skid, if any: `(lattice, admitted)`.
+    /// Whether `record` still waits to be sent: `(lattice, admitted)`.
     pending: Option<(usize, bool)>,
     /// Which lattice emits next (sources interleave round-robin).
     turn: usize,
@@ -271,7 +174,7 @@ impl MiniGraph {
         MiniGraph {
             gate: block_gate(lattices, Some(budget)),
             channel: CreditChannel::new(capacity, 2),
-            skid: SkidBuffer::new(1),
+            record: [0; 2],
             next_round: vec![0; lattices],
             rounds_per_lattice,
             pending: None,
@@ -281,7 +184,7 @@ impl MiniGraph {
     }
 
     /// The source side makes whatever progress backpressure allows: stage a
-    /// round into the skid, win admission, drain into the channel.
+    /// round into the record, win admission, send it into the channel.
     fn step_source(&mut self) {
         if self.pending.is_none() {
             // Pick the next lattice with rounds left, round-robin.
@@ -289,12 +192,7 @@ impl MiniGraph {
             for offset in 0..lattices {
                 let lattice = (self.turn + offset) % lattices;
                 if self.next_round[lattice] < self.rounds_per_lattice {
-                    let round = self.next_round[lattice];
-                    let loaded = self.skid.accept_with(|slot| {
-                        slot.clear();
-                        slot.extend_from_slice(&[lattice as u64, round]);
-                    });
-                    assert!(loaded, "the one-slot skid is empty between rounds");
+                    self.record = [lattice as u64, self.next_round[lattice]];
                     self.next_round[lattice] += 1;
                     self.pending = Some((lattice, false));
                     self.turn = lattice + 1;
@@ -313,7 +211,7 @@ impl MiniGraph {
             }
         };
         self.pending = Some((lattice, admitted));
-        if admitted && self.skid.drain_with(|record| self.channel.try_send(record)) == 1 {
+        if admitted && self.channel.try_send(&self.record) {
             self.pending = None;
         }
     }
@@ -383,8 +281,5 @@ proptest! {
         prop_assert_eq!(graph.channel.credits().available() as usize, capacity);
         let channel_report = graph.channel.report("channel");
         prop_assert_eq!(channel_report.credits_consumed, channel_report.credits_issued);
-        let skid_report = graph.skid.report("skid");
-        prop_assert_eq!(skid_report.accepted, skid_report.emitted);
-        prop_assert_eq!(skid_report.rejected, 0);
     }
 }
