@@ -33,14 +33,18 @@ pub enum EventSeverity {
 }
 
 impl EventSeverity {
+    /// Every severity beside its label, in declaration order (so
+    /// `severity as usize` indexes it).  The labels' only spelling.
+    pub(crate) const LABELS: [(EventSeverity, &'static str); 3] = [
+        (EventSeverity::Info, "info"),
+        (EventSeverity::Warning, "warning"),
+        (EventSeverity::Critical, "critical"),
+    ];
+
     /// A stable lowercase label (used in exports and logs).
     #[must_use]
     pub fn label(self) -> &'static str {
-        match self {
-            EventSeverity::Info => "info",
-            EventSeverity::Warning => "warning",
-            EventSeverity::Critical => "critical",
-        }
+        Self::LABELS[self as usize].1
     }
 }
 
@@ -94,45 +98,31 @@ pub enum EventKind {
 }
 
 /// Number of [`EventKind`] variants (sizes the per-kind counter array).
-const KINDS: usize = 13;
+const KINDS: usize = EventKind::LABELS.len();
 
 impl EventKind {
+    /// Every kind beside its label, in declaration order (so `kind as usize`
+    /// indexes it).  The labels' only spelling.
+    pub(crate) const LABELS: [(EventKind, &'static str); 13] = [
+        (EventKind::Shed, "shed"),
+        (EventKind::BackpressureStall, "backpressure_stall"),
+        (EventKind::BudgetExhausted, "budget_exhausted"),
+        (EventKind::Steal, "steal"),
+        (EventKind::VerdictFlip, "verdict_flip"),
+        (EventKind::WorkerCrash, "worker_crash"),
+        (EventKind::WorkerRestart, "worker_restart"),
+        (EventKind::Quarantine, "quarantine"),
+        (EventKind::BurstStart, "burst_start"),
+        (EventKind::BurstEnd, "burst_end"),
+        (EventKind::WatchdogTrip, "watchdog_trip"),
+        (EventKind::LatticeAdded, "lattice_added"),
+        (EventKind::LatticeRetired, "lattice_retired"),
+    ];
+
     /// A stable snake_case label (used in exports and logs).
     #[must_use]
     pub fn label(self) -> &'static str {
-        match self {
-            EventKind::Shed => "shed",
-            EventKind::BackpressureStall => "backpressure_stall",
-            EventKind::BudgetExhausted => "budget_exhausted",
-            EventKind::Steal => "steal",
-            EventKind::VerdictFlip => "verdict_flip",
-            EventKind::WorkerCrash => "worker_crash",
-            EventKind::WorkerRestart => "worker_restart",
-            EventKind::Quarantine => "quarantine",
-            EventKind::BurstStart => "burst_start",
-            EventKind::BurstEnd => "burst_end",
-            EventKind::WatchdogTrip => "watchdog_trip",
-            EventKind::LatticeAdded => "lattice_added",
-            EventKind::LatticeRetired => "lattice_retired",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            EventKind::Shed => 0,
-            EventKind::BackpressureStall => 1,
-            EventKind::BudgetExhausted => 2,
-            EventKind::Steal => 3,
-            EventKind::VerdictFlip => 4,
-            EventKind::WorkerCrash => 5,
-            EventKind::WorkerRestart => 6,
-            EventKind::Quarantine => 7,
-            EventKind::BurstStart => 8,
-            EventKind::BurstEnd => 9,
-            EventKind::WatchdogTrip => 10,
-            EventKind::LatticeAdded => 11,
-            EventKind::LatticeRetired => 12,
-        }
+        Self::LABELS[self as usize].1
     }
 }
 
@@ -313,7 +303,7 @@ impl EventJournal {
     /// Events published with `kind`.
     #[must_use]
     pub fn count_of(&self, kind: EventKind) -> u64 {
-        self.kind_counts[kind.index()].load(Ordering::Relaxed)
+        self.kind_counts[kind as usize].load(Ordering::Relaxed)
     }
 
     /// Publishes one event, assigning its sequence number.  Allocation-free:
@@ -331,7 +321,7 @@ impl EventJournal {
     ) -> RuntimeEvent {
         let seq = self.published.fetch_add(1, Ordering::Relaxed);
         self.severity_counts[severity as usize].fetch_add(1, Ordering::Relaxed);
-        self.kind_counts[kind.index()].fetch_add(1, Ordering::Relaxed);
+        self.kind_counts[kind as usize].fetch_add(1, Ordering::Relaxed);
         let event = RuntimeEvent {
             seq,
             elapsed_ns,
@@ -503,6 +493,16 @@ mod tests {
                 "watchdog_trip"
             ]
         );
+    }
+
+    #[test]
+    fn label_tables_are_in_declaration_order() {
+        for (index, (kind, _)) in EventKind::LABELS.iter().enumerate() {
+            assert_eq!(*kind as usize, index, "{kind}");
+        }
+        for (index, (severity, _)) in EventSeverity::LABELS.iter().enumerate() {
+            assert_eq!(*severity as usize, index, "{severity}");
+        }
     }
 
     #[test]

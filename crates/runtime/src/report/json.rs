@@ -2,14 +2,19 @@
 //!
 //! The workspace's `serde` is an offline no-op shim (see `vendor/serde`),
 //! so the export layer carries its own JSON: a [`Json`] tree, a pretty
-//! writer, and a recursive-descent parser.  Two properties matter more
-//! than generality:
+//! writer, and a recursive-descent parser.  This module is text ⇄ tree
+//! only; typed values ⇄ tree is `report::codec`'s one mechanism.  Three
+//! properties matter more than generality:
 //!
 //! * **Exact numeric round-trip.**  Finite `f64`s are written with Rust's
 //!   shortest-round-trip formatting (`{:?}`), so `parse(write(x)) == x`
 //!   bit-for-bit; integers below 2^53 are written without a fraction.
 //!   Non-finite values serialize as `null` (JSON has no NaN/Inf) and parse
-//!   back as [`Json::Null`].
+//!   back as [`Json::Null`]; the parser in turn never *produces* one — a
+//!   literal too large for an `f64` is an error — so whatever parses
+//!   re-serializes to an equal tree.
+//! * **Outside input.**  `parse` returns a value or a [`JsonError`] for any
+//!   text: no panic, bounded recursion, time linear in the input.
 //! * **Stable, diffable output.**  Objects preserve insertion order and
 //!   the writer indents deterministically, so exported artifacts diff
 //!   cleanly across commits.
@@ -253,8 +258,9 @@ const MAX_DEPTH: usize = 128;
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] locating the first malformed byte, or the first
-/// array or object nested deeper than 128 levels.
+/// Returns a [`JsonError`] locating the first malformed byte, the first
+/// array or object nested deeper than 128 levels, or the first number too
+/// large for an `f64`.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut parser = Parser {
         text: input,
@@ -469,9 +475,13 @@ impl Parser<'_> {
             }
         }
         let text = &self.text[start..self.pos];
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.error(format!("invalid number '{text}'")))
+        match text.parse::<f64>() {
+            // `str::parse` saturates: `1e999` is `inf`, which the writer
+            // could only print as `null`.
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            Ok(_) => Err(self.error(format!("number out of range '{text}'"))),
+            Err(_) => Err(self.error(format!("invalid number '{text}'"))),
+        }
     }
 }
 
@@ -543,6 +553,16 @@ mod tests {
         assert!(parse("[1, 2,]").is_err());
         assert!(parse("true false").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn numbers_too_large_for_an_f64_are_refused() {
+        for text in ["1e999", "-1e999", "[1, 2e308]"] {
+            let err = parse(text).unwrap_err();
+            assert!(err.message.contains("out of range"), "{text}: {err}");
+        }
+        assert_eq!(parse("1e-999"), Ok(Json::Num(0.0)));
+        assert_eq!(parse("1.7976931348623157e308"), Ok(Json::Num(f64::MAX)));
     }
 
     #[test]

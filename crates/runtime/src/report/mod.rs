@@ -1,10 +1,16 @@
 //! Machine-readable run artifacts.
 //!
-//! [`json`] is a dependency-free JSON value type with an exact-round-trip
-//! writer and parser; [`export`] layers the schema-versioned
-//! [`RuntimeReport`](crate::telemetry::RuntimeReport) document format on
-//! top of it.
+//! Three layers, one mechanism.  [`json`] is a dependency-free JSON value
+//! type with an exact-round-trip writer and parser.  `codec` (crate-private)
+//! turns typed values into [`Json`] trees and back: one two-method trait
+//! implemented per shape, plus a `record!` table per struct that lists its
+//! fields once and yields both directions.  [`export`] is the
+//! schema-versioned [`RuntimeReport`](crate::telemetry::RuntimeReport)
+//! document format — the tables for every report type; the syndrome-trace
+//! format in [`scenario::trace`](crate::scenario::trace) is a second set of
+//! tables over the same codec.
 
+pub(crate) mod codec;
 pub mod export;
 pub mod json;
 

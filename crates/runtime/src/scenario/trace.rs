@@ -11,12 +11,18 @@
 //!
 //! Traces serialize to the same JSON envelope as run reports
 //! (`schema_version` + `kind: "syndrome_trace"`), with a trace-local
-//! [`TRACE_VERSION`] for the payload layout.  Syndromes are stored as hot
-//! ancilla indices (sparse — most rounds are quiet), error payloads as the
-//! two-bitplane words of [`PauliString::pack_into`], hex-encoded because JSON
-//! numbers cannot carry full 64-bit patterns.  Wall-clock fields
-//! (`emitted_ns`) are deliberately *not* recorded: a trace captures the
-//! stream's identity, not one machine's timing.
+//! [`TRACE_VERSION`] for the payload layout, through the same mechanism:
+//! this module holds the trace format's `record!` tables — each recorded
+//! type's fields once, in document order, keys being the field names — and
+//! `report::codec` derives writer and reader from them.  What the field
+//! types cannot say (a round's lattice exists, its indices and payload fit
+//! that lattice) is checked once after decoding, before anything indexes by
+//! it.  Syndromes are stored as hot ancilla indices (sparse — most rounds
+//! are quiet), error payloads as the two-bitplane words of
+//! [`PauliString::pack_into`], hex-encoded because JSON numbers cannot carry
+//! full 64-bit patterns.  Wall-clock fields (`emitted_ns`) are deliberately
+//! *not* recorded: a trace captures the stream's identity, not one machine's
+//! timing.
 //!
 //! A trace may carry a [`GoldenSummary`] — the pinned outcome of a reference
 //! run (frame digests, counters, residual tallies).  The golden-trace
@@ -24,6 +30,7 @@
 //! outcome matches its summary exactly.
 
 use crate::lattice_set::LatticeSet;
+use crate::report::codec::{check_header, field, record, schema, with_header, Codec, Plain};
 use crate::report::{ExportError, Json};
 use crate::source::SourcedRound;
 use nisqplus_qec::logical::ResidualTally;
@@ -196,31 +203,12 @@ impl SyndromeTrace {
     /// Serializes the trace to its versioned JSON document.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let lattices = Json::Arr(
-            self.lattices
-                .iter()
-                .map(|l| {
-                    Json::Obj(vec![
-                        ("distance".to_string(), Json::from(l.distance)),
-                        ("ancilla_bits".to_string(), Json::from(l.ancilla_bits)),
-                        ("data_bits".to_string(), Json::from(l.data_bits)),
-                    ])
-                })
-                .collect(),
-        );
-        let rounds = Json::Arr(self.rounds.iter().map(round_to_json).collect());
-        let golden = match &self.golden {
-            Some(g) => golden_to_json(g),
-            None => Json::Null,
-        };
-        Json::Obj(vec![
-            ("schema_version".to_string(), Json::from(ENVELOPE_VERSION)),
-            ("kind".to_string(), Json::Str(TRACE_KIND.to_string())),
-            ("trace_version".to_string(), Json::from(TRACE_VERSION)),
-            ("lattices".to_string(), lattices),
-            ("rounds".to_string(), rounds),
-            ("golden".to_string(), golden),
-        ])
+        let header = vec![
+            ("schema_version", Json::from(ENVELOPE_VERSION)),
+            ("kind", Json::from(TRACE_KIND)),
+            ("trace_version", Json::from(TRACE_VERSION)),
+        ];
+        with_header(header, self.encode())
     }
 
     /// Parses a trace from its JSON document, verifying the envelope
@@ -232,57 +220,65 @@ impl SyndromeTrace {
     /// Fails with [`ExportError::Version`] on a stale `schema_version` and
     /// [`ExportError::Schema`] on any other malformation.
     pub fn from_json(doc: &Json) -> Result<Self, ExportError> {
-        let found = doc
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ExportError::Schema("missing field 'schema_version'".to_string()))?;
-        if found != ENVELOPE_VERSION {
-            return Err(ExportError::Version {
-                found,
-                expected: ENVELOPE_VERSION,
-            });
-        }
-        let kind = doc
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ExportError::Schema("missing field 'kind'".to_string()))?;
-        if kind != TRACE_KIND {
-            return Err(ExportError::Schema(format!(
-                "expected a '{TRACE_KIND}' document, found kind '{kind}'"
-            )));
-        }
-        let trace_version = doc
-            .get("trace_version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ExportError::Schema("missing field 'trace_version'".to_string()))?;
+        check_header(doc, ENVELOPE_VERSION, TRACE_KIND)?;
+        let trace_version: u64 = field::<Plain, _>(doc, "trace_version")?;
         if trace_version != TRACE_VERSION {
             return Err(ExportError::Schema(format!(
                 "trace layout v{trace_version} is not the v{TRACE_VERSION} this build reads"
             )));
         }
-        let lattices = arr(doc, "lattices")?
-            .iter()
-            .map(|l| {
-                Ok(TraceLattice {
-                    distance: req_usize(l, "distance")?,
-                    ancilla_bits: req_usize(l, "ancilla_bits")?,
-                    data_bits: req_usize(l, "data_bits")?,
-                })
-            })
-            .collect::<Result<Vec<_>, ExportError>>()?;
-        let rounds = arr(doc, "rounds")?
-            .iter()
-            .map(|r| round_from_json(r, &lattices))
-            .collect::<Result<Vec<_>, ExportError>>()?;
-        let golden = match doc.get("golden") {
-            None | Some(Json::Null) => None,
-            Some(g) => Some(golden_from_json(g, lattices.len())?),
-        };
-        Ok(SyndromeTrace {
-            lattices,
-            rounds,
-            golden,
-        })
+        let trace = Self::decode(doc)?;
+        trace.check_shape()?;
+        Ok(trace)
+    }
+
+    /// Checks what the field types cannot: every round names a recorded
+    /// lattice and fits its bit widths, and a golden summary has one entry
+    /// per lattice.  [`TraceSource`] indexes by these without looking again.
+    fn check_shape(&self) -> Result<(), ExportError> {
+        for recorded in &self.rounds {
+            let lattice_id = recorded.lattice_id;
+            let shape = self.lattices.get(lattice_id as usize).ok_or_else(|| {
+                ExportError::Schema(format!(
+                    "round references lattice {lattice_id}, but the trace records {} lattices",
+                    self.lattices.len()
+                ))
+            })?;
+            if let Some(index) = recorded
+                .hot
+                .iter()
+                .find(|&&index| index as usize >= shape.ancilla_bits)
+            {
+                return Err(ExportError::Schema(format!(
+                    "hot index {index} out of range for {} ancillas",
+                    shape.ancilla_bits
+                )));
+            }
+            let expected = PauliString::packed_words(shape.data_bits);
+            if recorded.error_words.len() != expected {
+                return Err(ExportError::Schema(format!(
+                    "lattice {lattice_id} error payload has {} words, expected {expected} for {} \
+                     data qubits",
+                    recorded.error_words.len(),
+                    shape.data_bits
+                )));
+            }
+        }
+        if let Some(golden) = &self.golden {
+            for (name, len) in [
+                ("shed", golden.shed.len()),
+                ("frame_digests", golden.frame_digests.len()),
+                ("residuals", golden.residuals.len()),
+            ] {
+                if len != self.lattices.len() {
+                    return Err(ExportError::Schema(format!(
+                        "golden '{name}' has {len} entries for {} lattices",
+                        self.lattices.len()
+                    )));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Writes the trace to `path` as pretty-printed JSON.
@@ -307,210 +303,57 @@ impl SyndromeTrace {
     }
 }
 
-fn round_to_json(r: &TraceRound) -> Json {
-    Json::Obj(vec![
-        (
-            "lattice_id".to_string(),
-            Json::from(u64::from(r.lattice_id)),
-        ),
-        ("round".to_string(), Json::from(r.round)),
-        ("due_ns".to_string(), Json::Num(r.due_ns)),
-        (
-            "hot".to_string(),
-            Json::Arr(r.hot.iter().map(|&i| Json::from(u64::from(i))).collect()),
-        ),
-        (
-            "error_words".to_string(),
-            Json::Arr(
-                r.error_words
-                    .iter()
-                    .map(|w| Json::Str(format!("{w:#x}")))
-                    .collect(),
-            ),
-        ),
-    ])
-}
+// The trace format: every recorded type's fields, once, in document order.
+// (`ResidualTally` is written as run reports write it.)
 
-fn round_from_json(v: &Json, lattices: &[TraceLattice]) -> Result<TraceRound, ExportError> {
-    let lattice_id = req_u64(v, "lattice_id")?;
-    let shape = lattices.get(lattice_id as usize).ok_or_else(|| {
-        ExportError::Schema(format!(
-            "round references lattice {lattice_id}, but the trace records {} lattices",
-            lattices.len()
-        ))
-    })?;
-    let hot = arr(v, "hot")?
-        .iter()
-        .map(|h| {
-            let index = h.as_u64().ok_or_else(|| {
-                ExportError::Schema("'hot' element is not an integer".to_string())
-            })?;
-            if index as usize >= shape.ancilla_bits {
-                return Err(ExportError::Schema(format!(
-                    "hot index {index} out of range for {} ancillas",
-                    shape.ancilla_bits
-                )));
-            }
-            Ok(index as u32)
-        })
-        .collect::<Result<Vec<_>, ExportError>>()?;
-    let error_words = arr(v, "error_words")?
-        .iter()
-        .map(|w| {
-            let text = w.as_str().ok_or_else(|| {
-                ExportError::Schema("'error_words' element is not a string".to_string())
-            })?;
-            let digits = text.strip_prefix("0x").ok_or_else(|| {
-                ExportError::Schema(format!("error word '{text}' is not 0x-prefixed hex"))
-            })?;
-            u64::from_str_radix(digits, 16)
-                .map_err(|_| ExportError::Schema(format!("error word '{text}' is not valid hex")))
-        })
-        .collect::<Result<Vec<_>, ExportError>>()?;
-    let expected = PauliString::packed_words(shape.data_bits);
-    if error_words.len() != expected {
-        return Err(ExportError::Schema(format!(
-            "lattice {lattice_id} error payload has {} words, expected {expected} for {} data \
-             qubits",
-            error_words.len(),
-            shape.data_bits
-        )));
+/// A 64-bit pattern as `0x`-prefixed hex text: JSON numbers are doubles and
+/// cannot carry one.
+struct Hex;
+
+impl Codec<Hex> for u64 {
+    fn encode(&self) -> Json {
+        Json::Str(format!("{self:#x}"))
     }
-    Ok(TraceRound {
-        lattice_id: lattice_id as u32,
-        round: req_u64(v, "round")?,
-        due_ns: req_f64(v, "due_ns")?,
-        hot,
-        error_words,
-    })
-}
 
-fn golden_to_json(g: &GoldenSummary) -> Json {
-    Json::Obj(vec![
-        ("decoder".to_string(), Json::Str(g.decoder.clone())),
-        ("workers".to_string(), Json::from(g.workers)),
-        ("generated".to_string(), Json::from(g.generated)),
-        ("decoded".to_string(), Json::from(g.decoded)),
-        ("dropped".to_string(), Json::from(g.dropped)),
-        ("quarantined".to_string(), Json::from(g.quarantined)),
-        (
-            "shed".to_string(),
-            Json::Arr(g.shed.iter().map(|&s| Json::from(s)).collect()),
-        ),
-        (
-            "frame_digests".to_string(),
-            Json::Arr(
-                g.frame_digests
-                    .iter()
-                    .map(|d| Json::Str(format!("{d:#x}")))
-                    .collect(),
-            ),
-        ),
-        (
-            "residuals".to_string(),
-            Json::Arr(
-                g.residuals
-                    .iter()
-                    .map(|t| {
-                        Json::Obj(vec![
-                            ("rounds".to_string(), Json::from(t.rounds)),
-                            ("successes".to_string(), Json::from(t.successes)),
-                            ("logical_errors".to_string(), Json::from(t.logical_errors)),
-                            (
-                                "invalid_corrections".to_string(),
-                                Json::from(t.invalid_corrections),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn golden_from_json(v: &Json, num_lattices: usize) -> Result<GoldenSummary, ExportError> {
-    let shed = arr(v, "shed")?
-        .iter()
-        .map(|s| {
-            s.as_u64()
-                .ok_or_else(|| ExportError::Schema("'shed' element is not an integer".to_string()))
-        })
-        .collect::<Result<Vec<_>, ExportError>>()?;
-    let frame_digests = arr(v, "frame_digests")?
-        .iter()
-        .map(|d| {
-            let text = d.as_str().ok_or_else(|| {
-                ExportError::Schema("'frame_digests' element is not a string".to_string())
-            })?;
-            let digits = text.strip_prefix("0x").ok_or_else(|| {
-                ExportError::Schema(format!("frame digest '{text}' is not 0x-prefixed hex"))
-            })?;
-            u64::from_str_radix(digits, 16)
-                .map_err(|_| ExportError::Schema(format!("frame digest '{text}' is not valid hex")))
-        })
-        .collect::<Result<Vec<_>, ExportError>>()?;
-    let residuals = arr(v, "residuals")?
-        .iter()
-        .map(|t| {
-            Ok(ResidualTally {
-                rounds: req_u64(t, "rounds")?,
-                successes: req_u64(t, "successes")?,
-                logical_errors: req_u64(t, "logical_errors")?,
-                invalid_corrections: req_u64(t, "invalid_corrections")?,
-            })
-        })
-        .collect::<Result<Vec<_>, ExportError>>()?;
-    for (name, len) in [
-        ("shed", shed.len()),
-        ("frame_digests", frame_digests.len()),
-        ("residuals", residuals.len()),
-    ] {
-        if len != num_lattices {
-            return Err(ExportError::Schema(format!(
-                "golden '{name}' has {len} entries for {num_lattices} lattices"
-            )));
-        }
+    fn decode(value: &Json) -> Result<Self, ExportError> {
+        let digits = value.as_str().and_then(|text| text.strip_prefix("0x"));
+        digits
+            .and_then(|digits| u64::from_str_radix(digits, 16).ok())
+            .ok_or_else(|| schema("not a 0x-prefixed 64-bit hex string"))
     }
-    Ok(GoldenSummary {
-        decoder: req_str(v, "decoder")?.to_string(),
-        workers: req_usize(v, "workers")?,
-        generated: req_u64(v, "generated")?,
-        decoded: req_u64(v, "decoded")?,
-        dropped: req_u64(v, "dropped")?,
-        quarantined: req_u64(v, "quarantined")?,
-        shed,
-        frame_digests,
-        residuals,
-    })
 }
 
-fn arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], ExportError> {
-    v.get(key)
-        .and_then(Json::as_array)
-        .ok_or_else(|| ExportError::Schema(format!("field '{key}' is missing or not an array")))
-}
+record!(TraceLattice {
+    distance,
+    ancilla_bits,
+    data_bits,
+});
 
-fn req_u64(v: &Json, key: &str) -> Result<u64, ExportError> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ExportError::Schema(format!("field '{key}' is missing or not an integer")))
-}
+record!(TraceRound {
+    lattice_id,
+    round,
+    due_ns,
+    hot,
+    error_words as Hex,
+});
 
-fn req_usize(v: &Json, key: &str) -> Result<usize, ExportError> {
-    Ok(req_u64(v, key)? as usize)
-}
+record!(GoldenSummary {
+    decoder,
+    workers,
+    generated,
+    decoded,
+    dropped,
+    quarantined,
+    shed,
+    frame_digests as Hex,
+    residuals,
+});
 
-fn req_f64(v: &Json, key: &str) -> Result<f64, ExportError> {
-    v.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| ExportError::Schema(format!("field '{key}' is missing or not a number")))
-}
-
-fn req_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, ExportError> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| ExportError::Schema(format!("field '{key}' is missing or not a string")))
-}
+record!(SyndromeTrace {
+    lattices,
+    rounds,
+    golden,
+});
 
 /// Records every round an [`InterleavedSource`](crate::source::InterleavedSource)
 /// emits.  The producer stage calls [`TraceRecorder::record`] on each

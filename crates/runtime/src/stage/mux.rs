@@ -38,12 +38,6 @@ impl StealMux {
         StealMux { home }
     }
 
-    /// The home channel index.
-    #[must_use]
-    pub fn home(&self) -> usize {
-        self.home
-    }
-
     /// Pops up to `batch.len()` records from `channels` into `batch`,
     /// returning how many slots were filled and how many were stolen.
     /// Each `batch[i]` must be sized to the channels' record width.

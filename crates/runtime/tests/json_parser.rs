@@ -1,11 +1,17 @@
 //! `report::parse` as a byte-level parser of outside input: it returns a
 //! value or a typed [`JsonError`](nisqplus_runtime::report::JsonError) for
 //! any text — never a panic, never a stack overflow — in time linear in the
-//! input, and it is the exact inverse of `Json::to_pretty`.
+//! input, and it is the exact inverse of `Json::to_pretty`.  The typed
+//! readers behind it (`report_from_json`, `SyndromeTrace::from_json`) get the
+//! same treatment: a mutated document is a value or a typed error.
 
 use nisqplus_decoders::{DynDecoder, UnionFindDecoder};
-use nisqplus_runtime::report::{parse, report_to_string, Json};
-use nisqplus_runtime::{RuntimeConfig, StreamingEngine};
+use nisqplus_runtime::report::{parse, report_from_json, report_to_string, Json};
+use nisqplus_runtime::{
+    GoldenSummary, InterleavedSource, LatticeSet, LatticeSpec, RuntimeConfig, StreamingEngine,
+    SyndromeTrace, TraceRecorder, TraceSource,
+};
+use nisqplus_sim::timing::CycleTimeConverter;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::sync::OnceLock;
@@ -22,6 +28,103 @@ fn real_report_text() -> &'static str {
         let outcome = engine.run(&|| Box::new(UnionFindDecoder::new()) as DynDecoder);
         report_to_string(&outcome.report)
     })
+}
+
+/// A recorded trace of a small two-lattice machine, as text, and the machine.
+fn real_trace() -> &'static (String, LatticeSet) {
+    static TRACE: OnceLock<(String, LatticeSet)> = OnceLock::new();
+    TRACE.get_or_init(|| {
+        let set = LatticeSet::new(vec![
+            LatticeSpec::new(3).with_rounds(12).with_seed(5),
+            LatticeSpec::new(5).with_rounds(6).with_seed(6),
+        ])
+        .expect("valid lattice set");
+        let mut source = InterleavedSource::new(&set, &CycleTimeConverter::paper_reference())
+            .expect("valid source");
+        let mut recorder = TraceRecorder::new(&set);
+        while let Some(round) = source.next_round() {
+            recorder.record(&round);
+        }
+        let golden = GoldenSummary {
+            decoder: "union-find".to_string(),
+            workers: 2,
+            generated: 18,
+            decoded: 18,
+            dropped: 0,
+            quarantined: 0,
+            shed: vec![0; 2],
+            frame_digests: vec![u64::MAX, 1],
+            residuals: vec![Default::default(); 2],
+        };
+        let trace = recorder.into_trace().with_golden(golden);
+        (trace.to_json().to_pretty(), set)
+    })
+}
+
+/// A mutation of a real document, drawn by the two typed-reader tests.
+type Mutation = (
+    Vec<(prop::sample::Index, u8)>, // bytes to overwrite
+    prop::sample::Index,            // where to cut the tail off ...
+    bool,                           // ... if at all
+    prop::sample::Index,            // the node of the parsed tree to replace ...
+    Json,                           // ... and what with
+);
+
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
+    (
+        prop::collection::vec((any::<prop::sample::Index>(), any::<u8>()), 1..8),
+        any::<prop::sample::Index>(),
+        any::<bool>(),
+        any::<prop::sample::Index>(),
+        ArbJson { depth: 1 },
+    )
+}
+
+fn node_count(tree: &Json) -> usize {
+    1 + match tree {
+        Json::Arr(items) => items.iter().map(node_count).sum(),
+        Json::Obj(fields) => fields.iter().map(|(_, value)| node_count(value)).sum(),
+        _ => 0,
+    }
+}
+
+/// Replaces the `target`-th node of `tree`, in document order, with `with`.
+fn graft(tree: &mut Json, target: &mut usize, with: &Json) -> bool {
+    if *target == 0 {
+        *tree = with.clone();
+        return true;
+    }
+    *target -= 1;
+    match tree {
+        Json::Arr(items) => items.iter_mut().any(|item| graft(item, target, with)),
+        Json::Obj(fields) => fields
+            .iter_mut()
+            .any(|(_, value)| graft(value, target, with)),
+        _ => false,
+    }
+}
+
+/// The trees a typed reader must survive, made from one real document:
+/// `text` with a few bytes overwritten and perhaps cut short — if that still
+/// parses, which is rare — and its tree with one node replaced by something
+/// arbitrary: a wrong type, an integer too large for its field, a `null`.
+fn hostile_trees(text: &str, (edits, cut, truncate, at, with): Mutation) -> Vec<Json> {
+    let mut bytes = text.as_bytes().to_vec();
+    for (at, byte) in edits {
+        let at = at.index(bytes.len());
+        bytes[at] = byte;
+    }
+    if truncate {
+        bytes.truncate(cut.index(bytes.len()));
+    }
+    let mut trees: Vec<Json> = parse(&String::from_utf8_lossy(&bytes))
+        .into_iter()
+        .collect();
+    let mut tree = parse(text).expect("the unmutated document parses");
+    let mut target = at.index(node_count(&tree));
+    assert!(graft(&mut tree, &mut target, &with));
+    trees.push(tree);
+    trees
 }
 
 /// Generates [`Json`] trees: every variant, finite numbers of any magnitude,
@@ -76,39 +179,58 @@ proptest! {
         prop_assert_eq!(parse(&doc.to_pretty()), Ok(doc));
     }
 
-    /// Arbitrary text — raw bytes, and runs of JSON's own tokens, which get
-    /// much further into the grammar — is a value or an error.
+    /// Arbitrary text — raw bytes, runs of JSON's own tokens, which get much
+    /// further into the grammar, and number literals of any magnitude — is a
+    /// value or an error, and a value is one the writer can write: it
+    /// re-serializes to an equal tree.  (An overflowing literal used to parse
+    /// as infinity, which the writer prints as `null`.)
     #[test]
     fn arbitrary_text_never_panics(
         bytes in prop::collection::vec(any::<u8>(), 0..256),
         tokens in prop::collection::vec(0usize..16, 0..64),
+        (mantissa, exponent) in (0u64..100_000, 0u32..1_000),
     ) {
         const TOKENS: [&str; 16] = [
             "{", "}", "[", "]", ",", ":", "\"", "\\", "\\u", "00e9", "null", "true", "-1.5e3",
             "key", " ", "\u{e9}",
         ];
-        let _ = parse(&String::from_utf8_lossy(&bytes));
-        let text: String = tokens.iter().map(|&t| TOKENS[t]).collect();
-        let _ = parse(&text);
+        for text in [
+            String::from_utf8_lossy(&bytes).into_owned(),
+            tokens.iter().map(|&t| TOKENS[t]).collect(),
+            format!("[-{mantissa}e{exponent}]"),
+        ] {
+            if let Ok(value) = parse(&text) {
+                prop_assert_eq!(parse(&value.to_pretty()), Ok(value));
+            }
+        }
     }
 
-    /// A real exported report with a few bytes overwritten, or cut short, is
-    /// a value or an error.
+    /// A real exported report — a few bytes overwritten, cut short, or one
+    /// value replaced in its tree — is a report or a typed error.
     #[test]
-    fn mutated_reports_never_panic(
-        edits in prop::collection::vec((any::<prop::sample::Index>(), any::<u8>()), 1..8),
-        cut in any::<prop::sample::Index>(),
-        truncate in any::<bool>(),
-    ) {
-        let mut bytes = real_report_text().as_bytes().to_vec();
-        for (at, byte) in edits {
-            let at = at.index(bytes.len());
-            bytes[at] = byte;
+    fn mutated_reports_never_panic(mutation in arb_mutation()) {
+        for tree in hostile_trees(real_report_text(), mutation) {
+            let _ = report_from_json(&tree);
         }
-        if truncate {
-            bytes.truncate(cut.index(bytes.len()));
+    }
+
+    /// The trace twin: a mutated recorded trace is refused with a typed
+    /// error, or loads into a trace that replays to its end — the replay
+    /// source indexes by what `from_json` checked.
+    #[test]
+    fn mutated_traces_never_panic(mutation in arb_mutation()) {
+        let (text, set) = real_trace();
+        for tree in hostile_trees(text, mutation) {
+            let Ok(trace) = SyndromeTrace::from_json(&tree) else { continue };
+            let recorded = trace.len();
+            if let Ok(mut replay) = TraceSource::new(trace, set) {
+                let mut served = 0;
+                while replay.next_round().is_some() {
+                    served += 1;
+                }
+                prop_assert_eq!(served, recorded);
+            }
         }
-        let _ = parse(&String::from_utf8_lossy(&bytes));
     }
 
     /// Unclosed nesting of any depth past the bound is refused with an

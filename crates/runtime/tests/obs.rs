@@ -3,7 +3,7 @@
 //! timelines, and observer/journal agreement.
 
 use nisqplus_decoders::{DynDecoder, GreedyMatchingDecoder, UnionFindDecoder};
-use nisqplus_runtime::report::{report_from_str, report_to_string};
+use nisqplus_runtime::report::{parse, report_from_str, report_to_string, Json};
 use nisqplus_runtime::{
     ExportError, LatticeSpec, LogHistogram, MachineConfig, MetricsSnapshot, NoiseSpec,
     PipelineOptions, PushPolicy, RuntimeConfig, RuntimeEvent, RuntimeObserver, StreamingEngine,
@@ -69,6 +69,67 @@ fn histogram_quantiles_match_exact_order_statistics_within_one_bucket() {
     assert_eq!(snapshot.max_ns, *exact.last().unwrap());
 }
 
+/// The exported document's key paths as schema v6 has always written them,
+/// in document order, arrays collapsed to `[]`.
+const SCHEMA_LISTING: &str = include_str!("report_schema_v6.txt");
+
+/// The operator's manual, which documents the export field by field.
+const OPERATIONS: &str = include_str!("../../../docs/OPERATIONS.md");
+
+/// Appends the key path of every leaf under `value` to `out`, in document
+/// order, each path once.
+fn key_paths(value: &Json, path: &str, out: &mut Vec<String>) {
+    match value {
+        Json::Obj(fields) => {
+            for (key, child) in fields {
+                let dot = if path.is_empty() { "" } else { "." };
+                key_paths(child, &format!("{path}{dot}{key}"), out);
+            }
+        }
+        Json::Arr(items) => {
+            for item in items {
+                key_paths(item, &format!("{path}[]"), out);
+            }
+        }
+        _ => {
+            if !out.iter().any(|seen| seen == path) {
+                out.push(path.to_string());
+            }
+        }
+    }
+}
+
+/// `true` if `key` occurs in `text` as a whole identifier.
+fn names_key(text: &str, key: &str) -> bool {
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    text.match_indices(key).any(|(at, _)| {
+        !text[..at].ends_with(is_ident) && !text[at + key.len()..].starts_with(is_ident)
+    })
+}
+
+/// The format is pinned: `text` has exactly the committed key paths, in
+/// order, and the operator's manual names every key.
+fn assert_schema_is_pinned_and_documented(text: &str) {
+    let mut paths = Vec::new();
+    key_paths(&parse(text).expect("valid JSON"), "", &mut paths);
+    let fresh: String = paths.iter().map(|path| format!("{path}\n")).collect();
+    assert!(
+        fresh == SCHEMA_LISTING,
+        "the exported key paths differ from crates/runtime/tests/report_schema_v6.txt: bump \
+         `SCHEMA_VERSION` and commit the fresh listing under the new version's name:\n{fresh}"
+    );
+    for key in paths
+        .iter()
+        .flat_map(|path| path.split('.'))
+        .map(|segment| segment.trim_end_matches("[]"))
+    {
+        assert!(
+            names_key(OPERATIONS, key),
+            "docs/OPERATIONS.md documents the export field by field but never names `{key}`"
+        );
+    }
+}
+
 /// A real multi-lattice QoS run (Drop + Block lanes, shed rounds, journal
 /// events, sampler snapshots) survives the JSON export round trip exactly,
 /// and a bumped `schema_version` is rejected on the way back in.
@@ -124,6 +185,7 @@ fn multi_lattice_qos_report_round_trips_through_json() {
         !text.contains(&retired_key),
         "v6 dropped the per-lattice copies of `depth_timeline`"
     );
+    assert_schema_is_pinned_and_documented(&text);
     let reloaded = report_from_str(&text).expect("round trip");
     assert_eq!(&reloaded, report, "JSON must round-trip bit-for-bit");
     let reloaded_failures: u64 = reloaded
@@ -150,6 +212,21 @@ fn multi_lattice_qos_report_round_trips_through_json() {
             }
             other => panic!("v{other_version} must fail with Version, got {other:?}"),
         }
+    }
+
+    // An integer too large for its field is refused, not narrowed: a journal
+    // event about lattice 2^32 used to load as an event about lattice 0.
+    let (head, journal) = text.split_at(text.find("\"journal\"").expect("a journal section"));
+    let restamped = journal.replacen("\"lattice_id\": 0", "\"lattice_id\": 4294967296", 1);
+    assert_ne!(
+        restamped, journal,
+        "the Drop lane's shed events name lattice 0"
+    );
+    match report_from_str(&format!("{head}{restamped}")) {
+        Err(ExportError::Schema(message)) => {
+            assert!(message.contains("'lattice_id'"), "{message}");
+        }
+        other => panic!("lattice 2^32 must fail with Schema, got {other:?}"),
     }
 }
 
