@@ -10,7 +10,7 @@
 //! The exact gate counts of the paper's circuits are not public; the netlists
 //! here implement the documented behaviour of each sub-circuit, so the
 //! resulting area / power / latency are of the same order as Table III rather
-//! than identical to it.  `EXPERIMENTS.md` records both side by side.
+//! than identical to it.  The `table3_synthesis` binary prints both side by side.
 
 use nisqplus_sfq::cell::CellLibrary;
 use nisqplus_sfq::netlist::{NetId, Netlist, NetlistBuilder};

@@ -10,8 +10,8 @@
 //! be calibrated in unit tests and ablation benches.
 //!
 //! Table hits hand out borrowed slices — the seed implementation cloned the
-//! stored correction `Vec` on every decode — and the bit-order ancilla lists
-//! are precomputed per sector, so [`Decoder::decode_into`] is allocation-free.
+//! stored correction `Vec` on every decode — and each ancilla's key bit is
+//! precomputed per sector, so [`Decoder::decode_into`] is allocation-free.
 
 use crate::traits::{sector_correction_pauli, Correction, Decoder};
 use nisqplus_qec::error::QecError;
@@ -23,10 +23,18 @@ use std::collections::HashSet;
 /// The lookup table of one stabilizer sector.
 #[derive(Debug, Clone)]
 struct SectorTable {
-    /// The sector's ancilla indices in syndrome-key bit order.
-    ancillas: Vec<usize>,
+    /// Ancilla index -> its bit in the syndrome key: the sector's ancillas
+    /// in ascending order (other-sector entries are never read).
+    bit_of: Vec<usize>,
     /// Key -> minimum-weight error support producing that syndrome.
     entries: Vec<Option<Vec<usize>>>,
+}
+
+/// The table key of a syndrome: one bit per hot ancilla of the sector.
+fn syndrome_key(lattice: &Lattice, bit_of: &[usize], syndrome: &Syndrome, sector: Sector) -> usize {
+    let mut key = 0usize;
+    lattice.for_each_defect(syndrome, sector, |a| key |= 1 << bit_of[a]);
+    key
 }
 
 /// A decoder backed by an exhaustive syndrome-to-correction table.
@@ -94,26 +102,19 @@ impl LookupDecoder {
             lattice.distance()
         );
         let table = &self.sectors[sector.index()];
-        let mut key = 0usize;
-        for (bit, &a) in table.ancillas.iter().enumerate() {
-            if syndrome.is_hot(a) {
-                key |= 1 << bit;
-            }
-        }
         table
             .entries
-            .get(key)
+            .get(syndrome_key(lattice, &table.bit_of, syndrome, sector))
             .and_then(|entry| entry.as_deref())
             .unwrap_or_default()
     }
 
     fn build_table(lattice: &Lattice, sector: Sector) -> SectorTable {
-        let ancillas: Vec<usize> = lattice.ancillas_in_sector(sector).collect();
         let mut bit_of = vec![0usize; lattice.num_ancillas()];
-        for (i, &a) in ancillas.iter().enumerate() {
+        for (i, a) in lattice.ancillas_in_sector(sector).enumerate() {
             bit_of[a] = i;
         }
-        let num_syndromes = 1usize << ancillas.len();
+        let num_syndromes = 1usize << lattice.ancillas_per_sector();
         let mut entries: Vec<Option<Vec<usize>>> = vec![None; num_syndromes];
         entries[0] = Some(Vec::new());
         let mut remaining = num_syndromes - 1;
@@ -135,10 +136,7 @@ impl LookupDecoder {
                     new_support.push(q);
                     let error = PauliString::from_sparse(num_data, &new_support, pauli);
                     let syndrome = lattice.syndrome_of(&error);
-                    let mut new_key = 0usize;
-                    for a in lattice.defects(&syndrome, sector) {
-                        new_key |= 1 << bit_of[a];
-                    }
+                    let new_key = syndrome_key(lattice, &bit_of, &syndrome, sector);
                     if entries[new_key].is_none() {
                         entries[new_key] = Some(new_support.clone());
                         remaining -= 1;
@@ -150,7 +148,7 @@ impl LookupDecoder {
             }
             frontier = next_frontier;
         }
-        SectorTable { ancillas, entries }
+        SectorTable { bit_of, entries }
     }
 }
 
@@ -231,7 +229,11 @@ mod tests {
         for sector in Sector::ALL {
             let table = &decoder.sectors[sector.index()];
             assert_eq!(table.entries.len(), 1 << 6);
-            assert_eq!(table.ancillas.len(), 6);
+            let key_bits: Vec<usize> = lat
+                .ancillas_in_sector(sector)
+                .map(|a| table.bit_of[a])
+                .collect();
+            assert_eq!(key_bits, (0..6).collect::<Vec<_>>());
             for (key, entry) in table.entries.iter().enumerate() {
                 assert!(entry.is_some(), "syndrome key {key} has no table entry");
             }

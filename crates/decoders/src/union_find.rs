@@ -14,12 +14,13 @@
 //!
 //! The decoding graph of a sector depends only on the lattice, never on the
 //! syndrome, so the decoder caches one `SectorGraph` per sector — a flat
-//! vertex→ancilla map and a CSR adjacency over the full edge set — together
+//! ancilla→vertex map and a CSR adjacency over the full edge set — together
 //! with one `UfScratch` arena per graph, built full-size by
 //! [`Decoder::prepare`] (or the first decode on a lattice).
 //!
-//! **Cost model.**  A sector decode costs one pass over the sector's
-//! ancillas to collect the defects, plus work proportional to the vertices
+//! **Cost model.**  A sector decode costs one masked pass over the
+//! syndrome's words to collect the defects
+//! ([`Lattice::for_each_defect`]), plus work proportional to the vertices
 //! and edges its clusters reach: growth walks only the active clusters'
 //! vertices (an intrusive circular list per cluster, spliced in O(1) on
 //! union) and peeling starts only from vertices a fully-grown edge or a
@@ -58,9 +59,10 @@ struct SectorGraph {
     num_ancilla_vertices: usize,
     /// Total vertices including the two boundary vertices.
     num_vertices: usize,
-    /// Flat map local ancilla-vertex index -> ancilla index, ascending: the
-    /// defect scan reads exactly this sector's syndrome bits.
-    ancilla_of_vertex: Vec<u32>,
+    /// Flat map ancilla index -> local ancilla-vertex index, ascending over
+    /// this sector's ancillas (the defect scan visits no others; their
+    /// entries are `u32::MAX`).
+    vertex_of_ancilla: Vec<u32>,
     edges: Vec<GraphEdge>,
     /// CSR adjacency over the full edge set: vertex `v`'s incident
     /// `(neighbor, edge index)` entries are
@@ -75,8 +77,6 @@ impl SectorGraph {
             .ancillas_in_sector(sector)
             .map(|a| a as u32)
             .collect();
-        // Build-time inverse of `ancilla_of_vertex`; other-sector ancillas are
-        // never looked up.
         let mut vertex_of_ancilla = vec![u32::MAX; lattice.num_ancillas()];
         for (v, &a) in ancillas.iter().enumerate() {
             vertex_of_ancilla[a as usize] = v as u32;
@@ -184,7 +184,7 @@ impl SectorGraph {
         SectorGraph {
             num_ancilla_vertices,
             num_vertices,
-            ancilla_of_vertex: ancillas,
+            vertex_of_ancilla,
             edges,
             adj_offsets,
             adj_entries,
@@ -520,25 +520,25 @@ fn decode_sector_into(
     graph: &SectorGraph,
     scratch: &mut UfScratch,
     max_rounds: u32,
+    lattice: &Lattice,
     syndrome: &Syndrome,
-    pauli: Pauli,
+    sector: Sector,
     out: &mut PauliString,
 ) {
-    // Hot ancillas of the other sector are never read, so a combined X/Z
-    // syndrome works directly.
-    let bits = syndrome.as_bits();
-    for (v, &a) in graph.ancilla_of_vertex.iter().enumerate() {
-        if bits[a as usize] {
-            scratch.defects.push(v as u32);
-            scratch.mark_reached(v as u32);
-            let state = &mut scratch.vertices[v];
-            state.parity = true;
-            state.charge = true;
-        }
-    }
+    // Hot ancillas of the other sector are masked out of the scan, so a
+    // combined X/Z syndrome works directly.
+    lattice.for_each_defect(syndrome, sector, |a| {
+        let v = graph.vertex_of_ancilla[a];
+        scratch.defects.push(v);
+        scratch.mark_reached(v);
+        let state = &mut scratch.vertices[v as usize];
+        state.parity = true;
+        state.charge = true;
+    });
     if scratch.defects.is_empty() {
         return;
     }
+    let pauli = sector_correction_pauli(sector);
 
     // ---- Growth phase ------------------------------------------------
     // Grow every active cluster's incident edges by one half-edge per
@@ -608,18 +608,10 @@ impl Decoder for UnionFindDecoder {
         sector: Sector,
         out: &mut PauliString,
     ) {
-        assert_eq!(
-            syndrome.len(),
-            lattice.num_ancillas(),
-            "syndrome length {} does not match {} ancillas",
-            syndrome.len(),
-            lattice.num_ancillas()
-        );
         out.reset_identity(lattice.num_data());
-        let pauli = sector_correction_pauli(sector);
         let max_rounds = (4 * lattice.size() + 8) as u32;
         let (graph, scratch) = &mut self.ensure_prepared(lattice).sectors[sector.index()];
-        decode_sector_into(graph, scratch, max_rounds, syndrome, pauli, out);
+        decode_sector_into(graph, scratch, max_rounds, lattice, syndrome, sector, out);
     }
 }
 
@@ -645,14 +637,17 @@ mod tests {
         assert_eq!(graph.edges.len(), expected);
         // The CSR adjacency covers every edge from both endpoints.
         assert_eq!(graph.adj_entries.len(), 2 * expected);
-        // The vertex map lists exactly this sector's ancillas, ascending, and
-        // the two boundary vertices follow them.
-        let sector_ancillas: Vec<u32> = lat
-            .ancillas_in_sector(Sector::X)
-            .map(|a| a as u32)
+        // The vertex map numbers exactly this sector's ancillas, ascending,
+        // and the two boundary vertices follow them.
+        let mapped: Vec<usize> = (0..lat.num_ancillas())
+            .filter(|&a| graph.vertex_of_ancilla[a] != u32::MAX)
             .collect();
-        assert_eq!(graph.ancilla_of_vertex, sector_ancillas);
-        assert!(graph.ancilla_of_vertex.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(
+            mapped,
+            lat.ancillas_in_sector(Sector::X).collect::<Vec<_>>()
+        );
+        let vertices: Vec<u32> = mapped.iter().map(|&a| graph.vertex_of_ancilla[a]).collect();
+        assert_eq!(vertices, (0..20).collect::<Vec<u32>>());
         assert!(!graph.is_boundary_vertex(19));
         assert!(graph.is_boundary_vertex(20) && graph.is_boundary_vertex(21));
         // The scratch arena is built full-size: one state per vertex and
@@ -822,8 +817,9 @@ mod tests {
                 &graph,
                 &mut scratch,
                 max_rounds,
+                &lat,
                 &syndrome,
-                Pauli::Z,
+                Sector::X,
                 &mut out,
             );
             assert_eq!(scratch, UfScratch::new(&graph), "max_rounds = {max_rounds}");

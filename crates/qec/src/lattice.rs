@@ -167,6 +167,10 @@ pub struct Lattice {
     /// The ancilla indices of each sector (indexed by [`Sector::index`]),
     /// ascending.
     sector_ancillas: [Vec<u32>; 2],
+    /// The same sets as bit masks over a [`Syndrome`]'s words (indexed by
+    /// [`Sector::index`]): bit `a % 64` of word `a / 64` is set exactly when
+    /// ancilla `a` belongs to the sector.
+    sector_masks: [Vec<u64>; 2],
     /// Data-qubit indices of the logical-X representative (top row).
     logical_x_support: Vec<usize>,
     /// Data-qubit indices of the logical-Z representative (left column).
@@ -253,6 +257,8 @@ impl Lattice {
 
         let mut data_ancillas = vec![[[NO_ANCILLA; 2]; 2]; data_coords.len()];
         let mut sector_ancillas = [Vec::new(), Vec::new()];
+        let mask_words = Syndrome::words_for(ancilla_coords.len());
+        let mut sector_masks = [vec![0u64; mask_words], vec![0u64; mask_words]];
         for (a_idx, support) in stabilizer_supports.iter().enumerate() {
             let sector = if ancilla_kinds[a_idx] == QubitKind::AncillaX {
                 Sector::X
@@ -261,6 +267,7 @@ impl Lattice {
             };
             let ancilla = u32::try_from(a_idx).expect("ancilla indices fit in 32 bits");
             sector_ancillas[sector.index()].push(ancilla);
+            sector_masks[sector.index()][a_idx / 64] |= 1 << (a_idx % 64);
             for &q in support {
                 let slot = data_ancillas[q][sector.index()]
                     .iter_mut()
@@ -291,6 +298,7 @@ impl Lattice {
             stabilizer_supports,
             data_ancillas,
             sector_ancillas,
+            sector_masks,
             logical_x_support,
             logical_z_support,
         })
@@ -652,7 +660,10 @@ impl Lattice {
     }
 
     /// Visits the hot ancillas of one sector in ascending index order without
-    /// allocating (the defect-scan core of [`Lattice::defects`]).
+    /// allocating (the defect-scan core of [`Lattice::defects`], and the one
+    /// place a decoder reads syndrome bits): each syndrome word is masked
+    /// with the sector's and its set bits are walked by trailing zeros, so
+    /// the scan costs one step per word plus one per defect.
     ///
     /// # Panics
     ///
@@ -665,9 +676,12 @@ impl Lattice {
             syndrome.len(),
             self.num_ancillas()
         );
-        for a in self.ancillas_in_sector(sector) {
-            if syndrome.is_hot(a) {
-                f(a);
+        let masks = &self.sector_masks[sector.index()];
+        for (w, (&word, &mask)) in syndrome.words().iter().zip(masks).enumerate() {
+            let mut hot = word & mask;
+            while hot != 0 {
+                f(w * 64 + hot.trailing_zeros() as usize);
+                hot &= hot - 1;
             }
         }
     }
@@ -686,7 +700,7 @@ impl Lattice {
     /// Panics if `operator` is not indexed by this lattice's data qubits.
     #[must_use]
     pub fn sector_is_clear(&self, operator: &PauliString, sector: Sector) -> bool {
-        let words = self.num_ancillas().div_ceil(64);
+        let words = Syndrome::words_for(self.num_ancillas());
         let mut on_stack = [0u64; 8];
         let mut on_heap = Vec::new();
         let hot: &mut [u64] = if words <= on_stack.len() {

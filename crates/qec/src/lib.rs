@@ -12,7 +12,7 @@
 //!   syndrome extraction,
 //! * [`error_model`] — stochastic error channels (depolarizing, pure
 //!   dephasing) used by the Monte-Carlo lifetime simulations,
-//! * [`syndrome`] — syndrome bit-strings and detection events,
+//! * [`syndrome`] — the syndrome bit-string, packed in `u64` words,
 //! * [`logical`] — logical operators and logical-error detection,
 //! * [`frame`] — Pauli-frame tracking of corrections.
 //!
@@ -57,4 +57,4 @@ pub use frame::PauliFrame;
 pub use lattice::{Coord, Lattice, QubitKind, Sector};
 pub use logical::{LogicalState, ResidualTally};
 pub use pauli::{Pauli, PauliString};
-pub use syndrome::{DetectionEvents, PackedSyndrome, Syndrome};
+pub use syndrome::Syndrome;

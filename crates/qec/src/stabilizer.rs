@@ -9,10 +9,9 @@
 //! syndrome-generation rate in the backlog analysis.
 
 use crate::error::QecError;
-use crate::error_model::ErrorModel;
 use crate::lattice::{Lattice, QubitKind};
 use crate::pauli::PauliString;
-use crate::syndrome::{DetectionEvents, Syndrome};
+use crate::syndrome::Syndrome;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -243,24 +242,6 @@ impl SyndromeExtractor {
         self.previous_measurement = Some(current);
         events
     }
-
-    /// Convenience driver: inject `rounds` rounds of channel errors, recording
-    /// the detection events of each round.
-    pub fn run_rounds<M: ErrorModel, R: Rng + ?Sized>(
-        &mut self,
-        lattice: &Lattice,
-        model: &M,
-        rounds: usize,
-        rng: &mut R,
-    ) -> DetectionEvents {
-        let mut events = DetectionEvents::new();
-        for _ in 0..rounds {
-            let fresh = model.sample(lattice, rng);
-            self.inject(&fresh);
-            events.push_round(self.detection_events(lattice, rng));
-        }
-        events
-    }
 }
 
 /// Builds every ancilla's stabilizer circuit for a lattice.
@@ -274,7 +255,7 @@ pub fn all_stabilizer_circuits(lattice: &Lattice) -> Vec<StabilizerCircuit> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error_model::PureDephasing;
+    use crate::error_model::{ErrorModel, PureDephasing};
     use crate::lattice::Sector;
     use crate::pauli::Pauli;
     use rand::SeedableRng;
@@ -391,16 +372,5 @@ mod tests {
         assert_eq!(first.weight(), lat.num_ancillas());
         let second = extractor.detection_events(&lat, &mut rng);
         assert_eq!(second.weight(), 0);
-    }
-
-    #[test]
-    fn run_rounds_records_every_round() {
-        let lat = Lattice::new(3).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(14);
-        let model = PureDephasing::new(0.02).unwrap();
-        let mut extractor = SyndromeExtractor::new(&lat, ExtractionMode::CodeCapacity).unwrap();
-        let events = extractor.run_rounds(&lat, &model, 5, &mut rng);
-        assert_eq!(events.num_rounds(), 5);
-        assert_eq!(extractor.cycles_run(), 5);
     }
 }

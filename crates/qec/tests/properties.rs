@@ -2,8 +2,10 @@
 
 use nisqplus_qec::lattice::{Lattice, Sector};
 use nisqplus_qec::pauli::{Pauli, PauliString};
-use nisqplus_qec::syndrome::{PackedSyndrome, Syndrome};
+use nisqplus_qec::syndrome::Syndrome;
 use proptest::prelude::*;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 
 fn arb_distance() -> impl Strategy<Value = usize> {
     prop_oneof![Just(3usize), Just(5), Just(7), Just(9)]
@@ -121,56 +123,128 @@ proptest! {
         );
     }
 
-    /// Bit-packing a syndrome and unpacking it recovers the original exactly,
-    /// for arbitrary bit patterns at arbitrary lengths (including word
-    /// boundaries).
+    /// A packed syndrome round-trips with a plain `Vec<bool>` model under
+    /// arbitrary sequences of every mutator, and stays *tail-clean*: no word
+    /// bit at index `>= len` is ever set (so `weight`, a popcount over whole
+    /// words, counts nothing `iter` cannot see), and a syndrome built bit by
+    /// bit from the model is `==` to it with an equal hash.
     #[test]
-    fn packed_syndrome_round_trips(bits in prop::collection::vec(any::<bool>(), 0..200)) {
-        let syndrome: Syndrome = bits.into_iter().collect();
-        let packed = PackedSyndrome::from_syndrome(&syndrome);
-        prop_assert_eq!(packed.len(), syndrome.len());
-        prop_assert_eq!(packed.weight(), syndrome.weight());
-        prop_assert_eq!(packed.any_hot(), syndrome.any_hot());
-        prop_assert_eq!(packed.to_syndrome(), syndrome);
+    fn packed_syndrome_round_trips(
+        len in 0usize..200,
+        ops in prop::collection::vec((0u8..5, 0usize..1000, any::<u64>()), 0..40),
+    ) {
+        let mut syndrome = Syndrome::new(len);
+        let mut model = vec![false; len];
+        for (op, index, noise) in ops {
+            // Every bit of `noise`-derived words, padding included, is garbage.
+            let words: Vec<u64> = (0..Syndrome::words_for(model.len()) as u64)
+                .map(|w| noise.rotate_left(w as u32 * 7) ^ w.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .collect();
+            let bit = |i: usize| words[i / 64] >> (i % 64) & 1 != 0;
+            match op {
+                0 if !model.is_empty() => {
+                    let i = index % model.len();
+                    syndrome.set(i, noise & 1 != 0);
+                    model[i] = noise & 1 != 0;
+                }
+                1 if !model.is_empty() => {
+                    let i = index % model.len();
+                    syndrome.flip(i);
+                    model[i] = !model[i];
+                }
+                2 => {
+                    let other: Syndrome = (0..model.len()).map(bit).collect();
+                    syndrome.xor_with(&other);
+                    for (i, b) in model.iter_mut().enumerate() {
+                        *b ^= bit(i);
+                    }
+                }
+                3 => {
+                    syndrome.copy_from_words(&words);
+                    model = (0..model.len()).map(bit).collect();
+                }
+                4 => {
+                    syndrome.reset_clear(index % 200);
+                    model = vec![false; index % 200];
+                }
+                _ => {}
+            }
+            prop_assert_eq!(syndrome.len(), model.len());
+            prop_assert_eq!(syndrome.words().len(), Syndrome::words_for(model.len()));
+            prop_assert_eq!(syndrome.weight(), model.iter().filter(|&&b| b).count());
+            prop_assert_eq!(syndrome.any_hot(), model.contains(&true));
+        }
+        prop_assert_eq!(syndrome.iter().collect::<Vec<_>>(), model.clone());
+        let rebuilt: Syndrome = model.into_iter().collect();
+        prop_assert_eq!(&rebuilt, &syndrome);
+        let hash = |s: &Syndrome| {
+            let mut hasher = DefaultHasher::new();
+            s.hash(&mut hasher);
+            hasher.finish()
+        };
+        prop_assert_eq!(hash(&rebuilt), hash(&syndrome));
+        let mut copy = Syndrome::new(3);
+        copy.clone_from(&syndrome);
+        prop_assert_eq!(copy, syndrome);
     }
 
-    /// The popcount-based defect iteration visits exactly the hot indices of
-    /// the unpacked syndrome, in ascending order.
+    /// The trailing-zeros defect iteration visits exactly the hot indices, in
+    /// ascending order.
     #[test]
     fn packed_defect_iteration_matches_hot_indices(hot in prop::collection::vec(0usize..300, 0..40), len in 1usize..300) {
         let hot: Vec<usize> = hot.into_iter().map(|i| i % len).collect();
         let syndrome = Syndrome::from_hot(len, &hot);
-        let packed = PackedSyndrome::from_syndrome(&syndrome);
-        prop_assert_eq!(packed.defect_indices().collect::<Vec<_>>(), syndrome.hot_indices());
+        let expected: Vec<usize> = (0..len).filter(|&i| syndrome.is_hot(i)).collect();
+        prop_assert_eq!(syndrome.defect_indices().collect::<Vec<_>>(), expected.clone());
+        prop_assert_eq!(syndrome.hot_indices(), expected);
     }
 
-    /// Serializing a packed syndrome through raw words (as the runtime's ring
-    /// buffer does) is lossless.
+    /// Carrying a syndrome through raw words (as the runtime's ring buffer
+    /// does) is lossless, whatever the slot left in the padding bits.
     #[test]
-    fn packed_syndrome_survives_word_transport(bits in prop::collection::vec(any::<bool>(), 1..200)) {
+    fn packed_syndrome_survives_word_transport(bits in prop::collection::vec(any::<bool>(), 1..200), garbage in any::<u64>()) {
         let syndrome: Syndrome = bits.into_iter().collect();
-        let packed = PackedSyndrome::from_syndrome(&syndrome);
-        let words = packed.words().to_vec();
-        let restored = PackedSyndrome::from_words(packed.len(), words);
-        prop_assert_eq!(&restored, &packed);
-        prop_assert_eq!(restored.to_syndrome(), syndrome);
+        let mut slot = syndrome.words().to_vec();
+        let padding = slot.len() * 64 - syndrome.len();
+        if padding > 0 {
+            *slot.last_mut().unwrap() |= garbage << (64 - padding);
+        }
+        let mut restored = Syndrome::new(syndrome.len());
+        restored.copy_from_words(&slot);
+        prop_assert_eq!(&restored, &syndrome);
+        prop_assert_eq!(restored.words(), syndrome.words());
     }
 
-    /// Syndromes extracted from real error patterns round-trip through the
-    /// packed representation on every lattice size.
+    /// The masked word walk of `for_each_defect` equals the per-ancilla
+    /// filter it replaced, element for element, in both sectors and on every
+    /// lattice size (12 / 40 / 84 / 144 bits: one, one, two and three words),
+    /// for arbitrary syndromes — not only ones an error pattern can produce —
+    /// including all-hot.
     #[test]
-    fn packed_syndrome_round_trips_on_lattices(d in arb_distance(), support in prop::collection::vec(0usize..1000, 0..30)) {
+    fn masked_defect_walk_matches_the_sector_filter(
+        d in arb_distance(),
+        bits in prop::collection::vec(any::<bool>(), 144),
+        all_hot in any::<bool>(),
+    ) {
         let lattice = Lattice::new(d).unwrap();
-        let support: Vec<usize> = support.into_iter().map(|q| q % lattice.num_data()).collect();
-        let error = PauliString::from_sparse(lattice.num_data(), &support, Pauli::Z);
-        let syndrome = lattice.syndrome_of(&error);
-        let packed = PackedSyndrome::from_syndrome(&syndrome);
-        prop_assert_eq!(packed.to_syndrome(), syndrome.clone());
-        // Defect extraction through the packed path agrees with the lattice's.
-        let hot: Vec<usize> = packed.defect_indices().collect();
-        let mut lattice_defects = lattice.defects(&syndrome, Sector::X);
-        lattice_defects.extend(lattice.defects(&syndrome, Sector::Z));
-        lattice_defects.sort_unstable();
-        prop_assert_eq!(hot, lattice_defects);
+        let syndrome: Syndrome = bits
+            .into_iter()
+            .take(lattice.num_ancillas())
+            .map(|b| b || all_hot)
+            .collect();
+        for sector in Sector::ALL {
+            let expected: Vec<usize> = lattice
+                .ancillas_in_sector(sector)
+                .filter(|&a| syndrome.is_hot(a))
+                .collect();
+            let mut walked = Vec::new();
+            lattice.for_each_defect(&syndrome, sector, |a| walked.push(a));
+            prop_assert_eq!(&walked, &expected, "d={} sector {}", d, sector);
+            prop_assert_eq!(lattice.defects(&syndrome, sector), expected);
+        }
+        let mut both = lattice.defects(&syndrome, Sector::X);
+        both.extend(lattice.defects(&syndrome, Sector::Z));
+        both.sort_unstable();
+        prop_assert_eq!(both, syndrome.hot_indices());
     }
 }

@@ -17,7 +17,7 @@ use crate::config::PushPolicy;
 use crate::source::{BurstOverlay, NoiseSpec};
 use nisqplus_decoders::traits::{DecoderFactory, DynDecoder, SharedDecoderFactory};
 use nisqplus_qec::lattice::Lattice;
-use nisqplus_qec::syndrome::PackedSyndrome;
+use nisqplus_qec::syndrome::Syndrome;
 use nisqplus_qec::QecError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -370,10 +370,10 @@ impl LatticeSet {
             .expect("set is non-empty")
     }
 
-    /// The number of `u64` words the largest lattice's packed syndrome needs.
+    /// The number of `u64` words the largest lattice's syndrome needs.
     #[must_use]
     pub fn max_syndrome_words(&self) -> usize {
-        PackedSyndrome::words_for(self.max_ancillas())
+        Syndrome::words_for(self.max_ancillas())
     }
 
     /// Total rounds streamed across all lattices.
@@ -435,7 +435,7 @@ mod tests {
         assert_eq!(set.max_ancillas(), set.lattice(3).num_ancillas());
         assert_eq!(
             set.max_syndrome_words(),
-            PackedSyndrome::words_for(set.max_ancillas())
+            Syndrome::words_for(set.max_ancillas())
         );
         let bits = set.ancilla_bits();
         assert_eq!(bits.len(), 4);

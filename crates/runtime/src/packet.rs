@@ -3,8 +3,8 @@
 //! A [`SyndromePacket`] is what travels through the [ring
 //! buffer](crate::queue::SpmcRing): the id of the lattice the round belongs
 //! to, the round index, the emission timestamp (virtual nanoseconds since the
-//! engine epoch, used for end-to-end latency), and the [`PackedSyndrome`]
-//! itself.  The [`PacketCodec`] flattens a packet into the fixed `u64`-word
+//! engine epoch, used for end-to-end latency), and the [`Syndrome`] itself,
+//! whose `u64` words are the payload as they stand.  The [`PacketCodec`] flattens a packet into the fixed `u64`-word
 //! records the ring stores — three header words plus `ceil(bits / 64)`
 //! syndrome words, sized for the *largest* lattice of the set so every
 //! lattice's rounds fit the same slots — and restores it on the consumer
@@ -40,7 +40,7 @@
 //! layout, so the format version is unchanged.
 
 use nisqplus_qec::pauli::PauliString;
-use nisqplus_qec::syndrome::{PackedSyndrome, Syndrome};
+use nisqplus_qec::syndrome::Syndrome;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -56,19 +56,19 @@ pub struct SyndromePacket {
     pub round: u64,
     /// Nanoseconds since the engine epoch at which the round was generated.
     pub emitted_ns: u64,
-    /// The bit-packed syndrome of the round.
-    pub syndrome: PackedSyndrome,
+    /// The syndrome of the round.
+    pub syndrome: Syndrome,
 }
 
 impl SyndromePacket {
-    /// Packs an unpacked syndrome into a packet.
+    /// Builds a packet around a copy of `syndrome`.
     #[must_use]
     pub fn new(lattice_id: u32, round: u64, emitted_ns: u64, syndrome: &Syndrome) -> Self {
         SyndromePacket {
             lattice_id,
             round,
             emitted_ns,
-            syndrome: PackedSyndrome::from_syndrome(syndrome),
+            syndrome: syndrome.clone(),
         }
     }
 }
@@ -268,7 +268,7 @@ impl PacketCodec {
         );
         PacketCodec {
             lattice_bits,
-            max_syndrome_words: PackedSyndrome::words_for(max_bits),
+            max_syndrome_words: Syndrome::words_for(max_bits),
             lattice_data: Vec::new(),
             error_words: 0,
             retired,
@@ -598,52 +598,8 @@ impl PacketCodec {
         error.unpack_from(&words[off..off + packed]);
     }
 
-    /// Restores a packet from a record, allocating the syndrome.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PacketError`] if the header fails the version or lattice
-    /// compatibility checks, or if the trailer checksum exposes in-flight
-    /// corruption.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` is not exactly [`PacketCodec::words_per_packet`]
-    /// words long.
-    pub fn try_decode(&self, words: &[u64]) -> Result<SyndromePacket, PacketError> {
-        let lattice_id = self.verify(words)?;
-        let bits = self.syndrome_bits(lattice_id);
-        let payload_words = PackedSyndrome::words_for(bits);
-        Ok(SyndromePacket {
-            lattice_id,
-            round: words[1],
-            emitted_ns: words[2],
-            syndrome: PackedSyndrome::from_words(
-                bits,
-                words[HEADER_WORDS..HEADER_WORDS + payload_words].to_vec(),
-            ),
-        })
-    }
-
-    /// Restores a packet from a record, panicking on any incompatibility.
-    ///
-    /// Test-only: production paths go through [`PacketCodec::try_decode`] so
-    /// a hostile record is a typed error, never a panic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the record fails validation (see
-    /// [`PacketCodec::try_decode`]) or is not exactly
-    /// [`PacketCodec::words_per_packet`] words long.
-    #[cfg(test)]
-    #[must_use]
-    pub fn decode(&self, words: &[u64]) -> SyndromePacket {
-        self.try_decode(words).expect("compatible packet record")
-    }
-
     /// Verifies a record and restores it into an existing buffer without
-    /// allocating (the allocating [`PacketCodec::try_decode`] is its
-    /// setup-time counterpart).  The buffer's syndrome must already have the
+    /// allocating.  The buffer's syndrome must already have the
     /// width of the record's lattice.  The decode stage, which has to
     /// [`verify`](PacketCodec::verify) before it can pick that buffer, unpacks
     /// the verified record directly instead of verifying it twice here.
@@ -696,33 +652,26 @@ impl PacketCodec {
         packet.lattice_id = lattice_id;
         packet.round = words[1];
         packet.emitted_ns = words[2];
-        let payload_words = PackedSyndrome::words_for(bits);
+        let payload_words = Syndrome::words_for(bits);
         packet
             .syndrome
             .copy_from_words(&words[HEADER_WORDS..HEADER_WORDS + payload_words]);
-    }
-
-    /// Infallible wrapper over [`PacketCodec::try_decode_into`].
-    ///
-    /// Test-only: the worker hot loop routes every record through the
-    /// fallible [`PacketCodec::try_decode_into`] and quarantines failures,
-    /// so no hostile record can panic the pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any validation error in addition to the panics of
-    /// [`PacketCodec::try_decode_into`].
-    #[cfg(test)]
-    pub fn decode_into(&self, words: &[u64], packet: &mut SyndromePacket) {
-        if let Err(err) = self.try_decode_into(words, packet) {
-            panic!("incompatible packet record: {err}");
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decodes `record` through the one way in, [`PacketCodec::try_decode_into`],
+    /// into a fresh buffer of the width registered for the id its header names
+    /// (a record whose id is noise fails validation before the width matters).
+    fn decoded(codec: &PacketCodec, record: &[u64]) -> Result<SyndromePacket, PacketError> {
+        let id = PacketCodec::peek_lattice_id(record) as usize;
+        let bits = codec.lattice_bits.get(id).map_or(0, |&bits| bits as usize);
+        let mut buffer = SyndromePacket::new(0, 0, 0, &Syndrome::new(bits));
+        codec.try_decode_into(record, &mut buffer).map(|()| buffer)
+    }
 
     #[test]
     fn packets_round_trip_through_words() {
@@ -731,9 +680,9 @@ mod tests {
         let packet = SyndromePacket::new(0, 123, 456_789, &syndrome);
         let mut record = vec![0u64; codec.words_per_packet()];
         codec.encode(&packet, &mut record);
-        let restored = codec.decode(&record);
+        let restored = decoded(&codec, &record).unwrap();
         assert_eq!(restored, packet);
-        assert_eq!(restored.syndrome.to_syndrome(), syndrome);
+        assert_eq!(restored.syndrome, syndrome);
     }
 
     #[test]
@@ -747,9 +696,9 @@ mod tests {
         let large = SyndromePacket::new(1, 9, 90, &Syndrome::from_hot(40, &[0, 39]));
         let mut record = vec![u64::MAX; codec.words_per_packet()];
         codec.encode(&small, &mut record);
-        assert_eq!(codec.decode(&record), small);
+        assert_eq!(decoded(&codec, &record), Ok(small));
         codec.encode(&large, &mut record);
-        assert_eq!(codec.decode(&record), large);
+        assert_eq!(decoded(&codec, &record), Ok(large));
     }
 
     #[test]
@@ -761,7 +710,7 @@ mod tests {
             let syndrome = Syndrome::from_hot(40, &[(round as usize) % 40, 17]);
             let packet = SyndromePacket::new(0, round, round * 100, &syndrome);
             codec.encode(&packet, &mut record);
-            codec.decode_into(&record, &mut buffer);
+            codec.try_decode_into(&record, &mut buffer).unwrap();
             assert_eq!(buffer, packet);
         }
     }
@@ -776,7 +725,7 @@ mod tests {
             &mut record,
         );
         let mut buffer = SyndromePacket::new(0, 0, 0, &Syndrome::new(24));
-        codec.decode_into(&record, &mut buffer);
+        let _ = codec.try_decode_into(&record, &mut buffer);
     }
 
     #[test]
@@ -843,7 +792,6 @@ mod tests {
         );
         let mut buffer = SyndromePacket::new(0, 0, 0, &Syndrome::new(8));
         assert!(receiver.try_decode_into(&record, &mut buffer).is_err());
-        assert!(receiver.try_decode(&record).is_err());
     }
 
     #[test]
@@ -898,7 +846,7 @@ mod tests {
         let packet = SyndromePacket::new(0, 9, 17, &Syndrome::new(0));
         let mut record = vec![0u64; 4];
         codec.encode(&packet, &mut record);
-        assert_eq!(codec.decode(&record), packet);
+        assert_eq!(decoded(&codec, &record), Ok(packet));
     }
 
     /// The checksum catches damage the header fields cannot see: a flipped
@@ -916,7 +864,7 @@ mod tests {
             for bit in [0u32, 13, 31, 47, 63] {
                 let mut corrupt = record.clone();
                 corrupt[word] ^= 1u64 << bit;
-                let err = codec.try_decode(&corrupt).unwrap_err();
+                let err = decoded(&codec, &corrupt).unwrap_err();
                 // Flips in named header fields may produce their own typed
                 // error; everything else must land on the checksum.
                 if word > 0 {

@@ -5,8 +5,8 @@
 //! state: one prepared decoder per distinct `(code distance, factory)` pair
 //! (lattices of equal distance share layout — [`LatticeSet`] interns them —
 //! so prepared sector graphs and scratch arenas are reused across lattices
-//! served by the *same* factory), plus per-lattice reusable packet,
-//! syndrome and Pauli buffers.  [`DecodeStage::decode`] routes a record to
+//! served by the *same* factory), plus per-lattice reusable packet and
+//! Pauli buffers.  [`DecodeStage::decode`] routes a record to
 //! its lattice's prepared state by the header's `lattice_id`, validates and
 //! unpacks it, decodes both sectors through the allocation-free
 //! [`Decoder::decode_into`] path, and composes the sector corrections into
@@ -54,7 +54,6 @@ struct LatticeDecodeState {
     /// Index into the stage's deduplicated decoder list.
     decoder_slot: usize,
     packet: SyndromePacket,
-    syndrome: Syndrome,
     x_buf: PauliString,
     z_buf: PauliString,
     /// The record's carried error, unpacked here when the codec carries one.
@@ -125,7 +124,6 @@ impl<'a> DecodeStage<'a> {
             states.push(LatticeDecodeState {
                 decoder_slot,
                 packet: SyndromePacket::new(0, 0, 0, &Syndrome::new(lattice.num_ancillas())),
-                syndrome: Syndrome::new(lattice.num_ancillas()),
                 x_buf: PauliString::identity(lattice.num_data()),
                 z_buf: PauliString::identity(lattice.num_data()),
                 error_buf: PauliString::identity(lattice.num_data()),
@@ -172,9 +170,10 @@ impl<'a> DecodeStage<'a> {
         }
         self.codec
             .unpack_verified_into(record, lattice_id as u32, &mut state.packet);
-        state.packet.syndrome.write_to_syndrome(&mut state.syndrome);
-        decoder.decode_into(lattice, &state.syndrome, Sector::X, &mut state.x_buf);
-        decoder.decode_into(lattice, &state.syndrome, Sector::Z, &mut state.z_buf);
+        // The decoder reads the words the unpack just copied.
+        let syndrome = &state.packet.syndrome;
+        decoder.decode_into(lattice, syndrome, Sector::X, &mut state.x_buf);
+        decoder.decode_into(lattice, syndrome, Sector::Z, &mut state.z_buf);
         state.x_buf.compose_with(&state.z_buf);
         // In-stream residual classification: the record carries the seeded
         // error behind its syndrome, so the residual can be judged right

@@ -491,7 +491,7 @@ fn spread_channel(lattice_id: u32, round: u64, channels: usize) -> usize {
     ((u64::from(lattice_id) + round) % channels as u64) as usize
 }
 
-/// The source stage of `graph`: paced interleaved generation, bit-packing
+/// The source stage of `graph`: paced interleaved generation, encoding
 /// into one reused record, gate admission under each lattice's QoS lane,
 /// spread placement into the credit channels, depth sampling — plus the
 /// run's hostile-stream hooks: scheduled burst overlays, on-the-wire
@@ -583,7 +583,7 @@ fn run_source(
     };
     let mut emitted_total = 0u64;
     // One round and one packet for the whole run, refilled in place: the
-    // loop below builds no syndrome, error or packed syndrome of its own.
+    // loop below builds no syndrome or error of its own.
     let mut sourced = SourcedRound::default();
     let mut packet = SyndromePacket::new(0, 0, 0, &sourced.syndrome);
 
@@ -639,7 +639,7 @@ fn run_source(
         packet.lattice_id = lattice_id;
         packet.round = sourced.round;
         packet.emitted_ns = emitted_ns;
-        packet.syndrome.pack_from(&sourced.syndrome);
+        packet.syndrome.clone_from(&sourced.syndrome);
         // A scheduled corruption poisons the encoded record *after* the
         // checksum is written — a bit flipped on the wire, not at the
         // source — so the worker's codec must catch it.

@@ -41,6 +41,11 @@ fn encode_record(codec: &PacketCodec, lattice_id: u32, round: u64, hot: &[usize]
     record
 }
 
+/// A decode buffer of the width registered for `lattice_id`.
+fn blank_packet(codec: &PacketCodec, lattice_id: u32) -> SyndromePacket {
+    SyndromePacket::new(0, 0, 0, &Syndrome::new(codec.syndrome_bits(lattice_id)))
+}
+
 /// A 120-round single-lattice Block machine carrying `plan`; un-paced so
 /// the property is about data integrity, not timing.
 fn crash_machine(seed: u64, workers: usize, plan: FaultPlan) -> MachineConfig {
@@ -84,12 +89,12 @@ proptest! {
         record[word] ^= 1u64 << bit;
 
         prop_assert!(codec.verify(&record).is_err(), "verify must reject");
-        prop_assert!(codec.try_decode(&record).is_err(), "try_decode must reject");
 
-        let clean = codec.try_decode(&encode_record(&codec, lattice_id, round, &hot))
+        let mut clean = blank_packet(&codec, lattice_id);
+        codec.try_decode_into(&encode_record(&codec, lattice_id, round, &hot), &mut clean)
             .expect("the uncorrupted record decodes");
         let mut buffer = clean.clone();
-        prop_assert!(codec.try_decode_into(&record, &mut buffer).is_err());
+        prop_assert!(codec.try_decode_into(&record, &mut buffer).is_err(), "try_decode_into must reject");
         prop_assert_eq!(&buffer, &clean, "a rejected decode must not touch the buffer");
     }
 
@@ -113,7 +118,8 @@ proptest! {
             record[word] ^= 1u64 << bit;
         }
         prop_assert!(codec.verify(&record).is_err());
-        prop_assert!(codec.try_decode(&record).is_err());
+        let mut buffer = blank_packet(&codec, lattice_id);
+        prop_assert!(codec.try_decode_into(&record, &mut buffer).is_err());
     }
 }
 

@@ -287,7 +287,17 @@ fn residual_analysis_measures_the_logical_cost_of_shedding() {
         drop_residual.failure_rate(),
         block_residual.failure_rate()
     );
-    assert!(drop_residual.shed_penalty().expect("rounds were shed") > 0.0);
+    // The marginal penalty is defined once a round was shed, but its sign
+    // needs a decoded sample of some size: this lattice decodes one or two of
+    // its 200 rounds, and a failing round among two made `penalty > 0` fail
+    // 2-3 % of runs.  The sign is asserted against the Block twin's 200
+    // decoded rounds of the same stream instead.
+    let penalty = drop_residual.shed_penalty().expect("rounds were shed");
+    assert_eq!(
+        penalty,
+        drop_residual.shed.failure_rate() - drop_residual.decoded.failure_rate()
+    );
+    assert!(drop_residual.shed.failure_rate() > block_residual.decoded.failure_rate());
     // A lossless lattice has no shed rounds, hence no defined penalty.
     assert_eq!(block_residual.shed_penalty(), None);
     // Shed rounds fail whenever the round's error was nontrivial — at 5%

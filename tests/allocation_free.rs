@@ -3,7 +3,7 @@
 //! a prepared decoder's `decode_into` loop, the offline Monte-Carlo trial
 //! loop, streaming residual classification, the observability plane's
 //! histogram records and journal publishes, the disabled fault hooks, the
-//! source stage's round (generate, re-pack, encode) and a whole engine run,
+//! source stage's round (generate, copy, encode) and a whole engine run,
 //! whose allocations must not scale with its rounds.
 //!
 //! Built with `harness = false`: the allocation counter is process-wide, so
@@ -260,11 +260,11 @@ fn assert_fault_hooks_are_allocation_free() {
 }
 
 /// The source side of the hand-off: generating a round into a reused
-/// [`SourcedRound`], re-packing its syndrome into a reused packet and
-/// encoding the record — with and without the error payload — is everything
-/// the source thread does per round before the send, so on a mixed machine
-/// (buffers resized round by round) it must not touch the heap once the
-/// largest lattice has been served.
+/// [`SourcedRound`], copying its syndrome into a reused packet (`clone_from`,
+/// which must reuse the word buffer) and encoding the record — with and
+/// without the error payload — is everything the source thread does per round
+/// before the send, so on a mixed machine (buffers resized round by round) it
+/// must not touch the heap once the largest lattice has been served.
 fn assert_source_rounds_are_allocation_free() {
     let specs: Vec<LatticeSpec> = [3, 5, 7, 5, 3, 7]
         .into_iter()
@@ -291,7 +291,7 @@ fn assert_source_rounds_are_allocation_free() {
             assert!(source.next_round_into(&mut round));
             packet.lattice_id = round.lattice_id;
             packet.round = round.round;
-            packet.syndrome.pack_from(&round.syndrome);
+            packet.syndrome.clone_from(&round.syndrome);
             plain.encode(&packet, &mut plain_record);
             carrying.encode_with_error(&packet, &round.error, &mut carrying_record);
             std::hint::black_box((&plain_record, &carrying_record));
@@ -304,7 +304,7 @@ fn assert_source_rounds_are_allocation_free() {
     let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(
         allocated, 0,
-        "next_round_into + pack_from + encode performed {allocated} heap allocations over 512          rounds of a mixed d = 3/5/7 machine; the source round must not allocate"
+        "next_round_into + clone_from + encode performed {allocated} heap allocations over 512          rounds of a mixed d = 3/5/7 machine; the source round must not allocate"
     );
     eprintln!("alloc-guard: source round      : 0 allocations over 512 mixed-distance rounds");
 }
