@@ -2,17 +2,17 @@
 //! streams into a [`RuntimeReport`].
 //!
 //! The engine itself is thin by design.  All of the moving parts — paced
-//! generation, QoS admission, spread placement, credit-backed channels,
+//! generation, QoS admission, spread placement, bounded channels,
 //! own-then-steal batch filling, the prepared-decoder hot path, frame and
 //! depth sinks — live as stages in [`crate::stage`], wired together by a
 //! [`PipelineGraph`]:
 //!
 //! ```text
 //! source ──► gate ──► channel[w] ──► steal ──► decode ──► frame
-//!  (paced)  (QoS)   (credit loops)   (per worker, N threads)
+//!  (paced)  (QoS)   (bounded rings)  (per worker, N threads)
 //! ```
 //!
-//! [`StreamingEngine::run`] builds the graph — one credit channel per
+//! [`StreamingEngine::run`] builds the graph — one bounded channel per
 //! worker, spread placement, own-then-steal consumption — runs it to
 //! completion, and folds the [`PipelineRun`] into the final
 //! [`RuntimeOutcome`]: per-lattice reports, the depth timeline with its
@@ -599,7 +599,7 @@ mod tests {
         assert_eq!(channel_in, 200);
         assert_eq!(decode_out, 200);
         for report in stages.iter().filter(|r| r.stage.starts_with("channel.")) {
-            assert_eq!(report.credits_consumed, report.credits_issued);
+            assert_eq!(report.accepted, report.emitted, "pushed == popped");
         }
     }
 

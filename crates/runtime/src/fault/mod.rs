@@ -1,7 +1,7 @@
 //! Deterministic fault injection and the run's fault ledger.
 //!
 //! A [`FaultPlan`] is a declarative schedule of hostile events — worker
-//! crashes, in-flight packet corruption, burst-noise episodes, credit-channel
+//! crashes, in-flight packet corruption, burst-noise episodes, channel
 //! stalls — keyed entirely by *logical* run coordinates (worker id × rounds
 //! decoded, lattice id × round index, channel index × round index), never by
 //! wall clock or extra randomness.  The same plan against the same seeded
@@ -74,7 +74,7 @@ pub struct BurstFault {
     pub overlay: BurstOverlay,
 }
 
-/// Make one credit channel refuse the producer's sends for a while — a dead
+/// Make one channel refuse the producer's sends for a while — a dead
 /// or wedged consumer, as seen from the send side.
 ///
 /// The stall arms the first time the producer routes a round to the channel
@@ -116,7 +116,7 @@ pub struct FaultPlan {
     pub corruptions: Vec<CorruptionFault>,
     /// Scheduled burst-noise episodes.
     pub bursts: Vec<BurstFault>,
-    /// Scheduled credit-channel stalls.
+    /// Scheduled channel stalls.
     pub stalls: Vec<StallFault>,
 }
 
@@ -155,7 +155,7 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules a credit-channel stall.
+    /// Schedules a channel stall.
     #[must_use]
     pub fn stall_channel(mut self, channel: usize, from_round: u64, duration_ns: u64) -> Self {
         self.stalls.push(StallFault {

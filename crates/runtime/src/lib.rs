@@ -24,10 +24,11 @@
 //!   `lattice_id` + ancilla count, so mis-routed or mis-sized records are
 //!   rejected instead of silently misdecoding,
 //! * [`queue`] — the bounded lock-free ring buffer (pure
-//!   `std::sync::atomic`, no external deps); the engine gives each worker
-//!   its own ring and lets idle workers steal from busy ones,
-//! * [`stage`] — the pipeline stages the engine is wired from: credit
-//!   counters and credit-backed channels, the QoS admission gate, the
+//!   `std::sync::atomic`, no external deps), which is also each channel's
+//!   flow control; the engine gives each worker its own ring and lets idle
+//!   workers steal from busy ones,
+//! * [`stage`] — the pipeline stages the engine is wired from: bounded
+//!   channels over the ring, the QoS admission gate, the
 //!   own-then-steal batch mux, the prepared-decoder decode stage, frame and
 //!   depth sinks, and the [`PipelineGraph`] that wires them into the one
 //!   running, backpressured shape — `source → gate → channel[w] → steal →
@@ -36,7 +37,7 @@
 //! * [`config`] — the [`RuntimeConfig`] / [`MachineConfig`] run
 //!   configuration (re-exported through [`engine`] for compatibility),
 //! * [`engine`] — the [`StreamingEngine`]: one paced source thread
-//!   spreading every lattice's rounds across credit channels, and a
+//!   spreading every lattice's rounds across the channels, and a
 //!   work-stealing pool of decoder workers built from a
 //!   [`DecoderFactory`](nisqplus_decoders::DecoderFactory), each keeping one
 //!   prepared decoder per code distance and decoding up to
@@ -49,7 +50,7 @@
 //!   [`FaultPlan`] schedules worker crashes (caught and answered by a
 //!   supervisor restart that re-prepares decoders over the same frame
 //!   shard), on-the-wire packet corruption (quarantined, never panicking
-//!   the pool), burst-noise episodes and credit-channel stalls (bounded by
+//!   the pool), burst-noise episodes and channel stalls (bounded by
 //!   a backpressure watchdog), all reconciled in the report's
 //!   [`FaultReport`],
 //! * [`throttle`] — a wrapper making any decoder deliberately slow (for all

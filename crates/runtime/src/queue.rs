@@ -25,11 +25,14 @@
 //! one producer thread pushing at the syndrome-generation cadence, many
 //! decoder workers popping.
 //!
-//! The ring itself is only *storage*: in the pipeline graph the flow
-//! control lives one layer up, in
-//! [`CreditChannel`](crate::stage::channel::CreditChannel), which pairs
-//! each ring with a capacity-credit loop so that a full ring is a counted
-//! refusal at a stage seam rather than a failed push deep in a hot loop.
+//! The ring *is* the flow control of a channel: its slot sequence words are
+//! the one book of the capacity bound, exact at every capacity ≥ 1.  Slot
+//! `i`'s word counts in units of 2·position — `2p` free for position `p`,
+//! `2p + 1` published at `p`, `2(p + capacity)` handed back for the next
+//! lap — so "published" and "free one lap on" never coincide, whatever the
+//! capacity.  A full ring is [`RingFull`];
+//! [`Channel`](crate::stage::channel::Channel) counts that refusal at the
+//! stage seam and adds nothing to the bound.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -103,8 +106,8 @@ impl SpmcRing {
         let lines_per_slot = (1 + words_per_slot).div_ceil(LINE_WORDS);
         let lines = (0..capacity * lines_per_slot)
             .map(|line| {
-                // A slot's sequence word starts at the slot's own index.
-                let seq = (line / lines_per_slot) as u64;
+                // A slot's sequence word starts free for the slot's own index.
+                let seq = 2 * (line / lines_per_slot) as u64;
                 let is_seq = |word| word == 0 && line % lines_per_slot == 0;
                 Line(std::array::from_fn(|word| {
                     AtomicU64::new(if is_seq(word) { seq } else { 0 })
@@ -137,6 +140,18 @@ impl SpmcRing {
     fn slot(&self, pos: u64) -> &[Line] {
         let first = (pos % self.capacity) as usize * self.lines_per_slot;
         &self.lines[first..first + self.lines_per_slot]
+    }
+
+    /// Records ever pushed (the producer cursor).
+    #[must_use]
+    pub fn pushed(&self) -> u64 {
+        self.head.0.load(Ordering::Relaxed)
+    }
+
+    /// Records ever popped (the consumer cursor).
+    #[must_use]
+    pub fn popped(&self) -> u64 {
+        self.tail.0.load(Ordering::Relaxed)
     }
 
     /// A snapshot of the current occupancy.  Exact when quiescent; during
@@ -178,7 +193,7 @@ impl SpmcRing {
             let slot = self.slot(pos);
             let seq = &slot[0].0[0];
             let current = seq.load(Ordering::Acquire);
-            if current == pos {
+            if current == 2 * pos {
                 // Slot is free at our position: claim it.
                 match self.head.0.compare_exchange_weak(
                     pos,
@@ -192,12 +207,12 @@ impl SpmcRing {
                         }
                         // Publish: consumers' acquire-load of `seq` orders the
                         // payload stores above before their payload loads.
-                        seq.store(pos + 1, Ordering::Release);
+                        seq.store(2 * pos + 1, Ordering::Release);
                         return Ok(());
                     }
                     Err(actual) => pos = actual,
                 }
-            } else if current < pos {
+            } else if current < 2 * pos {
                 // The slot still holds an unconsumed record from one lap ago.
                 return Err(RingFull);
             } else {
@@ -228,7 +243,7 @@ impl SpmcRing {
             let slot = self.slot(pos);
             let seq = &slot[0].0[0];
             let current = seq.load(Ordering::Acquire);
-            if current == pos + 1 {
+            if current == 2 * pos + 1 {
                 // Slot holds a published record at our position: claim it.
                 match self.tail.0.compare_exchange_weak(
                     pos,
@@ -241,12 +256,12 @@ impl SpmcRing {
                             *out_word = payload_word(slot, k).load(Ordering::Relaxed);
                         }
                         // Hand the slot back to the producer one lap later.
-                        seq.store(pos + self.capacity, Ordering::Release);
+                        seq.store(2 * (pos + self.capacity), Ordering::Release);
                         return true;
                     }
                     Err(actual) => pos = actual,
                 }
-            } else if current <= pos {
+            } else if current <= 2 * pos {
                 // Nothing published at our position yet.
                 return false;
             } else {
@@ -290,6 +305,25 @@ mod tests {
             assert_eq!(out, [lap, lap * 2]);
         }
         assert!(ring.is_empty());
+    }
+
+    /// A one-slot ring is a ring: "published at `p`" and "free for `p + 1`"
+    /// are different sequence words, so the second push is refused instead of
+    /// overwriting the first record, and order holds lap after lap.
+    #[test]
+    fn one_slot_ring_refuses_the_second_push_and_keeps_fifo_order() {
+        let ring = SpmcRing::new(1, 1);
+        let mut out = [0u64];
+        assert!(!ring.try_pop(&mut out));
+        for lap in 0..3u64 {
+            ring.try_push(&[lap]).unwrap();
+            assert_eq!(ring.try_push(&[99]), Err(RingFull), "lap {lap}");
+            assert_eq!(ring.len(), 1);
+            assert!(ring.try_pop(&mut out));
+            assert_eq!(out[0], lap);
+            assert!(!ring.try_pop(&mut out), "lap {lap}");
+        }
+        assert_eq!((ring.pushed(), ring.popped()), (3, 3));
     }
 
     #[test]
@@ -373,8 +407,9 @@ mod tests {
 
     /// Exactly-once delivery with several producers and consumers, for
     /// payloads that fit inside one line (1, 7), fill the second exactly
-    /// (15) and straddle or exceed a line boundary (8, 9, 16).  Every word
-    /// of every popped record is checked against the record's id.
+    /// (15) and straddle or exceed a line boundary (8, 9, 16), on rings of
+    /// 1, 2, 3 and 8 slots.  Every word of every popped record is checked
+    /// against the record's id.
     #[test]
     fn mpmc_delivers_every_word_exactly_once_across_line_boundaries() {
         const PRODUCERS: u64 = 2;
@@ -386,8 +421,10 @@ mod tests {
             0 => id,
             _ => (id ^ 0x9E37_79B9_7F4A_7C15).wrapping_mul(2 * k as u64 + 1),
         };
-        for words_per_slot in [1usize, 7, 8, 9, 15, 16] {
-            let ring = SpmcRing::new(8, words_per_slot);
+        let wide = [1usize, 7, 8, 9, 15, 16].map(|words| (8usize, words));
+        let narrow = [1usize, 2, 3].map(|capacity| (capacity, 9usize));
+        for (capacity, words_per_slot) in wide.into_iter().chain(narrow) {
+            let ring = SpmcRing::new(capacity, words_per_slot);
             let delivered = AtomicU64::new(0);
             let id_sum = AtomicU64::new(0);
             thread::scope(|s| {

@@ -8,7 +8,7 @@
 //! writer and the reader from that one list — a key is its field's name, so
 //! the two directions cannot drift apart.  Changing a table changes the
 //! format: bump [`SCHEMA_VERSION`] (`tests/obs.rs` pins the key paths
-//! against `tests/report_schema_v6.txt`).
+//! against `tests/report_schema_v7.txt`).
 //!
 //! Reading rejects documents whose version does not match
 //! [`SCHEMA_VERSION`] exactly, so a stale artifact fails loudly instead of
@@ -57,7 +57,11 @@ use std::path::Path;
 /// v6: the per-lattice backlog arrays are gone (each was a column of
 /// `depth_timeline[i].per_lattice_backlog`, re-keyed), and `stages` files
 /// no `skid` or `sink.<w>` row (restatements of `source` and `decode.<w>`).
-pub const SCHEMA_VERSION: u64 = 6;
+///
+/// v7: `stages[]` rows lose the two token-loop totals of the flow control
+/// that was laid over the rings (on channel rows they repeated `emitted` /
+/// `accepted`; a budget's flow is the lattice's own `enqueued` / `decoded`).
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// Why an export or import failed.
 #[derive(Debug)]
@@ -208,8 +212,6 @@ record!(StageReport {
     accepted,
     emitted,
     rejected,
-    credits_issued,
-    credits_consumed,
     occupancy_peak,
     stall_cycles,
 });

@@ -10,8 +10,7 @@
 //!
 //! In the pipeline graph (`crate::stage`), an [`InterleavedSource`] is the
 //! heart of the *source* stage: `stage::graph` paces it to each lattice's
-//! cadence and feeds its rounds through the QoS gate into the credit
-//! channels.
+//! cadence and feeds its rounds through the QoS gate into the channels.
 
 use crate::lattice_set::LatticeSet;
 use crate::scenario::script::{ScenarioAction, ScenarioError, ScenarioScript};

@@ -1,22 +1,16 @@
-//! The credit-carrying channel between pipeline stages.
+//! The bounded channel between pipeline stages.
 //!
-//! A [`CreditChannel`] pairs the lock-free [`SpmcRing`] with a
-//! [`CreditCounter`] granting exactly the ring's capacity: a send consumes
-//! a credit *before* touching the ring, a receive returns the credit
-//! *after* its slot is handed back.  A sender holding a credit is therefore
-//! guaranteed a slot — at worst it waits out another consumer's in-flight
-//! pop (pops complete out of order across workers, so the freed credit and
-//! the freed slot can briefly belong to different positions).  Backpressure
-//! surfaces exclusively as a failed credit acquisition — a counted,
-//! observable stall at the seam — never as a lost record.
+//! A [`Channel`] is the lock-free [`SpmcRing`] plus its sender-side
+//! statistics.  The ring's slot sequence words are the only book of the
+//! capacity bound: a send is a push, a full ring is the counted refusal (the
+//! caller retries — backpressure — or sheds), a receive is a pop.  An
+//! accepted send never waits and a refusal never loses a record.
 //!
-//! Who writes what: a send writes the slot line it fills, the ring's `head`,
-//! the credit loop's senders' line and this channel's own sender statistics;
-//! a receive writes the slot's sequence word, the ring's `tail` and the
-//! credit loop's receivers' line.  In a channel that keeps up, the only line
-//! a round moves between the two threads is its slot; a send looks at the
-//! receivers' line only when its cached view of the credits is exhausted or
-//! could raise the occupancy peak (see [`CreditCounter`]).
+//! Who writes what: a send writes the slot line it fills, the ring's `head`
+//! and this channel's own sender statistics; a receive writes the slot's
+//! sequence word and the ring's `tail`.  In a channel that keeps up, the only
+//! line a round moves between the two threads is its slot; a send looks at
+//! `tail` only when its cached copy could raise the occupancy peak.
 //!
 //! Records are the same fixed-size `u64`-word packets the ring stores (the
 //! typed view lives one layer up: [`PacketCodec`](crate::packet::PacketCodec)
@@ -26,28 +20,26 @@
 //! channel through [`StealMux`](crate::stage::StealMux).
 
 use crate::queue::SpmcRing;
-use crate::stage::credit::CreditCounter;
 use crate::stage::StageReport;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A bounded channel whose capacity is enforced by a credit loop.
+/// A bounded channel: the ring is the flow control.
 ///
 /// ```rust
-/// use nisqplus_runtime::stage::CreditChannel;
+/// use nisqplus_runtime::stage::Channel;
 ///
-/// let channel = CreditChannel::new(2, 1);
+/// let channel = Channel::new(2, 1);
 /// assert!(channel.try_send(&[7]));
 /// assert!(channel.try_send(&[8]));
-/// assert!(!channel.try_send(&[9]), "credits exhausted");
+/// assert!(!channel.try_send(&[9]), "full");
 /// let mut out = [0u64];
 /// assert!(channel.try_recv(&mut out));
 /// assert_eq!(out, [7]);
-/// assert!(channel.try_send(&[9]), "the pop returned a credit");
+/// assert!(channel.try_send(&[9]), "the pop freed a slot");
 /// ```
 #[derive(Debug)]
-pub struct CreditChannel {
+pub struct Channel {
     ring: SpmcRing,
-    credits: CreditCounter,
     stats: SenderStats,
 }
 
@@ -56,69 +48,71 @@ pub struct CreditChannel {
 #[derive(Debug, Default)]
 #[repr(align(64))]
 struct SenderStats {
-    /// Sends refused for want of a credit.
+    /// Sends refused by a full ring.
     refused: AtomicU64,
-    /// Spins a credited send spent waiting out another consumer's pop.
-    slot_waits: AtomicU64,
+    /// The senders' cached lower bound of the ring's `tail`.
+    popped_seen: AtomicU64,
+    /// The most records resident right after any send.
+    occupancy_peak: AtomicU64,
 }
 
-impl CreditChannel {
-    /// A channel with `capacity` slots of `words_per_slot` words each, and
-    /// `capacity` credits granted up front.
+impl Channel {
+    /// A channel with `capacity` slots of `words_per_slot` words each.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` or `words_per_slot` is zero.
     #[must_use]
     pub fn new(capacity: usize, words_per_slot: usize) -> Self {
-        CreditChannel {
+        Channel {
             ring: SpmcRing::new(capacity, words_per_slot),
-            credits: CreditCounter::new(capacity as u64),
             stats: SenderStats::default(),
         }
     }
 
     /// Attempts to send one record.  Returns `false` — counting a refusal,
-    /// enqueueing nothing — when no credit is available; the caller chooses
+    /// enqueueing nothing — when the ring is full; the caller chooses
     /// between retrying (backpressure) and shedding.
     ///
     /// # Panics
     ///
-    /// Panics if `record.len()` differs from [`CreditChannel::words_per_slot`].
+    /// Panics if `record.len()` differs from [`Channel::words_per_slot`].
     pub fn try_send(&self, record: &[u64]) -> bool {
-        let Some(grant) = self.credits.acquire() else {
-            self.stats.refused.fetch_add(1, Ordering::Relaxed);
+        let stats = &self.stats;
+        if self.ring.try_push(record).is_err() {
+            stats.refused.fetch_add(1, Ordering::Relaxed);
             return false;
-        };
-        // A held credit guarantees a slot, but the slot one lap back may
-        // still be mid-handoff in another consumer (credits are fungible;
-        // pops complete out of order).  That wait is bounded by a few word
-        // copies, so spin it out rather than failing a credited send.
-        while self.ring.try_push(record).is_err() {
-            self.stats.slot_waits.fetch_add(1, Ordering::Relaxed);
-            std::hint::spin_loop();
         }
-        self.credits.record_peak(grant);
+        // The peak is exact without reading the consumers' cursor on every
+        // send: `pushed − popped_seen` bounds the occupancy from above (the
+        // true `tail` can only be further on), so `tail` is looked up only
+        // when that bound exceeds the recorded peak — whenever it does not,
+        // the true figure could not have raised the peak either.  Refreshing
+        // the cached copy there keeps the bound tight.
+        let pushed = self.ring.pushed();
+        let bound = pushed - stats.popped_seen.load(Ordering::Relaxed);
+        if bound > stats.occupancy_peak.load(Ordering::Relaxed) {
+            let popped = self.ring.popped();
+            stats.popped_seen.fetch_max(popped, Ordering::Relaxed);
+            stats
+                .occupancy_peak
+                .fetch_max(pushed.saturating_sub(popped), Ordering::Relaxed);
+        }
         true
     }
 
-    /// Attempts to receive one record into `out`, returning the freed
-    /// slot's credit to senders.  Returns `false` when the channel is
-    /// empty.  Any consumer thread may call this concurrently; each record
-    /// is delivered to exactly one consumer.
+    /// Attempts to receive one record into `out`.  Returns `false` when the
+    /// channel is empty.  Any consumer thread may call this concurrently;
+    /// each record is delivered to exactly one consumer.
     ///
     /// # Panics
     ///
-    /// Panics if `out.len()` differs from [`CreditChannel::words_per_slot`].
+    /// Panics if `out.len()` differs from [`Channel::words_per_slot`].
     pub fn try_recv(&self, out: &mut [u64]) -> bool {
-        if !self.ring.try_pop(out) {
-            return false;
-        }
-        self.credits.release();
-        true
+        self.ring.try_pop(out)
     }
 
-    /// The channel's slot count (== its credit grant).
+    /// The channel's slot count.
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.ring.capacity()
@@ -142,30 +136,18 @@ impl CreditChannel {
         self.ring.is_empty()
     }
 
-    /// The channel's credit loop (for telemetry; the loop is driven by
-    /// [`CreditChannel::try_send`]/[`CreditChannel::try_recv`]).
-    #[must_use]
-    pub fn credits(&self) -> &CreditCounter {
-        &self.credits
-    }
-
-    /// This channel's [`StageReport`]: accepted = sends, emitted =
-    /// receives, rejected = refused sends, plus the credit-loop totals and
-    /// the occupancy high-water mark (the most credits in flight right after
-    /// any send: records in the ring, plus any a receiver has popped but not
-    /// yet returned the credit for).  The credit loop owns the flow totals:
-    /// every send consumed a credit, every receive issued one back.
+    /// This channel's [`StageReport`]: accepted = sends and emitted =
+    /// receives, both read off the ring's own cursors; rejected = refused
+    /// sends; occupancy peak = the most records resident right after any
+    /// send (pushed, not yet claimed by a receiver).
     #[must_use]
     pub fn report(&self, stage: impl Into<String>) -> StageReport {
         StageReport {
-            stage: stage.into(),
-            accepted: self.credits.consumed(),
-            emitted: self.credits.issued(),
+            accepted: self.ring.pushed(),
+            emitted: self.ring.popped(),
             rejected: self.stats.refused.load(Ordering::Relaxed),
-            credits_issued: self.credits.issued(),
-            credits_consumed: self.credits.consumed(),
-            occupancy_peak: self.credits.in_flight_peak(),
-            stall_cycles: self.stats.slot_waits.load(Ordering::Relaxed),
+            occupancy_peak: self.stats.occupancy_peak.load(Ordering::Relaxed),
+            ..StageReport::named(stage)
         }
     }
 }
@@ -175,17 +157,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn send_consumes_credit_and_recv_replenishes() {
-        let channel = CreditChannel::new(2, 2);
+    fn send_fills_a_slot_and_recv_frees_it() {
+        let channel = Channel::new(2, 2);
         assert!(channel.try_send(&[1, 2]));
         assert!(channel.try_send(&[3, 4]));
-        // Credit exhaustion, not ring-full, is the refusal signal.
-        assert!(!channel.try_send(&[5, 6]));
-        assert_eq!(channel.credits().available(), 0);
+        assert!(!channel.try_send(&[5, 6]), "full");
+        assert_eq!(channel.len(), 2);
         let mut out = [0u64; 2];
         assert!(channel.try_recv(&mut out));
         assert_eq!(out, [1, 2]);
-        assert_eq!(channel.credits().available(), 1);
+        assert_eq!(channel.len(), 1);
         assert!(channel.try_send(&[5, 6]));
         assert!(channel.try_recv(&mut out));
         assert_eq!(out, [3, 4]);
@@ -196,7 +177,7 @@ mod tests {
 
     #[test]
     fn report_tracks_flow_refusals_and_occupancy() {
-        let channel = CreditChannel::new(2, 1);
+        let channel = Channel::new(2, 1);
         let mut out = [0u64];
         assert!(channel.try_send(&[1]));
         assert!(channel.try_send(&[2]));
@@ -209,17 +190,16 @@ mod tests {
         assert_eq!(report.accepted, 3);
         assert_eq!(report.emitted, 1);
         assert_eq!(report.rejected, 2);
-        assert_eq!(report.credits_consumed, 3);
-        assert_eq!(report.credits_issued, 1);
         assert_eq!(report.occupancy_peak, 2);
+        assert_eq!(report.stall_cycles, 0, "an accepted send never waits");
     }
 
     /// The peak is the true peak, not the sender's stale upper bound: fill to
     /// five, drain to one, fill to three.  At the sixth send the cached view
-    /// still says no credit ever came back (bound 6, true occupancy 2).
+    /// still says nothing was ever popped (bound 6, true occupancy 2).
     #[test]
     fn occupancy_peak_is_exact_under_a_stale_cached_view() {
-        let channel = CreditChannel::new(16, 1);
+        let channel = Channel::new(16, 1);
         let mut out = [0u64];
         for record in 0..5 {
             assert!(channel.try_send(&[record]));
@@ -241,42 +221,55 @@ mod tests {
         assert_eq!(channel.report("c").occupancy_peak, 7);
     }
 
-    /// The credit loop keeps its books under concurrency: a producer and
-    /// two consumers hammer one channel; afterwards every credit is home
-    /// and consumed == issued.
+    /// The ring keeps the books under concurrency, down to one slot: one
+    /// sender and three receivers hammer channels of 1, 2 and 3 slots; the
+    /// occupancy never exceeds the capacity at any send, every record is
+    /// delivered exactly once, and at quiescence pushed == popped and the
+    /// channel is empty.
     #[test]
-    fn credit_books_balance_under_concurrency() {
-        use std::sync::atomic::{AtomicU64, Ordering};
+    fn books_balance_under_concurrency_at_small_capacities() {
         use std::thread;
         const RECORDS: u64 = 10_000;
-        let channel = CreditChannel::new(8, 1);
-        let received = AtomicU64::new(0);
-        thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|| {
-                    let mut out = [0u64];
-                    while received.load(Ordering::Relaxed) < RECORDS {
-                        if channel.try_recv(&mut out) {
-                            received.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            std::hint::spin_loop();
+        for capacity in [1usize, 2, 3] {
+            let channel = Channel::new(capacity, 1);
+            let received = AtomicU64::new(0);
+            let id_sum = AtomicU64::new(0);
+            thread::scope(|s| {
+                for _ in 0..3 {
+                    s.spawn(|| {
+                        let mut out = [0u64];
+                        while received.load(Ordering::Relaxed) < RECORDS {
+                            if channel.try_recv(&mut out) {
+                                assert!(out[0] < RECORDS, "foreign record {:#x}", out[0]);
+                                id_sum.fetch_add(out[0], Ordering::Relaxed);
+                                received.fetch_add(1, Ordering::Relaxed);
+                            } else {
+                                thread::yield_now();
+                            }
                         }
-                    }
-                });
-            }
-            let mut sent = 0u64;
-            while sent < RECORDS {
-                if channel.try_send(&[sent]) {
-                    sent += 1;
-                } else {
-                    std::hint::spin_loop();
+                    });
                 }
-            }
-        });
-        assert_eq!(received.load(Ordering::Relaxed), RECORDS);
-        assert_eq!(channel.credits().available(), 8);
-        assert_eq!(channel.credits().consumed(), RECORDS);
-        assert_eq!(channel.credits().issued(), RECORDS);
-        assert!(channel.is_empty());
+                let mut sent = 0u64;
+                while sent < RECORDS {
+                    if channel.try_send(&[sent]) {
+                        sent += 1;
+                        // `len()` is clamped to the capacity; the cursors
+                        // are not (`popped` is read second, so it can only
+                        // make the difference smaller than it ever was).
+                        let report = channel.report("c");
+                        let resident = report.accepted.saturating_sub(report.emitted);
+                        assert!(resident <= capacity as u64, "{report:?}");
+                    } else {
+                        thread::yield_now();
+                    }
+                }
+            });
+            assert_eq!(received.load(Ordering::Relaxed), RECORDS);
+            assert_eq!(id_sum.load(Ordering::Relaxed), RECORDS * (RECORDS - 1) / 2);
+            let report = channel.report("c");
+            assert_eq!((report.accepted, report.emitted), (RECORDS, RECORDS));
+            assert!(report.occupancy_peak <= capacity as u64, "{report:?}");
+            assert!(channel.is_empty());
+        }
     }
 }

@@ -14,9 +14,8 @@
 //!
 //! The stage is purely computational — it owns no queue and no thread.  The
 //! pipeline wiring (batch fill via a [`StealMux`](crate::stage::StealMux),
-//! commit via a [`FrameSink`](crate::stage::FrameSink), budget-credit
-//! return via [`QosGate::credit_decode`](crate::stage::QosGate::credit_decode))
-//! lives in [`crate::stage::graph`].
+//! commit via a [`FrameSink`](crate::stage::FrameSink), which also owns the
+//! count of committed rounds) lives in [`crate::stage::graph`].
 //!
 //! [`Decoder::decode_into`]: nisqplus_decoders::Decoder::decode_into
 
@@ -77,14 +76,12 @@ pub struct DecodeStage<'a> {
     /// The name of the decoder serving each lattice, in lattice-id order.
     lattice_decoders: Vec<String>,
     states: Vec<LatticeDecodeState>,
-    decoded: u64,
 }
 
 impl std::fmt::Debug for DecodeStage<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DecodeStage")
             .field("lattice_decoders", &self.lattice_decoders)
-            .field("decoded", &self.decoded)
             .finish_non_exhaustive()
     }
 }
@@ -137,7 +134,6 @@ impl<'a> DecodeStage<'a> {
             decoders,
             lattice_decoders,
             states,
-            decoded: 0,
         }
     }
 
@@ -190,7 +186,6 @@ impl<'a> DecodeStage<'a> {
         } else {
             None
         };
-        self.decoded += 1;
         Ok(DecodedRound {
             lattice_id: state.packet.lattice_id,
             round: state.packet.round,
@@ -204,12 +199,6 @@ impl<'a> DecodeStage<'a> {
     #[must_use]
     pub fn lattice_decoders(&self) -> &[String] {
         &self.lattice_decoders
-    }
-
-    /// Rounds decoded by this stage so far.
-    #[must_use]
-    pub fn decoded(&self) -> u64 {
-        self.decoded
     }
 }
 
@@ -306,7 +295,6 @@ mod tests {
             x.compose_with(&z);
             assert_eq!(*decoded.correction, x);
         }
-        assert_eq!(stage.decoded(), 3);
     }
 
     #[test]
@@ -339,7 +327,7 @@ mod tests {
     /// Validate before indexing: a corrupted record, a record naming a
     /// lattice the codec does not know and a record past its lattice's
     /// retirement watermark each come back as their typed error, having
-    /// touched neither the decode count nor any per-lattice buffer.
+    /// touched no per-lattice buffer and prepared nothing.
     #[test]
     fn corrupted_record_is_rejected_without_touching_state() {
         let set = set_of(&[3, 5]);
@@ -387,12 +375,14 @@ mod tests {
                 final_round: 3,
             })
         );
-        assert_eq!(stage.decoded(), 2, "a quarantined record decodes nothing");
-        assert_eq!(format!("{:?} {:?}", stage.states, stage.prepared), before);
+        assert_eq!(
+            format!("{:?} {:?}", stage.states, stage.prepared),
+            before,
+            "a quarantined record decodes nothing"
+        );
         // The stage still decodes clean records afterwards, including the
         // retired lattice's in-flight rounds below the watermark.
         assert!(stage.decode(&clean).is_ok());
         assert!(stage.decode(&record_for(&codec, 1, 2)).is_ok());
-        assert_eq!(stage.decoded(), 4);
     }
 }

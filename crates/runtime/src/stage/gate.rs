@@ -3,38 +3,39 @@
 //! The gate is the pipeline's first seam.  Every generated round is offered
 //! to its lattice's *lane*; the lane answers with an [`Admission`]:
 //!
-//! * [`Admission::Granted`] — the round may proceed to its channel (and, if
-//!   the lane has a budget, one budget credit is now held on its behalf);
-//! * [`Admission::Blocked`] — a [`PushPolicy::Block`] lane is out of budget
-//!   credits; the caller stalls and re-offers (each refusal is one counted
+//! * [`Admission::Granted`] — the round may proceed to its channel;
+//! * [`Admission::Blocked`] — a [`PushPolicy::Block`] lane is at its budget;
+//!   the caller stalls and re-offers (each refusal is one counted
 //!   backpressure spin);
-//! * [`Admission::Shed`] — a [`PushPolicy::Drop`] lane is out of budget
-//!   credits; the round is dropped at the door, before it costs a channel
-//!   slot.
+//! * [`Admission::Shed`] — a [`PushPolicy::Drop`] lane is at its budget; the
+//!   round is dropped at the door, before it costs a channel slot.
 //!
-//! A lane's budget is a pipeline-spanning credit loop (see
-//! [`CreditCounter`]): the credit acquired at admission is returned by the
-//! decode worker only when the round's correction is committed
-//! ([`QosGate::credit_decode`]), so the budget bounds the lattice's
-//! *outstanding* rounds across every stage between gate and sink, exactly
-//! like [`LatticeSpec::queue_budget`](crate::lattice_set::LatticeSpec::queue_budget)
-//! promises.  A `Drop`-lane round that is granted but then refused by a full
-//! channel returns its credit through [`QosGate::refund`].
+//! A lane's budget bounds the lattice's *outstanding* rounds — enqueued, not
+//! yet committed — across every stage between gate and sink, exactly like
+//! [`LatticeSpec::queue_budget`](crate::lattice_set::LatticeSpec::queue_budget)
+//! promises, and the book of that quantity is the lattice's own
+//! [`LatticeCounters`]: a budgeted lane admits iff `enqueued − decoded <
+//! queue_budget`.  The source is the only writer of `enqueued` and workers
+//! only ever raise `decoded`, so a stale read can only under-admit; nothing
+//! is published through the budget, so the reads are `Relaxed`.  Admission
+//! holds nothing: a granted round that its channel then refuses, or that is
+//! shed for any other reason, simply never becomes `enqueued`.  The gate is
+//! source-side state — workers never see it — and a budget-less lane reads
+//! no line a worker writes.
 
 use crate::config::{MachineConfig, PushPolicy};
 use crate::lattice_set::LatticeSet;
-use crate::stage::credit::CreditCounter;
 use crate::stage::StageReport;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::telemetry::LatticeCounters;
 
 /// The gate's answer to one admission attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
-    /// Proceed to the channel; a budget credit (if any) is held.
+    /// Proceed to the channel.
     Granted,
-    /// Out of budget under [`PushPolicy::Block`]: stall and re-offer.
+    /// At budget under [`PushPolicy::Block`]: stall and re-offer.
     Blocked,
-    /// Out of budget under [`PushPolicy::Drop`]: drop the round now.
+    /// At budget under [`PushPolicy::Drop`]: drop the round now.
     Shed,
 }
 
@@ -43,14 +44,16 @@ pub enum Admission {
 struct GateLane {
     policy: PushPolicy,
     /// The outstanding-rounds budget; `None` admits unconditionally.
-    budget: Option<CreditCounter>,
-    granted: AtomicU64,
-    blocked: AtomicU64,
-    shed: AtomicU64,
+    budget: Option<u64>,
+    granted: u64,
+    blocked: u64,
+    shed: u64,
+    /// The most outstanding rounds any grant of a budgeted lane left the
+    /// lattice with (the granted round included).
+    outstanding_peak: u64,
 }
 
-/// Per-lattice admission control, shared by reference between the source
-/// (admission) and the decode workers (credit return).
+/// Per-lattice admission control, owned by the source.
 #[derive(Debug)]
 pub struct QosGate {
     lanes: Vec<GateLane>,
@@ -66,74 +69,39 @@ impl QosGate {
                 .iter()
                 .map(|(_, spec, _)| GateLane {
                     policy: config.policy_for(spec),
-                    budget: spec
-                        .queue_budget
-                        .map(|budget| CreditCounter::new(budget as u64)),
-                    granted: AtomicU64::new(0),
-                    blocked: AtomicU64::new(0),
-                    shed: AtomicU64::new(0),
+                    budget: spec.queue_budget.map(|budget| budget as u64),
+                    granted: 0,
+                    blocked: 0,
+                    shed: 0,
+                    outstanding_peak: 0,
                 })
                 .collect(),
         }
     }
 
-    /// A gate of `lanes` budget-less [`PushPolicy::Block`] lanes: every
-    /// admission is granted.  Useful for driving a worker directly in tests.
-    #[must_use]
-    pub fn unbounded(lanes: usize) -> Self {
-        QosGate {
-            lanes: (0..lanes)
-                .map(|_| GateLane {
-                    policy: PushPolicy::Block,
-                    budget: None,
-                    granted: AtomicU64::new(0),
-                    blocked: AtomicU64::new(0),
-                    shed: AtomicU64::new(0),
-                })
-                .collect(),
-        }
-    }
-
-    /// Offers one round of `lattice_id` for admission.
-    pub fn admit(&self, lattice_id: usize) -> Admission {
-        let lane = &self.lanes[lattice_id];
-        let admitted = match &lane.budget {
-            Some(budget) => budget
-                .acquire()
-                .map(|grant| budget.record_peak(grant))
-                .is_some(),
-            None => true,
-        };
+    /// Offers one round of `lattice_id` for admission against that
+    /// lattice's own `counters`.
+    pub fn admit(&mut self, lattice_id: usize, counters: &LatticeCounters) -> Admission {
+        let lane = &mut self.lanes[lattice_id];
+        // What the lattice would have outstanding with this round granted
+        // (budgeted lanes only: a budget-less lane reads no worker's line).
+        let would_hold = lane.budget.map(|_| counters.outstanding() + 1);
+        // Both `Some` or both `None`; `None <= None` admits unconditionally.
+        let admitted = would_hold <= lane.budget;
         match (admitted, lane.policy) {
             (true, _) => {
-                lane.granted.fetch_add(1, Ordering::Relaxed);
+                lane.granted += 1;
+                lane.outstanding_peak = lane.outstanding_peak.max(would_hold.unwrap_or(0));
                 Admission::Granted
             }
             (false, PushPolicy::Block) => {
-                lane.blocked.fetch_add(1, Ordering::Relaxed);
+                lane.blocked += 1;
                 Admission::Blocked
             }
             (false, PushPolicy::Drop) => {
-                lane.shed.fetch_add(1, Ordering::Relaxed);
+                lane.shed += 1;
                 Admission::Shed
             }
-        }
-    }
-
-    /// Returns a granted round's budget credit *without* it having been
-    /// decoded — the path for a `Drop`-lane round that was admitted but
-    /// then refused by its full channel and shed.
-    pub fn refund(&self, lattice_id: usize) {
-        if let Some(budget) = &self.lanes[lattice_id].budget {
-            budget.release();
-        }
-    }
-
-    /// Returns the budget credit of a committed round.  Decode workers call
-    /// this once per decoded round, closing the gate-to-sink credit loop.
-    pub fn credit_decode(&self, lattice_id: usize) {
-        if let Some(budget) = &self.lanes[lattice_id].budget {
-            budget.release();
         }
     }
 
@@ -143,40 +111,19 @@ impl QosGate {
         self.lanes[lattice_id].policy
     }
 
-    /// Lane `lattice_id`'s rounds currently between admission and commit
-    /// (zero for budget-less lanes, which do not track flight).
-    #[must_use]
-    pub fn outstanding(&self, lattice_id: usize) -> u64 {
-        self.lanes[lattice_id]
-            .budget
-            .as_ref()
-            .map_or(0, CreditCounter::in_flight)
-    }
-
-    /// Number of lanes (== lattices).
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// This gate's [`StageReport`]: accepted = granted admissions, rejected
-    /// = shed rounds, stall cycles = blocked (retried) admissions, credit
-    /// totals summed over every lane's budget loop, occupancy peak = the most
-    /// rounds any one budgeted lane held between admission and commit (0 for
-    /// a gate without budgets).
+    /// = shed rounds, stall cycles = blocked (retried) admissions, occupancy
+    /// peak = the most outstanding rounds any one budgeted lane was granted
+    /// up to (0 for a gate without budgets).
     #[must_use]
     pub fn report(&self, stage: impl Into<String>) -> StageReport {
         let mut report = StageReport::named(stage);
         for lane in &self.lanes {
-            report.accepted += lane.granted.load(Ordering::Relaxed);
-            report.emitted += lane.granted.load(Ordering::Relaxed);
-            report.rejected += lane.shed.load(Ordering::Relaxed);
-            report.stall_cycles += lane.blocked.load(Ordering::Relaxed);
-            if let Some(budget) = &lane.budget {
-                report.credits_consumed += budget.consumed();
-                report.credits_issued += budget.issued();
-                report.occupancy_peak = report.occupancy_peak.max(budget.in_flight_peak());
-            }
+            report.accepted += lane.granted;
+            report.emitted += lane.granted;
+            report.rejected += lane.shed;
+            report.stall_cycles += lane.blocked;
+            report.occupancy_peak = report.occupancy_peak.max(lane.outstanding_peak);
         }
         report
     }
@@ -186,6 +133,7 @@ impl QosGate {
 mod tests {
     use super::*;
     use crate::lattice_set::LatticeSpec;
+    use std::sync::atomic::Ordering;
 
     fn gate_with(policy: PushPolicy, budget: Option<usize>) -> QosGate {
         let mut spec = LatticeSpec::new(3);
@@ -200,17 +148,29 @@ mod tests {
         QosGate::for_machine(&config, &set)
     }
 
+    /// Offers a round and, as the source does, counts a granted one as
+    /// enqueued.
+    fn offer(gate: &mut QosGate, counters: &LatticeCounters) -> Admission {
+        let admission = gate.admit(0, counters);
+        if admission == Admission::Granted {
+            counters.enqueued.fetch_add(1, Ordering::Relaxed);
+        }
+        admission
+    }
+
     #[test]
     fn block_lane_blocks_at_budget_and_resumes_after_commit() {
-        let gate = gate_with(PushPolicy::Block, Some(2));
-        assert_eq!(gate.admit(0), Admission::Granted);
-        assert_eq!(gate.admit(0), Admission::Granted);
-        assert_eq!(gate.admit(0), Admission::Blocked);
-        assert_eq!(gate.outstanding(0), 2);
-        // A committed decode returns the credit; the retry now succeeds.
-        gate.credit_decode(0);
-        assert_eq!(gate.admit(0), Admission::Granted);
-        assert_eq!(gate.admit(0), Admission::Blocked);
+        let mut gate = gate_with(PushPolicy::Block, Some(2));
+        let counters = LatticeCounters::default();
+        assert_eq!(offer(&mut gate, &counters), Admission::Granted);
+        assert_eq!(offer(&mut gate, &counters), Admission::Granted);
+        assert_eq!(offer(&mut gate, &counters), Admission::Blocked);
+        assert_eq!(counters.outstanding(), 2);
+        // A committed decode lowers the outstanding count; the retry now
+        // succeeds.
+        counters.decoded.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(offer(&mut gate, &counters), Admission::Granted);
+        assert_eq!(offer(&mut gate, &counters), Admission::Blocked);
         let report = gate.report("gate");
         assert_eq!(report.accepted, 3);
         assert_eq!(report.stall_cycles, 2);
@@ -218,14 +178,14 @@ mod tests {
     }
 
     #[test]
-    fn drop_lane_sheds_at_budget_and_refund_reopens_it() {
-        let gate = gate_with(PushPolicy::Drop, Some(1));
-        assert_eq!(gate.admit(0), Admission::Granted);
-        assert_eq!(gate.admit(0), Admission::Shed);
-        // The granted round's channel send failed: its credit comes home and
-        // the next round is admitted again.
-        gate.refund(0);
-        assert_eq!(gate.admit(0), Admission::Granted);
+    fn drop_lane_sheds_at_budget_and_a_refused_send_holds_nothing() {
+        let mut gate = gate_with(PushPolicy::Drop, Some(1));
+        let counters = LatticeCounters::default();
+        // Granted, but the channel refused the send: the round never became
+        // enqueued, so the lane is still open for the next one.
+        assert_eq!(gate.admit(0, &counters), Admission::Granted);
+        assert_eq!(offer(&mut gate, &counters), Admission::Granted);
+        assert_eq!(offer(&mut gate, &counters), Admission::Shed);
         let report = gate.report("gate");
         assert_eq!(report.accepted, 2);
         assert_eq!(report.rejected, 1);
@@ -234,42 +194,30 @@ mod tests {
 
     #[test]
     fn budget_less_lane_admits_unconditionally() {
-        let gate = gate_with(PushPolicy::Block, None);
+        let mut gate = gate_with(PushPolicy::Block, None);
+        let counters = LatticeCounters::default();
         for _ in 0..100 {
-            assert_eq!(gate.admit(0), Admission::Granted);
+            assert_eq!(offer(&mut gate, &counters), Admission::Granted);
         }
-        assert_eq!(gate.outstanding(0), 0);
-        assert_eq!(gate.report("gate").credits_consumed, 0);
+        assert_eq!(gate.policy(0), PushPolicy::Block);
+        assert_eq!(gate.report("gate").occupancy_peak, 0);
     }
 
     /// The gate's occupancy peak is a high-water mark kept at admission, not
-    /// the in-flight count left when the report is assembled.
+    /// the outstanding count left when the report is assembled.
     #[test]
     fn occupancy_peak_is_the_most_rounds_a_budgeted_lane_ever_held() {
-        let gate = gate_with(PushPolicy::Block, Some(2));
-        assert_eq!(gate.admit(0), Admission::Granted);
-        assert_eq!(gate.admit(0), Admission::Granted);
-        gate.credit_decode(0);
-        assert_eq!(gate.admit(0), Admission::Granted);
+        let mut gate = gate_with(PushPolicy::Block, Some(2));
+        let counters = LatticeCounters::default();
+        assert_eq!(offer(&mut gate, &counters), Admission::Granted);
+        assert_eq!(gate.report("gate").occupancy_peak, 1);
+        assert_eq!(offer(&mut gate, &counters), Admission::Granted);
+        counters.decoded.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(offer(&mut gate, &counters), Admission::Granted);
         assert_eq!(gate.report("gate").occupancy_peak, 2);
-        // Every credit home again: the peak stands.
-        gate.credit_decode(0);
-        gate.credit_decode(0);
-        assert_eq!(gate.outstanding(0), 0);
+        // Everything committed: the peak stands.
+        counters.decoded.fetch_add(2, Ordering::Relaxed);
+        assert_eq!(counters.outstanding(), 0);
         assert_eq!(gate.report("gate").occupancy_peak, 2);
-
-        let unbudgeted = gate_with(PushPolicy::Block, None);
-        assert_eq!(unbudgeted.admit(0), Admission::Granted);
-        assert_eq!(unbudgeted.report("gate").occupancy_peak, 0);
-    }
-
-    #[test]
-    fn unbounded_gate_serves_every_lane() {
-        let gate = QosGate::unbounded(3);
-        assert_eq!(gate.lanes(), 3);
-        for lane in 0..3 {
-            assert_eq!(gate.admit(lane), Admission::Granted);
-            assert_eq!(gate.policy(lane), PushPolicy::Block);
-        }
     }
 }

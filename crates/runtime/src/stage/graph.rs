@@ -5,16 +5,17 @@
 //!
 //! ```text
 //! source ──► gate ──► channel[w] ──► steal ──► decode ──► frame
-//!  (paced)  (QoS)   (credit loops)   (per worker, N threads)
+//!  (paced)  (QoS)   (bounded rings)  (per worker, N threads)
 //! ```
 //!
 //! One paced source runs on the calling thread; `workers` decode threads
-//! each drive a steal → decode → frame chain.  Every seam is credit-backed:
-//! the channels carry capacity credits, the gate carries per-lattice budget
-//! credits that only come home when the decode commits.  The shape is
-//! fixed: one channel per worker, round `r` of lattice `l` placed on channel
-//! `(l + r) % workers`, every worker draining its own channel and stealing
-//! a batch from a neighbour when it runs dry ([`StealMux`]).
+//! each drive a steal → decode → frame chain.  Two bounds, one book each: a
+//! channel's capacity is its ring's slot sequence words, a lattice's queue
+//! budget is its own `enqueued − decoded` counters, read by the gate at
+//! admission.  The shape is fixed: one channel per worker, round `r` of
+//! lattice `l` placed on channel `(l + r) % workers`, every worker draining
+//! its own channel and stealing a batch from a neighbour when it runs dry
+//! ([`StealMux`]).
 //! [`PipelineOptions`] carries what a caller may attach to a run — an
 //! observer, the watchdog window, a trace to replay or record — not its
 //! shape.  [`PipelineGraph::run`] returns a [`PipelineRun`]: the raw worker
@@ -30,7 +31,7 @@ use crate::obs::{
 use crate::packet::{PacketCodec, SyndromePacket};
 use crate::scenario::{SyndromeTrace, TraceRecorder, TraceSource};
 use crate::source::{ElasticEvent, ElasticEventKind, InterleavedSource, NoiseEpoch, SourcedRound};
-use crate::stage::channel::CreditChannel;
+use crate::stage::channel::Channel;
 use crate::stage::decode::DecodeStage;
 use crate::stage::gate::{Admission, QosGate};
 use crate::stage::mux::StealMux;
@@ -141,9 +142,7 @@ pub struct WorkerSeat<'a> {
     /// The shared wire codec.
     pub codec: &'a PacketCodec,
     /// The channels the worker consumes from.
-    pub channels: &'a [CreditChannel],
-    /// The admission gate whose budget credits the worker returns.
-    pub gate: &'a QosGate,
+    pub channels: &'a [Channel],
     /// The shared run counters.
     pub counters: &'a RuntimeCounters,
     /// Set once the source has finished generating.
@@ -241,12 +240,13 @@ pub fn run_worker(seat: WorkerSeat<'_>) -> (WorkerOutput, StageReport) {
 
 /// One supervised decode attempt: fill batches own-channel-then-steal, decode
 /// every record through the lattice's prepared hot path, commit to the
-/// shared frame sink, return each round's budget credit to the gate.
+/// shared frame sink and count the round decoded — which is also what lowers
+/// its lattice's outstanding count for the gate.
 /// Returns `(lattice decoder names, stall polls)` when the stream drains;
 /// unwinds into the supervisor if the decode path panics.
 fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> (Vec<String>, u64) {
     let worker_id = seat.worker_id;
-    let (channels, gate, counters, obs) = (seat.channels, seat.gate, seat.counters, seat.obs);
+    let (channels, counters, obs) = (seat.channels, seat.counters, seat.obs);
     let epoch = seat.epoch;
     let mut decode = DecodeStage::new(seat.set, seat.codec, seat.factory);
     let mux = StealMux::new(worker_id);
@@ -280,7 +280,7 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> (Vec<String>, u64
             );
         }
         if fill.filled == 0 {
-            if seat.done.load(Ordering::Acquire) && channels.iter().all(CreditChannel::is_empty) {
+            if seat.done.load(Ordering::Acquire) && channels.iter().all(Channel::is_empty) {
                 return (decode.lattice_decoders().to_vec(), stall_polls);
             }
             worker_counters.stall_polls.fetch_add(1, Ordering::Relaxed);
@@ -343,9 +343,6 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> (Vec<String>, u64
                 .decoded
                 .fetch_add(1, Ordering::Relaxed);
             worker_counters.decoded.fetch_add(1, Ordering::Relaxed);
-            // The round is committed: its budget credit goes home, closing
-            // the gate-to-sink credit loop.
-            gate.credit_decode(lattice_id);
             prev = now;
         }
         worker_counters.batches.fetch_add(1, Ordering::Relaxed);
@@ -457,8 +454,8 @@ fn apply_elastic_events(
 
 /// Retries `attempt` until it succeeds, counting every refusal as one
 /// backpressure spin against the lattice, for at most `watchdog`: the one
-/// lossless wait of a Block lane, whichever credit loop (budget or channel)
-/// is refusing.  Returns whether the attempt succeeded and how often it was
+/// lossless wait of a Block lane, whichever bound (budget or channel
+/// capacity) is refusing.  Returns whether the attempt succeeded and how often it was
 /// refused.  The clock is read only from the first refusal on, and then once
 /// per 256 spins.
 fn spin_until(
@@ -493,11 +490,12 @@ fn spread_channel(lattice_id: u32, round: u64, channels: usize) -> usize {
 
 /// The source stage of `graph`: paced interleaved generation, encoding
 /// into one reused record, gate admission under each lattice's QoS lane,
-/// spread placement into the credit channels, depth sampling — plus the
+/// spread placement into the channels, depth sampling — plus the
 /// run's hostile-stream hooks: scheduled burst overlays, on-the-wire
 /// corruption, channel-stall emulation and the backpressure watchdog.
 fn run_source(
     graph: &PipelineGraph<'_>,
+    gate: &mut QosGate,
     replay: Option<SyndromeTrace>,
     counters: &RuntimeCounters,
     epoch: Instant,
@@ -507,7 +505,6 @@ fn run_source(
         set,
         codec,
         channels,
-        gate,
         obs,
         injector,
         watchdog,
@@ -551,7 +548,7 @@ fn run_source(
     let total_rounds = feed_total;
     let mut depth = DepthSink::new(total_rounds, config.max_depth_samples);
     // The round's encoded record, overwritten every round: it rests here
-    // while its channel refuses credits, so a Block-lane round exists in
+    // while its channel is full, so a Block-lane round exists in
     // exactly one place at every instant of a stall, and a shed round is
     // simply never sent.
     let words = codec.words_per_packet();
@@ -671,12 +668,12 @@ fn run_source(
         };
         // `delivered`: the record reached a channel.  A delivered *poisoned*
         // record is shed-accounted below (the worker will quarantine it, so
-        // its budget credit is refunded here and it never counts as
-        // enqueued) — the backlog, frame and residual books stay exact.
+        // it never counts as enqueued) — the backlog, budget, frame and
+        // residual books stay exact.
         let delivered = match gate.policy(lattice_id as usize) {
             PushPolicy::Block => {
-                // Two credit loops, both lossless: the lattice's own budget
-                // lane first, then a channel credit; every refused retry is
+                // Two bounds, both lossless: the lattice's own budget lane
+                // first, then a channel slot; every refused retry is
                 // one counted backpressure spin.  Stall *events* are
                 // published once per contended round (value = spins), not
                 // per spin — the journal records episodes, the counters
@@ -684,7 +681,7 @@ fn run_source(
                 // long; past that the round is force-shed with a
                 // WatchdogTrip so a dead consumer cannot hang the run.
                 let (admitted, budget_spins) = spin_until(lattice_counters, *watchdog, || {
-                    gate.admit(lattice_id as usize) != Admission::Blocked
+                    gate.admit(lattice_id as usize, lattice_counters) != Admission::Blocked
                 });
                 if budget_spins > 0 {
                     obs.publish(
@@ -700,11 +697,6 @@ fn run_source(
                     let (sent, send_spins) = spin_until(lattice_counters, *watchdog, || {
                         !channel_stalled() && channel.try_send(&record)
                     });
-                    if !sent {
-                        // The budget credit acquired above is held for a
-                        // round that will never be decoded: it goes home.
-                        gate.refund(lattice_id as usize);
-                    }
                     if send_spins > 0 {
                         obs.publish(
                             EventKind::BackpressureStall,
@@ -732,18 +724,12 @@ fn run_source(
             }
             PushPolicy::Drop => {
                 // Shed when the lattice's budget lane refuses *or* the
-                // channel has no credit (or is stalled); a shed round enters
-                // the frame path as an identity correction later.
-                let admission = gate.admit(lattice_id as usize);
+                // channel is full (or stalled); a shed round enters the
+                // frame path as an identity correction later.
+                let admission = gate.admit(lattice_id as usize, lattice_counters);
                 let stalled = channel_stalled();
-                let delivered = admission == Admission::Granted && {
-                    let sent = !stalled && channel.try_send(&record);
-                    if !sent {
-                        // The granted budget credit goes home unused.
-                        gate.refund(lattice_id as usize);
-                    }
-                    sent
-                };
+                let delivered =
+                    admission == Admission::Granted && !stalled && channel.try_send(&record);
                 if !delivered {
                     account_shed(&sourced);
                     if admission != Admission::Granted {
@@ -771,9 +757,8 @@ fn run_source(
         };
         if delivered && poison.is_some() {
             // The poisoned record is on the wire; the worker will reject
-            // it, so the round is shed-accounted *now* and its budget
-            // credit (which `credit_decode` would have returned) refunded.
-            gate.refund(lattice_id as usize);
+            // it, so the round is shed-accounted *now* and never counted
+            // as enqueued.
             account_shed(&sourced);
             injector.corruption_delivered();
         } else if delivered {
@@ -827,15 +812,14 @@ fn run_source(
     }
 }
 
-/// The assembled pipeline: codec, one credit channel per worker and the
-/// admission gate, ready to run a machine's streams through a worker pool.
+/// The assembled pipeline: codec and one channel per worker, ready to run a
+/// machine's streams through a worker pool.
 #[derive(Debug)]
 pub struct PipelineGraph<'a> {
     config: &'a MachineConfig,
     set: &'a LatticeSet,
     codec: PacketCodec,
-    channels: Vec<CreditChannel>,
-    gate: QosGate,
+    channels: Vec<Channel>,
     obs: ObsPlane,
     injector: FaultInjector,
     watchdog: Duration,
@@ -861,15 +845,13 @@ impl<'a> PipelineGraph<'a> {
         };
         let per_channel_capacity = config.queue_capacity.div_ceil(config.workers);
         let channels = (0..config.workers)
-            .map(|_| CreditChannel::new(per_channel_capacity, codec.words_per_packet()))
+            .map(|_| Channel::new(per_channel_capacity, codec.words_per_packet()))
             .collect();
-        let gate = QosGate::for_machine(config, set);
         PipelineGraph {
             config,
             set,
             codec,
             channels,
-            gate,
             obs,
             injector: FaultInjector::new(config.fault.clone()),
             watchdog: options.watchdog,
@@ -899,7 +881,9 @@ impl<'a> PipelineGraph<'a> {
         let replay = self.replay.take();
         let graph = &self;
         let (config, set) = (graph.config, graph.set);
-        let (codec, channels, gate) = (&graph.codec, &graph.channels, &graph.gate);
+        let (codec, channels) = (&graph.codec, &graph.channels);
+        // Admission is the source's own state: workers never see the gate.
+        let mut gate = QosGate::for_machine(config, set);
         let (obs, injector) = (&graph.obs, &graph.injector);
         let done = AtomicBool::new(false);
         // The sampler outlives the source: it keeps sampling while workers
@@ -923,7 +907,6 @@ impl<'a> PipelineGraph<'a> {
                             set,
                             codec,
                             channels,
-                            gate,
                             counters,
                             done,
                             epoch,
@@ -938,7 +921,7 @@ impl<'a> PipelineGraph<'a> {
                 })
                 .collect();
 
-            let source_run = run_source(graph, replay, counters, epoch);
+            let source_run = run_source(graph, &mut gate, replay, counters, epoch);
             done.store(true, Ordering::Release);
 
             let worker_results: Vec<_> = handles
@@ -994,7 +977,7 @@ impl<'a> PipelineGraph<'a> {
 fn run_sampler(
     obs: &ObsPlane,
     counters: &RuntimeCounters,
-    channels: &[CreditChannel],
+    channels: &[Channel],
     done: &AtomicBool,
     epoch: Instant,
 ) {
@@ -1071,8 +1054,8 @@ mod tests {
         let set = LatticeSet::new(vec![spec]).unwrap();
         let codec = PacketCodec::for_lattice_bits(&set.ancilla_bits());
         let channels = [
-            CreditChannel::new(64, codec.words_per_packet()),
-            CreditChannel::new(64, codec.words_per_packet()),
+            Channel::new(64, codec.words_per_packet()),
+            Channel::new(64, codec.words_per_packet()),
         ];
         let mut record = vec![0u64; codec.words_per_packet()];
         let mut source = SyndromeSource::new(
@@ -1087,7 +1070,6 @@ mod tests {
             assert!(channels[1].try_send(&record));
         }
         let counters = RuntimeCounters::new(1, 2);
-        let gate = QosGate::unbounded(1);
         let done = AtomicBool::new(true);
         let factory = greedy_factory();
         let obs = ObsPlane::new(ObsConfig::default());
@@ -1097,7 +1079,6 @@ mod tests {
             set: &set,
             codec: &codec,
             channels: &channels,
-            gate: &gate,
             counters: &counters,
             done: &done,
             epoch: Instant::now(),
@@ -1121,9 +1102,10 @@ mod tests {
         assert_eq!(output.per_lattice[0].frame.recorded_cycles(), 20);
         let rounds: Vec<u64> = output.corrections.iter().map(|c| c.round).collect();
         assert_eq!(rounds, (0..20).collect::<Vec<u64>>());
-        assert!(channels.iter().all(CreditChannel::is_empty));
-        // Every channel credit is home again.
-        assert_eq!(channels[1].credits().available(), 64);
+        assert!(channels.iter().all(Channel::is_empty));
+        // The stolen-from channel's books balance.
+        let victim = channels[1].report("channel.1");
+        assert_eq!((victim.accepted, victim.emitted), (20, 20));
         assert_eq!(decode_report.stage, "decode.0");
         assert_eq!(decode_report.accepted, 20);
     }
@@ -1141,7 +1123,7 @@ mod tests {
         spec5.seed = 2;
         let set = LatticeSet::new(vec![spec3, spec5]).unwrap();
         let codec = PacketCodec::for_lattice_bits(&set.ancilla_bits());
-        let channels = [CreditChannel::new(64, codec.words_per_packet())];
+        let channels = [Channel::new(64, codec.words_per_packet())];
         let mut record = vec![0u64; codec.words_per_packet()];
         for (lattice_id, rounds, seed) in [(0u32, 6u64, 1u64), (1, 4, 2)] {
             let mut source = SyndromeSource::new(
@@ -1157,7 +1139,6 @@ mod tests {
             }
         }
         let counters = RuntimeCounters::new(2, 1);
-        let gate = QosGate::unbounded(2);
         let done = AtomicBool::new(true);
         let factory = greedy_factory();
         let obs = ObsPlane::new(ObsConfig::default());
@@ -1167,7 +1148,6 @@ mod tests {
             set: &set,
             codec: &codec,
             channels: &channels,
-            gate: &gate,
             counters: &counters,
             done: &done,
             epoch: Instant::now(),
@@ -1210,10 +1190,10 @@ mod tests {
     }
 
     /// The full graph with default options reproduces the engine contract:
-    /// every round decoded exactly once, all stage credit books balanced at
+    /// every round decoded exactly once, every channel's books balanced at
     /// quiescence.
     #[test]
-    fn default_graph_decodes_every_round_and_balances_credits() {
+    fn default_graph_decodes_every_round_and_balances_the_books() {
         let mut config = MachineConfig::new(&[3, 3], 11);
         for spec in &mut config.lattices {
             spec.rounds = 100;
@@ -1261,8 +1241,8 @@ mod tests {
             .filter(|r| r.stage.starts_with("channel."))
         {
             assert_eq!(
-                report.credits_consumed, report.credits_issued,
-                "all channel credits are home at quiescence"
+                report.accepted, report.emitted,
+                "pushed == popped at quiescence"
             );
         }
     }

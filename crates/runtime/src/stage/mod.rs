@@ -1,21 +1,22 @@
-//! The pipeline's stages, with credit-based flow control at every seam.
+//! The pipeline's stages, with bounded, counted flow control at every seam.
 //!
 //! The paper's argument is a *pipeline* argument: syndromes must flow
 //! through extraction, transport, and decode without the backlog ever
 //! growing.  The streaming engine is one fixed graph of latency-insensitive
 //! stages — `source → gate → channel[w] → steal → decode → frame` — in which
-//! every seam between two stages is a valid/ready handshake backed by a
-//! credit loop, so backpressure is a first-class, *measurable* signal
-//! instead of an accident of buffer sizes:
+//! every seam between two stages is a valid/ready handshake over a bound
+//! with exactly one book, so backpressure is a first-class, *measurable*
+//! signal instead of an accident of buffer sizes:
 //!
-//! * [`credit`] — [`CreditCounter`], the flow-control token; exhaustion is
-//!   a counted stall, never a lost record,
-//! * [`channel`] — [`CreditChannel`], a credit-carrying channel over the
-//!   lock-free [`SpmcRing`](crate::queue::SpmcRing),
+//! * [`channel`] — [`Channel`], the lock-free
+//!   [`SpmcRing`](crate::queue::SpmcRing) plus its sender-side statistics;
+//!   the ring is the capacity bound, a full ring a counted refusal, never a
+//!   lost record,
 //! * [`mux`] — [`StealMux`], the arbiter that decides which channel feeds a
 //!   worker next: its own, then a busy neighbour's,
 //! * [`gate`] — [`QosGate`], per-lattice admission control (push policy +
-//!   outstanding-round budget as a pipeline-spanning credit loop),
+//!   outstanding-round budget, read off the lattice's own
+//!   `enqueued − decoded` counters),
 //! * [`decode`] — [`DecodeStage`], the prepared-decoder hot path that turns
 //!   a wire record into a composed correction,
 //! * [`sink`] — [`FrameSink`] (frame commit + latency telemetry) and
@@ -26,7 +27,7 @@
 //!   worker, and backpressure at every seam.
 //!
 //! Every stage answers for itself through a uniform [`StageReport`]
-//! (credits issued/consumed, occupancy, stall cycles), and the engine folds
+//! (flow, refusals, occupancy, stall cycles), and the engine folds
 //! all of them into
 //! [`RuntimeReport::stages`](crate::telemetry::RuntimeReport::stages) — the
 //! flow-control behaviour the paper assumes of hardware, measured per seam
@@ -34,15 +35,13 @@
 //! contract every stage keeps.
 
 pub mod channel;
-pub mod credit;
 pub mod decode;
 pub mod gate;
 pub mod graph;
 pub mod mux;
 pub mod sink;
 
-pub use channel::CreditChannel;
-pub use credit::CreditCounter;
+pub use channel::Channel;
 pub use decode::{DecodeStage, DecodedRound};
 pub use gate::{Admission, QosGate};
 pub use graph::{LatticeGenStats, PipelineGraph, PipelineOptions, PipelineRun, WorkerSeat};
@@ -56,8 +55,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// The fields are deliberately generic so every stage — source, gate,
 /// channel, decode, depth sink — answers the same questions: how much flowed
-/// through, how often it stalled, and what its credit loop did.  A stage
-/// leaves fields it has no notion of at zero.
+/// through, how much was refused, how full it got and how often it stalled.
+/// A stage leaves fields it has no notion of at zero.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct StageReport {
     /// The stage's name, unique within one run's report (worker- or
@@ -72,15 +71,12 @@ pub struct StageReport {
     /// shed round).  Refusals under a blocking policy are retried and show
     /// up as [`StageReport::stall_cycles`] instead.
     pub rejected: u64,
-    /// Credits the stage's loop returned to senders (replenishments).
-    pub credits_issued: u64,
-    /// Credits the stage's loop consumed (successful acquisitions).
-    pub credits_consumed: u64,
     /// The most items ever resident in the stage at once.
     pub occupancy_peak: u64,
     /// Spin/poll iterations spent blocked on a not-ready neighbour: a
-    /// source pacing to its cadence, a gate waiting for budget, a sender
-    /// waiting for a slot, a worker polling empty channels.
+    /// source pacing to its cadence, a gate waiting for budget, a worker
+    /// polling empty channels.  A channel's is always 0: an accepted send
+    /// never waits, and a refused one is `rejected`.
     pub stall_cycles: u64,
 }
 

@@ -2,7 +2,7 @@
 //!
 //! A hardware mux with an arbiter picks one of N valid inputs per grant; the
 //! software analogue here fills a worker's decode batch from a slice of
-//! [`CreditChannel`]s.  The pipeline has one discipline, [`StealMux`]: drain
+//! [`Channel`]s.  The pipeline has one discipline, [`StealMux`]: drain
 //! the worker's *home* channel first and steal a whole batch from the first
 //! busy neighbour only when home runs dry.  That maximizes locality (one
 //! lattice's rounds mostly decode on one worker's warm state) while
@@ -10,7 +10,7 @@
 //! mux never copies a record twice — it pops straight into the caller's
 //! batch records.
 
-use crate::stage::CreditChannel;
+use crate::stage::Channel;
 
 /// What one [`StealMux::fill`] call produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -41,7 +41,7 @@ impl StealMux {
     /// Pops up to `batch.len()` records from `channels` into `batch`,
     /// returning how many slots were filled and how many were stolen.
     /// Each `batch[i]` must be sized to the channels' record width.
-    pub fn fill(&self, channels: &[CreditChannel], batch: &mut [Vec<u64>]) -> FillResult {
+    pub fn fill(&self, channels: &[Channel], batch: &mut [Vec<u64>]) -> FillResult {
         let mut filled = 0usize;
         while filled < batch.len() && channels[self.home].try_recv(&mut batch[filled]) {
             filled += 1;
@@ -69,8 +69,8 @@ impl StealMux {
 mod tests {
     use super::*;
 
-    fn channel_with(records: &[u64]) -> CreditChannel {
-        let channel = CreditChannel::new(records.len().max(1), 1);
+    fn channel_with(records: &[u64]) -> Channel {
+        let channel = Channel::new(records.len().max(1), 1);
         for &record in records {
             assert!(channel.try_send(&[record]));
         }

@@ -641,7 +641,7 @@ pub struct RuntimeReport {
     /// decoded, stole, and idled how much.
     pub worker_counters: Vec<WorkerCounterSnapshot>,
     /// One [`StageReport`] per pipeline stage (source, gate, depth sink,
-    /// every channel, every worker's decode stage): the credit flow,
+    /// every channel, every worker's decode stage): the flow, refusal,
     /// occupancy and stall picture at every seam.
     pub stages: Vec<StageReport>,
     /// Mid-run samples taken by the observability sampler thread, in time
@@ -786,13 +786,11 @@ impl fmt::Display for RuntimeReport {
         for stage in &self.stages {
             writeln!(
                 f,
-                "  stage {:<12} in {:>8} | out {:>8} | rejected {:>6} | credits {}/{} | peak {:>6} | stalls {}",
+                "  stage {:<12} in {:>8} | out {:>8} | rejected {:>6} | peak {:>6} | stalls {}",
                 stage.stage,
                 stage.accepted,
                 stage.emitted,
                 stage.rejected,
-                stage.credits_consumed,
-                stage.credits_issued,
                 stage.occupancy_peak,
                 stage.stall_cycles,
             )?;

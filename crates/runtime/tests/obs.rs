@@ -71,7 +71,7 @@ fn histogram_quantiles_match_exact_order_statistics_within_one_bucket() {
 
 /// The exported document's key paths as schema v6 has always written them,
 /// in document order, arrays collapsed to `[]`.
-const SCHEMA_LISTING: &str = include_str!("report_schema_v6.txt");
+const SCHEMA_LISTING: &str = include_str!("report_schema_v7.txt");
 
 /// The operator's manual, which documents the export field by field.
 const OPERATIONS: &str = include_str!("../../../docs/OPERATIONS.md");
@@ -115,7 +115,7 @@ fn assert_schema_is_pinned_and_documented(text: &str) {
     let fresh: String = paths.iter().map(|path| format!("{path}\n")).collect();
     assert!(
         fresh == SCHEMA_LISTING,
-        "the exported key paths differ from crates/runtime/tests/report_schema_v6.txt: bump \
+        "the exported key paths differ from crates/runtime/tests/report_schema_v7.txt: bump \
          `SCHEMA_VERSION` and commit the fresh listing under the new version's name:\n{fresh}"
     );
     for key in paths
@@ -195,10 +195,11 @@ fn multi_lattice_qos_report_round_trips_through_json() {
         .sum();
     assert_eq!(reloaded_failures, live_failures);
 
-    // A document from a future schema — or from the previous one, v5, which
-    // still carried the per-lattice copies — is refused, loudly and typed.
-    assert_eq!(SCHEMA_VERSION, 6);
-    for other_version in [SCHEMA_VERSION + 1, 5] {
+    // A document from a future schema — or from the previous one, v6, whose
+    // stage rows still carried two more columns — is refused, loudly and
+    // typed.
+    assert_eq!(SCHEMA_VERSION, 7);
+    for other_version in [SCHEMA_VERSION + 1, 6] {
         let restamped = text.replacen(
             &format!("\"schema_version\": {SCHEMA_VERSION}"),
             &format!("\"schema_version\": {other_version}"),

@@ -1,17 +1,19 @@
-//! Credit-flow tests for the stage layer: the flow-control behaviour the
-//! paper assumes of hardware, pinned at the seams the software pipeline is
-//! built from.  Exhaustion/replenish on the channel credit loop, the gate's
-//! admission-to-commit budget loop, steal accounting — and a property test
-//! driving a miniature source→gate→channel→consumer graph through random
-//! stall schedules, asserting no lattice's rounds are ever dropped or
-//! reordered.
+//! Flow-control tests for the stage layer: the behaviour the paper assumes
+//! of hardware, pinned at the seams the software pipeline is built from.
+//! Fill/refuse/free on a channel, the gate's admission-to-commit budget,
+//! steal accounting — and a property test driving a miniature
+//! source→gate→channel→consumer graph through random stall schedules,
+//! asserting no lattice's rounds are ever dropped or reordered and no lattice
+//! ever has more rounds outstanding than its budget.
 
 use nisqplus_decoders::{DynDecoder, GreedyMatchingDecoder};
-use nisqplus_runtime::stage::{Admission, CreditChannel, QosGate, StealMux};
+use nisqplus_runtime::stage::{Admission, Channel, QosGate, StealMux};
+use nisqplus_runtime::telemetry::LatticeCounters;
 use nisqplus_runtime::{
     LatticeSet, LatticeSpec, MachineConfig, PushPolicy, RuntimeConfig, StreamingEngine,
 };
 use proptest::prelude::*;
+use std::sync::atomic::Ordering;
 
 /// A gate over `lattices` identical Block-policy d=3 lanes, each with the
 /// given outstanding budget.
@@ -34,22 +36,23 @@ fn block_gate(lattices: usize, budget: Option<usize>) -> QosGate {
     QosGate::for_machine(&config, &set)
 }
 
-/// Channel credits exhaust at capacity, refuse without losing anything, and
-/// replenish exactly once per receive.
+/// A channel fills at capacity, refuses without losing anything, and frees
+/// exactly one slot per receive.
 #[test]
-fn channel_credits_exhaust_and_replenish() {
-    let channel = CreditChannel::new(3, 1);
+fn channel_fills_refuses_and_frees_one_slot_per_receive() {
+    let channel = Channel::new(3, 1);
     for value in 0..3u64 {
         assert!(channel.try_send(&[value]));
     }
-    assert_eq!(channel.credits().available(), 0);
-    assert!(!channel.try_send(&[99]), "no credit, send refused");
+    assert_eq!(channel.len(), 3);
+    assert!(!channel.try_send(&[99]), "full, send refused");
     assert!(!channel.try_send(&[99]));
     let mut out = [0u64];
     assert!(channel.try_recv(&mut out));
     assert_eq!(out, [0]);
-    assert_eq!(channel.credits().available(), 1, "one credit came home");
-    assert!(channel.try_send(&[3]), "replenished credit accepted a send");
+    assert_eq!(channel.len(), 2, "one slot came free");
+    assert!(channel.try_send(&[3]), "the freed slot accepted a send");
+    assert!(!channel.try_send(&[99]), "and only the one");
     // Drain; the refused sends never entered the stream.
     let mut seen = Vec::new();
     while channel.try_recv(&mut out) {
@@ -59,32 +62,35 @@ fn channel_credits_exhaust_and_replenish() {
     let report = channel.report("channel.0");
     assert_eq!(report.accepted, 4);
     assert_eq!(report.emitted, 4);
-    assert_eq!(report.rejected, 2);
-    assert_eq!(report.credits_consumed, report.credits_issued);
+    assert_eq!(report.rejected, 3);
+    assert_eq!(report.occupancy_peak, 3);
 }
 
-/// The gate's budget credit spans admission to commit: it is consumed when
-/// a round is admitted, held while the round sits in the channel, and only
-/// returns when the consumer commits the decode.
+/// The gate's budget spans admission to commit: a round counts against it
+/// from the moment it is enqueued, while it sits in the channel and while
+/// the consumer works on it, and stops counting only when the consumer
+/// commits the decode.
 #[test]
-fn gate_budget_credit_spans_admission_to_commit() {
-    let gate = block_gate(1, Some(2));
-    let channel = CreditChannel::new(8, 1);
-    assert_eq!(gate.admit(0), Admission::Granted);
-    assert!(channel.try_send(&[0]));
-    assert_eq!(gate.admit(0), Admission::Granted);
-    assert!(channel.try_send(&[1]));
-    // Budget exhausted while both rounds are in flight — the channel having
-    // free slots does not matter.
-    assert_eq!(gate.admit(0), Admission::Blocked);
-    assert_eq!(gate.outstanding(0), 2);
-    // The consumer pops one round; the credit is still out until commit.
+fn gate_budget_spans_admission_to_commit() {
+    let mut gate = block_gate(1, Some(2));
+    let counters = LatticeCounters::default();
+    let channel = Channel::new(8, 1);
+    for round in 0..2 {
+        assert_eq!(gate.admit(0, &counters), Admission::Granted);
+        assert!(channel.try_send(&[round]));
+        counters.enqueued.fetch_add(1, Ordering::Relaxed);
+    }
+    // At budget while both rounds are in flight — the channel having free
+    // slots does not matter.
+    assert_eq!(gate.admit(0, &counters), Admission::Blocked);
+    assert_eq!(counters.outstanding(), 2);
+    // The consumer pops one round; it is still outstanding until commit.
     let mut out = [0u64];
     assert!(channel.try_recv(&mut out));
-    assert_eq!(gate.admit(0), Admission::Blocked);
-    gate.credit_decode(0);
-    assert_eq!(gate.outstanding(0), 1);
-    assert_eq!(gate.admit(0), Admission::Granted);
+    assert_eq!(gate.admit(0, &counters), Admission::Blocked);
+    counters.decoded.fetch_add(1, Ordering::Relaxed);
+    assert_eq!(counters.outstanding(), 1);
+    assert_eq!(gate.admit(0, &counters), Admission::Granted);
     let report = gate.report("gate");
     assert_eq!(report.accepted, 3);
     assert_eq!(report.stall_cycles, 2);
@@ -94,7 +100,7 @@ fn gate_budget_credit_spans_admission_to_commit() {
 /// batch from the neighbour and counts every record as stolen.
 #[test]
 fn steal_mux_counts_every_foreign_record() {
-    let channels = [CreditChannel::new(32, 1), CreditChannel::new(32, 1)];
+    let channels = [Channel::new(32, 1), Channel::new(32, 1)];
     for value in 0..3u64 {
         assert!(channels[1].try_send(&[value]));
     }
@@ -110,12 +116,11 @@ fn steal_mux_counts_every_foreign_record() {
     assert_eq!(fill.stolen, 0);
 }
 
-/// Two workers behind a two-slot queue (one credit per channel): the source
-/// finds its credits exhausted on almost every round, so nearly every send
-/// goes through the refresh-and-retry path of the credit loop.  The books
-/// must still reconcile exactly.
+/// Two workers behind a two-slot queue (one slot per channel): the source
+/// finds its channel full on almost every round, so nearly every send is
+/// refused and retried.  The books must still reconcile exactly.
 #[test]
-fn starved_credit_loops_still_reconcile_the_books() {
+fn starved_one_slot_channels_still_reconcile_the_books() {
     let mut config = RuntimeConfig::new(3);
     config.seed = 11;
     config.rounds = 20_000;
@@ -137,32 +142,61 @@ fn starved_credit_loops_still_reconcile_the_books() {
         .collect();
     assert_eq!(channels.len(), 2);
     for channel in &channels {
-        assert_eq!(
-            channel.credits_consumed, channel.credits_issued,
-            "{channel:?}"
-        );
+        assert_eq!(channel.accepted, channel.emitted, "{channel:?}");
         assert_eq!(channel.occupancy_peak, 1, "{channel:?}");
     }
-    let sent: u64 = channels.iter().map(|c| c.credits_consumed).sum();
+    let sent: u64 = channels.iter().map(|c| c.accepted).sum();
     assert_eq!(sent, counters.decoded);
     assert!(
         channels.iter().map(|c| c.rejected).sum::<u64>() > 0,
-        "a one-slot channel never refused a send: the credit loop was not exercised"
+        "a one-slot channel never refused a send: the full-ring path was not exercised"
     );
+}
+
+/// Liveness of a budget that nothing holds: a Block lane allowed one
+/// outstanding round, two workers.  Every admission waits for the previous
+/// round's commit to show in the lattice's own `decoded`; the run must end
+/// with every round decoded, none shed, and never two outstanding.
+#[test]
+fn block_lane_with_a_budget_of_one_never_stalls_for_good() {
+    let mut config = MachineConfig::new(&[3], 23);
+    config.lattices[0].rounds = 5_000;
+    config.lattices[0].cadence_cycles = 0;
+    config.lattices[0].queue_budget = Some(1);
+    config.workers = 2;
+    config.queue_capacity = 8;
+    config.push_policy = PushPolicy::Block;
+    let engine = StreamingEngine::with_machine(config).unwrap();
+    let outcome = engine.run(&|| Box::new(GreedyMatchingDecoder::new()) as DynDecoder);
+    let counters = outcome.report.counters;
+    assert_eq!(counters.generated, 5_000);
+    assert_eq!(counters.decoded, counters.generated);
+    assert_eq!(counters.dropped, 0);
+    let gate = outcome
+        .report
+        .stages
+        .iter()
+        .find(|stage| stage.stage == "gate")
+        .expect("the gate files a stage report");
+    assert_eq!(gate.accepted, 5_000);
+    assert_eq!(gate.occupancy_peak, 1, "{gate:?}");
 }
 
 /// One deterministic step of the miniature stage graph used by the
 /// property test below.
 struct MiniGraph {
     gate: QosGate,
-    channel: CreditChannel,
+    /// Per-lattice `enqueued` / `decoded`: the budget's only book.
+    counters: Vec<LatticeCounters>,
+    budget: u64,
+    channel: Channel,
     /// The one encoded record, overwritten when the next round is staged.
     record: [u64; 2],
     /// Per-lattice next round to emit.
     next_round: Vec<u64>,
     rounds_per_lattice: u64,
-    /// Whether `record` still waits to be sent: `(lattice, admitted)`.
-    pending: Option<(usize, bool)>,
+    /// The lattice whose round in `record` still waits to be sent.
+    pending: Option<usize>,
     /// Which lattice emits next (sources interleave round-robin).
     turn: usize,
     /// Per-lattice rounds received, in arrival order.
@@ -173,7 +207,9 @@ impl MiniGraph {
     fn new(lattices: usize, rounds_per_lattice: u64, capacity: usize, budget: usize) -> Self {
         MiniGraph {
             gate: block_gate(lattices, Some(budget)),
-            channel: CreditChannel::new(capacity, 2),
+            counters: (0..lattices).map(|_| LatticeCounters::default()).collect(),
+            budget: budget as u64,
+            channel: Channel::new(capacity, 2),
             record: [0; 2],
             next_round: vec![0; lattices],
             rounds_per_lattice,
@@ -185,6 +221,8 @@ impl MiniGraph {
 
     /// The source side makes whatever progress backpressure allows: stage a
     /// round into the record, win admission, send it into the channel.
+    /// Admission holds nothing, so a round whose send is refused is offered
+    /// to the gate again on the next step.
     fn step_source(&mut self) {
         if self.pending.is_none() {
             // Pick the next lattice with rounds left, round-robin.
@@ -194,26 +232,35 @@ impl MiniGraph {
                 if self.next_round[lattice] < self.rounds_per_lattice {
                     self.record = [lattice as u64, self.next_round[lattice]];
                     self.next_round[lattice] += 1;
-                    self.pending = Some((lattice, false));
+                    self.pending = Some(lattice);
                     self.turn = lattice + 1;
                     break;
                 }
             }
         }
-        let Some((lattice, admitted)) = self.pending else {
+        let Some(lattice) = self.pending else {
             return;
         };
-        let admitted = admitted || {
-            match self.gate.admit(lattice) {
-                Admission::Granted => true,
-                Admission::Blocked => false,
-                Admission::Shed => unreachable!("Block lanes never shed"),
-            }
+        let counters = &self.counters[lattice];
+        let admitted = match self.gate.admit(lattice, counters) {
+            Admission::Granted => true,
+            Admission::Blocked => false,
+            Admission::Shed => unreachable!("Block lanes never shed"),
         };
-        self.pending = Some((lattice, admitted));
         if admitted && self.channel.try_send(&self.record) {
+            counters.enqueued.fetch_add(1, Ordering::Relaxed);
             self.pending = None;
         }
+    }
+
+    /// The most rounds any lattice has outstanding right now, over its
+    /// budget (0 when every lattice is within it).
+    fn over_budget(&self) -> u64 {
+        self.counters
+            .iter()
+            .map(|counters| counters.outstanding().saturating_sub(self.budget))
+            .max()
+            .unwrap_or(0)
     }
 
     /// The consumer pops up to `take` rounds and commits them.
@@ -225,7 +272,9 @@ impl MiniGraph {
             }
             let lattice = out[0] as usize;
             self.received[lattice].push(out[1]);
-            self.gate.credit_decode(lattice);
+            self.counters[lattice]
+                .decoded
+                .fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -244,7 +293,9 @@ proptest! {
 
     /// Random stall schedules against the miniature stage graph: however
     /// the consumer stalls and whatever the channel capacity and per-lane
-    /// budget, every lattice's rounds arrive exactly once, in order.
+    /// budget, every lattice's rounds arrive exactly once, in order, and
+    /// after every source step no lattice is over its budget and the channel
+    /// holds no more than its capacity.
     #[test]
     fn stall_schedules_never_drop_or_reorder_rounds(
         schedule in proptest::collection::vec(any::<bool>(), 30..240),
@@ -256,6 +307,9 @@ proptest! {
         let mut graph = MiniGraph::new(lattices, rounds_per_lattice, capacity, budget);
         for ready in schedule {
             graph.step_source();
+            prop_assert_eq!(graph.over_budget(), 0);
+            let flow = graph.channel.report("channel");
+            prop_assert!(flow.accepted - flow.emitted <= capacity as u64);
             if ready {
                 graph.step_consumer(2);
             }
@@ -264,6 +318,7 @@ proptest! {
         let mut safety = 0;
         while !graph.done() {
             graph.step_source();
+            prop_assert_eq!(graph.over_budget(), 0);
             graph.step_consumer(2);
             safety += 1;
             prop_assert!(safety < 100_000, "graph failed to quiesce");
@@ -275,11 +330,13 @@ proptest! {
                 "lattice {} lost or reordered rounds",
                 lattice
             );
-            prop_assert_eq!(graph.gate.outstanding(lattice), 0);
+            prop_assert_eq!(graph.counters[lattice].outstanding(), 0);
         }
-        // Every credit is home on every loop.
-        prop_assert_eq!(graph.channel.credits().available() as usize, capacity);
+        // Both books balance: pushed == popped, and the gate granted no more
+        // than the budget at any admission.
         let channel_report = graph.channel.report("channel");
-        prop_assert_eq!(channel_report.credits_consumed, channel_report.credits_issued);
+        prop_assert_eq!(channel_report.accepted, channel_report.emitted);
+        prop_assert!(channel_report.occupancy_peak <= capacity as u64);
+        prop_assert!(graph.gate.report("gate").occupancy_peak <= budget as u64);
     }
 }

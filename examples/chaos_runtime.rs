@@ -1,5 +1,5 @@
 //! Chaos demo: one run that survives a worker crash, a poisoned wire
-//! record, a burst-noise episode, and a stalled credit channel — and can
+//! record, a burst-noise episode, and a stalled channel — and can
 //! prove, frame by frame, that nothing protected was lost.
 //!
 //! A three-lattice machine under a seeded [`FaultPlan`]:
