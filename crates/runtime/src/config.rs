@@ -2,9 +2,9 @@
 //! the multi-lattice machine description ([`MachineConfig`]) the engine
 //! actually executes, plus the full-queue [`PushPolicy`].
 //!
-//! These types describe *what* to run; how the run is wired — source, gate,
-//! channels, decode workers, sinks — lives in [`crate::stage`], and the
-//! orchestration in [`crate::engine`].
+//! These types describe *what* to run; the stages a run is wired from —
+//! source, gate, channels, decode workers, sinks — live in [`crate::stage`],
+//! and the wiring itself in [`crate::engine`].
 
 use crate::fault::FaultPlan;
 use crate::lattice_set::LatticeSpec;
@@ -12,7 +12,6 @@ use crate::scenario::ScenarioScript;
 use crate::source::NoiseSpec;
 use nisqplus_sim::timing::CycleTimeConverter;
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
 
 /// What the producer does when the ring buffer is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -29,11 +28,7 @@ pub enum PushPolicy {
 }
 
 /// Configuration of the live observability plane
-/// ([`crate::obs::ObsPlane`]): snapshot cadence, journal capacity, and the
-/// optional end-of-run report export.
-///
-/// Every bound here is a *memory* bound: snapshots, journal events, and
-/// histograms all cost the same at a million rounds as at a hundred.
+/// ([`crate::obs::ObsPlane`]): snapshot cadence and journal capacity.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ObsConfig {
     /// Sampler cadence in microseconds: how often the snapshot thread wakes
@@ -41,32 +36,17 @@ pub struct ObsConfig {
     /// disables the sampler thread entirely (the report's `snapshots` stay
     /// empty; counters, histograms and the journal still run).
     pub snapshot_cadence_us: u64,
-    /// Upper bound on snapshots kept; samples past the bound are dropped
-    /// and counted, never grown.
-    pub max_snapshots: usize,
     /// Resident capacity of the event journal ring (older events are
     /// overwritten and counted once it fills).
     pub journal_capacity: usize,
-    /// How many of the newest resident events the end-of-run
-    /// [`JournalSnapshot`](crate::obs::JournalSnapshot) carries verbatim.
-    pub journal_tail: usize,
-    /// When set, the engine serializes the finished
-    /// [`RuntimeReport`](crate::telemetry::RuntimeReport) to this path as
-    /// schema-versioned JSON (see [`crate::report::export`]) after every
-    /// run.  A failed write warns on stderr; it never fails the run.
-    pub export_path: Option<PathBuf>,
 }
 
 impl Default for ObsConfig {
-    /// 500 µs snapshot cadence, 1024 snapshots, a 1024-event journal with a
-    /// 64-event report tail, no export.
+    /// 500 µs snapshot cadence, a 1024-event journal.
     fn default() -> Self {
         ObsConfig {
             snapshot_cadence_us: 500,
-            max_snapshots: 1024,
             journal_capacity: 1024,
-            journal_tail: 64,
-            export_path: None,
         }
     }
 }
@@ -140,11 +120,9 @@ pub struct RuntimeConfig {
     /// the soak-scale memory bound for
     /// [`RuntimeConfig::record_corrections`].  `None` keeps every correction.
     pub correction_cap: Option<usize>,
-    /// When `true` (the default), the producer keeps the exact round indices
-    /// it shed per lattice
-    /// ([`PipelineRun::lattice_shed`](crate::stage::PipelineRun::lattice_shed)).
-    /// Soak runs turn this off to stay O(1) per lattice under sustained
-    /// shedding; the shed *counters* always run.
+    /// No effect; kept until `benchmark/` (which assigns it) can be edited.
+    /// Which rounds were shed is in the journal: `Shed` / `WatchdogTrip`
+    /// events carry the round as their `value`.
     pub track_shed_rounds: bool,
 }
 
@@ -258,14 +236,12 @@ pub struct MachineConfig {
     /// Ring bound on recorded corrections per worker (see
     /// [`RuntimeConfig::correction_cap`]).
     pub correction_cap: Option<usize>,
-    /// Whether the producer keeps exact shed round indices (see
-    /// [`RuntimeConfig::track_shed_rounds`]).
+    /// No effect (see [`RuntimeConfig::track_shed_rounds`]).
     pub track_shed_rounds: bool,
-    /// The live observability plane: snapshot cadence, journal capacity,
-    /// optional report export.
+    /// The live observability plane: snapshot cadence, journal capacity.
     pub obs: ObsConfig,
     /// The deterministic fault schedule for this run — worker crashes,
-    /// packet corruption, burst-noise episodes, channel stalls (see
+    /// packet corruption, channel stalls (see
     /// [`crate::fault`]).  Empty by default: a plan-free run pays nothing
     /// for the injection hooks.
     pub fault: FaultPlan,

@@ -1,44 +1,48 @@
-//! The streaming engine: the run orchestration that turns seeded syndrome
-//! streams into a [`RuntimeReport`].
+//! The streaming engine: the one place a run is assembled, from seeded
+//! syndrome streams to the [`RuntimeReport`].
 //!
-//! The engine itself is thin by design.  All of the moving parts — paced
-//! generation, QoS admission, spread placement, bounded channels,
-//! own-then-steal batch filling, the prepared-decoder hot path, frame and
-//! depth sinks — live as stages in [`crate::stage`], wired together by a
-//! [`PipelineGraph`]:
+//! All of the moving parts — paced generation, QoS admission, spread
+//! placement, bounded channels, own-then-steal batch filling, the
+//! prepared-decoder hot path, frame and depth sinks — live as stages in
+//! [`crate::stage`]; the one shape they are wired into lives here:
 //!
 //! ```text
 //! source ──► gate ──► channel[w] ──► steal ──► decode ──► frame
 //!  (paced)  (QoS)   (bounded rings)  (per worker, N threads)
 //! ```
 //!
-//! [`StreamingEngine::run`] builds the graph — one bounded channel per
-//! worker, spread placement, own-then-steal consumption — runs it to
-//! completion, and folds the [`PipelineRun`] into the final
-//! [`RuntimeOutcome`]: per-lattice reports, the depth timeline with its
-//! per-lattice backlog breakdown, merged frames, the measured-versus-model
-//! backlog comparison
+//! [`StreamingEngine::run_with`] builds the run's codec, one bounded channel
+//! per worker, the observability plane and the fault injector, scopes the
+//! sampler and the decode workers, drives the source stage on the calling
+//! thread — round `r` of lattice `l` placed on channel `(l + r) % workers`,
+//! every worker draining its own channel and stealing a batch from a
+//! neighbour when it runs dry — joins, and folds what the source stage and
+//! the workers hand back straight into the final [`RuntimeOutcome`]:
+//! per-lattice reports, the depth timeline with its per-lattice backlog
+//! breakdown, merged frames, the measured-versus-model backlog comparison
 //! ([`BacklogModel`](nisqplus_system::backlog::BacklogModel)), one
 //! [`StageReport`](crate::stage::StageReport) per pipeline stage, and —
 //! when [`MachineConfig::analyze_residuals`] is set — the measured logical
 //! cost of shedding, classified in stream (workers tally decoded rounds as
 //! they commit, the producer tallies shed rounds as it sheds).
-//! [`StreamingEngine::run_with`] attaches [`PipelineOptions`] to the same
-//! graph: an observer, the watchdog window, a trace to replay or record.
+//! [`PipelineOptions`] attach to a run what is not its shape: the watchdog
+//! window, a trace to replay or record.
 //!
 //! Shed rounds stay accounted for end to end: they are fed into the
 //! per-lattice frame path as identity corrections, carried in
 //! [`MeasuredBacklog::shed`], and priced in measured logical failures by
 //! the residual analysis.
 
+use crate::fault::{FaultInjector, FaultReport};
 use crate::frame::ShardedPauliFrame;
 use crate::lattice_set::LatticeSet;
-use crate::obs::HistogramSnapshot;
+use crate::obs::{run_sampler, HistogramSnapshot, ObsPlane};
+use crate::packet::PacketCodec;
 use crate::scenario::SyndromeTrace;
 use crate::source::InterleavedSource;
-use crate::stage::{PipelineGraph, PipelineOptions, PipelineRun};
+use crate::stage::{run_source, run_worker, Channel, PipelineOptions, SourceSeat, WorkerSeat};
 use crate::telemetry::{
-    LatencyProfile, LatticeReport, ResidualReport, RuntimeCounters, RuntimeReport, WorkerCounters,
+    LatencyProfile, LatticeReport, ResidualReport, RuntimeCounters, RuntimeReport,
 };
 use nisqplus_decoders::traits::DecoderFactory;
 use nisqplus_qec::frame::PauliFrame;
@@ -47,7 +51,10 @@ use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::QecError;
 use nisqplus_system::backlog::{BacklogComparison, MeasuredBacklog};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread;
+use std::time::Instant;
 
 pub use crate::config::{MachineConfig, PushPolicy, RuntimeConfig};
 
@@ -139,6 +146,9 @@ impl RuntimeOutcome {
 pub struct StreamingEngine {
     config: MachineConfig,
     set: Arc<LatticeSet>,
+    /// The machine's live source — noise specs validated, burst episodes and
+    /// the scenario script applied.  Every live run streams a clone.
+    source: InterleavedSource,
 }
 
 impl StreamingEngine {
@@ -178,23 +188,18 @@ impl StreamingEngine {
             "batch window needs at least one round"
         );
         let set = Arc::new(LatticeSet::new(config.lattices.clone())?);
-        // Surface configuration errors now rather than inside the source
-        // stage: building a throwaway source validates every noise spec,
-        // and applying the fault plan's burst overlays to it validates
-        // every amplified channel too.
-        let mut probe = InterleavedSource::new(&set, &config.cycle_time)?;
-        for burst in &config.fault.bursts {
-            let lattice_id = burst.lattice_id as usize;
-            assert!(
-                lattice_id < set.len(),
-                "burst fault names an unknown lattice"
-            );
-            probe.set_burst(lattice_id, set.spec(lattice_id).noise, burst.overlay)?;
-        }
-        if let Err(error) = config.scenario.validate(set.len()) {
+        // Configuration errors surface here, not inside a run: building the
+        // source validates every noise spec and burst-amplified channel,
+        // applying the script validates it against the machine.
+        let mut source = InterleavedSource::new(&set, &config.cycle_time)?;
+        if let Err(error) = source.apply_script(&config.scenario) {
             panic!("invalid scenario script: {error}");
         }
-        Ok(StreamingEngine { config, set })
+        Ok(StreamingEngine {
+            config,
+            set,
+            source,
+        })
     }
 
     /// The run configuration.
@@ -228,40 +233,113 @@ impl StreamingEngine {
         self.run_with(PipelineOptions::default(), factory)
     }
 
-    /// Like [`StreamingEngine::run`], with `options` attached to the run: an
-    /// observer, a shorter watchdog, a trace to replay or record.
+    /// Like [`StreamingEngine::run`], with `options` attached to the run: a
+    /// shorter watchdog, a trace to replay or record.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `options.replay` holds a trace whose lattice shapes differ
+    /// from the machine's.
     #[must_use]
     pub fn run_with(
         &self,
         options: PipelineOptions,
         factory: &dyn DecoderFactory,
     ) -> RuntimeOutcome {
-        let counters = RuntimeCounters::new(self.set.len(), self.config.workers);
-        let graph = PipelineGraph::new(&self.config, &self.set, options);
-        let run = graph.run(factory, &counters);
-        self.assemble_outcome(run, &counters)
-    }
+        let (config, set) = (&self.config, &*self.set);
+        let counters = RuntimeCounters::new(set.len(), config.workers);
+        // The residual analysis widens the wire: each record carries its
+        // round's seeded error after the syndrome, so workers classify
+        // residuals as they commit.  Without it records keep the narrow
+        // layout.
+        let codec = if config.streams_residuals() {
+            PacketCodec::with_error_payload(&set.ancilla_bits(), &set.data_bits())
+        } else {
+            PacketCodec::for_lattice_bits(&set.ancilla_bits())
+        };
+        let per_channel_capacity = config.queue_capacity.div_ceil(config.workers);
+        let channels: Vec<Channel> = (0..config.workers)
+            .map(|_| Channel::new(per_channel_capacity, codec.words_per_packet()))
+            .collect();
+        let obs = ObsPlane::new(config.obs.clone());
+        let injector = FaultInjector::new(config.fault.clone());
+        let done = AtomicBool::new(false);
+        // The sampler outlives the source: it keeps sampling while workers
+        // drain the channels, and stops only after they have joined.
+        let sampler_done = AtomicBool::new(false);
+        let epoch = Instant::now();
 
-    /// Folds a finished [`PipelineRun`] into the final [`RuntimeOutcome`].
-    fn assemble_outcome(&self, run: PipelineRun, counters: &RuntimeCounters) -> RuntimeOutcome {
-        let config = &self.config;
-        let set = &self.set;
-        let PipelineRun {
-            worker_outputs,
-            depth_timeline,
-            generation_elapsed_ns,
-            final_backlog,
-            lattice_stats,
-            lattice_shed,
-            shed_tallies,
-            stage_reports,
-            elapsed_s,
-            snapshots,
-            journal,
-            fault: injections,
-            trace,
-            mut noise_epochs,
-        } = run;
+        let (mut source_run, worker_results) = thread::scope(|s| {
+            let (codec, channels, counters) = (&codec, &channels[..], &counters);
+            let (obs, injector, done, sampler_done) = (&obs, &injector, &done, &sampler_done);
+            let sampler = obs.sampled().then(|| {
+                s.spawn(move || run_sampler(obs, counters, channels, sampler_done, epoch))
+            });
+            let workers: Vec<_> = (0..config.workers)
+                .map(|worker_id| {
+                    s.spawn(move || {
+                        run_worker(WorkerSeat {
+                            worker_id,
+                            set,
+                            codec,
+                            channels,
+                            counters,
+                            done,
+                            epoch,
+                            factory,
+                            record_corrections: config.record_corrections,
+                            correction_cap: config.correction_cap,
+                            batch_size: config.batch_size,
+                            obs,
+                            injector,
+                        })
+                    })
+                })
+                .collect();
+
+            let source_seat = SourceSeat {
+                config,
+                set,
+                source: &self.source,
+                codec,
+                channels,
+                counters,
+                obs,
+                injector,
+                epoch,
+            };
+            let source_run = run_source(source_seat, options);
+            done.store(true, Ordering::Release);
+
+            let worker_results: Vec<_> = workers
+                .into_iter()
+                .map(|h| h.join().expect("worker thread panicked"))
+                .collect();
+            sampler_done.store(true, Ordering::Release);
+            if let Some(handle) = sampler {
+                handle.thread().unpark();
+                handle.join().expect("sampler thread panicked");
+            }
+            (source_run, worker_results)
+        });
+        let elapsed_s = epoch.elapsed().as_secs_f64();
+
+        // ---- Fold the source stage's and the workers' results -----------
+        // One row per stage: source, gate, depth sink, then every channel,
+        // then every worker's decode stage — whose `emitted` is the rounds
+        // that worker's sink committed, the owner of its `decoded` count.
+        let mut stages = std::mem::take(&mut source_run.reports);
+        for (index, channel) in channels.iter().enumerate() {
+            stages.push(channel.report(format!("channel.{index}")));
+        }
+        let mut worker_outputs = Vec::with_capacity(worker_results.len());
+        let mut worker_counters = Vec::with_capacity(worker_results.len());
+        for ((output, decode_report), slice) in worker_results.into_iter().zip(&counters.per_worker)
+        {
+            worker_counters.push(slice.snapshot(decode_report.emitted));
+            worker_outputs.push(output);
+            stages.push(decode_report);
+        }
         // Per-lattice decoder names (same on every worker — they build from
         // the same factories); the machine-level headline joins the distinct
         // names, so a heterogeneous machine reads e.g. "lookup+union-find".
@@ -310,14 +388,8 @@ impl StreamingEngine {
         for (lattice_id, spec, lattice) in set.iter() {
             let decode_latency = LatencyProfile::from_histogram(&per_lattice_decode[lattice_id]);
             let total_latency = LatencyProfile::from_histogram(&per_lattice_total[lattice_id]);
-            let stats = &lattice_stats[lattice_id];
+            let stats = &source_run.lattice_stats[lattice_id];
             let snapshot = counters.per_lattice[lattice_id].snapshot();
-            let shed_rounds = &lattice_shed[lattice_id];
-            if config.track_shed_rounds {
-                debug_assert_eq!(shed_rounds.len() as u64, snapshot.dropped);
-            } else {
-                debug_assert!(shed_rounds.is_empty(), "untracked shed lists stay empty");
-            }
             // Elastic runs stream fewer rounds than configured — retired
             // lattices truncate, dormant adds may never fire, replays serve
             // whatever the trace holds — so every rate and model input is
@@ -344,7 +416,7 @@ impl StreamingEngine {
             // to walk.
             let residual = config.streams_residuals().then(|| ResidualReport {
                 decoded: decoded_tallies[lattice_id],
-                shed: shed_tallies[lattice_id],
+                shed: source_run.shed_tallies[lattice_id],
             });
             lattices.push(LatticeReport {
                 lattice_id,
@@ -359,7 +431,7 @@ impl StreamingEngine {
                 shed_slo: spec.shed_slo,
                 residual,
                 rounds: rounds_streamed,
-                noise_epochs: std::mem::take(&mut noise_epochs[lattice_id]),
+                noise_epochs: std::mem::take(&mut source_run.noise_epochs[lattice_id]),
                 cadence_ns: config.cycle_time.cycles_to_ns(spec.cadence_cycles),
                 inter_arrival_ns,
                 counters: snapshot,
@@ -374,9 +446,6 @@ impl StreamingEngine {
             // the frame's recorded-cycle count owns up to every generated
             // round, so `total_recorded == generated` under shedding too.
             let mut shards = std::mem::take(&mut per_lattice_shards[lattice_id]);
-            // Counted off the dropped counter, not the shed-round list: the
-            // books must balance even when `track_shed_rounds` elides the
-            // per-round indices.
             if snapshot.dropped > 0 {
                 let mut shed_shard = PauliFrame::new(lattice.num_data());
                 let identity = PauliString::identity(lattice.num_data());
@@ -395,7 +464,8 @@ impl StreamingEngine {
         // The machine-level books follow the same rule: rounds are what the
         // source actually emitted, not what the specs configured.
         let total_rounds = snapshot.generated;
-        let inter_arrival_ns = generation_elapsed_ns / total_rounds.max(1) as f64;
+        let final_backlog = source_run.final_backlog;
+        let inter_arrival_ns = source_run.generation_elapsed_ns / total_rounds.max(1) as f64;
         let measured = MeasuredBacklog {
             rounds: total_rounds,
             final_backlog,
@@ -411,13 +481,18 @@ impl StreamingEngine {
         } else {
             0.0
         };
+        let depth_timeline = source_run.depth_timeline;
         let max_queue_depth = depth_timeline
             .iter()
             .map(|s| s.queue_depth)
             .max()
             .unwrap_or(0);
 
-        let outcome = RuntimeOutcome {
+        let journal = obs.journal_snapshot();
+        // A burst episode is stream content: the ledger counts the lattices
+        // that carry one.
+        let planned_bursts = config.lattices.iter().filter(|l| l.burst.is_some()).count();
+        RuntimeOutcome {
             report: RuntimeReport {
                 decoder: decoder_name,
                 num_lattices: set.len(),
@@ -438,42 +513,29 @@ impl StreamingEngine {
                 measured,
                 comparison,
                 lattices,
-                worker_counters: counters
-                    .per_worker
-                    .iter()
-                    .map(WorkerCounters::snapshot)
-                    .collect(),
-                fault: crate::fault::FaultReport::assemble(
+                worker_counters,
+                fault: FaultReport::assemble(
                     &config.fault,
-                    injections,
+                    planned_bursts as u64,
+                    injector.snapshot(),
                     &journal.counts,
                     snapshot.quarantined,
                 ),
-                stages: stage_reports,
-                snapshots,
+                stages,
+                snapshots: obs.take_snapshots(),
                 journal,
             },
             frames,
             corrections,
-            trace,
-        };
-        if let Some(path) = &config.obs.export_path {
-            // Export is best-effort telemetry: a failed write must never
-            // fail the run that produced the data.
-            if let Err(error) = crate::report::write_report(path, &outcome.report) {
-                eprintln!(
-                    "nisqplus-runtime: report export to {} failed: {error}",
-                    path.display()
-                );
-            }
+            trace: source_run.trace,
         }
-        outcome
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::EventKind;
     use crate::source::NoiseSpec;
     use nisqplus_decoders::{DynDecoder, GreedyMatchingDecoder};
 
@@ -601,6 +663,195 @@ mod tests {
         for report in stages.iter().filter(|r| r.stage.starts_with("channel.")) {
             assert_eq!(report.accepted, report.emitted, "pushed == popped");
         }
+    }
+
+    /// A two-lattice unpaced Block machine of 100 rounds each.
+    fn two_lattice_machine(workers: usize) -> MachineConfig {
+        let mut config = MachineConfig::new(&[3, 3], 11);
+        for spec in &mut config.lattices {
+            spec.rounds = 100;
+            spec.cadence_cycles = 0;
+        }
+        config.workers = workers;
+        config.queue_capacity = 64;
+        config
+    }
+
+    /// The pipeline with default options keeps the engine contract: every
+    /// round decoded exactly once, every channel's books balanced at
+    /// quiescence, one stage row per stage and nothing else.
+    #[test]
+    fn default_graph_decodes_every_round_and_balances_the_books() {
+        let engine = StreamingEngine::with_machine(two_lattice_machine(2)).unwrap();
+        let outcome = engine.run(&greedy_factory());
+        let report = &outcome.report;
+        assert_eq!(report.counters.generated, 200);
+        assert_eq!(report.counters.decoded, 200);
+        assert_eq!(report.counters.dropped, 0);
+        assert_eq!(report.worker_counters.len(), 2);
+        assert!(!report.depth_timeline.is_empty());
+        assert!(report.lattices.iter().all(|l| l.counters.dropped == 0));
+        let names: Vec<&str> = report.stages.iter().map(|r| r.stage.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "source",
+                "gate",
+                "depth",
+                "channel.0",
+                "channel.1",
+                "decode.0",
+                "decode.1"
+            ]
+        );
+        let channels = report
+            .stages
+            .iter()
+            .filter(|r| r.stage.starts_with("channel."));
+        let mut channel_flow = 0;
+        for channel in channels {
+            assert_eq!(
+                channel.accepted, channel.emitted,
+                "pushed == popped at quiescence"
+            );
+            channel_flow += channel.emitted;
+        }
+        assert_eq!(channel_flow, 200, "every round passed through a channel");
+    }
+
+    /// A worker's `decoded` is what its frame sink committed — the same
+    /// number its decode stage row reports — and the workers' sum is the
+    /// machine's.
+    #[test]
+    fn worker_decoded_counts_are_the_sinks_committed_counts() {
+        for workers in [1, 3] {
+            let engine = StreamingEngine::with_machine(two_lattice_machine(workers)).unwrap();
+            let report = engine.run(&greedy_factory()).report;
+            assert_eq!(report.worker_counters.len(), workers);
+            for (w, worker) in report.worker_counters.iter().enumerate() {
+                let name = format!("decode.{w}");
+                let row = report.stages.iter().find(|r| r.stage == name).unwrap();
+                assert_eq!(worker.decoded, row.emitted, "{name}");
+            }
+            let sum: u64 = report.worker_counters.iter().map(|w| w.decoded).sum();
+            assert_eq!(sum, report.counters.decoded);
+            assert_eq!(sum, 200);
+        }
+    }
+
+    /// The engine keeps its validated source and every run streams a clone:
+    /// a second run sees the same stream as the first.
+    #[test]
+    fn two_runs_of_one_engine_commit_equal_corrections() {
+        let mut config = two_lattice_machine(2);
+        config.record_corrections = true;
+        config.lattices[1].burst = Some(crate::source::BurstOverlay {
+            start_round: 10,
+            rounds: 20,
+            factor: 10.0,
+        });
+        let engine = StreamingEngine::with_machine(config).unwrap();
+        let first = engine.run(&greedy_factory());
+        let second = engine.run(&greedy_factory());
+        assert_eq!(first.corrections.len(), 200);
+        assert_eq!(first.corrections, second.corrections);
+        // Which worker commits a round is the scheduler's business; the
+        // merged frames are the stream's.
+        for (a, b) in first.frames.iter().zip(&second.frames) {
+            assert_eq!(a.merged(), b.merged());
+        }
+    }
+
+    /// An injected worker crash is caught, journaled and answered by a
+    /// restart that adopts the dead worker's frame shard: every generated
+    /// round is still decoded exactly once.
+    #[test]
+    fn crashed_worker_is_restarted_and_no_round_is_lost() {
+        crate::fault::silence_injected_crash_panics();
+        // One worker: with a second one stealing, worker 0 is not guaranteed
+        // to commit the 10 rounds that arm its crash.
+        let mut config = two_lattice_machine(1);
+        config.fault = crate::fault::FaultPlan::default().crash_worker(0, 10);
+        let engine = StreamingEngine::with_machine(config).unwrap();
+        let outcome = engine.run(&greedy_factory());
+        let report = &outcome.report;
+        assert_eq!(report.counters.generated, 200);
+        assert_eq!(
+            report.counters.decoded, 200,
+            "the restarted worker drains the rest"
+        );
+        assert_eq!(report.counters.dropped, 0);
+        assert_eq!(report.fault.injected_crashes, 1);
+        assert_eq!(report.journal.counts[EventKind::WorkerCrash], 1);
+        assert_eq!(report.journal.counts[EventKind::WorkerRestart], 1);
+        // The crashed worker's shard survived: the merged per-lattice frames
+        // carry every round.
+        let committed: u64 = outcome.frames.iter().map(|f| f.total_recorded()).sum();
+        assert_eq!(committed, 200);
+    }
+
+    /// A poisoned record is quarantined by the worker and shed-accounted by
+    /// the producer: books reconcile, nothing panics, nothing misdecodes.
+    #[test]
+    fn corrupted_record_is_quarantined_and_shed_accounted() {
+        let mut config = MachineConfig::new(&[3], 7);
+        config.lattices[0].rounds = 100;
+        config.lattices[0].cadence_cycles = 0;
+        config.workers = 1;
+        config.queue_capacity = 256;
+        config.fault = crate::fault::FaultPlan::default().corrupt_record(0, 5, 2, 13);
+        let engine = StreamingEngine::with_machine(config).unwrap();
+        let report = engine.run(&greedy_factory()).report;
+        assert_eq!(report.counters.generated, 100);
+        assert_eq!(
+            report.counters.decoded, 99,
+            "the poisoned round is not decoded"
+        );
+        assert_eq!(report.counters.dropped, 1, "…it is shed-accounted");
+        assert_eq!(
+            report.counters.quarantined, 1,
+            "…and quarantined at the worker"
+        );
+        assert_eq!(report.fault.injected_corruptions, 1);
+        assert_eq!(report.journal.counts[EventKind::Quarantine], 1);
+        assert_eq!(report.lattices[0].counters.dropped, 1);
+    }
+
+    /// A channel whose consumer never drains (an infinite injected stall on
+    /// a Block lane) trips the watchdog: the run ends with force-shed
+    /// rounds and WatchdogTrip events — each naming its round — instead of
+    /// hanging forever.
+    #[test]
+    fn dead_consumer_trips_the_watchdog_instead_of_hanging() {
+        let mut config = MachineConfig::new(&[3], 3);
+        config.lattices[0].rounds = 4;
+        config.lattices[0].cadence_cycles = 0;
+        config.workers = 1;
+        config.queue_capacity = 16;
+        config.fault = crate::fault::FaultPlan::default().stall_channel(0, 0, u64::MAX);
+        let engine = StreamingEngine::with_machine(config).unwrap();
+        let options = PipelineOptions {
+            watchdog: std::time::Duration::from_millis(20),
+            ..PipelineOptions::default()
+        };
+        let report = engine.run_with(options, &greedy_factory()).report;
+        assert_eq!(report.counters.generated, 4);
+        assert_eq!(
+            report.counters.decoded, 0,
+            "the channel never delivered a round"
+        );
+        assert_eq!(report.counters.dropped, 4, "every round was force-shed");
+        assert_eq!(report.lattices[0].counters.dropped, 4);
+        assert_eq!(report.fault.injected_stalls, 1);
+        assert_eq!(report.journal.counts[EventKind::WatchdogTrip], 4);
+        let tripped: Vec<u64> = report
+            .journal
+            .recent
+            .iter()
+            .filter(|event| event.kind == EventKind::WatchdogTrip)
+            .map(|event| event.value)
+            .collect();
+        assert_eq!(tripped, [0, 1, 2, 3]);
     }
 
     #[test]

@@ -1,16 +1,19 @@
 //! Deterministic fault injection and the run's fault ledger.
 //!
 //! A [`FaultPlan`] is a declarative schedule of hostile events — worker
-//! crashes, in-flight packet corruption, burst-noise episodes, channel
-//! stalls — keyed entirely by *logical* run coordinates (worker id × rounds
-//! decoded, lattice id × round index, channel index × round index), never by
-//! wall clock or extra randomness.  The same plan against the same seeded
-//! machine therefore injects the same faults at the same points every run,
-//! which is what lets the recovery tests demand byte-identical frames.
+//! crashes, in-flight packet corruption, channel stalls — keyed entirely by
+//! *logical* run coordinates (worker id × rounds decoded, lattice id × round
+//! index, channel index × round index), never by wall clock or extra
+//! randomness.  The same plan against the same seeded machine therefore
+//! injects the same faults at the same points every run, which is what lets
+//! the recovery tests demand byte-identical frames.  A burst-noise episode
+//! is not in the plan: it is part of a lattice's stream
+//! ([`LatticeSpec::burst`](crate::lattice_set::LatticeSpec::burst), beside
+//! its noise and seed); the ledger counts the lattices that carry one.
 //!
 //! The plan is carried by
 //! [`MachineConfig::fault`](crate::config::MachineConfig) and armed as a
-//! [`FaultInjector`] inside the pipeline graph.  The injector's hooks sit on
+//! [`FaultInjector`] by the engine for each run.  The injector's hooks sit on
 //! the producer and worker hot paths but are engineered to cost nothing when
 //! the plan is empty: every hook short-circuits on a pre-computed emptiness
 //! check, performs no allocation either way, and takes no locks (arming is a
@@ -25,8 +28,7 @@
 //! restart, every poisoned packet quarantined, every scheduled burst seen
 //! starting and ending.
 
-use crate::obs::EventCounts;
-use crate::source::BurstOverlay;
+use crate::obs::{EventCounts, EventKind};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Once;
@@ -65,15 +67,6 @@ pub struct CorruptionFault {
     pub bit: u32,
 }
 
-/// Blanket one lattice with a burst-noise episode (see [`BurstOverlay`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BurstFault {
-    /// The lattice the episode covers.
-    pub lattice_id: u32,
-    /// The episode's window and amplification.
-    pub overlay: BurstOverlay,
-}
-
 /// Make one channel refuse the producer's sends for a while — a dead
 /// or wedged consumer, as seen from the send side.
 ///
@@ -99,12 +92,10 @@ pub struct StallFault {
 ///
 /// ```rust
 /// use nisqplus_runtime::fault::FaultPlan;
-/// use nisqplus_runtime::source::BurstOverlay;
 ///
 /// let plan = FaultPlan::default()
 ///     .crash_worker(1, 10)
 ///     .corrupt_record(0, 25, 2, 17)
-///     .burst(2, BurstOverlay { start_round: 40, rounds: 20, factor: 30.0 })
 ///     .stall_channel(0, 100, 5_000_000);
 /// assert!(!plan.is_empty());
 /// ```
@@ -114,8 +105,6 @@ pub struct FaultPlan {
     pub crashes: Vec<CrashFault>,
     /// Scheduled packet corruptions.
     pub corruptions: Vec<CorruptionFault>,
-    /// Scheduled burst-noise episodes.
-    pub bursts: Vec<BurstFault>,
     /// Scheduled channel stalls.
     pub stalls: Vec<StallFault>,
 }
@@ -145,16 +134,6 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules a burst-noise episode blanketing `lattice_id`.
-    #[must_use]
-    pub fn burst(mut self, lattice_id: u32, overlay: BurstOverlay) -> Self {
-        self.bursts.push(BurstFault {
-            lattice_id,
-            overlay,
-        });
-        self
-    }
-
     /// Schedules a channel stall.
     #[must_use]
     pub fn stall_channel(mut self, channel: usize, from_round: u64, duration_ns: u64) -> Self {
@@ -169,10 +148,7 @@ impl FaultPlan {
     /// `true` when the plan schedules nothing at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty()
-            && self.corruptions.is_empty()
-            && self.bursts.is_empty()
-            && self.stalls.is_empty()
+        self.crashes.is_empty() && self.corruptions.is_empty() && self.stalls.is_empty()
     }
 }
 
@@ -219,8 +195,8 @@ impl Armed {
 
 /// The armed, thread-shared runtime form of a [`FaultPlan`].
 ///
-/// Owned by the pipeline graph and handed by reference to the source and
-/// every worker seat.  All hooks are lock- and allocation-free; with an
+/// Built by the engine for one run and handed by reference to the source
+/// stage and every worker seat.  All hooks are lock- and allocation-free; with an
 /// empty plan each is a branch on a pre-computed flag.
 #[derive(Debug)]
 pub struct FaultInjector {
@@ -371,7 +347,8 @@ pub struct FaultInjections {
 /// [`RuntimeReport`](crate::telemetry::RuntimeReport).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultReport {
-    /// Whether the run carried a non-empty [`FaultPlan`].
+    /// Whether the run carried a non-empty [`FaultPlan`] or a lattice with a
+    /// burst episode.
     pub enabled: bool,
     /// Worker crashes the injector fired.
     pub injected_crashes: u64,
@@ -383,7 +360,8 @@ pub struct FaultReport {
     pub injected_corruptions: u64,
     /// Records the workers quarantined as undecodable.
     pub quarantined: u64,
-    /// Burst episodes the plan scheduled.
+    /// Lattices whose stream carries a burst episode
+    /// ([`LatticeSpec::burst`](crate::lattice_set::LatticeSpec::burst)).
     pub planned_bursts: u64,
     /// Burst episodes the source saw begin (journal `burst_start`).
     pub bursts_started: u64,
@@ -401,28 +379,30 @@ pub struct FaultReport {
 }
 
 impl FaultReport {
-    /// Folds the injector's books, the event journal's totals and the
-    /// workers' quarantine counter into the ledger.
+    /// Folds the number of lattices that carry a burst episode, the
+    /// injector's books, the event journal's totals and the workers'
+    /// quarantine counter into the ledger.
     #[must_use]
     pub fn assemble(
         plan: &FaultPlan,
+        planned_bursts: u64,
         injected: FaultInjections,
         counts: &EventCounts,
         quarantined: u64,
     ) -> Self {
         FaultReport {
-            enabled: !plan.is_empty(),
+            enabled: !plan.is_empty() || planned_bursts > 0,
             injected_crashes: injected.crashes,
-            observed_crashes: counts.worker_crash,
-            worker_restarts: counts.worker_restart,
+            observed_crashes: counts[EventKind::WorkerCrash],
+            worker_restarts: counts[EventKind::WorkerRestart],
             injected_corruptions: injected.corruptions,
             quarantined,
-            planned_bursts: plan.bursts.len() as u64,
-            bursts_started: counts.burst_start,
-            bursts_ended: counts.burst_end,
+            planned_bursts,
+            bursts_started: counts[EventKind::BurstStart],
+            bursts_ended: counts[EventKind::BurstEnd],
             injected_stalls: injected.stalls,
-            watchdog_trips: counts.watchdog_trip,
-            degraded: counts.watchdog_trip > 0,
+            watchdog_trips: counts[EventKind::WatchdogTrip],
+            degraded: counts[EventKind::WatchdogTrip] > 0,
         }
     }
 
@@ -531,48 +511,48 @@ mod tests {
     fn report_reconciles_matching_books() {
         let plan = FaultPlan::default()
             .crash_worker(0, 5)
-            .corrupt_record(1, 3, 0, 1)
-            .burst(
-                2,
-                BurstOverlay {
-                    start_round: 10,
-                    rounds: 5,
-                    factor: 20.0,
-                },
-            );
+            .corrupt_record(1, 3, 0, 1);
         let injected = FaultInjections {
             crashes: 1,
             corruptions: 1,
             stalls: 0,
         };
-        let counts = EventCounts {
-            worker_crash: 1,
-            worker_restart: 1,
-            quarantine: 1,
-            burst_start: 1,
-            burst_end: 1,
-            ..EventCounts::default()
-        };
-        let report = FaultReport::assemble(&plan, injected, &counts, 1);
+        let mut counts = EventCounts::default();
+        for kind in [
+            EventKind::WorkerCrash,
+            EventKind::WorkerRestart,
+            EventKind::Quarantine,
+            EventKind::BurstStart,
+            EventKind::BurstEnd,
+        ] {
+            counts[kind] = 1;
+        }
+        // One lattice of the machine carries a burst episode.
+        let report = FaultReport::assemble(&plan, 1, injected, &counts, 1);
         assert!(report.enabled);
         assert!(report.reconciled(), "{report}");
         assert!(!report.degraded);
 
+        // A burst episode alone makes the ledger worth printing.
+        let burst_only = FaultInjections::default();
+        let mut burst_counts = EventCounts::default();
+        burst_counts[EventKind::BurstStart] = 1;
+        burst_counts[EventKind::BurstEnd] = 1;
+        let report = FaultReport::assemble(&FaultPlan::default(), 1, burst_only, &burst_counts, 0);
+        assert!(report.enabled);
+        assert!(report.reconciled(), "{report}");
+
         // A lost restart breaks the ledger.
-        let broken = EventCounts {
-            worker_restart: 0,
-            ..counts
-        };
-        let report = FaultReport::assemble(&plan, injected, &broken, 1);
+        let mut broken = counts;
+        broken[EventKind::WorkerRestart] = 0;
+        let report = FaultReport::assemble(&plan, 1, injected, &broken, 1);
         assert!(!report.reconciled());
 
         // A watchdog trip marks the run degraded without (alone) breaking
         // reconciliation.
-        let tripped = EventCounts {
-            watchdog_trip: 2,
-            ..counts
-        };
-        let report = FaultReport::assemble(&plan, injected, &tripped, 1);
+        let mut tripped = counts;
+        tripped[EventKind::WatchdogTrip] = 2;
+        let report = FaultReport::assemble(&plan, 1, injected, &tripped, 1);
         assert!(report.degraded);
         assert!(report.reconciled());
     }

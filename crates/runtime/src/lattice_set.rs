@@ -10,7 +10,7 @@
 //! per-lattice telemetry is keyed by.
 //!
 //! Each spec's QoS contract (policy, budget, SLO, decoder override) is what
-//! the pipeline's [`QosGate`](crate::stage::gate::QosGate) enforces at the
+//! the pipeline's [`QosGate`](crate::stage::QosGate) enforces at the
 //! admission seam: one gate lane per registered lattice.
 
 use crate::config::PushPolicy;

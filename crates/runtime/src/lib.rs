@@ -29,14 +29,14 @@
 //!   workers steal from busy ones,
 //! * [`stage`] — the pipeline stages the engine is wired from: bounded
 //!   channels over the ring, the QoS admission gate, the
-//!   own-then-steal batch mux, the prepared-decoder decode stage, frame and
-//!   depth sinks, and the [`PipelineGraph`] that wires them into the one
-//!   running, backpressured shape — `source → gate → channel[w] → steal →
-//!   decode → frame` — every stage reporting its flow through a uniform
-//!   [`StageReport`],
+//!   own-then-steal batch mux, the prepared-decoder decode stage and its
+//!   supervised worker loop, frame and depth sinks, and the source stage —
+//!   every stage reporting its flow through a uniform [`StageReport`],
 //! * [`config`] — the [`RuntimeConfig`] / [`MachineConfig`] run
 //!   configuration (re-exported through [`engine`] for compatibility),
-//! * [`engine`] — the [`StreamingEngine`]: one paced source thread
+//! * [`engine`] — the [`StreamingEngine`], which wires the stages into the
+//!   one running, backpressured shape — `source → gate → channel[w] → steal
+//!   → decode → frame`: one paced source thread
 //!   spreading every lattice's rounds across the channels, and a
 //!   work-stealing pool of decoder workers built from a
 //!   [`DecoderFactory`](nisqplus_decoders::DecoderFactory), each keeping one
@@ -50,17 +50,16 @@
 //!   [`FaultPlan`] schedules worker crashes (caught and answered by a
 //!   supervisor restart that re-prepares decoders over the same frame
 //!   shard), on-the-wire packet corruption (quarantined, never panicking
-//!   the pool), burst-noise episodes and channel stalls (bounded by
-//!   a backpressure watchdog), all reconciled in the report's
-//!   [`FaultReport`],
+//!   the pool) and channel stalls (bounded by a backpressure watchdog), all
+//!   reconciled — with the burst episodes lattices carry in their specs —
+//!   in the report's [`FaultReport`],
 //! * [`throttle`] — a wrapper making any decoder deliberately slow (for all
 //!   lattices or one code distance), so the backlog blow-up can be provoked
 //!   on demand,
 //! * [`obs`] — the live observability plane: bounded-memory log-bucketed
 //!   latency histograms ([`LogHistogram`]), a fixed-capacity structured
 //!   [`EventJournal`] (sheds, stalls, budget exhaustion, steals, verdict
-//!   flips), and a snapshot sampler publishing periodic
-//!   [`MetricsSnapshot`]s to an optional [`RuntimeObserver`],
+//!   flips), and a snapshot sampler taking periodic [`MetricsSnapshot`]s,
 //! * [`report`] — schema-versioned, dependency-free JSON export of the
 //!   final report,
 //! * [`scenario`] — the scenario plane: versioned replayable
@@ -130,14 +129,13 @@ pub use engine::{
     MachineConfig, PushPolicy, RoundCorrection, RuntimeConfig, RuntimeOutcome, StreamingEngine,
 };
 pub use fault::{
-    BurstFault, CorruptionFault, CrashFault, FaultInjections, FaultInjector, FaultPlan,
-    FaultReport, StallFault,
+    CorruptionFault, CrashFault, FaultInjections, FaultInjector, FaultPlan, FaultReport, StallFault,
 };
 pub use frame::ShardedPauliFrame;
 pub use lattice_set::{LatticeDecoder, LatticeSet, LatticeSpec};
 pub use obs::{
     EventJournal, EventKind, EventSeverity, HistogramSnapshot, JournalSnapshot, LocalHistogram,
-    LogHistogram, MetricsSnapshot, ObsPlane, RuntimeEvent, RuntimeObserver,
+    LogHistogram, MetricsSnapshot, ObsPlane, RuntimeEvent,
 };
 pub use packet::{PacketCodec, PacketError, SyndromePacket};
 pub use queue::{RingFull, SpmcRing};
@@ -150,7 +148,7 @@ pub use source::{
     BurstOverlay, ElasticEvent, ElasticEventKind, InterleavedSource, NoiseEpoch, NoiseSpec,
     SourcedRound, SyndromeSource,
 };
-pub use stage::{PipelineGraph, PipelineOptions, StageReport};
+pub use stage::{PipelineOptions, StageReport};
 pub use telemetry::{
     CounterSnapshot, DepthSample, LatencyProfile, LatencyQuantiles, LatticeCounterSnapshot,
     LatticeCounters, LatticeReport, ResidualReport, RuntimeCounters, RuntimeReport,

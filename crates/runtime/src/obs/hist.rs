@@ -345,14 +345,6 @@ impl HistogramSnapshot {
         }
         self.max_ns as f64
     }
-
-    /// The width of the bucket the `q`-quantile falls in — the resolution
-    /// bound on [`HistogramSnapshot::quantile_ns`].
-    #[must_use]
-    pub fn quantile_resolution_ns(&self, q: f64) -> f64 {
-        let (lo, hi) = bucket_bounds(bucket_index(self.quantile_ns(q) as u64));
-        (hi - lo) as f64
-    }
 }
 
 #[cfg(test)]
@@ -498,9 +490,9 @@ mod tests {
         assert_eq!(coarse_snap.count, 10_000, "count derives from the buckets");
         assert_eq!(coarse_snap.counts, full_snap.counts);
         for q in [0.5, 0.99, 0.999] {
+            let (lo, hi) = bucket_bounds(bucket_index(full_snap.quantile_ns(q) as u64));
             assert!(
-                (coarse_snap.quantile_ns(q) - full_snap.quantile_ns(q)).abs()
-                    <= full_snap.quantile_resolution_ns(q),
+                (coarse_snap.quantile_ns(q) - full_snap.quantile_ns(q)).abs() <= (hi - lo) as f64,
                 "bucket-only quantiles stay within one bucket of the full books"
             );
         }

@@ -16,7 +16,6 @@
 //! publishes almost nothing — so the lock is uncontended exactly when the
 //! pipeline is busiest.
 
-use crate::obs::snapshot::MetricsSnapshot;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -165,49 +164,23 @@ impl Default for RuntimeEvent {
     }
 }
 
-/// A callback surface for live event/snapshot consumers (a controller, a
-/// log forwarder, a test harness).  Install one via
-/// [`PipelineOptions::observer`](crate::stage::PipelineOptions); both hooks
-/// default to no-ops.
-pub trait RuntimeObserver: fmt::Debug + Send + Sync {
-    /// Called synchronously for every published event, after it lands in
-    /// the journal.  Runs on the publishing thread: keep it cheap.
-    fn on_event(&self, _event: &RuntimeEvent) {}
+/// Per-kind event totals (never rotated out, unlike the events themselves),
+/// indexed by kind: `counts[EventKind::Shed]`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EventCounts([u64; KINDS]);
 
-    /// Called for every [`MetricsSnapshot`] the sampler takes.  Runs on the
-    /// sampler thread.
-    fn on_snapshot(&self, _snapshot: &MetricsSnapshot) {}
+impl std::ops::Index<EventKind> for EventCounts {
+    type Output = u64;
+
+    fn index(&self, kind: EventKind) -> &u64 {
+        &self.0[kind as usize]
+    }
 }
 
-/// Per-kind event totals (never rotated out, unlike the events themselves).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EventCounts {
-    /// [`EventKind::Shed`] events published.
-    pub shed: u64,
-    /// [`EventKind::BackpressureStall`] events published.
-    pub backpressure_stall: u64,
-    /// [`EventKind::BudgetExhausted`] events published.
-    pub budget_exhausted: u64,
-    /// [`EventKind::Steal`] events published.
-    pub steal: u64,
-    /// [`EventKind::VerdictFlip`] events published.
-    pub verdict_flip: u64,
-    /// [`EventKind::WorkerCrash`] events published.
-    pub worker_crash: u64,
-    /// [`EventKind::WorkerRestart`] events published.
-    pub worker_restart: u64,
-    /// [`EventKind::Quarantine`] events published.
-    pub quarantine: u64,
-    /// [`EventKind::BurstStart`] events published.
-    pub burst_start: u64,
-    /// [`EventKind::BurstEnd`] events published.
-    pub burst_end: u64,
-    /// [`EventKind::WatchdogTrip`] events published.
-    pub watchdog_trip: u64,
-    /// [`EventKind::LatticeAdded`] events published.
-    pub lattice_added: u64,
-    /// [`EventKind::LatticeRetired`] events published.
-    pub lattice_retired: u64,
+impl std::ops::IndexMut<EventKind> for EventCounts {
+    fn index_mut(&mut self, kind: EventKind) -> &mut u64 {
+        &mut self.0[kind as usize]
+    }
 }
 
 /// A plain-data copy of the journal's state: totals plus the most recent
@@ -300,16 +273,10 @@ impl EventJournal {
         self.overwritten.load(Ordering::Relaxed)
     }
 
-    /// Events published with `kind`.
-    #[must_use]
-    pub fn count_of(&self, kind: EventKind) -> u64 {
-        self.kind_counts[kind as usize].load(Ordering::Relaxed)
-    }
-
     /// Publishes one event, assigning its sequence number.  Allocation-free:
     /// the event is copied into a preallocated ring slot (overwriting — and
     /// counting — the oldest resident event when full).  Returns the stored
-    /// event so callers can forward it to an observer.
+    /// event.
     pub fn publish(
         &self,
         kind: EventKind,
@@ -364,21 +331,9 @@ impl EventJournal {
             warning: self.severity_counts[EventSeverity::Warning as usize].load(Ordering::Relaxed),
             critical: self.severity_counts[EventSeverity::Critical as usize]
                 .load(Ordering::Relaxed),
-            counts: EventCounts {
-                shed: self.count_of(EventKind::Shed),
-                backpressure_stall: self.count_of(EventKind::BackpressureStall),
-                budget_exhausted: self.count_of(EventKind::BudgetExhausted),
-                steal: self.count_of(EventKind::Steal),
-                verdict_flip: self.count_of(EventKind::VerdictFlip),
-                worker_crash: self.count_of(EventKind::WorkerCrash),
-                worker_restart: self.count_of(EventKind::WorkerRestart),
-                quarantine: self.count_of(EventKind::Quarantine),
-                burst_start: self.count_of(EventKind::BurstStart),
-                burst_end: self.count_of(EventKind::BurstEnd),
-                watchdog_trip: self.count_of(EventKind::WatchdogTrip),
-                lattice_added: self.count_of(EventKind::LatticeAdded),
-                lattice_retired: self.count_of(EventKind::LatticeRetired),
-            },
+            counts: EventCounts(std::array::from_fn(|kind| {
+                self.kind_counts[kind].load(Ordering::Relaxed)
+            })),
             recent,
         }
     }
@@ -411,7 +366,7 @@ mod tests {
         assert_eq!(snap.published, 3);
         assert_eq!(snap.overwritten, 0);
         assert_eq!(snap.warning, 3);
-        assert_eq!(snap.counts.shed, 3);
+        assert_eq!(snap.counts[EventKind::Shed], 3);
     }
 
     #[test]
@@ -452,9 +407,9 @@ mod tests {
         assert_eq!(snap.info, 1);
         assert_eq!(snap.critical, 1);
         assert_eq!(snap.warning, 3);
-        assert_eq!(snap.counts.steal, 1);
-        assert_eq!(snap.counts.verdict_flip, 1);
-        assert_eq!(snap.counts.shed, 3);
+        assert_eq!(snap.counts[EventKind::Steal], 1);
+        assert_eq!(snap.counts[EventKind::VerdictFlip], 1);
+        assert_eq!(snap.counts[EventKind::Shed], 3);
         assert_eq!(snap.recent.len(), 2);
     }
 
@@ -475,12 +430,12 @@ mod tests {
             }
         }
         let snap = journal.snapshot(16);
-        assert_eq!(snap.counts.worker_crash, 1);
-        assert_eq!(snap.counts.worker_restart, 2);
-        assert_eq!(snap.counts.quarantine, 3);
-        assert_eq!(snap.counts.burst_start, 4);
-        assert_eq!(snap.counts.burst_end, 5);
-        assert_eq!(snap.counts.watchdog_trip, 6);
+        assert_eq!(snap.counts[EventKind::WorkerCrash], 1);
+        assert_eq!(snap.counts[EventKind::WorkerRestart], 2);
+        assert_eq!(snap.counts[EventKind::Quarantine], 3);
+        assert_eq!(snap.counts[EventKind::BurstStart], 4);
+        assert_eq!(snap.counts[EventKind::BurstEnd], 5);
+        assert_eq!(snap.counts[EventKind::WatchdogTrip], 6);
         let labels: Vec<&str> = kinds.iter().map(|k| k.label()).collect();
         assert_eq!(
             labels,

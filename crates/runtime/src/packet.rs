@@ -294,20 +294,6 @@ impl PacketCodec {
         self.retired[lattice_id as usize].store(final_round, Ordering::Release);
     }
 
-    /// The retirement watermark of `lattice_id`: `Some(final_round)` once
-    /// retired, `None` while live.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lattice_id` is out of range.
-    #[must_use]
-    pub fn retirement(&self, lattice_id: u32) -> Option<u64> {
-        match self.retired[lattice_id as usize].load(Ordering::Acquire) {
-            u64::MAX => None,
-            final_round => Some(final_round),
-        }
-    }
-
     /// Creates a codec whose records additionally carry the round's seeded
     /// physical error: `bits[id]` is the ancilla count and `data_qubits[id]`
     /// the data-qubit count of the lattice registered under `id`.
@@ -396,20 +382,6 @@ impl PacketCodec {
             "ancilla count exceeds the 24-bit header field"
         );
         (u64::from(Self::VERSION) << 48) | (u64::from(lattice_id) << 24) | u64::from(bits)
-    }
-
-    /// Extracts the raw lattice-id field from a record's header *without any
-    /// validation* — no version, registration or ancilla-count check.
-    ///
-    /// This is the cheap routing peek the worker hot loop uses to select the
-    /// per-lattice decode buffers before handing the record to
-    /// [`PacketCodec::try_decode_into`], which performs the one full header
-    /// validation.  Never trust the returned id on its own: a corrupt or
-    /// foreign record yields an arbitrary value that only the validating
-    /// decode path will reject.
-    #[must_use]
-    pub fn peek_lattice_id(words: &[u64]) -> u32 {
-        ((words[0] >> 24) & 0xFF_FFFF) as u32
     }
 
     /// Reads the lattice id a record claims to belong to, after validating
@@ -667,7 +639,7 @@ mod tests {
     /// into a fresh buffer of the width registered for the id its header names
     /// (a record whose id is noise fails validation before the width matters).
     fn decoded(codec: &PacketCodec, record: &[u64]) -> Result<SyndromePacket, PacketError> {
-        let id = PacketCodec::peek_lattice_id(record) as usize;
+        let id = ((record[0] >> 24) & 0xFF_FFFF) as usize;
         let bits = codec.lattice_bits.get(id).map_or(0, |&bits| bits as usize);
         let mut buffer = SyndromePacket::new(0, 0, 0, &Syndrome::new(bits));
         codec.try_decode_into(record, &mut buffer).map(|()| buffer)
@@ -792,18 +764,6 @@ mod tests {
         );
         let mut buffer = SyndromePacket::new(0, 0, 0, &Syndrome::new(8));
         assert!(receiver.try_decode_into(&record, &mut buffer).is_err());
-    }
-
-    #[test]
-    fn peek_reads_the_raw_lattice_id_field() {
-        let codec = PacketCodec::for_lattice_bits(&[8, 40, 40]);
-        let mut record = vec![0u64; codec.words_per_packet()];
-        for lattice_id in [0u32, 1, 2] {
-            let bits = codec.syndrome_bits(lattice_id);
-            let packet = SyndromePacket::new(lattice_id, 3, 30, &Syndrome::new(bits));
-            codec.encode(&packet, &mut record);
-            assert_eq!(PacketCodec::peek_lattice_id(&record), lattice_id);
-        }
     }
 
     #[test]
@@ -988,11 +948,9 @@ mod tests {
             codec.encode(&packet, &mut record);
             record
         };
-        assert_eq!(codec.retirement(1), None);
         assert!(codec.verify(&encode(1, 99)).is_ok());
 
         codec.retire_lattice(1, 5);
-        assert_eq!(codec.retirement(1), Some(5));
         // In-flight rounds below the watermark still drain.
         assert_eq!(codec.verify(&encode(1, 4)), Ok(1));
         // Rounds at or past it are quarantined with a typed verdict.

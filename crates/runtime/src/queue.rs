@@ -31,7 +31,7 @@
 //! `2p + 1` published at `p`, `2(p + capacity)` handed back for the next
 //! lap — so "published" and "free one lap on" never coincide, whatever the
 //! capacity.  A full ring is [`RingFull`];
-//! [`Channel`](crate::stage::channel::Channel) counts that refusal at the
+//! [`Channel`](crate::stage::Channel) counts that refusal at the
 //! stage seam and adds nothing to the bound.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -137,15 +137,9 @@ impl<F, T: Codec<F>> Codec<F> for Vec<T> {
 
 /// Implements [`Codec`] for a struct from one list of its fields, in
 /// document order: `field` is written under the key `field` in the field
-/// type's own format, `field as Format` in another (see [`Plain`]).  After
-/// the fields and a `;`, `"key" => function` writes `function(self)` under
-/// a key the reader ignores — for a derived quantity exported as a
-/// convenience and recomputed, not stored, on the way back in.
+/// type's own format, `field as Format` in another (see [`Plain`]).
 macro_rules! record {
-    ($ty:ty {
-        $($field:ident $(as $format:ty)?),+ $(,)?
-        $(; $($key:literal => $derived:expr),+ $(,)?)?
-    }) => {
+    ($ty:ty { $($field:ident $(as $format:ty)?),+ $(,)? }) => {
         impl $crate::report::codec::Codec for $ty {
             fn encode(&self) -> $crate::report::json::Json {
                 use $crate::report::codec::{record, Codec};
@@ -154,7 +148,6 @@ macro_rules! record {
                         stringify!($field).to_string(),
                         Codec::<record!(@format $($format)?)>::encode(&self.$field),
                     ),)+
-                    $($(($key.to_string(), Codec::encode(&$derived(self))),)+)?
                 ])
             }
 

@@ -8,7 +8,7 @@
 //! writer and the reader from that one list — a key is its field's name, so
 //! the two directions cannot drift apart.  Changing a table changes the
 //! format: bump [`SCHEMA_VERSION`] (`tests/obs.rs` pins the key paths
-//! against `tests/report_schema_v7.txt`).
+//! against `tests/report_schema_v8.txt`).
 //!
 //! Reading rejects documents whose version does not match
 //! [`SCHEMA_VERSION`] exactly, so a stale artifact fails loudly instead of
@@ -23,7 +23,7 @@ use crate::fault::FaultReport;
 use crate::obs::{
     EventCounts, EventKind, EventSeverity, JournalSnapshot, MetricsSnapshot, RuntimeEvent,
 };
-use crate::report::codec::{check_header, labels, record, with_header, Codec};
+use crate::report::codec::{check_header, field, labels, record, with_header, Codec, Plain};
 use crate::report::json::{parse, Json, JsonError};
 use crate::source::NoiseEpoch;
 use crate::stage::StageReport;
@@ -43,8 +43,8 @@ use std::path::Path;
 /// v2: fault-injection accounting — `counters.quarantined`, the six fault
 /// event kinds in `journal.counts`, and the report-level `fault` object.
 ///
-/// v3: soak-scale telemetry — per-lattice live residual counters
-/// (`decode_failures`, `shed_failures`, the derived `live_failure_rate`).
+/// v3: soak-scale telemetry — three per-lattice residual failure counters
+/// in `lattices[].counters` (gone again in v8).
 ///
 /// v4: the scenario plane — per-lattice `noise_epochs` timelines, the
 /// `lattice_added` / `lattice_retired` journal kinds, and per-lattice
@@ -61,7 +61,11 @@ use std::path::Path;
 /// v7: `stages[]` rows lose the two token-loop totals of the flow control
 /// that was laid over the rings (on channel rows they repeated `emitted` /
 /// `accepted`; a budget's flow is the lattice's own `enqueued` / `decoded`).
-pub const SCHEMA_VERSION: u64 = 7;
+///
+/// v8: `lattices[].counters` loses the three v3 keys: they restated
+/// `lattices[].residual.{decoded,shed}`' failure counts, and nothing could
+/// read them before the final report.
+pub const SCHEMA_VERSION: u64 = 8;
 
 /// Why an export or import failed.
 #[derive(Debug)]
@@ -164,10 +168,6 @@ record!(LatticeCounterSnapshot {
     dropped,
     backpressure_spins,
     decoded,
-    decode_failures,
-    shed_failures;
-    // Derived, exported for dashboards; the reader recomputes it.
-    "live_failure_rate" => LatticeCounterSnapshot::live_failure_rate,
 });
 
 record!(DepthSample {
@@ -229,21 +229,22 @@ record!(RuntimeEvent {
     value,
 });
 
-record!(EventCounts {
-    shed,
-    backpressure_stall,
-    budget_exhausted,
-    steal,
-    verdict_flip,
-    worker_crash,
-    worker_restart,
-    quarantine,
-    burst_start,
-    burst_end,
-    watchdog_trip,
-    lattice_added,
-    lattice_retired,
-});
+/// One key per [`EventKind`], under the kind's label, in label-table order.
+impl Codec for EventCounts {
+    fn encode(&self) -> Json {
+        let count =
+            |&(kind, label): &(EventKind, &str)| (label.to_string(), Json::from(self[kind]));
+        Json::Obj(EventKind::LABELS.iter().map(count).collect())
+    }
+
+    fn decode(value: &Json) -> Result<Self, ExportError> {
+        let mut counts = EventCounts::default();
+        for (kind, label) in EventKind::LABELS {
+            counts[kind] = field::<Plain, _>(value, label)?;
+        }
+        Ok(counts)
+    }
+}
 
 record!(JournalSnapshot {
     published,

@@ -403,18 +403,6 @@ impl TraceRecorder {
         });
     }
 
-    /// The number of rounds recorded so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rounds.len()
-    }
-
-    /// `true` if nothing has been recorded yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rounds.is_empty()
-    }
-
     /// Finishes recording, yielding the trace (no golden summary attached).
     #[must_use]
     pub fn into_trace(self) -> SyndromeTrace {
@@ -446,12 +434,6 @@ impl TraceSource {
     pub fn new(trace: SyndromeTrace, set: &LatticeSet) -> Result<Self, ExportError> {
         trace.check_against(set)?;
         Ok(TraceSource { trace, cursor: 0 })
-    }
-
-    /// The number of rounds not yet served.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.trace.rounds.len() - self.cursor
     }
 
     /// Serves the next recorded round, or `None` when the trace is drained.
@@ -509,13 +491,11 @@ mod tests {
         let mut live = InterleavedSource::new(&set, &CycleTimeConverter::paper_reference())
             .expect("valid source");
         let mut replay = TraceSource::new(trace, &set).expect("trace matches set");
-        assert_eq!(replay.remaining(), 12);
         while let Some(expected) = live.next_round() {
             let served = replay.next_round().expect("replay exhausted early");
             assert_eq!(served, expected);
         }
         assert!(replay.next_round().is_none());
-        assert_eq!(replay.remaining(), 0);
     }
 
     #[test]

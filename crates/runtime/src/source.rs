@@ -8,9 +8,9 @@
 //! the same infinite syndrome sequence, whether consumed by the streaming
 //! engine or by a plain offline loop.
 //!
-//! In the pipeline graph (`crate::stage`), an [`InterleavedSource`] is the
-//! heart of the *source* stage: `stage::graph` paces it to each lattice's
-//! cadence and feeds its rounds through the QoS gate into the channels.
+//! In the pipeline (`crate::stage`), an [`InterleavedSource`] is the heart
+//! of the *source* stage, which paces it to each lattice's cadence and feeds
+//! its rounds through the QoS gate into the channels.
 
 use crate::lattice_set::LatticeSet;
 use crate::scenario::script::{ScenarioAction, ScenarioError, ScenarioScript};
@@ -274,12 +274,6 @@ impl SyndromeSource {
         Ok(())
     }
 
-    /// The current base channel.
-    #[must_use]
-    pub fn noise(&self) -> NoiseSpec {
-        self.rate_changes.last().expect("construction entry").1
-    }
-
     /// Derives the stream's noise timeline over rounds `[0, total_rounds)`:
     /// one [`NoiseEpoch`] per homogeneous stretch, cut at every scripted
     /// rate change and burst boundary.
@@ -356,12 +350,6 @@ impl SyndromeSource {
     #[must_use]
     pub fn lattice(&self) -> &Arc<Lattice> {
         &self.lattice
-    }
-
-    /// The number of rounds generated so far.
-    #[must_use]
-    pub fn rounds_emitted(&self) -> u64 {
-        self.rounds_emitted
     }
 
     /// Generates the next round's syndrome.  Never exhausts.
@@ -488,7 +476,6 @@ pub struct InterleavedSource {
     streams: Vec<LatticeStream>,
     /// Min-heap of each non-exhausted lattice's next due round.
     due: std::collections::BinaryHeap<std::cmp::Reverse<DueEntry>>,
-    remaining: u64,
     /// Scripted actions sorted by firing round; `next_action` indexes the
     /// first not yet fired.
     actions: Vec<ScenarioAction>,
@@ -558,7 +545,6 @@ impl InterleavedSource {
             }));
         }
         Ok(InterleavedSource {
-            remaining: streams.iter().map(|s| s.rounds).sum(),
             streams,
             due,
             actions: Vec::new(),
@@ -662,7 +648,6 @@ impl InterleavedSource {
                     let stream = &mut self.streams[lattice_id as usize];
                     // Truncate the stream where it stands; the stale heap
                     // entry (if any) is skipped lazily by `next_round`.
-                    self.remaining -= stream.rounds - stream.emitted;
                     stream.rounds = stream.emitted;
                     self.fired.push(ElasticEvent {
                         at_round,
@@ -687,40 +672,6 @@ impl InterleavedSource {
                 }
             }
         }
-    }
-
-    /// Rounds left to emit across all lattices.
-    #[must_use]
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-
-    /// Overlays a burst episode on one lattice's stream.  Must be applied
-    /// before that lattice emits any rounds (the overlay is part of the
-    /// stream's replayable identity).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QecError::InvalidProbability`] if the amplified channel is
-    /// invalid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lattice_id` is out of range or the lattice has already
-    /// emitted rounds.
-    pub fn set_burst(
-        &mut self,
-        lattice_id: usize,
-        base: NoiseSpec,
-        burst: BurstOverlay,
-    ) -> Result<(), QecError> {
-        let stream = &mut self.streams[lattice_id];
-        assert_eq!(
-            stream.emitted, 0,
-            "burst overlays must be applied before the stream starts"
-        );
-        stream.source = stream.source.clone().with_burst(base, burst)?;
-        Ok(())
     }
 
     /// The burst overlay applied to `lattice_id`'s stream, if any.
@@ -759,7 +710,6 @@ impl InterleavedSource {
             debug_assert_eq!(stream.emitted, entry.emitted, "heap out of sync");
             let round = entry.emitted;
             stream.emitted += 1;
-            self.remaining -= 1;
             if stream.emitted < stream.rounds {
                 self.due.push(std::cmp::Reverse(DueEntry {
                     due_ns: stream.base_ns + stream.emitted as f64 * stream.cadence_ns,
@@ -797,7 +747,6 @@ mod tests {
         for _ in 0..50 {
             assert_eq!(a.next_syndrome(), b.next_syndrome());
         }
-        assert_eq!(a.rounds_emitted(), 50);
     }
 
     #[test]
@@ -832,7 +781,6 @@ mod tests {
             assert_eq!(replayed, syndrome);
             assert_eq!(replay.lattice().syndrome_of(&error), syndrome);
         }
-        assert_eq!(plain.rounds_emitted(), replay.rounds_emitted());
     }
 
     /// The `_into` form draws what the allocating form draws, round for
@@ -895,7 +843,6 @@ mod tests {
         let last = round.clone();
         assert!(!reusing.next_round_into(&mut round));
         assert_eq!(round, last, "an exhausted source leaves the buffer alone");
-        assert_eq!(reusing.remaining(), 0);
     }
 
     #[test]
@@ -917,12 +864,10 @@ mod tests {
         let set = LatticeSet::new(vec![spec(3, 1, 3, 0), spec(5, 2, 3, 0)]).unwrap();
         let mut source =
             InterleavedSource::new(&set, &CycleTimeConverter::paper_reference()).unwrap();
-        assert_eq!(source.remaining(), 6);
         let order: Vec<(u32, u64)> = std::iter::from_fn(|| source.next_round())
             .map(|r| (r.lattice_id, r.round))
             .collect();
         assert_eq!(order, vec![(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)]);
-        assert_eq!(source.remaining(), 0);
         assert!(source.next_round().is_none());
     }
 
@@ -1053,17 +998,20 @@ mod tests {
 
     #[test]
     fn interleaved_burst_applies_to_one_lattice_only() {
-        let set = LatticeSet::new(vec![spec(3, 11, 6, 0), spec(3, 22, 6, 0)]).unwrap();
         let overlay = BurstOverlay {
             start_round: 2,
             rounds: 2,
             factor: 30.0,
         };
-        let mut bursty =
-            InterleavedSource::new(&set, &CycleTimeConverter::paper_reference()).unwrap();
-        bursty.set_burst(1, set.spec(1).noise, overlay).unwrap();
-        let mut calm =
-            InterleavedSource::new(&set, &CycleTimeConverter::paper_reference()).unwrap();
+        let calm_set = LatticeSet::new(vec![spec(3, 11, 6, 0), spec(3, 22, 6, 0)]).unwrap();
+        let bursty_set = LatticeSet::new(vec![
+            spec(3, 11, 6, 0),
+            spec(3, 22, 6, 0).with_burst(overlay),
+        ])
+        .unwrap();
+        let cycle_time = CycleTimeConverter::paper_reference();
+        let mut bursty = InterleavedSource::new(&bursty_set, &cycle_time).unwrap();
+        let mut calm = InterleavedSource::new(&calm_set, &cycle_time).unwrap();
         while let Some(round) = bursty.next_round() {
             let reference = calm.next_round().unwrap();
             assert_eq!(round.lattice_id, reference.lattice_id);

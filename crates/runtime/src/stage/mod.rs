@@ -8,23 +8,27 @@
 //! with exactly one book, so backpressure is a first-class, *measurable*
 //! signal instead of an accident of buffer sizes:
 //!
-//! * [`channel`] — [`Channel`], the lock-free
-//!   [`SpmcRing`](crate::queue::SpmcRing) plus its sender-side statistics;
-//!   the ring is the capacity bound, a full ring a counted refusal, never a
-//!   lost record,
-//! * [`mux`] — [`StealMux`], the arbiter that decides which channel feeds a
-//!   worker next: its own, then a busy neighbour's,
-//! * [`gate`] — [`QosGate`], per-lattice admission control (push policy +
+//! * [`Channel`] — the lock-free [`SpmcRing`](crate::queue::SpmcRing) plus
+//!   its sender-side statistics; the ring is the capacity bound, a full ring
+//!   a counted refusal, never a lost record,
+//! * [`StealMux`] — the arbiter that decides which channel feeds a worker
+//!   next: its own, then a busy neighbour's,
+//! * [`QosGate`] — per-lattice admission control (push policy +
 //!   outstanding-round budget, read off the lattice's own
 //!   `enqueued − decoded` counters),
-//! * [`decode`] — [`DecodeStage`], the prepared-decoder hot path that turns
-//!   a wire record into a composed correction,
-//! * [`sink`] — [`FrameSink`] (frame commit + latency telemetry) and
-//!   [`DepthSink`] (down-sampled backlog timelines, aggregate and per
-//!   lattice),
-//! * [`graph`] — [`PipelineGraph`], which wires the stages into the running
-//!   pipeline: one paced source thread, N decode workers, one channel per
-//!   worker, and backpressure at every seam.
+//! * the decode stage (`decode.rs`) — the prepared-decoder hot path that
+//!   turns a wire record into a composed correction ([`DecodedRound`]), and
+//!   the supervised worker loop that drives it,
+//! * [`FrameSink`] (frame commit + latency telemetry) and the depth sink
+//!   (down-sampled backlog timelines, aggregate and per lattice),
+//! * the source stage (`source.rs`) — paced generation, admission and
+//!   placement on the calling thread, configured by [`PipelineOptions`].
+//!
+//! [`StreamingEngine::run_with`](crate::StreamingEngine::run_with) wires
+//! them into the running pipeline: one paced source thread, N decode
+//! workers, one channel per worker, backpressure at every seam.  Only what
+//! code outside the crate names is `pub`; the rest of the kit is
+//! crate-private, so the compiler's `dead_code` lint audits it.
 //!
 //! Every stage answers for itself through a uniform [`StageReport`]
 //! (flow, refusals, occupancy, stall cycles), and the engine folds
@@ -34,19 +38,22 @@
 //! in software.  `docs/ARCHITECTURE.md` draws the graph and states the
 //! contract every stage keeps.
 
-pub mod channel;
-pub mod decode;
-pub mod gate;
-pub mod graph;
-pub mod mux;
-pub mod sink;
+mod channel;
+mod decode;
+mod gate;
+mod mux;
+mod sink;
+mod source;
 
 pub use channel::Channel;
-pub use decode::{DecodeStage, DecodedRound};
+pub use decode::DecodedRound;
+pub(crate) use decode::{run_worker, WorkerSeat};
 pub use gate::{Admission, QosGate};
-pub use graph::{LatticeGenStats, PipelineGraph, PipelineOptions, PipelineRun, WorkerSeat};
 pub use mux::{FillResult, StealMux};
-pub use sink::{DepthSink, FrameSink, WorkerLatticeOutput, WorkerOutput};
+pub use sink::FrameSink;
+pub(crate) use sink::{DepthSink, WorkerOutput};
+pub use source::PipelineOptions;
+pub(crate) use source::{run_source, SourceSeat};
 
 use serde::{Deserialize, Serialize};
 

@@ -9,7 +9,7 @@
 //!   [`RoundCorrection`], and annotated with per-round latency samples
 //!   recorded into bounded-memory [`LogHistogram`]s — the sink allocates
 //!   nothing per round, no matter how long the stream runs.
-//! * [`DepthSink`] — one on the source thread.  Down-samples the run into
+//! * `DepthSink` — one on the source thread.  Down-samples the run into
 //!   at most `max_depth_samples` [`DepthSample`]s, each carrying the
 //!   aggregate queue depth and backlog *and* the per-lattice backlog
 //!   breakdown, so a single timeline shows which lattice was falling
@@ -30,30 +30,30 @@ use std::sync::Arc;
 
 /// One lattice's slice of a worker's output.
 #[derive(Debug)]
-pub struct WorkerLatticeOutput {
+pub(crate) struct WorkerLatticeOutput {
     /// The worker's private correction-frame shard for this lattice.
-    pub frame: PauliFrame,
+    pub(crate) frame: PauliFrame,
     /// Decode service-time distribution, nanoseconds (chained timestamps).
-    pub decode_hist: HistogramSnapshot,
+    pub(crate) decode_hist: HistogramSnapshot,
     /// Emit-to-commit latency distribution, nanoseconds.
-    pub total_hist: HistogramSnapshot,
+    pub(crate) total_hist: HistogramSnapshot,
     /// The worker's in-stream residual tally for this lattice (empty unless
     /// the run classifies residuals in stream).  Tallies are plain integer
     /// sums, so the engine's cross-worker merge is order-independent.
-    pub residuals: ResidualTally,
+    pub(crate) residuals: ResidualTally,
 }
 
 /// What one worker thread hands back when the stream ends.
 #[derive(Debug)]
-pub struct WorkerOutput {
+pub(crate) struct WorkerOutput {
     /// The name of the decoder serving each lattice, in lattice-id order
     /// (per-lattice overrides may differ from the machine-wide factory).
-    pub lattice_decoders: Vec<String>,
+    pub(crate) lattice_decoders: Vec<String>,
     /// Per-lattice frame shards and latency histograms, in lattice-id order.
-    pub per_lattice: Vec<WorkerLatticeOutput>,
+    pub(crate) per_lattice: Vec<WorkerLatticeOutput>,
     /// The per-round corrections this worker committed (empty unless
     /// recording was requested).
-    pub corrections: Vec<RoundCorrection>,
+    pub(crate) corrections: Vec<RoundCorrection>,
 }
 
 #[derive(Debug)]
@@ -77,9 +77,9 @@ pub struct FrameSink {
     /// Next ring slot to overwrite once the cap is reached.
     correction_head: usize,
     committed: u64,
-    /// The machine-wide live decode histogram (shared with the
-    /// observability plane's snapshot sampler), fed with one bucket-only
-    /// atomic add per round in addition to the exact private books.
+    /// The machine-wide live decode histogram, attached only when a
+    /// snapshot sampler will read it: fed with one bucket-only atomic add
+    /// per round in addition to the exact private books.
     live_decode: Option<Arc<LogHistogram>>,
 }
 
@@ -110,7 +110,7 @@ impl FrameSink {
     /// recent rounds (`None` — the default — keeps every correction).  A cap
     /// of `0` records nothing while leaving recording formally on.
     #[must_use]
-    pub fn with_correction_cap(mut self, cap: Option<usize>) -> Self {
+    pub(crate) fn with_correction_cap(mut self, cap: Option<usize>) -> Self {
         self.correction_cap = cap;
         self
     }
@@ -118,7 +118,7 @@ impl FrameSink {
     /// Attaches the run-wide live decode histogram sampled by the
     /// observability plane.
     #[must_use]
-    pub fn with_obs(mut self, live_decode: Arc<LogHistogram>) -> Self {
+    pub(crate) fn with_obs(mut self, live_decode: Arc<LogHistogram>) -> Self {
         self.live_decode = Some(live_decode);
         self
     }
@@ -162,8 +162,8 @@ impl FrameSink {
     /// nanoseconds.  Kept separate from [`FrameSink::commit`] so the
     /// caller's timestamp spans the full unpack-to-commit window of the
     /// round.  Allocation-free, and cheap by construction: two plain
-    /// integer histogram updates plus a single relaxed atomic add into the
-    /// shared live histogram.
+    /// integer histogram updates, plus a single relaxed atomic add into the
+    /// shared live histogram when one is attached.
     pub fn record_latency(&mut self, lattice_id: usize, decode_ns: u64, total_ns: u64) {
         let slot = &mut self.slots[lattice_id];
         slot.decode.record(decode_ns);
@@ -182,7 +182,7 @@ impl FrameSink {
     /// Consumes the sink into the worker's output, attaching the decode
     /// stage's per-lattice decoder names.
     #[must_use]
-    pub fn finish(self, lattice_decoders: Vec<String>) -> WorkerOutput {
+    pub(crate) fn finish(self, lattice_decoders: Vec<String>) -> WorkerOutput {
         WorkerOutput {
             lattice_decoders,
             per_lattice: self
@@ -203,7 +203,7 @@ impl FrameSink {
 /// The source-side telemetry sink: a down-sampled backlog timeline with
 /// per-lattice breakdown, hard-capped at `max_depth_samples` entries.
 #[derive(Debug)]
-pub struct DepthSink {
+pub(crate) struct DepthSink {
     total_rounds: u64,
     sample_every: u64,
     max_samples: usize,
@@ -219,7 +219,7 @@ impl DepthSink {
     /// stream outruns the stride, the timeline compacts in place instead of
     /// growing (see [`DepthSink::observe`]).
     #[must_use]
-    pub fn new(total_rounds: u64, max_depth_samples: usize) -> Self {
+    pub(crate) fn new(total_rounds: u64, max_depth_samples: usize) -> Self {
         let max_samples = max_depth_samples.max(1);
         DepthSink {
             total_rounds,
@@ -243,7 +243,7 @@ impl DepthSink {
     /// is dropped — except the global peak-backlog sample and the newest
     /// sample, which are always retained so the compacted timeline still
     /// brackets the true peak — and the stride doubles.
-    pub fn observe(
+    pub(crate) fn observe(
         &mut self,
         emitted_total: u64,
         counters: &RuntimeCounters,
@@ -288,15 +288,9 @@ impl DepthSink {
         self.sample_every = self.sample_every.saturating_mul(2);
     }
 
-    /// The timeline recorded so far.
-    #[must_use]
-    pub fn timeline(&self) -> &[DepthSample] {
-        &self.timeline
-    }
-
     /// Consumes the sink into its timeline.
     #[must_use]
-    pub fn finish(self) -> Vec<DepthSample> {
+    pub(crate) fn finish(self) -> Vec<DepthSample> {
         self.timeline
     }
 
@@ -304,7 +298,7 @@ impl DepthSink {
     /// samples kept (the rest were down-sampled away, not lost — they are
     /// still in the counters); occupancy peak = the deepest queue sampled.
     #[must_use]
-    pub fn report(&self, stage: impl Into<String>) -> StageReport {
+    pub(crate) fn report(&self, stage: impl Into<String>) -> StageReport {
         StageReport {
             accepted: self.offered,
             emitted: self.timeline.len() as u64,
@@ -320,7 +314,7 @@ mod tests {
     use crate::lattice_set::LatticeSpec;
     use crate::packet::{PacketCodec, SyndromePacket};
     use crate::source::{NoiseSpec, SyndromeSource};
-    use crate::stage::DecodeStage;
+    use crate::stage::decode::DecodeStage;
     use nisqplus_decoders::{DynDecoder, GreedyMatchingDecoder};
     use std::sync::atomic::Ordering;
 
@@ -447,6 +441,30 @@ mod tests {
         assert_eq!(live.counts, output.per_lattice[0].decode_hist.counts);
     }
 
+    /// The live histogram is an extra, attached only when a sampler runs:
+    /// a sink built without it keeps the same private books.
+    #[test]
+    fn a_sink_without_the_live_histogram_records_the_same_private_books() {
+        let set = set_of(&[3]);
+        let mut plain = FrameSink::new(&set, false);
+        let mut live = FrameSink::new(&set, false).with_obs(Arc::new(LogHistogram::new()));
+        for sink in [&mut plain, &mut live] {
+            sink.record_latency(0, 100, 250);
+            sink.record_latency(0, 300, 450);
+        }
+        let plain = plain.finish(Vec::new());
+        let live = live.finish(Vec::new());
+        assert_eq!(plain.per_lattice[0].decode_hist.count, 2);
+        assert_eq!(
+            plain.per_lattice[0].decode_hist,
+            live.per_lattice[0].decode_hist
+        );
+        assert_eq!(
+            plain.per_lattice[0].total_hist,
+            live.per_lattice[0].total_hist
+        );
+    }
+
     #[test]
     fn depth_sink_downsamples_and_breaks_backlog_down_per_lattice() {
         let counters = RuntimeCounters::new(2, 1);
@@ -490,7 +508,7 @@ mod tests {
         }
         // sample_every = 2: rounds 0, 2, 4, 6 — and 6 is also the final
         // round, recorded exactly once.
-        let rounds: Vec<u64> = sink.timeline().iter().map(|s| s.round).collect();
+        let rounds: Vec<u64> = sink.timeline.iter().map(|s| s.round).collect();
         assert_eq!(rounds, vec![0, 2, 4, 6]);
         assert_eq!(sink.report("depth").emitted, 4);
         assert_eq!(sink.report("depth").accepted, 7);
@@ -519,7 +537,7 @@ mod tests {
                 .store(backlog, Ordering::Relaxed);
             sink.observe(round, &counters, || (round, 0));
             assert!(
-                sink.timeline().len() <= cap + 1,
+                sink.timeline.len() <= cap + 1,
                 "timeline exceeded its cap at round {round}"
             );
         }
@@ -549,7 +567,7 @@ mod tests {
                 .generated
                 .store(round % 13, Ordering::Relaxed);
             sink.observe(round, &counters, || (round * 3, 0));
-            let rounds: Vec<u64> = sink.timeline().iter().map(|s| s.round).collect();
+            let rounds: Vec<u64> = sink.timeline.iter().map(|s| s.round).collect();
             assert_eq!(rounds.first(), Some(&0), "first sample dropped");
             assert!(
                 rounds.windows(2).all(|w| w[0] < w[1]),

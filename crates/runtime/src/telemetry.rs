@@ -16,7 +16,7 @@
 //! in `docs/OPERATIONS.md` at the repository root.
 
 use crate::config::PushPolicy;
-use crate::obs::{bucket_bounds, HistogramSnapshot, JournalSnapshot, MetricsSnapshot};
+use crate::obs::{bucket_bounds, EventKind, HistogramSnapshot, JournalSnapshot, MetricsSnapshot};
 use crate::source::NoiseEpoch;
 use crate::stage::StageReport;
 use nisqplus_qec::logical::ResidualTally;
@@ -51,20 +51,11 @@ pub struct LatticeCounters {
     /// Producer spin-retries attributable to this lattice: its packet found
     /// the ring full, or its queue budget exhausted, under a blocking policy.
     pub backpressure_spins: AtomicU64,
-    /// Shed rounds whose seeded error was itself a failure (the identity
-    /// correction left a logical error), classified live by the producer.
-    /// Stays 0 when the residual analysis is off.
-    pub shed_failures: AtomicU64,
     /// Everything above is written by the source, everything below by the
     /// workers.
     worker_line: NextLine,
     /// This lattice's packets decoded and committed to its frame.
     pub decoded: AtomicU64,
-    /// Decoded rounds whose residual (error ∘ correction) was classified a
-    /// failure — a logical error or an invalid correction — by the decoding
-    /// worker, the moment the correction committed.  Stays 0 when the
-    /// residual analysis is off.
-    pub decode_failures: AtomicU64,
 }
 
 impl LatticeCounters {
@@ -77,8 +68,6 @@ impl LatticeCounters {
             dropped: self.dropped.load(Ordering::Relaxed),
             backpressure_spins: self.backpressure_spins.load(Ordering::Relaxed),
             decoded: self.decoded.load(Ordering::Relaxed),
-            decode_failures: self.decode_failures.load(Ordering::Relaxed),
-            shed_failures: self.shed_failures.load(Ordering::Relaxed),
         }
     }
 
@@ -108,7 +97,7 @@ impl LatticeCounters {
 /// Every flow counter has exactly one owner: the source thread bumps the
 /// [`LatticeCounters`] slice of the lattice a round belongs to, each worker
 /// bumps the decoded counter of that lattice and its own [`WorkerCounters`]
-/// slice.  The machine-wide view ([`RuntimeCounters::snapshot`],
+/// slice (how many rounds a worker committed is its frame sink's count).  The machine-wide view ([`RuntimeCounters::snapshot`],
 /// [`RuntimeCounters::backlog`]) is the sum of the slices, computed when
 /// read — so "Σ per-lattice = aggregate" holds by construction.
 #[derive(Debug)]
@@ -221,8 +210,6 @@ impl CounterSnapshot {
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub struct WorkerCounters {
-    /// Packets this worker decoded and committed to its frame shard.
-    pub decoded: AtomicU64,
     /// Packets this worker stole from a foreign channel.
     pub stolen: AtomicU64,
     /// Decode batches this worker executed.
@@ -232,11 +219,12 @@ pub struct WorkerCounters {
 }
 
 impl WorkerCounters {
-    /// A point-in-time copy of this worker's counters.
+    /// This worker's counters at end of run, beside `decoded`: the rounds
+    /// its frame sink committed.
     #[must_use]
-    pub fn snapshot(&self) -> WorkerCounterSnapshot {
+    pub fn snapshot(&self, decoded: u64) -> WorkerCounterSnapshot {
         WorkerCounterSnapshot {
-            decoded: self.decoded.load(Ordering::Relaxed),
+            decoded,
             stolen: self.stolen.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             stall_polls: self.stall_polls.load(Ordering::Relaxed),
@@ -285,31 +273,6 @@ pub struct LatticeCounterSnapshot {
     pub backpressure_spins: u64,
     /// This lattice's packets decoded.
     pub decoded: u64,
-    /// Decoded rounds classified a residual failure (0 with the analysis
-    /// off).
-    pub decode_failures: u64,
-    /// Shed rounds classified a residual failure (0 with the analysis off).
-    pub shed_failures: u64,
-}
-
-impl LatticeCounterSnapshot {
-    /// Total rounds the residual analysis has flagged as failures so far,
-    /// decoded and shed together.
-    #[must_use]
-    pub fn live_failures(&self) -> u64 {
-        self.decode_failures + self.shed_failures
-    }
-
-    /// The live residual failure rate: flagged failures over rounds
-    /// generated so far.  0.0 before any round is generated.
-    #[must_use]
-    pub fn live_failure_rate(&self) -> f64 {
-        if self.generated == 0 {
-            0.0
-        } else {
-            self.live_failures() as f64 / self.generated as f64
-        }
-    }
 }
 
 /// One point of the queue-depth/backlog timeline, sampled by the source
@@ -452,20 +415,6 @@ impl ResidualReport {
     #[must_use]
     pub fn failure_rate(&self) -> f64 {
         self.total().failure_rate()
-    }
-
-    /// How much worse a shed round is than a decoded one: the shed failure
-    /// rate minus the decoded failure rate.  This is the *marginal* logical
-    /// cost of shedding one round, measured rather than assumed; `None`
-    /// when nothing was shed (the quantity is undefined for a lossless
-    /// lattice).
-    #[must_use]
-    pub fn shed_penalty(&self) -> Option<f64> {
-        if self.shed.rounds == 0 {
-            None
-        } else {
-            Some(self.shed.failure_rate() - self.decoded.failure_rate())
-        }
     }
 }
 
@@ -677,16 +626,6 @@ impl RuntimeReport {
             .collect()
     }
 
-    /// The ids of lattices whose configured shed-rate SLO was violated.
-    #[must_use]
-    pub fn lattices_violating_slo(&self) -> Vec<usize> {
-        self.lattices
-            .iter()
-            .filter(|l| l.meets_shed_slo() == Some(false))
-            .map(|l| l.lattice_id)
-            .collect()
-    }
-
     /// The one-word aggregate queue verdict the report prints: `SHEDDING`
     /// when any round was dropped, otherwise `BOUNDED`/`GROWING` from
     /// [`RuntimeReport::queue_stayed_bounded`].
@@ -757,11 +696,11 @@ impl fmt::Display for RuntimeReport {
             "  obs: {} snapshot(s) | {} event(s) ({} shed, {} stall, {} budget, {} steal, {} flip; {} overwritten)",
             self.snapshots.len(),
             self.journal.published,
-            self.journal.counts.shed,
-            self.journal.counts.backpressure_stall,
-            self.journal.counts.budget_exhausted,
-            self.journal.counts.steal,
-            self.journal.counts.verdict_flip,
+            self.journal.counts[EventKind::Shed],
+            self.journal.counts[EventKind::BackpressureStall],
+            self.journal.counts[EventKind::BudgetExhausted],
+            self.journal.counts[EventKind::Steal],
+            self.journal.counts[EventKind::VerdictFlip],
             self.journal.overwritten,
         )?;
         if self.fault.enabled || self.counters.quarantined > 0 || self.fault.watchdog_trips > 0 {
@@ -846,16 +785,6 @@ impl fmt::Display for RuntimeReport {
                     residual.total().logical_error_rate() * 100.0,
                 )?;
             }
-            if lattice.counters.live_failures() > 0 {
-                write!(
-                    f,
-                    "\n      live residual counters: decode failures {} | shed failures {} \
-                     | rate {:.3}%",
-                    lattice.counters.decode_failures,
-                    lattice.counters.shed_failures,
-                    lattice.counters.live_failure_rate() * 100.0,
-                )?;
-            }
         }
         Ok(())
     }
@@ -919,13 +848,10 @@ mod tests {
             &lattice.enqueued,
             &lattice.dropped,
             &lattice.backpressure_spins,
-            &lattice.shed_failures,
         ] {
             assert!(offset_in(lattice, source_field) < 64);
         }
-        for worker_field in [&lattice.decoded, &lattice.decode_failures] {
-            assert!((64..128).contains(&offset_in(lattice, worker_field)));
-        }
+        assert!((64..128).contains(&offset_in(lattice, &lattice.decoded)));
         assert_eq!(std::mem::size_of::<WorkerCounters>(), 64);
         assert_eq!(std::mem::align_of::<WorkerCounters>(), 64);
     }
@@ -950,34 +876,18 @@ mod tests {
     }
 
     #[test]
-    fn live_residual_counters_snapshot_and_rate() {
-        let counters = RuntimeCounters::new(1, 1);
-        let lattice = &counters.per_lattice[0];
-        lattice.generated.store(100, Ordering::Relaxed);
-        lattice.decode_failures.store(3, Ordering::Relaxed);
-        lattice.shed_failures.store(2, Ordering::Relaxed);
-        let snap = lattice.snapshot();
-        assert_eq!(snap.decode_failures, 3);
-        assert_eq!(snap.shed_failures, 2);
-        assert_eq!(snap.live_failures(), 5);
-        assert!((snap.live_failure_rate() - 0.05).abs() < 1e-12);
-        // Rate is defined (0.0) before any round is generated.
-        assert_eq!(LatticeCounterSnapshot::default().live_failure_rate(), 0.0);
-    }
-
-    #[test]
     fn topology_counters_carry_per_worker_slices() {
         let counters = RuntimeCounters::new(2, 3);
         assert_eq!(counters.per_lattice.len(), 2);
         assert_eq!(counters.per_worker.len(), 3);
-        counters.per_worker[1].decoded.store(12, Ordering::Relaxed);
         counters.per_worker[1].batches.store(4, Ordering::Relaxed);
         counters.per_worker[1].stolen.store(2, Ordering::Relaxed);
-        let snap = counters.per_worker[1].snapshot();
+        // `decoded` is the worker's sink's count, handed in at end of run.
+        let snap = counters.per_worker[1].snapshot(12);
         assert_eq!(snap.decoded, 12);
         assert_eq!(snap.stolen, 2);
         assert!((snap.mean_batch_fill() - 3.0).abs() < 1e-12);
-        assert_eq!(counters.per_worker[0].snapshot().mean_batch_fill(), 0.0);
+        assert_eq!(counters.per_worker[0].snapshot(0).mean_batch_fill(), 0.0);
     }
 
     #[test]

@@ -17,8 +17,8 @@ use nisqplus_decoders::{DynDecoder, GreedyMatchingDecoder};
 use nisqplus_qec::syndrome::Syndrome;
 use nisqplus_runtime::fault::silence_injected_crash_panics;
 use nisqplus_runtime::{
-    FaultPlan, MachineConfig, NoiseSpec, PacketCodec, PushPolicy, RuntimeConfig, RuntimeOutcome,
-    StreamingEngine, SyndromePacket,
+    BurstOverlay, FaultPlan, MachineConfig, NoiseSpec, PacketCodec, PushPolicy, RuntimeConfig,
+    RuntimeOutcome, StreamingEngine, SyndromePacket,
 };
 use proptest::prelude::*;
 
@@ -185,4 +185,30 @@ fn a_lone_worker_always_reaches_its_crash_round() {
         let injected = check_crash_recovery(seed, crash_after, 1).expect("recovery holds");
         assert_eq!(injected, 1, "seed {seed}, crash after {crash_after}");
     }
+}
+
+/// A burst episode belongs to the lattice's stream, and the ledger counts
+/// it from there: a spec burst beside an unrelated crash plan is planned,
+/// seen starting and seen ending exactly once, and the books reconcile.
+#[test]
+fn spec_burst_beside_a_crash_plan_reconciles() {
+    silence_injected_crash_panics();
+    let mut machine = crash_machine(7, 1, FaultPlan::default().crash_worker(0, 50));
+    machine.lattices[0].burst = Some(BurstOverlay {
+        start_round: 20,
+        rounds: 10,
+        factor: 8.0,
+    });
+    let fault = run_machine(machine).report.fault;
+    assert_eq!(
+        (
+            fault.planned_bursts,
+            fault.bursts_started,
+            fault.bursts_ended
+        ),
+        (1, 1, 1),
+        "{fault}"
+    );
+    assert_eq!(fault.injected_crashes, 1);
+    assert!(fault.reconciled(), "fault books must reconcile: {fault}");
 }

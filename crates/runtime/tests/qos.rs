@@ -55,7 +55,7 @@ fn machine_of(lattices: Vec<LatticeSpec>) -> MachineConfig {
 /// sheds while the Block lattice stays lossless, and every counter
 /// reconciles.
 #[test]
-fn drop_lattice_sheds_while_block_neighbour_stays_lossless() {
+fn drop_patch_sheds_while_block_neighbour_stays_lossless() {
     let rounds = 150;
     let config = machine_of(vec![
         unpaced_spec(3, 1, rounds)
@@ -88,7 +88,6 @@ fn drop_lattice_sheds_while_block_neighbour_stays_lossless() {
     // the Block lattice trivially meets its own.
     assert_eq!(drop.meets_shed_slo(), Some(false));
     assert_eq!(block.meets_shed_slo(), Some(true));
-    assert_eq!(report.lattices_violating_slo(), vec![0]);
 
     // Everything generated is accounted for, per lattice and in aggregate.
     assert_eq!(
@@ -287,19 +286,11 @@ fn residual_analysis_measures_the_logical_cost_of_shedding() {
         drop_residual.failure_rate(),
         block_residual.failure_rate()
     );
-    // The marginal penalty is defined once a round was shed, but its sign
-    // needs a decoded sample of some size: this lattice decodes one or two of
-    // its 200 rounds, and a failing round among two made `penalty > 0` fail
-    // 2-3 % of runs.  The sign is asserted against the Block twin's 200
-    // decoded rounds of the same stream instead.
-    let penalty = drop_residual.shed_penalty().expect("rounds were shed");
-    assert_eq!(
-        penalty,
-        drop_residual.shed.failure_rate() - drop_residual.decoded.failure_rate()
-    );
+    // A shed round is worse than a decoded one.  The sign needs a decoded
+    // sample of some size: this lattice decodes one or two of its 200
+    // rounds, so it is asserted against the Block twin's 200 decoded rounds
+    // of the same stream instead.
     assert!(drop_residual.shed.failure_rate() > block_residual.decoded.failure_rate());
-    // A lossless lattice has no shed rounds, hence no defined penalty.
-    assert_eq!(block_residual.shed_penalty(), None);
     // Shed rounds fail whenever the round's error was nontrivial — at 5%
     // depolarizing on 13 data qubits roughly half the rounds.  Well above
     // zero, and the dominant failure class is an uncleared syndrome.

@@ -23,8 +23,8 @@ use nisqplus_decoders::{DecoderFactory, DynDecoder, GreedyMatchingDecoder};
 use nisqplus_qec::error_model::{BurstEvent, DriftingErrorModel};
 use nisqplus_qec::syndrome::Syndrome;
 use nisqplus_runtime::{
-    golden_summary, record_run, replay_run, MachineConfig, NoiseSpec, PacketCodec, PacketError,
-    PushPolicy, ScenarioScript, StreamingEngine, SyndromePacket, SyndromeTrace,
+    golden_summary, record_run, replay_run, EventKind, MachineConfig, NoiseSpec, PacketCodec,
+    PacketError, PushPolicy, ScenarioScript, StreamingEngine, SyndromePacket, SyndromeTrace,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -227,8 +227,8 @@ fn scripted_retirement_truncates_the_stream_and_drains_cleanly() {
     assert_eq!(report.counters.generated, 32 + retired.rounds);
     assert_eq!(report.counters.decoded, report.counters.generated);
     assert_eq!(report.counters.quarantined, 0, "a drain is not a fault");
-    assert_eq!(report.journal.counts.lattice_retired, 1);
-    assert_eq!(report.journal.counts.lattice_added, 0);
+    assert_eq!(report.journal.counts[EventKind::LatticeRetired], 1);
+    assert_eq!(report.journal.counts[EventKind::LatticeAdded], 0);
     assert_eq!(
         outcome.frames[1].total_recorded(),
         retired.rounds,
@@ -254,7 +254,7 @@ fn hot_added_lattice_of_unprepared_distance_comes_online() {
     assert_eq!(report.counters.generated, 48);
     assert_eq!(report.counters.decoded, 48);
     assert_eq!(report.counters.quarantined, 0);
-    assert_eq!(report.journal.counts.lattice_added, 1);
+    assert_eq!(report.journal.counts[EventKind::LatticeAdded], 1);
     assert_eq!(outcome.frames[1].total_recorded(), 24);
 }
 
@@ -277,8 +277,8 @@ fn add_at_round_zero_and_retire_at_final_round_are_clean_boundaries() {
     assert_eq!(report.counters.generated, 32);
     assert_eq!(report.counters.decoded, 32);
     assert_eq!(report.counters.quarantined, 0);
-    assert_eq!(report.journal.counts.lattice_added, 1);
-    assert_eq!(report.journal.counts.lattice_retired, 1);
+    assert_eq!(report.journal.counts[EventKind::LatticeAdded], 1);
+    assert_eq!(report.journal.counts[EventKind::LatticeRetired], 1);
 }
 
 /// A scripted re-tune cuts the lattice's noise timeline into epochs at the

@@ -2,7 +2,8 @@
 //! record, a burst-noise episode, and a stalled channel — and can
 //! prove, frame by frame, that nothing protected was lost.
 //!
-//! A three-lattice machine under a seeded [`FaultPlan`]:
+//! A three-lattice machine, one lattice carrying a burst episode, under a
+//! seeded [`FaultPlan`]:
 //!
 //! * lattice 0 (d=5, `Block`) — the protected patch; it must come through
 //!   the chaos byte-identical to a fault-free reference run,
@@ -33,8 +34,8 @@
 
 use nisqplus_decoders::{DynDecoder, UnionFindDecoder};
 use nisqplus_runtime::{
-    fault::silence_injected_crash_panics, BurstOverlay, FaultPlan, LatticeSpec, MachineConfig,
-    NoiseSpec, PushPolicy, RuntimeConfig, RuntimeOutcome, StreamingEngine,
+    fault::silence_injected_crash_panics, BurstOverlay, EventKind, FaultPlan, LatticeSpec,
+    MachineConfig, NoiseSpec, PushPolicy, RuntimeConfig, RuntimeOutcome, StreamingEngine,
 };
 
 /// Rounds streamed per lattice.
@@ -45,7 +46,7 @@ const ROUNDS: u64 = 300;
 /// the run BOUNDED — the chaos, not the clock, is what's under test.
 const CADENCE_CYCLES: usize = RuntimeConfig::PAPER_CADENCE_CYCLES * 250;
 
-/// The burst episode injected into lattice 2: rounds 40..60 at 8x noise.
+/// The burst episode lattice 2's stream carries: rounds 40..60 at 8x noise.
 const BURST: BurstOverlay = BurstOverlay {
     start_round: 40,
     rounds: 20,
@@ -66,7 +67,9 @@ fn machine(plan: FaultPlan) -> MachineConfig {
     config.lattices = vec![
         spec(5, 9000).with_push_policy(PushPolicy::Block),
         spec(3, 9001).with_push_policy(PushPolicy::Drop),
-        spec(3, 9002).with_push_policy(PushPolicy::Block),
+        spec(3, 9002)
+            .with_push_policy(PushPolicy::Block)
+            .with_burst(BURST),
     ];
     config.workers = 2;
     config.queue_capacity = 4_096;
@@ -88,11 +91,12 @@ fn main() {
     let chaos_plan = FaultPlan::default()
         .crash_worker(0, 10) // kill worker 0 after 10 committed rounds
         .corrupt_record(1, 5, 2, 13) // flip bit 13 of word 2, lattice 1 round 5
-        .burst(2, BURST) // 8x noise on lattice 2, rounds 40..60
         .stall_channel(0, 50, 2_000_000); // channel 0 dead for 2 ms
-                                          // The burst is stream content, not a failure: the reference replays it,
-                                          // so the burst lattice's frames are comparable byte for byte.
-    let reference_plan = FaultPlan::default().burst(2, BURST);
+
+    // The burst is stream content, not a failure: the plan-free reference
+    // streams the same episode, so the burst lattice's frames are comparable
+    // byte for byte.
+    let reference_plan = FaultPlan::default();
 
     println!(
         "chaos run: 3 lattices (d=5 Block, d=3 Drop, d=3 Block) x {ROUNDS} rounds on 2 workers"
@@ -113,14 +117,14 @@ fn main() {
     assert_eq!(fault.injected_crashes, 1);
     assert_eq!(fault.observed_crashes, 1, "the supervisor saw the crash");
     assert_eq!(fault.worker_restarts, 1, "and restarted the worker");
-    assert_eq!(report.journal.counts.worker_crash, 1);
-    assert_eq!(report.journal.counts.worker_restart, 1);
+    assert_eq!(report.journal.counts[EventKind::WorkerCrash], 1);
+    assert_eq!(report.journal.counts[EventKind::WorkerRestart], 1);
 
     // --- The poisoned record was quarantined, not decoded, not fatal. ----
     assert_eq!(fault.injected_corruptions, 1);
     assert_eq!(fault.quarantined, 1, "the worker rejected the record");
     assert_eq!(report.counters.quarantined, 1);
-    assert_eq!(report.journal.counts.quarantine, 1);
+    assert_eq!(report.journal.counts[EventKind::Quarantine], 1);
 
     // --- The burst ran its exact window; the stall armed and released. ---
     assert_eq!(fault.planned_bursts, 1);

@@ -30,7 +30,7 @@
 use nisqplus_decoders::{DynDecoder, LookupDecoder, SharedDecoderFactory, UnionFindDecoder};
 use nisqplus_qec::lattice::Lattice;
 use nisqplus_runtime::{
-    LatticeSpec, MachineConfig, NoiseSpec, PushPolicy, RuntimeConfig, StreamingEngine,
+    EventKind, LatticeSpec, MachineConfig, NoiseSpec, PushPolicy, RuntimeConfig, StreamingEngine,
     ThrottledDecoder,
 };
 use std::sync::Arc;
@@ -164,11 +164,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // budget additionally shows up as BudgetExhausted warnings.
     let journal = &report.journal;
     assert_eq!(
-        journal.counts.shed, report.counters.dropped,
+        journal.counts[EventKind::Shed],
+        report.counters.dropped,
         "one Shed event per dropped round"
     );
     assert!(
-        journal.counts.budget_exhausted > 0,
+        journal.counts[EventKind::BudgetExhausted] > 0,
         "the Drop lane's budget refusals must be journaled"
     );
     assert!(journal.warning > 0);
@@ -181,11 +182,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          backpressure_stall {}, steal {}, verdict_flip {}",
         journal.published,
         journal.overwritten,
-        journal.counts.shed,
-        journal.counts.budget_exhausted,
-        journal.counts.backpressure_stall,
-        journal.counts.steal,
-        journal.counts.verdict_flip
+        journal.counts[EventKind::Shed],
+        journal.counts[EventKind::BudgetExhausted],
+        journal.counts[EventKind::BackpressureStall],
+        journal.counts[EventKind::Steal],
+        journal.counts[EventKind::VerdictFlip]
     );
     println!();
 

@@ -33,8 +33,8 @@
 use nisqplus_decoders::{DynDecoder, GreedyMatchingDecoder};
 use nisqplus_qec::error_model::{BurstEvent, DriftingErrorModel};
 use nisqplus_runtime::{
-    golden_summary, record_run, replay_run, LatticeSpec, MachineConfig, NoiseSpec, PushPolicy,
-    ScenarioScript, StreamingEngine,
+    golden_summary, record_run, replay_run, EventKind, LatticeSpec, MachineConfig, NoiseSpec,
+    PushPolicy, ScenarioScript, StreamingEngine,
 };
 
 /// Rounds configured per lattice (the retired lattice streams fewer).
@@ -102,8 +102,16 @@ fn main() {
         .with_golden(golden.clone());
 
     // --- The scenario actually happened. ---------------------------------
-    assert_eq!(report.journal.counts.lattice_added, 1, "the hot-add fired");
-    assert_eq!(report.journal.counts.lattice_retired, 1, "the retire fired");
+    assert_eq!(
+        report.journal.counts[EventKind::LatticeAdded],
+        1,
+        "the hot-add fired"
+    );
+    assert_eq!(
+        report.journal.counts[EventKind::LatticeRetired],
+        1,
+        "the retire fired"
+    );
     let elastic = &report.lattices[2];
     assert!(
         elastic.rounds > 0 && elastic.rounds < ROUNDS,

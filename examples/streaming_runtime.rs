@@ -19,10 +19,8 @@
 
 use nisqplus_core::SfqMeshDecoder;
 use nisqplus_decoders::DynDecoder;
-use nisqplus_runtime::report::read_report;
-use nisqplus_runtime::{
-    MachineConfig, PushPolicy, RuntimeConfig, StreamingEngine, ThrottledDecoder,
-};
+use nisqplus_runtime::report::{read_report, write_report};
+use nisqplus_runtime::{PushPolicy, RuntimeConfig, StreamingEngine, ThrottledDecoder};
 
 /// Syndrome-generation period in decoder cycles: ~10 us per round.
 ///
@@ -51,12 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     config.queue_capacity = 16_384; // deep enough to hold the full backlog
 
     // --- Run 1: the paper's decoder, faster than the stream. -------------
-    // Route through MachineConfig to switch on report export: the engine
-    // writes the finished RuntimeReport to `export_path` after every run.
-    let export_path = std::env::temp_dir().join("nisqplus_streaming_report.json");
-    let mut machine: MachineConfig = config.into();
-    machine.obs.export_path = Some(export_path.clone());
-    let engine = StreamingEngine::with_machine(machine)?;
+    let engine = StreamingEngine::new(config)?;
     println!(
         "streaming d={} / {} rounds @ {:.1} us per round on {} workers",
         config.distance,
@@ -147,9 +140,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         comparison.agreement_factor()
     );
     // --- The export round trip. ------------------------------------------
-    // The engine wrote the throttled run's report (the latest run) to the
-    // export path; reading it back through the schema-checked parser must
-    // reproduce the in-memory report exactly.
+    // Write the throttled run's report as schema-versioned JSON; reading it
+    // back through the schema-checked parser must reproduce the in-memory
+    // report exactly.
+    let export_path = std::env::temp_dir().join("nisqplus_streaming_report.json");
+    write_report(&export_path, &throttled.report)?;
     let reloaded = read_report(&export_path)?;
     assert_eq!(
         reloaded, throttled.report,
