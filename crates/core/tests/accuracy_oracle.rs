@@ -93,8 +93,8 @@ fn a_fixed_sample_at_distance_five() {
     assert_eq!(
         tally(&lattice, patterns),
         Tally {
-            mesh_failures: [10410, 10038, 6577, 869],
-            final_disagrees_with_mwpm: 736,
+            mesh_failures: [10399, 9990, 6533, 885],
+            final_disagrees_with_mwpm: 725,
         }
     );
 }

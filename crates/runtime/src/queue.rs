@@ -170,6 +170,21 @@ impl SpmcRing {
         self.len() == 0
     }
 
+    /// Whether the next `slots` pushes (`1 ≤ slots ≤ capacity`) would all
+    /// find room: reads the sequence word of the *last* slot they would fill
+    /// and nothing else.  This is what a refused producer waits on instead of
+    /// retrying [`SpmcRing::try_push`]: on a full ring the slot at `head` is
+    /// the slot at `tail` — the line a consumer is reading its record from
+    /// and about to hand back — whereas a slot further on is written by a
+    /// consumer exactly once, when it gets there, so polling it takes no line
+    /// from anybody until the answer changes.  A hint, hence `Relaxed`: the
+    /// push that follows does its own acquire.
+    pub(crate) fn has_room(&self, slots: u64) -> bool {
+        debug_assert!((1..=self.capacity).contains(&slots));
+        let last = self.head.0.load(Ordering::Relaxed) + slots - 1;
+        self.slot(last)[0].0[0].load(Ordering::Relaxed) >= 2 * last
+    }
+
     /// Attempts to enqueue one record without blocking.
     ///
     /// # Errors
@@ -324,6 +339,34 @@ mod tests {
             assert!(!ring.try_pop(&mut out), "lap {lap}");
         }
         assert_eq!((ring.pushed(), ring.popped()), (3, 3));
+    }
+
+    /// `has_room(k)` is exactly "at most `capacity − k` records resident",
+    /// read off one slot: on a full 16-slot ring one pop makes room for one
+    /// push and not for two, lap after lap.
+    #[test]
+    fn has_room_counts_the_slots_handed_back() {
+        let ring = SpmcRing::new(16, 1);
+        let mut out = [0u64];
+        assert!(ring.has_room(16), "empty");
+        for lap in 0..3u64 {
+            while ring.try_push(&[lap]).is_ok() {}
+            assert_eq!(ring.len(), 16);
+            assert!(!ring.has_room(1), "lap {lap}: full");
+            for popped in 1..=16u64 {
+                assert!(ring.try_pop(&mut out));
+                for slots in 1..=16u64 {
+                    assert_eq!(ring.has_room(slots), slots <= popped, "lap {lap}");
+                }
+            }
+        }
+        // One slot: the slot ahead is the slot at `head`.
+        let ring = SpmcRing::new(1, 1);
+        assert!(ring.has_room(1));
+        ring.try_push(&[7]).unwrap();
+        assert!(!ring.has_room(1));
+        assert!(ring.try_pop(&mut out));
+        assert!(ring.has_room(1));
     }
 
     #[test]

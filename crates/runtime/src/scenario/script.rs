@@ -44,9 +44,10 @@ pub enum ScenarioAction {
         /// The lattice to retire.
         lattice_id: u32,
     },
-    /// Swap a lattice's noise channel mid-run (a re-calibration event).  The
-    /// stream's randomness is rate-independent, so the swap never perturbs
-    /// other lattices or later rounds' reproducibility.
+    /// Swap a lattice's noise channel mid-run (a re-calibration event).  A
+    /// lattice's stream is a function of its seed and its script, so the swap
+    /// never perturbs other lattices, the rounds before it, or a replay's
+    /// reproducibility.
     SetErrorRate {
         /// Machine-global round from which the new channel applies.
         at_round: u64,

@@ -88,10 +88,12 @@ impl NoiseModel {
     }
 
     /// Samples one round's error pattern into `error`, reusing its
-    /// allocation.  Every arm consumes exactly one RNG draw per data qubit,
-    /// so the random sequence — and with it every later round — is
-    /// independent of which channel (or which instantaneous drifting rate)
-    /// is active.
+    /// allocation.  Every arm gap-samples
+    /// ([`ErrorModel::sample_into`]), so a round consumes as many draws as
+    /// it has faults: the stream is a function of the seed and of every
+    /// channel (and instantaneous drifting rate) that was ever active, and
+    /// a change of rate leaves the rounds before it untouched, not the
+    /// rounds after.
     fn sample_into<R: rand::Rng + ?Sized>(
         &self,
         lattice: &Lattice,
@@ -255,10 +257,9 @@ impl SyndromeSource {
 
     /// Swaps the stream's base channel from the *next* round on — a scripted
     /// re-calibration event.  Any burst overlay is re-amplified from the new
-    /// base.  Because every channel consumes one RNG draw per data qubit per
-    /// round, the swap never perturbs the random sequence: replaying the
-    /// stream with the same swaps at the same rounds reproduces it bit for
-    /// bit.
+    /// base.  Rounds already emitted are untouched, and replaying the stream
+    /// with the same swaps at the same rounds reproduces it bit for bit; a
+    /// stream swapped differently shares only the rounds before the swap.
     ///
     /// # Errors
     ///
@@ -953,6 +954,9 @@ mod tests {
             calm.next_syndrome() != bursty.next_syndrome()
         });
         assert!(diverged, "burst window left the stream untouched");
+        // A round draws once per fault, so the window leaves the two streams
+        // at different places of the same sequence: they do not re-converge.
+        assert!((15..65).any(|_| calm.next_syndrome() != bursty.next_syndrome()));
     }
 
     #[test]

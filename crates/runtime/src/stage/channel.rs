@@ -20,7 +20,7 @@
 //! channel through [`StealMux`](crate::stage::StealMux).
 
 use crate::queue::SpmcRing;
-use crate::stage::StageReport;
+use crate::stage::{resume_stride, StageReport};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A bounded channel: the ring is the flow control.
@@ -99,6 +99,17 @@ impl Channel {
                 .fetch_max(pushed.saturating_sub(popped), Ordering::Relaxed);
         }
         true
+    }
+
+    /// What a sender waits for after a refused send, before it sends again:
+    /// [`resume_stride`] slots handed back ([`SpmcRing::has_room`]), so that
+    /// a full channel's sender takes a line from the receivers once per
+    /// eighth of the ring instead of once per record.  A refusal still loses
+    /// nothing and the wait adds nothing to the bound — a sender that does
+    /// not wait is merely refused again.
+    pub(crate) fn can_resume(&self) -> bool {
+        self.ring
+            .has_room(resume_stride(self.ring.capacity() as u64))
     }
 
     /// Attempts to receive one record into `out`.  Returns `false` when the
@@ -219,6 +230,33 @@ mod tests {
         }
         assert_eq!(channel.len(), 7);
         assert_eq!(channel.report("c").occupancy_peak, 7);
+    }
+
+    /// The refused sender's wait, single-threaded: on a full 16-slot channel
+    /// one receive is not worth a retry, `capacity / 8` are; channels of
+    /// 1, 2 and 3 slots degenerate to waiting for one slot.
+    #[test]
+    fn a_refused_sender_resumes_after_an_eighth_of_the_ring() {
+        let mut out = [0u64];
+        let channel = Channel::new(16, 1);
+        assert!(channel.can_resume(), "empty");
+        for lap in 0..3 {
+            while channel.try_send(&[lap]) {}
+            assert!(!channel.can_resume(), "full");
+            assert!(channel.try_recv(&mut out));
+            assert!(!channel.can_resume(), "one slot of 16 is not worth a line");
+            assert!(channel.try_recv(&mut out));
+            assert!(channel.can_resume());
+            assert!(channel.try_send(&[lap]) && channel.try_send(&[lap]));
+        }
+        for capacity in [1usize, 2, 3] {
+            let channel = Channel::new(capacity, 1);
+            while channel.try_send(&[0]) {}
+            assert!(!channel.can_resume(), "capacity {capacity}: full");
+            assert!(channel.try_recv(&mut out));
+            assert!(channel.can_resume(), "capacity {capacity}");
+            assert!(channel.try_send(&[1]));
+        }
     }
 
     /// The ring keeps the books under concurrency, down to one slot: one

@@ -25,7 +25,7 @@
 
 use crate::config::{MachineConfig, PushPolicy};
 use crate::lattice_set::LatticeSet;
-use crate::stage::StageReport;
+use crate::stage::{resume_stride, StageReport};
 use crate::telemetry::LatticeCounters;
 
 /// The gate's answer to one admission attempt.
@@ -103,6 +103,17 @@ impl QosGate {
                 Admission::Shed
             }
         }
+    }
+
+    /// The outstanding count at or below which a [`Admission::Blocked`] lane
+    /// is worth re-offering to: [`resume_stride`] rounds under the budget,
+    /// the hysteresis a full channel's sender waits out
+    /// ([`Channel::can_resume`](crate::stage::Channel::can_resume)).  Unlike
+    /// that wait, this one has only the workers' `decoded` line to watch.
+    /// `None` for a budget-less lane, which never blocks.
+    pub(crate) fn resume_at(&self, lattice_id: usize) -> Option<u64> {
+        let budget = self.lanes[lattice_id].budget?;
+        Some(budget - resume_stride(budget))
     }
 
     /// The push policy lane `lattice_id` admits under.
@@ -190,6 +201,15 @@ mod tests {
         assert_eq!(report.accepted, 2);
         assert_eq!(report.rejected, 1);
         assert_eq!(report.stall_cycles, 0);
+    }
+
+    #[test]
+    fn a_blocked_lane_resumes_an_eighth_under_its_budget() {
+        for (budget, resume_at) in [(1, 0), (2, 1), (8, 7), (16, 14), (1024, 896)] {
+            let gate = gate_with(PushPolicy::Block, Some(budget));
+            assert_eq!(gate.resume_at(0), Some(resume_at), "budget {budget}");
+        }
+        assert_eq!(gate_with(PushPolicy::Block, None).resume_at(0), None);
     }
 
     #[test]

@@ -57,6 +57,12 @@ pub(crate) use source::{run_source, SourceSeat};
 
 use serde::{Deserialize, Serialize};
 
+/// How much of a bound (a channel's capacity, a lane's budget) must come free
+/// before a refused `Block` lane offers again: an eighth, at least one.
+pub(crate) fn resume_stride(bound: u64) -> u64 {
+    (bound / 8).max(1)
+}
+
 /// One stage's uniform self-report, folded into
 /// [`RuntimeReport::stages`](crate::telemetry::RuntimeReport::stages).
 ///

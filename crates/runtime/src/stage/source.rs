@@ -206,16 +206,40 @@ fn apply_elastic_events(
     }
 }
 
+/// Turns of a source-side busy wait between two `yield_now` calls: enough
+/// that a wait costs no syscall per clock read or poll, few enough that on a
+/// host with one core the worker gets the processor within microseconds.
+const TURNS_PER_YIELD: u32 = 64;
+
+/// One turn of a source-side busy wait — the pacing wait and both Block-lane
+/// waits share the run's `turns` count: a `spin_loop` hint, and every
+/// [`TURNS_PER_YIELD`]th turn a `yield_now` instead.  Returns whether it
+/// yielded.
+fn pause(turns: &mut u32) -> bool {
+    *turns = turns.wrapping_add(1);
+    let yields = *turns % TURNS_PER_YIELD == 0;
+    if yields {
+        thread::yield_now();
+    } else {
+        std::hint::spin_loop();
+    }
+    yields
+}
+
 /// Retries `attempt` until it succeeds, counting every refusal as one
 /// backpressure spin against the lattice, for at most `watchdog`: the one
 /// lossless wait of a Block lane, whichever bound (budget or channel
-/// capacity) is refusing.  Returns whether the attempt succeeded and how often it was
-/// refused.  The clock is read only from the first refusal on, and then once
-/// per 256 spins.
+/// capacity) is refusing.  Between a refusal and the next attempt it waits,
+/// uncounted, for `can_resume` — a read that takes no line from a working
+/// consumer per round.  Returns whether the attempt succeeded and how often it
+/// was refused.  The clock is read at the first refusal, and then once per
+/// yield.
 fn spin_until(
     lattice_counters: &LatticeCounters,
     watchdog: Duration,
+    turns: &mut u32,
     mut attempt: impl FnMut() -> bool,
+    mut can_resume: impl FnMut() -> bool,
 ) -> (bool, u64) {
     let mut spins = 0u64;
     let mut deadline: Option<Instant> = None;
@@ -225,11 +249,14 @@ fn spin_until(
             .fetch_add(1, Ordering::Relaxed);
         spins += 1;
         let limit = *deadline.get_or_insert_with(|| Instant::now() + watchdog);
-        if spins & 0xFF == 0 && Instant::now() >= limit {
-            return (false, spins);
+        loop {
+            if pause(turns) && Instant::now() >= limit {
+                return (false, spins);
+            }
+            if can_resume() {
+                break;
+            }
         }
-        std::hint::spin_loop();
-        thread::yield_now();
     }
     (true, spins)
 }
@@ -316,6 +343,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
         }
     };
     let mut emitted_total = 0u64;
+    let mut turns = 0u32;
     // One round and one packet for the whole run, refilled in place: the
     // loop below builds no syndrome or error of its own.
     let mut sourced = SourcedRound::default();
@@ -332,16 +360,15 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
         // arm retirement watermarks before the round is routed.
         apply_elastic_events(&mut feed, codec, counters, &mut lattice_stats, obs, epoch);
         if sourced.due_ns > 0.0 {
-            // Pace generation to the lattice's hardware cadence.
-            // `yield_now` keeps the spin cooperative on machines with
-            // fewer cores than threads; the *measured* inter-arrival time
-            // (not the nominal cadence) is what feeds the model
+            // Pace generation to the lattice's hardware cadence.  The
+            // occasional `yield_now` keeps the spin cooperative on machines
+            // with fewer cores than threads; the *measured* inter-arrival
+            // time (not the nominal cadence) is what feeds the model
             // comparison, so imprecise pacing degrades the experiment's
             // rate, never its honesty.
             let target_ns = sourced.due_ns as u128;
             while epoch.elapsed().as_nanos() < target_ns {
-                std::hint::spin_loop();
-                thread::yield_now();
+                pause(&mut turns);
             }
         }
         let lattice_id = sourced.lattice_id;
@@ -411,15 +438,21 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
             PushPolicy::Block => {
                 // Two bounds, both lossless: the lattice's own budget lane
                 // first, then a channel slot; every refused retry is
-                // one counted backpressure spin.  Stall *events* are
-                // published once per contended round (value = spins), not
-                // per spin — the journal records episodes, the counters
-                // record magnitude.  Each lane spins at most `watchdog`
-                // long; past that the round is force-shed with a
-                // WatchdogTrip so a dead consumer cannot hang the run.
-                let (admitted, budget_spins) = spin_until(lattice_counters, watchdog, || {
-                    gate.admit(lattice_id as usize, lattice_counters) != Admission::Blocked
-                });
+                // one counted backpressure spin, and between retries the
+                // lane waits until an eighth of the bound has come free.
+                // Stall *events* are published once per contended round
+                // (value = spins), not per spin — the journal records
+                // episodes, the counters record magnitude.  Each lane spins
+                // at most `watchdog` long; past that the round is force-shed
+                // with a WatchdogTrip so a dead consumer cannot hang the run.
+                let resume_at = gate.resume_at(lattice_id as usize);
+                let (admitted, budget_spins) = spin_until(
+                    lattice_counters,
+                    watchdog,
+                    &mut turns,
+                    || gate.admit(lattice_id as usize, lattice_counters) != Admission::Blocked,
+                    || resume_at.map_or(true, |at| lattice_counters.outstanding() <= at),
+                );
                 if budget_spins > 0 {
                     obs.journal().publish(
                         EventKind::BudgetExhausted,
@@ -431,9 +464,13 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
                     );
                 }
                 let sent = admitted && {
-                    let (sent, send_spins) = spin_until(lattice_counters, watchdog, || {
-                        !channel_stalled() && channel.try_send(&record)
-                    });
+                    let (sent, send_spins) = spin_until(
+                        lattice_counters,
+                        watchdog,
+                        &mut turns,
+                        || !channel_stalled() && channel.try_send(&record),
+                        || channel.can_resume(),
+                    );
                     if send_spins > 0 {
                         obs.journal().publish(
                             EventKind::BackpressureStall,
@@ -551,6 +588,68 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_busy_wait_yields_every_64th_turn_and_on_no_other() {
+        let mut turns = 0u32;
+        let yielded: Vec<u32> = (1..=256).filter(|_| pause(&mut turns)).collect();
+        assert_eq!(yielded, [64, 128, 192, 256]);
+    }
+
+    /// The Block-lane wait with the consumer played by the wait predicate
+    /// itself, so no schedule is involved: a full 16-slot channel refuses
+    /// once, the lane then waits out two receives (an eighth of the ring)
+    /// without offering again, and the second offer is accepted.
+    #[test]
+    fn a_refused_lane_re_offers_once_an_eighth_of_the_ring_is_free() {
+        let channel = Channel::new(16, 1);
+        while channel.try_send(&[0]) {}
+        let refused_filling = channel.report("c").rejected;
+        let counters = LatticeCounters::default();
+        let (mut turns, mut offers, mut received) = (0u32, 0u64, 0u64);
+        let (sent, spins) = spin_until(
+            &counters,
+            Duration::from_secs(60),
+            &mut turns,
+            || {
+                offers += 1;
+                channel.try_send(&[1])
+            },
+            || {
+                received += u64::from(channel.try_recv(&mut [0]));
+                channel.can_resume()
+            },
+        );
+        assert!(sent);
+        assert_eq!((spins, offers, received), (1, 2, 2));
+        assert_eq!(counters.backpressure_spins.load(Ordering::Relaxed), 1);
+        assert_eq!(channel.report("c").rejected, refused_filling + 1);
+    }
+
+    /// Behind a dead consumer the wait ends at the watchdog, having offered
+    /// once and polled — yielding as it went — ever since.
+    #[test]
+    fn the_watchdog_ends_a_wait_nobody_will_resume() {
+        let channel = Channel::new(16, 1);
+        while channel.try_send(&[0]) {}
+        let (mut turns, mut offers) = (0u32, 0u64);
+        let watchdog = Duration::from_millis(5);
+        let started = Instant::now();
+        let (sent, spins) = spin_until(
+            &LatticeCounters::default(),
+            watchdog,
+            &mut turns,
+            || {
+                offers += 1;
+                channel.try_send(&[1])
+            },
+            || channel.can_resume(),
+        );
+        assert!(!sent);
+        assert!(started.elapsed() >= watchdog);
+        assert_eq!((spins, offers), (1, 1));
+        assert!(turns >= TURNS_PER_YIELD);
+    }
 
     #[test]
     fn spread_placement_offsets_round_robin_by_lattice_id() {
