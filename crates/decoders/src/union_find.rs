@@ -6,468 +6,411 @@
 //! it trades a small amount of threshold (≈0.4%) for a large speed-up over
 //! MWPM, but its decoding time still exceeds the syndrome-generation time, so
 //! it remains exposed to the backlog problem.  We implement the standard
-//! two-phase algorithm — cluster growth with half-edges and weighted union,
-//! followed by peeling of the grown clusters — specialized to the
-//! code-capacity setting used throughout the paper's accuracy evaluation.
+//! two-phase algorithm — cluster growth with half-edges, then peeling —
+//! specialized to the code-capacity setting of the paper's accuracy evaluation.
 //!
-//! # Amortized hot path
+//! # Bitboard model
 //!
-//! The decoding graph of a sector depends only on the lattice, never on the
-//! syndrome, so the decoder caches one `SectorGraph` per sector — a flat
-//! ancilla→vertex map and a CSR adjacency over the full edge set — together
-//! with one `UfScratch` arena per graph, built full-size by
-//! [`Decoder::prepare`] (or the first decode on a lattice).
+//! A sector is its `rows × cols` ancilla grid (X: `(d − 1) × d`, boundaries top
+//! and bottom; Z: `d × (d − 1)`, left and right) plus two boundary vertices.
+//! Vertex `v` is bit `v` of a `[u64; W]` set, row-major — the order of
+//! [`Lattice::ancillas_in_sector`] — and half- and fully-grown edges are sets
+//! indexed by owning vertex in four classes: right, down, boundary A and B.  A
+//! growth round floods each unclaimed defect's component over full edges
+//! (shifts by 1 and `cols`), keeps it if its defect count is odd and it owns no
+//! full boundary edge, and grows every edge incident to the kept set at once:
+//! `G = incident & !full; full |= G & half; half ^= G`.  Corrections equal the
+//! seed's: a round's supports do not depend on the order clusters merge in, and
+//! the scalar BFS peel keeps the seed's order (starts: boundary A, B, ancillas
+//! ascending; an ancilla's neighbours up, left, down, right, boundary).
 //!
-//! **Cost model.**  A sector decode costs one masked pass over the
-//! syndrome's words to collect the defects
-//! ([`Lattice::for_each_defect`]), plus work proportional to the vertices
-//! and edges its clusters reach: growth walks only the active clusters'
-//! vertices (an intrusive circular list per cluster, spliced in O(1) on
-//! union) and peeling starts only from vertices a fully-grown edge or a
-//! defect touched.  A sector without defects returns after the scan and
-//! writes nothing.  Nothing is proportional to growth rounds × lattice size.
-//!
-//! **Clean-scratch invariant.**  Between decodes every `UfScratch` equals
-//! `UfScratch::new` of its graph, field for field.  A decode sets a bit in
-//! `reached` for every vertex it dirties and pushes every edge it grows onto
-//! `touched_edges`, and restores exactly those before it returns; there is
-//! no per-decode refill of whole-graph buffers.
-//!
-//! Steady-state [`Decoder::decode_into`] calls perform no heap allocation
-//! (every list is bounded by the vertex or edge count and reserved up
-//! front); `tests/allocation_free.rs` guards that with an allocation counter.
+//! [`Decoder::prepare`] picks `W` from {1, 2, 4, 8, 16} (one word to d = 7) and
+//! panics past d = 31.  Growth lives in stack words; the only heap scratch is
+//! the peel's queue and tree arrays, sized by `prepare` and written before they
+//! are read, so [`Decoder::decode_into`] allocates nothing
+//! (`tests/allocation_free.rs` guards that).
 
 use crate::traits::{sector_correction_pauli, Correction, Decoder};
-use nisqplus_qec::lattice::{Lattice, QubitKind, Sector};
+use nisqplus_qec::lattice::{Coord, Lattice, Sector};
 use nisqplus_qec::pauli::{Pauli, PauliString};
 use nisqplus_qec::syndrome::Syndrome;
+use std::ops::{BitAnd, BitOr, BitXor, Not};
 
-/// An edge of the sector's decoding graph.
-#[derive(Debug, Clone, Copy)]
-struct GraphEdge {
-    u: u32,
-    v: u32,
-    /// The data qubit the edge crosses; flipping it toggles both endpoints.
-    data_qubit: u32,
-}
+/// The largest distance whose sector grid, boundary vertices included, fits
+/// in 16 words.
+const MAX_DISTANCE: usize = 31;
 
-/// The decoding graph of one sector: same-sector ancillas plus two virtual
-/// boundary vertices.  Built once per lattice and reused on every decode.
-#[derive(Debug, Clone)]
-struct SectorGraph {
-    /// Number of real (ancilla) vertices.
-    num_ancilla_vertices: usize,
-    /// Total vertices including the two boundary vertices.
-    num_vertices: usize,
-    /// Flat map ancilla index -> local ancilla-vertex index, ascending over
-    /// this sector's ancillas (the defect scan visits no others; their
-    /// entries are `u32::MAX`).
-    vertex_of_ancilla: Vec<u32>,
-    edges: Vec<GraphEdge>,
-    /// CSR adjacency over the full edge set: vertex `v`'s incident
-    /// `(neighbor, edge index)` entries are
-    /// `adj_entries[adj_offsets[v]..adj_offsets[v + 1]]`, in edge-index order.
-    adj_offsets: Vec<u32>,
-    adj_entries: Vec<(u32, u32)>,
-}
+/// Edge classes, indexing [`SectorGrid::owners`] and a decode's edge sets.
+const RIGHT: usize = 0;
+const DOWN: usize = 1;
+const BOUNDARY_A: usize = 2;
+const BOUNDARY_B: usize = 3;
 
-impl SectorGraph {
-    fn build(lattice: &Lattice, sector: Sector) -> Self {
-        let ancillas: Vec<u32> = lattice
-            .ancillas_in_sector(sector)
-            .map(|a| a as u32)
-            .collect();
-        let mut vertex_of_ancilla = vec![u32::MAX; lattice.num_ancillas()];
-        for (v, &a) in ancillas.iter().enumerate() {
-            vertex_of_ancilla[a as usize] = v as u32;
-        }
-        let num_ancilla_vertices = ancillas.len();
-        let boundary_a = num_ancilla_vertices as u32;
-        let boundary_b = num_ancilla_vertices as u32 + 1;
-        let size = lattice.size();
-        let mut edges = Vec::new();
-
-        for &a in &ancillas {
-            let c = lattice.ancilla_coord(a as usize);
-            let u = vertex_of_ancilla[a as usize];
-            // Neighbour below (same column, +2 rows).
-            if c.row + 2 < size {
-                let below = nisqplus_qec::lattice::Coord::new(c.row + 2, c.col);
-                let info = lattice.cell(below);
-                if info.kind == sector.ancilla_kind() {
-                    let data = lattice.cell(nisqplus_qec::lattice::Coord::new(c.row + 1, c.col));
-                    debug_assert_eq!(data.kind, QubitKind::Data);
-                    edges.push(GraphEdge {
-                        u,
-                        v: vertex_of_ancilla[info.index],
-                        data_qubit: data.index as u32,
-                    });
-                }
-            }
-            // Neighbour to the right (same row, +2 columns).
-            if c.col + 2 < size {
-                let right = nisqplus_qec::lattice::Coord::new(c.row, c.col + 2);
-                let info = lattice.cell(right);
-                if info.kind == sector.ancilla_kind() {
-                    let data = lattice.cell(nisqplus_qec::lattice::Coord::new(c.row, c.col + 1));
-                    debug_assert_eq!(data.kind, QubitKind::Data);
-                    edges.push(GraphEdge {
-                        u,
-                        v: vertex_of_ancilla[info.index],
-                        data_qubit: data.index as u32,
-                    });
-                }
-            }
-            // Boundary edges.
-            match sector {
-                Sector::X => {
-                    if c.row == 1 {
-                        let data = lattice.cell(nisqplus_qec::lattice::Coord::new(0, c.col));
-                        edges.push(GraphEdge {
-                            u,
-                            v: boundary_a,
-                            data_qubit: data.index as u32,
-                        });
-                    }
-                    if c.row == size - 2 {
-                        let data = lattice.cell(nisqplus_qec::lattice::Coord::new(size - 1, c.col));
-                        edges.push(GraphEdge {
-                            u,
-                            v: boundary_b,
-                            data_qubit: data.index as u32,
-                        });
-                    }
-                }
-                Sector::Z => {
-                    if c.col == 1 {
-                        let data = lattice.cell(nisqplus_qec::lattice::Coord::new(c.row, 0));
-                        edges.push(GraphEdge {
-                            u,
-                            v: boundary_a,
-                            data_qubit: data.index as u32,
-                        });
-                    }
-                    if c.col == size - 2 {
-                        let data = lattice.cell(nisqplus_qec::lattice::Coord::new(c.row, size - 1));
-                        edges.push(GraphEdge {
-                            u,
-                            v: boundary_b,
-                            data_qubit: data.index as u32,
-                        });
-                    }
-                }
-            }
-        }
-
-        let num_vertices = num_ancilla_vertices + 2;
-
-        // CSR adjacency: count degrees, prefix-sum, fill in edge order so
-        // each vertex's incident entries are sorted by edge index.
-        let mut degree = vec![0u32; num_vertices];
-        for edge in &edges {
-            degree[edge.u as usize] += 1;
-            degree[edge.v as usize] += 1;
-        }
-        let mut adj_offsets = vec![0u32; num_vertices + 1];
-        for v in 0..num_vertices {
-            adj_offsets[v + 1] = adj_offsets[v] + degree[v];
-        }
-        let mut cursor = adj_offsets[..num_vertices].to_vec();
-        let mut adj_entries = vec![(0u32, 0u32); 2 * edges.len()];
-        for (i, edge) in edges.iter().enumerate() {
-            adj_entries[cursor[edge.u as usize] as usize] = (edge.v, i as u32);
-            cursor[edge.u as usize] += 1;
-            adj_entries[cursor[edge.v as usize] as usize] = (edge.u, i as u32);
-            cursor[edge.v as usize] += 1;
-        }
-
-        SectorGraph {
-            num_ancilla_vertices,
-            num_vertices,
-            vertex_of_ancilla,
-            edges,
-            adj_offsets,
-            adj_entries,
-        }
-    }
-
-    fn is_boundary_vertex(&self, v: u32) -> bool {
-        v as usize >= self.num_ancilla_vertices
-    }
-
-    fn incident(&self, v: u32) -> &[(u32, u32)] {
-        let lo = self.adj_offsets[v as usize] as usize;
-        let hi = self.adj_offsets[v as usize + 1] as usize;
-        &self.adj_entries[lo..hi]
-    }
-}
-
-/// Per-vertex decode state: union-find forest, cluster membership list and
-/// peeling bookkeeping in one record, so touching a vertex touches one line.
+/// A set of vertices: bit `v % 64` of word `v / 64`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct VertexState {
-    /// Union-find parent; a root points at itself.
-    parent: u32,
-    /// Next vertex of the same cluster in a circular list (a singleton points
-    /// at itself); two lists merge by swapping their roots' `next`.
-    next: u32,
-    /// BFS spanning-tree parent and the edge leading to it (peeling).
-    tree_parent: u32,
-    tree_edge: u32,
-    /// Growth round in which this root's cluster was last walked, so a
-    /// cluster holding several defects grows once per round.
-    walked_round: u32,
-    rank: u8,
-    /// Defect parity of the cluster (meaningful on roots).
-    parity: bool,
-    /// Whether the cluster contains a boundary vertex (meaningful on roots).
-    boundary: bool,
-    charge: bool,
-    visited: bool,
-}
+struct Bits<const W: usize>([u64; W]);
 
-impl VertexState {
-    fn fresh(v: u32, boundary: bool) -> Self {
-        VertexState {
-            parent: v,
-            next: v,
-            tree_parent: 0,
-            tree_edge: 0,
-            walked_round: 0,
-            rank: 0,
-            parity: false,
-            boundary,
-            charge: false,
-            visited: false,
-        }
+impl<const W: usize> Bits<W> {
+    const EMPTY: Self = Bits([0; W]);
+
+    fn contains(self, v: usize) -> bool {
+        self.0[v / 64] >> (v % 64) & 1 == 1
     }
 
-    /// A cluster is *active* while it holds odd defect parity and does not
-    /// touch a boundary vertex.
-    fn is_active_root(&self) -> bool {
-        self.parity && !self.boundary
+    fn toggle(&mut self, v: usize) {
+        self.0[v / 64] ^= 1 << (v % 64);
     }
-}
 
-/// Per-edge decode state.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct EdgeState {
-    /// Half-edges grown so far: 0, 1 or 2 (fully grown).
-    support: u8,
-    /// Growth round of the last half-edge, so an edge seen from both
-    /// endpoints (or from two active clusters) grows once per round.
-    grown_round: u32,
-}
+    fn is_empty(self) -> bool {
+        self.0.iter().all(|&w| w == 0)
+    }
 
-/// The vertices whose bits are set in word `w` of a vertex bitmap, ascending.
-fn bitmap_word_vertices(w: usize, mut bits: u64) -> impl Iterator<Item = u32> {
-    std::iter::from_fn(move || {
-        (bits != 0).then(|| {
-            let v = (w as u32) << 6 | bits.trailing_zeros();
-            bits &= bits - 1;
-            v
+    fn count_ones(self) -> u32 {
+        self.0.iter().map(|w| w.count_ones()).sum()
+    }
+
+    fn first(self) -> Option<usize> {
+        let w = self.0.iter().position(|&w| w != 0)?;
+        Some(w * 64 + self.0[w].trailing_zeros() as usize)
+    }
+
+    /// The members, ascending.
+    fn iter(mut self) -> impl Iterator<Item = usize> {
+        std::iter::from_fn(move || {
+            let v = self.first()?;
+            self.toggle(v);
+            Some(v)
         })
-    })
+    }
+
+    /// `{v + s : v ∈ self}`, for `0 < s < 64`.
+    fn plus(self, s: u32) -> Self {
+        Bits(std::array::from_fn(|w| {
+            let carry = if w > 0 { self.0[w - 1] >> (64 - s) } else { 0 };
+            self.0[w] << s | carry
+        }))
+    }
+
+    /// `{v − s : v ∈ self, v ≥ s}`, for `0 < s < 64`.
+    fn minus(self, s: u32) -> Self {
+        Bits(std::array::from_fn(|w| {
+            let carry = self.0.get(w + 1).map_or(0, |&next| next << (64 - s));
+            self.0[w] >> s | carry
+        }))
+    }
 }
 
-/// The scratch arena of one sector graph.  Built full-size once and kept
-/// clean between decodes (see the module docs for the invariant).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct UfScratch {
-    vertices: Vec<VertexState>,
-    edges: Vec<EdgeState>,
-    /// Bitmap over vertices: those holding a defect or joined by a
-    /// fully-grown edge — every vertex whose `VertexState` is dirty.
-    reached: Vec<u64>,
-    /// Edges with non-zero support, in first-growth order.
-    touched_edges: Vec<u32>,
-    /// Defect vertices, ascending.
-    defects: Vec<u32>,
-    newly_full: Vec<u32>,
-    bfs: Vec<u32>,
+impl<const W: usize> BitAnd for Bits<W> {
+    type Output = Self;
+    fn bitand(self, rhs: Self) -> Self {
+        Bits(std::array::from_fn(|w| self.0[w] & rhs.0[w]))
+    }
 }
 
-impl UfScratch {
-    fn new(graph: &SectorGraph) -> Self {
-        let nv = graph.num_vertices;
-        let ne = graph.edges.len();
-        UfScratch {
-            vertices: (0..nv as u32)
-                .map(|v| VertexState::fresh(v, graph.is_boundary_vertex(v)))
-                .collect(),
-            edges: vec![EdgeState::default(); ne],
-            reached: vec![0; nv.div_ceil(64)],
-            touched_edges: Vec::with_capacity(ne),
-            defects: Vec::with_capacity(graph.num_ancilla_vertices),
-            newly_full: Vec::with_capacity(ne),
-            bfs: Vec::with_capacity(nv),
-        }
+impl<const W: usize> BitOr for Bits<W> {
+    type Output = Self;
+    fn bitor(self, rhs: Self) -> Self {
+        Bits(std::array::from_fn(|w| self.0[w] | rhs.0[w]))
     }
+}
 
-    fn mark_reached(&mut self, v: u32) {
-        self.reached[(v >> 6) as usize] |= 1 << (v & 63);
+impl<const W: usize> BitXor for Bits<W> {
+    type Output = Self;
+    fn bitxor(self, rhs: Self) -> Self {
+        Bits(std::array::from_fn(|w| self.0[w] ^ rhs.0[w]))
     }
+}
 
-    fn is_reached(&self, v: u32) -> bool {
-        self.reached[(v >> 6) as usize] >> (v & 63) & 1 == 1
+impl<const W: usize> Not for Bits<W> {
+    type Output = Self;
+    fn not(self) -> Self {
+        Bits(self.0.map(|w| !w))
     }
+}
 
-    fn find(&mut self, v: u32) -> u32 {
-        let mut root = v;
-        while self.vertices[root as usize].parent != root {
-            root = self.vertices[root as usize].parent;
-        }
-        // Full path compression, matching the seed's recursive find.
-        let mut cur = v;
-        while self.vertices[cur as usize].parent != root {
-            let next = self.vertices[cur as usize].parent;
-            self.vertices[cur as usize].parent = root;
-            cur = next;
-        }
-        root
-    }
+/// One sector's decoding graph over its ancilla grid.  Grid vertices are
+/// `0..n`; the peel numbers boundary A `n` and boundary B `n + 1`.
+#[derive(Debug, Clone)]
+struct SectorGrid<const W: usize> {
+    n: usize,
+    cols: u32,
+    /// The seed's growth bound, `4 · (2d − 1) + 8` rounds; no syndrome
+    /// reaches it (every odd cluster meets a boundary first).
+    max_rounds: u32,
+    /// Ancilla index -> vertex, for this sector's ancillas (others read 0
+    /// and are masked out of the defect scan).
+    vertex_of_ancilla: Vec<u16>,
+    /// The vertices owning an edge of each class.
+    owners: [Bits<W>; 4],
+    /// The data qubit each edge crosses, by class and owning vertex.
+    qubit: [Vec<u32>; 4],
+}
 
-    fn union(&mut self, a: u32, b: u32) {
-        self.mark_reached(a);
-        self.mark_reached(b);
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra == rb {
-            return;
-        }
-        let (big, small) = if self.vertices[ra as usize].rank >= self.vertices[rb as usize].rank {
-            (ra, rb)
-        } else {
-            (rb, ra)
+impl<const W: usize> SectorGrid<W> {
+    fn build(lattice: &Lattice, sector: Sector) -> Self {
+        let d = lattice.distance();
+        let (rows, cols) = match sector {
+            Sector::X => (d - 1, d),
+            Sector::Z => (d, d - 1),
         };
-        let absorbed = self.vertices[small as usize];
-        let root = &mut self.vertices[big as usize];
-        if root.rank == absorbed.rank {
-            root.rank += 1;
-        }
-        root.parity ^= absorbed.parity;
-        root.boundary |= absorbed.boundary;
-        // Splice the two circular membership lists into one.
-        let big_next = std::mem::replace(&mut root.next, absorbed.next);
-        let small_state = &mut self.vertices[small as usize];
-        small_state.next = big_next;
-        small_state.parent = big;
-    }
-
-    /// Grows every not-yet-full edge incident to the cluster rooted at
-    /// `root` by one half-edge, unless it already grew in `round`.
-    fn grow_cluster(&mut self, graph: &SectorGraph, root: u32, round: u32) {
-        let mut v = root;
-        loop {
-            for &(_, edge_idx) in graph.incident(v) {
-                let edge = &mut self.edges[edge_idx as usize];
-                if edge.support >= 2 || edge.grown_round == round {
-                    continue;
-                }
-                if edge.support == 0 {
-                    self.touched_edges.push(edge_idx);
-                }
-                edge.grown_round = round;
-                edge.support += 1;
-                if edge.support == 2 {
-                    self.newly_full.push(edge_idx);
+        let n = rows * cols;
+        debug_assert!(n + 2 <= 64 * W);
+        let mut grid = SectorGrid {
+            n,
+            cols: cols as u32,
+            max_rounds: (4 * lattice.size() + 8) as u32,
+            vertex_of_ancilla: vec![0; lattice.num_ancillas()],
+            owners: [Bits::EMPTY; 4],
+            qubit: std::array::from_fn(|_| vec![0; n]),
+        };
+        let data = |row, col| lattice.cell(Coord::new(row, col)).index as u32;
+        for (v, a) in lattice.ancillas_in_sector(sector).enumerate() {
+            grid.vertex_of_ancilla[a] = v as u16;
+            let (i, j) = (v / cols, v % cols);
+            let Coord { row, col } = lattice.ancilla_coord(a);
+            let (right, down) = ((row, col + 1), (row + 1, col));
+            // Boundary A lies before the first row (X) or column (Z), B past
+            // the last.
+            let (a_edge, b_edge) = match sector {
+                Sector::X => ((i == 0, (row - 1, col)), (i + 1 == rows, down)),
+                Sector::Z => ((j == 0, (row, col - 1)), (j + 1 == cols, right)),
+            };
+            // Whether `v` owns an edge of each class, and the qubit it crosses.
+            let owned = [(j + 1 < cols, right), (i + 1 < rows, down), a_edge, b_edge];
+            for (class, (owns, (row, col))) in owned.into_iter().enumerate() {
+                if owns {
+                    grid.owners[class].toggle(v);
+                    grid.qubit[class][v] = data(row, col);
                 }
             }
-            v = self.vertices[v as usize].next;
-            if v == root {
+        }
+        grid
+    }
+
+    /// The component of `seed` over the fully-grown edges `full`.
+    fn component(&self, full: &[Bits<W>; 4], seed: usize) -> Bits<W> {
+        let mut cluster = Bits::EMPTY;
+        cluster.toggle(seed);
+        loop {
+            let next = cluster
+                | (cluster & full[RIGHT]).plus(1)
+                | (cluster.minus(1) & full[RIGHT])
+                | (cluster & full[DOWN]).plus(self.cols)
+                | (cluster.minus(self.cols) & full[DOWN]);
+            if next == cluster {
+                return cluster;
+            }
+            cluster = next;
+        }
+    }
+
+    /// Grows half-edges from `defects` until no cluster is active (holds odd
+    /// defect parity and no boundary), and returns the fully-grown edges.
+    fn grow(&self, defects: Bits<W>) -> [Bits<W>; 4] {
+        let mut half = [Bits::EMPTY; 4];
+        let mut full = [Bits::EMPTY; 4];
+        for _ in 0..self.max_rounds {
+            // Every active cluster holds a defect, so flooding from each
+            // unclaimed defect enumerates them.
+            let grounded = full[BOUNDARY_A] | full[BOUNDARY_B];
+            let mut active = Bits::EMPTY;
+            let mut unclaimed = defects;
+            while let Some(seed) = unclaimed.first() {
+                let cluster = self.component(&full, seed);
+                unclaimed = unclaimed & !cluster;
+                let odd = (cluster & defects).count_ones() % 2 == 1;
+                if odd && (cluster & grounded).is_empty() {
+                    active = active | cluster;
+                }
+            }
+            if active.is_empty() {
                 break;
             }
-        }
-    }
-
-    /// Builds the BFS spanning tree of fully-grown edges from `start` into
-    /// `self.bfs`, neighbours in edge-index order.
-    fn span_from(&mut self, graph: &SectorGraph, start: u32) {
-        self.vertices[start as usize].visited = true;
-        self.bfs.clear();
-        self.bfs.push(start);
-        let mut head = 0;
-        while head < self.bfs.len() {
-            let v = self.bfs[head];
-            head += 1;
-            // Every fully-grown edge has been unioned, so both endpoints
-            // share a cluster and no `find` is needed here.
-            for &(w, edge_idx) in graph.incident(v) {
-                if self.edges[edge_idx as usize].support != 2 {
-                    continue;
-                }
-                let neighbour = &mut self.vertices[w as usize];
-                if !neighbour.visited {
-                    neighbour.visited = true;
-                    neighbour.tree_parent = v;
-                    neighbour.tree_edge = edge_idx;
-                    self.bfs.push(w);
-                }
+            let incident = [
+                (active | active.minus(1)) & self.owners[RIGHT],
+                (active | active.minus(self.cols)) & self.owners[DOWN],
+                active & self.owners[BOUNDARY_A],
+                active & self.owners[BOUNDARY_B],
+            ];
+            for class in 0..4 {
+                let grown = incident[class] & !full[class];
+                full[class] = full[class] | (grown & half[class]);
+                half[class] = half[class] ^ grown;
             }
         }
+        full
     }
 
-    /// Peels the spanning tree of fully-grown edges rooted at `start` (unless
-    /// an earlier tree already covered it), applying `pauli` to `out` on the
-    /// data qubit of every tree edge whose child carries a defect.
-    fn peel_from(&mut self, graph: &SectorGraph, start: u32, pauli: Pauli, out: &mut PauliString) {
-        if self.vertices[start as usize].visited {
-            return;
-        }
-        self.span_from(graph, start);
-        // Peel in reverse BFS order: children before parents.  Boundary
-        // vertices absorb any charge pushed into them instead of relaying
-        // it (pairing the chain to the boundary).
-        for bi in (1..self.bfs.len()).rev() {
-            let v = self.bfs[bi];
-            let state = &mut self.vertices[v as usize];
-            if graph.is_boundary_vertex(v) {
-                state.charge = false;
+    /// Peels the spanning forest of the fully-grown edges `full` in the
+    /// seed's order, applying `pauli` to `out` on the data qubit of every
+    /// tree edge whose child carries charge.  Boundary vertices absorb charge
+    /// instead of relaying it; a vertex no fully-grown edge reaches peels
+    /// nothing and is never a start.
+    fn peel(
+        &self,
+        full: &[Bits<W>; 4],
+        defects: Bits<W>,
+        scratch: &mut PeelScratch,
+        pauli: Pauli,
+        out: &mut PauliString,
+    ) {
+        let PeelScratch {
+            queue,
+            parent,
+            qubit,
+        } = scratch;
+        let (boundary_a, boundary_b, cols) = (self.n, self.n + 1, self.cols as usize);
+        let reached = full[RIGHT]
+            | full[RIGHT].plus(1)
+            | full[DOWN]
+            | full[DOWN].plus(self.cols)
+            | full[BOUNDARY_A]
+            | full[BOUNDARY_B];
+        let boundary_starts = [(boundary_a, BOUNDARY_A), (boundary_b, BOUNDARY_B)]
+            .into_iter()
+            .filter(|&(_, class)| !full[class].is_empty())
+            .map(|(v, _)| v);
+        let mut visited = Bits::<W>::EMPTY;
+        let mut charge = defects;
+        for start in boundary_starts.chain(reached.iter()) {
+            if visited.contains(start) {
                 continue;
             }
-            if state.charge {
-                state.charge = false;
-                let (parent, edge_idx) = (state.tree_parent, state.tree_edge);
-                out.apply(graph.edges[edge_idx as usize].data_qubit as usize, pauli);
-                self.vertices[parent as usize].charge ^= true;
+            visited.toggle(start);
+            queue[0] = start as u16;
+            let (mut head, mut len) = (0, 1);
+            while head < len {
+                let v = queue[head] as usize;
+                head += 1;
+                let mut visit = |w: usize, edge_qubit: u32| {
+                    if !visited.contains(w) {
+                        visited.toggle(w);
+                        parent[w] = v as u16;
+                        qubit[w] = edge_qubit;
+                        queue[len] = w as u16;
+                        len += 1;
+                    }
+                };
+                if v >= boundary_a {
+                    let class = BOUNDARY_A + (v - boundary_a);
+                    for w in full[class].iter() {
+                        visit(w, self.qubit[class][w]);
+                    }
+                    continue;
+                }
+                // Edge-index order: the edges of lower owners first.
+                let neighbours = [
+                    (DOWN, v.wrapping_sub(cols), v.wrapping_sub(cols)),
+                    (RIGHT, v.wrapping_sub(1), v.wrapping_sub(1)),
+                    (DOWN, v, v + cols),
+                    (RIGHT, v, v + 1),
+                    (BOUNDARY_A, v, boundary_a),
+                    (BOUNDARY_B, v, boundary_b),
+                ];
+                for (class, owner, w) in neighbours {
+                    if owner < self.n && full[class].contains(owner) {
+                        visit(w, self.qubit[class][owner]);
+                    }
+                }
             }
-        }
-        // Any residual charge on the root must sit on a boundary vertex
-        // (odd clusters always grow until they absorb a boundary).
-        let root = &mut self.vertices[start as usize];
-        if root.charge {
-            debug_assert!(
-                graph.is_boundary_vertex(start),
-                "non-boundary root left with residual charge"
-            );
-            root.charge = false;
+            // Children before parents; a boundary vertex's charge bit is
+            // never read, so toggling it is how it absorbs.
+            for &v in queue[1..len].iter().rev() {
+                let v = v as usize;
+                if v < self.n && charge.contains(v) {
+                    out.apply(qubit[v] as usize, pauli);
+                    charge.toggle(parent[v] as usize);
+                }
+            }
         }
     }
 
-    /// Restores the clean-scratch invariant: resets exactly the vertices and
-    /// edges this decode dirtied.
-    fn restore(&mut self, graph: &SectorGraph) {
-        for w in 0..self.reached.len() {
-            for v in bitmap_word_vertices(w, std::mem::take(&mut self.reached[w])) {
-                self.vertices[v as usize] = VertexState::fresh(v, graph.is_boundary_vertex(v));
-            }
+    /// Decodes one sector, applying the correction's data-qubit flips to
+    /// `out`.  A sector without defects returns after the scan.
+    fn decode(
+        &self,
+        scratch: &mut PeelScratch,
+        lattice: &Lattice,
+        syndrome: &Syndrome,
+        sector: Sector,
+        out: &mut PauliString,
+    ) {
+        // Hot ancillas of the other sector are masked out of the scan, so a
+        // combined X/Z syndrome works directly.
+        let mut defects = Bits::EMPTY;
+        lattice.for_each_defect(syndrome, sector, |a| {
+            defects.toggle(self.vertex_of_ancilla[a] as usize);
+        });
+        if defects.is_empty() {
+            return;
         }
-        for &edge_idx in &self.touched_edges {
-            self.edges[edge_idx as usize] = EdgeState::default();
-        }
-        self.touched_edges.clear();
-        self.defects.clear();
-        self.newly_full.clear();
-        self.bfs.clear();
+        let full = self.grow(defects);
+        let pauli = sector_correction_pauli(sector);
+        self.peel(&full, defects, scratch, pauli, out);
     }
 }
 
-/// The lattice-keyed prepared state: one decoding graph and its scratch arena
-/// per sector, in `[X, Z]` order.
+/// Both sectors' grids, `[X, Z]`, at the word count `prepare` picked.
+#[derive(Debug, Clone)]
+enum Grids {
+    W1(SectorGrids<1>),
+    W2(SectorGrids<2>),
+    W4(SectorGrids<4>),
+    W8(SectorGrids<8>),
+    W16(SectorGrids<16>),
+}
+
+type SectorGrids<const W: usize> = Box<[SectorGrid<W>; 2]>;
+
+fn sector_grids<const W: usize>(lattice: &Lattice) -> SectorGrids<W> {
+    Box::new(Sector::ALL.map(|sector| SectorGrid::build(lattice, sector)))
+}
+
+/// The peel's heap scratch, shared by both sectors (each has `d(d − 1)` grid
+/// vertices) and written before it is read.
+#[derive(Debug, Clone)]
+struct PeelScratch {
+    /// The BFS queue of one tree.
+    queue: Vec<u16>,
+    /// Per vertex: its tree parent, and the data qubit of the edge to it.
+    parent: Vec<u16>,
+    qubit: Vec<u32>,
+}
+
+/// The lattice-keyed prepared state.
 #[derive(Debug, Clone)]
 struct PreparedUnionFind {
     distance: usize,
-    sectors: [(SectorGraph, UfScratch); 2],
+    grids: Grids,
+    scratch: PeelScratch,
+}
+
+impl PreparedUnionFind {
+    fn build(lattice: &Lattice) -> Self {
+        let d = lattice.distance();
+        assert!(
+            d <= MAX_DISTANCE,
+            "union-find supports distances up to {MAX_DISTANCE} (16 words per sector grid), \
+             not d = {d}"
+        );
+        let vertices = lattice.ancillas_per_sector() + 2;
+        let grids = match vertices.div_ceil(64) {
+            1 => Grids::W1(sector_grids(lattice)),
+            2 => Grids::W2(sector_grids(lattice)),
+            3..=4 => Grids::W4(sector_grids(lattice)),
+            5..=8 => Grids::W8(sector_grids(lattice)),
+            _ => Grids::W16(sector_grids(lattice)),
+        };
+        PreparedUnionFind {
+            distance: d,
+            grids,
+            scratch: PeelScratch {
+                queue: vec![0; vertices],
+                parent: vec![0; vertices],
+                qubit: vec![0; vertices],
+            },
+        }
+    }
 }
 
 /// The union-find decoder.
@@ -493,97 +436,10 @@ impl UnionFindDecoder {
 
     fn ensure_prepared(&mut self, lattice: &Lattice) -> &mut PreparedUnionFind {
         if !self.is_prepared_for(lattice) {
-            let sectors = Sector::ALL.map(|sector| {
-                let graph = SectorGraph::build(lattice, sector);
-                let scratch = UfScratch::new(&graph);
-                (graph, scratch)
-            });
-            self.prepared = Some(PreparedUnionFind {
-                distance: lattice.distance(),
-                sectors,
-            });
+            self.prepared = Some(PreparedUnionFind::build(lattice));
         }
         self.prepared.as_mut().expect("just prepared")
     }
-}
-
-/// Decodes one sector, applying the correction's data-qubit flips to `out`.
-///
-/// The result is the seed algorithm's, byte for byte (pinned by the
-/// seed-reference property test): the correction depends only on the final
-/// edge supports and on the peel's traversal order, never on which vertex
-/// roots a cluster or on the order unions happen in.  So growth walks only
-/// the active clusters and peeling starts only from reached vertices — an
-/// unreached vertex has no fully-grown edge and peels nothing — in the seed's
-/// order: boundary vertices first, then ancilla vertices ascending.
-fn decode_sector_into(
-    graph: &SectorGraph,
-    scratch: &mut UfScratch,
-    max_rounds: u32,
-    lattice: &Lattice,
-    syndrome: &Syndrome,
-    sector: Sector,
-    out: &mut PauliString,
-) {
-    // Hot ancillas of the other sector are masked out of the scan, so a
-    // combined X/Z syndrome works directly.
-    lattice.for_each_defect(syndrome, sector, |a| {
-        let v = graph.vertex_of_ancilla[a];
-        scratch.defects.push(v);
-        scratch.mark_reached(v);
-        let state = &mut scratch.vertices[v as usize];
-        state.parity = true;
-        state.charge = true;
-    });
-    if scratch.defects.is_empty() {
-        return;
-    }
-    let pauli = sector_correction_pauli(sector);
-
-    // ---- Growth phase ------------------------------------------------
-    // Grow every active cluster's incident edges by one half-edge per
-    // round (one half-edge even when both endpoints are active), merging
-    // clusters whose connecting edge becomes fully grown.  Every active
-    // cluster holds a defect, so the defects' roots enumerate them.
-    for round in 1..=max_rounds {
-        scratch.newly_full.clear();
-        let mut any_active = false;
-        for k in 0..scratch.defects.len() {
-            let root = scratch.find(scratch.defects[k]);
-            let state = &mut scratch.vertices[root as usize];
-            if !state.is_active_root() || state.walked_round == round {
-                continue;
-            }
-            state.walked_round = round;
-            any_active = true;
-            scratch.grow_cluster(graph, root, round);
-        }
-        if !any_active {
-            break;
-        }
-        for k in 0..scratch.newly_full.len() {
-            let edge = graph.edges[scratch.newly_full[k] as usize];
-            scratch.union(edge.u, edge.v);
-        }
-    }
-
-    // ---- Peeling phase -----------------------------------------------
-    // Within each cluster, build a spanning forest of the fully-grown
-    // edges (rooted at a boundary vertex when one is present) and peel
-    // leaves, emitting an edge whenever the leaf carries a defect.
-    let boundary_a = graph.num_ancilla_vertices as u32;
-    for start in [boundary_a, boundary_a + 1] {
-        if scratch.is_reached(start) {
-            scratch.peel_from(graph, start, pauli, out);
-        }
-    }
-    for w in 0..scratch.reached.len() {
-        for start in bitmap_word_vertices(w, scratch.reached[w]) {
-            scratch.peel_from(graph, start, pauli, out);
-        }
-    }
-
-    scratch.restore(graph);
 }
 
 impl Decoder for UnionFindDecoder {
@@ -591,6 +447,9 @@ impl Decoder for UnionFindDecoder {
         "union-find"
     }
 
+    /// # Panics
+    ///
+    /// Panics if `lattice.distance()` exceeds 31.
     fn prepare(&mut self, lattice: &Lattice) {
         let _ = self.ensure_prepared(lattice);
     }
@@ -609,9 +468,15 @@ impl Decoder for UnionFindDecoder {
         out: &mut PauliString,
     ) {
         out.reset_identity(lattice.num_data());
-        let max_rounds = (4 * lattice.size() + 8) as u32;
-        let (graph, scratch) = &mut self.ensure_prepared(lattice).sectors[sector.index()];
-        decode_sector_into(graph, scratch, max_rounds, lattice, syndrome, sector, out);
+        let PreparedUnionFind { grids, scratch, .. } = self.ensure_prepared(lattice);
+        let s = sector.index();
+        match grids {
+            Grids::W1(g) => g[s].decode(scratch, lattice, syndrome, sector, out),
+            Grids::W2(g) => g[s].decode(scratch, lattice, syndrome, sector, out),
+            Grids::W4(g) => g[s].decode(scratch, lattice, syndrome, sector, out),
+            Grids::W8(g) => g[s].decode(scratch, lattice, syndrome, sector, out),
+            Grids::W16(g) => g[s].decode(scratch, lattice, syndrome, sector, out),
+        }
     }
 }
 
@@ -619,54 +484,65 @@ impl Decoder for UnionFindDecoder {
 mod tests {
     use super::*;
     use nisqplus_qec::error_model::{ErrorModel, PureDephasing};
-    use nisqplus_qec::lattice::Coord;
     use nisqplus_qec::logical::{classify_residual, LogicalState};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    #[test]
-    fn graph_has_expected_vertex_and_edge_counts() {
-        let lat = Lattice::new(5).unwrap();
-        let graph = SectorGraph::build(&lat, Sector::X);
-        // d(d-1) ancilla vertices plus 2 boundary vertices.
-        assert_eq!(graph.num_ancilla_vertices, 5 * 4);
-        assert_eq!(graph.num_vertices, 22);
-        // Internal edges: vertical (d-2)*d + horizontal (d-1)*(d-1); boundary edges: 2*d.
-        let d = 5;
-        let expected = (d - 2) * d + (d - 1) * (d - 1) + 2 * d;
-        assert_eq!(graph.edges.len(), expected);
-        // The CSR adjacency covers every edge from both endpoints.
-        assert_eq!(graph.adj_entries.len(), 2 * expected);
-        // The vertex map numbers exactly this sector's ancillas, ascending,
-        // and the two boundary vertices follow them.
-        let mapped: Vec<usize> = (0..lat.num_ancillas())
-            .filter(|&a| graph.vertex_of_ancilla[a] != u32::MAX)
-            .collect();
-        assert_eq!(
-            mapped,
-            lat.ancillas_in_sector(Sector::X).collect::<Vec<_>>()
-        );
-        let vertices: Vec<u32> = mapped.iter().map(|&a| graph.vertex_of_ancilla[a]).collect();
-        assert_eq!(vertices, (0..20).collect::<Vec<u32>>());
-        assert!(!graph.is_boundary_vertex(19));
-        assert!(graph.is_boundary_vertex(20) && graph.is_boundary_vertex(21));
-        // The scratch arena is built full-size: one state per vertex and
-        // edge, one bitmap word per 64 vertices.
-        let scratch = UfScratch::new(&graph);
-        assert_eq!(scratch.vertices.len(), graph.num_vertices);
-        assert_eq!(scratch.edges.len(), expected);
-        assert_eq!(scratch.reached.len(), 1);
+    /// The grid model at one word count: `d(d − 1)` vertices per sector
+    /// numbered like `ancillas_in_sector`, exactly one owned edge per data
+    /// qubit, and the boundary edges owned by the sector's two boundary sides.
+    fn check_grid_model<const W: usize>(d: usize) {
+        let lat = Lattice::new(d).unwrap();
+        for sector in Sector::ALL {
+            let grid = SectorGrid::<W>::build(&lat, sector);
+            let (rows, cols) = match sector {
+                Sector::X => (d - 1, d),
+                Sector::Z => (d, d - 1),
+            };
+            assert_eq!(grid.n, d * (d - 1));
+            let vertices: Vec<usize> = lat
+                .ancillas_in_sector(sector)
+                .map(|a| usize::from(grid.vertex_of_ancilla[a]))
+                .collect();
+            assert_eq!(vertices, (0..grid.n).collect::<Vec<_>>());
+
+            let mut crossed: Vec<usize> = (0..4)
+                .flat_map(|class| grid.owners[class].iter().map(move |v| (class, v)))
+                .map(|(class, v)| grid.qubit[class][v] as usize)
+                .collect();
+            assert_eq!(crossed.len(), d * d + (d - 1) * (d - 1), "d={d} {sector}");
+            crossed.sort_unstable();
+            assert_eq!(crossed, (0..lat.num_data()).collect::<Vec<_>>());
+
+            let side = |on: &dyn Fn(usize, usize) -> bool| -> Vec<usize> {
+                (0..grid.n).filter(|&v| on(v / cols, v % cols)).collect()
+            };
+            let (a, b) = match sector {
+                Sector::X => (side(&|i, _| i == 0), side(&|i, _| i == rows - 1)),
+                Sector::Z => (side(&|_, j| j == 0), side(&|_, j| j == cols - 1)),
+            };
+            assert_eq!(grid.owners[BOUNDARY_A].iter().collect::<Vec<_>>(), a);
+            assert_eq!(grid.owners[BOUNDARY_B].iter().collect::<Vec<_>>(), b);
+        }
     }
 
     #[test]
-    fn csr_incidence_matches_edge_list() {
-        let lat = Lattice::new(7).unwrap();
-        for sector in Sector::ALL {
-            let graph = SectorGraph::build(&lat, sector);
-            for (i, edge) in graph.edges.iter().enumerate() {
-                assert!(graph.incident(edge.u).contains(&(edge.v, i as u32)));
-                assert!(graph.incident(edge.v).contains(&(edge.u, i as u32)));
-            }
+    fn graph_has_expected_vertex_and_edge_counts() {
+        check_grid_model::<1>(3);
+        check_grid_model::<1>(5);
+        check_grid_model::<2>(9);
+        check_grid_model::<4>(15);
+        // `prepare` picks the fewest of {1, 2, 4, 8, 16} words that hold a
+        // sector's grid and its two boundary vertices.
+        for (d, words) in [(7, 1), (9, 2), (11, 2), (13, 4), (15, 4), (17, 8), (31, 16)] {
+            let picked = match PreparedUnionFind::build(&Lattice::new(d).unwrap()).grids {
+                Grids::W1(_) => 1,
+                Grids::W2(_) => 2,
+                Grids::W4(_) => 4,
+                Grids::W8(_) => 8,
+                Grids::W16(_) => 16,
+            };
+            assert_eq!(picked, words, "d={d}");
         }
     }
 
@@ -751,81 +627,6 @@ mod tests {
             }
         }
     }
-
-    /// The clean-scratch invariant: after every decode, each sector's scratch
-    /// equals a freshly built one, field for field.
-    fn assert_scratch_clean(decoder: &UnionFindDecoder, context: &str) {
-        let prepared = decoder.prepared.as_ref().expect("prepared");
-        for (graph, scratch) in &prepared.sectors {
-            assert_eq!(
-                scratch,
-                &UfScratch::new(graph),
-                "dirty scratch after {context}"
-            );
-        }
-    }
-
-    #[test]
-    fn scratch_is_clean_after_every_decode() {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let heavy = PureDephasing::new(0.2).unwrap();
-        let mut buf = PauliString::identity(0);
-        for d in [3, 5, 9] {
-            let lat = Lattice::new(d).unwrap();
-            let mut decoder = UnionFindDecoder::new();
-            decoder.prepare(&lat);
-            assert_scratch_clean(&decoder, "prepare");
-            // Empty sector.
-            let empty = Syndrome::new(lat.num_ancillas());
-            for sector in Sector::ALL {
-                decoder.decode_into(&lat, &empty, sector, &mut buf);
-                assert_scratch_clean(&decoder, "an empty sector");
-            }
-            // Every single defect (a lone hot ancilla pairs to a boundary).
-            for a in 0..lat.num_ancillas() {
-                let syndrome = Syndrome::from_hot(lat.num_ancillas(), &[a]);
-                for sector in Sector::ALL {
-                    decoder.decode_into(&lat, &syndrome, sector, &mut buf);
-                    assert_scratch_clean(&decoder, "a single defect");
-                }
-            }
-            // High-weight syndromes: large merged clusters, both boundaries.
-            for _ in 0..50 {
-                let syndrome = lat.syndrome_of(&heavy.sample(&lat, &mut rng));
-                decoder.decode_into(&lat, &syndrome, Sector::X, &mut buf);
-                assert_scratch_clean(&decoder, "a p = 0.2 syndrome");
-            }
-        }
-    }
-
-    /// No (lattice, syndrome) pair exhausts `max_rounds`: every odd cluster
-    /// meets a boundary first.  Forcing the exit with a smaller bound leaves
-    /// active clusters and half-grown edges behind, which the restore must
-    /// still undo; the peel's residual-charge `debug_assert` fires on such an
-    /// exit, so this runs in release test builds only.
-    #[test]
-    #[cfg(not(debug_assertions))]
-    fn scratch_is_clean_after_an_exit_through_the_round_guard() {
-        let lat = Lattice::new(5).unwrap();
-        let graph = SectorGraph::build(&lat, Sector::X);
-        let mut scratch = UfScratch::new(&graph);
-        let mut out = PauliString::identity(lat.num_data());
-        let centre = lat.ancillas_in_sector(Sector::X).nth(10).unwrap();
-        let syndrome = Syndrome::from_hot(lat.num_ancillas(), &[centre]);
-        for max_rounds in 1..4 {
-            decode_sector_into(
-                &graph,
-                &mut scratch,
-                max_rounds,
-                &lat,
-                &syndrome,
-                Sector::X,
-                &mut out,
-            );
-            assert_eq!(scratch, UfScratch::new(&graph), "max_rounds = {max_rounds}");
-        }
-    }
-
     #[test]
     fn decode_into_matches_decode_and_overwrites_stale_contents() {
         let mut rng = ChaCha8Rng::seed_from_u64(41);

@@ -327,6 +327,45 @@ fn seed_union_find_correction(
     expected
 }
 
+/// Seed parity exhaustively where it is affordable: every X- and Z-sector
+/// pattern at d = 3, and every pattern of at most three defects per sector
+/// at d = 5.
+#[test]
+fn union_find_matches_seed_on_every_small_pattern() {
+    for (d, max_defects, expected_patterns) in [(3, 6, 64), (5, 3, 1351)] {
+        let lattice = Lattice::new(d).unwrap();
+        let mut decoder = UnionFindDecoder::new();
+        let mut buf = PauliString::identity(lattice.num_data());
+        for sector in Sector::ALL {
+            let ancillas: Vec<usize> = lattice.ancillas_in_sector(sector).collect();
+            let mut patterns = 0;
+            for mask in (0u32..1 << ancillas.len()).filter(|m| m.count_ones() <= max_defects) {
+                let hot: Vec<usize> = (0..ancillas.len())
+                    .filter(|i| mask >> i & 1 == 1)
+                    .map(|i| ancillas[i])
+                    .collect();
+                let syndrome = Syndrome::from_hot(lattice.num_ancillas(), &hot);
+                decoder.decode_into(&lattice, &syndrome, sector, &mut buf);
+                assert_eq!(
+                    buf,
+                    seed_union_find_correction(&lattice, &syndrome, sector),
+                    "d={d} sector={sector} hot={hot:?}"
+                );
+                patterns += 1;
+            }
+            assert_eq!(patterns, expected_patterns, "d={d} sector={sector}");
+        }
+    }
+}
+
+/// A sector grid holds at most 16 words, so `prepare` refuses d > 31 and
+/// names the limit.
+#[test]
+#[should_panic(expected = "distances up to 31")]
+fn union_find_prepare_past_the_word_limit_panics() {
+    UnionFindDecoder::new().prepare(&Lattice::new(33).unwrap());
+}
+
 fn error_from(lattice: &Lattice, raw: &[usize], pauli: Pauli) -> PauliString {
     let support: Vec<usize> = raw.iter().map(|&q| q % lattice.num_data()).collect();
     PauliString::from_sparse(lattice.num_data(), &support, pauli)
@@ -335,10 +374,10 @@ fn error_from(lattice: &Lattice, raw: &[usize], pauli: Pauli) -> PauliString {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The rewritten union-find (cached sector graphs, per-sector clean
-    /// scratch, cluster-local growth and peeling) emits corrections
-    /// byte-identical to the seed implementation, across seeds x distances x
-    /// sectors, through both `decode` and the allocation-free `decode_into`.
+    /// The rewritten union-find (bitboard growth over each sector's ancilla
+    /// grid, scalar peel) emits corrections byte-identical to the seed
+    /// implementation, across seeds x distances x sectors, through both
+    /// `decode` and the allocation-free `decode_into`.
     #[test]
     fn union_find_matches_seed_implementation(
         seed in 0u64..10_000,
@@ -358,12 +397,16 @@ proptest! {
         }
 
         // The same decoder instance, driven X, Z, X, ... over consecutive
-        // syndromes, across lattice changes (5 -> 7 -> 5, then d = 9) and from
-        // mostly-empty sectors to large merged clusters: state leaking from
-        // one decode into the next shows as a byte difference.
-        for (leg, (distance, p)) in [(5, 0.03), (7, 0.15), (5, 0.08), (9, 0.03), (9, 0.08), (9, 0.15)]
-            .into_iter()
-            .enumerate()
+        // syndromes, across lattice changes (5 -> 7 -> 5, then d = 9 to 15:
+        // one, two and four words per sector grid) and from mostly-empty
+        // sectors to large merged clusters: state leaking from one decode
+        // into the next shows as a byte difference.
+        for (leg, (distance, p)) in [
+            (5, 0.03), (7, 0.15), (5, 0.08), (9, 0.03), (9, 0.08), (9, 0.15),
+            (11, 0.08), (11, 0.3), (13, 0.08), (13, 0.3), (15, 0.08), (15, 0.3),
+        ]
+        .into_iter()
+        .enumerate()
         {
             let lattice = Lattice::new(distance).unwrap();
             for syndrome in seeded_syndromes(&lattice, seed + leg as u64, p, 4) {

@@ -105,9 +105,9 @@ fn assert_allocation_free(name: &str, decoder: &mut dyn Decoder, distance: usize
 /// allocation-free hot path.
 fn assert_steady_state_decode_is_allocation_free() {
     // Union-find at the repo benchmark's operating point (mostly-empty
-    // sectors), at the historical mid point, and where clusters are largest,
-    // so its touched-edge, defect and BFS lists hit their high-water marks.
-    for (distance, p) in [(5, 0.03), (9, 0.06), (9, 0.15)] {
+    // sectors), at the historical mid point, where clusters are largest, so
+    // its peel queue hits its high-water mark, and at a four-word grid.
+    for (distance, p) in [(5, 0.03), (9, 0.06), (9, 0.15), (13, 0.15)] {
         assert_allocation_free("union-find", &mut UnionFindDecoder::new(), distance, p);
     }
     assert_allocation_free(
