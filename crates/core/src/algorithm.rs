@@ -1,18 +1,16 @@
-//! The greedy mesh decoding algorithm at the signal-timing level.
+//! The greedy mesh decoding algorithm.
 //!
 //! Section V-C of the paper describes the decoder's behaviour as an
 //! algorithm: repeatedly find the pair of hot-syndrome modules whose grow
 //! waves meet first, report the chain of modules connecting them, reset their
 //! hot-syndrome inputs and start over, until no hot syndrome remains.
 //!
-//! [`MeshEngine`](crate::mesh::MeshEngine) simulates the individual SFQ
-//! pulses; this module implements the same algorithm one level up, computing
-//! for every candidate pairing the number of mesh cycles the grow /
-//! pair-request / pair-grant / pair exchange takes and executing the pairings
-//! in completion-time order.  The two levels agree on which pairings happen
-//! and on how many cycles they cost (see the cross-validation tests), but the
-//! timing model runs orders of magnitude faster, so it is what the
-//! Monte-Carlo accuracy studies use.
+//! This module is that algorithm.  It does not simulate individual pulses:
+//! the cycle count of every candidate pairing is the closed-form timing of
+//! Section V-C ([`pair_timing`], [`boundary_timing`]) — grow waves advancing
+//! one module per cycle, then the pair-request / pair-grant / pair exchange
+//! retracing the longest leg — and the pairings execute in completion-time
+//! order.  It is the decoder every experiment in the workspace runs.
 //!
 //! The incremental design flaws that the paper's ablation (Figure 10, top
 //! row) attributes to the missing mechanisms are modelled explicitly:
@@ -25,7 +23,6 @@
 //!   with *every* partner at the minimal distance instead of exactly one.
 
 use crate::config::MeshConfig;
-use crate::mesh::MeshDecodeResult;
 use nisqplus_qec::lattice::{Lattice, Sector};
 use serde::{Deserialize, Serialize};
 
@@ -98,6 +95,20 @@ pub enum MeshPairing {
         /// The already-cleared defect whose wave caused it.
         ghost: usize,
     },
+}
+
+/// The outcome of decoding one sector's defects on the mesh.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct MeshDecodeResult {
+    /// Data qubits flagged by the error-output of their module (the chain),
+    /// ascending.
+    pub chain_data_qubits: Vec<usize>,
+    /// Number of mesh clock cycles the decode took.
+    pub cycles: usize,
+    /// Number of hot syndromes that were successfully paired off.
+    pub cleared_defects: usize,
+    /// `true` if every hot syndrome was cleared before the cycle cap.
+    pub completed: bool,
 }
 
 /// What a decode reports besides its chain.
@@ -237,7 +248,7 @@ impl MeshScratch {
     }
 }
 
-/// The greedy signal-timing decoder.
+/// The greedy mesh decoder.
 ///
 /// A pairing's completion time depends on the pair alone, and a round
 /// completes, among the pairings whose hot modules are still live, all those
@@ -485,7 +496,7 @@ impl GreedyMeshAlgorithm {
 mod tests {
     use super::*;
     use crate::config::DecoderVariant;
-    use nisqplus_qec::lattice::Coord;
+    use nisqplus_qec::lattice::{Coord, QubitKind};
     use nisqplus_qec::pauli::{Pauli, PauliString};
 
     fn final_algorithm() -> GreedyMeshAlgorithm {
@@ -494,6 +505,61 @@ mod tests {
 
     fn ancilla_at(lattice: &Lattice, row: usize, col: usize) -> usize {
         lattice.cell(Coord::new(row, col)).index
+    }
+
+    fn data_at(lattice: &Lattice, row: usize, col: usize) -> usize {
+        let cell = lattice.cell(Coord::new(row, col));
+        assert_eq!(
+            cell.kind,
+            QubitKind::Data,
+            "({row},{col}) is not a data qubit"
+        );
+        cell.index
+    }
+
+    #[test]
+    fn adjacent_defect_pair_is_connected_by_one_data_qubit() {
+        let lat = Lattice::new(5).unwrap();
+        // Two X ancillas in the same column, two rows apart, share one data qubit.
+        let defects = [ancilla_at(&lat, 3, 4), ancilla_at(&lat, 5, 4)];
+        let result = final_algorithm().decode_defects(&lat, Sector::X, &defects);
+        assert!(result.completed, "{result:?}");
+        assert_eq!(result.cleared_defects, 2);
+        assert_eq!(result.chain_data_qubits, vec![data_at(&lat, 4, 4)]);
+    }
+
+    #[test]
+    fn single_defect_near_boundary_matches_to_boundary() {
+        let lat = Lattice::new(5).unwrap();
+        // X ancilla in the top row of ancillas: one data qubit from the boundary.
+        let (result, pairings) = final_algorithm().decode_defects_with_pairings(
+            &lat,
+            Sector::X,
+            &[ancilla_at(&lat, 1, 4)],
+        );
+        assert!(result.completed, "{result:?}");
+        assert_eq!(
+            pairings,
+            vec![MeshPairing::ToBoundary(ancilla_at(&lat, 1, 4))]
+        );
+        assert_eq!(result.chain_data_qubits, vec![data_at(&lat, 0, 4)]);
+    }
+
+    #[test]
+    fn z_sector_uses_left_right_boundaries() {
+        let lat = Lattice::new(5).unwrap();
+        // Z ancilla next to the left boundary.
+        let result = final_algorithm().decode_defects(&lat, Sector::Z, &[ancilla_at(&lat, 4, 1)]);
+        assert!(result.completed, "{result:?}");
+        assert_eq!(result.chain_data_qubits, vec![data_at(&lat, 4, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not belong")]
+    fn wrong_sector_defect_panics() {
+        let lat = Lattice::new(5).unwrap();
+        let z_ancilla = ancilla_at(&lat, 0, 1);
+        let _ = final_algorithm().decode_defects(&lat, Sector::X, &[z_ancilla]);
     }
 
     #[test]

@@ -1,29 +1,20 @@
 //! [`SfqMeshDecoder`]: the paper's decoder behind the common [`Decoder`] trait.
 //!
-//! The decoder wraps the greedy signal-timing algorithm (and, optionally, the
-//! pulse-level mesh engine) and records per-decode statistics — mesh cycles,
-//! wall-clock nanoseconds, and whether the decode completed — which are what
-//! Table IV and Figure 10(c) of the paper report.
+//! The decoder runs the greedy mesh algorithm of [`crate::algorithm`] and
+//! records per-decode statistics — mesh cycles, wall-clock nanoseconds, and
+//! whether the decode completed — which are what Table IV and Figure 10(c)
+//! of the paper report.  The cycle counts are the closed-form timings of
+//! Section V-C, not a pulse-by-pulse simulation.
 
-use crate::algorithm::{GreedyMeshAlgorithm, MeshOutcome, MeshScratch};
+use crate::algorithm::{GreedyMeshAlgorithm, MeshScratch};
 use crate::config::{DecoderVariant, MeshConfig};
 use crate::hardware::DecoderModuleHardware;
-use crate::mesh::MeshEngine;
 use nisqplus_decoders::traits::{sector_correction_pauli, Correction, Decoder};
 use nisqplus_qec::lattice::{Lattice, Sector};
 use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::syndrome::Syndrome;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
-
-/// Which level of modelling executes the decode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ExecutionModel {
-    /// The signal-timing algorithm (default): fast, used for accuracy sweeps.
-    SignalTiming,
-    /// The pulse-level mesh engine: slower, models individual SFQ pulses.
-    PulseLevel,
-}
 
 /// Statistics of the most recent decode call.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -47,14 +38,11 @@ pub struct DecodeStats {
 pub struct SfqMeshDecoder {
     variant: DecoderVariant,
     algorithm: GreedyMeshAlgorithm,
-    engine: MeshEngine,
-    execution: ExecutionModel,
     cycle_time_ps: f64,
     last_stats: Option<DecodeStats>,
     name: String,
-    /// The signal-timing algorithm's working memory, whose defect list both
-    /// execution models decode from; sized by `prepare`, so a prepared
-    /// decoder's `decode_into` never allocates.
+    /// The algorithm's working memory, defect list included; sized by
+    /// `prepare`, so a prepared decoder's `decode_into` never allocates.
     scratch: MeshScratch,
 }
 
@@ -78,8 +66,6 @@ impl SfqMeshDecoder {
         SfqMeshDecoder {
             variant,
             algorithm: GreedyMeshAlgorithm::new(config),
-            engine: MeshEngine::new(config),
-            execution: ExecutionModel::SignalTiming,
             cycle_time_ps,
             last_stats: None,
             name: format!("sfq-mesh-{}", variant.label()),
@@ -91,13 +77,6 @@ impl SfqMeshDecoder {
     #[must_use]
     pub fn final_design() -> Self {
         SfqMeshDecoder::new(DecoderVariant::Final)
-    }
-
-    /// Switches between the signal-timing and pulse-level execution models.
-    #[must_use]
-    pub fn with_execution_model(mut self, execution: ExecutionModel) -> Self {
-        self.execution = execution;
-        self
     }
 
     /// Overrides the per-cycle latency (picoseconds) used to convert cycles
@@ -154,28 +133,10 @@ impl Decoder for SfqMeshDecoder {
         let defects = &mut self.scratch.defects;
         defects.clear();
         lattice.for_each_defect(syndrome, sector, |a| defects.push(a));
-        let outcome = match self.execution {
-            ExecutionModel::SignalTiming => {
-                let outcome =
-                    self.algorithm
-                        .decode_prepared(lattice, sector, &mut self.scratch, None);
-                self.scratch.drain_chain(|q| out.set(q, pauli));
-                outcome
-            }
-            ExecutionModel::PulseLevel => {
-                let result = self
-                    .engine
-                    .decode_defects(lattice, sector, &self.scratch.defects);
-                for &q in &result.chain_data_qubits {
-                    out.set(q, pauli);
-                }
-                MeshOutcome {
-                    cycles: result.cycles,
-                    cleared_defects: result.cleared_defects,
-                    completed: result.completed,
-                }
-            }
-        };
+        let outcome = self
+            .algorithm
+            .decode_prepared(lattice, sector, &mut self.scratch, None);
+        self.scratch.drain_chain(|q| out.set(q, pauli));
         self.last_stats = Some(DecodeStats {
             defects: self.scratch.defects.len(),
             cycles: outcome.cycles,
@@ -286,31 +247,6 @@ mod tests {
             stats.time_ns < 25.0,
             "simple decodes finish well under 25 ns"
         );
-    }
-
-    #[test]
-    fn pulse_level_and_signal_timing_agree_on_simple_pairs() {
-        let lat = Lattice::new(5).unwrap();
-        let q = lat.cell(Coord::new(4, 4)).index;
-        let error = PauliString::from_sparse(lat.num_data(), &[q], Pauli::Z);
-        let syndrome = lat.syndrome_of(&error);
-        let mut timing = SfqMeshDecoder::final_design();
-        let mut pulse =
-            SfqMeshDecoder::final_design().with_execution_model(ExecutionModel::PulseLevel);
-        let ct = timing.decode(&lat, &syndrome, Sector::X);
-        let cp = pulse.decode(&lat, &syndrome, Sector::X);
-        for c in [&ct, &cp] {
-            assert_eq!(
-                classify_residual(&lat, &error, c.pauli_string(), Sector::X),
-                LogicalState::Success
-            );
-        }
-        // The two execution models agree on the cycle count within a small
-        // constant (the pulse engine pays a couple of extra cycles for pulse
-        // injection and final propagation).
-        let t = timing.last_stats().unwrap().cycles as i64;
-        let p = pulse.last_stats().unwrap().cycles as i64;
-        assert!((t - p).abs() <= 4, "timing {t} vs pulse {p}");
     }
 
     #[test]

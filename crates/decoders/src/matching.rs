@@ -25,7 +25,6 @@ use nisqplus_qec::lattice::{Lattice, Sector};
 use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::syndrome::Syndrome;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Slot sentinel marking a boundary pseudo-endpoint in the edge list.
 const BOUNDARY: usize = usize::MAX;
@@ -196,114 +195,35 @@ impl Decoder for GreedyMatchingDecoder {
 ///
 /// The decoder minimises the total chain length over all ways of pairing
 /// defects with each other or with the boundary, by dynamic programming over
-/// subsets of defects.  The subset DP is exponential in the defect count, so
-/// syndromes with more than [`ExactMatchingDecoder::max_exact_defects`]
-/// defects fall back to the greedy matching (this only happens far above
-/// threshold, where every decoder has already failed).  Defect sets beyond
-/// [`ExactMatchingDecoder::MAX_REPRESENTABLE_DEFECTS`] cannot be represented
-/// in the DP's `u64` subset mask at all; they always fall back and are
-/// counted by [`ExactMatchingDecoder::mask_overflow_fallbacks`].
-#[derive(Debug)]
+/// subsets of defects.  The subset DP costs `O(2^n · n)` time and memory in
+/// the defect count `n`, so syndromes with more than 22 defects fall back to
+/// the greedy matching (this only happens far above threshold, where every
+/// decoder has already failed).
+#[derive(Debug, Clone, Default)]
 pub struct ExactMatchingDecoder {
-    max_exact_defects: usize,
     greedy: GreedyMatchingDecoder,
-    /// Syndromes whose defect count exceeded the 64-bit subset mask.
-    mask_overflow_fallbacks: AtomicU64,
 }
 
-impl Clone for ExactMatchingDecoder {
-    fn clone(&self) -> Self {
-        ExactMatchingDecoder {
-            max_exact_defects: self.max_exact_defects,
-            greedy: self.greedy.clone(),
-            mask_overflow_fallbacks: AtomicU64::new(
-                self.mask_overflow_fallbacks.load(Ordering::Relaxed),
-            ),
-        }
-    }
-}
-
-impl Default for ExactMatchingDecoder {
-    fn default() -> Self {
-        ExactMatchingDecoder::new()
-    }
-}
-
-/// The subset mask of the first `n` defects (all of them in the set).
-///
-/// `n` may be anywhere in `0..=64`; the seed implementation's `u32` mask
-/// silently shifted out of range beyond 32 defects.
-fn full_mask(n: usize) -> u64 {
-    if n == 64 {
-        u64::MAX
-    } else {
-        (1u64 << n) - 1
-    }
-}
+/// The largest defect count [`ExactMatchingDecoder`] matches exactly.
+const MAX_EXACT_DEFECTS: usize = 22;
 
 impl ExactMatchingDecoder {
-    /// Default cap on the defect count handled exactly.
-    pub const DEFAULT_MAX_EXACT_DEFECTS: usize = 22;
-
-    /// The largest defect count the `u64` subset-DP mask can represent.
-    /// Beyond this the decoder always falls back to greedy matching and
-    /// increments [`ExactMatchingDecoder::mask_overflow_fallbacks`].
-    pub const MAX_REPRESENTABLE_DEFECTS: usize = 64;
-
-    /// Creates an exact matching decoder with the default defect cap.
+    /// Creates an exact matching decoder.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_max_exact_defects(Self::DEFAULT_MAX_EXACT_DEFECTS)
-    }
-
-    /// Creates an exact matching decoder with a custom defect cap.
-    ///
-    /// The subset DP costs `O(2^n · n)` time and memory in the defect count
-    /// `n`, so the cap is an explicit opt-in to exponential work: values much
-    /// above the mid-20s make a single unlucky syndrome effectively
-    /// un-decodable, and the cap — not this decoder — is what protects you.
-    /// Caps above [`Self::MAX_REPRESENTABLE_DEFECTS`] additionally exceed
-    /// what the `u64` subset mask can represent at all; defect sets beyond
-    /// that bound always fall back to greedy matching (with a warning
-    /// counter) regardless of the configured cap.
-    #[must_use]
-    pub fn with_max_exact_defects(max_exact_defects: usize) -> Self {
-        ExactMatchingDecoder {
-            max_exact_defects,
-            greedy: GreedyMatchingDecoder::new(),
-            mask_overflow_fallbacks: AtomicU64::new(0),
-        }
-    }
-
-    /// The largest defect count decoded exactly before falling back to greedy.
-    #[must_use]
-    pub fn max_exact_defects(&self) -> usize {
-        self.max_exact_defects
-    }
-
-    /// How many syndromes fell back to greedy matching because their defect
-    /// count did not fit the 64-bit subset mask (a warning sign the decoder
-    /// is being run far above threshold).
-    #[must_use]
-    pub fn mask_overflow_fallbacks(&self) -> u64 {
-        self.mask_overflow_fallbacks.load(Ordering::Relaxed)
+        ExactMatchingDecoder::default()
     }
 
     /// Computes a minimum-weight matching of the given defects.
     ///
-    /// Falls back to the greedy matching if there are more defects than the
-    /// configured cap (or than the subset mask can represent).
+    /// Falls back to the greedy matching above 22 defects.
     #[must_use]
     pub fn match_defects(&self, lattice: &Lattice, defects: &[usize]) -> Matching {
         let n = defects.len();
         if n == 0 {
             return Matching::new();
         }
-        if n > Self::MAX_REPRESENTABLE_DEFECTS {
-            self.mask_overflow_fallbacks.fetch_add(1, Ordering::Relaxed);
-            return self.greedy.match_defects(lattice, defects);
-        }
-        if n > self.max_exact_defects {
+        if n > MAX_EXACT_DEFECTS {
             return self.greedy.match_defects(lattice, defects);
         }
 
@@ -322,7 +242,7 @@ impl ExactMatchingDecoder {
             .collect();
 
         // DP over subsets: best[mask] = minimal weight to match every defect in `mask`.
-        let full = full_mask(n);
+        let full = (1u64 << n) - 1;
         // Memo for the subset DP: mask -> (cost, step taken), where a step is
         // (first defect, Some(partner) | None-for-boundary).
         type MatchStep = (usize, Option<usize>);
@@ -549,47 +469,24 @@ mod tests {
     fn fallback_to_greedy_above_defect_cap() {
         let lat = Lattice::new(9).unwrap();
         let xs: Vec<usize> = lat.ancillas_in_sector(Sector::X).collect();
-        let decoder = ExactMatchingDecoder::with_max_exact_defects(4);
-        assert_eq!(decoder.max_exact_defects(), 4);
-        let defects: Vec<usize> = xs.iter().copied().take(10).collect();
-        let matching = decoder.match_defects(&lat, &defects);
-        assert!(matching.covers_exactly(&defects));
-        // An above-cap (but representable) fallback is by design, not a
-        // mask-overflow warning.
-        assert_eq!(decoder.mask_overflow_fallbacks(), 0);
+        let defects = &xs[..MAX_EXACT_DEFECTS + 1];
+        let matching = ExactMatchingDecoder::new().match_defects(&lat, defects);
+        assert!(matching.covers_exactly(defects));
+        assert_eq!(
+            matching,
+            GreedyMatchingDecoder::new().match_defects(&lat, defects)
+        );
     }
 
-    /// Regression test for the `u32` subset-mask overflow: the seed
-    /// implementation computed `1u32 << n` for the full mask, which shifts
-    /// out of range for more than 32 defects when the cap is raised.  The
-    /// widened `u64` mask handles every representable count, and counts
-    /// beyond 64 fall back gracefully instead of overflowing the shift.
+    /// Every X ancilla of d = 9 hot: 72 defects, beyond even a 64-bit
+    /// subset mask, still decode and are all covered.
     #[test]
     fn more_defects_than_the_mask_width_falls_back_gracefully() {
         let lat = Lattice::new(9).unwrap();
-        // d=9 has 72 X-sector ancillas: more defects than the 64-bit mask holds.
         let all: Vec<usize> = lat.ancillas_in_sector(Sector::X).collect();
-        assert!(all.len() > ExactMatchingDecoder::MAX_REPRESENTABLE_DEFECTS);
-        // A cap far above the mask width must not panic (`1u32 << 72` did).
-        let decoder = ExactMatchingDecoder::with_max_exact_defects(100);
-        let matching = decoder.match_defects(&lat, &all);
+        assert_eq!(all.len(), 72);
+        let matching = ExactMatchingDecoder::new().match_defects(&lat, &all);
         assert!(matching.covers_exactly(&all));
-        assert_eq!(decoder.mask_overflow_fallbacks(), 1);
-        // Repeated overflows keep counting; clones carry the count forward.
-        let _ = decoder.match_defects(&lat, &all);
-        assert_eq!(decoder.mask_overflow_fallbacks(), 2);
-        assert_eq!(decoder.clone().mask_overflow_fallbacks(), 2);
-    }
-
-    #[test]
-    fn full_mask_is_correct_across_the_widened_range() {
-        assert_eq!(full_mask(0), 0);
-        assert_eq!(full_mask(1), 1);
-        assert_eq!(full_mask(32), u32::MAX as u64);
-        // The seed's `u32` arithmetic broke exactly here.
-        assert_eq!(full_mask(33), (1u64 << 33) - 1);
-        assert_eq!(full_mask(63), u64::MAX >> 1);
-        assert_eq!(full_mask(64), u64::MAX);
     }
 
     #[test]

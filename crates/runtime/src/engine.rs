@@ -247,6 +247,13 @@ impl StreamingEngine {
         factory: &dyn DecoderFactory,
     ) -> RuntimeOutcome {
         let (config, set) = (&self.config, &*self.set);
+        // Checked before any thread starts: a panic inside the scope below
+        // would leave the workers polling for a `done` that never comes.
+        if let Some(trace) = &options.replay {
+            if let Err(err) = trace.check_against(set) {
+                panic!("the trace does not match the engine's machine: {err}");
+            }
+        }
         let counters = RuntimeCounters::new(set.len(), config.workers);
         // The residual analysis widens the wire: each record carries its
         // round's seeded error after the syndrome, so workers classify

@@ -435,12 +435,12 @@ impl std::fmt::Display for FaultReport {
             self.bursts_ended,
             self.injected_stalls,
             self.watchdog_trips,
-            if !self.enabled {
-                "clean"
-            } else if self.reconciled() {
-                "RECONCILED"
-            } else {
-                "UNRECONCILED"
+            // A crash nothing injected (a decoder bug) breaks the books of a
+            // plan-free run too.
+            match (self.enabled, self.reconciled()) {
+                (_, false) => "UNRECONCILED",
+                (false, true) => "clean",
+                (true, true) => "RECONCILED",
             },
         )
     }
@@ -568,5 +568,11 @@ mod tests {
         assert!(loud.to_string().contains("RECONCILED"));
         loud.injected_crashes = 1;
         assert!(loud.to_string().contains("UNRECONCILED"));
+        let uninjected_crash = FaultReport {
+            observed_crashes: 1,
+            worker_restarts: 1,
+            ..FaultReport::default()
+        };
+        assert!(uninjected_crash.to_string().contains("UNRECONCILED"));
     }
 }

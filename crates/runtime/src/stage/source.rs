@@ -273,12 +273,9 @@ fn spread_channel(lattice_id: u32, round: u64, channels: usize) -> usize {
 /// record, gate admission under each lattice's QoS lane, spread placement
 /// into the channels, depth sampling — plus the run's hostile-stream hooks:
 /// burst boundaries, on-the-wire corruption, channel-stall emulation and the
-/// backpressure watchdog.
-///
-/// # Panics
-///
-/// Panics if `options.replay` holds a trace whose lattice shapes differ from
-/// the machine's.
+/// backpressure watchdog.  A trace in `options.replay` has already been
+/// checked against the machine by
+/// [`StreamingEngine::run_with`](crate::StreamingEngine::run_with).
 pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> SourceRun {
     let SourceSeat {
         config,
@@ -308,8 +305,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
             for round in &trace.rounds {
                 recorded[round.lattice_id as usize] += 1;
             }
-            let replay =
-                TraceSource::new(trace, set).expect("the trace matches the engine's machine");
+            let replay = TraceSource::new(trace, set).expect("run_with checked the trace");
             (recorded, RoundFeed::Replay(replay))
         }
         None => (

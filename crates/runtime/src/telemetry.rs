@@ -703,7 +703,11 @@ impl fmt::Display for RuntimeReport {
             self.journal.counts[EventKind::VerdictFlip],
             self.journal.overwritten,
         )?;
-        if self.fault.enabled || self.counters.quarantined > 0 || self.fault.watchdog_trips > 0 {
+        if self.fault.enabled
+            || !self.fault.reconciled()
+            || self.counters.quarantined > 0
+            || self.fault.watchdog_trips > 0
+        {
             writeln!(f, "  fault: {}", self.fault)?;
         }
         writeln!(

@@ -13,7 +13,8 @@
 //!   byte-identical merged Pauli frames and per-round corrections to the
 //!   same run without the crash.  Recovery is exact, not best-effort.
 
-use nisqplus_decoders::{DynDecoder, GreedyMatchingDecoder};
+use nisqplus_decoders::{Correction, Decoder, DynDecoder, GreedyMatchingDecoder};
+use nisqplus_qec::lattice::{Lattice, Sector};
 use nisqplus_qec::syndrome::Syndrome;
 use nisqplus_runtime::fault::silence_injected_crash_panics;
 use nisqplus_runtime::{
@@ -21,6 +22,8 @@ use nisqplus_runtime::{
     RuntimeOutcome, StreamingEngine, SyndromePacket,
 };
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A codec registered for three lattices of different ancilla counts, so
 /// corrupted lattice-id fields can land on a registered lattice of the
@@ -211,4 +214,52 @@ fn spec_burst_beside_a_crash_plan_reconciles() {
     );
     assert_eq!(fault.injected_crashes, 1);
     assert!(fault.reconciled(), "fault books must reconcile: {fault}");
+}
+
+/// Greedy matching that panics — plainly, without the injector's marker —
+/// on the third decode made by any instance sharing `decodes`.
+struct PanicsOnThirdDecode {
+    inner: GreedyMatchingDecoder,
+    decodes: Arc<AtomicU64>,
+}
+
+impl Decoder for PanicsOnThirdDecode {
+    fn name(&self) -> &str {
+        "panics-on-third-decode"
+    }
+
+    fn decode(&mut self, lattice: &Lattice, syndrome: &Syndrome, sector: Sector) -> Correction {
+        if self.decodes.fetch_add(1, Ordering::Relaxed) == 2 {
+            panic!("decoder bug on the third decode");
+        }
+        self.inner.decode(lattice, syndrome, sector)
+    }
+}
+
+/// A crash nothing injected — a decoder bug — is caught and restarted like
+/// an injected one, but it breaks the books of a plan-free run, and the
+/// report's text says so.
+#[test]
+fn an_uninjected_decoder_panic_prints_an_unreconciled_fault_line() {
+    let decodes = Arc::new(AtomicU64::new(0));
+    let factory = move || {
+        Box::new(PanicsOnThirdDecode {
+            inner: GreedyMatchingDecoder::new(),
+            decodes: Arc::clone(&decodes),
+        }) as DynDecoder
+    };
+    let engine = StreamingEngine::with_machine(crash_machine(3, 1, FaultPlan::default()))
+        .expect("valid config");
+    let report = engine.run(&factory).report;
+    assert!(!report.fault.enabled);
+    assert_eq!(
+        (report.fault.injected_crashes, report.fault.observed_crashes),
+        (0, 1)
+    );
+    let text = report.to_string();
+    let fault_line = text
+        .lines()
+        .find(|line| line.trim_start().starts_with("fault:"))
+        .unwrap_or_else(|| panic!("no fault line in the report:\n{text}"));
+    assert!(fault_line.contains("UNRECONCILED"), "{fault_line}");
 }

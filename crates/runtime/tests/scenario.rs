@@ -28,6 +28,9 @@ use nisqplus_runtime::{
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::mpsc;
+use std::time::Duration;
+use std::{panic, thread};
 
 fn greedy_factory() -> impl DecoderFactory {
     || Box::new(GreedyMatchingDecoder::new()) as DynDecoder
@@ -203,6 +206,44 @@ fn straggler_records_for_retired_lattices_are_quarantined_as_typed_errors() {
     // The sibling lattice is untouched.
     codec.encode(&SyndromePacket::new(0, 7, 0, &syndrome), &mut record);
     assert_eq!(codec.verify(&record), Ok(0));
+}
+
+/// A trace replayed on a machine of another shape panics with
+/// `SyndromeTrace::check_against`'s message before the pipeline starts, so
+/// the call returns instead of leaving its workers waiting for a source that
+/// died.  The replay runs on a helper thread that is never joined (joining
+/// a hung replay would hang too): a regression fails here instead of
+/// hanging the suite.
+#[test]
+fn mismatched_replay_panics_instead_of_hanging() {
+    let d3 = StreamingEngine::with_machine(scenario_machine(&[3], 16, 3)).unwrap();
+    let trace = record_run(&d3, &greedy_factory())
+        .trace
+        .expect("record_run records a trace");
+    let d5 = StreamingEngine::with_machine(scenario_machine(&[5], 16, 3)).unwrap();
+    let expected = trace
+        .check_against(d5.lattice_set())
+        .expect_err("a d=3 trace does not fit a d=5 machine")
+        .to_string();
+
+    let (sender, receiver) = mpsc::channel();
+    thread::spawn(move || {
+        let replay = panic::catch_unwind(panic::AssertUnwindSafe(|| {
+            replay_run(&d5, &trace, &greedy_factory())
+        }));
+        let message = replay.err().map(|payload| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default()
+        });
+        let _ = sender.send(message);
+    });
+    let message = receiver
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the mismatched replay hung")
+        .expect("the mismatched replay ran instead of panicking");
+    assert!(message.contains(&expected), "{message}");
 }
 
 /// A mid-run scripted retirement truncates the stream, journals the event,
