@@ -172,10 +172,6 @@ impl SoakProfile {
         config.analyze_residuals = true;
         config.record_corrections = false;
         config.correction_cap = Some(4096);
-        // No background sampler thread: on an oversubscribed host it
-        // timeshares with the spinning pipeline (counters, histograms and
-        // the journal still run, all bounded).
-        config.obs.snapshot_cadence_us = 0;
         config
     }
 }

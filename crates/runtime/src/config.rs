@@ -27,26 +27,27 @@ pub enum PushPolicy {
     Drop,
 }
 
-/// Configuration of the live observability plane
-/// ([`crate::obs::ObsPlane`]): snapshot cadence and journal capacity.
+/// Configuration of the observability plane ([`crate::obs`]): the event
+/// journal's capacity.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ObsConfig {
-    /// Sampler cadence in microseconds: how often the snapshot thread wakes
-    /// and records a [`MetricsSnapshot`](crate::obs::MetricsSnapshot).  `0`
-    /// disables the sampler thread entirely (the report's `snapshots` stay
-    /// empty; counters, histograms and the journal still run).
+    /// No effect; kept until `benchmark/` (which assigns it) can be edited.
+    /// A run's time series is its depth timeline
+    /// ([`RuntimeReport::depth_timeline`](crate::telemetry::RuntimeReport::depth_timeline)).
     pub snapshot_cadence_us: u64,
     /// Resident capacity of the event journal ring (older events are
-    /// overwritten and counted once it fills).
+    /// overwritten and counted once it fills).  The report carries every
+    /// resident event
+    /// ([`JournalSnapshot::recent`](crate::obs::JournalSnapshot::recent)).
     pub journal_capacity: usize,
 }
 
 impl Default for ObsConfig {
-    /// 500 µs snapshot cadence, a 1024-event journal.
+    /// A 64-event journal.
     fn default() -> Self {
         ObsConfig {
-            snapshot_cadence_us: 500,
-            journal_capacity: 1024,
+            snapshot_cadence_us: 0,
+            journal_capacity: 64,
         }
     }
 }

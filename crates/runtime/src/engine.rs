@@ -12,9 +12,9 @@
 //! ```
 //!
 //! [`StreamingEngine::run_with`] builds the run's codec, one bounded channel
-//! per worker, the observability plane and the fault injector, scopes the
-//! sampler and the decode workers, drives the source stage on the calling
-//! thread — round `r` of lattice `l` placed on channel `(l + r) % workers`,
+//! per worker, the event journal and the fault injector, scopes the decode
+//! workers, drives the source stage on the calling thread — round `r` of
+//! lattice `l` placed on channel `(l + r) % workers`,
 //! every worker draining its own channel and stealing a batch from a
 //! neighbour when it runs dry — joins, and folds what the source stage and
 //! the workers hand back straight into the final [`RuntimeOutcome`]:
@@ -36,8 +36,9 @@
 use crate::fault::{FaultInjector, FaultReport};
 use crate::frame::ShardedPauliFrame;
 use crate::lattice_set::LatticeSet;
-use crate::obs::{run_sampler, HistogramSnapshot, ObsPlane};
+use crate::obs::{EventJournal, HistogramSnapshot};
 use crate::packet::PacketCodec;
+use crate::report::ExportError;
 use crate::scenario::SyndromeTrace;
 use crate::source::InterleavedSource;
 use crate::stage::{run_source, run_worker, Channel, PipelineOptions, SourceSeat, WorkerSeat};
@@ -231,28 +232,26 @@ impl StreamingEngine {
     #[must_use]
     pub fn run(&self, factory: &dyn DecoderFactory) -> RuntimeOutcome {
         self.run_with(PipelineOptions::default(), factory)
+            .expect("a run without a replay has no trace to check")
     }
 
     /// Like [`StreamingEngine::run`], with `options` attached to the run: a
-    /// shorter watchdog, a trace to replay or record.
+    /// shorter watchdog, a trace to replay or record.  A run is the calling
+    /// thread plus exactly `config.workers` decoder threads.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `options.replay` holds a trace whose lattice shapes differ
+    /// Returns [`SyndromeTrace::check_against`]'s error, before any thread
+    /// starts, if `options.replay` holds a trace whose lattice shapes differ
     /// from the machine's.
-    #[must_use]
     pub fn run_with(
         &self,
         options: PipelineOptions,
         factory: &dyn DecoderFactory,
-    ) -> RuntimeOutcome {
+    ) -> Result<RuntimeOutcome, ExportError> {
         let (config, set) = (&self.config, &*self.set);
-        // Checked before any thread starts: a panic inside the scope below
-        // would leave the workers polling for a `done` that never comes.
         if let Some(trace) = &options.replay {
-            if let Err(err) = trace.check_against(set) {
-                panic!("the trace does not match the engine's machine: {err}");
-            }
+            trace.check_against(set)?;
         }
         let counters = RuntimeCounters::new(set.len(), config.workers);
         // The residual analysis widens the wire: each record carries its
@@ -268,20 +267,14 @@ impl StreamingEngine {
         let channels: Vec<Channel> = (0..config.workers)
             .map(|_| Channel::new(per_channel_capacity, codec.words_per_packet()))
             .collect();
-        let obs = ObsPlane::new(config.obs.clone());
+        let journal = EventJournal::new(config.obs.journal_capacity);
         let injector = FaultInjector::new(config.fault.clone());
         let done = AtomicBool::new(false);
-        // The sampler outlives the source: it keeps sampling while workers
-        // drain the channels, and stops only after they have joined.
-        let sampler_done = AtomicBool::new(false);
         let epoch = Instant::now();
 
         let (mut source_run, worker_results) = thread::scope(|s| {
             let (codec, channels, counters) = (&codec, &channels[..], &counters);
-            let (obs, injector, done, sampler_done) = (&obs, &injector, &done, &sampler_done);
-            let sampler = obs.sampled().then(|| {
-                s.spawn(move || run_sampler(obs, counters, channels, sampler_done, epoch))
-            });
+            let (journal, injector, done) = (&journal, &injector, &done);
             let workers: Vec<_> = (0..config.workers)
                 .map(|worker_id| {
                     s.spawn(move || {
@@ -297,7 +290,7 @@ impl StreamingEngine {
                             record_corrections: config.record_corrections,
                             correction_cap: config.correction_cap,
                             batch_size: config.batch_size,
-                            obs,
+                            journal,
                             injector,
                         })
                     })
@@ -311,7 +304,7 @@ impl StreamingEngine {
                 codec,
                 channels,
                 counters,
-                obs,
+                journal,
                 injector,
                 epoch,
             };
@@ -322,11 +315,6 @@ impl StreamingEngine {
                 .into_iter()
                 .map(|h| h.join().expect("worker thread panicked"))
                 .collect();
-            sampler_done.store(true, Ordering::Release);
-            if let Some(handle) = sampler {
-                handle.thread().unpark();
-                handle.join().expect("sampler thread panicked");
-            }
             (source_run, worker_results)
         });
         let elapsed_s = epoch.elapsed().as_secs_f64();
@@ -495,11 +483,11 @@ impl StreamingEngine {
             .max()
             .unwrap_or(0);
 
-        let journal = obs.journal_snapshot();
+        let journal = journal.snapshot();
         // A burst episode is stream content: the ledger counts the lattices
         // that carry one.
         let planned_bursts = config.lattices.iter().filter(|l| l.burst.is_some()).count();
-        RuntimeOutcome {
+        Ok(RuntimeOutcome {
             report: RuntimeReport {
                 decoder: decoder_name,
                 num_lattices: set.len(),
@@ -529,13 +517,12 @@ impl StreamingEngine {
                     snapshot.quarantined,
                 ),
                 stages,
-                snapshots: obs.take_snapshots(),
                 journal,
             },
             frames,
             corrections,
             trace: source_run.trace,
-        }
+        })
     }
 }
 
@@ -841,7 +828,10 @@ mod tests {
             watchdog: std::time::Duration::from_millis(20),
             ..PipelineOptions::default()
         };
-        let report = engine.run_with(options, &greedy_factory()).report;
+        let report = engine
+            .run_with(options, &greedy_factory())
+            .expect("no replay to check")
+            .report;
         assert_eq!(report.counters.generated, 4);
         assert_eq!(
             report.counters.decoded, 0,

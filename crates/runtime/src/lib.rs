@@ -56,10 +56,10 @@
 //! * [`throttle`] — a wrapper making any decoder deliberately slow (for all
 //!   lattices or one code distance), so the backlog blow-up can be provoked
 //!   on demand,
-//! * [`obs`] — the live observability plane: bounded-memory log-bucketed
-//!   latency histograms ([`LogHistogram`]), a fixed-capacity structured
-//!   [`EventJournal`] (sheds, stalls, budget exhaustion, steals, verdict
-//!   flips), and a snapshot sampler taking periodic [`MetricsSnapshot`]s,
+//! * [`obs`] — the observability plane: the workers' bounded-memory
+//!   log-bucketed latency books ([`LocalHistogram`]) and a fixed-capacity
+//!   structured [`EventJournal`] (sheds, stalls, budget exhaustion, steals,
+//!   crashes),
 //! * [`report`] — schema-versioned, dependency-free JSON export of the
 //!   final report,
 //! * [`scenario`] — the scenario plane: versioned replayable
@@ -68,7 +68,8 @@
 //!   machines ([`ScenarioScript`]: lattices added, retired, or re-tuned at
 //!   scripted rounds, flowing through the packet header's compat guard),
 //! * [`telemetry`] — live atomic counters and the final [`RuntimeReport`]:
-//!   queue-depth timeline, latency histograms, throughput, and the measured
+//!   the run's one time series (the source's queue-depth and backlog
+//!   timeline), latency histograms, throughput, and the measured
 //!   backlog growth compared against the closed-form
 //!   [`BacklogModel`](nisqplus_system::backlog::BacklogModel) (the
 //!   empirical counterpart of Figures 5 and 6), aggregate *and* per lattice
@@ -135,7 +136,7 @@ pub use frame::ShardedPauliFrame;
 pub use lattice_set::{LatticeDecoder, LatticeSet, LatticeSpec};
 pub use obs::{
     EventJournal, EventKind, EventSeverity, HistogramSnapshot, JournalSnapshot, LocalHistogram,
-    LogHistogram, MetricsSnapshot, ObsPlane, RuntimeEvent,
+    LogHistogram, RuntimeEvent,
 };
 pub use packet::{PacketCodec, PacketError, SyndromePacket};
 pub use queue::{RingFull, SpmcRing};

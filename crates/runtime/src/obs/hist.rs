@@ -1,19 +1,21 @@
 //! A bounded-memory, log-bucketed latency histogram (HDR-style).
 //!
-//! [`LogHistogram`] replaces the grow-forever `Vec<f64>` latency samples
+//! [`LocalHistogram`] replaces the grow-forever `Vec<f64>` latency samples
 //! that used to feed [`LatencyProfile`](crate::telemetry::LatencyProfile):
-//! recording a value touches a fixed set of atomic counters and never
-//! allocates, so a million-round soak costs exactly the same memory as a
-//! hundred-round smoke test.  The price is resolution, and the price is
-//! bounded: values are binned into [`BUCKETS`] buckets whose width grows
-//! geometrically (4 sub-buckets per octave), so any quantile read back from
-//! the histogram is exact to within one bucket width — a relative error of
-//! at most 25% of the value, and usually far less.
+//! the engine's books are one pair of them per worker and lattice, owned by
+//! the worker, so recording a value is plain integer arithmetic on a fixed
+//! set of counters and never allocates — a million-round soak costs exactly
+//! the same memory as a hundred-round smoke test.  The price is resolution,
+//! and the price is bounded: values are binned into [`BUCKETS`] buckets
+//! whose width grows geometrically (4 sub-buckets per octave), so any
+//! quantile read back from the histogram is exact to within one bucket
+//! width — a relative error of at most 25% of the value, and usually far
+//! less.
 //!
-//! The histogram is written concurrently (relaxed atomics — per-event
-//! ordering between counters is irrelevant, only totals matter) and read by
-//! taking a [`HistogramSnapshot`], a plain-data copy that can be merged
-//! across workers, serialized, and queried for quantiles.
+//! A histogram is read by taking a [`HistogramSnapshot`], a plain-data copy
+//! that can be merged across workers, serialized, and queried for
+//! quantiles.  [`LogHistogram`] is the same layout over relaxed atomics, for
+//! a recorder shared between threads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -96,19 +98,6 @@ impl LogHistogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Records the value's *bucket* only — a single relaxed atomic add, the
-    /// cheapest possible shared-histogram write.  Quantiles read back from a
-    /// snapshot stay exact to within one bucket (the snapshot derives the
-    /// total and the extrema bounds from the occupied buckets); the exact
-    /// sum/min/max books are skipped, so [`HistogramSnapshot::mean_ns`] on a
-    /// bucket-only histogram is approximate (bucket midpoints).  This is the
-    /// hot-path feed for live mid-run sampling, where only quantiles are
-    /// read; end-of-run profiles come from full [`LogHistogram::record`]
-    /// books instead.
-    pub fn record_bucket(&self, value: u64) {
-        self.counts[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Values recorded so far.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -122,43 +111,21 @@ impl LogHistogram {
     /// workers quiesce, is exact).
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let counts: Vec<u64> = self
-            .counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
-        let bucket_total: u64 = counts.iter().sum();
-        // Values fed through `record_bucket` bump only their bucket, so the
-        // exact books may trail the buckets: take the bucket total as the
-        // count and bound the extrema by the occupied bucket range when the
-        // exact extrema were never written.
-        let count = self.count.load(Ordering::Relaxed).max(bucket_total);
-        let exact_min = self.min.load(Ordering::Relaxed);
-        let min_ns = if count == 0 {
-            0
-        } else if exact_min == u64::MAX {
-            counts
-                .iter()
-                .position(|&c| c > 0)
-                .map_or(0, |i| bucket_bounds(i).0)
-        } else {
-            exact_min
-        };
-        let exact_max = self.max.load(Ordering::Relaxed);
-        let max_ns = if count > 0 && exact_max == 0 {
-            counts
-                .iter()
-                .rposition(|&c| c > 0)
-                .map_or(0, |i| bucket_bounds(i).1 - 1)
-        } else {
-            exact_max
-        };
+        let count = self.count.load(Ordering::Relaxed);
         HistogramSnapshot {
-            counts,
+            counts: self
+                .counts
+                .iter()
+                .map(|c| c.load(Ordering::Relaxed))
+                .collect(),
             count,
             sum_ns: self.sum.load(Ordering::Relaxed),
-            min_ns,
-            max_ns,
+            min_ns: if count == 0 {
+                0
+            } else {
+                self.min.load(Ordering::Relaxed)
+            },
+            max_ns: self.max.load(Ordering::Relaxed),
         }
     }
 }
@@ -473,32 +440,6 @@ mod tests {
         }
         assert_eq!(local.count(), 5_000);
         assert_eq!(local.snapshot(), shared.snapshot());
-    }
-
-    #[test]
-    fn bucket_only_records_still_serve_quantiles_and_bounded_extrema() {
-        let full = LogHistogram::new();
-        let coarse = LogHistogram::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(23);
-        for _ in 0..10_000 {
-            let v = rng.gen_range(100..50_000) as u64;
-            full.record(v);
-            coarse.record_bucket(v);
-        }
-        let full_snap = full.snapshot();
-        let coarse_snap = coarse.snapshot();
-        assert_eq!(coarse_snap.count, 10_000, "count derives from the buckets");
-        assert_eq!(coarse_snap.counts, full_snap.counts);
-        for q in [0.5, 0.99, 0.999] {
-            let (lo, hi) = bucket_bounds(bucket_index(full_snap.quantile_ns(q) as u64));
-            assert!(
-                (coarse_snap.quantile_ns(q) - full_snap.quantile_ns(q)).abs() <= (hi - lo) as f64,
-                "bucket-only quantiles stay within one bucket of the full books"
-            );
-        }
-        // Extrema are bounded by the occupied bucket range, not exact.
-        assert!(coarse_snap.min_ns <= full_snap.min_ns);
-        assert!(coarse_snap.max_ns >= full_snap.max_ns);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! Counters say *how much*; the journal says *what happened, when, to
 //! whom*.  Every noteworthy pipeline incident — a shed round, a
 //! backpressure stall, an exhausted QoS budget, a cross-channel steal, a
-//! per-lattice verdict flip, a worker crash and its restart, a quarantined
-//! record, a burst-noise episode, a watchdog trip, a scripted lattice
-//! coming online or retiring — is published as a
-//! [`RuntimeEvent`] with a severity and per-lattice/per-worker attribution.  The journal is a
+//! worker crash and its restart, a quarantined record, a burst-noise
+//! episode, a watchdog trip, a scripted lattice coming online or retiring —
+//! is published as a [`RuntimeEvent`] with a severity and
+//! per-lattice/per-worker attribution.  The journal is a
 //! fixed-capacity ring: old events are overwritten (and counted as
 //! overwritten), publish never allocates, and per-kind/per-severity totals
 //! survive even when the events themselves have been rotated out.
@@ -27,7 +27,8 @@ pub enum EventSeverity {
     Info,
     /// Service degraded by policy (shed rounds, exhausted budgets).
     Warning,
-    /// The run's verdict is changing (a lattice falling behind).
+    /// A round or a worker was lost to a fault (crash, quarantine,
+    /// watchdog trip).
     Critical,
 }
 
@@ -66,9 +67,6 @@ pub enum EventKind {
     /// A worker stole work from a foreign channel (`value` = records
     /// stolen in the batch).
     Steal,
-    /// A lattice's live backlog verdict flipped (`value` = backlog at the
-    /// flip; severity Critical when falling behind, Info on recovery).
-    VerdictFlip,
     /// A worker's decode loop panicked and was caught by its supervisor
     /// (`value` = rounds the worker had committed before dying).
     WorkerCrash,
@@ -102,12 +100,11 @@ const KINDS: usize = EventKind::LABELS.len();
 impl EventKind {
     /// Every kind beside its label, in declaration order (so `kind as usize`
     /// indexes it).  The labels' only spelling.
-    pub(crate) const LABELS: [(EventKind, &'static str); 13] = [
+    pub(crate) const LABELS: [(EventKind, &'static str); 12] = [
         (EventKind::Shed, "shed"),
         (EventKind::BackpressureStall, "backpressure_stall"),
         (EventKind::BudgetExhausted, "budget_exhausted"),
         (EventKind::Steal, "steal"),
-        (EventKind::VerdictFlip, "verdict_flip"),
         (EventKind::WorkerCrash, "worker_crash"),
         (EventKind::WorkerRestart, "worker_restart"),
         (EventKind::Quarantine, "quarantine"),
@@ -189,8 +186,8 @@ impl std::ops::IndexMut<EventKind> for EventCounts {
 pub struct JournalSnapshot {
     /// Events published over the journal's lifetime.
     pub published: u64,
-    /// Events overwritten by ring rotation (`published - overwritten`
-    /// were still resident, before the `recent` tail cut).
+    /// Events overwritten by ring rotation (`published - overwritten` are
+    /// still resident, and carried in `recent`).
     pub overwritten: u64,
     /// Info-severity events published.
     pub info: u64,
@@ -200,8 +197,8 @@ pub struct JournalSnapshot {
     pub critical: u64,
     /// Per-kind totals.
     pub counts: EventCounts,
-    /// The newest resident events, oldest first (bounded by the journal
-    /// tail configured at snapshot time).
+    /// Every resident event, oldest first (at most the journal's
+    /// capacity).
     pub recent: Vec<RuntimeEvent>,
 }
 
@@ -311,19 +308,17 @@ impl EventJournal {
         event
     }
 
-    /// Copies totals plus the newest `tail` resident events (oldest first)
-    /// into a [`JournalSnapshot`].
+    /// Copies totals plus every resident event (oldest first) into a
+    /// [`JournalSnapshot`].
     #[must_use]
-    pub fn snapshot(&self, tail: usize) -> JournalSnapshot {
+    pub fn snapshot(&self) -> JournalSnapshot {
         let ring = self.ring.lock().expect("event journal poisoned");
         let capacity = ring.slots.len();
-        let take = tail.min(ring.len);
-        let mut recent = Vec::with_capacity(take);
-        // Oldest of the tail sits `take` slots behind the head.
-        let start = (ring.head + capacity - take) % capacity;
-        for i in 0..take {
-            recent.push(ring.slots[(start + i) % capacity]);
-        }
+        // The oldest resident event sits `len` slots behind the head.
+        let start = (ring.head + capacity - ring.len) % capacity;
+        let recent = (0..ring.len)
+            .map(|i| ring.slots[(start + i) % capacity])
+            .collect();
         JournalSnapshot {
             published: self.published.load(Ordering::Relaxed),
             overwritten: self.overwritten.load(Ordering::Relaxed),
@@ -360,7 +355,7 @@ mod tests {
     fn sequence_numbers_are_assigned_in_publish_order() {
         let journal = EventJournal::new(8);
         publish_n(&journal, 3);
-        let snap = journal.snapshot(8);
+        let snap = journal.snapshot();
         let seqs: Vec<u64> = snap.recent.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
         assert_eq!(snap.published, 3);
@@ -373,7 +368,7 @@ mod tests {
     fn a_full_ring_overwrites_oldest_first_and_counts_it() {
         let journal = EventJournal::new(4);
         publish_n(&journal, 10);
-        let snap = journal.snapshot(4);
+        let snap = journal.snapshot();
         assert_eq!(snap.published, 10);
         assert_eq!(snap.overwritten, 6);
         // The four newest survive, in order.
@@ -381,13 +376,16 @@ mod tests {
         assert_eq!(seqs, vec![6, 7, 8, 9]);
     }
 
+    /// The snapshot carries exactly the resident tail: what rotation left,
+    /// newest last, `published - overwritten` events of it.
     #[test]
     fn snapshot_tail_cuts_from_the_newest_end() {
-        let journal = EventJournal::new(8);
+        let journal = EventJournal::new(2);
         publish_n(&journal, 5);
-        let snap = journal.snapshot(2);
+        let snap = journal.snapshot();
         let seqs: Vec<u64> = snap.recent.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![3, 4]);
+        assert_eq!(snap.recent.len() as u64, snap.published - snap.overwritten);
     }
 
     #[test]
@@ -395,20 +393,20 @@ mod tests {
         let journal = EventJournal::new(2);
         journal.publish(EventKind::Steal, EventSeverity::Info, None, Some(1), 0, 4);
         journal.publish(
-            EventKind::VerdictFlip,
+            EventKind::WorkerCrash,
             EventSeverity::Critical,
-            Some(2),
             None,
+            Some(2),
             5,
             40,
         );
         publish_n(&journal, 3); // rotates both earlier events out
-        let snap = journal.snapshot(2);
+        let snap = journal.snapshot();
         assert_eq!(snap.info, 1);
         assert_eq!(snap.critical, 1);
         assert_eq!(snap.warning, 3);
         assert_eq!(snap.counts[EventKind::Steal], 1);
-        assert_eq!(snap.counts[EventKind::VerdictFlip], 1);
+        assert_eq!(snap.counts[EventKind::WorkerCrash], 1);
         assert_eq!(snap.counts[EventKind::Shed], 3);
         assert_eq!(snap.recent.len(), 2);
     }
@@ -429,7 +427,7 @@ mod tests {
                 journal.publish(*kind, EventSeverity::Warning, Some(0), Some(1), 0, 7);
             }
         }
-        let snap = journal.snapshot(16);
+        let snap = journal.snapshot();
         assert_eq!(snap.counts[EventKind::WorkerCrash], 1);
         assert_eq!(snap.counts[EventKind::WorkerRestart], 2);
         assert_eq!(snap.counts[EventKind::Quarantine], 3);
@@ -465,6 +463,6 @@ mod tests {
         let journal = EventJournal::new(0);
         assert_eq!(journal.capacity(), 1);
         publish_n(&journal, 2);
-        assert_eq!(journal.snapshot(4).recent.len(), 1);
+        assert_eq!(journal.snapshot().recent.len(), 1);
     }
 }

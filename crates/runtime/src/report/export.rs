@@ -1,14 +1,14 @@
 //! Schema-versioned JSON export of [`RuntimeReport`]s.
 //!
 //! Everything a run measures — counters, stage reports, latency quantiles,
-//! mid-run snapshots, the event journal — serializes to a single JSON
+//! the depth timeline, the event journal — serializes to a single JSON
 //! document headed by a `schema_version` field.  This module *is* the
 //! format: one `record!` table per exported type lists its fields once, in
 //! document order, and the crate-private `report::codec` derives the
 //! writer and the reader from that one list — a key is its field's name, so
 //! the two directions cannot drift apart.  Changing a table changes the
 //! format: bump [`SCHEMA_VERSION`] (`tests/obs.rs` pins the key paths
-//! against `tests/report_schema_v8.txt`).
+//! against `tests/report_schema_v9.txt`).
 //!
 //! Reading rejects documents whose version does not match
 //! [`SCHEMA_VERSION`] exactly, so a stale artifact fails loudly instead of
@@ -20,9 +20,7 @@
 
 use crate::config::PushPolicy;
 use crate::fault::FaultReport;
-use crate::obs::{
-    EventCounts, EventKind, EventSeverity, JournalSnapshot, MetricsSnapshot, RuntimeEvent,
-};
+use crate::obs::{EventCounts, EventKind, EventSeverity, JournalSnapshot, RuntimeEvent};
 use crate::report::codec::{check_header, field, labels, record, with_header, Codec, Plain};
 use crate::report::json::{parse, Json, JsonError};
 use crate::source::NoiseEpoch;
@@ -65,7 +63,12 @@ use std::path::Path;
 /// v8: `lattices[].counters` loses the three v3 keys: they restated
 /// `lattices[].residual.{decoded,shed}`' failure counts, and nothing could
 /// read them before the final report.
-pub const SCHEMA_VERSION: u64 = 8;
+///
+/// v9: the report-level `snapshots` array is gone with the sampler thread
+/// that filled it (its backlog series restated `depth_timeline`, its
+/// quantiles the workers' latency books), and with it the backlog-trend
+/// key of `journal.counts`, the one event kind only the sampler published.
+pub const SCHEMA_VERSION: u64 = 9;
 
 /// Why an export or import failed.
 #[derive(Debug)]
@@ -256,20 +259,6 @@ record!(JournalSnapshot {
     recent,
 });
 
-record!(MetricsSnapshot {
-    seq,
-    elapsed_ns,
-    counters,
-    queue_depth,
-    backlog,
-    per_lattice_backlog,
-    decode_p50_ns,
-    decode_p99_ns,
-    decode_p999_ns,
-    events_published,
-    events_overwritten,
-});
-
 record!(FaultReport {
     enabled,
     injected_crashes,
@@ -335,7 +324,6 @@ record!(RuntimeReport {
     lattices,
     worker_counters,
     stages,
-    snapshots,
     journal,
     fault,
 });

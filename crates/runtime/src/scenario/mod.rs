@@ -38,6 +38,7 @@ pub use trace::{
 };
 
 use crate::engine::{RuntimeOutcome, StreamingEngine};
+use crate::report::ExportError;
 use crate::stage::PipelineOptions;
 use nisqplus_decoders::traits::DecoderFactory;
 use nisqplus_qec::logical::ResidualTally;
@@ -94,7 +95,9 @@ pub fn record_run(engine: &StreamingEngine, factory: &dyn DecoderFactory) -> Run
         record_trace: true,
         ..PipelineOptions::default()
     };
-    engine.run_with(options, factory)
+    engine
+        .run_with(options, factory)
+        .expect("a recording run has no trace to check")
 }
 
 /// Replays a recorded trace through `engine`'s pipeline: the trace's rounds
@@ -102,15 +105,15 @@ pub fn record_run(engine: &StreamingEngine, factory: &dyn DecoderFactory) -> Run
 /// engine's machine must match the trace's lattice shapes
 /// ([`SyndromeTrace::check_against`]).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the trace does not match the engine's machine.
-#[must_use]
+/// Returns [`SyndromeTrace::check_against`]'s error, before the pipeline
+/// starts, if the trace does not match the engine's machine.
 pub fn replay_run(
     engine: &StreamingEngine,
     trace: &SyndromeTrace,
     factory: &dyn DecoderFactory,
-) -> RuntimeOutcome {
+) -> Result<RuntimeOutcome, ExportError> {
     let options = PipelineOptions {
         replay: Some(trace.clone()),
         ..PipelineOptions::default()

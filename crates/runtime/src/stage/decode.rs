@@ -23,7 +23,7 @@
 
 use crate::fault::{FaultInjector, CRASH_PANIC_MARKER};
 use crate::lattice_set::{LatticeDecoder, LatticeSet};
-use crate::obs::{EventKind, EventSeverity, ObsPlane};
+use crate::obs::{EventJournal, EventKind, EventSeverity};
 use crate::packet::{PacketCodec, PacketError, SyndromePacket};
 use crate::stage::{Channel, FrameSink, StageReport, StealMux, WorkerOutput};
 use crate::telemetry::RuntimeCounters;
@@ -33,7 +33,6 @@ use nisqplus_qec::logical::{classify_both_sectors_into, LogicalState};
 use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::syndrome::Syndrome;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
@@ -241,8 +240,8 @@ pub(crate) struct WorkerSeat<'a> {
     pub(crate) correction_cap: Option<usize>,
     /// Maximum rounds decoded as one batch.
     pub(crate) batch_size: usize,
-    /// The run's observability plane (live decode histogram, event journal).
-    pub(crate) obs: &'a ObsPlane,
+    /// The run's event journal.
+    pub(crate) journal: &'a EventJournal,
     /// The run's armed fault schedule (crash hooks; a plan-free injector
     /// costs one branch per batch).
     pub(crate) injector: &'a FaultInjector,
@@ -264,11 +263,6 @@ pub(crate) fn run_worker(seat: WorkerSeat<'_>) -> (WorkerOutput, StageReport) {
     let worker_id = seat.worker_id;
     let mut sink =
         FrameSink::new(seat.set, seat.record_corrections).with_correction_cap(seat.correction_cap);
-    if seat.obs.sampled() {
-        // Only a sampler reads the live histogram: without one the per-round
-        // atomic add would be for nobody.
-        sink = sink.with_obs(Arc::clone(seat.obs.decode_hist()));
-    }
     let mut stall_polls = 0u64;
     let mut restarts = 0u64;
     loop {
@@ -294,7 +288,7 @@ pub(crate) fn run_worker(seat: WorkerSeat<'_>) -> (WorkerOutput, StageReport) {
                 // rounds the dead worker had committed), then go around the
                 // loop: the next attempt re-prepares the decoders and
                 // adopts the shard.
-                seat.obs.journal().publish(
+                seat.journal.publish(
                     EventKind::WorkerCrash,
                     EventSeverity::Critical,
                     None,
@@ -303,7 +297,7 @@ pub(crate) fn run_worker(seat: WorkerSeat<'_>) -> (WorkerOutput, StageReport) {
                     sink.committed(),
                 );
                 restarts += 1;
-                seat.obs.journal().publish(
+                seat.journal.publish(
                     EventKind::WorkerRestart,
                     EventSeverity::Warning,
                     None,
@@ -324,7 +318,7 @@ pub(crate) fn run_worker(seat: WorkerSeat<'_>) -> (WorkerOutput, StageReport) {
 /// unwinds into the supervisor if the decode path panics.
 fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> (Vec<String>, u64) {
     let worker_id = seat.worker_id;
-    let (channels, counters, obs) = (seat.channels, seat.counters, seat.obs);
+    let (channels, counters, journal) = (seat.channels, seat.counters, seat.journal);
     let epoch = seat.epoch;
     let mut decode = DecodeStage::new(seat.set, seat.codec, seat.factory);
     let mux = StealMux::new(worker_id);
@@ -348,7 +342,7 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> (Vec<String>, u64
             worker_counters
                 .stolen
                 .fetch_add(fill.stolen, Ordering::Relaxed);
-            obs.journal().publish(
+            journal.publish(
                 EventKind::Steal,
                 EventSeverity::Info,
                 None,
@@ -387,7 +381,7 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> (Vec<String>, u64
                     // shed-accounted the round, so the backlog and frame
                     // books stay exact.
                     let total = counters.quarantined.fetch_add(1, Ordering::Relaxed) + 1;
-                    obs.journal().publish(
+                    journal.publish(
                         EventKind::Quarantine,
                         EventSeverity::Critical,
                         None,
@@ -420,7 +414,6 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> (Vec<String>, u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ObsConfig;
     use crate::lattice_set::LatticeSpec;
     use crate::source::{NoiseSpec, SyndromeSource};
     use nisqplus_decoders::GreedyMatchingDecoder;
@@ -462,7 +455,7 @@ mod tests {
             record_corrections: true,
             correction_cap: None,
             batch_size: 4,
-            obs: &ObsPlane::new(ObsConfig::default()),
+            journal: &EventJournal::new(64),
             injector: &FaultInjector::disabled(),
         })
     }

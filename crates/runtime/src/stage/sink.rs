@@ -7,8 +7,8 @@
 //!   (no cross-worker synchronization on the hot path; the engine merges
 //!   shards after the run), optionally kept as a
 //!   [`RoundCorrection`], and annotated with per-round latency samples
-//!   recorded into bounded-memory [`LogHistogram`]s — the sink allocates
-//!   nothing per round, no matter how long the stream runs.
+//!   recorded into the worker's bounded-memory [`LocalHistogram`]s — the
+//!   sink allocates nothing per round, no matter how long the stream runs.
 //! * `DepthSink` — one on the source thread.  Down-samples the run into
 //!   at most `max_depth_samples` [`DepthSample`]s, each carrying the
 //!   aggregate queue depth and backlog *and* the per-lattice backlog
@@ -20,13 +20,12 @@
 
 use crate::engine::RoundCorrection;
 use crate::lattice_set::LatticeSet;
-use crate::obs::{HistogramSnapshot, LocalHistogram, LogHistogram};
+use crate::obs::{HistogramSnapshot, LocalHistogram};
 use crate::stage::decode::DecodedRound;
 use crate::stage::StageReport;
 use crate::telemetry::{DepthSample, RuntimeCounters};
 use nisqplus_qec::frame::PauliFrame;
 use nisqplus_qec::logical::ResidualTally;
-use std::sync::Arc;
 
 /// One lattice's slice of a worker's output.
 #[derive(Debug)]
@@ -77,10 +76,6 @@ pub struct FrameSink {
     /// Next ring slot to overwrite once the cap is reached.
     correction_head: usize,
     committed: u64,
-    /// The machine-wide live decode histogram, attached only when a
-    /// snapshot sampler will read it: fed with one bucket-only atomic add
-    /// per round in addition to the exact private books.
-    live_decode: Option<Arc<LogHistogram>>,
 }
 
 impl FrameSink {
@@ -102,7 +97,6 @@ impl FrameSink {
             correction_cap: None,
             correction_head: 0,
             committed: 0,
-            live_decode: None,
         }
     }
 
@@ -112,14 +106,6 @@ impl FrameSink {
     #[must_use]
     pub(crate) fn with_correction_cap(mut self, cap: Option<usize>) -> Self {
         self.correction_cap = cap;
-        self
-    }
-
-    /// Attaches the run-wide live decode histogram sampled by the
-    /// observability plane.
-    #[must_use]
-    pub(crate) fn with_obs(mut self, live_decode: Arc<LogHistogram>) -> Self {
-        self.live_decode = Some(live_decode);
         self
     }
 
@@ -162,15 +148,11 @@ impl FrameSink {
     /// nanoseconds.  Kept separate from [`FrameSink::commit`] so the
     /// caller's timestamp spans the full unpack-to-commit window of the
     /// round.  Allocation-free, and cheap by construction: two plain
-    /// integer histogram updates, plus a single relaxed atomic add into the
-    /// shared live histogram when one is attached.
+    /// integer histogram updates.
     pub fn record_latency(&mut self, lattice_id: usize, decode_ns: u64, total_ns: u64) {
         let slot = &mut self.slots[lattice_id];
         slot.decode.record(decode_ns);
         slot.total.record(total_ns);
-        if let Some(live) = &self.live_decode {
-            live.record_bucket(decode_ns);
-        }
     }
 
     /// Rounds committed so far.
@@ -421,47 +403,6 @@ mod tests {
         assert_eq!(
             output.per_lattice[0].residuals.successes + output.per_lattice[0].residuals.failures(),
             3
-        );
-    }
-
-    #[test]
-    fn frame_sink_feeds_the_live_aggregate_histogram() {
-        let set = set_of(&[3]);
-        let live_decode = Arc::new(LogHistogram::new());
-        let mut sink = FrameSink::new(&set, false).with_obs(Arc::clone(&live_decode));
-        sink.record_latency(0, 100, 250);
-        sink.record_latency(0, 300, 450);
-        let output = sink.finish(vec!["greedy".to_string()]);
-        assert_eq!(output.per_lattice[0].decode_hist.count, 2);
-        // The live feed is bucket-only (one atomic add per round): the
-        // bucket populations agree with the exact private books, so the
-        // sampler's quantiles match to within one bucket.
-        let live = live_decode.snapshot();
-        assert_eq!(live.count, 2);
-        assert_eq!(live.counts, output.per_lattice[0].decode_hist.counts);
-    }
-
-    /// The live histogram is an extra, attached only when a sampler runs:
-    /// a sink built without it keeps the same private books.
-    #[test]
-    fn a_sink_without_the_live_histogram_records_the_same_private_books() {
-        let set = set_of(&[3]);
-        let mut plain = FrameSink::new(&set, false);
-        let mut live = FrameSink::new(&set, false).with_obs(Arc::new(LogHistogram::new()));
-        for sink in [&mut plain, &mut live] {
-            sink.record_latency(0, 100, 250);
-            sink.record_latency(0, 300, 450);
-        }
-        let plain = plain.finish(Vec::new());
-        let live = live.finish(Vec::new());
-        assert_eq!(plain.per_lattice[0].decode_hist.count, 2);
-        assert_eq!(
-            plain.per_lattice[0].decode_hist,
-            live.per_lattice[0].decode_hist
-        );
-        assert_eq!(
-            plain.per_lattice[0].total_hist,
-            live.per_lattice[0].total_hist
         );
     }
 

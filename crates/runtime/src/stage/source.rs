@@ -16,7 +16,7 @@
 use crate::config::{MachineConfig, PushPolicy};
 use crate::fault::FaultInjector;
 use crate::lattice_set::LatticeSet;
-use crate::obs::{EventKind, EventSeverity, ObsPlane};
+use crate::obs::{EventJournal, EventKind, EventSeverity};
 use crate::packet::{PacketCodec, SyndromePacket};
 use crate::scenario::{SyndromeTrace, TraceRecorder, TraceSource};
 use crate::source::{ElasticEvent, ElasticEventKind, InterleavedSource, NoiseEpoch, SourcedRound};
@@ -108,8 +108,8 @@ pub(crate) struct SourceSeat<'a> {
     pub(crate) channels: &'a [Channel],
     /// The shared run counters.
     pub(crate) counters: &'a RuntimeCounters,
-    /// The run's observability plane (event journal).
-    pub(crate) obs: &'a ObsPlane,
+    /// The run's event journal.
+    pub(crate) journal: &'a EventJournal,
     /// The run's armed fault schedule (corruption and stall hooks).
     pub(crate) injector: &'a FaultInjector,
     /// The run's epoch, for pacing and emission timestamps.
@@ -170,14 +170,14 @@ fn apply_elastic_events(
     codec: &PacketCodec,
     counters: &RuntimeCounters,
     lattice_stats: &mut [LatticeGenStats],
-    obs: &ObsPlane,
+    journal: &EventJournal,
     epoch: Instant,
 ) {
     for event in feed.take_elastic_events() {
         let now_ns = epoch.elapsed().as_nanos() as u64;
         match event.kind {
             ElasticEventKind::Added => {
-                obs.journal().publish(
+                journal.publish(
                     EventKind::LatticeAdded,
                     EventSeverity::Info,
                     Some(event.lattice_id),
@@ -190,7 +190,7 @@ fn apply_elastic_events(
                 codec.retire_lattice(event.lattice_id, final_round);
                 let lattice = event.lattice_id as usize;
                 lattice_stats[lattice].final_backlog = counters.per_lattice[lattice].backlog();
-                obs.journal().publish(
+                journal.publish(
                     EventKind::LatticeRetired,
                     EventSeverity::Warning,
                     Some(event.lattice_id),
@@ -284,7 +284,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
         codec,
         channels,
         counters,
-        obs,
+        journal,
         injector,
         epoch,
     } = seat;
@@ -354,7 +354,14 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
         }
         // Actions fired during this emission logically precede the round:
         // arm retirement watermarks before the round is routed.
-        apply_elastic_events(&mut feed, codec, counters, &mut lattice_stats, obs, epoch);
+        apply_elastic_events(
+            &mut feed,
+            codec,
+            counters,
+            &mut lattice_stats,
+            journal,
+            epoch,
+        );
         if sourced.due_ns > 0.0 {
             // Pace generation to the lattice's hardware cadence.  The
             // occasional `yield_now` keeps the spin cooperative on machines
@@ -374,7 +381,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
         // only, so the episode replays exactly.
         if let Some(overlay) = feed.burst_overlay(lattice_id as usize) {
             if sourced.round == overlay.start_round {
-                obs.journal().publish(
+                journal.publish(
                     EventKind::BurstStart,
                     EventSeverity::Warning,
                     Some(lattice_id),
@@ -383,7 +390,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
                     overlay.start_round,
                 );
             } else if sourced.round == overlay.end_round() {
-                obs.journal().publish(
+                journal.publish(
                     EventKind::BurstEnd,
                     EventSeverity::Info,
                     Some(lattice_id),
@@ -450,7 +457,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
                     || resume_at.map_or(true, |at| lattice_counters.outstanding() <= at),
                 );
                 if budget_spins > 0 {
-                    obs.journal().publish(
+                    journal.publish(
                         EventKind::BudgetExhausted,
                         EventSeverity::Warning,
                         Some(lattice_id),
@@ -468,7 +475,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
                         || channel.can_resume(),
                     );
                     if send_spins > 0 {
-                        obs.journal().publish(
+                        journal.publish(
                             EventKind::BackpressureStall,
                             EventSeverity::Info,
                             Some(lattice_id),
@@ -481,7 +488,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
                 };
                 if !sent {
                     account_shed(&sourced);
-                    obs.journal().publish(
+                    journal.publish(
                         EventKind::WatchdogTrip,
                         EventSeverity::Critical,
                         Some(lattice_id),
@@ -504,7 +511,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
                     account_shed(&sourced);
                     if admission != Admission::Granted {
                         // Shed at the budget lane, not at a full channel.
-                        obs.journal().publish(
+                        journal.publish(
                             EventKind::BudgetExhausted,
                             EventSeverity::Warning,
                             Some(lattice_id),
@@ -513,7 +520,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
                             sourced.round,
                         );
                     }
-                    obs.journal().publish(
+                    journal.publish(
                         EventKind::Shed,
                         EventSeverity::Warning,
                         Some(lattice_id),
@@ -554,7 +561,14 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
     // The terminal `next_round` call still fires due actions (a retire
     // scheduled for the final round, an add that never came online): drain
     // them so their journal entries and watermarks land.
-    apply_elastic_events(&mut feed, codec, counters, &mut lattice_stats, obs, epoch);
+    apply_elastic_events(
+        &mut feed,
+        codec,
+        counters,
+        &mut lattice_stats,
+        journal,
+        epoch,
+    );
     let generation_elapsed_ns = epoch.elapsed().as_nanos() as f64;
     // The backlog at the instant generation stops is the quantity the
     // closed-form model predicts (rounds keep arriving only while the

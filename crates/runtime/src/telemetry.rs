@@ -16,7 +16,7 @@
 //! in `docs/OPERATIONS.md` at the repository root.
 
 use crate::config::PushPolicy;
-use crate::obs::{bucket_bounds, EventKind, HistogramSnapshot, JournalSnapshot, MetricsSnapshot};
+use crate::obs::{bucket_bounds, EventKind, HistogramSnapshot, JournalSnapshot};
 use crate::source::NoiseEpoch;
 use crate::stage::StageReport;
 use nisqplus_qec::logical::ResidualTally;
@@ -330,7 +330,7 @@ pub struct LatencyProfile {
 impl LatencyProfile {
     /// Builds a profile from a bounded-memory [`HistogramSnapshot`] — the
     /// hot path records into a
-    /// [`LogHistogram`](crate::obs::LogHistogram) instead of an unbounded
+    /// [`LocalHistogram`](crate::obs::LocalHistogram) instead of an unbounded
     /// sample vector, and this is where the recorded shape becomes a
     /// report.  Count, sum (hence mean) and extrema are exact; standard
     /// deviation and quantiles are exact to within one log-bucket width.
@@ -593,9 +593,6 @@ pub struct RuntimeReport {
     /// every channel, every worker's decode stage): the flow, refusal,
     /// occupancy and stall picture at every seam.
     pub stages: Vec<StageReport>,
-    /// Mid-run samples taken by the observability sampler thread, in time
-    /// order (empty when the snapshot cadence is 0).
-    pub snapshots: Vec<MetricsSnapshot>,
     /// The event journal's end-of-run state: per-kind/per-severity totals
     /// plus the newest resident events.
     pub journal: JournalSnapshot,
@@ -693,14 +690,12 @@ impl fmt::Display for RuntimeReport {
         )?;
         writeln!(
             f,
-            "  obs: {} snapshot(s) | {} event(s) ({} shed, {} stall, {} budget, {} steal, {} flip; {} overwritten)",
-            self.snapshots.len(),
+            "  obs: {} event(s) ({} shed, {} stall, {} budget, {} steal; {} overwritten)",
             self.journal.published,
             self.journal.counts[EventKind::Shed],
             self.journal.counts[EventKind::BackpressureStall],
             self.journal.counts[EventKind::BudgetExhausted],
             self.journal.counts[EventKind::Steal],
-            self.journal.counts[EventKind::VerdictFlip],
             self.journal.overwritten,
         )?;
         if self.fault.enabled

@@ -1,13 +1,13 @@
-//! Integration tests of the live observability plane: histogram accuracy
-//! against exact quantiles, JSON export round trips on real runs, and
-//! bounded timelines.
+//! Integration tests of the observability plane: histogram accuracy
+//! against exact quantiles, JSON export round trips on real runs, bounded
+//! timelines and journals.
 
 use nisqplus_decoders::{DynDecoder, GreedyMatchingDecoder, UnionFindDecoder};
 use nisqplus_runtime::obs::{bucket_bounds, bucket_index};
 use nisqplus_runtime::report::{parse, report_from_str, report_to_string, Json};
 use nisqplus_runtime::{
-    EventKind, ExportError, LatticeSpec, LogHistogram, MachineConfig, NoiseSpec, PushPolicy,
-    RuntimeConfig, StreamingEngine, ThrottledDecoder, SCHEMA_VERSION,
+    EventKind, ExportError, FaultPlan, LatticeSpec, LogHistogram, MachineConfig, NoiseSpec,
+    PushPolicy, RuntimeConfig, StreamingEngine, ThrottledDecoder, SCHEMA_VERSION,
 };
 
 fn greedy_factory() -> impl nisqplus_decoders::traits::DecoderFactory {
@@ -69,9 +69,9 @@ fn histogram_quantiles_match_exact_order_statistics_within_one_bucket() {
     assert_eq!(snapshot.max_ns, *exact.last().unwrap());
 }
 
-/// The exported document's key paths as schema v8 writes them,
+/// The exported document's key paths as schema v9 writes them,
 /// in document order, arrays collapsed to `[]`.
-const SCHEMA_LISTING: &str = include_str!("report_schema_v8.txt");
+const SCHEMA_LISTING: &str = include_str!("report_schema_v9.txt");
 
 /// The operator's manual, which documents the export field by field.
 const OPERATIONS: &str = include_str!("../../../docs/OPERATIONS.md");
@@ -115,7 +115,7 @@ fn assert_schema_is_pinned_and_documented(text: &str) {
     let fresh: String = paths.iter().map(|path| format!("{path}\n")).collect();
     assert!(
         fresh == SCHEMA_LISTING,
-        "the exported key paths differ from crates/runtime/tests/report_schema_v8.txt: bump \
+        "the exported key paths differ from crates/runtime/tests/report_schema_v9.txt: bump \
          `SCHEMA_VERSION` and commit the fresh listing under the new version's name:\n{fresh}"
     );
     for key in paths
@@ -131,7 +131,7 @@ fn assert_schema_is_pinned_and_documented(text: &str) {
 }
 
 /// A real multi-lattice QoS run (Drop + Block lanes, shed rounds, journal
-/// events, sampler snapshots) survives the JSON export round trip exactly,
+/// events) survives the JSON export round trip exactly,
 /// and a bumped `schema_version` is rejected on the way back in.
 #[test]
 fn multi_lattice_qos_report_round_trips_through_json() {
@@ -152,7 +152,6 @@ fn multi_lattice_qos_report_round_trips_through_json() {
     config.workers = 2;
     config.queue_capacity = 64;
     config.analyze_residuals = true;
-    config.obs.snapshot_cadence_us = 100;
     let engine = StreamingEngine::with_machine(config).unwrap();
     // Throttle so the Drop lane's 2-round budget actually refuses rounds.
     let outcome = engine
@@ -192,11 +191,10 @@ fn multi_lattice_qos_report_round_trips_through_json() {
     assert_eq!(&reloaded, report, "JSON must round-trip bit-for-bit");
     assert_eq!(failures(&reloaded), failures(report));
 
-    // A document from a future schema — or from the previous one, v7, whose
-    // lattice counters still carried three more keys — is refused, loudly
-    // and typed.
-    assert_eq!(SCHEMA_VERSION, 8);
-    for other_version in [SCHEMA_VERSION + 1, 7] {
+    // A document from a future schema — or from the previous one, v8, which
+    // still carried the sampler's `snapshots` — is refused, loudly and typed.
+    assert_eq!(SCHEMA_VERSION, 9);
+    for other_version in [SCHEMA_VERSION + 1, 8] {
         let restamped = text.replacen(
             &format!("\"schema_version\": {SCHEMA_VERSION}"),
             &format!("\"schema_version\": {other_version}"),
@@ -228,31 +226,17 @@ fn multi_lattice_qos_report_round_trips_through_json() {
     }
 }
 
-/// The sampler thread observes the run from the side: snapshots are
-/// monotonically sequenced and within the log's bound, and the stage
+/// A paced run with the default observability configuration: the stage
 /// reports name every stage of the pipeline.
 #[test]
-fn sampler_snapshots_and_stage_reports_cover_the_run() {
+fn stage_reports_cover_a_paced_run() {
     let mut config = RuntimeConfig::new(3);
     config.rounds = 2_000;
     config.workers = 2;
     config.cadence_cycles = RuntimeConfig::PAPER_CADENCE_CYCLES * 25;
-    let mut machine: MachineConfig = config.into();
-    machine.obs.snapshot_cadence_us = 200;
-    let engine = StreamingEngine::with_machine(machine).unwrap();
+    let engine = StreamingEngine::new(config).unwrap();
     let outcome = engine.run(&greedy_factory());
     let report = &outcome.report;
-
-    let snapshots = &report.snapshots;
-    assert!(!snapshots.is_empty(), "a paced 20 ms run must be sampled");
-    assert!(snapshots.len() <= 1024, "the snapshot log is bounded");
-    for pair in snapshots.windows(2) {
-        assert_eq!(pair[1].seq, pair[0].seq + 1, "snapshots are sequenced");
-        assert!(pair[1].elapsed_ns >= pair[0].elapsed_ns);
-    }
-    let last = snapshots.last().unwrap();
-    assert!(last.decode_p999_ns >= last.decode_p99_ns);
-    assert!(last.decode_p99_ns >= last.decode_p50_ns);
 
     // Every pipeline stage files a report under its name, in graph order,
     // and nothing else does.
@@ -270,6 +254,34 @@ fn sampler_snapshots_and_stage_reports_cover_the_run() {
         ]
     );
     assert_eq!(report.stages[1].accepted, 2_000);
+}
+
+/// The report carries the whole resident journal: a run that publishes more
+/// events than the ring holds reports exactly the events rotation left, the
+/// newest ones, in publish order.
+#[test]
+fn an_overflowing_journal_reports_every_resident_event() {
+    let mut config = MachineConfig::new(&[3], 7);
+    config.lattices[0].rounds = 100;
+    config.lattices[0].cadence_cycles = 0;
+    config.workers = 1;
+    config.queue_capacity = 256;
+    config.obs.journal_capacity = 4;
+    // Ten poisoned records: ten quarantine events into a four-slot ring.
+    config.fault = (0..10).fold(FaultPlan::default(), |plan, i| {
+        plan.corrupt_record(0, i * 7, 2, 13)
+    });
+    let engine = StreamingEngine::with_machine(config).unwrap();
+    let journal = engine.run(&greedy_factory()).report.journal;
+    assert_eq!(journal.counts[EventKind::Quarantine], 10);
+    assert!(journal.overwritten > 0, "the ring overflowed");
+    assert_eq!(
+        journal.recent.len() as u64,
+        journal.published - journal.overwritten
+    );
+    assert_eq!(journal.recent.len(), 4);
+    assert!(journal.recent.windows(2).all(|w| w[0].seq + 1 == w[1].seq));
+    assert_eq!(journal.recent.last().unwrap().seq, journal.published - 1);
 }
 
 /// `max_depth_samples` is a hard cap even when the stream is much longer

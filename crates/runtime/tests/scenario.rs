@@ -23,14 +23,12 @@ use nisqplus_decoders::{DecoderFactory, DynDecoder, GreedyMatchingDecoder};
 use nisqplus_qec::error_model::{BurstEvent, DriftingErrorModel};
 use nisqplus_qec::syndrome::Syndrome;
 use nisqplus_runtime::{
-    golden_summary, record_run, replay_run, EventKind, MachineConfig, NoiseSpec, PacketCodec,
-    PacketError, PushPolicy, ScenarioScript, StreamingEngine, SyndromePacket, SyndromeTrace,
+    golden_summary, record_run, replay_run, EventKind, ExportError, MachineConfig, NoiseSpec,
+    PacketCodec, PacketError, PushPolicy, ScenarioScript, StreamingEngine, SyndromePacket,
+    SyndromeTrace,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
-use std::sync::mpsc;
-use std::time::Duration;
-use std::{panic, thread};
 
 fn greedy_factory() -> impl DecoderFactory {
     || Box::new(GreedyMatchingDecoder::new()) as DynDecoder
@@ -112,7 +110,7 @@ fn regenerate(name: &str, config: &MachineConfig) -> SyndromeTrace {
         .with_golden(golden.clone());
     let replay_engine =
         StreamingEngine::with_machine(config.clone()).expect("valid golden machine");
-    let replayed = replay_run(&replay_engine, &trace, &greedy_factory());
+    let replayed = replay_run(&replay_engine, &trace, &greedy_factory()).expect("the trace fits");
     assert_eq!(
         golden_summary(&replayed),
         golden,
@@ -146,7 +144,7 @@ fn golden_traces_replay_to_their_pinned_summaries() {
             .clone()
             .unwrap_or_else(|| panic!("golden trace {name} carries no pinned summary"));
         let engine = StreamingEngine::with_machine(config).expect("valid golden machine");
-        let outcome = replay_run(&engine, &trace, &greedy_factory());
+        let outcome = replay_run(&engine, &trace, &greedy_factory()).expect("the trace fits");
         assert_eq!(
             golden_summary(&outcome),
             golden,
@@ -170,7 +168,8 @@ proptest! {
         prop_assert_eq!(trace.len() as u64, live.report.counters.generated);
 
         let replay_engine = StreamingEngine::with_machine(config).unwrap();
-        let replayed = replay_run(&replay_engine, &trace, &greedy_factory());
+        let replayed =
+            replay_run(&replay_engine, &trace, &greedy_factory()).expect("the trace fits");
         prop_assert_eq!(golden_summary(&replayed), golden_summary(&live));
         prop_assert_eq!(
             replayed.report.counters.decoded,
@@ -208,42 +207,19 @@ fn straggler_records_for_retired_lattices_are_quarantined_as_typed_errors() {
     assert_eq!(codec.verify(&record), Ok(0));
 }
 
-/// A trace replayed on a machine of another shape panics with
-/// `SyndromeTrace::check_against`'s message before the pipeline starts, so
-/// the call returns instead of leaving its workers waiting for a source that
-/// died.  The replay runs on a helper thread that is never joined (joining
-/// a hung replay would hang too): a regression fails here instead of
-/// hanging the suite.
+/// A trace replayed on a machine of another shape is refused with
+/// `SyndromeTrace::check_against`'s typed error before the pipeline starts.
 #[test]
-fn mismatched_replay_panics_instead_of_hanging() {
+fn mismatched_replay_returns_a_typed_error() {
     let d3 = StreamingEngine::with_machine(scenario_machine(&[3], 16, 3)).unwrap();
     let trace = record_run(&d3, &greedy_factory())
         .trace
         .expect("record_run records a trace");
     let d5 = StreamingEngine::with_machine(scenario_machine(&[5], 16, 3)).unwrap();
-    let expected = trace
-        .check_against(d5.lattice_set())
-        .expect_err("a d=3 trace does not fit a d=5 machine")
-        .to_string();
-
-    let (sender, receiver) = mpsc::channel();
-    thread::spawn(move || {
-        let replay = panic::catch_unwind(panic::AssertUnwindSafe(|| {
-            replay_run(&d5, &trace, &greedy_factory())
-        }));
-        let message = replay.err().map(|payload| {
-            payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default()
-        });
-        let _ = sender.send(message);
-    });
-    let message = receiver
-        .recv_timeout(Duration::from_secs(10))
-        .expect("the mismatched replay hung")
-        .expect("the mismatched replay ran instead of panicking");
-    assert!(message.contains(&expected), "{message}");
+    assert!(matches!(
+        replay_run(&d5, &trace, &greedy_factory()),
+        Err(ExportError::Schema(_))
+    ));
 }
 
 /// A mid-run scripted retirement truncates the stream, journals the event,

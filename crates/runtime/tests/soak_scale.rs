@@ -184,7 +184,6 @@ fn soak_postured_run(rounds_total: u64) -> (RuntimeOutcome, usize) {
     config.record_corrections = true;
     config.correction_cap = Some(16);
     config.max_depth_samples = 256;
-    config.obs.snapshot_cadence_us = 0;
     let outcome = StreamingEngine::with_machine(config)
         .expect("valid config")
         .run(&greedy);

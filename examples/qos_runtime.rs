@@ -179,14 +179,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "journal: {} events published ({} overwritten) — shed {}, budget_exhausted {}, \
-         backpressure_stall {}, steal {}, verdict_flip {}",
+         backpressure_stall {}, steal {}",
         journal.published,
         journal.overwritten,
         journal.counts[EventKind::Shed],
         journal.counts[EventKind::BudgetExhausted],
         journal.counts[EventKind::BackpressureStall],
-        journal.counts[EventKind::Steal],
-        journal.counts[EventKind::VerdictFlip]
+        journal.counts[EventKind::Steal]
     );
     println!();
 

@@ -139,7 +139,7 @@ fn main() {
 
     // --- Act two: the replay, byte for byte. -----------------------------
     let replay_engine = StreamingEngine::with_machine(machine()).expect("valid config");
-    let replayed = replay_run(&replay_engine, &trace, &factory);
+    let replayed = replay_run(&replay_engine, &trace, &factory).expect("the trace fits");
     let replay_summary = golden_summary(&replayed);
     assert_eq!(
         replay_summary, golden,

@@ -9,10 +9,9 @@
 //!    within 2x of the closed-form `BacklogModel` prediction (the empirical
 //!    counterpart of Figures 5 and 6).
 //!
-//! Both runs ride under the live observability plane: the sampler thread
-//! takes periodic [`MetricsSnapshot`](nisqplus_runtime::MetricsSnapshot)s
-//! (latency quantiles from the bounded log-bucket histogram, backlog,
-//! journal totals), and the finished report is exported as schema-versioned
+//! Each run reports its backlog over time (the depth timeline), decode
+//! latency quantiles from the workers' bounded log-bucket histograms and
+//! its event journal; the finished report is exported as schema-versioned
 //! JSON and read back.
 //!
 //! Run with `cargo run --release --example streaming_runtime`.
@@ -66,24 +65,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "the SFQ mesh decoder must keep up with syndrome generation"
     );
 
-    // The sampler thread observed the run from the side: periodic snapshots
-    // with decode quantiles served straight from the bounded histogram.
-    let snapshots = &fast.report.snapshots;
-    assert!(
-        !snapshots.is_empty(),
-        "a 120 ms run at the default 500 us cadence must be sampled"
-    );
+    // Decode quantiles come straight from the workers' bounded histograms.
+    let quantiles = &fast.report.decode_latency.quantiles;
     println!(
-        "observability: {} mid-run snapshots; final decode p50/p99/p999 = \
+        "observability: {} depth samples; decode p50/p99/p999 = \
          {:.0}/{:.0}/{:.0} ns; journal published {} events",
-        snapshots.len(),
-        fast.report.decode_latency.quantiles.p50,
-        fast.report.decode_latency.quantiles.p99,
-        fast.report.decode_latency.quantiles.p999,
+        fast.report.depth_timeline.len(),
+        quantiles.p50,
+        quantiles.p99,
+        quantiles.p999,
         fast.report.journal.published,
     );
-    let last = snapshots.last().expect("non-empty");
-    assert!(last.decode_p99_ns >= last.decode_p50_ns);
+    assert!(quantiles.p99 >= quantiles.p50);
     assert!(
         fast.report.stages.iter().any(|stage| stage.stage == "gate"),
         "every stage files a report"
@@ -152,10 +145,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "observability: report exported to {} and reloaded intact \
-         (schema v{}, {} snapshots, {} journal events)",
+         (schema v{}, {} depth samples, {} journal events)",
         export_path.display(),
         nisqplus_runtime::SCHEMA_VERSION,
-        reloaded.snapshots.len(),
+        reloaded.depth_timeline.len(),
         reloaded.journal.published,
     );
     std::fs::remove_file(&export_path).ok();

@@ -18,7 +18,7 @@ use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::syndrome::Syndrome;
 use nisqplus_runtime::{
     EventJournal, EventKind, EventSeverity, FaultInjector, InterleavedSource, LatticeSet,
-    LatticeSpec, LogHistogram, MachineConfig, PacketCodec, RuntimeConfig, SourcedRound,
+    LatticeSpec, LocalHistogram, MachineConfig, PacketCodec, RuntimeConfig, SourcedRound,
     StreamingEngine, SyndromePacket,
 };
 use nisqplus_sim::timing::CycleTimeConverter;
@@ -158,11 +158,11 @@ fn assert_lifetime_trials_are_allocation_free() {
 }
 
 /// The observability plane's own allocation guard: recording a latency into
-/// the log-bucket histogram and publishing an event into the bounded journal
-/// are both on (or near) the decode hot path, so after construction they
-/// must not touch the heap either.
+/// a worker's log-bucket histogram and publishing an event into the bounded
+/// journal are both on (or near) the decode hot path, so after construction
+/// they must not touch the heap either.
 fn assert_obs_hot_path_is_allocation_free() {
-    let hist = LogHistogram::new();
+    let mut hist = LocalHistogram::new();
     let journal = EventJournal::new(256);
     // Warm-up (nothing to warm, but keep the shape parallel to the decoder
     // guard): one record and one publish before counting starts.
@@ -326,8 +326,6 @@ fn assert_engine_rounds_are_allocation_free() {
         single.max_depth_samples = 16;
         let mut config = MachineConfig::from(single);
         config.track_shed_rounds = false;
-        // No sampler thread: its snapshots scale with wall time.
-        config.obs.snapshot_cadence_us = 0;
         let engine = StreamingEngine::with_machine(config).expect("valid machine");
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         let outcome = engine.run(&|| Box::new(UnionFindDecoder::new()) as _);
