@@ -151,26 +151,10 @@ enum Partner {
     Ghost(usize),
 }
 
-/// What a decode has done to one data qubit's error output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ChainMark {
-    /// No chain crossed the qubit; every qubit is here between decodes.
-    Untouched,
-    /// Chains crossed it an even number of times: they cancel.
-    Cancelled,
-    /// Chains crossed it an odd number of times: it is part of the correction.
-    Flagged,
-}
-
 /// The reusable working memory of [`GreedyMeshAlgorithm`].
 ///
-/// Invariant (**chain bitmap clean between decodes**): outside a decode every
-/// entry of `chain` is [`ChainMark::Untouched`] and `chain_touched` is empty.
-/// [`GreedyMeshAlgorithm::decode_prepared`] marks only qubits it lists in
-/// `chain_touched`, and [`MeshScratch::drain_chain`], which every caller
-/// runs after it, restores exactly those.  Everything else is rebuilt from
-/// `defects` at the start of a decode, so nothing leaks from one decode (or
-/// lattice) into the next.
+/// Everything but `defects` is rebuilt at the start of a decode, so nothing
+/// leaks from one decode (or lattice) into the next.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MeshScratch {
     /// The defects to decode (ancilla indices), ascending and distinct;
@@ -190,10 +174,10 @@ pub(crate) struct MeshScratch {
     first_at: Vec<usize>,
     /// The pairings still possible at the round's completion time.
     round: Vec<(usize, Partner)>,
-    /// Per data qubit of the largest lattice seen.
-    chain: Vec<ChainMark>,
-    /// The qubits of `chain` that are not `Untouched`, each once.
-    chain_touched: Vec<usize>,
+    /// The chain as a bit plane over the data qubits (qubit `q` is bit
+    /// `q % 64` of word `q / 64`): set where chains crossed an odd number of
+    /// times.
+    chain: Vec<u64>,
 }
 
 impl MeshScratch {
@@ -209,10 +193,7 @@ impl MeshScratch {
         self.timetable.reserve(pairings);
         self.first_at.reserve(Self::completion_times(lattice));
         self.round.reserve(pairings);
-        if self.chain.len() < lattice.num_data() {
-            self.chain.resize(lattice.num_data(), ChainMark::Untouched);
-        }
-        self.chain_touched.reserve(lattice.num_data());
+        self.chain.reserve(lattice.num_data().div_ceil(64));
     }
 
     /// How many completion times a decode on `lattice` can see, zero
@@ -222,27 +203,13 @@ impl MeshScratch {
         4 * (lattice.size() + 1) + 1
     }
 
-    /// Flips the error output of data qubit `q`.
-    fn toggle(chain: &mut [ChainMark], chain_touched: &mut Vec<usize>, q: usize) {
-        // Chains overlap-toggle rather than accumulate: two chains crossing
-        // the same data qubit cancel, exactly like two pair pulses flipping
-        // the same error output.
-        chain[q] = match chain[q] {
-            ChainMark::Untouched => {
-                chain_touched.push(q);
-                ChainMark::Flagged
-            }
-            ChainMark::Cancelled => ChainMark::Flagged,
-            ChainMark::Flagged => ChainMark::Cancelled,
-        };
-    }
-
-    /// Visits the data qubits the last decode left flagged, in no particular
-    /// order, and restores the clean state.
-    pub(crate) fn drain_chain(&mut self, mut flagged: impl FnMut(usize)) {
-        for q in self.chain_touched.drain(..) {
-            if std::mem::replace(&mut self.chain[q], ChainMark::Untouched) == ChainMark::Flagged {
-                flagged(q);
+    /// Visits the data qubits of the last decode's chain, ascending.
+    pub(crate) fn for_each_chain_qubit(&self, mut f: impl FnMut(usize)) {
+        for (w, &word) in self.chain.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                f(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
             }
         }
     }
@@ -278,7 +245,7 @@ impl GreedyMeshAlgorithm {
     }
 
     /// Decodes `scratch.defects`, leaving the chain in `scratch` for
-    /// [`MeshScratch::drain_chain`] and pushing the pairings, in the order
+    /// [`MeshScratch::for_each_chain_qubit`] and pushing the pairings, in the order
     /// they completed, onto `pairings` when there is one.
     pub(crate) fn decode_prepared(
         &self,
@@ -297,7 +264,6 @@ impl GreedyMeshAlgorithm {
             first_at,
             round,
             chain,
-            chain_touched,
         } = scratch;
         for &a in defects.iter() {
             assert_eq!(
@@ -307,10 +273,8 @@ impl GreedyMeshAlgorithm {
             );
         }
         debug_assert!(defects.windows(2).all(|pair| pair[0] < pair[1]));
-        debug_assert!(chain_touched.is_empty());
-        if chain.len() < lattice.num_data() {
-            chain.resize(lattice.num_data(), ChainMark::Untouched);
-        }
+        chain.clear();
+        chain.resize(lattice.num_data().div_ceil(64), 0);
         let max_cycles = cfg.max_cycles(lattice.size() + 2);
 
         // --- Time every possible pairing -----------------------------------
@@ -404,7 +368,10 @@ impl GreedyMeshAlgorithm {
                         cleared.push(endpoint);
                     }
                 }
-                let toggle = |q| MeshScratch::toggle(chain, chain_touched, q);
+                // Chains overlap-toggle rather than accumulate: two chains
+                // crossing the same data qubit cancel, exactly like two pair
+                // pulses flipping the same error output.
+                let toggle = |q: usize| chain[q / 64] ^= 1 << (q % 64);
                 match partner {
                     Partner::Defect(b) | Partner::Ghost(b) => {
                         lattice.for_each_correction_path_qubit(defects[a], defects[b], toggle);
@@ -468,8 +435,7 @@ impl GreedyMeshAlgorithm {
         let mut pairings = Vec::new();
         let outcome = self.decode_prepared(lattice, sector, &mut scratch, Some(&mut pairings));
         let mut chain_data_qubits = Vec::new();
-        scratch.drain_chain(|q| chain_data_qubits.push(q));
-        chain_data_qubits.sort_unstable();
+        scratch.for_each_chain_qubit(|q| chain_data_qubits.push(q));
         let result = MeshDecodeResult {
             chain_data_qubits,
             cycles: outcome.cycles,

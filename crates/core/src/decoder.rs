@@ -136,7 +136,7 @@ impl Decoder for SfqMeshDecoder {
         let outcome = self
             .algorithm
             .decode_prepared(lattice, sector, &mut self.scratch, None);
-        self.scratch.drain_chain(|q| out.set(q, pauli));
+        self.scratch.for_each_chain_qubit(|q| out.set(q, pauli));
         self.last_stats = Some(DecodeStats {
             defects: self.scratch.defects.len(),
             cycles: outcome.cycles,

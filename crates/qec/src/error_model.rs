@@ -446,11 +446,9 @@ mod tests {
         lattice: &Lattice,
         rng: &mut R,
     ) -> PauliString {
-        PauliString::from_ops(
-            (0..lattice.num_data())
-                .map(|_| sample_single(rates, rng))
-                .collect(),
-        )
+        (0..lattice.num_data())
+            .map(|_| sample_single(rates, rng))
+            .collect()
     }
 
     /// Significance level of every χ² test below; they run at fixed seeds, so

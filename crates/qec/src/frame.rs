@@ -94,8 +94,7 @@ impl PauliFrame {
     /// Clears the frame (after its correction has been consumed) while
     /// keeping the cycle counter.
     pub fn reset(&mut self) {
-        let len = self.frame.len();
-        self.frame = PauliString::identity(len);
+        self.frame.fill_identity();
     }
 }
 

@@ -18,7 +18,7 @@
 
 use crate::error::QecError;
 use crate::pauli::PauliString;
-use crate::syndrome::Syndrome;
+use crate::syndrome::{DefectIndices, Syndrome};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -446,7 +446,7 @@ impl Lattice {
     }
 
     /// Computes the error syndrome of `error` into a caller-provided buffer,
-    /// reusing its allocation: one scan of the data qubits plus at most four
+    /// reusing its allocation: one step per word of `error` plus at most four
     /// bit flips per non-identity operator, whatever the lattice size.
     ///
     /// # Panics
@@ -454,16 +454,20 @@ impl Lattice {
     /// Panics if `error` is not indexed by this lattice's data qubits.
     pub fn syndrome_into(&self, error: &PauliString, syndrome: &mut Syndrome) {
         syndrome.reset_clear(self.num_ancillas());
-        self.for_each_anticommuting_ancilla(error, &Sector::ALL, |a| syndrome.flip(a));
+        for sector in Sector::ALL {
+            self.for_each_anticommuting_ancilla(error, sector, |a| syndrome.flip(a));
+        }
     }
 
-    /// Calls `flip` once per (non-identity operator of `operator`, adjacent
-    /// ancilla of one of `sectors` it anticommutes with) pair; an ancilla is
-    /// hot when it was visited an odd number of times.
+    /// Calls `flip` once per (component of `operator` that `sector` detects,
+    /// adjacent ancilla of `sector`) pair; an ancilla is hot when it was
+    /// visited an odd number of times.  Only the set bits of the detected
+    /// plane are walked — the Z plane for X ancillas, the X plane for Z
+    /// ancillas — by trailing zeros.
     fn for_each_anticommuting_ancilla(
         &self,
         operator: &PauliString,
-        sectors: &[Sector],
+        sector: Sector,
         mut flip: impl FnMut(usize),
     ) {
         assert_eq!(
@@ -473,22 +477,14 @@ impl Lattice {
             operator.len(),
             self.num_data()
         );
-        for (pauli, ancillas) in operator.iter().zip(&self.data_ancillas) {
-            if pauli.is_identity() {
-                continue;
-            }
-            for &sector in sectors {
-                // X ancillas detect Z components, Z ancillas X components.
-                let detected = match sector {
-                    Sector::X => pauli.has_z_component(),
-                    Sector::Z => pauli.has_x_component(),
-                };
-                if detected {
-                    for &a in &ancillas[sector.index()] {
-                        if a != NO_ANCILLA {
-                            flip(a as usize);
-                        }
-                    }
+        let detected = match sector {
+            Sector::X => operator.z_plane(),
+            Sector::Z => operator.x_plane(),
+        };
+        for q in DefectIndices::over(detected) {
+            for &a in &self.data_ancillas[q][sector.index()] {
+                if a != NO_ANCILLA {
+                    flip(a as usize);
                 }
             }
         }
@@ -691,9 +687,9 @@ impl Lattice {
     ///
     /// This is the equivalent of checking that [`Lattice::defects`] on
     /// [`Lattice::syndrome_of`]`(operator)` is empty for one sector, at the
-    /// cost of one scan of the data qubits plus two bit flips per operator
-    /// the sector detects, and without allocating on lattices of at most
-    /// 512 ancillas (`d <= 16`).
+    /// cost of one step per word of the plane the sector detects plus two
+    /// bit flips per operator in it, and without allocating on lattices of
+    /// at most 512 ancillas (`d <= 16`).
     ///
     /// # Panics
     ///
@@ -709,7 +705,7 @@ impl Lattice {
             on_heap.resize(words, 0);
             &mut on_heap
         };
-        self.for_each_anticommuting_ancilla(operator, &[sector], |a| hot[a / 64] ^= 1 << (a % 64));
+        self.for_each_anticommuting_ancilla(operator, sector, |a| hot[a / 64] ^= 1 << (a % 64));
         hot.iter().all(|&word| word == 0)
     }
 }

@@ -10,6 +10,12 @@
 //!   (Section II-C2 of the paper);
 //! * otherwise the correction returned the system to the correct logical
 //!   state and the cycle *succeeds*.
+//!
+//! Every check reads the residual's bitplanes
+//! ([`PauliString`]): composing is an XOR of words, the stabilizer check
+//! walks the set bits of the plane a sector detects, and the logical check
+//! reads the `d` bits of one logical representative.  A classification costs
+//! the residual's words, its faults and `d` — not a scan of the data qubits.
 
 use crate::lattice::{Lattice, Sector};
 use crate::pauli::PauliString;
@@ -88,11 +94,13 @@ pub fn classify_both_sectors(
 /// allocating.
 ///
 /// This is the classifier [`classify_residual`] applies to the composition
-/// of its `(error, correction)` pair: the stabilizer check flips only the
-/// ancillas next to the residual's non-identity operators
+/// of its `(error, correction)` pair: the stabilizer check walks the set bits
+/// of the residual's detected plane and flips only the ancillas next to them
 /// ([`Lattice::sector_is_clear`]) instead of materializing a
-/// [`Syndrome`](crate::syndrome::Syndrome) and a defect list, which makes it
-/// safe to call from allocation-free decode loops.
+/// [`Syndrome`](crate::syndrome::Syndrome) and a defect list, and the logical
+/// check reads `d` bits.  So a call costs one step per word plus one per
+/// fault plus `d`, and allocates nothing, which makes it safe to call from
+/// allocation-free decode loops.
 ///
 /// # Panics
 ///
@@ -118,10 +126,11 @@ pub fn classify_residual_operator(
 }
 
 /// Composes `error` with `correction` into the caller-provided `residual`
-/// scratch buffer and classifies both sectors without allocating.
+/// scratch buffer (a copy and an XOR of words) and classifies both sectors
+/// without allocating.
 ///
 /// `residual`'s existing allocation is reused whenever it already holds at
-/// least `error.len()` operators, so a worker can keep one scratch string per
+/// least `error`'s words, so a worker can keep one scratch string per
 /// lattice and classify round after round heap-free.  Returns the per-sector
 /// states `(x_sector, z_sector)`, byte-identical to
 /// [`classify_both_sectors`].

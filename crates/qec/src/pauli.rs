@@ -6,7 +6,15 @@
 //! qubits and on the whole data-qubit register, together with the group
 //! operations the rest of the stack relies on (composition, commutation with
 //! stabilizers, weight counting).
+//!
+//! Modulo phase a Pauli is its two component bits, so a [`PauliString`] is
+//! two bitplanes of `u64` words — the X components, then the Z components.
+//! Composition is an XOR of words, weight a popcount, and the supports walk
+//! set bits, so a string costs what its words and its non-identity operators
+//! cost, not one step per qubit.  The same words are the error payload of the
+//! streaming runtime's wire records and traces.
 
+use crate::syndrome::DefectIndices;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, Mul};
@@ -119,30 +127,47 @@ impl fmt::Display for Pauli {
     }
 }
 
-/// A Pauli operator on a register of qubits, stored densely.
+/// The Pauli whose component bits are `x | z << 1`; [`PauliString`]'s
+/// `Index` hands out references into it.
+static BY_COMPONENTS: [Pauli; 4] = [Pauli::I, Pauli::X, Pauli::Z, Pauli::Y];
+
+/// A Pauli operator on a register of qubits, stored as two bitplanes.
 ///
 /// The string is indexed by data-qubit index (see
 /// [`Lattice`](crate::lattice::Lattice) for the index convention).  It is the
 /// canonical representation of both injected physical errors and decoder
 /// corrections.
+///
+/// The words are the X plane, then the Z plane, each `ceil(len / 64)` words
+/// wide: qubit `i` is bit `i % 64` of word `i / 64` of a plane, set in the X
+/// plane when the qubit carries an X component (`X` or `Y`) and in the Z
+/// plane when it carries a Z component (`Z` or `Y`).
+///
+/// **Invariant (tail-clean):** every bit at a qubit index `>= len` is zero in
+/// both planes after every constructor and mutator, so the derived `Eq` /
+/// `Hash` compare operators and the padding of a wire slot never leaks into a
+/// string.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct PauliString {
-    ops: Vec<Pauli>,
+    len: usize,
+    words: Vec<u64>,
 }
 
 impl PauliString {
+    /// The number of `u64` words holding a string on `len` qubits: two
+    /// bitplanes of `ceil(len / 64)` words each.
+    #[must_use]
+    pub fn words_for(len: usize) -> usize {
+        2 * len.div_ceil(64)
+    }
+
     /// Creates an identity Pauli string on `len` qubits.
     #[must_use]
     pub fn identity(len: usize) -> Self {
         PauliString {
-            ops: vec![Pauli::I; len],
+            len,
+            words: vec![0; Self::words_for(len)],
         }
-    }
-
-    /// Creates a Pauli string from an explicit list of operators.
-    #[must_use]
-    pub fn from_ops(ops: Vec<Pauli>) -> Self {
-        PauliString { ops }
     }
 
     /// Creates a string with `pauli` applied on each listed qubit and identity elsewhere.
@@ -164,19 +189,56 @@ impl PauliString {
     /// The number of qubits the string acts on.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.len
     }
 
     /// Returns `true` if the string acts on zero qubits.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.len == 0
+    }
+
+    /// The X plane and the Z plane.
+    fn planes(&self) -> (&[u64], &[u64]) {
+        self.words.split_at(self.words.len() / 2)
+    }
+
+    /// The X-component plane: bit `i % 64` of word `i / 64` is set when
+    /// qubit `i` carries `X` or `Y`.
+    pub(crate) fn x_plane(&self) -> &[u64] {
+        self.planes().0
+    }
+
+    /// The Z-component plane: bit `i % 64` of word `i / 64` is set when
+    /// qubit `i` carries `Z` or `Y`.
+    pub(crate) fn z_plane(&self) -> &[u64] {
+        self.planes().1
+    }
+
+    /// The X-plane and Z-plane word indices and the bit mask of qubit
+    /// `index`, range-checked: a bit at `index >= len` can lie inside a
+    /// plane's last word, where no slice bound would stop it from breaking
+    /// tail-clean.
+    fn locate(&self, index: usize) -> (usize, usize, u64) {
+        assert!(
+            index < self.len,
+            "qubit {index} out of range for a {}-qubit string",
+            self.len
+        );
+        let word = index / 64;
+        (word, self.words.len() / 2 + word, 1 << (index % 64))
+    }
+
+    /// The component bits of qubit `index`, `x | z << 1`.
+    fn components(&self, index: usize) -> usize {
+        let (x, z, mask) = self.locate(index);
+        usize::from(self.words[x] & mask != 0) | usize::from(self.words[z] & mask != 0) << 1
     }
 
     /// Returns the operator acting on qubit `index`, or `None` if out of range.
     #[must_use]
     pub fn get(&self, index: usize) -> Option<Pauli> {
-        self.ops.get(index).copied()
+        (index < self.len).then(|| BY_COMPONENTS[self.components(index)])
     }
 
     /// Left-multiplies the operator on qubit `index` by `pauli` (composition).
@@ -185,8 +247,13 @@ impl PauliString {
     ///
     /// Panics if `index >= self.len()`.
     pub fn apply(&mut self, index: usize, pauli: Pauli) {
-        let cur = self.ops[index];
-        self.ops[index] = cur.compose(pauli);
+        let (x, z, mask) = self.locate(index);
+        if pauli.has_x_component() {
+            self.words[x] ^= mask;
+        }
+        if pauli.has_z_component() {
+            self.words[z] ^= mask;
+        }
     }
 
     /// Sets the operator on qubit `index`, replacing whatever was there.
@@ -195,26 +262,35 @@ impl PauliString {
     ///
     /// Panics if `index >= self.len()`.
     pub fn set(&mut self, index: usize, pauli: Pauli) {
-        self.ops[index] = pauli;
+        let (x, z, mask) = self.locate(index);
+        for (word, on) in [(x, pauli.has_x_component()), (z, pauli.has_z_component())] {
+            if on {
+                self.words[word] |= mask;
+            } else {
+                self.words[word] &= !mask;
+            }
+        }
     }
 
-    /// Resets every operator to the identity, keeping the allocation.
+    /// Resets every operator to the identity, keeping the allocation: one
+    /// fill of the words.
     ///
     /// This is the reuse hook for allocation-free decode loops: a caller can
     /// hold one `PauliString` buffer and hand it to
     /// `Decoder::decode_into`-style APIs round after round.
     pub fn fill_identity(&mut self) {
-        self.ops.fill(Pauli::I);
+        self.words.fill(0);
     }
 
     /// Resets the string to the identity on `len` qubits, reusing the
     /// existing allocation when it is large enough.
     pub fn reset_identity(&mut self, len: usize) {
-        self.ops.clear();
-        self.ops.resize(len, Pauli::I);
+        self.len = len;
+        self.words.clear();
+        self.words.resize(Self::words_for(len), 0);
     }
 
-    /// Composes `other` into `self` qubit-by-qubit (ignoring global phase).
+    /// Composes `other` into `self` (ignoring global phase): one XOR per word.
     ///
     /// # Panics
     ///
@@ -227,8 +303,8 @@ impl PauliString {
             self.len(),
             other.len()
         );
-        for (a, b) in self.ops.iter_mut().zip(other.ops.iter()) {
-            *a = a.compose(*b);
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a ^= b;
         }
     }
 
@@ -244,49 +320,41 @@ impl PauliString {
         out
     }
 
-    /// The number of qubits on which the string acts non-trivially.
+    /// The number of qubits on which the string acts non-trivially (one
+    /// popcount per word pair).
     #[must_use]
     pub fn weight(&self) -> usize {
-        self.ops.iter().map(|p| p.weight()).sum()
+        let (x, z) = self.planes();
+        x.iter()
+            .zip(z)
+            .map(|(x, z)| (x | z).count_ones() as usize)
+            .sum()
     }
 
     /// Returns `true` if the string is the identity on every qubit.
     #[must_use]
     pub fn is_identity(&self) -> bool {
-        self.ops.iter().all(|p| p.is_identity())
+        self.words.iter().all(|&word| word == 0)
     }
 
-    /// Indices of qubits carrying an X component (`X` or `Y`).
+    /// Indices of qubits carrying an X component (`X` or `Y`), ascending.
     #[must_use]
     pub fn x_support(&self) -> Vec<usize> {
-        self.ops
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.has_x_component())
-            .map(|(i, _)| i)
-            .collect()
+        DefectIndices::over(self.x_plane()).collect()
     }
 
-    /// Indices of qubits carrying a Z component (`Z` or `Y`).
+    /// Indices of qubits carrying a Z component (`Z` or `Y`), ascending.
     #[must_use]
     pub fn z_support(&self) -> Vec<usize> {
-        self.ops
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.has_z_component())
-            .map(|(i, _)| i)
-            .collect()
+        DefectIndices::over(self.z_plane()).collect()
     }
 
-    /// Indices of qubits on which the string acts non-trivially.
+    /// Indices of qubits on which the string acts non-trivially, ascending.
     #[must_use]
     pub fn support(&self) -> Vec<usize> {
-        self.ops
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| !p.is_identity())
-            .map(|(i, _)| i)
-            .collect()
+        let (x, z) = self.planes();
+        let either: Vec<u64> = x.iter().zip(z).map(|(x, z)| x | z).collect();
+        DefectIndices::over(&either).collect()
     }
 
     /// Parity (`true` = odd) of the overlap between this string's Z components
@@ -296,12 +364,7 @@ impl PauliString {
     /// operator supported on `qubits`.
     #[must_use]
     pub fn z_overlap_parity(&self, qubits: &[usize]) -> bool {
-        qubits
-            .iter()
-            .filter(|&&q| self.ops.get(q).is_some_and(|p| p.has_z_component()))
-            .count()
-            % 2
-            == 1
+        overlap_parity(self.z_plane(), qubits)
     }
 
     /// Parity (`true` = odd) of the overlap between this string's X components
@@ -311,17 +374,12 @@ impl PauliString {
     /// operator supported on `qubits`.
     #[must_use]
     pub fn x_overlap_parity(&self, qubits: &[usize]) -> bool {
-        qubits
-            .iter()
-            .filter(|&&q| self.ops.get(q).is_some_and(|p| p.has_x_component()))
-            .count()
-            % 2
-            == 1
+        overlap_parity(self.x_plane(), qubits)
     }
 
     /// Iterates over the per-qubit operators.
     pub fn iter(&self) -> impl Iterator<Item = Pauli> + '_ {
-        self.ops.iter().copied()
+        (0..self.len).map(|i| BY_COMPONENTS[self.components(i)])
     }
 
     /// Overwrites this string with the contents of `other`, reusing the
@@ -330,84 +388,53 @@ impl PauliString {
     /// This is the copy analogue of [`PauliString::fill_identity`] for
     /// allocation-free hot loops.
     pub fn copy_from(&mut self, other: &PauliString) {
-        self.ops.clear();
-        self.ops.extend_from_slice(&other.ops);
+        self.len = other.len;
+        self.words.clone_from(&other.words);
     }
 
-    /// The number of `u64` words [`PauliString::pack_into`] writes for a
-    /// string on `len` qubits: two bitplanes (X components, then Z
-    /// components) of `ceil(len / 64)` words each.
+    /// The words: the X plane, then the Z plane, qubit `i` at bit `i % 64`
+    /// of word `i / 64` of each.
     #[must_use]
-    pub fn packed_words(len: usize) -> usize {
-        2 * len.div_ceil(64)
+    pub fn words(&self) -> &[u64] {
+        &self.words
     }
 
-    /// Packs the string into `out` as two bitplanes: X-component bits first,
-    /// then Z-component bits, each plane `ceil(len / 64)` words wide with
-    /// qubit `i` at bit `i % 64` of word `i / 64`.
-    ///
-    /// Exactly [`PauliString::packed_words`]`(self.len())` words are written;
-    /// any extra words in `out` are left untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is shorter than `packed_words(self.len())`.
-    pub fn pack_into(&self, out: &mut [u64]) {
-        let plane = self.ops.len().div_ceil(64);
-        assert!(
-            out.len() >= 2 * plane,
-            "need {} words to pack {} qubits, got {}",
-            2 * plane,
-            self.ops.len(),
-            out.len()
-        );
-        out[..2 * plane].fill(0);
-        for (i, p) in self.ops.iter().enumerate() {
-            if p.has_x_component() {
-                out[i / 64] |= 1 << (i % 64);
-            }
-            if p.has_z_component() {
-                out[plane + i / 64] |= 1 << (i % 64);
-            }
+    /// Overwrites both planes from raw words (e.g. read back out of a
+    /// ring-buffer slot or a trace), keeping the length and the allocation.
+    /// Bits beyond `len` in each plane's last word are masked off, so slot
+    /// padding cannot leak into the string.  Panics unless `words.len()` is
+    /// [`PauliString::words_for`]`(self.len())`.
+    pub fn copy_from_words(&mut self, words: &[u64]) {
+        let expected = self.words.len();
+        assert_eq!(words.len(), expected, "expected {expected} words");
+        self.words.copy_from_slice(words);
+        let plane = expected / 2;
+        if plane > 0 {
+            let mask = u64::MAX >> (plane * 64 - self.len);
+            self.words[plane - 1] &= mask;
+            self.words[2 * plane - 1] &= mask;
         }
     }
+}
 
-    /// Unpacks two bitplanes written by [`PauliString::pack_into`] into this
-    /// string, keeping its current length.  Bits beyond `self.len()` in each
-    /// plane are ignored, so round-tripping through zero-padded buffers is
-    /// lossless.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` is shorter than `packed_words(self.len())`.
-    pub fn unpack_from(&mut self, words: &[u64]) {
-        let plane = self.ops.len().div_ceil(64);
-        assert!(
-            words.len() >= 2 * plane,
-            "need {} words to unpack {} qubits, got {}",
-            2 * plane,
-            self.ops.len(),
-            words.len()
-        );
-        for (i, op) in self.ops.iter_mut().enumerate() {
-            let x = (words[i / 64] >> (i % 64)) & 1 == 1;
-            let z = (words[plane + i / 64] >> (i % 64)) & 1 == 1;
-            *op = Pauli::from_components(x, z);
-        }
-    }
+/// Parity of the set bits of `plane` at the listed qubits; a qubit past the
+/// plane counts as clear.
+fn overlap_parity(plane: &[u64], qubits: &[usize]) -> bool {
+    let bit = |q: usize| plane.get(q / 64).map_or(0, |word| word >> (q % 64) & 1);
+    qubits.iter().fold(0, |parity, &q| parity ^ bit(q)) == 1
 }
 
 impl Index<usize> for PauliString {
     type Output = Pauli;
 
     fn index(&self, index: usize) -> &Pauli {
-        &self.ops[index]
+        &BY_COMPONENTS[self.components(index)]
     }
 }
 
 impl fmt::Display for PauliString {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for p in &self.ops {
+        for p in self.iter() {
             write!(f, "{p}")?;
         }
         Ok(())
@@ -416,15 +443,12 @@ impl fmt::Display for PauliString {
 
 impl FromIterator<Pauli> for PauliString {
     fn from_iter<T: IntoIterator<Item = Pauli>>(iter: T) -> Self {
-        PauliString {
-            ops: iter.into_iter().collect(),
+        let paulis: Vec<Pauli> = iter.into_iter().collect();
+        let mut string = PauliString::identity(paulis.len());
+        for (i, p) in paulis.into_iter().enumerate() {
+            string.set(i, p);
         }
-    }
-}
-
-impl Extend<Pauli> for PauliString {
-    fn extend<T: IntoIterator<Item = Pauli>>(&mut self, iter: T) {
-        self.ops.extend(iter);
+        string
     }
 }
 
@@ -555,7 +579,9 @@ mod tests {
 
     #[test]
     fn display_round_trip() {
-        let s = PauliString::from_ops(vec![Pauli::I, Pauli::X, Pauli::Y, Pauli::Z]);
+        let s: PauliString = [Pauli::I, Pauli::X, Pauli::Y, Pauli::Z]
+            .into_iter()
+            .collect();
         assert_eq!(s.to_string(), "IXYZ");
         assert_eq!(Pauli::Y.to_string(), "Y");
     }
@@ -571,10 +597,10 @@ mod tests {
     fn copy_from_reuses_the_buffer() {
         let src = PauliString::from_sparse(5, &[1, 3], Pauli::Y);
         let mut dst = PauliString::identity(5);
-        let base = dst.ops.as_ptr();
+        let base = dst.words.as_ptr();
         dst.copy_from(&src);
         assert_eq!(dst, src);
-        assert_eq!(dst.ops.as_ptr(), base, "copy_from must not reallocate");
+        assert_eq!(dst.words.as_ptr(), base, "copy_from must not reallocate");
     }
 
     #[test]
@@ -583,42 +609,106 @@ mod tests {
         for (i, p) in (0..130).zip(Pauli::ALL.iter().cycle()) {
             s.set(i, *p);
         }
-        let mut words = vec![u64::MAX; PauliString::packed_words(130)];
-        s.pack_into(&mut words);
         let mut out = PauliString::identity(130);
-        out.unpack_from(&words);
+        out.copy_from_words(s.words());
         assert_eq!(out, s);
+        assert_eq!(out.iter().collect::<PauliString>(), s);
     }
 
     #[test]
-    fn packed_words_covers_both_planes() {
-        assert_eq!(PauliString::packed_words(0), 0);
-        assert_eq!(PauliString::packed_words(1), 2);
-        assert_eq!(PauliString::packed_words(64), 2);
-        assert_eq!(PauliString::packed_words(65), 4);
+    fn words_for_covers_both_planes() {
+        assert_eq!(PauliString::words_for(0), 0);
+        assert_eq!(PauliString::words_for(1), 2);
+        assert_eq!(PauliString::words_for(64), 2);
+        assert_eq!(PauliString::words_for(65), 4);
+        assert_eq!(PauliString::identity(145).words().len(), 6);
     }
 
+    /// A string's words go into the front of a larger record slot, and come
+    /// back out of a slot whose padding bits are garbage.
     #[test]
     fn pack_ignores_trailing_capacity_and_unpack_ignores_padding_bits() {
         let s = PauliString::from_sparse(3, &[0, 2], Pauli::X);
-        let mut words = vec![0u64; PauliString::packed_words(3) + 2];
-        words[PauliString::packed_words(3)] = 0xdead;
-        s.pack_into(&mut words);
-        assert_eq!(words[PauliString::packed_words(3)], 0xdead);
-        // Pollute padding bits above qubit 2 in both planes: unpack must not see them.
-        let mut polluted = words.clone();
-        polluted[0] |= !0b111;
-        polluted[1] |= !0b111;
+        let mut slot = vec![0xdead_u64; PauliString::words_for(3) + 2];
+        slot[..s.words().len()].copy_from_slice(s.words());
+        assert_eq!(slot[PauliString::words_for(3)..], [0xdead, 0xdead]);
+        // Pollute padding bits above qubit 2 in both planes.
+        slot[0] |= !0b111;
+        slot[1] |= !0b111;
         let mut out = PauliString::identity(3);
-        out.unpack_from(&polluted);
+        out.copy_from_words(&slot[..PauliString::words_for(3)]);
         assert_eq!(out, s);
     }
 
     #[test]
-    #[should_panic(expected = "need")]
-    fn pack_into_short_buffer_panics() {
-        let s = PauliString::identity(65);
-        let mut words = vec![0u64; 2];
-        s.pack_into(&mut words);
+    #[should_panic(expected = "expected 4 words")]
+    fn copy_from_words_rejects_wrong_word_count() {
+        PauliString::identity(65).copy_from_words(&[0, 0]);
+    }
+
+    fn hash_of(s: &PauliString) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        s.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// Tail-clean: no mutator leaves a bit past `len` that the derived
+    /// `Eq` / `Hash` would see.
+    #[test]
+    fn shrinking_and_polluted_words_stay_tail_clean() {
+        let mut s = PauliString::from_sparse(145, &[0, 12, 13, 63, 64, 144], Pauli::Y);
+        s.reset_identity(145);
+        s.set(100, Pauli::X);
+        s.reset_identity(13);
+        assert_eq!(s, PauliString::identity(13));
+        assert_eq!(hash_of(&s), hash_of(&PauliString::identity(13)));
+
+        for len in [1, 13, 63, 64, 65, 145] {
+            let mut clean = PauliString::identity(len);
+            clean.set(0, Pauli::Y);
+            clean.set(len - 1, Pauli::Y);
+            let mut polluted = vec![u64::MAX; PauliString::words_for(len)];
+            let plane = polluted.len() / 2;
+            for (word, &bits) in polluted.iter_mut().zip(clean.words()) {
+                *word = bits;
+            }
+            let padding = !(u64::MAX >> (plane * 64 - len));
+            polluted[plane - 1] |= padding;
+            polluted[2 * plane - 1] |= padding;
+            let mut out = PauliString::identity(len);
+            out.copy_from_words(&polluted);
+            assert_eq!(out, clean, "len {len}");
+            assert_eq!(hash_of(&out), hash_of(&clean), "len {len}");
+            assert_eq!(out.weight(), 2.min(len), "len {len}");
+        }
+    }
+
+    /// `index == len` must panic even where that bit lies inside a plane's
+    /// last word (13, 130) — a word has no bounds check of its own there.
+    macro_rules! panics_at_len {
+        ($($name:ident: $len:expr, $op:expr;)*) => {$(
+            #[test]
+            #[should_panic(expected = "out of range")]
+            fn $name() {
+                let op: fn(&mut PauliString, usize) = $op;
+                op(&mut PauliString::identity($len), $len);
+            }
+        )*};
+    }
+    panics_at_len! {
+        index_at_len_13_panics: 13, |s, i| assert_eq!(s[i], Pauli::I);
+        index_at_len_64_panics: 64, |s, i| assert_eq!(s[i], Pauli::I);
+        index_at_len_130_panics: 130, |s, i| assert_eq!(s[i], Pauli::I);
+        set_at_len_13_panics: 13, |s, i| s.set(i, Pauli::Z);
+        apply_at_len_130_panics: 130, |s, i| s.apply(i, Pauli::X);
+    }
+
+    #[test]
+    fn get_past_len_is_none() {
+        let s = PauliString::identity(13);
+        assert_eq!(s.get(12), Some(Pauli::I));
+        assert_eq!(s.get(13), None);
+        assert_eq!(s.get(64), None);
     }
 }

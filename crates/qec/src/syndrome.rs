@@ -153,11 +153,7 @@ impl Syndrome {
     /// trailing-zeros scans (skipping clear words wholesale).
     #[must_use]
     pub fn defect_indices(&self) -> DefectIndices<'_> {
-        DefectIndices {
-            words: &self.words,
-            word_index: 0,
-            current: self.words.first().copied().unwrap_or(0),
-        }
+        DefectIndices::over(&self.words)
     }
 
     /// XORs another syndrome into this one (symmetric difference of hot sets).
@@ -242,6 +238,18 @@ pub struct DefectIndices<'a> {
     words: &'a [u64],
     word_index: usize,
     current: u64,
+}
+
+impl<'a> DefectIndices<'a> {
+    /// The set bits of any word slice (bit `i % 64` of word `i / 64`), such
+    /// as a [`PauliString`](crate::pauli::PauliString) plane.
+    pub(crate) fn over(words: &'a [u64]) -> Self {
+        DefectIndices {
+            words,
+            word_index: 0,
+            current: words.first().copied().unwrap_or(0),
+        }
+    }
 }
 
 impl Iterator for DefectIndices<'_> {

@@ -11,6 +11,130 @@ fn arb_distance() -> impl Strategy<Value = usize> {
     prop_oneof![Just(3usize), Just(5), Just(7), Just(9)]
 }
 
+/// The string lengths the bitplane model is driven at: empty, one word
+/// boundary either side, and every lattice's data-qubit count (13, 41, 85,
+/// 145 at d = 3, 5, 7, 9).
+const LENGTHS: [usize; 9] = [0, 1, 13, 41, 63, 64, 65, 85, 145];
+
+/// The byte-per-qubit `PauliString` that the bitplane one replaced, kept as
+/// the reference model: one `Pauli` per qubit, every query a scan.
+#[derive(Debug, Clone)]
+struct DenseString(Vec<Pauli>);
+
+impl DenseString {
+    fn weight(&self) -> usize {
+        self.0.iter().map(|p| p.weight()).sum()
+    }
+
+    fn is_identity(&self) -> bool {
+        self.0.iter().all(|p| p.is_identity())
+    }
+
+    fn indices(&self, keep: impl Fn(Pauli) -> bool) -> Vec<usize> {
+        (0..self.0.len()).filter(|&i| keep(self.0[i])).collect()
+    }
+
+    fn overlap_parity(&self, qubits: &[usize], component: impl Fn(Pauli) -> bool) -> bool {
+        qubits
+            .iter()
+            .filter(|&&q| self.0.get(q).is_some_and(|&p| component(p)))
+            .count()
+            % 2
+            == 1
+    }
+
+    fn display(&self) -> String {
+        self.0.iter().map(ToString::to_string).collect()
+    }
+
+    /// The two-bitplane packing the wire has always carried: X components,
+    /// then Z components, qubit `i` at bit `i % 64` of word `i / 64`.
+    fn packed(&self) -> Vec<u64> {
+        let plane = self.0.len().div_ceil(64);
+        let mut out = vec![0u64; 2 * plane];
+        for (i, p) in self.0.iter().enumerate() {
+            if p.has_x_component() {
+                out[i / 64] |= 1 << (i % 64);
+            }
+            if p.has_z_component() {
+                out[plane + i / 64] |= 1 << (i % 64);
+            }
+        }
+        out
+    }
+
+    /// The syndrome, one ancilla at a time: the parity of the components it
+    /// detects over its stabilizer support.
+    fn syndrome(&self, lattice: &Lattice) -> Syndrome {
+        (0..lattice.num_ancillas())
+            .map(|a| match lattice.ancilla_sector(a) {
+                Sector::X => {
+                    self.overlap_parity(lattice.stabilizer_support(a), Pauli::has_z_component)
+                }
+                Sector::Z => {
+                    self.overlap_parity(lattice.stabilizer_support(a), Pauli::has_x_component)
+                }
+            })
+            .collect()
+    }
+}
+
+/// A splitmix64 step: the tests' source of per-qubit noise.
+fn mix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A pseudo-random dense string of `len` qubits, about half non-identity.
+fn noisy(len: usize, seed: u64) -> DenseString {
+    DenseString(
+        (0..len as u64)
+            .map(|i| Pauli::ALL[(mix(seed ^ i) % 4) as usize])
+            .collect(),
+    )
+}
+
+/// Checks every query of `string` against the model.
+fn assert_agrees(
+    string: &PauliString,
+    model: &DenseString,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let len = model.0.len();
+    prop_assert_eq!(string.len(), len);
+    prop_assert_eq!(string.is_empty(), len == 0);
+    for i in 0..len {
+        prop_assert_eq!(string.get(i), Some(model.0[i]));
+        prop_assert_eq!(string[i], model.0[i]);
+    }
+    prop_assert_eq!(string.get(len), None);
+    prop_assert_eq!(string.get(len + 64), None);
+    prop_assert_eq!(string.iter().collect::<Vec<_>>(), model.0.clone());
+    prop_assert_eq!(string.weight(), model.weight());
+    prop_assert_eq!(string.is_identity(), model.is_identity());
+    prop_assert_eq!(string.x_support(), model.indices(Pauli::has_x_component));
+    prop_assert_eq!(string.z_support(), model.indices(|p| p.has_z_component()));
+    prop_assert_eq!(string.support(), model.indices(|p| !p.is_identity()));
+    // Qubit sets reaching three past the end: both forms ignore those.
+    let qubits: Vec<usize> = (0..len + 3)
+        .filter(|&q| mix(seed ^ q as u64) % 3 == 0)
+        .collect();
+    prop_assert_eq!(
+        string.x_overlap_parity(&qubits),
+        model.overlap_parity(&qubits, Pauli::has_x_component)
+    );
+    prop_assert_eq!(
+        string.z_overlap_parity(&qubits),
+        model.overlap_parity(&qubits, Pauli::has_z_component)
+    );
+    prop_assert_eq!(string.to_string(), model.display());
+    prop_assert_eq!(string.words().to_vec(), model.packed());
+    prop_assert_eq!(string.words().len(), PauliString::words_for(len));
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -246,5 +370,73 @@ proptest! {
         both.extend(lattice.defects(&syndrome, Sector::Z));
         both.sort_unstable();
         prop_assert_eq!(both, syndrome.hot_indices());
+    }
+
+    /// The bitplane `PauliString` equals the byte-per-qubit model it replaced
+    /// under arbitrary sequences of `set` / `apply` / `compose_with` /
+    /// `reset_identity` / `copy_from`, at lengths straddling word boundaries,
+    /// query for query — its words included, against the packing the wire
+    /// carried before.  On a lattice's length its syndrome and sector checks
+    /// also equal the dense per-stabilizer reference.
+    #[test]
+    fn bitplane_pauli_string_matches_the_dense_model(
+        start in 0usize..LENGTHS.len(),
+        ops in prop::collection::vec((0u8..5, any::<usize>(), any::<u64>()), 0..40),
+    ) {
+        let lattices: Vec<Lattice> = [3, 5, 7, 9].map(|d| Lattice::new(d).unwrap()).into();
+        let mut string = PauliString::identity(LENGTHS[start]);
+        let mut model = DenseString(vec![Pauli::I; LENGTHS[start]]);
+        let mut syndrome = Syndrome::from_hot(5, &[2]);
+        for (op, index, seed) in ops {
+            let len = model.0.len();
+            let pauli = Pauli::ALL[(seed % 4) as usize];
+            match op {
+                0 if len > 0 => {
+                    string.set(index % len, pauli);
+                    model.0[index % len] = pauli;
+                }
+                1 if len > 0 => {
+                    string.apply(index % len, pauli);
+                    model.0[index % len] = model.0[index % len] * pauli;
+                }
+                2 => {
+                    let other = noisy(len, seed);
+                    string.compose_with(&other.0.iter().copied().collect());
+                    for (a, b) in model.0.iter_mut().zip(&other.0) {
+                        *a = *a * *b;
+                    }
+                }
+                3 => {
+                    let len = LENGTHS[index % LENGTHS.len()];
+                    string.reset_identity(len);
+                    model = DenseString(vec![Pauli::I; len]);
+                }
+                4 => {
+                    model = noisy(LENGTHS[index % LENGTHS.len()], seed);
+                    string.copy_from(&model.0.iter().copied().collect());
+                }
+                _ => {}
+            }
+            assert_agrees(&string, &model, seed)?;
+            if let Some(lattice) = lattices.iter().find(|l| l.num_data() == model.0.len()) {
+                let expected = model.syndrome(lattice);
+                lattice.syndrome_into(&string, &mut syndrome);
+                prop_assert_eq!(&syndrome, &expected);
+                for sector in Sector::ALL {
+                    prop_assert_eq!(
+                        lattice.sector_is_clear(&string, sector),
+                        lattice.defects(&expected, sector).is_empty()
+                    );
+                }
+            }
+        }
+        let hash = |s: &PauliString| {
+            let mut hasher = DefaultHasher::new();
+            s.hash(&mut hasher);
+            hasher.finish()
+        };
+        let rebuilt: PauliString = model.0.iter().copied().collect();
+        prop_assert_eq!(&rebuilt, &string);
+        prop_assert_eq!(hash(&rebuilt), hash(&string));
     }
 }

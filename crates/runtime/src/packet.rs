@@ -24,10 +24,11 @@
 //!
 //! Format version 4 adds an *opt-in* error payload: a codec built with
 //! [`PacketCodec::with_error_payload`] appends the round's seeded physical
-//! error — a [`PauliString`] packed as two bitplanes (X components, then Z
-//! components), sized for the largest lattice's data-qubit count — between
-//! the syndrome payload and the checksum trailer.  This is what lets workers
-//! classify residuals *in stream*, retaining nothing per round.  Whether records carry errors is fixed at codec construction for
+//! error — a [`PauliString`]'s own words, its two bitplanes (X components,
+//! then Z components), in a field sized for the largest lattice's data-qubit
+//! count — between the syndrome payload and the checksum trailer.  This is
+//! what lets workers classify residuals *in stream*, retaining nothing per
+//! round.  Whether records carry errors is fixed at codec construction for
 //! the whole run (both sides are built from the same
 //! [`LatticeSet`](crate::lattice_set::LatticeSet)); the checksum covers the
 //! extra words automatically.
@@ -298,9 +299,9 @@ impl PacketCodec {
     /// physical error: `bits[id]` is the ancilla count and `data_qubits[id]`
     /// the data-qubit count of the lattice registered under `id`.
     ///
-    /// The error payload is two bitplanes sized for the largest lattice
-    /// ([`PauliString::packed_words`]); smaller lattices' planes are
-    /// zero-padded, like the syndrome payload.  Records from this codec must
+    /// The error payload is the string's words, sized for the largest
+    /// lattice ([`PauliString::words_for`]); a smaller lattice's words are
+    /// followed by zeros, like the syndrome payload.  Records from this codec must
     /// be encoded with [`PacketCodec::encode_with_error`] and their error
     /// read back with [`PacketCodec::decode_error_into`].
     ///
@@ -320,7 +321,7 @@ impl PacketCodec {
             .map(|&d| u32::try_from(d).expect("data-qubit count fits u32"))
             .collect();
         let max_data = *codec.lattice_data.iter().max().expect("non-empty") as usize;
-        codec.error_words = PauliString::packed_words(max_data);
+        codec.error_words = PauliString::words_for(max_data);
         codec
     }
 
@@ -507,9 +508,9 @@ impl PacketCodec {
     }
 
     /// Flattens a packet plus the round's seeded error into `out`
-    /// (error-carrying codecs only).  The error is packed as two bitplanes
-    /// after the syndrome payload; the checksum trailer covers it like every
-    /// other word.
+    /// (error-carrying codecs only).  The error's words — its two bitplanes —
+    /// are copied after the syndrome payload; the checksum trailer covers
+    /// them like every other word.
     ///
     /// # Panics
     ///
@@ -533,15 +534,15 @@ impl PacketCodec {
             packet.lattice_id,
             data
         );
-        let packed = PauliString::packed_words(data);
-        error.pack_into(&mut out[err_off..err_off + packed]);
+        let payload = error.words();
+        out[err_off..err_off + payload.len()].copy_from_slice(payload);
         let body = out.len() - TRAILER_WORDS;
-        out[err_off + packed..body].fill(0);
+        out[err_off + payload.len()..body].fill(0);
         out[body] = record_checksum(&out[..body]);
     }
 
-    /// Unpacks the error payload of an already-verified record into `error`
-    /// without allocating — the companion of
+    /// Copies the error payload of an already-verified record into `error`'s
+    /// words without allocating — the companion of
     /// [`PacketCodec::try_decode_into`] on the worker hot path.  `lattice_id`
     /// must be the id returned by the verifying decode (the raw peeked id is
     /// not trustworthy).
@@ -566,8 +567,7 @@ impl PacketCodec {
             data
         );
         let off = self.error_offset();
-        let packed = PauliString::packed_words(data);
-        error.unpack_from(&words[off..off + packed]);
+        error.copy_from_words(&words[off..off + PauliString::words_for(data)]);
     }
 
     /// Verifies a record and restores it into an existing buffer without

@@ -18,8 +18,8 @@
 //! types cannot say (a round's lattice exists, its indices and payload fit
 //! that lattice) is checked once after decoding, before anything indexes by
 //! it.  Syndromes are stored as hot ancilla indices (sparse — most rounds
-//! are quiet), error payloads as the two-bitplane words of
-//! [`PauliString::pack_into`], hex-encoded because JSON numbers cannot carry
+//! are quiet), error payloads as the string's own two-bitplane words
+//! ([`PauliString::words`]), hex-encoded because JSON numbers cannot carry
 //! full 64-bit patterns.  Wall-clock fields (`emitted_ns`) are deliberately
 //! *not* recorded: a trace captures the stream's identity, not one machine's
 //! timing.
@@ -68,14 +68,11 @@ pub fn digest_words(words: impl IntoIterator<Item = u64>) -> u64 {
     acc
 }
 
-/// Digest of a Pauli string via its packed two-bitplane representation,
-/// prefixed by its length so strings of different sizes never collide on
-/// identical planes.
+/// Digest of a Pauli string's words (its two bitplanes), prefixed by its
+/// length so strings of different sizes never collide on identical planes.
 #[must_use]
 pub fn digest_pauli(string: &PauliString) -> u64 {
-    let mut words = vec![0u64; PauliString::packed_words(string.len())];
-    string.pack_into(&mut words);
-    digest_words(std::iter::once(string.len() as u64).chain(words))
+    digest_words(std::iter::once(string.len() as u64).chain(string.words().iter().copied()))
 }
 
 /// The recorded shape of one lattice, pinned so a replay can verify the
@@ -101,7 +98,8 @@ pub struct TraceRound {
     pub due_ns: f64,
     /// Hot ancilla indices of the syndrome, ascending.
     pub hot: Vec<u32>,
-    /// The seeded error, packed as [`PauliString::pack_into`] bitplanes.
+    /// The seeded error's words ([`PauliString::words`]): its X plane, then
+    /// its Z plane.
     pub error_words: Vec<u64>,
 }
 
@@ -254,7 +252,7 @@ impl SyndromeTrace {
                     shape.ancilla_bits
                 )));
             }
-            let expected = PauliString::packed_words(shape.data_bits);
+            let expected = PauliString::words_for(shape.data_bits);
             if recorded.error_words.len() != expected {
                 return Err(ExportError::Schema(format!(
                     "lattice {lattice_id} error payload has {} words, expected {expected} for {} \
@@ -387,8 +385,6 @@ impl TraceRecorder {
 
     /// Records one emitted round.
     pub fn record(&mut self, sourced: &SourcedRound) {
-        let mut error_words = vec![0u64; PauliString::packed_words(sourced.error.len())];
-        sourced.error.pack_into(&mut error_words);
         self.rounds.push(TraceRound {
             lattice_id: sourced.lattice_id,
             round: sourced.round,
@@ -399,7 +395,7 @@ impl TraceRecorder {
                 .into_iter()
                 .map(|i| i as u32)
                 .collect(),
-            error_words,
+            error_words: sourced.error.words().to_vec(),
         });
     }
 
@@ -443,7 +439,7 @@ impl TraceSource {
         let shape = &self.trace.lattices[recorded.lattice_id as usize];
         let hot: Vec<usize> = recorded.hot.iter().map(|&i| i as usize).collect();
         let mut error = PauliString::identity(shape.data_bits);
-        error.unpack_from(&recorded.error_words);
+        error.copy_from_words(&recorded.error_words);
         Some(SourcedRound {
             lattice_id: recorded.lattice_id,
             round: recorded.round,

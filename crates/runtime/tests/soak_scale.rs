@@ -75,7 +75,7 @@ fn residual_oracle(engine: &StreamingEngine, outcome: &RuntimeOutcome) -> Vec<Re
     for round in &trace.rounds {
         let lattice = set.lattice(round.lattice_id as usize);
         let mut error = PauliString::identity(lattice.num_data());
-        error.unpack_from(&round.error_words);
+        error.copy_from_words(&round.error_words);
         let identity = PauliString::identity(lattice.num_data());
         let correction = applied
             .get(&(round.lattice_id, round.round))

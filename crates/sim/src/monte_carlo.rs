@@ -153,9 +153,10 @@ where
                     let mut rng = ChaCha8Rng::seed_from_u64(seed);
                     let mut decoder = make_decoder();
                     decoder.prepare(lattice);
-                    // One buffer each for the whole run: a trial costs a scan
-                    // of the data qubits plus what its errors and defects
-                    // cost, and allocates nothing.
+                    // One buffer each for the whole run: a trial costs a few
+                    // word fills and XORs (two planes of ⌈n/64⌉ words per
+                    // string) plus what its errors and defects cost, and
+                    // allocates nothing.
                     let mut error = PauliString::identity(lattice.num_data());
                     let mut syndrome = Syndrome::new(lattice.num_ancillas());
                     let mut correction = PauliString::identity(lattice.num_data());
