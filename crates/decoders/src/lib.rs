@@ -35,10 +35,10 @@
 //!   decoders in this crate the steady-state loop performs **zero** heap
 //!   allocations (guarded by a counting global allocator in
 //!   `tests/allocation_free.rs`).
-//! * Decoders may keep scratch between calls (hence `&mut self`) but must
-//!   not carry information from one syndrome to the next — every round is an
-//!   independent decoding problem, which is what lets the streaming runtime
-//!   interleave many lattices through one prepared decoder.
+//! * A decoder's output depends only on (lattice, syndrome, sector); state
+//!   kept between calls (hence `&mut self`) may be scratch or a memo of that
+//!   function — which is what lets the streaming runtime interleave many
+//!   lattices through one prepared decoder.
 //!
 //! Worker pools construct per-thread instances through [`DecoderFactory`];
 //! see `docs/ARCHITECTURE.md` at the repository root for the full pipeline.

@@ -221,9 +221,10 @@ impl fmt::Display for Correction {
 
 /// A surface-code decoder operating on one stabilizer sector at a time.
 ///
-/// Decoders may keep internal scratch state between calls (hence `&mut self`)
-/// but must not carry information from one syndrome to the next: every call
-/// is an independent decoding problem.
+/// A decoder's output depends only on (lattice, syndrome, sector).  State it
+/// keeps between calls (hence `&mut self`) may be scratch, or a memo of that
+/// function, such as union-find's table of low-weight decodes; never
+/// anything that makes one call's answer depend on an earlier call.
 ///
 /// `Send` is a supertrait so that decoders can be moved onto worker threads
 /// (the streaming runtime hands one decoder instance to each worker) without

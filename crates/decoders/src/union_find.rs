@@ -4,10 +4,13 @@
 //! Union-find is the fastest published *software* decoder the paper compares
 //! against (Section VIII, "Comparison to existing approximation techniques"):
 //! it trades a small amount of threshold (≈0.4%) for a large speed-up over
-//! MWPM, but its decoding time still exceeds the syndrome-generation time, so
-//! it remains exposed to the backlog problem.  We implement the standard
-//! two-phase algorithm — cluster growth with half-edges, then peeling —
-//! specialized to the code-capacity setting of the paper's accuracy evaluation.
+//! MWPM, but in the paper's profile (Section VIII, ~900 ns a decode) it is
+//! still slower than syndrome generation, so it remains exposed to the
+//! backlog problem.  This implementation's own cost is measured, not
+//! assumed: the benchmark's `decoders.union_find.round_ns` row.  We
+//! implement the standard two-phase algorithm — cluster growth with
+//! half-edges, then peeling — specialized to the code-capacity setting of
+//! the paper's accuracy evaluation.
 //!
 //! # Bitboard model
 //!
@@ -29,6 +32,17 @@
 //! the peel's queue and tree arrays, sized by `prepare` and written before they
 //! are read, so [`Decoder::decode_into`] allocates nothing
 //! (`tests/allocation_free.rs` guards that).
+//!
+//! # Memo
+//!
+//! Below threshold most sectors carry a few defects, and the same few recur.
+//! Each sector keeps a direct-mapped table of 1,024 decodes of 1–4 defects,
+//! keyed by the defect bitboard the scan builds: a hit copies the stored
+//! correction words, a miss grows and peels as above and then overwrites
+//! the slot.  A sector decode is a pure function of (distance, sector,
+//! defect set), so a hit returns exactly what a miss would.  `prepare`
+//! allocates the table empty and preparing for another distance drops it;
+//! it costs `1024 · (W + 2⌈n/64⌉)` words a sector for `n` data qubits.
 
 use crate::traits::{sector_correction_pauli, Correction, Decoder};
 use nisqplus_qec::lattice::{Coord, Lattice, Sector};
@@ -39,6 +53,17 @@ use std::ops::{BitAnd, BitOr, BitXor, Not};
 /// The largest distance whose sector grid, boundary vertices included, fits
 /// in 16 words.
 const MAX_DISTANCE: usize = 31;
+
+/// Slots in each sector's memo (a power of two: the slot is the top bits of
+/// a multiplicative hash).
+const MEMO_SLOTS: usize = 1 << MEMO_SLOT_BITS;
+const MEMO_SLOT_BITS: u32 = 10;
+
+/// The most defects a memoised decode holds.  Low-weight sets recur below
+/// threshold and heavier ones rarely do: at d = 5, p = 0.03 a limit of 3
+/// gives up part of the gain, and a limit of 6 or none adds nothing to it
+/// while every heavy decode pays a store and evicts a light one.
+const MEMO_MAX_DEFECTS: u32 = 4;
 
 /// Edge classes, indexing [`SectorGrid::owners`] and a decode's edge sets.
 const RIGHT: usize = 0;
@@ -72,6 +97,15 @@ impl<const W: usize> Bits<W> {
     fn first(self) -> Option<usize> {
         let w = self.0.iter().position(|&w| w != 0)?;
         Some(w * 64 + self.0[w].trailing_zeros() as usize)
+    }
+
+    /// This set's memo slot: the top bits of a Fibonacci hash of its words.
+    fn memo_slot(self) -> usize {
+        let hash = self
+            .0
+            .iter()
+            .fold(0u64, |h, &w| (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        (hash >> (64 - MEMO_SLOT_BITS)) as usize
     }
 
     /// The members, ascending.
@@ -128,8 +162,38 @@ impl<const W: usize> Not for Bits<W> {
     }
 }
 
-/// One sector's decoding graph over its ancilla grid.  Grid vertices are
-/// `0..n`; the peel numbers boundary A `n` and boundary B `n + 1`.
+/// One sector's memo (module docs, "Memo"): each slot holds the last
+/// defect set of at most [`MEMO_MAX_DEFECTS`] defects whose
+/// [`Bits::memo_slot`] it is, and that set's correction.
+#[derive(Debug, Clone)]
+struct Memo<const W: usize> {
+    /// Each slot's defect set; empty, which no memoised set is, until the
+    /// slot is first written.
+    keys: Vec<Bits<W>>,
+    /// Each slot's correction as [`PauliString::words`], `stride` words a
+    /// slot.
+    corrections: Vec<u64>,
+    stride: usize,
+}
+
+impl<const W: usize> Memo<W> {
+    fn new(num_data: usize) -> Self {
+        let stride = PauliString::words_for(num_data);
+        Memo {
+            keys: vec![Bits::EMPTY; MEMO_SLOTS],
+            corrections: vec![0; MEMO_SLOTS * stride],
+            stride,
+        }
+    }
+
+    fn correction(&mut self, slot: usize) -> &mut [u64] {
+        &mut self.corrections[slot * self.stride..(slot + 1) * self.stride]
+    }
+}
+
+/// One sector's decoding graph over its ancilla grid, and its memo.  Grid
+/// vertices are `0..n`; the peel numbers boundary A `n` and boundary B
+/// `n + 1`.
 #[derive(Debug, Clone)]
 struct SectorGrid<const W: usize> {
     n: usize,
@@ -144,6 +208,7 @@ struct SectorGrid<const W: usize> {
     owners: [Bits<W>; 4],
     /// The data qubit each edge crosses, by class and owning vertex.
     qubit: [Vec<u32>; 4],
+    memo: Memo<W>,
 }
 
 impl<const W: usize> SectorGrid<W> {
@@ -162,6 +227,7 @@ impl<const W: usize> SectorGrid<W> {
             vertex_of_ancilla: vec![0; lattice.num_ancillas()],
             owners: [Bits::EMPTY; 4],
             qubit: std::array::from_fn(|_| vec![0; n]),
+            memo: Memo::new(lattice.num_data()),
         };
         let data = |row, col| lattice.cell(Coord::new(row, col)).index as u32;
         for (v, a) in lattice.ancillas_in_sector(sector).enumerate() {
@@ -325,10 +391,12 @@ impl<const W: usize> SectorGrid<W> {
         }
     }
 
-    /// Decodes one sector, applying the correction's data-qubit flips to
-    /// `out`.  A sector without defects returns after the scan.
+    /// Decodes one sector into `out`, which holds the identity.  A sector
+    /// without defects returns after the scan; one with at most
+    /// [`MEMO_MAX_DEFECTS`] is answered from the memo or, on a miss,
+    /// decoded and stored there.
     fn decode(
-        &self,
+        &mut self,
         scratch: &mut PeelScratch,
         lattice: &Lattice,
         syndrome: &Syndrome,
@@ -344,9 +412,20 @@ impl<const W: usize> SectorGrid<W> {
         if defects.is_empty() {
             return;
         }
+        let slot = (defects.count_ones() <= MEMO_MAX_DEFECTS).then(|| defects.memo_slot());
+        if let Some(slot) = slot {
+            if self.memo.keys[slot] == defects {
+                out.copy_from_words(self.memo.correction(slot));
+                return;
+            }
+        }
         let full = self.grow(defects);
         let pauli = sector_correction_pauli(sector);
         self.peel(&full, defects, scratch, pauli, out);
+        if let Some(slot) = slot {
+            self.memo.keys[slot] = defects;
+            self.memo.correction(slot).copy_from_slice(out.words());
+        }
     }
 }
 
@@ -630,19 +709,32 @@ mod tests {
     #[test]
     fn decode_into_matches_decode_and_overwrites_stale_contents() {
         let mut rng = ChaCha8Rng::seed_from_u64(41);
-        let model = PureDephasing::new(0.1).unwrap();
         let lat = Lattice::new(7).unwrap();
         let mut decoder = UnionFindDecoder::new();
         decoder.prepare(&lat);
-        // A deliberately stale, wrongly-sized buffer: decode_into must reset it.
-        let mut buf = PauliString::from_sparse(3, &[0, 1, 2], Pauli::Y);
-        for _ in 0..40 {
-            let error = model.sample(&lat, &mut rng);
-            let syndrome = lat.syndrome_of(&error);
-            let via_decode = decoder.decode(&lat, &syndrome, Sector::X);
-            decoder.decode_into(&lat, &syndrome, Sector::X, &mut buf);
-            assert_eq!(&buf, via_decode.pauli_string());
+        let mut memoised = 0;
+        for p in [0.02, 0.1] {
+            let model = PureDephasing::new(p).unwrap();
+            for _ in 0..40 {
+                let error = model.sample(&lat, &mut rng);
+                let syndrome = lat.syndrome_of(&error);
+                let via_decode = decoder.decode(&lat, &syndrome, Sector::X);
+                let defects = lat.defects(&syndrome, Sector::X).len();
+                memoised += usize::from((1..=4).contains(&defects));
+                // Both decodes of a set of 1–4 defects are memo hits: a hit
+                // must reset a deliberately stale, wrongly-sized buffer
+                // exactly as a miss does.
+                for _ in 0..2 {
+                    let mut buf = PauliString::from_sparse(3, &[0, 1, 2], Pauli::Y);
+                    decoder.decode_into(&lat, &syndrome, Sector::X, &mut buf);
+                    assert_eq!(&buf, via_decode.pauli_string(), "p={p}");
+                }
+            }
         }
+        assert!(
+            memoised >= 20,
+            "only {memoised} of 80 syndromes hit the memo"
+        );
     }
 
     #[test]
