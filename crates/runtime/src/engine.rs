@@ -714,22 +714,41 @@ mod tests {
     }
 
     /// A worker's `decoded` is what its frame sink committed — the same
-    /// number its decode stage row reports — and the workers' sum is the
-    /// machine's.
+    /// number its decode stage row reports — and its `stall_polls` is that
+    /// row's `stall_cycles`, the polls of a crashed attempt included; the
+    /// workers' sum is the machine's.
     #[test]
     fn worker_decoded_counts_are_the_sinks_committed_counts() {
-        for workers in [1, 3] {
-            let engine = StreamingEngine::with_machine(two_lattice_machine(workers)).unwrap();
+        crate::fault::silence_injected_crash_panics();
+        // One paced worker, idle between rounds, that dies after five
+        // commits: the polls it made before the crash stay on its row.
+        let mut paced = MachineConfig::new(&[3], 5);
+        paced.lattices[0].rounds = 20;
+        // ≈ 163 µs a round: far above a debug-build decode, so the worker
+        // idles before every round.
+        paced.lattices[0].cadence_cycles = 1_000_000;
+        paced.workers = 1;
+        paced.fault = crate::fault::FaultPlan::default().crash_worker(0, 5);
+        let legs = [
+            (two_lattice_machine(1), 200, 0),
+            (two_lattice_machine(3), 200, 0),
+            (paced, 20, 1),
+        ];
+        for (config, rounds, crashes) in legs {
+            let workers = config.workers;
+            let engine = StreamingEngine::with_machine(config).unwrap();
             let report = engine.run(&greedy_factory()).report;
+            assert_eq!(report.fault.injected_crashes, crashes);
             assert_eq!(report.worker_counters.len(), workers);
             for (w, worker) in report.worker_counters.iter().enumerate() {
                 let name = format!("decode.{w}");
                 let row = report.stages.iter().find(|r| r.stage == name).unwrap();
                 assert_eq!(worker.decoded, row.emitted, "{name}");
+                assert_eq!(worker.stall_polls, row.stall_cycles, "{name}");
             }
             let sum: u64 = report.worker_counters.iter().map(|w| w.decoded).sum();
             assert_eq!(sum, report.counters.decoded);
-            assert_eq!(sum, 200);
+            assert_eq!(sum, rounds);
         }
     }
 

@@ -25,7 +25,7 @@ use crate::fault::{FaultInjector, CRASH_PANIC_MARKER};
 use crate::lattice_set::{LatticeDecoder, LatticeSet};
 use crate::obs::{EventJournal, EventKind, EventSeverity};
 use crate::packet::{PacketCodec, PacketError, SyndromePacket};
-use crate::stage::{Channel, FrameSink, StageReport, StealMux, WorkerOutput};
+use crate::stage::{pause, Channel, FrameSink, StageReport, StealMux, WorkerOutput};
 use crate::telemetry::RuntimeCounters;
 use nisqplus_decoders::traits::{DecoderFactory, DynDecoder};
 use nisqplus_qec::lattice::Sector;
@@ -33,7 +33,6 @@ use nisqplus_qec::logical::{classify_both_sectors_into, LogicalState};
 use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::syndrome::Syndrome;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::thread;
 use std::time::Instant;
 
 /// One decoded round, borrowed from the decode stage's reusable buffers:
@@ -256,28 +255,30 @@ pub(crate) struct WorkerSeat<'a> {
 /// `prepare`d decoders — over the *same* sink, so the replacement adopts
 /// the dead worker's frame shard and every round it had already committed.
 /// Returns the worker's output plus its decode [`StageReport`], whose
-/// `emitted` is the sink's committed count.
+/// `emitted` is the sink's committed count and whose `stall_cycles` is the
+/// worker's `stall_polls` counter — both span every attempt, a crashed one
+/// included.
 ///
 /// [`catch_unwind`]: std::panic::catch_unwind
 pub(crate) fn run_worker(seat: WorkerSeat<'_>) -> (WorkerOutput, StageReport) {
     let worker_id = seat.worker_id;
     let mut sink =
         FrameSink::new(seat.set, seat.record_corrections).with_correction_cap(seat.correction_cap);
-    let mut stall_polls = 0u64;
     let mut restarts = 0u64;
     loop {
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             worker_loop(&seat, &mut sink)
         }));
         match attempt {
-            Ok((lattice_decoders, polls)) => {
-                stall_polls += polls;
+            Ok(lattice_decoders) => {
                 let committed = sink.committed();
                 let decode_report = StageReport {
                     stage: format!("decode.{worker_id}"),
                     accepted: committed,
                     emitted: committed,
-                    stall_cycles: stall_polls,
+                    stall_cycles: seat.counters.per_worker[worker_id]
+                        .stall_polls
+                        .load(Ordering::Relaxed),
                     ..StageReport::default()
                 };
                 return (sink.finish(lattice_decoders), decode_report);
@@ -314,9 +315,12 @@ pub(crate) fn run_worker(seat: WorkerSeat<'_>) -> (WorkerOutput, StageReport) {
 /// every record through the lattice's prepared hot path, commit to the
 /// shared frame sink and count the round decoded — which is also what lowers
 /// its lattice's outstanding count for the gate.
-/// Returns `(lattice decoder names, stall polls)` when the stream drains;
-/// unwinds into the supervisor if the decode path panics.
-fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> (Vec<String>, u64) {
+/// An idle poll is one turn of the shared busy wait ([`pause`]), so the
+/// worker spins on the channels and yields only every
+/// [`TURNS_PER_YIELD`](crate::stage::TURNS_PER_YIELD)th empty poll.
+/// Returns the lattice decoder names when the stream drains; unwinds into
+/// the supervisor if the decode path panics.
+fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> Vec<String> {
     let worker_id = seat.worker_id;
     let (channels, counters, journal) = (seat.channels, seat.counters, seat.journal);
     let epoch = seat.epoch;
@@ -328,7 +332,7 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> (Vec<String>, u64
         .map(|_| vec![0u64; seat.codec.words_per_packet()])
         .collect();
     let worker_counters = &counters.per_worker[worker_id];
-    let mut stall_polls = 0u64;
+    let mut turns = 0u32;
     loop {
         // The crash hook sits at the batch boundary: no record is in flight
         // inside the worker when an injected panic fires, so nothing a
@@ -353,12 +357,10 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> (Vec<String>, u64
         }
         if fill.filled == 0 {
             if seat.done.load(Ordering::Acquire) && channels.iter().all(Channel::is_empty) {
-                return (decode.lattice_decoders().to_vec(), stall_polls);
+                return decode.lattice_decoders().to_vec();
             }
             worker_counters.stall_polls.fetch_add(1, Ordering::Relaxed);
-            stall_polls += 1;
-            std::hint::spin_loop();
-            thread::yield_now();
+            pause(&mut turns);
             continue;
         }
 

@@ -56,6 +56,29 @@ pub use source::PipelineOptions;
 pub(crate) use source::{run_source, SourceSeat};
 
 use serde::{Deserialize, Serialize};
+use std::thread;
+
+/// Turns of a busy wait between two `yield_now` calls: enough that a wait
+/// costs no syscall per clock read or poll, few enough that on a host with
+/// one core the other pipeline thread gets the processor within
+/// microseconds.
+pub(crate) const TURNS_PER_YIELD: u32 = 64;
+
+/// One turn of a busy wait — the source's pacing wait and both Block-lane
+/// waits (sharing the run's `turns` count), a worker polling empty channels
+/// and a throttled decode spinning out its floor: a `spin_loop` hint, and
+/// every [`TURNS_PER_YIELD`]th turn a `yield_now` instead.  Returns whether
+/// it yielded.
+pub(crate) fn pause(turns: &mut u32) -> bool {
+    *turns = turns.wrapping_add(1);
+    let yields = *turns % TURNS_PER_YIELD == 0;
+    if yields {
+        thread::yield_now();
+    } else {
+        std::hint::spin_loop();
+    }
+    yields
+}
 
 /// How much of a bound (a channel's capacity, a lane's budget) must come free
 /// before a refused `Block` lane offers again: an eighth, at least one.
@@ -100,6 +123,26 @@ impl StageReport {
         StageReport {
             stage: stage.into(),
             ..StageReport::default()
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Over k·`TURNS_PER_YIELD` turns a wait yields exactly k times, at
+    /// every multiple of `TURNS_PER_YIELD` and on no other turn.
+    #[test]
+    fn a_busy_wait_yields_every_64th_turn_and_on_no_other() {
+        assert_eq!(TURNS_PER_YIELD, 64);
+        for k in 1..=4 {
+            let mut turns = 0u32;
+            let yielded: Vec<u32> = (1..=k * TURNS_PER_YIELD)
+                .filter(|_| pause(&mut turns))
+                .collect();
+            let expected: Vec<u32> = (1..=k).map(|i| i * TURNS_PER_YIELD).collect();
+            assert_eq!(yielded, expected, "k = {k}");
         }
     }
 }

@@ -20,11 +20,10 @@ use crate::obs::{EventJournal, EventKind, EventSeverity};
 use crate::packet::{PacketCodec, SyndromePacket};
 use crate::scenario::{SyndromeTrace, TraceRecorder, TraceSource};
 use crate::source::{ElasticEvent, ElasticEventKind, InterleavedSource, NoiseEpoch, SourcedRound};
-use crate::stage::{Admission, Channel, DepthSink, QosGate, StageReport};
+use crate::stage::{pause, Admission, Channel, DepthSink, QosGate, StageReport};
 use crate::telemetry::{DepthSample, LatticeCounters, RuntimeCounters};
 use nisqplus_qec::logical::{classify_shed_round, ResidualTally};
 use std::sync::atomic::Ordering;
-use std::thread;
 use std::time::{Duration, Instant};
 
 /// What a caller may attach to one run
@@ -204,26 +203,6 @@ fn apply_elastic_events(
             ElasticEventKind::Retuned => {}
         }
     }
-}
-
-/// Turns of a source-side busy wait between two `yield_now` calls: enough
-/// that a wait costs no syscall per clock read or poll, few enough that on a
-/// host with one core the worker gets the processor within microseconds.
-const TURNS_PER_YIELD: u32 = 64;
-
-/// One turn of a source-side busy wait — the pacing wait and both Block-lane
-/// waits share the run's `turns` count: a `spin_loop` hint, and every
-/// [`TURNS_PER_YIELD`]th turn a `yield_now` instead.  Returns whether it
-/// yielded.
-fn pause(turns: &mut u32) -> bool {
-    *turns = turns.wrapping_add(1);
-    let yields = *turns % TURNS_PER_YIELD == 0;
-    if yields {
-        thread::yield_now();
-    } else {
-        std::hint::spin_loop();
-    }
-    yields
 }
 
 /// Retries `attempt` until it succeeds, counting every refusal as one
@@ -598,13 +577,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn a_busy_wait_yields_every_64th_turn_and_on_no_other() {
-        let mut turns = 0u32;
-        let yielded: Vec<u32> = (1..=256).filter(|_| pause(&mut turns)).collect();
-        assert_eq!(yielded, [64, 128, 192, 256]);
-    }
+    use crate::stage::TURNS_PER_YIELD;
 
     /// The Block-lane wait with the consumer played by the wait predicate
     /// itself, so no schedule is involved: a full 16-slot channel refuses

@@ -10,6 +10,7 @@
 //! stage like any other factory product — the QoS and stage-graph examples
 //! use it to overload chosen seams of the graph on demand.
 
+use crate::stage::pause;
 use nisqplus_decoders::traits::{Correction, Decoder, DynDecoder, SharedDecoderFactory};
 use nisqplus_qec::lattice::{Lattice, Sector};
 use nisqplus_qec::syndrome::Syndrome;
@@ -114,14 +115,14 @@ impl<D> ThrottledDecoder<D> {
         }
     }
 
-    /// Spins out the remainder of the floor after `start`.  Yields inside the
-    /// wait so throttled workers don't starve the producer on machines with
-    /// fewer cores than threads; the floor is wall-clock, so yielding never
-    /// shortens it.
+    /// Spins out the remainder of the floor after `start` with the shared
+    /// busy wait ([`pause`]), whose occasional yield keeps throttled workers
+    /// from starving the producer on machines with fewer cores than
+    /// threads; the floor is wall-clock, so yielding never shortens it.
     fn spin_out(&self, start: Instant) {
+        let mut turns = 0u32;
         while start.elapsed() < self.floor {
-            std::hint::spin_loop();
-            std::thread::yield_now();
+            pause(&mut turns);
         }
     }
 }
