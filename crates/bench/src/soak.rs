@@ -6,8 +6,9 @@
 //! over a hundred mixed-distance lattices — and checks the properties that
 //! only show up at that scale: telemetry memory stays bounded (streaming
 //! residual classification, capped timelines, no correction history) and
-//! the books balance (every generated round is decoded or shed, never
-//! lost).  It asserts; it publishes no number.
+//! the books hold (`RuntimeOutcome::check_invariants`: every generated
+//! round is decoded or shed, never lost).  It asserts; it publishes no
+//! number.
 //!
 //! Two profiles, selected by environment:
 //!
@@ -22,13 +23,12 @@
 //!   any Drop lane would shed the moment the ring filled), so every verdict
 //!   must come back `BOUNDED` — the CI-sized regression gate.
 //!
-//! [`SoakProfile`]'s fields are public for any other scale; [`run`] asserts
-//! the invariants.
+//! [`SoakProfile`]'s fields are public for any other scale; [`run`] checks
+//! the books.
 
 use nisqplus_decoders::{DynDecoder, UnionFindDecoder};
 use nisqplus_runtime::{
-    LatticeSpec, MachineConfig, PushPolicy, RuntimeOutcome, RuntimeReport, StreamingEngine,
-    ThrottledDecoder,
+    LatticeSpec, MachineConfig, PushPolicy, RuntimeOutcome, StreamingEngine, ThrottledDecoder,
 };
 use std::sync::Arc;
 
@@ -203,77 +203,29 @@ pub fn peak_rss_bytes() -> u64 {
     }
 }
 
-/// Runs the soak and asserts its scale-invariants before returning the
-/// outcome:
-///
-/// * **conservation**, per lattice: every generated round was decoded or
-///   shed (`generated == decoded + dropped`), and the streaming residual
-///   tallies classified exactly the generated rounds;
-/// * in **smoke** mode: every per-lattice verdict, and the aggregate, is
-///   `BOUNDED`.
+/// Runs the soak and checks it before returning the outcome: the run's
+/// books hold ([`RuntimeOutcome::check_invariants`]), and in **smoke** mode
+/// every per-lattice verdict, and the aggregate, is `BOUNDED`.
 ///
 /// # Panics
 ///
-/// Panics when any invariant fails — the soak is a regression gate, not a
+/// Panics when any check fails — the soak is a regression gate, not a
 /// best-effort survey.
 #[must_use]
 pub fn run(profile: &SoakProfile) -> RuntimeOutcome {
     let config = profile.machine_config();
     let engine = StreamingEngine::with_machine(config).expect("valid soak config");
     let outcome = engine.run(&|| Box::new(UnionFindDecoder::new()) as DynDecoder);
-    check_invariants(profile, &outcome.report);
+    if let Err(broken) = outcome.check_invariants() {
+        panic!("soak: {broken}");
+    }
+    let (report, behind) = (&outcome.report, outcome.report.lattices_falling_behind());
+    assert!(
+        !profile.smoke || (behind.is_empty() && report.queue_stayed_bounded()),
+        "smoke soak demands BOUNDED everywhere: aggregate {}, lattices {behind:?} are not",
+        report.verdict()
+    );
     outcome
-}
-
-fn check_invariants(profile: &SoakProfile, report: &RuntimeReport) {
-    let rounds = profile.rounds_per_lattice();
-    for lattice in &report.lattices {
-        let c = &lattice.counters;
-        assert_eq!(
-            c.generated, rounds,
-            "lattice {} generated {} of its {} configured rounds",
-            lattice.lattice_id, c.generated, rounds
-        );
-        assert_eq!(
-            c.generated,
-            c.decoded + c.dropped,
-            "lattice {} leaked rounds: generated {} != decoded {} + dropped {}",
-            lattice.lattice_id,
-            c.generated,
-            c.decoded,
-            c.dropped
-        );
-        let residual = lattice
-            .residual
-            .as_ref()
-            .expect("soak runs classify residuals");
-        assert_eq!(
-            residual.decoded.rounds, c.decoded,
-            "lattice {} decoded-tally round count drifted from its counter",
-            lattice.lattice_id
-        );
-        assert_eq!(
-            residual.shed.rounds, c.dropped,
-            "lattice {} shed-tally round count drifted from its counter",
-            lattice.lattice_id
-        );
-        if profile.smoke {
-            assert_eq!(
-                lattice.verdict(),
-                "BOUNDED",
-                "smoke soak demands BOUNDED everywhere; lattice {} came back {}",
-                lattice.lattice_id,
-                lattice.verdict()
-            );
-        }
-    }
-    if profile.smoke {
-        assert_eq!(
-            report.verdict(),
-            "BOUNDED",
-            "smoke soak demands a BOUNDED aggregate verdict"
-        );
-    }
 }
 
 #[cfg(test)]
@@ -327,8 +279,7 @@ mod tests {
             workers: 2,
             smoke: true,
         };
-        // `run` itself asserts conservation, tally agreement and the
-        // all-BOUNDED smoke gate.
+        // `run` itself checks the books and the all-BOUNDED smoke gate.
         let outcome = run(&profile);
         assert_eq!(outcome.report.counters.generated, 2_000);
     }

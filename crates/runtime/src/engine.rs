@@ -88,6 +88,9 @@ pub struct RuntimeOutcome {
     /// through [`record_run`](crate::scenario::record_run) (or with
     /// [`PipelineOptions::record_trace`] set).
     pub trace: Option<SyndromeTrace>,
+    /// Whether `corrections` holds every decoded round: recording was on and
+    /// uncapped.
+    pub(crate) complete_corrections: bool,
 }
 
 impl RuntimeOutcome {
@@ -139,7 +142,7 @@ impl RuntimeOutcome {
 /// config.workers = 2;
 /// let engine = StreamingEngine::with_machine(config).unwrap();
 /// let outcome = engine.run(&|| Box::new(GreedyMatchingDecoder::new()) as DynDecoder);
-/// assert_eq!(outcome.report.num_lattices, 3);
+/// assert_eq!(outcome.report.lattices.len(), 3);
 /// assert_eq!(outcome.report.counters.decoded, 96);
 /// assert_eq!(outcome.report.lattices[1].counters.decoded, 32);
 /// ```
@@ -253,6 +256,11 @@ impl StreamingEngine {
         if let Some(trace) = &options.replay {
             trace.check_against(set)?;
         }
+        // A burst episode is stream content: the report counts the lattices
+        // that carry one.  A replay plans none — the trace is the record, and
+        // its feed journals no burst boundary.
+        let bursty = config.lattices.iter().filter(|l| l.burst.is_some()).count() as u64;
+        let planned_bursts = if options.replay.is_some() { 0 } else { bursty };
         let counters = RuntimeCounters::new(set.len(), config.workers);
         // The residual analysis widens the wire: each record carries its
         // round's seeded error after the syndrome, so workers classify
@@ -390,7 +398,6 @@ impl StreamingEngine {
             // whatever the trace holds — so every rate and model input is
             // normalised by what the lattice *actually* generated.
             let rounds_streamed = snapshot.generated;
-            let inter_arrival_ns = stats.gen_elapsed_ns / rounds_streamed.max(1) as f64;
             let measured = MeasuredBacklog {
                 rounds: rounds_streamed,
                 final_backlog: stats.final_backlog,
@@ -403,7 +410,7 @@ impl StreamingEngine {
                 // (an optimistic bound when other lattices compete for the
                 // same pool; see the LatticeReport field docs).
                 service_time_ns: decode_latency.summary.mean / config.workers as f64,
-                inter_arrival_ns,
+                inter_arrival_ns: stats.gen_elapsed_ns / rounds_streamed.max(1) as f64,
             };
             let comparison = BacklogComparison::against_model(&measured);
             // Already classified in stream: the workers tallied decoded
@@ -425,12 +432,9 @@ impl StreamingEngine {
                 queue_budget: spec.queue_budget,
                 shed_slo: spec.shed_slo,
                 residual,
-                rounds: rounds_streamed,
                 noise_epochs: std::mem::take(&mut source_run.noise_epochs[lattice_id]),
                 cadence_ns: config.cycle_time.cycles_to_ns(spec.cadence_cycles),
-                inter_arrival_ns,
                 counters: snapshot,
-                final_backlog: stats.final_backlog,
                 decode_latency,
                 total_latency,
                 measured,
@@ -471,11 +475,6 @@ impl StreamingEngine {
             inter_arrival_ns,
         };
         let comparison = BacklogComparison::against_model(&measured);
-        let throughput_per_s = if elapsed_s > 0.0 {
-            snapshot.decoded as f64 / elapsed_s
-        } else {
-            0.0
-        };
         let depth_timeline = source_run.depth_timeline;
         let max_queue_depth = depth_timeline
             .iter()
@@ -483,18 +482,10 @@ impl StreamingEngine {
             .max()
             .unwrap_or(0);
 
-        let journal = journal.snapshot();
-        // A burst episode is stream content: the ledger counts the lattices
-        // that carry one.
-        let planned_bursts = config.lattices.iter().filter(|l| l.burst.is_some()).count();
         Ok(RuntimeOutcome {
             report: RuntimeReport {
                 decoder: decoder_name,
-                num_lattices: set.len(),
-                distances: set.distances(),
-                workers: config.workers,
                 batch_size: config.batch_size,
-                rounds: total_rounds,
                 cadence_ns: config.aggregate_cadence_ns(),
                 inter_arrival_ns,
                 elapsed_s,
@@ -502,26 +493,20 @@ impl StreamingEngine {
                 depth_timeline,
                 max_queue_depth,
                 final_backlog,
-                throughput_per_s,
                 decode_latency,
                 total_latency,
                 measured,
                 comparison,
                 lattices,
                 worker_counters,
-                fault: FaultReport::assemble(
-                    &config.fault,
-                    planned_bursts as u64,
-                    injector.snapshot(),
-                    &journal.counts,
-                    snapshot.quarantined,
-                ),
+                fault: FaultReport::assemble(&config.fault, planned_bursts, injector.snapshot()),
                 stages,
-                journal,
+                journal: journal.snapshot(),
             },
             frames,
             corrections,
             trace: source_run.trace,
+            complete_corrections: config.record_corrections && config.correction_cap.is_none(),
         })
     }
 }
@@ -550,20 +535,14 @@ mod tests {
     fn every_round_is_decoded_exactly_once() {
         let engine = StreamingEngine::new(fast_config()).unwrap();
         let outcome = engine.run(&greedy_factory());
+        outcome.check_invariants().unwrap();
         let counters = outcome.report.counters;
         assert_eq!(counters.generated, 200);
-        assert_eq!(counters.enqueued, 200);
         assert_eq!(counters.decoded, 200);
-        assert_eq!(counters.dropped, 0);
-        assert_eq!(outcome.frame().total_recorded(), 200);
         assert_eq!(outcome.report.decode_latency.summary.count, 200);
-        assert!(outcome.report.throughput_per_s > 0.0);
         assert!(!outcome.report.depth_timeline.is_empty());
         // Single lattice: the per-lattice breakdown is the whole report.
-        assert_eq!(outcome.report.num_lattices, 1);
         assert_eq!(outcome.report.lattices.len(), 1);
-        assert_eq!(outcome.report.lattices[0].counters.decoded, 200);
-        assert_eq!(outcome.report.distances, vec![3]);
     }
 
     #[test]
@@ -594,19 +573,17 @@ mod tests {
         };
         let engine = StreamingEngine::new(config).unwrap();
         let outcome = engine.run(&factory);
-        let counters = outcome.report.counters;
-        assert_eq!(counters.generated, 500);
-        assert_eq!(counters.enqueued + counters.dropped, 500);
-        assert!(counters.dropped > 0, "tiny ring should overflow");
-        assert_eq!(counters.decoded, counters.enqueued);
+        outcome.check_invariants().unwrap();
+        assert_eq!(outcome.report.counters.generated, 500);
+        assert!(
+            outcome.report.counters.dropped > 0,
+            "tiny ring should overflow"
+        );
         // Dropped rounds are shed, not owed: the backlog when generation
         // stopped is at most what fit in the ring plus the packets in flight
         // inside the single worker, never the full overrun.
         assert!(outcome.report.final_backlog <= 4);
-        // The per-lattice slice sees the same drops.
-        let lattice = &outcome.report.lattices[0];
-        assert_eq!(lattice.counters.dropped, counters.dropped);
-        assert!(!lattice.queue_stayed_bounded());
+        assert!(!outcome.report.lattices[0].queue_stayed_bounded());
     }
 
     #[test]
@@ -627,33 +604,19 @@ mod tests {
 
     /// The run's stage reports describe the whole graph and their books
     /// balance: what the source emitted equals what the channels accepted
-    /// equals what the decode stages consumed.
+    /// (each channel popping what it pushed) equals what the decode stages
+    /// consumed — the last two are the checker's flow identities.
     #[test]
     fn stage_reports_cover_the_graph_with_balanced_flow() {
         let engine = StreamingEngine::new(fast_config()).unwrap();
         let outcome = engine.run(&greedy_factory());
+        outcome.check_invariants().unwrap();
         let stages = &outcome.report.stages;
-        let stage_of = |name: &str| {
-            stages
-                .iter()
-                .find(|r| r.stage == name)
-                .unwrap_or_else(|| panic!("missing stage report {name}"))
-        };
-        assert_eq!(stage_of("source").accepted, 200);
-        assert_eq!(stage_of("source").emitted, 200);
-        assert_eq!(stage_of("gate").accepted, 200);
-        let channel_in: u64 = stages
-            .iter()
-            .filter(|r| r.stage.starts_with("channel."))
-            .map(|r| r.accepted)
-            .sum();
-        let decode_out: u64 = stages
-            .iter()
-            .filter(|r| r.stage.starts_with("decode."))
-            .map(|r| r.emitted)
-            .sum();
-        assert_eq!(channel_in, 200);
-        assert_eq!(decode_out, 200);
+        let (source, gate) = (&stages[0], &stages[1]);
+        assert_eq!(
+            (source.accepted, source.emitted, gate.accepted),
+            (200, 200, 200)
+        );
         for report in stages.iter().filter(|r| r.stage.starts_with("channel.")) {
             assert_eq!(report.accepted, report.emitted, "pushed == popped");
         }
@@ -672,19 +635,17 @@ mod tests {
     }
 
     /// The pipeline with default options keeps the engine contract: every
-    /// round decoded exactly once, every channel's books balanced at
-    /// quiescence, one stage row per stage and nothing else.
+    /// round decoded exactly once, the books balanced at quiescence, one
+    /// stage row per stage and nothing else.
     #[test]
     fn default_graph_decodes_every_round_and_balances_the_books() {
         let engine = StreamingEngine::with_machine(two_lattice_machine(2)).unwrap();
         let outcome = engine.run(&greedy_factory());
+        outcome.check_invariants().unwrap();
         let report = &outcome.report;
-        assert_eq!(report.counters.generated, 200);
         assert_eq!(report.counters.decoded, 200);
-        assert_eq!(report.counters.dropped, 0);
         assert_eq!(report.worker_counters.len(), 2);
         assert!(!report.depth_timeline.is_empty());
-        assert!(report.lattices.iter().all(|l| l.counters.dropped == 0));
         let names: Vec<&str> = report.stages.iter().map(|r| r.stage.as_str()).collect();
         assert_eq!(
             names,
@@ -698,25 +659,11 @@ mod tests {
                 "decode.1"
             ]
         );
-        let channels = report
-            .stages
-            .iter()
-            .filter(|r| r.stage.starts_with("channel."));
-        let mut channel_flow = 0;
-        for channel in channels {
-            assert_eq!(
-                channel.accepted, channel.emitted,
-                "pushed == popped at quiescence"
-            );
-            channel_flow += channel.emitted;
-        }
-        assert_eq!(channel_flow, 200, "every round passed through a channel");
     }
 
     /// A worker's `decoded` is what its frame sink committed — the same
     /// number its decode stage row reports — and its `stall_polls` is that
-    /// row's `stall_cycles`, the polls of a crashed attempt included; the
-    /// workers' sum is the machine's.
+    /// row's `stall_cycles`, the polls of a crashed attempt included.
     #[test]
     fn worker_decoded_counts_are_the_sinks_committed_counts() {
         crate::fault::silence_injected_crash_panics();
@@ -738,6 +685,8 @@ mod tests {
             let workers = config.workers;
             let engine = StreamingEngine::with_machine(config).unwrap();
             let report = engine.run(&greedy_factory()).report;
+            report.check_invariants().unwrap();
+            assert_eq!(report.counters.decoded, rounds);
             assert_eq!(report.fault.injected_crashes, crashes);
             assert_eq!(report.worker_counters.len(), workers);
             for (w, worker) in report.worker_counters.iter().enumerate() {
@@ -746,9 +695,6 @@ mod tests {
                 assert_eq!(worker.decoded, row.emitted, "{name}");
                 assert_eq!(worker.stall_polls, row.stall_cycles, "{name}");
             }
-            let sum: u64 = report.worker_counters.iter().map(|w| w.decoded).sum();
-            assert_eq!(sum, report.counters.decoded);
-            assert_eq!(sum, rounds);
         }
     }
 
@@ -758,11 +704,7 @@ mod tests {
     fn two_runs_of_one_engine_commit_equal_corrections() {
         let mut config = two_lattice_machine(2);
         config.record_corrections = true;
-        config.lattices[1].burst = Some(crate::source::BurstOverlay {
-            start_round: 10,
-            rounds: 20,
-            factor: 10.0,
-        });
+        config.lattices[1].burst = Some(nisqplus_qec::BurstEvent::new(10, 20, 10.0).unwrap());
         let engine = StreamingEngine::with_machine(config).unwrap();
         let first = engine.run(&greedy_factory());
         let second = engine.run(&greedy_factory());
@@ -787,24 +729,18 @@ mod tests {
         config.fault = crate::fault::FaultPlan::default().crash_worker(0, 10);
         let engine = StreamingEngine::with_machine(config).unwrap();
         let outcome = engine.run(&greedy_factory());
-        let report = &outcome.report;
-        assert_eq!(report.counters.generated, 200);
+        // The crash was caught and restarted once, and the crashed worker's
+        // shard survived: the frames carry every round.
+        outcome.check_invariants().unwrap();
+        assert_eq!(outcome.report.fault.injected_crashes, 1);
         assert_eq!(
-            report.counters.decoded, 200,
+            outcome.report.counters.decoded, 200,
             "the restarted worker drains the rest"
         );
-        assert_eq!(report.counters.dropped, 0);
-        assert_eq!(report.fault.injected_crashes, 1);
-        assert_eq!(report.journal.counts[EventKind::WorkerCrash], 1);
-        assert_eq!(report.journal.counts[EventKind::WorkerRestart], 1);
-        // The crashed worker's shard survived: the merged per-lattice frames
-        // carry every round.
-        let committed: u64 = outcome.frames.iter().map(|f| f.total_recorded()).sum();
-        assert_eq!(committed, 200);
     }
 
     /// A poisoned record is quarantined by the worker and shed-accounted by
-    /// the producer: books reconcile, nothing panics, nothing misdecodes.
+    /// the producer: the books hold, nothing panics, nothing misdecodes.
     #[test]
     fn corrupted_record_is_quarantined_and_shed_accounted() {
         let mut config = MachineConfig::new(&[3], 7);
@@ -815,19 +751,13 @@ mod tests {
         config.fault = crate::fault::FaultPlan::default().corrupt_record(0, 5, 2, 13);
         let engine = StreamingEngine::with_machine(config).unwrap();
         let report = engine.run(&greedy_factory()).report;
-        assert_eq!(report.counters.generated, 100);
-        assert_eq!(
-            report.counters.decoded, 99,
-            "the poisoned round is not decoded"
-        );
-        assert_eq!(report.counters.dropped, 1, "…it is shed-accounted");
-        assert_eq!(
-            report.counters.quarantined, 1,
-            "…and quarantined at the worker"
-        );
+        report.check_invariants().unwrap();
         assert_eq!(report.fault.injected_corruptions, 1);
-        assert_eq!(report.journal.counts[EventKind::Quarantine], 1);
-        assert_eq!(report.lattices[0].counters.dropped, 1);
+        assert_eq!(
+            (report.counters.decoded, report.counters.quarantined),
+            (99, 1),
+            "the poisoned round is quarantined, not decoded"
+        );
     }
 
     /// A channel whose consumer never drains (an infinite injected stall on
@@ -851,15 +781,9 @@ mod tests {
             .run_with(options, &greedy_factory())
             .expect("no replay to check")
             .report;
-        assert_eq!(report.counters.generated, 4);
-        assert_eq!(
-            report.counters.decoded, 0,
-            "the channel never delivered a round"
-        );
+        report.check_invariants().unwrap();
         assert_eq!(report.counters.dropped, 4, "every round was force-shed");
-        assert_eq!(report.lattices[0].counters.dropped, 4);
         assert_eq!(report.fault.injected_stalls, 1);
-        assert_eq!(report.journal.counts[EventKind::WatchdogTrip], 4);
         let tripped: Vec<u64> = report
             .journal
             .recent

@@ -1,4 +1,4 @@
-//! Deterministic fault injection and the run's fault ledger.
+//! Deterministic fault injection and the run's fault report.
 //!
 //! A [`FaultPlan`] is a declarative schedule of hostile events — worker
 //! crashes, in-flight packet corruption, channel stalls — keyed entirely by
@@ -9,7 +9,7 @@
 //! the recovery tests demand byte-identical frames.  A burst-noise episode
 //! is not in the plan: it is part of a lattice's stream
 //! ([`LatticeSpec::burst`](crate::lattice_set::LatticeSpec::burst), beside
-//! its noise and seed); the ledger counts the lattices that carry one.
+//! its noise and seed); the report counts the lattices that carry one.
 //!
 //! The plan is carried by
 //! [`MachineConfig::fault`](crate::config::MachineConfig) and armed as a
@@ -20,15 +20,15 @@
 //! compare-and-swap per scheduled fault).  `tests/allocation_free.rs` runs
 //! the hooks of a disabled injector under a counting allocator to pin this.
 //!
-//! What happened under fire is reconciled in the [`FaultReport`] attached to
-//! every [`RuntimeReport`](crate::telemetry::RuntimeReport): injected counts
-//! (from the injector's own books) versus observed counts (from the event
-//! journal and runtime counters).  [`FaultReport::reconciled`] is the
-//! self-healing contract in one predicate — every crash recovered by a
-//! restart, every poisoned packet quarantined, every scheduled burst seen
+//! The [`FaultReport`] attached to every
+//! [`RuntimeReport`](crate::telemetry::RuntimeReport) holds the injected
+//! side alone, from the injector's own books; what the runtime observed is
+//! counted once, in the event journal and the runtime counters.
+//! [`RuntimeReport::check_invariants`](crate::telemetry::RuntimeReport::check_invariants)
+//! holds the two sides against each other — every crash recovered by a
+//! restart, every poisoned packet quarantined, every planned burst seen
 //! starting and ending.
 
-use crate::obs::{EventCounts, EventKind};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Once;
@@ -331,7 +331,7 @@ impl FaultInjector {
 }
 
 /// How many scheduled faults actually fired, from the injector's own books —
-/// the "injected" side of the [`FaultReport`] reconciliation.
+/// what the [`FaultReport`] carries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultInjections {
     /// Worker crashes fired.
@@ -342,8 +342,8 @@ pub struct FaultInjections {
     pub stalls: u64,
 }
 
-/// The run's fault ledger: what was injected, what the runtime observed, and
-/// whether the two sides reconcile — attached to every
+/// What the run's fault plan injected and which burst episodes its lattices
+/// planned, attached to every
 /// [`RuntimeReport`](crate::telemetry::RuntimeReport).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultReport {
@@ -352,97 +352,28 @@ pub struct FaultReport {
     pub enabled: bool,
     /// Worker crashes the injector fired.
     pub injected_crashes: u64,
-    /// Worker crashes the supervisors caught (journal `worker_crash`).
-    pub observed_crashes: u64,
-    /// Worker restarts the supervisors performed (journal `worker_restart`).
-    pub worker_restarts: u64,
     /// Poisoned records the injector delivered to a channel.
     pub injected_corruptions: u64,
-    /// Records the workers quarantined as undecodable.
-    pub quarantined: u64,
     /// Lattices whose stream carries a burst episode
-    /// ([`LatticeSpec::burst`](crate::lattice_set::LatticeSpec::burst)).
+    /// ([`LatticeSpec::burst`](crate::lattice_set::LatticeSpec::burst)); 0 on
+    /// a replay, whose trace is the record.
     pub planned_bursts: u64,
-    /// Burst episodes the source saw begin (journal `burst_start`).
-    pub bursts_started: u64,
-    /// Burst episodes the source saw end (journal `burst_end`).
-    pub bursts_ended: u64,
     /// Channel stalls the injector armed.
     pub injected_stalls: u64,
-    /// Rounds the backpressure watchdog force-shed (journal
-    /// `watchdog_trip`).
-    pub watchdog_trips: u64,
-    /// Whether the run finished degraded: the watchdog had to force-shed to
-    /// end the run instead of hanging (the report is then a diagnostic, not
-    /// a clean measurement).
-    pub degraded: bool,
 }
 
 impl FaultReport {
-    /// Folds the number of lattices that carry a burst episode, the
-    /// injector's books, the event journal's totals and the workers'
-    /// quarantine counter into the ledger.
+    /// Folds the number of lattices whose stream carries a burst episode and
+    /// the injector's books into the report.
     #[must_use]
-    pub fn assemble(
-        plan: &FaultPlan,
-        planned_bursts: u64,
-        injected: FaultInjections,
-        counts: &EventCounts,
-        quarantined: u64,
-    ) -> Self {
+    pub fn assemble(plan: &FaultPlan, planned_bursts: u64, injected: FaultInjections) -> Self {
         FaultReport {
             enabled: !plan.is_empty() || planned_bursts > 0,
             injected_crashes: injected.crashes,
-            observed_crashes: counts[EventKind::WorkerCrash],
-            worker_restarts: counts[EventKind::WorkerRestart],
             injected_corruptions: injected.corruptions,
-            quarantined,
             planned_bursts,
-            bursts_started: counts[EventKind::BurstStart],
-            bursts_ended: counts[EventKind::BurstEnd],
             injected_stalls: injected.stalls,
-            watchdog_trips: counts[EventKind::WatchdogTrip],
-            degraded: counts[EventKind::WatchdogTrip] > 0,
         }
-    }
-
-    /// The self-healing contract in one predicate: every injected crash was
-    /// observed and answered by exactly one restart, every delivered
-    /// poisoned record was quarantined (and nothing else was), and every
-    /// scheduled burst was seen starting *and* ending inside the run.
-    #[must_use]
-    pub fn reconciled(&self) -> bool {
-        self.injected_crashes == self.observed_crashes
-            && self.observed_crashes == self.worker_restarts
-            && self.injected_corruptions == self.quarantined
-            && self.bursts_started == self.planned_bursts
-            && self.bursts_ended == self.planned_bursts
-    }
-}
-
-impl std::fmt::Display for FaultReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} crash(es)/{} restart(s) | {} corrupted → {} quarantined | \
-             {}/{} burst(s) started/{} ended | {} stall(s) | {} watchdog trip(s) | {}",
-            self.injected_crashes,
-            self.worker_restarts,
-            self.injected_corruptions,
-            self.quarantined,
-            self.bursts_started,
-            self.planned_bursts,
-            self.bursts_ended,
-            self.injected_stalls,
-            self.watchdog_trips,
-            // A crash nothing injected (a decoder bug) breaks the books of a
-            // plan-free run too.
-            match (self.enabled, self.reconciled()) {
-                (_, false) => "UNRECONCILED",
-                (false, true) => "clean",
-                (true, true) => "RECONCILED",
-            },
-        )
     }
 }
 
@@ -505,74 +436,5 @@ mod tests {
         let injector = FaultInjector::new(FaultPlan::default().stall_channel(0, 0, u64::MAX));
         assert!(injector.stall_active(0, 0, 0));
         assert!(injector.stall_active(0, 100, u64::MAX - 1));
-    }
-
-    #[test]
-    fn report_reconciles_matching_books() {
-        let plan = FaultPlan::default()
-            .crash_worker(0, 5)
-            .corrupt_record(1, 3, 0, 1);
-        let injected = FaultInjections {
-            crashes: 1,
-            corruptions: 1,
-            stalls: 0,
-        };
-        let mut counts = EventCounts::default();
-        for kind in [
-            EventKind::WorkerCrash,
-            EventKind::WorkerRestart,
-            EventKind::Quarantine,
-            EventKind::BurstStart,
-            EventKind::BurstEnd,
-        ] {
-            counts[kind] = 1;
-        }
-        // One lattice of the machine carries a burst episode.
-        let report = FaultReport::assemble(&plan, 1, injected, &counts, 1);
-        assert!(report.enabled);
-        assert!(report.reconciled(), "{report}");
-        assert!(!report.degraded);
-
-        // A burst episode alone makes the ledger worth printing.
-        let burst_only = FaultInjections::default();
-        let mut burst_counts = EventCounts::default();
-        burst_counts[EventKind::BurstStart] = 1;
-        burst_counts[EventKind::BurstEnd] = 1;
-        let report = FaultReport::assemble(&FaultPlan::default(), 1, burst_only, &burst_counts, 0);
-        assert!(report.enabled);
-        assert!(report.reconciled(), "{report}");
-
-        // A lost restart breaks the ledger.
-        let mut broken = counts;
-        broken[EventKind::WorkerRestart] = 0;
-        let report = FaultReport::assemble(&plan, 1, injected, &broken, 1);
-        assert!(!report.reconciled());
-
-        // A watchdog trip marks the run degraded without (alone) breaking
-        // reconciliation.
-        let mut tripped = counts;
-        tripped[EventKind::WatchdogTrip] = 2;
-        let report = FaultReport::assemble(&plan, 1, injected, &tripped, 1);
-        assert!(report.degraded);
-        assert!(report.reconciled());
-    }
-
-    #[test]
-    fn display_names_the_verdict() {
-        let clean = FaultReport::default();
-        assert!(clean.to_string().contains("clean"));
-        let mut loud = FaultReport {
-            enabled: true,
-            ..FaultReport::default()
-        };
-        assert!(loud.to_string().contains("RECONCILED"));
-        loud.injected_crashes = 1;
-        assert!(loud.to_string().contains("UNRECONCILED"));
-        let uninjected_crash = FaultReport {
-            observed_crashes: 1,
-            worker_restarts: 1,
-            ..FaultReport::default()
-        };
-        assert!(uninjected_crash.to_string().contains("UNRECONCILED"));
     }
 }

@@ -14,8 +14,9 @@
 //! admission seam: one gate lane per registered lattice.
 
 use crate::config::PushPolicy;
-use crate::source::{BurstOverlay, NoiseSpec};
+use crate::source::NoiseSpec;
 use nisqplus_decoders::traits::{DecoderFactory, DynDecoder, SharedDecoderFactory};
+use nisqplus_qec::error_model::BurstEvent;
 use nisqplus_qec::lattice::Lattice;
 use nisqplus_qec::syndrome::Syndrome;
 use nisqplus_qec::QecError;
@@ -122,11 +123,11 @@ pub struct LatticeSpec {
     pub cadence_cycles: usize,
     /// A physics-plane burst episode blanketing this lattice for a window of
     /// its own rounds: the noise channel's rate is multiplied by the
-    /// overlay's factor inside the window.  Part of the stream's replayable
+    /// episode's factor inside the window.  Part of the stream's replayable
     /// identity (unlike the fault plane's injected corruption, this is noise
     /// the decoder must ride out).  `None` streams the base channel
     /// throughout.
-    pub burst: Option<BurstOverlay>,
+    pub burst: Option<BurstEvent>,
     /// This lattice's full-queue policy: `Some(Block)` for backpressure
     /// (lossless), `Some(Drop)` for load shedding, `None` to inherit the
     /// machine-wide [`MachineConfig::push_policy`](crate::MachineConfig).
@@ -200,12 +201,10 @@ impl LatticeSpec {
         self
     }
 
-    /// Overlays a burst-noise episode on this lattice's stream (accepts a
-    /// runtime [`BurstOverlay`] or a physics-plane
-    /// [`BurstEvent`](nisqplus_qec::BurstEvent)).
+    /// Overlays a burst-noise episode on this lattice's stream.
     #[must_use]
-    pub fn with_burst(mut self, burst: impl Into<BurstOverlay>) -> Self {
-        self.burst = Some(burst.into());
+    pub fn with_burst(mut self, burst: BurstEvent) -> Self {
+        self.burst = Some(burst);
         self
     }
 

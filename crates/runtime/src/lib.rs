@@ -50,9 +50,10 @@
 //!   [`FaultPlan`] schedules worker crashes (caught and answered by a
 //!   supervisor restart that re-prepares decoders over the same frame
 //!   shard), on-the-wire packet corruption (quarantined, never panicking
-//!   the pool) and channel stalls (bounded by a backpressure watchdog), all
-//!   reconciled — with the burst episodes lattices carry in their specs —
-//!   in the report's [`FaultReport`],
+//!   the pool) and channel stalls (bounded by a backpressure watchdog); the
+//!   report's [`FaultReport`] carries what was injected, and
+//!   [`RuntimeReport::check_invariants`] holds it against what the journal
+//!   observed,
 //! * [`throttle`] — a wrapper making any decoder deliberately slow (for all
 //!   lattices or one code distance), so the backlog blow-up can be provoked
 //!   on demand,
@@ -114,6 +115,7 @@ pub mod config;
 pub mod engine;
 pub mod fault;
 pub mod frame;
+mod invariants;
 pub mod lattice_set;
 pub mod obs;
 pub mod packet;
@@ -133,6 +135,7 @@ pub use fault::{
     CorruptionFault, CrashFault, FaultInjections, FaultInjector, FaultPlan, FaultReport, StallFault,
 };
 pub use frame::ShardedPauliFrame;
+pub use invariants::{Violation, Violations};
 pub use lattice_set::{LatticeDecoder, LatticeSet, LatticeSpec};
 pub use obs::{
     EventJournal, EventKind, EventSeverity, HistogramSnapshot, JournalSnapshot, LocalHistogram,
@@ -146,8 +149,8 @@ pub use scenario::{
     ScenarioScript, SyndromeTrace, TraceRecorder, TraceSource, TRACE_VERSION,
 };
 pub use source::{
-    BurstOverlay, ElasticEvent, ElasticEventKind, InterleavedSource, NoiseEpoch, NoiseSpec,
-    SourcedRound, SyndromeSource,
+    ElasticEvent, ElasticEventKind, InterleavedSource, NoiseEpoch, NoiseSpec, SourcedRound,
+    SyndromeSource,
 };
 pub use stage::{PipelineOptions, StageReport};
 pub use telemetry::{

@@ -8,7 +8,7 @@
 //! writer and the reader from that one list — a key is its field's name, so
 //! the two directions cannot drift apart.  Changing a table changes the
 //! format: bump [`SCHEMA_VERSION`] (`tests/obs.rs` pins the key paths
-//! against `tests/report_schema_v9.txt`).
+//! against `tests/report_schema_v10.txt`).
 //!
 //! Reading rejects documents whose version does not match
 //! [`SCHEMA_VERSION`] exactly, so a stale artifact fails loudly instead of
@@ -68,7 +68,15 @@ use std::path::Path;
 /// that filled it (its backlog series restated `depth_timeline`, its
 /// quantiles the workers' latency books), and with it the backlog-trend
 /// key of `journal.counts`, the one event kind only the sampler published.
-pub const SCHEMA_VERSION: u64 = 9;
+///
+/// v10: one owner per fact — the fifteen keys that copied another key of
+/// the same report are gone: `num_lattices`, `distances`, `workers`,
+/// `rounds` and `throughput_per_s` (read `lattices`, `worker_counters`,
+/// `counters.generated`, `counters.decoded / elapsed_s`),
+/// `lattices[].{rounds, final_backlog, inter_arrival_ns}` (read
+/// `counters.generated` and `measured`), and every observed `fault` key
+/// (read `journal.counts` and `counters.quarantined`).
+pub const SCHEMA_VERSION: u64 = 10;
 
 /// Why an export or import failed.
 #[derive(Debug)]
@@ -262,16 +270,9 @@ record!(JournalSnapshot {
 record!(FaultReport {
     enabled,
     injected_crashes,
-    observed_crashes,
-    worker_restarts,
     injected_corruptions,
-    quarantined,
     planned_bursts,
-    bursts_started,
-    bursts_ended,
     injected_stalls,
-    watchdog_trips,
-    degraded,
 });
 
 record!(NoiseEpoch {
@@ -290,12 +291,9 @@ record!(LatticeReport {
     queue_budget,
     shed_slo,
     residual,
-    rounds,
     noise_epochs,
     cadence_ns,
-    inter_arrival_ns,
     counters,
-    final_backlog,
     decode_latency,
     total_latency,
     measured,
@@ -304,11 +302,7 @@ record!(LatticeReport {
 
 record!(RuntimeReport {
     decoder,
-    num_lattices,
-    distances,
-    workers,
     batch_size,
-    rounds,
     cadence_ns,
     inter_arrival_ns,
     elapsed_s,
@@ -316,7 +310,6 @@ record!(RuntimeReport {
     depth_timeline,
     max_queue_depth,
     final_backlog,
-    throughput_per_s,
     decode_latency,
     total_latency,
     measured,

@@ -18,8 +18,7 @@
 //!
 //! Time-varying noise *physics* lives next door: drifting rate schedules in
 //! [`nisqplus_qec::DriftingErrorModel`] and burst episodes
-//! ([`nisqplus_qec::BurstEvent`] /
-//! [`BurstOverlay`](crate::source::BurstOverlay)) attach to a lattice via
+//! ([`nisqplus_qec::BurstEvent`]) attach to a lattice via
 //! [`LatticeSpec::with_burst`](crate::lattice_set::LatticeSpec::with_burst)
 //! and surface per lattice as
 //! [`NoiseEpoch`](crate::source::NoiseEpoch)s in the final report.
@@ -41,7 +40,6 @@ use crate::engine::{RuntimeOutcome, StreamingEngine};
 use crate::report::ExportError;
 use crate::stage::PipelineOptions;
 use nisqplus_decoders::traits::DecoderFactory;
-use nisqplus_qec::logical::ResidualTally;
 
 /// Pins a finished run's deterministic outcome as a [`GoldenSummary`]: the
 /// quantities a golden-trace regression test compares exactly.  Contended
@@ -56,7 +54,7 @@ pub fn golden_summary(outcome: &RuntimeOutcome) -> GoldenSummary {
     let report = &outcome.report;
     GoldenSummary {
         decoder: report.decoder.clone(),
-        workers: report.workers,
+        workers: report.worker_counters.len(),
         generated: report.counters.generated,
         decoded: report.counters.decoded,
         dropped: report.counters.dropped,
@@ -70,14 +68,7 @@ pub fn golden_summary(outcome: &RuntimeOutcome) -> GoldenSummary {
         residuals: report
             .lattices
             .iter()
-            .map(|l| match &l.residual {
-                Some(residual) => {
-                    let mut total = residual.decoded;
-                    total.absorb(&residual.shed);
-                    total
-                }
-                None => ResidualTally::default(),
-            })
+            .map(|l| l.residual.map(|r| r.total()).unwrap_or_default())
             .collect(),
     }
 }

@@ -68,6 +68,23 @@ impl NoiseSpec {
     pub fn validate(&self) -> Result<(), QecError> {
         NoiseModel::build(*self).map(|_| ())
     }
+
+    /// The channel inside `burst`'s window: every rate multiplied by the
+    /// episode's factor, clamped to a valid probability.
+    #[must_use]
+    pub fn amplify(self, burst: &BurstEvent) -> NoiseSpec {
+        match self {
+            NoiseSpec::PureDephasing { p } => NoiseSpec::PureDephasing {
+                p: burst.amplified_rate(p),
+            },
+            NoiseSpec::Depolarizing { p } => NoiseSpec::Depolarizing {
+                p: burst.amplified_rate(p),
+            },
+            NoiseSpec::Drifting { model } => NoiseSpec::Drifting {
+                model: model.amplified(burst.factor),
+            },
+        }
+    }
 }
 
 /// The validated channel behind a [`NoiseSpec`].
@@ -107,68 +124,6 @@ impl NoiseModel {
             NoiseModel::Drifting(d) => PureDephasing::new(d.rate_at(round))
                 .expect("rate_at clamps to [0, 1]")
                 .sample_into(lattice, rng, error),
-        }
-    }
-}
-
-/// A deterministic burst-noise episode: for lattice rounds in
-/// `[start_round, start_round + rounds)` the stream's error probability is
-/// multiplied by `factor` (clamped to a valid probability) — a
-/// cosmic-ray-style patch of hostile rounds blanketing one lattice.
-///
-/// The window is defined purely by the lattice's own round index, never by
-/// wall clock or extra randomness, so a burst-overlaid stream is exactly as
-/// replayable as a calm one: a second source with the same `(lattice,
-/// noise, seed, burst)` tuple reproduces it bit for bit, which keeps the
-/// byte-identical-frames recovery tests valid under fire.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BurstOverlay {
-    /// First lattice round the episode covers.
-    pub start_round: u64,
-    /// Number of consecutive rounds blanketed.
-    pub rounds: u64,
-    /// Multiplier applied to the base channel's error probability.
-    pub factor: f64,
-}
-
-impl BurstOverlay {
-    /// Returns `true` if `round` falls inside the episode.
-    #[must_use]
-    pub fn covers(&self, round: u64) -> bool {
-        round >= self.start_round && round < self.end_round()
-    }
-
-    /// The first calm round after the episode.
-    #[must_use]
-    pub fn end_round(&self) -> u64 {
-        self.start_round.saturating_add(self.rounds)
-    }
-
-    /// The burst-amplified channel derived from `base`.
-    #[must_use]
-    pub fn amplify(&self, base: NoiseSpec) -> NoiseSpec {
-        match base {
-            NoiseSpec::PureDephasing { p } => NoiseSpec::PureDephasing {
-                p: (p * self.factor).clamp(0.0, 1.0),
-            },
-            NoiseSpec::Depolarizing { p } => NoiseSpec::Depolarizing {
-                p: (p * self.factor).clamp(0.0, 1.0),
-            },
-            NoiseSpec::Drifting { model } => NoiseSpec::Drifting {
-                model: model.amplified(self.factor),
-            },
-        }
-    }
-}
-
-impl From<BurstEvent> for BurstOverlay {
-    /// A physics-plane [`BurstEvent`] maps directly onto the stream overlay:
-    /// same window, same rate multiplier.
-    fn from(event: BurstEvent) -> Self {
-        BurstOverlay {
-            start_round: event.start_round,
-            rounds: event.rounds,
-            factor: event.factor,
         }
     }
 }
@@ -227,8 +182,10 @@ fn epoch_label(base: NoiseSpec, in_burst: bool) -> String {
 pub struct SyndromeSource {
     lattice: Arc<Lattice>,
     model: NoiseModel,
-    /// The burst episode, with its pre-validated amplified channel.
-    burst: Option<(BurstOverlay, NoiseModel)>,
+    /// The burst episode, with its pre-validated amplified channel.  Its
+    /// window is keyed by the lattice's own round index, never by wall
+    /// clock or extra randomness, so a bursty stream replays exactly.
+    burst: Option<(BurstEvent, NoiseModel)>,
     rng: ChaCha8Rng,
     rounds_emitted: u64,
     /// Base-channel history: `(round it took effect, channel)`, starting with
@@ -267,8 +224,8 @@ impl SyndromeSource {
     /// stream is left unchanged).
     pub fn set_noise(&mut self, noise: NoiseSpec) -> Result<(), QecError> {
         let model = NoiseModel::build(noise)?;
-        if let Some((overlay, amplified)) = &mut self.burst {
-            *amplified = NoiseModel::build(overlay.amplify(noise))?;
+        if let Some((burst, amplified)) = &mut self.burst {
+            *amplified = NoiseModel::build(noise.amplify(burst))?;
         }
         self.model = model;
         self.rate_changes.push((self.rounds_emitted, noise));
@@ -291,12 +248,12 @@ impl SyndromeSource {
                 cuts.insert(round);
             }
         }
-        if let Some((overlay, _)) = self.burst {
-            if overlay.covers(0) || overlay.start_round < total_rounds {
-                cuts.insert(overlay.start_round.min(total_rounds));
+        if let Some((burst, _)) = self.burst {
+            if burst.covers(0) || burst.start_round < total_rounds {
+                cuts.insert(burst.start_round.min(total_rounds));
             }
-            if overlay.end_round() < total_rounds {
-                cuts.insert(overlay.end_round());
+            if burst.end_round() < total_rounds {
+                cuts.insert(burst.end_round());
             }
         }
         let bounds: Vec<u64> = cuts.into_iter().collect();
@@ -311,9 +268,9 @@ impl SyndromeSource {
                     .find(|&&(round, _)| round <= start)
                     .map(|&(_, noise)| noise)
                     .expect("round-0 base entry");
-                let in_burst = self.burst.is_some_and(|(overlay, _)| overlay.covers(start));
+                let in_burst = self.burst.is_some_and(|(burst, _)| burst.covers(start));
                 let effective = match self.burst {
-                    Some((overlay, _)) if in_burst => overlay.amplify(base),
+                    Some((burst, _)) if in_burst => base.amplify(&burst),
                     _ => base,
                 };
                 NoiseEpoch {
@@ -336,15 +293,15 @@ impl SyndromeSource {
     ///
     /// Returns [`QecError::InvalidProbability`] if the amplified probability
     /// is invalid (it is clamped to `[0, 1]` first, so this is defensive).
-    pub fn with_burst(mut self, base: NoiseSpec, burst: BurstOverlay) -> Result<Self, QecError> {
-        self.burst = Some((burst, NoiseModel::build(burst.amplify(base))?));
+    pub fn with_burst(mut self, base: NoiseSpec, burst: BurstEvent) -> Result<Self, QecError> {
+        self.burst = Some((burst, NoiseModel::build(base.amplify(&burst))?));
         Ok(self)
     }
 
     /// The stream's burst episode, if one is overlaid.
     #[must_use]
-    pub fn burst(&self) -> Option<BurstOverlay> {
-        self.burst.map(|(overlay, _)| overlay)
+    pub fn burst(&self) -> Option<BurstEvent> {
+        self.burst.map(|(burst, _)| burst)
     }
 
     /// The lattice whose syndromes are being streamed.
@@ -383,7 +340,7 @@ impl SyndromeSource {
         // Burst windows are keyed by the round index alone, so live
         // generation and replay pick the same channel for every round.
         let model = match self.burst {
-            Some((overlay, amplified)) if overlay.covers(self.rounds_emitted) => amplified,
+            Some((burst, amplified)) if burst.covers(self.rounds_emitted) => amplified,
             _ => self.model,
         };
         model.sample_into(&self.lattice, &mut self.rng, self.rounds_emitted, error);
@@ -675,13 +632,13 @@ impl InterleavedSource {
         }
     }
 
-    /// The burst overlay applied to `lattice_id`'s stream, if any.
+    /// The burst episode overlaid on `lattice_id`'s stream, if any.
     ///
     /// # Panics
     ///
     /// Panics if `lattice_id` is out of range.
     #[must_use]
-    pub fn burst_overlay(&self, lattice_id: usize) -> Option<BurstOverlay> {
+    pub fn burst_overlay(&self, lattice_id: usize) -> Option<BurstEvent> {
         self.streams[lattice_id].source.burst()
     }
 
@@ -790,11 +747,7 @@ mod tests {
     #[test]
     fn into_form_yields_the_same_error_and_syndrome_sequence() {
         let drift = DriftingErrorModel::ramp(0.01, 0.002).unwrap();
-        let overlay = BurstOverlay {
-            start_round: 5,
-            rounds: 6,
-            factor: 20.0,
-        };
+        let overlay = BurstEvent::new(5, 6, 20.0).unwrap();
         let calm = [
             NoiseSpec::PureDephasing { p: 0.05 },
             NoiseSpec::Depolarizing { p: 0.1 },
@@ -930,11 +883,7 @@ mod tests {
     #[test]
     fn burst_only_changes_rounds_inside_the_window() {
         let noise = NoiseSpec::PureDephasing { p: 0.01 };
-        let overlay = BurstOverlay {
-            start_round: 10,
-            rounds: 5,
-            factor: 40.0,
-        };
+        let overlay = BurstEvent::new(10, 5, 40.0).unwrap();
         let mut calm = SyndromeSource::new(lattice(), noise, 77).unwrap();
         let mut bursty = SyndromeSource::new(lattice(), noise, 77)
             .unwrap()
@@ -962,11 +911,7 @@ mod tests {
     #[test]
     fn bursty_streams_replay_exactly() {
         let noise = NoiseSpec::Depolarizing { p: 0.02 };
-        let overlay = BurstOverlay {
-            start_round: 3,
-            rounds: 4,
-            factor: 25.0,
-        };
+        let overlay = BurstEvent::new(3, 4, 25.0).unwrap();
         let mut live = SyndromeSource::new(lattice(), noise, 5)
             .unwrap()
             .with_burst(noise, overlay)
@@ -985,12 +930,8 @@ mod tests {
 
     #[test]
     fn burst_amplification_clamps_to_valid_probability() {
-        let overlay = BurstOverlay {
-            start_round: 0,
-            rounds: 1,
-            factor: 1e6,
-        };
-        let amplified = overlay.amplify(NoiseSpec::PureDephasing { p: 0.5 });
+        let overlay = BurstEvent::new(0, 1, 1e6).unwrap();
+        let amplified = NoiseSpec::PureDephasing { p: 0.5 }.amplify(&overlay);
         assert_eq!(amplified, NoiseSpec::PureDephasing { p: 1.0 });
         // And the overlaid source builds fine even with an extreme factor.
         let noise = NoiseSpec::PureDephasing { p: 0.5 };
@@ -1002,11 +943,7 @@ mod tests {
 
     #[test]
     fn interleaved_burst_applies_to_one_lattice_only() {
-        let overlay = BurstOverlay {
-            start_round: 2,
-            rounds: 2,
-            factor: 30.0,
-        };
+        let overlay = BurstEvent::new(2, 2, 30.0).unwrap();
         let calm_set = LatticeSet::new(vec![spec(3, 11, 6, 0), spec(3, 22, 6, 0)]).unwrap();
         let bursty_set = LatticeSet::new(vec![
             spec(3, 11, 6, 0),

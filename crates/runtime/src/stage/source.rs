@@ -145,7 +145,7 @@ impl RoundFeed {
         }
     }
 
-    fn burst_overlay(&self, lattice_id: usize) -> Option<crate::source::BurstOverlay> {
+    fn burst_overlay(&self, lattice_id: usize) -> Option<nisqplus_qec::BurstEvent> {
         match self {
             RoundFeed::Live(source) => source.burst_overlay(lattice_id),
             RoundFeed::Replay(_) => None,
@@ -358,24 +358,24 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
         // Burst boundaries are journaled as the stream crosses them — the
         // window itself is applied inside the source, keyed by round index
         // only, so the episode replays exactly.
-        if let Some(overlay) = feed.burst_overlay(lattice_id as usize) {
-            if sourced.round == overlay.start_round {
+        if let Some(burst) = feed.burst_overlay(lattice_id as usize) {
+            if sourced.round == burst.start_round {
                 journal.publish(
                     EventKind::BurstStart,
                     EventSeverity::Warning,
                     Some(lattice_id),
                     None,
                     emitted_ns,
-                    overlay.start_round,
+                    burst.start_round,
                 );
-            } else if sourced.round == overlay.end_round() {
+            } else if sourced.round == burst.end_round() {
                 journal.publish(
                     EventKind::BurstEnd,
                     EventSeverity::Info,
                     Some(lattice_id),
                     None,
                     emitted_ns,
-                    overlay.end_round(),
+                    burst.end_round(),
                 );
             }
         }

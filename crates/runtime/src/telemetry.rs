@@ -442,10 +442,6 @@ pub struct LatticeReport {
     pub shed_slo: Option<f64>,
     /// The residual analysis, when the run requested it.
     pub residual: Option<ResidualReport>,
-    /// Rounds this lattice actually streamed (fewer than configured when a
-    /// scripted retirement truncated its stream or a scripted add never
-    /// fired).
-    pub rounds: u64,
     /// This lattice's noise timeline: one epoch per homogeneous stretch of
     /// its error channel, cut at every scripted rate change and burst
     /// boundary.  A single full-run epoch for stationary noise; empty on
@@ -454,24 +450,21 @@ pub struct LatticeReport {
     /// This lattice's nominal syndrome-generation cadence in nanoseconds per
     /// round (`0.0` when unpaced).
     pub cadence_ns: f64,
-    /// Measured mean inter-arrival time between this lattice's rounds, in
-    /// nanoseconds.
-    pub inter_arrival_ns: f64,
-    /// Final values of this lattice's counters.
+    /// Final values of this lattice's counters; `generated` is the rounds it
+    /// actually streamed (fewer than configured when a scripted retirement
+    /// truncated its stream or a scripted add never fired).
     pub counters: LatticeCounterSnapshot,
-    /// This lattice's backlog when *its* generation stopped: its rounds
-    /// generated but neither decoded nor dropped at that instant.
-    pub final_backlog: u64,
     /// Per-packet service time for this lattice's rounds, in nanoseconds.
     pub decode_latency: LatencyProfile,
     /// End-to-end latency from generation to committed correction for this
     /// lattice's rounds, in nanoseconds.
     pub total_latency: LatencyProfile,
-    /// This lattice's measured backlog trajectory in model terms.  The
-    /// service time is the lattice's mean decode time divided by the full
-    /// pool width, i.e. it assumes the pool is entirely available to this
-    /// lattice — an optimistic capacity bound when other lattices compete
-    /// for the same workers.
+    /// This lattice's measured backlog trajectory in model terms: its
+    /// backlog when *its* generation stopped and its measured mean
+    /// inter-arrival time are here.  The service time is the lattice's mean
+    /// decode time divided by the full pool width, i.e. it assumes the pool
+    /// is entirely available to this lattice — an optimistic capacity bound
+    /// when other lattices compete for the same workers.
     pub measured: MeasuredBacklog,
     /// This lattice's measured growth versus its own closed-form
     /// [`BacklogModel`](nisqplus_system::backlog::BacklogModel) at the
@@ -507,7 +500,11 @@ impl LatticeReport {
     /// compared to its number of rounds.
     #[must_use]
     pub fn queue_stayed_bounded(&self) -> bool {
-        backlog_stayed_bounded(self.counters.dropped, self.final_backlog, self.rounds)
+        backlog_stayed_bounded(
+            self.counters.dropped,
+            self.measured.final_backlog,
+            self.counters.generated,
+        )
     }
 
     /// The fraction of this lattice's generated rounds that were shed.
@@ -542,16 +539,8 @@ impl LatticeReport {
 pub struct RuntimeReport {
     /// Name of the decoder the workers ran.
     pub decoder: String,
-    /// Number of lattices (logical qubits) served by the run.
-    pub num_lattices: usize,
-    /// The distinct code distances served, ascending.
-    pub distances: Vec<usize>,
-    /// Number of decoder worker threads.
-    pub workers: usize,
     /// Upper bound on packets decoded per batch (the configured window `k`).
     pub batch_size: usize,
-    /// Total rounds of syndrome data generated across all lattices.
-    pub rounds: u64,
     /// Nominal *aggregate* inter-arrival time in nanoseconds per round
     /// across the machine (`1 / Σ 1/cadence_i`); `0.0` if any lattice is
     /// unpaced.  For a single lattice this is its cadence.
@@ -572,8 +561,6 @@ pub struct RuntimeReport {
     /// under the blocking push policy nothing is dropped, so it is generated
     /// minus decoded).
     pub final_backlog: u64,
-    /// Decoded packets per second of wall-clock time.
-    pub throughput_per_s: f64,
     /// Per-packet service time (ns): unpack, both sector decodes, and the
     /// frame commit — the span a worker is occupied per round, which is what
     /// feeds the backlog model's service rate.
@@ -586,8 +573,8 @@ pub struct RuntimeReport {
     pub comparison: BacklogComparison,
     /// The per-lattice breakdown, indexed by lattice id.
     pub lattices: Vec<LatticeReport>,
-    /// Final values of the per-worker counters, indexed by worker id: who
-    /// decoded, stole, and idled how much.
+    /// Final values of the per-worker counters, indexed by worker id (one
+    /// per worker thread): who decoded, stole, and idled how much.
     pub worker_counters: Vec<WorkerCounterSnapshot>,
     /// One [`StageReport`] per pipeline stage (source, gate, depth sink,
     /// every channel, every worker's decode stage): the flow, refusal,
@@ -596,9 +583,9 @@ pub struct RuntimeReport {
     /// The event journal's end-of-run state: per-kind/per-severity totals
     /// plus the newest resident events.
     pub journal: JournalSnapshot,
-    /// The run's fault ledger: injected versus observed versus recovered,
-    /// reconciled exactly (all-zero and `enabled: false` for a plan-free
-    /// run).
+    /// What the run's fault plan injected and which burst episodes its
+    /// lattices planned (all-zero and `enabled: false` for a plan-free run);
+    /// what the runtime observed is in `journal` and `counters`.
     pub fault: crate::fault::FaultReport,
 }
 
@@ -609,7 +596,11 @@ impl RuntimeReport {
     /// end does not count as unbounded growth).
     #[must_use]
     pub fn queue_stayed_bounded(&self) -> bool {
-        backlog_stayed_bounded(self.counters.dropped, self.final_backlog, self.rounds)
+        backlog_stayed_bounded(
+            self.counters.dropped,
+            self.final_backlog,
+            self.counters.generated,
+        )
     }
 
     /// The ids of lattices whose per-lattice queue did *not* stay bounded —
@@ -634,16 +625,18 @@ impl RuntimeReport {
 
 impl fmt::Display for RuntimeReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let distances: Vec<String> = self.distances.iter().map(ToString::to_string).collect();
+        let distances: std::collections::BTreeSet<usize> =
+            self.lattices.iter().map(|l| l.distance).collect();
+        let distances: Vec<String> = distances.iter().map(ToString::to_string).collect();
         writeln!(
             f,
             "runtime report: {} | {} lattice(s) d={{{}}} | {} worker(s) | batch<={} | {} rounds",
             self.decoder,
-            self.num_lattices,
+            self.lattices.len(),
             distances.join(","),
-            self.workers,
+            self.worker_counters.len(),
             self.batch_size,
-            self.rounds,
+            self.counters.generated,
         )?;
         writeln!(
             f,
@@ -675,7 +668,7 @@ impl fmt::Display for RuntimeReport {
         writeln!(
             f,
             "  throughput {:.0} decodes/s | decode {:.0} ns mean (max {:.0}) | end-to-end {:.0} ns mean",
-            self.throughput_per_s,
+            self.counters.decoded as f64 / self.elapsed_s,
             self.decode_latency.summary.mean,
             self.decode_latency.summary.max,
             self.total_latency.summary.mean
@@ -698,12 +691,31 @@ impl fmt::Display for RuntimeReport {
             self.journal.counts[EventKind::Steal],
             self.journal.overwritten,
         )?;
-        if self.fault.enabled
-            || !self.fault.reconciled()
-            || self.counters.quarantined > 0
-            || self.fault.watchdog_trips > 0
-        {
-            writeln!(f, "  fault: {}", self.fault)?;
+        let counts = &self.journal.counts;
+        let seen = [
+            EventKind::WorkerCrash,
+            EventKind::Quarantine,
+            EventKind::WatchdogTrip,
+        ];
+        if self.fault.enabled || seen.into_iter().any(|kind| counts[kind] > 0) {
+            writeln!(
+                f,
+                "  fault: {} crash(es)/{} restart(s) | {} corrupted → {} quarantined | \
+                 {}/{} burst(s) started/{} ended | {} stall(s) | {} watchdog trip(s)",
+                self.fault.injected_crashes,
+                counts[EventKind::WorkerRestart],
+                self.fault.injected_corruptions,
+                counts[EventKind::Quarantine],
+                counts[EventKind::BurstStart],
+                self.fault.planned_bursts,
+                counts[EventKind::BurstEnd],
+                self.fault.injected_stalls,
+                counts[EventKind::WatchdogTrip],
+            )?;
+        }
+        match self.check_invariants() {
+            Ok(()) => writeln!(f, "  invariants: hold")?,
+            Err(violations) => writeln!(f, "  invariants: {violations}")?,
         }
         writeln!(
             f,
@@ -744,7 +756,7 @@ impl fmt::Display for RuntimeReport {
                 lattice.counters.generated,
                 lattice.counters.decoded,
                 lattice.counters.dropped,
-                lattice.final_backlog,
+                lattice.measured.final_backlog,
                 lattice.comparison.measured_growth_per_round,
                 lattice.comparison.predicted_growth_per_round,
                 lattice.verdict()

@@ -26,6 +26,9 @@ fn real_report_text() -> &'static str {
         config.cadence_cycles = 0;
         let engine = StreamingEngine::new(config).expect("valid config");
         let outcome = engine.run(&|| Box::new(UnionFindDecoder::new()) as DynDecoder);
+        outcome
+            .check_invariants()
+            .expect("the seed run's books hold");
         report_to_string(&outcome.report)
     })
 }

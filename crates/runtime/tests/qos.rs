@@ -6,10 +6,10 @@
 //! The contract under test: each lattice's QoS fields are honoured
 //! *independently* — a `Drop` patch sheds under overload while a `Block`
 //! neighbour stays lossless on the same rings and workers — and everything
-//! shed is accounted for: per-lattice `dropped` counters reconcile with
-//! `MeasuredBacklog::shed`, shed rounds enter the frame path as identity
-//! corrections, and the residual analysis reports what those identities cost
-//! in logical errors.
+//! shed is accounted for (`RuntimeOutcome::check_invariants`: per-lattice
+//! `dropped` counters match `MeasuredBacklog::shed`, shed rounds enter the
+//! frame path as identity corrections), and the residual analysis reports
+//! what those identities cost in logical errors.
 
 use nisqplus_decoders::{
     Decoder, DecoderFactory, DynDecoder, GreedyMatchingDecoder, LookupDecoder, UnionFindDecoder,
@@ -52,8 +52,7 @@ fn machine_of(lattices: Vec<LatticeSpec>) -> MachineConfig {
 
 /// One machine, two contracts: lattice 0 may shed (tight budget), lattice 1
 /// must not lose a round.  Under a machine-wide throttle the Drop lattice
-/// sheds while the Block lattice stays lossless, and every counter
-/// reconciles.
+/// sheds while the Block lattice stays lossless, and the books hold.
 #[test]
 fn drop_patch_sheds_while_block_neighbour_stays_lossless() {
     let rounds = 150;
@@ -66,6 +65,7 @@ fn drop_patch_sheds_while_block_neighbour_stays_lossless() {
     ]);
     let engine = StreamingEngine::with_machine(config).unwrap();
     let outcome = engine.run(&slow_factory(30_000));
+    outcome.check_invariants().unwrap();
     let report = &outcome.report;
     let drop = &report.lattices[0];
     let block = &report.lattices[1];
@@ -89,17 +89,6 @@ fn drop_patch_sheds_while_block_neighbour_stays_lossless() {
     assert_eq!(drop.meets_shed_slo(), Some(false));
     assert_eq!(block.meets_shed_slo(), Some(true));
 
-    // Everything generated is accounted for, per lattice and in aggregate.
-    assert_eq!(
-        drop.counters.decoded + drop.counters.dropped,
-        drop.counters.generated
-    );
-
-    // Shed rounds were fed into the frame path as identity corrections, so
-    // each lattice's frame owns up to every generated round.
-    assert_eq!(outcome.frame_for(0).total_recorded(), rounds);
-    assert_eq!(outcome.frame_for(1).total_recorded(), rounds);
-
     // The budget is a cap, and the lane reached it: no sampled instant saw
     // more of the Drop lattice's rounds outstanding than its budget allows,
     // and the gate's high-water mark is the budget itself (the neighbour has
@@ -113,8 +102,8 @@ fn drop_patch_sheds_while_block_neighbour_stays_lossless() {
 }
 
 /// The regression for shed rounds vanishing from backlog accounting: the
-/// per-lattice `dropped` counters must reconcile with `MeasuredBacklog`
-/// (rounds owed versus rounds shed), per lattice and machine-wide.
+/// books hold (`measured.shed == dropped`, per lattice and machine-wide),
+/// and the shed rounds are restored to the growth math.
 #[test]
 fn shed_rounds_reconcile_with_measured_backlog() {
     let mut config = machine_of(vec![
@@ -125,19 +114,12 @@ fn shed_rounds_reconcile_with_measured_backlog() {
     config.queue_capacity = 8; // tiny shared rings: lattice 1 sheds too
     let engine = StreamingEngine::with_machine(config).unwrap();
     let outcome = engine.run(&slow_factory(20_000));
+    outcome.check_invariants().unwrap();
     let report = &outcome.report;
     assert!(report.counters.dropped > 0, "overload must shed");
 
     for lattice in &report.lattices {
-        // Shed rounds are owed nowhere — but they must be *counted*: the
-        // measured trajectory carries them next to the backlog.
-        assert_eq!(lattice.measured.shed, lattice.counters.dropped);
         assert_eq!(lattice.measured.rounds, lattice.counters.generated);
-        // At quiescence every generated round was decoded or shed.
-        assert_eq!(
-            lattice.counters.decoded + lattice.counters.dropped,
-            lattice.counters.generated
-        );
         // The unserved measure restores shed rounds to the growth math.
         assert!(lattice.measured.unserved_per_round() >= lattice.measured.growth_per_round());
         assert!(
@@ -146,19 +128,7 @@ fn shed_rounds_reconcile_with_measured_backlog() {
                 .abs()
                 < 1e-12
         );
-        // Identity corrections cover the shed rounds in the frame path.
-        assert_eq!(
-            outcome.frame_for(lattice.lattice_id).total_recorded(),
-            lattice.counters.generated
-        );
     }
-    // Machine-wide, the measured shed count is the aggregate drop counter —
-    // the rounds that previously vanished from the accounting.
-    assert_eq!(report.measured.shed, report.counters.dropped);
-    assert_eq!(
-        report.measured.shed,
-        report.lattices.iter().map(|l| l.measured.shed).sum::<u64>()
-    );
     assert_eq!(report.verdict(), "SHEDDING");
 }
 
@@ -207,6 +177,7 @@ fn heterogeneous_factories_match_same_decoder_sequential_runs() {
     config.record_corrections = true;
     let engine = StreamingEngine::with_machine(config).unwrap();
     let outcome = engine.run(&|| Box::new(UnionFindDecoder::new()) as DynDecoder);
+    outcome.check_invariants().unwrap();
 
     assert_eq!(outcome.report.lattices[0].decoder, "lookup-table");
     assert_eq!(outcome.report.lattices[1].decoder, "union-find");
@@ -245,8 +216,8 @@ fn heterogeneous_factories_match_same_decoder_sequential_runs() {
 
 /// The residual analysis prices shedding: the Drop lattice's measured
 /// failure rate exceeds its lossless Block twin's (same distance, noise and
-/// workload), its shed tally covers exactly the dropped rounds, and the
-/// decoded/shed split covers every generated round.
+/// workload); the books' residual coverage says its tallies split exactly
+/// into the decoded and the shed rounds.
 #[test]
 fn residual_analysis_measures_the_logical_cost_of_shedding() {
     let rounds = 200;
@@ -260,6 +231,7 @@ fn residual_analysis_measures_the_logical_cost_of_shedding() {
     config.record_corrections = false;
     let engine = StreamingEngine::with_machine(config).unwrap();
     let outcome = engine.run(&slow_factory(25_000));
+    outcome.check_invariants().unwrap();
     // The analysis recorded corrections internally but the caller did not
     // ask for them.
     assert!(outcome.corrections.is_empty());
@@ -271,11 +243,6 @@ fn residual_analysis_measures_the_logical_cost_of_shedding() {
 
     let drop_residual = drop.residual.expect("analysis requested");
     let block_residual = block.residual.expect("analysis requested");
-    // Coverage: decoded + shed classifications == generated rounds.
-    assert_eq!(drop_residual.shed.rounds, drop.counters.dropped);
-    assert_eq!(drop_residual.decoded.rounds, drop.counters.decoded);
-    assert_eq!(drop_residual.total().rounds, drop.counters.generated);
-    assert_eq!(block_residual.shed.rounds, 0);
     assert_eq!(block_residual.decoded.rounds, rounds);
 
     // The two lattices stream the *same* seeded errors, so the only
@@ -309,6 +276,7 @@ fn block_lattice_with_budget_backpressures_instead_of_shedding() {
     ]);
     let engine = StreamingEngine::with_machine(config).unwrap();
     let outcome = engine.run(&slow_factory(20_000));
+    outcome.check_invariants().unwrap();
     let budgeted = &outcome.report.lattices[0];
     assert_eq!(budgeted.counters.dropped, 0);
     assert_eq!(budgeted.counters.decoded, rounds);
@@ -316,5 +284,4 @@ fn block_lattice_with_budget_backpressures_instead_of_shedding() {
         budgeted.counters.backpressure_spins > 0,
         "budget of 1 outstanding round against a 20 us floor must spin"
     );
-    assert_eq!(outcome.frame_for(0).total_recorded(), rounds);
 }

@@ -6,7 +6,7 @@
 //! add/retire/re-tune).  Each file pins the reference outcome — counters,
 //! per-lattice shed counts, merged-frame digests, residual tallies — as a
 //! [`GoldenSummary`]; replaying the trace through today's pipeline must
-//! reproduce every pinned quantity exactly.  Any change that perturbs
+//! reproduce every pinned quantity exactly, with its books holding.  Any change that perturbs
 //! routing, decoding, frame commits or residual classification on a recorded
 //! stream fails here byte-for-byte, not statistically.
 //!
@@ -24,8 +24,8 @@ use nisqplus_qec::error_model::{BurstEvent, DriftingErrorModel};
 use nisqplus_qec::syndrome::Syndrome;
 use nisqplus_runtime::{
     golden_summary, record_run, replay_run, EventKind, ExportError, MachineConfig, NoiseSpec,
-    PacketCodec, PacketError, PushPolicy, ScenarioScript, StreamingEngine, SyndromePacket,
-    SyndromeTrace,
+    PacketCodec, PacketError, PushPolicy, RuntimeOutcome, ScenarioScript, StreamingEngine,
+    SyndromePacket, SyndromeTrace,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -55,7 +55,7 @@ fn scenario_machine(distances: &[usize], rounds: u64, base_seed: u64) -> Machine
 fn d3_burst_machine() -> MachineConfig {
     let mut config = scenario_machine(&[3], 64, 41);
     config.lattices[0].noise = NoiseSpec::PureDephasing { p: 0.02 };
-    config.lattices[0].burst = Some(BurstEvent::new(12, 10, 6.0).expect("valid burst").into());
+    config.lattices[0].burst = Some(BurstEvent::new(12, 10, 6.0).expect("valid burst"));
     config
 }
 
@@ -74,7 +74,7 @@ fn d5_drift_machine() -> MachineConfig {
 fn d3d5_elastic_machine() -> MachineConfig {
     let mut config = scenario_machine(&[3, 5], 40, 2020);
     config.lattices[0].noise = NoiseSpec::PureDephasing { p: 0.03 };
-    config.lattices[0].burst = Some(BurstEvent::new(5, 8, 3.0).expect("valid burst").into());
+    config.lattices[0].burst = Some(BurstEvent::new(5, 8, 3.0).expect("valid burst"));
     config.lattices[1].noise = NoiseSpec::Drifting {
         model: DriftingErrorModel::ramp(0.01, 0.0005).expect("valid drift"),
     };
@@ -103,6 +103,7 @@ fn trace_path(name: &str) -> PathBuf {
 fn regenerate(name: &str, config: &MachineConfig) -> SyndromeTrace {
     let engine = StreamingEngine::with_machine(config.clone()).expect("valid golden machine");
     let outcome = record_run(&engine, &greedy_factory());
+    outcome.check_invariants().unwrap();
     let golden = golden_summary(&outcome);
     let trace = outcome
         .trace
@@ -123,8 +124,9 @@ fn regenerate(name: &str, config: &MachineConfig) -> SyndromeTrace {
 }
 
 /// The golden-trace regression suite: every committed trace replays to its
-/// pinned summary exactly.  Set `NISQ_TRACE_REGEN=1` to re-record the corpus
-/// instead (the regenerated files must then be committed).
+/// pinned summary exactly, and its books hold.  Set `NISQ_TRACE_REGEN=1` to
+/// re-record the corpus instead (the regenerated files must then be
+/// committed).
 #[test]
 fn golden_traces_replay_to_their_pinned_summaries() {
     let regen = std::env::var_os("NISQ_TRACE_REGEN").is_some();
@@ -145,12 +147,28 @@ fn golden_traces_replay_to_their_pinned_summaries() {
             .unwrap_or_else(|| panic!("golden trace {name} carries no pinned summary"));
         let engine = StreamingEngine::with_machine(config).expect("valid golden machine");
         let outcome = replay_run(&engine, &trace, &greedy_factory()).expect("the trace fits");
+        outcome
+            .check_invariants()
+            .unwrap_or_else(|broken| panic!("golden trace {name}: {broken}"));
         assert_eq!(
             golden_summary(&outcome),
             golden,
             "golden trace {name}: replay no longer reproduces the pinned outcome"
         );
     }
+}
+
+/// A replay plans no burst episode — the trace is the record, and its feed
+/// journals no burst boundary — so a bursty machine's replay holds its books.
+#[test]
+fn a_replay_of_a_bursty_machine_plans_no_burst() {
+    let engine = StreamingEngine::with_machine(d3_burst_machine()).unwrap();
+    let live = record_run(&engine, &greedy_factory());
+    let trace = live.trace.clone().expect("record_run records a trace");
+    let replayed = replay_run(&engine, &trace, &greedy_factory()).expect("the trace fits");
+    replayed.check_invariants().unwrap();
+    let planned = |outcome: &RuntimeOutcome| outcome.report.fault.planned_bursts;
+    assert_eq!((planned(&live), planned(&replayed)), (1, 0));
 }
 
 proptest! {
@@ -170,11 +188,9 @@ proptest! {
         let replay_engine = StreamingEngine::with_machine(config).unwrap();
         let replayed =
             replay_run(&replay_engine, &trace, &greedy_factory()).expect("the trace fits");
+        prop_assert_eq!(live.check_invariants(), Ok(()));
+        prop_assert_eq!(replayed.check_invariants(), Ok(()));
         prop_assert_eq!(golden_summary(&replayed), golden_summary(&live));
-        prop_assert_eq!(
-            replayed.report.counters.decoded,
-            live.report.counters.decoded
-        );
     }
 }
 
@@ -212,9 +228,9 @@ fn straggler_records_for_retired_lattices_are_quarantined_as_typed_errors() {
 #[test]
 fn mismatched_replay_returns_a_typed_error() {
     let d3 = StreamingEngine::with_machine(scenario_machine(&[3], 16, 3)).unwrap();
-    let trace = record_run(&d3, &greedy_factory())
-        .trace
-        .expect("record_run records a trace");
+    let live = record_run(&d3, &greedy_factory());
+    live.check_invariants().unwrap();
+    let trace = live.trace.expect("record_run records a trace");
     let d5 = StreamingEngine::with_machine(scenario_machine(&[5], 16, 3)).unwrap();
     assert!(matches!(
         replay_run(&d5, &trace, &greedy_factory()),
@@ -231,26 +247,25 @@ fn scripted_retirement_truncates_the_stream_and_drains_cleanly() {
     config.scenario = ScenarioScript::default().retire_lattice(20, 1);
     let engine = StreamingEngine::with_machine(config).unwrap();
     let outcome = engine.run(&greedy_factory());
+    // Every pre-watermark round reaches the final frame, and the drain
+    // quarantines nothing.
+    outcome.check_invariants().unwrap();
     let report = &outcome.report;
 
-    let survivor = &report.lattices[0];
-    let retired = &report.lattices[1];
-    assert_eq!(survivor.rounds, 32, "the surviving lattice streams in full");
-    assert!(
-        retired.rounds < 32,
-        "retirement must truncate the stream (streamed {})",
-        retired.rounds
+    let survivor = &report.lattices[0].counters;
+    let retired = &report.lattices[1].counters;
+    assert_eq!(
+        survivor.generated, 32,
+        "the surviving lattice streams in full"
     );
-    assert_eq!(report.counters.generated, 32 + retired.rounds);
-    assert_eq!(report.counters.decoded, report.counters.generated);
-    assert_eq!(report.counters.quarantined, 0, "a drain is not a fault");
+    assert!(
+        retired.generated < 32,
+        "retirement must truncate the stream (streamed {})",
+        retired.generated
+    );
+    assert_eq!(report.counters.dropped, 0);
     assert_eq!(report.journal.counts[EventKind::LatticeRetired], 1);
     assert_eq!(report.journal.counts[EventKind::LatticeAdded], 0);
-    assert_eq!(
-        outcome.frames[1].total_recorded(),
-        retired.rounds,
-        "every pre-watermark round reaches the final frame"
-    );
 }
 
 /// A hot-added lattice of a distance no worker has decoded yet comes online
@@ -261,18 +276,15 @@ fn hot_added_lattice_of_unprepared_distance_comes_online() {
     config.scenario = ScenarioScript::default().add_lattice(16, 1);
     let engine = StreamingEngine::with_machine(config).unwrap();
     let outcome = engine.run(&greedy_factory());
+    outcome.check_invariants().unwrap();
     let report = &outcome.report;
 
-    let added = &report.lattices[1];
     assert_eq!(
-        added.rounds, 24,
+        report.lattices[1].counters.generated, 24,
         "a hot-added lattice streams its full configured rounds"
     );
-    assert_eq!(report.counters.generated, 48);
     assert_eq!(report.counters.decoded, 48);
-    assert_eq!(report.counters.quarantined, 0);
     assert_eq!(report.journal.counts[EventKind::LatticeAdded], 1);
-    assert_eq!(outcome.frames[1].total_recorded(), 24);
 }
 
 /// The degenerate script rounds: an `AddLattice` at round 0 is
@@ -287,13 +299,12 @@ fn add_at_round_zero_and_retire_at_final_round_are_clean_boundaries() {
         .retire_lattice(32, 0);
     let engine = StreamingEngine::with_machine(config).unwrap();
     let outcome = engine.run(&greedy_factory());
+    outcome.check_invariants().unwrap();
     let report = &outcome.report;
 
-    assert_eq!(report.lattices[0].rounds, 16);
-    assert_eq!(report.lattices[1].rounds, 16);
-    assert_eq!(report.counters.generated, 32);
+    assert_eq!(report.lattices[0].counters.generated, 16);
+    assert_eq!(report.lattices[1].counters.generated, 16);
     assert_eq!(report.counters.decoded, 32);
-    assert_eq!(report.counters.quarantined, 0);
     assert_eq!(report.journal.counts[EventKind::LatticeAdded], 1);
     assert_eq!(report.journal.counts[EventKind::LatticeRetired], 1);
 }
@@ -308,6 +319,7 @@ fn scripted_retune_cuts_noise_epochs() {
         ScenarioScript::default().set_error_rate(16, 0, NoiseSpec::PureDephasing { p: 0.08 });
     let engine = StreamingEngine::with_machine(config).unwrap();
     let outcome = engine.run(&greedy_factory());
+    outcome.check_invariants().unwrap();
 
     let epochs = &outcome.report.lattices[0].noise_epochs;
     assert_eq!(epochs.len(), 2, "one cut at the scripted re-tune");

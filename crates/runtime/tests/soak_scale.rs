@@ -86,15 +86,16 @@ fn residual_oracle(engine: &StreamingEngine, outcome: &RuntimeOutcome) -> Vec<Re
     tallies
 }
 
-/// Runs `config` once, recorded, and requires the run's own residual books
-/// — the final report and the live failure counters — to equal the
-/// reference.  Returns the outcome for case-specific assertions.
+/// Runs `config` once, recorded, and requires the run's books to hold and
+/// its residual tallies to equal the reference.  Returns the outcome for
+/// case-specific assertions.
 fn assert_residuals_match_the_oracle(
     config: MachineConfig,
     factory: &dyn nisqplus_decoders::traits::DecoderFactory,
 ) -> RuntimeOutcome {
     let engine = StreamingEngine::with_machine(config).expect("valid config");
     let outcome = record_run(&engine, factory);
+    outcome.check_invariants().unwrap();
     let oracle = residual_oracle(&engine, &outcome);
     for (lattice, expected) in outcome.report.lattices.iter().zip(&oracle) {
         let residual = lattice.residual.as_ref().expect("residuals on");
@@ -104,12 +105,6 @@ fn assert_residuals_match_the_oracle(
             "lattice {} (d={}): in-stream residual tally drifted from the reference",
             lattice.lattice_id,
             lattice.distance
-        );
-        assert_eq!(residual.decoded.rounds, lattice.counters.decoded);
-        assert_eq!(residual.shed.rounds, lattice.counters.dropped);
-        assert_eq!(
-            lattice.counters.generated,
-            lattice.counters.decoded + lattice.counters.dropped
         );
     }
     outcome
@@ -161,9 +156,9 @@ fn streaming_residuals_match_the_oracle_under_retire_and_retune() {
     let outcome = assert_residuals_match_the_oracle(config, &greedy);
     let retired = &outcome.report.lattices[0];
     assert!(
-        retired.rounds < 40,
+        retired.counters.generated < 40,
         "retirement must truncate the stream (streamed {})",
-        retired.rounds
+        retired.counters.generated
     );
     assert!(retired.noise_epochs.len() > 1, "the re-tune cut an epoch");
 }
@@ -202,21 +197,9 @@ fn telemetry_memory_is_bounded_in_the_round_count() {
     assert!(small.corrections.len() <= 16 * 2);
     assert!(large.corrections.len() <= 16 * 2);
     for outcome in [&small, &large] {
-        let report = &outcome.report;
-        assert!(report.depth_timeline.len() <= 256 + 1);
-        for lattice in &report.lattices {
-            // Streaming tallies classified every round without retaining any.
-            let residual = lattice.residual.as_ref().expect("residuals on");
-            assert_eq!(
-                residual.total().rounds,
-                lattice.counters.generated,
-                "every generated round classified exactly once"
-            );
-        }
-        assert_eq!(
-            report.counters.generated,
-            report.counters.decoded + report.counters.dropped
-        );
+        // Streaming tallies classified every round without retaining any.
+        outcome.check_invariants().unwrap();
+        assert!(outcome.report.depth_timeline.len() <= 256 + 1);
     }
     // 10× the rounds, same retained telemetry: the serialized report may
     // drift a little (histogram shapes, bigger numbers print wider), but

@@ -118,7 +118,7 @@ fn steal_mux_counts_every_foreign_record() {
 
 /// Two workers behind a two-slot queue (one slot per channel): the source
 /// finds its channel full on almost every round, so nearly every send is
-/// refused and retried.  The books must still reconcile exactly.
+/// refused and retried.  The books must still hold exactly.
 #[test]
 fn starved_one_slot_channels_still_reconcile_the_books() {
     let mut config = RuntimeConfig::new(3);
@@ -130,11 +130,10 @@ fn starved_one_slot_channels_still_reconcile_the_books() {
     config.push_policy = PushPolicy::Block;
     let engine = StreamingEngine::new(config).unwrap();
     let outcome = engine.run(&|| Box::new(GreedyMatchingDecoder::new()) as DynDecoder);
+    outcome.check_invariants().unwrap();
     let report = &outcome.report;
-    let counters = report.counters;
-    assert_eq!(counters.generated, config.rounds);
-    assert_eq!(counters.generated, counters.decoded + counters.dropped);
-    assert_eq!(outcome.frame().total_recorded(), counters.decoded);
+    assert_eq!(report.counters.generated, config.rounds);
+    assert_eq!(report.counters.dropped, 0);
     let channels: Vec<_> = report
         .stages
         .iter()
@@ -145,8 +144,6 @@ fn starved_one_slot_channels_still_reconcile_the_books() {
         assert_eq!(channel.accepted, channel.emitted, "{channel:?}");
         assert_eq!(channel.occupancy_peak, 1, "{channel:?}");
     }
-    let sent: u64 = channels.iter().map(|c| c.accepted).sum();
-    assert_eq!(sent, counters.decoded);
     assert!(
         channels.iter().map(|c| c.rejected).sum::<u64>() > 0,
         "a one-slot channel never refused a send: the full-ring path was not exercised"
@@ -168,10 +165,9 @@ fn block_lane_with_a_budget_of_one_never_stalls_for_good() {
     config.push_policy = PushPolicy::Block;
     let engine = StreamingEngine::with_machine(config).unwrap();
     let outcome = engine.run(&|| Box::new(GreedyMatchingDecoder::new()) as DynDecoder);
+    outcome.check_invariants().unwrap();
     let counters = outcome.report.counters;
-    assert_eq!(counters.generated, 5_000);
-    assert_eq!(counters.decoded, counters.generated);
-    assert_eq!(counters.dropped, 0);
+    assert_eq!(counters.decoded, 5_000);
     let gate = outcome
         .report
         .stages

@@ -3,7 +3,8 @@
 //! Registers eight surface-code lattices of mixed distances d ∈ {3, 5, 7} —
 //! eight logical qubits, each with its own seeded syndrome stream on its own
 //! cadence — and serves them all through one work-stealing decoder pool.
-//! The run asserts the three invariants the sharded runtime promises:
+//! The run checks its books ([`RuntimeOutcome::check_invariants`]) and
+//! asserts the three invariants the sharded runtime promises:
 //!
 //! 1. every lattice's queue stays bounded (the decoder fabric keeps up with
 //!    the whole machine, not just one patch),
@@ -62,6 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let outcome = engine.run(&|| Box::new(UnionFindDecoder::new()) as DynDecoder);
     println!("{}", outcome.report);
     println!();
+    outcome.check_invariants()?;
 
     // --- 1. The fabric keeps up with every patch of the machine. ---------
     assert_eq!(
@@ -102,10 +104,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             correction.compose_with(z.pauli_string());
             frame.record(&correction);
         }
-        let sharded = outcome.frame_for(lattice_id);
-        assert_eq!(sharded.total_recorded(), spec.rounds);
         assert_eq!(
-            &sharded.merged(),
+            &outcome.frame_for(lattice_id).merged(),
             frame.as_pauli_string(),
             "lattice {lattice_id} diverged from its sequential decode"
         );

@@ -17,12 +17,12 @@
 //! the two contracts in *measured logical failures*: shed rounds enter the
 //! per-lattice frame as identity corrections and their residuals are
 //! classified against the replayed seeded error stream.  The assertions at
-//! the bottom are the acceptance criteria: nonzero shed rate and measured
-//! residual failure rate on the Drop patch, zero shed on the Block patch,
-//! and a strictly higher failure rate under shedding than under
-//! backpressure.  The event journal must tell the same story: one `shed`
-//! event per dropped round (the totals reconcile exactly with the
-//! counters) and `budget_exhausted` warnings from the Drop lane.
+//! the bottom are the acceptance criteria: the run's books hold (every
+//! round decoded or shed, shed rounds journaled and covered by the frame
+//! and the residual tallies), nonzero shed rate and measured residual
+//! failure rate on the Drop patch, zero shed on the Block patch, a strictly
+//! higher failure rate under shedding than under backpressure, and
+//! `budget_exhausted` warnings from the Drop lane in the event journal.
 //!
 //! Run with `cargo run --release --example qos_runtime`.  Every line of the
 //! printed report is documented in `docs/OPERATIONS.md`.
@@ -91,6 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let outcome = engine.run(&factory);
     println!("{}", outcome.report);
     println!();
+    outcome.check_invariants()?;
 
     let report = &outcome.report;
     let drop = &report.lattices[0];
@@ -102,7 +103,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(drop.meets_shed_slo(), Some(false));
     assert_eq!(drop.verdict(), "SHEDDING");
     let drop_residual = drop.residual.expect("analysis enabled");
-    assert_eq!(drop_residual.shed.rounds, drop.counters.dropped);
     assert!(
         drop_residual.failure_rate() > 0.0,
         "shedding must show a measured logical cost"
@@ -113,7 +113,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(block.counters.decoded, ROUNDS);
     assert_eq!(block.shed_rate(), 0.0);
     let block_residual = block.residual.expect("analysis enabled");
-    assert_eq!(block_residual.shed.rounds, 0);
     assert!(
         !block.queue_stayed_bounded(),
         "the protected overloaded patch pays with a growing backlog"
@@ -145,29 +144,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for fast in &report.lattices[2..] {
         assert_eq!(fast.counters.dropped, 0);
         assert_eq!(fast.counters.decoded, ROUNDS);
-        assert_eq!(fast.residual.expect("analysis enabled").shed.rounds, 0);
-    }
-
-    // --- Every generated round is accounted for, shed rounds included. --
-    for lattice in &report.lattices {
-        assert_eq!(lattice.measured.shed, lattice.counters.dropped);
-        assert_eq!(
-            outcome.frame_for(lattice.lattice_id).total_recorded(),
-            lattice.counters.generated,
-            "identity corrections must cover shed rounds in the frame"
-        );
     }
 
     // --- The event journal narrates the same story. ----------------------
-    // Every shed round published one Shed event, so the journal's per-kind
-    // totals reconcile exactly with the counters; the Drop lane's exhausted
-    // budget additionally shows up as BudgetExhausted warnings.
+    // Every shed round is journaled (the books hold); the Drop lane's
+    // exhausted budget additionally shows up as BudgetExhausted warnings.
     let journal = &report.journal;
-    assert_eq!(
-        journal.counts[EventKind::Shed],
-        report.counters.dropped,
-        "one Shed event per dropped round"
-    );
     assert!(
         journal.counts[EventKind::BudgetExhausted] > 0,
         "the Drop lane's budget refusals must be journaled"
@@ -195,7 +177,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         drop.shed_rate() * 100.0,
         drop_residual.failure_rate() * 100.0,
         block_residual.failure_rate() * 100.0,
-        block.final_backlog
+        block.measured.final_backlog
     );
     println!();
     println!(

@@ -19,8 +19,9 @@
 //!
 //! The run is recorded by a [`TraceRecorder`] tap ([`record_run`]); the
 //! recorded [`SyndromeTrace`] is then re-served through the *same* pipeline
-//! by a [`TraceSource`] ([`replay_run`]).  The assertions at the bottom are
-//! the acceptance criteria: the replay reproduces the live run's
+//! by a [`TraceSource`] ([`replay_run`]).  The checks at the bottom are
+//! the acceptance criteria: both runs' books hold, the replay reproduces
+//! the live run's
 //! [`GoldenSummary`] — counters, per-lattice shed counts, merged-frame
 //! digests, residual tallies — *exactly*, and the scenario actually
 //! happened (journal counts the add and the retire, the retired stream is
@@ -77,7 +78,7 @@ fn machine() -> MachineConfig {
     config
 }
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let factory = || Box::new(GreedyMatchingDecoder::new()) as DynDecoder;
 
     println!(
@@ -88,10 +89,11 @@ fn main() {
     println!();
 
     // --- Act one: the live run, recorded round by round. -----------------
-    let engine = StreamingEngine::with_machine(machine()).expect("valid config");
+    let engine = StreamingEngine::with_machine(machine())?;
     let live = record_run(&engine, &factory);
     println!("{}", live.report);
     println!();
+    live.check_invariants()?;
 
     let report = &live.report;
     let golden = golden_summary(&live);
@@ -112,24 +114,14 @@ fn main() {
         1,
         "the retire fired"
     );
-    let elastic = &report.lattices[2];
+    let elastic = report.lattices[2].counters.generated;
     assert!(
-        elastic.rounds > 0 && elastic.rounds < ROUNDS,
-        "the elastic lattice came online and was truncated (streamed {})",
-        elastic.rounds
-    );
-    assert_eq!(
-        live.frame_for(2).total_recorded(),
-        elastic.rounds,
-        "every pre-watermark round drained to the final frame"
+        elastic > 0 && elastic < ROUNDS,
+        "the elastic lattice came online and was truncated (streamed {elastic})"
     );
     assert!(
         report.lattices[0].noise_epochs.len() >= 3,
         "burst boundaries and the re-tune cut lattice 0's timeline into epochs"
-    );
-    assert_eq!(
-        report.counters.quarantined, 0,
-        "a clean drain, no stragglers"
     );
     assert_eq!(
         report.counters.dropped, 0,
@@ -138,8 +130,9 @@ fn main() {
     assert_eq!(trace.len() as u64, report.counters.generated);
 
     // --- Act two: the replay, byte for byte. -----------------------------
-    let replay_engine = StreamingEngine::with_machine(machine()).expect("valid config");
-    let replayed = replay_run(&replay_engine, &trace, &factory).expect("the trace fits");
+    let replay_engine = StreamingEngine::with_machine(machine())?;
+    let replayed = replay_run(&replay_engine, &trace, &factory)?;
+    replayed.check_invariants()?;
     let replay_summary = golden_summary(&replayed);
     assert_eq!(
         replay_summary, golden,
@@ -159,11 +152,11 @@ fn main() {
         report.lattices.len()
     );
     println!(
-        "elastic lattice streamed {}/{ROUNDS} rounds (added @60, retired @200), {} noise epochs \
-         on the burst lattice, frame digests {:?}",
-        elastic.rounds,
+        "elastic lattice streamed {elastic}/{ROUNDS} rounds (added @60, retired @200), {} noise \
+         epochs on the burst lattice, frame digests {:?}",
         report.lattices[0].noise_epochs.len(),
         golden.frame_digests
     );
     println!("replay == live: counters, shed counts, frames, residual tallies all exact.");
+    Ok(())
 }

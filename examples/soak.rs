@@ -37,12 +37,16 @@ fn main() {
     println!(
         "soak {}: {} lattices d={:?} | {} workers | {} rounds in {:.2} s ({:.0} rounds/s)",
         if profile.smoke { "smoke" } else { "full" },
-        report.num_lattices,
-        report.distances,
-        report.workers,
+        report.lattices.len(),
+        report
+            .lattices
+            .iter()
+            .map(|l| l.distance)
+            .collect::<std::collections::BTreeSet<_>>(),
+        report.worker_counters.len(),
         report.counters.generated,
         report.elapsed_s,
-        report.throughput_per_s,
+        report.counters.decoded as f64 / report.elapsed_s,
     );
     println!(
         "  decoded {} | shed {} ({:.3}%) | verdict {}",
@@ -97,5 +101,5 @@ fn main() {
     if rss > 0 {
         println!("  peak RSS {:.1} MiB", rss as f64 / (1024.0 * 1024.0));
     }
-    println!("soak: all invariants held (conservation, tally agreement, verdict gate)");
+    println!("soak: every book-keeping identity held, and the verdict gate");
 }

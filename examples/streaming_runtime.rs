@@ -60,6 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fast = engine.run(&|| Box::new(SfqMeshDecoder::final_design()) as DynDecoder);
     println!("{}", fast.report);
     println!();
+    fast.check_invariants()?;
     assert!(
         fast.report.queue_stayed_bounded(),
         "the SFQ mesh decoder must keep up with syndrome generation"
@@ -91,6 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     println!("{}", throttled.report);
     println!();
+    throttled.check_invariants()?;
 
     // The backlog grows monotonically while generation runs...
     let timeline = &throttled.report.depth_timeline;
