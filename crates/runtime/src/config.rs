@@ -95,11 +95,14 @@ pub struct RuntimeConfig {
     /// Full-queue policy.
     pub push_policy: PushPolicy,
     /// Hard upper bound on the number of
-    /// [`DepthSample`](crate::telemetry::DepthSample)s kept on the timeline.
-    /// The producer samples on a stride aiming at this many points; if a
-    /// run outlives its stride estimate the timeline is compacted in place
-    /// (keeping the peak-backlog and newest samples), so memory stays
-    /// bounded at soak scale no matter how many rounds stream.
+    /// [`DepthSample`](crate::telemetry::DepthSample)s kept on the timeline
+    /// (plus the final round).  The producer samples every
+    /// `max(⌈rounds / max_depth_samples⌉, 64)` rounds, rounded up to a
+    /// power of two: more than half this many samples once the stride is
+    /// above 64, one per 64 rounds below that, and never a compaction for a
+    /// run of known length.  If a run outlives its stride the timeline is
+    /// compacted in place (keeping the peak-backlog and newest samples), so
+    /// memory stays bounded at soak scale no matter how many rounds stream.
     pub max_depth_samples: usize,
     /// When `true`, every worker keeps the per-round corrections it
     /// committed, and
@@ -225,7 +228,9 @@ pub struct MachineConfig {
     /// Full-queue policy.
     pub push_policy: PushPolicy,
     /// Upper bound on the number of
-    /// [`DepthSample`](crate::telemetry::DepthSample)s kept on the timeline.
+    /// [`DepthSample`](crate::telemetry::DepthSample)s kept on the timeline
+    /// (plus the final round), sampled on a power-of-two stride of at
+    /// least 64 rounds (see [`RuntimeConfig::max_depth_samples`]).
     pub max_depth_samples: usize,
     /// When `true`, per-round corrections are kept, sorted by
     /// `(lattice, round)`.

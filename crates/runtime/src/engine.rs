@@ -622,6 +622,25 @@ mod tests {
         }
     }
 
+    /// A short run is not sampled per round: the depth sink is offered all
+    /// 5,000 rounds and keeps one per 64 plus the final one, ⌈5000 / 64⌉ + 1
+    /// = 80.
+    #[test]
+    fn a_short_run_takes_one_depth_sample_per_64_rounds() {
+        let mut config = fast_config();
+        config.rounds = 5_000;
+        let outcome = StreamingEngine::new(config).unwrap().run(&greedy_factory());
+        outcome.check_invariants().unwrap();
+        let depth = outcome
+            .report
+            .stages
+            .iter()
+            .find(|r| r.stage == "depth")
+            .unwrap();
+        assert_eq!(depth.accepted, 5_000);
+        assert!(depth.emitted <= 80, "{} depth samples", depth.emitted);
+    }
+
     /// A two-lattice unpaced Block machine of 100 rounds each.
     fn two_lattice_machine(workers: usize) -> MachineConfig {
         let mut config = MachineConfig::new(&[3, 3], 11);

@@ -9,14 +9,18 @@
 //!   [`RoundCorrection`], and annotated with per-round latency samples
 //!   recorded into the worker's bounded-memory [`LocalHistogram`]s — the
 //!   sink allocates nothing per round, no matter how long the stream runs.
-//! * `DepthSink` — one on the source thread.  Down-samples the run into
-//!   at most `max_depth_samples` [`DepthSample`]s, each carrying the
-//!   aggregate queue depth and backlog *and* the per-lattice backlog
-//!   breakdown, so a single timeline shows which lattice was falling
-//!   behind when.  When the stream outruns its sampling stride (endless
-//!   sources, wrong round estimates) the timeline compacts in place —
-//!   halving resolution while always retaining the peak-backlog sample and
-//!   the newest sample — so memory stays bounded by the cap.
+//! * `DepthSink` — one on the source thread.  Samples every
+//!   `max(⌈rounds / max_depth_samples⌉, 64)` rounds, rounded up to a power
+//!   of two, into [`DepthSample`]s, each carrying the aggregate queue depth
+//!   and backlog *and* the per-lattice backlog breakdown, so a single
+//!   timeline shows which lattice was falling behind when.  A run of known
+//!   length keeps at most `max_depth_samples` samples plus the final round
+//!   (more than half the cap once the stride is above 64) and never
+//!   compacts; a short run pays for one sample per 64 rounds.  When the
+//!   stream outruns its stride (endless sources, wrong round estimates) the
+//!   timeline compacts in place — halving resolution while always
+//!   retaining the peak-backlog sample and the newest sample — so memory
+//!   stays bounded by the cap.
 
 use crate::engine::RoundCorrection;
 use crate::lattice_set::LatticeSet;
@@ -182,11 +186,18 @@ impl FrameSink {
     }
 }
 
+/// The shortest depth-sampling stride, in rounds: however short the run,
+/// the source reads the clock, the rings and every lattice's counters on
+/// at most one round in this many.
+const MIN_SAMPLE_STRIDE: u64 = 64;
+
 /// The source-side telemetry sink: a down-sampled backlog timeline with
-/// per-lattice breakdown, hard-capped at `max_depth_samples` entries.
+/// per-lattice breakdown, hard-capped at `max_depth_samples` entries (plus
+/// the final round).
 #[derive(Debug)]
 pub(crate) struct DepthSink {
     total_rounds: u64,
+    /// Always a power of two, so the cadence test is a mask.
     sample_every: u64,
     max_samples: usize,
     offered: u64,
@@ -196,16 +207,23 @@ pub(crate) struct DepthSink {
 }
 
 impl DepthSink {
-    /// A sink sampling roughly every `total_rounds / max_depth_samples`
-    /// rounds (always at least the last round).  The cap is hard: if the
-    /// stream outruns the stride, the timeline compacts in place instead of
-    /// growing (see [`DepthSink::observe`]).
+    /// A sink sampling every `max(⌈total_rounds / max_depth_samples⌉, 64)`
+    /// rounds, rounded up to a power of two (and always the last round).
+    /// The stride covers `total_rounds` in at most `max_depth_samples`
+    /// steps, so a run of known length never compacts.  The cap is hard: if
+    /// the stream outruns the stride (an endless source passes 0 and starts
+    /// at 64), the timeline compacts in place instead of growing (see
+    /// [`DepthSink::observe`]).
     #[must_use]
     pub(crate) fn new(total_rounds: u64, max_depth_samples: usize) -> Self {
         let max_samples = max_depth_samples.max(1);
         DepthSink {
             total_rounds,
-            sample_every: (total_rounds / max_samples as u64).max(1),
+            sample_every: total_rounds
+                .div_ceil(max_samples as u64)
+                .max(MIN_SAMPLE_STRIDE)
+                .checked_next_power_of_two()
+                .unwrap_or(1 << 63),
             max_samples,
             offered: 0,
             timeline: Vec::new(),
@@ -232,7 +250,7 @@ impl DepthSink {
         sample: impl FnOnce() -> (u64, u64),
     ) {
         self.offered += 1;
-        if emitted_total % self.sample_every == 0 || emitted_total + 1 == self.total_rounds {
+        if emitted_total & (self.sample_every - 1) == 0 || emitted_total + 1 == self.total_rounds {
             let (elapsed_ns, queue_depth) = sample();
             let per_lattice_backlog = counters.per_lattice_backlog();
             self.timeline.push(DepthSample {
@@ -252,7 +270,8 @@ impl DepthSink {
     /// Halves the timeline's resolution in place: keeps every other sample
     /// plus the peak-backlog sample and the newest one, then doubles the
     /// stride (multiples of the doubled stride are a subset of the old
-    /// stride's, so the phase stays aligned).
+    /// stride's, so the phase stays aligned).  The stride stays a power of
+    /// two: at 2⁶³ it stops doubling.
     fn compact(&mut self) {
         let last = self.timeline.len() - 1;
         let peak = self
@@ -267,7 +286,10 @@ impl DepthSink {
             index += 1;
             keep
         });
-        self.sample_every = self.sample_every.saturating_mul(2);
+        self.sample_every = self
+            .sample_every
+            .checked_mul(2)
+            .unwrap_or(self.sample_every);
     }
 
     /// Consumes the sink into its timeline.
@@ -416,25 +438,30 @@ mod tests {
             .generated
             .store(3, Ordering::Relaxed);
         counters.per_lattice[1].decoded.store(2, Ordering::Relaxed);
-        // 100 rounds, at most 10 samples → every 10th round plus the last.
-        let mut sink = DepthSink::new(100, 10);
+        // 1,000 rounds, at most 10 samples → ⌈1000 / 10⌉ = 100, rounded up
+        // to a stride of 128: rounds 0, 128, …, 896 plus the last.
+        let mut sink = DepthSink::new(1_000, 10);
         let mut sampled = 0;
-        for round in 0..100 {
+        for round in 0..1_000 {
             sink.observe(round, &counters, || {
                 sampled += 1;
                 (round * 5, 1)
             });
         }
-        assert_eq!(sink.report("depth").accepted, 100, "every round is offered");
-        let timeline = sink.finish();
-        assert_eq!(timeline.len(), 11);
         assert_eq!(
-            sampled, 11,
+            sink.report("depth").accepted,
+            1_000,
+            "every round is offered"
+        );
+        let timeline = sink.finish();
+        assert_eq!(timeline.len(), 9);
+        assert_eq!(
+            sampled, 9,
             "the clock and queues are read for kept rounds only"
         );
-        assert_eq!(timeline[3].elapsed_ns, 150);
+        assert_eq!(timeline[3].elapsed_ns, 384 * 5);
         assert_eq!(timeline[0].round, 0);
-        assert_eq!(timeline[10].round, 99);
+        assert_eq!(timeline[8].round, 999);
         let sample = &timeline[3];
         assert_eq!(sample.backlog, 5);
         assert_eq!(sample.per_lattice_backlog, vec![4, 1]);
@@ -443,16 +470,67 @@ mod tests {
     #[test]
     fn depth_sink_always_keeps_the_final_round() {
         let counters = RuntimeCounters::new(1, 1);
-        let mut sink = DepthSink::new(7, 3);
-        for round in 0..7 {
+        let mut sink = DepthSink::new(129, 3);
+        for round in 0..129 {
             sink.observe(round, &counters, || (0, 0));
         }
-        // sample_every = 2: rounds 0, 2, 4, 6 — and 6 is also the final
-        // round, recorded exactly once.
+        // ⌈129 / 3⌉ = 43 → the 64-round floor: rounds 0, 64, 128 — and 128
+        // is also the final round, recorded exactly once.
         let rounds: Vec<u64> = sink.timeline.iter().map(|s| s.round).collect();
-        assert_eq!(rounds, vec![0, 2, 4, 6]);
-        assert_eq!(sink.report("depth").emitted, 4);
-        assert_eq!(sink.report("depth").accepted, 7);
+        assert_eq!(rounds, vec![0, 64, 128]);
+        assert_eq!(sink.report("depth").emitted, 3);
+        assert_eq!(sink.report("depth").accepted, 129);
+    }
+
+    /// The stride rule over run lengths from one round to the benchmark's
+    /// long runs, at the default cap and a small one: a power of two of at
+    /// least 64, a timeline within the cap that never compacts, and the
+    /// final round kept.  262,146 rounds is the length where a stride of
+    /// `⌊rounds / cap⌋` (64) would overflow the cap by one sample.
+    #[test]
+    fn depth_sink_stride_is_a_power_of_two_and_a_known_length_never_compacts() {
+        let counters = RuntimeCounters::new(1, 1);
+        let totals = [
+            1u64, 63, 64, 65, 5_000, 262_146, 625_000, 1_152_000, 2_000_000,
+        ];
+        for cap in [4_096usize, 16] {
+            for total in totals {
+                let mut sink = DepthSink::new(total, cap);
+                let stride = sink.sample_every;
+                assert!(
+                    stride.is_power_of_two() && stride >= MIN_SAMPLE_STRIDE,
+                    "stride {stride} for {total} rounds at cap {cap}"
+                );
+                for round in 0..total {
+                    sink.observe(round, &counters, || (round, 0));
+                }
+                assert_eq!(sink.sample_every, stride, "{total} rounds compacted");
+                let rounds: Vec<u64> = sink.timeline.iter().map(|s| s.round).collect();
+                assert!(rounds.len() <= cap + 1, "{total} rounds: {}", rounds.len());
+                if stride > MIN_SAMPLE_STRIDE {
+                    assert!(rounds.len() > cap / 2, "{total} rounds: {}", rounds.len());
+                }
+                assert_eq!(rounds.last(), Some(&(total - 1)), "final round kept");
+                assert!(rounds.windows(2).all(|w| w[0] < w[1]), "kept once each");
+                // The warm-up and two of the benchmark's long runs.
+                let expected = match (cap, total) {
+                    (4_096, 5_000) => Some(80),
+                    (4_096, 1_152_000) => Some(2_251),
+                    (4_096, 2_000_000) => Some(3_908),
+                    _ => None,
+                };
+                if let Some(expected) = expected {
+                    assert_eq!(rounds.len(), expected, "{total} rounds");
+                }
+            }
+        }
+        // The stride saturates at the largest power of two instead of
+        // overflowing, and compaction keeps it there.
+        let mut sink = DepthSink::new(u64::MAX, 1);
+        assert_eq!(sink.sample_every, 1 << 63);
+        sink.observe(0, &counters, || (0, 0));
+        sink.compact();
+        assert_eq!(sink.sample_every, 1 << 63);
     }
 
     #[test]
