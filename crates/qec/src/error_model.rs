@@ -245,8 +245,8 @@ pub enum DriftKind {
 }
 
 /// A pure-dephasing channel whose phase-flip probability varies with the
-/// measurement-round index — noise *physics*, as opposed to the fault plane's
-/// injected wire corruption.
+/// measurement-round index — noise *physics*, as opposed to the runtime's
+/// injected faults.
 ///
 /// `DriftingErrorModel` is a rate *schedule*: [`rate_at`](Self::rate_at) maps
 /// a round index to an instantaneous dephasing probability (clamped to
@@ -366,8 +366,8 @@ impl DriftingErrorModel {
 /// A transient noise episode that blankets a patch for a window of rounds.
 ///
 /// This is *physics* — an elevated physical error rate the decoder must ride
-/// out, classified by the streaming residual path — distinct from the fault
-/// plane's injected wire corruption, which the packet codec quarantines.
+/// out, classified by the streaming residual path — distinct from the
+/// runtime's injected faults (worker crashes, channel stalls).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BurstEvent {
     /// First round (inclusive) the burst covers.

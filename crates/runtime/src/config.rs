@@ -246,8 +246,8 @@ pub struct MachineConfig {
     pub track_shed_rounds: bool,
     /// The live observability plane: snapshot cadence, journal capacity.
     pub obs: ObsConfig,
-    /// The deterministic fault schedule for this run — worker crashes,
-    /// packet corruption, channel stalls (see
+    /// The deterministic fault schedule for this run — worker crashes and
+    /// channel stalls (see
     /// [`crate::fault`]).  Empty by default: a plan-free run pays nothing
     /// for the injection hooks.
     pub fault: FaultPlan,

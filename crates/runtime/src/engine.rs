@@ -758,27 +758,6 @@ mod tests {
         );
     }
 
-    /// A poisoned record is quarantined by the worker and shed-accounted by
-    /// the producer: the books hold, nothing panics, nothing misdecodes.
-    #[test]
-    fn corrupted_record_is_quarantined_and_shed_accounted() {
-        let mut config = MachineConfig::new(&[3], 7);
-        config.lattices[0].rounds = 100;
-        config.lattices[0].cadence_cycles = 0;
-        config.workers = 1;
-        config.queue_capacity = 256;
-        config.fault = crate::fault::FaultPlan::default().corrupt_record(0, 5, 2, 13);
-        let engine = StreamingEngine::with_machine(config).unwrap();
-        let report = engine.run(&greedy_factory()).report;
-        report.check_invariants().unwrap();
-        assert_eq!(report.fault.injected_corruptions, 1);
-        assert_eq!(
-            (report.counters.decoded, report.counters.quarantined),
-            (99, 1),
-            "the poisoned round is quarantined, not decoded"
-        );
-    }
-
     /// A channel whose consumer never drains (an infinite injected stall on
     /// a Block lane) trips the watchdog: the run ends with force-shed
     /// rounds and WatchdogTrip events — each naming its round — instead of

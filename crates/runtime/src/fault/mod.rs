@@ -1,10 +1,9 @@
 //! Deterministic fault injection and the run's fault report.
 //!
 //! A [`FaultPlan`] is a declarative schedule of hostile events — worker
-//! crashes, in-flight packet corruption, channel stalls — keyed entirely by
-//! *logical* run coordinates (worker id × rounds decoded, lattice id × round
-//! index, channel index × round index), never by wall clock or extra
-//! randomness.  The same plan against the same seeded machine therefore
+//! crashes and channel stalls — keyed entirely by *logical* run coordinates
+//! (worker id × rounds decoded, channel index × round index), never by wall
+//! clock or extra randomness.  The same plan against the same seeded machine therefore
 //! injects the same faults at the same points every run, which is what lets
 //! the recovery tests demand byte-identical frames.  A burst-noise episode
 //! is not in the plan: it is part of a lattice's stream
@@ -26,8 +25,7 @@
 //! counted once, in the event journal and the runtime counters.
 //! [`RuntimeReport::check_invariants`](crate::telemetry::RuntimeReport::check_invariants)
 //! holds the two sides against each other — every crash recovered by a
-//! restart, every poisoned packet quarantined, every planned burst seen
-//! starting and ending.
+//! restart, every planned burst seen starting and ending.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -46,25 +44,6 @@ pub struct CrashFault {
     pub worker_id: usize,
     /// Fire once the worker has committed at least this many rounds.
     pub after_decoded: u64,
-}
-
-/// Flip one bit of one lattice round's encoded record after admission, while
-/// it is "on the wire".
-///
-/// The poisoned record still travels to a worker, whose codec rejects it
-/// (header check or checksum trailer) and quarantines it; the producer
-/// accounts the round as shed at injection time so the frame and residual
-/// books stay exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CorruptionFault {
-    /// The lattice whose round is poisoned.
-    pub lattice_id: u32,
-    /// The round (within that lattice's stream) to poison.
-    pub round: u64,
-    /// Word index to flip, reduced modulo the record length.
-    pub word: usize,
-    /// Bit index to flip, reduced modulo 64.
-    pub bit: u32,
 }
 
 /// Make one channel refuse the producer's sends for a while — a dead
@@ -95,7 +74,6 @@ pub struct StallFault {
 ///
 /// let plan = FaultPlan::default()
 ///     .crash_worker(1, 10)
-///     .corrupt_record(0, 25, 2, 17)
 ///     .stall_channel(0, 100, 5_000_000);
 /// assert!(!plan.is_empty());
 /// ```
@@ -103,8 +81,6 @@ pub struct StallFault {
 pub struct FaultPlan {
     /// Scheduled worker crashes.
     pub crashes: Vec<CrashFault>,
-    /// Scheduled packet corruptions.
-    pub corruptions: Vec<CorruptionFault>,
     /// Scheduled channel stalls.
     pub stalls: Vec<StallFault>,
 }
@@ -117,19 +93,6 @@ impl FaultPlan {
         self.crashes.push(CrashFault {
             worker_id,
             after_decoded,
-        });
-        self
-    }
-
-    /// Schedules a single-bit corruption of `(lattice_id, round)`'s encoded
-    /// record.
-    #[must_use]
-    pub fn corrupt_record(mut self, lattice_id: u32, round: u64, word: usize, bit: u32) -> Self {
-        self.corruptions.push(CorruptionFault {
-            lattice_id,
-            round,
-            word,
-            bit,
         });
         self
     }
@@ -148,7 +111,7 @@ impl FaultPlan {
     /// `true` when the plan schedules nothing at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty() && self.corruptions.is_empty() && self.stalls.is_empty()
+        self.crashes.is_empty() && self.stalls.is_empty()
     }
 }
 
@@ -180,7 +143,7 @@ pub fn silence_injected_crash_panics() {
     });
 }
 
-/// One scheduled fault's arm-once latch plus delivery bookkeeping.
+/// One scheduled crash's arm-once latch.
 #[derive(Debug, Default)]
 struct Armed {
     fired: AtomicBool,
@@ -202,11 +165,9 @@ impl Armed {
 pub struct FaultInjector {
     plan: FaultPlan,
     crash_armed: Vec<Armed>,
-    corruption_armed: Vec<Armed>,
     /// Wall-clock nanoseconds (run epoch) at which each stall armed;
     /// `u64::MAX` = not yet armed.
     stall_started: Vec<AtomicU64>,
-    corruptions_delivered: AtomicU64,
     crashes_fired: AtomicU64,
     stalls_fired: AtomicU64,
 }
@@ -217,13 +178,11 @@ impl FaultInjector {
     pub fn new(plan: FaultPlan) -> Self {
         FaultInjector {
             crash_armed: plan.crashes.iter().map(|_| Armed::default()).collect(),
-            corruption_armed: plan.corruptions.iter().map(|_| Armed::default()).collect(),
             stall_started: plan
                 .stalls
                 .iter()
                 .map(|_| AtomicU64::new(u64::MAX))
                 .collect(),
-            corruptions_delivered: AtomicU64::new(0),
             crashes_fired: AtomicU64::new(0),
             stalls_fired: AtomicU64::new(0),
             plan,
@@ -259,29 +218,6 @@ impl FaultInjector {
             }
         }
         false
-    }
-
-    /// Producer hook: the `(word, bit)` to flip in `(lattice_id, round)`'s
-    /// encoded record, or `None` (the overwhelmingly common case).  Each
-    /// scheduled corruption is returned at most once.
-    #[must_use]
-    pub fn corrupt(&self, lattice_id: u32, round: u64) -> Option<(usize, u32)> {
-        if self.plan.corruptions.is_empty() {
-            return None;
-        }
-        for (fault, armed) in self.plan.corruptions.iter().zip(&self.corruption_armed) {
-            if fault.lattice_id == lattice_id && fault.round == round && armed.fire() {
-                return Some((fault.word, fault.bit));
-            }
-        }
-        None
-    }
-
-    /// Producer hook: records that a poisoned record actually reached a
-    /// channel (a corrupted round shed before the wire never gets here, and
-    /// correspondingly never produces a quarantine).
-    pub fn corruption_delivered(&self) {
-        self.corruptions_delivered.fetch_add(1, Ordering::Relaxed);
     }
 
     /// `true` when the plan schedules any channel stalls — the producer's
@@ -324,7 +260,6 @@ impl FaultInjector {
     pub fn snapshot(&self) -> FaultInjections {
         FaultInjections {
             crashes: self.crashes_fired.load(Ordering::Relaxed),
-            corruptions: self.corruptions_delivered.load(Ordering::Relaxed),
             stalls: self.stalls_fired.load(Ordering::Relaxed),
         }
     }
@@ -336,8 +271,6 @@ impl FaultInjector {
 pub struct FaultInjections {
     /// Worker crashes fired.
     pub crashes: u64,
-    /// Poisoned records that reached a channel.
-    pub corruptions: u64,
     /// Channel stalls armed.
     pub stalls: u64,
 }
@@ -352,8 +285,6 @@ pub struct FaultReport {
     pub enabled: bool,
     /// Worker crashes the injector fired.
     pub injected_crashes: u64,
-    /// Poisoned records the injector delivered to a channel.
-    pub injected_corruptions: u64,
     /// Lattices whose stream carries a burst episode
     /// ([`LatticeSpec::burst`](crate::lattice_set::LatticeSpec::burst)); 0 on
     /// a replay, whose trace is the record.
@@ -370,7 +301,6 @@ impl FaultReport {
         FaultReport {
             enabled: !plan.is_empty() || planned_bursts > 0,
             injected_crashes: injected.crashes,
-            injected_corruptions: injected.corruptions,
             planned_bursts,
             injected_stalls: injected.stalls,
         }
@@ -386,7 +316,6 @@ mod tests {
         let injector = FaultInjector::disabled();
         assert!(injector.plan().is_empty());
         assert!(!injector.should_crash(0, 1_000_000));
-        assert_eq!(injector.corrupt(0, 0), None);
         assert!(!injector.has_stalls());
         assert!(!injector.stall_active(0, 0, 0));
         assert_eq!(injector.snapshot(), FaultInjections::default());
@@ -403,19 +332,6 @@ mod tests {
             "the replacement must not re-crash"
         );
         assert_eq!(injector.snapshot().crashes, 1);
-    }
-
-    #[test]
-    fn corruption_targets_one_round_once() {
-        let injector = FaultInjector::new(FaultPlan::default().corrupt_record(2, 7, 3, 41));
-        assert_eq!(injector.corrupt(2, 6), None);
-        assert_eq!(injector.corrupt(1, 7), None);
-        assert_eq!(injector.corrupt(2, 7), Some((3, 41)));
-        assert_eq!(injector.corrupt(2, 7), None, "armed once");
-        // Delivery is the producer's separate call, after the send succeeds.
-        assert_eq!(injector.snapshot().corruptions, 0);
-        injector.corruption_delivered();
-        assert_eq!(injector.snapshot().corruptions, 1);
     }
 
     #[test]

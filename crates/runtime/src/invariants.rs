@@ -38,7 +38,7 @@ pub enum Violation {
         /// `counters.<counter>`.
         machine: u64,
     },
-    /// `dropped != journal shed + watchdog_trip + counters.quarantined`.
+    /// `dropped != journal shed + watchdog_trip`.
     ShedAccounting {
         /// `counters.dropped`.
         dropped: u64,
@@ -46,11 +46,8 @@ pub enum Violation {
         shed: u64,
         /// `journal.counts.watchdog_trip`.
         watchdog_trips: u64,
-        /// `counters.quarantined`.
-        quarantined: u64,
     },
-    /// Σ channel `accepted` == Σ channel `emitted` == `enqueued +
-    /// fault.injected_corruptions` fails.
+    /// Σ channel `accepted` == Σ channel `emitted` == `enqueued` fails.
     ChannelFlow {
         /// Σ `stages[channel.*].accepted`.
         accepted: u64,
@@ -58,8 +55,6 @@ pub enum Violation {
         emitted: u64,
         /// `counters.enqueued`.
         enqueued: u64,
-        /// `fault.injected_corruptions`.
-        injected_corruptions: u64,
     },
     /// Σ decode-stage `emitted` == Σ `worker_counters[].decoded` ==
     /// `counters.decoded` fails.
@@ -104,12 +99,14 @@ pub enum Violation {
         /// `journal.counts.worker_restart`.
         restarted: u64,
     },
-    /// `fault.injected_corruptions != journal.counts.quarantine`.
+    /// `counters.quarantined != journal.counts.quarantine`.  (A quarantined
+    /// round also breaks its lattice's [`Violation::Conservation`]: nothing
+    /// the run's own source encodes fails verification.)
     Quarantine {
-        /// `fault.injected_corruptions`.
-        injected: u64,
+        /// `counters.quarantined`.
+        counted: u64,
         /// `journal.counts.quarantine`.
-        quarantined: u64,
+        journaled: u64,
     },
     /// Planned == journal `burst_start` == `burst_end` fails.
     Bursts {
@@ -246,12 +243,11 @@ impl RuntimeReport {
         let counts = &self.journal.counts;
         let (shed, watchdog_trips) = (counts[Shed], counts[WatchdogTrip]);
         require(
-            c.dropped == shed + watchdog_trips + c.quarantined,
+            c.dropped == shed + watchdog_trips,
             Violation::ShedAccounting {
                 dropped: c.dropped,
                 shed,
                 watchdog_trips,
-                quarantined: c.quarantined,
             },
         );
         let stages = |prefix: &str, pick: fn(&StageReport) -> u64| -> u64 {
@@ -262,14 +258,12 @@ impl RuntimeReport {
             stages("channel.", |s| s.accepted),
             stages("channel.", |s| s.emitted),
         );
-        let fault = &self.fault;
         require(
-            accepted == emitted && emitted == c.enqueued + fault.injected_corruptions,
+            accepted == emitted && emitted == c.enqueued,
             Violation::ChannelFlow {
                 accepted,
                 emitted,
                 enqueued: c.enqueued,
-                injected_corruptions: fault.injected_corruptions,
             },
         );
         let stage_emitted = stages("decode.", |s| s.emitted);
@@ -282,6 +276,7 @@ impl RuntimeReport {
                 decoded: c.decoded,
             },
         );
+        let fault = &self.fault;
         let (crashed, restarted) = (counts[WorkerCrash], counts[WorkerRestart]);
         require(
             fault.injected_crashes == crashed && crashed == restarted,
@@ -292,10 +287,10 @@ impl RuntimeReport {
             },
         );
         require(
-            fault.injected_corruptions == counts[Quarantine],
+            c.quarantined == counts[Quarantine],
             Violation::Quarantine {
-                injected: fault.injected_corruptions,
-                quarantined: counts[Quarantine],
+                counted: c.quarantined,
+                journaled: counts[Quarantine],
             },
         );
         let (started, ended) = (counts[BurstStart], counts[BurstEnd]);
@@ -349,15 +344,17 @@ impl RuntimeOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
+    use crate::fault::{silence_injected_crash_panics, FaultPlan};
     use crate::{MachineConfig, PushPolicy, ShardedPauliFrame, StreamingEngine};
     use nisqplus_decoders::{DynDecoder, GreedyMatchingDecoder};
     use nisqplus_qec::BurstEvent;
 
     /// A small mixed machine whose run touches every identity: three
     /// lattices of two distances, a Drop lane behind a one-round budget, a
-    /// burst, a poisoned record, residuals and the full correction history.
+    /// burst, an injected crash, residuals and the full correction
+    /// history.
     fn clean_run() -> RuntimeOutcome {
+        silence_injected_crash_panics();
         let mut config = MachineConfig::new(&[3, 5, 3], 31);
         for spec in &mut config.lattices {
             spec.rounds = 60;
@@ -369,7 +366,9 @@ mod tests {
         config.workers = 2;
         config.analyze_residuals = true;
         config.record_corrections = true;
-        config.fault = FaultPlan::default().corrupt_record(1, 7, 2, 5);
+        // Worker 0 checks its crash hook before its first batch, so a crash
+        // after 0 rounds always fires, whatever the schedule.
+        config.fault = FaultPlan::default().crash_worker(0, 0);
         let engine = StreamingEngine::with_machine(config).unwrap();
         engine.run(&|| Box::new(GreedyMatchingDecoder::new()) as DynDecoder)
     }
@@ -394,7 +393,7 @@ mod tests {
         let clean = clean_run();
         assert_eq!(clean.check_invariants(), Ok(()));
         assert!(clean.report.to_string().contains("\n  invariants: hold\n"));
-        assert_eq!(clean.report.fault.injected_corruptions, 1);
+        assert_eq!(clean.report.fault.injected_crashes, 1);
         assert_eq!(clean.report.fault.planned_bursts, 1);
         type Mutation = fn(&mut RuntimeOutcome);
         let mutations: [(&str, Mutation); 13] = [

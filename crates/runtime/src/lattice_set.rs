@@ -124,7 +124,7 @@ pub struct LatticeSpec {
     /// A physics-plane burst episode blanketing this lattice for a window of
     /// its own rounds: the noise channel's rate is multiplied by the
     /// episode's factor inside the window.  Part of the stream's replayable
-    /// identity (unlike the fault plane's injected corruption, this is noise
+    /// identity (unlike the fault plane's crashes and stalls, this is noise
     /// the decoder must ride out).  `None` streams the base channel
     /// throughout.
     pub burst: Option<BurstEvent>,
@@ -248,7 +248,7 @@ impl LatticeSpec {
 /// A dense registry of lattices served by one engine.
 ///
 /// Lattice ids are indices into the registration order: the first spec gets
-/// id 0, the second id 1, and so on.  The set also fixes the wire format of
+/// id 0, the second id 1, and so on.  The set also fixes the record size of
 /// the run — ring records are sized for the *largest* registered lattice
 /// (see [`PacketCodec`](crate::packet::PacketCodec)).
 #[derive(Debug, Clone)]

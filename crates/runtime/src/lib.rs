@@ -19,10 +19,10 @@
 //!   interleaved on independent cadences by [`InterleavedSource`] (same
 //!   seed, same stream, which is what makes stream-versus-batch equivalence
 //!   testable),
-//! * [`packet`] — bit-packed [`SyndromePacket`]s and their fixed-size
-//!   `u64`-word wire codec; the header carries a format version and the
-//!   `lattice_id` + ancilla count, so mis-routed or mis-sized records are
-//!   rejected instead of silently misdecoding,
+//! * [`packet`] — bit-packed [`SyndromePacket`]s and the fixed-size
+//!   `u64`-word records the ring carries; the header holds the
+//!   `lattice_id` + ancilla count, so a record encoded against another
+//!   lattice set is rejected instead of silently misdecoding,
 //! * [`queue`] — the bounded lock-free ring buffer (pure
 //!   `std::sync::atomic`, no external deps), which is also each channel's
 //!   flow control; the engine gives each worker its own ring and lets idle
@@ -49,8 +49,7 @@
 //! * [`fault`] — deterministic fault injection and self-healing: a seeded
 //!   [`FaultPlan`] schedules worker crashes (caught and answered by a
 //!   supervisor restart that re-prepares decoders over the same frame
-//!   shard), on-the-wire packet corruption (quarantined, never panicking
-//!   the pool) and channel stalls (bounded by a backpressure watchdog); the
+//!   shard) and channel stalls (bounded by a backpressure watchdog); the
 //!   report's [`FaultReport`] carries what was injected, and
 //!   [`RuntimeReport::check_invariants`] holds it against what the journal
 //!   observed,
@@ -67,7 +66,7 @@
 //!   [`SyndromeTrace`]s (record a live run's full stream, replay it
 //!   byte-identically through the same pipeline) and scripted elastic
 //!   machines ([`ScenarioScript`]: lattices added, retired, or re-tuned at
-//!   scripted rounds, flowing through the packet header's compat guard),
+//!   scripted rounds),
 //! * [`telemetry`] — live atomic counters and the final [`RuntimeReport`]:
 //!   the run's one time series (the source's queue-depth and backlog
 //!   timeline), latency histograms, throughput, and the measured
@@ -131,9 +130,7 @@ pub use config::ObsConfig;
 pub use engine::{
     MachineConfig, PushPolicy, RoundCorrection, RuntimeConfig, RuntimeOutcome, StreamingEngine,
 };
-pub use fault::{
-    CorruptionFault, CrashFault, FaultInjections, FaultInjector, FaultPlan, FaultReport, StallFault,
-};
+pub use fault::{CrashFault, FaultInjections, FaultInjector, FaultPlan, FaultReport, StallFault};
 pub use frame::ShardedPauliFrame;
 pub use invariants::{Violation, Violations};
 pub use lattice_set::{LatticeDecoder, LatticeSet, LatticeSpec};

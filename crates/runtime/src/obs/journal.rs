@@ -73,8 +73,8 @@ pub enum EventKind {
     /// A crashed worker's replacement came up: decoders re-prepared, the
     /// dead worker's frame shard adopted (`value` = restart attempt, 1-based).
     WorkerRestart,
-    /// A record failed wire validation and was discarded instead of decoded
-    /// (`value` = the worker's running quarantine total).
+    /// A record's header did not verify and the record was discarded
+    /// instead of decoded (`value` = the running quarantine total).
     Quarantine,
     /// A burst-noise episode began blanketing a lattice (`value` = the
     /// lattice round the episode starts at).
@@ -88,9 +88,8 @@ pub enum EventKind {
     /// brought a dormant lattice online (`value` = the machine-global round
     /// it fired at).
     LatticeAdded,
-    /// A scripted action retired a lattice: its stream truncated, its
-    /// packet-header watermark armed (`value` = the rounds it emitted
-    /// before retiring).
+    /// A scripted action retired a lattice: its stream truncated (`value` =
+    /// the rounds it emitted before retiring).
     LatticeRetired,
 }
 

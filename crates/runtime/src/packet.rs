@@ -1,50 +1,37 @@
-//! Bit-packed syndrome packets and their wire codec.
+//! Bit-packed syndrome packets and the records the ring carries.
 //!
 //! A [`SyndromePacket`] is what travels through the [ring
 //! buffer](crate::queue::SpmcRing): the id of the lattice the round belongs
 //! to, the round index, the emission timestamp (virtual nanoseconds since the
 //! engine epoch, used for end-to-end latency), and the [`Syndrome`] itself,
-//! whose `u64` words are the payload as they stand.  The [`PacketCodec`] flattens a packet into the fixed `u64`-word
-//! records the ring stores — three header words plus `ceil(bits / 64)`
-//! syndrome words, sized for the *largest* lattice of the set so every
-//! lattice's rounds fit the same slots — and restores it on the consumer
-//! side.
+//! whose `u64` words are the payload as they stand.  The [`PacketCodec`]
+//! flattens a packet into the fixed-size `u64` record a ring slot holds and
+//! restores it on the consumer side.  A record is
 //!
-//! The header carries a format version and the packet's own syndrome bit
-//! length next to the `lattice_id`, so the decoding side can verify that the
-//! packet was encoded for the lattice registered under that id: a mismatched
-//! record would otherwise silently misdecode into a wrong-width syndrome.
+//! * word 0: the `lattice_id` (high 32 bits) and the ancilla count the
+//!   encoding side registered for it (low 32 bits);
+//! * word 1: the round; word 2: the emission timestamp;
+//! * the syndrome's words, zero-padded to the *largest* lattice of the set
+//!   so every lattice's rounds fit the same slots;
+//! * for a codec built with [`PacketCodec::with_error_payload`], the round's
+//!   seeded physical error — a [`PauliString`]'s own words, its X plane then
+//!   its Z plane, zero-padded to the largest lattice's data-qubit count.
+//!   This is what lets workers classify residuals *in stream*, retaining
+//!   nothing per round.  Whether records carry errors is fixed at codec
+//!   construction for the whole run (both sides are built from the same
+//!   [`LatticeSet`](crate::lattice_set::LatticeSet)).
 //!
-//! Since format version 3 every record additionally ends in a trailer word
-//! holding a 64-bit mix checksum of all preceding words.  The header checks
-//! only cover the fields they name — a bit flip in the round index, the
-//! timestamp or the payload is invisible to them — so the checksum is what
-//! turns *any* in-flight corruption into a typed [`PacketError::Corrupted`]
-//! instead of a silently wrong decode.
-//!
-//! Format version 4 adds an *opt-in* error payload: a codec built with
-//! [`PacketCodec::with_error_payload`] appends the round's seeded physical
-//! error — a [`PauliString`]'s own words, its two bitplanes (X components,
-//! then Z components), in a field sized for the largest lattice's data-qubit
-//! count — between the syndrome payload and the checksum trailer.  This is
-//! what lets workers classify residuals *in stream*, retaining nothing per
-//! round.  Whether records carry errors is fixed at codec construction for
-//! the whole run (both sides are built from the same
-//! [`LatticeSet`](crate::lattice_set::LatticeSet)); the checksum covers the
-//! extra words automatically.
-//!
-//! The codec also carries the *retirement watermarks* of elastic runs:
-//! [`PacketCodec::retire_lattice`] marks a lattice id as retired after its
-//! final round, shared across codec clones, and [`PacketCodec::verify`]
-//! quarantines later rounds as [`PacketError::RetiredLattice`] while letting
-//! the in-flight backlog drain.  Watermarks are codec state, not wire
-//! layout, so the format version is unchanged.
+//! A record never leaves the process that wrote it, so it carries no format
+//! version and no checksum.  The one check [`PacketCodec::verify`] makes is
+//! that the header's lattice id and ancilla count match the codec's
+//! registrations: a record encoded against another lattice set is a typed
+//! [`PacketError`] instead of a wrong-width syndrome.  The bytes the runtime
+//! reads from outside — a recorded trace — are checked by the trace reader
+//! ([`SyndromeTrace::from_json`](crate::scenario::SyndromeTrace::from_json)).
 
 use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::syndrome::Syndrome;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// One round of syndrome data in flight between generation and decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,16 +61,10 @@ impl SyndromePacket {
     }
 }
 
-/// Why a record was rejected by [`PacketCodec::try_decode_into`].
+/// Why [`PacketCodec::verify`] refused a record: its header does not match
+/// the codec's registrations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketError {
-    /// The record was encoded by an incompatible codec version.
-    VersionMismatch {
-        /// Version found in the header.
-        found: u16,
-        /// Version this codec speaks ([`PacketCodec::VERSION`]).
-        expected: u16,
-    },
     /// The header names a lattice id the codec has no registration for.
     UnknownLattice {
         /// The out-of-range lattice id.
@@ -100,37 +81,11 @@ pub enum PacketError {
         /// Ancilla count of the registered lattice.
         registered_bits: u32,
     },
-    /// The record's trailer checksum does not match its contents: the record
-    /// was corrupted in flight (the header fields alone may still look
-    /// plausible, so this is the check that catches payload, round and
-    /// timestamp damage).
-    Corrupted {
-        /// The checksum recomputed from the record's contents.
-        expected: u64,
-        /// The checksum found in the trailer word.
-        found: u64,
-    },
-    /// The record claims a round at or past its lattice's retirement
-    /// watermark ([`PacketCodec::retire_lattice`]): the lattice was retired
-    /// after emitting `final_round` rounds, so a straggler or forged record
-    /// for a later round is quarantined while in-flight earlier rounds still
-    /// drain to the final frame.
-    RetiredLattice {
-        /// The lattice id named by the header.
-        lattice_id: u32,
-        /// The round the record claims.
-        round: u64,
-        /// Rounds the lattice emitted before retiring (the watermark).
-        final_round: u64,
-    },
 }
 
 impl fmt::Display for PacketError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            PacketError::VersionMismatch { found, expected } => {
-                write!(f, "packet version {found} but codec expects {expected}")
-            }
             PacketError::UnknownLattice { lattice_id } => {
                 write!(f, "packet names unregistered lattice {lattice_id}")
             }
@@ -142,20 +97,6 @@ impl fmt::Display for PacketError {
                 f,
                 "packet for lattice {lattice_id} carries {header_bits} ancilla bits, but the \
                  registered lattice has {registered_bits}"
-            ),
-            PacketError::Corrupted { expected, found } => write!(
-                f,
-                "packet record corrupted in flight: checksum {found:#018x} does not match \
-                 contents ({expected:#018x})"
-            ),
-            PacketError::RetiredLattice {
-                lattice_id,
-                round,
-                final_round,
-            } => write!(
-                f,
-                "packet claims round {round} of lattice {lattice_id}, which retired after \
-                 {final_round} rounds"
             ),
         }
     }
@@ -170,7 +111,7 @@ impl std::error::Error for PacketError {}
 /// words plus enough payload words for the *largest* lattice — for the whole
 /// run.  Smaller lattices' records are zero-padded; the header's bit-length
 /// field says how much payload is live.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PacketCodec {
     /// Ancilla count per lattice id.
     lattice_bits: Vec<u32>,
@@ -182,65 +123,13 @@ pub struct PacketCodec {
     /// Error-payload words (two bitplanes sized for the largest lattice's
     /// data-qubit count); `0` for errorless codecs.
     error_words: usize,
-    /// Per-lattice retirement watermark: records claiming round `>=` the
-    /// watermark are quarantined ([`PacketError::RetiredLattice`]);
-    /// `u64::MAX` means not retired.  Shared across clones, so retiring on
-    /// the producer's codec is immediately visible to every worker's.
-    retired: Arc<Vec<AtomicU64>>,
 }
-
-impl PartialEq for PacketCodec {
-    fn eq(&self, other: &Self) -> bool {
-        self.lattice_bits == other.lattice_bits
-            && self.max_syndrome_words == other.max_syndrome_words
-            && self.lattice_data == other.lattice_data
-            && self.error_words == other.error_words
-            && self.retired.len() == other.retired.len()
-            && self
-                .retired
-                .iter()
-                .zip(other.retired.iter())
-                .all(|(a, b)| a.load(Ordering::Acquire) == b.load(Ordering::Acquire))
-    }
-}
-
-impl Eq for PacketCodec {}
 
 /// Number of header words preceding the syndrome payload
-/// (version/lattice/bits, round, emitted_ns).
+/// (lattice/bits, round, emitted_ns).
 const HEADER_WORDS: usize = 3;
 
-/// Number of trailer words following the syndrome payload (the integrity
-/// checksum).
-const TRAILER_WORDS: usize = 1;
-
-/// The record integrity checksum: a 64-bit multiply-xor-shift mix folded over
-/// every word preceding the trailer.  A flip of any single bit anywhere in
-/// the record avalanches through the multiply, so header *and* payload
-/// corruption is detected; colliding by accident requires matching a full
-/// 64-bit digest.
-#[must_use]
-fn record_checksum(words: &[u64]) -> u64 {
-    let mut acc = 0x9E37_79B9_7F4A_7C15u64;
-    for &word in words {
-        acc = (acc ^ word).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        acc ^= acc >> 31;
-    }
-    acc
-}
-
 impl PacketCodec {
-    /// The wire-format version stamped into (and checked against) every
-    /// record's header.  Version 1 was the PR-2 single-lattice format with a
-    /// two-word header; version 2 added the lattice-id/ancilla header fields;
-    /// version 3 appends the integrity-checksum trailer word, so a v2
-    /// receiver cannot mistake a v3 record for its own format (and vice
-    /// versa: the version field is checked before anything else); version 4
-    /// introduces the opt-in packed-error payload between syndrome and
-    /// trailer ([`PacketCodec::with_error_payload`]), so a pre-v4 receiver
-    /// can never misread error bitplanes as syndrome padding.
-    pub const VERSION: u16 = 4;
-
     /// Creates a single-lattice codec: lattice id 0 with `syndrome_bits`
     /// ancilla bits.
     #[must_use]
@@ -262,37 +151,12 @@ impl PacketCodec {
             .map(|&b| u32::try_from(b).expect("ancilla count fits u32"))
             .collect();
         let max_bits = *lattice_bits.iter().max().expect("non-empty") as usize;
-        let retired = Arc::new(
-            (0..lattice_bits.len())
-                .map(|_| AtomicU64::new(u64::MAX))
-                .collect::<Vec<_>>(),
-        );
         PacketCodec {
             lattice_bits,
             max_syndrome_words: Syndrome::words_for(max_bits),
             lattice_data: Vec::new(),
             error_words: 0,
-            retired,
         }
-    }
-
-    /// Retires a lattice at `final_round`: from now on, [`PacketCodec::verify`]
-    /// quarantines any record claiming round `>= final_round` for this
-    /// lattice as [`PacketError::RetiredLattice`], while records for earlier
-    /// rounds — the in-flight backlog draining to the final frame — still
-    /// verify normally.
-    ///
-    /// The watermark is shared across codec clones: the producer retires on
-    /// its codec and every worker's clone observes it, which is how scripted
-    /// [`RetireLattice`](crate::scenario::ScenarioAction::RetireLattice)
-    /// actions turn straggler records into typed quarantines instead of
-    /// decodes against a decommissioned patch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lattice_id` is out of range.
-    pub fn retire_lattice(&self, lattice_id: u32, final_round: u64) {
-        self.retired[lattice_id as usize].store(final_round, Ordering::Release);
     }
 
     /// Creates a codec whose records additionally carry the round's seeded
@@ -364,51 +228,33 @@ impl PacketCodec {
         self.lattice_bits[lattice_id as usize] as usize
     }
 
-    /// The fixed record size in `u64` words (header plus the largest
+    /// The fixed record size in `u64` words: the header and the largest
     /// lattice's syndrome payload, plus the error payload when this codec
-    /// carries one, plus the checksum trailer).
+    /// carries one.
     #[must_use]
     pub fn words_per_packet(&self) -> usize {
-        HEADER_WORDS + self.max_syndrome_words + self.error_words + TRAILER_WORDS
+        HEADER_WORDS + self.max_syndrome_words + self.error_words
     }
 
-    /// Packs the version, lattice id and bit length into header word 0.
-    fn header_word(&self, lattice_id: u32, bits: u32) -> u64 {
-        assert!(
-            lattice_id < 1 << 24,
-            "lattice id exceeds the 24-bit header field"
-        );
-        assert!(
-            bits < 1 << 24,
-            "ancilla count exceeds the 24-bit header field"
-        );
-        (u64::from(Self::VERSION) << 48) | (u64::from(lattice_id) << 24) | u64::from(bits)
-    }
-
-    /// Reads the lattice id a record claims to belong to, after validating
-    /// the header against the codec's registrations.
+    /// Checks a record's header against the codec's registrations and
+    /// returns the lattice id it belongs to.  This is what the worker loop
+    /// calls before touching any per-lattice state, so a record encoded
+    /// against another lattice set is quarantined instead of indexing
+    /// anything with an id the codec does not know.
     ///
     /// # Errors
     ///
-    /// Returns a [`PacketError`] on a version, lattice-id or ancilla-count
-    /// mismatch.
+    /// Returns a [`PacketError`] on an unknown lattice id or an ancilla
+    /// count that differs from the one registered for it.
     ///
     /// # Panics
     ///
     /// Panics if `words` is not exactly [`PacketCodec::words_per_packet`]
     /// words long.
-    pub fn check_header(&self, words: &[u64]) -> Result<u32, PacketError> {
+    pub fn verify(&self, words: &[u64]) -> Result<u32, PacketError> {
         assert_eq!(words.len(), self.words_per_packet(), "record size mismatch");
-        let header = words[0];
-        let version = (header >> 48) as u16;
-        if version != Self::VERSION {
-            return Err(PacketError::VersionMismatch {
-                found: version,
-                expected: Self::VERSION,
-            });
-        }
-        let lattice_id = ((header >> 24) & 0xFF_FFFF) as u32;
-        let header_bits = (header & 0xFF_FFFF) as u32;
+        let lattice_id = (words[0] >> 32) as u32;
+        let header_bits = words[0] as u32;
         let Some(&registered_bits) = self.lattice_bits.get(lattice_id as usize) else {
             return Err(PacketError::UnknownLattice { lattice_id });
         };
@@ -417,44 +263,6 @@ impl PacketCodec {
                 lattice_id,
                 header_bits,
                 registered_bits,
-            });
-        }
-        Ok(lattice_id)
-    }
-
-    /// Fully validates a record — header fields *and* the trailer checksum —
-    /// and returns the lattice id it belongs to.  This is what the worker
-    /// loop calls before touching any per-lattice state, so a hostile or
-    /// damaged record is quarantined instead of indexing anything with an
-    /// untrusted id.
-    ///
-    /// # Errors
-    ///
-    /// Returns the header's [`PacketError`] if a named field fails its
-    /// check, or [`PacketError::Corrupted`] for damage the header fields
-    /// cannot see (round, timestamp, payload, padding).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` is not exactly [`PacketCodec::words_per_packet`]
-    /// words long.
-    pub fn verify(&self, words: &[u64]) -> Result<u32, PacketError> {
-        let lattice_id = self.check_header(words)?;
-        let body = words.len() - TRAILER_WORDS;
-        let expected = record_checksum(&words[..body]);
-        let found = words[body];
-        if expected != found {
-            return Err(PacketError::Corrupted { expected, found });
-        }
-        // Only after the checksum: a corrupted record's round word is noise,
-        // and `Corrupted` is the verdict that should win.
-        let final_round = self.retired[lattice_id as usize].load(Ordering::Acquire);
-        let round = words[1];
-        if round >= final_round {
-            return Err(PacketError::RetiredLattice {
-                lattice_id,
-                round,
-                final_round,
             });
         }
         Ok(lattice_id)
@@ -478,7 +286,7 @@ impl PacketCodec {
             packet.lattice_id,
             registered
         );
-        out[0] = self.header_word(packet.lattice_id, *registered);
+        out[0] = (u64::from(packet.lattice_id) << 32) | u64::from(*registered);
         out[1] = packet.round;
         out[2] = packet.emitted_ns;
         let payload = packet.syndrome.words();
@@ -502,15 +310,12 @@ impl PacketCodec {
             "codec carries error payloads; encode records with encode_with_error"
         );
         let end = self.write_prefix(packet, out);
-        let body = out.len() - TRAILER_WORDS;
-        out[end..body].fill(0);
-        out[body] = record_checksum(&out[..body]);
+        out[end..].fill(0);
     }
 
     /// Flattens a packet plus the round's seeded error into `out`
     /// (error-carrying codecs only).  The error's words — its two bitplanes —
-    /// are copied after the syndrome payload; the checksum trailer covers
-    /// them like every other word.
+    /// are copied after the syndrome payload.
     ///
     /// # Panics
     ///
@@ -536,16 +341,13 @@ impl PacketCodec {
         );
         let payload = error.words();
         out[err_off..err_off + payload.len()].copy_from_slice(payload);
-        let body = out.len() - TRAILER_WORDS;
-        out[err_off + payload.len()..body].fill(0);
-        out[body] = record_checksum(&out[..body]);
+        out[err_off + payload.len()..].fill(0);
     }
 
     /// Copies the error payload of an already-verified record into `error`'s
     /// words without allocating — the companion of
     /// [`PacketCodec::try_decode_into`] on the worker hot path.  `lattice_id`
-    /// must be the id returned by the verifying decode (the raw peeked id is
-    /// not trustworthy).
+    /// must be the id [`PacketCodec::verify`] returned.
     ///
     /// # Panics
     ///
@@ -578,9 +380,7 @@ impl PacketCodec {
     ///
     /// # Errors
     ///
-    /// Returns a [`PacketError`] if the header fails the version or lattice
-    /// compatibility checks, or if the trailer checksum exposes in-flight
-    /// corruption.
+    /// Returns the [`PacketError`] of [`PacketCodec::verify`].
     ///
     /// # Panics
     ///
@@ -600,8 +400,7 @@ impl PacketCodec {
     /// Unpacks a record that [`PacketCodec::verify`] has already accepted as
     /// belonging to `lattice_id` — the second half of
     /// [`PacketCodec::try_decode_into`], for the decode stage, which verifies
-    /// once before it picks any per-lattice buffer and must not pay for the
-    /// checksum a second time.
+    /// once before it picks any per-lattice buffer.
     ///
     /// # Panics
     ///
@@ -639,7 +438,7 @@ mod tests {
     /// into a fresh buffer of the width registered for the id its header names
     /// (a record whose id is noise fails validation before the width matters).
     fn decoded(codec: &PacketCodec, record: &[u64]) -> Result<SyndromePacket, PacketError> {
-        let id = ((record[0] >> 24) & 0xFF_FFFF) as usize;
+        let id = (record[0] >> 32) as usize;
         let bits = codec.lattice_bits.get(id).map_or(0, |&bits| bits as usize);
         let mut buffer = SyndromePacket::new(0, 0, 0, &Syndrome::new(bits));
         codec.try_decode_into(record, &mut buffer).map(|()| buffer)
@@ -663,7 +462,7 @@ mod tests {
         // sized for the larger one, the smaller one's tail is zero-padded.
         let codec = PacketCodec::for_lattice_bits(&[8, 40]);
         assert_eq!(codec.num_lattices(), 2);
-        assert_eq!(codec.words_per_packet(), 3 + 1 + 1);
+        assert_eq!(codec.words_per_packet(), 3 + 1);
         let small = SyndromePacket::new(0, 5, 50, &Syndrome::from_hot(8, &[1, 6]));
         let large = SyndromePacket::new(1, 9, 90, &Syndrome::from_hot(40, &[0, 39]));
         let mut record = vec![u64::MAX; codec.words_per_packet()];
@@ -702,15 +501,15 @@ mod tests {
 
     #[test]
     fn record_sizes_scale_with_bits() {
-        // 3 header words + payload + 1 checksum trailer word.
-        assert_eq!(PacketCodec::new(40).words_per_packet(), 5); // d=5: 40 ancillas
-        assert_eq!(PacketCodec::new(144).words_per_packet(), 7); // d=9
-        assert_eq!(PacketCodec::new(64).words_per_packet(), 5);
-        assert_eq!(PacketCodec::new(65).words_per_packet(), 6);
+        // 3 header words + payload.
+        assert_eq!(PacketCodec::new(40).words_per_packet(), 4); // d=5: 40 ancillas
+        assert_eq!(PacketCodec::new(144).words_per_packet(), 6); // d=9
+        assert_eq!(PacketCodec::new(64).words_per_packet(), 4);
+        assert_eq!(PacketCodec::new(65).words_per_packet(), 5);
         // A mixed set is sized by its largest member.
         assert_eq!(
             PacketCodec::for_lattice_bits(&[8, 144, 40]).words_per_packet(),
-            7
+            6
         );
     }
 
@@ -755,7 +554,7 @@ mod tests {
         let receiver = PacketCodec::for_lattice_bits(&[8, 40]);
         assert_eq!(receiver.words_per_packet(), sender.words_per_packet());
         assert_eq!(
-            receiver.check_header(&record),
+            receiver.verify(&record),
             Err(PacketError::AncillaMismatch {
                 lattice_id: 0,
                 header_bits: 40,
@@ -774,85 +573,19 @@ mod tests {
         sender.encode(&packet, &mut record);
         let receiver = PacketCodec::for_lattice_bits(&[40]);
         assert_eq!(
-            receiver.check_header(&record),
+            receiver.verify(&record),
             Err(PacketError::UnknownLattice { lattice_id: 1 })
         );
     }
 
     #[test]
-    fn version_mismatch_is_rejected() {
-        let codec = PacketCodec::new(40);
-        let packet = SyndromePacket::new(0, 0, 0, &Syndrome::new(40));
-        let mut record = vec![0u64; codec.words_per_packet()];
-        codec.encode(&packet, &mut record);
-        // Forge a version-1 header (the PR-2 format had no version field;
-        // its first word was the round index, so small values read as v0/v1).
-        record[0] = (1u64 << 48) | record[0] & 0xFFFF_FFFF_FFFF;
-        let err = codec.check_header(&record).unwrap_err();
-        assert_eq!(
-            err,
-            PacketError::VersionMismatch {
-                found: 1,
-                expected: PacketCodec::VERSION,
-            }
-        );
-        assert!(err.to_string().contains("version 1"));
-    }
-
-    #[test]
     fn empty_syndromes_still_carry_headers() {
         let codec = PacketCodec::new(0);
-        assert_eq!(codec.words_per_packet(), 4);
+        assert_eq!(codec.words_per_packet(), 3);
         let packet = SyndromePacket::new(0, 9, 17, &Syndrome::new(0));
-        let mut record = vec![0u64; 4];
+        let mut record = vec![0u64; 3];
         codec.encode(&packet, &mut record);
         assert_eq!(decoded(&codec, &record), Ok(packet));
-    }
-
-    /// The checksum catches damage the header fields cannot see: a flipped
-    /// bit in the round index, the timestamp, the payload or the trailer
-    /// itself all surface as `Corrupted`, never as a wrong decode.
-    #[test]
-    fn any_single_bit_flip_is_detected() {
-        let codec = PacketCodec::new(40);
-        let syndrome = Syndrome::from_hot(40, &[3, 17, 31]);
-        let packet = SyndromePacket::new(0, 123, 456_789, &syndrome);
-        let mut record = vec![0u64; codec.words_per_packet()];
-        codec.encode(&packet, &mut record);
-        assert!(codec.verify(&record).is_ok());
-        for word in 0..record.len() {
-            for bit in [0u32, 13, 31, 47, 63] {
-                let mut corrupt = record.clone();
-                corrupt[word] ^= 1u64 << bit;
-                let err = decoded(&codec, &corrupt).unwrap_err();
-                // Flips in named header fields may produce their own typed
-                // error; everything else must land on the checksum.
-                if word > 0 {
-                    let trailer = word == record.len() - 1;
-                    assert!(
-                        matches!(err, PacketError::Corrupted { .. }) || trailer,
-                        "word {word} bit {bit}: got {err}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn corruption_is_a_typed_error_not_a_misdecode() {
-        let codec = PacketCodec::new(40);
-        let packet = SyndromePacket::new(0, 7, 70, &Syndrome::from_hot(40, &[2, 9]));
-        let mut record = vec![0u64; codec.words_per_packet()];
-        codec.encode(&packet, &mut record);
-        // Damage the round index: the header checks cannot see it...
-        record[1] ^= 1 << 40;
-        assert!(codec.check_header(&record).is_ok());
-        // ...but full validation rejects it with the corruption error.
-        let err = codec.verify(&record).unwrap_err();
-        assert!(matches!(err, PacketError::Corrupted { .. }));
-        assert!(err.to_string().contains("corrupted in flight"));
-        let mut buffer = SyndromePacket::new(0, 0, 0, &Syndrome::new(40));
-        assert_eq!(codec.try_decode_into(&record, &mut buffer), Err(err));
     }
 
     use nisqplus_qec::pauli::Pauli;
@@ -864,8 +597,8 @@ mod tests {
         let codec = PacketCodec::with_error_payload(&[8, 40], &[13, 41]);
         assert!(codec.carries_errors());
         assert_eq!(codec.data_bits(0), 13);
-        // 3 header + 1 syndrome + 2 error bitplanes + 1 trailer.
-        assert_eq!(codec.words_per_packet(), 3 + 1 + 2 + 1);
+        // 3 header + 1 syndrome + 2 error bitplanes.
+        assert_eq!(codec.words_per_packet(), 3 + 1 + 2);
         let mut record = vec![u64::MAX; codec.words_per_packet()];
         for (id, bits, data) in [(0u32, 8usize, 13usize), (1, 40, 41)] {
             let packet = SyndromePacket::new(id, 11, 110, &Syndrome::from_hot(bits, &[3]));
@@ -885,13 +618,13 @@ mod tests {
 
     #[test]
     fn errorless_codecs_keep_their_record_size() {
-        // The error payload is strictly opt-in: the classic constructors
-        // produce byte-compatible sizes with the pre-v4 format.
-        assert_eq!(PacketCodec::new(40).words_per_packet(), 5);
+        // The error payload is strictly opt-in: an errorless record is the
+        // header and the syndrome, nothing more.
+        assert_eq!(PacketCodec::new(40).words_per_packet(), 4);
         assert!(!PacketCodec::new(40).carries_errors());
         assert_eq!(
             PacketCodec::with_error_payload(&[40], &[41]).words_per_packet(),
-            5 + 2
+            4 + 2
         );
     }
 
@@ -920,76 +653,5 @@ mod tests {
         let packet = SyndromePacket::new(0, 0, 0, &Syndrome::new(8));
         let mut record = vec![0u64; codec.words_per_packet()];
         codec.encode_with_error(&packet, &PauliString::identity(12), &mut record);
-    }
-
-    #[test]
-    fn error_payload_corruption_is_detected() {
-        let codec = PacketCodec::with_error_payload(&[40], &[41]);
-        let packet = SyndromePacket::new(0, 3, 30, &Syndrome::from_hot(40, &[7]));
-        let error = PauliString::from_sparse(41, &[5, 9], Pauli::X);
-        let mut record = vec![0u64; codec.words_per_packet()];
-        codec.encode_with_error(&packet, &error, &mut record);
-        assert!(codec.verify(&record).is_ok());
-        // Flip a bit inside the error bitplanes: the checksum must catch it.
-        record[4] ^= 1 << 9;
-        assert!(matches!(
-            codec.verify(&record),
-            Err(PacketError::Corrupted { .. })
-        ));
-    }
-
-    #[test]
-    fn retirement_quarantines_later_rounds_but_drains_earlier_ones() {
-        let codec = PacketCodec::for_lattice_bits(&[8, 24]);
-        let encode = |lattice_id: u32, round: u64| {
-            let bits = codec.syndrome_bits(lattice_id);
-            let packet = SyndromePacket::new(lattice_id, round, 0, &Syndrome::new(bits));
-            let mut record = vec![0u64; codec.words_per_packet()];
-            codec.encode(&packet, &mut record);
-            record
-        };
-        assert!(codec.verify(&encode(1, 99)).is_ok());
-
-        codec.retire_lattice(1, 5);
-        // In-flight rounds below the watermark still drain.
-        assert_eq!(codec.verify(&encode(1, 4)), Ok(1));
-        // Rounds at or past it are quarantined with a typed verdict.
-        assert_eq!(
-            codec.verify(&encode(1, 5)),
-            Err(PacketError::RetiredLattice {
-                lattice_id: 1,
-                round: 5,
-                final_round: 5,
-            })
-        );
-        let err = codec.verify(&encode(1, 12)).unwrap_err();
-        assert!(err.to_string().contains("retired after 5 rounds"));
-        // Other lattices are untouched.
-        assert!(codec.verify(&encode(0, 1_000)).is_ok());
-    }
-
-    #[test]
-    fn retirement_propagates_to_clones_and_corruption_wins() {
-        let producer = PacketCodec::for_lattice_bits(&[8]);
-        let worker = producer.clone();
-        let packet = SyndromePacket::new(0, 7, 0, &Syndrome::new(8));
-        let mut record = vec![0u64; producer.words_per_packet()];
-        producer.encode(&packet, &mut record);
-        assert!(worker.verify(&record).is_ok());
-
-        producer.retire_lattice(0, 3);
-        // The worker's clone shares the watermark.
-        assert!(matches!(
-            worker.verify(&record),
-            Err(PacketError::RetiredLattice { round: 7, .. })
-        ));
-        // A corrupted record is reported as corruption, not retirement: its
-        // round word is untrustworthy.
-        let body = record.len() - 1;
-        record[body] ^= 1;
-        assert!(matches!(
-            worker.verify(&record),
-            Err(PacketError::Corrupted { .. })
-        ));
     }
 }

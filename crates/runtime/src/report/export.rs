@@ -8,7 +8,7 @@
 //! writer and the reader from that one list — a key is its field's name, so
 //! the two directions cannot drift apart.  Changing a table changes the
 //! format: bump [`SCHEMA_VERSION`] (`tests/obs.rs` pins the key paths
-//! against `tests/report_schema_v10.txt`).
+//! against `tests/report_schema_v11.txt`).
 //!
 //! Reading rejects documents whose version does not match
 //! [`SCHEMA_VERSION`] exactly, so a stale artifact fails loudly instead of
@@ -76,7 +76,10 @@ use std::path::Path;
 /// `lattices[].{rounds, final_backlog, inter_arrival_ns}` (read
 /// `counters.generated` and `measured`), and every observed `fault` key
 /// (read `journal.counts` and `counters.quarantined`).
-pub const SCHEMA_VERSION: u64 = 10;
+///
+/// v11: `fault.injected_corruptions` is gone with the in-process corruption
+/// fault that was its only source.
+pub const SCHEMA_VERSION: u64 = 11;
 
 /// Why an export or import failed.
 #[derive(Debug)]
@@ -270,7 +273,6 @@ record!(JournalSnapshot {
 record!(FaultReport {
     enabled,
     injected_crashes,
-    injected_corruptions,
     planned_bursts,
     injected_stalls,
 });

@@ -451,30 +451,41 @@ impl Parser<'_> {
         }
     }
 
+    /// Consumes a run of ASCII digits and returns how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// A number in RFC 8259's grammar, `-? (0 | [1-9][0-9]*) (. [0-9]+)?
+    /// ([eE] [+-]? [0-9]+)?`: no leading zero, no bare `.` or exponent, so
+    /// one value has one spelling up to its digits.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
+        let leading_zero = self.peek() == Some(b'0');
+        let int_digits = self.digits();
+        let mut valid = int_digits == 1 || (int_digits > 1 && !leading_zero);
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            valid &= self.digits() > 0;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            valid &= self.digits() > 0;
         }
         let text = &self.text[start..self.pos];
+        if !valid {
+            return Err(self.error(format!("invalid number '{text}'")));
+        }
         match text.parse::<f64>() {
             // `str::parse` saturates: `1e999` is `inf`, which the writer
             // could only print as `null`.
@@ -563,6 +574,18 @@ mod tests {
         }
         assert_eq!(parse("1e-999"), Ok(Json::Num(0.0)));
         assert_eq!(parse("1.7976931348623157e308"), Ok(Json::Num(f64::MAX)));
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_grammar() {
+        for text in [
+            "01", "-01", "00", "1.", ".5", "-", "1e", "1e+", "-.5", "1.e3",
+        ] {
+            assert!(parse(text).is_err(), "{text}");
+        }
+        for (text, value) in [("0", 0.0), ("-0.5", -0.5), ("10", 10.0), ("1E+2", 100.0)] {
+            assert_eq!(parse(text), Ok(Json::Num(value)), "{text}");
+        }
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! * **Scripted elasticity** ([`script`]) — [`ScenarioScript`] actions
 //!   (`AddLattice`, `RetireLattice`, `SetErrorRate`) fire on the
 //!   machine-global round counter, so lattices come online, retire (draining
-//!   to a final frame) and re-calibrate mid-run, all through the versioned
-//!   packet header's compat guard.
+//!   to a final frame) and re-calibrate mid-run.
 //!
 //! Time-varying noise *physics* lives next door: drifting rate schedules in
 //! [`nisqplus_qec::DriftingErrorModel`] and burst episodes

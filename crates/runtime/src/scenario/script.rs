@@ -9,15 +9,12 @@
 //! of the stream's identity, like seeds and burst overlays.
 //!
 //! Every lattice a script touches must be pre-registered in the machine's
-//! [`LatticeSet`](crate::lattice_set::LatticeSet): elasticity flows through
-//! the versioned packet header's compat guard, not around it.  A lattice
-//! targeted by [`ScenarioAction::AddLattice`] starts *dormant* (emitting
-//! nothing) and comes online when its round arrives;
-//! [`ScenarioAction::RetireLattice`] truncates a stream so the lattice drains
-//! to a final frame and its id is retired in the
-//! [`PacketCodec`](crate::packet::PacketCodec), after which any straggler
-//! record claiming a post-retirement round is quarantined as a typed
-//! [`PacketError::RetiredLattice`](crate::packet::PacketError).
+//! [`LatticeSet`](crate::lattice_set::LatticeSet), so its records fit the
+//! slots the run was sized for.  A lattice targeted by
+//! [`ScenarioAction::AddLattice`] starts *dormant* (emitting nothing) and
+//! comes online when its round arrives; [`ScenarioAction::RetireLattice`]
+//! truncates a stream, so the lattice emits nothing more and the rounds
+//! already in flight drain to a final frame.
 
 use crate::source::NoiseSpec;
 use nisqplus_qec::QecError;
@@ -36,8 +33,8 @@ pub enum ScenarioAction {
         /// The pre-registered lattice to activate.
         lattice_id: u32,
     },
-    /// Retire a lattice: its stream stops emitting, rounds already in flight
-    /// drain to a final frame, and later records for its id are quarantined.
+    /// Retire a lattice: its stream stops emitting and rounds already in
+    /// flight drain to a final frame.
     RetireLattice {
         /// Machine-global round at which the lattice retires.
         at_round: u64,

@@ -52,11 +52,11 @@ const ENVELOPE_VERSION: u64 = 4;
 /// The `kind` header value of trace documents.
 const TRACE_KIND: &str = "syndrome_trace";
 
-/// Seed of the word-fold digest, shared with the packet checksum family.
+/// Seed of the word-fold digest.
 const DIGEST_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Folds a word stream into a 64-bit digest (splitmix-style mixing, same
-/// construction as the packet trailer checksum).  Used to pin frames and
+/// Folds a word stream into a 64-bit digest (splitmix-style
+/// multiply-xorshift mixing).  Used to pin frames and
 /// corrections in a [`GoldenSummary`] without storing them wholesale.
 #[must_use]
 pub fn digest_words(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -119,7 +119,7 @@ pub struct GoldenSummary {
     pub decoded: u64,
     /// Rounds shed at the producer.
     pub dropped: u64,
-    /// Records quarantined by the compat guard.
+    /// Records a worker quarantined because their header did not verify.
     pub quarantined: u64,
     /// Per-lattice shed-round counts.
     pub shed: Vec<u64>,
@@ -313,11 +313,17 @@ impl Codec<Hex> for u64 {
         Json::Str(format!("{self:#x}"))
     }
 
+    /// Reads only the spelling `encode` writes — lowercase, no leading
+    /// zero, no sign — so one value has one spelling.
     fn decode(value: &Json) -> Result<Self, ExportError> {
-        let digits = value.as_str().and_then(|text| text.strip_prefix("0x"));
-        digits
-            .and_then(|digits| u64::from_str_radix(digits, 16).ok())
-            .ok_or_else(|| schema("not a 0x-prefixed 64-bit hex string"))
+        let canonical = |text: &str| {
+            let value = u64::from_str_radix(text.strip_prefix("0x")?, 16).ok()?;
+            (format!("{value:#x}") == text).then_some(value)
+        };
+        value
+            .as_str()
+            .and_then(canonical)
+            .ok_or_else(|| schema("not a 64-bit hex string as `{:#x}` writes it"))
     }
 }
 

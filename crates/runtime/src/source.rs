@@ -402,8 +402,8 @@ pub struct ElasticEvent {
 pub enum ElasticEventKind {
     /// A dormant lattice came online.
     Added,
-    /// A lattice retired after emitting `final_round` rounds; records
-    /// claiming round `>= final_round` for it are now quarantinable.
+    /// A lattice retired after emitting `final_round` rounds; it emits no
+    /// more.
     Retired {
         /// Rounds the lattice emitted before retiring.
         final_round: u64,

@@ -154,16 +154,15 @@ impl<'a> DecodeStage<'a> {
     ///
     /// # Errors
     ///
-    /// A record that fails validation — bad magic, wrong format version,
-    /// out-of-range lattice id, mismatched length, or a checksum breach
-    /// anywhere in the header or payload — returns the typed
-    /// [`PacketError`] without touching any decoder state: the worker
-    /// quarantines it instead of panicking the pool.
+    /// A record whose header fails [`PacketCodec::verify`] — an unknown
+    /// lattice id, or an ancilla count other than the one registered for
+    /// it — returns the typed [`PacketError`] without touching any decoder
+    /// state: the worker quarantines it instead of panicking the pool.
     pub(crate) fn decode(&mut self, record: &[u64]) -> Result<DecodedRound<'_>, PacketError> {
-        // Full validation (header, checksum trailer, retirement watermark),
-        // once, *before* indexing any per-lattice state: a corrupted
-        // lattice-id field must not pick a buffer, let alone panic on an
-        // out-of-range slot.  Everything below works on a verified record.
+        // Verify the header once, *before* indexing any per-lattice state:
+        // an unknown lattice id must not pick a buffer, let alone panic on
+        // an out-of-range slot.  Everything below works on a verified
+        // record.
         let lattice_id = self.codec.verify(record)? as usize;
         let state = &mut self.states[lattice_id];
         let decoder = &mut self.decoders[state.decoder_slot];
@@ -375,13 +374,13 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> Vec<String> {
             let decoded = match decode.decode(record) {
                 Ok(decoded) => decoded,
                 Err(_) => {
-                    // A record that fails validation is quarantined, never
-                    // decoded: count it, journal it (value = the running
-                    // quarantine total; no lattice attribution — the header
-                    // that names the lattice is exactly what can't be
-                    // trusted), and move on.  The producer already
-                    // shed-accounted the round, so the backlog and frame
-                    // books stay exact.
+                    // A record that fails verification is quarantined,
+                    // never decoded: count it, journal it (value = the
+                    // running quarantine total; no lattice attribution —
+                    // the header that names the lattice is exactly what
+                    // can't be trusted), and move on.  The run's own source
+                    // never writes such a record, so its round is lost and
+                    // its lattice's books say so.
                     let total = counters.quarantined.fetch_add(1, Ordering::Relaxed) + 1;
                     journal.publish(
                         EventKind::Quarantine,
@@ -444,6 +443,7 @@ mod tests {
         codec: &PacketCodec,
         channels: &[Channel],
         counters: &RuntimeCounters,
+        journal: &EventJournal,
     ) -> (WorkerOutput, StageReport) {
         run_worker(WorkerSeat {
             worker_id: 0,
@@ -457,7 +457,7 @@ mod tests {
             record_corrections: true,
             correction_cap: None,
             batch_size: 4,
-            journal: &EventJournal::new(64),
+            journal,
             injector: &FaultInjector::disabled(),
         })
     }
@@ -488,7 +488,9 @@ mod tests {
             assert!(channels[1].try_send(&record));
         }
         let counters = RuntimeCounters::new(1, 2);
-        let (output, decode_report) = drain_with_worker_0(&set, &codec, &channels, &counters);
+        let journal = EventJournal::new(64);
+        let (output, decode_report) =
+            drain_with_worker_0(&set, &codec, &channels, &counters, &journal);
         let snap = counters.snapshot();
         assert_eq!(snap.decoded, 20);
         assert_eq!(snap.stolen, 20, "every packet was a steal");
@@ -539,7 +541,8 @@ mod tests {
             }
         }
         let counters = RuntimeCounters::new(2, 1);
-        let (output, _) = drain_with_worker_0(&set, &codec, &channels, &counters);
+        let journal = EventJournal::new(64);
+        let (output, _) = drain_with_worker_0(&set, &codec, &channels, &counters, &journal);
         assert_eq!(counters.snapshot().decoded, 10);
         assert_eq!(counters.per_lattice[0].snapshot().decoded, 6);
         assert_eq!(counters.per_lattice[1].snapshot().decoded, 4);
@@ -655,16 +658,16 @@ mod tests {
         assert_eq!(plain_stage.decode(&plain_record).unwrap().residual, None);
     }
 
-    /// Validate before indexing: a corrupted record, a record naming a
-    /// lattice the codec does not know and a record past its lattice's
-    /// retirement watermark each come back as their typed error, having
-    /// touched no per-lattice buffer and prepared nothing.
+    /// Validate before indexing: a record whose header was corrupted to
+    /// name a lattice the codec does not know, or the wrong ancilla count,
+    /// comes back as its typed error, having touched no per-lattice buffer
+    /// and prepared nothing.
     #[test]
     fn corrupted_record_is_rejected_without_touching_state() {
         let set = set_of(&[3, 5]);
         let codec = PacketCodec::for_lattice_bits(&set.ancilla_bits());
         let mut stage = DecodeStage::new(&set, &codec, &factory());
-        let record_for = |codec: &PacketCodec, lattice_id: u32, round: u64| {
+        let record_for = |lattice_id: u32, round: u64| {
             let hot = Syndrome::from_hot(codec.syndrome_bits(lattice_id), &[0, 1]);
             let mut record = vec![0u64; codec.words_per_packet()];
             codec.encode(
@@ -676,44 +679,62 @@ mod tests {
         // Dirty every buffer first, so "untouched" is not "still all-zero".
         for lattice_id in [0, 1] {
             stage
-                .decode(&record_for(&codec, lattice_id, 0))
+                .decode(&record_for(lattice_id, 0))
                 .expect("clean record decodes");
         }
-        let clean = record_for(&codec, 0, 1);
-
-        // A single bit flip the header checks cannot see (the round word).
-        let mut corrupted = clean.clone();
-        corrupted[1] ^= 1 << 40;
-        // Same record width, one more lattice than the stage's codec knows.
-        let wider = PacketCodec::for_lattice_bits(&[8, 40, 40]);
-        assert_eq!(wider.words_per_packet(), codec.words_per_packet());
-        let unknown = record_for(&wider, 2, 0);
-        codec.retire_lattice(1, 3);
-        let retired = record_for(&codec, 1, 3);
+        let clean = record_for(0, 1);
+        // Header word 0 is the lattice id (high half) and the ancilla count
+        // (low half): lattice 0 becomes lattice 2, or its count changes.
+        let mut unknown = clean.clone();
+        unknown[0] ^= 1 << 33;
+        let mut mismatched = clean.clone();
+        mismatched[0] ^= 1;
+        let bits = codec.syndrome_bits(0) as u32;
 
         let before = format!("{:?} {:?}", stage.states, stage.prepared);
-        let errors = [&corrupted, &unknown, &retired].map(|record| stage.decode(record).err());
-        assert!(matches!(errors[0], Some(PacketError::Corrupted { .. })));
+        let errors = [&unknown, &mismatched].map(|record| stage.decode(record).err());
         assert_eq!(
-            errors[1],
-            Some(PacketError::UnknownLattice { lattice_id: 2 })
-        );
-        assert_eq!(
-            errors[2],
-            Some(PacketError::RetiredLattice {
-                lattice_id: 1,
-                round: 3,
-                final_round: 3,
-            })
+            errors,
+            [
+                Some(PacketError::UnknownLattice { lattice_id: 2 }),
+                Some(PacketError::AncillaMismatch {
+                    lattice_id: 0,
+                    header_bits: bits ^ 1,
+                    registered_bits: bits,
+                }),
+            ]
         );
         assert_eq!(
             format!("{:?} {:?}", stage.states, stage.prepared),
             before,
             "a quarantined record decodes nothing"
         );
-        // The stage still decodes clean records afterwards, including the
-        // retired lattice's in-flight rounds below the watermark.
+        // The stage still decodes clean records afterwards.
         assert!(stage.decode(&clean).is_ok());
-        assert!(stage.decode(&record_for(&codec, 1, 2)).is_ok());
+    }
+
+    /// The worker quarantines what the stage refuses: counted once,
+    /// journaled once, and the clean records beside it still commit.
+    #[test]
+    fn a_worker_quarantines_a_record_whose_header_does_not_verify() {
+        let set = set_of(&[3]);
+        let codec = PacketCodec::for_lattice_bits(&set.ancilla_bits());
+        let channels = [Channel::new(8, codec.words_per_packet())];
+        let mut record = vec![0u64; codec.words_per_packet()];
+        for round in 0..3u64 {
+            let packet = SyndromePacket::new(0, round, 0, &Syndrome::new(codec.syndrome_bits(0)));
+            codec.encode(&packet, &mut record);
+            if round == 1 {
+                record[0] ^= 1 << 32; // names lattice 1, which the set lacks
+            }
+            assert!(channels[0].try_send(&record));
+        }
+        let counters = RuntimeCounters::new(1, 1);
+        let journal = EventJournal::new(8);
+        let (output, _) = drain_with_worker_0(&set, &codec, &channels, &counters, &journal);
+        let snap = counters.snapshot();
+        assert_eq!((snap.decoded, snap.quarantined), (2, 1));
+        assert_eq!(journal.snapshot().counts[EventKind::Quarantine], 1);
+        assert_eq!(output.per_lattice[0].frame.recorded_cycles(), 2);
     }
 }

@@ -6,8 +6,8 @@
 //! offers it to the lattice's lane of a [`QosGate`] it owns, places it on
 //! channel `(lattice + round) % workers`, and samples the backlog into a
 //! depth sink — plus the run's hostile-stream hooks: burst boundaries
-//! journaled as the stream crosses them, on-the-wire corruption,
-//! channel-stall emulation and the backpressure watchdog.  What it hands
+//! journaled as the stream crosses them, channel-stall emulation and the
+//! backpressure watchdog.  What it hands
 //! back when generation ends is a `SourceRun`.
 //! [`PipelineOptions`] carries what a caller may attach to a run — the
 //! watchdog window, a trace to replay or record — all of it the source
@@ -109,7 +109,7 @@ pub(crate) struct SourceSeat<'a> {
     pub(crate) counters: &'a RuntimeCounters,
     /// The run's event journal.
     pub(crate) journal: &'a EventJournal,
-    /// The run's armed fault schedule (corruption and stall hooks).
+    /// The run's armed fault schedule (the stall hook).
     pub(crate) injector: &'a FaultInjector,
     /// The run's epoch, for pacing and emission timestamps.
     pub(crate) epoch: Instant,
@@ -161,12 +161,11 @@ impl RoundFeed {
 }
 
 /// Applies the elastic events the feed fired during the last emission:
-/// journals them, arms the codec's retirement watermark (so stragglers for
-/// a retired lattice quarantine instead of decoding), and captures the
-/// retiring lattice's backlog at the instant its generation stopped.
+/// journals them and captures a retiring lattice's backlog at the instant
+/// its generation stopped.  Retirement needs nothing more: the feed emits
+/// no round of a retired lattice, so no record of one is ever sent.
 fn apply_elastic_events(
     feed: &mut RoundFeed,
-    codec: &PacketCodec,
     counters: &RuntimeCounters,
     lattice_stats: &mut [LatticeGenStats],
     journal: &EventJournal,
@@ -186,7 +185,6 @@ fn apply_elastic_events(
                 );
             }
             ElasticEventKind::Retired { final_round } => {
-                codec.retire_lattice(event.lattice_id, final_round);
                 let lattice = event.lattice_id as usize;
                 lattice_stats[lattice].final_backlog = counters.per_lattice[lattice].backlog();
                 journal.publish(
@@ -251,8 +249,7 @@ fn spread_channel(lattice_id: u32, round: u64, channels: usize) -> usize {
 /// The source stage: paced interleaved generation, encoding into one reused
 /// record, gate admission under each lattice's QoS lane, spread placement
 /// into the channels, depth sampling — plus the run's hostile-stream hooks:
-/// burst boundaries, on-the-wire corruption, channel-stall emulation and the
-/// backpressure watchdog.  A trace in `options.replay` has already been
+/// burst boundaries, channel-stall emulation and the backpressure watchdog.  A trace in `options.replay` has already been
 /// checked against the machine by
 /// [`StreamingEngine::run_with`](crate::StreamingEngine::run_with).
 pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> SourceRun {
@@ -299,12 +296,11 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
     // while its channel is full, so a Block-lane round exists in
     // exactly one place at every instant of a stall, and a shed round is
     // simply never sent.
-    let words = codec.words_per_packet();
-    let mut record = vec![0u64; words];
+    let mut record = vec![0u64; codec.words_per_packet()];
     let mut lattice_stats = vec![LatticeGenStats::default(); set.len()];
     let mut shed_tallies = vec![ResidualTally::default(); set.len()];
     // The one place a shed round is accounted for, whichever seam shed it
-    // (budget lane, full or stalled channel, watchdog, poisoned record).
+    // (budget lane, full or stalled channel, watchdog).
     // With the residual analysis on it is classified here, the moment it is
     // shed: it gets the identity correction, so its residual *is* its seeded
     // error ([`classify_shed_round`] reads it in place, allocation-free).
@@ -331,16 +327,8 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
         if let Some(recorder) = recorder.as_mut() {
             recorder.record(&sourced);
         }
-        // Actions fired during this emission logically precede the round:
-        // arm retirement watermarks before the round is routed.
-        apply_elastic_events(
-            &mut feed,
-            codec,
-            counters,
-            &mut lattice_stats,
-            journal,
-            epoch,
-        );
+        // Actions fired during this emission logically precede the round.
+        apply_elastic_events(&mut feed, counters, &mut lattice_stats, journal, epoch);
         if sourced.due_ns > 0.0 {
             // Pace generation to the lattice's hardware cadence.  The
             // occasional `yield_now` keeps the spin cooperative on machines
@@ -383,10 +371,6 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
         packet.round = sourced.round;
         packet.emitted_ns = emitted_ns;
         packet.syndrome.clone_from(&sourced.syndrome);
-        // A scheduled corruption poisons the encoded record *after* the
-        // checksum is written — a bit flipped on the wire, not at the
-        // source — so the worker's codec must catch it.
-        let poison = injector.corrupt(lattice_id, sourced.round);
         if codec.carries_errors() {
             // The residual analysis rides the wire: the round's seeded error
             // travels with its syndrome so the decoding worker can classify
@@ -394,9 +378,6 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
             codec.encode_with_error(&packet, &sourced.error, &mut record);
         } else {
             codec.encode(&packet, &mut record);
-        }
-        if let Some((word, bit)) = poison {
-            record[word % words] ^= 1u64 << (bit & 63);
         }
         let lattice_counters = &counters.per_lattice[lattice_id as usize];
         lattice_counters.generated.fetch_add(1, Ordering::Relaxed);
@@ -412,10 +393,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
                     epoch.elapsed().as_nanos() as u64,
                 )
         };
-        // `delivered`: the record reached a channel.  A delivered *poisoned*
-        // record is shed-accounted below (the worker will quarantine it, so
-        // it never counts as enqueued) — the backlog, budget, frame and
-        // residual books stay exact.
+        // `delivered`: the record reached a channel.
         let delivered = match gate.policy(lattice_id as usize) {
             PushPolicy::Block => {
                 // Two bounds, both lossless: the lattice's own budget lane
@@ -511,13 +489,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
                 delivered
             }
         };
-        if delivered && poison.is_some() {
-            // The poisoned record is on the wire; the worker will reject
-            // it, so the round is shed-accounted *now* and never counted
-            // as enqueued.
-            account_shed(&sourced);
-            injector.corruption_delivered();
-        } else if delivered {
+        if delivered {
             lattice_counters.enqueued.fetch_add(1, Ordering::Relaxed);
         }
         let stats = &mut lattice_stats[lattice_id as usize];
@@ -539,15 +511,8 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
     }
     // The terminal `next_round` call still fires due actions (a retire
     // scheduled for the final round, an add that never came online): drain
-    // them so their journal entries and watermarks land.
-    apply_elastic_events(
-        &mut feed,
-        codec,
-        counters,
-        &mut lattice_stats,
-        journal,
-        epoch,
-    );
+    // them so their journal entries land.
+    apply_elastic_events(&mut feed, counters, &mut lattice_stats, journal, epoch);
     let generation_elapsed_ns = epoch.elapsed().as_nanos() as f64;
     // The backlog at the instant generation stops is the quantity the
     // closed-form model predicts (rounds keep arriving only while the

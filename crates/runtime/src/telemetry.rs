@@ -102,10 +102,13 @@ impl LatticeCounters {
 /// read — so "Σ per-lattice = aggregate" holds by construction.
 #[derive(Debug)]
 pub struct RuntimeCounters {
-    /// Wire records a worker rejected as undecodable (failed header
-    /// validation or checksum) and quarantined instead of decoded.  The one
-    /// machine-wide counter: the header that names the lattice is exactly
-    /// what cannot be trusted.
+    /// Records a worker quarantined instead of decoding because their header
+    /// did not verify against the run's lattices
+    /// ([`PacketCodec::verify`](crate::packet::PacketCodec::verify)).  The
+    /// run's own source never encodes such a record, so a count here is a
+    /// lost round, and the lattice books say so.  The one machine-wide
+    /// counter: the header that names the lattice is exactly what cannot be
+    /// trusted.
     pub quarantined: AtomicU64,
     /// One counter slice per registered lattice, indexed by lattice id.
     pub per_lattice: Vec<LatticeCounters>,
@@ -189,7 +192,7 @@ pub struct CounterSnapshot {
     pub stolen: u64,
     /// Decode batches executed.
     pub batches: u64,
-    /// Wire records rejected as undecodable and quarantined by a worker.
+    /// Records a worker quarantined because their header did not verify.
     pub quarantined: u64,
 }
 
@@ -700,11 +703,10 @@ impl fmt::Display for RuntimeReport {
         if self.fault.enabled || seen.into_iter().any(|kind| counts[kind] > 0) {
             writeln!(
                 f,
-                "  fault: {} crash(es)/{} restart(s) | {} corrupted → {} quarantined | \
+                "  fault: {} crash(es)/{} restart(s) | {} quarantined | \
                  {}/{} burst(s) started/{} ended | {} stall(s) | {} watchdog trip(s)",
                 self.fault.injected_crashes,
                 counts[EventKind::WorkerRestart],
-                self.fault.injected_corruptions,
                 counts[EventKind::Quarantine],
                 counts[EventKind::BurstStart],
                 self.fault.planned_bursts,

@@ -3,6 +3,7 @@
 //! timelines and journals.
 
 use nisqplus_decoders::{DynDecoder, GreedyMatchingDecoder, UnionFindDecoder};
+use nisqplus_runtime::fault::silence_injected_crash_panics;
 use nisqplus_runtime::obs::{bucket_bounds, bucket_index};
 use nisqplus_runtime::report::{parse, report_from_str, report_to_string, Json};
 use nisqplus_runtime::{
@@ -69,9 +70,9 @@ fn histogram_quantiles_match_exact_order_statistics_within_one_bucket() {
     assert_eq!(snapshot.max_ns, *exact.last().unwrap());
 }
 
-/// The exported document's key paths as schema v10 writes them,
+/// The exported document's key paths as schema v11 writes them,
 /// in document order, arrays collapsed to `[]`.
-const SCHEMA_LISTING: &str = include_str!("report_schema_v10.txt");
+const SCHEMA_LISTING: &str = include_str!("report_schema_v11.txt");
 
 /// The operator's manual, which documents the export field by field.
 const OPERATIONS: &str = include_str!("../../../docs/OPERATIONS.md");
@@ -115,7 +116,7 @@ fn assert_schema_is_pinned_and_documented(text: &str) {
     let fresh: String = paths.iter().map(|path| format!("{path}\n")).collect();
     assert!(
         fresh == SCHEMA_LISTING,
-        "the exported key paths differ from crates/runtime/tests/report_schema_v10.txt: bump \
+        "the exported key paths differ from crates/runtime/tests/report_schema_v11.txt: bump \
          `SCHEMA_VERSION` and commit the fresh listing under the new version's name:\n{fresh}"
     );
     for key in paths
@@ -193,15 +194,20 @@ fn multi_lattice_qos_report_round_trips_through_json() {
             "v10 dropped the copies, {copy} among them"
         );
     }
+    assert!(
+        !text.contains("\"injected_corruptions\""),
+        "v11 dropped the corruption fault's row"
+    );
     assert_schema_is_pinned_and_documented(&text);
     let reloaded = report_from_str(&text).expect("round trip");
     assert_eq!(&reloaded, report, "JSON must round-trip bit-for-bit");
     assert_eq!(failures(&reloaded), failures(report));
 
-    // A document from a future schema — or from the previous one, v9, which
-    // still carried the fifteen copies — is refused, loudly and typed.
-    assert_eq!(SCHEMA_VERSION, 10);
-    for other_version in [SCHEMA_VERSION + 1, 9] {
+    // A document from a future schema — or from the previous one, v10,
+    // which still carried `fault.injected_corruptions` — is refused, loudly
+    // and typed.
+    assert_eq!(SCHEMA_VERSION, 11);
+    for other_version in [SCHEMA_VERSION + 1, 10] {
         let restamped = text.replacen(
             &format!("\"schema_version\": {SCHEMA_VERSION}"),
             &format!("\"schema_version\": {other_version}"),
@@ -275,15 +281,18 @@ fn an_overflowing_journal_reports_every_resident_event() {
     config.workers = 1;
     config.queue_capacity = 256;
     config.obs.journal_capacity = 4;
-    // Ten poisoned records: ten quarantine events into a four-slot ring.
-    config.fault = (0..10).fold(FaultPlan::default(), |plan, i| {
-        plan.corrupt_record(0, i * 7, 2, 13)
-    });
+    // Five crashes of the lone worker, each journaled as a crash and a
+    // restart: ten events into a four-slot ring.  The worker checks its
+    // crash hook before every batch and once more after the stream drains,
+    // so every threshold is met.
+    silence_injected_crash_panics();
+    config.fault = (0..5).fold(FaultPlan::default(), |plan, i| plan.crash_worker(0, i * 20));
     let engine = StreamingEngine::with_machine(config).unwrap();
     let outcome = engine.run(&greedy_factory());
     outcome.check_invariants().unwrap();
     let journal = outcome.report.journal;
-    assert_eq!(journal.counts[EventKind::Quarantine], 10);
+    assert_eq!(journal.counts[EventKind::WorkerCrash], 5);
+    assert_eq!(journal.counts[EventKind::WorkerRestart], 5);
     assert!(journal.overwritten > 0, "the ring overflowed");
     assert_eq!(
         journal.recent.len() as u64,

@@ -21,11 +21,9 @@
 
 use nisqplus_decoders::{DecoderFactory, DynDecoder, GreedyMatchingDecoder};
 use nisqplus_qec::error_model::{BurstEvent, DriftingErrorModel};
-use nisqplus_qec::syndrome::Syndrome;
 use nisqplus_runtime::{
     golden_summary, record_run, replay_run, EventKind, ExportError, MachineConfig, NoiseSpec,
-    PacketCodec, PacketError, PushPolicy, RuntimeOutcome, ScenarioScript, StreamingEngine,
-    SyndromePacket, SyndromeTrace,
+    PushPolicy, RuntimeOutcome, ScenarioScript, StreamingEngine, SyndromeTrace,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -194,35 +192,6 @@ proptest! {
     }
 }
 
-/// A record claiming a round at or past a lattice's retirement watermark is
-/// quarantined as a *typed* error — never a panic — while earlier in-flight
-/// rounds still verify and drain.
-#[test]
-fn straggler_records_for_retired_lattices_are_quarantined_as_typed_errors() {
-    let codec = PacketCodec::for_lattice_bits(&[8, 8]);
-    let syndrome = Syndrome::new(8);
-    let mut record = vec![0u64; codec.words_per_packet()];
-    codec.encode(&SyndromePacket::new(1, 7, 0, &syndrome), &mut record);
-    assert!(codec.verify(&record).is_ok(), "live lattices verify freely");
-
-    codec.retire_lattice(1, 5);
-    assert_eq!(
-        codec.verify(&record),
-        Err(PacketError::RetiredLattice {
-            lattice_id: 1,
-            round: 7,
-            final_round: 5,
-        })
-    );
-
-    // The in-flight backlog (rounds below the watermark) still drains.
-    codec.encode(&SyndromePacket::new(1, 4, 0, &syndrome), &mut record);
-    assert_eq!(codec.verify(&record), Ok(1));
-    // The sibling lattice is untouched.
-    codec.encode(&SyndromePacket::new(0, 7, 0, &syndrome), &mut record);
-    assert_eq!(codec.verify(&record), Ok(0));
-}
-
 /// A trace replayed on a machine of another shape is refused with
 /// `SyndromeTrace::check_against`'s typed error before the pipeline starts.
 #[test]
@@ -239,16 +208,15 @@ fn mismatched_replay_returns_a_typed_error() {
 }
 
 /// A mid-run scripted retirement truncates the stream, journals the event,
-/// and quarantines nothing: every round emitted before the watermark drains
-/// to the final frame.
+/// and loses nothing: every round emitted before it drains to the final
+/// frame.
 #[test]
 fn scripted_retirement_truncates_the_stream_and_drains_cleanly() {
     let mut config = scenario_machine(&[3, 3], 32, 7);
     config.scenario = ScenarioScript::default().retire_lattice(20, 1);
     let engine = StreamingEngine::with_machine(config).unwrap();
     let outcome = engine.run(&greedy_factory());
-    // Every pre-watermark round reaches the final frame, and the drain
-    // quarantines nothing.
+    // Every round emitted before the retirement reaches the final frame.
     outcome.check_invariants().unwrap();
     let report = &outcome.report;
 

@@ -21,8 +21,8 @@ use nisqplus_qec::logical::ResidualTally;
 use nisqplus_qec::pauli::PauliString;
 use nisqplus_runtime::report::report_to_string;
 use nisqplus_runtime::{
-    record_run, FaultPlan, LatticeSpec, MachineConfig, NoiseSpec, PushPolicy, RuntimeOutcome,
-    ScenarioScript, StreamingEngine, ThrottledDecoder,
+    record_run, LatticeSpec, MachineConfig, NoiseSpec, PushPolicy, RuntimeOutcome, ScenarioScript,
+    StreamingEngine, ThrottledDecoder,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -33,8 +33,7 @@ fn greedy() -> DynDecoder {
 
 /// A three-lattice machine (d = 3, 5, 7) with the residual analysis on and
 /// the full correction history kept (what the reference below pairs
-/// against).  Two wire records are poisoned, so every run sheds at least the
-/// quarantined rounds.
+/// against).
 fn residual_config(policy: PushPolicy, seed: u64, workers: usize) -> MachineConfig {
     let mut config = MachineConfig::new(&[3, 5, 7], seed);
     for (i, spec) in config.lattices.iter_mut().enumerate() {
@@ -49,9 +48,6 @@ fn residual_config(policy: PushPolicy, seed: u64, workers: usize) -> MachineConf
     config.push_policy = policy;
     config.analyze_residuals = true;
     config.record_corrections = true;
-    config.fault = FaultPlan::default()
-        .corrupt_record(0, 2, 1, 3)
-        .corrupt_record(2, 7, 0, 11);
     config
 }
 
@@ -124,7 +120,7 @@ proptest! {
     ) {
         let policy = if drop_policy { PushPolicy::Drop } else { PushPolicy::Block };
         let outcome = assert_residuals_match_the_oracle(residual_config(policy, seed, workers), &greedy);
-        prop_assert_eq!(outcome.report.counters.dropped, 2, "the two poisoned records");
+        prop_assert_eq!(outcome.report.counters.dropped, 0, "120 rounds never fill a 512-slot ring");
     }
 }
 
@@ -139,8 +135,8 @@ fn streaming_residuals_match_the_oracle_under_a_full_drop_ring() {
         Box::new(ThrottledDecoder::new(GreedyMatchingDecoder::new(), 30_000)) as DynDecoder
     });
     assert!(
-        outcome.report.counters.dropped > 2,
-        "the tiny ring must shed beyond the two poisoned records"
+        outcome.report.counters.dropped > 0,
+        "the tiny ring must shed"
     );
 }
 

@@ -11,8 +11,7 @@
 //! * lattice 2 (d=3) — the elastic target: pre-registered but *dormant*, it
 //!   is hot-added at machine-global round 60 (no worker has prepared its
 //!   decoder until its first record arrives) and retired at round 200, its
-//!   stream truncating and draining to a final frame through the packet
-//!   codec's retirement watermark,
+//!   stream truncating and its in-flight rounds draining to a final frame,
 //!
 //! while a scripted re-tune swaps lattice 0's channel to depolarizing noise
 //! at round 120 — visible afterwards as a cut in its noise-epoch timeline.

@@ -235,19 +235,17 @@ fn assert_streaming_residual_classification_is_allocation_free() {
 
 /// The fault plane's allocation guard: with an empty [`FaultPlan`] (the
 /// production default) the injector's hot-path hooks — the per-batch crash
-/// check, the per-round corruption lookup, and the per-send stall gate —
+/// check and the per-send stall gate —
 /// sit on the decode path of every run, so they must be free of heap
 /// allocations (and, plan-free, of clock reads and atomics beyond one load).
 fn assert_fault_hooks_are_allocation_free() {
     let injector = FaultInjector::disabled();
     // Warm-up, parallel in shape to the other guards.
     assert!(!injector.should_crash(0, 0));
-    assert!(injector.corrupt(0, 0).is_none());
     assert!(!injector.stall_active(0, 0, 0));
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for round in 0..512u64 {
         assert!(!injector.should_crash((round % 4) as usize, round));
-        assert!(injector.corrupt((round % 8) as u32, round).is_none());
         assert!(!injector.stall_active((round % 2) as usize, round, round * 100));
     }
     let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
