@@ -964,6 +964,73 @@ mod tests {
         assert!(calm.next_round().is_none());
     }
 
+    /// The brute-force oracle: round `round` sampled from `spec` alone with
+    /// the shared generator `rng`.
+    fn oracle_round(
+        lattice: &Lattice,
+        spec: NoiseSpec,
+        rng: &mut ChaCha8Rng,
+        round: u64,
+    ) -> (PauliString, Syndrome) {
+        let mut error = PauliString::default();
+        NoiseModel::build(spec)
+            .unwrap()
+            .sample_into(lattice, rng, round, &mut error);
+        let syndrome = lattice.syndrome_of(&error);
+        (error, syndrome)
+    }
+
+    /// A re-tune that fires inside a burst re-amplifies the new base for the
+    /// rest of the window, then leaves the new base in force.
+    #[test]
+    fn a_retune_inside_a_burst_re_amplifies_the_new_base() {
+        let calm = NoiseSpec::PureDephasing { p: 0.02 };
+        let retuned = NoiseSpec::Depolarizing { p: 0.03 };
+        let burst = BurstEvent::new(8, 8, 5.0).unwrap();
+        let lattice_spec = spec(5, 3, 24, 0).with_noise(calm).with_burst(burst);
+        let set = LatticeSet::new(vec![lattice_spec]).unwrap();
+        let mut source =
+            InterleavedSource::new(&set, &CycleTimeConverter::paper_reference()).unwrap();
+        let script = ScenarioScript::default().set_error_rate(12, 0, retuned);
+        source.apply_script(&script).unwrap();
+        let effective = |round: u64| {
+            let base = if round < 12 { calm } else { retuned };
+            if burst.covers(round) {
+                base.amplify(&burst)
+            } else {
+                base
+            }
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut emitted = 0;
+        while let Some(sourced) = source.next_round() {
+            let expected =
+                oracle_round(set.lattice(0), effective(sourced.round), &mut rng, emitted);
+            assert_eq!(sourced.round, emitted);
+            assert_eq!(
+                (sourced.error, sourced.syndrome),
+                expected,
+                "round {emitted}"
+            );
+            emitted += 1;
+        }
+        assert_eq!(emitted, 24);
+        let epochs = source.noise_epochs().swap_remove(0);
+        let epochs: Vec<(u64, u64, &str)> = epochs
+            .iter()
+            .map(|e| (e.start_round, e.end_round, e.label.as_str()))
+            .collect();
+        assert_eq!(
+            epochs,
+            [
+                (0, 8, "dephasing"),
+                (8, 12, "dephasing+burst"),
+                (12, 16, "depolarizing+burst"),
+                (16, 24, "depolarizing"),
+            ]
+        );
+    }
+
     #[test]
     fn noise_spec_reports_rate() {
         assert_eq!(
