@@ -256,11 +256,6 @@ impl StreamingEngine {
         if let Some(trace) = &options.replay {
             trace.check_against(set)?;
         }
-        // A burst episode is stream content: the report counts the lattices
-        // that carry one.  A replay plans none — the trace is the record, and
-        // its feed journals no burst boundary.
-        let bursty = config.lattices.iter().filter(|l| l.burst.is_some()).count() as u64;
-        let planned_bursts = if options.replay.is_some() { 0 } else { bursty };
         let counters = RuntimeCounters::new(set.len(), config.workers);
         // The residual analysis widens the wire: each record carries its
         // round's seeded error after the syndrome, so workers classify
@@ -499,7 +494,7 @@ impl StreamingEngine {
                 comparison,
                 lattices,
                 worker_counters,
-                fault: FaultReport::assemble(&config.fault, planned_bursts, injector.snapshot()),
+                fault: FaultReport::assemble(&config.fault, injector.snapshot()),
                 stages,
                 journal: journal.snapshot(),
             },

@@ -6,9 +6,9 @@
 //! clock or extra randomness.  The same plan against the same seeded machine therefore
 //! injects the same faults at the same points every run, which is what lets
 //! the recovery tests demand byte-identical frames.  A burst-noise episode
-//! is not in the plan: it is part of a lattice's stream
+//! is not in the plan: it is physics, part of a lattice's noise schedule
 //! ([`LatticeSpec::burst`](crate::lattice_set::LatticeSpec::burst), beside
-//! its noise and seed); the report counts the lattices that carry one.
+//! its noise and seed), not an injected fault.
 //!
 //! The plan is carried by
 //! [`MachineConfig::fault`](crate::config::MachineConfig) and armed as a
@@ -24,8 +24,8 @@
 //! side alone, from the injector's own books; what the runtime observed is
 //! counted once, in the event journal and the runtime counters.
 //! [`RuntimeReport::check_invariants`](crate::telemetry::RuntimeReport::check_invariants)
-//! holds the two sides against each other — every crash recovered by a
-//! restart, every planned burst seen starting and ending.
+//! holds the two sides against each other — every injected crash observed
+//! and recovered by a restart.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -275,33 +275,25 @@ pub struct FaultInjections {
     pub stalls: u64,
 }
 
-/// What the run's fault plan injected and which burst episodes its lattices
-/// planned, attached to every
+/// What the run's fault plan injected, attached to every
 /// [`RuntimeReport`](crate::telemetry::RuntimeReport).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultReport {
-    /// Whether the run carried a non-empty [`FaultPlan`] or a lattice with a
-    /// burst episode.
+    /// Whether the run carried a non-empty [`FaultPlan`].
     pub enabled: bool,
     /// Worker crashes the injector fired.
     pub injected_crashes: u64,
-    /// Lattices whose stream carries a burst episode
-    /// ([`LatticeSpec::burst`](crate::lattice_set::LatticeSpec::burst)); 0 on
-    /// a replay, whose trace is the record.
-    pub planned_bursts: u64,
     /// Channel stalls the injector armed.
     pub injected_stalls: u64,
 }
 
 impl FaultReport {
-    /// Folds the number of lattices whose stream carries a burst episode and
-    /// the injector's books into the report.
+    /// Folds the injector's books into the report.
     #[must_use]
-    pub fn assemble(plan: &FaultPlan, planned_bursts: u64, injected: FaultInjections) -> Self {
+    pub fn assemble(plan: &FaultPlan, injected: FaultInjections) -> Self {
         FaultReport {
-            enabled: !plan.is_empty() || planned_bursts > 0,
+            enabled: !plan.is_empty(),
             injected_crashes: injected.crashes,
-            planned_bursts,
             injected_stalls: injected.stalls,
         }
     }

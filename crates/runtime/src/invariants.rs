@@ -8,7 +8,7 @@
 
 use crate::engine::RuntimeOutcome;
 use crate::obs::EventKind::{
-    BurstEnd, BurstStart, Quarantine, Shed, WatchdogTrip, WorkerCrash, WorkerRestart,
+    NoiseChange, Quarantine, Shed, WatchdogTrip, WorkerCrash, WorkerRestart,
 };
 use crate::stage::StageReport;
 use crate::telemetry::{LatticeCounterSnapshot, RuntimeReport};
@@ -108,14 +108,14 @@ pub enum Violation {
         /// `journal.counts.quarantine`.
         journaled: u64,
     },
-    /// Planned == journal `burst_start` == `burst_end` fails.
-    Bursts {
-        /// `fault.planned_bursts`.
-        planned: u64,
-        /// `journal.counts.burst_start`.
-        started: u64,
-        /// `journal.counts.burst_end`.
-        ended: u64,
+    /// `journal.counts.noise_change != Σ (lattices[].noise_epochs.len() −
+    /// 1)`: each noise-schedule boundary a lattice crossed is journaled once.
+    NoiseChanges {
+        /// `journal.counts.noise_change`.
+        journaled: u64,
+        /// Σ over lattices of the epoch count less one (0 for a lattice
+        /// that emitted nothing, or for every lattice of a replay).
+        boundaries: u64,
     },
     /// A lattice's frame does not record every generated round.
     Frame {
@@ -293,13 +293,14 @@ impl RuntimeReport {
                 journaled: counts[Quarantine],
             },
         );
-        let (started, ended) = (counts[BurstStart], counts[BurstEnd]);
+        let boundaries = (self.lattices.iter())
+            .map(|l| l.noise_epochs.len().saturating_sub(1) as u64)
+            .sum();
         require(
-            fault.planned_bursts == started && started == ended,
-            Violation::Bursts {
-                planned: fault.planned_bursts,
-                started,
-                ended,
+            counts[NoiseChange] == boundaries,
+            Violation::NoiseChanges {
+                journaled: counts[NoiseChange],
+                boundaries,
             },
         );
         found
@@ -394,7 +395,7 @@ mod tests {
         assert_eq!(clean.check_invariants(), Ok(()));
         assert!(clean.report.to_string().contains("\n  invariants: hold\n"));
         assert_eq!(clean.report.fault.injected_crashes, 1);
-        assert_eq!(clean.report.fault.planned_bursts, 1);
+        assert_eq!(clean.report.journal.counts[NoiseChange], 2);
         type Mutation = fn(&mut RuntimeOutcome);
         let mutations: [(&str, Mutation); 13] = [
             ("Conservation", |o| {
@@ -411,7 +412,9 @@ mod tests {
             }),
             ("Crashes", |o| o.report.journal.counts[WorkerRestart] += 1),
             ("Quarantine", |o| o.report.journal.counts[Quarantine] += 1),
-            ("Bursts", |o| o.report.journal.counts[BurstEnd] -= 1),
+            ("NoiseChanges", |o| {
+                o.report.journal.counts[NoiseChange] -= 1
+            }),
             ("Frame", |o| {
                 o.frames[1] = ShardedPauliFrame::from_shards(o.frames[1].num_data(), Vec::new());
             }),

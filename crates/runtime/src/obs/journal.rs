@@ -3,8 +3,9 @@
 //! Counters say *how much*; the journal says *what happened, when, to
 //! whom*.  Every noteworthy pipeline incident — a shed round, a
 //! backpressure stall, an exhausted QoS budget, a cross-channel steal, a
-//! worker crash and its restart, a quarantined record, a burst-noise
-//! episode, a watchdog trip, a scripted lattice coming online or retiring —
+//! worker crash and its restart, a quarantined record, a change of a
+//! lattice's noise regime, a watchdog trip, a scripted lattice coming online
+//! or retiring —
 //! is published as a [`RuntimeEvent`] with a severity and
 //! per-lattice/per-worker attribution.  The journal is a
 //! fixed-capacity ring: old events are overwritten (and counted as
@@ -76,11 +77,10 @@ pub enum EventKind {
     /// A record's header did not verify and the record was discarded
     /// instead of decoded (`value` = the running quarantine total).
     Quarantine,
-    /// A burst-noise episode began blanketing a lattice (`value` = the
-    /// lattice round the episode starts at).
-    BurstStart,
-    /// A burst-noise episode ended (`value` = the first calm round).
-    BurstEnd,
+    /// A lattice's stream crossed a boundary of its noise schedule — a
+    /// burst window's edge or a scripted re-tune (`value` = the first
+    /// lattice round of the new regime).
+    NoiseChange,
     /// The producer's stall watchdog expired on a blocked seam and degraded
     /// the round instead of hanging (`value` = round force-shed).
     WatchdogTrip,
@@ -99,7 +99,7 @@ const KINDS: usize = EventKind::LABELS.len();
 impl EventKind {
     /// Every kind beside its label, in declaration order (so `kind as usize`
     /// indexes it).  The labels' only spelling.
-    pub(crate) const LABELS: [(EventKind, &'static str); 12] = [
+    pub(crate) const LABELS: [(EventKind, &'static str); 11] = [
         (EventKind::Shed, "shed"),
         (EventKind::BackpressureStall, "backpressure_stall"),
         (EventKind::BudgetExhausted, "budget_exhausted"),
@@ -107,8 +107,7 @@ impl EventKind {
         (EventKind::WorkerCrash, "worker_crash"),
         (EventKind::WorkerRestart, "worker_restart"),
         (EventKind::Quarantine, "quarantine"),
-        (EventKind::BurstStart, "burst_start"),
-        (EventKind::BurstEnd, "burst_end"),
+        (EventKind::NoiseChange, "noise_change"),
         (EventKind::WatchdogTrip, "watchdog_trip"),
         (EventKind::LatticeAdded, "lattice_added"),
         (EventKind::LatticeRetired, "lattice_retired"),
@@ -416,8 +415,6 @@ mod tests {
             EventKind::WorkerCrash,
             EventKind::WorkerRestart,
             EventKind::Quarantine,
-            EventKind::BurstStart,
-            EventKind::BurstEnd,
             EventKind::WatchdogTrip,
         ];
         let journal = EventJournal::new(16);
@@ -430,9 +427,7 @@ mod tests {
         assert_eq!(snap.counts[EventKind::WorkerCrash], 1);
         assert_eq!(snap.counts[EventKind::WorkerRestart], 2);
         assert_eq!(snap.counts[EventKind::Quarantine], 3);
-        assert_eq!(snap.counts[EventKind::BurstStart], 4);
-        assert_eq!(snap.counts[EventKind::BurstEnd], 5);
-        assert_eq!(snap.counts[EventKind::WatchdogTrip], 6);
+        assert_eq!(snap.counts[EventKind::WatchdogTrip], 4);
         let labels: Vec<&str> = kinds.iter().map(|k| k.label()).collect();
         assert_eq!(
             labels,
@@ -440,8 +435,6 @@ mod tests {
                 "worker_crash",
                 "worker_restart",
                 "quarantine",
-                "burst_start",
-                "burst_end",
                 "watchdog_trip"
             ]
         );

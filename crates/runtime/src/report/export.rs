@@ -8,7 +8,7 @@
 //! writer and the reader from that one list — a key is its field's name, so
 //! the two directions cannot drift apart.  Changing a table changes the
 //! format: bump [`SCHEMA_VERSION`] (`tests/obs.rs` pins the key paths
-//! against `tests/report_schema_v11.txt`).
+//! against `tests/report_schema_v12.txt`).
 //!
 //! Reading rejects documents whose version does not match
 //! [`SCHEMA_VERSION`] exactly, so a stale artifact fails loudly instead of
@@ -79,7 +79,13 @@ use std::path::Path;
 ///
 /// v11: `fault.injected_corruptions` is gone with the in-process corruption
 /// fault that was its only source.
-pub const SCHEMA_VERSION: u64 = 11;
+///
+/// v12: one noise schedule per lattice — `journal.counts.burst_start` and
+/// `burst_end` become one `noise_change` (every boundary of the schedule a
+/// lattice crossed: burst edges and scripted re-tunes alike), and `fault`
+/// no longer counts the lattices that carry a burst (a burst is physics,
+/// not an injected fault: read `lattices[].noise_epochs`).
+pub const SCHEMA_VERSION: u64 = 12;
 
 /// Why an export or import failed.
 #[derive(Debug)]
@@ -273,7 +279,6 @@ record!(JournalSnapshot {
 record!(FaultReport {
     enabled,
     injected_crashes,
-    planned_bursts,
     injected_stalls,
 });
 

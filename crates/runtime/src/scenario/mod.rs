@@ -18,9 +18,13 @@
 //! Time-varying noise *physics* lives next door: drifting rate schedules in
 //! [`nisqplus_qec::DriftingErrorModel`] and burst episodes
 //! ([`nisqplus_qec::BurstEvent`]) attach to a lattice via
-//! [`LatticeSpec::with_burst`](crate::lattice_set::LatticeSpec::with_burst)
-//! and surface per lattice as
-//! [`NoiseEpoch`](crate::source::NoiseEpoch)s in the final report.
+//! [`LatticeSpec::with_burst`](crate::lattice_set::LatticeSpec::with_burst).
+//! With the script's `SetErrorRate` re-tunes they make one noise schedule
+//! per lattice, inside its
+//! [`SyndromeSource`](crate::source::SyndromeSource): each boundary the
+//! stream crosses is journaled as one `noise_change`, and the schedule
+//! surfaces per lattice as [`NoiseEpoch`](crate::source::NoiseEpoch)s in
+//! the final report.
 //!
 //! [`record_run`] and [`replay_run`] are the two entry points tests and
 //! examples use: record a live run's stream, then replay it and assert the

@@ -6,7 +6,7 @@
 //! [`InterleavedSource`](crate::source::InterleavedSource) before the first
 //! round and fire deterministically as the global counter advances, so a
 //! scripted run is exactly as replayable as a static one — the script is part
-//! of the stream's identity, like seeds and burst overlays.
+//! of the stream's identity, like seeds and burst episodes.
 //!
 //! Every lattice a script touches must be pre-registered in the machine's
 //! [`LatticeSet`](crate::lattice_set::LatticeSet), so its records fit the

@@ -128,10 +128,9 @@ impl NoiseModel {
     }
 }
 
-/// One homogeneous stretch of a lattice's noise timeline, derived from the
-/// stream's actual history — base channel, scripted rate changes and burst
-/// windows — so run verdicts can be correlated with the noise regime that
-/// produced them.
+/// One segment of a lattice's noise schedule, clipped to the rounds the
+/// lattice emitted — so run verdicts can be correlated with the noise regime
+/// that produced them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NoiseEpoch {
     /// First lattice round (inclusive) the epoch covers.
@@ -177,21 +176,49 @@ fn epoch_label(base: NoiseSpec, in_burst: bool) -> String {
     }
 }
 
+/// One segment of a lattice's noise schedule: the rounds from `start_round`
+/// up to the next segment's start are sampled from `base`, amplified by
+/// `burst` inside the lattice's burst window.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    start_round: u64,
+    base: NoiseSpec,
+    burst: Option<BurstEvent>,
+    /// The channel the segment's rounds are sampled from, built once.
+    model: NoiseModel,
+}
+
+impl Segment {
+    fn new(start_round: u64, base: NoiseSpec, burst: Option<BurstEvent>) -> Result<Self, QecError> {
+        let model = NoiseModel::build(effective(base, burst))?;
+        Ok(Segment {
+            start_round,
+            base,
+            burst,
+            model,
+        })
+    }
+}
+
+/// The channel in force under `base` noise, amplified inside a burst.
+fn effective(base: NoiseSpec, burst: Option<BurstEvent>) -> NoiseSpec {
+    burst.map_or(base, |burst| base.amplify(&burst))
+}
+
 /// An endless, seeded stream of surface-code syndromes.
 #[derive(Debug, Clone)]
 pub struct SyndromeSource {
     lattice: Arc<Lattice>,
-    model: NoiseModel,
-    /// The burst episode, with its pre-validated amplified channel.  Its
-    /// window is keyed by the lattice's own round index, never by wall
-    /// clock or extra randomness, so a bursty stream replays exactly.
-    burst: Option<(BurstEvent, NoiseModel)>,
+    /// The noise schedule — base channel, burst window and scripted
+    /// re-tunes as one list of segments, sorted by strictly increasing
+    /// start, the first at round 0.  Every cut is keyed by the lattice's own
+    /// round index, never by wall clock or extra randomness, so a stream
+    /// replays exactly.
+    schedule: Vec<Segment>,
+    /// The segment the last round was sampled from (0 before the first).
+    cursor: usize,
     rng: ChaCha8Rng,
     rounds_emitted: u64,
-    /// Base-channel history: `(round it took effect, channel)`, starting with
-    /// the construction channel at round 0.  This is what
-    /// [`SyndromeSource::noise_epochs`] derives the noise timeline from.
-    rate_changes: Vec<(u64, NoiseSpec)>,
 }
 
 impl SyndromeSource {
@@ -204,104 +231,94 @@ impl SyndromeSource {
     pub fn new(lattice: Arc<Lattice>, noise: NoiseSpec, seed: u64) -> Result<Self, QecError> {
         Ok(SyndromeSource {
             lattice,
-            model: NoiseModel::build(noise)?,
-            burst: None,
+            schedule: vec![Segment::new(0, noise, None)?],
+            cursor: 0,
             rng: ChaCha8Rng::seed_from_u64(seed),
             rounds_emitted: 0,
-            rate_changes: vec![(0, noise)],
         })
     }
 
+    /// Cuts the schedule's segment covering `round` at `round`, unless one
+    /// already starts there; returns the index of the segment starting at
+    /// `round`.
+    fn split_at(&mut self, round: u64) -> usize {
+        let covering = self.schedule.partition_point(|s| s.start_round <= round) - 1;
+        if self.schedule[covering].start_round == round {
+            return covering;
+        }
+        let tail = Segment {
+            start_round: round,
+            ..self.schedule[covering]
+        };
+        self.schedule.insert(covering + 1, tail);
+        covering + 1
+    }
+
     /// Swaps the stream's base channel from the *next* round on — a scripted
-    /// re-calibration event.  Any burst overlay is re-amplified from the new
-    /// base.  Rounds already emitted are untouched, and replaying the stream
-    /// with the same swaps at the same rounds reproduces it bit for bit; a
-    /// stream swapped differently shares only the rounds before the swap.
+    /// re-calibration event.  Rounds still inside the burst window are
+    /// sampled from the new base, amplified.  Rounds already emitted are
+    /// untouched, and replaying the stream with the same swaps at the same
+    /// rounds reproduces it bit for bit; a stream swapped differently shares
+    /// only the rounds before the swap.
     ///
     /// # Errors
     ///
     /// Returns the [`QecError`] of the new channel if it is invalid (the
     /// stream is left unchanged).
     pub fn set_noise(&mut self, noise: NoiseSpec) -> Result<(), QecError> {
-        let model = NoiseModel::build(noise)?;
-        if let Some((burst, amplified)) = &mut self.burst {
-            *amplified = NoiseModel::build(noise.amplify(burst))?;
+        noise.validate()?;
+        let from = self.split_at(self.rounds_emitted);
+        for segment in &mut self.schedule[from..] {
+            *segment = Segment::new(segment.start_round, noise, segment.burst)
+                .expect("amplifying clamps a valid channel to a valid one");
         }
-        self.model = model;
-        self.rate_changes.push((self.rounds_emitted, noise));
         Ok(())
-    }
-
-    /// Derives the stream's noise timeline over rounds `[0, total_rounds)`:
-    /// one [`NoiseEpoch`] per homogeneous stretch, cut at every scripted
-    /// rate change and burst boundary.
-    #[must_use]
-    pub fn noise_epochs(&self, total_rounds: u64) -> Vec<NoiseEpoch> {
-        if total_rounds == 0 {
-            return Vec::new();
-        }
-        let mut cuts = std::collections::BTreeSet::new();
-        cuts.insert(0);
-        cuts.insert(total_rounds);
-        for &(round, _) in &self.rate_changes {
-            if round < total_rounds {
-                cuts.insert(round);
-            }
-        }
-        if let Some((burst, _)) = self.burst {
-            if burst.covers(0) || burst.start_round < total_rounds {
-                cuts.insert(burst.start_round.min(total_rounds));
-            }
-            if burst.end_round() < total_rounds {
-                cuts.insert(burst.end_round());
-            }
-        }
-        let bounds: Vec<u64> = cuts.into_iter().collect();
-        bounds
-            .windows(2)
-            .map(|win| {
-                let (start, end) = (win[0], win[1]);
-                let base = self
-                    .rate_changes
-                    .iter()
-                    .rev()
-                    .find(|&&(round, _)| round <= start)
-                    .map(|&(_, noise)| noise)
-                    .expect("round-0 base entry");
-                let in_burst = self.burst.is_some_and(|(burst, _)| burst.covers(start));
-                let effective = match self.burst {
-                    Some((burst, _)) if in_burst => base.amplify(&burst),
-                    _ => base,
-                };
-                NoiseEpoch {
-                    start_round: start,
-                    end_round: end,
-                    mean_rate: segment_mean_rate(effective, start, end),
-                    label: epoch_label(base, in_burst),
-                }
-            })
-            .collect()
     }
 
     /// Overlays a time-varying burst episode on the stream: rounds the
     /// episode covers are sampled from the amplified channel, all others
-    /// from the base channel.  Apply before emitting any rounds — the
-    /// overlay is part of the stream's identity, and replaying a bursty
-    /// stream requires the same overlay from round zero.
+    /// from the base channel.  An empty window changes nothing.
     ///
     /// # Errors
     ///
     /// Returns [`QecError::InvalidProbability`] if the amplified probability
     /// is invalid (it is clamped to `[0, 1]` first, so this is defensive).
-    pub fn with_burst(mut self, base: NoiseSpec, burst: BurstEvent) -> Result<Self, QecError> {
-        self.burst = Some((burst, NoiseModel::build(base.amplify(&burst))?));
+    ///
+    /// # Panics
+    ///
+    /// Panics if a round has been emitted: the episode is part of the
+    /// stream's identity from round zero.
+    pub fn with_burst(mut self, burst: BurstEvent) -> Result<Self, QecError> {
+        assert_eq!(self.rounds_emitted, 0, "a burst must precede the stream");
+        if burst.start_round < burst.end_round() {
+            let first = self.split_at(burst.start_round);
+            let end = self.split_at(burst.end_round());
+            for segment in &mut self.schedule[first..end] {
+                *segment = Segment::new(segment.start_round, segment.base, Some(burst))?;
+            }
+        }
         Ok(self)
     }
 
-    /// The stream's burst episode, if one is overlaid.
+    /// The stream's noise timeline: one [`NoiseEpoch`] per segment of its
+    /// schedule, clipped to the rounds it has emitted.
     #[must_use]
-    pub fn burst(&self) -> Option<BurstEvent> {
-        self.burst.map(|(burst, _)| burst)
+    pub fn noise_epochs(&self) -> Vec<NoiseEpoch> {
+        let total = self.rounds_emitted;
+        let ends = self.schedule.iter().skip(1).map(|next| next.start_round);
+        (self.schedule.iter().zip(ends.chain([total])))
+            .take_while(|(segment, _)| segment.start_round < total)
+            .map(|(segment, end)| {
+                let (start, end) = (segment.start_round, end.min(total));
+                let spec = effective(segment.base, segment.burst);
+                NoiseEpoch {
+                    start_round: start,
+                    end_round: end,
+                    mean_rate: segment_mean_rate(spec, start, end),
+                    label: epoch_label(segment.base, segment.burst.is_some()),
+                }
+            })
+            .collect()
     }
 
     /// The lattice whose syndromes are being streamed.
@@ -331,21 +348,22 @@ impl SyndromeSource {
     /// buffers (resized to the lattice, their allocations reused): the same
     /// draws in the same order, so the two forms can be mixed freely on one
     /// stream.  This is the form the pipeline's source stage drives — a
-    /// round generated this way allocates nothing.
+    /// round generated this way allocates nothing.  Returns whether the
+    /// round is the first of a new segment of the noise schedule.
     pub fn next_error_and_syndrome_into(
         &mut self,
         error: &mut PauliString,
         syndrome: &mut Syndrome,
-    ) {
-        // Burst windows are keyed by the round index alone, so live
-        // generation and replay pick the same channel for every round.
-        let model = match self.burst {
-            Some((burst, amplified)) if burst.covers(self.rounds_emitted) => amplified,
-            _ => self.model,
-        };
-        model.sample_into(&self.lattice, &mut self.rng, self.rounds_emitted, error);
+    ) -> bool {
+        let round = self.rounds_emitted;
+        let next = self.schedule.get(self.cursor + 1);
+        let crossed = next.is_some_and(|next| next.start_round == round);
+        self.cursor += usize::from(crossed);
+        let model = self.schedule[self.cursor].model;
+        model.sample_into(&self.lattice, &mut self.rng, round, error);
         self.rounds_emitted += 1;
         self.lattice.syndrome_into(error, syndrome);
+        crossed
     }
 }
 
@@ -384,14 +402,15 @@ struct LatticeStream {
     base_ns: f64,
 }
 
-/// A scripted reconfiguration that has fired, drained by the pipeline (via
+/// A scripted reconfiguration that has fired, or a noise-schedule boundary a
+/// stream crossed, drained by the pipeline (via
 /// [`InterleavedSource::take_elastic_events`]) for journaling and final-frame
 /// accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ElasticEvent {
-    /// Machine-global round at which the action fired.
+    /// Machine-global round at which the event happened.
     pub at_round: u64,
-    /// The lattice the action targeted.
+    /// The lattice it happened to.
     pub lattice_id: u32,
     /// What happened.
     pub kind: ElasticEventKind,
@@ -408,8 +427,13 @@ pub enum ElasticEventKind {
         /// Rounds the lattice emitted before retiring.
         final_round: u64,
     },
-    /// A lattice's noise channel was swapped.
-    Retuned,
+    /// The lattice's stream crossed a boundary of its noise schedule (a
+    /// burst window's edge or a scripted re-tune): `round` is the first
+    /// lattice round sampled from the new segment.
+    NoiseChange {
+        /// The lattice round the new segment starts at.
+        round: u64,
+    },
 }
 
 /// N seeded per-lattice syndrome streams, interleaved on independent
@@ -487,7 +511,7 @@ impl InterleavedSource {
         for (lattice_id, spec, lattice) in set.iter() {
             let mut source = SyndromeSource::new(lattice.clone(), spec.noise, spec.seed)?;
             if let Some(burst) = spec.burst {
-                source = source.with_burst(spec.noise, burst)?;
+                source = source.with_burst(burst)?;
             }
             streams.push(LatticeStream {
                 source,
@@ -558,20 +582,20 @@ impl InterleavedSource {
         Ok(())
     }
 
-    /// Drains the scripted actions that have fired since the last drain, in
-    /// firing order.
+    /// Drains the scripted actions that have fired and the noise-schedule
+    /// boundaries crossed since the last drain, in order.
     pub fn take_elastic_events(&mut self) -> Vec<ElasticEvent> {
         std::mem::take(&mut self.fired)
     }
 
-    /// Derives every lattice's noise timeline over the rounds it actually
-    /// emitted (retired lattices' timelines end at retirement, dormant ones
-    /// are empty).
+    /// Every lattice's noise timeline over the rounds it actually emitted
+    /// (retired lattices' timelines end at retirement, dormant ones are
+    /// empty).
     #[must_use]
     pub fn noise_epochs(&self) -> Vec<Vec<NoiseEpoch>> {
         self.streams
             .iter()
-            .map(|stream| stream.source.noise_epochs(stream.emitted))
+            .map(|stream| stream.source.noise_epochs())
             .collect()
     }
 
@@ -615,31 +639,15 @@ impl InterleavedSource {
                         },
                     });
                 }
+                // A re-tune is journaled as the boundary it cuts is crossed.
                 ScenarioAction::SetErrorRate {
                     lattice_id, noise, ..
-                } => {
-                    self.streams[lattice_id as usize]
-                        .source
-                        .set_noise(noise)
-                        .expect("noise validated by apply_script");
-                    self.fired.push(ElasticEvent {
-                        at_round,
-                        lattice_id,
-                        kind: ElasticEventKind::Retuned,
-                    });
-                }
+                } => self.streams[lattice_id as usize]
+                    .source
+                    .set_noise(noise)
+                    .expect("noise validated by apply_script"),
             }
         }
-    }
-
-    /// The burst episode overlaid on `lattice_id`'s stream, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lattice_id` is out of range.
-    #[must_use]
-    pub fn burst_overlay(&self, lattice_id: usize) -> Option<BurstEvent> {
-        self.streams[lattice_id].source.burst()
     }
 
     /// Emits the next due round, or `None` when every live lattice's stream
@@ -675,14 +683,21 @@ impl InterleavedSource {
                     lattice_id: entry.lattice_id,
                 }));
             }
-            self.global_emitted += 1;
-            self.last_due_ns = entry.due_ns;
             out.lattice_id = entry.lattice_id as u32;
             out.round = round;
             out.due_ns = entry.due_ns;
-            stream
+            if stream
                 .source
-                .next_error_and_syndrome_into(&mut out.error, &mut out.syndrome);
+                .next_error_and_syndrome_into(&mut out.error, &mut out.syndrome)
+            {
+                self.fired.push(ElasticEvent {
+                    at_round: self.global_emitted,
+                    lattice_id: out.lattice_id,
+                    kind: ElasticEventKind::NoiseChange { round },
+                });
+            }
+            self.global_emitted += 1;
+            self.last_due_ns = entry.due_ns;
             return true;
         }
     }
@@ -692,6 +707,8 @@ impl InterleavedSource {
 mod tests {
     use super::*;
     use crate::lattice_set::LatticeSpec;
+    use proptest::prop_assert_eq;
+    use rand::Rng;
 
     fn lattice() -> Arc<Lattice> {
         Arc::new(Lattice::new(5).unwrap())
@@ -747,7 +764,7 @@ mod tests {
     #[test]
     fn into_form_yields_the_same_error_and_syndrome_sequence() {
         let drift = DriftingErrorModel::ramp(0.01, 0.002).unwrap();
-        let overlay = BurstEvent::new(5, 6, 20.0).unwrap();
+        let burst = BurstEvent::new(5, 6, 20.0).unwrap();
         let calm = [
             NoiseSpec::PureDephasing { p: 0.05 },
             NoiseSpec::Depolarizing { p: 0.1 },
@@ -759,7 +776,7 @@ mod tests {
             .chain(calm.iter().map(|&noise| {
                 SyndromeSource::new(lattice(), noise, 32)
                     .unwrap()
-                    .with_burst(noise, overlay)
+                    .with_burst(burst)
                     .unwrap()
             }));
         for mut allocating in streams {
@@ -881,75 +898,24 @@ mod tests {
     }
 
     #[test]
-    fn burst_only_changes_rounds_inside_the_window() {
-        let noise = NoiseSpec::PureDephasing { p: 0.01 };
-        let overlay = BurstEvent::new(10, 5, 40.0).unwrap();
-        let mut calm = SyndromeSource::new(lattice(), noise, 77).unwrap();
-        let mut bursty = SyndromeSource::new(lattice(), noise, 77)
-            .unwrap()
-            .with_burst(noise, overlay)
-            .unwrap();
-        assert_eq!(bursty.burst(), Some(overlay));
-        // Before the window, the streams are identical: the overlay does not
-        // perturb calm rounds or consume extra randomness.
-        for round in 0..10u64 {
-            assert!(!overlay.covers(round));
-            assert_eq!(calm.next_syndrome(), bursty.next_syndrome());
-        }
-        // Inside the window the amplified channel fires much harder; with
-        // p 0.01 -> 0.4 over five d=5 rounds, divergence is overwhelming.
-        let diverged = (10..15u64).any(|round| {
-            assert!(overlay.covers(round));
-            calm.next_syndrome() != bursty.next_syndrome()
-        });
-        assert!(diverged, "burst window left the stream untouched");
-        // A round draws once per fault, so the window leaves the two streams
-        // at different places of the same sequence: they do not re-converge.
-        assert!((15..65).any(|_| calm.next_syndrome() != bursty.next_syndrome()));
-    }
-
-    #[test]
-    fn bursty_streams_replay_exactly() {
-        let noise = NoiseSpec::Depolarizing { p: 0.02 };
-        let overlay = BurstEvent::new(3, 4, 25.0).unwrap();
-        let mut live = SyndromeSource::new(lattice(), noise, 5)
-            .unwrap()
-            .with_burst(noise, overlay)
-            .unwrap();
-        let mut replay = SyndromeSource::new(lattice(), noise, 5)
-            .unwrap()
-            .with_burst(noise, overlay)
-            .unwrap();
-        for _ in 0..12 {
-            let syndrome = live.next_syndrome();
-            let (error, replayed) = replay.next_error_and_syndrome();
-            assert_eq!(replayed, syndrome);
-            assert_eq!(replay.lattice().syndrome_of(&error), syndrome);
-        }
-    }
-
-    #[test]
     fn burst_amplification_clamps_to_valid_probability() {
-        let overlay = BurstEvent::new(0, 1, 1e6).unwrap();
-        let amplified = NoiseSpec::PureDephasing { p: 0.5 }.amplify(&overlay);
+        let burst = BurstEvent::new(0, 1, 1e6).unwrap();
+        let amplified = NoiseSpec::PureDephasing { p: 0.5 }.amplify(&burst);
         assert_eq!(amplified, NoiseSpec::PureDephasing { p: 1.0 });
-        // And the overlaid source builds fine even with an extreme factor.
+        // And the bursty source builds fine even with an extreme factor.
         let noise = NoiseSpec::PureDephasing { p: 0.5 };
         assert!(SyndromeSource::new(lattice(), noise, 0)
             .unwrap()
-            .with_burst(noise, overlay)
+            .with_burst(burst)
             .is_ok());
     }
 
     #[test]
     fn interleaved_burst_applies_to_one_lattice_only() {
-        let overlay = BurstEvent::new(2, 2, 30.0).unwrap();
+        let burst = BurstEvent::new(2, 2, 30.0).unwrap();
         let calm_set = LatticeSet::new(vec![spec(3, 11, 6, 0), spec(3, 22, 6, 0)]).unwrap();
-        let bursty_set = LatticeSet::new(vec![
-            spec(3, 11, 6, 0),
-            spec(3, 22, 6, 0).with_burst(overlay),
-        ])
-        .unwrap();
+        let bursty_set =
+            LatticeSet::new(vec![spec(3, 11, 6, 0), spec(3, 22, 6, 0).with_burst(burst)]).unwrap();
         let cycle_time = CycleTimeConverter::paper_reference();
         let mut bursty = InterleavedSource::new(&bursty_set, &cycle_time).unwrap();
         let mut calm = InterleavedSource::new(&calm_set, &cycle_time).unwrap();
@@ -957,27 +923,113 @@ mod tests {
             let reference = calm.next_round().unwrap();
             assert_eq!(round.lattice_id, reference.lattice_id);
             assert_eq!(round.round, reference.round);
-            if round.lattice_id == 0 || !overlay.covers(round.round) {
+            if round.lattice_id == 0 || !burst.covers(round.round) {
                 assert_eq!(round.syndrome, reference.syndrome);
             }
         }
         assert!(calm.next_round().is_none());
     }
 
-    /// The brute-force oracle: round `round` sampled from `spec` alone with
-    /// the shared generator `rng`.
+    /// The brute-force oracle: round `round` sampled with the shared
+    /// generator `rng` from `base`, amplified by `burst`.
     fn oracle_round(
         lattice: &Lattice,
-        spec: NoiseSpec,
+        (base, burst): (NoiseSpec, Option<BurstEvent>),
         rng: &mut ChaCha8Rng,
         round: u64,
     ) -> (PauliString, Syndrome) {
         let mut error = PauliString::default();
-        NoiseModel::build(spec)
-            .unwrap()
-            .sample_into(lattice, rng, round, &mut error);
+        let model = NoiseModel::build(effective(base, burst)).unwrap();
+        model.sample_into(lattice, rng, round, &mut error);
         let syndrome = lattice.syndrome_of(&error);
         (error, syndrome)
+    }
+
+    /// A random channel of any of the three kinds.
+    fn random_noise(rng: &mut ChaCha8Rng) -> NoiseSpec {
+        let p = 0.2 * rng.gen::<f64>();
+        match rng.gen_range(0..4) {
+            0 => NoiseSpec::PureDephasing { p },
+            1 => NoiseSpec::Depolarizing { p },
+            2 => NoiseSpec::Drifting {
+                model: DriftingErrorModel::ramp(p, 0.004 * rng.gen::<f64>()).unwrap(),
+            },
+            _ => NoiseSpec::Drifting {
+                model: DriftingErrorModel::sinusoid(p, p / 2.0, 16.0).unwrap(),
+            },
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The schedule against a brute-force oracle: a random base, an
+        /// optional burst (empty, past the end and straddling it included)
+        /// and 0–3 re-tunes at random lattice rounds give, round for round,
+        /// the stream of one generator that samples round `r` from the
+        /// channel in force at `r`.  The epochs tile the emitted rounds, cut
+        /// exactly where the stream reported crossing a boundary, and each
+        /// round's channel is the one its epoch names.
+        #[test]
+        fn the_schedule_samples_the_channel_in_force_at_every_round(
+            case in proptest::prelude::any::<u64>()
+        ) {
+            const TOTAL: u64 = 48;
+            let mut pick = ChaCha8Rng::seed_from_u64(case);
+            let base = random_noise(&mut pick);
+            let burst = (pick.gen_range(0..4) > 0).then(|| {
+                let start = pick.gen_range(0..TOTAL as usize + 16) as u64;
+                let rounds = pick.gen_range(0..20) as u64;
+                BurstEvent::new(start, rounds, 10.0 * pick.gen::<f64>()).unwrap()
+            });
+            let mut retunes: Vec<(u64, NoiseSpec)> = (0..pick.gen_range(0..4))
+                .map(|_| (pick.gen_range(0..TOTAL as usize + 4) as u64, random_noise(&mut pick)))
+                .collect();
+            retunes.sort_by_key(|&(round, _)| round);
+            let in_force = |round: u64| {
+                let retuned = retunes.iter().rfind(|&&(at, _)| at <= round);
+                let base = retuned.map_or(base, |&(_, noise)| noise);
+                (base, burst.filter(|burst| burst.covers(round)))
+            };
+
+            let lattice = Arc::new(Lattice::new(3).unwrap());
+            let mut source = SyndromeSource::new(lattice.clone(), base, case).unwrap();
+            if let Some(burst) = burst {
+                source = source.with_burst(burst).unwrap();
+            }
+            let mut oracle = ChaCha8Rng::seed_from_u64(case);
+            let (mut error, mut syndrome) = (PauliString::default(), Syndrome::default());
+            let mut crossed = Vec::new();
+            for round in 0..=TOTAL {
+                for &(_, noise) in retunes.iter().filter(|&&(at, _)| at == round) {
+                    source.set_noise(noise).unwrap();
+                }
+                if round == TOTAL {
+                    break;
+                }
+                if source.next_error_and_syndrome_into(&mut error, &mut syndrome) {
+                    crossed.push(round);
+                }
+                let expected = oracle_round(&lattice, in_force(round), &mut oracle, round);
+                prop_assert_eq!((error.clone(), syndrome.clone()), expected, "round {}", round);
+            }
+
+            let epochs = source.noise_epochs();
+            let starts: Vec<u64> = epochs.iter().map(|e| e.start_round).collect();
+            let ends: Vec<u64> = epochs.iter().map(|e| e.end_round).collect();
+            prop_assert_eq!(starts, [&[0], &crossed[..]].concat());
+            prop_assert_eq!(ends, [&crossed[..], &[TOTAL]].concat());
+            for epoch in &epochs {
+                for round in epoch.start_round..epoch.end_round {
+                    let (base, burst) = in_force(round);
+                    prop_assert_eq!(&epoch.label, &epoch_label(base, burst.is_some()));
+                    if !matches!(base, NoiseSpec::Drifting { .. }) {
+                        let rate = effective(base, burst).physical_error_rate();
+                        prop_assert_eq!(epoch.mean_rate, rate);
+                    }
+                }
+            }
+        }
     }
 
     /// A re-tune that fires inside a burst re-amplifies the new base for the
@@ -993,19 +1045,14 @@ mod tests {
             InterleavedSource::new(&set, &CycleTimeConverter::paper_reference()).unwrap();
         let script = ScenarioScript::default().set_error_rate(12, 0, retuned);
         source.apply_script(&script).unwrap();
-        let effective = |round: u64| {
+        let in_force = |round: u64| {
             let base = if round < 12 { calm } else { retuned };
-            if burst.covers(round) {
-                base.amplify(&burst)
-            } else {
-                base
-            }
+            (base, Some(burst).filter(|burst| burst.covers(round)))
         };
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let mut emitted = 0;
         while let Some(sourced) = source.next_round() {
-            let expected =
-                oracle_round(set.lattice(0), effective(sourced.round), &mut rng, emitted);
+            let expected = oracle_round(set.lattice(0), in_force(emitted), &mut rng, emitted);
             assert_eq!(sourced.round, emitted);
             assert_eq!(
                 (sourced.error, sourced.syndrome),
@@ -1016,8 +1063,7 @@ mod tests {
         }
         assert_eq!(emitted, 24);
         let epochs = source.noise_epochs().swap_remove(0);
-        let epochs: Vec<(u64, u64, &str)> = epochs
-            .iter()
+        let epochs: Vec<(u64, u64, &str)> = (epochs.iter())
             .map(|e| (e.start_round, e.end_round, e.label.as_str()))
             .collect();
         assert_eq!(

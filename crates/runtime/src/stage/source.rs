@@ -5,10 +5,9 @@
 //! paces each to its lattice's cadence, encodes it into one reused record,
 //! offers it to the lattice's lane of a [`QosGate`] it owns, places it on
 //! channel `(lattice + round) % workers`, and samples the backlog into a
-//! depth sink — plus the run's hostile-stream hooks: burst boundaries
-//! journaled as the stream crosses them, channel-stall emulation and the
-//! backpressure watchdog.  What it hands
-//! back when generation ends is a `SourceRun`.
+//! depth sink — plus the run's hostile-stream hooks: channel-stall emulation
+//! and the backpressure watchdog.  What it hands back when generation ends is
+//! a `SourceRun`.
 //! [`PipelineOptions`] carries what a caller may attach to a run — the
 //! watchdog window, a trace to replay or record — all of it the source
 //! stage's to act on.
@@ -116,7 +115,7 @@ pub(crate) struct SourceSeat<'a> {
 }
 
 /// Where the source stage's rounds come from: the live seeded sources (with
-/// scripted elasticity and burst episodes applied) or a recorded trace
+/// scripted elasticity and noise schedules applied) or a recorded trace
 /// re-served verbatim.  Everything downstream of the feed — pacing, QoS
 /// admission, routing, decode — is byte-identical between the two, which is
 /// what makes replay a regression oracle.
@@ -136,19 +135,13 @@ impl RoundFeed {
         }
     }
 
-    /// Scripted actions fired since the last drain.  A replay feed never
-    /// fires any: the recorded stream already reflects them.
+    /// Scripted actions fired and noise boundaries crossed since the last
+    /// drain.  A replay feed has none: the recorded stream already reflects
+    /// them.
     fn take_elastic_events(&mut self) -> Vec<ElasticEvent> {
         match self {
             RoundFeed::Live(source) => source.take_elastic_events(),
             RoundFeed::Replay(_) => Vec::new(),
-        }
-    }
-
-    fn burst_overlay(&self, lattice_id: usize) -> Option<nisqplus_qec::BurstEvent> {
-        match self {
-            RoundFeed::Live(source) => source.burst_overlay(lattice_id),
-            RoundFeed::Replay(_) => None,
         }
     }
 
@@ -196,9 +189,16 @@ fn apply_elastic_events(
                     final_round,
                 );
             }
-            // Re-tunes are physics, not topology: they surface as noise
-            // epochs in the report, not as journal events.
-            ElasticEventKind::Retuned => {}
+            ElasticEventKind::NoiseChange { round } => {
+                journal.publish(
+                    EventKind::NoiseChange,
+                    EventSeverity::Info,
+                    Some(event.lattice_id),
+                    None,
+                    now_ns,
+                    round,
+                );
+            }
         }
     }
 }
@@ -249,8 +249,8 @@ fn spread_channel(lattice_id: u32, round: u64, channels: usize) -> usize {
 /// The source stage: paced interleaved generation, encoding into one reused
 /// record, gate admission under each lattice's QoS lane, spread placement
 /// into the channels, depth sampling — plus the run's hostile-stream hooks:
-/// burst boundaries, channel-stall emulation and the backpressure watchdog.  A trace in `options.replay` has already been
-/// checked against the machine by
+/// channel-stall emulation and the backpressure watchdog.  A trace in
+/// `options.replay` has already been checked against the machine by
 /// [`StreamingEngine::run_with`](crate::StreamingEngine::run_with).
 pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> SourceRun {
     let SourceSeat {
@@ -343,30 +343,6 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
         }
         let lattice_id = sourced.lattice_id;
         let emitted_ns = epoch.elapsed().as_nanos() as u64;
-        // Burst boundaries are journaled as the stream crosses them — the
-        // window itself is applied inside the source, keyed by round index
-        // only, so the episode replays exactly.
-        if let Some(burst) = feed.burst_overlay(lattice_id as usize) {
-            if sourced.round == burst.start_round {
-                journal.publish(
-                    EventKind::BurstStart,
-                    EventSeverity::Warning,
-                    Some(lattice_id),
-                    None,
-                    emitted_ns,
-                    burst.start_round,
-                );
-            } else if sourced.round == burst.end_round() {
-                journal.publish(
-                    EventKind::BurstEnd,
-                    EventSeverity::Info,
-                    Some(lattice_id),
-                    None,
-                    emitted_ns,
-                    burst.end_round(),
-                );
-            }
-        }
         packet.lattice_id = lattice_id;
         packet.round = sourced.round;
         packet.emitted_ns = emitted_ns;

@@ -445,9 +445,10 @@ pub struct LatticeReport {
     pub shed_slo: Option<f64>,
     /// The residual analysis, when the run requested it.
     pub residual: Option<ResidualReport>,
-    /// This lattice's noise timeline: one epoch per homogeneous stretch of
-    /// its error channel, cut at every scripted rate change and burst
-    /// boundary.  A single full-run epoch for stationary noise; empty on
+    /// This lattice's noise timeline: one epoch per segment of its noise
+    /// schedule it reached, cut at every scripted rate change and burst
+    /// boundary; each cut between two epochs is one `noise_change` in the
+    /// journal.  A single full-run epoch for stationary noise; empty on
     /// trace replays (the trace is the record).
     pub noise_epochs: Vec<NoiseEpoch>,
     /// This lattice's nominal syndrome-generation cadence in nanoseconds per
@@ -586,9 +587,9 @@ pub struct RuntimeReport {
     /// The event journal's end-of-run state: per-kind/per-severity totals
     /// plus the newest resident events.
     pub journal: JournalSnapshot,
-    /// What the run's fault plan injected and which burst episodes its
-    /// lattices planned (all-zero and `enabled: false` for a plan-free run);
-    /// what the runtime observed is in `journal` and `counters`.
+    /// What the run's fault plan injected (all-zero and `enabled: false` for
+    /// a plan-free run); what the runtime observed is in `journal` and
+    /// `counters`.
     pub fault: crate::fault::FaultReport,
 }
 
@@ -704,13 +705,10 @@ impl fmt::Display for RuntimeReport {
             writeln!(
                 f,
                 "  fault: {} crash(es)/{} restart(s) | {} quarantined | \
-                 {}/{} burst(s) started/{} ended | {} stall(s) | {} watchdog trip(s)",
+                 {} stall(s) | {} watchdog trip(s)",
                 self.fault.injected_crashes,
                 counts[EventKind::WorkerRestart],
                 counts[EventKind::Quarantine],
-                counts[EventKind::BurstStart],
-                self.fault.planned_bursts,
-                counts[EventKind::BurstEnd],
                 self.fault.injected_stalls,
                 counts[EventKind::WatchdogTrip],
             )?;

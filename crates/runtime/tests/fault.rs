@@ -21,8 +21,9 @@ use nisqplus_qec::syndrome::Syndrome;
 use nisqplus_runtime::fault::silence_injected_crash_panics;
 use nisqplus_runtime::report::parse;
 use nisqplus_runtime::{
-    golden_summary, record_run, FaultPlan, LatticeSpec, MachineConfig, NoiseSpec, PushPolicy,
-    RuntimeConfig, RuntimeOutcome, StreamingEngine, SyndromeTrace, TraceSource, Violation,
+    golden_summary, record_run, EventKind, FaultPlan, LatticeSpec, MachineConfig, NoiseSpec,
+    PushPolicy, RuntimeConfig, RuntimeOutcome, StreamingEngine, SyndromeTrace, TraceSource,
+    Violation,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -177,9 +178,9 @@ fn a_lone_worker_always_reaches_its_crash_round() {
     }
 }
 
-/// A burst episode belongs to the lattice's stream, and the report counts
-/// it from there: a spec burst beside an unrelated crash plan is planned,
-/// seen starting and seen ending exactly once, and the books hold.
+/// A burst episode belongs to the lattice's noise schedule, not to the
+/// fault plan: a spec burst beside an unrelated crash plan journals its two
+/// edges as noise changes, the crash as one crash, and the books hold.
 #[test]
 fn spec_burst_beside_a_crash_plan_reconciles() {
     silence_injected_crash_panics();
@@ -187,8 +188,9 @@ fn spec_burst_beside_a_crash_plan_reconciles() {
     machine.lattices[0].burst = Some(BurstEvent::new(20, 10, 8.0).unwrap());
     let outcome = run_machine(machine);
     outcome.check_invariants().unwrap();
-    let fault = outcome.report.fault;
-    assert_eq!((fault.planned_bursts, fault.injected_crashes), (1, 1));
+    let report = &outcome.report;
+    assert_eq!(report.fault.injected_crashes, 1);
+    assert_eq!(report.journal.counts[EventKind::NoiseChange], 2);
 }
 
 /// Greedy matching that panics — plainly, without the injector's marker —

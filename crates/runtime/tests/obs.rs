@@ -70,9 +70,9 @@ fn histogram_quantiles_match_exact_order_statistics_within_one_bucket() {
     assert_eq!(snapshot.max_ns, *exact.last().unwrap());
 }
 
-/// The exported document's key paths as schema v11 writes them,
+/// The exported document's key paths as schema v12 writes them,
 /// in document order, arrays collapsed to `[]`.
-const SCHEMA_LISTING: &str = include_str!("report_schema_v11.txt");
+const SCHEMA_LISTING: &str = include_str!("report_schema_v12.txt");
 
 /// The operator's manual, which documents the export field by field.
 const OPERATIONS: &str = include_str!("../../../docs/OPERATIONS.md");
@@ -116,7 +116,7 @@ fn assert_schema_is_pinned_and_documented(text: &str) {
     let fresh: String = paths.iter().map(|path| format!("{path}\n")).collect();
     assert!(
         fresh == SCHEMA_LISTING,
-        "the exported key paths differ from crates/runtime/tests/report_schema_v11.txt: bump \
+        "the exported key paths differ from crates/runtime/tests/report_schema_v12.txt: bump \
          `SCHEMA_VERSION` and commit the fresh listing under the new version's name:\n{fresh}"
     );
     for key in paths
@@ -198,16 +198,21 @@ fn multi_lattice_qos_report_round_trips_through_json() {
         !text.contains("\"injected_corruptions\""),
         "v11 dropped the corruption fault's row"
     );
+    for book in ["\"burst_start\"", "\"burst_end\""] {
+        assert!(
+            !text.contains(book),
+            "v12 folded the burst books into `noise_change`, {book} among them"
+        );
+    }
     assert_schema_is_pinned_and_documented(&text);
     let reloaded = report_from_str(&text).expect("round trip");
     assert_eq!(&reloaded, report, "JSON must round-trip bit-for-bit");
     assert_eq!(failures(&reloaded), failures(report));
 
-    // A document from a future schema — or from the previous one, v10,
-    // which still carried `fault.injected_corruptions` — is refused, loudly
-    // and typed.
-    assert_eq!(SCHEMA_VERSION, 11);
-    for other_version in [SCHEMA_VERSION + 1, 10] {
+    // A document from a future schema — or from the previous one, v11,
+    // which still kept the burst books — is refused, loudly and typed.
+    assert_eq!(SCHEMA_VERSION, 12);
+    for other_version in [SCHEMA_VERSION + 1, 11] {
         let restamped = text.replacen(
             &format!("\"schema_version\": {SCHEMA_VERSION}"),
             &format!("\"schema_version\": {other_version}"),

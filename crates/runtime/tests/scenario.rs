@@ -156,17 +156,67 @@ fn golden_traces_replay_to_their_pinned_summaries() {
     }
 }
 
-/// A replay plans no burst episode — the trace is the record, and its feed
-/// journals no burst boundary — so a bursty machine's replay holds its books.
+/// A replay journals no noise change — the trace is the record: its feed
+/// carries no noise schedule, and its lattices report no epochs — so a bursty
+/// machine's replay holds its books.
 #[test]
-fn a_replay_of_a_bursty_machine_plans_no_burst() {
+fn a_replay_of_a_bursty_machine_journals_no_noise_change() {
     let engine = StreamingEngine::with_machine(d3_burst_machine()).unwrap();
     let live = record_run(&engine, &greedy_factory());
     let trace = live.trace.clone().expect("record_run records a trace");
     let replayed = replay_run(&engine, &trace, &greedy_factory()).expect("the trace fits");
+    live.check_invariants().unwrap();
     replayed.check_invariants().unwrap();
-    let planned = |outcome: &RuntimeOutcome| outcome.report.fault.planned_bursts;
-    assert_eq!((planned(&live), planned(&replayed)), (1, 0));
+    let changes = |outcome: &RuntimeOutcome| {
+        let report = &outcome.report;
+        let epochs = report.lattices[0].noise_epochs.len();
+        (report.journal.counts[EventKind::NoiseChange], epochs)
+    };
+    assert_eq!((changes(&live), changes(&replayed)), ((2, 3), (0, 0)));
+}
+
+/// Wherever a burst window sits against the end of a 64-round stream —
+/// inside it, flush with its end, straddling it, past it, empty, or cut
+/// short by a retirement at global round 35 — the lattice's epochs are
+/// exactly the schedule's segments it reached, the journal holds one noise
+/// change per boundary it crossed, and the books hold.
+#[test]
+fn every_burst_window_journals_exactly_the_boundaries_it_crossed() {
+    const CALM: &str = "dephasing";
+    const HOT: &str = "dephasing+burst";
+    type Case = ((u64, u64), Option<u64>, &'static [(u64, u64, &'static str)]);
+    let cases: [Case; 6] = [
+        (
+            (12, 22),
+            None,
+            &[(0, 12, CALM), (12, 22, HOT), (22, 64, CALM)],
+        ),
+        ((54, 64), None, &[(0, 54, CALM), (54, 64, HOT)]),
+        ((60, 70), None, &[(0, 60, CALM), (60, 64, HOT)]),
+        ((80, 85), None, &[(0, 64, CALM)]),
+        ((20, 20), None, &[(0, 64, CALM)]),
+        ((30, 40), Some(35), &[(0, 30, CALM), (30, 35, HOT)]),
+    ];
+    for ((start, end), retire_at, expected) in cases {
+        let mut config = scenario_machine(&[3], 64, 41);
+        config.lattices[0].noise = NoiseSpec::PureDephasing { p: 0.02 };
+        config.lattices[0].burst = Some(BurstEvent::new(start, end - start, 6.0).unwrap());
+        if let Some(at) = retire_at {
+            config.scenario = ScenarioScript::default().retire_lattice(at, 0);
+        }
+        let engine = StreamingEngine::with_machine(config).unwrap();
+        let outcome = engine.run(&greedy_factory());
+        outcome
+            .check_invariants()
+            .unwrap_or_else(|broken| panic!("burst [{start},{end}): {broken}"));
+        let report = &outcome.report;
+        let epochs: Vec<(u64, u64, &str)> = (report.lattices[0].noise_epochs.iter())
+            .map(|e| (e.start_round, e.end_round, e.label.as_str()))
+            .collect();
+        assert_eq!(epochs, expected, "burst [{start},{end})");
+        let changes = report.journal.counts[EventKind::NoiseChange];
+        assert_eq!(changes, expected.len() as u64 - 1, "burst [{start},{end})");
+    }
 }
 
 proptest! {

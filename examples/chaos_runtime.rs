@@ -91,7 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .crash_worker(0, 10) // kill worker 0 after 10 committed rounds
         .stall_channel(0, 50, 2_000_000); // channel 0 dead for 2 ms
 
-    // The burst is stream content, not a failure: the plan-free reference
+    // The burst is physics, not a failure: the plan-free reference
     // streams the same episode, so the burst lattice's frames are comparable
     // byte for byte.
     let reference_plan = FaultPlan::default();
@@ -107,14 +107,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
     let reference = run(reference_plan);
 
-    // --- The books hold: the crash restarted, the burst journaled, every
-    // round decoded or shed. ----------------------------------------------
+    // --- The books hold: the crash restarted, the burst's two edges
+    // journaled as noise changes, every round decoded or shed. ------------
     chaos.check_invariants()?;
     reference.check_invariants()?;
     let report = &chaos.report;
     let counts = &report.journal.counts;
     assert_eq!(report.fault.injected_crashes, 1, "the crash fired");
     assert_eq!(report.fault.injected_stalls, 1);
+    assert_eq!(
+        counts[EventKind::NoiseChange],
+        2,
+        "the burst began and ended"
+    );
     assert_eq!(
         counts[EventKind::WatchdogTrip],
         0,

@@ -5,7 +5,7 @@
 //! single pass:
 //!
 //! * lattice 0 (d=3) — the burst target: rounds 20..50 run at 5x the base
-//!   dephasing rate ([`BurstEvent`] overlay),
+//!   rate ([`BurstEvent`]),
 //! * lattice 1 (d=5) — the drift target: its dephasing rate follows a
 //!   sinusoid ([`DriftingErrorModel`]), one full period over the run,
 //! * lattice 2 (d=3) — the elastic target: pre-registered but *dormant*, it
@@ -14,7 +14,9 @@
 //!   stream truncating and its in-flight rounds draining to a final frame,
 //!
 //! while a scripted re-tune swaps lattice 0's channel to depolarizing noise
-//! at round 120 — visible afterwards as a cut in its noise-epoch timeline.
+//! at round 120 — inside its burst, which amplifies the new channel for the
+//! rest of the window — visible afterwards as a cut in its noise-epoch
+//! timeline and a `noise_change` in the journal.
 //!
 //! The run is recorded by a [`TraceRecorder`] tap ([`record_run`]); the
 //! recorded [`SyndromeTrace`] is then re-served through the *same* pipeline
@@ -118,9 +120,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         elastic > 0 && elastic < ROUNDS,
         "the elastic lattice came online and was truncated (streamed {elastic})"
     );
-    assert!(
-        report.lattices[0].noise_epochs.len() >= 3,
-        "burst boundaries and the re-tune cut lattice 0's timeline into epochs"
+    // Unpaced lattices emit in a fixed order: lattice 0 stands at its round
+    // 40 when the re-tune fires at global round 120, inside its burst.
+    let epochs: Vec<(u64, u64, &str)> = (report.lattices[0].noise_epochs.iter())
+        .map(|e| (e.start_round, e.end_round, e.label.as_str()))
+        .collect();
+    assert_eq!(
+        epochs,
+        [
+            (0, 20, "dephasing"),
+            (20, 40, "dephasing+burst"),
+            (40, 50, "depolarizing+burst"),
+            (50, ROUNDS, "depolarizing"),
+        ],
+        "the burst's edges and the re-tune cut lattice 0's timeline"
     );
     assert_eq!(
         report.counters.dropped, 0,
