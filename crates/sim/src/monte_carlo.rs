@@ -314,6 +314,59 @@ mod tests {
         assert!(lo > 0.07 && hi < 0.14);
     }
 
+    /// `(failures, total_defects, Σ cycle_samples, max cycle_samples)` of a
+    /// mesh lifetime run on PureDephasing noise, two worker threads.
+    fn lifetime_integers(
+        distance: usize,
+        p: f64,
+        trials: usize,
+        variant: DecoderVariant,
+    ) -> [usize; 4] {
+        let lattice = Lattice::new(distance).unwrap();
+        let model = PureDephasing::new(p).unwrap();
+        let config = MonteCarloConfig::new(trials)
+            .with_threads(2)
+            .with_seed(2020);
+        let result = run_sfq_lifetime(&lattice, &model, &config, variant);
+        assert_eq!(result.cycle_samples.len(), trials);
+        [
+            result.failures,
+            result.total_defects,
+            result.cycle_samples.iter().sum(),
+            result.cycle_samples.iter().copied().max().unwrap_or(0),
+        ]
+    }
+
+    /// The lifetime operating point pinned to the integer: the benchmark's
+    /// `lifetime_mesh_d9` point (d = 9, p = 0.05, seed 2020) and every
+    /// variant at d = 5, p = 0.08.  A change to the sampler or the mesh
+    /// decode that alters one pairing, chain or cycle count shows here.
+    /// Like the golden traces, the values hold for the platform libm the
+    /// gap sampler's `ln` calls (ROADMAP item 9).
+    #[test]
+    fn lifetime_operating_point_is_pinned() {
+        assert_eq!(
+            lifetime_integers(9, 0.05, 20_000, DecoderVariant::Final),
+            [708, 235_747, 439_053, 104],
+            "d=9 p=0.05 final"
+        );
+        for (variant, expected) in [
+            (DecoderVariant::Baseline, [1_488, 9_261, 31_268, 264]),
+            (DecoderVariant::WithReset, [1_420, 9_261, 198_119, 264]),
+            (
+                DecoderVariant::WithResetAndBoundary,
+                [1_131, 9_261, 13_527, 24],
+            ),
+            (DecoderVariant::Final, [251, 9_261, 28_806, 38]),
+        ] {
+            assert_eq!(
+                lifetime_integers(5, 0.08, 2_000, variant),
+                expected,
+                "d=5 p=0.08 {variant:?}"
+            );
+        }
+    }
+
     #[test]
     fn final_design_beats_baseline_at_low_p() {
         let lattice = Lattice::new(5).unwrap();
