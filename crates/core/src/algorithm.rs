@@ -12,6 +12,23 @@
 //! retracing the longest leg — and the pairings execute in completion-time
 //! order.  It is the decoder every experiment in the workspace runs.
 //!
+//! # Bitboard walk
+//!
+//! A pairing's completion time depends only on the grid offset between its
+//! two modules, and a boundary pairing's only on the module.  So, once per
+//! lattice, each sector's `rows × cols` ancilla grid (row-major bits of a
+//! [`Bits<W>`], as in union-find) gets a table of completion times: at each
+//! time, the offsets `(Δr, Δc)` that complete then — each a shift `s` and a
+//! mask of the origins whose partner lies on the grid — and the modules whose
+//! boundary pairing completes then.  A decode holds its live defects as a set
+//! `L` and walks the times upwards, as every module of the mesh acts in the
+//! same cycle: the pairings of a time are `P & (P >> s) & mask` per offset
+//! and `L & boundary`, where the pool `P` is `L` with reset and every defect
+//! without — a pair with one cleared end is then a pairing with its ghost.
+//! A round sorts its few pairings into the order the handshake sees them
+//! and applies them.  The word count `W` comes from union-find's ladder
+//! {1, 2, 4, 8, 16}, so the mesh takes distances up to 31.
+//!
 //! The incremental design flaws that the paper's ablation (Figure 10, top
 //! row) attributes to the missing mechanisms are modelled explicitly:
 //!
@@ -23,8 +40,16 @@
 //!   with *every* partner at the minimal distance instead of exactly one.
 
 use crate::config::MeshConfig;
+use nisqplus_decoders::bits::Bits;
+use nisqplus_decoders::traits::sector_correction_pauli;
 use nisqplus_qec::lattice::{Lattice, Sector};
+use nisqplus_qec::pauli::PauliString;
+use nisqplus_qec::syndrome::Syndrome;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+
+/// The largest distance whose sector grid fits in 16 words.
+const MAX_DISTANCE: usize = 31;
 
 /// How a single pairing's latency is modelled, in mesh clock cycles.
 ///
@@ -114,6 +139,8 @@ pub struct MeshDecodeResult {
 /// What a decode reports besides its chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct MeshOutcome {
+    /// Hot syndromes handed to the decode.
+    pub(crate) defects: usize,
     /// Mesh clock cycles consumed.
     pub(crate) cycles: usize,
     /// Hot syndromes paired off.
@@ -122,96 +149,398 @@ pub(crate) struct MeshOutcome {
     pub(crate) completed: bool,
 }
 
-/// Ends a completion time's list in [`MeshScratch::timetable`].
-const END: usize = usize::MAX;
-
-/// One pairing the decode's defects could make, linked into the list of its
-/// completion time.
-///
-/// `a` and `b` are positions in [`MeshScratch::defects`], `a < b`; `b` is
-/// one past the last defect for a pairing with the boundary.
+/// Where a decode's defects come from.
 #[derive(Debug, Clone, Copy)]
-struct TimetableEntry {
-    a: usize,
-    b: usize,
-    /// The next entry of the same completion time, or [`END`].
-    next: usize,
+pub(crate) enum Defects<'a> {
+    /// The hot ancillas of the decoded sector.
+    Hot(&'a Syndrome),
+    /// Ancilla indices, in any order and possibly repeated.
+    Listed(&'a [usize]),
 }
 
-/// Whom a hot module pairs with in a round.  The variant order, then the
-/// position, is the order in which one module's simultaneous pairings reach
-/// the handshake.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Partner {
-    /// A live defect at a later position.
-    Defect(usize),
-    /// The lattice boundary.
-    Boundary,
-    /// An already-cleared defect whose grow wave lingers (no reset).
-    Ghost(usize),
+/// Whom a hot module pairs with: the middle field of a candidate's key,
+/// ordered as one module's simultaneous pairings reach the handshake.
+const DEFECT: u32 = 0;
+const BOUNDARY: u32 = 1;
+const GHOST: u32 = 2;
+
+/// A candidate pairing of module `a` with `partner` (a bit, or 0 for the
+/// boundary) packed so that keys sort by `(a, kind, partner)`: the order in
+/// which the handshake sees them.  Bits are below 1024 (d ≤ 31).
+fn candidate(a: usize, kind: u32, partner: usize) -> u32 {
+    (a as u32) << 12 | kind << 10 | partner as u32
 }
 
-/// The reusable working memory of [`GreedyMeshAlgorithm`].
-///
-/// Everything but `defects` is rebuilt at the start of a decode, so nothing
-/// leaks from one decode (or lattice) into the next.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct MeshScratch {
-    /// The defects to decode (ancilla indices), ascending and distinct;
-    /// filled by the caller.
-    pub(crate) defects: Vec<usize>,
-    /// Per defect position: not yet cleared; one more entry, always `true`,
-    /// stands for the boundary.
-    live: Vec<bool>,
-    /// Per defect position: cleared by the round being selected.
-    cleared_now: Vec<bool>,
-    /// The positions `cleared_now` marks.
-    cleared: Vec<usize>,
-    /// Every possible pairing.
-    timetable: Vec<TimetableEntry>,
-    /// Per completion time, the first entry of its list in `timetable`, in
-    /// which the entries follow each other in enumeration order.
-    first_at: Vec<usize>,
-    /// The pairings still possible at the round's completion time.
-    round: Vec<(usize, Partner)>,
-    /// The chain as a bit plane over the data qubits (qubit `q` is bit
-    /// `q % 64` of word `q / 64`): set where chains crossed an odd number of
-    /// times.
-    chain: Vec<u64>,
+/// One grid offset: the pairings `(u, u + shift)` for the origins `u` in
+/// `mask`.
+#[derive(Debug, Clone, Copy)]
+struct Offset<const W: usize> {
+    shift: u32,
+    mask: Bits<W>,
 }
 
-impl MeshScratch {
-    /// Reserves for the worst case on `lattice` (every ancilla of a sector
-    /// hot), so that no decode on it allocates.
-    pub(crate) fn reserve_for(&mut self, lattice: &Lattice) {
-        let defects = lattice.ancillas_per_sector();
-        let pairings = defects * (defects + 1) / 2;
-        self.defects.reserve(defects);
-        self.live.reserve(defects + 1);
-        self.cleared_now.reserve(defects);
-        self.cleared.reserve(defects);
-        self.timetable.reserve(pairings);
-        self.first_at.reserve(Self::completion_times(lattice));
-        self.round.reserve(pairings);
-        self.chain.reserve(lattice.num_data().div_ceil(64));
-    }
+/// One completion time at which some pairing can complete.
+#[derive(Debug, Clone)]
+struct Slot<const W: usize> {
+    time: usize,
+    /// The offsets completing at `time`, in [`SectorTables::offsets`].
+    offsets: Range<usize>,
+    /// The modules whose boundary pairing completes at `time`.
+    boundary: Bits<W>,
+}
 
-    /// How many completion times a decode on `lattice` can see, zero
-    /// included: grow waves meet after at most a mesh side, one halo cell
-    /// included, and the handshake retraces that leg three times.
-    fn completion_times(lattice: &Lattice) -> usize {
-        4 * (lattice.size() + 1) + 1
-    }
+/// One sector's completion-time tables (module docs, "Bitboard walk").
+#[derive(Debug, Clone)]
+struct SectorTables<const W: usize> {
+    /// Per ancilla of the lattice: its bit, or `None` for the other sector.
+    bit_of_ancilla: Vec<Option<u16>>,
+    /// Per bit: its ancilla.
+    ancilla_of_bit: Vec<usize>,
+    offsets: Vec<Offset<W>>,
+    /// Ascending by time; times no pairing completes at are left out.
+    slots: Vec<Slot<W>>,
+}
 
-    /// Visits the data qubits of the last decode's chain, ascending.
-    pub(crate) fn for_each_chain_qubit(&self, mut f: impl FnMut(usize)) {
-        for (w, &word) in self.chain.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                f(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
+impl<const W: usize> SectorTables<W> {
+    fn build(config: &MeshConfig, lattice: &Lattice, sector: Sector) -> Self {
+        let d = lattice.distance();
+        let (rows, cols) = match sector {
+            Sector::X => (d - 1, d),
+            Sector::Z => (d, d - 1),
+        };
+        let ancilla_of_bit: Vec<usize> = lattice.ancillas_in_sector(sector).collect();
+        let mut bit_of_ancilla = vec![None; lattice.num_ancillas()];
+        for (v, &a) in ancilla_of_bit.iter().enumerate() {
+            bit_of_ancilla[a] = Some(v as u16);
+        }
+
+        // Every offset `(Δr, Δc)` whose partner comes later in row-major
+        // order (`Δc > 0` on the origin's own row), and its completion time.
+        // Neighbouring ancillas are two mesh cells apart.
+        let pairs = || {
+            (0..rows).flat_map(move |dr| {
+                let first = if dr == 0 { 1 } else { 1 - cols as isize };
+                (first..cols as isize).map(move |dc| (dr, dc))
+            })
+        };
+        let times: Vec<usize> = pairs()
+            .map(|(dr, dc)| pair_timing(config, 2 * dr, 2 * dc.unsigned_abs()).completion)
+            .collect();
+
+        let mut boundary = Vec::new();
+        if config.boundary {
+            for (v, &a) in ancilla_of_bit.iter().enumerate() {
+                // Distance (in mesh cells) from an ancilla module to the
+                // nearest boundary module of its sector: one cell beyond the
+                // last data qubit.
+                let time = boundary_timing(config, 2 * lattice.boundary_distance(a)).completion;
+                if boundary.len() <= time {
+                    boundary.resize(time + 1, Bits::EMPTY);
+                }
+                boundary[time].toggle(v);
             }
         }
+        let horizon = times
+            .iter()
+            .map(|&t| t + 1)
+            .max()
+            .unwrap_or(0)
+            .max(boundary.len());
+        boundary.resize(horizon, Bits::EMPTY);
+
+        // An origin's partner must stay on the grid: `Δr` rows down (a row
+        // mask) and `Δc` columns across (a column mask; `left[k]` holds the
+        // columns `0..k`).
+        let row_masks: Vec<Bits<W>> = (0..rows)
+            .map(|dr| Bits::below((rows - dr) * cols))
+            .collect();
+        let mut column = Bits::<W>::EMPTY;
+        for i in 0..rows {
+            column.insert(i * cols);
+        }
+        let mut left = vec![Bits::EMPTY; cols + 1];
+        for k in 1..=cols {
+            left[k] = left[k - 1] | column;
+            column = column.plus(1);
+        }
+        // The offsets grouped by time: `start[t]..start[t + 1]` completes at
+        // `t` (a counting sort).
+        let mut start = vec![0; horizon + 1];
+        for &time in &times {
+            start[time + 1] += 1;
+        }
+        for t in 0..horizon {
+            start[t + 1] += start[t];
+        }
+        let mut offsets = vec![
+            Offset {
+                shift: 0,
+                mask: Bits::EMPTY
+            };
+            times.len()
+        ];
+        let mut next = start.clone();
+        for ((dr, dc), time) in pairs().zip(times) {
+            let (lo, hi) = match usize::try_from(dc) {
+                Ok(right) => (0, cols - right),
+                Err(_) => (dc.unsigned_abs(), cols),
+            };
+            offsets[next[time]] = Offset {
+                shift: ((dr * cols) as isize + dc) as u32,
+                mask: row_masks[dr] & left[hi] & !left[lo],
+            };
+            next[time] += 1;
+        }
+        let slots = (0..horizon)
+            .filter(|&t| start[t] < start[t + 1] || !boundary[t].is_empty())
+            .map(|time| Slot {
+                time,
+                offsets: start[time]..start[time + 1],
+                boundary: boundary[time],
+            })
+            .collect();
+        SectorTables {
+            bit_of_ancilla,
+            ancilla_of_bit,
+            offsets,
+            slots,
+        }
+    }
+
+    /// The defects as a set of bits.
+    fn live_set(&self, lattice: &Lattice, sector: Sector, defects: Defects<'_>) -> Bits<W> {
+        let mut live = Bits::EMPTY;
+        let mut insert = |a: usize| {
+            let v = self.bit_of_ancilla[a]
+                .unwrap_or_else(|| panic!("defect {a} does not belong to the {sector} sector"));
+            live.insert(usize::from(v));
+        };
+        match defects {
+            Defects::Hot(syndrome) => lattice.for_each_defect(syndrome, sector, insert),
+            Defects::Listed(listed) => listed.iter().for_each(|&a| insert(a)),
+        }
+        live
+    }
+
+    /// Pushes onto `candidates` the pairings possible at `slot`: between two
+    /// defects of `pool`, at least one of them `live`, and of a live defect
+    /// with the boundary.  With reset the pool is the live defects; without,
+    /// it is every defect, so that a live one also pairs with the lingering
+    /// wave of a cleared one.  When one defect is left live, `lone`, it pairs
+    /// with nothing but the boundary under reset, and without reset the walk
+    /// tests its two possible partners' bits instead of shifting the pool,
+    /// which on a wide grid costs a word operation per word.
+    fn collect(
+        &self,
+        slot: &Slot<W>,
+        pool: Bits<W>,
+        live: Bits<W>,
+        lone: Option<usize>,
+        candidates: &mut Vec<u32>,
+    ) {
+        let offsets = &self.offsets[slot.offsets.clone()];
+        if let Some(u) = lone {
+            if pool == live {
+                // Reset: the pool is `u` alone.
+                return self.collect_boundary(slot, live, candidates);
+            }
+            for &Offset { shift, mask } in offsets {
+                let s = shift as usize;
+                // A valid origin's partner is on the grid; a pool member
+                // other than `u` is a ghost.
+                if mask.contains(u) && pool.contains(u + s) {
+                    candidates.push(candidate(u, GHOST, u + s));
+                }
+                if u >= s && mask.contains(u - s) && pool.contains(u - s) {
+                    candidates.push(candidate(u, GHOST, u - s));
+                }
+            }
+        } else {
+            for &Offset { shift, mask } in offsets {
+                for u in (pool & pool.minus(shift) & mask).iter() {
+                    let v = u + shift as usize;
+                    match (live.contains(u), live.contains(v)) {
+                        (true, true) => candidates.push(candidate(u, DEFECT, v)),
+                        (true, false) => candidates.push(candidate(u, GHOST, v)),
+                        (false, true) => candidates.push(candidate(v, GHOST, u)),
+                        (false, false) => {}
+                    }
+                }
+            }
+        }
+        self.collect_boundary(slot, live, candidates);
+    }
+
+    /// Pushes onto `candidates` the boundary pairings of `live` at `slot`.
+    fn collect_boundary(&self, slot: &Slot<W>, live: Bits<W>, candidates: &mut Vec<u32>) {
+        for u in (live & slot.boundary).iter() {
+            candidates.push(candidate(u, BOUNDARY, 0));
+        }
+    }
+
+    /// Decodes the defects `live`, calling `flip` on every data qubit of
+    /// every chain (module docs, "Bitboard walk").
+    fn decode(
+        &self,
+        config: &MeshConfig,
+        lattice: &Lattice,
+        mut live: Bits<W>,
+        candidates: &mut Vec<u32>,
+        mut flip: impl FnMut(usize),
+        mut pairings: Option<&mut Vec<MeshPairing>>,
+    ) -> MeshOutcome {
+        let defects = live.count_ones() as usize;
+        let max_cycles = config.max_cycles(lattice.size() + 2);
+        let mut dead = Bits::EMPTY;
+        let mut remaining = defects;
+        let mut cycles = 0usize;
+        let mut slot = 0usize;
+        while remaining > 0 && cycles < max_cycles {
+            // The earliest time at which a pairing is still possible.  A
+            // lone defect with no boundary and no ghost to pair with has
+            // none, and would otherwise walk every time to find that out.
+            candidates.clear();
+            let stranded = !config.boundary && remaining == 1 && (config.reset || defects == 1);
+            let pool = if config.reset { live } else { live | dead };
+            let lone = live.first().filter(|_| remaining == 1);
+            while slot < self.slots.len() && !stranded {
+                self.collect(&self.slots[slot], pool, live, lone, candidates);
+                if !candidates.is_empty() {
+                    break;
+                }
+                slot += 1;
+            }
+            if candidates.is_empty() {
+                // No way to pair the remaining defects (e.g. a lone defect
+                // with no boundary modules): the decode stalls until the cap.
+                cycles = max_cycles;
+                break;
+            }
+            candidates.sort_unstable();
+
+            // --- Select which of the tied candidates actually complete -----
+            let mut cleared = Bits::<W>::EMPTY;
+            for &key in candidates.iter() {
+                let (a, kind, b) = ((key >> 12) as usize, key >> 10 & 3, (key & 0x3FF) as usize);
+                let other = (kind == DEFECT).then_some(b);
+                let conflict = cleared.contains(a) || other.is_some_and(|b| cleared.contains(b));
+                if conflict && config.equidistant_handshake {
+                    // The request/grant handshake lets each hot module commit
+                    // to exactly one pairing; later ties are dropped.
+                    continue;
+                }
+                // Without the handshake, equidistant ties all fire (the flaw
+                // Figure 8(c) illustrates); with it, disjoint simultaneous
+                // pairings still complete concurrently.
+                for endpoint in std::iter::once(a).chain(other) {
+                    cleared.insert(endpoint);
+                }
+                // Chains overlap-toggle rather than accumulate: two chains
+                // crossing the same data qubit cancel, exactly like two pair
+                // pulses flipping the same error output.
+                let (a, b) = (self.ancilla_of_bit[a], self.ancilla_of_bit[b]);
+                match kind {
+                    BOUNDARY => lattice.for_each_boundary_path_qubit(a, &mut flip),
+                    _ => lattice.for_each_correction_path_qubit(a, b, &mut flip),
+                }
+                if let Some(pairings) = pairings.as_deref_mut() {
+                    pairings.push(match kind {
+                        DEFECT => MeshPairing::Defects(a, b),
+                        BOUNDARY => MeshPairing::ToBoundary(a),
+                        _ => MeshPairing::ToGhost { live: a, ghost: b },
+                    });
+                }
+            }
+            live = live & !cleared;
+            dead = dead | cleared;
+            remaining = live.count_ones() as usize;
+
+            cycles += self.slots[slot].time;
+            if config.reset {
+                // Every candidate of this time was selected or lost an
+                // endpoint: the time is spent.  Without reset it is scanned
+                // again, because a defect the round cleared is a ghost by
+                // now and can pair at the same time.
+                slot += 1;
+                if remaining > 0 {
+                    cycles += usize::from(config.module_depth);
+                }
+            }
+            if cycles >= max_cycles {
+                cycles = max_cycles;
+                break;
+            }
+        }
+
+        MeshOutcome {
+            defects,
+            cycles,
+            cleared_defects: defects - remaining,
+            completed: remaining == 0,
+        }
+    }
+}
+
+/// Both sectors' tables, `[X, Z]`, at the word count the grid needs.
+#[derive(Debug, Clone)]
+enum Grids {
+    W1(SectorPair<1>),
+    W2(SectorPair<2>),
+    W4(SectorPair<4>),
+    W8(SectorPair<8>),
+    W16(SectorPair<16>),
+}
+
+type SectorPair<const W: usize> = Box<[SectorTables<W>; 2]>;
+
+fn sector_pair<const W: usize>(config: &MeshConfig, lattice: &Lattice) -> SectorPair<W> {
+    Box::new(Sector::ALL.map(|sector| SectorTables::build(config, lattice, sector)))
+}
+
+/// A mesh configuration's tables for one lattice, and the decode's working
+/// memory, sized so that no decode on that lattice allocates.
+#[derive(Debug, Clone)]
+pub(crate) struct PreparedMesh {
+    distance: usize,
+    grids: Grids,
+    /// The pairings possible at the time being scanned, as
+    /// [`candidate`] keys.
+    candidates: Vec<u32>,
+}
+
+impl PreparedMesh {
+    /// Builds the tables of `config` on `lattice`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lattice.distance()` exceeds 31.
+    pub(crate) fn build(config: &MeshConfig, lattice: &Lattice) -> Self {
+        let d = lattice.distance();
+        assert!(
+            d <= MAX_DISTANCE,
+            "the SFQ mesh supports distances up to {MAX_DISTANCE} (16 words per sector grid), \
+             not d = {d}"
+        );
+        let n = lattice.ancillas_per_sector();
+        let grids = match n.div_ceil(64) {
+            1 => Grids::W1(sector_pair(config, lattice)),
+            2 => Grids::W2(sector_pair(config, lattice)),
+            3..=4 => Grids::W4(sector_pair(config, lattice)),
+            5..=8 => Grids::W8(sector_pair(config, lattice)),
+            _ => Grids::W16(sector_pair(config, lattice)),
+        };
+        PreparedMesh {
+            distance: d,
+            grids,
+            // A time's candidates name each pair of defects at most once,
+            // and each defect's boundary pairing.
+            candidates: Vec::with_capacity(n * (n + 1) / 2),
+        }
+    }
+
+    /// The distance of the lattice the tables were built for.
+    pub(crate) fn distance(&self) -> usize {
+        self.distance
     }
 }
 
@@ -221,11 +550,12 @@ impl MeshScratch {
 /// completes, among the pairings whose hot modules are still live, all those
 /// of the earliest completion time, in the order one would enumerate them:
 /// by first defect, each with its later defects ascending, then the
-/// boundary, then the ghosts ascending.  So a decode computes every time
-/// once, links the pairings into one list per time (in enumeration order),
-/// and walks the times upwards — O(defects² + rounds), on working memory
-/// that [`SfqMeshDecoder`](crate::SfqMeshDecoder) keeps from decode to
-/// decode.
+/// boundary, then the ghosts ascending.  So a decode walks the completion
+/// times upwards over bitboard tables built once per lattice (module docs,
+/// "Bitboard walk"): a few word operations per grid offset it reaches, and a
+/// sort of the few pairings that complete at each round's time.
+/// [`SfqMeshDecoder`](crate::SfqMeshDecoder) keeps the tables from decode to
+/// decode; the `decode_defects` entry points build them per call.
 #[derive(Debug, Clone)]
 pub struct GreedyMeshAlgorithm {
     config: MeshConfig,
@@ -244,183 +574,53 @@ impl GreedyMeshAlgorithm {
         &self.config
     }
 
-    /// Decodes `scratch.defects`, leaving the chain in `scratch` for
-    /// [`MeshScratch::for_each_chain_qubit`] and pushing the pairings, in the order
-    /// they completed, onto `pairings` when there is one.
+    /// Decodes `defects` of one sector on tables `prepared` built for
+    /// `lattice`, applying the sector's correction Pauli to `out` along every
+    /// chain and pushing the pairings, in the order they completed, onto
+    /// `pairings` when there is one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a defect is not an ancilla of `sector`.
     pub(crate) fn decode_prepared(
         &self,
         lattice: &Lattice,
         sector: Sector,
-        scratch: &mut MeshScratch,
-        mut pairings: Option<&mut Vec<MeshPairing>>,
+        defects: Defects<'_>,
+        prepared: &mut PreparedMesh,
+        out: &mut PauliString,
+        pairings: Option<&mut Vec<MeshPairing>>,
     ) -> MeshOutcome {
-        let cfg = &self.config;
-        let MeshScratch {
-            defects,
-            live,
-            cleared_now,
-            cleared,
-            timetable,
-            first_at,
-            round,
-            chain,
-        } = scratch;
-        for &a in defects.iter() {
-            assert_eq!(
-                lattice.ancilla_sector(a),
-                sector,
-                "defect {a} does not belong to the {sector} sector"
-            );
+        debug_assert_eq!(prepared.distance, lattice.distance());
+        let pauli = sector_correction_pauli(sector);
+        let PreparedMesh {
+            grids, candidates, ..
+        } = prepared;
+        let s = sector.index();
+        macro_rules! decode {
+            ($tables:expr) => {{
+                let tables = &$tables[s];
+                let live = tables.live_set(lattice, sector, defects);
+                let flip = |q| out.apply(q, pauli);
+                tables.decode(&self.config, lattice, live, candidates, flip, pairings)
+            }};
         }
-        debug_assert!(defects.windows(2).all(|pair| pair[0] < pair[1]));
-        chain.clear();
-        chain.resize(lattice.num_data().div_ceil(64), 0);
-        let max_cycles = cfg.max_cycles(lattice.size() + 2);
-
-        // --- Time every possible pairing -----------------------------------
-        // Enumerated backwards and linked at the front, so that each time's
-        // list reads forwards.
-        let boundary = defects.len();
-        timetable.clear();
-        first_at.clear();
-        first_at.resize(MeshScratch::completion_times(lattice), END);
-        let mut link = |a: usize, b: usize, completion: usize| {
-            let next = std::mem::replace(&mut first_at[completion], timetable.len());
-            timetable.push(TimetableEntry { a, b, next });
-        };
-        for i in (0..boundary).rev() {
-            let a = defects[i];
-            if cfg.boundary {
-                // Distance (in mesh cells) from an ancilla module to the
-                // nearest boundary module of its sector: one cell beyond the
-                // last data qubit.
-                let distance = 2 * lattice.boundary_distance(a);
-                link(i, boundary, boundary_timing(cfg, distance).completion);
-            }
-            let ca = lattice.ancilla_coord(a);
-            for j in (i + 1..boundary).rev() {
-                let cb = lattice.ancilla_coord(defects[j]);
-                let (dr, dc) = (ca.row.abs_diff(cb.row), ca.col.abs_diff(cb.col));
-                link(i, j, pair_timing(cfg, dr, dc).completion);
-            }
-        }
-
-        // --- Walk the times upwards, one round per iteration ---------------
-        live.clear();
-        live.resize(defects.len() + 1, true);
-        cleared_now.clear();
-        cleared_now.resize(defects.len(), false);
-        let mut remaining = defects.len();
-        let mut cycles = 0usize;
-        let mut time = 0usize;
-        while remaining > 0 && cycles < max_cycles {
-            // The earliest time at which a pairing is still possible.
-            round.clear();
-            while time < first_at.len() {
-                let mut at = first_at[time];
-                while at != END {
-                    let TimetableEntry { a, b, next } = timetable[at];
-                    at = next;
-                    match (live[a], live[b]) {
-                        (true, true) if b == boundary => round.push((a, Partner::Boundary)),
-                        (true, true) => round.push((a, Partner::Defect(b))),
-                        (true, false) if !cfg.reset => round.push((a, Partner::Ghost(b))),
-                        (false, true) if !cfg.reset && b != boundary => {
-                            round.push((b, Partner::Ghost(a)));
-                        }
-                        _ => {}
-                    }
-                }
-                if !round.is_empty() {
-                    break;
-                }
-                time += 1;
-            }
-            if round.is_empty() {
-                // No way to pair the remaining defects (e.g. a lone defect
-                // with no boundary modules): the decode stalls until the cap.
-                cycles = max_cycles;
-                break;
-            }
-            if !cfg.reset {
-                // Ghost pairings were listed where their dead end enumerated
-                // them while it lived.
-                round.sort_unstable();
-            }
-
-            // --- Select which of the tied candidates actually complete -----
-            for &(a, partner) in round.iter() {
-                let other = match partner {
-                    Partner::Defect(b) => Some(b),
-                    Partner::Boundary | Partner::Ghost(_) => None,
-                };
-                let conflict = cleared_now[a] || other.is_some_and(|b| cleared_now[b]);
-                if conflict && cfg.equidistant_handshake {
-                    // The request/grant handshake lets each hot module commit
-                    // to exactly one pairing; later ties are dropped.
-                    continue;
-                }
-                // Without the handshake, equidistant ties all fire (the flaw
-                // Figure 8(c) illustrates); with it, disjoint simultaneous
-                // pairings still complete concurrently.
-                for endpoint in std::iter::once(a).chain(other) {
-                    if !std::mem::replace(&mut cleared_now[endpoint], true) {
-                        cleared.push(endpoint);
-                    }
-                }
-                // Chains overlap-toggle rather than accumulate: two chains
-                // crossing the same data qubit cancel, exactly like two pair
-                // pulses flipping the same error output.
-                let toggle = |q: usize| chain[q / 64] ^= 1 << (q % 64);
-                match partner {
-                    Partner::Defect(b) | Partner::Ghost(b) => {
-                        lattice.for_each_correction_path_qubit(defects[a], defects[b], toggle);
-                    }
-                    Partner::Boundary => lattice.for_each_boundary_path_qubit(defects[a], toggle),
-                }
-                if let Some(pairings) = pairings.as_deref_mut() {
-                    pairings.push(match partner {
-                        Partner::Defect(b) => MeshPairing::Defects(defects[a], defects[b]),
-                        Partner::Boundary => MeshPairing::ToBoundary(defects[a]),
-                        Partner::Ghost(b) => MeshPairing::ToGhost {
-                            live: defects[a],
-                            ghost: defects[b],
-                        },
-                    });
-                }
-            }
-            remaining -= cleared.len();
-            for endpoint in cleared.drain(..) {
-                live[endpoint] = false;
-                cleared_now[endpoint] = false;
-            }
-
-            cycles += time;
-            if cfg.reset {
-                // Every candidate of this time was selected or lost an
-                // endpoint: the time is spent.  Without reset it is scanned
-                // again, because a defect the round cleared is a ghost by
-                // now and can pair at the same time.
-                time += 1;
-                if remaining > 0 {
-                    cycles += usize::from(cfg.module_depth);
-                }
-            }
-            if cycles >= max_cycles {
-                cycles = max_cycles;
-                break;
-            }
-        }
-
-        MeshOutcome {
-            cycles,
-            cleared_defects: defects.len() - remaining,
-            completed: remaining == 0,
+        match grids {
+            Grids::W1(g) => decode!(g),
+            Grids::W2(g) => decode!(g),
+            Grids::W4(g) => decode!(g),
+            Grids::W8(g) => decode!(g),
+            Grids::W16(g) => decode!(g),
         }
     }
 
     /// Decodes the given defects, returning the chain, cycle count and the
     /// list of pairings in the order they completed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a defect is not an ancilla of `sector`, or if
+    /// `lattice.distance()` exceeds 31.
     #[must_use]
     pub fn decode_defects_with_pairings(
         &self,
@@ -428,16 +628,19 @@ impl GreedyMeshAlgorithm {
         sector: Sector,
         defects: &[usize],
     ) -> (MeshDecodeResult, Vec<MeshPairing>) {
-        let mut scratch = MeshScratch::default();
-        scratch.defects.extend_from_slice(defects);
-        scratch.defects.sort_unstable();
-        scratch.defects.dedup();
+        let mut prepared = PreparedMesh::build(&self.config, lattice);
+        let mut chain = PauliString::identity(lattice.num_data());
         let mut pairings = Vec::new();
-        let outcome = self.decode_prepared(lattice, sector, &mut scratch, Some(&mut pairings));
-        let mut chain_data_qubits = Vec::new();
-        scratch.for_each_chain_qubit(|q| chain_data_qubits.push(q));
+        let outcome = self.decode_prepared(
+            lattice,
+            sector,
+            Defects::Listed(defects),
+            &mut prepared,
+            &mut chain,
+            Some(&mut pairings),
+        );
         let result = MeshDecodeResult {
-            chain_data_qubits,
+            chain_data_qubits: chain.support(),
             cycles: outcome.cycles,
             cleared_defects: outcome.cleared_defects,
             completed: outcome.completed,
@@ -446,6 +649,10 @@ impl GreedyMeshAlgorithm {
     }
 
     /// Decodes the given defects, returning only the decode result.
+    ///
+    /// # Panics
+    ///
+    /// As [`GreedyMeshAlgorithm::decode_defects_with_pairings`].
     #[must_use]
     pub fn decode_defects(
         &self,

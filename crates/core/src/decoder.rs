@@ -6,10 +6,10 @@
 //! of the paper report.  The cycle counts are the closed-form timings of
 //! Section V-C, not a pulse-by-pulse simulation.
 
-use crate::algorithm::{GreedyMeshAlgorithm, MeshScratch};
+use crate::algorithm::{Defects, GreedyMeshAlgorithm, PreparedMesh};
 use crate::config::{DecoderVariant, MeshConfig};
 use crate::hardware::DecoderModuleHardware;
-use nisqplus_decoders::traits::{sector_correction_pauli, Correction, Decoder};
+use nisqplus_decoders::traits::{Correction, Decoder};
 use nisqplus_qec::lattice::{Lattice, Sector};
 use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::syndrome::Syndrome;
@@ -41,9 +41,10 @@ pub struct SfqMeshDecoder {
     cycle_time_ps: f64,
     last_stats: Option<DecodeStats>,
     name: String,
-    /// The algorithm's working memory, defect list included; sized by
-    /// `prepare`, so a prepared decoder's `decode_into` never allocates.
-    scratch: MeshScratch,
+    /// The algorithm's tables and working memory for the last lattice
+    /// decoded; built by `prepare` (or the first decode on a lattice), so a
+    /// prepared decoder's `decode_into` never allocates.
+    prepared: Option<PreparedMesh>,
 }
 
 impl SfqMeshDecoder {
@@ -69,7 +70,7 @@ impl SfqMeshDecoder {
             cycle_time_ps,
             last_stats: None,
             name: format!("sfq-mesh-{}", variant.label()),
-            scratch: MeshScratch::default(),
+            prepared: None,
         }
     }
 
@@ -104,6 +105,12 @@ impl SfqMeshDecoder {
     pub fn last_stats(&self) -> Option<DecodeStats> {
         self.last_stats
     }
+
+    fn ensure_prepared(&mut self, lattice: &Lattice) {
+        if self.prepared.as_ref().map(PreparedMesh::distance) != Some(lattice.distance()) {
+            self.prepared = Some(PreparedMesh::build(self.algorithm.config(), lattice));
+        }
+    }
 }
 
 impl Decoder for SfqMeshDecoder {
@@ -111,8 +118,11 @@ impl Decoder for SfqMeshDecoder {
         &self.name
     }
 
+    /// # Panics
+    ///
+    /// Panics if `lattice.distance()` exceeds 31.
     fn prepare(&mut self, lattice: &Lattice) {
-        self.scratch.reserve_for(lattice);
+        self.ensure_prepared(lattice);
     }
 
     fn decode(&mut self, lattice: &Lattice, syndrome: &Syndrome, sector: Sector) -> Correction {
@@ -129,16 +139,18 @@ impl Decoder for SfqMeshDecoder {
         out: &mut PauliString,
     ) {
         out.reset_identity(lattice.num_data());
-        let pauli = sector_correction_pauli(sector);
-        let defects = &mut self.scratch.defects;
-        defects.clear();
-        lattice.for_each_defect(syndrome, sector, |a| defects.push(a));
-        let outcome = self
-            .algorithm
-            .decode_prepared(lattice, sector, &mut self.scratch, None);
-        self.scratch.for_each_chain_qubit(|q| out.set(q, pauli));
+        self.ensure_prepared(lattice);
+        let prepared = self.prepared.as_mut().expect("just prepared");
+        let outcome = self.algorithm.decode_prepared(
+            lattice,
+            sector,
+            Defects::Hot(syndrome),
+            prepared,
+            out,
+            None,
+        );
         self.last_stats = Some(DecodeStats {
-            defects: self.scratch.defects.len(),
+            defects: outcome.defects,
             cycles: outcome.cycles,
             time_ns: outcome.cycles as f64 * self.cycle_time_ps * 1e-3,
             completed: outcome.completed,

@@ -1,8 +1,10 @@
 //! The seed-reference oracle of the signal-timing mesh algorithm: the
-//! timetable implementation in `nisqplus_core::algorithm` must reproduce the
-//! per-round re-enumeration it replaced — chain, cycles, cleared defects,
-//! completion *and the list of pairings in completion order* — on every mesh
-//! configuration, and `SfqMeshDecoder`'s entry points must all agree with it.
+//! bitboard walk in `nisqplus_core::algorithm` must reproduce the per-round
+//! re-enumeration of the seed — chain, cycles, cleared defects, completion
+//! *and the list of pairings in completion order* — on every mesh
+//! configuration and on every word count of the sector grid (one word to
+//! d = 7, two at d = 9 and 11, where offsets shift across bit 64, four at
+//! d = 13), and `SfqMeshDecoder`'s entry points must all agree with it.
 
 use nisqplus_core::{DecoderVariant, MeshConfig, SfqMeshDecoder};
 use nisqplus_decoders::traits::sector_correction_pauli;
@@ -12,11 +14,11 @@ use nisqplus_qec::lattice::{Lattice, Sector};
 use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::syndrome::Syndrome;
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// `GreedyMeshAlgorithm::decode_defects_with_pairings` as it stood before the
-/// timetable rewrite, body kept verbatim: `BTreeSet`s for the live defects,
+/// `GreedyMeshAlgorithm::decode_defects_with_pairings` as it stood before its
+/// first rewrite, body kept verbatim: `BTreeSet`s for the live defects,
 /// the ghosts and the chain, and every pairing re-enumerated and re-timed in
 /// every round.
 mod seed_mesh_algorithm {
@@ -197,6 +199,20 @@ mod seed_mesh_algorithm {
 
 const DISTANCES: [usize; 4] = [3, 5, 7, 9];
 const RATES: [f64; 4] = [0.02, 0.05, 0.12, 0.25];
+/// The wider grids: two words whose offsets cross bit 64 (d = 11), and four
+/// words (d = 13).
+const WIDE_DISTANCES: [usize; 2] = [11, 13];
+const WIDE_RATES: [f64; 2] = [0.05, 0.12];
+/// Lattice changes a decoder is carried across after the grid: 5 → 9 → 5,
+/// then 9 → 13 → 5 across three word counts.
+const LATTICE_CHANGES: [(usize, f64); 6] = [
+    (5, 0.12),
+    (9, 0.12),
+    (5, 0.05),
+    (9, 0.12),
+    (13, 0.05),
+    (5, 0.05),
+];
 
 /// Every combination of the three mechanisms: the four named variants and
 /// the four that only `SfqMeshDecoder::with_config` reaches (for one, no
@@ -227,10 +243,11 @@ fn seeded_syndromes(lattice: &Lattice, p: f64, seed: u64, count: usize) -> Vec<S
         .collect()
 }
 
-/// Asserts that `decoder` (built from `config`) and the public algorithm
-/// entry points agree with the seed algorithm on one sector of one syndrome.
+/// Asserts that the public algorithm entry points and every decoder of
+/// `decoders` (each built from `config`) agree with the seed algorithm on one
+/// sector of one syndrome.
 fn assert_matches_seed(
-    decoder: &mut SfqMeshDecoder,
+    decoders: &mut [SfqMeshDecoder],
     buffer: &mut PauliString,
     config: MeshConfig,
     lattice: &Lattice,
@@ -261,50 +278,97 @@ fn assert_matches_seed(
         &expected.chain_data_qubits,
         sector_correction_pauli(sector),
     );
-    let correction = decoder.decode(lattice, syndrome, sector);
-    let stats = decoder.last_stats().unwrap();
-    assert_eq!(correction.pauli_string(), &flips, "{context}");
-    assert_eq!(stats.defects, defects.len(), "{context}");
-    assert_eq!(stats.cycles, expected.cycles, "{context}");
-    assert_eq!(stats.completed, expected.completed, "{context}");
-    decoder.decode_into(lattice, syndrome, sector, buffer);
-    assert_eq!(*buffer, flips, "{context}");
-    assert_eq!(decoder.last_stats().unwrap(), stats, "{context}");
+    for decoder in decoders {
+        let correction = decoder.decode(lattice, syndrome, sector);
+        let stats = decoder.last_stats().unwrap();
+        assert_eq!(correction.pauli_string(), &flips, "{context}");
+        assert_eq!(stats.defects, defects.len(), "{context}");
+        assert_eq!(stats.cycles, expected.cycles, "{context}");
+        assert_eq!(stats.completed, expected.completed, "{context}");
+        decoder.decode_into(lattice, syndrome, sector, buffer);
+        assert_eq!(*buffer, flips, "{context}");
+        assert_eq!(decoder.last_stats().unwrap(), stats, "{context}");
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// One decoder instance per configuration, driven over both sectors of
-    /// consecutive syndromes at every (distance, rate) point and then across
-    /// the lattice changes 5 -> 9 -> 5, once prepared and once not: scratch
-    /// leaking from one decode into the next shows as a difference.
+    /// Two decoder instances per configuration — one prepared at every
+    /// lattice change, one left to prepare itself on its first decode —
+    /// driven over both sectors of consecutive syndromes at every (distance,
+    /// rate) point, then across the lattice changes: tables or scratch
+    /// leaking from one decode or lattice into the next shows as a
+    /// difference.
     #[test]
     fn mesh_algorithm_matches_seed_implementation(seed in any::<u64>()) {
         for config in all_configs() {
-            for prepared in [true, false] {
-                let mut decoder = SfqMeshDecoder::with_config(DecoderVariant::Final, config);
-                let mut buffer = PauliString::default();
-                let legs = DISTANCES
+            let mut decoders =
+                [(); 2].map(|()| SfqMeshDecoder::with_config(DecoderVariant::Final, config));
+            let mut buffer = PauliString::default();
+            let grid = |distances: &'static [usize], rates: &'static [f64]| {
+                distances
                     .iter()
-                    .flat_map(|&d| RATES.iter().map(move |&p| (d, p)))
-                    .chain([(5, 0.12), (9, 0.12), (5, 0.05)]);
-                for (leg, (distance, p)) in legs.enumerate() {
-                    let lattice = Lattice::new(distance).unwrap();
-                    if prepared {
-                        decoder.prepare(&lattice);
-                    }
-                    for syndrome in seeded_syndromes(&lattice, p, seed ^ leg as u64, 4) {
-                        for sector in Sector::ALL {
-                            assert_matches_seed(
-                                &mut decoder, &mut buffer, config, &lattice, &syndrome, sector,
-                            );
-                        }
+                    .flat_map(move |&d| rates.iter().map(move |&p| (d, p)))
+            };
+            let legs = grid(&DISTANCES, &RATES)
+                .chain(grid(&WIDE_DISTANCES, &WIDE_RATES))
+                .chain(LATTICE_CHANGES);
+            for (leg, (distance, p)) in legs.enumerate() {
+                let lattice = Lattice::new(distance).unwrap();
+                decoders[0].prepare(&lattice);
+                for syndrome in seeded_syndromes(&lattice, p, seed ^ leg as u64, 4) {
+                    for sector in Sector::ALL {
+                        assert_matches_seed(
+                            &mut decoders, &mut buffer, config, &lattice, &syndrome, sector,
+                        );
                     }
                 }
             }
         }
     }
+}
+
+/// A few defects anywhere on the wide grids: they pair across the whole
+/// grid, so they reach the offsets that shift by more than two words (up to
+/// 155 bits at d = 13), which the dense legs above pair off before.
+#[test]
+fn sparse_defects_pair_across_words_like_the_seed() {
+    let mut rng = ChaCha8Rng::seed_from_u64(13);
+    for config in all_configs() {
+        let mut decoders = [SfqMeshDecoder::with_config(DecoderVariant::Final, config)];
+        let mut buffer = PauliString::default();
+        for distance in WIDE_DISTANCES {
+            let lattice = Lattice::new(distance).unwrap();
+            for _ in 0..24 {
+                let hot: Vec<usize> = (0..rng.gen_range(2..9))
+                    .map(|_| rng.gen_range(0..lattice.num_ancillas()))
+                    .collect();
+                let syndrome = Syndrome::from_hot(lattice.num_ancillas(), &hot);
+                for sector in Sector::ALL {
+                    assert_matches_seed(
+                        &mut decoders,
+                        &mut buffer,
+                        config,
+                        &lattice,
+                        &syndrome,
+                        sector,
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The mesh takes union-find's word ladder, so its limit too: a sector grid
+/// holds at most 16 words, so `prepare` takes d = 31, refuses d = 33 and
+/// names the limit.
+#[test]
+#[should_panic(expected = "distances up to 31 (16 words per sector grid), not d = 33")]
+fn mesh_prepare_past_the_word_limit_panics() {
+    let mut decoder = SfqMeshDecoder::final_design();
+    decoder.prepare(&Lattice::new(31).unwrap());
+    decoder.prepare(&Lattice::new(33).unwrap());
 }
 
 /// The seed algorithm deduplicates and orders its input (it collects into a

@@ -67,6 +67,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod bits;
 pub mod lookup;
 pub mod matching;
 pub mod traits;

@@ -16,12 +16,13 @@
 //!
 //! A sector is its `rows × cols` ancilla grid (X: `(d − 1) × d`, boundaries top
 //! and bottom; Z: `d × (d − 1)`, left and right) plus two boundary vertices.
-//! Vertex `v` is bit `v` of a `[u64; W]` set, row-major — the order of
-//! [`Lattice::ancillas_in_sector`] — and half- and fully-grown edges are sets
-//! indexed by owning vertex in four classes: right, down, boundary A and B.  A
-//! growth round floods each unclaimed defect's component over full edges
-//! (shifts by 1 and `cols`), keeps it if its defect count is odd and it owns no
-//! full boundary edge, and grows every edge incident to the kept set at once:
+//! Vertex `v` is bit `v` of a [`Bits<W>`](crate::bits::Bits) set, row-major
+//! — the order of [`Lattice::ancillas_in_sector`] — and half- and fully-grown
+//! edges are sets indexed by owning vertex in four classes: right, down,
+//! boundary A and B.  A growth round floods each unclaimed defect's component
+//! over full edges (shifts by 1 and `cols`), keeps it if its defect count is
+//! odd and it owns no full boundary edge, and grows every edge incident to the
+//! kept set at once:
 //! `G = incident & !full; full |= G & half; half ^= G`.  Corrections equal the
 //! seed's: a round's supports do not depend on the order clusters merge in, and
 //! the scalar BFS peel keeps the seed's order (starts: boundary A, B, ancillas
@@ -44,11 +45,11 @@
 //! allocates the table empty and preparing for another distance drops it;
 //! it costs `1024 · (W + 2⌈n/64⌉)` words a sector for `n` data qubits.
 
+use crate::bits::Bits;
 use crate::traits::{sector_correction_pauli, Correction, Decoder};
 use nisqplus_qec::lattice::{Coord, Lattice, Sector};
 use nisqplus_qec::pauli::{Pauli, PauliString};
 use nisqplus_qec::syndrome::Syndrome;
-use std::ops::{BitAnd, BitOr, BitXor, Not};
 
 /// The largest distance whose sector grid, boundary vertices included, fits
 /// in 16 words.
@@ -71,100 +72,18 @@ const DOWN: usize = 1;
 const BOUNDARY_A: usize = 2;
 const BOUNDARY_B: usize = 3;
 
-/// A set of vertices: bit `v % 64` of word `v / 64`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Bits<const W: usize>([u64; W]);
-
-impl<const W: usize> Bits<W> {
-    const EMPTY: Self = Bits([0; W]);
-
-    fn contains(self, v: usize) -> bool {
-        self.0[v / 64] >> (v % 64) & 1 == 1
-    }
-
-    fn toggle(&mut self, v: usize) {
-        self.0[v / 64] ^= 1 << (v % 64);
-    }
-
-    fn is_empty(self) -> bool {
-        self.0.iter().all(|&w| w == 0)
-    }
-
-    fn count_ones(self) -> u32 {
-        self.0.iter().map(|w| w.count_ones()).sum()
-    }
-
-    fn first(self) -> Option<usize> {
-        let w = self.0.iter().position(|&w| w != 0)?;
-        Some(w * 64 + self.0[w].trailing_zeros() as usize)
-    }
-
-    /// This set's memo slot: the top bits of a Fibonacci hash of its words.
-    fn memo_slot(self) -> usize {
-        let hash = self
-            .0
-            .iter()
-            .fold(0u64, |h, &w| (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        (hash >> (64 - MEMO_SLOT_BITS)) as usize
-    }
-
-    /// The members, ascending.
-    fn iter(mut self) -> impl Iterator<Item = usize> {
-        std::iter::from_fn(move || {
-            let v = self.first()?;
-            self.toggle(v);
-            Some(v)
-        })
-    }
-
-    /// `{v + s : v ∈ self}`, for `0 < s < 64`.
-    fn plus(self, s: u32) -> Self {
-        Bits(std::array::from_fn(|w| {
-            let carry = if w > 0 { self.0[w - 1] >> (64 - s) } else { 0 };
-            self.0[w] << s | carry
-        }))
-    }
-
-    /// `{v − s : v ∈ self, v ≥ s}`, for `0 < s < 64`.
-    fn minus(self, s: u32) -> Self {
-        Bits(std::array::from_fn(|w| {
-            let carry = self.0.get(w + 1).map_or(0, |&next| next << (64 - s));
-            self.0[w] >> s | carry
-        }))
-    }
-}
-
-impl<const W: usize> BitAnd for Bits<W> {
-    type Output = Self;
-    fn bitand(self, rhs: Self) -> Self {
-        Bits(std::array::from_fn(|w| self.0[w] & rhs.0[w]))
-    }
-}
-
-impl<const W: usize> BitOr for Bits<W> {
-    type Output = Self;
-    fn bitor(self, rhs: Self) -> Self {
-        Bits(std::array::from_fn(|w| self.0[w] | rhs.0[w]))
-    }
-}
-
-impl<const W: usize> BitXor for Bits<W> {
-    type Output = Self;
-    fn bitxor(self, rhs: Self) -> Self {
-        Bits(std::array::from_fn(|w| self.0[w] ^ rhs.0[w]))
-    }
-}
-
-impl<const W: usize> Not for Bits<W> {
-    type Output = Self;
-    fn not(self) -> Self {
-        Bits(self.0.map(|w| !w))
-    }
+/// A set's memo slot: the top bits of a Fibonacci hash of its words.
+fn memo_slot<const W: usize>(set: Bits<W>) -> usize {
+    let hash = set
+        .0
+        .iter()
+        .fold(0u64, |h, &w| (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    (hash >> (64 - MEMO_SLOT_BITS)) as usize
 }
 
 /// One sector's memo (module docs, "Memo"): each slot holds the last
 /// defect set of at most [`MEMO_MAX_DEFECTS`] defects whose
-/// [`Bits::memo_slot`] it is, and that set's correction.
+/// [`memo_slot`] it is, and that set's correction.
 #[derive(Debug, Clone)]
 struct Memo<const W: usize> {
     /// Each slot's defect set; empty, which no memoised set is, until the
@@ -412,7 +331,7 @@ impl<const W: usize> SectorGrid<W> {
         if defects.is_empty() {
             return;
         }
-        let slot = (defects.count_ones() <= MEMO_MAX_DEFECTS).then(|| defects.memo_slot());
+        let slot = (defects.count_ones() <= MEMO_MAX_DEFECTS).then(|| memo_slot(defects));
         if let Some(slot) = slot {
             if self.memo.keys[slot] == defects {
                 out.copy_from_words(self.memo.correction(slot));

@@ -119,14 +119,24 @@ fn assert_steady_state_decode_is_allocation_free() {
     let lattice = Lattice::new(3).expect("valid distance");
     let mut lookup = LookupDecoder::new(&lattice).expect("d=3 fits the table");
     assert_allocation_free("lookup-table", &mut lookup, 3, 0.06);
-    // The SFQ mesh at the lifetime workload's operating point, and the
-    // baseline variant where pairings with ghosts are frequent.
-    assert_allocation_free("sfq-mesh", &mut SfqMeshDecoder::final_design(), 9, 0.05);
+    // The SFQ mesh at the lifetime workload's operating point and at a
+    // four-word grid, the baseline variant where pairings with ghosts are
+    // frequent, and reset without boundary, which walks the longest range of
+    // completion times.
+    for (distance, p) in [(9, 0.05), (13, 0.15)] {
+        assert_allocation_free("sfq-mesh", &mut SfqMeshDecoder::final_design(), distance, p);
+    }
     assert_allocation_free(
         "mesh-baseline",
         &mut SfqMeshDecoder::new(DecoderVariant::Baseline),
         5,
         0.08,
+    );
+    assert_allocation_free(
+        "mesh-with-reset",
+        &mut SfqMeshDecoder::new(DecoderVariant::WithReset),
+        9,
+        0.05,
     );
 }
 
