@@ -341,7 +341,7 @@ impl<const W: usize> SectorTables<W> {
         let offsets = &self.offsets[slot.offsets.clone()];
         if let Some(u) = lone {
             if pool == live {
-                // Reset: the pool is `u` alone.
+                // The pool is `u` alone (reset, or nothing cleared yet).
                 return self.collect_boundary(slot, live, candidates);
             }
             for &Offset { shift, mask } in offsets {
