@@ -396,14 +396,11 @@ impl<const W: usize> SectorTables<W> {
         let mut cycles = 0usize;
         let mut slot = 0usize;
         while remaining > 0 && cycles < max_cycles {
-            // The earliest time at which a pairing is still possible.  A
-            // lone defect with no boundary and no ghost to pair with has
-            // none, and would otherwise walk every time to find that out.
+            // The earliest time at which a pairing is still possible.
             candidates.clear();
-            let stranded = !config.boundary && remaining == 1 && (config.reset || defects == 1);
             let pool = if config.reset { live } else { live | dead };
             let lone = live.first().filter(|_| remaining == 1);
-            while slot < self.slots.len() && !stranded {
+            while slot < self.slots.len() {
                 self.collect(&self.slots[slot], pool, live, lone, candidates);
                 if !candidates.is_empty() {
                     break;
@@ -481,7 +478,8 @@ impl<const W: usize> SectorTables<W> {
     }
 }
 
-/// Both sectors' tables, `[X, Z]`, at the word count the grid needs.
+/// The sectors' tables, `[X, Z]`, at the word count the grid needs: `None`
+/// for a sector not built.
 #[derive(Debug, Clone)]
 enum Grids {
     W1(SectorPair<1>),
@@ -491,10 +489,18 @@ enum Grids {
     W16(SectorPair<16>),
 }
 
-type SectorPair<const W: usize> = Box<[SectorTables<W>; 2]>;
+type SectorPair<const W: usize> = Box<[Option<SectorTables<W>>; 2]>;
 
-fn sector_pair<const W: usize>(config: &MeshConfig, lattice: &Lattice) -> SectorPair<W> {
-    Box::new(Sector::ALL.map(|sector| SectorTables::build(config, lattice, sector)))
+fn sector_pair<const W: usize>(
+    config: &MeshConfig,
+    lattice: &Lattice,
+    sectors: &[Sector],
+) -> SectorPair<W> {
+    Box::new(Sector::ALL.map(|sector| {
+        sectors
+            .contains(&sector)
+            .then(|| SectorTables::build(config, lattice, sector))
+    }))
 }
 
 /// A mesh configuration's tables for one lattice, and the decode's working
@@ -509,12 +515,12 @@ pub(crate) struct PreparedMesh {
 }
 
 impl PreparedMesh {
-    /// Builds the tables of `config` on `lattice`.
+    /// Builds the tables of `config` on `lattice` for `sectors`.
     ///
     /// # Panics
     ///
     /// Panics if `lattice.distance()` exceeds 31.
-    pub(crate) fn build(config: &MeshConfig, lattice: &Lattice) -> Self {
+    pub(crate) fn build(config: &MeshConfig, lattice: &Lattice, sectors: &[Sector]) -> Self {
         let d = lattice.distance();
         assert!(
             d <= MAX_DISTANCE,
@@ -523,11 +529,11 @@ impl PreparedMesh {
         );
         let n = lattice.ancillas_per_sector();
         let grids = match n.div_ceil(64) {
-            1 => Grids::W1(sector_pair(config, lattice)),
-            2 => Grids::W2(sector_pair(config, lattice)),
-            3..=4 => Grids::W4(sector_pair(config, lattice)),
-            5..=8 => Grids::W8(sector_pair(config, lattice)),
-            _ => Grids::W16(sector_pair(config, lattice)),
+            1 => Grids::W1(sector_pair(config, lattice, sectors)),
+            2 => Grids::W2(sector_pair(config, lattice, sectors)),
+            3..=4 => Grids::W4(sector_pair(config, lattice, sectors)),
+            5..=8 => Grids::W8(sector_pair(config, lattice, sectors)),
+            _ => Grids::W16(sector_pair(config, lattice, sectors)),
         };
         PreparedMesh {
             distance: d,
@@ -555,7 +561,7 @@ impl PreparedMesh {
 /// "Bitboard walk"): a few word operations per grid offset it reaches, and a
 /// sort of the few pairings that complete at each round's time.
 /// [`SfqMeshDecoder`](crate::SfqMeshDecoder) keeps the tables from decode to
-/// decode; the `decode_defects` entry points build them per call.
+/// decode; the `decode_defects` entry points build the decoded sector's per call.
 #[derive(Debug, Clone)]
 pub struct GreedyMeshAlgorithm {
     config: MeshConfig,
@@ -599,7 +605,9 @@ impl GreedyMeshAlgorithm {
         let s = sector.index();
         macro_rules! decode {
             ($tables:expr) => {{
-                let tables = &$tables[s];
+                let tables = $tables[s]
+                    .as_ref()
+                    .expect("the decoded sector's tables are built");
                 let live = tables.live_set(lattice, sector, defects);
                 let flip = |q| out.apply(q, pauli);
                 tables.decode(&self.config, lattice, live, candidates, flip, pairings)
@@ -617,6 +625,10 @@ impl GreedyMeshAlgorithm {
     /// Decodes the given defects, returning the chain, cycle count and the
     /// list of pairings in the order they completed.
     ///
+    /// Every call builds the sector's tables afresh, a few µs at d = 9; a
+    /// loop of decodes belongs on [`SfqMeshDecoder`](crate::SfqMeshDecoder),
+    /// which keeps them.
+    ///
     /// # Panics
     ///
     /// Panics if a defect is not an ancilla of `sector`, or if
@@ -628,7 +640,7 @@ impl GreedyMeshAlgorithm {
         sector: Sector,
         defects: &[usize],
     ) -> (MeshDecodeResult, Vec<MeshPairing>) {
-        let mut prepared = PreparedMesh::build(&self.config, lattice);
+        let mut prepared = PreparedMesh::build(&self.config, lattice, &[sector]);
         let mut chain = PauliString::identity(lattice.num_data());
         let mut pairings = Vec::new();
         let outcome = self.decode_prepared(

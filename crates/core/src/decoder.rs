@@ -108,7 +108,11 @@ impl SfqMeshDecoder {
 
     fn ensure_prepared(&mut self, lattice: &Lattice) {
         if self.prepared.as_ref().map(PreparedMesh::distance) != Some(lattice.distance()) {
-            self.prepared = Some(PreparedMesh::build(self.algorithm.config(), lattice));
+            self.prepared = Some(PreparedMesh::build(
+                self.algorithm.config(),
+                lattice,
+                &Sector::ALL,
+            ));
         }
     }
 }

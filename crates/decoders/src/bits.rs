@@ -16,7 +16,7 @@ use std::ops::{BitAnd, BitOr, BitXor, Not};
 /// A set of grid vertices `0..64·W`: vertex `v` is bit `v % 64` of word
 /// `v / 64`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Bits<const W: usize>(pub [u64; W]);
+pub struct Bits<const W: usize>(pub(crate) [u64; W]);
 
 impl<const W: usize> Bits<W> {
     /// The empty set.
@@ -80,15 +80,8 @@ impl<const W: usize> Bits<W> {
     /// `{v + s : v ∈ self, v + s < 64·W}`, for `s < 64·W`.
     #[must_use]
     pub fn plus(self, s: u32) -> Self {
-        if (1..64).contains(&s) {
-            // Within a word, as every shift union-find makes: the general
-            // path below is exact here too, but this one costs a one-word
-            // set a single shift.
-            return Bits(std::array::from_fn(|w| {
-                let carry = if w > 0 { self.0[w - 1] >> (64 - s) } else { 0 };
-                self.0[w] << s | carry
-            }));
-        }
+        // Word `w` of the result is the top half of the word pair `q` and
+        // `q + 1` words below it, shifted left by `r`.
         let (q, r) = ((s / 64) as usize, s % 64);
         Bits(std::array::from_fn(|w| {
             let high = u128::from(self.word(w.wrapping_sub(q)));
@@ -100,12 +93,6 @@ impl<const W: usize> Bits<W> {
     /// `{v − s : v ∈ self, v ≥ s}`, for `s < 64·W`.
     #[must_use]
     pub fn minus(self, s: u32) -> Self {
-        if (1..64).contains(&s) {
-            return Bits(std::array::from_fn(|w| {
-                let carry = self.0.get(w + 1).map_or(0, |&next| next << (64 - s));
-                self.0[w] >> s | carry
-            }));
-        }
         let (q, r) = ((s / 64) as usize, s % 64);
         Bits(std::array::from_fn(|w| {
             let high = u128::from(self.word(w + q + 1));
