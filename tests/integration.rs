@@ -3,11 +3,14 @@
 
 use nisqplus_core::{DecoderModuleHardware, DecoderVariant, SfqMeshDecoder};
 use nisqplus_decoders::{
-    Decoder, ExactMatchingDecoder, GreedyMatchingDecoder, LookupDecoder, UnionFindDecoder,
+    Decoder, DynDecoder, ExactMatchingDecoder, GreedyMatchingDecoder, LookupDecoder,
+    UnionFindDecoder,
 };
 use nisqplus_qec::error_model::{ErrorModel, PureDephasing};
 use nisqplus_qec::lattice::{Lattice, Sector};
 use nisqplus_qec::logical::{classify_residual, LogicalState};
+use nisqplus_qec::pauli::{Pauli, PauliString};
+use nisqplus_runtime::ThrottledDecoder;
 use nisqplus_sim::monte_carlo::{run_lifetime, run_sfq_lifetime, MonteCarloConfig};
 use nisqplus_sim::timing::CycleTimeConverter;
 use nisqplus_system::backlog::BacklogModel;
@@ -15,34 +18,73 @@ use nisqplus_system::standard_benchmarks;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Every decoder in the workspace corrects the same random low-weight errors.
+/// Every decoder in the workspace, run as a `DynDecoder`, keeps the `Decoder`
+/// contract on the same random errors: `decode_into` resets a stale buffer
+/// of the wrong size, a second decode of a syndrome (a memo hit for
+/// union-find's 1–4-defect sectors) equals the first, `decode` returns the
+/// same flips, and every correction returns the state to the codespace.
 #[test]
 fn all_decoders_handle_the_same_errors() {
-    let lattice = Lattice::new(5).unwrap();
-    let model = PureDephasing::new(0.02).unwrap();
+    // Each decoder with whether it promises to clear every syndrome: the
+    // mesh variants short of the final design can stall with defects left.
+    let decoders_at = |lattice: &Lattice| -> Vec<(DynDecoder, bool)> {
+        let mut decoders: Vec<(DynDecoder, bool)> = vec![
+            (Box::new(ExactMatchingDecoder::new()), true),
+            (Box::new(GreedyMatchingDecoder::new()), true),
+            (Box::new(UnionFindDecoder::new()), true),
+            (
+                Box::new(ThrottledDecoder::new(UnionFindDecoder::new(), 0)),
+                true,
+            ),
+        ];
+        decoders.extend(DecoderVariant::ALL.iter().map(|&v| {
+            let mesh: DynDecoder = Box::new(SfqMeshDecoder::new(v));
+            (mesh, v == DecoderVariant::Final)
+        }));
+        if lattice.distance() == 3 {
+            decoders.push((Box::new(LookupDecoder::new(lattice).unwrap()), true));
+        }
+        decoders
+    };
     let mut rng = ChaCha8Rng::seed_from_u64(123);
-
-    let mut decoders: Vec<Box<dyn Decoder>> = vec![
-        Box::new(SfqMeshDecoder::final_design()),
-        Box::new(ExactMatchingDecoder::new()),
-        Box::new(GreedyMatchingDecoder::new()),
-        Box::new(UnionFindDecoder::new()),
-    ];
-
-    for _ in 0..50 {
-        let error = model.sample(&lattice, &mut rng);
-        let syndrome = lattice.syndrome_of(&error);
-        for decoder in &mut decoders {
-            let correction = decoder.decode(&lattice, &syndrome, Sector::X);
-            let state = classify_residual(&lattice, &error, correction.pauli_string(), Sector::X);
-            assert_ne!(
-                state,
-                LogicalState::InvalidCorrection,
-                "{} produced an invalid correction",
-                decoder.name()
-            );
+    let mut memo_sized = 0;
+    for (distance, p, samples) in [(5, 0.02, 50), (5, 0.1, 50), (3, 0.06, 50)] {
+        let lattice = Lattice::new(distance).unwrap();
+        let model = PureDephasing::new(p).unwrap();
+        let mut decoders = decoders_at(&lattice);
+        assert_eq!(decoders.len(), if distance == 3 { 9 } else { 8 });
+        for _ in 0..samples {
+            let error = model.sample(&lattice, &mut rng);
+            let syndrome = lattice.syndrome_of(&error);
+            for sector in Sector::ALL {
+                let defects = lattice.defects(&syndrome, sector).len();
+                memo_sized += usize::from(distance == 5 && (1..=4).contains(&defects));
+                for (decoder, clears) in &mut decoders {
+                    let name = decoder.name().to_owned();
+                    let mut fresh = PauliString::identity(lattice.num_data());
+                    decoder.decode_into(&lattice, &syndrome, sector, &mut fresh);
+                    let mut stale = PauliString::from_sparse(3, &[0, 1, 2], Pauli::Y);
+                    decoder.decode_into(&lattice, &syndrome, sector, &mut stale);
+                    assert_eq!(stale, fresh, "{name}: stale buffer, d={distance} p={p}");
+                    let correction = decoder.decode(&lattice, &syndrome, sector);
+                    assert_eq!(
+                        correction.pauli_string(),
+                        &fresh,
+                        "{name}: decode vs decode_into, d={distance} p={p}"
+                    );
+                    let state = classify_residual(&lattice, &error, &fresh, sector);
+                    assert!(
+                        !*clears || state != LogicalState::InvalidCorrection,
+                        "{name} produced an invalid correction, d={distance} p={p}"
+                    );
+                }
+            }
         }
     }
+    assert!(
+        memo_sized >= 20,
+        "only {memo_sized} d=5 sector decodes held 1-4 defects"
+    );
 }
 
 /// At d = 3 the lookup table is exact, so no approximate decoder can beat it.
