@@ -9,7 +9,7 @@
 use crate::algorithm::{Defects, GreedyMeshAlgorithm, PreparedMesh};
 use crate::config::{DecoderVariant, MeshConfig};
 use crate::hardware::DecoderModuleHardware;
-use nisqplus_decoders::traits::{Correction, Decoder};
+use nisqplus_decoders::traits::Decoder;
 use nisqplus_qec::lattice::{Lattice, Sector};
 use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::syndrome::Syndrome;
@@ -100,7 +100,8 @@ impl SfqMeshDecoder {
         self.cycle_time_ps
     }
 
-    /// Statistics of the most recent [`Decoder::decode`] call, if any.
+    /// Statistics of the most recent decode ([`Decoder::decode_into`], or
+    /// [`Decoder::decode`], which runs it), if any.
     #[must_use]
     pub fn last_stats(&self) -> Option<DecodeStats> {
         self.last_stats
@@ -127,12 +128,6 @@ impl Decoder for SfqMeshDecoder {
     /// Panics if `lattice.distance()` exceeds 31.
     fn prepare(&mut self, lattice: &Lattice) {
         self.ensure_prepared(lattice);
-    }
-
-    fn decode(&mut self, lattice: &Lattice, syndrome: &Syndrome, sector: Sector) -> Correction {
-        let mut flips = PauliString::default();
-        self.decode_into(lattice, syndrome, sector, &mut flips);
-        Correction::from_pauli_string(flips)
     }
 
     fn decode_into(
@@ -282,26 +277,6 @@ mod tests {
     fn cycle_time_override() {
         let decoder = SfqMeshDecoder::final_design().with_cycle_time_ps(200.0);
         assert_eq!(decoder.cycle_time_ps(), 200.0);
-    }
-
-    #[test]
-    fn decode_into_matches_decode_and_records_stats() {
-        let lat = Lattice::new(5).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(31);
-        let model = PureDephasing::new(0.08).unwrap();
-        let mut decoder = SfqMeshDecoder::final_design();
-        decoder.prepare(&lat);
-        let mut buf = PauliString::identity(lat.num_data());
-        for _ in 0..50 {
-            let error = model.sample(&lat, &mut rng);
-            let syndrome = lat.syndrome_of(&error);
-            let via_decode = decoder.decode(&lat, &syndrome, Sector::X);
-            let stats_decode = decoder.last_stats().unwrap();
-            decoder.decode_into(&lat, &syndrome, Sector::X, &mut buf);
-            let stats_into = decoder.last_stats().unwrap();
-            assert_eq!(&buf, via_decode.pauli_string());
-            assert_eq!(stats_decode, stats_into);
-        }
     }
 
     /// Compile-time assertion: the SFQ mesh decoder is `Send + Sync`, so the

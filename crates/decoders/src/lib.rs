@@ -21,20 +21,23 @@
 //! decoder in the `nisqplus-core` crate, so that every experiment can swap
 //! decoders freely.
 //!
-//! # The amortized hot path
+//! # One decode path
 //!
 //! The trait splits decoding into a one-off preparation and a steady-state
-//! loop:
+//! loop, and a decoder writes its decode exactly once:
 //!
 //! * [`Decoder::prepare`] precomputes lattice-keyed state (sector graphs,
 //!   flat index maps, edge templates) and sizes scratch arenas.  It is
 //!   idempotent, optional (the first decode on an unseen lattice prepares
 //!   lazily), and preparing for a new lattice replaces the old state.
-//! * [`Decoder::decode_into`] overwrites a caller-owned
-//!   [`PauliString`](nisqplus_qec::pauli::PauliString); for the prepared
-//!   decoders in this crate the steady-state loop performs **zero** heap
-//!   allocations (guarded by a counting global allocator in
+//! * [`Decoder::decode_into`] is the one required decode method: it
+//!   overwrites a caller-owned
+//!   [`PauliString`](nisqplus_qec::pauli::PauliString), and for the
+//!   prepared decoders in the workspace the steady-state loop performs
+//!   **zero** heap allocations (guarded by a counting global allocator in
 //!   `tests/allocation_free.rs`).
+//! * [`Decoder::decode`] is provided: the same code behind a fresh buffer,
+//!   returned as a [`Correction`].  No decoder overrides it.
 //! * A decoder's output depends only on (lattice, syndrome, sector); state
 //!   kept between calls (hence `&mut self`) may be scratch or a memo of that
 //!   function — which is what lets the streaming runtime interleave many

@@ -13,7 +13,7 @@
 //! stored correction `Vec` on every decode — and each ancilla's key bit is
 //! precomputed per sector, so [`Decoder::decode_into`] is allocation-free.
 
-use crate::traits::{sector_correction_pauli, Correction, Decoder};
+use crate::traits::{sector_correction_pauli, Decoder};
 use nisqplus_qec::error::QecError;
 use nisqplus_qec::lattice::{Lattice, Sector};
 use nisqplus_qec::pauli::PauliString;
@@ -157,15 +157,15 @@ impl Decoder for LookupDecoder {
         "lookup-table"
     }
 
+    /// Tables are built at construction; preparing for a different lattice
+    /// rebuilds them, honouring the trait contract that prepared state for a
+    /// new lattice replaces the old.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the new lattice exceeds [`LookupDecoder::MAX_TABLE_BITS`]
+    /// ancillas per sector — exhaustive tables for it cannot exist at all.
     fn prepare(&mut self, lattice: &Lattice) {
-        // Tables are built at construction; preparing for a different
-        // lattice rebuilds them, honouring the trait contract that prepared
-        // state for a new lattice replaces the old.
-        //
-        // # Panics
-        //
-        // Panics if the new lattice exceeds [`Self::MAX_TABLE_BITS`] ancillas
-        // per sector — exhaustive tables for it cannot exist at all.
         if lattice.distance() != self.distance {
             *self = LookupDecoder::new(lattice).unwrap_or_else(|_| {
                 panic!(
@@ -176,12 +176,6 @@ impl Decoder for LookupDecoder {
                 )
             });
         }
-    }
-
-    fn decode(&mut self, lattice: &Lattice, syndrome: &Syndrome, sector: Sector) -> Correction {
-        let support = self.correction_support(lattice, syndrome, sector);
-        let pauli = sector_correction_pauli(sector);
-        Correction::from_pauli_string(PauliString::from_sparse(lattice.num_data(), support, pauli))
     }
 
     fn decode_into(
@@ -252,25 +246,10 @@ mod tests {
             let correction = decoder.decode(&lat, &syndrome, Sector::X);
             let state = classify_residual(&lat, &error, correction.pauli_string(), Sector::X);
             assert_ne!(state, LogicalState::InvalidCorrection);
-        }
-    }
-
-    #[test]
-    fn decode_into_matches_decode_without_cloning() {
-        let lat = Lattice::new(3).unwrap();
-        let mut decoder = LookupDecoder::new(&lat).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let model = PureDephasing::new(0.2).unwrap();
-        let mut buf = PauliString::identity(lat.num_data());
-        for _ in 0..100 {
-            let error = model.sample(&lat, &mut rng);
-            let syndrome = lat.syndrome_of(&error);
-            let via_decode = decoder.decode(&lat, &syndrome, Sector::X);
-            decoder.decode_into(&lat, &syndrome, Sector::X, &mut buf);
-            assert_eq!(&buf, via_decode.pauli_string());
-            // The borrowed-slice accessor agrees with the correction weight.
+            // The table's support lists each qubit once, so the borrowed
+            // slice is exactly the correction's support.
             let support = decoder.correction_support(&lat, &syndrome, Sector::X);
-            assert_eq!(support.len(), via_decode.weight());
+            assert_eq!(support.len(), correction.weight());
         }
     }
 

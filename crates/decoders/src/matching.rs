@@ -18,9 +18,7 @@
 //!   defect counts arising at the code distances studied (d ≤ 11).  It plays
 //!   the role of the software MWPM baseline [Fowler et al.].
 
-use crate::traits::{
-    sector_correction_pauli, sorted_defect_edges, Correction, Decoder, MatchPair, Matching,
-};
+use crate::traits::{sector_correction_pauli, sorted_defect_edges, Decoder, MatchPair, Matching};
 use nisqplus_qec::lattice::{Lattice, Sector};
 use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::syndrome::Syndrome;
@@ -120,12 +118,6 @@ impl Decoder for GreedyMatchingDecoder {
 
     fn prepare(&mut self, lattice: &Lattice) {
         self.scratch.reserve_for(lattice);
-    }
-
-    fn decode(&mut self, lattice: &Lattice, syndrome: &Syndrome, sector: Sector) -> Correction {
-        let defects = lattice.defects(syndrome, sector);
-        self.match_defects(lattice, &defects)
-            .to_correction(lattice, sector)
     }
 
     /// The amortized greedy decode: identical matching decisions to
@@ -320,10 +312,17 @@ impl Decoder for ExactMatchingDecoder {
         self.greedy.prepare(lattice);
     }
 
-    fn decode(&mut self, lattice: &Lattice, syndrome: &Syndrome, sector: Sector) -> Correction {
+    fn decode_into(
+        &mut self,
+        lattice: &Lattice,
+        syndrome: &Syndrome,
+        sector: Sector,
+        out: &mut PauliString,
+    ) {
+        out.reset_identity(lattice.num_data());
         let defects = lattice.defects(syndrome, sector);
         self.match_defects(lattice, &defects)
-            .to_correction(lattice, sector)
+            .apply_to(lattice, sector, out);
     }
 }
 
@@ -520,9 +519,13 @@ mod tests {
         let error = PauliString::from_sparse(lat.num_data(), &[q], Pauli::Y);
         let syndrome = lat.syndrome_of(&error);
         let mut decoder = ExactMatchingDecoder::new();
-        let correction = decoder.decode_both(&lat, &syndrome);
+        let mut correction = PauliString::identity(lat.num_data());
+        let mut z_part = PauliString::identity(lat.num_data());
+        decoder.decode_into(&lat, &syndrome, Sector::X, &mut correction);
+        decoder.decode_into(&lat, &syndrome, Sector::Z, &mut z_part);
+        correction.compose_with(&z_part);
         let (x_state, z_state) =
-            nisqplus_qec::logical::classify_both_sectors(&lat, &error, correction.pauli_string());
+            nisqplus_qec::logical::classify_both_sectors(&lat, &error, &correction);
         assert_eq!(x_state, LogicalState::Success);
         assert_eq!(z_state, LogicalState::Success);
     }

@@ -2,9 +2,11 @@
 //!
 //! Every decoder in the workspace — the software baselines in this crate and
 //! the SFQ mesh decoder in `nisqplus-core` — consumes a syndrome for one
-//! stabilizer sector and produces a [`Correction`].  Decoders that work by
-//! pairing defects also report the [`Matching`] they chose, which the
-//! analysis code uses to study approximation quality.
+//! stabilizer sector and writes the correction into a caller-owned
+//! [`PauliString`] ([`Decoder::decode_into`]); [`Decoder::decode`] is the
+//! same code behind a fresh buffer, returned as a [`Correction`].  A
+//! [`Matching`] is a pairing of defects that the matching decoders and the
+//! analysis code build and toggle into a correction buffer.
 
 use nisqplus_qec::lattice::{Lattice, Sector};
 use nisqplus_qec::pauli::{Pauli, PauliString};
@@ -108,26 +110,22 @@ impl Matching {
         seen == expected
     }
 
-    /// Converts the matching into a physical correction for the given sector.
+    /// Toggles the matching's correction chains into `out` for the given
+    /// sector, on top of whatever `out` already holds.
     ///
     /// X-sector matchings correct Z errors (and vice versa), so the chain data
     /// qubits receive `Z` flips in the X sector and `X` flips in the Z sector.
-    #[must_use]
-    pub fn to_correction(&self, lattice: &Lattice, sector: Sector) -> Correction {
+    pub fn apply_to(&self, lattice: &Lattice, sector: Sector, out: &mut PauliString) {
         let pauli = sector_correction_pauli(sector);
-        let mut flips = PauliString::identity(lattice.num_data());
         for pair in &self.pairs {
-            let path = match *pair {
-                MatchPair::Defects(a, b) => lattice.correction_path(a, b),
-                MatchPair::ToBoundary(a) => lattice.boundary_path(a),
-            };
-            for q in path {
-                flips.apply(q, pauli);
+            match *pair {
+                MatchPair::Defects(a, b) => {
+                    lattice.for_each_correction_path_qubit(a, b, |q| out.apply(q, pauli));
+                }
+                MatchPair::ToBoundary(a) => {
+                    lattice.for_each_boundary_path_qubit(a, |q| out.apply(q, pauli));
+                }
             }
-        }
-        Correction {
-            flips,
-            matching: Some(self.clone()),
         }
     }
 }
@@ -152,42 +150,23 @@ pub fn sector_correction_pauli(sector: Sector) -> Pauli {
     }
 }
 
-/// A decoder's output: the physical correction plus optional pairing metadata.
+/// A decoder's output: the Pauli flips that correct one sector.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Correction {
     flips: PauliString,
-    matching: Option<Matching>,
 }
 
 impl Correction {
     /// Creates a correction directly from a Pauli string.
     #[must_use]
     pub fn from_pauli_string(flips: PauliString) -> Self {
-        Correction {
-            flips,
-            matching: None,
-        }
-    }
-
-    /// Creates an identity (do-nothing) correction on `num_data` qubits.
-    #[must_use]
-    pub fn identity(num_data: usize) -> Self {
-        Correction {
-            flips: PauliString::identity(num_data),
-            matching: None,
-        }
+        Correction { flips }
     }
 
     /// The Pauli flips to apply to the data qubits.
     #[must_use]
     pub fn pauli_string(&self) -> &PauliString {
         &self.flips
-    }
-
-    /// The defect pairing that produced the correction, when available.
-    #[must_use]
-    pub fn matching(&self) -> Option<&Matching> {
-        self.matching.as_ref()
     }
 
     /// The number of data qubits flipped by the correction.
@@ -200,16 +179,6 @@ impl Correction {
     #[must_use]
     pub fn into_pauli_string(self) -> PauliString {
         self.flips
-    }
-
-    /// Composes another correction into this one (e.g. X-sector then Z-sector).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the corrections act on different numbers of qubits.
-    pub fn compose_with(&mut self, other: &Correction) {
-        self.flips.compose_with(&other.flips);
-        self.matching = None;
     }
 }
 
@@ -241,7 +210,7 @@ pub trait Decoder: Send {
     /// hot path — ideally without any heap allocation.
     ///
     /// Calling `prepare` is optional: decoders that cache prepared state also
-    /// build it lazily on the first `decode` call for an unseen lattice.  It
+    /// build it lazily on the first decode of an unseen lattice.  It
     /// is idempotent, and preparing for a new lattice replaces the state for
     /// the old one.  The default implementation is a no-op for decoders with
     /// nothing to precompute.
@@ -249,37 +218,28 @@ pub trait Decoder: Send {
         let _ = lattice;
     }
 
-    /// Decodes one sector's syndrome into a correction.
-    fn decode(&mut self, lattice: &Lattice, syndrome: &Syndrome, sector: Sector) -> Correction;
-
     /// Decodes one sector's syndrome, overwriting `out` with the correction's
-    /// Pauli flips (any previous contents of `out` are discarded).
+    /// Pauli flips (any previous contents of `out`, whatever its size, are
+    /// discarded).
     ///
-    /// This is the amortized hot-path entry point: a caller that holds one
-    /// `PauliString` buffer per sector can decode round after round without
-    /// allocating, provided the decoder overrides this method (the fast
-    /// decoders in this crate do).  Unlike [`Decoder::decode`], no
-    /// [`Matching`] metadata is produced.
-    ///
-    /// The default implementation delegates to `decode` and copies the
-    /// result, which is correct for every decoder but not allocation-free.
+    /// This is the one decode method a decoder writes.  A caller that holds
+    /// one `PauliString` buffer per sector can decode round after round
+    /// without allocating: the prepared decoders in the workspace do not
+    /// allocate here in steady state.
     fn decode_into(
         &mut self,
         lattice: &Lattice,
         syndrome: &Syndrome,
         sector: Sector,
         out: &mut PauliString,
-    ) {
-        let correction = self.decode(lattice, syndrome, sector);
-        out.clone_from(correction.pauli_string());
-    }
+    );
 
-    /// Decodes both sectors and composes the two corrections.
-    fn decode_both(&mut self, lattice: &Lattice, syndrome: &Syndrome) -> Correction {
-        let mut correction = self.decode(lattice, syndrome, Sector::X);
-        let z_part = self.decode(lattice, syndrome, Sector::Z);
-        correction.compose_with(&z_part);
-        correction
+    /// Decodes one sector's syndrome into a fresh [`Correction`]:
+    /// [`Decoder::decode_into`] behind a newly allocated buffer.
+    fn decode(&mut self, lattice: &Lattice, syndrome: &Syndrome, sector: Sector) -> Correction {
+        let mut flips = PauliString::identity(lattice.num_data());
+        self.decode_into(lattice, syndrome, sector, &mut flips);
+        Correction::from_pauli_string(flips)
     }
 }
 
@@ -292,10 +252,6 @@ impl<D: Decoder + ?Sized> Decoder for Box<D> {
         (**self).prepare(lattice);
     }
 
-    fn decode(&mut self, lattice: &Lattice, syndrome: &Syndrome, sector: Sector) -> Correction {
-        (**self).decode(lattice, syndrome, sector)
-    }
-
     fn decode_into(
         &mut self,
         lattice: &Lattice,
@@ -305,18 +261,14 @@ impl<D: Decoder + ?Sized> Decoder for Box<D> {
     ) {
         (**self).decode_into(lattice, syndrome, sector, out);
     }
-
-    fn decode_both(&mut self, lattice: &Lattice, syndrome: &Syndrome) -> Correction {
-        (**self).decode_both(lattice, syndrome)
-    }
 }
 
 /// A boxed decoder, movable across worker threads.
 ///
-/// `Box<dyn Decoder>` itself implements [`Decoder`] (forwarding every
-/// method), so wrappers generic over a `D: Decoder` — e.g. a throttling or
-/// logging adapter — can wrap the product of any [`DecoderFactory`] without
-/// knowing the concrete decoder type.
+/// `Box<dyn Decoder>` itself implements [`Decoder`] (forwarding `name`,
+/// `prepare` and `decode_into`), so wrappers generic over a `D: Decoder` —
+/// e.g. a throttling or logging adapter — can wrap the product of any
+/// [`DecoderFactory`] without knowing the concrete decoder type.
 pub type DynDecoder = Box<dyn Decoder>;
 
 /// A thread-shareable factory producing fresh decoder instances.
@@ -415,32 +367,24 @@ mod tests {
         let xs: Vec<usize> = lat.ancillas_in_sector(Sector::X).collect();
         let (a, b) = (xs[2], xs[7]);
         let m = Matching::from_pairs(vec![MatchPair::Defects(a, b)]);
-        let correction = m.to_correction(&lat, Sector::X);
-        let syndrome = lat.syndrome_of(correction.pauli_string());
+        let mut flips = PauliString::identity(lat.num_data());
+        m.apply_to(&lat, Sector::X, &mut flips);
+        let syndrome = lat.syndrome_of(&flips);
         let mut defects = lat.defects(&syndrome, Sector::X);
         defects.sort_unstable();
         let mut expected = vec![a, b];
         expected.sort_unstable();
         assert_eq!(defects, expected);
-        assert_eq!(correction.weight(), lat.ancilla_distance(a, b));
-        assert!(correction.matching().is_some());
+        assert_eq!(flips.weight(), lat.ancilla_distance(a, b));
+        // Applying the same chains again toggles them back out.
+        m.apply_to(&lat, Sector::X, &mut flips);
+        assert!(flips.is_identity());
     }
 
     #[test]
     fn sector_correction_paulis() {
         assert_eq!(sector_correction_pauli(Sector::X), Pauli::Z);
         assert_eq!(sector_correction_pauli(Sector::Z), Pauli::X);
-    }
-
-    #[test]
-    fn correction_composition() {
-        let mut a = Correction::from_pauli_string(PauliString::from_sparse(4, &[0], Pauli::Z));
-        let b = Correction::from_pauli_string(PauliString::from_sparse(4, &[0, 1], Pauli::X));
-        a.compose_with(&b);
-        assert_eq!(a.weight(), 2);
-        assert_eq!(a.pauli_string()[0], Pauli::Y);
-        assert!(a.matching().is_none());
-        assert_eq!(a.to_string(), "correction of weight 2");
     }
 
     #[test]
@@ -457,9 +401,10 @@ mod tests {
 
     #[test]
     fn identity_correction_has_zero_weight() {
-        let c = Correction::identity(10);
+        let c = Correction::from_pauli_string(PauliString::identity(10));
         assert_eq!(c.weight(), 0);
         assert_eq!(c.pauli_string().len(), 10);
+        assert_eq!(c.to_string(), "correction of weight 0");
     }
 
     /// Compile-time assertion: every decoder in this crate is `Send + Sync`,
@@ -497,10 +442,6 @@ mod tests {
         boxed.decode_into(&lat, &syndrome, Sector::X, &mut from_box);
         plain.decode_into(&lat, &syndrome, Sector::X, &mut from_plain);
         assert_eq!(from_box, from_plain);
-        assert_eq!(
-            boxed.decode_both(&lat, &syndrome),
-            plain.decode_both(&lat, &syndrome)
-        );
     }
 
     #[test]

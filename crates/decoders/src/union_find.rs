@@ -46,7 +46,7 @@
 //! it costs `1024 · (W + 2⌈n/64⌉)` words a sector for `n` data qubits.
 
 use crate::bits::Bits;
-use crate::traits::{sector_correction_pauli, Correction, Decoder};
+use crate::traits::{sector_correction_pauli, Decoder};
 use nisqplus_qec::lattice::{Coord, Lattice, Sector};
 use nisqplus_qec::pauli::{Pauli, PauliString};
 use nisqplus_qec::syndrome::Syndrome;
@@ -452,12 +452,6 @@ impl Decoder for UnionFindDecoder {
         let _ = self.ensure_prepared(lattice);
     }
 
-    fn decode(&mut self, lattice: &Lattice, syndrome: &Syndrome, sector: Sector) -> Correction {
-        let mut flips = PauliString::identity(lattice.num_data());
-        self.decode_into(lattice, syndrome, sector, &mut flips);
-        Correction::from_pauli_string(flips)
-    }
-
     fn decode_into(
         &mut self,
         lattice: &Lattice,
@@ -625,37 +619,6 @@ mod tests {
             }
         }
     }
-    #[test]
-    fn decode_into_matches_decode_and_overwrites_stale_contents() {
-        let mut rng = ChaCha8Rng::seed_from_u64(41);
-        let lat = Lattice::new(7).unwrap();
-        let mut decoder = UnionFindDecoder::new();
-        decoder.prepare(&lat);
-        let mut memoised = 0;
-        for p in [0.02, 0.1] {
-            let model = PureDephasing::new(p).unwrap();
-            for _ in 0..40 {
-                let error = model.sample(&lat, &mut rng);
-                let syndrome = lat.syndrome_of(&error);
-                let via_decode = decoder.decode(&lat, &syndrome, Sector::X);
-                let defects = lat.defects(&syndrome, Sector::X).len();
-                memoised += usize::from((1..=4).contains(&defects));
-                // Both decodes of a set of 1–4 defects are memo hits: a hit
-                // must reset a deliberately stale, wrongly-sized buffer
-                // exactly as a miss does.
-                for _ in 0..2 {
-                    let mut buf = PauliString::from_sparse(3, &[0, 1, 2], Pauli::Y);
-                    decoder.decode_into(&lat, &syndrome, Sector::X, &mut buf);
-                    assert_eq!(&buf, via_decode.pauli_string(), "p={p}");
-                }
-            }
-        }
-        assert!(
-            memoised >= 20,
-            "only {memoised} of 80 syndromes hit the memo"
-        );
-    }
-
     #[test]
     fn boundary_errors_are_matched_to_boundary() {
         let lat = Lattice::new(5).unwrap();

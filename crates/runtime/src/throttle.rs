@@ -11,13 +11,14 @@
 //! use it to overload chosen seams of the graph on demand.
 
 use crate::stage::pause;
-use nisqplus_decoders::traits::{Correction, Decoder, DynDecoder, SharedDecoderFactory};
+use nisqplus_decoders::traits::{Decoder, DynDecoder, SharedDecoderFactory};
 use nisqplus_qec::lattice::{Lattice, Sector};
+use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::syndrome::Syndrome;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A [`Decoder`] whose every `decode` call takes at least a fixed time —
+/// A [`Decoder`] whose every decode takes at least a fixed time —
 /// for every lattice, or only for lattices of one code distance
 /// ([`ThrottledDecoder::for_distance`]), which is how the multi-lattice
 /// telemetry tests slow down a single patch of a machine.
@@ -137,24 +138,13 @@ impl<D: Decoder> Decoder for ThrottledDecoder<D> {
         self.inner.prepare(lattice);
     }
 
-    fn decode(&mut self, lattice: &Lattice, syndrome: &Syndrome, sector: Sector) -> Correction {
-        let start = Instant::now();
-        let correction = self.inner.decode(lattice, syndrome, sector);
-        if self.throttles(lattice) {
-            self.spin_out(start);
-        }
-        correction
-    }
-
     fn decode_into(
         &mut self,
         lattice: &Lattice,
         syndrome: &Syndrome,
         sector: Sector,
-        out: &mut nisqplus_qec::pauli::PauliString,
+        out: &mut PauliString,
     ) {
-        // The amortized hot path pays the same floor: throttling models a
-        // slow decode, which batching must not be able to skip.
         let start = Instant::now();
         self.inner.decode_into(lattice, syndrome, sector, out);
         if self.throttles(lattice) {
@@ -167,7 +157,7 @@ impl<D: Decoder> Decoder for ThrottledDecoder<D> {
 mod tests {
     use super::*;
     use nisqplus_decoders::GreedyMatchingDecoder;
-    use nisqplus_qec::pauli::{Pauli, PauliString};
+    use nisqplus_qec::pauli::Pauli;
 
     #[test]
     fn throttling_slows_but_does_not_change_corrections() {

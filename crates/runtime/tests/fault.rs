@@ -14,9 +14,10 @@
 //!   byte-identical merged Pauli frames and per-round corrections to the
 //!   same run without the crash.  Recovery is exact, not best-effort.
 
-use nisqplus_decoders::{Correction, Decoder, DynDecoder, GreedyMatchingDecoder};
+use nisqplus_decoders::{Decoder, DynDecoder, GreedyMatchingDecoder};
 use nisqplus_qec::error_model::BurstEvent;
 use nisqplus_qec::lattice::{Lattice, Sector};
+use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::syndrome::Syndrome;
 use nisqplus_runtime::fault::silence_injected_crash_panics;
 use nisqplus_runtime::report::parse;
@@ -205,11 +206,17 @@ impl Decoder for PanicsOnThirdDecode {
         "panics-on-third-decode"
     }
 
-    fn decode(&mut self, lattice: &Lattice, syndrome: &Syndrome, sector: Sector) -> Correction {
+    fn decode_into(
+        &mut self,
+        lattice: &Lattice,
+        syndrome: &Syndrome,
+        sector: Sector,
+        out: &mut PauliString,
+    ) {
         if self.decodes.fetch_add(1, Ordering::Relaxed) == 2 {
             panic!("decoder bug on the third decode");
         }
-        self.inner.decode(lattice, syndrome, sector)
+        self.inner.decode_into(lattice, syndrome, sector, out);
     }
 }
 

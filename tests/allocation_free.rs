@@ -11,7 +11,9 @@
 //! libtest's.  Any guard that fails panics, which fails `cargo test`.
 
 use nisqplus_core::{DecoderVariant, SfqMeshDecoder};
-use nisqplus_decoders::{Decoder, GreedyMatchingDecoder, LookupDecoder, UnionFindDecoder};
+use nisqplus_decoders::{
+    Decoder, DynDecoder, GreedyMatchingDecoder, LookupDecoder, UnionFindDecoder,
+};
 use nisqplus_qec::error_model::{ErrorModel, PureDephasing};
 use nisqplus_qec::lattice::{Lattice, Sector};
 use nisqplus_qec::pauli::PauliString;
@@ -19,7 +21,7 @@ use nisqplus_qec::syndrome::Syndrome;
 use nisqplus_runtime::{
     EventJournal, EventKind, EventSeverity, FaultInjector, InterleavedSource, LatticeSet,
     LatticeSpec, LocalHistogram, MachineConfig, PacketCodec, RuntimeConfig, SourcedRound,
-    StreamingEngine, SyndromePacket,
+    StreamingEngine, SyndromePacket, ThrottledDecoder,
 };
 use nisqplus_sim::timing::CycleTimeConverter;
 use nisqplus_sim::{run_sfq_lifetime, MonteCarloConfig};
@@ -110,6 +112,16 @@ fn assert_steady_state_decode_is_allocation_free() {
     for (distance, p) in [(5, 0.03), (9, 0.06), (9, 0.15), (13, 0.15)] {
         assert_allocation_free("union-find", &mut UnionFindDecoder::new(), distance, p);
     }
+    // The shape the runtime worker calls: a `DynDecoder` through the box's
+    // forwarding impl, and a zero-floor throttle around union-find.
+    let mut boxed: DynDecoder = Box::new(UnionFindDecoder::new());
+    assert_allocation_free("boxed-union-find", &mut boxed, 5, 0.03);
+    assert_allocation_free(
+        "throttled-uf",
+        &mut ThrottledDecoder::new(UnionFindDecoder::new(), 0),
+        5,
+        0.03,
+    );
     assert_allocation_free(
         "greedy-matching",
         &mut GreedyMatchingDecoder::new(),
