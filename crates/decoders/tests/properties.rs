@@ -325,24 +325,38 @@ fn seed_union_find_correction(
     expected
 }
 
+/// Every subset of `0..n` with at most `max` members, smallest first.
+fn subsets_up_to(n: usize, max: usize) -> Vec<Vec<usize>> {
+    let mut all = vec![Vec::new()];
+    let mut frontier = vec![Vec::new()];
+    for _ in 0..max {
+        frontier = frontier
+            .iter()
+            .flat_map(|set: &Vec<usize>| {
+                let from = set.last().map_or(0, |&last| last + 1);
+                (from..n).map(move |i| [set.as_slice(), &[i]].concat())
+            })
+            .collect();
+        all.extend(frontier.iter().cloned());
+    }
+    all
+}
+
 /// Seed parity exhaustively where it is affordable: every X- and Z-sector
 /// pattern at d = 3, and every pattern of at most three defects per sector
-/// at d = 5, each decoded again once the memo is full.
+/// at d = 5 and d = 7, each decoded again once the memo is full.
 #[test]
 fn union_find_matches_seed_on_every_small_pattern() {
-    for (d, max_defects, expected_patterns) in [(3, 6, 64), (5, 3, 1351)] {
+    for (d, max_defects, expected_patterns) in [(3, 6, 64), (5, 3, 1351), (7, 3, 12_384)] {
         let lattice = Lattice::new(d).unwrap();
         let mut decoder = UnionFindDecoder::new();
         let mut buf = PauliString::identity(lattice.num_data());
         for sector in Sector::ALL {
             let ancillas: Vec<usize> = lattice.ancillas_in_sector(sector).collect();
-            let cases: Vec<_> = (0u32..1 << ancillas.len())
-                .filter(|m| m.count_ones() <= max_defects)
-                .map(|mask| {
-                    let hot: Vec<usize> = (0..ancillas.len())
-                        .filter(|i| mask >> i & 1 == 1)
-                        .map(|i| ancillas[i])
-                        .collect();
+            let cases: Vec<_> = subsets_up_to(ancillas.len(), max_defects)
+                .into_iter()
+                .map(|members| {
+                    let hot: Vec<usize> = members.into_iter().map(|i| ancillas[i]).collect();
                     let syndrome = Syndrome::from_hot(lattice.num_ancillas(), &hot);
                     let expected = seed_union_find_correction(&lattice, &syndrome, sector);
                     (hot, syndrome, expected)
@@ -351,8 +365,8 @@ fn union_find_matches_seed_on_every_small_pattern() {
             assert_eq!(cases.len(), expected_patterns, "d={d} sector={sector}");
             // A first pass fills union-find's memo; the second decodes every
             // pattern twice in a row.  Of a 1–4-defect pattern the first of
-            // those hits unless a later pattern evicted it (at d = 5 the
-            // 1,350 such patterns outnumber the 1,024 slots), and the second
+            // those hits unless a later pattern evicted it (at d = 5 and
+            // d = 7 the patterns outnumber the 1,024 slots), and the second
             // hits the slot that decode left.
             for (pass, repeats) in [(1, 1), (2, 2)] {
                 for (hot, syndrome, expected) in &cases {
@@ -363,6 +377,61 @@ fn union_find_matches_seed_on_every_small_pattern() {
                             "pass {pass} d={d} sector={sector} hot={hot:?}"
                         );
                     }
+                }
+            }
+        }
+    }
+}
+
+/// Pinned peel shapes, each equal to the seed in both sectors at one, two
+/// and four words per sector grid (d = 5, 9, 13).  Defects are placed by
+/// `(depth, lateral)`: depth `0..d − 1` runs from boundary A to boundary B
+/// (X: rows, top to bottom; Z: columns, left to right) and lateral `0..d`
+/// across it.  Each shape is decoded twice, so a memoisable one is also
+/// answered from the memo.
+#[test]
+fn union_find_matches_seed_on_pinned_tree_shapes() {
+    for d in [5, 9, 13] {
+        let lattice = Lattice::new(d).unwrap();
+        let (last, mid) = (d - 2, (d - 1) / 2);
+        // A column of defects at every depth plus one beside its second:
+        // after one round it is one odd cluster, and in the second it
+        // grows its boundary A and B edges full at once.  A lone defect on
+        // the last depth, far across, grounds on B alone; the spanning
+        // cluster's tree reaches B and takes it in.
+        let mut spanning: Vec<(usize, usize)> = (0..=last).map(|depth| (depth, 0)).collect();
+        spanning.extend([(1, 1), (last, d - 1)]);
+        // Two defects two apart grow into one even cluster of two
+        // crosses, away from both boundaries, rooted at a cross's arm.
+        let arm_root = vec![(mid - 1, mid - 1), (mid - 1, mid + 1)];
+        // Three defects two apart make one odd cluster that grows two
+        // more rounds until it grounds; its tree holds every defect two
+        // steps below the boundary and goes on past them.
+        let past_last = vec![(last - 1, mid - 2), (last - 1, mid), (last - 1, mid + 2)];
+        for (shape, placed) in [
+            ("spanning A and B beside a B-only cluster", spanning),
+            ("root without a defect", arm_root),
+            ("tree past its last defect", past_last),
+        ] {
+            for sector in Sector::ALL {
+                let ancillas: Vec<usize> = lattice.ancillas_in_sector(sector).collect();
+                let hot: Vec<usize> = placed
+                    .iter()
+                    .map(|&(depth, lateral)| match sector {
+                        Sector::X => ancillas[depth * d + lateral],
+                        Sector::Z => ancillas[lateral * (d - 1) + depth],
+                    })
+                    .collect();
+                let syndrome = Syndrome::from_hot(lattice.num_ancillas(), &hot);
+                let expected = seed_union_find_correction(&lattice, &syndrome, sector);
+                let mut decoder = UnionFindDecoder::new();
+                for _ in 0..2 {
+                    let correction = decoder.decode(&lattice, &syndrome, sector);
+                    assert_eq!(
+                        correction.pauli_string(),
+                        &expected,
+                        "{shape}: d={d} sector={sector}"
+                    );
                 }
             }
         }
