@@ -19,20 +19,36 @@
 //! Vertex `v` is bit `v` of a [`Bits<W>`](crate::bits::Bits) set, row-major
 //! — the order of [`Lattice::ancillas_in_sector`] — and half- and fully-grown
 //! edges are sets indexed by owning vertex in four classes: right, down,
-//! boundary A and B.  A growth round floods each unclaimed defect's component
-//! over full edges (shifts by 1 and `cols`), keeps it if its defect count is
-//! odd and it owns no full boundary edge, and grows every edge incident to the
-//! kept set at once:
-//! `G = incident & !full; full |= G & half; half ^= G`.  Corrections equal the
-//! seed's: a round's supports do not depend on the order clusters merge in, and
-//! the scalar BFS peel keeps the seed's order (starts: boundary A, B, ancillas
-//! ascending; an ancilla's neighbours up, left, down, right, boundary).
+//! boundary A and B.  Growth keeps its clusters — the components over full
+//! grid edges that hold a defect — from round to round, starting from one
+//! per defect.  A round keeps the clusters whose defect count is odd and
+//! which own no full boundary edge, and grows every edge incident to that
+//! set at once: `G = incident & !full; full |= G & half; half ^= G`.  Only
+//! a cluster holding an end of a newly full right or down edge is flooded
+//! again (shifts by 1 and `cols`), from itself, and a cluster an earlier
+//! flood of the round swallowed is dropped.  A round's supports do not
+//! depend on the order clusters merge in.
+//!
+//! The peel's trees come from the final clusters and are the seed's.
+//! Boundary A's tree is every cluster owning a full A edge, and B's
+//! clusters too when one cluster owns full edges to both boundaries (the
+//! seed's BFS from A reaches B and expands it); otherwise B's clusters are
+//! B's tree, and every other cluster is its own, rooted at its smallest
+//! vertex.  Each tree's BFS keeps the seed's order (an ancilla's neighbours
+//! up, left, down, right, boundary; a boundary's ancillas ascending) and
+//! stops once it has discovered the tree's last defect, and the reverse
+//! pass runs over that prefix.  That is exact: a vertex's parent is fixed
+//! when it is discovered, every ancestor of a discovered vertex was
+//! discovered before it, and a vertex discovered after the last defect
+//! holds no charge, since charge only moves toward the root.
 //!
 //! [`Decoder::prepare`] picks `W` from {1, 2, 4, 8, 16} (one word to d = 7) and
-//! panics past d = 31.  Growth lives in stack words; the only heap scratch is
-//! the peel's queue and tree arrays, sized by `prepare` and written before they
-//! are read, so [`Decoder::decode_into`] allocates nothing
-//! (`tests/allocation_free.rs` guards that).
+//! panics past d = 31.  Growth works in stack words plus one cluster slot
+//! per grid vertex (at most one cluster per defect); the peel's heap
+//! scratch is one BFS queue and the tree's parent and edge arrays.  All of
+//! it is sized by `prepare` and written before it is read, so
+//! [`Decoder::decode_into`] allocates nothing (`tests/allocation_free.rs`
+//! guards that).
 //!
 //! # Memo
 //!
@@ -127,6 +143,9 @@ struct SectorGrid<const W: usize> {
     owners: [Bits<W>; 4],
     /// The data qubit each edge crosses, by class and owning vertex.
     qubit: [Vec<u32>; 4],
+    /// The clusters `grow` keeps, in its first slots: `n` slots, since
+    /// there is at most one cluster per defect.
+    clusters: Vec<Bits<W>>,
     memo: Memo<W>,
 }
 
@@ -146,6 +165,7 @@ impl<const W: usize> SectorGrid<W> {
             vertex_of_ancilla: vec![0; lattice.num_ancillas()],
             owners: [Bits::EMPTY; 4],
             qubit: std::array::from_fn(|_| vec![0; n]),
+            clusters: vec![Bits::EMPTY; n],
             memo: Memo::new(lattice.num_data()),
         };
         let data = |row, col| lattice.cell(Coord::new(row, col)).index as u32;
@@ -172,37 +192,39 @@ impl<const W: usize> SectorGrid<W> {
         grid
     }
 
-    /// The component of `seed` over the fully-grown edges `full`.
-    fn component(&self, full: &[Bits<W>; 4], seed: usize) -> Bits<W> {
-        let mut cluster = Bits::EMPTY;
-        cluster.toggle(seed);
+    /// `set` closed over the fully-grown edges `full`.
+    fn flood(&self, full: &[Bits<W>; 4], mut set: Bits<W>) -> Bits<W> {
         loop {
-            let next = cluster
-                | (cluster & full[RIGHT]).plus(1)
-                | (cluster.minus(1) & full[RIGHT])
-                | (cluster & full[DOWN]).plus(self.cols)
-                | (cluster.minus(self.cols) & full[DOWN]);
-            if next == cluster {
-                return cluster;
+            let next = set
+                | (set & full[RIGHT]).plus(1)
+                | (set.minus(1) & full[RIGHT])
+                | (set & full[DOWN]).plus(self.cols)
+                | (set.minus(self.cols) & full[DOWN]);
+            if next == set {
+                return set;
             }
-            cluster = next;
+            set = next;
         }
     }
 
     /// Grows half-edges from `defects` until no cluster is active (holds odd
-    /// defect parity and no boundary), and returns the fully-grown edges.
-    fn grow(&self, defects: Bits<W>) -> [Bits<W>; 4] {
+    /// defect parity and no boundary).  Returns the fully-grown edges and
+    /// the number of clusters, which are left in the first slots of
+    /// `self.clusters`: the components over the fully-grown grid edges
+    /// that hold a defect.
+    fn grow(&mut self, defects: Bits<W>) -> ([Bits<W>; 4], usize) {
         let mut half = [Bits::EMPTY; 4];
         let mut full = [Bits::EMPTY; 4];
+        let mut len = 0;
+        for v in defects.iter() {
+            self.clusters[len] = Bits::EMPTY;
+            self.clusters[len].insert(v);
+            len += 1;
+        }
         for _ in 0..self.max_rounds {
-            // Every active cluster holds a defect, so flooding from each
-            // unclaimed defect enumerates them.
             let grounded = full[BOUNDARY_A] | full[BOUNDARY_B];
             let mut active = Bits::EMPTY;
-            let mut unclaimed = defects;
-            while let Some(seed) = unclaimed.first() {
-                let cluster = self.component(&full, seed);
-                unclaimed = unclaimed & !cluster;
+            for &cluster in &self.clusters[..len] {
                 let odd = (cluster & defects).count_ones() % 2 == 1;
                 if odd && (cluster & grounded).is_empty() {
                     active = active | cluster;
@@ -217,23 +239,49 @@ impl<const W: usize> SectorGrid<W> {
                 active & self.owners[BOUNDARY_A],
                 active & self.owners[BOUNDARY_B],
             ];
+            let mut filled = [Bits::EMPTY; 4];
             for class in 0..4 {
                 let grown = incident[class] & !full[class];
-                full[class] = full[class] | (grown & half[class]);
+                filled[class] = grown & half[class];
+                full[class] = full[class] | filled[class];
                 half[class] = half[class] ^ grown;
             }
+            // Only a newly full grid edge joins vertices, and every cluster
+            // it merges holds one of its ends, so the earliest of them
+            // floods over the others.  Boundary edges only ground.
+            let ends =
+                filled[RIGHT] | filled[RIGHT].plus(1) | filled[DOWN] | filled[DOWN].plus(self.cols);
+            if ends.is_empty() {
+                continue;
+            }
+            let mut flooded = Bits::EMPTY;
+            let mut kept = 0;
+            for i in 0..len {
+                let mut cluster = self.clusters[i];
+                if !(cluster & flooded).is_empty() {
+                    continue;
+                }
+                if !(cluster & ends).is_empty() {
+                    cluster = self.flood(&full, cluster);
+                    flooded = flooded | cluster;
+                }
+                self.clusters[kept] = cluster;
+                kept += 1;
+            }
+            len = kept;
         }
-        full
+        (full, len)
     }
 
-    /// Peels the spanning forest of the fully-grown edges `full` in the
-    /// seed's order, applying `pauli` to `out` on the data qubit of every
-    /// tree edge whose child carries charge.  Boundary vertices absorb charge
-    /// instead of relaying it; a vertex no fully-grown edge reaches peels
-    /// nothing and is never a start.
+    /// Peels the spanning forest of the fully-grown edges `full`, one tree
+    /// per boundary or ungrounded cluster of `clusters` (module docs), each
+    /// BFS stopping at the tree's last defect.  Applies `pauli` to `out` on
+    /// the data qubit of every tree edge whose child carries charge;
+    /// boundary vertices absorb charge instead of relaying it.
     fn peel(
         &self,
         full: &[Bits<W>; 4],
+        clusters: &[Bits<W>],
         defects: Bits<W>,
         scratch: &mut PeelScratch,
         pauli: Pauli,
@@ -245,35 +293,58 @@ impl<const W: usize> SectorGrid<W> {
             qubit,
         } = scratch;
         let (boundary_a, boundary_b, cols) = (self.n, self.n + 1, self.cols as usize);
-        let reached = full[RIGHT]
-            | full[RIGHT].plus(1)
-            | full[DOWN]
-            | full[DOWN].plus(self.cols)
-            | full[BOUNDARY_A]
-            | full[BOUNDARY_B];
-        let boundary_starts = [(boundary_a, BOUNDARY_A), (boundary_b, BOUNDARY_B)]
+        let (mut on_a, mut on_b, mut spanning) = (Bits::EMPTY, Bits::EMPTY, false);
+        for &cluster in clusters {
+            let a = !(cluster & full[BOUNDARY_A]).is_empty();
+            let b = !(cluster & full[BOUNDARY_B]).is_empty();
+            if a {
+                on_a = on_a | cluster;
+            }
+            if b {
+                on_b = on_b | cluster;
+            }
+            spanning |= a && b;
+        }
+        // A BFS from A that reaches B expands B, so one spanning cluster
+        // puts B's clusters in A's tree.
+        let boundary_trees = if spanning {
+            [(boundary_a, on_a | on_b), (boundary_b, Bits::EMPTY)]
+        } else {
+            [(boundary_a, on_a), (boundary_b, on_b)]
+        };
+        let on_boundary = on_a | on_b;
+        let cluster_trees = clusters
+            .iter()
+            .filter(|&&cluster| (cluster & on_boundary).is_empty())
+            .filter_map(|&cluster| Some((cluster.first()?, cluster)));
+        let trees = boundary_trees
             .into_iter()
-            .filter(|&(_, class)| !full[class].is_empty())
-            .map(|(v, _)| v);
+            .filter(|&(_, tree)| !tree.is_empty())
+            .chain(cluster_trees);
         let mut visited = Bits::<W>::EMPTY;
         let mut charge = defects;
-        for start in boundary_starts.chain(reached.iter()) {
-            if visited.contains(start) {
-                continue;
+        for (root, tree) in trees {
+            // The root is discovered; a boundary root is never a defect.
+            let mut undiscovered = (tree & defects).count_ones();
+            if defects.contains(root) {
+                undiscovered -= 1;
             }
-            visited.toggle(start);
-            queue[0] = start as u16;
+            visited.insert(root);
+            queue[0] = root as u16;
             let (mut head, mut len) = (0, 1);
-            while head < len {
+            while undiscovered > 0 && head < len {
                 let v = queue[head] as usize;
                 head += 1;
                 let mut visit = |w: usize, edge_qubit: u32| {
                     if !visited.contains(w) {
-                        visited.toggle(w);
+                        visited.insert(w);
                         parent[w] = v as u16;
                         qubit[w] = edge_qubit;
                         queue[len] = w as u16;
                         len += 1;
+                        if defects.contains(w) {
+                            undiscovered -= 1;
+                        }
                     }
                 };
                 if v >= boundary_a {
@@ -338,9 +409,9 @@ impl<const W: usize> SectorGrid<W> {
                 return;
             }
         }
-        let full = self.grow(defects);
+        let (full, len) = self.grow(defects);
         let pauli = sector_correction_pauli(sector);
-        self.peel(&full, defects, scratch, pauli, out);
+        self.peel(&full, &self.clusters[..len], defects, scratch, pauli, out);
         if let Some(slot) = slot {
             self.memo.keys[slot] = defects;
             self.memo.correction(slot).copy_from_slice(out.words());
@@ -375,6 +446,16 @@ struct PeelScratch {
     qubit: Vec<u32>,
 }
 
+impl PeelScratch {
+    fn new(vertices: usize) -> Self {
+        PeelScratch {
+            queue: vec![0; vertices],
+            parent: vec![0; vertices],
+            qubit: vec![0; vertices],
+        }
+    }
+}
+
 /// The lattice-keyed prepared state.
 #[derive(Debug, Clone)]
 struct PreparedUnionFind {
@@ -402,11 +483,7 @@ impl PreparedUnionFind {
         PreparedUnionFind {
             distance: d,
             grids,
-            scratch: PeelScratch {
-                queue: vec![0; vertices],
-                parent: vec![0; vertices],
-                qubit: vec![0; vertices],
-            },
+            scratch: PeelScratch::new(vertices),
         }
     }
 }
@@ -475,7 +552,7 @@ impl Decoder for UnionFindDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nisqplus_qec::error_model::{ErrorModel, PureDephasing};
+    use nisqplus_qec::error_model::{Depolarizing, ErrorModel, PureDephasing};
     use nisqplus_qec::logical::{classify_residual, LogicalState};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -632,6 +709,101 @@ mod tests {
         assert_eq!(
             classify_residual(&lat, &error, correction.pauli_string(), Sector::X),
             LogicalState::Success
+        );
+    }
+
+    /// Grows and peels `defects` on `grid`: the correction, the final
+    /// clusters, and whether one of them owns full edges to both boundaries.
+    fn grow_and_peel<const W: usize>(
+        lattice: &Lattice,
+        grid: &mut SectorGrid<W>,
+        scratch: &mut PeelScratch,
+        defects: Bits<W>,
+        sector: Sector,
+    ) -> (PauliString, Vec<Bits<W>>, bool) {
+        let mut out = PauliString::identity(lattice.num_data());
+        let (full, len) = grid.grow(defects);
+        let pauli = sector_correction_pauli(sector);
+        let clusters = grid.clusters[..len].to_vec();
+        grid.peel(&full, &clusters, defects, scratch, pauli, &mut out);
+        let spanning = clusters.iter().any(|&cluster| {
+            !(cluster & full[BOUNDARY_A]).is_empty() && !(cluster & full[BOUNDARY_B]).is_empty()
+        });
+        (out, clusters, spanning)
+    }
+
+    /// Over depolarizing syndromes of `samples` rounds at each `p`, both
+    /// sectors: whenever the final clusters are several and none owns full
+    /// edges to both boundaries, the sector's correction is the XOR of each
+    /// cluster's defects decoded alone.  Returns how many decodes split so
+    /// (and were checked) and how many had a spanning cluster.
+    fn check_cluster_decomposition<const W: usize>(
+        d: usize,
+        ps: &[f64],
+        samples: usize,
+    ) -> (usize, usize) {
+        let lattice = Lattice::new(d).unwrap();
+        let mut scratch = PeelScratch::new(lattice.ancillas_per_sector() + 2);
+        let (mut split, mut spanning) = (0, 0);
+        for sector in Sector::ALL {
+            let mut grid = SectorGrid::<W>::build(&lattice, sector);
+            for &p in ps {
+                let model = Depolarizing::new(p).unwrap();
+                let mut rng = ChaCha8Rng::seed_from_u64(d as u64 * 1_000 + (p * 100.0) as u64);
+                for _ in 0..samples {
+                    let syndrome = lattice.syndrome_of(&model.sample(&lattice, &mut rng));
+                    let mut defects = Bits::EMPTY;
+                    lattice.for_each_defect(&syndrome, sector, |a| {
+                        defects.toggle(usize::from(grid.vertex_of_ancilla[a]));
+                    });
+                    let (whole, clusters, spans) =
+                        grow_and_peel(&lattice, &mut grid, &mut scratch, defects, sector);
+                    if clusters.len() < 2 {
+                        continue;
+                    }
+                    if spans {
+                        spanning += 1;
+                        continue;
+                    }
+                    let mut parts = PauliString::identity(lattice.num_data());
+                    for cluster in clusters {
+                        let (alone, ..) = grow_and_peel(
+                            &lattice,
+                            &mut grid,
+                            &mut scratch,
+                            cluster & defects,
+                            sector,
+                        );
+                        parts.compose_with(&alone);
+                    }
+                    assert_eq!(whole, parts, "d={d} p={p} sector={sector} {defects:?}");
+                    split += 1;
+                }
+            }
+        }
+        (split, spanning)
+    }
+
+    /// The premise of a per-cluster memo: a sector decode splits into its
+    /// final clusters' decodes, byte for byte, unless one cluster owns
+    /// full edges to both boundaries — then boundary A's tree takes in
+    /// B's clusters, which alone would hang from B.
+    #[test]
+    fn a_decode_is_the_xor_of_its_clusters_decoded_alone() {
+        let ps = [0.03, 0.08, 0.15];
+        let (mut split, mut spanning) = (0, 0);
+        for (s, t) in [
+            check_cluster_decomposition::<1>(5, &ps, 1_000),
+            check_cluster_decomposition::<1>(7, &ps, 1_000),
+            check_cluster_decomposition::<2>(9, &ps, 1_000),
+        ] {
+            split += s;
+            spanning += t;
+        }
+        // 8,195 split and 1,256 spanning decodes at these seeds.
+        assert!(
+            split >= 8_000 && spanning >= 1_000,
+            "only {split} split and {spanning} spanning decodes exercised"
         );
     }
 
