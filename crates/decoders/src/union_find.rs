@@ -273,9 +273,10 @@ impl<const W: usize> SectorGrid<W> {
         (full, len)
     }
 
-    /// Peels the spanning forest of the fully-grown edges `full`, one tree
-    /// per boundary or ungrounded cluster of `clusters` (module docs), each
-    /// BFS stopping at the tree's last defect.  Applies `pauli` to `out` on
+    /// Peels the spanning forest of the fully-grown edges `full`: a tree
+    /// for each boundary's clusters and one for each other cluster of
+    /// `clusters` (module docs), each BFS stopping at the tree's last
+    /// defect.  Applies `pauli` to `out` on
     /// the data qubit of every tree edge whose child carries charge;
     /// boundary vertices absorb charge instead of relaying it.
     fn peel(
