@@ -2,37 +2,46 @@
 //!
 //! The queue between syndrome generation and the decoder workers is the one
 //! data structure on the runtime's hot path, so it mirrors the shape used by
-//! production streaming decoders (cf. the riscv-qcu pipeline): a bounded ring
-//! of fixed-size slots, a producer cursor, a consumer cursor, and per-slot
-//! sequence numbers in the style of Vyukov's bounded queue.  Slots carry raw
-//! `u64` words (a bit-packed [`SyndromePacket`](crate::packet::SyndromePacket))
-//! rather than an owned type, which lets the whole structure be built from
-//! `std::sync::atomic` primitives in entirely safe Rust: payload words are
-//! plain relaxed atomic stores/loads whose visibility is ordered by the
-//! release/acquire handoff on the slot sequence number.
+//! production streaming decoders (cf. the riscv-qcu pipeline, where one
+//! producer hart feeds a ring that several worker harts pop): a bounded ring
+//! of fixed-size slots, exactly one sender and any number of receivers.
+//! Slots carry raw `u64` words (a bit-packed
+//! [`SyndromePacket`](crate::packet::SyndromePacket)) rather than an owned
+//! type, which lets the whole structure be built from `std::sync::atomic`
+//! primitives in entirely safe Rust: payload words are plain relaxed atomic
+//! stores/loads whose visibility is ordered by the release/acquire pairs
+//! tabled below.
 //!
 //! Storage is one flat allocation of 64-byte-aligned cache lines.  A slot is
-//! `ceil((1 + words_per_slot) / 8)` consecutive lines: its sequence word
-//! first, its payload right behind it.  A record of up to seven words (a
-//! d = 5 packet is five) therefore crosses from producer to consumer on
-//! exactly one line, and no two slots ever share one — a consumer handing
-//! slot `i` back never invalidates the line the producer is filling slot
-//! `i + 1` on.  The cursors `head` (written by producers) and `tail`
-//! (written by consumers) each sit on a line of their own.
+//! `ceil((1 + words_per_slot) / 8)` consecutive lines: its stamp word first,
+//! its payload right behind it.  A record of up to seven words (a d = 5
+//! packet is five) therefore crosses from sender to receiver on exactly one
+//! line, and no two slots ever share one.
 //!
-//! The implementation is multi-producer/multi-consumer-safe (both cursors
-//! advance by compare-and-swap), though the runtime drives it in SPMC mode:
-//! one producer thread pushing at the syndrome-generation cadence, many
-//! decoder workers popping.
+//! Who writes what: the sender alone writes every slot line and its own line
+//! (`head`, plus its cached copy of `tail`); receivers write `tail` and
+//! nothing else.  `tail` is thus the one book of the capacity bound, exact
+//! at every capacity ≥ 1, and only `tail` advances by compare-and-swap.  A
+//! push loads no word a receiver writes — it reads the real `tail` only when
+//! its cached copy says the ring is full — and issues no locked instruction.
 //!
-//! The ring *is* the flow control of a channel: its slot sequence words are
-//! the one book of the capacity bound, exact at every capacity ≥ 1.  Slot
-//! `i`'s word counts in units of 2·position — `2p` free for position `p`,
-//! `2p + 1` published at `p`, `2(p + capacity)` handed back for the next
-//! lap — so "published" and "free one lap on" never coincide, whatever the
-//! capacity.  A full ring is [`RingFull`];
-//! [`Channel`](crate::stage::Channel) counts that refusal at the
-//! stage seam and adds nothing to the bound.
+//! | Step | Ordering | Pairs with | What it orders |
+//! |---|---|---|---|
+//! | the sender stores slot `pos`'s stamp, `pos + 1` | `Release` | a receiver's stamp load | the payload stores before it |
+//! | a receiver loads the stamp | `Acquire` | the stamp store | its payload loads after it |
+//! | a receiver's successful CAS of `tail`, `pos → pos + 1` | `Release` | the sender's `tail` load | its payload loads before it |
+//! | the sender loads `tail` (cached copy says full) | `Acquire` | the CAS | its overwrite of slot `pos` after it |
+//!
+//! A receiver reads first and claims second: it copies a published slot,
+//! then CASes `tail` from the slot's position to the next.  The sender
+//! overwrites position `p`'s slot (for `p + capacity`) only after it has
+//! seen `tail > p`, so a receiver whose CAS succeeds copied an intact
+//! record; one that copied a record the sender was overwriting loses its
+//! CAS and discards the copy.  A stamp is one more than the position last
+//! published in its slot, so no stamp repeats and there is no ABA.
+//!
+//! A full ring is [`RingFull`]; [`Channel`](crate::stage::Channel) counts
+//! that refusal at the stage seam and adds nothing to the bound.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -47,26 +56,45 @@ pub struct RingFull;
 const LINE_WORDS: usize = 8;
 
 /// One 64-byte cache line of slot storage.  Word 0 of a slot's first line is
-/// the slot's sequence number; the payload follows, spilling onto further
-/// lines of the same slot when it exceeds seven words.
-#[derive(Debug)]
+/// the slot's stamp; the payload follows, spilling onto further lines of the
+/// same slot when it exceeds seven words.
+#[derive(Debug, Default)]
 #[repr(align(64))]
 struct Line([AtomicU64; LINE_WORDS]);
 
-/// Payload word `k` of `slot`: word `k + 1` of its lines, the sequence word
-/// being word 0.
+/// Payload word `k` of `slot`: word `k + 1` of its lines, the stamp being
+/// word 0.
 fn payload_word(slot: &[Line], k: usize) -> &AtomicU64 {
     &slot[(k + 1) / LINE_WORDS].0[(k + 1) % LINE_WORDS]
 }
 
-/// A 64-byte-aligned wrapper keeping the producer and consumer cursors on
-/// separate cache lines.
+/// The words only the sender writes, on a line of their own.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct SenderLine {
+    /// Next position to push.
+    head: AtomicU64,
+    /// The last `tail` the sender loaded: a lower bound of the true one.
+    tail_seen: AtomicU64,
+    /// Set while a push is in flight (debug builds), so that a second
+    /// sender is caught.  A plain load and store, not a locked swap: it may
+    /// miss an overlap, it never reports one that did not happen.
+    #[cfg(debug_assertions)]
+    pushing: std::sync::atomic::AtomicBool,
+}
+
+/// The receivers' cursor, on a line of its own.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 struct CacheAligned(AtomicU64);
 
 /// A bounded lock-free single-producer/multi-consumer ring buffer of
 /// fixed-size `u64`-word records.
+///
+/// **One sender.**  [`SpmcRing::try_push`] may be called by one thread at a
+/// time only (debug builds panic on overlapping pushes they catch); any
+/// number of threads may call [`SpmcRing::try_pop`] concurrently with it
+/// and with each other.
 ///
 /// ```rust
 /// use nisqplus_runtime::queue::SpmcRing;
@@ -87,9 +115,8 @@ pub struct SpmcRing {
     capacity: u64,
     words_per_slot: usize,
     lines_per_slot: usize,
-    /// Next index to push (producer cursor).
-    head: CacheAligned,
-    /// Next index to pop (consumer cursor).
+    sender: SenderLine,
+    /// Next position to pop.
     tail: CacheAligned,
 }
 
@@ -104,22 +131,15 @@ impl SpmcRing {
         assert!(capacity > 0, "ring capacity must be positive");
         assert!(words_per_slot > 0, "slot word count must be positive");
         let lines_per_slot = (1 + words_per_slot).div_ceil(LINE_WORDS);
-        let lines = (0..capacity * lines_per_slot)
-            .map(|line| {
-                // A slot's sequence word starts free for the slot's own index.
-                let seq = 2 * (line / lines_per_slot) as u64;
-                let is_seq = |word| word == 0 && line % lines_per_slot == 0;
-                Line(std::array::from_fn(|word| {
-                    AtomicU64::new(if is_seq(word) { seq } else { 0 })
-                }))
-            })
-            .collect();
         SpmcRing {
-            lines,
+            // Every stamp starts at 0: nothing published anywhere.
+            lines: (0..capacity * lines_per_slot)
+                .map(|_| Line::default())
+                .collect(),
             capacity: capacity as u64,
             words_per_slot,
             lines_per_slot,
-            head: CacheAligned::default(),
+            sender: SenderLine::default(),
             tail: CacheAligned::default(),
         }
     }
@@ -142,13 +162,13 @@ impl SpmcRing {
         &self.lines[first..first + self.lines_per_slot]
     }
 
-    /// Records ever pushed (the producer cursor).
+    /// Records ever pushed (the sender's cursor).
     #[must_use]
     pub fn pushed(&self) -> u64 {
-        self.head.0.load(Ordering::Relaxed)
+        self.sender.head.load(Ordering::Relaxed)
     }
 
-    /// Records ever popped (the consumer cursor).
+    /// Records ever popped (the receivers' cursor).
     #[must_use]
     pub fn popped(&self) -> u64 {
         self.tail.0.load(Ordering::Relaxed)
@@ -159,7 +179,7 @@ impl SpmcRing {
     /// which is all the backlog telemetry needs.
     #[must_use]
     pub fn len(&self) -> usize {
-        let head = self.head.0.load(Ordering::Acquire);
+        let head = self.sender.head.load(Ordering::Acquire);
         let tail = self.tail.0.load(Ordering::Acquire);
         head.saturating_sub(tail).min(self.capacity) as usize
     }
@@ -170,22 +190,33 @@ impl SpmcRing {
         self.len() == 0
     }
 
-    /// Whether the next `slots` pushes (`1 ≤ slots ≤ capacity`) would all
-    /// find room: reads the sequence word of the *last* slot they would fill
-    /// and nothing else.  This is what a refused producer waits on instead of
-    /// retrying [`SpmcRing::try_push`]: on a full ring the slot at `head` is
-    /// the slot at `tail` — the line a consumer is reading its record from
-    /// and about to hand back — whereas a slot further on is written by a
-    /// consumer exactly once, when it gets there, so polling it takes no line
-    /// from anybody until the answer changes.  A hint, hence `Relaxed`: the
-    /// push that follows does its own acquire.
-    pub(crate) fn has_room(&self, slots: u64) -> bool {
-        debug_assert!((1..=self.capacity).contains(&slots));
-        let last = self.head.0.load(Ordering::Relaxed) + slots - 1;
-        self.slot(last)[0].0[0].load(Ordering::Relaxed) >= 2 * last
+    /// The sender's cached copy of `tail`: a lower bound of
+    /// [`SpmcRing::popped`], read off the sender's own line.
+    pub(crate) fn cached_tail(&self) -> u64 {
+        self.sender.tail_seen.load(Ordering::Relaxed)
     }
 
-    /// Attempts to enqueue one record without blocking.
+    /// Sender only: loads the real `tail` — the one `Acquire` that lets the
+    /// sender overwrite a slot a receiver has claimed — and caches it.
+    pub(crate) fn refresh_tail(&self) -> u64 {
+        let tail = self.tail.0.load(Ordering::Acquire);
+        self.sender.tail_seen.store(tail, Ordering::Relaxed);
+        tail
+    }
+
+    /// Whether the next `slots` pushes (`1 ≤ slots ≤ capacity`) would all
+    /// find room: at most `capacity − slots` records resident.  It reads
+    /// `tail`, the line every receiver's claim writes, so a refused sender
+    /// asks it once per yield of its wait, not once per spin turn.  A hint,
+    /// hence `Relaxed`: the push that follows does its own acquire.
+    pub(crate) fn has_room(&self, slots: u64) -> bool {
+        debug_assert!((1..=self.capacity).contains(&slots));
+        let head = self.sender.head.load(Ordering::Relaxed);
+        head + slots <= self.tail.0.load(Ordering::Relaxed) + self.capacity
+    }
+
+    /// Attempts to enqueue one record without blocking.  One sender only
+    /// (see [`SpmcRing`]).
     ///
     /// # Errors
     ///
@@ -194,7 +225,8 @@ impl SpmcRing {
     ///
     /// # Panics
     ///
-    /// Panics if `words.len()` differs from [`SpmcRing::words_per_slot`].
+    /// Panics if `words.len()` differs from [`SpmcRing::words_per_slot`];
+    /// in debug builds, if it catches a second thread pushing at once.
     pub fn try_push(&self, words: &[u64]) -> Result<(), RingFull> {
         assert_eq!(
             words.len(),
@@ -203,44 +235,27 @@ impl SpmcRing {
             words.len(),
             self.words_per_slot
         );
-        let mut pos = self.head.0.load(Ordering::Relaxed);
-        loop {
-            let slot = self.slot(pos);
-            let seq = &slot[0].0[0];
-            let current = seq.load(Ordering::Acquire);
-            if current == 2 * pos {
-                // Slot is free at our position: claim it.
-                match self.head.0.compare_exchange_weak(
-                    pos,
-                    pos + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        for (k, &value) in words.iter().enumerate() {
-                            payload_word(slot, k).store(value, Ordering::Relaxed);
-                        }
-                        // Publish: consumers' acquire-load of `seq` orders the
-                        // payload stores above before their payload loads.
-                        seq.store(2 * pos + 1, Ordering::Release);
-                        return Ok(());
-                    }
-                    Err(actual) => pos = actual,
-                }
-            } else if current < 2 * pos {
-                // The slot still holds an unconsumed record from one lap ago.
-                return Err(RingFull);
-            } else {
-                // Another producer claimed this position; catch up.
-                pos = self.head.0.load(Ordering::Relaxed);
-            }
+        #[cfg(debug_assertions)]
+        let _one_sender = OneSender::enter(&self.sender.pushing);
+        let pos = self.sender.head.load(Ordering::Relaxed);
+        // Full by the cached copy: look at the real `tail`, once.
+        if pos - self.cached_tail() >= self.capacity && pos - self.refresh_tail() >= self.capacity {
+            return Err(RingFull);
         }
+        let slot = self.slot(pos);
+        for (k, &value) in words.iter().enumerate() {
+            payload_word(slot, k).store(value, Ordering::Relaxed);
+        }
+        slot[0].0[0].store(pos + 1, Ordering::Release);
+        self.sender.head.store(pos + 1, Ordering::Release);
+        Ok(())
     }
 
     /// Attempts to dequeue one record into `out` without blocking.
     ///
-    /// Returns `false` when the ring is empty.  Any consumer thread may call
-    /// this concurrently; each record is delivered to exactly one consumer.
+    /// Returns `false` when the ring is empty, leaving `out` unspecified.
+    /// Any receiver thread may call this concurrently; each record is
+    /// delivered to exactly one receiver.
     ///
     /// # Panics
     ///
@@ -256,34 +271,54 @@ impl SpmcRing {
         let mut pos = self.tail.0.load(Ordering::Relaxed);
         loop {
             let slot = self.slot(pos);
-            let seq = &slot[0].0[0];
-            let current = seq.load(Ordering::Acquire);
-            if current == 2 * pos + 1 {
-                // Slot holds a published record at our position: claim it.
-                match self.tail.0.compare_exchange_weak(
-                    pos,
-                    pos + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        for (k, out_word) in out.iter_mut().enumerate() {
-                            *out_word = payload_word(slot, k).load(Ordering::Relaxed);
-                        }
-                        // Hand the slot back to the producer one lap later.
-                        seq.store(2 * (pos + self.capacity), Ordering::Release);
-                        return true;
-                    }
-                    Err(actual) => pos = actual,
-                }
-            } else if current <= 2 * pos {
+            let stamp = slot[0].0[0].load(Ordering::Acquire);
+            if stamp <= pos {
                 // Nothing published at our position yet.
                 return false;
-            } else {
-                // Another consumer claimed this position; catch up.
+            }
+            if stamp > pos + 1 {
+                // Already claimed and overwritten a lap on: catch up.
                 pos = self.tail.0.load(Ordering::Relaxed);
+                continue;
+            }
+            // Read, then claim: the copy counts only if the claim succeeds.
+            for (k, out_word) in out.iter_mut().enumerate() {
+                *out_word = payload_word(slot, k).load(Ordering::Relaxed);
+            }
+            match self.tail.0.compare_exchange_weak(
+                pos,
+                pos + 1,
+                Ordering::Release,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return true,
+                Err(actual) => pos = actual,
             }
         }
+    }
+}
+
+/// The debug builds' one-sender check: flags a push in flight on entry and
+/// clears the flag on drop.
+#[cfg(debug_assertions)]
+struct OneSender<'a>(&'a std::sync::atomic::AtomicBool);
+
+#[cfg(debug_assertions)]
+impl<'a> OneSender<'a> {
+    fn enter(pushing: &'a std::sync::atomic::AtomicBool) -> Self {
+        assert!(
+            !pushing.load(Ordering::Relaxed),
+            "SpmcRing::try_push overlapped another push: a ring has one sender"
+        );
+        pushing.store(true, Ordering::Relaxed);
+        OneSender(pushing)
+    }
+}
+
+#[cfg(debug_assertions)]
+impl Drop for OneSender<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Relaxed);
     }
 }
 
@@ -323,7 +358,7 @@ mod tests {
     }
 
     /// A one-slot ring is a ring: "published at `p`" and "free for `p + 1`"
-    /// are different sequence words, so the second push is refused instead of
+    /// are different states, so the second push is refused instead of
     /// overwriting the first record, and order holds lap after lap.
     #[test]
     fn one_slot_ring_refuses_the_second_push_and_keeps_fifo_order() {
@@ -341,9 +376,9 @@ mod tests {
         assert_eq!((ring.pushed(), ring.popped()), (3, 3));
     }
 
-    /// `has_room(k)` is exactly "at most `capacity − k` records resident",
-    /// read off one slot: on a full 16-slot ring one pop makes room for one
-    /// push and not for two, lap after lap.
+    /// `has_room(k)` is exactly "at most `capacity − k` records resident":
+    /// on a full 16-slot ring one pop makes room for one push and not for
+    /// two, lap after lap.
     #[test]
     fn has_room_counts_the_slots_handed_back() {
         let ring = SpmcRing::new(16, 1);
@@ -369,6 +404,29 @@ mod tests {
         assert!(ring.has_room(1));
     }
 
+    /// The sender reads `tail` only when its cached copy says the ring is
+    /// full: pops alone leave the cache where it was, and the push that
+    /// finds the ring full by the cache refreshes it.
+    #[test]
+    fn the_sender_reads_tail_only_when_its_copy_says_full() {
+        let ring = SpmcRing::new(4, 1);
+        let mut out = [0u64];
+        for i in 0..4 {
+            ring.try_push(&[i]).unwrap();
+        }
+        assert!(ring.try_pop(&mut out) && ring.try_pop(&mut out));
+        assert_eq!(ring.cached_tail(), 0, "nobody asked");
+        ring.try_push(&[4]).unwrap();
+        assert_eq!(
+            ring.cached_tail(),
+            2,
+            "the fifth push found the ring full by its copy"
+        );
+        ring.try_push(&[5]).unwrap();
+        assert_eq!(ring.try_push(&[6]), Err(RingFull));
+        assert_eq!((ring.cached_tail(), ring.popped()), (2, 2));
+    }
+
     #[test]
     #[should_panic(expected = "ring capacity must be positive")]
     fn zero_capacity_rejected() {
@@ -379,6 +437,17 @@ mod tests {
     #[should_panic(expected = "pushed record has")]
     fn wrong_record_size_rejected() {
         let ring = SpmcRing::new(2, 3);
+        let _ = ring.try_push(&[1]);
+    }
+
+    /// A push that starts while another is in flight panics in a debug
+    /// build (the flag is raised by hand: a real overlap is a race).
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "a ring has one sender")]
+    fn a_second_sender_is_caught_in_debug_builds() {
+        let ring = SpmcRing::new(2, 1);
+        ring.sender.pushing.store(true, Ordering::Relaxed);
         let _ = ring.try_push(&[1]);
     }
 
@@ -432,11 +501,14 @@ mod tests {
     }
 
     /// A slot is a whole number of 64-byte lines and the ring allocates
-    /// exactly `capacity × lines_per_slot` of them.
+    /// exactly `capacity × lines_per_slot` of them; the sender's words and
+    /// `tail` each fill a line of their own.
     #[test]
     fn slots_are_whole_aligned_lines() {
         assert_eq!(std::mem::align_of::<Line>(), 64);
         assert_eq!(std::mem::size_of::<Line>(), 64);
+        assert_eq!(std::mem::size_of::<SenderLine>(), 64);
+        assert_eq!(std::mem::size_of::<CacheAligned>(), 64);
         for (words_per_slot, lines_per_slot) in [(1, 1), (5, 1), (7, 1), (8, 2), (15, 2), (16, 3)] {
             let ring = SpmcRing::new(6, words_per_slot);
             assert_eq!(
@@ -448,65 +520,102 @@ mod tests {
         }
     }
 
-    /// Exactly-once delivery with several producers and consumers, for
-    /// payloads that fit inside one line (1, 7), fill the second exactly
-    /// (15) and straddle or exceed a line boundary (8, 9, 16), on rings of
-    /// 1, 2, 3 and 8 slots.  Every word of every popped record is checked
-    /// against the record's id.
-    #[test]
-    fn mpmc_delivers_every_word_exactly_once_across_line_boundaries() {
-        const PRODUCERS: u64 = 2;
-        const CONSUMERS: usize = 3;
-        const PER_PRODUCER: u64 = 4_000;
-        const RECORDS: u64 = PRODUCERS * PER_PRODUCER;
-        // Word 0 is the record's id; every later word is derived from it.
-        let word_of = |id: u64, k: usize| match k {
+    /// Word `k` of record `id`: the id itself, then words derived from it,
+    /// so a record mixed from two laps fails the check.
+    fn word_of(id: u64, k: usize) -> u64 {
+        match k {
             0 => id,
             _ => (id ^ 0x9E37_79B9_7F4A_7C15).wrapping_mul(2 * k as u64 + 1),
-        };
+        }
+    }
+
+    /// One sender pushes `records` ids in order into `ring` while three
+    /// receivers pop; every word of every popped record is checked against
+    /// the record's id, and each id is delivered exactly once.  The first
+    /// bad record stops every thread, so a failure fails the test instead of
+    /// hanging it.
+    fn deliver_exactly_once(ring: &SpmcRing, records: u64) {
+        const RECEIVERS: usize = 3;
+        let words_per_slot = ring.words_per_slot();
+        let delivered = AtomicU64::new(0);
+        let copies: Vec<AtomicU64> = (0..records).map(|_| AtomicU64::new(0)).collect();
+        let failure = std::sync::Mutex::new(None::<String>);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        thread::scope(|s| {
+            for _ in 0..RECEIVERS {
+                s.spawn(|| {
+                    let mut out = vec![0u64; words_per_slot];
+                    while delivered.load(Ordering::Relaxed) < records
+                        && !stop.load(Ordering::Relaxed)
+                    {
+                        if !ring.try_pop(&mut out) {
+                            thread::yield_now();
+                            continue;
+                        }
+                        let id = out[0];
+                        let bad = if id >= records {
+                            Some(format!("torn or foreign record {id:#x}"))
+                        } else if let Some(k) =
+                            (0..words_per_slot).find(|&k| out[k] != word_of(id, k))
+                        {
+                            Some(format!("record {id} word {k}: {:#x}", out[k]))
+                        } else if copies[id as usize].fetch_add(1, Ordering::Relaxed) > 0 {
+                            Some(format!("record {id} delivered twice"))
+                        } else {
+                            None
+                        };
+                        if let Some(bad) = bad {
+                            failure.lock().unwrap().get_or_insert(bad);
+                            stop.store(true, Ordering::Relaxed);
+                            return;
+                        }
+                        delivered.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
+            let mut record = vec![0u64; words_per_slot];
+            for id in 0..records {
+                for (k, word) in record.iter_mut().enumerate() {
+                    *word = word_of(id, k);
+                }
+                while ring.try_push(&record).is_err() {
+                    if stop.load(Ordering::Relaxed) {
+                        return;
+                    }
+                    thread::yield_now();
+                }
+            }
+        });
+        let what = format!("capacity {}, {words_per_slot} words", ring.capacity());
+        assert_eq!(failure.into_inner().unwrap(), None, "{what}");
+        assert_eq!(delivered.load(Ordering::Relaxed), records, "{what}");
+        assert!(ring.is_empty(), "{what}");
+    }
+
+    /// Exactly-once delivery with one producer and three consumers, for
+    /// payloads that fit inside one line (1, 7), fill the second exactly
+    /// (15) and straddle or exceed a line boundary (8, 9, 16), on rings of
+    /// 1, 2, 3 and 8 slots.
+    #[test]
+    fn spmc_delivers_every_word_exactly_once_across_line_boundaries() {
         let wide = [1usize, 7, 8, 9, 15, 16].map(|words| (8usize, words));
         let narrow = [1usize, 2, 3].map(|capacity| (capacity, 9usize));
         for (capacity, words_per_slot) in wide.into_iter().chain(narrow) {
-            let ring = SpmcRing::new(capacity, words_per_slot);
-            let delivered = AtomicU64::new(0);
-            let id_sum = AtomicU64::new(0);
-            thread::scope(|s| {
-                for _ in 0..CONSUMERS {
-                    s.spawn(|| {
-                        let mut out = vec![0u64; words_per_slot];
-                        while delivered.load(Ordering::Relaxed) < RECORDS {
-                            if !ring.try_pop(&mut out) {
-                                thread::yield_now();
-                                continue;
-                            }
-                            let id = out[0];
-                            assert!(id < RECORDS, "torn or foreign record {id:#x}");
-                            for (k, &word) in out.iter().enumerate() {
-                                assert_eq!(word, word_of(id, k), "record {id} word {k}");
-                            }
-                            id_sum.fetch_add(id, Ordering::Relaxed);
-                            delivered.fetch_add(1, Ordering::Relaxed);
-                        }
-                    });
-                }
-                for producer in 0..PRODUCERS {
-                    let ring = &ring;
-                    s.spawn(move || {
-                        let mut record = vec![0u64; words_per_slot];
-                        for id in (producer * PER_PRODUCER)..((producer + 1) * PER_PRODUCER) {
-                            for (k, word) in record.iter_mut().enumerate() {
-                                *word = word_of(id, k);
-                            }
-                            while ring.try_push(&record).is_err() {
-                                thread::yield_now();
-                            }
-                        }
-                    });
-                }
-            });
-            assert_eq!(delivered.load(Ordering::Relaxed), RECORDS);
-            assert_eq!(id_sum.load(Ordering::Relaxed), RECORDS * (RECORDS - 1) / 2);
-            assert!(ring.is_empty());
+            deliver_exactly_once(&SpmcRing::new(capacity, words_per_slot), 8_000);
+        }
+    }
+
+    /// The sender laps receivers that are still copying: on rings of 1, 2
+    /// and 3 slots the slot a receiver reads is routinely the one the sender
+    /// is overwriting for the next lap, and that receiver's claim must fail.
+    /// Records of 1, 7, 8, 9, 15 and 16 words, so a torn copy can straddle a
+    /// line boundary.
+    #[test]
+    fn lapping_receivers_never_deliver_a_torn_record() {
+        for capacity in [1usize, 2, 3] {
+            for words_per_slot in [1usize, 7, 8, 9, 15, 16] {
+                deliver_exactly_once(&SpmcRing::new(capacity, words_per_slot), 4_000);
+            }
         }
     }
 

@@ -1,29 +1,33 @@
 //! The bounded channel between pipeline stages.
 //!
 //! A [`Channel`] is the lock-free [`SpmcRing`] plus its sender-side
-//! statistics.  The ring's slot sequence words are the only book of the
-//! capacity bound: a send is a push, a full ring is the counted refusal (the
-//! caller retries — backpressure — or sheds), a receive is a pop.  An
-//! accepted send never waits and a refusal never loses a record.
+//! statistics.  The ring's `tail` is the only book of the capacity bound: a
+//! send is a push, a full ring is the counted refusal (the caller retries —
+//! backpressure — or sheds), a receive is a pop.  An accepted send never
+//! waits and a refusal never loses a record.
 //!
-//! Who writes what: a send writes the slot line it fills, the ring's `head`
-//! and this channel's own sender statistics; a receive writes the slot's
-//! sequence word and the ring's `tail`.  In a channel that keeps up, the only
-//! line a round moves between the two threads is its slot; a send looks at
-//! `tail` only when its cached copy could raise the occupancy peak.
+//! Who writes what: the one sender writes the slot lines, the ring's `head`
+//! and its cached copy of `tail`, and this channel's own statistics, each a
+//! plain store; a receive writes the ring's `tail` and nothing else.  In a
+//! channel that keeps up, the only line a round moves from sender to
+//! receiver is its slot; the sender reads `tail` only when its cached copy
+//! says the ring is full or could raise the occupancy peak, and — refused —
+//! once per yield of its wait.
 //!
 //! Records are the same fixed-size `u64`-word packets the ring stores (the
 //! typed view lives one layer up: [`PacketCodec`](crate::packet::PacketCodec)
 //! encodes and validates, [`DecodeStage`](crate::stage::DecodeStage)
-//! consumes).  Like the ring, a channel is multi-consumer-safe: any worker
-//! may receive, which is what lets an idle worker steal from a busy
-//! channel through [`StealMux`](crate::stage::StealMux).
+//! consumes).  Like the ring, a channel has one sender and any number of
+//! receivers: any worker may receive, which is what lets an idle worker
+//! steal from a busy channel through [`StealMux`](crate::stage::StealMux).
 
 use crate::queue::SpmcRing;
 use crate::stage::{resume_stride, StageReport};
+use crate::telemetry::bump;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A bounded channel: the ring is the flow control.
+/// A bounded channel: the ring is the flow control.  One thread sends (see
+/// [`SpmcRing`]); any number receive.
 ///
 /// ```rust
 /// use nisqplus_runtime::stage::Channel;
@@ -43,15 +47,14 @@ pub struct Channel {
     stats: SenderStats,
 }
 
-/// The channel's own statistics, all written by senders only — on a line of
-/// their own so a refused send never invalidates anything a receiver reads.
+/// The channel's own statistics, written by the sender only — plain stores,
+/// on a line of their own so a refused send never invalidates anything a
+/// receiver reads.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 struct SenderStats {
     /// Sends refused by a full ring.
     refused: AtomicU64,
-    /// The senders' cached lower bound of the ring's `tail`.
-    popped_seen: AtomicU64,
     /// The most records resident right after any send.
     occupancy_peak: AtomicU64,
 }
@@ -80,31 +83,31 @@ impl Channel {
     pub fn try_send(&self, record: &[u64]) -> bool {
         let stats = &self.stats;
         if self.ring.try_push(record).is_err() {
-            stats.refused.fetch_add(1, Ordering::Relaxed);
+            bump(&stats.refused, 1);
             return false;
         }
-        // The peak is exact without reading the consumers' cursor on every
-        // send: `pushed − popped_seen` bounds the occupancy from above (the
+        // The peak is exact without reading the receivers' cursor on every
+        // send: `pushed − cached tail` bounds the occupancy from above (the
         // true `tail` can only be further on), so `tail` is looked up only
         // when that bound exceeds the recorded peak — whenever it does not,
-        // the true figure could not have raised the peak either.  Refreshing
-        // the cached copy there keeps the bound tight.
+        // the true figure could not have raised the peak either.  The lookup
+        // refreshes the ring's cached copy, which keeps the bound tight.
         let pushed = self.ring.pushed();
-        let bound = pushed - stats.popped_seen.load(Ordering::Relaxed);
-        if bound > stats.occupancy_peak.load(Ordering::Relaxed) {
-            let popped = self.ring.popped();
-            stats.popped_seen.fetch_max(popped, Ordering::Relaxed);
-            stats
-                .occupancy_peak
-                .fetch_max(pushed.saturating_sub(popped), Ordering::Relaxed);
+        let peak = stats.occupancy_peak.load(Ordering::Relaxed);
+        if pushed - self.ring.cached_tail() > peak {
+            let resident = pushed.saturating_sub(self.ring.refresh_tail());
+            if resident > peak {
+                stats.occupancy_peak.store(resident, Ordering::Relaxed);
+            }
         }
         true
     }
 
     /// What a sender waits for after a refused send, before it sends again:
-    /// [`resume_stride`] slots handed back ([`SpmcRing::has_room`]), so that
-    /// a full channel's sender takes a line from the receivers once per
-    /// eighth of the ring instead of once per record.  A refusal still loses
+    /// [`resume_stride`] slots claimed by receivers ([`SpmcRing::has_room`]),
+    /// so that a full channel's sender offers once per eighth of the ring
+    /// instead of once per record.  It reads the ring's `tail`, so the
+    /// sender asks it once per yield of its wait.  A refusal still loses
     /// nothing and the wait adds nothing to the bound — a sender that does
     /// not wait is merely refused again.
     pub(crate) fn can_resume(&self) -> bool {

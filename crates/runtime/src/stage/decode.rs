@@ -26,7 +26,7 @@ use crate::lattice_set::{LatticeDecoder, LatticeSet};
 use crate::obs::{EventJournal, EventKind, EventSeverity};
 use crate::packet::{PacketCodec, PacketError, SyndromePacket};
 use crate::stage::{pause, Channel, FrameSink, StageReport, StealMux, WorkerOutput};
-use crate::telemetry::RuntimeCounters;
+use crate::telemetry::{bump, RuntimeCounters};
 use nisqplus_decoders::traits::{DecoderFactory, DynDecoder};
 use nisqplus_qec::lattice::Sector;
 use nisqplus_qec::logical::{classify_both_sectors_into, LogicalState};
@@ -342,9 +342,7 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> Vec<String> {
         // ---- Fill a batch: own channel first, then steal ----------------
         let fill = mux.fill(channels, &mut batch);
         if fill.stolen > 0 {
-            worker_counters
-                .stolen
-                .fetch_add(fill.stolen, Ordering::Relaxed);
+            bump(&worker_counters.stolen, fill.stolen);
             journal.publish(
                 EventKind::Steal,
                 EventSeverity::Info,
@@ -358,7 +356,7 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> Vec<String> {
             if seat.done.load(Ordering::Acquire) && channels.iter().all(Channel::is_empty) {
                 return decode.lattice_decoders().to_vec();
             }
-            worker_counters.stall_polls.fetch_add(1, Ordering::Relaxed);
+            bump(&worker_counters.stall_polls, 1);
             pause(&mut turns);
             continue;
         }
@@ -408,7 +406,7 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> Vec<String> {
                 .fetch_add(1, Ordering::Relaxed);
             prev = now;
         }
-        worker_counters.batches.fetch_add(1, Ordering::Relaxed);
+        bump(&worker_counters.batches, 1);
     }
 }
 

@@ -108,8 +108,9 @@ impl QosGate {
     /// The outstanding count at or below which a [`Admission::Blocked`] lane
     /// is worth re-offering to: [`resume_stride`] rounds under the budget,
     /// the hysteresis a full channel's sender waits out
-    /// ([`Channel::can_resume`](crate::stage::Channel::can_resume)).  Unlike
-    /// that wait, this one has only the workers' `decoded` line to watch.
+    /// ([`Channel::can_resume`](crate::stage::Channel::can_resume)).  Like
+    /// that wait, it reads a line the workers write (the lattice's
+    /// `decoded`), so the waiting source asks once per yield.
     /// `None` for a budget-less lane, which never blocks.
     pub(crate) fn resume_at(&self, lattice_id: usize) -> Option<u64> {
         let budget = self.lanes[lattice_id].budget?;

@@ -20,9 +20,8 @@ use crate::packet::{PacketCodec, SyndromePacket};
 use crate::scenario::{SyndromeTrace, TraceRecorder, TraceSource};
 use crate::source::{ElasticEvent, ElasticEventKind, InterleavedSource, NoiseEpoch, SourcedRound};
 use crate::stage::{pause, Admission, Channel, DepthSink, QosGate, StageReport};
-use crate::telemetry::{DepthSample, LatticeCounters, RuntimeCounters};
+use crate::telemetry::{bump, DepthSample, LatticeCounters, RuntimeCounters};
 use nisqplus_qec::logical::{classify_shed_round, ResidualTally};
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 /// What a caller may attach to one run
@@ -207,10 +206,12 @@ fn apply_elastic_events(
 /// backpressure spin against the lattice, for at most `watchdog`: the one
 /// lossless wait of a Block lane, whichever bound (budget or channel
 /// capacity) is refusing.  Between a refusal and the next attempt it waits,
-/// uncounted, for `can_resume` — a read that takes no line from a working
-/// consumer per round.  Returns whether the attempt succeeded and how often it
-/// was refused.  The clock is read at the first refusal, and then once per
-/// yield.
+/// uncounted, for `can_resume`.  That poll reads a line the workers write
+/// (the ring's `tail`, the lattice's `decoded`), so it is asked only on the
+/// wait's yield turns, every [`TURNS_PER_YIELD`](crate::stage::TURNS_PER_YIELD)th:
+/// the workers' claims and commits keep their lines between two polls.  Returns
+/// whether the attempt succeeded and how often it was refused.  The clock is
+/// read at the first refusal, and then once per yield.
 fn spin_until(
     lattice_counters: &LatticeCounters,
     watchdog: Duration,
@@ -221,13 +222,14 @@ fn spin_until(
     let mut spins = 0u64;
     let mut deadline: Option<Instant> = None;
     while !attempt() {
-        lattice_counters
-            .backpressure_spins
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&lattice_counters.backpressure_spins, 1);
         spins += 1;
         let limit = *deadline.get_or_insert_with(|| Instant::now() + watchdog);
         loop {
-            if pause(turns) && Instant::now() >= limit {
+            if !pause(turns) {
+                continue;
+            }
+            if Instant::now() >= limit {
                 return (false, spins);
             }
             if can_resume() {
@@ -306,8 +308,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
     // error ([`classify_shed_round`] reads it in place, allocation-free).
     let mut account_shed = |sourced: &SourcedRound| {
         let lattice_id = sourced.lattice_id as usize;
-        let dropped = &counters.per_lattice[lattice_id].dropped;
-        dropped.fetch_add(1, Ordering::Relaxed);
+        bump(&counters.per_lattice[lattice_id].dropped, 1);
         if config.streams_residuals() {
             let (x, z) = classify_shed_round(set.lattice(lattice_id), &sourced.error);
             shed_tallies[lattice_id].record_states(x, z);
@@ -356,7 +357,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
             codec.encode(&packet, &mut record);
         }
         let lattice_counters = &counters.per_lattice[lattice_id as usize];
-        lattice_counters.generated.fetch_add(1, Ordering::Relaxed);
+        bump(&lattice_counters.generated, 1);
         let channel_index = spread_channel(lattice_id, sourced.round, channels.len());
         let channel = &channels[channel_index];
         // Whether an injected stall is holding this round's channel shut
@@ -466,7 +467,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
             }
         };
         if delivered {
-            lattice_counters.enqueued.fetch_add(1, Ordering::Relaxed);
+            bump(&lattice_counters.enqueued, 1);
         }
         let stats = &mut lattice_stats[lattice_id as usize];
         // Reuse the emission timestamp: it is this round's generation
@@ -519,6 +520,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
 mod tests {
     use super::*;
     use crate::stage::TURNS_PER_YIELD;
+    use std::sync::atomic::Ordering;
 
     /// The Block-lane wait with the consumer played by the wait predicate
     /// itself, so no schedule is involved: a full 16-slot channel refuses

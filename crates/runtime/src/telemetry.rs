@@ -26,6 +26,14 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Adds `by` to a counter that only the calling thread writes: a `Relaxed`
+/// load and a plain store, no locked read-modify-write.  With no second
+/// writer there is no increment to lose, and a reader on another thread sees
+/// some value the writer stored, as it would after a `fetch_add`.
+pub(crate) fn bump(counter: &AtomicU64, by: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + by, Ordering::Relaxed);
+}
+
 /// A zero-sized, 64-byte-aligned field: in a `repr(C)` struct, whatever is
 /// declared after it starts on a fresh cache line.
 #[derive(Debug, Default)]
@@ -37,7 +45,9 @@ struct NextLine;
 /// Laid out by writer: the fields the source thread bumps fill one 64-byte
 /// line, the fields the decode workers bump start the next, so a worker
 /// committing a round never invalidates the line the source counts the next
-/// round on (and vice versa).
+/// round on (and vice versa).  The source's fields have that one writer and
+/// take a load and a plain store each; `decoded`, which every worker may
+/// raise, takes a `fetch_add`.
 #[derive(Debug, Default)]
 #[repr(C, align(64))]
 pub struct LatticeCounters {
@@ -209,7 +219,8 @@ impl CounterSnapshot {
 }
 
 /// Per-worker atomic progress counters (a slice of [`RuntimeCounters`]),
-/// one cache line per worker: no worker's commit touches a neighbour's line.
+/// one cache line per worker: no worker's commit touches a neighbour's line,
+/// and its one writer bumps each with a load and a plain store.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub struct WorkerCounters {
