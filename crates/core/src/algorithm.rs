@@ -16,8 +16,10 @@
 //!
 //! A pairing's completion time depends only on the grid offset between its
 //! two modules, and a boundary pairing's only on the module.  So, once per
-//! lattice, each sector's `rows × cols` ancilla grid (row-major bits of a
-//! [`Bits<W>`], as in union-find) gets a table of completion times: at each
+//! lattice, each sector's `rows × cols` ancilla grid
+//! ([`Lattice::sector_grid`]; row-major bits of a [`Bits<W>`], as in
+//! union-find, so a decode's defects are one copy of the syndrome's bit
+//! range for the sector) gets a table of completion times: at each
 //! time, the offsets `(Δr, Δc)` that complete then — each a shift `s` and a
 //! mask of the origins whose partner lies on the grid — and the modules whose
 //! boundary pairing completes then.  A decode holds its live defects as a set
@@ -27,7 +29,8 @@
 //! without — a pair with one cleared end is then a pairing with its ghost.
 //! A round sorts its few pairings into the order the handshake sees them
 //! and applies them.  The word count `W` comes from union-find's ladder
-//! {1, 2, 4, 8, 16}, so the mesh takes distances up to 31.
+//! {1, 2, 4, 8, 16}, so the mesh takes distances up to
+//! [`MAX_DISTANCE`](nisqplus_decoders::bits::MAX_DISTANCE).
 //!
 //! The incremental design flaws that the paper's ablation (Figure 10, top
 //! row) attributes to the missing mechanisms are modelled explicitly:
@@ -40,16 +43,13 @@
 //!   with *every* partner at the minimal distance instead of exactly one.
 
 use crate::config::MeshConfig;
-use nisqplus_decoders::bits::Bits;
+use nisqplus_decoders::bits::{assert_distance_supported, Bits};
 use nisqplus_decoders::traits::sector_correction_pauli;
 use nisqplus_qec::lattice::{Lattice, Sector};
 use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::syndrome::Syndrome;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
-
-/// The largest distance whose sector grid fits in 16 words.
-const MAX_DISTANCE: usize = 31;
 
 /// How a single pairing's latency is modelled, in mesh clock cycles.
 ///
@@ -149,15 +149,6 @@ pub(crate) struct MeshOutcome {
     pub(crate) completed: bool,
 }
 
-/// Where a decode's defects come from.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Defects<'a> {
-    /// The hot ancillas of the decoded sector.
-    Hot(&'a Syndrome),
-    /// Ancilla indices, in any order and possibly repeated.
-    Listed(&'a [usize]),
-}
-
 /// Whom a hot module pairs with: the middle field of a candidate's key,
 /// ordered as one module's simultaneous pairings reach the handshake.
 const DEFECT: u32 = 0;
@@ -192,10 +183,8 @@ struct Slot<const W: usize> {
 /// One sector's completion-time tables (module docs, "Bitboard walk").
 #[derive(Debug, Clone)]
 struct SectorTables<const W: usize> {
-    /// Per ancilla of the lattice: its bit, or `None` for the other sector.
-    bit_of_ancilla: Vec<Option<u16>>,
-    /// Per bit: its ancilla.
-    ancilla_of_bit: Vec<usize>,
+    /// The sector's first ancilla: bit `v` is ancilla `offset + v`.
+    offset: usize,
     offsets: Vec<Offset<W>>,
     /// Ascending by time; times no pairing completes at are left out.
     slots: Vec<Slot<W>>,
@@ -203,16 +192,8 @@ struct SectorTables<const W: usize> {
 
 impl<const W: usize> SectorTables<W> {
     fn build(config: &MeshConfig, lattice: &Lattice, sector: Sector) -> Self {
-        let d = lattice.distance();
-        let (rows, cols) = match sector {
-            Sector::X => (d - 1, d),
-            Sector::Z => (d, d - 1),
-        };
-        let ancilla_of_bit: Vec<usize> = lattice.ancillas_in_sector(sector).collect();
-        let mut bit_of_ancilla = vec![None; lattice.num_ancillas()];
-        for (v, &a) in ancilla_of_bit.iter().enumerate() {
-            bit_of_ancilla[a] = Some(v as u16);
-        }
+        let grid = lattice.sector_grid(sector);
+        let (rows, cols, offset) = (grid.rows, grid.cols, grid.offset);
 
         // Every offset `(Δr, Δc)` whose partner comes later in row-major
         // order (`Δc > 0` on the origin's own row), and its completion time.
@@ -229,7 +210,7 @@ impl<const W: usize> SectorTables<W> {
 
         let mut boundary = Vec::new();
         if config.boundary {
-            for (v, &a) in ancilla_of_bit.iter().enumerate() {
+            for (v, a) in lattice.ancillas_in_sector(sector).enumerate() {
                 // Distance (in mesh cells) from an ancilla module to the
                 // nearest boundary module of its sector: one cell beyond the
                 // last data qubit.
@@ -300,26 +281,10 @@ impl<const W: usize> SectorTables<W> {
             })
             .collect();
         SectorTables {
-            bit_of_ancilla,
-            ancilla_of_bit,
+            offset,
             offsets,
             slots,
         }
-    }
-
-    /// The defects as a set of bits.
-    fn live_set(&self, lattice: &Lattice, sector: Sector, defects: Defects<'_>) -> Bits<W> {
-        let mut live = Bits::EMPTY;
-        let mut insert = |a: usize| {
-            let v = self.bit_of_ancilla[a]
-                .unwrap_or_else(|| panic!("defect {a} does not belong to the {sector} sector"));
-            live.insert(usize::from(v));
-        };
-        match defects {
-            Defects::Hot(syndrome) => lattice.for_each_defect(syndrome, sector, insert),
-            Defects::Listed(listed) => listed.iter().for_each(|&a| insert(a)),
-        }
-        live
     }
 
     /// Pushes onto `candidates` the pairings possible at `slot`: between two
@@ -435,7 +400,7 @@ impl<const W: usize> SectorTables<W> {
                 // Chains overlap-toggle rather than accumulate: two chains
                 // crossing the same data qubit cancel, exactly like two pair
                 // pulses flipping the same error output.
-                let (a, b) = (self.ancilla_of_bit[a], self.ancilla_of_bit[b]);
+                let (a, b) = (self.offset + a, self.offset + b);
                 match kind {
                     BOUNDARY => lattice.for_each_boundary_path_qubit(a, &mut flip),
                     _ => lattice.for_each_correction_path_qubit(a, b, &mut flip),
@@ -522,11 +487,7 @@ impl PreparedMesh {
     /// Panics if `lattice.distance()` exceeds 31.
     pub(crate) fn build(config: &MeshConfig, lattice: &Lattice, sectors: &[Sector]) -> Self {
         let d = lattice.distance();
-        assert!(
-            d <= MAX_DISTANCE,
-            "the SFQ mesh supports distances up to {MAX_DISTANCE} (16 words per sector grid), \
-             not d = {d}"
-        );
+        assert_distance_supported("the SFQ mesh", d);
         let n = lattice.ancillas_per_sector();
         let grids = match n.div_ceil(64) {
             1 => Grids::W1(sector_pair(config, lattice, sectors)),
@@ -580,19 +541,15 @@ impl GreedyMeshAlgorithm {
         &self.config
     }
 
-    /// Decodes `defects` of one sector on tables `prepared` built for
-    /// `lattice`, applying the sector's correction Pauli to `out` along every
-    /// chain and pushing the pairings, in the order they completed, onto
-    /// `pairings` when there is one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a defect is not an ancilla of `sector`.
+    /// Decodes the hot ancillas of one sector on tables `prepared` built
+    /// for `lattice`, applying the sector's correction Pauli to `out` along
+    /// every chain and pushing the pairings, in the order they completed,
+    /// onto `pairings` when there is one.
     pub(crate) fn decode_prepared(
         &self,
         lattice: &Lattice,
         sector: Sector,
-        defects: Defects<'_>,
+        syndrome: &Syndrome,
         prepared: &mut PreparedMesh,
         out: &mut PauliString,
         pairings: Option<&mut Vec<MeshPairing>>,
@@ -608,7 +565,7 @@ impl GreedyMeshAlgorithm {
                 let tables = $tables[s]
                     .as_ref()
                     .expect("the decoded sector's tables are built");
-                let live = tables.live_set(lattice, sector, defects);
+                let live = Bits::defects(lattice, syndrome, sector);
                 let flip = |q| out.apply(q, pauli);
                 tables.decode(&self.config, lattice, live, candidates, flip, pairings)
             }};
@@ -640,13 +597,18 @@ impl GreedyMeshAlgorithm {
         sector: Sector,
         defects: &[usize],
     ) -> (MeshDecodeResult, Vec<MeshPairing>) {
+        let ancillas = lattice.ancillas_in_sector(sector);
+        if let Some(a) = defects.iter().find(|a| !ancillas.contains(a)) {
+            panic!("defect {a} does not belong to the {sector} sector");
+        }
+        let syndrome = Syndrome::from_hot(lattice.num_ancillas(), defects);
         let mut prepared = PreparedMesh::build(&self.config, lattice, &[sector]);
         let mut chain = PauliString::identity(lattice.num_data());
         let mut pairings = Vec::new();
         let outcome = self.decode_prepared(
             lattice,
             sector,
-            Defects::Listed(defects),
+            &syndrome,
             &mut prepared,
             &mut chain,
             Some(&mut pairings),

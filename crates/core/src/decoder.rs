@@ -6,7 +6,7 @@
 //! of the paper report.  The cycle counts are the closed-form timings of
 //! Section V-C, not a pulse-by-pulse simulation.
 
-use crate::algorithm::{Defects, GreedyMeshAlgorithm, PreparedMesh};
+use crate::algorithm::{GreedyMeshAlgorithm, PreparedMesh};
 use crate::config::{DecoderVariant, MeshConfig};
 use crate::hardware::DecoderModuleHardware;
 use nisqplus_decoders::traits::Decoder;
@@ -140,14 +140,9 @@ impl Decoder for SfqMeshDecoder {
         out.reset_identity(lattice.num_data());
         self.ensure_prepared(lattice);
         let prepared = self.prepared.as_mut().expect("just prepared");
-        let outcome = self.algorithm.decode_prepared(
-            lattice,
-            sector,
-            Defects::Hot(syndrome),
-            prepared,
-            out,
-            None,
-        );
+        let outcome = self
+            .algorithm
+            .decode_prepared(lattice, sector, syndrome, prepared, out, None);
         self.last_stats = Some(DecodeStats {
             defects: outcome.defects,
             cycles: outcome.cycles,

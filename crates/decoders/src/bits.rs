@@ -1,17 +1,35 @@
 //! [`Bits`]: a fixed-width bitboard over a sector's ancilla grid.
 //!
 //! The grid decoders — union-find here and the SFQ mesh in `nisqplus-core` —
-//! number a sector's `rows × cols` ancillas row-major, the order of
-//! [`Lattice::ancillas_in_sector`](nisqplus_qec::lattice::Lattice::ancillas_in_sector),
-//! and hold a set of them as bit `v % 64` of word `v / 64` of a `[u64; W]`.
+//! walk a sector's `rows × cols` ancilla grid
+//! ([`Lattice::sector_grid`](nisqplus_qec::lattice::Lattice::sector_grid))
+//! and hold a set of its vertices as bit `v % 64` of word `v / 64` of a
+//! `[u64; W]`.  Ancillas are numbered sector-major, so vertex `v` is the
+//! sector's ancilla `offset + v`, and a sector's defects are a copy of the
+//! syndrome's bit range ([`Bits::defects`]), with no lookup per defect.
 //! A move on the grid is then a shift of the whole set: `plus(1)` steps every
 //! member one column right, `minus(cols)` one row up.  Rows do not wrap, so
 //! a caller masks off the members a shift carries across a row's end.
 //!
 //! Both decoders pick `W` from the word ladder {1, 2, 4, 8, 16}: one word
-//! holds a sector to d = 7, sixteen words to d = 31.
+//! holds a sector to d = 7, sixteen words to d = [`MAX_DISTANCE`].
 
+use nisqplus_qec::lattice::{Lattice, Sector};
+use nisqplus_qec::syndrome::Syndrome;
 use std::ops::{BitAnd, BitOr, BitXor, Not};
+
+/// The largest distance whose sector grid, with union-find's two boundary
+/// vertices, fits the top of the word ladder: 16 words.
+pub const MAX_DISTANCE: usize = 31;
+
+/// Panics, naming `decoder`, unless a grid decoder takes distance `d`
+/// (at most [`MAX_DISTANCE`]).
+pub fn assert_distance_supported(decoder: &str, d: usize) {
+    assert!(
+        d <= MAX_DISTANCE,
+        "{decoder} supports distances up to {MAX_DISTANCE} (16 words per sector grid), not d = {d}"
+    );
+}
 
 /// A set of grid vertices `0..64·W`: vertex `v` is bit `v % 64` of word
 /// `v / 64`.
@@ -21,6 +39,20 @@ pub struct Bits<const W: usize>(pub(crate) [u64; W]);
 impl<const W: usize> Bits<W> {
     /// The empty set.
     pub const EMPTY: Self = Bits([0; W]);
+
+    /// The hot ancillas of `sector` as grid vertices: one copy of the
+    /// syndrome's bit range for the sector ([`Lattice::sector_bits`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the syndrome length does not match `lattice`, or if a
+    /// sector of it does not fit in `64·W` bits.
+    #[must_use]
+    pub fn defects(lattice: &Lattice, syndrome: &Syndrome, sector: Sector) -> Self {
+        let mut bits = Bits::EMPTY;
+        lattice.sector_bits(syndrome, sector, &mut bits.0);
+        bits
+    }
 
     /// The vertices `0..n`, for `n <= 64·W`.
     #[must_use]

@@ -10,8 +10,9 @@
 //! be calibrated in unit tests and ablation benches.
 //!
 //! Table hits hand out borrowed slices — the seed implementation cloned the
-//! stored correction `Vec` on every decode — and each ancilla's key bit is
-//! precomputed per sector, so [`Decoder::decode_into`] is allocation-free.
+//! stored correction `Vec` on every decode — and a syndrome's key is its
+//! sector's bit range, copied ([`Lattice::sector_bits`]), so
+//! [`Decoder::decode_into`] is allocation-free.
 
 use crate::traits::{sector_correction_pauli, Decoder};
 use nisqplus_qec::error::QecError;
@@ -20,21 +21,12 @@ use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::syndrome::Syndrome;
 use std::collections::HashSet;
 
-/// The lookup table of one stabilizer sector.
-#[derive(Debug, Clone)]
-struct SectorTable {
-    /// Ancilla index -> its bit in the syndrome key: the sector's ancillas
-    /// in ascending order (other-sector entries are never read).
-    bit_of: Vec<usize>,
-    /// Key -> minimum-weight error support producing that syndrome.
-    entries: Vec<Option<Vec<usize>>>,
-}
-
-/// The table key of a syndrome: one bit per hot ancilla of the sector.
-fn syndrome_key(lattice: &Lattice, bit_of: &[usize], syndrome: &Syndrome, sector: Sector) -> usize {
-    let mut key = 0usize;
-    lattice.for_each_defect(syndrome, sector, |a| key |= 1 << bit_of[a]);
-    key
+/// The table key of a syndrome: the sector's bits, at most
+/// [`LookupDecoder::MAX_TABLE_BITS`] of them.
+fn syndrome_key(lattice: &Lattice, syndrome: &Syndrome, sector: Sector) -> usize {
+    let mut key = [0];
+    lattice.sector_bits(syndrome, sector, &mut key);
+    key[0] as usize
 }
 
 /// A decoder backed by an exhaustive syndrome-to-correction table.
@@ -45,8 +37,9 @@ fn syndrome_key(lattice: &Lattice, bit_of: &[usize], syndrome: &Syndrome, sector
 #[derive(Debug, Clone)]
 pub struct LookupDecoder {
     distance: usize,
-    /// Sector tables in `[X, Z]` order.
-    sectors: [SectorTable; 2],
+    /// Per sector, in `[X, Z]` order: syndrome key -> a minimum-weight
+    /// error support producing that syndrome.
+    sectors: [Vec<Option<Vec<usize>>>; 2],
 }
 
 impl LookupDecoder {
@@ -101,21 +94,15 @@ impl LookupDecoder {
             self.distance,
             lattice.distance()
         );
-        let table = &self.sectors[sector.index()];
-        table
-            .entries
-            .get(syndrome_key(lattice, &table.bit_of, syndrome, sector))
+        self.sectors[sector.index()]
+            .get(syndrome_key(lattice, syndrome, sector))
             .and_then(|entry| entry.as_deref())
             .unwrap_or_default()
     }
 
-    fn build_table(lattice: &Lattice, sector: Sector) -> SectorTable {
-        let mut bit_of = vec![0usize; lattice.num_ancillas()];
-        for (i, a) in lattice.ancillas_in_sector(sector).enumerate() {
-            bit_of[a] = i;
-        }
+    fn build_table(lattice: &Lattice, sector: Sector) -> Vec<Option<Vec<usize>>> {
         let num_syndromes = 1usize << lattice.ancillas_per_sector();
-        let mut entries: Vec<Option<Vec<usize>>> = vec![None; num_syndromes];
+        let mut entries = vec![None; num_syndromes];
         entries[0] = Some(Vec::new());
         let mut remaining = num_syndromes - 1;
 
@@ -136,7 +123,7 @@ impl LookupDecoder {
                     new_support.push(q);
                     let error = PauliString::from_sparse(num_data, &new_support, pauli);
                     let syndrome = lattice.syndrome_of(&error);
-                    let new_key = syndrome_key(lattice, &bit_of, &syndrome, sector);
+                    let new_key = syndrome_key(lattice, &syndrome, sector);
                     if entries[new_key].is_none() {
                         entries[new_key] = Some(new_support.clone());
                         remaining -= 1;
@@ -148,7 +135,7 @@ impl LookupDecoder {
             }
             frontier = next_frontier;
         }
-        SectorTable { bit_of, entries }
+        entries
     }
 }
 
@@ -222,13 +209,8 @@ mod tests {
         let decoder = LookupDecoder::new(&lat).unwrap();
         for sector in Sector::ALL {
             let table = &decoder.sectors[sector.index()];
-            assert_eq!(table.entries.len(), 1 << 6);
-            let key_bits: Vec<usize> = lat
-                .ancillas_in_sector(sector)
-                .map(|a| table.bit_of[a])
-                .collect();
-            assert_eq!(key_bits, (0..6).collect::<Vec<_>>());
-            for (key, entry) in table.entries.iter().enumerate() {
+            assert_eq!(table.len(), 1 << 6);
+            for (key, entry) in table.iter().enumerate() {
                 assert!(entry.is_some(), "syndrome key {key} has no table entry");
             }
         }

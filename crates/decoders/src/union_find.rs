@@ -14,20 +14,23 @@
 //!
 //! # Bitboard model
 //!
-//! A sector is its `rows × cols` ancilla grid (X: `(d − 1) × d`, boundaries top
-//! and bottom; Z: `d × (d − 1)`, left and right) plus two boundary vertices.
-//! Vertex `v` is bit `v` of a [`Bits<W>`](crate::bits::Bits) set, row-major
-//! — the order of [`Lattice::ancillas_in_sector`] — and half- and fully-grown
-//! edges are sets indexed by owning vertex in four classes: right, down,
-//! boundary A and B.  Growth keeps its clusters — the components over full
-//! grid edges that hold a defect — from round to round, starting from one
-//! per defect.  A round keeps the clusters whose defect count is odd and
-//! which own no full boundary edge, and grows every edge incident to that
-//! set at once: `G = incident & !full; full |= G & half; half ^= G`.  Only
-//! a cluster holding an end of a newly full right or down edge is flooded
-//! again (shifts by 1 and `cols`), from itself, and a cluster an earlier
-//! flood of the round swallowed is dropped.  A round's supports do not
-//! depend on the order clusters merge in.
+//! A sector is its ancilla grid, [`Lattice::sector_grid`] (X: `(d − 1) × d`,
+//! boundaries top and bottom; Z: `d × (d − 1)`, left and right), plus two
+//! boundary vertices.  Ancillas are numbered sector-major, so vertex `v` is the
+//! sector's ancilla `offset + v` and bit `v` of a
+//! [`Bits<W>`](crate::bits::Bits) set, and a decode's defects are one copy of
+//! the syndrome's bit range.  Half- and fully-grown edges are sets indexed by
+//! owning vertex in the grid's four edge classes: right, down, boundary A and
+//! B; `prepare` derives each class's owners from the grid, and the peel reads
+//! each edge's data qubit from it.  Growth keeps its clusters — the components
+//! over full grid edges that hold a defect — from round to round, starting from
+//! one per defect.  A round keeps the clusters whose defect count is odd and
+//! which own no full boundary edge, and grows every edge incident to that set
+//! at once: `G = incident & !full; full |= G & half; half ^= G`.  Only a cluster
+//! holding an end of a newly full right or down edge is flooded again (shifts
+//! by 1 and `cols`), from itself, and a cluster an earlier flood of the round
+//! swallowed is dropped.  A round's supports do not depend on the order clusters
+//! merge in.
 //!
 //! The peel's trees come from the final clusters and are the seed's.
 //! Boundary A's tree is every cluster owning a full A edge, and B's
@@ -43,8 +46,8 @@
 //! holds no charge, since charge only moves toward the root.
 //!
 //! [`Decoder::prepare`] picks `W` from {1, 2, 4, 8, 16} (one word to d = 7) and
-//! panics past d = 31.  Growth works in stack words plus one cluster slot
-//! per grid vertex (at most one cluster per defect); the peel's heap
+//! panics past [`MAX_DISTANCE`](crate::bits::MAX_DISTANCE) = 31.  Growth
+//! works in stack words plus one cluster slot per grid vertex (at most one cluster per defect); the peel's heap
 //! scratch is one BFS queue and the tree's parent and edge arrays.  All of
 //! it is sized by `prepare` and written before it is read, so
 //! [`Decoder::decode_into`] allocates nothing (`tests/allocation_free.rs`
@@ -61,15 +64,11 @@
 //! allocates the table empty and preparing for another distance drops it;
 //! it costs `1024 · (W + 2⌈n/64⌉)` words a sector for `n` data qubits.
 
-use crate::bits::Bits;
+use crate::bits::{assert_distance_supported, Bits};
 use crate::traits::{sector_correction_pauli, Decoder};
-use nisqplus_qec::lattice::{Coord, Lattice, Sector};
-use nisqplus_qec::pauli::{Pauli, PauliString};
+use nisqplus_qec::lattice::{Lattice, Sector, SectorGrid};
+use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::syndrome::Syndrome;
-
-/// The largest distance whose sector grid, boundary vertices included, fits
-/// in 16 words.
-const MAX_DISTANCE: usize = 31;
 
 /// Slots in each sector's memo (a power of two: the slot is the top bits of
 /// a multiplicative hash).
@@ -82,11 +81,12 @@ const MEMO_SLOT_BITS: u32 = 10;
 /// while every heavy decode pays a store and evicts a light one.
 const MEMO_MAX_DEFECTS: u32 = 4;
 
-/// Edge classes, indexing [`SectorGrid::owners`] and a decode's edge sets.
-const RIGHT: usize = 0;
-const DOWN: usize = 1;
-const BOUNDARY_A: usize = 2;
-const BOUNDARY_B: usize = 3;
+/// The grid's edge classes, indexing [`SectorGraph::owners`] and a decode's
+/// edge sets.
+const RIGHT: usize = SectorGrid::RIGHT;
+const DOWN: usize = SectorGrid::DOWN;
+const BOUNDARY_A: usize = SectorGrid::BOUNDARY_A;
+const BOUNDARY_B: usize = SectorGrid::BOUNDARY_B;
 
 /// A set's memo slot: the top bits of a Fibonacci hash of its words.
 fn memo_slot<const W: usize>(set: Bits<W>) -> usize {
@@ -130,66 +130,39 @@ impl<const W: usize> Memo<W> {
 /// vertices are `0..n`; the peel numbers boundary A `n` and boundary B
 /// `n + 1`.
 #[derive(Debug, Clone)]
-struct SectorGrid<const W: usize> {
+struct SectorGraph<const W: usize> {
     n: usize,
     cols: u32,
     /// The seed's growth bound, `4 · (2d − 1) + 8` rounds; no syndrome
     /// reaches it (every odd cluster meets a boundary first).
     max_rounds: u32,
-    /// Ancilla index -> vertex, for this sector's ancillas (others read 0
-    /// and are masked out of the defect scan).
-    vertex_of_ancilla: Vec<u16>,
     /// The vertices owning an edge of each class.
     owners: [Bits<W>; 4],
-    /// The data qubit each edge crosses, by class and owning vertex.
-    qubit: [Vec<u32>; 4],
     /// The clusters `grow` keeps, in its first slots: `n` slots, since
     /// there is at most one cluster per defect.
     clusters: Vec<Bits<W>>,
     memo: Memo<W>,
 }
 
-impl<const W: usize> SectorGrid<W> {
+impl<const W: usize> SectorGraph<W> {
     fn build(lattice: &Lattice, sector: Sector) -> Self {
-        let d = lattice.distance();
-        let (rows, cols) = match sector {
-            Sector::X => (d - 1, d),
-            Sector::Z => (d, d - 1),
-        };
-        let n = rows * cols;
+        let grid = lattice.sector_grid(sector);
+        let n = lattice.ancillas_per_sector();
         debug_assert!(n + 2 <= 64 * W);
-        let mut grid = SectorGrid {
-            n,
-            cols: cols as u32,
-            max_rounds: (4 * lattice.size() + 8) as u32,
-            vertex_of_ancilla: vec![0; lattice.num_ancillas()],
-            owners: [Bits::EMPTY; 4],
-            qubit: std::array::from_fn(|_| vec![0; n]),
-            clusters: vec![Bits::EMPTY; n],
-            memo: Memo::new(lattice.num_data()),
-        };
-        let data = |row, col| lattice.cell(Coord::new(row, col)).index as u32;
-        for (v, a) in lattice.ancillas_in_sector(sector).enumerate() {
-            grid.vertex_of_ancilla[a] = v as u16;
-            let (i, j) = (v / cols, v % cols);
-            let Coord { row, col } = lattice.ancilla_coord(a);
-            let (right, down) = ((row, col + 1), (row + 1, col));
-            // Boundary A lies before the first row (X) or column (Z), B past
-            // the last.
-            let (a_edge, b_edge) = match sector {
-                Sector::X => ((i == 0, (row - 1, col)), (i + 1 == rows, down)),
-                Sector::Z => ((j == 0, (row, col - 1)), (j + 1 == cols, right)),
-            };
-            // Whether `v` owns an edge of each class, and the qubit it crosses.
-            let owned = [(j + 1 < cols, right), (i + 1 < rows, down), a_edge, b_edge];
-            for (class, (owns, (row, col))) in owned.into_iter().enumerate() {
-                if owns {
-                    grid.owners[class].toggle(v);
-                    grid.qubit[class][v] = data(row, col);
-                }
+        let mut owners = [Bits::EMPTY; 4];
+        for (class, owners) in owners.iter_mut().enumerate() {
+            for v in (0..n).filter(|&v| grid.crossing(class, v).is_some()) {
+                owners.insert(v);
             }
         }
-        grid
+        SectorGraph {
+            n,
+            cols: grid.cols as u32,
+            max_rounds: (4 * lattice.size() + 8) as u32,
+            owners,
+            clusters: vec![Bits::EMPTY; n],
+            memo: Memo::new(lattice.num_data()),
+        }
     }
 
     /// `set` closed over the fully-grown edges `full`.
@@ -273,20 +246,20 @@ impl<const W: usize> SectorGrid<W> {
         (full, len)
     }
 
-    /// Peels the spanning forest of the fully-grown edges `full`: a tree
-    /// for each boundary's clusters and one for each other cluster of
-    /// `clusters` (module docs), each BFS stopping at the tree's last
-    /// defect.  Applies `pauli` to `out` on
-    /// the data qubit of every tree edge whose child carries charge;
-    /// boundary vertices absorb charge instead of relaying it.
+    /// Peels the spanning forest of the fully-grown edges `full` of `grid`:
+    /// a tree for each boundary's clusters and one for each other cluster
+    /// of `clusters` (module docs), each BFS stopping at the tree's last
+    /// defect.  Calls `flip` on the data qubit of every tree edge whose
+    /// child carries charge; boundary vertices absorb charge instead of
+    /// relaying it.
     fn peel(
         &self,
+        grid: &SectorGrid,
         full: &[Bits<W>; 4],
         clusters: &[Bits<W>],
         defects: Bits<W>,
         scratch: &mut PeelScratch,
-        pauli: Pauli,
-        out: &mut PauliString,
+        mut flip: impl FnMut(usize),
     ) {
         let PeelScratch {
             queue,
@@ -336,11 +309,13 @@ impl<const W: usize> SectorGrid<W> {
             while undiscovered > 0 && head < len {
                 let v = queue[head] as usize;
                 head += 1;
-                let mut visit = |w: usize, edge_qubit: u32| {
+                // Discovers `w` over `owner`'s full edge of `class`.
+                let mut visit = |w: usize, class: usize, owner: usize| {
                     if !visited.contains(w) {
                         visited.insert(w);
                         parent[w] = v as u16;
-                        qubit[w] = edge_qubit;
+                        let edge = grid.crossing(class, owner);
+                        qubit[w] = edge.expect("a full edge is owned") as u32;
                         queue[len] = w as u16;
                         len += 1;
                         if defects.contains(w) {
@@ -351,7 +326,7 @@ impl<const W: usize> SectorGrid<W> {
                 if v >= boundary_a {
                     let class = BOUNDARY_A + (v - boundary_a);
                     for w in full[class].iter() {
-                        visit(w, self.qubit[class][w]);
+                        visit(w, class, w);
                     }
                     continue;
                 }
@@ -366,7 +341,7 @@ impl<const W: usize> SectorGrid<W> {
                 ];
                 for (class, owner, w) in neighbours {
                     if owner < self.n && full[class].contains(owner) {
-                        visit(w, self.qubit[class][owner]);
+                        visit(w, class, owner);
                     }
                 }
             }
@@ -375,7 +350,7 @@ impl<const W: usize> SectorGrid<W> {
             for &v in queue[1..len].iter().rev() {
                 let v = v as usize;
                 if v < self.n && charge.contains(v) {
-                    out.apply(qubit[v] as usize, pauli);
+                    flip(qubit[v] as usize);
                     charge.toggle(parent[v] as usize);
                 }
             }
@@ -394,12 +369,9 @@ impl<const W: usize> SectorGrid<W> {
         sector: Sector,
         out: &mut PauliString,
     ) {
-        // Hot ancillas of the other sector are masked out of the scan, so a
-        // combined X/Z syndrome works directly.
-        let mut defects = Bits::EMPTY;
-        lattice.for_each_defect(syndrome, sector, |a| {
-            defects.toggle(self.vertex_of_ancilla[a] as usize);
-        });
+        // Only the sector's bit range is copied, so a combined X/Z syndrome
+        // works directly.
+        let defects = Bits::defects(lattice, syndrome, sector);
         if defects.is_empty() {
             return;
         }
@@ -412,7 +384,9 @@ impl<const W: usize> SectorGrid<W> {
         }
         let (full, len) = self.grow(defects);
         let pauli = sector_correction_pauli(sector);
-        self.peel(&full, &self.clusters[..len], defects, scratch, pauli, out);
+        let grid = lattice.sector_grid(sector);
+        let flip = |q| out.apply(q, pauli);
+        self.peel(grid, &full, &self.clusters[..len], defects, scratch, flip);
         if let Some(slot) = slot {
             self.memo.keys[slot] = defects;
             self.memo.correction(slot).copy_from_slice(out.words());
@@ -430,10 +404,10 @@ enum Grids {
     W16(SectorGrids<16>),
 }
 
-type SectorGrids<const W: usize> = Box<[SectorGrid<W>; 2]>;
+type SectorGrids<const W: usize> = Box<[SectorGraph<W>; 2]>;
 
 fn sector_grids<const W: usize>(lattice: &Lattice) -> SectorGrids<W> {
-    Box::new(Sector::ALL.map(|sector| SectorGrid::build(lattice, sector)))
+    Box::new(Sector::ALL.map(|sector| SectorGraph::build(lattice, sector)))
 }
 
 /// The peel's heap scratch, shared by both sectors (each has `d(d − 1)` grid
@@ -468,11 +442,7 @@ struct PreparedUnionFind {
 impl PreparedUnionFind {
     fn build(lattice: &Lattice) -> Self {
         let d = lattice.distance();
-        assert!(
-            d <= MAX_DISTANCE,
-            "union-find supports distances up to {MAX_DISTANCE} (16 words per sector grid), \
-             not d = {d}"
-        );
+        assert_distance_supported("union-find", d);
         let vertices = lattice.ancillas_per_sector() + 2;
         let grids = match vertices.div_ceil(64) {
             1 => Grids::W1(sector_grids(lattice)),
@@ -554,54 +524,39 @@ impl Decoder for UnionFindDecoder {
 mod tests {
     use super::*;
     use nisqplus_qec::error_model::{Depolarizing, ErrorModel, PureDephasing};
+    use nisqplus_qec::lattice::Coord;
     use nisqplus_qec::logical::{classify_residual, LogicalState};
+    use nisqplus_qec::pauli::Pauli;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    /// The grid model at one word count: `d(d − 1)` vertices per sector
-    /// numbered like `ancillas_in_sector`, exactly one owned edge per data
-    /// qubit, and the boundary edges owned by the sector's two boundary sides.
-    fn check_grid_model<const W: usize>(d: usize) {
+    /// `prepare`'s graph at one word count: `d(d − 1)` vertices per
+    /// sector, and each class's owners those of the lattice's grid, one
+    /// owned edge per data qubit (the grid's contract is
+    /// `nisqplus_qec::lattice`'s `sector_grid_contract`).
+    fn check_owners<const W: usize>(d: usize) {
         let lat = Lattice::new(d).unwrap();
         for sector in Sector::ALL {
-            let grid = SectorGrid::<W>::build(&lat, sector);
-            let (rows, cols) = match sector {
-                Sector::X => (d - 1, d),
-                Sector::Z => (d, d - 1),
-            };
-            assert_eq!(grid.n, d * (d - 1));
-            let vertices: Vec<usize> = lat
-                .ancillas_in_sector(sector)
-                .map(|a| usize::from(grid.vertex_of_ancilla[a]))
-                .collect();
-            assert_eq!(vertices, (0..grid.n).collect::<Vec<_>>());
-
-            let mut crossed: Vec<usize> = (0..4)
-                .flat_map(|class| grid.owners[class].iter().map(move |v| (class, v)))
-                .map(|(class, v)| grid.qubit[class][v] as usize)
-                .collect();
-            assert_eq!(crossed.len(), d * d + (d - 1) * (d - 1), "d={d} {sector}");
-            crossed.sort_unstable();
-            assert_eq!(crossed, (0..lat.num_data()).collect::<Vec<_>>());
-
-            let side = |on: &dyn Fn(usize, usize) -> bool| -> Vec<usize> {
-                (0..grid.n).filter(|&v| on(v / cols, v % cols)).collect()
-            };
-            let (a, b) = match sector {
-                Sector::X => (side(&|i, _| i == 0), side(&|i, _| i == rows - 1)),
-                Sector::Z => (side(&|_, j| j == 0), side(&|_, j| j == cols - 1)),
-            };
-            assert_eq!(grid.owners[BOUNDARY_A].iter().collect::<Vec<_>>(), a);
-            assert_eq!(grid.owners[BOUNDARY_B].iter().collect::<Vec<_>>(), b);
+            let graph = SectorGraph::<W>::build(&lat, sector);
+            let grid = lat.sector_grid(sector);
+            assert_eq!(graph.n, d * (d - 1));
+            for class in 0..4 {
+                let owners: Vec<usize> = (0..graph.n)
+                    .filter(|&v| grid.crossing(class, v).is_some())
+                    .collect();
+                assert_eq!(graph.owners[class].iter().collect::<Vec<_>>(), owners);
+            }
+            let edges: u32 = graph.owners.iter().map(|o| o.count_ones()).sum();
+            assert_eq!(edges as usize, lat.num_data(), "d={d} {sector}");
         }
     }
 
     #[test]
     fn graph_has_expected_vertex_and_edge_counts() {
-        check_grid_model::<1>(3);
-        check_grid_model::<1>(5);
-        check_grid_model::<2>(9);
-        check_grid_model::<4>(15);
+        check_owners::<1>(3);
+        check_owners::<1>(5);
+        check_owners::<2>(9);
+        check_owners::<4>(15);
         // `prepare` picks the fewest of {1, 2, 4, 8, 16} words that hold a
         // sector's grid and its two boundary vertices.
         for (d, words) in [(7, 1), (9, 2), (11, 2), (13, 4), (15, 4), (17, 8), (31, 16)] {
@@ -713,20 +668,22 @@ mod tests {
         );
     }
 
-    /// Grows and peels `defects` on `grid`: the correction, the final
+    /// Grows and peels `defects` on `graph`: the correction, the final
     /// clusters, and whether one of them owns full edges to both boundaries.
     fn grow_and_peel<const W: usize>(
         lattice: &Lattice,
-        grid: &mut SectorGrid<W>,
+        graph: &mut SectorGraph<W>,
         scratch: &mut PeelScratch,
         defects: Bits<W>,
         sector: Sector,
     ) -> (PauliString, Vec<Bits<W>>, bool) {
         let mut out = PauliString::identity(lattice.num_data());
-        let (full, len) = grid.grow(defects);
+        let (full, len) = graph.grow(defects);
         let pauli = sector_correction_pauli(sector);
-        let clusters = grid.clusters[..len].to_vec();
-        grid.peel(&full, &clusters, defects, scratch, pauli, &mut out);
+        let clusters = graph.clusters[..len].to_vec();
+        let grid = lattice.sector_grid(sector);
+        let flip = |q| out.apply(q, pauli);
+        graph.peel(grid, &full, &clusters, defects, scratch, flip);
         let spanning = clusters.iter().any(|&cluster| {
             !(cluster & full[BOUNDARY_A]).is_empty() && !(cluster & full[BOUNDARY_B]).is_empty()
         });
@@ -747,18 +704,15 @@ mod tests {
         let mut scratch = PeelScratch::new(lattice.ancillas_per_sector() + 2);
         let (mut split, mut spanning) = (0, 0);
         for sector in Sector::ALL {
-            let mut grid = SectorGrid::<W>::build(&lattice, sector);
+            let mut graph = SectorGraph::<W>::build(&lattice, sector);
             for &p in ps {
                 let model = Depolarizing::new(p).unwrap();
                 let mut rng = ChaCha8Rng::seed_from_u64(d as u64 * 1_000 + (p * 100.0) as u64);
                 for _ in 0..samples {
                     let syndrome = lattice.syndrome_of(&model.sample(&lattice, &mut rng));
-                    let mut defects = Bits::EMPTY;
-                    lattice.for_each_defect(&syndrome, sector, |a| {
-                        defects.toggle(usize::from(grid.vertex_of_ancilla[a]));
-                    });
+                    let defects = Bits::defects(&lattice, &syndrome, sector);
                     let (whole, clusters, spans) =
-                        grow_and_peel(&lattice, &mut grid, &mut scratch, defects, sector);
+                        grow_and_peel(&lattice, &mut graph, &mut scratch, defects, sector);
                     if clusters.len() < 2 {
                         continue;
                     }
@@ -770,7 +724,7 @@ mod tests {
                     for cluster in clusters {
                         let (alone, ..) = grow_and_peel(
                             &lattice,
-                            &mut grid,
+                            &mut graph,
                             &mut scratch,
                             cluster & defects,
                             sector,

@@ -10,9 +10,13 @@
 //!
 //! * **Data qubits** are numbered `0..num_data()` in row-major order; Pauli
 //!   strings ([`crate::pauli::PauliString`]) are indexed by data-qubit index.
-//! * **Ancilla qubits** are numbered `0..num_ancillas()` in row-major order
-//!   (X and Z ancillas interleaved); syndromes
-//!   ([`crate::syndrome::Syndrome`]) are indexed by ancilla index.
+//! * **Ancilla qubits** are numbered `0..num_ancillas()` sector-major: with
+//!   `n = d(d-1)`, the X ancillas are `0..n`, row-major over their
+//!   `(d-1) x d` grid, and the Z ancillas `n..2n`, row-major over their
+//!   `d x (d-1)` grid ([`Lattice::sector_grid`]).  Syndromes
+//!   ([`crate::syndrome::Syndrome`]) are indexed by ancilla index, so a
+//!   sector's detection events are one contiguous bit range of a syndrome,
+//!   and ascending ancilla order within a sector is its row-major order.
 //! * **Mesh coordinates** `(row, col)` refer to the full `(2d-1) x (2d-1)`
 //!   grid and are what the SFQ decoder mesh (one module per qubit) uses.
 
@@ -21,6 +25,7 @@ use crate::pauli::PauliString;
 use crate::syndrome::{DefectIndices, Syndrome};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 
 /// A position on the `(2d-1) x (2d-1)` qubit grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -143,6 +148,48 @@ pub struct CellInfo {
 /// Fills the unused slot of a boundary qubit's pair in `Lattice::data_ancillas`.
 const NO_ANCILLA: u32 = u32::MAX;
 
+/// One sector's ancilla grid, the decoding graph every grid decoder walks
+/// ([`Lattice::sector_grid`]).
+///
+/// Vertex `v` is the ancilla `offset + v`, in grid cell
+/// `(v / cols, v % cols)`: X's grid is `(d-1) x d` with its boundaries
+/// above the first row and below the last, Z's is `d x (d-1)` with its
+/// boundaries left of the first column and right of the last.  Each data
+/// qubit is crossed by exactly one edge of the grid, owned by one vertex
+/// and of one class: [`RIGHT`](Self::RIGHT) to the next vertex of the row,
+/// [`DOWN`](Self::DOWN) to the vertex below, or
+/// [`BOUNDARY_A`](Self::BOUNDARY_A) / [`BOUNDARY_B`](Self::BOUNDARY_B) from
+/// a vertex of the first / last row (X) or column (Z) to that boundary.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SectorGrid {
+    /// The ancilla index of vertex 0.
+    pub offset: usize,
+    /// The number of grid rows.
+    pub rows: usize,
+    /// The number of grid columns.
+    pub cols: usize,
+    /// Per vertex, by class: the data qubit its edge crosses, if it owns one.
+    edges: Vec<[Option<u32>; 4]>,
+}
+
+impl SectorGrid {
+    /// The edge class from a vertex to the next one of its row.
+    pub const RIGHT: usize = 0;
+    /// The edge class from a vertex to the one below it.
+    pub const DOWN: usize = 1;
+    /// The edge class from a vertex to boundary A: top (X) or left (Z).
+    pub const BOUNDARY_A: usize = 2;
+    /// The edge class from a vertex to boundary B: bottom (X) or right (Z).
+    pub const BOUNDARY_B: usize = 3;
+
+    /// The data qubit crossed by the edge of `class` that vertex `v` owns,
+    /// or `None` if it owns none (a vertex past the grid included).
+    #[must_use]
+    pub fn crossing(&self, class: usize, v: usize) -> Option<usize> {
+        self.edges.get(v)?[class].map(|q| q as usize)
+    }
+}
+
 /// A distance-`d` planar surface-code lattice.
 ///
 /// The lattice owns all geometry: qubit placement, stabilizer supports,
@@ -152,10 +199,7 @@ const NO_ANCILLA: u32 = u32::MAX;
 pub struct Lattice {
     distance: usize,
     size: usize,
-    cells: Vec<CellInfo>,
-    data_coords: Vec<Coord>,
     ancilla_coords: Vec<Coord>,
-    ancilla_kinds: Vec<QubitKind>,
     /// For each ancilla index, the data-qubit indices of its stabilizer support.
     stabilizer_supports: Vec<Vec<usize>>,
     /// For each data qubit, the ancillas whose stabilizer contains it, one
@@ -164,13 +208,8 @@ pub struct Lattice {
     /// boundary touches one ancilla of the sector; its second slot holds
     /// [`NO_ANCILLA`].
     data_ancillas: Vec<[[u32; 2]; 2]>,
-    /// The ancilla indices of each sector (indexed by [`Sector::index`]),
-    /// ascending.
-    sector_ancillas: [Vec<u32>; 2],
-    /// The same sets as bit masks over a [`Syndrome`]'s words (indexed by
-    /// [`Sector::index`]): bit `a % 64` of word `a / 64` is set exactly when
-    /// ancilla `a` belongs to the sector.
-    sector_masks: [Vec<u64>; 2],
+    /// Each sector's grid, indexed by [`Sector::index`].
+    sector_grids: [SectorGrid; 2],
     /// Data-qubit indices of the logical-X representative (top row).
     logical_x_support: Vec<usize>,
     /// Data-qubit indices of the logical-Z representative (left column).
@@ -189,119 +228,95 @@ impl Lattice {
             return Err(QecError::InvalidDistance { distance });
         }
         let size = 2 * distance - 1;
-        let mut cells = Vec::with_capacity(size * size);
-        let mut data_coords = Vec::new();
-        let mut ancilla_coords = Vec::new();
-        let mut ancilla_kinds = Vec::new();
-
-        for row in 0..size {
-            for col in 0..size {
-                let coord = Coord::new(row, col);
-                let info = if (row + col) % 2 == 0 {
-                    let index = data_coords.len();
-                    data_coords.push(coord);
-                    CellInfo {
-                        kind: QubitKind::Data,
-                        index,
-                    }
-                } else if row % 2 == 1 {
-                    // Odd row, even column: X ancilla.
-                    let index = ancilla_coords.len();
-                    ancilla_coords.push(coord);
-                    ancilla_kinds.push(QubitKind::AncillaX);
-                    CellInfo {
-                        kind: QubitKind::AncillaX,
-                        index,
-                    }
-                } else {
-                    // Even row, odd column: Z ancilla.
-                    let index = ancilla_coords.len();
-                    ancilla_coords.push(coord);
-                    ancilla_kinds.push(QubitKind::AncillaZ);
-                    CellInfo {
-                        kind: QubitKind::AncillaZ,
-                        index,
-                    }
+        let per_sector = distance * (distance - 1);
+        let mut lattice = Lattice {
+            distance,
+            size,
+            ancilla_coords: vec![Coord::new(0, 0); 2 * per_sector],
+            stabilizer_supports: Vec::new(),
+            data_ancillas: Vec::new(),
+            sector_grids: Sector::ALL.map(|sector| {
+                // The one place a sector's shape is decided.
+                let (rows, cols) = match sector {
+                    Sector::X => (distance - 1, distance),
+                    Sector::Z => (distance, distance - 1),
                 };
-                cells.push(info);
-            }
-        }
-
-        let cell_at = |row: usize, col: usize| -> &CellInfo { &cells[row * size + col] };
-
-        let mut stabilizer_supports = vec![Vec::new(); ancilla_coords.len()];
-        for (a_idx, coord) in ancilla_coords.iter().enumerate() {
-            let mut support = Vec::with_capacity(4);
-            let neighbors = [
-                (coord.row.checked_sub(1), Some(coord.col)),
-                (
-                    coord.row.checked_add(1).filter(|&r| r < size),
-                    Some(coord.col),
-                ),
-                (Some(coord.row), coord.col.checked_sub(1)),
-                (
-                    Some(coord.row),
-                    coord.col.checked_add(1).filter(|&c| c < size),
-                ),
-            ];
-            for (r, c) in neighbors {
-                if let (Some(r), Some(c)) = (r, c) {
-                    let info = cell_at(r, c);
-                    debug_assert_eq!(info.kind, QubitKind::Data);
-                    support.push(info.index);
+                let offset = sector.index() * per_sector;
+                let edges = vec![[None; 4]; per_sector];
+                SectorGrid {
+                    offset,
+                    rows,
+                    cols,
+                    edges,
                 }
+            }),
+            logical_x_support: Vec::new(),
+            logical_z_support: Vec::new(),
+        };
+        // `cell` numbers every qubit; record where each ancilla sits.
+        for row in 0..size {
+            for col in (1 - row % 2..size).step_by(2) {
+                let coord = Coord::new(row, col);
+                let ancilla = lattice.cell(coord).index;
+                lattice.ancilla_coords[ancilla] = coord;
             }
-            support.sort_unstable();
-            stabilizer_supports[a_idx] = support;
         }
 
-        let mut data_ancillas = vec![[[NO_ANCILLA; 2]; 2]; data_coords.len()];
-        let mut sector_ancillas = [Vec::new(), Vec::new()];
-        let mask_words = Syndrome::words_for(ancilla_coords.len());
-        let mut sector_masks = [vec![0u64; mask_words], vec![0u64; mask_words]];
-        for (a_idx, support) in stabilizer_supports.iter().enumerate() {
-            let sector = if ancilla_kinds[a_idx] == QubitKind::AncillaX {
-                Sector::X
-            } else {
-                Sector::Z
-            };
-            let ancilla = u32::try_from(a_idx).expect("ancilla indices fit in 32 bits");
-            sector_ancillas[sector.index()].push(ancilla);
-            sector_masks[sector.index()][a_idx / 64] |= 1 << (a_idx % 64);
-            for &q in support {
-                let slot = data_ancillas[q][sector.index()]
+        let data = |row, col| lattice.cell(Coord::new(row, col)).index;
+        // The data qubit at a cell, if it lies on the grid (an ancilla's
+        // neighbours are data qubits).
+        let data_at = |row: usize, col: usize| (row < size && col < size).then(|| data(row, col));
+        // Logical X: X operators along the top row of data qubits.
+        let logical_x_support = (0..size).step_by(2).map(|col| data(0, col)).collect();
+        // Logical Z: Z operators along the left column of data qubits.
+        let logical_z_support = (0..size).step_by(2).map(|row| data(row, 0)).collect();
+
+        // Each ancilla's support, and its transpose: each data qubit's
+        // ancillas in each sector, ascending.
+        let mut data_ancillas = vec![[[NO_ANCILLA; 2]; 2]; lattice.num_data()];
+        let mut stabilizer_supports = Vec::with_capacity(2 * per_sector);
+        for (a, &Coord { row, col }) in lattice.ancilla_coords.iter().enumerate() {
+            let neighbours = [
+                (row.wrapping_sub(1), col),
+                (row + 1, col),
+                (row, col.wrapping_sub(1)),
+                (row, col + 1),
+            ];
+            let mut support: Vec<usize> = neighbours
+                .into_iter()
+                .filter_map(|(r, c)| data_at(r, c))
+                .collect();
+            support.sort_unstable();
+            for &q in &support {
+                let slot = data_ancillas[q][a / per_sector]
                     .iter_mut()
                     .find(|slot| **slot == NO_ANCILLA)
                     .expect("a data qubit touches at most two ancillas of a sector");
-                *slot = ancilla;
+                *slot = u32::try_from(a).expect("ancilla indices fit in 32 bits");
             }
+            stabilizer_supports.push(support);
         }
 
-        // Logical X: X operators along the top row of data qubits.
-        let logical_x_support: Vec<usize> = (0..size)
-            .step_by(2)
-            .map(|col| cell_at(0, col).index)
-            .collect();
-        // Logical Z: Z operators along the left column of data qubits.
-        let logical_z_support: Vec<usize> = (0..size)
-            .step_by(2)
-            .map(|row| cell_at(row, 0).index)
-            .collect();
-
-        Ok(Lattice {
-            distance,
-            size,
-            cells,
-            data_coords,
-            ancilla_coords,
-            ancilla_kinds,
-            stabilizer_supports,
-            data_ancillas,
-            sector_ancillas,
-            sector_masks,
-            logical_x_support,
-            logical_z_support,
-        })
+        // The edge crossing `q` in a sector joins its two ancillas there, or
+        // leads from its one ancilla to the boundary on `q`'s side (data
+        // qubit `q` is cell `2q` in row-major order).
+        for (q, pairs) in data_ancillas.iter().enumerate() {
+            for (grid, &[a, b]) in lattice.sector_grids.iter_mut().zip(pairs) {
+                let Coord { row, col } = lattice.ancilla_coords[a as usize];
+                let class = match b {
+                    NO_ANCILLA if 2 * q < row * size + col => SectorGrid::BOUNDARY_A,
+                    NO_ANCILLA => SectorGrid::BOUNDARY_B,
+                    _ if b == a + 1 => SectorGrid::RIGHT,
+                    _ => SectorGrid::DOWN,
+                };
+                grid.edges[a as usize - grid.offset][class] = Some(q as u32);
+            }
+        }
+        lattice.logical_x_support = logical_x_support;
+        lattice.logical_z_support = logical_z_support;
+        lattice.stabilizer_supports = stabilizer_supports;
+        lattice.data_ancillas = data_ancillas;
+        Ok(lattice)
     }
 
     /// The code distance `d`.
@@ -325,7 +340,7 @@ impl Lattice {
     /// Number of data qubits, `d^2 + (d-1)^2`.
     #[must_use]
     pub fn num_data(&self) -> usize {
-        self.data_coords.len()
+        (self.size * self.size).div_ceil(2)
     }
 
     /// Number of ancilla qubits, `2 d (d-1)`.
@@ -349,11 +364,28 @@ impl Lattice {
     /// Panics if `coord` lies outside the grid.
     #[must_use]
     pub fn cell(&self, coord: Coord) -> CellInfo {
+        let Coord { row, col } = coord;
         assert!(
-            coord.row < self.size && coord.col < self.size,
+            row < self.size && col < self.size,
             "coordinate {coord} out of range"
         );
-        self.cells[coord.row * self.size + coord.col]
+        if (row + col) % 2 == 0 {
+            // Data and ancilla cells alternate in row-major order, the grid's
+            // side being odd.
+            let index = (row * self.size + col) / 2;
+            return CellInfo {
+                kind: QubitKind::Data,
+                index,
+            };
+        }
+        // Odd row, even column: X ancilla; even row, odd column: Z ancilla.
+        // Either way it sits in its sector's grid cell `(row / 2, col / 2)`.
+        let sector = if row % 2 == 1 { Sector::X } else { Sector::Z };
+        let grid = self.sector_grid(sector);
+        CellInfo {
+            kind: sector.ancilla_kind(),
+            index: grid.offset + row / 2 * grid.cols + col / 2,
+        }
     }
 
     /// The grid coordinate of a data qubit.
@@ -363,7 +395,8 @@ impl Lattice {
     /// Panics if `index >= num_data()`.
     #[must_use]
     pub fn data_coord(&self, index: usize) -> Coord {
-        self.data_coords[index]
+        assert!(index < self.num_data(), "data qubit {index} out of range");
+        Coord::new(2 * index / self.size, 2 * index % self.size)
     }
 
     /// The grid coordinate of an ancilla qubit.
@@ -376,16 +409,6 @@ impl Lattice {
         self.ancilla_coords[index]
     }
 
-    /// The kind (X or Z) of an ancilla qubit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= num_ancillas()`.
-    #[must_use]
-    pub fn ancilla_kind(&self, index: usize) -> QubitKind {
-        self.ancilla_kinds[index]
-    }
-
     /// The sector an ancilla belongs to.
     ///
     /// # Panics
@@ -393,10 +416,11 @@ impl Lattice {
     /// Panics if `index >= num_ancillas()`.
     #[must_use]
     pub fn ancilla_sector(&self, index: usize) -> Sector {
-        match self.ancilla_kinds[index] {
-            QubitKind::AncillaX => Sector::X,
-            QubitKind::AncillaZ => Sector::Z,
-            QubitKind::Data => unreachable!("ancilla index refers to a data qubit"),
+        assert!(index < self.num_ancillas(), "ancilla {index} out of range");
+        if index < self.ancillas_per_sector() {
+            Sector::X
+        } else {
+            Sector::Z
         }
     }
 
@@ -410,11 +434,19 @@ impl Lattice {
         &self.stabilizer_supports[index]
     }
 
-    /// Iterates over the ancilla indices belonging to one sector.
-    pub fn ancillas_in_sector(&self, sector: Sector) -> impl Iterator<Item = usize> + '_ {
-        self.sector_ancillas[sector.index()]
-            .iter()
-            .map(|&a| a as usize)
+    /// The ancilla indices of one sector: a contiguous range, in the grid's
+    /// row-major order.
+    #[must_use]
+    pub fn ancillas_in_sector(&self, sector: Sector) -> Range<usize> {
+        let offset = self.sector_grid(sector).offset;
+        offset..offset + self.ancillas_per_sector()
+    }
+
+    /// One sector's ancilla grid: its shape, where its ancillas start, and
+    /// the data qubit each of its edges crosses.
+    #[must_use]
+    pub fn sector_grid(&self, sector: Sector) -> &SectorGrid {
+        &self.sector_grids[sector.index()]
     }
 
     /// Data-qubit indices of the logical-X representative (top row).
@@ -514,7 +546,8 @@ impl Lattice {
     #[must_use]
     pub fn ancilla_distance(&self, a: usize, b: usize) -> usize {
         assert_eq!(
-            self.ancilla_kinds[a], self.ancilla_kinds[b],
+            self.ancilla_sector(a),
+            self.ancilla_sector(b),
             "ancilla distance is only defined within one sector"
         );
         let ca = self.ancilla_coords[a];
@@ -529,20 +562,8 @@ impl Lattice {
     /// chains on the left/right boundaries.
     #[must_use]
     pub fn boundary_distance(&self, ancilla: usize) -> usize {
-        let coord = self.ancilla_coords[ancilla];
-        match self.ancilla_kinds[ancilla] {
-            QubitKind::AncillaX => {
-                let to_top = coord.row.div_ceil(2);
-                let to_bottom = (self.size - coord.row) / 2;
-                to_top.min(to_bottom)
-            }
-            QubitKind::AncillaZ => {
-                let to_left = coord.col.div_ceil(2);
-                let to_right = (self.size - coord.col) / 2;
-                to_left.min(to_right)
-            }
-            QubitKind::Data => unreachable!("ancilla index refers to a data qubit"),
-        }
+        let (_, _, k, len) = self.boundary_line(ancilla);
+        (k + 1).min(len - k)
     }
 
     /// Data qubits along a canonical (L-shaped) correction path between two
@@ -571,26 +592,20 @@ impl Lattice {
     /// Panics if the ancillas are not in the same sector.
     pub fn for_each_correction_path_qubit(&self, a: usize, b: usize, mut f: impl FnMut(usize)) {
         assert_eq!(
-            self.ancilla_kinds[a], self.ancilla_kinds[b],
+            self.ancilla_sector(a),
+            self.ancilla_sector(b),
             "correction paths are only defined within one sector"
         );
-        let ca = self.ancilla_coords[a];
-        let cb = self.ancilla_coords[b];
-        // Vertical leg: from ca.row to cb.row along column ca.col.
-        let (mut row, target_row) = (ca.row, cb.row);
-        while row != target_row {
-            let next = if row < target_row { row + 2 } else { row - 2 };
-            let mid_row = (row + next) / 2;
-            f(self.cell(Coord::new(mid_row, ca.col)).index);
-            row = next;
-        }
-        // Horizontal leg: from ca.col to cb.col along row target_row.
-        let (mut col, target_col) = (ca.col, cb.col);
-        while col != target_col {
-            let next = if col < target_col { col + 2 } else { col - 2 };
-            let mid_col = (col + next) / 2;
-            f(self.cell(Coord::new(target_row, mid_col)).index);
-            col = next;
+        let grid = self.sector_grid(self.ancilla_sector(a));
+        let cols = grid.cols;
+        // An ancilla at `(row, col)` sits in grid cell `(row / 2, col / 2)`.
+        let (ca, cb) = (self.ancilla_coords[a], self.ancilla_coords[b]);
+        let (ia, ja, ib, jb) = (ca.row / 2, ca.col / 2, cb.row / 2, cb.col / 2);
+        // Down or up `a`'s column to `b`'s row, then along that row to `b`.
+        let vertical = (ia.min(ib)..ia.max(ib)).map(|i| (SectorGrid::DOWN, i * cols + ja));
+        let horizontal = (ja.min(jb)..ja.max(jb)).map(|j| (SectorGrid::RIGHT, ib * cols + j));
+        for (class, v) in vertical.chain(horizontal) {
+            f(grid.crossing(class, v).expect("a grid edge"));
         }
     }
 
@@ -609,62 +624,101 @@ impl Lattice {
     /// nearest sector boundary without allocating (the path-walking core of
     /// [`Lattice::boundary_path`]).
     pub fn for_each_boundary_path_qubit(&self, ancilla: usize, mut f: impl FnMut(usize)) {
-        let coord = self.ancilla_coords[ancilla];
-        match self.ancilla_kinds[ancilla] {
-            QubitKind::AncillaX => {
-                let to_top = coord.row.div_ceil(2);
-                let to_bottom = (self.size - coord.row) / 2;
-                if to_top <= to_bottom {
-                    let mut row = coord.row;
-                    loop {
-                        f(self.cell(Coord::new(row - 1, coord.col)).index);
-                        if row < 2 {
-                            break;
-                        }
-                        row -= 2;
-                    }
-                } else {
-                    let mut row = coord.row;
-                    while row + 1 < self.size {
-                        f(self.cell(Coord::new(row + 1, coord.col)).index);
-                        row += 2;
-                    }
-                }
-            }
-            QubitKind::AncillaZ => {
-                let to_left = coord.col.div_ceil(2);
-                let to_right = (self.size - coord.col) / 2;
-                if to_left <= to_right {
-                    let mut col = coord.col;
-                    loop {
-                        f(self.cell(Coord::new(coord.row, col - 1)).index);
-                        if col < 2 {
-                            break;
-                        }
-                        col -= 2;
-                    }
-                } else {
-                    let mut col = coord.col;
-                    while col + 1 < self.size {
-                        f(self.cell(Coord::new(coord.row, col + 1)).index);
-                        col += 2;
-                    }
-                }
-            }
-            QubitKind::Data => unreachable!("ancilla index refers to a data qubit"),
+        let (grid, v, k, len) = self.boundary_line(ancilla);
+        let (step, class) = match self.ancilla_sector(ancilla) {
+            Sector::X => (grid.cols, SectorGrid::DOWN),
+            Sector::Z => (1, SectorGrid::RIGHT),
+        };
+        // The grid edges between `v` and the line's end, then that end's
+        // boundary edge.
+        let (line, end) = if k < len - k {
+            let first = v - k * step;
+            (first..v, (SectorGrid::BOUNDARY_A, first))
+        } else {
+            let last = v + (len - 1 - k) * step;
+            (v..last, (SectorGrid::BOUNDARY_B, last))
+        };
+        let edges = line.step_by(step).map(|u| (class, u)).chain([end]);
+        for (class, u) in edges {
+            f(grid.crossing(class, u).expect("a grid or boundary edge"));
         }
     }
 
+    /// The line an ancilla's boundary paths run along, its grid column (X)
+    /// or row (Z): the sector's grid, the ancilla's vertex `v`, and its
+    /// place `k` on the line of `len` vertices, boundary A before the
+    /// first and B past the last.
+    fn boundary_line(&self, ancilla: usize) -> (&SectorGrid, usize, usize, usize) {
+        let sector = self.ancilla_sector(ancilla);
+        let grid = self.sector_grid(sector);
+        // Its grid cell is `(row / 2, col / 2)`.
+        let Coord { row, col } = self.ancilla_coords[ancilla];
+        let (k, len) = match sector {
+            Sector::X => (row / 2, grid.rows),
+            Sector::Z => (col / 2, grid.cols),
+        };
+        (grid, ancilla - grid.offset, k, len)
+    }
+
     /// Visits the hot ancillas of one sector in ascending index order without
-    /// allocating (the defect-scan core of [`Lattice::defects`], and the one
-    /// place a decoder reads syndrome bits): each syndrome word is masked
-    /// with the sector's and its set bits are walked by trailing zeros, so
-    /// the scan costs one step per word plus one per defect.
+    /// allocating (the defect-scan core of [`Lattice::defects`]): the words
+    /// holding the sector's bit range are cut to it and their set bits are
+    /// walked by trailing zeros, so the scan costs one step per word plus
+    /// one per defect.
     ///
     /// # Panics
     ///
     /// Panics if the syndrome length does not match this lattice.
     pub fn for_each_defect(&self, syndrome: &Syndrome, sector: Sector, mut f: impl FnMut(usize)) {
+        self.check_syndrome(syndrome);
+        let Range { start, end } = self.ancillas_in_sector(sector);
+        let first = start / 64;
+        for (w, &word) in (first..).zip(&syndrome.words()[first..end.div_ceil(64)]) {
+            // Word `w` holds bits `low..high` of the range, `low < high <= 64`.
+            let low = start.saturating_sub(64 * w);
+            let high = (end - 64 * w).min(64);
+            let mut hot = word >> low << low << (64 - high) >> (64 - high);
+            while hot != 0 {
+                f(w * 64 + hot.trailing_zeros() as usize);
+                hot &= hot - 1;
+            }
+        }
+    }
+
+    /// Copies one sector's detection bits into `out` from bit 0, so that
+    /// grid vertex `v` is bit `v % 64` of word `v / 64`, and clears the rest
+    /// of `out`: the sector's bit range of the syndrome, one funnel shift
+    /// of two syndrome words per word.  This is how a grid decoder reads a
+    /// syndrome.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the syndrome length does not match this lattice, or if
+    /// `out` holds fewer than [`Lattice::ancillas_per_sector`] bits.
+    // Inlined across crates into each grid decoder's scan, where the
+    // decoder's word count fixes `out`'s length.
+    #[inline]
+    pub fn sector_bits(&self, syndrome: &Syndrome, sector: Sector, out: &mut [u64]) {
+        self.check_syndrome(syndrome);
+        let (start, n) = (self.sector_grid(sector).offset, self.ancillas_per_sector());
+        assert!(
+            n <= 64 * out.len(),
+            "{n} bits do not fit in {} words",
+            out.len()
+        );
+        let (q, r) = (start / 64, start % 64);
+        let words = syndrome.words();
+        for (i, slot) in out.iter_mut().enumerate() {
+            // Word `i` holds bits `64i..64i + keep` of the range.
+            let keep = n.saturating_sub(64 * i).min(64) as u32;
+            let low = words.get(q + i).map_or(0, |&w| w >> r);
+            let high = words.get(q + i + 1).map_or(0, |&w| w << 1 << (63 - r));
+            *slot = (low | high) & u64::MAX.checked_shr(64 - keep).unwrap_or(0);
+        }
+    }
+
+    /// Panics unless `syndrome` has one bit per ancilla of this lattice.
+    fn check_syndrome(&self, syndrome: &Syndrome) {
         assert_eq!(
             syndrome.len(),
             self.num_ancillas(),
@@ -672,14 +726,6 @@ impl Lattice {
             syndrome.len(),
             self.num_ancillas()
         );
-        let masks = &self.sector_masks[sector.index()];
-        for (w, (&word, &mask)) in syndrome.words().iter().zip(masks).enumerate() {
-            let mut hot = word & mask;
-            while hot != 0 {
-                f(w * 64 + hot.trailing_zeros() as usize);
-                hot &= hot - 1;
-            }
-        }
     }
 
     /// Returns `true` if `operator` triggers no detection event in `sector`,
@@ -810,6 +856,126 @@ mod tests {
                     );
                 }
                 previous = error;
+            }
+        }
+    }
+
+    /// The grid's contract, from one word of grid (d = 3) to sixteen
+    /// (d = 31): each sector's ancillas are one range, vertex `v` sits in
+    /// grid cell `(v / cols, v % cols)`, every data qubit is crossed by
+    /// exactly one owned edge — a grid edge between the two ancillas it
+    /// separates, or a boundary edge — and the boundary edges belong to
+    /// the first and last rows (X) or columns (Z).
+    #[test]
+    fn sector_grid_contract() {
+        for d in [3, 5, 7, 9, 13, 31] {
+            let lat = Lattice::new(d).unwrap();
+            let n = d * (d - 1);
+            for sector in Sector::ALL {
+                let grid = lat.sector_grid(sector);
+                let (rows, cols, offset) = (grid.rows, grid.cols, grid.offset);
+                assert_eq!(rows * cols, n, "d={d} {sector}");
+                assert_eq!(lat.ancillas_in_sector(sector), offset..offset + n);
+                assert_eq!(offset, sector.index() * n);
+                let coord = |v: usize| lat.ancilla_coord(offset + v);
+                for v in 0..n {
+                    assert_eq!(lat.ancilla_sector(offset + v), sector);
+                    assert_eq!(lat.cell(coord(v)).index, offset + v);
+                    let Coord { row, col } = coord(v);
+                    assert_eq!((row / 2, col / 2), (v / cols, v % cols), "d={d} {sector}");
+                }
+
+                let mut crossings = vec![0; lat.num_data()];
+                for class in 0..4 {
+                    assert_eq!(grid.crossing(class, n), None);
+                    for v in 0..n {
+                        let Some(q) = grid.crossing(class, v) else {
+                            continue;
+                        };
+                        crossings[q] += 1;
+                        assert!(lat.stabilizer_support(offset + v).contains(&q));
+                        let other = match class {
+                            SectorGrid::RIGHT => Some(v + 1),
+                            SectorGrid::DOWN => Some(v + cols),
+                            _ => None,
+                        };
+                        if let Some(w) = other {
+                            let (a, b) = (coord(v), coord(w));
+                            let between = Coord::new((a.row + b.row) / 2, (a.col + b.col) / 2);
+                            assert_eq!(a.manhattan(b), 2, "d={d} {sector} {v}-{w}");
+                            assert_eq!(lat.cell(between).index, q);
+                        }
+                    }
+                }
+                assert!(crossings.iter().all(|&k| k == 1), "d={d} {sector}");
+
+                let owners = |class: usize| -> Vec<usize> {
+                    (0..n)
+                        .filter(|&v| grid.crossing(class, v).is_some())
+                        .collect()
+                };
+                let side = |on: &dyn Fn(usize, usize) -> bool| -> Vec<usize> {
+                    (0..n).filter(|&v| on(v / cols, v % cols)).collect()
+                };
+                let (a, b) = match sector {
+                    Sector::X => (side(&|i, _| i == 0), side(&|i, _| i + 1 == rows)),
+                    Sector::Z => (side(&|_, j| j == 0), side(&|_, j| j + 1 == cols)),
+                };
+                assert_eq!(owners(SectorGrid::BOUNDARY_A), a, "d={d} {sector}");
+                assert_eq!(owners(SectorGrid::BOUNDARY_B), b, "d={d} {sector}");
+            }
+        }
+    }
+
+    /// `sector_bits` against a per-bit model: into one spare word more than
+    /// the sector needs, pre-filled with garbage.
+    fn assert_sector_bits_match_the_syndrome(lat: &Lattice, syndrome: &Syndrome) {
+        for sector in Sector::ALL {
+            let range = lat.ancillas_in_sector(sector);
+            let mut out = vec![u64::MAX; range.len().div_ceil(64) + 1];
+            lat.sector_bits(syndrome, sector, &mut out);
+            for v in 0..64 * out.len() {
+                let expected = v < range.len() && syndrome.is_hot(range.start + v);
+                assert_eq!(
+                    out[v / 64] >> (v % 64) & 1 == 1,
+                    expected,
+                    "d={} {sector} bit {v}",
+                    lat.distance()
+                );
+            }
+        }
+    }
+
+    /// The sector copy across word boundaries: every syndrome at d = 3 (one
+    /// word), every single defect, all-hot and random syndromes where the Z
+    /// sector straddles a word (d = 7, bits 42..84) or spans three
+    /// (d = 9, bits 72..144), and random syndromes at d = 13 and 31.
+    #[test]
+    fn sector_bits_copy_the_sector_across_word_boundaries() {
+        use rand::Rng;
+        let lat = Lattice::new(3).unwrap();
+        for pattern in 0..1u32 << lat.num_ancillas() {
+            let syndrome: Syndrome = (0..lat.num_ancillas())
+                .map(|a| pattern >> a & 1 == 1)
+                .collect();
+            assert_sector_bits_match_the_syndrome(&lat, &syndrome);
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5EC7);
+        for d in [7, 9, 13, 31] {
+            let lat = Lattice::new(d).unwrap();
+            let len = lat.num_ancillas();
+            if d <= 9 {
+                for a in 0..len {
+                    assert_sector_bits_match_the_syndrome(&lat, &Syndrome::from_hot(len, &[a]));
+                }
+                let all_hot: Syndrome = (0..len).map(|_| true).collect();
+                assert_sector_bits_match_the_syndrome(&lat, &all_hot);
+            }
+            for p in [0.05, 0.5] {
+                for _ in 0..50 {
+                    let syndrome: Syndrome = (0..len).map(|_| rng.gen_bool(p)).collect();
+                    assert_sector_bits_match_the_syndrome(&lat, &syndrome);
+                }
             }
         }
     }

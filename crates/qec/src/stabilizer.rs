@@ -9,7 +9,7 @@
 //! syndrome-generation rate in the backlog analysis.
 
 use crate::error::QecError;
-use crate::lattice::{Lattice, QubitKind};
+use crate::lattice::{Lattice, QubitKind, Sector};
 use crate::pauli::PauliString;
 use crate::syndrome::Syndrome;
 use rand::Rng;
@@ -58,11 +58,11 @@ impl StabilizerCircuit {
     /// Panics if `ancilla >= lattice.num_ancillas()`.
     #[must_use]
     pub fn for_ancilla(lattice: &Lattice, ancilla: usize) -> Self {
-        let kind = lattice.ancilla_kind(ancilla);
+        let sector = lattice.ancilla_sector(ancilla);
         let a = QubitRef::Ancilla(ancilla);
         let mut ops = vec![GateOp::PrepZ(a)];
-        match kind {
-            QubitKind::AncillaX => {
+        match sector {
+            Sector::X => {
                 // "X" circuit of Figure 3: H, then ancilla-controlled X on the
                 // data neighbours, then H and measurement.
                 ops.push(GateOp::Hadamard(a));
@@ -74,7 +74,7 @@ impl StabilizerCircuit {
                 }
                 ops.push(GateOp::Hadamard(a));
             }
-            QubitKind::AncillaZ => {
+            Sector::Z => {
                 // "Z" circuit of Figure 3: data-controlled X onto the ancilla.
                 for &d in lattice.stabilizer_support(ancilla) {
                     ops.push(GateOp::Cnot {
@@ -83,9 +83,9 @@ impl StabilizerCircuit {
                     });
                 }
             }
-            QubitKind::Data => unreachable!("ancilla index refers to a data qubit"),
         }
         ops.push(GateOp::MeasureZ(a));
+        let kind = sector.ancilla_kind();
         StabilizerCircuit { ancilla, kind, ops }
     }
 

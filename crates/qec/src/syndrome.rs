@@ -8,8 +8,8 @@
 //! There is one representation, from the sampler to the decoder: [`Syndrome`]
 //! keeps one bit per ancilla in `u64` words.  The same words are the payload
 //! of the streaming runtime's wire records (a d=9 syndrome is three words),
-//! and the decoders find the detection events by trailing-zeros scans of them
-//! ([`Lattice::for_each_defect`](crate::lattice::Lattice::for_each_defect)).
+//! and, ancillas being numbered sector-major, a decoder reads a sector as one
+//! bit range of them ([`Lattice::sector_bits`](crate::lattice::Lattice::sector_bits)).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -41,7 +41,13 @@ use std::path::Path;
 
 /// Version of the trace payload layout.  Bumped whenever the meaning or
 /// encoding of recorded rounds changes; readers reject other versions.
-pub const TRACE_VERSION: u64 = 1;
+///
+/// v2: a round's `hot` indices number ancillas sector-major — X ancillas
+/// `0..n`, then Z ancillas `n..2n` for `n = d(d-1)`, each sector row-major
+/// (`nisqplus_qec::lattice`'s index conventions).  v1 numbered them
+/// row-major over the whole qubit grid, X and Z interleaved, so a v1 list
+/// read today would put its defects on the wrong ancillas.
+pub const TRACE_VERSION: u64 = 2;
 
 /// The envelope's `schema_version` as trace files carry it: the report
 /// schema current when trace layout v1 was cut.  The payload is versioned by

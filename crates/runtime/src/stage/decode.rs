@@ -666,7 +666,11 @@ mod tests {
         let codec = PacketCodec::for_lattice_bits(&set.ancilla_bits());
         let mut stage = DecodeStage::new(&set, &codec, &factory());
         let record_for = |lattice_id: u32, round: u64| {
-            let hot = Syndrome::from_hot(codec.syndrome_bits(lattice_id), &[0, 1]);
+            // The first two Z ancillas.
+            let z = set
+                .lattice(lattice_id as usize)
+                .ancillas_in_sector(Sector::Z);
+            let hot = Syndrome::from_hot(codec.syndrome_bits(lattice_id), &[z.start, z.start + 1]);
             let mut record = vec![0u64; codec.words_per_packet()];
             codec.encode(
                 &SyndromePacket::new(lattice_id, round, 17, &hot),
