@@ -46,7 +46,7 @@ use crate::config::MeshConfig;
 use nisqplus_decoders::bits::{assert_distance_supported, Bits};
 use nisqplus_decoders::traits::sector_correction_pauli;
 use nisqplus_qec::lattice::{Lattice, Sector};
-use nisqplus_qec::pauli::PauliString;
+use nisqplus_qec::pauli::{Pauli, PauliString};
 use nisqplus_qec::syndrome::Syndrome;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -185,6 +185,8 @@ struct Slot<const W: usize> {
 struct SectorTables<const W: usize> {
     /// The sector's first ancilla: bit `v` is ancilla `offset + v`.
     offset: usize,
+    /// The Pauli a chain applies ([`sector_correction_pauli`]).
+    pauli: Pauli,
     offsets: Vec<Offset<W>>,
     /// Ascending by time; times no pairing completes at are left out.
     slots: Vec<Slot<W>>,
@@ -282,6 +284,7 @@ impl<const W: usize> SectorTables<W> {
             .collect();
         SectorTables {
             offset,
+            pauli: sector_correction_pauli(sector),
             offsets,
             slots,
         }
@@ -343,15 +346,15 @@ impl<const W: usize> SectorTables<W> {
         }
     }
 
-    /// Decodes the defects `live`, calling `flip` on every data qubit of
-    /// every chain (module docs, "Bitboard walk").
+    /// Decodes the defects `live`, applying the sector's correction Pauli
+    /// to `out` along every chain (module docs, "Bitboard walk").
     fn decode(
         &self,
         config: &MeshConfig,
         lattice: &Lattice,
         mut live: Bits<W>,
         candidates: &mut Vec<u32>,
-        mut flip: impl FnMut(usize),
+        out: &mut PauliString,
         mut pairings: Option<&mut Vec<MeshPairing>>,
     ) -> MeshOutcome {
         let defects = live.count_ones() as usize;
@@ -399,11 +402,12 @@ impl<const W: usize> SectorTables<W> {
                 }
                 // Chains overlap-toggle rather than accumulate: two chains
                 // crossing the same data qubit cancel, exactly like two pair
-                // pulses flipping the same error output.
+                // pulses flipping the same error output.  Each goes onto
+                // the correction's words as one or two runs of qubits.
                 let (a, b) = (self.offset + a, self.offset + b);
                 match kind {
-                    BOUNDARY => lattice.for_each_boundary_path_qubit(a, &mut flip),
-                    _ => lattice.for_each_correction_path_qubit(a, b, &mut flip),
+                    BOUNDARY => lattice.apply_boundary_path(a, self.pauli, out),
+                    _ => lattice.apply_correction_path(a, b, self.pauli, out),
                 }
                 if let Some(pairings) = pairings.as_deref_mut() {
                     pairings.push(match kind {
@@ -555,7 +559,6 @@ impl GreedyMeshAlgorithm {
         pairings: Option<&mut Vec<MeshPairing>>,
     ) -> MeshOutcome {
         debug_assert_eq!(prepared.distance, lattice.distance());
-        let pauli = sector_correction_pauli(sector);
         let PreparedMesh {
             grids, candidates, ..
         } = prepared;
@@ -566,8 +569,7 @@ impl GreedyMeshAlgorithm {
                     .as_ref()
                     .expect("the decoded sector's tables are built");
                 let live = Bits::defects(lattice, syndrome, sector);
-                let flip = |q| out.apply(q, pauli);
-                tables.decode(&self.config, lattice, live, candidates, flip, pairings)
+                tables.decode(&self.config, lattice, live, candidates, out, pairings)
             }};
         }
         match grids {

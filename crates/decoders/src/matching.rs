@@ -169,7 +169,7 @@ impl Decoder for GreedyMatchingDecoder {
             }
             if b == BOUNDARY {
                 scratch.matched[ia] = true;
-                lattice.for_each_boundary_path_qubit(a, |q| out.apply(q, pauli));
+                lattice.apply_boundary_path(a, pauli, out);
             } else {
                 let ib = scratch.slot_of[b] as usize;
                 if scratch.matched[ib] {
@@ -177,7 +177,7 @@ impl Decoder for GreedyMatchingDecoder {
                 }
                 scratch.matched[ia] = true;
                 scratch.matched[ib] = true;
-                lattice.for_each_correction_path_qubit(a, b, |q| out.apply(q, pauli));
+                lattice.apply_correction_path(a, b, pauli, out);
             }
         }
     }

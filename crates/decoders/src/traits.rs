@@ -115,16 +115,17 @@ impl Matching {
     ///
     /// X-sector matchings correct Z errors (and vice versa), so the chain data
     /// qubits receive `Z` flips in the X sector and `X` flips in the Z sector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pair's ancillas are not in one sector, or if `out` is not
+    /// indexed by the lattice's data qubits.
     pub fn apply_to(&self, lattice: &Lattice, sector: Sector, out: &mut PauliString) {
         let pauli = sector_correction_pauli(sector);
         for pair in &self.pairs {
             match *pair {
-                MatchPair::Defects(a, b) => {
-                    lattice.for_each_correction_path_qubit(a, b, |q| out.apply(q, pauli));
-                }
-                MatchPair::ToBoundary(a) => {
-                    lattice.for_each_boundary_path_qubit(a, |q| out.apply(q, pauli));
-                }
+                MatchPair::Defects(a, b) => lattice.apply_correction_path(a, b, pauli, out),
+                MatchPair::ToBoundary(a) => lattice.apply_boundary_path(a, pauli, out),
             }
         }
     }

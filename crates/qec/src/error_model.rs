@@ -12,6 +12,7 @@ use crate::lattice::Lattice;
 use crate::pauli::{Pauli, PauliString};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// A stochastic single-qubit error channel applied i.i.d. to every data qubit.
 pub trait ErrorModel {
@@ -32,27 +33,132 @@ pub trait ErrorModel {
     /// to it, one more where the channel has several fault types to pick
     /// from, and one closing draw that runs past the last qubit — `flips + 1`
     /// draws under pure dephasing, whatever the lattice's size.  A seed's
-    /// stream is reproducible per platform (the gaps go through `f64::ln`).
+    /// stream is the same on every platform: a gap is read off an integer
+    /// threshold table built by IEEE multiplication, with no libm call.
     fn sample_into<R: Rng + ?Sized>(&self, lattice: &Lattice, rng: &mut R, error: &mut PauliString);
 }
 
-/// The uniform → gap map of the sampler, stated once: a draw `u ∈ [0, 1)`
-/// becomes `⌊ln u / ln(1 − p)⌋` healthy qubits before the next faulty one, so
-/// `P(gap ≥ k) = P(u ≤ (1 − p)^k) = (1 − p)^k` — the geometric law of i.i.d.
-/// faults of rate `p`.  The cast saturates: `p = 0` divides by `-0.0` and
-/// yields `usize::MAX` ("none left") for every `u`, `p = 1` divides by `−∞`
-/// and yields 0.  `f64::ln` is the platform libm's, which does not promise
-/// the last bit: a seed reproduces its stream on one platform, not across
-/// them (a quotient within an ulp of an integer is what it would take).
-fn gap(u: f64, ln_healthy: f64) -> usize {
-    (u.ln() / ln_healthy) as usize
+/// How many thresholds a [`GapTable`] holds: a gap of fewer qubits is one
+/// table walk, a longer one skips this many qubits per rescale of the draw.
+/// With the 256-byte index this is 2 KiB a channel.
+const TABLE_GAPS: usize = 223;
+
+/// `2⁵³`, the scale of a draw's mantissa.
+const DRAW_SCALE: f64 = (1u64 << 53) as f64;
+
+/// The uniform → gap map of the sampler, as a table of integer thresholds.
+///
+/// A draw is the top 53 bits `m` of one `u64` word — the mantissa
+/// `gen::<f64>()` makes of the same word, `u = m / 2⁵³`.  With `q = 1 − p`
+/// the draw's gap, the healthy qubits before the next faulty one, is the
+/// number of `k ≥ 1` with `m ≤ T_k = ⌊2⁵³ qᵏ⌋`: gap `≥ k` exactly when
+/// `u ≤ qᵏ`, so `P(gap ≥ k) = qᵏ` — the geometric law of i.i.d. faults of
+/// rate `p`.  It is the map `⌊ln u / ln q⌋` up to the rounding of either
+/// side within a few ulps of a threshold, and the tests hold the two equal
+/// draw for draw.
+///
+/// The powers `qᵏ` come from repeated multiplication, so the table is
+/// bit-for-bit the same on every IEEE platform.  A draw's top byte indexes
+/// the gap at the top of its bucket, and a short forward scan finishes the
+/// count.  A draw at or below `T_K` (`K` = [`TABLE_GAPS`]) has a gap of at
+/// least `K`; the law being memoryless, the sampler skips `K` qubits and
+/// rescales the draw by `q⁻ᴷ`, so one table serves every lattice.  At
+/// `p = 0` every threshold is `2⁵³` and no draw finds a fault; at `p = 1`
+/// every threshold is 0 and every draw is a fault, the zero draw included.
+#[derive(Clone, PartialEq)]
+struct GapTable {
+    /// `thresholds[k]` is `T_{k+1}`, non-increasing.
+    thresholds: [u64; TABLE_GAPS],
+    /// Per top byte `b` of a draw: the gap of the bucket's largest draw,
+    /// `(b + 1)·2⁴⁵ − 1`, which no draw of the bucket is below.
+    start: [u8; 256],
+    /// `q⁻ᴷ`, the rescale of a draw that skips `K` qubits.
+    rescale: f64,
 }
 
-/// The one sampler behind every channel: walks the data qubits [`gap`] by
-/// gap at total fault rate `rate` and asks `fault` which Pauli each faulty
-/// qubit suffers.
+impl GapTable {
+    fn new(rate: f64) -> Self {
+        let healthy = 1.0 - rate;
+        // `qᵏ` for k = 1…4, then four interleaved chains of `·q⁴`, which do
+        // not wait on each other; IEEE products round the same on every
+        // host.
+        let mut powers = [healthy; 4];
+        for k in 1..4 {
+            powers[k] = powers[k - 1] * healthy;
+        }
+        let stride = powers[3];
+        let mut thresholds = [0u64; TABLE_GAPS];
+        for (k, threshold) in thresholds.iter_mut().enumerate() {
+            if k >= 4 {
+                powers[k % 4] *= stride;
+            }
+            // `qᵏ ≤ 1`: the product is exact and the cast floors it.
+            *threshold = (powers[k % 4] * DRAW_SCALE) as i64 as u64;
+        }
+        // One merge of the thresholds with the bucket tops, top bucket first.
+        let mut start = [0u8; 256];
+        let mut gap = 0;
+        for (bucket, slot) in start.iter_mut().enumerate().rev() {
+            let top = ((bucket as u64 + 1) << 45) - 1;
+            while gap < TABLE_GAPS && thresholds[gap] >= top {
+                gap += 1;
+            }
+            *slot = gap as u8;
+        }
+        GapTable {
+            thresholds,
+            start,
+            rescale: powers[(TABLE_GAPS - 1) % 4].recip(),
+        }
+    }
+
+    /// The gap of the draw `word`, or any value of at least `limit` once the
+    /// gap is known to reach it (the gap of a zero draw is unbounded unless
+    /// `p = 1`).
+    fn gap(&self, word: u64, limit: usize) -> usize {
+        let mut draw = word >> 11;
+        let mut skipped = 0;
+        let last = self.thresholds[TABLE_GAPS - 1];
+        if draw <= last {
+            if draw == 0 {
+                // `u = 0`: the `ln` map's `+∞` (saturated), or its NaN (0) at `p = 1`.
+                return if self.thresholds[0] == 0 {
+                    0
+                } else {
+                    usize::MAX
+                };
+            }
+            // A gap of at least `K`: skip `K` qubits per rescale, until the
+            // draw rises above `T_K` or the gap reaches `limit`.
+            let (mut scaled, above) = (draw as f64, (last + 1) as f64);
+            while scaled < above {
+                skipped += TABLE_GAPS;
+                if skipped >= limit {
+                    return skipped;
+                }
+                scaled *= self.rescale;
+            }
+            draw = (scaled as u64).min((1 << 53) - 1);
+        }
+        // `draw > T_K`: the scan stops inside the table.
+        let mut gap = usize::from(self.start[(draw >> 45) as usize]);
+        while self.thresholds[gap] >= draw {
+            gap += 1;
+        }
+        skipped + gap
+    }
+}
+
+impl fmt::Debug for GapTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("GapTable").finish_non_exhaustive()
+    }
+}
+
+/// The one sampler behind every channel: walks the data qubits gap by gap
+/// ([`GapTable`]) and asks `fault` which Pauli each faulty qubit suffers.
 fn sample_faults<R: Rng + ?Sized>(
-    rate: f64,
+    table: &GapTable,
     lattice: &Lattice,
     rng: &mut R,
     error: &mut PauliString,
@@ -60,10 +166,9 @@ fn sample_faults<R: Rng + ?Sized>(
 ) {
     let num_qubits = lattice.num_data();
     error.reset_identity(num_qubits);
-    let ln_healthy = (-rate).ln_1p();
     let mut qubit = 0usize;
     loop {
-        qubit = qubit.saturating_add(gap(rng.gen(), ln_healthy));
+        qubit = qubit.saturating_add(table.gap(rng.next_u64(), num_qubits - qubit));
         if qubit >= num_qubits {
             return;
         }
@@ -72,7 +177,13 @@ fn sample_faults<R: Rng + ?Sized>(
     }
 }
 
-fn validate_probability(p: f64) -> Result<f64, QecError> {
+/// Checks that `p` is a probability, `0 ≤ p ≤ 1`, and returns it — what each
+/// channel's constructor checks, without building its table.
+///
+/// # Errors
+///
+/// Returns [`QecError::InvalidProbability`] otherwise.
+pub fn check_probability(p: f64) -> Result<f64, QecError> {
     if (0.0..=1.0).contains(&p) && p.is_finite() {
         Ok(p)
     } else {
@@ -81,9 +192,13 @@ fn validate_probability(p: f64) -> Result<f64, QecError> {
 }
 
 /// The symmetric depolarizing channel: X, Y and Z each occur with probability `p/3`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+///
+/// A channel owns its 2 KiB gap table ([`ErrorModel::sample_into`]), so it
+/// is `Clone`, not `Copy`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Depolarizing {
     p: f64,
+    table: GapTable,
 }
 
 impl Depolarizing {
@@ -94,7 +209,8 @@ impl Depolarizing {
     /// Returns [`QecError::InvalidProbability`] if `p` is outside `[0, 1]`.
     pub fn new(p: f64) -> Result<Self, QecError> {
         Ok(Depolarizing {
-            p: validate_probability(p)?,
+            p: check_probability(p)?,
+            table: GapTable::new(p),
         })
     }
 
@@ -116,7 +232,7 @@ impl ErrorModel for Depolarizing {
         rng: &mut R,
         error: &mut PauliString,
     ) {
-        sample_faults(self.p, lattice, rng, error, |rng| {
+        sample_faults(&self.table, lattice, rng, error, |rng| {
             Pauli::ERRORS[(rng.gen::<f64>() * 3.0) as usize]
         });
     }
@@ -126,9 +242,10 @@ impl ErrorModel for Depolarizing {
 ///
 /// This is the error model under which the paper reports its accuracy
 /// threshold (≈5%) and pseudo-thresholds (3.5%–5%).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PureDephasing {
     p: f64,
+    table: GapTable,
 }
 
 impl PureDephasing {
@@ -139,7 +256,8 @@ impl PureDephasing {
     /// Returns [`QecError::InvalidProbability`] if `p` is outside `[0, 1]`.
     pub fn new(p: f64) -> Result<Self, QecError> {
         Ok(PureDephasing {
-            p: validate_probability(p)?,
+            p: check_probability(p)?,
+            table: GapTable::new(p),
         })
     }
 
@@ -161,7 +279,7 @@ impl ErrorModel for PureDephasing {
         rng: &mut R,
         error: &mut PauliString,
     ) {
-        sample_faults(self.p, lattice, rng, error, |_| Pauli::Z);
+        sample_faults(&self.table, lattice, rng, error, |_| Pauli::Z);
     }
 }
 
@@ -169,11 +287,12 @@ impl ErrorModel for PureDephasing {
 ///
 /// `BiasedChannel` generalizes both [`Depolarizing`] (`px = py = pz = p/3`)
 /// and [`PureDephasing`] (`px = py = 0`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BiasedChannel {
     px: f64,
     py: f64,
     pz: f64,
+    table: GapTable,
 }
 
 impl BiasedChannel {
@@ -184,11 +303,16 @@ impl BiasedChannel {
     /// Returns [`QecError::InvalidProbability`] if any probability is outside
     /// `[0, 1]` or if they sum to more than 1.
     pub fn new(px: f64, py: f64, pz: f64) -> Result<Self, QecError> {
-        validate_probability(px)?;
-        validate_probability(py)?;
-        validate_probability(pz)?;
-        validate_probability(px + py + pz)?;
-        Ok(BiasedChannel { px, py, pz })
+        check_probability(px)?;
+        check_probability(py)?;
+        check_probability(pz)?;
+        let rate = check_probability(px + py + pz)?;
+        Ok(BiasedChannel {
+            px,
+            py,
+            pz,
+            table: GapTable::new(rate),
+        })
     }
 
     /// The individual probabilities `(px, py, pz)`.
@@ -213,7 +337,7 @@ impl ErrorModel for BiasedChannel {
         // Shares of a fault, as cumulative fractions: with `pz = 0` the
         // second is exactly 1 and a `Z` is impossible, not merely unlikely.
         let (x_share, xy_share) = (self.px / rate, (self.px + self.py) / rate);
-        sample_faults(rate, lattice, rng, error, |rng| {
+        sample_faults(&self.table, lattice, rng, error, |rng| {
             let r: f64 = rng.gen();
             if r < x_share {
                 Pauli::X
@@ -277,7 +401,7 @@ impl DriftingErrorModel {
             });
         }
         Ok(DriftingErrorModel {
-            base: validate_probability(base)?,
+            base: check_probability(base)?,
             kind: DriftKind::Ramp { per_round },
         })
     }
@@ -304,7 +428,7 @@ impl DriftingErrorModel {
             });
         }
         Ok(DriftingErrorModel {
-            base: validate_probability(base)?,
+            base: check_probability(base)?,
             kind: DriftKind::Sinusoid {
                 amplitude,
                 period_rounds,
@@ -423,7 +547,7 @@ impl BurstEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     /// The oracle the gap sampler is checked against: one Bernoulli draw per
@@ -620,27 +744,84 @@ mod tests {
         }
     }
 
-    /// The uniform → gap map at its edges and on one pinned stream.
+    /// The map the sampler evaluated before the threshold table, kept as
+    /// its oracle: `⌊ln u / ln(1 − p)⌋` of the draw `u = gen::<f64>()` makes
+    /// of `word`, the cast saturating (`p = 0` divides by `−0.0` and yields
+    /// `usize::MAX` for every `u`, `p = 1` divides by `−∞` and yields 0).
+    fn ln_gap(word: u64, p: f64) -> usize {
+        let u = (word >> 11) as f64 / DRAW_SCALE;
+        (u.ln() / (-p).ln_1p()) as usize
+    }
+
+    /// The table map at its edges and on one pinned stream.
     #[test]
     fn gap_map_edges_and_first_gaps_of_a_seed() {
-        let ln_healthy = |p: f64| (-p).ln_1p();
+        let word = |u: f64| ((u * DRAW_SCALE) as u64) << 11;
         // p = 0 (and a rate too small to tell from it): no draw finds a
-        // fault, and the saturated gap saturates the qubit index too.
-        for u in [0.0, 0.5, 1.0 - f64::EPSILON / 2.0] {
-            assert_eq!(gap(u, ln_healthy(0.0)), usize::MAX);
-            assert_eq!(gap(u, ln_healthy(1.0)), 0);
+        // fault, the largest and the zero draw included; p = 1: every draw
+        // is a fault.
+        for x in [0, word(0.5), u64::MAX] {
+            for p in [0.0, 1e-300] {
+                assert!(GapTable::new(p).gap(x, 1861) >= 1861, "p = {p}, x = {x:#x}");
+            }
+            assert_eq!(GapTable::new(1.0).gap(x, 1861), 0);
         }
-        assert_eq!(gap(0.5, ln_healthy(1e-300)), usize::MAX);
-        assert_eq!(7usize.saturating_add(gap(0.5, ln_healthy(0.0))), usize::MAX);
         // 0.95^13 = 0.5133…, 0.95^14 = 0.4876…
-        let ln_q = ln_healthy(0.05);
+        let table = GapTable::new(0.05);
         assert_eq!(
-            (gap(0.5, ln_q), gap(0.96, ln_q), gap(0.0, ln_q)),
-            (13, 0, usize::MAX)
+            (table.gap(word(0.5), 100), table.gap(word(0.96), 100)),
+            (13, 0)
         );
+        assert_eq!(table.gap(0, 100), usize::MAX);
         let mut rng = ChaCha8Rng::seed_from_u64(2020);
-        let first: Vec<usize> = (0..8).map(|_| gap(rng.gen(), ln_q)).collect();
+        let first: Vec<usize> = (0..8).map(|_| table.gap(rng.next_u64(), 100)).collect();
         assert_eq!(first, [50, 5, 24, 2, 0, 7, 36, 47]);
+    }
+
+    /// The table map is the `ln` map, draw for draw: a million draws at each
+    /// rate, unbounded, and bounded by the data qubits of d = 13 and d = 31,
+    /// whose gaps run past the table and through its rescale.
+    #[test]
+    fn table_gaps_equal_the_ln_map_on_a_million_draws() {
+        let bounds = [usize::MAX, Lattice::new(13).unwrap().num_data(), 1861];
+        for (seed, p) in (1u64..).zip([1e-4, 1e-3, 0.03, 0.05, 0.3, 0.5]) {
+            let table = GapTable::new(p);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            for _ in 0..1_000_000 {
+                let x = rng.next_u64();
+                let expected = ln_gap(x, p);
+                for limit in bounds {
+                    assert_eq!(
+                        table.gap(x, limit).min(limit),
+                        expected.min(limit),
+                        "p = {p}, x = {x:#x}, limit = {limit}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The index and scan agree with a linear count of the thresholds at
+    /// every bucket edge and on both sides of every threshold.
+    #[test]
+    fn the_index_agrees_with_a_linear_count_at_every_edge() {
+        for p in [1e-4, 1e-3, 0.03, 0.05, 0.3, 0.5, 0.9, 1.0] {
+            let table = GapTable::new(p);
+            let edges = (0..256u64).flat_map(|b| [b << 45, ((b + 1) << 45) - 1]);
+            let sides = table
+                .thresholds
+                .iter()
+                .flat_map(|&t| [t.saturating_sub(1), t, t + 1]);
+            for draw in edges.chain(sides).filter(|&m| m > 0 && m < 1 << 53) {
+                let linear = table.thresholds.iter().take_while(|&&t| t >= draw).count();
+                let gap = table.gap(draw << 11, usize::MAX);
+                if linear < TABLE_GAPS {
+                    assert_eq!(gap, linear, "p = {p}, draw = {draw:#x}");
+                } else {
+                    assert!(gap >= TABLE_GAPS, "p = {p}, draw = {draw:#x}");
+                }
+            }
+        }
     }
 
     #[test]

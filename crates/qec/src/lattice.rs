@@ -21,7 +21,7 @@
 //!   grid and are what the SFQ decoder mesh (one module per qubit) uses.
 
 use crate::error::QecError;
-use crate::pauli::PauliString;
+use crate::pauli::{Pauli, PauliString};
 use crate::syndrome::{DefectIndices, Syndrome};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -214,6 +214,10 @@ pub struct Lattice {
     logical_x_support: Vec<usize>,
     /// Data-qubit indices of the logical-Z representative (left column).
     logical_z_support: Vec<usize>,
+    /// Per sector, the logical representative it checks as a mask over a
+    /// plane's words: logical X (top row) for X, logical Z (left column)
+    /// for Z.
+    logical_masks: [Vec<u64>; 2],
 }
 
 impl Lattice {
@@ -252,6 +256,7 @@ impl Lattice {
             }),
             logical_x_support: Vec::new(),
             logical_z_support: Vec::new(),
+            logical_masks: [Vec::new(), Vec::new()],
         };
         // `cell` numbers every qubit; record where each ancilla sits.
         for row in 0..size {
@@ -267,9 +272,9 @@ impl Lattice {
         // neighbours are data qubits).
         let data_at = |row: usize, col: usize| (row < size && col < size).then(|| data(row, col));
         // Logical X: X operators along the top row of data qubits.
-        let logical_x_support = (0..size).step_by(2).map(|col| data(0, col)).collect();
+        let logical_x_support: Vec<usize> = (0..size).step_by(2).map(|col| data(0, col)).collect();
         // Logical Z: Z operators along the left column of data qubits.
-        let logical_z_support = (0..size).step_by(2).map(|row| data(row, 0)).collect();
+        let logical_z_support: Vec<usize> = (0..size).step_by(2).map(|row| data(row, 0)).collect();
 
         // Each ancilla's support, and its transpose: each data qubit's
         // ancillas in each sector, ascending.
@@ -312,6 +317,14 @@ impl Lattice {
                 grid.edges[a as usize - grid.offset][class] = Some(q as u32);
             }
         }
+        let mask = |support: &[usize]| {
+            let mut words = vec![0u64; lattice.num_data().div_ceil(64)];
+            for &q in support {
+                words[q / 64] |= 1 << (q % 64);
+            }
+            words
+        };
+        lattice.logical_masks = [mask(&logical_x_support), mask(&logical_z_support)];
         lattice.logical_x_support = logical_x_support;
         lattice.logical_z_support = logical_z_support;
         lattice.stabilizer_supports = stabilizer_supports;
@@ -486,37 +499,14 @@ impl Lattice {
     /// Panics if `error` is not indexed by this lattice's data qubits.
     pub fn syndrome_into(&self, error: &PauliString, syndrome: &mut Syndrome) {
         syndrome.reset_clear(self.num_ancillas());
+        // Each set bit of the plane a sector detects flips the sector's
+        // ancillas next to that qubit.
         for sector in Sector::ALL {
-            self.for_each_anticommuting_ancilla(error, sector, |a| syndrome.flip(a));
-        }
-    }
-
-    /// Calls `flip` once per (component of `operator` that `sector` detects,
-    /// adjacent ancilla of `sector`) pair; an ancilla is hot when it was
-    /// visited an odd number of times.  Only the set bits of the detected
-    /// plane are walked — the Z plane for X ancillas, the X plane for Z
-    /// ancillas — by trailing zeros.
-    fn for_each_anticommuting_ancilla(
-        &self,
-        operator: &PauliString,
-        sector: Sector,
-        mut flip: impl FnMut(usize),
-    ) {
-        assert_eq!(
-            operator.len(),
-            self.num_data(),
-            "operator acts on {} qubits but lattice has {} data qubits",
-            operator.len(),
-            self.num_data()
-        );
-        let detected = match sector {
-            Sector::X => operator.z_plane(),
-            Sector::Z => operator.x_plane(),
-        };
-        for q in DefectIndices::over(detected) {
-            for &a in &self.data_ancillas[q][sector.index()] {
-                if a != NO_ANCILLA {
-                    flip(a as usize);
+            for q in DefectIndices::over(self.detected_plane(error, sector)) {
+                for &a in &self.data_ancillas[q][sector.index()] {
+                    if a != NO_ANCILLA {
+                        syndrome.flip(a as usize);
+                    }
                 }
             }
         }
@@ -644,6 +634,69 @@ impl Lattice {
         }
     }
 
+    /// Applies `pauli` to every data qubit of the canonical correction path
+    /// between two same-sector ancillas: the qubits
+    /// [`Lattice::for_each_correction_path_qubit`] visits, toggled on the
+    /// words of `out` as two runs — the column leg, whose qubits are
+    /// `2d − 1` apart, and the row leg, whose qubits are consecutive
+    /// ([`PauliString::apply_run`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ancillas are not in the same sector, or if `out` is not
+    /// indexed by this lattice's data qubits.
+    // Inlined across crates into the mesh's pairing loop, where a call
+    // costs about as much as toggling a short chain.
+    #[inline]
+    pub fn apply_correction_path(&self, a: usize, b: usize, pauli: Pauli, out: &mut PauliString) {
+        assert_eq!(
+            self.ancilla_sector(a),
+            self.ancilla_sector(b),
+            "correction paths are only defined within one sector"
+        );
+        self.check_operator(out);
+        // The column leg starts at the data qubit below the upper ancilla,
+        // the row leg at the one right of the leftmost; data qubit `q` is
+        // cell `2q` in row-major order.
+        let (ca, cb) = (self.ancilla_coords[a], self.ancilla_coords[b]);
+        let data = |row: usize, col: usize| (row * self.size + col) / 2;
+        let (upper, left) = (ca.row.min(cb.row), ca.col.min(cb.col));
+        let (rows, cols) = (ca.row.abs_diff(cb.row) / 2, ca.col.abs_diff(cb.col) / 2);
+        out.apply_run(pauli, data(upper + 1, ca.col), rows, self.size);
+        out.apply_run(pauli, data(cb.row, left + 1), cols, 1);
+    }
+
+    /// Applies `pauli` to every data qubit of the canonical path from an
+    /// ancilla to its nearest sector boundary: the qubits
+    /// [`Lattice::for_each_boundary_path_qubit`] visits, toggled on the
+    /// words of `out` as one run along the ancilla's grid column (X, qubits
+    /// `2d − 1` apart) or row (Z, consecutive qubits).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not indexed by this lattice's data qubits.
+    // Inlined across crates, as `apply_correction_path`.
+    #[inline]
+    pub fn apply_boundary_path(&self, ancilla: usize, pauli: Pauli, out: &mut PauliString) {
+        self.check_operator(out);
+        let (grid, v, k, len) = self.boundary_line(ancilla);
+        let (step, stride) = match self.ancilla_sector(ancilla) {
+            Sector::X => (grid.cols, self.size),
+            Sector::Z => (1, 1),
+        };
+        // The run holds the line's `k + 1` qubits from boundary A, or its
+        // `len − k` qubits up to boundary B.
+        let (first, count) = if k < len - k {
+            let end = grid.crossing(SectorGrid::BOUNDARY_A, v - k * step);
+            (end.expect("a boundary edge"), k + 1)
+        } else {
+            let end = grid.crossing(SectorGrid::BOUNDARY_B, v + (len - 1 - k) * step);
+            let count = len - k;
+            (end.expect("a boundary edge") - (count - 1) * stride, count)
+        };
+        out.apply_run(pauli, first, count, stride);
+    }
+
     /// The line an ancilla's boundary paths run along, its grid column (X)
     /// or row (Z): the sector's grid, the ancilla's vertex `v`, and its
     /// place `k` on the line of `len` vertices, boundary A before the
@@ -670,6 +723,39 @@ impl Lattice {
     ///
     /// Panics if the syndrome length does not match this lattice.
     pub fn for_each_defect(&self, syndrome: &Syndrome, sector: Sector, mut f: impl FnMut(usize)) {
+        self.for_each_sector_word(syndrome, sector, |w, mut hot| {
+            while hot != 0 {
+                f(w * 64 + hot.trailing_zeros() as usize);
+                hot &= hot - 1;
+            }
+        });
+    }
+
+    /// The number of hot ancillas in one sector: a popcount of the words
+    /// holding the sector's bit range, cut to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the syndrome length does not match this lattice.
+    // Inlined across crates into the trial loop's tally.
+    #[inline]
+    #[must_use]
+    pub fn defect_count(&self, syndrome: &Syndrome, sector: Sector) -> usize {
+        let mut count = 0;
+        self.for_each_sector_word(syndrome, sector, |_, hot| {
+            count += hot.count_ones() as usize;
+        });
+        count
+    }
+
+    /// Calls `f` with the index of each syndrome word holding one sector's
+    /// bit range and the word cut to the range.
+    fn for_each_sector_word(
+        &self,
+        syndrome: &Syndrome,
+        sector: Sector,
+        mut f: impl FnMut(usize, u64),
+    ) {
         self.check_syndrome(syndrome);
         let Range { start, end } = self.ancillas_in_sector(sector);
         let first = start / 64;
@@ -677,11 +763,7 @@ impl Lattice {
             // Word `w` holds bits `low..high` of the range, `low < high <= 64`.
             let low = start.saturating_sub(64 * w);
             let high = (end - 64 * w).min(64);
-            let mut hot = word >> low << low << (64 - high) >> (64 - high);
-            while hot != 0 {
-                f(w * 64 + hot.trailing_zeros() as usize);
-                hot &= hot - 1;
-            }
+            f(w, word >> low << low << (64 - high) >> (64 - high));
         }
     }
 
@@ -728,32 +810,116 @@ impl Lattice {
         );
     }
 
+    /// Panics unless `operator` acts on this lattice's data qubits.
+    fn check_operator(&self, operator: &PauliString) {
+        assert_eq!(
+            operator.len(),
+            self.num_data(),
+            "operator acts on {} qubits but lattice has {} data qubits",
+            operator.len(),
+            self.num_data()
+        );
+    }
+
+    /// The plane of `operator` that `sector`'s stabilizers detect: its Z
+    /// components for X ancillas, its X components for Z ancillas.
+    fn detected_plane<'a>(&self, operator: &'a PauliString, sector: Sector) -> &'a [u64] {
+        self.check_operator(operator);
+        match sector {
+            Sector::X => operator.z_plane(),
+            Sector::Z => operator.x_plane(),
+        }
+    }
+
     /// Returns `true` if `operator` triggers no detection event in `sector`,
     /// i.e. it commutes with every stabilizer of that sector.
     ///
     /// This is the equivalent of checking that [`Lattice::defects`] on
-    /// [`Lattice::syndrome_of`]`(operator)` is empty for one sector, at the
-    /// cost of one step per word of the plane the sector detects plus two
-    /// bit flips per operator in it, and without allocating on lattices of
-    /// at most 512 ancillas (`d <= 16`).
+    /// [`Lattice::syndrome_of`]`(operator)` is empty for one sector.  It
+    /// reads the detected plane one data-row pair at a time: data row `2i`
+    /// is the `d` bits from `i(2d − 1)` and row `2i + 1` the `d − 1` bits
+    /// after them, so one read of `2d − 1` bits gives both, and grid row
+    /// `i` of the sector's syndrome is an XOR of those fields, shifted by a
+    /// column where a stabilizer's neighbour sits a column over.  An empty
+    /// plane answers at once.  Allocation-free; past `d = 31`, where a pair
+    /// of data rows is wider than a word, it checks one stabilizer at a
+    /// time.
     ///
     /// # Panics
     ///
     /// Panics if `operator` is not indexed by this lattice's data qubits.
     #[must_use]
     pub fn sector_is_clear(&self, operator: &PauliString, sector: Sector) -> bool {
-        let words = Syndrome::words_for(self.num_ancillas());
-        let mut on_stack = [0u64; 8];
-        let mut on_heap = Vec::new();
-        let hot: &mut [u64] = if words <= on_stack.len() {
-            &mut on_stack[..words]
-        } else {
-            on_heap.resize(words, 0);
-            &mut on_heap
-        };
-        self.for_each_anticommuting_ancilla(operator, sector, |a| hot[a / 64] ^= 1 << (a % 64));
-        hot.iter().all(|&word| word == 0)
+        let plane = self.detected_plane(operator, sector);
+        if plane.iter().all(|&word| word == 0) {
+            return true;
+        }
+        let (d, size) = (self.distance, self.size);
+        if size > 64 {
+            return self.ancillas_in_sector(sector).all(|a| {
+                let parity = self.stabilizer_supports[a]
+                    .iter()
+                    .fold(0, |parity, &q| parity ^ plane[q / 64] >> (q % 64));
+                parity & 1 == 0
+            });
+        }
+        // Data rows `2i` and `2i + 1`, and the `d` bits of an even row.
+        let pair = |i: usize| field(plane, i * size, size);
+        let row = u64::MAX >> (64 - d);
+        match sector {
+            // X ancilla `(i, j)` sits between data `(2i, 2j)` above,
+            // `(2i + 2, 2j)` below and `(2i + 1, 2j ∓ 1)` beside it.
+            Sector::X => {
+                let mut above = pair(0);
+                (1..d).all(|i| {
+                    let below = pair(i);
+                    let odd = above >> d;
+                    let hot = (above ^ below) & row ^ odd ^ odd << 1;
+                    above = below;
+                    hot == 0
+                })
+            }
+            // Z ancilla `(i, j)` sits between data `(2i, 2j)` and
+            // `(2i, 2j + 2)` beside it and `(2i ∓ 1, 2j + 1)` above and below.
+            Sector::Z => {
+                let mut up = 0;
+                (0..d).all(|i| {
+                    let pair = pair(i);
+                    let (even, down) = (pair & row, pair >> d);
+                    let hot = (even ^ even >> 1) & row >> 1 ^ up ^ down;
+                    up = down;
+                    hot == 0
+                })
+            }
+        }
     }
+
+    /// Whether `operator` anticommutes with the logical representative
+    /// `sector` checks — logical X (top row) against its Z components for
+    /// X, logical Z (left column) against its X components for Z: one
+    /// popcount of the detected plane against a mask.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `operator` is not indexed by this lattice's data qubits.
+    pub(crate) fn flips_logical(&self, operator: &PauliString, sector: Sector) -> bool {
+        let plane = self.detected_plane(operator, sector);
+        let overlap = plane
+            .iter()
+            .zip(&self.logical_masks[sector.index()])
+            .map(|(word, mask)| (word & mask).count_ones())
+            .sum::<u32>();
+        overlap % 2 == 1
+    }
+}
+
+/// Bits `start..start + len` of `plane` from bit 0 (`1 <= len <= 64`),
+/// bits past the plane clear.
+fn field(plane: &[u64], start: usize, len: usize) -> u64 {
+    let (w, r) = (start / 64, start % 64);
+    let low = plane.get(w).map_or(0, |&word| word >> r);
+    let high = plane.get(w + 1).map_or(0, |&word| word << 1 << (63 - r));
+    (low | high) & u64::MAX >> (64 - len)
 }
 
 #[cfg(test)]
@@ -928,10 +1094,12 @@ mod tests {
     }
 
     /// `sector_bits` against a per-bit model: into one spare word more than
-    /// the sector needs, pre-filled with garbage.
+    /// the sector needs, pre-filled with garbage; and `defect_count`.
     fn assert_sector_bits_match_the_syndrome(lat: &Lattice, syndrome: &Syndrome) {
         for sector in Sector::ALL {
             let range = lat.ancillas_in_sector(sector);
+            let hot = range.clone().filter(|&a| syndrome.is_hot(a)).count();
+            assert_eq!(lat.defect_count(syndrome, sector), hot);
             let mut out = vec![u64::MAX; range.len().div_ceil(64) + 1];
             lat.sector_bits(syndrome, sector, &mut out);
             for v in 0..64 * out.len() {
@@ -976,6 +1144,107 @@ mod tests {
                     let syndrome: Syndrome = (0..len).map(|_| rng.gen_bool(p)).collect();
                     assert_sector_bits_match_the_syndrome(&lat, &syndrome);
                 }
+            }
+        }
+    }
+
+    /// The word form of every chain toggles exactly the qubits its walk
+    /// visits: every ordered pair of vertices and every boundary path, in
+    /// both sectors, from one word of data qubits (d = 3) to thirty (d = 31).
+    #[test]
+    fn chains_as_words_equal_the_walk() {
+        for d in [3, 5, 9, 13, 31] {
+            let lat = Lattice::new(d).unwrap();
+            let mut out = PauliString::identity(lat.num_data());
+            for sector in Sector::ALL {
+                let ancillas = lat.ancillas_in_sector(sector);
+                for a in ancillas.clone() {
+                    let pauli = Pauli::ERRORS[a % 3];
+                    lat.apply_boundary_path(a, pauli, &mut out);
+                    lat.for_each_boundary_path_qubit(a, |q| out.apply(q, pauli));
+                    assert!(out.is_identity(), "d={d} boundary path of {a}");
+                    for b in ancillas.clone() {
+                        lat.apply_correction_path(a, b, pauli, &mut out);
+                        lat.for_each_correction_path_qubit(a, b, |q| out.apply(q, pauli));
+                        assert!(out.is_identity(), "d={d} path {a}-{b}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Asserts the row-XOR residual check and the masked logical parity
+    /// against the dense syndrome and the logical supports.
+    fn assert_residual_checks_match(lat: &Lattice, operator: &PauliString) {
+        let syndrome = dense_syndrome_of(lat, operator);
+        for sector in Sector::ALL {
+            assert_eq!(
+                lat.sector_is_clear(operator, sector),
+                lat.defect_count(&syndrome, sector) == 0,
+                "d={} {sector}: {operator}",
+                lat.distance()
+            );
+        }
+        assert_eq!(
+            lat.flips_logical(operator, Sector::X),
+            operator.z_overlap_parity(lat.logical_x_support())
+        );
+        assert_eq!(
+            lat.flips_logical(operator, Sector::Z),
+            operator.x_overlap_parity(lat.logical_z_support())
+        );
+    }
+
+    /// The residual check at every distance up to 31, on one read per data
+    /// row pair, and past it (d = 33, 65 and 67, one stabilizer at a time):
+    /// every single fault, which its sector always detects, products of
+    /// stabilizers (clear in both sectors), with a logical or a stray fault
+    /// on top, and random operators.
+    #[test]
+    fn residual_checks_are_exact_at_every_distance() {
+        use rand::Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(0xC1EA2);
+        for d in (3..=33).step_by(2).chain([65, 67]) {
+            let lat = Lattice::new(d).unwrap();
+            let n = lat.num_data();
+            for q in 0..n {
+                let z = PauliString::from_sparse(n, &[q], Pauli::Z);
+                let x = PauliString::from_sparse(n, &[q], Pauli::X);
+                assert!(!lat.sector_is_clear(&z, Sector::X), "d={d} Z on {q}");
+                assert!(lat.sector_is_clear(&z, Sector::Z), "d={d} Z on {q}");
+                assert!(!lat.sector_is_clear(&x, Sector::Z), "d={d} X on {q}");
+                assert!(lat.sector_is_clear(&x, Sector::X), "d={d} X on {q}");
+            }
+            for round in 0..24 {
+                let mut operator = PauliString::identity(n);
+                for a in 0..lat.num_ancillas() {
+                    if rng.gen_bool(0.3) {
+                        let pauli = match lat.ancilla_sector(a) {
+                            Sector::X => Pauli::X,
+                            Sector::Z => Pauli::Z,
+                        };
+                        for &q in lat.stabilizer_support(a) {
+                            operator.apply(q, pauli);
+                        }
+                    }
+                }
+                let (support, pauli) = match round % 4 {
+                    1 => (lat.logical_x_support().to_vec(), Pauli::X),
+                    2 => (lat.logical_z_support().to_vec(), Pauli::Z),
+                    3 => (vec![rng.gen_range(0..n)], Pauli::ERRORS[round % 3]),
+                    _ => (Vec::new(), Pauli::I),
+                };
+                for q in support {
+                    operator.apply(q, pauli);
+                }
+                assert_residual_checks_match(&lat, &operator);
+                let random: PauliString = (0..n)
+                    .map(|_| match rng.gen_range(0..64) {
+                        k @ 0..=2 => Pauli::ERRORS[k],
+                        _ => Pauli::I,
+                    })
+                    .collect();
+                assert_residual_checks_match(&lat, &random);
             }
         }
     }

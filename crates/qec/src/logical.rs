@@ -13,9 +13,11 @@
 //!
 //! Every check reads the residual's bitplanes
 //! ([`PauliString`]): composing is an XOR of words, the stabilizer check
-//! walks the set bits of the plane a sector detects, and the logical check
-//! reads the `d` bits of one logical representative.  A classification costs
-//! the residual's words, its faults and `d` — not a scan of the data qubits.
+//! XORs the plane a sector detects one data-row pair at a time
+//! ([`Lattice::sector_is_clear`]), and the logical check is a popcount of
+//! that plane against a mask of one logical representative.  A
+//! classification costs the residual's words and the lattice's rows — not
+//! a scan of the data qubits.
 
 use crate::lattice::{Lattice, Sector};
 use crate::pauli::PauliString;
@@ -94,12 +96,12 @@ pub fn classify_both_sectors(
 /// allocating.
 ///
 /// This is the classifier [`classify_residual`] applies to the composition
-/// of its `(error, correction)` pair: the stabilizer check walks the set bits
-/// of the residual's detected plane and flips only the ancillas next to them
-/// ([`Lattice::sector_is_clear`]) instead of materializing a
-/// [`Syndrome`](crate::syndrome::Syndrome) and a defect list, and the logical
-/// check reads `d` bits.  So a call costs one step per word plus one per
-/// fault plus `d`, and allocates nothing, which makes it safe to call from
+/// of its `(error, correction)` pair: the stabilizer check XORs the
+/// residual's detected plane row by row ([`Lattice::sector_is_clear`])
+/// instead of materializing a [`Syndrome`](crate::syndrome::Syndrome) and a
+/// defect list, and the logical check is a masked popcount of that plane.
+/// So a call costs a few word operations per row of the lattice and
+/// allocates nothing, at every distance, which makes it safe to call from
 /// allocation-free decode loops.
 ///
 /// # Panics
@@ -114,11 +116,7 @@ pub fn classify_residual_operator(
     if !lattice.sector_is_clear(residual, sector) {
         return LogicalState::InvalidCorrection;
     }
-    let anticommutes = match sector {
-        Sector::X => residual.z_overlap_parity(lattice.logical_x_support()),
-        Sector::Z => residual.x_overlap_parity(lattice.logical_z_support()),
-    };
-    if anticommutes {
+    if lattice.flips_logical(residual, sector) {
         LogicalState::LogicalError
     } else {
         LogicalState::Success

@@ -256,6 +256,35 @@ impl PauliString {
         }
     }
 
+    /// Left-multiplies the operators on the `count` qubits `first`,
+    /// `first + stride`, `first + 2·stride`, … by `pauli`, on the words: a
+    /// run of consecutive qubits (`stride` 1) is one masked XOR per word it
+    /// touches, a strided run one XOR per qubit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run's last qubit is `>= self.len()`.
+    // Inlined across crates with the lattice's chain toggles.
+    #[inline]
+    pub fn apply_run(&mut self, pauli: Pauli, first: usize, count: usize, stride: usize) {
+        let Some(last) = count.checked_sub(1).map(|k| first + k * stride) else {
+            return;
+        };
+        assert!(
+            last < self.len,
+            "qubit {last} out of range for a {}-qubit string",
+            self.len
+        );
+        let plane = self.words.len() / 2;
+        let (x, z) = self.words.split_at_mut(plane);
+        if pauli.has_x_component() {
+            toggle_run(x, first, count, stride);
+        }
+        if pauli.has_z_component() {
+            toggle_run(z, first, count, stride);
+        }
+    }
+
     /// Sets the operator on qubit `index`, replacing whatever was there.
     ///
     /// # Panics
@@ -417,6 +446,24 @@ impl PauliString {
     }
 }
 
+/// Toggles the `count` bits `first, first + stride, …` of `plane`: a mask
+/// per word for consecutive bits, a bit at a time otherwise.
+fn toggle_run(plane: &mut [u64], first: usize, count: usize, stride: usize) {
+    if stride == 1 {
+        let (mut q, last) = (first, first + count - 1);
+        while q <= last {
+            // Bits `q..=high` of the run lie in word `q / 64`.
+            let high = last.min(q | 63);
+            plane[q / 64] ^= u64::MAX >> (63 - (high - q)) << (q % 64);
+            q = high + 1;
+        }
+    } else {
+        for q in (0..count).map(|k| first + k * stride) {
+            plane[q / 64] ^= 1 << (q % 64);
+        }
+    }
+}
+
 /// Parity of the set bits of `plane` at the listed qubits; a qubit past the
 /// plane counts as clear.
 fn overlap_parity(plane: &[u64], qubits: &[usize]) -> bool {
@@ -519,6 +566,30 @@ mod tests {
         assert_eq!(s.support(), vec![1, 3, 4]);
         assert_eq!(s.x_support(), vec![1, 4]);
         assert_eq!(s.z_support(), vec![3, 4]);
+    }
+
+    /// A run toggles what applying its qubits one by one toggles, across
+    /// word boundaries, in both planes.
+    #[test]
+    fn apply_run_equals_applying_each_qubit() {
+        for len in [1, 63, 64, 65, 200] {
+            for pauli in Pauli::ALL {
+                for (first, stride) in [(0, 1), (1, 1), (60, 1), (63, 1), (0, 5), (7, 61)] {
+                    for count in 0..=len {
+                        if count > 0 && first + (count - 1) * stride >= len {
+                            break;
+                        }
+                        let mut run = PauliString::identity(len);
+                        run.apply_run(pauli, first, count, stride);
+                        let mut each = PauliString::identity(len);
+                        for k in 0..count {
+                            each.apply(first + k * stride, pauli);
+                        }
+                        assert_eq!(run, each, "{len} {pauli} {first}+{stride}*{count}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 use crate::lattice_set::LatticeSet;
 use crate::scenario::script::{ScenarioAction, ScenarioError, ScenarioScript};
 use nisqplus_qec::error_model::{
-    BurstEvent, Depolarizing, DriftKind, DriftingErrorModel, ErrorModel, PureDephasing,
+    check_probability, BurstEvent, Depolarizing, DriftKind, DriftingErrorModel, ErrorModel,
+    PureDephasing,
 };
 use nisqplus_qec::lattice::Lattice;
 use nisqplus_qec::pauli::PauliString;
@@ -66,7 +67,12 @@ impl NoiseSpec {
     ///
     /// Returns the [`QecError`] the channel constructor would.
     pub fn validate(&self) -> Result<(), QecError> {
-        NoiseModel::build(*self).map(|_| ())
+        match *self {
+            NoiseSpec::PureDephasing { p } | NoiseSpec::Depolarizing { p } => {
+                check_probability(p).map(|_| ())
+            }
+            NoiseSpec::Drifting { .. } => Ok(()),
+        }
     }
 
     /// The channel inside `burst`'s window: every rate multiplied by the
@@ -87,8 +93,8 @@ impl NoiseSpec {
     }
 }
 
-/// The validated channel behind a [`NoiseSpec`].
-#[derive(Debug, Clone, Copy)]
+/// The validated channel behind a [`NoiseSpec`], its gap table built.
+#[derive(Debug, Clone)]
 enum NoiseModel {
     Dephasing(PureDephasing),
     Depolarizing(Depolarizing),
@@ -118,9 +124,10 @@ impl NoiseModel {
         round: u64,
         error: &mut PauliString,
     ) {
-        match *self {
+        match self {
             NoiseModel::Dephasing(m) => m.sample_into(lattice, rng, error),
             NoiseModel::Depolarizing(m) => m.sample_into(lattice, rng, error),
+            // A drifting round builds its round's channel, table and all.
             NoiseModel::Drifting(d) => PureDephasing::new(d.rate_at(round))
                 .expect("rate_at clamps to [0, 1]")
                 .sample_into(lattice, rng, error),
@@ -179,7 +186,7 @@ fn epoch_label(base: NoiseSpec, in_burst: bool) -> String {
 /// One segment of a lattice's noise schedule: the rounds from `start_round`
 /// up to the next segment's start are sampled from `base`, amplified by
 /// `burst` inside the lattice's burst window.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct Segment {
     start_round: u64,
     base: NoiseSpec,
@@ -248,7 +255,7 @@ impl SyndromeSource {
         }
         let tail = Segment {
             start_round: round,
-            ..self.schedule[covering]
+            ..self.schedule[covering].clone()
         };
         self.schedule.insert(covering + 1, tail);
         covering + 1
@@ -359,8 +366,9 @@ impl SyndromeSource {
         let next = self.schedule.get(self.cursor + 1);
         let crossed = next.is_some_and(|next| next.start_round == round);
         self.cursor += usize::from(crossed);
-        let model = self.schedule[self.cursor].model;
-        model.sample_into(&self.lattice, &mut self.rng, round, error);
+        self.schedule[self.cursor]
+            .model
+            .sample_into(&self.lattice, &mut self.rng, round, error);
         self.rounds_emitted += 1;
         self.lattice.syndrome_into(error, syndrome);
         crossed

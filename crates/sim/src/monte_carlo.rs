@@ -138,68 +138,68 @@ where
         times: Vec<f64>,
     }
 
-    // Workers are joined in spawn order, so the concatenated samples do not
-    // depend on which worker finishes first.
+    // One worker's share of the trials, on its own stream.
+    let run_worker = |worker: usize| {
+        let trials = config.trials / threads + usize::from(worker < config.trials % threads);
+        let seed = config.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(worker as u64 + 1));
+        let sector = config.sector;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut decoder = make_decoder();
+        decoder.prepare(lattice);
+        // One buffer each for the whole run: a trial costs a few word fills
+        // and XORs (two planes of ⌈n/64⌉ words per string) plus what its
+        // errors and defects cost, and allocates nothing.
+        let mut error = PauliString::identity(lattice.num_data());
+        let mut syndrome = Syndrome::new(lattice.num_ancillas());
+        let mut correction = PauliString::identity(lattice.num_data());
+        let mut failures = 0usize;
+        let mut defects = 0usize;
+        let mut cycles = Vec::new();
+        let mut times = Vec::new();
+        for _ in 0..trials {
+            model.sample_into(lattice, &mut rng, &mut error);
+            lattice.syndrome_into(&error, &mut syndrome);
+            defects += lattice.defect_count(&syndrome, sector);
+            decoder.decode_into(lattice, &syndrome, sector, &mut correction);
+            // Composition commutes up to phase: the residual can be built in
+            // the correction's buffer.
+            correction.compose_with(&error);
+            if classify_residual_operator(lattice, &correction, sector).is_failure() {
+                failures += 1;
+            }
+            if let Some(stats) = read_stats(&decoder) {
+                if cycles.capacity() == 0 {
+                    cycles.reserve_exact(trials);
+                    times.reserve_exact(trials);
+                }
+                cycles.push(stats.cycles);
+                times.push(stats.time_ns);
+            }
+        }
+        WorkerResult {
+            failures,
+            defects,
+            cycles,
+            times,
+        }
+    };
+
+    // The calling thread is worker 0 and the others are spawned, so a
+    // one-thread run starts no thread.  Results are collected in worker
+    // order, so the concatenated samples do not depend on which worker
+    // finishes first.
     let workers: Vec<WorkerResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|worker| {
-                let make_decoder = &make_decoder;
-                let read_stats = &read_stats;
-                let trials =
-                    config.trials / threads + usize::from(worker < config.trials % threads);
-                let seed = config.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(worker as u64 + 1));
-                let sector = config.sector;
-                scope.spawn(move || {
-                    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                    let mut decoder = make_decoder();
-                    decoder.prepare(lattice);
-                    // One buffer each for the whole run: a trial costs a few
-                    // word fills and XORs (two planes of ⌈n/64⌉ words per
-                    // string) plus what its errors and defects cost, and
-                    // allocates nothing.
-                    let mut error = PauliString::identity(lattice.num_data());
-                    let mut syndrome = Syndrome::new(lattice.num_ancillas());
-                    let mut correction = PauliString::identity(lattice.num_data());
-                    let mut failures = 0usize;
-                    let mut defects = 0usize;
-                    let mut cycles = Vec::new();
-                    let mut times = Vec::new();
-                    for _ in 0..trials {
-                        model.sample_into(lattice, &mut rng, &mut error);
-                        lattice.syndrome_into(&error, &mut syndrome);
-                        lattice.for_each_defect(&syndrome, sector, |_| defects += 1);
-                        decoder.decode_into(lattice, &syndrome, sector, &mut correction);
-                        // Composition commutes up to phase: the residual can
-                        // be built in the correction's buffer.
-                        correction.compose_with(&error);
-                        if classify_residual_operator(lattice, &correction, sector).is_failure() {
-                            failures += 1;
-                        }
-                        if let Some(stats) = read_stats(&decoder) {
-                            if cycles.capacity() == 0 {
-                                cycles.reserve_exact(trials);
-                                times.reserve_exact(trials);
-                            }
-                            cycles.push(stats.cycles);
-                            times.push(stats.time_ns);
-                        }
-                    }
-                    WorkerResult {
-                        failures,
-                        defects,
-                        cycles,
-                        times,
-                    }
-                })
-            })
+        let run_worker = &run_worker;
+        let handles: Vec<_> = (1..threads)
+            .map(|worker| scope.spawn(move || run_worker(worker)))
             .collect();
-        handles
-            .into_iter()
-            .map(|handle| {
+        let first = run_worker(0);
+        std::iter::once(first)
+            .chain(handles.into_iter().map(|handle| {
                 handle
                     .join()
                     .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
+            }))
             .collect()
     });
 
@@ -341,8 +341,8 @@ mod tests {
     /// `lifetime_mesh_d9` point (d = 9, p = 0.05, seed 2020) and every
     /// variant at d = 5, p = 0.08.  A change to the sampler or the mesh
     /// decode that alters one pairing, chain or cycle count shows here.
-    /// Like the golden traces, the values hold for the platform libm the
-    /// gap sampler's `ln` calls (ROADMAP item 9).
+    /// The gap sampler's threshold table calls no libm, so the values hold
+    /// on every IEEE host; they are the values its `ln` predecessor gave.
     #[test]
     fn lifetime_operating_point_is_pinned() {
         assert_eq!(

@@ -218,10 +218,17 @@ fn assert_obs_hot_path_is_allocation_free() {
 /// (and a shed round's) sits directly on the worker and producer hot paths
 /// when residual analysis streams, so with the scratch residual buffer
 /// prepared it must not allocate either — otherwise soak-scale runs would
-/// pay a heap round-trip per round.
+/// pay a heap round-trip per round.  At d = 7, and at d = 17 and 31, whose
+/// syndromes need more than eight words.
 fn assert_streaming_residual_classification_is_allocation_free() {
+    for distance in [7, 17, 31] {
+        assert_residual_classification_is_allocation_free(distance);
+    }
+}
+
+fn assert_residual_classification_is_allocation_free(distance: usize) {
     use nisqplus_qec::logical::{classify_both_sectors_into, classify_shed_round, ResidualTally};
-    let (lattice, syndromes) = sample_syndromes(7, 0.05, 32);
+    let (lattice, syndromes) = sample_syndromes(distance, 0.05, 32);
     let model = PureDephasing::new(0.05).expect("valid probability");
     let mut rng = ChaCha8Rng::seed_from_u64(0xC1A55);
     let errors: Vec<PauliString> = (0..32).map(|_| model.sample(&lattice, &mut rng)).collect();
@@ -248,11 +255,12 @@ fn assert_streaming_residual_classification_is_allocation_free() {
     assert_eq!(
         allocated, 0,
         "streaming residual classification performed {allocated} heap allocations over 32 \
-         decode+classify rounds; the in-stream residual path must not allocate"
+         decode+classify rounds at d={distance}; the in-stream residual path must not allocate"
     );
     assert_eq!(tally.rounds, 65);
     eprintln!(
-        "alloc-guard: residual classify  : 0 allocations over 32 decoded + 32 shed classifications"
+        "alloc-guard: residual classify d={distance:<2}: 0 allocations over 32 decoded + 32 shed \
+         classifications"
     );
 }
 
