@@ -3,7 +3,7 @@
 //! actually executes, plus the full-queue [`PushPolicy`].
 //!
 //! These types describe *what* to run; the stages a run is wired from —
-//! source, gate, channels, decode workers, sinks — live in [`crate::stage`],
+//! source, gate, channel, decode workers, sinks — live in [`crate::stage`],
 //! and the wiring itself in [`crate::engine`].
 
 use crate::fault::FaultPlan;
@@ -79,18 +79,17 @@ pub struct RuntimeConfig {
     /// Converts [`RuntimeConfig::cadence_cycles`] into wall-clock
     /// nanoseconds (`nisqplus-sim`'s cycle→ns mapping).
     pub cycle_time: CycleTimeConverter,
-    /// Total ring-buffer capacity in packets, split evenly across the
-    /// per-worker rings (each ring holds `ceil(queue_capacity / workers)`
-    /// packets).  For backlog experiments with [`PushPolicy::Block`], size
-    /// this above the expected final backlog so the producer never stalls.
+    /// Capacity of the one ring every worker pops from, in packets.  For
+    /// backlog experiments with [`PushPolicy::Block`], size this above the
+    /// expected final backlog so the producer never stalls.
     pub queue_capacity: usize,
-    /// Maximum number of consecutive rounds a worker pops from a ring and
-    /// decodes as one batch, amortizing per-packet overhead (ring pop/steal
-    /// scans, shared counter updates) across the window.  Latency telemetry
-    /// stays per-packet (timestamps are chained inside the batch).  `1`
-    /// reproduces the original packet-at-a-time behaviour; corrections are
-    /// byte-identical for every value because rounds remain independent
-    /// decoding problems.
+    /// Maximum number of consecutive rounds a worker pops from the ring and
+    /// decodes as one batch, amortizing per-packet overhead (the
+    /// batch-boundary crash check and counter update) across the window.
+    /// Latency telemetry stays per-packet (timestamps are chained inside the
+    /// batch).  `1` reproduces the original packet-at-a-time behaviour;
+    /// corrections are byte-identical for every value because rounds remain
+    /// independent decoding problems.
     pub batch_size: usize,
     /// Full-queue policy.
     pub push_policy: PushPolicy,
@@ -247,7 +246,7 @@ pub struct MachineConfig {
     /// The live observability plane: snapshot cadence, journal capacity.
     pub obs: ObsConfig,
     /// The deterministic fault schedule for this run — worker crashes and
-    /// channel stalls (see
+    /// ring stalls (see
     /// [`crate::fault`]).  Empty by default: a plan-free run pays nothing
     /// for the injection hooks.
     pub fault: FaultPlan,

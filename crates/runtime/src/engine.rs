@@ -1,23 +1,22 @@
 //! The streaming engine: the one place a run is assembled, from seeded
 //! syndrome streams to the [`RuntimeReport`].
 //!
-//! All of the moving parts — paced generation, QoS admission, spread
-//! placement, bounded channels, own-then-steal batch filling, the
-//! prepared-decoder hot path, frame and depth sinks — live as stages in
-//! [`crate::stage`]; the one shape they are wired into lives here:
+//! All of the moving parts — paced generation, QoS admission, the bounded
+//! channel, batch filling, the prepared-decoder hot path, frame and depth
+//! sinks — live as stages in [`crate::stage`]; the one shape they are wired
+//! into lives here:
 //!
 //! ```text
-//! source ──► gate ──► channel[w] ──► steal ──► decode ──► frame
-//!  (paced)  (QoS)   (bounded rings)  (per worker, N threads)
+//! source ──► gate ──► channel ──► decode[w] ──► frame
+//!  (paced)  (QoS)   (one ring)   (N threads)
 //! ```
 //!
 //! [`StreamingEngine::run_with`] builds the run's codec, one bounded channel
-//! per worker, the event journal and the fault injector, scopes the decode
-//! workers, drives the source stage on the calling thread — round `r` of
-//! lattice `l` placed on channel `(l + r) % workers`,
-//! every worker draining its own channel and stealing a batch from a
-//! neighbour when it runs dry — joins, and folds what the source stage and
-//! the workers hand back straight into the final [`RuntimeOutcome`]:
+//! of `queue_capacity` slots, the event journal and the fault injector,
+//! scopes the decode workers, drives the source stage on the calling thread
+//! — every worker popping its next batch from the one channel — joins, and
+//! folds what the source stage and the workers hand back straight into the
+//! final [`RuntimeOutcome`]:
 //! per-lattice reports, the depth timeline with its per-lattice backlog
 //! breakdown, merged frames, the measured-versus-model backlog comparison
 //! ([`BacklogModel`](nisqplus_system::backlog::BacklogModel)), one
@@ -266,17 +265,14 @@ impl StreamingEngine {
         } else {
             PacketCodec::for_lattice_bits(&set.ancilla_bits())
         };
-        let per_channel_capacity = config.queue_capacity.div_ceil(config.workers);
-        let channels: Vec<Channel> = (0..config.workers)
-            .map(|_| Channel::new(per_channel_capacity, codec.words_per_packet()))
-            .collect();
+        let channel = Channel::new(config.queue_capacity, codec.words_per_packet());
         let journal = EventJournal::new(config.obs.journal_capacity);
         let injector = FaultInjector::new(config.fault.clone());
         let done = AtomicBool::new(false);
         let epoch = Instant::now();
 
         let (mut source_run, worker_results) = thread::scope(|s| {
-            let (codec, channels, counters) = (&codec, &channels[..], &counters);
+            let (codec, channel, counters) = (&codec, &channel, &counters);
             let (journal, injector, done) = (&journal, &injector, &done);
             let workers: Vec<_> = (0..config.workers)
                 .map(|worker_id| {
@@ -285,7 +281,7 @@ impl StreamingEngine {
                             worker_id,
                             set,
                             codec,
-                            channels,
+                            channel,
                             counters,
                             done,
                             epoch,
@@ -305,7 +301,7 @@ impl StreamingEngine {
                 set,
                 source: &self.source,
                 codec,
-                channels,
+                channel,
                 counters,
                 journal,
                 injector,
@@ -323,13 +319,11 @@ impl StreamingEngine {
         let elapsed_s = epoch.elapsed().as_secs_f64();
 
         // ---- Fold the source stage's and the workers' results -----------
-        // One row per stage: source, gate, depth sink, then every channel,
-        // then every worker's decode stage — whose `emitted` is the rounds
-        // that worker's sink committed, the owner of its `decoded` count.
+        // One row per stage: source, gate, depth sink, the channel, then
+        // every worker's decode stage — whose `emitted` is the rounds that
+        // worker's sink committed, the owner of its `decoded` count.
         let mut stages = std::mem::take(&mut source_run.reports);
-        for (index, channel) in channels.iter().enumerate() {
-            stages.push(channel.report(format!("channel.{index}")));
-        }
+        stages.push(channel.report("channel"));
         let mut worker_outputs = Vec::with_capacity(worker_results.len());
         let mut worker_counters = Vec::with_capacity(worker_results.len());
         for ((output, decode_report), slice) in worker_results.into_iter().zip(&counters.per_worker)
@@ -598,9 +592,9 @@ mod tests {
     }
 
     /// The run's stage reports describe the whole graph and their books
-    /// balance: what the source emitted equals what the channels accepted
-    /// (each channel popping what it pushed) equals what the decode stages
-    /// consumed — the last two are the checker's flow identities.
+    /// balance: what the source emitted equals what the channel accepted
+    /// (popping what it pushed) equals what the decode stages consumed —
+    /// the last two are the checker's flow identities.
     #[test]
     fn stage_reports_cover_the_graph_with_balanced_flow() {
         let engine = StreamingEngine::new(fast_config()).unwrap();
@@ -612,9 +606,8 @@ mod tests {
             (source.accepted, source.emitted, gate.accepted),
             (200, 200, 200)
         );
-        for report in stages.iter().filter(|r| r.stage.starts_with("channel.")) {
-            assert_eq!(report.accepted, report.emitted, "pushed == popped");
-        }
+        let channel = stages.iter().find(|r| r.stage == "channel").unwrap();
+        assert_eq!((channel.accepted, channel.emitted), (200, 200));
     }
 
     /// A short run is not sampled per round: the depth sink is offered all
@@ -663,15 +656,7 @@ mod tests {
         let names: Vec<&str> = report.stages.iter().map(|r| r.stage.as_str()).collect();
         assert_eq!(
             names,
-            [
-                "source",
-                "gate",
-                "depth",
-                "channel.0",
-                "channel.1",
-                "decode.0",
-                "decode.1"
-            ]
+            ["source", "gate", "depth", "channel", "decode.0", "decode.1"]
         );
     }
 
@@ -737,8 +722,8 @@ mod tests {
     #[test]
     fn crashed_worker_is_restarted_and_no_round_is_lost() {
         crate::fault::silence_injected_crash_panics();
-        // One worker: with a second one stealing, worker 0 is not guaranteed
-        // to commit the 10 rounds that arm its crash.
+        // One worker: with a second one popping the same ring, worker 0 is
+        // not guaranteed to commit the 10 rounds that arm its crash.
         let mut config = two_lattice_machine(1);
         config.fault = crate::fault::FaultPlan::default().crash_worker(0, 10);
         let engine = StreamingEngine::with_machine(config).unwrap();
@@ -753,8 +738,8 @@ mod tests {
         );
     }
 
-    /// A channel whose consumer never drains (an infinite injected stall on
-    /// a Block lane) trips the watchdog: the run ends with force-shed
+    /// A ring whose consumers never drain (an infinite injected stall on a
+    /// Block lane) trips the watchdog: the run ends with force-shed
     /// rounds and WatchdogTrip events — each naming its round — instead of
     /// hanging forever.
     #[test]
@@ -764,7 +749,7 @@ mod tests {
         config.lattices[0].cadence_cycles = 0;
         config.workers = 1;
         config.queue_capacity = 16;
-        config.fault = crate::fault::FaultPlan::default().stall_channel(0, 0, u64::MAX);
+        config.fault = crate::fault::FaultPlan::default().stall_ring(0, u64::MAX);
         let engine = StreamingEngine::with_machine(config).unwrap();
         let options = PipelineOptions {
             watchdog: std::time::Duration::from_millis(20),

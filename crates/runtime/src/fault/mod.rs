@@ -1,9 +1,9 @@
 //! Deterministic fault injection and the run's fault report.
 //!
 //! A [`FaultPlan`] is a declarative schedule of hostile events — worker
-//! crashes and channel stalls — keyed entirely by *logical* run coordinates
-//! (worker id × rounds decoded, channel index × round index), never by wall
-//! clock or extra randomness.  The same plan against the same seeded machine therefore
+//! crashes and ring stalls — keyed entirely by *logical* run coordinates
+//! (worker id × rounds decoded, round index), never by wall clock or extra
+//! randomness.  The same plan against the same seeded machine therefore
 //! injects the same faults at the same points every run, which is what lets
 //! the recovery tests demand byte-identical frames.  A burst-noise episode
 //! is not in the plan: it is physics, part of a lattice's noise schedule
@@ -46,20 +46,18 @@ pub struct CrashFault {
     pub after_decoded: u64,
 }
 
-/// Make one channel refuse the producer's sends for a while — a dead
-/// or wedged consumer, as seen from the send side.
+/// Make the ring refuse the producer's sends for a while — a dead or
+/// wedged worker pool, as seen from the send side.
 ///
-/// The stall arms the first time the producer routes a round to the channel
+/// The stall arms the first time the producer offers a round to the ring
 /// at or after `from_round` (machine-wide emission index) and holds for
 /// `duration_ns` of wall-clock time; `u64::MAX` never releases, which is how
 /// the watchdog's force-shed degradation path is exercised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StallFault {
-    /// The channel that refuses sends.
-    pub channel: usize,
     /// Machine-wide emission index at which the stall arms.
     pub from_round: u64,
-    /// How long the channel stays dead once armed (`u64::MAX` = forever).
+    /// How long the ring stays shut once armed (`u64::MAX` = forever).
     pub duration_ns: u64,
 }
 
@@ -74,14 +72,14 @@ pub struct StallFault {
 ///
 /// let plan = FaultPlan::default()
 ///     .crash_worker(1, 10)
-///     .stall_channel(0, 100, 5_000_000);
+///     .stall_ring(100, 5_000_000);
 /// assert!(!plan.is_empty());
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Scheduled worker crashes.
     pub crashes: Vec<CrashFault>,
-    /// Scheduled channel stalls.
+    /// Scheduled ring stalls.
     pub stalls: Vec<StallFault>,
 }
 
@@ -97,11 +95,10 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules a channel stall.
+    /// Schedules a ring stall.
     #[must_use]
-    pub fn stall_channel(mut self, channel: usize, from_round: u64, duration_ns: u64) -> Self {
+    pub fn stall_ring(mut self, from_round: u64, duration_ns: u64) -> Self {
         self.stalls.push(StallFault {
-            channel,
             from_round,
             duration_ns,
         });
@@ -220,20 +217,20 @@ impl FaultInjector {
         false
     }
 
-    /// `true` when the plan schedules any channel stalls — the producer's
+    /// `true` when the plan schedules any ring stalls — the producer's
     /// cheap guard before paying for clock reads on the send path.
     #[must_use]
     pub fn has_stalls(&self) -> bool {
         !self.plan.stalls.is_empty()
     }
 
-    /// Producer hook: whether `channel` currently refuses sends.  Arms any
+    /// Producer hook: whether the ring currently refuses sends.  Arms any
     /// scheduled stall whose `from_round` has been reached; an armed stall
     /// holds until `duration_ns` of wall clock has passed since arming.
     #[must_use]
-    pub fn stall_active(&self, channel: usize, emitted_total: u64, elapsed_ns: u64) -> bool {
+    pub fn stall_active(&self, emitted_total: u64, elapsed_ns: u64) -> bool {
         for (fault, started) in self.plan.stalls.iter().zip(&self.stall_started) {
-            if fault.channel != channel || emitted_total < fault.from_round {
+            if emitted_total < fault.from_round {
                 continue;
             }
             let armed_at = match started.compare_exchange(
@@ -271,7 +268,7 @@ impl FaultInjector {
 pub struct FaultInjections {
     /// Worker crashes fired.
     pub crashes: u64,
-    /// Channel stalls armed.
+    /// Ring stalls armed.
     pub stalls: u64,
 }
 
@@ -283,7 +280,7 @@ pub struct FaultReport {
     pub enabled: bool,
     /// Worker crashes the injector fired.
     pub injected_crashes: u64,
-    /// Channel stalls the injector armed.
+    /// Ring stalls the injector armed.
     pub injected_stalls: u64,
 }
 
@@ -309,7 +306,7 @@ mod tests {
         assert!(injector.plan().is_empty());
         assert!(!injector.should_crash(0, 1_000_000));
         assert!(!injector.has_stalls());
-        assert!(!injector.stall_active(0, 0, 0));
+        assert!(!injector.stall_active(0, 0));
         assert_eq!(injector.snapshot(), FaultInjections::default());
     }
 
@@ -328,21 +325,20 @@ mod tests {
 
     #[test]
     fn stall_arms_at_its_round_and_releases_after_its_duration() {
-        let injector = FaultInjector::new(FaultPlan::default().stall_channel(1, 5, 1_000));
+        let injector = FaultInjector::new(FaultPlan::default().stall_ring(5, 1_000));
         assert!(injector.has_stalls());
-        assert!(!injector.stall_active(1, 4, 0), "before its round");
-        assert!(!injector.stall_active(0, 10, 0), "other channel");
+        assert!(!injector.stall_active(4, 0), "before its round");
         // Arms at round 5, elapsed 100 ns: dead until 1_100 ns.
-        assert!(injector.stall_active(1, 5, 100));
-        assert!(injector.stall_active(1, 6, 1_099));
-        assert!(!injector.stall_active(1, 7, 1_100), "stall released");
+        assert!(injector.stall_active(5, 100));
+        assert!(injector.stall_active(6, 1_099));
+        assert!(!injector.stall_active(7, 1_100), "stall released");
         assert_eq!(injector.snapshot().stalls, 1);
     }
 
     #[test]
     fn forever_stall_never_releases() {
-        let injector = FaultInjector::new(FaultPlan::default().stall_channel(0, 0, u64::MAX));
-        assert!(injector.stall_active(0, 0, 0));
-        assert!(injector.stall_active(0, 100, u64::MAX - 1));
+        let injector = FaultInjector::new(FaultPlan::default().stall_ring(0, u64::MAX));
+        assert!(injector.stall_active(0, 0));
+        assert!(injector.stall_active(100, u64::MAX - 1));
     }
 }

@@ -47,11 +47,11 @@ pub enum Violation {
         /// `journal.counts.watchdog_trip`.
         watchdog_trips: u64,
     },
-    /// Σ channel `accepted` == Σ channel `emitted` == `enqueued` fails.
+    /// The `channel` row's `accepted` == its `emitted` == `enqueued` fails.
     ChannelFlow {
-        /// Σ `stages[channel.*].accepted`.
+        /// `stages[channel].accepted`.
         accepted: u64,
-        /// Σ `stages[channel.*].emitted`.
+        /// `stages[channel].emitted`.
         emitted: u64,
         /// `counters.enqueued`.
         enqueued: u64,
@@ -254,10 +254,11 @@ impl RuntimeReport {
             let rows = self.stages.iter().filter(|s| s.stage.starts_with(prefix));
             rows.map(pick).sum()
         };
-        let (accepted, emitted) = (
-            stages("channel.", |s| s.accepted),
-            stages("channel.", |s| s.emitted),
-        );
+        let (accepted, emitted) = self
+            .stages
+            .iter()
+            .find(|s| s.stage == "channel")
+            .map_or((0, 0), |s| (s.accepted, s.emitted));
         require(
             accepted == emitted && emitted == c.enqueued,
             Violation::ChannelFlow {
@@ -421,7 +422,7 @@ mod tests {
             ("Corrections", |o| o.corrections.swap(0, 1)),
             ("Corrections", |o| o.corrections.truncate(1)),
         ];
-        assert_eq!(clean.report.stages[3].stage, "channel.0");
+        assert_eq!(clean.report.stages[3].stage, "channel");
         for (variant, mutate) in mutations {
             let mut outcome = clean.clone();
             mutate(&mut outcome);

@@ -24,21 +24,20 @@
 //!   `lattice_id` + ancilla count, so a record encoded against another
 //!   lattice set is rejected instead of silently misdecoding,
 //! * [`queue`] — the bounded lock-free ring buffer (pure
-//!   `std::sync::atomic`, no external deps), which is also each channel's
-//!   flow control; the engine gives each worker its own ring and lets idle
-//!   workers steal from busy ones,
-//! * [`stage`] — the pipeline stages the engine is wired from: bounded
-//!   channels over the ring, the QoS admission gate, the
-//!   own-then-steal batch mux, the prepared-decoder decode stage and its
-//!   supervised worker loop, frame and depth sinks, and the source stage —
-//!   every stage reporting its flow through a uniform [`StageReport`],
+//!   `std::sync::atomic`, no external deps), one sender and any number of
+//!   receivers, which is also the channel's flow control: a run has one
+//!   ring, and every worker pops from it,
+//! * [`stage`] — the pipeline stages the engine is wired from: the bounded
+//!   channel over the ring, the QoS admission gate, the prepared-decoder
+//!   decode stage and its supervised worker loop, frame and depth sinks,
+//!   and the source stage — every stage reporting its flow through a
+//!   uniform [`StageReport`],
 //! * [`config`] — the [`RuntimeConfig`] / [`MachineConfig`] run
 //!   configuration (re-exported through [`engine`] for compatibility),
 //! * [`engine`] — the [`StreamingEngine`], which wires the stages into the
-//!   one running, backpressured shape — `source → gate → channel[w] → steal
-//!   → decode → frame`: one paced source thread
-//!   spreading every lattice's rounds across the channels, and a
-//!   work-stealing pool of decoder workers built from a
+//!   one running, backpressured shape — `source → gate → channel →
+//!   decode[w] → frame`: one paced source thread sending every lattice's
+//!   rounds into the one channel, and a pool of decoder workers built from a
 //!   [`DecoderFactory`](nisqplus_decoders::DecoderFactory), each keeping one
 //!   prepared decoder per code distance and decoding up to
 //!   [`RuntimeConfig::batch_size`] consecutive rounds per batch through the
@@ -49,7 +48,7 @@
 //! * [`fault`] — deterministic fault injection and self-healing: a seeded
 //!   [`FaultPlan`] schedules worker crashes (caught and answered by a
 //!   supervisor restart that re-prepares decoders over the same frame
-//!   shard) and channel stalls (bounded by a backpressure watchdog); the
+//!   shard) and ring stalls (bounded by a backpressure watchdog); the
 //!   report's [`FaultReport`] carries what was injected, and
 //!   [`RuntimeReport::check_invariants`] holds it against what the journal
 //!   observed,
@@ -58,7 +57,7 @@
 //!   on demand,
 //! * [`obs`] — the observability plane: the workers' bounded-memory
 //!   log-bucketed latency books ([`LocalHistogram`]) and a fixed-capacity
-//!   structured [`EventJournal`] (sheds, stalls, budget exhaustion, steals,
+//!   structured [`EventJournal`] (sheds, stalls, budget exhaustion,
 //!   crashes),
 //! * [`report`] — schema-versioned, dependency-free JSON export of the
 //!   final report,

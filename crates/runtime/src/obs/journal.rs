@@ -2,11 +2,10 @@
 //!
 //! Counters say *how much*; the journal says *what happened, when, to
 //! whom*.  Every noteworthy pipeline incident — a shed round, a
-//! backpressure stall, an exhausted QoS budget, a cross-channel steal, a
-//! worker crash and its restart, a quarantined record, a change of a
-//! lattice's noise regime, a watchdog trip, a scripted lattice coming online
-//! or retiring —
-//! is published as a [`RuntimeEvent`] with a severity and
+//! backpressure stall, an exhausted QoS budget, a worker crash and its
+//! restart, a quarantined record, a change of a lattice's noise regime, a
+//! watchdog trip, a scripted lattice coming online or retiring — is
+//! published as a [`RuntimeEvent`] with a severity and
 //! per-lattice/per-worker attribution.  The journal is a
 //! fixed-capacity ring: old events are overwritten (and counted as
 //! overwritten), publish never allocates, and per-kind/per-severity totals
@@ -24,7 +23,7 @@ use std::sync::Mutex;
 /// How bad a [`RuntimeEvent`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EventSeverity {
-    /// Expected under load; useful for trend-watching (stalls, steals).
+    /// Expected under load; useful for trend-watching (stalls, noise changes).
     Info,
     /// Service degraded by policy (shed rounds, exhausted budgets).
     Warning,
@@ -65,9 +64,6 @@ pub enum EventKind {
     BackpressureStall,
     /// A QoS budget refused an admission (`value` = round).
     BudgetExhausted,
-    /// A worker stole work from a foreign channel (`value` = records
-    /// stolen in the batch).
-    Steal,
     /// A worker's decode loop panicked and was caught by its supervisor
     /// (`value` = rounds the worker had committed before dying).
     WorkerCrash,
@@ -99,11 +95,10 @@ const KINDS: usize = EventKind::LABELS.len();
 impl EventKind {
     /// Every kind beside its label, in declaration order (so `kind as usize`
     /// indexes it).  The labels' only spelling.
-    pub(crate) const LABELS: [(EventKind, &'static str); 11] = [
+    pub(crate) const LABELS: [(EventKind, &'static str); 10] = [
         (EventKind::Shed, "shed"),
         (EventKind::BackpressureStall, "backpressure_stall"),
         (EventKind::BudgetExhausted, "budget_exhausted"),
-        (EventKind::Steal, "steal"),
         (EventKind::WorkerCrash, "worker_crash"),
         (EventKind::WorkerRestart, "worker_restart"),
         (EventKind::Quarantine, "quarantine"),
@@ -389,7 +384,14 @@ mod tests {
     #[test]
     fn severity_and_kind_totals_survive_rotation() {
         let journal = EventJournal::new(2);
-        journal.publish(EventKind::Steal, EventSeverity::Info, None, Some(1), 0, 4);
+        journal.publish(
+            EventKind::NoiseChange,
+            EventSeverity::Info,
+            Some(1),
+            None,
+            0,
+            4,
+        );
         journal.publish(
             EventKind::WorkerCrash,
             EventSeverity::Critical,
@@ -403,7 +405,7 @@ mod tests {
         assert_eq!(snap.info, 1);
         assert_eq!(snap.critical, 1);
         assert_eq!(snap.warning, 3);
-        assert_eq!(snap.counts[EventKind::Steal], 1);
+        assert_eq!(snap.counts[EventKind::NoiseChange], 1);
         assert_eq!(snap.counts[EventKind::WorkerCrash], 1);
         assert_eq!(snap.counts[EventKind::Shed], 3);
         assert_eq!(snap.recent.len(), 2);

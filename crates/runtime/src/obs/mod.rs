@@ -15,7 +15,7 @@
 //!   [`HistogramSnapshot`]s at end of run.  [`LogHistogram`] is the same
 //!   layout over atomics, for a recorder shared between threads.
 //! * [`EventJournal`] — a bounded ring of structured [`RuntimeEvent`]s
-//!   (shed, stall, budget exhaustion, steal, crash, ...) with severity and
+//!   (shed, stall, budget exhaustion, crash, ...) with severity and
 //!   per-lattice/worker attribution.
 //!
 //! Both are allocation-free after construction on the paths the pipeline

@@ -8,7 +8,7 @@
 //! writer and the reader from that one list — a key is its field's name, so
 //! the two directions cannot drift apart.  Changing a table changes the
 //! format: bump [`SCHEMA_VERSION`] (`tests/obs.rs` pins the key paths
-//! against `tests/report_schema_v12.txt`).
+//! against `tests/report_schema_v13.txt`).
 //!
 //! Reading rejects documents whose version does not match
 //! [`SCHEMA_VERSION`] exactly, so a stale artifact fails loudly instead of
@@ -85,7 +85,13 @@ use std::path::Path;
 /// lattice crossed: burst edges and scripted re-tunes alike), and `fault`
 /// no longer counts the lattices that carry a burst (a burst is physics,
 /// not an injected fault: read `lattices[].noise_epochs`).
-pub const SCHEMA_VERSION: u64 = 12;
+///
+/// v13: one ring for the worker pool — `worker_counters[]` and
+/// `journal.counts` each lose the key that counted records a worker took
+/// from another worker's channel, and `stages` files one `channel` row
+/// where it filed one `channel.<w>` row per worker.  The machine-wide copy
+/// of that count in `counters` stays, always 0.
+pub const SCHEMA_VERSION: u64 = 13;
 
 /// Why an export or import failed.
 #[derive(Debug)]
@@ -177,7 +183,6 @@ record!(CounterSnapshot {
 
 record!(WorkerCounterSnapshot {
     decoded,
-    stolen,
     batches,
     stall_polls,
 });

@@ -46,7 +46,7 @@ use nisqplus_decoders::traits::DecoderFactory;
 
 /// Pins a finished run's deterministic outcome as a [`GoldenSummary`]: the
 /// quantities a golden-trace regression test compares exactly.  Contended
-/// counters (backpressure spins, steals, batches, stall polls) are excluded
+/// counters (backpressure spins, batches, stall polls) are excluded
 /// by construction — they vary run to run even on identical streams.
 ///
 /// The per-lattice residual tally folds decoded and shed rounds together,

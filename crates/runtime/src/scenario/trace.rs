@@ -111,7 +111,7 @@ pub struct TraceRound {
 
 /// The pinned outcome of a reference run, stored alongside the trace that
 /// produced it.  Only deterministic quantities are pinned — contended
-/// counters (backpressure spins, steals, batches) vary run to run and are
+/// counters (backpressure spins, batches) vary run to run and are
 /// excluded by construction.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GoldenSummary {

@@ -18,8 +18,9 @@
 //! typed view lives one layer up: [`PacketCodec`](crate::packet::PacketCodec)
 //! encodes and validates, [`DecodeStage`](crate::stage::DecodeStage)
 //! consumes).  Like the ring, a channel has one sender and any number of
-//! receivers: any worker may receive, which is what lets an idle worker
-//! steal from a busy channel through [`StealMux`](crate::stage::StealMux).
+//! receivers: a run builds exactly one, of `queue_capacity` slots, and
+//! every decode worker pops from it, so whichever worker is free takes the
+//! next round and no placement or rebalancing sits between the two.
 
 use crate::queue::SpmcRing;
 use crate::stage::{resume_stride, StageReport};
@@ -199,8 +200,8 @@ mod tests {
         assert!(!channel.try_send(&[3]));
         assert!(channel.try_recv(&mut out));
         assert!(channel.try_send(&[3]));
-        let report = channel.report("channel.0");
-        assert_eq!(report.stage, "channel.0");
+        let report = channel.report("channel");
+        assert_eq!(report.stage, "channel");
         assert_eq!(report.accepted, 3);
         assert_eq!(report.emitted, 1);
         assert_eq!(report.rejected, 2);

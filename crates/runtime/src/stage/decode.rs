@@ -14,10 +14,11 @@
 //! one [`PauliString`] borrowed out as a [`DecodedRound`].
 //!
 //! The stage is purely computational — it owns no queue and no thread.
-//! `run_worker` is the thread: it fills batches through a
-//! [`StealMux`](crate::stage::StealMux), decodes every record, and commits
-//! to a [`FrameSink`](crate::stage::FrameSink) (which also owns the count of
-//! committed rounds) that outlives a crashed decode attempt.
+//! `run_worker` is the thread: it fills batches from the run's one
+//! [`Channel`], decodes every record, and commits to a
+//! [`FrameSink`](crate::stage::FrameSink) (which also owns the count of
+//! committed rounds); the sink and the in-flight batch both outlive a
+//! crashed decode attempt.
 //!
 //! [`Decoder::decode_into`]: nisqplus_decoders::Decoder::decode_into
 
@@ -25,7 +26,7 @@ use crate::fault::{FaultInjector, CRASH_PANIC_MARKER};
 use crate::lattice_set::{LatticeDecoder, LatticeSet};
 use crate::obs::{EventJournal, EventKind, EventSeverity};
 use crate::packet::{PacketCodec, PacketError, SyndromePacket};
-use crate::stage::{pause, Channel, FrameSink, StageReport, StealMux, WorkerOutput};
+use crate::stage::{pause, Channel, FrameSink, StageReport, WorkerOutput};
 use crate::telemetry::{bump, RuntimeCounters};
 use nisqplus_decoders::traits::{DecoderFactory, DynDecoder};
 use nisqplus_qec::lattice::Sector;
@@ -212,16 +213,16 @@ impl<'a> DecodeStage<'a> {
 }
 
 /// Everything one decode worker needs, bundled to keep the spawn site tidy
-/// (and to let tests drive a worker directly against hand-filled channels).
+/// (and to let tests drive a worker directly against a hand-filled channel).
 pub(crate) struct WorkerSeat<'a> {
-    /// This worker's index, which is also its home channel's.
+    /// This worker's index.
     pub(crate) worker_id: usize,
     /// The lattices being served.
     pub(crate) set: &'a LatticeSet,
     /// The shared wire codec.
     pub(crate) codec: &'a PacketCodec,
-    /// The channels the worker consumes from.
-    pub(crate) channels: &'a [Channel],
+    /// The run's one channel, which every worker pops from.
+    pub(crate) channel: &'a Channel,
     /// The shared run counters.
     pub(crate) counters: &'a RuntimeCounters,
     /// Set once the source has finished generating.
@@ -245,14 +246,18 @@ pub(crate) struct WorkerSeat<'a> {
     pub(crate) injector: &'a FaultInjector,
 }
 
-/// One decode worker under supervision: the frame sink — the worker's
-/// durable state — lives out here, outside the unwind boundary, while the
-/// decode attempt loop runs inside [`catch_unwind`].  A panic in the decode
-/// path (injected or real) is caught, journaled as a
-/// [`EventKind::WorkerCrash`], and answered by a same-thread restart
-/// ([`EventKind::WorkerRestart`]) that rebuilds the decode stage — freshly
-/// `prepare`d decoders — over the *same* sink, so the replacement adopts
-/// the dead worker's frame shard and every round it had already committed.
+/// One decode worker under supervision: the frame sink and the in-flight
+/// [`Batch`] — the worker's durable state — live out here, outside the
+/// unwind boundary, while the decode attempt loop runs inside
+/// [`catch_unwind`].  A panic in the decode path (injected or real) is
+/// caught, journaled as a [`EventKind::WorkerCrash`], and answered by a
+/// same-thread restart ([`EventKind::WorkerRestart`]) that rebuilds the
+/// decode stage — freshly `prepare`d decoders — over the *same* sink and
+/// batch, so the replacement adopts the dead worker's frame shard, every
+/// round it had already committed, and the rest of its batch.  A real panic
+/// loses only the record it panicked on: the batch's cursor had already
+/// passed it, so the replacement resumes after it and never retries it — a
+/// decoder that panics on every round still drains the channel.
 /// Returns the worker's output plus its decode [`StageReport`], whose
 /// `emitted` is the sink's committed count and whose `stall_cycles` is the
 /// worker's `stall_polls` counter — both span every attempt, a crashed one
@@ -263,10 +268,11 @@ pub(crate) fn run_worker(seat: WorkerSeat<'_>) -> (WorkerOutput, StageReport) {
     let worker_id = seat.worker_id;
     let mut sink =
         FrameSink::new(seat.set, seat.record_corrections).with_correction_cap(seat.correction_cap);
+    let mut batch = Batch::new(seat.batch_size, seat.codec.words_per_packet());
     let mut restarts = 0u64;
     loop {
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            worker_loop(&seat, &mut sink)
+            worker_loop(&seat, &mut sink, &mut batch)
         }));
         match attempt {
             Ok(lattice_decoders) => {
@@ -284,10 +290,10 @@ pub(crate) fn run_worker(seat: WorkerSeat<'_>) -> (WorkerOutput, StageReport) {
             }
             Err(_) => {
                 // The worker died mid-run.  Its sink — and every round it
-                // committed — survives out here; journal the crash (value =
-                // rounds the dead worker had committed), then go around the
-                // loop: the next attempt re-prepares the decoders and
-                // adopts the shard.
+                // committed — and its batch survive out here; journal the
+                // crash (value = rounds the dead worker had committed), then
+                // go around the loop: the next attempt re-prepares the
+                // decoders, adopts the shard and finishes the batch.
                 seat.journal.publish(
                     EventKind::WorkerCrash,
                     EventSeverity::Critical,
@@ -310,65 +316,85 @@ pub(crate) fn run_worker(seat: WorkerSeat<'_>) -> (WorkerOutput, StageReport) {
     }
 }
 
-/// One supervised decode attempt: fill batches own-channel-then-steal, decode
-/// every record through the lattice's prepared hot path, commit to the
-/// shared frame sink and count the round decoded — which is also what lowers
-/// its lattice's outstanding count for the gate.
+/// A worker's in-flight batch: records popped from the channel and not yet
+/// all decoded.  `records[next..filled]` are still to decode; the batch is
+/// spent when `next == filled`.
+struct Batch {
+    /// Reusable records, shared across lattices (sized for the largest
+    /// lattice of the set).
+    records: Vec<Vec<u64>>,
+    /// Records popped into `records` by the last fill.
+    filled: usize,
+    /// The next record to decode, advanced *before* its decode starts.
+    next: usize,
+}
+
+impl Batch {
+    fn new(batch_size: usize, words_per_packet: usize) -> Self {
+        Batch {
+            records: (0..batch_size)
+                .map(|_| vec![0u64; words_per_packet])
+                .collect(),
+            filled: 0,
+            next: 0,
+        }
+    }
+}
+
+/// One supervised decode attempt: fill batches from the shared channel,
+/// decode every record through the lattice's prepared hot path, commit to
+/// the shared frame sink and count the round decoded — which is also what
+/// lowers its lattice's outstanding count for the gate.
 /// An idle poll is one turn of the shared busy wait ([`pause`]), so the
-/// worker spins on the channels and yields only every
+/// worker spins on the channel and yields only every
 /// [`TURNS_PER_YIELD`](crate::stage::TURNS_PER_YIELD)th empty poll.
 /// Returns the lattice decoder names when the stream drains; unwinds into
 /// the supervisor if the decode path panics.
-fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink) -> Vec<String> {
+fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink, batch: &mut Batch) -> Vec<String> {
     let worker_id = seat.worker_id;
-    let (channels, counters, journal) = (seat.channels, seat.counters, seat.journal);
+    let (channel, counters, journal) = (seat.channel, seat.counters, seat.journal);
     let epoch = seat.epoch;
     let mut decode = DecodeStage::new(seat.set, seat.codec, seat.factory);
-    let mux = StealMux::new(worker_id);
-    // Reusable batch records, shared across lattices (records are sized for
-    // the largest lattice of the set).
-    let mut batch: Vec<Vec<u64>> = (0..seat.batch_size)
-        .map(|_| vec![0u64; seat.codec.words_per_packet()])
-        .collect();
     let worker_counters = &counters.per_worker[worker_id];
     let mut turns = 0u32;
     loop {
-        // The crash hook sits at the batch boundary: no record is in flight
-        // inside the worker when an injected panic fires, so nothing a
-        // restart can't recover is ever lost.
-        if seat.injector.should_crash(worker_id, sink.committed()) {
-            panic!("{CRASH_PANIC_MARKER}: worker {worker_id}");
-        }
-        // ---- Fill a batch: own channel first, then steal ----------------
-        let fill = mux.fill(channels, &mut batch);
-        if fill.stolen > 0 {
-            bump(&worker_counters.stolen, fill.stolen);
-            journal.publish(
-                EventKind::Steal,
-                EventSeverity::Info,
-                None,
-                Some(worker_id as u32),
-                epoch.elapsed().as_nanos() as u64,
-                fill.stolen,
-            );
-        }
-        if fill.filled == 0 {
-            if seat.done.load(Ordering::Acquire) && channels.iter().all(Channel::is_empty) {
-                return decode.lattice_decoders().to_vec();
+        if batch.next == batch.filled {
+            // The crash hook sits at the batch boundary: no record is in
+            // flight inside the worker when an injected panic fires, so
+            // nothing a restart can't recover is ever lost.
+            if seat.injector.should_crash(worker_id, sink.committed()) {
+                panic!("{CRASH_PANIC_MARKER}: worker {worker_id}");
             }
-            bump(&worker_counters.stall_polls, 1);
-            pause(&mut turns);
-            continue;
+            // ---- Fill a batch from the shared channel --------------------
+            batch.next = 0;
+            batch.filled = 0;
+            while batch.filled < batch.records.len()
+                && channel.try_recv(&mut batch.records[batch.filled])
+            {
+                batch.filled += 1;
+            }
+            if batch.filled == 0 {
+                if seat.done.load(Ordering::Acquire) && channel.is_empty() {
+                    return decode.lattice_decoders().to_vec();
+                }
+                bump(&worker_counters.stall_polls, 1);
+                pause(&mut turns);
+                continue;
+            }
         }
 
-        // ---- Decode the batch ------------------------------------------
+        // ---- Decode the rest of the batch ------------------------------
         // Per-packet service time keeps its meaning (the full
         // unpack-to-commit span of that round — what the backlog model's `f`
         // ratio is about): timestamps are chained, one clock read per
-        // packet, so batching amortizes the mux scans and counter updates
+        // packet, so batching amortizes the crash check and counter updates
         // without flattening latency spikes into a batch mean.
         let mut prev = Instant::now();
-        for record in &batch[..fill.filled] {
+        while batch.next < batch.filled {
+            let record = &batch.records[batch.next];
+            // Past the record before its decode starts: if the decode
+            // panics, the restarted attempt resumes after it.
+            batch.next += 1;
             let decoded = match decode.decode(record) {
                 Ok(decoded) => decoded,
                 Err(_) => {
@@ -434,24 +460,25 @@ mod tests {
         || Box::new(GreedyMatchingDecoder::new()) as DynDecoder
     }
 
-    /// Drives worker 0 to completion against `channels`, the source already
-    /// done.
+    /// Drives worker 0, built by `factory`, to completion against
+    /// `channel`, the source already done.
     fn drain_with_worker_0(
         set: &LatticeSet,
         codec: &PacketCodec,
-        channels: &[Channel],
+        channel: &Channel,
         counters: &RuntimeCounters,
         journal: &EventJournal,
+        factory: &dyn DecoderFactory,
     ) -> (WorkerOutput, StageReport) {
         run_worker(WorkerSeat {
             worker_id: 0,
             set,
             codec,
-            channels,
+            channel,
             counters,
             done: &AtomicBool::new(true),
             epoch: Instant::now(),
-            factory: &factory(),
+            factory,
             record_corrections: true,
             correction_cap: None,
             batch_size: 4,
@@ -460,19 +487,9 @@ mod tests {
         })
     }
 
-    /// Deterministic work stealing: worker 0's home channel is empty, every
-    /// packet sits in channel 1, and the source is already done.  Worker 0
-    /// must steal and decode all of them, counting each theft.
-    #[test]
-    fn starved_worker_steals_from_a_foreign_channel() {
-        let mut spec = LatticeSpec::new(3);
-        spec.rounds = 20;
-        let set = LatticeSet::new(vec![spec]).unwrap();
-        let codec = PacketCodec::for_lattice_bits(&set.ancilla_bits());
-        let channels = [
-            Channel::new(64, codec.words_per_packet()),
-            Channel::new(64, codec.words_per_packet()),
-        ];
+    /// A channel holding `rounds` seeded records of lattice 0.
+    fn filled_channel(set: &LatticeSet, codec: &PacketCodec, rounds: u64) -> Channel {
+        let channel = Channel::new(64, codec.words_per_packet());
         let mut record = vec![0u64; codec.words_per_packet()];
         let mut source = SyndromeSource::new(
             set.lattice(0).clone(),
@@ -480,34 +497,80 @@ mod tests {
             3,
         )
         .unwrap();
-        for round in 0..20u64 {
+        for round in 0..rounds {
             let packet = SyndromePacket::new(0, round, 0, &source.next_syndrome());
             codec.encode(&packet, &mut record);
-            assert!(channels[1].try_send(&record));
+            assert!(channel.try_send(&record));
         }
-        let counters = RuntimeCounters::new(1, 2);
+        channel
+    }
+
+    fn one_lattice(rounds: u64) -> LatticeSet {
+        let mut spec = LatticeSpec::new(3);
+        spec.rounds = rounds;
+        LatticeSet::new(vec![spec]).unwrap()
+    }
+
+    /// A worker drains the channel in batches of its size: 20 records in
+    /// windows of 4, every one decoded and committed in order.
+    #[test]
+    fn a_worker_drains_the_channel_in_batches_of_its_size() {
+        let set = one_lattice(20);
+        let codec = PacketCodec::for_lattice_bits(&set.ancilla_bits());
+        let channel = filled_channel(&set, &codec, 20);
+        let counters = RuntimeCounters::new(1, 1);
         let journal = EventJournal::new(64);
         let (output, decode_report) =
-            drain_with_worker_0(&set, &codec, &channels, &counters, &journal);
+            drain_with_worker_0(&set, &codec, &channel, &counters, &journal, &factory());
         let snap = counters.snapshot();
         assert_eq!(snap.decoded, 20);
-        assert_eq!(snap.stolen, 20, "every packet was a steal");
         assert_eq!(snap.batches, 5, "20 packets in windows of 4");
         // The per-worker slice seats the same counts on worker 0, beside
         // the rounds its sink committed.
         let worker = counters.per_worker[0].snapshot(decode_report.emitted);
-        assert_eq!(worker.decoded, 20);
-        assert_eq!(worker.stolen, 20);
-        assert_eq!(worker.batches, 5);
+        assert_eq!((worker.decoded, worker.batches), (20, 5));
         assert_eq!(output.per_lattice[0].frame.recorded_cycles(), 20);
         let rounds: Vec<u64> = output.corrections.iter().map(|c| c.round).collect();
         assert_eq!(rounds, (0..20).collect::<Vec<u64>>());
-        assert!(channels.iter().all(Channel::is_empty));
-        // The stolen-from channel's books balance.
-        let victim = channels[1].report("channel.1");
-        assert_eq!((victim.accepted, victim.emitted), (20, 20));
+        let books = channel.report("channel");
+        assert_eq!((books.accepted, books.emitted), (20, 20));
+        assert!(channel.is_empty());
         assert_eq!(decode_report.stage, "decode.0");
         assert_eq!(decode_report.accepted, 20);
+    }
+
+    /// A decoder that panics on every round loses each round it panicked
+    /// on and nothing else, and the worker still drains the channel: each
+    /// restart resumes after the record that panicked instead of retrying
+    /// it.  (`tests/fault.rs` pins the single-panic case: one round lost.)
+    #[test]
+    fn a_decoder_that_always_panics_still_drains_the_channel() {
+        use nisqplus_qec::lattice::Lattice;
+
+        struct AlwaysPanics;
+        impl nisqplus_decoders::Decoder for AlwaysPanics {
+            fn name(&self) -> &str {
+                "always-panics"
+            }
+            fn decode_into(&mut self, _: &Lattice, _: &Syndrome, _: Sector, _: &mut PauliString) {
+                panic!("decoder bug");
+            }
+        }
+
+        let set = one_lattice(8);
+        let codec = PacketCodec::for_lattice_bits(&set.ancilla_bits());
+        let channel = filled_channel(&set, &codec, 8);
+        let counters = RuntimeCounters::new(1, 1);
+        let journal = EventJournal::new(64);
+        let always_panics = || Box::new(AlwaysPanics) as DynDecoder;
+        let (output, report) =
+            drain_with_worker_0(&set, &codec, &channel, &counters, &journal, &always_panics);
+        assert!(channel.is_empty());
+        assert_eq!((report.emitted, counters.snapshot().decoded), (0, 0));
+        assert_eq!(output.per_lattice[0].frame.recorded_cycles(), 0);
+        let counts = journal.snapshot().counts;
+        assert_eq!(counts[EventKind::WorkerCrash], 8, "one crash per round");
+        assert_eq!(counts[EventKind::WorkerRestart], 8);
     }
 
     /// A two-lattice worker routes each packet to its lattice's state: the
@@ -523,7 +586,7 @@ mod tests {
         spec5.seed = 2;
         let set = LatticeSet::new(vec![spec3, spec5]).unwrap();
         let codec = PacketCodec::for_lattice_bits(&set.ancilla_bits());
-        let channels = [Channel::new(64, codec.words_per_packet())];
+        let channel = Channel::new(64, codec.words_per_packet());
         let mut record = vec![0u64; codec.words_per_packet()];
         for (lattice_id, rounds, seed) in [(0u32, 6u64, 1u64), (1, 4, 2)] {
             let mut source = SyndromeSource::new(
@@ -535,12 +598,13 @@ mod tests {
             for round in 0..rounds {
                 let packet = SyndromePacket::new(lattice_id, round, 0, &source.next_syndrome());
                 codec.encode(&packet, &mut record);
-                assert!(channels[0].try_send(&record));
+                assert!(channel.try_send(&record));
             }
         }
         let counters = RuntimeCounters::new(2, 1);
         let journal = EventJournal::new(64);
-        let (output, _) = drain_with_worker_0(&set, &codec, &channels, &counters, &journal);
+        let (output, _) =
+            drain_with_worker_0(&set, &codec, &channel, &counters, &journal, &factory());
         assert_eq!(counters.snapshot().decoded, 10);
         assert_eq!(counters.per_lattice[0].snapshot().decoded, 6);
         assert_eq!(counters.per_lattice[1].snapshot().decoded, 4);
@@ -721,7 +785,7 @@ mod tests {
     fn a_worker_quarantines_a_record_whose_header_does_not_verify() {
         let set = set_of(&[3]);
         let codec = PacketCodec::for_lattice_bits(&set.ancilla_bits());
-        let channels = [Channel::new(8, codec.words_per_packet())];
+        let channel = Channel::new(8, codec.words_per_packet());
         let mut record = vec![0u64; codec.words_per_packet()];
         for round in 0..3u64 {
             let packet = SyndromePacket::new(0, round, 0, &Syndrome::new(codec.syndrome_bits(0)));
@@ -729,11 +793,12 @@ mod tests {
             if round == 1 {
                 record[0] ^= 1 << 32; // names lattice 1, which the set lacks
             }
-            assert!(channels[0].try_send(&record));
+            assert!(channel.try_send(&record));
         }
         let counters = RuntimeCounters::new(1, 1);
         let journal = EventJournal::new(8);
-        let (output, _) = drain_with_worker_0(&set, &codec, &channels, &counters, &journal);
+        let (output, _) =
+            drain_with_worker_0(&set, &codec, &channel, &counters, &journal, &factory());
         let snap = counters.snapshot();
         assert_eq!((snap.decoded, snap.quarantined), (2, 1));
         assert_eq!(journal.snapshot().counts[EventKind::Quarantine], 1);

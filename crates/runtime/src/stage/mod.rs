@@ -3,16 +3,14 @@
 //! The paper's argument is a *pipeline* argument: syndromes must flow
 //! through extraction, transport, and decode without the backlog ever
 //! growing.  The streaming engine is one fixed graph of latency-insensitive
-//! stages — `source → gate → channel[w] → steal → decode → frame` — in which
+//! stages — `source → gate → channel → decode[w] → frame` — in which
 //! every seam between two stages is a valid/ready handshake over a bound
 //! with exactly one book, so backpressure is a first-class, *measurable*
 //! signal instead of an accident of buffer sizes:
 //!
 //! * [`Channel`] — the lock-free [`SpmcRing`](crate::queue::SpmcRing) plus
 //!   its sender-side statistics; the ring is the capacity bound, a full ring
-//!   a counted refusal, never a lost record,
-//! * [`StealMux`] — the arbiter that decides which channel feeds a worker
-//!   next: its own, then a busy neighbour's,
+//!   a counted refusal, never a lost record, and every worker pops from it,
 //! * [`QosGate`] — per-lattice admission control (push policy +
 //!   outstanding-round budget, read off the lattice's own
 //!   `enqueued − decoded` counters),
@@ -21,12 +19,12 @@
 //!   the supervised worker loop that drives it,
 //! * [`FrameSink`] (frame commit + latency telemetry) and the depth sink
 //!   (down-sampled backlog timelines, aggregate and per lattice),
-//! * the source stage (`source.rs`) — paced generation, admission and
-//!   placement on the calling thread, configured by [`PipelineOptions`].
+//! * the source stage (`source.rs`) — paced generation and admission on the
+//!   calling thread, configured by [`PipelineOptions`].
 //!
 //! [`StreamingEngine::run_with`](crate::StreamingEngine::run_with) wires
-//! them into the running pipeline: one paced source thread, N decode
-//! workers, one channel per worker, backpressure at every seam.  Only what
+//! them into the running pipeline: one paced source thread, one channel,
+//! N decode workers popping from it, backpressure at every seam.  Only what
 //! code outside the crate names is `pub`; the rest of the kit is
 //! crate-private, so the compiler's `dead_code` lint audits it.
 //!
@@ -41,7 +39,6 @@
 mod channel;
 mod decode;
 mod gate;
-mod mux;
 mod sink;
 mod source;
 
@@ -49,7 +46,6 @@ pub use channel::Channel;
 pub use decode::DecodedRound;
 pub(crate) use decode::{run_worker, WorkerSeat};
 pub use gate::{Admission, QosGate};
-pub use mux::{FillResult, StealMux};
 pub use sink::FrameSink;
 pub(crate) use sink::{DepthSink, WorkerOutput};
 pub use source::PipelineOptions;
@@ -65,7 +61,7 @@ use std::thread;
 pub(crate) const TURNS_PER_YIELD: u32 = 64;
 
 /// One turn of a busy wait — the source's pacing wait and both Block-lane
-/// waits (sharing the run's `turns` count), a worker polling empty channels
+/// waits (sharing the run's `turns` count), a worker polling an empty channel
 /// and a throttled decode spinning out its floor: a `spin_loop` hint, and
 /// every [`TURNS_PER_YIELD`]th turn a `yield_now` instead.  Returns whether
 /// it yielded.
@@ -95,9 +91,8 @@ pub(crate) fn resume_stride(bound: u64) -> u64 {
 /// A stage leaves fields it has no notion of at zero.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct StageReport {
-    /// The stage's name, unique within one run's report (worker- or
-    /// channel-indexed stages are suffixed, e.g. `"channel.2"`,
-    /// `"decode.0"`).
+    /// The stage's name, unique within one run's report (worker-indexed
+    /// stages are suffixed, e.g. `"decode.0"`).
     pub stage: String,
     /// Items the stage accepted from upstream.
     pub accepted: u64,
@@ -111,7 +106,7 @@ pub struct StageReport {
     pub occupancy_peak: u64,
     /// Spin/poll iterations spent blocked on a not-ready neighbour: a
     /// source pacing to its cadence, a gate waiting for budget, a worker
-    /// polling empty channels.  A channel's is always 0: an accepted send
+    /// polling an empty channel.  A channel's is always 0: an accepted send
     /// never waits, and a refused one is `rejected`.
     pub stall_cycles: u64,
 }

@@ -1,12 +1,12 @@
-//! The source stage: paced generation, QoS admission, spread placement.
+//! The source stage: paced generation and QoS admission.
 //!
 //! `run_source` runs on the thread that called the engine.  It draws rounds
 //! from the machine's [`InterleavedSource`] (or re-serves a recorded trace),
 //! paces each to its lattice's cadence, encodes it into one reused record,
-//! offers it to the lattice's lane of a [`QosGate`] it owns, places it on
-//! channel `(lattice + round) % workers`, and samples the backlog into a
-//! depth sink — plus the run's hostile-stream hooks: channel-stall emulation
-//! and the backpressure watchdog.  What it hands back when generation ends is
+//! offers it to the lattice's lane of a [`QosGate`] it owns, sends it into
+//! the run's one channel, and samples the backlog into a depth sink — plus
+//! the run's hostile-stream hooks: ring-stall emulation and the
+//! backpressure watchdog.  What it hands back when generation ends is
 //! a `SourceRun`.
 //! [`PipelineOptions`] carries what a caller may attach to a run — the
 //! watchdog window, a trace to replay or record — all of it the source
@@ -101,8 +101,8 @@ pub(crate) struct SourceSeat<'a> {
     pub(crate) source: &'a InterleavedSource,
     /// The shared wire codec.
     pub(crate) codec: &'a PacketCodec,
-    /// One channel per worker.
-    pub(crate) channels: &'a [Channel],
+    /// The run's one channel, which every worker pops from.
+    pub(crate) channel: &'a Channel,
     /// The shared run counters.
     pub(crate) counters: &'a RuntimeCounters,
     /// The run's event journal.
@@ -240,18 +240,10 @@ fn spin_until(
     (true, spins)
 }
 
-/// Where round `round` of lattice `lattice_id` is placed: rounds spread over
-/// the pool, offset by lattice id so co-cadenced lattices don't all land on
-/// the same channel; stealing rebalances whatever placement gets wrong.  For
-/// a single lattice this is plain round-robin.
-fn spread_channel(lattice_id: u32, round: u64, channels: usize) -> usize {
-    ((u64::from(lattice_id) + round) % channels as u64) as usize
-}
-
 /// The source stage: paced interleaved generation, encoding into one reused
-/// record, gate admission under each lattice's QoS lane, spread placement
-/// into the channels, depth sampling — plus the run's hostile-stream hooks:
-/// channel-stall emulation and the backpressure watchdog.  A trace in
+/// record, gate admission under each lattice's QoS lane, sends into the
+/// channel, depth sampling — plus the run's hostile-stream hooks: ring-stall
+/// emulation and the backpressure watchdog.  A trace in
 /// `options.replay` has already been checked against the machine by
 /// [`StreamingEngine::run_with`](crate::StreamingEngine::run_with).
 pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> SourceRun {
@@ -260,7 +252,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
         set,
         source,
         codec,
-        channels,
+        channel,
         counters,
         journal,
         injector,
@@ -295,7 +287,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
     let mut recorder = record_trace.then(|| TraceRecorder::new(set));
     let mut depth = DepthSink::new(total_rounds, config.max_depth_samples);
     // The round's encoded record, overwritten every round: it rests here
-    // while its channel is full, so a Block-lane round exists in
+    // while the channel is full, so a Block-lane round exists in
     // exactly one place at every instant of a stall, and a shed round is
     // simply never sent.
     let mut record = vec![0u64; codec.words_per_packet()];
@@ -358,19 +350,13 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
         }
         let lattice_counters = &counters.per_lattice[lattice_id as usize];
         bump(&lattice_counters.generated, 1);
-        let channel_index = spread_channel(lattice_id, sourced.round, channels.len());
-        let channel = &channels[channel_index];
-        // Whether an injected stall is holding this round's channel shut
-        // (asking also arms a stall whose round has come).
+        // Whether an injected stall is holding the ring shut (asking also
+        // arms a stall whose round has come).
         let channel_stalled = || {
             injector.has_stalls()
-                && injector.stall_active(
-                    channel_index,
-                    emitted_total,
-                    epoch.elapsed().as_nanos() as u64,
-                )
+                && injector.stall_active(emitted_total, epoch.elapsed().as_nanos() as u64)
         };
-        // `delivered`: the record reached a channel.
+        // `delivered`: the record reached the channel.
         let delivered = match gate.policy(lattice_id as usize) {
             PushPolicy::Block => {
                 // Two bounds, both lossless: the lattice's own budget lane
@@ -479,10 +465,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
             stats.final_backlog = lattice_counters.backlog();
         }
         depth.observe(emitted_total, counters, || {
-            (
-                epoch.elapsed().as_nanos() as u64,
-                channels.iter().map(|c| c.len() as u64).sum(),
-            )
+            (epoch.elapsed().as_nanos() as u64, channel.len() as u64)
         });
         emitted_total += 1;
     }
@@ -575,19 +558,5 @@ mod tests {
         assert!(started.elapsed() >= watchdog);
         assert_eq!((spins, offers), (1, 1));
         assert!(turns >= TURNS_PER_YIELD);
-    }
-
-    #[test]
-    fn spread_placement_offsets_round_robin_by_lattice_id() {
-        let placed = |lattice_id| -> Vec<usize> {
-            (0..7)
-                .map(|round| spread_channel(lattice_id, round, 3))
-                .collect()
-        };
-        assert_eq!(placed(0), [0, 1, 2, 0, 1, 2, 0]);
-        assert_eq!(placed(1), [1, 2, 0, 1, 2, 0, 1]);
-        assert_eq!(placed(5), [2, 0, 1, 2, 0, 1, 2]);
-        // One channel takes everything.
-        assert_eq!(spread_channel(4, 9, 1), 0);
     }
 }

@@ -156,7 +156,6 @@ impl RuntimeCounters {
         }
         for worker in &self.per_worker {
             total.stall_polls += worker.stall_polls.load(Ordering::Relaxed);
-            total.stolen += worker.stolen.load(Ordering::Relaxed);
             total.batches += worker.batches.load(Ordering::Relaxed);
         }
         total
@@ -198,7 +197,8 @@ pub struct CounterSnapshot {
     pub decoded: u64,
     /// Worker polls that found the queue empty.
     pub stall_polls: u64,
-    /// Packets a worker stole from another worker's ring.
+    /// No effect: always 0, since every worker pops the one ring.  Kept
+    /// until `benchmark/` (which reads it) can be edited.
     pub stolen: u64,
     /// Decode batches executed.
     pub batches: u64,
@@ -224,11 +224,9 @@ impl CounterSnapshot {
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub struct WorkerCounters {
-    /// Packets this worker stole from a foreign channel.
-    pub stolen: AtomicU64,
     /// Decode batches this worker executed.
     pub batches: AtomicU64,
-    /// Polls by this worker that found every channel empty.
+    /// Polls by this worker that found the channel empty.
     pub stall_polls: AtomicU64,
 }
 
@@ -239,7 +237,6 @@ impl WorkerCounters {
     pub fn snapshot(&self, decoded: u64) -> WorkerCounterSnapshot {
         WorkerCounterSnapshot {
             decoded,
-            stolen: self.stolen.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             stall_polls: self.stall_polls.load(Ordering::Relaxed),
         }
@@ -251,11 +248,9 @@ impl WorkerCounters {
 pub struct WorkerCounterSnapshot {
     /// Packets this worker decoded.
     pub decoded: u64,
-    /// Packets this worker stole from a foreign channel.
-    pub stolen: u64,
     /// Decode batches this worker executed.
     pub batches: u64,
-    /// Polls by this worker that found every channel empty.
+    /// Polls by this worker that found the channel empty.
     pub stall_polls: u64,
 }
 
@@ -298,7 +293,7 @@ pub struct DepthSample {
     pub round: u64,
     /// Nanoseconds since the engine epoch.
     pub elapsed_ns: u64,
-    /// Packets sitting in the channels (all lattices).
+    /// Packets sitting in the channel (all lattices).
     pub queue_depth: u64,
     /// Rounds generated but not yet decoded (queue depth plus in-flight).
     pub backlog: u64,
@@ -662,19 +657,11 @@ impl fmt::Display for RuntimeReport {
             self.counters.dropped,
             self.elapsed_s
         )?;
-        writeln!(
-            f,
-            "  stealing: {} stolen | {} batches (mean fill {:.2})",
-            self.counters.stolen,
-            self.counters.batches,
-            self.counters.mean_batch_fill()
-        )?;
         for (worker_id, worker) in self.worker_counters.iter().enumerate() {
             writeln!(
                 f,
-                "    worker {worker_id}: decoded {} | stolen {} | {} batches (mean fill {:.2}) | {} stalls",
+                "    worker {worker_id}: decoded {} | {} batches (mean fill {:.2}) | {} stalls",
                 worker.decoded,
-                worker.stolen,
                 worker.batches,
                 worker.mean_batch_fill(),
                 worker.stall_polls,
@@ -698,12 +685,11 @@ impl fmt::Display for RuntimeReport {
         )?;
         writeln!(
             f,
-            "  obs: {} event(s) ({} shed, {} stall, {} budget, {} steal; {} overwritten)",
+            "  obs: {} event(s) ({} shed, {} stall, {} budget; {} overwritten)",
             self.journal.published,
             self.journal.counts[EventKind::Shed],
             self.journal.counts[EventKind::BackpressureStall],
             self.journal.counts[EventKind::BudgetExhausted],
-            self.journal.counts[EventKind::Steal],
             self.journal.overwritten,
         )?;
         let counts = &self.journal.counts;
@@ -832,7 +818,6 @@ mod tests {
         }
         for (worker, base) in counters.per_worker.iter().zip([3u64, 30]) {
             worker.stall_polls.store(base, Ordering::Relaxed);
-            worker.stolen.store(base + 1, Ordering::Relaxed);
             worker.batches.store(base + 2, Ordering::Relaxed);
         }
         counters.quarantined.store(1, Ordering::Relaxed);
@@ -845,9 +830,9 @@ mod tests {
                 backpressure_spins: 114,
                 decoded: 98,
                 stall_polls: 33,
-                stolen: 35,
                 batches: 37,
                 quarantined: 1,
+                ..CounterSnapshot::default()
             }
         );
         assert_eq!(counters.per_lattice_backlog(), vec![5, 5]);
@@ -903,11 +888,9 @@ mod tests {
         assert_eq!(counters.per_lattice.len(), 2);
         assert_eq!(counters.per_worker.len(), 3);
         counters.per_worker[1].batches.store(4, Ordering::Relaxed);
-        counters.per_worker[1].stolen.store(2, Ordering::Relaxed);
         // `decoded` is the worker's sink's count, handed in at end of run.
         let snap = counters.per_worker[1].snapshot(12);
         assert_eq!(snap.decoded, 12);
-        assert_eq!(snap.stolen, 2);
         assert!((snap.mean_batch_fill() - 3.0).abs() < 1e-12);
         assert_eq!(counters.per_worker[0].snapshot(0).mean_batch_fill(), 0.0);
     }

@@ -134,8 +134,9 @@ fn check_crash_recovery(seed: u64, crash_after: u64, workers: usize) -> Result<u
     let crashed = run_machine(crash_machine(seed, workers, plan));
     let baseline = run_machine(crash_machine(seed, workers, FaultPlan::default()));
 
-    // Work stealing decides how many rounds worker 0 decodes, so with
-    // several workers it may finish the run below its crash threshold.
+    // Which worker claims each round from the shared ring decides how many
+    // rounds worker 0 decodes, so with several workers it may finish the
+    // run below its crash threshold.
     let injected = crashed.report.fault.injected_crashes;
     prop_assert!(injected <= 1);
     prop_assert_eq!(crashed.check_invariants(), Ok(()));
@@ -169,7 +170,7 @@ proptest! {
     }
 }
 
-/// With one worker nothing can be stolen: worker 0 decodes all 120 rounds,
+/// With one worker no other worker claims a round: worker 0 decodes all 120 rounds,
 /// so a crash scheduled inside them must fire, exactly once.
 #[test]
 fn a_lone_worker_always_reaches_its_crash_round() {
@@ -222,9 +223,10 @@ impl Decoder for PanicsOnThirdDecode {
 
 /// A crash nothing injected — a decoder bug — is caught and restarted like
 /// an injected one, but it breaks the books of a plan-free run, and the
-/// report's text says so.  The rounds of the crashed batch are lost too,
-/// and the books say that as well: the third decode is the second round's
-/// first sector, so the batch of four committed one round and lost three.
+/// report's text says so.  The round it panicked on is lost, and the books
+/// say that as well: the third decode is the second round's first sector,
+/// so that one round is lost, and the restarted worker resumes the batch
+/// after it and decodes the other 119.
 #[test]
 fn an_uninjected_decoder_panic_prints_an_unreconciled_fault_line() {
     let decodes = Arc::new(AtomicU64::new(0));
@@ -241,7 +243,7 @@ fn an_uninjected_decoder_panic_prints_an_unreconciled_fault_line() {
     let lost = Violation::Conservation {
         lattice: 0,
         generated: 120,
-        decoded: 117,
+        decoded: 119,
         dropped: 0,
     };
     let uninjected = Violation::Crashes {

@@ -70,9 +70,9 @@ fn histogram_quantiles_match_exact_order_statistics_within_one_bucket() {
     assert_eq!(snapshot.max_ns, *exact.last().unwrap());
 }
 
-/// The exported document's key paths as schema v12 writes them,
+/// The exported document's key paths as schema v13 writes them,
 /// in document order, arrays collapsed to `[]`.
-const SCHEMA_LISTING: &str = include_str!("report_schema_v12.txt");
+const SCHEMA_LISTING: &str = include_str!("report_schema_v13.txt");
 
 /// The operator's manual, which documents the export field by field.
 const OPERATIONS: &str = include_str!("../../../docs/OPERATIONS.md");
@@ -116,7 +116,7 @@ fn assert_schema_is_pinned_and_documented(text: &str) {
     let fresh: String = paths.iter().map(|path| format!("{path}\n")).collect();
     assert!(
         fresh == SCHEMA_LISTING,
-        "the exported key paths differ from crates/runtime/tests/report_schema_v12.txt: bump \
+        "the exported key paths differ from crates/runtime/tests/report_schema_v13.txt: bump \
          `SCHEMA_VERSION` and commit the fresh listing under the new version's name:\n{fresh}"
     );
     for key in paths
@@ -209,10 +209,11 @@ fn multi_lattice_qos_report_round_trips_through_json() {
     assert_eq!(&reloaded, report, "JSON must round-trip bit-for-bit");
     assert_eq!(failures(&reloaded), failures(report));
 
-    // A document from a future schema — or from the previous one, v11,
-    // which still kept the burst books — is refused, loudly and typed.
-    assert_eq!(SCHEMA_VERSION, 12);
-    for other_version in [SCHEMA_VERSION + 1, 11] {
+    // A document from a future schema — or from the previous one, v12,
+    // which still kept a row per worker's channel — is refused, loudly and
+    // typed.
+    assert_eq!(SCHEMA_VERSION, 13);
+    for other_version in [SCHEMA_VERSION + 1, 12] {
         let restamped = text.replacen(
             &format!("\"schema_version\": {SCHEMA_VERSION}"),
             &format!("\"schema_version\": {other_version}"),
@@ -262,15 +263,7 @@ fn stage_reports_cover_a_paced_run() {
     let names: Vec<&str> = report.stages.iter().map(|s| s.stage.as_str()).collect();
     assert_eq!(
         names,
-        [
-            "source",
-            "gate",
-            "depth",
-            "channel.0",
-            "channel.1",
-            "decode.0",
-            "decode.1"
-        ]
+        ["source", "gate", "depth", "channel", "decode.0", "decode.1"]
     );
     assert_eq!(report.stages[1].accepted, 2_000);
 }

@@ -132,22 +132,36 @@ fn stream_matches_batch_for_every_window_size() {
     }
 }
 
-/// Work stealing under a full multi-worker run never corrupts the output:
-/// whatever rebalancing happened, every round is decoded exactly once and
-/// the merged frame matches the sequential reference.  (The deterministic
-/// steal-from-a-foreign-ring behaviour itself is pinned by a unit test in
-/// `engine.rs`.)
+/// Three workers popping one ring never corrupt the output, down to a ring
+/// of one slot: whichever worker claims each round, every round is decoded
+/// exactly once into the sequential reference's correction, and the merged
+/// frame matches the reference's.
 #[test]
-fn work_stealing_pool_preserves_the_frame() {
-    let mut config = equivalence_config(3, 600, 4, 99);
-    config.record_corrections = false;
+fn a_shared_ring_pool_preserves_the_frame() {
+    let mut config = equivalence_config(3, 600, 3, 99);
     config.batch_size = 4;
-    let (_, batch_frame) = batch_decode(&config);
-    let engine = StreamingEngine::new(config).unwrap();
-    let outcome = engine.run(&greedy_factory());
-    outcome.check_invariants().unwrap();
-    assert_eq!(outcome.report.counters.decoded, config.rounds);
-    assert_eq!(&outcome.frame().merged(), batch_frame.as_pauli_string());
+    let (batch_corrections, batch_frame) = batch_decode(&config);
+    for queue_capacity in [1, 2, 3, 4096] {
+        config.queue_capacity = queue_capacity;
+        let engine = StreamingEngine::new(config).unwrap();
+        let outcome = engine.run(&greedy_factory());
+        outcome.check_invariants().unwrap();
+        let report = &outcome.report;
+        assert_eq!(report.counters.decoded, config.rounds, "{queue_capacity}");
+        let channel = report.stages.iter().find(|s| s.stage == "channel").unwrap();
+        assert!(
+            channel.occupancy_peak <= queue_capacity as u64,
+            "{channel:?}"
+        );
+        // Every round decoded exactly once: one correction per round, in
+        // round order, each the sequential reference's.
+        let rounds: Vec<u64> = outcome.corrections.iter().map(|c| c.round).collect();
+        assert_eq!(rounds, (0..config.rounds).collect::<Vec<u64>>());
+        for (streamed, batch) in outcome.corrections.iter().zip(&batch_corrections) {
+            assert_eq!(&streamed.correction, batch, "round {}", streamed.round);
+        }
+        assert_eq!(&outcome.frame().merged(), batch_frame.as_pauli_string());
+    }
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Chaos demo: one run that survives a worker crash, a burst-noise
-//! episode, and a stalled channel — and can prove, frame by frame, that
+//! episode, and a stalled ring — and can prove, frame by frame, that
 //! nothing was lost.
 //!
 //! A three-lattice machine, one lattice carrying a burst episode, under a
@@ -8,7 +8,7 @@
 //! * lattice 0 (d=5, `Block`) — the protected patch; it must come through
 //!   the chaos byte-identical to a fault-free reference run,
 //! * lattice 1 (d=3, `Drop`) — a load-shedding patch: it would shed a round
-//!   the stalled channel refused, but the stall arms on a `Block` round, so
+//!   the stalled ring refused, but the stall arms on a `Block` round, so
 //!   the source waits it out there and lattice 1 sheds nothing,
 //! * lattice 2 (d=3, `Block`) — the burst target: rounds 40..60 run at 8x
 //!   the base dephasing rate.  The burst is part of the stream's seeded
@@ -18,7 +18,7 @@
 //! On top of that, worker 0 is killed (an injected panic) after its tenth
 //! committed round — the supervisor catches the unwind, re-prepares the
 //! decoders, and the replacement adopts the dead worker's frame shard — and
-//! channel 0 refuses sends for 2 ms starting at machine emission 50,
+//! the ring refuses sends for 2 ms starting at machine emission 50,
 //! exercising the backpressure path without tripping the watchdog.
 //!
 //! The acceptance criteria: the run ends (no hang), no panic escapes, its
@@ -89,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let chaos_plan = FaultPlan::default()
         .crash_worker(0, 10) // kill worker 0 after 10 committed rounds
-        .stall_channel(0, 50, 2_000_000); // channel 0 dead for 2 ms
+        .stall_ring(50, 2_000_000); // the ring refuses sends for 2 ms
 
     // The burst is physics, not a failure: the plan-free reference
     // streams the same episode, so the burst lattice's frames are comparable
@@ -100,7 +100,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "chaos run: 3 lattices (d=5 Block, d=3 Drop, d=3 Block) x {ROUNDS} rounds on 2 workers"
     );
     println!("  plan: kill worker 0 after 10 decodes; 8x burst on lattice 2 rounds 40..60;");
-    println!("        stall channel 0 for 2 ms");
+    println!("        stall the ring for 2 ms");
     println!();
     let chaos = run(chaos_plan);
     println!("{}", chaos.report);

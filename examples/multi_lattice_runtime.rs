@@ -2,7 +2,7 @@
 //!
 //! Registers eight surface-code lattices of mixed distances d ∈ {3, 5, 7} —
 //! eight logical qubits, each with its own seeded syndrome stream on its own
-//! cadence — and serves them all through one work-stealing decoder pool.
+//! cadence — and serves them all through one decoder pool popping one ring.
 //! The run checks its books ([`RuntimeOutcome::check_invariants`]) and
 //! asserts the three invariants the sharded runtime promises:
 //!
@@ -117,9 +117,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!();
     println!(
-        "One engine serves the whole machine: syndromes are sharded by lattice_id through \
-         the work-stealing pool, decoders are prepared once per code distance, and the \
-         report's per-lattice breakdown says which patch would fall behind."
+        "One engine serves the whole machine: every worker pops the next syndrome from one \
+         ring and routes it by lattice_id, decoders are prepared once per code distance, and \
+         the report's per-lattice breakdown says which patch would fall behind."
     );
     Ok(())
 }

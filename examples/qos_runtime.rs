@@ -161,13 +161,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "journal: {} events published ({} overwritten) — shed {}, budget_exhausted {}, \
-         backpressure_stall {}, steal {}",
+         backpressure_stall {}",
         journal.published,
         journal.overwritten,
         journal.counts[EventKind::Shed],
         journal.counts[EventKind::BudgetExhausted],
         journal.counts[EventKind::BackpressureStall],
-        journal.counts[EventKind::Steal]
     );
     println!();
 

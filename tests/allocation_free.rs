@@ -273,11 +273,11 @@ fn assert_fault_hooks_are_allocation_free() {
     let injector = FaultInjector::disabled();
     // Warm-up, parallel in shape to the other guards.
     assert!(!injector.should_crash(0, 0));
-    assert!(!injector.stall_active(0, 0, 0));
+    assert!(!injector.stall_active(0, 0));
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for round in 0..512u64 {
         assert!(!injector.should_crash((round % 4) as usize, round));
-        assert!(!injector.stall_active((round % 2) as usize, round, round * 100));
+        assert!(!injector.stall_active(round, round * 100));
     }
     let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(
