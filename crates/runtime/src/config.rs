@@ -8,7 +8,6 @@
 
 use crate::fault::FaultPlan;
 use crate::lattice_set::LatticeSpec;
-use crate::scenario::ScenarioScript;
 use crate::source::NoiseSpec;
 use nisqplus_sim::timing::CycleTimeConverter;
 use serde::{Deserialize, Serialize};
@@ -182,6 +181,7 @@ impl From<RuntimeConfig> for MachineConfig {
                 rounds: config.rounds,
                 cadence_cycles: config.cadence_cycles,
                 burst: None,
+                retunes: Vec::new(),
                 push_policy: None,
                 queue_budget: None,
                 shed_slo: None,
@@ -199,7 +199,6 @@ impl From<RuntimeConfig> for MachineConfig {
             track_shed_rounds: config.track_shed_rounds,
             obs: ObsConfig::default(),
             fault: FaultPlan::default(),
-            scenario: ScenarioScript::default(),
         }
     }
 }
@@ -250,11 +249,6 @@ pub struct MachineConfig {
     /// [`crate::fault`]).  Empty by default: a plan-free run pays nothing
     /// for the injection hooks.
     pub fault: FaultPlan,
-    /// The scripted elastic reconfigurations for this run — lattices added,
-    /// retired, or re-tuned at scripted machine-global rounds (see
-    /// [`crate::scenario`]).  Empty by default: a script-free run is a
-    /// static machine.
-    pub scenario: ScenarioScript,
 }
 
 impl MachineConfig {
@@ -295,7 +289,6 @@ impl MachineConfig {
             track_shed_rounds: template.track_shed_rounds,
             obs: ObsConfig::default(),
             fault: FaultPlan::default(),
-            scenario: ScenarioScript::default(),
         }
     }
 

@@ -150,7 +150,7 @@ pub struct StreamingEngine {
     config: MachineConfig,
     set: Arc<LatticeSet>,
     /// The machine's live source — noise specs validated, burst episodes and
-    /// the scenario script applied.  Every live run streams a clone.
+    /// re-tunes applied.  Every live run streams a clone.
     source: InterleavedSource,
 }
 
@@ -175,14 +175,13 @@ impl StreamingEngine {
     /// # Errors
     ///
     /// Returns a [`QecError`] if any lattice distance is invalid or any
-    /// noise probability is outside `[0, 1]`.
+    /// noise probability — a lattice's own or a re-tune's — is outside
+    /// `[0, 1]`.
     ///
     /// # Panics
     ///
     /// Panics if the lattice list is empty, any lattice streams zero rounds,
-    /// `workers`, `queue_capacity` or `batch_size` is zero, or the scenario
-    /// script fails [`ScenarioScript::validate`](crate::scenario::ScenarioScript::validate)
-    /// against the machine.
+    /// or `workers`, `queue_capacity` or `batch_size` is zero.
     pub fn with_machine(config: MachineConfig) -> Result<Self, QecError> {
         assert!(config.workers > 0, "worker pool needs at least one worker");
         assert!(config.queue_capacity > 0, "ring needs at least one slot");
@@ -192,12 +191,9 @@ impl StreamingEngine {
         );
         let set = Arc::new(LatticeSet::new(config.lattices.clone())?);
         // Configuration errors surface here, not inside a run: building the
-        // source validates every noise spec and burst-amplified channel,
-        // applying the script validates it against the machine.
-        let mut source = InterleavedSource::new(&set, &config.cycle_time)?;
-        if let Err(error) = source.apply_script(&config.scenario) {
-            panic!("invalid scenario script: {error}");
-        }
+        // source validates every noise spec, re-tune and burst-amplified
+        // channel.
+        let source = InterleavedSource::new(&set, &config.cycle_time)?;
         Ok(StreamingEngine {
             config,
             set,
@@ -382,9 +378,8 @@ impl StreamingEngine {
             let total_latency = LatencyProfile::from_histogram(&per_lattice_total[lattice_id]);
             let stats = &source_run.lattice_stats[lattice_id];
             let snapshot = counters.per_lattice[lattice_id].snapshot();
-            // Elastic runs stream fewer rounds than configured — retired
-            // lattices truncate, dormant adds may never fire, replays serve
-            // whatever the trace holds — so every rate and model input is
+            // A replay serves whatever the trace holds, which need not be
+            // the configured rounds, so every rate and model input is
             // normalised by what the lattice *actually* generated.
             let rounds_streamed = snapshot.generated;
             let measured = MeasuredBacklog {
@@ -506,6 +501,7 @@ mod tests {
     use crate::obs::EventKind;
     use crate::source::NoiseSpec;
     use nisqplus_decoders::{DynDecoder, GreedyMatchingDecoder};
+    use nisqplus_qec::error_model::BurstEvent;
 
     fn fast_config() -> RuntimeConfig {
         let mut config = RuntimeConfig::new(3);
@@ -785,6 +781,23 @@ mod tests {
         let mut config = fast_config();
         config.noise = NoiseSpec::PureDephasing { p: 2.0 };
         assert!(StreamingEngine::new(config).is_err());
+    }
+
+    /// An invalid re-tune channel is the engine's typed error, so no engine
+    /// exists to start a thread — also inside a burst, whose amplification
+    /// would clamp the rate into range.
+    #[test]
+    fn an_invalid_retune_is_a_typed_error() {
+        let invalid = NoiseSpec::PureDephasing { p: 1.5 };
+        for burst in [None, Some(BurstEvent::new(4, 8, 2.0).unwrap())] {
+            let mut config = MachineConfig::from(fast_config());
+            config.lattices[0].burst = burst;
+            config.lattices[0] = config.lattices[0].clone().with_retune(8, invalid);
+            assert_eq!(
+                StreamingEngine::with_machine(config).unwrap_err(),
+                QecError::InvalidProbability { value: 1.5 }
+            );
+        }
     }
 
     #[test]

@@ -128,6 +128,12 @@ pub struct LatticeSpec {
     /// the decoder must ride out).  `None` streams the base channel
     /// throughout.
     pub burst: Option<BurstEvent>,
+    /// Re-calibrations of this lattice's base channel, keyed on its own
+    /// rounds: from each entry's round on, the stream samples the entry's
+    /// channel (amplified inside the burst window) until the next re-tune.
+    /// Entries take effect in round order; of two at one round, the later
+    /// entry wins.  Empty streams `noise` throughout.
+    pub retunes: Vec<(u64, NoiseSpec)>,
     /// This lattice's full-queue policy: `Some(Block)` for backpressure
     /// (lossless), `Some(Drop)` for load shedding, `None` to inherit the
     /// machine-wide [`MachineConfig::push_policy`](crate::MachineConfig).
@@ -165,6 +171,7 @@ impl LatticeSpec {
             rounds: 10_000,
             cadence_cycles: crate::engine::RuntimeConfig::PAPER_CADENCE_CYCLES,
             burst: None,
+            retunes: Vec::new(),
             push_policy: None,
             queue_budget: None,
             shed_slo: None,
@@ -205,6 +212,14 @@ impl LatticeSpec {
     #[must_use]
     pub fn with_burst(mut self, burst: BurstEvent) -> Self {
         self.burst = Some(burst);
+        self
+    }
+
+    /// Re-tunes this lattice's base channel to `noise` from its round
+    /// `round` on (see [`LatticeSpec::retunes`]).
+    #[must_use]
+    pub fn with_retune(mut self, round: u64, noise: NoiseSpec) -> Self {
+        self.retunes.push((round, noise));
         self
     }
 

@@ -63,9 +63,9 @@
 //!   final report,
 //! * [`scenario`] — the scenario plane: versioned replayable
 //!   [`SyndromeTrace`]s (record a live run's full stream, replay it
-//!   byte-identically through the same pipeline) and scripted elastic
-//!   machines ([`ScenarioScript`]: lattices added, retired, or re-tuned at
-//!   scripted rounds),
+//!   byte-identically through the same pipeline) and the golden-trace
+//!   summaries they pin; a lattice's time-varying noise (drift, a burst,
+//!   re-tunes keyed on its own rounds) is part of its [`LatticeSpec`],
 //! * [`telemetry`] — live atomic counters and the final [`RuntimeReport`]:
 //!   the run's one time series (the source's queue-depth and backlog
 //!   timeline), latency histograms, throughput, and the measured
@@ -141,13 +141,10 @@ pub use packet::{PacketCodec, PacketError, SyndromePacket};
 pub use queue::{RingFull, SpmcRing};
 pub use report::{ExportError, Json, SCHEMA_VERSION};
 pub use scenario::{
-    golden_summary, record_run, replay_run, GoldenSummary, ScenarioAction, ScenarioError,
-    ScenarioScript, SyndromeTrace, TraceRecorder, TraceSource, TRACE_VERSION,
+    golden_summary, record_run, replay_run, GoldenSummary, SyndromeTrace, TraceRecorder,
+    TraceSource, TRACE_VERSION,
 };
-pub use source::{
-    ElasticEvent, ElasticEventKind, InterleavedSource, NoiseEpoch, NoiseSpec, SourcedRound,
-    SyndromeSource,
-};
+pub use source::{InterleavedSource, NoiseEpoch, NoiseSpec, SourcedRound, SyndromeSource};
 pub use stage::{PipelineOptions, StageReport};
 pub use telemetry::{
     CounterSnapshot, DepthSample, LatencyProfile, LatencyQuantiles, LatticeCounterSnapshot,

@@ -4,8 +4,7 @@
 //! whom*.  Every noteworthy pipeline incident — a shed round, a
 //! backpressure stall, an exhausted QoS budget, a worker crash and its
 //! restart, a quarantined record, a change of a lattice's noise regime, a
-//! watchdog trip, a scripted lattice coming online or retiring — is
-//! published as a [`RuntimeEvent`] with a severity and
+//! watchdog trip — is published as a [`RuntimeEvent`] with a severity and
 //! per-lattice/per-worker attribution.  The journal is a
 //! fixed-capacity ring: old events are overwritten (and counted as
 //! overwritten), publish never allocates, and per-kind/per-severity totals
@@ -74,19 +73,12 @@ pub enum EventKind {
     /// instead of decoded (`value` = the running quarantine total).
     Quarantine,
     /// A lattice's stream crossed a boundary of its noise schedule — a
-    /// burst window's edge or a scripted re-tune (`value` = the first
+    /// burst window's edge or a re-tune (`value` = the first
     /// lattice round of the new regime).
     NoiseChange,
     /// The producer's stall watchdog expired on a blocked seam and degraded
     /// the round instead of hanging (`value` = round force-shed).
     WatchdogTrip,
-    /// A scripted [`ScenarioScript`](crate::scenario::ScenarioScript) action
-    /// brought a dormant lattice online (`value` = the machine-global round
-    /// it fired at).
-    LatticeAdded,
-    /// A scripted action retired a lattice: its stream truncated (`value` =
-    /// the rounds it emitted before retiring).
-    LatticeRetired,
 }
 
 /// Number of [`EventKind`] variants (sizes the per-kind counter array).
@@ -95,7 +87,7 @@ const KINDS: usize = EventKind::LABELS.len();
 impl EventKind {
     /// Every kind beside its label, in declaration order (so `kind as usize`
     /// indexes it).  The labels' only spelling.
-    pub(crate) const LABELS: [(EventKind, &'static str); 10] = [
+    pub(crate) const LABELS: [(EventKind, &'static str); 8] = [
         (EventKind::Shed, "shed"),
         (EventKind::BackpressureStall, "backpressure_stall"),
         (EventKind::BudgetExhausted, "budget_exhausted"),
@@ -104,8 +96,6 @@ impl EventKind {
         (EventKind::Quarantine, "quarantine"),
         (EventKind::NoiseChange, "noise_change"),
         (EventKind::WatchdogTrip, "watchdog_trip"),
-        (EventKind::LatticeAdded, "lattice_added"),
-        (EventKind::LatticeRetired, "lattice_retired"),
     ];
 
     /// A stable snake_case label (used in exports and logs).

@@ -8,7 +8,7 @@
 //! writer and the reader from that one list — a key is its field's name, so
 //! the two directions cannot drift apart.  Changing a table changes the
 //! format: bump [`SCHEMA_VERSION`] (`tests/obs.rs` pins the key paths
-//! against `tests/report_schema_v13.txt`).
+//! against `tests/report_schema_v14.txt`).
 //!
 //! Reading rejects documents whose version does not match
 //! [`SCHEMA_VERSION`] exactly, so a stale artifact fails loudly instead of
@@ -91,7 +91,12 @@ use std::path::Path;
 /// from another worker's channel, and `stages` files one `channel` row
 /// where it filed one `channel.<w>` row per worker.  The machine-wide copy
 /// of that count in `counters` stays, always 0.
-pub const SCHEMA_VERSION: u64 = 13;
+///
+/// v14: no lattice is added or retired mid-run — `journal.counts` loses
+/// `lattice_added` and `lattice_retired`, the kinds of the scripted
+/// reconfigurations that are gone; a re-tune is a lattice's own
+/// configuration and still shows as a `noise_change`.
+pub const SCHEMA_VERSION: u64 = 14;
 
 /// Why an export or import failed.
 #[derive(Debug)]

@@ -1,26 +1,23 @@
-//! The scenario plane: replayable syndrome traces, scripted elasticity.
+//! The scenario plane: replayable syndrome traces and their golden summaries.
 //!
-//! A *scenario* is everything that makes a run's workload hostile or dynamic
-//! beyond a fixed lattice set under stationary noise:
-//!
-//! * **Recorded traces** ([`trace`]) — a [`TraceRecorder`] taps every round
-//!   the source emits (syndrome *and* seeded error payload) into a versioned
-//!   [`SyndromeTrace`]; a [`TraceSource`] re-serves a recorded stream
-//!   deterministically through the same pipeline, interchangeable with the
-//!   live [`InterleavedSource`](crate::source::InterleavedSource).  Recorded
-//!   traces are the repo's scenario regression corpus: replaying one must
-//!   reproduce per-lattice frames and corrections byte for byte.
-//! * **Scripted elasticity** ([`script`]) — [`ScenarioScript`] actions
-//!   (`AddLattice`, `RetireLattice`, `SetErrorRate`) fire on the
-//!   machine-global round counter, so lattices come online, retire (draining
-//!   to a final frame) and re-calibrate mid-run.
+//! A *scenario* is everything that makes a run's workload hostile beyond
+//! stationary noise.  Its recorded form lives here ([`trace`]): a
+//! [`TraceRecorder`] taps every round the source emits (syndrome *and*
+//! seeded error payload) into a versioned [`SyndromeTrace`]; a
+//! [`TraceSource`] re-serves a recorded stream deterministically through the
+//! same pipeline, interchangeable with the live
+//! [`InterleavedSource`](crate::source::InterleavedSource).  Recorded traces
+//! are the repo's scenario regression corpus: replaying one must reproduce
+//! per-lattice frames and corrections byte for byte.
 //!
 //! Time-varying noise *physics* lives next door: drifting rate schedules in
-//! [`nisqplus_qec::DriftingErrorModel`] and burst episodes
-//! ([`nisqplus_qec::BurstEvent`]) attach to a lattice via
-//! [`LatticeSpec::with_burst`](crate::lattice_set::LatticeSpec::with_burst).
-//! With the script's `SetErrorRate` re-tunes they make one noise schedule
-//! per lattice, inside its
+//! [`nisqplus_qec::DriftingErrorModel`], burst episodes
+//! ([`nisqplus_qec::BurstEvent`]) and re-tunes of the base channel attach to
+//! a lattice via
+//! [`LatticeSpec::with_burst`](crate::lattice_set::LatticeSpec::with_burst)
+//! and [`LatticeSpec::with_retune`](crate::lattice_set::LatticeSpec::with_retune),
+//! all keyed on the lattice's own rounds.  They make one noise schedule per
+//! lattice, inside its
 //! [`SyndromeSource`](crate::source::SyndromeSource): each boundary the
 //! stream crosses is journaled as one `noise_change`, and the schedule
 //! surfaces per lattice as [`NoiseEpoch`](crate::source::NoiseEpoch)s in
@@ -30,10 +27,8 @@
 //! examples use: record a live run's stream, then replay it and assert the
 //! outcomes agree.
 
-pub mod script;
 pub mod trace;
 
-pub use script::{ScenarioAction, ScenarioError, ScenarioScript};
 pub use trace::{
     GoldenSummary, SyndromeTrace, TraceLattice, TraceRecorder, TraceRound, TraceSource,
     TRACE_VERSION,

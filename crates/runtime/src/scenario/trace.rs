@@ -458,6 +458,8 @@ impl TraceSource {
             due_ns: recorded.due_ns,
             syndrome: Syndrome::from_hot(shape.ancilla_bits, &hot),
             error,
+            // The trace is the record: a replay journals no noise change.
+            noise_change: false,
         })
     }
 }

@@ -13,7 +13,6 @@
 //! its rounds through the QoS gate into the channels.
 
 use crate::lattice_set::LatticeSet;
-use crate::scenario::script::{ScenarioAction, ScenarioError, ScenarioScript};
 use nisqplus_qec::error_model::{
     check_probability, BurstEvent, Depolarizing, DriftKind, DriftingErrorModel, ErrorModel,
     PureDephasing,
@@ -216,12 +215,13 @@ fn effective(base: NoiseSpec, burst: Option<BurstEvent>) -> NoiseSpec {
 #[derive(Debug, Clone)]
 pub struct SyndromeSource {
     lattice: Arc<Lattice>,
-    /// The noise schedule — base channel, burst window and scripted
-    /// re-tunes as one list of segments, sorted by strictly increasing
-    /// start, the first at round 0.  Every cut is keyed by the lattice's own
-    /// round index, never by wall clock or extra randomness, so a stream
-    /// replays exactly.
+    /// The noise schedule — base channel, burst window and re-tunes as one
+    /// list of segments, sorted by strictly increasing start, the first at
+    /// round 0.  Every cut is keyed by the lattice's own round index, never
+    /// by wall clock or extra randomness, so a stream replays exactly.
     schedule: Vec<Segment>,
+    /// The rounds re-tunes start at, sorted: where each re-tune's reach ends.
+    retunes: Vec<u64>,
     /// The segment the last round was sampled from (0 before the first).
     cursor: usize,
     rng: ChaCha8Rng,
@@ -239,6 +239,7 @@ impl SyndromeSource {
         Ok(SyndromeSource {
             lattice,
             schedule: vec![Segment::new(0, noise, None)?],
+            retunes: Vec::new(),
             cursor: 0,
             rng: ChaCha8Rng::seed_from_u64(seed),
             rounds_emitted: 0,
@@ -261,25 +262,36 @@ impl SyndromeSource {
         covering + 1
     }
 
-    /// Swaps the stream's base channel from the *next* round on — a scripted
-    /// re-calibration event.  Rounds still inside the burst window are
-    /// sampled from the new base, amplified.  Rounds already emitted are
-    /// untouched, and replaying the stream with the same swaps at the same
-    /// rounds reproduces it bit for bit; a stream swapped differently shares
-    /// only the rounds before the swap.
+    /// Swaps the stream's base channel from lattice round `round` on — a
+    /// re-calibration — up to the next re-tune's round.  Rounds inside the
+    /// burst window are sampled from the new base, amplified.  Re-tunes take
+    /// effect in round order whatever order they are added in; of two at the
+    /// same round, the one added last wins.  Replaying the stream with the
+    /// same re-tunes reproduces it bit for bit; a stream re-tuned differently
+    /// shares only the rounds before the first difference.
     ///
     /// # Errors
     ///
-    /// Returns the [`QecError`] of the new channel if it is invalid (the
-    /// stream is left unchanged).
-    pub fn set_noise(&mut self, noise: NoiseSpec) -> Result<(), QecError> {
+    /// Returns the [`QecError`] of the new channel if it is invalid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a round has been emitted: a re-tune is part of the stream's
+    /// identity from round zero.
+    pub fn with_retune(mut self, round: u64, noise: NoiseSpec) -> Result<Self, QecError> {
+        assert_eq!(self.rounds_emitted, 0, "a re-tune must precede the stream");
         noise.validate()?;
-        let from = self.split_at(self.rounds_emitted);
-        for segment in &mut self.schedule[from..] {
-            *segment = Segment::new(segment.start_round, noise, segment.burst)
-                .expect("amplifying clamps a valid channel to a valid one");
+        let later = self.retunes.partition_point(|&at| at <= round);
+        let first = self.split_at(round);
+        let end = match self.retunes.get(later) {
+            Some(&next) => self.split_at(next),
+            None => self.schedule.len(),
+        };
+        for segment in &mut self.schedule[first..end] {
+            *segment = Segment::new(segment.start_round, noise, segment.burst)?;
         }
-        Ok(())
+        self.retunes.insert(later, round);
+        Ok(self)
     }
 
     /// Overlays a time-varying burst episode on the stream: rounds the
@@ -395,6 +407,10 @@ pub struct SourcedRound {
     /// (shed rounds at the producer, decoded rounds in the workers) instead
     /// of replaying every lattice at the end of the run.
     pub error: PauliString,
+    /// Whether the round is the first of a new segment of its lattice's
+    /// noise schedule (a burst window's edge or a re-tune): the source stage
+    /// journals it as one `noise_change`.
+    pub noise_change: bool,
 }
 
 /// Per-lattice stream state inside an [`InterleavedSource`].
@@ -404,44 +420,6 @@ struct LatticeStream {
     cadence_ns: f64,
     rounds: u64,
     emitted: u64,
-    /// Virtual instant the stream's cadence is anchored at: `0.0` for
-    /// lattices live from the start, the activation instant for hot-added
-    /// ones (their round `k` is due at `base_ns + k * cadence_ns`).
-    base_ns: f64,
-}
-
-/// A scripted reconfiguration that has fired, or a noise-schedule boundary a
-/// stream crossed, drained by the pipeline (via
-/// [`InterleavedSource::take_elastic_events`]) for journaling and final-frame
-/// accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ElasticEvent {
-    /// Machine-global round at which the event happened.
-    pub at_round: u64,
-    /// The lattice it happened to.
-    pub lattice_id: u32,
-    /// What happened.
-    pub kind: ElasticEventKind,
-}
-
-/// The kind of a fired [`ElasticEvent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ElasticEventKind {
-    /// A dormant lattice came online.
-    Added,
-    /// A lattice retired after emitting `final_round` rounds; it emits no
-    /// more.
-    Retired {
-        /// Rounds the lattice emitted before retiring.
-        final_round: u64,
-    },
-    /// The lattice's stream crossed a boundary of its noise schedule (a
-    /// burst window's edge or a scripted re-tune): `round` is the first
-    /// lattice round sampled from the new segment.
-    NoiseChange {
-        /// The lattice round the new segment starts at.
-        round: u64,
-    },
 }
 
 /// N seeded per-lattice syndrome streams, interleaved on independent
@@ -466,17 +444,6 @@ pub struct InterleavedSource {
     streams: Vec<LatticeStream>,
     /// Min-heap of each non-exhausted lattice's next due round.
     due: std::collections::BinaryHeap<std::cmp::Reverse<DueEntry>>,
-    /// Scripted actions sorted by firing round; `next_action` indexes the
-    /// first not yet fired.
-    actions: Vec<ScenarioAction>,
-    next_action: usize,
-    /// Machine-global rounds emitted so far — the clock scripts fire on.
-    global_emitted: u64,
-    /// Due instant of the most recently emitted round: the virtual "now"
-    /// hot-added lattices anchor their cadence at.
-    last_due_ns: f64,
-    /// Fired actions not yet drained by the pipeline.
-    fired: Vec<ElasticEvent>,
 }
 
 /// One lattice's next due round, ordered by `(due_ns, emitted, lattice_id)`.
@@ -512,7 +479,7 @@ impl InterleavedSource {
     /// # Errors
     ///
     /// Returns [`QecError::InvalidProbability`] if any lattice's noise
-    /// probability is outside `[0, 1]`.
+    /// probability, or that of any of its re-tunes, is outside `[0, 1]`.
     pub fn new(set: &LatticeSet, cycle_time: &CycleTimeConverter) -> Result<Self, QecError> {
         let mut streams = Vec::with_capacity(set.len());
         let mut due = std::collections::BinaryHeap::with_capacity(set.len());
@@ -521,12 +488,14 @@ impl InterleavedSource {
             if let Some(burst) = spec.burst {
                 source = source.with_burst(burst)?;
             }
+            for &(round, noise) in &spec.retunes {
+                source = source.with_retune(round, noise)?;
+            }
             streams.push(LatticeStream {
                 source,
                 cadence_ns: cycle_time.cycles_to_ns(spec.cadence_cycles),
                 rounds: spec.rounds,
                 emitted: 0,
-                base_ns: 0.0,
             });
             due.push(std::cmp::Reverse(DueEntry {
                 due_ns: 0.0,
@@ -534,71 +503,10 @@ impl InterleavedSource {
                 lattice_id,
             }));
         }
-        Ok(InterleavedSource {
-            streams,
-            due,
-            actions: Vec::new(),
-            next_action: 0,
-            global_emitted: 0,
-            last_due_ns: 0.0,
-            fired: Vec::new(),
-        })
+        Ok(InterleavedSource { streams, due })
     }
 
-    /// Applies a scenario script: actions fire as the machine-global round
-    /// counter reaches them, and every lattice targeted by an `AddLattice`
-    /// starts *dormant* (emitting nothing until its action fires).  Apply
-    /// before emitting any rounds — the script is part of the stream's
-    /// replayable identity.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ScenarioError`] if the script fails
-    /// [`ScenarioScript::validate`] against this machine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any round has already been emitted.
-    pub fn apply_script(&mut self, script: &ScenarioScript) -> Result<(), ScenarioError> {
-        assert_eq!(
-            self.global_emitted, 0,
-            "scenario scripts must be applied before the stream starts"
-        );
-        script.validate(self.streams.len())?;
-        let actions = script.sorted_actions();
-        let dormant: std::collections::BTreeSet<usize> = actions
-            .iter()
-            .filter_map(|action| match *action {
-                ScenarioAction::AddLattice { lattice_id, .. } => Some(lattice_id as usize),
-                _ => None,
-            })
-            .collect();
-        if !dormant.is_empty() {
-            self.due = (0..self.streams.len())
-                .filter(|lattice_id| !dormant.contains(lattice_id))
-                .map(|lattice_id| {
-                    std::cmp::Reverse(DueEntry {
-                        due_ns: 0.0,
-                        emitted: 0,
-                        lattice_id,
-                    })
-                })
-                .collect();
-        }
-        self.actions = actions;
-        self.next_action = 0;
-        Ok(())
-    }
-
-    /// Drains the scripted actions that have fired and the noise-schedule
-    /// boundaries crossed since the last drain, in order.
-    pub fn take_elastic_events(&mut self) -> Vec<ElasticEvent> {
-        std::mem::take(&mut self.fired)
-    }
-
-    /// Every lattice's noise timeline over the rounds it actually emitted
-    /// (retired lattices' timelines end at retirement, dormant ones are
-    /// empty).
+    /// Every lattice's noise timeline over the rounds it has emitted.
     #[must_use]
     pub fn noise_epochs(&self) -> Vec<Vec<NoiseEpoch>> {
         self.streams
@@ -607,59 +515,8 @@ impl InterleavedSource {
             .collect()
     }
 
-    /// Fires every scripted action due at or before the current global
-    /// round.  Called before each emission (and on the terminal call, so a
-    /// retire scheduled for the final round still fires).
-    fn fire_due_actions(&mut self) {
-        while self.next_action < self.actions.len()
-            && self.actions[self.next_action].at_round() <= self.global_emitted
-        {
-            let action = self.actions[self.next_action];
-            self.next_action += 1;
-            let at_round = self.global_emitted;
-            match action {
-                ScenarioAction::AddLattice { lattice_id, .. } => {
-                    let stream = &mut self.streams[lattice_id as usize];
-                    stream.base_ns = self.last_due_ns;
-                    if stream.emitted < stream.rounds {
-                        self.due.push(std::cmp::Reverse(DueEntry {
-                            due_ns: self.last_due_ns,
-                            emitted: stream.emitted,
-                            lattice_id: lattice_id as usize,
-                        }));
-                    }
-                    self.fired.push(ElasticEvent {
-                        at_round,
-                        lattice_id,
-                        kind: ElasticEventKind::Added,
-                    });
-                }
-                ScenarioAction::RetireLattice { lattice_id, .. } => {
-                    let stream = &mut self.streams[lattice_id as usize];
-                    // Truncate the stream where it stands; the stale heap
-                    // entry (if any) is skipped lazily by `next_round`.
-                    stream.rounds = stream.emitted;
-                    self.fired.push(ElasticEvent {
-                        at_round,
-                        lattice_id,
-                        kind: ElasticEventKind::Retired {
-                            final_round: stream.emitted,
-                        },
-                    });
-                }
-                // A re-tune is journaled as the boundary it cuts is crossed.
-                ScenarioAction::SetErrorRate {
-                    lattice_id, noise, ..
-                } => self.streams[lattice_id as usize]
-                    .source
-                    .set_noise(noise)
-                    .expect("noise validated by apply_script"),
-            }
-        }
-    }
-
-    /// Emits the next due round, or `None` when every live lattice's stream
-    /// has ended (scripted actions due at the terminal round still fire).
+    /// Emits the next due round, or `None` when every lattice's stream has
+    /// ended.
     pub fn next_round(&mut self) -> Option<SourcedRound> {
         let mut round = SourcedRound::default();
         self.next_round_into(&mut round).then_some(round)
@@ -668,46 +525,30 @@ impl InterleavedSource {
     /// [`InterleavedSource::next_round`] into a caller-provided round whose
     /// syndrome and error buffers are reused (they are resized to the
     /// emitting lattice): returns `false`, leaving `out` untouched, when
-    /// every live lattice's stream has ended.  Once `out` has served the
+    /// every lattice's stream has ended.  Once `out` has served the
     /// machine's largest lattice, emitting a round allocates nothing.
     pub fn next_round_into(&mut self, out: &mut SourcedRound) -> bool {
-        self.fire_due_actions();
-        loop {
-            let Some(std::cmp::Reverse(entry)) = self.due.pop() else {
-                return false;
-            };
-            let stream = &mut self.streams[entry.lattice_id];
-            if entry.emitted >= stream.rounds {
-                // The lattice retired after this entry was pushed.
-                continue;
-            }
-            debug_assert_eq!(stream.emitted, entry.emitted, "heap out of sync");
-            let round = entry.emitted;
-            stream.emitted += 1;
-            if stream.emitted < stream.rounds {
-                self.due.push(std::cmp::Reverse(DueEntry {
-                    due_ns: stream.base_ns + stream.emitted as f64 * stream.cadence_ns,
-                    emitted: stream.emitted,
-                    lattice_id: entry.lattice_id,
-                }));
-            }
-            out.lattice_id = entry.lattice_id as u32;
-            out.round = round;
-            out.due_ns = entry.due_ns;
-            if stream
-                .source
-                .next_error_and_syndrome_into(&mut out.error, &mut out.syndrome)
-            {
-                self.fired.push(ElasticEvent {
-                    at_round: self.global_emitted,
-                    lattice_id: out.lattice_id,
-                    kind: ElasticEventKind::NoiseChange { round },
-                });
-            }
-            self.global_emitted += 1;
-            self.last_due_ns = entry.due_ns;
-            return true;
+        let Some(std::cmp::Reverse(entry)) = self.due.pop() else {
+            return false;
+        };
+        let stream = &mut self.streams[entry.lattice_id];
+        debug_assert_eq!(stream.emitted, entry.emitted, "heap out of sync");
+        let round = entry.emitted;
+        stream.emitted += 1;
+        if stream.emitted < stream.rounds {
+            self.due.push(std::cmp::Reverse(DueEntry {
+                due_ns: stream.emitted as f64 * stream.cadence_ns,
+                emitted: stream.emitted,
+                lattice_id: entry.lattice_id,
+            }));
         }
+        out.lattice_id = entry.lattice_id as u32;
+        out.round = round;
+        out.due_ns = entry.due_ns;
+        out.noise_change = stream
+            .source
+            .next_error_and_syndrome_into(&mut out.error, &mut out.syndrome);
+        true
     }
 }
 
@@ -973,11 +814,13 @@ mod tests {
 
         /// The schedule against a brute-force oracle: a random base, an
         /// optional burst (empty, past the end and straddling it included)
-        /// and 0–3 re-tunes at random lattice rounds give, round for round,
-        /// the stream of one generator that samples round `r` from the
-        /// channel in force at `r`.  The epochs tile the emitted rounds, cut
-        /// exactly where the stream reported crossing a boundary, and each
-        /// round's channel is the one its epoch names.
+        /// and 0–3 re-tunes at random lattice rounds, added in shuffled
+        /// order before the first round, give, round for round, the stream of
+        /// one generator that samples round `r` from the channel in force at
+        /// `r` — the latest re-tune at or before `r`, the last added on a
+        /// tie.  The epochs tile the emitted rounds, cut exactly where the
+        /// stream reported crossing a boundary, and each round's channel is
+        /// the one its epoch names.
         #[test]
         fn the_schedule_samples_the_channel_in_force_at_every_round(
             case in proptest::prelude::any::<u64>()
@@ -990,12 +833,23 @@ mod tests {
                 let rounds = pick.gen_range(0..20) as u64;
                 BurstEvent::new(start, rounds, 10.0 * pick.gen::<f64>()).unwrap()
             });
-            let mut retunes: Vec<(u64, NoiseSpec)> = (0..pick.gen_range(0..4))
-                .map(|_| (pick.gen_range(0..TOTAL as usize + 4) as u64, random_noise(&mut pick)))
-                .collect();
-            retunes.sort_by_key(|&(round, _)| round);
+            let mut retunes: Vec<(u64, NoiseSpec)> = Vec::new();
+            for _ in 0..pick.gen_range(0..4) {
+                // One draw in three repeats the last round, so ties come up.
+                let round = match retunes.last() {
+                    Some(&(last, _)) if pick.gen_range(0..3) == 0 => last,
+                    _ => pick.gen_range(0..TOTAL as usize + 4) as u64,
+                };
+                retunes.push((round, random_noise(&mut pick)));
+            }
+            for i in (1..retunes.len()).rev() {
+                retunes.swap(i, pick.gen_range(0..i + 1));
+            }
+            // A stable sort keeps the order added among a round's ties.
+            let mut in_round_order = retunes.clone();
+            in_round_order.sort_by_key(|&(round, _)| round);
             let in_force = |round: u64| {
-                let retuned = retunes.iter().rfind(|&&(at, _)| at <= round);
+                let retuned = in_round_order.iter().rfind(|&&(at, _)| at <= round);
                 let base = retuned.map_or(base, |&(_, noise)| noise);
                 (base, burst.filter(|burst| burst.covers(round)))
             };
@@ -1005,16 +859,13 @@ mod tests {
             if let Some(burst) = burst {
                 source = source.with_burst(burst).unwrap();
             }
+            for &(round, noise) in &retunes {
+                source = source.with_retune(round, noise).unwrap();
+            }
             let mut oracle = ChaCha8Rng::seed_from_u64(case);
             let (mut error, mut syndrome) = (PauliString::default(), Syndrome::default());
             let mut crossed = Vec::new();
-            for round in 0..=TOTAL {
-                for &(_, noise) in retunes.iter().filter(|&&(at, _)| at == round) {
-                    source.set_noise(noise).unwrap();
-                }
-                if round == TOTAL {
-                    break;
-                }
+            for round in 0..TOTAL {
                 if source.next_error_and_syndrome_into(&mut error, &mut syndrome) {
                     crossed.push(round);
                 }
@@ -1040,19 +891,19 @@ mod tests {
         }
     }
 
-    /// A re-tune that fires inside a burst re-amplifies the new base for the
+    /// A re-tune inside a burst re-amplifies the new base for the
     /// rest of the window, then leaves the new base in force.
     #[test]
     fn a_retune_inside_a_burst_re_amplifies_the_new_base() {
         let calm = NoiseSpec::PureDephasing { p: 0.02 };
         let retuned = NoiseSpec::Depolarizing { p: 0.03 };
         let burst = BurstEvent::new(8, 8, 5.0).unwrap();
-        let lattice_spec = spec(5, 3, 24, 0).with_noise(calm).with_burst(burst);
+        let lattice_spec = (spec(5, 3, 24, 0).with_noise(calm))
+            .with_burst(burst)
+            .with_retune(12, retuned);
         let set = LatticeSet::new(vec![lattice_spec]).unwrap();
         let mut source =
             InterleavedSource::new(&set, &CycleTimeConverter::paper_reference()).unwrap();
-        let script = ScenarioScript::default().set_error_rate(12, 0, retuned);
-        source.apply_script(&script).unwrap();
         let in_force = |round: u64| {
             let base = if round < 12 { calm } else { retuned };
             (base, Some(burst).filter(|burst| burst.covers(round)))
@@ -1062,6 +913,7 @@ mod tests {
         while let Some(sourced) = source.next_round() {
             let expected = oracle_round(set.lattice(0), in_force(emitted), &mut rng, emitted);
             assert_eq!(sourced.round, emitted);
+            assert_eq!(sourced.noise_change, [8, 12, 16].contains(&emitted));
             assert_eq!(
                 (sourced.error, sourced.syndrome),
                 expected,

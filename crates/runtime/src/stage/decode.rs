@@ -77,10 +77,8 @@ pub(crate) struct DecodeStage<'a> {
     codec: &'a PacketCodec,
     decoders: Vec<DynDecoder>,
     /// Whether each decoder slot has been `prepare`d yet.  Preparation is
-    /// lazy — it happens on the slot's first record — so a worker serving an
-    /// elastic machine never pays for distances whose lattices stay dormant
-    /// or whose records all land on other workers (hot-added lattices
-    /// included).
+    /// lazy — it happens on the slot's first record — so a worker never pays
+    /// for distances whose records all land on other workers.
     prepared: Vec<bool>,
     /// The name of the decoder serving each lattice, in lattice-id order.
     lattice_decoders: Vec<String>,
@@ -644,8 +642,8 @@ mod tests {
             "construction prepares nothing"
         );
         // Decode one record for lattice 1 only: its slot prepares, the
-        // untouched d=3 slot stays cold — what makes hot-added distances
-        // free for workers that never see their records.
+        // untouched d=3 slot stays cold — what makes a distance free for
+        // workers that never see its records.
         let spec = set.spec(1);
         let mut source =
             SyndromeSource::new(set.lattice(1).clone(), spec.noise, spec.seed).unwrap();

@@ -18,7 +18,7 @@ use crate::lattice_set::LatticeSet;
 use crate::obs::{EventJournal, EventKind, EventSeverity};
 use crate::packet::{PacketCodec, SyndromePacket};
 use crate::scenario::{SyndromeTrace, TraceRecorder, TraceSource};
-use crate::source::{ElasticEvent, ElasticEventKind, InterleavedSource, NoiseEpoch, SourcedRound};
+use crate::source::{InterleavedSource, NoiseEpoch, SourcedRound};
 use crate::stage::{pause, Admission, Channel, DepthSink, QosGate, StageReport};
 use crate::telemetry::{bump, DepthSample, LatticeCounters, RuntimeCounters};
 use nisqplus_qec::logical::{classify_shed_round, ResidualTally};
@@ -38,7 +38,7 @@ pub struct PipelineOptions {
     pub watchdog: Duration,
     /// Re-serve this recorded trace instead of sampling the seeded sources.
     /// The trace's rounds flow through the same gate/channel/decode pipeline
-    /// verbatim; the machine's scenario script and noise specs are ignored
+    /// verbatim; the machine's noise specs, bursts and re-tunes are ignored
     /// (the trace already embodies their effects).
     pub replay: Option<SyndromeTrace>,
     /// Tap every emitted round into a [`TraceRecorder`]; the finished
@@ -114,10 +114,10 @@ pub(crate) struct SourceSeat<'a> {
 }
 
 /// Where the source stage's rounds come from: the live seeded sources (with
-/// scripted elasticity and noise schedules applied) or a recorded trace
-/// re-served verbatim.  Everything downstream of the feed — pacing, QoS
-/// admission, routing, decode — is byte-identical between the two, which is
-/// what makes replay a regression oracle.
+/// their noise schedules applied) or a recorded trace re-served verbatim.
+/// Everything downstream of the feed — pacing, QoS admission, routing,
+/// decode — is byte-identical between the two, which is what makes replay a
+/// regression oracle.
 enum RoundFeed {
     Live(Box<InterleavedSource>),
     Replay(TraceSource),
@@ -134,16 +134,6 @@ impl RoundFeed {
         }
     }
 
-    /// Scripted actions fired and noise boundaries crossed since the last
-    /// drain.  A replay feed has none: the recorded stream already reflects
-    /// them.
-    fn take_elastic_events(&mut self) -> Vec<ElasticEvent> {
-        match self {
-            RoundFeed::Live(source) => source.take_elastic_events(),
-            RoundFeed::Replay(_) => Vec::new(),
-        }
-    }
-
     fn noise_epochs(&self, set: &LatticeSet) -> Vec<Vec<NoiseEpoch>> {
         match self {
             RoundFeed::Live(source) => source.noise_epochs(),
@@ -152,54 +142,20 @@ impl RoundFeed {
     }
 }
 
-/// Applies the elastic events the feed fired during the last emission:
-/// journals them and captures a retiring lattice's backlog at the instant
-/// its generation stopped.  Retirement needs nothing more: the feed emits
-/// no round of a retired lattice, so no record of one is ever sent.
-fn apply_elastic_events(
-    feed: &mut RoundFeed,
-    counters: &RuntimeCounters,
-    lattice_stats: &mut [LatticeGenStats],
-    journal: &EventJournal,
-    epoch: Instant,
-) {
-    for event in feed.take_elastic_events() {
-        let now_ns = epoch.elapsed().as_nanos() as u64;
-        match event.kind {
-            ElasticEventKind::Added => {
-                journal.publish(
-                    EventKind::LatticeAdded,
-                    EventSeverity::Info,
-                    Some(event.lattice_id),
-                    None,
-                    now_ns,
-                    event.at_round,
-                );
-            }
-            ElasticEventKind::Retired { final_round } => {
-                let lattice = event.lattice_id as usize;
-                lattice_stats[lattice].final_backlog = counters.per_lattice[lattice].backlog();
-                journal.publish(
-                    EventKind::LatticeRetired,
-                    EventSeverity::Warning,
-                    Some(event.lattice_id),
-                    None,
-                    now_ns,
-                    final_round,
-                );
-            }
-            ElasticEventKind::NoiseChange { round } => {
-                journal.publish(
-                    EventKind::NoiseChange,
-                    EventSeverity::Info,
-                    Some(event.lattice_id),
-                    None,
-                    now_ns,
-                    round,
-                );
-            }
-        }
-    }
+/// Journals the noise-schedule boundary `sourced` crossed.  Out of line and
+/// cold: a crossing is rare, so the publish stays off the straight-line code
+/// every round of `run_source`'s loop runs.
+#[cold]
+#[inline(never)]
+fn journal_noise_change(journal: &EventJournal, sourced: &SourcedRound, epoch: Instant) {
+    journal.publish(
+        EventKind::NoiseChange,
+        EventSeverity::Info,
+        Some(sourced.lattice_id),
+        None,
+        epoch.elapsed().as_nanos() as u64,
+        sourced.round,
+    );
 }
 
 /// Retries `attempt` until it succeeds, counting every refusal as one
@@ -266,9 +222,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
     // Admission is the source's own state: workers never see the gate.
     let mut gate = QosGate::for_machine(config, set);
     // How many rounds each lattice will emit: the trace's own tallies on
-    // replay (a retired lattice's recorded stream is already truncated), the
-    // configured per-lattice rounds live (retirement is handled by its
-    // elastic event as it fires).
+    // replay, the configured per-lattice rounds live.
     let (expected_rounds, mut feed): (Vec<u64>, RoundFeed) = match replay {
         Some(trace) => {
             let mut recorded = vec![0; set.len()];
@@ -320,8 +274,9 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
         if let Some(recorder) = recorder.as_mut() {
             recorder.record(&sourced);
         }
-        // Actions fired during this emission logically precede the round.
-        apply_elastic_events(&mut feed, counters, &mut lattice_stats, journal, epoch);
+        if sourced.noise_change {
+            journal_noise_change(journal, &sourced, epoch);
+        }
         if sourced.due_ns > 0.0 {
             // Pace generation to the lattice's hardware cadence.  The
             // occasional `yield_now` keeps the spin cooperative on machines
@@ -469,10 +424,6 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
         });
         emitted_total += 1;
     }
-    // The terminal `next_round` call still fires due actions (a retire
-    // scheduled for the final round, an add that never came online): drain
-    // them so their journal entries land.
-    apply_elastic_events(&mut feed, counters, &mut lattice_stats, journal, epoch);
     let generation_elapsed_ns = epoch.elapsed().as_nanos() as f64;
     // The backlog at the instant generation stops is the quantity the
     // closed-form model predicts (rounds keep arriving only while the

@@ -452,17 +452,16 @@ pub struct LatticeReport {
     /// The residual analysis, when the run requested it.
     pub residual: Option<ResidualReport>,
     /// This lattice's noise timeline: one epoch per segment of its noise
-    /// schedule it reached, cut at every scripted rate change and burst
-    /// boundary; each cut between two epochs is one `noise_change` in the
-    /// journal.  A single full-run epoch for stationary noise; empty on
-    /// trace replays (the trace is the record).
+    /// schedule it reached, cut at every re-tune and burst boundary; each
+    /// cut between two epochs is one `noise_change` in the journal.  A
+    /// single full-run epoch for stationary noise; empty on trace replays
+    /// (the trace is the record).
     pub noise_epochs: Vec<NoiseEpoch>,
     /// This lattice's nominal syndrome-generation cadence in nanoseconds per
     /// round (`0.0` when unpaced).
     pub cadence_ns: f64,
     /// Final values of this lattice's counters; `generated` is the rounds it
-    /// actually streamed (fewer than configured when a scripted retirement
-    /// truncated its stream or a scripted add never fired).
+    /// actually streamed (on a replay, the rounds the trace holds).
     pub counters: LatticeCounterSnapshot,
     /// Per-packet service time for this lattice's rounds, in nanoseconds.
     pub decode_latency: LatencyProfile,

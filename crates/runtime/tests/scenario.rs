@@ -1,9 +1,9 @@
-//! Scenario-plane integration tests: the golden-trace regression suite and
-//! the elastic-machine edge cases.
+//! Scenario-plane integration tests: the golden-trace regression suite, the
+//! burst-window and re-tune edges of the noise schedule, and replay checks.
 //!
 //! The golden traces under `tests/traces/` are recorded runs of small but
-//! scenario-rich machines (burst episodes, drifting noise, scripted
-//! add/retire/re-tune).  Each file pins the reference outcome — counters,
+//! scenario-rich machines (burst episodes, drifting noise, a re-tune inside
+//! a burst).  Each file pins the reference outcome — counters,
 //! per-lattice shed counts, merged-frame digests, residual tallies — as a
 //! [`GoldenSummary`]; replaying the trace through today's pipeline must
 //! reproduce every pinned quantity exactly, with its books holding.  Any change that perturbs
@@ -23,7 +23,7 @@ use nisqplus_decoders::{DecoderFactory, DynDecoder, GreedyMatchingDecoder};
 use nisqplus_qec::error_model::{BurstEvent, DriftingErrorModel};
 use nisqplus_runtime::{
     golden_summary, record_run, replay_run, EventKind, ExportError, MachineConfig, NoiseSpec,
-    PushPolicy, RuntimeOutcome, ScenarioScript, StreamingEngine, SyndromeTrace,
+    PushPolicy, RuntimeOutcome, StreamingEngine, SyndromeTrace,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -66,20 +66,19 @@ fn d5_drift_machine() -> MachineConfig {
     config
 }
 
-/// Golden case 3: an elastic two-patch machine — the d=5 patch hot-added at
-/// global round 12, the d=3 patch re-tuned at 24 and retired at 48, with a
-/// burst and a ramp drift layered on top.
-fn d3d5_elastic_machine() -> MachineConfig {
+/// Golden case 3: a two-patch machine, both live from round 0 — the d=3
+/// patch under a 3× burst over its rounds 5..13 and re-tuned to depolarizing
+/// noise at its own round 12, inside the burst; the d=5 patch under a ramp
+/// drift.
+fn d3d5_retune_machine() -> MachineConfig {
     let mut config = scenario_machine(&[3, 5], 40, 2020);
-    config.lattices[0].noise = NoiseSpec::PureDephasing { p: 0.03 };
-    config.lattices[0].burst = Some(BurstEvent::new(5, 8, 3.0).expect("valid burst"));
+    config.lattices[0] = (config.lattices[0].clone())
+        .with_noise(NoiseSpec::PureDephasing { p: 0.03 })
+        .with_burst(BurstEvent::new(5, 8, 3.0).expect("valid burst"))
+        .with_retune(12, NoiseSpec::Depolarizing { p: 0.05 });
     config.lattices[1].noise = NoiseSpec::Drifting {
         model: DriftingErrorModel::ramp(0.01, 0.0005).expect("valid drift"),
     };
-    config.scenario = ScenarioScript::default()
-        .add_lattice(12, 1)
-        .set_error_rate(24, 0, NoiseSpec::Depolarizing { p: 0.05 })
-        .retire_lattice(48, 0);
     config
 }
 
@@ -88,7 +87,7 @@ fn golden_cases() -> Vec<(&'static str, MachineConfig)> {
     vec![
         ("d3_burst", d3_burst_machine()),
         ("d5_drift", d5_drift_machine()),
-        ("d3d5_elastic", d3d5_elastic_machine()),
+        ("d3d5_retune", d3d5_retune_machine()),
     ]
 }
 
@@ -176,34 +175,26 @@ fn a_replay_of_a_bursty_machine_journals_no_noise_change() {
 }
 
 /// Wherever a burst window sits against the end of a 64-round stream —
-/// inside it, flush with its end, straddling it, past it, empty, or cut
-/// short by a retirement at global round 35 — the lattice's epochs are
-/// exactly the schedule's segments it reached, the journal holds one noise
-/// change per boundary it crossed, and the books hold.
+/// inside it, flush with its end, straddling it (cut short by the stream's
+/// end), past it, or empty — the lattice's epochs are exactly the schedule's
+/// segments it reached, the journal holds one noise change per boundary it
+/// crossed, and the books hold.
 #[test]
 fn every_burst_window_journals_exactly_the_boundaries_it_crossed() {
     const CALM: &str = "dephasing";
     const HOT: &str = "dephasing+burst";
-    type Case = ((u64, u64), Option<u64>, &'static [(u64, u64, &'static str)]);
-    let cases: [Case; 6] = [
-        (
-            (12, 22),
-            None,
-            &[(0, 12, CALM), (12, 22, HOT), (22, 64, CALM)],
-        ),
-        ((54, 64), None, &[(0, 54, CALM), (54, 64, HOT)]),
-        ((60, 70), None, &[(0, 60, CALM), (60, 64, HOT)]),
-        ((80, 85), None, &[(0, 64, CALM)]),
-        ((20, 20), None, &[(0, 64, CALM)]),
-        ((30, 40), Some(35), &[(0, 30, CALM), (30, 35, HOT)]),
+    type Case = ((u64, u64), &'static [(u64, u64, &'static str)]);
+    let cases: [Case; 5] = [
+        ((12, 22), &[(0, 12, CALM), (12, 22, HOT), (22, 64, CALM)]),
+        ((54, 64), &[(0, 54, CALM), (54, 64, HOT)]),
+        ((60, 70), &[(0, 60, CALM), (60, 64, HOT)]),
+        ((80, 85), &[(0, 64, CALM)]),
+        ((20, 20), &[(0, 64, CALM)]),
     ];
-    for ((start, end), retire_at, expected) in cases {
+    for ((start, end), expected) in cases {
         let mut config = scenario_machine(&[3], 64, 41);
         config.lattices[0].noise = NoiseSpec::PureDephasing { p: 0.02 };
         config.lattices[0].burst = Some(BurstEvent::new(start, end - start, 6.0).unwrap());
-        if let Some(at) = retire_at {
-            config.scenario = ScenarioScript::default().retire_lattice(at, 0);
-        }
         let engine = StreamingEngine::with_machine(config).unwrap();
         let outcome = engine.run(&greedy_factory());
         outcome
@@ -257,93 +248,26 @@ fn mismatched_replay_returns_a_typed_error() {
     ));
 }
 
-/// A mid-run scripted retirement truncates the stream, journals the event,
-/// and loses nothing: every round emitted before it drains to the final
-/// frame.
-#[test]
-fn scripted_retirement_truncates_the_stream_and_drains_cleanly() {
-    let mut config = scenario_machine(&[3, 3], 32, 7);
-    config.scenario = ScenarioScript::default().retire_lattice(20, 1);
-    let engine = StreamingEngine::with_machine(config).unwrap();
-    let outcome = engine.run(&greedy_factory());
-    // Every round emitted before the retirement reaches the final frame.
-    outcome.check_invariants().unwrap();
-    let report = &outcome.report;
-
-    let survivor = &report.lattices[0].counters;
-    let retired = &report.lattices[1].counters;
-    assert_eq!(
-        survivor.generated, 32,
-        "the surviving lattice streams in full"
-    );
-    assert!(
-        retired.generated < 32,
-        "retirement must truncate the stream (streamed {})",
-        retired.generated
-    );
-    assert_eq!(report.counters.dropped, 0);
-    assert_eq!(report.journal.counts[EventKind::LatticeRetired], 1);
-    assert_eq!(report.journal.counts[EventKind::LatticeAdded], 0);
-}
-
-/// A hot-added lattice of a distance no worker has decoded yet comes online
-/// cleanly: decoders prepare lazily on the slot's first record.
-#[test]
-fn hot_added_lattice_of_unprepared_distance_comes_online() {
-    let mut config = scenario_machine(&[3, 5], 24, 13);
-    config.scenario = ScenarioScript::default().add_lattice(16, 1);
-    let engine = StreamingEngine::with_machine(config).unwrap();
-    let outcome = engine.run(&greedy_factory());
-    outcome.check_invariants().unwrap();
-    let report = &outcome.report;
-
-    assert_eq!(
-        report.lattices[1].counters.generated, 24,
-        "a hot-added lattice streams its full configured rounds"
-    );
-    assert_eq!(report.counters.decoded, 48);
-    assert_eq!(report.journal.counts[EventKind::LatticeAdded], 1);
-}
-
-/// The degenerate script rounds: an `AddLattice` at round 0 is
-/// indistinguishable from a statically live lattice, and a `RetireLattice`
-/// at the machine's final round fires on the terminal poll without
-/// truncating anything.
-#[test]
-fn add_at_round_zero_and_retire_at_final_round_are_clean_boundaries() {
-    let mut config = scenario_machine(&[3, 3], 16, 23);
-    config.scenario = ScenarioScript::default()
-        .add_lattice(0, 1)
-        .retire_lattice(32, 0);
-    let engine = StreamingEngine::with_machine(config).unwrap();
-    let outcome = engine.run(&greedy_factory());
-    outcome.check_invariants().unwrap();
-    let report = &outcome.report;
-
-    assert_eq!(report.lattices[0].counters.generated, 16);
-    assert_eq!(report.lattices[1].counters.generated, 16);
-    assert_eq!(report.counters.decoded, 32);
-    assert_eq!(report.journal.counts[EventKind::LatticeAdded], 1);
-    assert_eq!(report.journal.counts[EventKind::LatticeRetired], 1);
-}
-
-/// A scripted re-tune cuts the lattice's noise timeline into epochs at the
-/// firing round, with each epoch reporting its own regime.
+/// A re-tune cuts the lattice's noise timeline into epochs at its round,
+/// with each epoch reporting its own regime, and journals the one cut.
 #[test]
 fn scripted_retune_cuts_noise_epochs() {
     let mut config = scenario_machine(&[3], 32, 5);
-    config.lattices[0].noise = NoiseSpec::PureDephasing { p: 0.02 };
-    config.scenario =
-        ScenarioScript::default().set_error_rate(16, 0, NoiseSpec::PureDephasing { p: 0.08 });
+    config.lattices[0] = (config.lattices[0].clone())
+        .with_noise(NoiseSpec::PureDephasing { p: 0.02 })
+        .with_retune(16, NoiseSpec::PureDephasing { p: 0.08 });
     let engine = StreamingEngine::with_machine(config).unwrap();
     let outcome = engine.run(&greedy_factory());
     outcome.check_invariants().unwrap();
 
-    let epochs = &outcome.report.lattices[0].noise_epochs;
-    assert_eq!(epochs.len(), 2, "one cut at the scripted re-tune");
-    assert_eq!(epochs[0].start_round, 0);
-    assert_eq!(epochs[0].end_round, epochs[1].start_round);
-    assert_eq!(epochs[1].end_round, 32);
+    let report = &outcome.report;
+    let epochs = &report.lattices[0].noise_epochs;
+    let bounds: Vec<(u64, u64)> = epochs
+        .iter()
+        .map(|e| (e.start_round, e.end_round))
+        .collect();
+    assert_eq!(bounds, [(0, 16), (16, 32)], "one cut at the re-tune");
+    assert_eq!(report.journal.counts[EventKind::NoiseChange], 1);
     assert!((epochs[0].mean_rate - 0.02).abs() < 1e-12);
     assert!((epochs[1].mean_rate - 0.08).abs() < 1e-12);
 }

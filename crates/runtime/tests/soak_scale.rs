@@ -7,8 +7,7 @@
 //!   tallies shed rounds, nothing O(rounds) retained) must equal a reference
 //!   computed after the fact from the *same* run's recorded trace and
 //!   correction history — across seeds, distances {3, 5, 7}, worker counts,
-//!   Block/Drop push policies, timing-dependent sheds and scripted
-//!   elasticity.
+//!   Block/Drop push policies, timing-dependent sheds and a re-tune.
 //! * The memory property: growing a run 10× (20k → 200k rounds) must not
 //!   grow the retained telemetry — timelines, correction history, journal,
 //!   histograms and the serialized report all stay within a constant
@@ -21,7 +20,7 @@ use nisqplus_qec::logical::ResidualTally;
 use nisqplus_qec::pauli::PauliString;
 use nisqplus_runtime::report::report_to_string;
 use nisqplus_runtime::{
-    record_run, LatticeSpec, MachineConfig, NoiseSpec, PushPolicy, RuntimeOutcome, ScenarioScript,
+    record_run, EventKind, LatticeSpec, MachineConfig, NoiseSpec, PushPolicy, RuntimeOutcome,
     StreamingEngine, ThrottledDecoder,
 };
 use proptest::prelude::*;
@@ -53,12 +52,12 @@ fn residual_config(policy: PushPolicy, seed: u64, workers: usize) -> MachineConf
 
 /// The reference classification, computed from one finished run's own
 /// records: every round of the recorded trace carries the error that was
-/// actually sampled (whatever script, burst or re-tune shaped it), and it
+/// actually sampled (whatever burst or re-tune shaped it), and it
 /// was served either by the correction recorded under its `(lattice,
 /// round)` or — when none was recorded — by nothing at all, i.e. it was shed
 /// and gets the identity.  Reading recorded errors instead of re-deriving
 /// the seeded streams is what lets this hold for timing-dependent sheds and
-/// scripted machines alike.
+/// re-tuned streams alike.
 fn residual_oracle(engine: &StreamingEngine, outcome: &RuntimeOutcome) -> Vec<ResidualTally> {
     let set = engine.lattice_set();
     let trace = outcome.trace.as_ref().expect("run was recorded");
@@ -140,28 +139,22 @@ fn streaming_residuals_match_the_oracle_under_a_full_drop_ring() {
     );
 }
 
-/// A scripted machine: the d=3 patch is re-tuned mid-run and retired early,
-/// so its stream is neither `spec.rounds` long nor drawn from `spec.noise`
-/// throughout — the reference reads what was actually emitted.
+/// A re-tuned machine: the d=3 patch switches to depolarizing noise at its
+/// own round 10, so its stream is not drawn from `spec.noise` throughout —
+/// the reference reads what was actually emitted.
 #[test]
-fn streaming_residuals_match_the_oracle_under_retire_and_retune() {
+fn streaming_residuals_match_the_oracle_under_a_retune() {
     let mut config = residual_config(PushPolicy::Block, 2020, 2);
-    config.scenario = ScenarioScript::default()
-        .set_error_rate(30, 0, NoiseSpec::Depolarizing { p: 0.08 })
-        .retire_lattice(60, 0);
+    config.lattices[0] =
+        (config.lattices[0].clone()).with_retune(10, NoiseSpec::Depolarizing { p: 0.08 });
     let outcome = assert_residuals_match_the_oracle(config, &greedy);
-    let retired = &outcome.report.lattices[0];
-    assert!(
-        retired.counters.generated < 40,
-        "retirement must truncate the stream (streamed {})",
-        retired.counters.generated
-    );
-    // Three unpaced lattices emit round-robin: lattice 0 stands at its round
-    // 10 at global round 30 and at 20 at global round 60.
-    let epochs: Vec<(u64, u64, &str)> = (retired.noise_epochs.iter())
+    let retuned = &outcome.report.lattices[0];
+    assert_eq!(retuned.counters.generated, 40);
+    let epochs: Vec<(u64, u64, &str)> = (retuned.noise_epochs.iter())
         .map(|e| (e.start_round, e.end_round, e.label.as_str()))
         .collect();
-    assert_eq!(epochs, [(0, 10, "dephasing"), (10, 20, "depolarizing")]);
+    assert_eq!(epochs, [(0, 10, "dephasing"), (10, 40, "depolarizing")]);
+    assert_eq!(outcome.report.journal.counts[EventKind::NoiseChange], 1);
 }
 
 /// One soak-postured run: streaming residuals, capped correction ring, no

@@ -1,22 +1,19 @@
-//! Scenario demo: one elastic machine under time-varying noise, recorded to
-//! a replayable trace — and the replay proven byte-identical.
+//! Scenario demo: one machine under time-varying noise, recorded to a
+//! replayable trace — and the replay proven byte-identical.
 //!
-//! A three-lattice machine runs everything the scenario plane offers in a
+//! A two-lattice machine runs everything the scenario plane offers in a
 //! single pass:
 //!
 //! * lattice 0 (d=3) — the burst target: rounds 20..50 run at 5x the base
-//!   rate ([`BurstEvent`]),
+//!   rate ([`BurstEvent`]), and a re-tune
+//!   ([`LatticeSpec::with_retune`]) swaps its channel to depolarizing noise
+//!   at its own round 40 — inside the burst, which amplifies the new channel
+//!   for the rest of the window,
 //! * lattice 1 (d=5) — the drift target: its dephasing rate follows a
-//!   sinusoid ([`DriftingErrorModel`]), one full period over the run,
-//! * lattice 2 (d=3) — the elastic target: pre-registered but *dormant*, it
-//!   is hot-added at machine-global round 60 (no worker has prepared its
-//!   decoder until its first record arrives) and retired at round 200, its
-//!   stream truncating and its in-flight rounds draining to a final frame,
+//!   sinusoid ([`DriftingErrorModel`]), one full period over the run.
 //!
-//! while a scripted re-tune swaps lattice 0's channel to depolarizing noise
-//! at round 120 — inside its burst, which amplifies the new channel for the
-//! rest of the window — visible afterwards as a cut in its noise-epoch
-//! timeline and a `noise_change` in the journal.
+//! Every edge of lattice 0's noise schedule shows afterwards as a cut in its
+//! noise-epoch timeline and a `noise_change` in the journal.
 //!
 //! The run is recorded by a [`TraceRecorder`] tap ([`record_run`]); the
 //! recorded [`SyndromeTrace`] is then re-served through the *same* pipeline
@@ -25,33 +22,35 @@
 //! the live run's
 //! [`GoldenSummary`] — counters, per-lattice shed counts, merged-frame
 //! digests, residual tallies — *exactly*, and the scenario actually
-//! happened (journal counts the add and the retire, the retired stream is
-//! truncated, the re-tune cut an epoch).
+//! happened (the burst's edges and the re-tune cut lattice 0's epochs, one
+//! `noise_change` each).
 //!
 //! Run with `cargo run --release --example scenario_runtime`.  The trace
-//! format and the scripting model are documented in `docs/OPERATIONS.md`
+//! format and the noise schedule are documented in `docs/OPERATIONS.md`
 //! (operator view) and `docs/ARCHITECTURE.md` (wire view).
 
 use nisqplus_decoders::{DynDecoder, GreedyMatchingDecoder};
 use nisqplus_qec::error_model::{BurstEvent, DriftingErrorModel};
 use nisqplus_runtime::{
     golden_summary, record_run, replay_run, EventKind, LatticeSpec, MachineConfig, NoiseSpec,
-    PushPolicy, ScenarioScript, StreamingEngine,
+    PushPolicy, StreamingEngine,
 };
 
-/// Rounds configured per lattice (the retired lattice streams fewer).
+/// Rounds streamed per lattice.
 const ROUNDS: u64 = 160;
 
 fn machine() -> MachineConfig {
-    let mut config = MachineConfig::new(&[3, 5, 3], 7100);
+    let mut config = MachineConfig::new(&[3, 5], 7100);
     config.lattices = vec![
-        // Burst target: 5x dephasing over rounds 20..50.
+        // Burst target: 5x dephasing over rounds 20..50, re-tuned to
+        // depolarizing noise at round 40.
         LatticeSpec::new(3)
             .with_noise(NoiseSpec::PureDephasing { p: 0.015 })
             .with_seed(7100)
             .with_rounds(ROUNDS)
             .with_cadence_cycles(0)
-            .with_burst(BurstEvent::new(20, 30, 5.0).expect("valid burst")),
+            .with_burst(BurstEvent::new(20, 30, 5.0).expect("valid burst"))
+            .with_retune(40, NoiseSpec::Depolarizing { p: 0.04 }),
         // Drift target: one sinusoid period across the run.
         LatticeSpec::new(5)
             .with_noise(NoiseSpec::Drifting {
@@ -61,21 +60,11 @@ fn machine() -> MachineConfig {
             .with_seed(7101)
             .with_rounds(ROUNDS)
             .with_cadence_cycles(0),
-        // Elastic target: dormant until the script adds it.
-        LatticeSpec::new(3)
-            .with_noise(NoiseSpec::PureDephasing { p: 0.02 })
-            .with_seed(7102)
-            .with_rounds(ROUNDS)
-            .with_cadence_cycles(0),
     ];
     config.workers = 2;
     config.queue_capacity = 4_096;
     config.push_policy = PushPolicy::Block;
     config.analyze_residuals = true;
-    config.scenario = ScenarioScript::default()
-        .add_lattice(60, 2)
-        .set_error_rate(120, 0, NoiseSpec::Depolarizing { p: 0.04 })
-        .retire_lattice(200, 2);
     config
 }
 
@@ -83,10 +72,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let factory = || Box::new(GreedyMatchingDecoder::new()) as DynDecoder;
 
     println!(
-        "scenario run: 3 lattices (d=3 burst, d=5 drift, d=3 elastic) x {ROUNDS} rounds on 2 \
-         workers"
+        "scenario run: 2 lattices (d=3 burst + re-tune, d=5 drift) x {ROUNDS} rounds on 2 workers"
     );
-    println!("  script: add lattice 2 @ round 60; re-tune lattice 0 @ 120; retire lattice 2 @ 200");
+    println!("  lattice 0: burst over rounds 20..50, re-tuned to depolarizing @ its round 40");
     println!();
 
     // --- Act one: the live run, recorded round by round. -----------------
@@ -105,23 +93,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_golden(golden.clone());
 
     // --- The scenario actually happened. ---------------------------------
-    assert_eq!(
-        report.journal.counts[EventKind::LatticeAdded],
-        1,
-        "the hot-add fired"
-    );
-    assert_eq!(
-        report.journal.counts[EventKind::LatticeRetired],
-        1,
-        "the retire fired"
-    );
-    let elastic = report.lattices[2].counters.generated;
-    assert!(
-        elastic > 0 && elastic < ROUNDS,
-        "the elastic lattice came online and was truncated (streamed {elastic})"
-    );
-    // Unpaced lattices emit in a fixed order: lattice 0 stands at its round
-    // 40 when the re-tune fires at global round 120, inside its burst.
     let epochs: Vec<(u64, u64, &str)> = (report.lattices[0].noise_epochs.iter())
         .map(|e| (e.start_round, e.end_round, e.label.as_str()))
         .collect();
@@ -134,6 +105,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             (50, ROUNDS, "depolarizing"),
         ],
         "the burst's edges and the re-tune cut lattice 0's timeline"
+    );
+    assert_eq!(
+        report.journal.counts[EventKind::NoiseChange],
+        3,
+        "one noise change per cut, none on the stationary-drift lattice"
     );
     assert_eq!(
         report.counters.dropped, 0,
@@ -150,7 +126,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         replay_summary, golden,
         "replaying the recorded trace must reproduce the live outcome exactly"
     );
-    for id in 0..3 {
+    for id in 0..2 {
         assert_eq!(
             replayed.frame_for(id).merged(),
             live.frame_for(id).merged(),
@@ -164,8 +140,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.lattices.len()
     );
     println!(
-        "elastic lattice streamed {elastic}/{ROUNDS} rounds (added @60, retired @200), {} noise \
-         epochs on the burst lattice, frame digests {:?}",
+        "{} noise epochs on the burst lattice, frame digests {:?}",
         report.lattices[0].noise_epochs.len(),
         golden.frame_digests
     );
