@@ -792,7 +792,7 @@ mod tests {
         for burst in [None, Some(BurstEvent::new(4, 8, 2.0).unwrap())] {
             let mut config = MachineConfig::from(fast_config());
             config.lattices[0].burst = burst;
-            config.lattices[0] = config.lattices[0].clone().with_retune(8, invalid);
+            config.lattices[0].retunes = vec![(8, invalid)];
             assert_eq!(
                 StreamingEngine::with_machine(config).unwrap_err(),
                 QecError::InvalidProbability { value: 1.5 }

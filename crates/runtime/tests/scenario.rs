@@ -72,10 +72,9 @@ fn d5_drift_machine() -> MachineConfig {
 /// drift.
 fn d3d5_retune_machine() -> MachineConfig {
     let mut config = scenario_machine(&[3, 5], 40, 2020);
-    config.lattices[0] = (config.lattices[0].clone())
-        .with_noise(NoiseSpec::PureDephasing { p: 0.03 })
-        .with_burst(BurstEvent::new(5, 8, 3.0).expect("valid burst"))
-        .with_retune(12, NoiseSpec::Depolarizing { p: 0.05 });
+    config.lattices[0].noise = NoiseSpec::PureDephasing { p: 0.03 };
+    config.lattices[0].burst = Some(BurstEvent::new(5, 8, 3.0).expect("valid burst"));
+    config.lattices[0].retunes = vec![(12, NoiseSpec::Depolarizing { p: 0.05 })];
     config.lattices[1].noise = NoiseSpec::Drifting {
         model: DriftingErrorModel::ramp(0.01, 0.0005).expect("valid drift"),
     };
@@ -253,9 +252,8 @@ fn mismatched_replay_returns_a_typed_error() {
 #[test]
 fn scripted_retune_cuts_noise_epochs() {
     let mut config = scenario_machine(&[3], 32, 5);
-    config.lattices[0] = (config.lattices[0].clone())
-        .with_noise(NoiseSpec::PureDephasing { p: 0.02 })
-        .with_retune(16, NoiseSpec::PureDephasing { p: 0.08 });
+    config.lattices[0].noise = NoiseSpec::PureDephasing { p: 0.02 };
+    config.lattices[0].retunes = vec![(16, NoiseSpec::PureDephasing { p: 0.08 })];
     let engine = StreamingEngine::with_machine(config).unwrap();
     let outcome = engine.run(&greedy_factory());
     outcome.check_invariants().unwrap();

@@ -145,8 +145,7 @@ fn streaming_residuals_match_the_oracle_under_a_full_drop_ring() {
 #[test]
 fn streaming_residuals_match_the_oracle_under_a_retune() {
     let mut config = residual_config(PushPolicy::Block, 2020, 2);
-    config.lattices[0] =
-        (config.lattices[0].clone()).with_retune(10, NoiseSpec::Depolarizing { p: 0.08 });
+    config.lattices[0].retunes = vec![(10, NoiseSpec::Depolarizing { p: 0.08 })];
     let outcome = assert_residuals_match_the_oracle(config, &greedy);
     let retuned = &outcome.report.lattices[0];
     assert_eq!(retuned.counters.generated, 40);
