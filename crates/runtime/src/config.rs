@@ -92,15 +92,14 @@ pub struct RuntimeConfig {
     pub batch_size: usize,
     /// Full-queue policy.
     pub push_policy: PushPolicy,
-    /// Hard upper bound on the number of
+    /// Upper bound on the number of
     /// [`DepthSample`](crate::telemetry::DepthSample)s kept on the timeline
     /// (plus the final round).  The producer samples every
     /// `max(⌈rounds / max_depth_samples⌉, 64)` rounds, rounded up to a
     /// power of two: more than half this many samples once the stride is
-    /// above 64, one per 64 rounds below that, and never a compaction for a
-    /// run of known length.  If a run outlives its stride the timeline is
-    /// compacted in place (keeping the peak-backlog and newest samples), so
-    /// memory stays bounded at soak scale no matter how many rounds stream.
+    /// above 64, one per 64 rounds below that.  Every run's length is known
+    /// before round 0, so the stride alone keeps the timeline within the
+    /// bound.
     pub max_depth_samples: usize,
     /// When `true`, every worker keeps the per-round corrections it
     /// committed, and
@@ -217,8 +216,7 @@ pub struct MachineConfig {
     pub workers: usize,
     /// Converts every lattice's `cadence_cycles` into wall-clock nanoseconds.
     pub cycle_time: CycleTimeConverter,
-    /// Total ring-buffer capacity in packets, split evenly across the
-    /// per-worker rings.
+    /// Capacity in packets of the one ring every worker pops.
     pub queue_capacity: usize,
     /// Maximum rounds a worker decodes as one batch (see
     /// [`RuntimeConfig::batch_size`]).

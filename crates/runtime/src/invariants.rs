@@ -7,9 +7,7 @@
 //! its `invariants:` line.
 
 use crate::engine::RuntimeOutcome;
-use crate::obs::EventKind::{
-    NoiseChange, Quarantine, Shed, WatchdogTrip, WorkerCrash, WorkerRestart,
-};
+use crate::obs::EventKind::{NoiseChange, Shed, WatchdogTrip, WorkerCrash, WorkerRestart};
 use crate::stage::StageReport;
 use crate::telemetry::{LatticeCounterSnapshot, RuntimeReport};
 use std::fmt;
@@ -90,7 +88,8 @@ pub enum Violation {
         dropped: u64,
     },
     /// Injected == journal `worker_crash` == `worker_restart` fails (a
-    /// decoder bug reads as a crash nothing injected).
+    /// decoder bug, or a record whose header fails verification, reads as a
+    /// crash nothing injected).
     Crashes {
         /// `fault.injected_crashes`.
         injected: u64,
@@ -98,15 +97,6 @@ pub enum Violation {
         crashed: u64,
         /// `journal.counts.worker_restart`.
         restarted: u64,
-    },
-    /// `counters.quarantined != journal.counts.quarantine`.  (A quarantined
-    /// round also breaks its lattice's [`Violation::Conservation`]: nothing
-    /// the run's own source encodes fails verification.)
-    Quarantine {
-        /// `counters.quarantined`.
-        counted: u64,
-        /// `journal.counts.quarantine`.
-        journaled: u64,
     },
     /// `journal.counts.noise_change != Σ (lattices[].noise_epochs.len() −
     /// 1)`: each noise-schedule boundary a lattice crossed is journaled once.
@@ -287,13 +277,6 @@ impl RuntimeReport {
                 restarted,
             },
         );
-        require(
-            c.quarantined == counts[Quarantine],
-            Violation::Quarantine {
-                counted: c.quarantined,
-                journaled: counts[Quarantine],
-            },
-        );
         let boundaries = (self.lattices.iter())
             .map(|l| l.noise_epochs.len().saturating_sub(1) as u64)
             .sum();
@@ -398,7 +381,7 @@ mod tests {
         assert_eq!(clean.report.fault.injected_crashes, 1);
         assert_eq!(clean.report.journal.counts[NoiseChange], 2);
         type Mutation = fn(&mut RuntimeOutcome);
-        let mutations: [(&str, Mutation); 13] = [
+        let mutations: [(&str, Mutation); 12] = [
             ("Conservation", |o| {
                 o.report.lattices[1].counters.generated += 1;
                 o.report.counters.generated += 1;
@@ -412,7 +395,6 @@ mod tests {
                 o.report.lattices[2].residual.as_mut().unwrap().shed.rounds += 1;
             }),
             ("Crashes", |o| o.report.journal.counts[WorkerRestart] += 1),
-            ("Quarantine", |o| o.report.journal.counts[Quarantine] += 1),
             ("NoiseChanges", |o| {
                 o.report.journal.counts[NoiseChange] -= 1
             }),

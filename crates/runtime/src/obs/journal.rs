@@ -3,7 +3,7 @@
 //! Counters say *how much*; the journal says *what happened, when, to
 //! whom*.  Every noteworthy pipeline incident — a shed round, a
 //! backpressure stall, an exhausted QoS budget, a worker crash and its
-//! restart, a quarantined record, a change of a lattice's noise regime, a
+//! restart, a change of a lattice's noise regime, a
 //! watchdog trip — is published as a [`RuntimeEvent`] with a severity and
 //! per-lattice/per-worker attribution.  The journal is a
 //! fixed-capacity ring: old events are overwritten (and counted as
@@ -26,8 +26,7 @@ pub enum EventSeverity {
     Info,
     /// Service degraded by policy (shed rounds, exhausted budgets).
     Warning,
-    /// A round or a worker was lost to a fault (crash, quarantine,
-    /// watchdog trip).
+    /// A round or a worker was lost to a fault (crash, watchdog trip).
     Critical,
 }
 
@@ -69,9 +68,6 @@ pub enum EventKind {
     /// A crashed worker's replacement came up: decoders re-prepared, the
     /// dead worker's frame shard adopted (`value` = restart attempt, 1-based).
     WorkerRestart,
-    /// A record's header did not verify and the record was discarded
-    /// instead of decoded (`value` = the running quarantine total).
-    Quarantine,
     /// A lattice's stream crossed a boundary of its noise schedule — a
     /// burst window's edge or a re-tune (`value` = the first
     /// lattice round of the new regime).
@@ -87,13 +83,12 @@ const KINDS: usize = EventKind::LABELS.len();
 impl EventKind {
     /// Every kind beside its label, in declaration order (so `kind as usize`
     /// indexes it).  The labels' only spelling.
-    pub(crate) const LABELS: [(EventKind, &'static str); 8] = [
+    pub(crate) const LABELS: [(EventKind, &'static str); 7] = [
         (EventKind::Shed, "shed"),
         (EventKind::BackpressureStall, "backpressure_stall"),
         (EventKind::BudgetExhausted, "budget_exhausted"),
         (EventKind::WorkerCrash, "worker_crash"),
         (EventKind::WorkerRestart, "worker_restart"),
-        (EventKind::Quarantine, "quarantine"),
         (EventKind::NoiseChange, "noise_change"),
         (EventKind::WatchdogTrip, "watchdog_trip"),
     ];
@@ -406,7 +401,6 @@ mod tests {
         let kinds = [
             EventKind::WorkerCrash,
             EventKind::WorkerRestart,
-            EventKind::Quarantine,
             EventKind::WatchdogTrip,
         ];
         let journal = EventJournal::new(16);
@@ -418,17 +412,11 @@ mod tests {
         let snap = journal.snapshot();
         assert_eq!(snap.counts[EventKind::WorkerCrash], 1);
         assert_eq!(snap.counts[EventKind::WorkerRestart], 2);
-        assert_eq!(snap.counts[EventKind::Quarantine], 3);
-        assert_eq!(snap.counts[EventKind::WatchdogTrip], 4);
+        assert_eq!(snap.counts[EventKind::WatchdogTrip], 3);
         let labels: Vec<&str> = kinds.iter().map(|k| k.label()).collect();
         assert_eq!(
             labels,
-            vec![
-                "worker_crash",
-                "worker_restart",
-                "quarantine",
-                "watchdog_trip"
-            ]
+            vec!["worker_crash", "worker_restart", "watchdog_trip"]
         );
     }
 

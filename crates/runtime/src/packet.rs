@@ -239,8 +239,9 @@ impl PacketCodec {
     /// Checks a record's header against the codec's registrations and
     /// returns the lattice id it belongs to.  This is what the worker loop
     /// calls before touching any per-lattice state, so a record encoded
-    /// against another lattice set is quarantined instead of indexing
-    /// anything with an id the codec does not know.
+    /// against another lattice set crashes the worker (which the supervisor
+    /// restarts) instead of indexing anything with an id the codec does not
+    /// know.
     ///
     /// # Errors
     ///

@@ -96,7 +96,13 @@ use std::path::Path;
 /// `lattice_added` and `lattice_retired`, the kinds of the scripted
 /// reconfigurations that are gone; a re-tune is a lattice's own
 /// configuration and still shows as a `noise_change`.
-pub const SCHEMA_VERSION: u64 = 14;
+///
+/// v15: one way to lose a round — `journal.counts` loses the key that
+/// counted records skipped for a header that failed verification: such a
+/// record now crashes its worker (a `worker_crash` / `worker_restart`
+/// pair).  The machine-wide copy of that count in `counters` stays,
+/// always 0.
+pub const SCHEMA_VERSION: u64 = 15;
 
 /// Why an export or import failed.
 #[derive(Debug)]

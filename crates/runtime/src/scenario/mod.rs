@@ -56,7 +56,6 @@ pub fn golden_summary(outcome: &RuntimeOutcome) -> GoldenSummary {
         generated: report.counters.generated,
         decoded: report.counters.decoded,
         dropped: report.counters.dropped,
-        quarantined: report.counters.quarantined,
         shed: report.lattices.iter().map(|l| l.counters.dropped).collect(),
         frame_digests: outcome
             .frames

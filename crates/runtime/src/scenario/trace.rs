@@ -125,8 +125,6 @@ pub struct GoldenSummary {
     pub decoded: u64,
     /// Rounds shed at the producer.
     pub dropped: u64,
-    /// Records a worker quarantined because their header did not verify.
-    pub quarantined: u64,
     /// Per-lattice shed-round counts.
     pub shed: Vec<u64>,
     /// Per-lattice digests of the merged correction frame.
@@ -353,7 +351,6 @@ record!(GoldenSummary {
     generated,
     decoded,
     dropped,
-    quarantined,
     shed,
     frame_digests as Hex,
     residuals,
@@ -517,7 +514,6 @@ mod tests {
             generated: 12,
             decoded: 12,
             dropped: 0,
-            quarantined: 0,
             shed: vec![0, 0],
             frame_digests: vec![u64::MAX, 0x1234_5678_9abc_def0],
             residuals: vec![ResidualTally::default(); 2],

@@ -25,7 +25,7 @@
 use crate::fault::{FaultInjector, CRASH_PANIC_MARKER};
 use crate::lattice_set::{LatticeDecoder, LatticeSet};
 use crate::obs::{EventJournal, EventKind, EventSeverity};
-use crate::packet::{PacketCodec, PacketError, SyndromePacket};
+use crate::packet::{PacketCodec, SyndromePacket};
 use crate::stage::{pause, Channel, FrameSink, StageReport, WorkerOutput};
 use crate::telemetry::{bump, RuntimeCounters};
 use nisqplus_decoders::traits::{DecoderFactory, DynDecoder};
@@ -151,18 +151,19 @@ impl<'a> DecodeStage<'a> {
     /// The returned [`DecodedRound`] borrows the lattice's composed
     /// correction buffer.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// A record whose header fails [`PacketCodec::verify`] — an unknown
+    /// On a record whose header fails [`PacketCodec::verify`] — an unknown
     /// lattice id, or an ancilla count other than the one registered for
-    /// it — returns the typed [`PacketError`] without touching any decoder
-    /// state: the worker quarantines it instead of panicking the pool.
-    pub(crate) fn decode(&mut self, record: &[u64]) -> Result<DecodedRound<'_>, PacketError> {
-        // Verify the header once, *before* indexing any per-lattice state:
-        // an unknown lattice id must not pick a buffer, let alone panic on
-        // an out-of-range slot.  Everything below works on a verified
-        // record.
-        let lattice_id = self.codec.verify(record)? as usize;
+    /// it.  Every record a worker pops was written by the run's own codec,
+    /// whose `encode` panics on exactly those headers, so such a record is
+    /// a bug: the supervisor books it as a crash that loses that record.
+    pub(crate) fn decode(&mut self, record: &[u64]) -> DecodedRound<'_> {
+        // Verify the header once, *before* indexing any per-lattice state.
+        let lattice_id =
+            self.codec
+                .verify(record)
+                .expect("a record written by the run's own codec verifies") as usize;
         let state = &mut self.states[lattice_id];
         let decoder = &mut self.decoders[state.decoder_slot];
         let lattice = self.set.lattice(lattice_id);
@@ -195,13 +196,13 @@ impl<'a> DecodeStage<'a> {
         } else {
             None
         };
-        Ok(DecodedRound {
+        DecodedRound {
             lattice_id: state.packet.lattice_id,
             round: state.packet.round,
             emitted_ns: state.packet.emitted_ns,
             correction: &state.x_buf,
             residual,
-        })
+        }
     }
 
     /// The name of the decoder serving each lattice, in lattice-id order.
@@ -350,7 +351,7 @@ impl Batch {
 /// the supervisor if the decode path panics.
 fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink, batch: &mut Batch) -> Vec<String> {
     let worker_id = seat.worker_id;
-    let (channel, counters, journal) = (seat.channel, seat.counters, seat.journal);
+    let (channel, counters) = (seat.channel, seat.counters);
     let epoch = seat.epoch;
     let mut decode = DecodeStage::new(seat.set, seat.codec, seat.factory);
     let worker_counters = &counters.per_worker[worker_id];
@@ -393,29 +394,7 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink, batch: &mut Batch) -
             // Past the record before its decode starts: if the decode
             // panics, the restarted attempt resumes after it.
             batch.next += 1;
-            let decoded = match decode.decode(record) {
-                Ok(decoded) => decoded,
-                Err(_) => {
-                    // A record that fails verification is quarantined,
-                    // never decoded: count it, journal it (value = the
-                    // running quarantine total; no lattice attribution —
-                    // the header that names the lattice is exactly what
-                    // can't be trusted), and move on.  The run's own source
-                    // never writes such a record, so its round is lost and
-                    // its lattice's books say so.
-                    let total = counters.quarantined.fetch_add(1, Ordering::Relaxed) + 1;
-                    journal.publish(
-                        EventKind::Quarantine,
-                        EventSeverity::Critical,
-                        None,
-                        Some(worker_id as u32),
-                        epoch.elapsed().as_nanos() as u64,
-                        total,
-                    );
-                    prev = Instant::now();
-                    continue;
-                }
-            };
+            let decoded = decode.decode(record);
             let lattice_id = decoded.lattice_id as usize;
             let emitted_ns = decoded.emitted_ns;
             sink.commit(&decoded);
@@ -651,7 +630,7 @@ mod tests {
         let packet = SyndromePacket::new(1, 0, 3, &syndrome);
         let mut record = vec![0u64; codec.words_per_packet()];
         codec.encode(&packet, &mut record);
-        stage.decode(&record).expect("clean record decodes");
+        stage.decode(&record);
         assert!(stage.prepared[stage.states[1].decoder_slot]);
         assert!(!stage.prepared[stage.states[0].decoder_slot]);
     }
@@ -673,7 +652,7 @@ mod tests {
             let syndrome = source.next_syndrome();
             let packet = SyndromePacket::new(lattice_id, 0, 17, &syndrome);
             codec.encode(&packet, &mut record);
-            let decoded = stage.decode(&record).expect("clean record decodes");
+            let decoded = stage.decode(&record);
             assert_eq!(decoded.lattice_id, lattice_id);
             assert_eq!(decoded.round, 0);
             assert_eq!(decoded.emitted_ns, 17);
@@ -705,7 +684,7 @@ mod tests {
             let (error, syndrome) = source.next_error_and_syndrome();
             let packet = SyndromePacket::new(lattice_id, 0, 5, &syndrome);
             codec.encode_with_error(&packet, &error, &mut record);
-            let decoded = stage.decode(&record).expect("clean record decodes");
+            let decoded = stage.decode(&record);
             let expected = classify_both_sectors(lattice, &error, decoded.correction);
             assert_eq!(decoded.residual, Some(expected));
         }
@@ -715,72 +694,16 @@ mod tests {
         let mut plain_record = vec![0u64; plain.words_per_packet()];
         let packet = SyndromePacket::new(0, 0, 5, &Syndrome::new(set.lattice(0).num_ancillas()));
         plain.encode(&packet, &mut plain_record);
-        assert_eq!(plain_stage.decode(&plain_record).unwrap().residual, None);
+        assert_eq!(plain_stage.decode(&plain_record).residual, None);
     }
 
-    /// Validate before indexing: a record whose header was corrupted to
-    /// name a lattice the codec does not know, or the wrong ancilla count,
-    /// comes back as its typed error, having touched no per-lattice buffer
-    /// and prepared nothing.
+    /// A header that fails `verify` is a bug, not a record to skip: the
+    /// worker crashes on it, the supervisor restarts the worker, and only
+    /// that record is lost — the clean records beside it still commit.
+    /// (`packet.rs` pins the typed [`PacketError`](crate::packet::PacketError)
+    /// `verify` returns for such a header.)
     #[test]
-    fn corrupted_record_is_rejected_without_touching_state() {
-        let set = set_of(&[3, 5]);
-        let codec = PacketCodec::for_lattice_bits(&set.ancilla_bits());
-        let mut stage = DecodeStage::new(&set, &codec, &factory());
-        let record_for = |lattice_id: u32, round: u64| {
-            // The first two Z ancillas.
-            let z = set
-                .lattice(lattice_id as usize)
-                .ancillas_in_sector(Sector::Z);
-            let hot = Syndrome::from_hot(codec.syndrome_bits(lattice_id), &[z.start, z.start + 1]);
-            let mut record = vec![0u64; codec.words_per_packet()];
-            codec.encode(
-                &SyndromePacket::new(lattice_id, round, 17, &hot),
-                &mut record,
-            );
-            record
-        };
-        // Dirty every buffer first, so "untouched" is not "still all-zero".
-        for lattice_id in [0, 1] {
-            stage
-                .decode(&record_for(lattice_id, 0))
-                .expect("clean record decodes");
-        }
-        let clean = record_for(0, 1);
-        // Header word 0 is the lattice id (high half) and the ancilla count
-        // (low half): lattice 0 becomes lattice 2, or its count changes.
-        let mut unknown = clean.clone();
-        unknown[0] ^= 1 << 33;
-        let mut mismatched = clean.clone();
-        mismatched[0] ^= 1;
-        let bits = codec.syndrome_bits(0) as u32;
-
-        let before = format!("{:?} {:?}", stage.states, stage.prepared);
-        let errors = [&unknown, &mismatched].map(|record| stage.decode(record).err());
-        assert_eq!(
-            errors,
-            [
-                Some(PacketError::UnknownLattice { lattice_id: 2 }),
-                Some(PacketError::AncillaMismatch {
-                    lattice_id: 0,
-                    header_bits: bits ^ 1,
-                    registered_bits: bits,
-                }),
-            ]
-        );
-        assert_eq!(
-            format!("{:?} {:?}", stage.states, stage.prepared),
-            before,
-            "a quarantined record decodes nothing"
-        );
-        // The stage still decodes clean records afterwards.
-        assert!(stage.decode(&clean).is_ok());
-    }
-
-    /// The worker quarantines what the stage refuses: counted once,
-    /// journaled once, and the clean records beside it still commit.
-    #[test]
-    fn a_worker_quarantines_a_record_whose_header_does_not_verify() {
+    fn a_header_that_fails_verify_crashes_the_worker_and_loses_only_its_record() {
         let set = set_of(&[3]);
         let codec = PacketCodec::for_lattice_bits(&set.ancilla_bits());
         let channel = Channel::new(8, codec.words_per_packet());
@@ -797,9 +720,15 @@ mod tests {
         let journal = EventJournal::new(8);
         let (output, _) =
             drain_with_worker_0(&set, &codec, &channel, &counters, &journal, &factory());
-        let snap = counters.snapshot();
-        assert_eq!((snap.decoded, snap.quarantined), (2, 1));
-        assert_eq!(journal.snapshot().counts[EventKind::Quarantine], 1);
+        assert_eq!(counters.snapshot().decoded, 2);
         assert_eq!(output.per_lattice[0].frame.recorded_cycles(), 2);
+        let counts = journal.snapshot().counts;
+        assert_eq!(
+            (
+                counts[EventKind::WorkerCrash],
+                counts[EventKind::WorkerRestart]
+            ),
+            (1, 1)
+        );
     }
 }

@@ -13,14 +13,11 @@
 //!   `max(⌈rounds / max_depth_samples⌉, 64)` rounds, rounded up to a power
 //!   of two, into [`DepthSample`]s, each carrying the aggregate queue depth
 //!   and backlog *and* the per-lattice backlog breakdown, so a single
-//!   timeline shows which lattice was falling behind when.  A run of known
-//!   length keeps at most `max_depth_samples` samples plus the final round
-//!   (more than half the cap once the stride is above 64) and never
-//!   compacts; a short run pays for one sample per 64 rounds.  When the
-//!   stream outruns its stride (endless sources, wrong round estimates) the
-//!   timeline compacts in place — halving resolution while always
-//!   retaining the peak-backlog sample and the newest sample — so memory
-//!   stays bounded by the cap.
+//!   timeline shows which lattice was falling behind when.  Every run's
+//!   length is known before round 0, so the stride alone keeps at most
+//!   `max_depth_samples` samples plus the final round (more than half the
+//!   cap once the stride is above 64); a short run pays for one sample per
+//!   64 rounds.
 
 use crate::engine::RoundCorrection;
 use crate::lattice_set::LatticeSet;
@@ -192,14 +189,13 @@ impl FrameSink {
 const MIN_SAMPLE_STRIDE: u64 = 64;
 
 /// The source-side telemetry sink: a down-sampled backlog timeline with
-/// per-lattice breakdown, hard-capped at `max_depth_samples` entries (plus
-/// the final round).
+/// per-lattice breakdown, at most `max_depth_samples` entries (plus the
+/// final round) for a run of the length it was built for.
 #[derive(Debug)]
 pub(crate) struct DepthSink {
     total_rounds: u64,
     /// Always a power of two, so the cadence test is a mask.
     sample_every: u64,
-    max_samples: usize,
     offered: u64,
     timeline: Vec<DepthSample>,
     /// Deepest queue seen at a sampling instant.
@@ -210,21 +206,16 @@ impl DepthSink {
     /// A sink sampling every `max(⌈total_rounds / max_depth_samples⌉, 64)`
     /// rounds, rounded up to a power of two (and always the last round).
     /// The stride covers `total_rounds` in at most `max_depth_samples`
-    /// steps, so a run of known length never compacts.  The cap is hard: if
-    /// the stream outruns the stride (an endless source passes 0 and starts
-    /// at 64), the timeline compacts in place instead of growing (see
-    /// [`DepthSink::observe`]).
+    /// steps, so the timeline needs no cap of its own.
     #[must_use]
     pub(crate) fn new(total_rounds: u64, max_depth_samples: usize) -> Self {
-        let max_samples = max_depth_samples.max(1);
         DepthSink {
             total_rounds,
             sample_every: total_rounds
-                .div_ceil(max_samples as u64)
+                .div_ceil(max_depth_samples.max(1) as u64)
                 .max(MIN_SAMPLE_STRIDE)
                 .checked_next_power_of_two()
                 .unwrap_or(1 << 63),
-            max_samples,
             offered: 0,
             timeline: Vec::new(),
             queue_depth_peak: 0,
@@ -236,13 +227,7 @@ impl DepthSink {
     /// `(elapsed_ns, queue_depth)` pair `sample` returns, the per-lattice
     /// backlogs read from `counters`, and their sum.  `sample` is called only
     /// for rounds that are kept: reading the clock and the consumers' side
-    /// of every channel is paid on one round per stride, not on every round.
-    ///
-    /// When the timeline would exceed its cap (plus one slot of slack for
-    /// the always-sampled final round), it is compacted: every other sample
-    /// is dropped — except the global peak-backlog sample and the newest
-    /// sample, which are always retained so the compacted timeline still
-    /// brackets the true peak — and the stride doubles.
+    /// of the ring is paid on one round per stride, not on every round.
     pub(crate) fn observe(
         &mut self,
         emitted_total: u64,
@@ -261,35 +246,7 @@ impl DepthSink {
                 per_lattice_backlog,
             });
             self.queue_depth_peak = self.queue_depth_peak.max(queue_depth);
-            if self.timeline.len() > self.max_samples + 1 {
-                self.compact();
-            }
         }
-    }
-
-    /// Halves the timeline's resolution in place: keeps every other sample
-    /// plus the peak-backlog sample and the newest one, then doubles the
-    /// stride (multiples of the doubled stride are a subset of the old
-    /// stride's, so the phase stays aligned).  The stride stays a power of
-    /// two: at 2⁶³ it stops doubling.
-    fn compact(&mut self) {
-        let last = self.timeline.len() - 1;
-        let peak = self
-            .timeline
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, sample)| sample.backlog)
-            .map_or(0, |(index, _)| index);
-        let mut index = 0;
-        self.timeline.retain(|_| {
-            let keep = index % 2 == 0 || index == peak || index == last;
-            index += 1;
-            keep
-        });
-        self.sample_every = self
-            .sample_every
-            .checked_mul(2)
-            .unwrap_or(self.sample_every);
     }
 
     /// Consumes the sink into its timeline.
@@ -356,7 +313,7 @@ mod tests {
                 &SyndromePacket::new(lattice_id, round, 0, &syndrome),
                 &mut record,
             );
-            let decoded = stage.decode(&record).expect("clean record decodes");
+            let decoded = stage.decode(&record);
             sink.commit(&decoded);
             let id = decoded.lattice_id as usize;
             sink.record_latency(id, 10, 20);
@@ -386,7 +343,7 @@ mod tests {
         for round in 0..5u64 {
             let syndrome = source.next_syndrome();
             codec.encode(&SyndromePacket::new(0, round, 0, &syndrome), &mut record);
-            let decoded = stage.decode(&record).unwrap();
+            let decoded = stage.decode(&record);
             sink.commit(&decoded);
         }
         assert_eq!(sink.committed(), 5);
@@ -416,7 +373,7 @@ mod tests {
                 let (error, syndrome) = source.next_error_and_syndrome();
                 let packet = SyndromePacket::new(lattice_id, round, 0, &syndrome);
                 codec.encode_with_error(&packet, &error, &mut record);
-                sink.commit(&stage.decode(&record).unwrap());
+                sink.commit(&stage.decode(&record));
             }
         }
         let output = sink.finish(stage.lattice_decoders().to_vec());
@@ -484,9 +441,9 @@ mod tests {
 
     /// The stride rule over run lengths from one round to the benchmark's
     /// long runs, at the default cap and a small one: a power of two of at
-    /// least 64, a timeline within the cap that never compacts, and the
-    /// final round kept.  262,146 rounds is the length where a stride of
-    /// `⌊rounds / cap⌋` (64) would overflow the cap by one sample.
+    /// least 64, a timeline within the cap, and the final round kept.
+    /// 262,146 rounds is the length where a stride of `⌊rounds / cap⌋` (64)
+    /// would overflow the cap by one sample.
     #[test]
     fn depth_sink_stride_is_a_power_of_two_and_a_known_length_never_compacts() {
         let counters = RuntimeCounters::new(1, 1);
@@ -504,7 +461,6 @@ mod tests {
                 for round in 0..total {
                     sink.observe(round, &counters, || (round, 0));
                 }
-                assert_eq!(sink.sample_every, stride, "{total} rounds compacted");
                 let rounds: Vec<u64> = sink.timeline.iter().map(|s| s.round).collect();
                 assert!(rounds.len() <= cap + 1, "{total} rounds: {}", rounds.len());
                 if stride > MIN_SAMPLE_STRIDE {
@@ -525,79 +481,11 @@ mod tests {
             }
         }
         // The stride saturates at the largest power of two instead of
-        // overflowing, and compaction keeps it there.
+        // overflowing.
         let mut sink = DepthSink::new(u64::MAX, 1);
         assert_eq!(sink.sample_every, 1 << 63);
         sink.observe(0, &counters, || (0, 0));
-        sink.compact();
-        assert_eq!(sink.sample_every, 1 << 63);
-    }
-
-    #[test]
-    fn depth_sink_caps_the_timeline_and_retains_the_peak() {
-        let counters = RuntimeCounters::new(1, 1);
-        // An endless stream (total_rounds unknown → 0) with a small cap:
-        // the sink must never exceed cap + 1 samples, yet still bracket the
-        // backlog peak.
-        let cap = 16;
-        let mut sink = DepthSink::new(0, cap);
-        // A power of two, so the spike lands on the sampling stride no
-        // matter how many times it has doubled.
-        let peak_round = 4_096u64;
-        for round in 0..10_000u64 {
-            // Backlog ramps to a spike at `peak_round`, then drains.
-            let backlog = if round == peak_round {
-                5_000
-            } else {
-                round % 7
-            };
-            counters.per_lattice[0]
-                .generated
-                .store(backlog, Ordering::Relaxed);
-            sink.observe(round, &counters, || (round, 0));
-            assert!(
-                sink.timeline.len() <= cap + 1,
-                "timeline exceeded its cap at round {round}"
-            );
-        }
-        let timeline = sink.finish();
-        assert!(timeline.len() <= cap + 1);
-        let max_kept = timeline.iter().map(|s| s.backlog).max().unwrap();
-        assert_eq!(max_kept, 5_000, "compaction must retain the peak sample");
-        // The newest kept sample trails the stream's end by at most one
-        // (doubled) stride — here the stride cannot have doubled past 2048
-        // (10_000 rounds / 17 slots rounded up to a power of two).
-        assert!(
-            timeline.last().unwrap().round >= 9_999 - 2_048,
-            "newest kept sample fell too far behind: round {}",
-            timeline.last().unwrap().round
-        );
-    }
-
-    #[test]
-    fn depth_sink_preserves_the_first_sample_and_monotone_round_order() {
-        let counters = RuntimeCounters::new(1, 1);
-        // Small cap over a long stream: the timeline compacts repeatedly,
-        // yet round 0 (index 0 is always even) and strict round ordering
-        // must survive every compaction.
-        let mut sink = DepthSink::new(0, 8);
-        for round in 0..5_000u64 {
-            counters.per_lattice[0]
-                .generated
-                .store(round % 13, Ordering::Relaxed);
-            sink.observe(round, &counters, || (round * 3, 0));
-            let rounds: Vec<u64> = sink.timeline.iter().map(|s| s.round).collect();
-            assert_eq!(rounds.first(), Some(&0), "first sample dropped");
-            assert!(
-                rounds.windows(2).all(|w| w[0] < w[1]),
-                "round order broke at observe({round}): {rounds:?}"
-            );
-        }
-        let timeline = sink.finish();
-        assert_eq!(timeline[0].round, 0);
-        assert!(timeline
-            .windows(2)
-            .all(|w| w[0].elapsed_ns < w[1].elapsed_ns));
+        assert_eq!(sink.timeline.len(), 1);
     }
 
     #[test]
@@ -607,7 +495,7 @@ mod tests {
         // never randomized.
         let run = |seed: u64| {
             let counters = RuntimeCounters::new(2, 1);
-            let mut sink = DepthSink::new(0, 12);
+            let mut sink = DepthSink::new(3_000, 12);
             let mut state = seed;
             for round in 0..3_000u64 {
                 // xorshift64: a cheap deterministic pseudo-random backlog.

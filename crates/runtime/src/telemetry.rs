@@ -112,14 +112,6 @@ impl LatticeCounters {
 /// read — so "Σ per-lattice = aggregate" holds by construction.
 #[derive(Debug)]
 pub struct RuntimeCounters {
-    /// Records a worker quarantined instead of decoding because their header
-    /// did not verify against the run's lattices
-    /// ([`PacketCodec::verify`](crate::packet::PacketCodec::verify)).  The
-    /// run's own source never encodes such a record, so a count here is a
-    /// lost round, and the lattice books say so.  The one machine-wide
-    /// counter: the header that names the lattice is exactly what cannot be
-    /// trusted.
-    pub quarantined: AtomicU64,
     /// One counter slice per registered lattice, indexed by lattice id.
     pub per_lattice: Vec<LatticeCounters>,
     /// One counter slice per decode worker, indexed by worker id.
@@ -132,7 +124,6 @@ impl RuntimeCounters {
     #[must_use]
     pub fn new(lattices: usize, workers: usize) -> Self {
         RuntimeCounters {
-            quarantined: AtomicU64::new(0),
             per_lattice: (0..lattices).map(|_| LatticeCounters::default()).collect(),
             per_worker: (0..workers).map(|_| WorkerCounters::default()).collect(),
         }
@@ -143,10 +134,7 @@ impl RuntimeCounters {
     /// mid-run snapshot is per-counter atomic, not globally instantaneous).
     #[must_use]
     pub fn snapshot(&self) -> CounterSnapshot {
-        let mut total = CounterSnapshot {
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            ..CounterSnapshot::default()
-        };
+        let mut total = CounterSnapshot::default();
         for lattice in &self.per_lattice {
             total.generated += lattice.generated.load(Ordering::Relaxed);
             total.enqueued += lattice.enqueued.load(Ordering::Relaxed);
@@ -202,7 +190,10 @@ pub struct CounterSnapshot {
     pub stolen: u64,
     /// Decode batches executed.
     pub batches: u64,
-    /// Records a worker quarantined because their header did not verify.
+    /// No effect: always 0, since a record whose header fails
+    /// [`PacketCodec::verify`](crate::packet::PacketCodec::verify) crashes
+    /// its worker instead of being skipped.  Kept until `benchmark/` (which
+    /// reads it) can be edited.
     pub quarantined: u64,
 }
 
@@ -583,10 +574,10 @@ pub struct RuntimeReport {
     /// The per-lattice breakdown, indexed by lattice id.
     pub lattices: Vec<LatticeReport>,
     /// Final values of the per-worker counters, indexed by worker id (one
-    /// per worker thread): who decoded, stole, and idled how much.
+    /// per worker thread): who decoded, batched, and idled how much.
     pub worker_counters: Vec<WorkerCounterSnapshot>,
     /// One [`StageReport`] per pipeline stage (source, gate, depth sink,
-    /// every channel, every worker's decode stage): the flow, refusal,
+    /// the channel, every worker's decode stage): the flow, refusal,
     /// occupancy and stall picture at every seam.
     pub stages: Vec<StageReport>,
     /// The event journal's end-of-run state: per-kind/per-severity totals
@@ -692,19 +683,13 @@ impl fmt::Display for RuntimeReport {
             self.journal.overwritten,
         )?;
         let counts = &self.journal.counts;
-        let seen = [
-            EventKind::WorkerCrash,
-            EventKind::Quarantine,
-            EventKind::WatchdogTrip,
-        ];
+        let seen = [EventKind::WorkerCrash, EventKind::WatchdogTrip];
         if self.fault.enabled || seen.into_iter().any(|kind| counts[kind] > 0) {
             writeln!(
                 f,
-                "  fault: {} crash(es)/{} restart(s) | {} quarantined | \
-                 {} stall(s) | {} watchdog trip(s)",
+                "  fault: {} crash(es)/{} restart(s) | {} stall(s) | {} watchdog trip(s)",
                 self.fault.injected_crashes,
                 counts[EventKind::WorkerRestart],
-                counts[EventKind::Quarantine],
                 self.fault.injected_stalls,
                 counts[EventKind::WatchdogTrip],
             )?;
@@ -819,7 +804,6 @@ mod tests {
             worker.stall_polls.store(base, Ordering::Relaxed);
             worker.batches.store(base + 2, Ordering::Relaxed);
         }
-        counters.quarantined.store(1, Ordering::Relaxed);
         assert_eq!(
             counters.snapshot(),
             CounterSnapshot {
@@ -830,7 +814,6 @@ mod tests {
                 decoded: 98,
                 stall_polls: 33,
                 batches: 37,
-                quarantined: 1,
                 ..CounterSnapshot::default()
             }
         );

@@ -54,7 +54,6 @@ fn real_trace() -> &'static (String, LatticeSet) {
             generated: 18,
             decoded: 18,
             dropped: 0,
-            quarantined: 0,
             shed: vec![0; 2],
             frame_digests: vec![u64::MAX, 1],
             residuals: vec![Default::default(); 2],

@@ -6,6 +6,7 @@ use nisqplus_decoders::{DynDecoder, GreedyMatchingDecoder, UnionFindDecoder};
 use nisqplus_runtime::fault::silence_injected_crash_panics;
 use nisqplus_runtime::obs::{bucket_bounds, bucket_index};
 use nisqplus_runtime::report::{parse, report_from_str, report_to_string, Json};
+use nisqplus_runtime::scenario::{record_run, replay_run};
 use nisqplus_runtime::{
     EventKind, ExportError, FaultPlan, LatticeSpec, LogHistogram, MachineConfig, NoiseSpec,
     PushPolicy, RuntimeConfig, StreamingEngine, ThrottledDecoder, SCHEMA_VERSION,
@@ -70,9 +71,9 @@ fn histogram_quantiles_match_exact_order_statistics_within_one_bucket() {
     assert_eq!(snapshot.max_ns, *exact.last().unwrap());
 }
 
-/// The exported document's key paths as schema v14 writes them,
+/// The exported document's key paths as schema v15 writes them,
 /// in document order, arrays collapsed to `[]`.
-const SCHEMA_LISTING: &str = include_str!("report_schema_v14.txt");
+const SCHEMA_LISTING: &str = include_str!("report_schema_v15.txt");
 
 /// The operator's manual, which documents the export field by field.
 const OPERATIONS: &str = include_str!("../../../docs/OPERATIONS.md");
@@ -116,7 +117,7 @@ fn assert_schema_is_pinned_and_documented(text: &str) {
     let fresh: String = paths.iter().map(|path| format!("{path}\n")).collect();
     assert!(
         fresh == SCHEMA_LISTING,
-        "the exported key paths differ from crates/runtime/tests/report_schema_v14.txt: bump \
+        "the exported key paths differ from crates/runtime/tests/report_schema_v15.txt: bump \
          `SCHEMA_VERSION` and commit the fresh listing under the new version's name:\n{fresh}"
     );
     for key in paths
@@ -209,11 +210,11 @@ fn multi_lattice_qos_report_round_trips_through_json() {
     assert_eq!(&reloaded, report, "JSON must round-trip bit-for-bit");
     assert_eq!(failures(&reloaded), failures(report));
 
-    // A document from a future schema — or from the previous one, v13,
-    // which still counted lattices added and retired mid-run — is refused,
+    // A document from a future schema — or from the previous one, v14,
+    // which still journaled records skipped for a bad header — is refused,
     // loudly and typed.
-    assert_eq!(SCHEMA_VERSION, 14);
-    for other_version in [SCHEMA_VERSION + 1, 13] {
+    assert_eq!(SCHEMA_VERSION, 15);
+    for other_version in [SCHEMA_VERSION + 1, 14] {
         let restamped = text.replacen(
             &format!("\"schema_version\": {SCHEMA_VERSION}"),
             &format!("\"schema_version\": {other_version}"),
@@ -301,8 +302,10 @@ fn an_overflowing_journal_reports_every_resident_event() {
     assert_eq!(journal.recent.last().unwrap().seq, journal.published - 1);
 }
 
-/// `max_depth_samples` is a hard cap even when the stream is much longer
-/// than the stride assumed at construction.
+/// `max_depth_samples` bounds the timeline through the stride alone: every
+/// run's length is known before round 0 — the configured rounds live, the
+/// trace's own tallies on replay — so a stride of at least
+/// ⌈rounds / cap⌉ keeps at most `cap` samples plus the final round.
 #[test]
 fn depth_timeline_respects_the_configured_cap() {
     let mut config = RuntimeConfig::new(3);
@@ -326,4 +329,28 @@ fn depth_timeline_respects_the_configured_cap() {
     }
     // Every kept sample carries the per-lattice breakdown.
     assert!(timeline.iter().all(|s| s.per_lattice_backlog.len() == 1));
+
+    // A replay sizes its stride from the trace: two lattices of 1,000
+    // rounds each, replayed at a cap of 8, sample every 256 rounds.
+    let mut machine = MachineConfig::new(&[3, 5], 11);
+    for spec in &mut machine.lattices {
+        spec.rounds = 1_000;
+        spec.cadence_cycles = 0;
+    }
+    machine.workers = 2;
+    machine.push_policy = PushPolicy::Block;
+    let engine = StreamingEngine::with_machine(machine.clone()).unwrap();
+    let trace = record_run(&engine, &greedy_factory())
+        .trace
+        .expect("record_run records a trace");
+    machine.max_depth_samples = 8;
+    let engine = StreamingEngine::with_machine(machine).unwrap();
+    let replayed = replay_run(&engine, &trace, &greedy_factory()).expect("the trace fits");
+    replayed.check_invariants().unwrap();
+    let rounds: Vec<u64> = (replayed.report.depth_timeline.iter())
+        .map(|s| s.round)
+        .collect();
+    assert!(rounds.len() <= 9, "cap 8 (+1 final) exceeded: {rounds:?}");
+    assert!(rounds.windows(2).all(|w| w[0] < w[1]), "{rounds:?}");
+    assert_eq!(rounds.last(), Some(&1_999), "the final round is kept");
 }
