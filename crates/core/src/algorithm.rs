@@ -27,8 +27,10 @@
 //! same cycle: the pairings of a time are `P & (P >> s) & mask` per offset
 //! and `L & boundary`, where the pool `P` is `L` with reset and every defect
 //! without — a pair with one cleared end is then a pairing with its ghost.
-//! A round sorts its few pairings into the order the handshake sees them
-//! and applies them.  The word count `W` comes from union-find's ladder
+//! A round then visits the modules that pair at that time in ascending
+//! order, each offering its pairings as the handshake sees them: later
+//! live defects, the boundary, then ghosts, each ascending — no list, no
+//! sort.  The word count `W` comes from union-find's ladder
 //! {1, 2, 4, 8, 16}, so the mesh takes distances up to
 //! [`MAX_DISTANCE`](nisqplus_decoders::bits::MAX_DISTANCE).
 //!
@@ -149,19 +151,6 @@ pub(crate) struct MeshOutcome {
     pub(crate) completed: bool,
 }
 
-/// Whom a hot module pairs with: the middle field of a candidate's key,
-/// ordered as one module's simultaneous pairings reach the handshake.
-const DEFECT: u32 = 0;
-const BOUNDARY: u32 = 1;
-const GHOST: u32 = 2;
-
-/// A candidate pairing of module `a` with `partner` (a bit, or 0 for the
-/// boundary) packed so that keys sort by `(a, kind, partner)`: the order in
-/// which the handshake sees them.  Bits are below 1024 (d ≤ 31).
-fn candidate(a: usize, kind: u32, partner: usize) -> u32 {
-    (a as u32) << 12 | kind << 10 | partner as u32
-}
-
 /// One grid offset: the pairings `(u, u + shift)` for the origins `u` in
 /// `mask`.
 #[derive(Debug, Clone, Copy)]
@@ -183,6 +172,8 @@ struct Slot<const W: usize> {
 /// One sector's completion-time tables (module docs, "Bitboard walk").
 #[derive(Debug, Clone)]
 struct SectorTables<const W: usize> {
+    /// The configuration the times are of.
+    config: MeshConfig,
     /// The sector's first ancilla: bit `v` is ancilla `offset + v`.
     offset: usize,
     /// The Pauli a chain applies ([`sector_correction_pauli`]).
@@ -197,19 +188,6 @@ impl<const W: usize> SectorTables<W> {
         let grid = lattice.sector_grid(sector);
         let (rows, cols, offset) = (grid.rows, grid.cols, grid.offset);
 
-        // Every offset `(Δr, Δc)` whose partner comes later in row-major
-        // order (`Δc > 0` on the origin's own row), and its completion time.
-        // Neighbouring ancillas are two mesh cells apart.
-        let pairs = || {
-            (0..rows).flat_map(move |dr| {
-                let first = if dr == 0 { 1 } else { 1 - cols as isize };
-                (first..cols as isize).map(move |dc| (dr, dc))
-            })
-        };
-        let times: Vec<usize> = pairs()
-            .map(|(dr, dc)| pair_timing(config, 2 * dr, 2 * dc.unsigned_abs()).completion)
-            .collect();
-
         let mut boundary = Vec::new();
         if config.boundary {
             for (v, a) in lattice.ancillas_in_sector(sector).enumerate() {
@@ -223,13 +201,6 @@ impl<const W: usize> SectorTables<W> {
                 boundary[time].toggle(v);
             }
         }
-        let horizon = times
-            .iter()
-            .map(|&t| t + 1)
-            .max()
-            .unwrap_or(0)
-            .max(boundary.len());
-        boundary.resize(horizon, Bits::EMPTY);
 
         // An origin's partner must stay on the grid: `Δr` rows down (a row
         // mask) and `Δc` columns across (a column mask; `left[k]` holds the
@@ -246,43 +217,44 @@ impl<const W: usize> SectorTables<W> {
             left[k] = left[k - 1] | column;
             column = column.plus(1);
         }
-        // The offsets grouped by time: `start[t]..start[t + 1]` completes at
-        // `t` (a counting sort).
-        let mut start = vec![0; horizon + 1];
-        for &time in &times {
-            start[time + 1] += 1;
-        }
-        for t in 0..horizon {
-            start[t + 1] += start[t];
-        }
-        let mut offsets = vec![
-            Offset {
-                shift: 0,
-                mask: Bits::EMPTY
-            };
-            times.len()
-        ];
-        let mut next = start.clone();
-        for ((dr, dc), time) in pairs().zip(times) {
-            let (lo, hi) = match usize::try_from(dc) {
-                Ok(right) => (0, cols - right),
-                Err(_) => (dc.unsigned_abs(), cols),
-            };
-            offsets[next[time]] = Offset {
-                shift: ((dr * cols) as isize + dc) as u32,
-                mask: row_masks[dr] & left[hi] & !left[lo],
-            };
-            next[time] += 1;
-        }
+        // Every offset `(Δr, Δc)` whose partner comes later in row-major
+        // order (`Δc > 0` on the origin's own row), with its completion time;
+        // neighbouring ancillas are two mesh cells apart.
+        let (times, unsorted): (Vec<usize>, Vec<Offset<W>>) = (0..rows)
+            .flat_map(|dr| {
+                let first = if dr == 0 { 1 } else { 1 - cols as isize };
+                (first..cols as isize).map(move |dc| (dr, dc))
+            })
+            .map(|(dr, dc)| {
+                let (lo, hi) = match usize::try_from(dc) {
+                    Ok(right) => (0, cols - right),
+                    Err(_) => (dc.unsigned_abs(), cols),
+                };
+                let offset = Offset {
+                    shift: ((dr * cols) as isize + dc) as u32,
+                    mask: row_masks[dr] & left[hi] & !left[lo],
+                };
+                let time = pair_timing(config, 2 * dr, 2 * dc.unsigned_abs()).completion;
+                (time, offset)
+            })
+            .unzip();
+        // Grouped by time; each time keeps the `(Δr, Δc)` order.
+        let mut order: Vec<(usize, usize)> = times.into_iter().zip(0..).collect();
+        order.sort();
+        let offsets = order.iter().map(|&(_, i)| unsorted[i]).collect();
+        let horizon = order.last().map_or(0, |&(t, _)| t + 1).max(boundary.len());
+        boundary.resize(horizon, Bits::EMPTY);
+        let start = |t| order.partition_point(|&(s, _)| s < t);
         let slots = (0..horizon)
-            .filter(|&t| start[t] < start[t + 1] || !boundary[t].is_empty())
+            .filter(|&t| start(t) < start(t + 1) || !boundary[t].is_empty())
             .map(|time| Slot {
                 time,
-                offsets: start[time]..start[time + 1],
+                offsets: start(time)..start(time + 1),
                 boundary: boundary[time],
             })
             .collect();
         SectorTables {
+            config: *config,
             offset,
             pauli: sector_correction_pauli(sector),
             offsets,
@@ -290,146 +262,180 @@ impl<const W: usize> SectorTables<W> {
         }
     }
 
-    /// Pushes onto `candidates` the pairings possible at `slot`: between two
-    /// defects of `pool`, at least one of them `live`, and of a live defect
-    /// with the boundary.  With reset the pool is the live defects; without,
-    /// it is every defect, so that a live one also pairs with the lingering
-    /// wave of a cleared one.  When one defect is left live, `lone`, it pairs
-    /// with nothing but the boundary under reset, and without reset the walk
-    /// tests its two possible partners' bits instead of shifting the pool,
+    /// The live modules that pair at `slot`: the origin of each pairing of
+    /// two `live` or `ghosts` modules at least one of which is live — its live
+    /// end when the other is a ghost — and each live module whose boundary
+    /// pairing completes then.  When one defect is left live, `lone`, it
+    /// pairs with nothing but the boundary and the ghosts, and it tests its
+    /// two possible partners' bits per offset instead of shifting the pool,
     /// which on a wide grid costs a word operation per word.
-    fn collect(
+    fn origins(
         &self,
         slot: &Slot<W>,
-        pool: Bits<W>,
         live: Bits<W>,
+        ghosts: Bits<W>,
         lone: Option<usize>,
-        candidates: &mut Vec<u32>,
-    ) {
+    ) -> Bits<W> {
+        let boundary = live & slot.boundary;
+        let lingering = !ghosts.is_empty();
         let offsets = &self.offsets[slot.offsets.clone()];
         if let Some(u) = lone {
-            if pool == live {
-                // The pool is `u` alone (reset, or nothing cleared yet).
-                return self.collect_boundary(slot, live, candidates);
-            }
-            for &Offset { shift, mask } in offsets {
-                let s = shift as usize;
-                // A valid origin's partner is on the grid; a pool member
-                // other than `u` is a ghost.
-                if mask.contains(u) && pool.contains(u + s) {
-                    candidates.push(candidate(u, GHOST, u + s));
-                }
-                if u >= s && mask.contains(u - s) && pool.contains(u - s) {
-                    candidates.push(candidate(u, GHOST, u - s));
-                }
-            }
-        } else {
-            for &Offset { shift, mask } in offsets {
-                for u in (pool & pool.minus(shift) & mask).iter() {
-                    let v = u + shift as usize;
-                    match (live.contains(u), live.contains(v)) {
-                        (true, true) => candidates.push(candidate(u, DEFECT, v)),
-                        (true, false) => candidates.push(candidate(u, GHOST, v)),
-                        (false, true) => candidates.push(candidate(v, GHOST, u)),
-                        (false, false) => {}
-                    }
-                }
+            let meets_a_ghost = lingering
+                && offsets.iter().any(|&Offset { shift, mask }| {
+                    let s = shift as usize;
+                    mask.contains(u) && ghosts.contains(u + s)
+                        || u >= s && mask.contains(u - s) && ghosts.contains(u - s)
+                });
+            return if meets_a_ghost { live } else { boundary };
+        }
+        let pool = live | ghosts;
+        let mut origins = boundary;
+        for &Offset { shift, mask } in offsets {
+            let pairs = pool & pool.minus(shift) & mask;
+            if lingering {
+                // A ghost's pairing belongs to its live partner.
+                origins = origins | (pairs & live) | ((pairs & ghosts).plus(shift) & live);
+            } else {
+                origins = origins | pairs;
             }
         }
-        self.collect_boundary(slot, live, candidates);
+        origins
     }
 
-    /// Pushes onto `candidates` the boundary pairings of `live` at `slot`.
-    fn collect_boundary(&self, slot: &Slot<W>, live: Bits<W>, candidates: &mut Vec<u32>) {
-        for u in (live & slot.boundary).iter() {
-            candidates.push(candidate(u, BOUNDARY, 0));
-        }
+    /// The pairings the live module at bit `a` can make at `slot`, by
+    /// ancilla, in the order the handshake sees them: with its later live
+    /// defects, the boundary, then the `ghosts`, each ascending.  For one
+    /// module the offsets of a time, in `(Δr, Δc)` order, reach partners in
+    /// row-major, that is index, order: walked forwards they give `a + s`
+    /// ascending, backwards `a − s`.
+    fn partners<'a>(
+        &'a self,
+        slot: &'a Slot<W>,
+        a: usize,
+        live: Bits<W>,
+        ghosts: Bits<W>,
+    ) -> impl Iterator<Item = MeshPairing> + 'a {
+        let offsets = &self.offsets[slot.offsets.clone()];
+        // With no ghost lingering, the two ghost walks cost nothing.
+        let haunting = if ghosts.is_empty() { &[][..] } else { offsets };
+        let later = move |offsets: &'a [Offset<W>], set: Bits<W>| {
+            offsets.iter().filter_map(move |&Offset { shift, mask }| {
+                let b = a + shift as usize;
+                (mask.contains(a) && set.contains(b)).then_some(b)
+            })
+        };
+        let earlier = haunting
+            .iter()
+            .rev()
+            .filter_map(move |&Offset { shift, mask }| {
+                let b = a.checked_sub(shift as usize)?;
+                (mask.contains(b) && ghosts.contains(b)).then_some(b)
+            });
+        let (o, at) = (self.offset, self.offset + a);
+        let to_boundary = slot.boundary.contains(a);
+        let ghost = move |g| MeshPairing::ToGhost {
+            live: at,
+            ghost: o + g,
+        };
+        later(offsets, live)
+            .map(move |b| MeshPairing::Defects(at, o + b))
+            .chain(to_boundary.then_some(MeshPairing::ToBoundary(at)))
+            .chain(earlier.chain(later(haunting, ghosts)).map(ghost))
     }
 
     /// Decodes the defects `live`, applying the sector's correction Pauli
-    /// to `out` along every chain (module docs, "Bitboard walk").
-    fn decode(
+    /// to `out` along every chain (module docs, "Bitboard walk").  `RESET`
+    /// and `HANDSHAKE` are the configuration's as constants, so that each
+    /// of the four walks compiles without the other's branches.
+    fn decode<const RESET: bool, const HANDSHAKE: bool>(
         &self,
-        config: &MeshConfig,
         lattice: &Lattice,
         mut live: Bits<W>,
-        candidates: &mut Vec<u32>,
         out: &mut PauliString,
         mut pairings: Option<&mut Vec<MeshPairing>>,
     ) -> MeshOutcome {
         let defects = live.count_ones() as usize;
-        let max_cycles = config.max_cycles(lattice.size() + 2);
+        let max_cycles = self.config.max_cycles(lattice.size() + 2);
         let mut dead = Bits::EMPTY;
         let mut remaining = defects;
         let mut cycles = 0usize;
         let mut slot = 0usize;
         while remaining > 0 && cycles < max_cycles {
-            // The earliest time at which a pairing is still possible.
-            candidates.clear();
-            let pool = if config.reset { live } else { live | dead };
+            // The earliest time at which a pairing is still possible, and
+            // the modules that pair then.
+            let ghosts = if RESET { Bits::EMPTY } else { dead };
             let lone = live.first().filter(|_| remaining == 1);
+            let mut origins = Bits::EMPTY;
             while slot < self.slots.len() {
-                self.collect(&self.slots[slot], pool, live, lone, candidates);
-                if !candidates.is_empty() {
+                origins = self.origins(&self.slots[slot], live, ghosts, lone);
+                if !origins.is_empty() {
                     break;
                 }
                 slot += 1;
             }
-            if candidates.is_empty() {
+            if origins.is_empty() {
                 // No way to pair the remaining defects (e.g. a lone defect
                 // with no boundary modules): the decode stalls until the cap.
                 cycles = max_cycles;
                 break;
             }
-            candidates.sort_unstable();
 
-            // --- Select which of the tied candidates actually complete -----
+            // --- Select, module by module, the pairings that complete -----
+            let at = &self.slots[slot];
             let mut cleared = Bits::<W>::EMPTY;
-            for &key in candidates.iter() {
-                let (a, kind, b) = ((key >> 12) as usize, key >> 10 & 3, (key & 0x3FF) as usize);
-                let other = (kind == DEFECT).then_some(b);
-                let conflict = cleared.contains(a) || other.is_some_and(|b| cleared.contains(b));
-                if conflict && config.equidistant_handshake {
-                    // The request/grant handshake lets each hot module commit
-                    // to exactly one pairing; later ties are dropped.
-                    continue;
-                }
-                // Without the handshake, equidistant ties all fire (the flaw
-                // Figure 8(c) illustrates); with it, disjoint simultaneous
-                // pairings still complete concurrently.
-                for endpoint in std::iter::once(a).chain(other) {
-                    cleared.insert(endpoint);
-                }
+            let mut fire = |a: usize, pairing: MeshPairing, cleared: &mut Bits<W>| {
                 // Chains overlap-toggle rather than accumulate: two chains
                 // crossing the same data qubit cancel, exactly like two pair
                 // pulses flipping the same error output.  Each goes onto
                 // the correction's words as one or two runs of qubits.
-                let (a, b) = (self.offset + a, self.offset + b);
-                match kind {
-                    BOUNDARY => lattice.apply_boundary_path(a, self.pauli, out),
-                    _ => lattice.apply_correction_path(a, b, self.pauli, out),
+                cleared.insert(a);
+                match pairing {
+                    MeshPairing::Defects(u, v) => {
+                        cleared.insert(v - self.offset);
+                        lattice.apply_correction_path(u, v, self.pauli, out);
+                    }
+                    MeshPairing::ToBoundary(u) => lattice.apply_boundary_path(u, self.pauli, out),
+                    MeshPairing::ToGhost { live, ghost } => {
+                        lattice.apply_correction_path(live, ghost, self.pauli, out);
+                    }
                 }
                 if let Some(pairings) = pairings.as_deref_mut() {
-                    pairings.push(match kind {
-                        DEFECT => MeshPairing::Defects(a, b),
-                        BOUNDARY => MeshPairing::ToBoundary(a),
-                        _ => MeshPairing::ToGhost { live: a, ghost: b },
-                    });
+                    pairings.push(pairing);
                 }
-            }
+            };
+            origins.iter().for_each(|a| {
+                if !HANDSHAKE {
+                    // Without the handshake, equidistant ties all fire (the
+                    // flaw Figure 8(c) illustrates).
+                    let partners = self.partners(at, a, live, ghosts);
+                    partners.for_each(|pairing| fire(a, pairing, &mut cleared));
+                } else if !cleared.contains(a) {
+                    // The request/grant handshake lets each hot module
+                    // commit to exactly one pairing, its first whose partner
+                    // is still hot; disjoint simultaneous pairings still
+                    // complete concurrently.
+                    let free = |pairing: &MeshPairing| match *pairing {
+                        MeshPairing::Defects(_, b) => !cleared.contains(b - self.offset),
+                        _ => true,
+                    };
+                    if let Some(pairing) = self.partners(at, a, live, ghosts).find(free) {
+                        fire(a, pairing, &mut cleared);
+                    }
+                }
+            });
             live = live & !cleared;
             dead = dead | cleared;
             remaining = live.count_ones() as usize;
 
-            cycles += self.slots[slot].time;
-            if config.reset {
-                // Every candidate of this time was selected or lost an
+            cycles += at.time;
+            if RESET {
+                // Every pairing of this time was selected or lost an
                 // endpoint: the time is spent.  Without reset it is scanned
                 // again, because a defect the round cleared is a ghost by
                 // now and can pair at the same time.
                 slot += 1;
                 if remaining > 0 {
-                    cycles += usize::from(config.module_depth);
+                    cycles += usize::from(self.config.module_depth);
                 }
             }
             if cycles >= max_cycles {
@@ -472,15 +478,12 @@ fn sector_pair<const W: usize>(
     }))
 }
 
-/// A mesh configuration's tables for one lattice, and the decode's working
-/// memory, sized so that no decode on that lattice allocates.
+/// A mesh configuration's tables for one lattice: a decode on that lattice
+/// reads them and allocates nothing.
 #[derive(Debug, Clone)]
 pub(crate) struct PreparedMesh {
     distance: usize,
     grids: Grids,
-    /// The pairings possible at the time being scanned, as
-    /// [`candidate`] keys.
-    candidates: Vec<u32>,
 }
 
 impl PreparedMesh {
@@ -500,13 +503,7 @@ impl PreparedMesh {
             5..=8 => Grids::W8(sector_pair(config, lattice, sectors)),
             _ => Grids::W16(sector_pair(config, lattice, sectors)),
         };
-        PreparedMesh {
-            distance: d,
-            grids,
-            // A time's candidates name each pair of defects at most once,
-            // and each defect's boundary pairing.
-            candidates: Vec::with_capacity(n * (n + 1) / 2),
-        }
+        PreparedMesh { distance: d, grids }
     }
 
     /// The distance of the lattice the tables were built for.
@@ -523,8 +520,9 @@ impl PreparedMesh {
 /// by first defect, each with its later defects ascending, then the
 /// boundary, then the ghosts ascending.  So a decode walks the completion
 /// times upwards over bitboard tables built once per lattice (module docs,
-/// "Bitboard walk"): a few word operations per grid offset it reaches, and a
-/// sort of the few pairings that complete at each round's time.
+/// "Bitboard walk"): a few word operations per grid offset it reaches, and,
+/// for each module that pairs at a round's time, a bit test per offset of
+/// that time.
 /// [`SfqMeshDecoder`](crate::SfqMeshDecoder) keeps the tables from decode to
 /// decode; the `decode_defects` entry points build the decoded sector's per call.
 #[derive(Debug, Clone)]
@@ -554,14 +552,11 @@ impl GreedyMeshAlgorithm {
         lattice: &Lattice,
         sector: Sector,
         syndrome: &Syndrome,
-        prepared: &mut PreparedMesh,
+        prepared: &PreparedMesh,
         out: &mut PauliString,
         pairings: Option<&mut Vec<MeshPairing>>,
     ) -> MeshOutcome {
         debug_assert_eq!(prepared.distance, lattice.distance());
-        let PreparedMesh {
-            grids, candidates, ..
-        } = prepared;
         let s = sector.index();
         macro_rules! decode {
             ($tables:expr) => {{
@@ -569,10 +564,15 @@ impl GreedyMeshAlgorithm {
                     .as_ref()
                     .expect("the decoded sector's tables are built");
                 let live = Bits::defects(lattice, syndrome, sector);
-                tables.decode(&self.config, lattice, live, candidates, out, pairings)
+                match (self.config.reset, self.config.equidistant_handshake) {
+                    (true, true) => tables.decode::<true, true>(lattice, live, out, pairings),
+                    (true, false) => tables.decode::<true, false>(lattice, live, out, pairings),
+                    (false, true) => tables.decode::<false, true>(lattice, live, out, pairings),
+                    (false, false) => tables.decode::<false, false>(lattice, live, out, pairings),
+                }
             }};
         }
-        match grids {
+        match &prepared.grids {
             Grids::W1(g) => decode!(g),
             Grids::W2(g) => decode!(g),
             Grids::W4(g) => decode!(g),
@@ -604,14 +604,14 @@ impl GreedyMeshAlgorithm {
             panic!("defect {a} does not belong to the {sector} sector");
         }
         let syndrome = Syndrome::from_hot(lattice.num_ancillas(), defects);
-        let mut prepared = PreparedMesh::build(&self.config, lattice, &[sector]);
+        let prepared = PreparedMesh::build(&self.config, lattice, &[sector]);
         let mut chain = PauliString::identity(lattice.num_data());
         let mut pairings = Vec::new();
         let outcome = self.decode_prepared(
             lattice,
             sector,
             &syndrome,
-            &mut prepared,
+            &prepared,
             &mut chain,
             Some(&mut pairings),
         );
@@ -664,6 +664,41 @@ mod tests {
             "({row},{col}) is not a data qubit"
         );
         cell.index
+    }
+
+    /// What a round's walk relies on: at every time, the offsets reach any
+    /// one module's partners in ascending index order.
+    #[test]
+    fn a_times_offsets_reach_each_modules_partners_in_index_order() {
+        fn check<const W: usize>(tables: &SectorTables<W>, n: usize) {
+            for slot in &tables.slots {
+                for a in 0..n {
+                    let partners: Vec<usize> = tables.offsets[slot.offsets.clone()]
+                        .iter()
+                        .filter(|o| o.mask.contains(a))
+                        .map(|o| a + o.shift as usize)
+                        .collect();
+                    assert!(partners.windows(2).all(|p| p[0] < p[1]), "{partners:?}");
+                }
+            }
+        }
+        // One distance per word count: 1, 2, 4, 8 and 16 words.
+        for d in [5, 9, 13, 17, 25] {
+            let lattice = Lattice::new(d).unwrap();
+            let n = lattice.ancillas_per_sector();
+            for variant in DecoderVariant::ALL {
+                let prepared = PreparedMesh::build(&variant.config(), &lattice, &Sector::ALL);
+                for s in 0..2 {
+                    match &prepared.grids {
+                        Grids::W1(g) => check(g[s].as_ref().unwrap(), n),
+                        Grids::W2(g) => check(g[s].as_ref().unwrap(), n),
+                        Grids::W4(g) => check(g[s].as_ref().unwrap(), n),
+                        Grids::W8(g) => check(g[s].as_ref().unwrap(), n),
+                        Grids::W16(g) => check(g[s].as_ref().unwrap(), n),
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -755,9 +790,9 @@ mod tests {
             PauliString::from_sparse(lat.num_data(), &result.chain_data_qubits, Pauli::Z);
         let syndrome = lat.syndrome_of(&correction);
         let mut cleared = lat.defects(&syndrome, Sector::X);
-        cleared.sort_unstable();
+        cleared.sort();
         let mut expected = defects.clone();
-        expected.sort_unstable();
+        expected.sort();
         assert_eq!(cleared, expected);
     }
 
@@ -865,9 +900,9 @@ mod tests {
             PauliString::from_sparse(lat.num_data(), &result.chain_data_qubits, Pauli::Z);
         let syndrome = lat.syndrome_of(&correction);
         let mut cleared = lat.defects(&syndrome, Sector::X);
-        cleared.sort_unstable();
+        cleared.sort();
         let mut expected = defects;
-        expected.sort_unstable();
+        expected.sort();
         assert_eq!(cleared, expected);
     }
 }

@@ -139,7 +139,7 @@ impl Decoder for SfqMeshDecoder {
     ) {
         out.reset_identity(lattice.num_data());
         self.ensure_prepared(lattice);
-        let prepared = self.prepared.as_mut().expect("just prepared");
+        let prepared = self.prepared.as_ref().expect("just prepared");
         let outcome = self
             .algorithm
             .decode_prepared(lattice, sector, syndrome, prepared, out, None);

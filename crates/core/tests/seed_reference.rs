@@ -6,7 +6,7 @@
 //! d = 7, two at d = 9 and 11, where offsets shift across bit 64, four at
 //! d = 13), and `SfqMeshDecoder`'s entry points must all agree with it.
 
-use nisqplus_core::{DecoderVariant, MeshConfig, SfqMeshDecoder};
+use nisqplus_core::{DecoderVariant, MeshConfig, MeshPairing, SfqMeshDecoder};
 use nisqplus_decoders::traits::sector_correction_pauli;
 use nisqplus_decoders::Decoder;
 use nisqplus_qec::error_model::{Depolarizing, ErrorModel, PureDephasing};
@@ -393,5 +393,71 @@ fn unordered_and_repeated_defects_decode_like_the_seed() {
             seed.decode_defects_with_pairings(&lattice, Sector::X, &defects),
             "{config:?}"
         );
+    }
+}
+
+/// Ties inside one completion time, built by hand on the d = 9 X-sector
+/// grid (8 rows of 9 modules; its boundary lies above the top row and
+/// below the bottom one), decoded under every configuration against the
+/// seed.  Under the final design the pairings are also pinned:
+///
+/// * one module with two live partners that complete at the same time,
+///   `(0, 2)` and `(1, 1)` away: it takes the one earlier in index order;
+/// * a module whose first partner an earlier module took in the same
+///   round falls through to its next partner;
+/// * a module on the bottom row whose only partner was taken falls
+///   through to the boundary, which completes at that time too.
+#[test]
+fn ties_inside_a_time_resolve_like_the_seed() {
+    let lattice = Lattice::new(9).unwrap();
+    let grid = lattice.sector_grid(Sector::X);
+    assert_eq!((grid.rows, grid.cols), (8, 9));
+    let at = |row: usize, col: usize| grid.offset + row * grid.cols + col;
+    // At (3, 3): the partners (3, 5) and (4, 4) both complete at t = 8.
+    let two_partners = [at(3, 3), at(3, 5), at(4, 4)];
+    // (2, 6) takes (3, 5) first, so (3, 3) falls through to (4, 4).
+    let taken_partner = [at(2, 6), at(3, 3), at(3, 5), at(4, 4)];
+    // (6, 6) takes (7, 5) first, so (7, 3) falls through to the boundary.
+    let taken_to_boundary = [at(6, 6), at(7, 3), at(7, 5)];
+    let cases: [(&[usize], Vec<MeshPairing>); 3] = [
+        (
+            &two_partners,
+            vec![
+                MeshPairing::Defects(at(3, 3), at(3, 5)),
+                MeshPairing::ToBoundary(at(4, 4)),
+            ],
+        ),
+        (
+            &taken_partner,
+            vec![
+                MeshPairing::Defects(at(2, 6), at(3, 5)),
+                MeshPairing::Defects(at(3, 3), at(4, 4)),
+            ],
+        ),
+        (
+            &taken_to_boundary,
+            vec![
+                MeshPairing::Defects(at(6, 6), at(7, 5)),
+                MeshPairing::ToBoundary(at(7, 3)),
+            ],
+        ),
+    ];
+    for (defects, final_pairings) in cases {
+        let syndrome = Syndrome::from_hot(lattice.num_ancillas(), defects);
+        for config in all_configs() {
+            let mut decoders = [SfqMeshDecoder::with_config(DecoderVariant::Final, config)];
+            let mut buffer = PauliString::default();
+            assert_matches_seed(
+                &mut decoders,
+                &mut buffer,
+                config,
+                &lattice,
+                &syndrome,
+                Sector::X,
+            );
+        }
+        let (_, pairings) = nisqplus_core::GreedyMeshAlgorithm::new(DecoderVariant::Final.config())
+            .decode_defects_with_pairings(&lattice, Sector::X, defects);
+        assert_eq!(pairings, final_pairings, "{defects:?}");
     }
 }

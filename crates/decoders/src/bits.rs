@@ -100,12 +100,15 @@ impl<const W: usize> Bits<W> {
         Some(w * 64 + self.0[w].trailing_zeros() as usize)
     }
 
-    /// The members, ascending.
-    pub fn iter(mut self) -> impl Iterator<Item = usize> {
-        std::iter::from_fn(move || {
-            let v = self.first()?;
-            self.toggle(v);
-            Some(v)
+    /// The members, ascending: word by word, each word's lowest set bit at a
+    /// time.
+    pub fn iter(self) -> impl Iterator<Item = usize> {
+        self.0.into_iter().enumerate().flat_map(|(w, mut word)| {
+            std::iter::from_fn(move || {
+                let bit = word.trailing_zeros() as usize;
+                word &= word.checked_sub(1)?;
+                Some(w * 64 + bit)
+            })
         })
     }
 
@@ -199,14 +202,33 @@ mod tests {
         (0..64 * W).map(|v| bits.contains(v)).collect()
     }
 
+    /// The members of a `Vec<bool>` model, ascending.
+    fn model_members(model: &[bool]) -> Vec<usize> {
+        (0..model.len()).filter(|&v| model[v]).collect()
+    }
+
+    /// `iter` against the model on `bits` and on `bits` with its low `k`
+    /// words emptied, for every `k`: the word walk's skip over empty words.
+    fn check_iter<const W: usize>(bits: Bits<W>, model: &[bool]) {
+        for k in 0..=W {
+            let mut bits = bits;
+            bits.0[..k].fill(0);
+            let mut model = model.to_vec();
+            model[..64 * k].fill(false);
+            assert_eq!(
+                bits.iter().collect::<Vec<_>>(),
+                model_members(&model),
+                "W={W} low {k} words empty"
+            );
+        }
+    }
+
     /// Every shift of every word count the grids use up to four words, the
     /// cross-word ones included, against a `Vec<bool>` model.
     fn check_against_model<const W: usize>() {
         for seed in 1..4 {
             let (bits, model) = sample::<W>(seed * 0x9E37_79B9);
-            assert_eq!(bits.iter().collect::<Vec<_>>(), {
-                (0..64 * W).filter(|&v| model[v]).collect::<Vec<_>>()
-            });
+            check_iter(bits, &model);
             assert_eq!(
                 bits.count_ones() as usize,
                 model.iter().filter(|&&b| b).count()
@@ -231,5 +253,32 @@ mod tests {
         check_against_model::<1>();
         check_against_model::<2>();
         check_against_model::<4>();
+    }
+
+    /// `iter` at the ladder's wide rungs, on dense and sparse sets (a lone
+    /// high member, the top bit of every word, one member per word) with
+    /// every run of low words emptied.
+    #[test]
+    fn iter_matches_a_vec_bool_model_on_the_wide_words() {
+        fn check<const W: usize>() {
+            for seed in 1..4 {
+                let (bits, model) = sample::<W>(seed * 0x9E37_79B9);
+                check_iter(bits, &model);
+            }
+            let sparse: [Vec<bool>; 3] = [
+                (0..64 * W).map(|v| v == 64 * W - 1).collect(),
+                (0..64 * W).map(|v| v % 64 == 63).collect(),
+                (0..64 * W).map(|v| v % 64 == v / 64).collect(),
+            ];
+            for model in sparse {
+                let mut bits = Bits::<W>::EMPTY;
+                for v in model_members(&model) {
+                    bits.insert(v);
+                }
+                check_iter(bits, &model);
+            }
+        }
+        check::<8>();
+        check::<16>();
     }
 }

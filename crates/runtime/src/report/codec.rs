@@ -15,10 +15,11 @@
 //! [`scenario::trace`](crate::scenario::trace) (syndrome traces); the types
 //! themselves know nothing about JSON.
 //!
-//! Readers treat the document as outside input: a missing key, a value of
-//! the wrong kind, an integer that does not fit its field, an unknown label
-//! are all [`ExportError::Schema`] naming the path of fields that led there —
-//! nothing is narrowed with `as`, nothing panics.
+//! Readers treat the document as outside input: a missing key, a key the
+//! record does not have, a value of the wrong kind, an integer that does
+//! not fit its field, an unknown label are all [`ExportError::Schema`]
+//! naming the path of fields that led there — nothing is narrowed with
+//! `as`, nothing is skipped, nothing panics.
 
 use crate::report::export::ExportError;
 use crate::report::json::Json;
@@ -37,6 +38,36 @@ pub(crate) trait Codec<Format = Plain>: Sized {
 
     /// Reads the value back; the inverse of [`Codec::encode`].
     fn decode(value: &Json) -> Result<Self, ExportError>;
+}
+
+/// A record: a [`Codec`] whose JSON is an object of its fields, written by
+/// [`record!`].
+pub(crate) trait Record: Codec {
+    /// Reads the record from the object `value`, whose other keys may only
+    /// be the document `header` keys the caller has read itself
+    /// ([`check_header`]); [`Codec::decode`] allows none.
+    fn decode_record(value: &Json, header: &[&str]) -> Result<Self, ExportError>;
+}
+
+/// The header [`with_header`] puts in front of every exported document.
+pub(crate) const HEADER: [&str; 2] = ["schema_version", "kind"];
+
+/// Refuses a key of the object `value` that is neither a field of the
+/// record `name` nor one of `header`.
+pub(crate) fn known_keys(
+    value: &Json,
+    name: &str,
+    fields: &[&str],
+    header: &[&str],
+) -> Result<(), ExportError> {
+    let Json::Obj(entries) = value else {
+        return Ok(());
+    };
+    let known = |key: &str| fields.contains(&key) || header.contains(&key);
+    match entries.iter().find(|(key, _)| !known(key)) {
+        Some((key, _)) => Err(schema(format_args!("unknown key '{key}' in {name}"))),
+        None => Ok(()),
+    }
 }
 
 /// An [`ExportError::Schema`] saying `message`.
@@ -135,11 +166,29 @@ impl<F, T: Codec<F>> Codec<F> for Vec<T> {
     }
 }
 
-/// Implements [`Codec`] for a struct from one list of its fields, in
-/// document order: `field` is written under the key `field` in the field
-/// type's own format, `field as Format` in another (see [`Plain`]).
+/// Implements [`Codec`] and [`Record`] for a struct from one list of its
+/// fields, in document order: `field` is written under the key `field` in
+/// the field type's own format, `field as Format` in another (see
+/// [`Plain`]).  A key that names no field is refused.
 macro_rules! record {
     ($ty:ty { $($field:ident $(as $format:ty)?),+ $(,)? }) => {
+        impl $crate::report::codec::Record for $ty {
+            fn decode_record(
+                value: &$crate::report::json::Json,
+                header: &[&str],
+            ) -> Result<Self, $crate::report::export::ExportError> {
+                use $crate::report::codec::{field, known_keys, record};
+                let fields = [$(stringify!($field)),+];
+                known_keys(value, stringify!($ty), &fields, header)?;
+                Ok(Self {
+                    $($field: field::<record!(@format $($format)?), _>(
+                        value,
+                        stringify!($field),
+                    )?,)+
+                })
+            }
+        }
+
         impl $crate::report::codec::Codec for $ty {
             fn encode(&self) -> $crate::report::json::Json {
                 use $crate::report::codec::{record, Codec};
@@ -154,13 +203,7 @@ macro_rules! record {
             fn decode(
                 value: &$crate::report::json::Json,
             ) -> Result<Self, $crate::report::export::ExportError> {
-                use $crate::report::codec::{field, record};
-                Ok(Self {
-                    $($field: field::<record!(@format $($format)?), _>(
-                        value,
-                        stringify!($field),
-                    )?,)+
-                })
+                $crate::report::codec::Record::decode_record(value, &[])
             }
         }
     };

@@ -21,7 +21,9 @@
 use crate::config::PushPolicy;
 use crate::fault::FaultReport;
 use crate::obs::{EventCounts, EventKind, EventSeverity, JournalSnapshot, RuntimeEvent};
-use crate::report::codec::{check_header, field, labels, record, with_header, Codec, Plain};
+use crate::report::codec::{
+    check_header, field, labels, record, with_header, Codec, Plain, Record, HEADER,
+};
 use crate::report::json::{parse, Json, JsonError};
 use crate::source::NoiseEpoch;
 use crate::stage::StageReport;
@@ -364,10 +366,10 @@ pub fn report_to_json(report: &RuntimeReport) -> Json {
 /// # Errors
 ///
 /// Rejects documents with a different [`SCHEMA_VERSION`], the wrong kind,
-/// or any missing, mistyped or out-of-range field.
+/// any missing, mistyped or out-of-range field, or a key no field has.
 pub fn report_from_json(doc: &Json) -> Result<RuntimeReport, ExportError> {
     check_header(doc, SCHEMA_VERSION, KIND)?;
-    RuntimeReport::decode(doc)
+    RuntimeReport::decode_record(doc, &HEADER)
 }
 
 /// Serializes `report` to pretty-printed JSON text.

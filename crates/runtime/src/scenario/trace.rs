@@ -30,7 +30,9 @@
 //! outcome matches its summary exactly.
 
 use crate::lattice_set::LatticeSet;
-use crate::report::codec::{check_header, field, record, schema, with_header, Codec, Plain};
+use crate::report::codec::{
+    check_header, field, record, schema, with_header, Codec, Plain, Record, HEADER,
+};
 use crate::report::{ExportError, Json};
 use crate::source::SourcedRound;
 use nisqplus_qec::logical::ResidualTally;
@@ -229,7 +231,7 @@ impl SyndromeTrace {
                 "trace layout v{trace_version} is not the v{TRACE_VERSION} this build reads"
             )));
         }
-        let trace = Self::decode(doc)?;
+        let trace = Self::decode_record(doc, &[HEADER[0], HEADER[1], "trace_version"])?;
         trace.check_shape()?;
         Ok(trace)
     }

@@ -244,6 +244,16 @@ fn multi_lattice_qos_report_round_trips_through_json() {
         }
         other => panic!("lattice 2^32 must fail with Schema, got {other:?}"),
     }
+
+    // A misspelt key is refused and named, not skipped.
+    let misspelt = text.replacen("\"generated\":", "\"genrated\":", 1);
+    assert_ne!(misspelt, text, "the counters name the generated rounds");
+    match report_from_str(&misspelt) {
+        Err(ExportError::Schema(message)) => {
+            assert!(message.contains("unknown key 'genrated'"), "{message}");
+        }
+        other => panic!("a misspelt key must fail with Schema, got {other:?}"),
+    }
 }
 
 /// A paced run with the default observability configuration: the stage

@@ -232,6 +232,30 @@ proptest! {
     }
 }
 
+/// A key the trace format does not have is refused, typed and named, not
+/// skipped: here the golden summary's `quarantined` count, a key traces
+/// carried before the quarantine plane was deleted.
+#[test]
+fn a_golden_trace_with_an_unknown_key_is_refused() {
+    let text = std::fs::read_to_string(trace_path("d3_burst")).expect("golden trace");
+    let stale = text.replacen(
+        "    \"workers\": 2,\n",
+        "    \"workers\": 2,\n    \"quarantined\": 0,\n",
+        1,
+    );
+    assert_ne!(stale, text, "the golden summary names its workers");
+    let doc = nisqplus_runtime::report::parse(&stale).expect("still JSON");
+    match SyndromeTrace::from_json(&doc) {
+        Err(ExportError::Schema(message)) => {
+            assert!(
+                message.contains("unknown key 'quarantined' in GoldenSummary"),
+                "{message}"
+            );
+        }
+        other => panic!("a stale key must fail with Schema, got {other:?}"),
+    }
+}
+
 /// A trace replayed on a machine of another shape is refused with
 /// `SyndromeTrace::check_against`'s typed error before the pipeline starts.
 #[test]
