@@ -41,13 +41,14 @@ fn measured_mode() {
         };
         let outcome = engine.run(&factory);
         let report = &outcome.report;
+        let comparison = report.comparison();
         rows.push(vec![
-            report.decoder.clone(),
-            format!("{:.2}", report.comparison.effective_ratio),
-            format!("{:.4}", report.comparison.predicted_growth_per_round),
-            format!("{:.4}", report.comparison.measured_growth_per_round),
+            report.decoder(),
+            format!("{:.2}", comparison.effective_ratio),
+            format!("{:.4}", comparison.predicted_growth_per_round),
+            format!("{:.4}", comparison.measured_growth_per_round),
             report.final_backlog.to_string(),
-            format!("{:.2}x", report.comparison.agreement_factor()),
+            format!("{:.2}x", comparison.agreement_factor()),
         ]);
     }
     print_table(

@@ -18,8 +18,9 @@
 //! folds what the source stage and the workers hand back straight into the
 //! final [`RuntimeOutcome`]:
 //! per-lattice reports, the depth timeline with its per-lattice backlog
-//! breakdown, merged frames, the measured-versus-model backlog comparison
-//! ([`BacklogModel`](nisqplus_system::backlog::BacklogModel)), one
+//! breakdown, merged frames, the measurements the backlog comparison
+//! against the [`BacklogModel`](nisqplus_system::backlog::BacklogModel) is
+//! computed from ([`RuntimeReport::comparison`]), one
 //! [`StageReport`](crate::stage::StageReport) per pipeline stage, and —
 //! when [`MachineConfig::analyze_residuals`] is set — the measured logical
 //! cost of shedding, classified in stream (workers tally decoded rounds as
@@ -28,8 +29,10 @@
 //! window, a trace to replay or record.
 //!
 //! Shed rounds stay accounted for end to end: they are fed into the
-//! per-lattice frame path as identity corrections, carried in
-//! [`MeasuredBacklog::shed`], and priced in measured logical failures by
+//! per-lattice frame path as identity corrections, counted in
+//! `counters.dropped` (the backlog view's
+//! [`MeasuredBacklog::shed`](nisqplus_system::backlog::MeasuredBacklog::shed)),
+//! and priced in measured logical failures by
 //! the residual analysis.
 
 use crate::fault::{FaultInjector, FaultReport};
@@ -49,7 +52,6 @@ use nisqplus_qec::frame::PauliFrame;
 use nisqplus_qec::logical::ResidualTally;
 use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::QecError;
-use nisqplus_system::backlog::{BacklogComparison, MeasuredBacklog};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -317,31 +319,20 @@ impl StreamingEngine {
         // ---- Fold the source stage's and the workers' results -----------
         // One row per stage: source, gate, depth sink, the channel, then
         // every worker's decode stage — whose `emitted` is the rounds that
-        // worker's sink committed, the owner of its `decoded` count.
+        // worker's sink committed and whose `stall_cycles` is its idle polls.
         let mut stages = std::mem::take(&mut source_run.reports);
         stages.push(channel.report("channel"));
-        let mut worker_outputs = Vec::with_capacity(worker_results.len());
-        let mut worker_counters = Vec::with_capacity(worker_results.len());
-        for ((output, decode_report), slice) in worker_results.into_iter().zip(&counters.per_worker)
-        {
-            worker_counters.push(slice.snapshot(decode_report.emitted));
-            worker_outputs.push(output);
-            stages.push(decode_report);
-        }
+        let (worker_outputs, decode_reports): (Vec<_>, Vec<_>) = worker_results.into_iter().unzip();
+        stages.extend(decode_reports);
+        let worker_batches = (counters.per_worker.iter())
+            .map(|w| w.batches.load(Ordering::Relaxed))
+            .collect();
         // Per-lattice decoder names (same on every worker — they build from
-        // the same factories); the machine-level headline joins the distinct
-        // names, so a heterogeneous machine reads e.g. "lookup+union-find".
+        // the same factories).
         let lattice_decoder_names: Vec<String> = worker_outputs
             .first()
             .map(|o| o.lattice_decoders.clone())
             .unwrap_or_default();
-        let mut distinct_names: Vec<&str> = Vec::new();
-        for name in &lattice_decoder_names {
-            if !distinct_names.contains(&name.as_str()) {
-                distinct_names.push(name);
-            }
-        }
-        let decoder_name = distinct_names.join("+");
 
         // Regroup the per-worker, per-lattice outputs by lattice.  Latency
         // samples arrive as bounded log-bucket histograms (not raw vectors),
@@ -379,24 +370,9 @@ impl StreamingEngine {
             let stats = &source_run.lattice_stats[lattice_id];
             let snapshot = counters.per_lattice[lattice_id].snapshot();
             // A replay serves whatever the trace holds, which need not be
-            // the configured rounds, so every rate and model input is
-            // normalised by what the lattice *actually* generated.
-            let rounds_streamed = snapshot.generated;
-            let measured = MeasuredBacklog {
-                rounds: rounds_streamed,
-                final_backlog: stats.final_backlog,
-                // Shed rounds are lost, not owed: they left the backlog the
-                // moment they were dropped, so they are accounted here
-                // explicitly instead of vanishing from the growth math.
-                shed: snapshot.dropped,
-                // Workers decode concurrently, so the aggregate service time
-                // per round is the per-packet mean divided by the pool width
-                // (an optimistic bound when other lattices compete for the
-                // same pool; see the LatticeReport field docs).
-                service_time_ns: decode_latency.summary.mean / config.workers as f64,
-                inter_arrival_ns: stats.gen_elapsed_ns / rounds_streamed.max(1) as f64,
-            };
-            let comparison = BacklogComparison::against_model(&measured);
+            // the configured rounds, so every rate is normalised by what the
+            // lattice *actually* generated.
+            let inter_arrival_ns = stats.gen_elapsed_ns / snapshot.generated.max(1) as f64;
             // Already classified in stream: the workers tallied decoded
             // rounds, the producer tallied shed rounds — nothing O(rounds)
             // to walk.
@@ -418,11 +394,11 @@ impl StreamingEngine {
                 residual,
                 noise_epochs: std::mem::take(&mut source_run.noise_epochs[lattice_id]),
                 cadence_ns: config.cycle_time.cycles_to_ns(spec.cadence_cycles),
+                inter_arrival_ns,
                 counters: snapshot,
+                final_backlog: stats.final_backlog,
                 decode_latency,
                 total_latency,
-                measured,
-                comparison,
             });
             // Shed rounds enter the frame path as identity corrections: the
             // merged Pauli string is unchanged (nothing was corrected), but
@@ -446,19 +422,7 @@ impl StreamingEngine {
         let snapshot = counters.snapshot();
         // The machine-level books follow the same rule: rounds are what the
         // source actually emitted, not what the specs configured.
-        let total_rounds = snapshot.generated;
-        let final_backlog = source_run.final_backlog;
-        let inter_arrival_ns = source_run.generation_elapsed_ns / total_rounds.max(1) as f64;
-        let measured = MeasuredBacklog {
-            rounds: total_rounds,
-            final_backlog,
-            shed: snapshot.dropped,
-            // Workers decode concurrently, so the aggregate service time per
-            // round is the per-packet mean divided by the pool width.
-            service_time_ns: decode_latency.summary.mean / config.workers as f64,
-            inter_arrival_ns,
-        };
-        let comparison = BacklogComparison::against_model(&measured);
+        let inter_arrival_ns = source_run.generation_elapsed_ns / snapshot.generated.max(1) as f64;
         let depth_timeline = source_run.depth_timeline;
         let max_queue_depth = depth_timeline
             .iter()
@@ -468,7 +432,6 @@ impl StreamingEngine {
 
         Ok(RuntimeOutcome {
             report: RuntimeReport {
-                decoder: decoder_name,
                 batch_size: config.batch_size,
                 cadence_ns: config.aggregate_cadence_ns(),
                 inter_arrival_ns,
@@ -476,13 +439,11 @@ impl StreamingEngine {
                 counters: snapshot,
                 depth_timeline,
                 max_queue_depth,
-                final_backlog,
+                final_backlog: source_run.final_backlog,
                 decode_latency,
                 total_latency,
-                measured,
-                comparison,
                 lattices,
-                worker_counters,
+                worker_batches,
                 fault: FaultReport::assemble(&config.fault, injector.snapshot()),
                 stages,
                 journal: journal.snapshot(),
@@ -647,7 +608,7 @@ mod tests {
         outcome.check_invariants().unwrap();
         let report = &outcome.report;
         assert_eq!(report.counters.decoded, 200);
-        assert_eq!(report.worker_counters.len(), 2);
+        assert_eq!(report.worker_batches.len(), 2);
         assert!(!report.depth_timeline.is_empty());
         let names: Vec<&str> = report.stages.iter().map(|r| r.stage.as_str()).collect();
         assert_eq!(
@@ -656,14 +617,15 @@ mod tests {
         );
     }
 
-    /// A worker's `decoded` is what its frame sink committed — the same
-    /// number its decode stage row reports — and its `stall_polls` is that
-    /// row's `stall_cycles`, the polls of a crashed attempt included.
+    /// Every worker files one `decode.<w>` row, whose `emitted` is what its
+    /// frame sink committed — the rows sum to `decoded` — beside its entry
+    /// of `worker_batches`; a crashed and restarted worker keeps one row,
+    /// its idle polls on it.
     #[test]
     fn worker_decoded_counts_are_the_sinks_committed_counts() {
         crate::fault::silence_injected_crash_panics();
         // One paced worker, idle between rounds, that dies after five
-        // commits: the polls it made before the crash stay on its row.
+        // commits.
         let mut paced = MachineConfig::new(&[3], 5);
         paced.lattices[0].rounds = 20;
         // ≈ 163 µs a round: far above a debug-build decode, so the worker
@@ -683,12 +645,16 @@ mod tests {
             report.check_invariants().unwrap();
             assert_eq!(report.counters.decoded, rounds);
             assert_eq!(report.fault.injected_crashes, crashes);
-            assert_eq!(report.worker_counters.len(), workers);
-            for (w, worker) in report.worker_counters.iter().enumerate() {
-                let name = format!("decode.{w}");
-                let row = report.stages.iter().find(|r| r.stage == name).unwrap();
-                assert_eq!(worker.decoded, row.emitted, "{name}");
-                assert_eq!(worker.stall_polls, row.stall_cycles, "{name}");
+            assert_eq!(report.worker_batches.len(), workers);
+            let rows: Vec<_> = (0..workers)
+                .map(|w| {
+                    let name = format!("decode.{w}");
+                    report.stages.iter().find(|r| r.stage == name).unwrap()
+                })
+                .collect();
+            assert_eq!(rows.iter().map(|r| r.emitted).sum::<u64>(), rounds);
+            if crashes > 0 {
+                assert!(rows[0].stall_cycles > 0, "the paced worker idles");
             }
         }
     }

@@ -141,7 +141,7 @@ pub struct LatticeSpec {
     /// Upper bound on this lattice's *outstanding* rounds (accepted by a
     /// ring but not yet decoded).  When the bound is reached the lattice's
     /// effective push policy applies — a `Drop` lattice sheds, a `Block`
-    /// lattice stalls the producer — even if the shared rings still have
+    /// lattice stalls the producer — even if the shared ring still has
     /// space, so one low-priority patch cannot monopolize pooled capacity.
     /// `None` means only the shared ring capacity limits it.
     pub queue_budget: Option<usize>,

@@ -149,6 +149,5 @@ pub use stage::{PipelineOptions, StageReport};
 pub use telemetry::{
     CounterSnapshot, DepthSample, LatencyProfile, LatencyQuantiles, LatticeCounterSnapshot,
     LatticeCounters, LatticeReport, ResidualReport, RuntimeCounters, RuntimeReport,
-    WorkerCounterSnapshot,
 };
 pub use throttle::ThrottledDecoder;

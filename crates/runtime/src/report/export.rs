@@ -8,7 +8,7 @@
 //! writer and the reader from that one list — a key is its field's name, so
 //! the two directions cannot drift apart.  Changing a table changes the
 //! format: bump [`SCHEMA_VERSION`] (`tests/obs.rs` pins the key paths
-//! against `tests/report_schema_v14.txt`).
+//! against `tests/report_schema_v16.txt`).
 //!
 //! Reading rejects documents whose version does not match
 //! [`SCHEMA_VERSION`] exactly, so a stale artifact fails loudly instead of
@@ -29,11 +29,10 @@ use crate::source::NoiseEpoch;
 use crate::stage::StageReport;
 use crate::telemetry::{
     CounterSnapshot, DepthSample, LatencyProfile, LatencyQuantiles, LatticeCounterSnapshot,
-    LatticeReport, ResidualReport, RuntimeReport, WorkerCounterSnapshot,
+    LatticeReport, ResidualReport, RuntimeReport,
 };
 use nisqplus_qec::logical::ResidualTally;
 use nisqplus_sim::stats::Summary;
-use nisqplus_system::backlog::{BacklogComparison, MeasuredBacklog};
 use std::fmt;
 use std::path::Path;
 
@@ -104,7 +103,20 @@ use std::path::Path;
 /// record now crashes its worker (a `worker_crash` / `worker_restart`
 /// pair).  The machine-wide copy of that count in `counters` stays,
 /// always 0.
-pub const SCHEMA_VERSION: u64 = 15;
+///
+/// v16: one owner per fact, round two — the report stores only what was
+/// measured and computes its views when asked.  Gone: `decoder` (the
+/// distinct `lattices[].decoder` names), `measured` and `comparison` at
+/// both levels (the backlog view and its model comparison, computed from
+/// `counters`, `final_backlog`, `decode_latency`, `inter_arrival_ns` and
+/// the pool width), and `worker_counters[]` (a worker's committed rounds
+/// and idle polls are its `decode.<w>` row in `stages`).  New: the two
+/// facts only a lattice held, `lattices[].final_backlog` and
+/// `lattices[].inter_arrival_ns`, and `worker_batches[]`.  This reverses
+/// v10's choice of `measured` as the owner of those two facts: a backlog
+/// view always carries copies of `counters.generated` and
+/// `counters.dropped`, so it can never be the only owner of anything.
+pub const SCHEMA_VERSION: u64 = 16;
 
 /// Why an export or import failed.
 #[derive(Debug)]
@@ -194,12 +206,6 @@ record!(CounterSnapshot {
     batches,
 });
 
-record!(WorkerCounterSnapshot {
-    decoded,
-    batches,
-    stall_polls,
-});
-
 record!(LatticeCounterSnapshot {
     generated,
     enqueued,
@@ -221,20 +227,6 @@ labels!(
     "push policy",
     [(PushPolicy::Block, "block"), (PushPolicy::Drop, "drop")]
 );
-
-record!(MeasuredBacklog {
-    rounds,
-    final_backlog,
-    shed,
-    service_time_ns,
-    inter_arrival_ns,
-});
-
-record!(BacklogComparison {
-    predicted_growth_per_round,
-    measured_growth_per_round,
-    effective_ratio,
-});
 
 record!(ResidualTally {
     rounds,
@@ -318,15 +310,14 @@ record!(LatticeReport {
     residual,
     noise_epochs,
     cadence_ns,
+    inter_arrival_ns,
     counters,
+    final_backlog,
     decode_latency,
     total_latency,
-    measured,
-    comparison,
 });
 
 record!(RuntimeReport {
-    decoder,
     batch_size,
     cadence_ns,
     inter_arrival_ns,
@@ -337,10 +328,8 @@ record!(RuntimeReport {
     final_backlog,
     decode_latency,
     total_latency,
-    measured,
-    comparison,
     lattices,
-    worker_counters,
+    worker_batches,
     stages,
     journal,
     fault,

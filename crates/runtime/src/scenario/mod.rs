@@ -51,8 +51,8 @@ use nisqplus_decoders::traits::DecoderFactory;
 pub fn golden_summary(outcome: &RuntimeOutcome) -> GoldenSummary {
     let report = &outcome.report;
     GoldenSummary {
-        decoder: report.decoder.clone(),
-        workers: report.worker_counters.len(),
+        decoder: report.decoder(),
+        workers: report.worker_batches.len(),
         generated: report.counters.generated,
         decoded: report.counters.decoded,
         dropped: report.counters.dropped,

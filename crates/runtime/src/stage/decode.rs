@@ -418,7 +418,7 @@ mod tests {
     use super::*;
     use crate::lattice_set::LatticeSpec;
     use crate::source::{NoiseSpec, SyndromeSource};
-    use nisqplus_decoders::GreedyMatchingDecoder;
+    use nisqplus_decoders::{GreedyMatchingDecoder, SharedDecoderFactory};
 
     fn set_of(distances: &[usize]) -> LatticeSet {
         let specs: Vec<LatticeSpec> = distances
@@ -502,10 +502,10 @@ mod tests {
         let snap = counters.snapshot();
         assert_eq!(snap.decoded, 20);
         assert_eq!(snap.batches, 5, "20 packets in windows of 4");
-        // The per-worker slice seats the same counts on worker 0, beside
-        // the rounds its sink committed.
-        let worker = counters.per_worker[0].snapshot(decode_report.emitted);
-        assert_eq!((worker.decoded, worker.batches), (20, 5));
+        // The batches are worker 0's own; the rounds its sink committed are
+        // its decode row's.
+        assert_eq!(counters.per_worker[0].batches.load(Ordering::Relaxed), 5);
+        assert_eq!(decode_report.emitted, 20);
         assert_eq!(output.per_lattice[0].frame.recorded_cycles(), 20);
         let rounds: Vec<u64> = output.corrections.iter().map(|c| c.round).collect();
         assert_eq!(rounds, (0..20).collect::<Vec<u64>>());
@@ -609,6 +609,35 @@ mod tests {
         assert_eq!(stage.states[0].decoder_slot, stage.states[2].decoder_slot);
         assert_ne!(stage.states[0].decoder_slot, stage.states[1].decoder_slot);
         assert_eq!(stage.lattice_decoders().len(), 3);
+    }
+
+    /// Per-lattice overrides share a slot by factory identity: two lattices
+    /// holding clones of one shared factory share one decoder, and a third
+    /// lattice of the same distance with another factory gets its own —
+    /// as does a lattice on the machine-wide factory.
+    #[test]
+    fn lattices_holding_one_shared_factory_share_one_prepared_decoder() {
+        let shared: SharedDecoderFactory = std::sync::Arc::new(factory());
+        let other: SharedDecoderFactory = std::sync::Arc::new(factory());
+        let spec = |factory: Option<&SharedDecoderFactory>| {
+            let spec = LatticeSpec::new(3).with_rounds(8);
+            match factory {
+                Some(factory) => spec.with_shared_decoder(factory.clone()),
+                None => spec,
+            }
+        };
+        let set = LatticeSet::new(vec![
+            spec(Some(&shared)),
+            spec(Some(&shared)),
+            spec(Some(&other)),
+            spec(None),
+        ])
+        .unwrap();
+        let codec = PacketCodec::for_lattice_bits(&set.ancilla_bits());
+        let stage = DecodeStage::new(&set, &codec, &factory());
+        let slots: Vec<usize> = stage.states.iter().map(|s| s.decoder_slot).collect();
+        assert_eq!(slots, [0, 0, 1, 2]);
+        assert_eq!(stage.decoders.len(), 3);
     }
 
     #[test]

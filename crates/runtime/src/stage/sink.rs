@@ -184,7 +184,7 @@ impl FrameSink {
 }
 
 /// The shortest depth-sampling stride, in rounds: however short the run,
-/// the source reads the clock, the rings and every lattice's counters on
+/// the source reads the clock, the ring and every lattice's counters on
 /// at most one round in this many.
 const MIN_SAMPLE_STRIDE: u64 = 64;
 

@@ -5,12 +5,19 @@
 //! throughput can be observed *while the stream runs* — both for the machine
 //! as a whole and per lattice ([`LatticeCounters`]).  The engine folds the
 //! final counter values, the depth timeline and the per-lattice latency
-//! histograms into a [`RuntimeReport`]: aggregate counters, an aggregate
-//! backlog-versus-[`BacklogModel`](nisqplus_system::backlog::BacklogModel)
-//! comparison, and one [`LatticeReport`] per registered lattice — which
-//! patch is falling behind, under which QoS contract (push policy, queue
-//! budget, shed-rate SLO verdict), served by which decoder, and, when the
-//! residual analysis ran, at what measured logical cost ([`ResidualReport`]).
+//! histograms into a [`RuntimeReport`]: aggregate counters, and one
+//! [`LatticeReport`] per registered lattice — which patch is falling behind,
+//! under which QoS contract (push policy, queue budget, shed-rate SLO
+//! verdict), served by which decoder, and, when the residual analysis ran,
+//! at what measured logical cost ([`ResidualReport`]).
+//!
+//! The report stores only what was measured.  Its views are computed when
+//! asked, from those measurements: the backlog trajectory in model terms
+//! ([`RuntimeReport::measured`], [`LatticeReport::measured`]), its
+//! comparison against the closed-form
+//! [`BacklogModel`](nisqplus_system::backlog::BacklogModel)
+//! ([`RuntimeReport::comparison`], [`LatticeReport::comparison`]) and the
+//! machine's decoder label ([`RuntimeReport::decoder`]).
 //!
 //! Every field the report prints is documented line by line for operators
 //! in `docs/OPERATIONS.md` at the repository root.
@@ -107,7 +114,8 @@ impl LatticeCounters {
 /// Every flow counter has exactly one owner: the source thread bumps the
 /// [`LatticeCounters`] slice of the lattice a round belongs to, each worker
 /// bumps the decoded counter of that lattice and its own [`WorkerCounters`]
-/// slice (how many rounds a worker committed is its frame sink's count).  The machine-wide view ([`RuntimeCounters::snapshot`],
+/// slice (how many rounds a worker committed is its frame sink's count).
+/// The machine-wide view ([`RuntimeCounters::snapshot`],
 /// [`RuntimeCounters::backlog`]) is the sum of the slices, computed when
 /// read — so "Σ per-lattice = aggregate" holds by construction.
 #[derive(Debug)]
@@ -219,43 +227,6 @@ pub struct WorkerCounters {
     pub batches: AtomicU64,
     /// Polls by this worker that found the channel empty.
     pub stall_polls: AtomicU64,
-}
-
-impl WorkerCounters {
-    /// This worker's counters at end of run, beside `decoded`: the rounds
-    /// its frame sink committed.
-    #[must_use]
-    pub fn snapshot(&self, decoded: u64) -> WorkerCounterSnapshot {
-        WorkerCounterSnapshot {
-            decoded,
-            batches: self.batches.load(Ordering::Relaxed),
-            stall_polls: self.stall_polls.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A plain-data copy of one worker's [`WorkerCounters`] at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct WorkerCounterSnapshot {
-    /// Packets this worker decoded.
-    pub decoded: u64,
-    /// Decode batches this worker executed.
-    pub batches: u64,
-    /// Polls by this worker that found the channel empty.
-    pub stall_polls: u64,
-}
-
-impl WorkerCounterSnapshot {
-    /// Mean packets this worker decoded per batch (0.0 before any batch
-    /// completes).
-    #[must_use]
-    pub fn mean_batch_fill(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.decoded as f64 / self.batches as f64
-        }
-    }
 }
 
 /// A plain-data copy of one lattice's [`LatticeCounters`] at one instant.
@@ -451,25 +422,20 @@ pub struct LatticeReport {
     /// This lattice's nominal syndrome-generation cadence in nanoseconds per
     /// round (`0.0` when unpaced).
     pub cadence_ns: f64,
+    /// Measured mean inter-arrival time between this lattice's rounds, in
+    /// nanoseconds: its generation span over the rounds it streamed.
+    pub inter_arrival_ns: f64,
     /// Final values of this lattice's counters; `generated` is the rounds it
     /// actually streamed (on a replay, the rounds the trace holds).
     pub counters: LatticeCounterSnapshot,
+    /// This lattice's backlog when *its* generation stopped: rounds
+    /// generated but neither decoded nor shed.
+    pub final_backlog: u64,
     /// Per-packet service time for this lattice's rounds, in nanoseconds.
     pub decode_latency: LatencyProfile,
     /// End-to-end latency from generation to committed correction for this
     /// lattice's rounds, in nanoseconds.
     pub total_latency: LatencyProfile,
-    /// This lattice's measured backlog trajectory in model terms: its
-    /// backlog when *its* generation stopped and its measured mean
-    /// inter-arrival time are here.  The service time is the lattice's mean
-    /// decode time divided by the full pool width, i.e. it assumes the pool
-    /// is entirely available to this lattice — an optimistic capacity bound
-    /// when other lattices compete for the same workers.
-    pub measured: MeasuredBacklog,
-    /// This lattice's measured growth versus its own closed-form
-    /// [`BacklogModel`](nisqplus_system::backlog::BacklogModel) at the
-    /// measured rates.
-    pub comparison: BacklogComparison,
 }
 
 /// The shared BOUNDED/GROWING verdict: no drops, and the backlog left when
@@ -495,6 +461,30 @@ fn queue_verdict(dropped: u64, stayed_bounded: bool) -> &'static str {
 }
 
 impl LatticeReport {
+    /// This lattice's backlog trajectory in model terms, served by a pool of
+    /// `workers`.  The service time is the lattice's mean decode time over
+    /// the whole pool width, i.e. it assumes every worker serves this
+    /// lattice — an optimistic capacity bound when other lattices compete
+    /// for the same workers.
+    #[must_use]
+    pub fn measured(&self, workers: usize) -> MeasuredBacklog {
+        MeasuredBacklog {
+            rounds: self.counters.generated,
+            final_backlog: self.final_backlog,
+            shed: self.counters.dropped,
+            service_time_ns: self.decode_latency.summary.mean / workers as f64,
+            inter_arrival_ns: self.inter_arrival_ns,
+        }
+    }
+
+    /// This lattice's measured growth versus its own closed-form
+    /// [`BacklogModel`](nisqplus_system::backlog::BacklogModel) at the
+    /// rates [`LatticeReport::measured`] reads for a pool of `workers`.
+    #[must_use]
+    pub fn comparison(&self, workers: usize) -> BacklogComparison {
+        BacklogComparison::against_model(&self.measured(workers))
+    }
+
     /// Whether this lattice's queue stayed bounded: none of its packets were
     /// dropped, and the backlog left when its generation stopped is small
     /// compared to its number of rounds.
@@ -502,7 +492,7 @@ impl LatticeReport {
     pub fn queue_stayed_bounded(&self) -> bool {
         backlog_stayed_bounded(
             self.counters.dropped,
-            self.measured.final_backlog,
+            self.final_backlog,
             self.counters.generated,
         )
     }
@@ -537,8 +527,6 @@ impl LatticeReport {
 /// The full telemetry of one streaming run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RuntimeReport {
-    /// Name of the decoder the workers ran.
-    pub decoder: String,
     /// Upper bound on packets decoded per batch (the configured window `k`).
     pub batch_size: usize,
     /// Nominal *aggregate* inter-arrival time in nanoseconds per round
@@ -567,15 +555,12 @@ pub struct RuntimeReport {
     pub decode_latency: LatencyProfile,
     /// End-to-end latency from generation to committed correction (ns).
     pub total_latency: LatencyProfile,
-    /// The measured aggregate backlog trajectory in model terms.
-    pub measured: MeasuredBacklog,
-    /// Measured aggregate growth versus the closed-form backlog model.
-    pub comparison: BacklogComparison,
     /// The per-lattice breakdown, indexed by lattice id.
     pub lattices: Vec<LatticeReport>,
-    /// Final values of the per-worker counters, indexed by worker id (one
-    /// per worker thread): who decoded, batched, and idled how much.
-    pub worker_counters: Vec<WorkerCounterSnapshot>,
+    /// Decode batches each worker executed, indexed by worker id (one per
+    /// worker thread).  The rounds a worker committed and the polls it
+    /// found the ring empty are its `decode.<w>` row in `stages`.
+    pub worker_batches: Vec<u64>,
     /// One [`StageReport`] per pipeline stage (source, gate, depth sink,
     /// the channel, every worker's decode stage): the flow, refusal,
     /// occupancy and stall picture at every seam.
@@ -590,6 +575,44 @@ pub struct RuntimeReport {
 }
 
 impl RuntimeReport {
+    /// The distinct names of the decoders that served the lattices, in
+    /// lattice order, joined by `+`: a heterogeneous machine reads e.g.
+    /// `lookup-table+union-find`.
+    #[must_use]
+    pub fn decoder(&self) -> String {
+        let mut distinct: Vec<&str> = Vec::new();
+        for lattice in &self.lattices {
+            if !distinct.contains(&lattice.decoder.as_str()) {
+                distinct.push(&lattice.decoder);
+            }
+        }
+        distinct.join("+")
+    }
+
+    /// The aggregate backlog trajectory in model terms.  Shed rounds are
+    /// lost, not owed: they left the backlog the moment they were dropped,
+    /// so `shed` accounts for them instead of letting them vanish from the
+    /// growth math.  Workers decode concurrently, so the service time per
+    /// round is the mean decode time over the pool width,
+    /// `worker_batches.len()`.
+    #[must_use]
+    pub fn measured(&self) -> MeasuredBacklog {
+        MeasuredBacklog {
+            rounds: self.counters.generated,
+            final_backlog: self.final_backlog,
+            shed: self.counters.dropped,
+            service_time_ns: self.decode_latency.summary.mean / self.worker_batches.len() as f64,
+            inter_arrival_ns: self.inter_arrival_ns,
+        }
+    }
+
+    /// Measured aggregate growth versus the closed-form backlog model at the
+    /// rates [`RuntimeReport::measured`] reads.
+    #[must_use]
+    pub fn comparison(&self) -> BacklogComparison {
+        BacklogComparison::against_model(&self.measured())
+    }
+
     /// Whether the aggregate queue stayed bounded: no drops, and the backlog
     /// left when generation stopped is small compared to the number of
     /// rounds streamed (a transient mid-run spike that drained before the
@@ -631,10 +654,10 @@ impl fmt::Display for RuntimeReport {
         writeln!(
             f,
             "runtime report: {} | {} lattice(s) d={{{}}} | {} worker(s) | batch<={} | {} rounds",
-            self.decoder,
+            self.decoder(),
             self.lattices.len(),
             distances.join(","),
-            self.worker_counters.len(),
+            self.worker_batches.len(),
             self.batch_size,
             self.counters.generated,
         )?;
@@ -647,14 +670,20 @@ impl fmt::Display for RuntimeReport {
             self.counters.dropped,
             self.elapsed_s
         )?;
-        for (worker_id, worker) in self.worker_counters.iter().enumerate() {
+        for (worker_id, &batches) in self.worker_batches.iter().enumerate() {
+            // The worker's committed rounds and idle polls are its decode row.
+            let name = format!("decode.{worker_id}");
+            let row = self.stages.iter().find(|s| s.stage == name);
+            let (decoded, stalls) = row.map_or((0, 0), |r| (r.emitted, r.stall_cycles));
+            let mean_fill = if batches == 0 {
+                0.0
+            } else {
+                decoded as f64 / batches as f64
+            };
             writeln!(
                 f,
-                "    worker {worker_id}: decoded {} | {} batches (mean fill {:.2}) | {} stalls",
-                worker.decoded,
-                worker.batches,
-                worker.mean_batch_fill(),
-                worker.stall_polls,
+                "    worker {worker_id}: decoded {decoded} | {batches} batches (mean fill \
+                 {mean_fill:.2}) | {stalls} stalls",
             )?;
         }
         writeln!(
@@ -703,16 +732,17 @@ impl fmt::Display for RuntimeReport {
             "  queue: max depth {} | final backlog {} rounds | shed {} rounds | {}",
             self.max_queue_depth,
             self.final_backlog,
-            self.measured.shed,
+            self.counters.dropped,
             self.verdict()
         )?;
+        let comparison = self.comparison();
         writeln!(
             f,
             "  backlog growth/round: measured {:.4} vs model {:.4} (f_eff = {:.3}, agreement {:.2}x)",
-            self.comparison.measured_growth_per_round,
-            self.comparison.predicted_growth_per_round,
-            self.comparison.effective_ratio,
-            self.comparison.agreement_factor()
+            comparison.measured_growth_per_round,
+            comparison.predicted_growth_per_round,
+            comparison.effective_ratio,
+            comparison.agreement_factor()
         )?;
         for stage in &self.stages {
             writeln!(
@@ -726,7 +756,9 @@ impl fmt::Display for RuntimeReport {
                 stage.stall_cycles,
             )?;
         }
+        let workers = self.worker_batches.len();
         for lattice in &self.lattices {
+            let comparison = lattice.comparison(workers);
             write!(
                 f,
                 "\n  lattice {:>3} d={} [{}] | {:>8} rounds | decoded {:>8} | shed {:>6} | \
@@ -737,9 +769,9 @@ impl fmt::Display for RuntimeReport {
                 lattice.counters.generated,
                 lattice.counters.decoded,
                 lattice.counters.dropped,
-                lattice.measured.final_backlog,
-                lattice.comparison.measured_growth_per_round,
-                lattice.comparison.predicted_growth_per_round,
+                lattice.final_backlog,
+                comparison.measured_growth_per_round,
+                comparison.predicted_growth_per_round,
                 lattice.verdict()
             )?;
             write!(
@@ -864,17 +896,21 @@ mod tests {
         assert_eq!(snap.decoded, 0);
     }
 
+    /// One slice per lattice and per worker; a worker's slice holds only
+    /// what no stage row owns (its batches and its empty polls), and the
+    /// machine-wide view sums them.
     #[test]
     fn topology_counters_carry_per_worker_slices() {
         let counters = RuntimeCounters::new(2, 3);
         assert_eq!(counters.per_lattice.len(), 2);
         assert_eq!(counters.per_worker.len(), 3);
         counters.per_worker[1].batches.store(4, Ordering::Relaxed);
-        // `decoded` is the worker's sink's count, handed in at end of run.
-        let snap = counters.per_worker[1].snapshot(12);
-        assert_eq!(snap.decoded, 12);
-        assert!((snap.mean_batch_fill() - 3.0).abs() < 1e-12);
-        assert_eq!(counters.per_worker[0].snapshot(0).mean_batch_fill(), 0.0);
+        counters.per_worker[2]
+            .stall_polls
+            .store(7, Ordering::Relaxed);
+        let snap = counters.snapshot();
+        assert_eq!((snap.batches, snap.stall_polls), (4, 7));
+        assert_eq!(counters.per_worker[0].batches.load(Ordering::Relaxed), 0);
     }
 
     #[test]

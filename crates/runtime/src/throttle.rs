@@ -8,7 +8,10 @@
 //! ~100 µs/round, Section IV) without changing the corrections produced.
 //! Because it is just a `Decoder`, it plugs into the pipeline's decode
 //! stage like any other factory product — the QoS and stage-graph examples
-//! use it to overload chosen seams of the graph on demand.
+//! use it to overload chosen seams of the graph on demand.  To slow only
+//! some patches of a machine, give those lattices a throttled per-lattice
+//! override ([`ThrottledDecoder::factory`] into
+//! [`LatticeSpec::with_shared_decoder`](crate::LatticeSpec::with_shared_decoder)).
 
 use crate::stage::pause;
 use nisqplus_decoders::traits::{Decoder, DynDecoder, SharedDecoderFactory};
@@ -18,15 +21,11 @@ use nisqplus_qec::syndrome::Syndrome;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A [`Decoder`] whose every decode takes at least a fixed time —
-/// for every lattice, or only for lattices of one code distance
-/// ([`ThrottledDecoder::for_distance`]), which is how the multi-lattice
-/// telemetry tests slow down a single patch of a machine.
+/// A [`Decoder`] whose every decode takes at least a fixed time.
 #[derive(Debug, Clone)]
 pub struct ThrottledDecoder<D> {
     inner: D,
     floor: Duration,
-    only_distance: Option<usize>,
     name: String,
 }
 
@@ -39,22 +38,6 @@ impl<D: Decoder> ThrottledDecoder<D> {
         ThrottledDecoder {
             inner,
             floor: Duration::from_nanos(floor_ns),
-            only_distance: None,
-            name,
-        }
-    }
-
-    /// Wraps `inner`, forcing each decode *of a distance-`distance` lattice*
-    /// to take at least `floor_ns` nanoseconds; other lattices decode at
-    /// full speed.  In a multi-lattice run this makes exactly one patch (or
-    /// one distance class of patches) fall behind while the rest keep up.
-    #[must_use]
-    pub fn for_distance(inner: D, floor_ns: u64, distance: usize) -> Self {
-        let name = format!("throttled({})@{}ns[d={}]", inner.name(), floor_ns, distance);
-        ThrottledDecoder {
-            inner,
-            floor: Duration::from_nanos(floor_ns),
-            only_distance: Some(distance),
             name,
         }
     }
@@ -63,12 +46,6 @@ impl<D: Decoder> ThrottledDecoder<D> {
     #[must_use]
     pub fn floor(&self) -> Duration {
         self.floor
-    }
-
-    /// The code distance the floor is restricted to (`None` = all lattices).
-    #[must_use]
-    pub fn only_distance(&self) -> Option<usize> {
-        self.only_distance
     }
 
     /// The wrapped decoder.
@@ -88,34 +65,9 @@ impl ThrottledDecoder<DynDecoder> {
     pub fn factory(factory: SharedDecoderFactory, floor_ns: u64) -> SharedDecoderFactory {
         Arc::new(move || Box::new(ThrottledDecoder::new(factory.build(), floor_ns)) as DynDecoder)
     }
-
-    /// Like [`ThrottledDecoder::factory`], but the floor applies only to
-    /// decodes on lattices of code distance `distance`.
-    #[must_use]
-    pub fn factory_for_distance(
-        factory: SharedDecoderFactory,
-        floor_ns: u64,
-        distance: usize,
-    ) -> SharedDecoderFactory {
-        Arc::new(move || {
-            Box::new(ThrottledDecoder::for_distance(
-                factory.build(),
-                floor_ns,
-                distance,
-            )) as DynDecoder
-        })
-    }
 }
 
 impl<D> ThrottledDecoder<D> {
-    /// Whether the floor applies to a decode on `lattice`.
-    fn throttles(&self, lattice: &Lattice) -> bool {
-        match self.only_distance {
-            None => true,
-            Some(d) => d == lattice.distance(),
-        }
-    }
-
     /// Spins out the remainder of the floor after `start` with the shared
     /// busy wait ([`pause`]), whose occasional yield keeps throttled workers
     /// from starving the producer on machines with fewer cores than
@@ -147,9 +99,7 @@ impl<D: Decoder> Decoder for ThrottledDecoder<D> {
     ) {
         let start = Instant::now();
         self.inner.decode_into(lattice, syndrome, sector, out);
-        if self.throttles(lattice) {
-            self.spin_out(start);
-        }
+        self.spin_out(start);
     }
 }
 
@@ -183,13 +133,8 @@ mod tests {
         use nisqplus_decoders::traits::{DecoderFactory, DynDecoder, SharedDecoderFactory};
         let base: SharedDecoderFactory =
             Arc::new(|| Box::new(GreedyMatchingDecoder::new()) as DynDecoder);
-        let throttled = ThrottledDecoder::factory(base.clone(), 800);
+        let throttled = ThrottledDecoder::factory(base, 800);
         assert_eq!(throttled.build().name(), "throttled(greedy-matching)@800ns");
-        let targeted = ThrottledDecoder::factory_for_distance(base, 800, 5);
-        assert_eq!(
-            targeted.build().name(),
-            "throttled(greedy-matching)@800ns[d=5]"
-        );
     }
 
     #[test]
@@ -197,37 +142,6 @@ mod tests {
         let throttled = ThrottledDecoder::new(GreedyMatchingDecoder::new(), 800);
         assert_eq!(throttled.name(), "throttled(greedy-matching)@800ns");
         assert_eq!(throttled.floor(), Duration::from_nanos(800));
-        assert_eq!(throttled.only_distance(), None);
         assert_eq!(throttled.inner().name(), "greedy-matching");
-    }
-
-    /// The distance-selective throttle slows only its target distance: in a
-    /// multi-lattice machine this makes one patch fall behind while the
-    /// others keep up.
-    #[test]
-    fn distance_selective_throttle_only_slows_its_target() {
-        let lat3 = Lattice::new(3).unwrap();
-        let lat5 = Lattice::new(5).unwrap();
-        let floor_ns = 3_000_000u64; // 3 ms: far above any greedy decode
-        let mut throttled =
-            ThrottledDecoder::for_distance(GreedyMatchingDecoder::new(), floor_ns, 3);
-        assert_eq!(throttled.only_distance(), Some(3));
-        assert_eq!(
-            throttled.name(),
-            "throttled(greedy-matching)@3000000ns[d=3]"
-        );
-        // A d=5 decode skips the floor entirely...
-        let s5 = lat5.syndrome_of(&PauliString::identity(lat5.num_data()));
-        let start = Instant::now();
-        let _ = throttled.decode(&lat5, &s5, Sector::X);
-        assert!(
-            start.elapsed() < Duration::from_nanos(floor_ns),
-            "untargeted distance must not pay the floor"
-        );
-        // ...while a d=3 decode pays it in full.
-        let s3 = lat3.syndrome_of(&PauliString::identity(lat3.num_data()));
-        let start = Instant::now();
-        let _ = throttled.decode(&lat3, &s3, Sector::X);
-        assert!(start.elapsed() >= Duration::from_nanos(floor_ns));
     }
 }

@@ -11,7 +11,7 @@
 //! BOUNDED, and every aggregate flow counter equals the sum of its
 //! per-lattice slices.
 
-use nisqplus_decoders::{DecoderFactory, DynDecoder, GreedyMatchingDecoder};
+use nisqplus_decoders::{DecoderFactory, DynDecoder, GreedyMatchingDecoder, SharedDecoderFactory};
 use nisqplus_qec::frame::PauliFrame;
 use nisqplus_qec::lattice::Sector;
 use nisqplus_qec::pauli::PauliString;
@@ -20,6 +20,7 @@ use nisqplus_runtime::{
     ThrottledDecoder,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn greedy_factory() -> impl DecoderFactory {
     || Box::new(GreedyMatchingDecoder::new()) as DynDecoder
@@ -152,7 +153,7 @@ fn aggregate_counters_equal_the_sum_of_per_lattice_counters() {
 }
 
 /// The per-lattice telemetry correctness experiment: lattice 0 (d=5) is
-/// served by a decoder throttled *only at d=5*, so its backlog must GROW,
+/// served by its own throttled decoder, so its backlog must GROW,
 /// while lattice 1 (d=3) decodes at full speed and must stay BOUNDED.
 ///
 /// Lattice 0 streams a shorter window than lattice 1: its backlog is
@@ -169,19 +170,16 @@ fn throttled_lattice_grows_while_neighbour_stays_bounded() {
     config.lattices[1].cadence_cycles = 614_552;
     config.record_corrections = false;
     config.queue_capacity = 2048;
-    // 200 us floor per d=5 sector decode: two sectors per round make the
-    // d=5 service >= 400 us against a 100 us cadence, f >= 4 even with both
-    // workers on it; d=3 rounds decode in microseconds.
+    // 200 us floor per sector decode of lattice 0, its own decoder: two
+    // sectors per round make its service >= 400 us against a 100 us
+    // cadence, f >= 4 even with both workers on it; lattice 1, on the
+    // machine-wide factory, decodes in microseconds.
     let floor_ns = 200_000;
-    let factory = move || {
-        Box::new(ThrottledDecoder::for_distance(
-            GreedyMatchingDecoder::new(),
-            floor_ns,
-            5,
-        )) as DynDecoder
-    };
+    let greedy: SharedDecoderFactory = Arc::new(greedy_factory());
+    config.lattices[0] = (config.lattices[0].clone())
+        .with_shared_decoder(ThrottledDecoder::factory(greedy, floor_ns));
     let engine = StreamingEngine::with_machine(config).unwrap();
-    let outcome = engine.run(&factory);
+    let outcome = engine.run(&greedy_factory());
     outcome.check_invariants().unwrap();
     let report = &outcome.report;
     assert_eq!(report.counters.decoded, 1050);
@@ -189,10 +187,10 @@ fn throttled_lattice_grows_while_neighbour_stays_bounded() {
     let slow = &report.lattices[0];
     let fast = &report.lattices[1];
     assert!(
-        slow.measured.final_backlog > slow.measured.rounds / 4,
+        slow.final_backlog > slow.counters.generated / 4,
         "throttled d=5 lattice must fall well behind, backlog was {} of {} rounds",
-        slow.measured.final_backlog,
-        slow.measured.rounds
+        slow.final_backlog,
+        slow.counters.generated
     );
     assert!(
         !slow.queue_stayed_bounded(),
@@ -201,8 +199,8 @@ fn throttled_lattice_grows_while_neighbour_stays_bounded() {
     assert!(
         fast.queue_stayed_bounded(),
         "unthrottled d=3 lattice must report BOUNDED, backlog was {} of {} rounds",
-        fast.measured.final_backlog,
-        fast.measured.rounds
+        fast.final_backlog,
+        fast.counters.generated
     );
     assert_eq!(report.lattices_falling_behind(), vec![0]);
     // The slow lattice's own service time reflects the throttle floor; the

@@ -71,9 +71,9 @@ fn histogram_quantiles_match_exact_order_statistics_within_one_bucket() {
     assert_eq!(snapshot.max_ns, *exact.last().unwrap());
 }
 
-/// The exported document's key paths as schema v15 writes them,
+/// The exported document's key paths as schema v16 writes them,
 /// in document order, arrays collapsed to `[]`.
-const SCHEMA_LISTING: &str = include_str!("report_schema_v15.txt");
+const SCHEMA_LISTING: &str = include_str!("report_schema_v16.txt");
 
 /// The operator's manual, which documents the export field by field.
 const OPERATIONS: &str = include_str!("../../../docs/OPERATIONS.md");
@@ -117,7 +117,7 @@ fn assert_schema_is_pinned_and_documented(text: &str) {
     let fresh: String = paths.iter().map(|path| format!("{path}\n")).collect();
     assert!(
         fresh == SCHEMA_LISTING,
-        "the exported key paths differ from crates/runtime/tests/report_schema_v15.txt: bump \
+        "the exported key paths differ from crates/runtime/tests/report_schema_v16.txt: bump \
          `SCHEMA_VERSION` and commit the fresh listing under the new version's name:\n{fresh}"
     );
     for key in paths
@@ -210,11 +210,11 @@ fn multi_lattice_qos_report_round_trips_through_json() {
     assert_eq!(&reloaded, report, "JSON must round-trip bit-for-bit");
     assert_eq!(failures(&reloaded), failures(report));
 
-    // A document from a future schema — or from the previous one, v14,
-    // which still journaled records skipped for a bad header — is refused,
-    // loudly and typed.
-    assert_eq!(SCHEMA_VERSION, 15);
-    for other_version in [SCHEMA_VERSION + 1, 14] {
+    // A document from a future schema — or from the previous one, v15,
+    // which still stored the backlog views beside what they are computed
+    // from — is refused, loudly and typed.
+    assert_eq!(SCHEMA_VERSION, 16);
+    for other_version in [SCHEMA_VERSION + 1, 15] {
         let restamped = text.replacen(
             &format!("\"schema_version\": {SCHEMA_VERSION}"),
             &format!("\"schema_version\": {other_version}"),
@@ -254,6 +254,77 @@ fn multi_lattice_qos_report_round_trips_through_json() {
         }
         other => panic!("a misspelt key must fail with Schema, got {other:?}"),
     }
+}
+
+/// The backlog views are computed from the keys that own their inputs, at
+/// both levels: `measured()` reads the machine's counters, backlog,
+/// inter-arrival time and decode mean over the pool width, and each
+/// `lattices[i].measured(workers)` the lattice's own.  The views, the
+/// comparisons and the decoder label read back bit for bit from a report
+/// that went through the JSON round trip.
+#[test]
+fn backlog_views_are_computed_from_their_owners() {
+    let mut config = MachineConfig::new(&[3, 5], 5);
+    for spec in &mut config.lattices {
+        spec.rounds = 400;
+        spec.cadence_cycles = 0;
+    }
+    config.lattices[1].push_policy = Some(PushPolicy::Drop);
+    config.lattices[1].queue_budget = Some(1);
+    config.workers = 2;
+    let engine = StreamingEngine::with_machine(config).unwrap();
+    let outcome = engine.run(&greedy_factory());
+    outcome.check_invariants().unwrap();
+    let report = &outcome.report;
+    assert_eq!(report.worker_batches.len(), 2);
+
+    let machine = report.measured();
+    assert_eq!(machine.rounds, report.counters.generated);
+    assert_eq!(machine.final_backlog, report.final_backlog);
+    assert_eq!(machine.shed, report.counters.dropped);
+    let service_ns = report.decode_latency.summary.mean / 2.0;
+    assert_eq!(machine.service_time_ns.to_bits(), service_ns.to_bits());
+    assert_eq!(
+        machine.inter_arrival_ns.to_bits(),
+        report.inter_arrival_ns.to_bits()
+    );
+    for lattice in &report.lattices {
+        let view = lattice.measured(2);
+        assert_eq!(view.rounds, lattice.counters.generated);
+        assert_eq!(view.final_backlog, lattice.final_backlog);
+        assert_eq!(view.shed, lattice.counters.dropped);
+        let service_ns = lattice.decode_latency.summary.mean / 2.0;
+        assert_eq!(view.service_time_ns.to_bits(), service_ns.to_bits());
+        assert_eq!(
+            view.inter_arrival_ns.to_bits(),
+            lattice.inter_arrival_ns.to_bits()
+        );
+    }
+    assert_eq!(report.decoder(), "greedy-matching");
+
+    let reloaded = report_from_str(&report_to_string(report)).expect("round trip");
+    assert_eq!(&reloaded, report);
+    let bits = |m: nisqplus_system::backlog::MeasuredBacklog| {
+        let times = [m.service_time_ns, m.inter_arrival_ns].map(f64::to_bits);
+        (m.rounds, m.final_backlog, m.shed, times)
+    };
+    let comparison_bits = |c: nisqplus_system::backlog::BacklogComparison| {
+        let growths = [c.predicted_growth_per_round, c.measured_growth_per_round];
+        (growths.map(f64::to_bits), c.effective_ratio.to_bits())
+    };
+    assert_eq!(bits(reloaded.measured()), bits(report.measured()));
+    assert_eq!(
+        comparison_bits(reloaded.comparison()),
+        comparison_bits(report.comparison())
+    );
+    for (after, before) in reloaded.lattices.iter().zip(&report.lattices) {
+        assert_eq!(bits(after.measured(2)), bits(before.measured(2)));
+        assert_eq!(
+            comparison_bits(after.comparison(2)),
+            comparison_bits(before.comparison(2))
+        );
+    }
+    assert_eq!(reloaded.decoder(), report.decoder());
 }
 
 /// A paced run with the default observability configuration: the stage

@@ -118,12 +118,13 @@ fn shed_rounds_reconcile_with_measured_backlog() {
     let report = &outcome.report;
     assert!(report.counters.dropped > 0, "overload must shed");
 
+    let workers = report.worker_batches.len();
     for lattice in &report.lattices {
-        assert_eq!(lattice.measured.rounds, lattice.counters.generated);
+        let measured = lattice.measured(workers);
         // The unserved measure restores shed rounds to the growth math.
-        assert!(lattice.measured.unserved_per_round() >= lattice.measured.growth_per_round());
+        assert!(measured.unserved_per_round() >= measured.growth_per_round());
         assert!(
-            (lattice.measured.shed_per_round()
+            (measured.shed_per_round()
                 - lattice.counters.dropped as f64 / lattice.counters.generated as f64)
                 .abs()
                 < 1e-12
@@ -182,7 +183,7 @@ fn heterogeneous_factories_match_same_decoder_sequential_runs() {
     assert_eq!(outcome.report.lattices[0].decoder, "lookup-table");
     assert_eq!(outcome.report.lattices[1].decoder, "union-find");
     assert_eq!(outcome.report.lattices[2].decoder, "union-find");
-    assert_eq!(outcome.report.decoder, "lookup-table+union-find");
+    assert_eq!(outcome.report.decoder(), "lookup-table+union-find");
 
     let references: [&mut dyn Decoder; 3] = [
         &mut LookupDecoder::new(&Lattice::new(3).unwrap()).unwrap(),

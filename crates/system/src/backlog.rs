@@ -227,15 +227,18 @@ impl BacklogSimulation {
     }
 }
 
-/// An empirically measured backlog trajectory, as produced by the streaming
-/// runtime (`nisqplus-runtime`): how many rounds of syndrome data were
-/// generated, and how many were still undecoded when generation stopped.
+/// An empirically measured backlog trajectory in model terms: how many
+/// rounds of syndrome data were generated, and how many were still
+/// undecoded when generation stopped.
 ///
-/// The streaming runtime produces one of these per run *and* one per
-/// lattice in a multi-lattice run.  A per-lattice measurement divides the
-/// lattice's own service time by the full worker-pool width, which assumes
-/// the pool is entirely available to that lattice — an optimistic capacity
-/// bound when several lattices compete for the same workers.
+/// The streaming runtime (`nisqplus-runtime`) stores none of these: its run
+/// report computes one on request from what it measured, for the whole
+/// run (`RuntimeReport::measured`) or for one lattice of a multi-lattice
+/// run (`LatticeReport::measured(workers)`).  A per-lattice view divides
+/// the lattice's own service time by the pool width it is given, which,
+/// given the full pool, assumes the pool is entirely available to that
+/// lattice — an optimistic capacity bound when several lattices compete
+/// for the same workers.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MeasuredBacklog {
     /// Rounds of syndrome data generated.

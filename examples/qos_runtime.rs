@@ -9,9 +9,12 @@
 //!   shape: it never loses a round and its backlog GROWS instead,
 //! * lattices 2 and 3 (d=3) — fast patches served by their own
 //!   `LookupDecoder` factory (heterogeneous decoder assignment).  They stay
-//!   lossless, but because rings are shared FIFO their rounds queue behind
-//!   throttled d=5 rounds — the head-of-line coupling the report makes
-//!   visible (and ROADMAP's lattice-affinity placement item would remove).
+//!   lossless, but because every worker pops the one FIFO ring their rounds
+//!   queue behind throttled d=5 rounds — the head-of-line coupling the
+//!   report makes visible.
+//!
+//! Both d=5 patches share one throttled per-lattice decoder factory; the
+//! machine-wide factory (plain union-find) serves no lattice here.
 //!
 //! The run enables the end-of-run residual analysis, so the report prices
 //! the two contracts in *measured logical failures*: shed rounds enter the
@@ -55,8 +58,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .with_rounds(ROUNDS)
             .with_cadence_cycles(CADENCE_CYCLES)
     };
-    // Both d=3 patches share one lookup factory (and therefore one prepared
-    // decoder instance per worker).
+    // Both d=5 patches share one throttled union-find factory, and both d=3
+    // patches one lookup factory (so each pair shares one prepared decoder
+    // instance per worker).
+    let base: SharedDecoderFactory = Arc::new(|| Box::new(UnionFindDecoder::new()) as DynDecoder);
+    let throttled = ThrottledDecoder::factory(base.clone(), D5_FLOOR_NS);
     let lookup: SharedDecoderFactory = Arc::new(|| {
         Box::new(LookupDecoder::new(&Lattice::new(3).expect("d=3 is valid")).expect("d=3 fits"))
             as DynDecoder
@@ -65,10 +71,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut config = MachineConfig::new(&[5, 5, 3, 3], 2020);
     config.lattices = vec![
         spec(5, 2020)
+            .with_shared_decoder(throttled.clone())
             .with_push_policy(PushPolicy::Drop)
             .with_queue_budget(4)
             .with_shed_slo(0.10),
-        spec(5, 2021).with_push_policy(PushPolicy::Block),
+        spec(5, 2021)
+            .with_shared_decoder(throttled)
+            .with_push_policy(PushPolicy::Block),
         spec(3, 2022).with_shared_decoder(lookup.clone()),
         spec(3, 2023).with_shared_decoder(lookup),
     ];
@@ -77,10 +86,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     config.push_policy = PushPolicy::Block;
     config.analyze_residuals = true;
 
-    // The machine-wide factory: union-find, throttled only at d=5.
-    let base: SharedDecoderFactory = Arc::new(|| Box::new(UnionFindDecoder::new()) as DynDecoder);
-    let factory = ThrottledDecoder::factory_for_distance(base, D5_FLOOR_NS, 5);
-
     let engine = StreamingEngine::with_machine(config)?;
     println!(
         "streaming 4 lattices (d=5 Drop/budget 4, d=5 Block, 2x d=3 lookup) x {ROUNDS} rounds, \
@@ -88,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         D5_FLOOR_NS / 1000
     );
     println!();
-    let outcome = engine.run(&factory);
+    let outcome = engine.run(&base);
     println!("{}", outcome.report);
     println!();
     outcome.check_invariants()?;
@@ -129,16 +134,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Heterogeneous decoders: per-lattice names in the report. -------
     assert_eq!(
         drop.decoder,
-        format!("throttled(union-find)@{D5_FLOOR_NS}ns[d=5]")
+        format!("throttled(union-find)@{D5_FLOOR_NS}ns")
     );
+    assert_eq!(block.decoder, drop.decoder);
     assert_eq!(report.lattices[2].decoder, "lookup-table");
     assert_eq!(report.lattices[3].decoder, "lookup-table");
-    assert!(
-        report.decoder.contains('+'),
+    assert_eq!(
+        report.decoder(),
+        format!("throttled(union-find)@{D5_FLOOR_NS}ns+lookup-table"),
         "headline joins distinct names"
     );
     // The d=3 patches are lossless end to end.  Their own decodes are
-    // microseconds, but shared FIFO rings make them wait behind throttled
+    // microseconds, but the one FIFO ring makes them wait behind throttled
     // d=5 rounds, so their queues can grow with the machine's — the
     // head-of-line coupling the per-lattice breakdown exposes.
     for fast in &report.lattices[2..] {
@@ -176,7 +183,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         drop.shed_rate() * 100.0,
         drop_residual.failure_rate() * 100.0,
         block_residual.failure_rate() * 100.0,
-        block.measured.final_backlog
+        block.final_backlog
     );
     println!();
     println!(

@@ -43,7 +43,7 @@ fn main() {
             .iter()
             .map(|l| l.distance)
             .collect::<std::collections::BTreeSet<_>>(),
-        report.worker_counters.len(),
+        report.worker_batches.len(),
         report.counters.generated,
         report.elapsed_s,
         report.counters.decoded as f64 / report.elapsed_s,

@@ -119,7 +119,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ...and the measured growth validates the paper's closed-form model.
-    let comparison = &throttled.report.comparison;
+    let comparison = throttled.report.comparison();
     println!();
     println!(
         "measured backlog growth {:.3} rounds/round vs model {:.3} at f_eff = {:.2} \
