@@ -6,6 +6,7 @@ use nisqplus_core::{DecoderModuleHardware, DecoderVariant};
 use nisqplus_qec::lattice::Lattice;
 use nisqplus_qec::PureDephasing;
 use nisqplus_sim::monte_carlo::{run_sfq_lifetime, MonteCarloConfig};
+use nisqplus_sim::stats::SampleCounts;
 use nisqplus_sim::timing::{CycleTimeConverter, ExecutionTimeRow};
 
 fn main() {
@@ -19,12 +20,12 @@ fn main() {
     let mut rows = Vec::new();
     for d in [3usize, 5, 7, 9] {
         let lattice = Lattice::new(d).expect("valid distance");
-        let mut cycles = Vec::new();
+        let mut cycles = SampleCounts::default();
         for (i, &p) in error_rates.iter().enumerate() {
             let model = PureDephasing::new(p).expect("valid probability");
             let config = MonteCarloConfig::new(trials).with_seed(0xA11CE + i as u64);
             let result = run_sfq_lifetime(&lattice, &model, &config, DecoderVariant::Final);
-            cycles.extend(result.cycle_samples);
+            cycles.merge(&result.cycle_samples);
         }
         let row = ExecutionTimeRow::from_cycles(d, &cycles, &converter);
         rows.push(vec![

@@ -355,7 +355,7 @@ impl<const W: usize> SectorTables<W> {
         mut pairings: Option<&mut Vec<MeshPairing>>,
     ) -> MeshOutcome {
         let defects = live.count_ones() as usize;
-        let max_cycles = self.config.max_cycles(lattice.size() + 2);
+        let max_cycles = self.config.max_cycles_on(lattice);
         let mut dead = Bits::EMPTY;
         let mut remaining = defects;
         let mut cycles = 0usize;

@@ -6,6 +6,7 @@
 //! Each step is a first-class configuration here so the ablation study can be
 //! reproduced.
 
+use nisqplus_qec::lattice::Lattice;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -119,6 +120,14 @@ impl MeshConfig {
     #[must_use]
     pub fn max_cycles(&self, side: usize) -> usize {
         self.max_cycles_per_side * side.max(1)
+    }
+
+    /// The most cycles a decode on `lattice` takes: [`Self::max_cycles`] of
+    /// its mesh, whose side is the lattice's plus a boundary module at
+    /// either end.
+    #[must_use]
+    pub fn max_cycles_on(&self, lattice: &Lattice) -> usize {
+        self.max_cycles(lattice.size() + 2)
     }
 }
 

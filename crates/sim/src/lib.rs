@@ -28,6 +28,6 @@ pub mod timing;
 
 pub use fit::{fit_scaling_exponent, ScalingFit};
 pub use monte_carlo::{run_lifetime, run_sfq_lifetime, MonteCarloConfig, MonteCarloResult};
-pub use stats::{histogram, wilson_interval, Summary};
+pub use stats::{histogram, wilson_interval, SampleCounts, Summary};
 pub use threshold::{accuracy_threshold, pseudo_threshold, ErrorRateCurve, ErrorRatePoint};
 pub use timing::{CycleTimeConverter, ExecutionTimeRow};

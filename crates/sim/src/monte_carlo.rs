@@ -6,7 +6,7 @@
 //! correction and classify the residual.  Trials are independent, seeded
 //! deterministically, and distributed over worker threads.
 
-use crate::stats::wilson_interval;
+use crate::stats::{wilson_interval, SampleCounts};
 use nisqplus_core::{DecodeStats, DecoderVariant, SfqMeshDecoder};
 use nisqplus_decoders::Decoder;
 use nisqplus_qec::error_model::ErrorModel;
@@ -74,10 +74,13 @@ pub struct MonteCarloResult {
     pub failures: usize,
     /// Total detection events observed across all trials.
     pub total_defects: usize,
-    /// Per-trial decoder cycle counts, when the decoder reports them.
-    pub cycle_samples: Vec<usize>,
-    /// Per-trial decode times in nanoseconds, when the decoder reports them.
-    pub time_ns_samples: Vec<f64>,
+    /// The trials' decoder cycle counts, when the decoder reports them: one
+    /// count per cycle value, not one sample per trial.
+    pub cycle_samples: SampleCounts<usize>,
+    /// The trials' decode times in nanoseconds, when the decoder reports
+    /// them: each cycle value's count at the time the decoder reported for
+    /// that value.
+    pub time_ns_samples: SampleCounts<f64>,
 }
 
 impl MonteCarloResult {
@@ -112,13 +115,22 @@ impl MonteCarloResult {
 ///
 /// `make_decoder` constructs one decoder per worker thread; `read_stats`
 /// extracts per-decode statistics from the decoder after each trial (return
-/// `None` for decoders that do not report any).
+/// `None` for decoders that do not report any), and `max_cycles` is the
+/// most cycles it reports (0 if it reports none).  Each worker counts the
+/// trials per cycle value in one array of `max_cycles + 1` buckets, sized
+/// before its first trial, so a call's memory does not grow with its trial
+/// count.
+///
+/// # Panics
+///
+/// Panics if `read_stats` reports more than `max_cycles` cycles.
 pub fn run_lifetime<M, D, F, S>(
     lattice: &Lattice,
     model: &M,
     config: &MonteCarloConfig,
     make_decoder: F,
     read_stats: S,
+    max_cycles: usize,
 ) -> MonteCarloResult
 where
     M: ErrorModel + Sync,
@@ -134,8 +146,9 @@ where
     struct WorkerResult {
         failures: usize,
         defects: usize,
-        cycles: Vec<usize>,
-        times: Vec<f64>,
+        /// Per cycle value: the trials that took it, and the time the
+        /// decoder reported for it.
+        buckets: Vec<(usize, f64)>,
     }
 
     // One worker's share of the trials, on its own stream.
@@ -154,8 +167,7 @@ where
         let mut correction = PauliString::identity(lattice.num_data());
         let mut failures = 0usize;
         let mut defects = 0usize;
-        let mut cycles = Vec::new();
-        let mut times = Vec::new();
+        let mut buckets = vec![(0usize, 0.0f64); max_cycles + 1];
         for _ in 0..trials {
             model.sample_into(lattice, &mut rng, &mut error);
             lattice.syndrome_into(&error, &mut syndrome);
@@ -168,26 +180,26 @@ where
                 failures += 1;
             }
             if let Some(stats) = read_stats(&decoder) {
-                if cycles.capacity() == 0 {
-                    cycles.reserve_exact(trials);
-                    times.reserve_exact(trials);
-                }
-                cycles.push(stats.cycles);
-                times.push(stats.time_ns);
+                let Some((count, time_ns)) = buckets.get_mut(stats.cycles) else {
+                    panic!(
+                        "a decode took {} cycles, past the cap of {max_cycles}",
+                        stats.cycles
+                    );
+                };
+                debug_assert!(*count == 0 || *time_ns == stats.time_ns);
+                *count += 1;
+                *time_ns = stats.time_ns;
             }
         }
         WorkerResult {
             failures,
             defects,
-            cycles,
-            times,
+            buckets,
         }
     };
 
     // The calling thread is worker 0 and the others are spawned, so a
-    // one-thread run starts no thread.  Results are collected in worker
-    // order, so the concatenated samples do not depend on which worker
-    // finishes first.
+    // one-thread run starts no thread.
     let workers: Vec<WorkerResult> = std::thread::scope(|scope| {
         let run_worker = &run_worker;
         let handles: Vec<_> = (1..threads)
@@ -203,21 +215,38 @@ where
             .collect()
     });
 
-    let samples = workers.iter().map(|worker| worker.cycles.len()).sum();
-    let mut out = MonteCarloResult {
-        trials: config.trials,
-        failures: 0,
-        total_defects: 0,
-        cycle_samples: Vec::with_capacity(samples),
-        time_ns_samples: Vec::with_capacity(samples),
-    };
+    let mut workers = workers.into_iter();
+    let mut total = workers.next().expect("one worker at least");
     for worker in workers {
-        out.failures += worker.failures;
-        out.total_defects += worker.defects;
-        out.cycle_samples.extend(worker.cycles);
-        out.time_ns_samples.extend(worker.times);
+        total.failures += worker.failures;
+        total.defects += worker.defects;
+        for (into, &(count, time_ns)) in total.buckets.iter_mut().zip(&worker.buckets) {
+            if count > 0 {
+                *into = (into.0 + count, time_ns);
+            }
+        }
     }
-    out
+    // One run per cycle value taken, each vector allocated once.
+    let taken = total
+        .buckets
+        .iter()
+        .filter(|&&(count, _)| count > 0)
+        .count();
+    let mut cycles = Vec::with_capacity(taken);
+    let mut times = Vec::with_capacity(taken);
+    for (value, &(count, time_ns)) in total.buckets.iter().enumerate() {
+        if count > 0 {
+            cycles.push((value, count));
+            times.push((time_ns, count));
+        }
+    }
+    MonteCarloResult {
+        trials: config.trials,
+        failures: total.failures,
+        total_defects: total.defects,
+        cycle_samples: SampleCounts::from_runs(cycles),
+        time_ns_samples: SampleCounts::from_runs(times),
+    }
 }
 
 /// Convenience wrapper: runs a lifetime simulation of the SFQ mesh decoder in
@@ -237,6 +266,7 @@ where
         config,
         || SfqMeshDecoder::new(variant),
         SfqMeshDecoder::last_stats,
+        variant.config().max_cycles_on(lattice),
     )
 }
 
@@ -292,9 +322,14 @@ mod tests {
         let lattice = Lattice::new(3).unwrap();
         let model = PureDephasing::new(0.05).unwrap();
         let config = MonteCarloConfig::new(100).with_threads(2);
-        let result = run_lifetime(&lattice, &model, &config, ExactMatchingDecoder::new, |_| {
-            None
-        });
+        let result = run_lifetime(
+            &lattice,
+            &model,
+            &config,
+            ExactMatchingDecoder::new,
+            |_| None,
+            0,
+        );
         assert_eq!(result.trials, 100);
         assert!(result.cycle_samples.is_empty());
         assert!(result.logical_error_rate() < 0.2);
@@ -306,8 +341,8 @@ mod tests {
             trials: 1000,
             failures: 100,
             total_defects: 0,
-            cycle_samples: vec![],
-            time_ns_samples: vec![],
+            cycle_samples: SampleCounts::default(),
+            time_ns_samples: SampleCounts::default(),
         };
         let (lo, hi) = result.confidence_interval();
         assert!(lo < 0.1 && 0.1 < hi);
@@ -364,6 +399,68 @@ mod tests {
                 expected,
                 "d=5 p=0.08 {variant:?}"
             );
+        }
+    }
+
+    /// The counts hold every trial's sample: for each variant at d = 5 on
+    /// two threads, the cycle and time multisets equal the decoder's
+    /// per-trial reports, collected one by one and sorted.  WithReset's
+    /// stalls run to the cycle cap, so its last bucket is exercised.
+    #[test]
+    fn counts_equal_the_per_trial_reports() {
+        let lattice = Lattice::new(5).unwrap();
+        let model = PureDephasing::new(0.08).unwrap();
+        let config = MonteCarloConfig::new(2_000).with_threads(2).with_seed(2020);
+        for variant in DecoderVariant::ALL {
+            let reports = std::sync::Mutex::new(Vec::new());
+            let cap = variant.config().max_cycles_on(&lattice);
+            let result = run_lifetime(
+                &lattice,
+                &model,
+                &config,
+                || SfqMeshDecoder::new(variant),
+                |decoder: &SfqMeshDecoder| {
+                    let stats = decoder.last_stats();
+                    reports.lock().unwrap().extend(stats);
+                    stats
+                },
+                cap,
+            );
+            let reports = reports.into_inner().unwrap();
+            assert_eq!(reports.len(), 2_000, "{variant:?}");
+            let mut cycles: Vec<usize> = reports.iter().map(|s| s.cycles).collect();
+            cycles.sort_unstable();
+            let mut times: Vec<f64> = reports.iter().map(|s| s.time_ns).collect();
+            times.sort_unstable_by(f64::total_cmp);
+            assert_eq!(result.cycle_samples.len(), 2_000, "{variant:?}");
+            assert_eq!(result.time_ns_samples.len(), 2_000, "{variant:?}");
+            assert!(
+                result.cycle_samples.iter().copied().eq(cycles),
+                "{variant:?}"
+            );
+            assert!(
+                result.time_ns_samples.iter().copied().eq(times),
+                "{variant:?}"
+            );
+            if variant == DecoderVariant::WithReset {
+                assert_eq!(result.cycle_samples.iter().max(), Some(&cap));
+            }
+        }
+    }
+
+    /// A call keeps one run per cycle value, so its result holds at most
+    /// `cap + 1` runs however many trials it simulates.
+    #[test]
+    fn a_result_holds_at_most_one_run_per_cycle_value() {
+        let lattice = Lattice::new(5).unwrap();
+        let model = PureDephasing::new(0.08).unwrap();
+        let cap = DecoderVariant::WithReset.config().max_cycles_on(&lattice);
+        for trials in [100, 20_000] {
+            let config = MonteCarloConfig::new(trials).with_threads(2);
+            let result = run_sfq_lifetime(&lattice, &model, &config, DecoderVariant::WithReset);
+            assert_eq!(result.cycle_samples.len(), trials);
+            assert!(result.cycle_samples.runs().len() <= cap + 1);
+            assert!(result.time_ns_samples.runs().len() <= cap + 1);
         }
     }
 

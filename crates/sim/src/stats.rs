@@ -29,16 +29,32 @@ impl Summary {
     /// one.  Every field of the result is finite by construction.
     #[must_use]
     pub fn of(samples: &[f64]) -> Summary {
+        Summary::of_runs(samples.iter().map(|&s| (s, 1)))
+    }
+
+    /// Computes the summary of an integer-valued sample.
+    #[must_use]
+    pub fn of_counts(samples: &[usize]) -> Summary {
+        Summary::of_runs(samples.iter().map(|&c| (c as f64, 1)))
+    }
+
+    /// Computes the summary of a sample given as `(value, count)` runs, each
+    /// value counted `count` times ([`SampleCounts::runs`]), with the
+    /// conventions of [`Summary::of`].
+    #[must_use]
+    pub fn of_runs<I>(runs: I) -> Summary
+    where
+        I: IntoIterator<Item = (f64, usize)>,
+        I::IntoIter: Clone,
+    {
+        let runs = runs.into_iter().filter(|&(s, n)| s.is_finite() && n > 0);
         let mut count = 0usize;
         let mut sum = 0.0f64;
         let mut min = f64::INFINITY;
         let mut max = f64::NEG_INFINITY;
-        for &s in samples {
-            if !s.is_finite() {
-                continue;
-            }
-            count += 1;
-            sum += s;
+        for (s, n) in runs.clone() {
+            count += n;
+            sum += s * n as f64;
             min = min.min(s);
             max = max.max(s);
         }
@@ -52,10 +68,8 @@ impl Summary {
             };
         }
         let mean = sum / count as f64;
-        let variance = samples
-            .iter()
-            .filter(|s| s.is_finite())
-            .map(|x| (x - mean) * (x - mean))
+        let variance = runs
+            .map(|(x, n)| (x - mean) * (x - mean) * n as f64)
             .sum::<f64>()
             / count as f64;
         Summary {
@@ -66,33 +80,103 @@ impl Summary {
             max,
         }
     }
+}
 
-    /// Computes the summary of an integer-valued sample.
-    #[must_use]
-    pub fn of_counts(samples: &[usize]) -> Summary {
-        let as_f64: Vec<f64> = samples.iter().map(|&c| c as f64).collect();
-        Summary::of(&as_f64)
+/// A multiset of samples held as ascending `(value, count)` runs, one per
+/// distinct value: a sample's storage is its value's count, so a run of
+/// any number of trials over a bounded set of values takes bounded memory.
+/// [`SampleCounts::iter`] yields every sample, ascending.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct SampleCounts<T> {
+    runs: Vec<(T, usize)>,
+}
+
+impl<T> Default for SampleCounts<T> {
+    fn default() -> Self {
+        SampleCounts { runs: Vec::new() }
     }
 }
 
-/// A fixed-width histogram over `[0, max)` with `bins` bins.
+impl<T: Copy + PartialOrd> SampleCounts<T> {
+    /// The multiset of `runs`, each value counted `count` times, in any
+    /// order: they are sorted, equal values merged and empty runs dropped
+    /// in place, so the result allocates nothing beyond `runs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two values are unordered (a NaN).
+    #[must_use]
+    pub fn from_runs(mut runs: Vec<(T, usize)>) -> Self {
+        runs.retain(|&(_, count)| count > 0);
+        runs.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("samples are ordered"));
+        runs.dedup_by(|later, kept| {
+            let equal = later.0 == kept.0;
+            if equal {
+                kept.1 += later.1;
+            }
+            equal
+        });
+        SampleCounts { runs }
+    }
+
+    /// Adds every sample of `other`.
+    pub fn merge(&mut self, other: &SampleCounts<T>) {
+        let mut runs = std::mem::take(&mut self.runs);
+        runs.extend_from_slice(&other.runs);
+        *self = SampleCounts::from_runs(runs);
+    }
+}
+
+impl<T> SampleCounts<T> {
+    /// The ascending `(value, count)` runs, one per distinct value.
+    #[must_use]
+    pub fn runs(&self) -> &[(T, usize)] {
+        &self.runs
+    }
+
+    /// The number of samples.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.runs.iter().map(|&(_, count)| count).sum()
+    }
+
+    /// Whether there are no samples.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+
+    /// Every sample, ascending: each value as many times as it was counted.
+    pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
+        self.runs
+            .iter()
+            .flat_map(|(value, count)| std::iter::repeat(value).take(*count))
+    }
+}
+
+/// A fixed-width histogram over `[0, max)` with `bins` bins, of a sample
+/// given as `(value, count)` runs, each value counted `count` times.
 ///
 /// Returns `(bin_edges, densities)` where densities are normalised so they
 /// sum to 1 (an estimated probability mass per bin), matching the truncated
 /// probability-density plots of Figure 10(c).
 #[must_use]
-pub fn histogram(samples: &[f64], bins: usize, max: f64) -> (Vec<f64>, Vec<f64>) {
+pub fn histogram(
+    runs: impl IntoIterator<Item = (f64, usize)>,
+    bins: usize,
+    max: f64,
+) -> (Vec<f64>, Vec<f64>) {
     assert!(bins > 0, "histogram needs at least one bin");
     assert!(max > 0.0, "histogram range must be positive");
     let width = max / bins as f64;
     let edges: Vec<f64> = (0..=bins).map(|i| i as f64 * width).collect();
     let mut counts = vec![0usize; bins];
     let mut total = 0usize;
-    for &s in samples {
+    for (s, n) in runs {
         if s >= 0.0 && s < max {
             let bin = ((s / width) as usize).min(bins - 1);
-            counts[bin] += 1;
-            total += 1;
+            counts[bin] += n;
+            total += n;
         }
     }
     let densities = counts
@@ -195,9 +279,21 @@ mod tests {
     }
 
     #[test]
+    fn sample_counts_sort_merge_and_yield_every_sample() {
+        let mut counts = SampleCounts::from_runs(vec![(3, 1), (1, 2), (3, 2), (2, 0)]);
+        assert_eq!(counts.runs(), &[(1, 2), (3, 3)]);
+        assert_eq!(counts.len(), 5);
+        assert_eq!(counts.iter().copied().collect::<Vec<_>>(), [1, 1, 3, 3, 3]);
+        counts.merge(&SampleCounts::from_runs(vec![(3, 1), (2, 1)]));
+        assert_eq!(counts.runs(), &[(1, 2), (2, 1), (3, 4)]);
+        let empty = SampleCounts::<f64>::from_runs(vec![(1.5, 0)]);
+        assert!(empty.is_empty() && empty == SampleCounts::default());
+    }
+
+    #[test]
     fn histogram_densities_sum_to_one() {
         let samples: Vec<f64> = (0..100).map(|i| i as f64 / 10.0).collect();
-        let (edges, dens) = histogram(&samples, 5, 10.0);
+        let (edges, dens) = histogram(samples.iter().map(|&s| (s, 1)), 5, 10.0);
         assert_eq!(edges.len(), 6);
         assert_eq!(dens.len(), 5);
         let sum: f64 = dens.iter().sum();
@@ -210,7 +306,7 @@ mod tests {
 
     #[test]
     fn histogram_ignores_out_of_range_samples() {
-        let (_, dens) = histogram(&[1.0, 2.0, 100.0, -5.0], 2, 10.0);
+        let (_, dens) = histogram([(1.0, 1), (2.0, 1), (100.0, 1), (-5.0, 1)], 2, 10.0);
         let sum: f64 = dens.iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
     }
@@ -218,7 +314,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one bin")]
     fn histogram_rejects_zero_bins() {
-        let _ = histogram(&[1.0], 0, 10.0);
+        let _ = histogram([(1.0, 1)], 0, 10.0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! deviation rows of Table IV and the cycle-count distributions of
 //! Figure 10(c).
 
-use crate::stats::{histogram, Summary};
+use crate::stats::{histogram, SampleCounts, Summary};
 use serde::{Deserialize, Serialize};
 
 /// Converts decoder cycles into nanoseconds using a fixed cycle period.
@@ -44,12 +44,6 @@ impl CycleTimeConverter {
     pub fn cycles_to_ns(&self, cycles: usize) -> f64 {
         cycles as f64 * self.cycle_time_ps * 1e-3
     }
-
-    /// Converts a slice of cycle counts into nanoseconds.
-    #[must_use]
-    pub fn all_to_ns(&self, cycles: &[usize]) -> Vec<f64> {
-        cycles.iter().map(|&c| self.cycles_to_ns(c)).collect()
-    }
 }
 
 /// One row of Table IV: decoder execution time for one code distance.
@@ -68,11 +62,15 @@ pub struct ExecutionTimeRow {
 }
 
 impl ExecutionTimeRow {
-    /// Builds the row from raw cycle samples and a cycle-time converter.
+    /// Builds the row from cycle counts and a cycle-time converter.
     #[must_use]
-    pub fn from_cycles(distance: usize, cycles: &[usize], converter: &CycleTimeConverter) -> Self {
-        let times = converter.all_to_ns(cycles);
-        let summary = Summary::of(&times);
+    pub fn from_cycles(
+        distance: usize,
+        cycles: &SampleCounts<usize>,
+        converter: &CycleTimeConverter,
+    ) -> Self {
+        let times = cycles.runs().iter();
+        let summary = Summary::of_runs(times.map(|&(c, n)| (converter.cycles_to_ns(c), n)));
         ExecutionTimeRow {
             distance,
             max_ns: summary.max.max(0.0),
@@ -95,11 +93,16 @@ pub struct CycleDistribution {
 }
 
 impl CycleDistribution {
-    /// Builds the distribution from raw cycle samples, truncated at `max_cycles`.
+    /// Builds the distribution from cycle counts, truncated at `max_cycles`.
     #[must_use]
-    pub fn from_cycles(distance: usize, cycles: &[usize], bins: usize, max_cycles: usize) -> Self {
-        let samples: Vec<f64> = cycles.iter().map(|&c| c as f64).collect();
-        let (bin_edges, densities) = histogram(&samples, bins, max_cycles as f64);
+    pub fn from_cycles(
+        distance: usize,
+        cycles: &SampleCounts<usize>,
+        bins: usize,
+        max_cycles: usize,
+    ) -> Self {
+        let runs = cycles.runs().iter().map(|&(c, n)| (c as f64, n));
+        let (bin_edges, densities) = histogram(runs, bins, max_cycles as f64);
         CycleDistribution {
             distance,
             bin_edges,
@@ -131,7 +134,6 @@ mod tests {
         let ns = converter.cycles_to_ns(118);
         assert!((ns - 19.2).abs() < 0.1, "{ns}");
         assert_eq!(converter.cycles_to_ns(0), 0.0);
-        assert_eq!(converter.all_to_ns(&[1, 2]).len(), 2);
     }
 
     #[test]
@@ -143,7 +145,8 @@ mod tests {
     #[test]
     fn execution_row_statistics() {
         let converter = CycleTimeConverter::new(1000.0); // 1 ns per cycle
-        let row = ExecutionTimeRow::from_cycles(5, &[1, 2, 3, 10], &converter);
+        let cycles = SampleCounts::from_runs(vec![(1, 1), (2, 1), (3, 1), (10, 1)]);
+        let row = ExecutionTimeRow::from_cycles(5, &cycles, &converter);
         assert_eq!(row.distance, 5);
         assert_eq!(row.samples, 4);
         assert!((row.max_ns - 10.0).abs() < 1e-9);
@@ -154,14 +157,14 @@ mod tests {
     #[test]
     fn empty_samples_produce_zero_row() {
         let converter = CycleTimeConverter::paper_reference();
-        let row = ExecutionTimeRow::from_cycles(3, &[], &converter);
+        let row = ExecutionTimeRow::from_cycles(3, &SampleCounts::default(), &converter);
         assert_eq!(row.samples, 0);
         assert_eq!(row.average_ns, 0.0);
     }
 
     #[test]
     fn cycle_distribution_mode() {
-        let cycles = vec![1, 2, 2, 2, 3, 9, 9];
+        let cycles = SampleCounts::from_runs(vec![(1, 1), (2, 3), (3, 1), (9, 2)]);
         let dist = CycleDistribution::from_cycles(3, &cycles, 5, 10);
         assert_eq!(dist.densities.len(), 5);
         assert!(dist.mode_cycles() <= 4.0);

@@ -27,10 +27,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let config = MonteCarloConfig::new(trials).with_seed(0xE0 + d as u64);
 
             let sfq = run_sfq_lifetime(&lattice, &model, &config, DecoderVariant::Final);
-            let mwpm = run_lifetime(&lattice, &model, &config, ExactMatchingDecoder::new, |_| {
-                None
-            });
-            let uf = run_lifetime(&lattice, &model, &config, UnionFindDecoder::new, |_| None);
+            let mwpm = run_lifetime(
+                &lattice,
+                &model,
+                &config,
+                ExactMatchingDecoder::new,
+                |_| None,
+                0,
+            );
+            let uf = run_lifetime(
+                &lattice,
+                &model,
+                &config,
+                UnionFindDecoder::new,
+                |_| None,
+                0,
+            );
 
             println!(
                 "{:>6.1} {:>4} {:>12.3} {:>12.3} {:>12.3}",

@@ -154,9 +154,9 @@ fn assert_steady_state_decode_is_allocation_free() {
 }
 
 /// The offline trial loop's guard: a `run_sfq_lifetime` call allocates for
-/// its thread, its decoder, its three buffers and its result vectors —
-/// nothing per trial, so twice the trials must cost the same number of
-/// allocations.
+/// its thread, its decoder, its three buffers, its cycle-count array and
+/// the result's two run lists — nothing per trial, so twice the trials must
+/// cost the same number of allocations.
 fn assert_lifetime_trials_are_allocation_free() {
     let lattice = Lattice::new(9).expect("valid distance");
     let model = PureDephasing::new(0.05).expect("valid probability");

@@ -100,6 +100,7 @@ fn lookup_table_is_at_least_as_good_as_the_mesh_at_d3() {
         &config,
         || LookupDecoder::new(&lattice).expect("d=3 fits the lookup table"),
         |_| None,
+        0,
     );
     assert!(
         lookup.logical_error_rate() <= mesh.logical_error_rate() + 0.02,
