@@ -33,14 +33,6 @@ pub enum QecError {
         /// The expected length.
         expected: usize,
     },
-    /// A time-varying error model was given a non-finite or out-of-range
-    /// drift parameter.
-    InvalidDriftParameter {
-        /// The name of the offending parameter.
-        name: &'static str,
-        /// The offending value.
-        value: f64,
-    },
 }
 
 impl fmt::Display for QecError {
@@ -66,9 +58,6 @@ impl fmt::Display for QecError {
                     f,
                     "syndrome length {got} does not match expected {expected}"
                 )
-            }
-            QecError::InvalidDriftParameter { name, value } => {
-                write!(f, "invalid drift parameter {name} = {value}")
             }
         }
     }

@@ -11,7 +11,6 @@ use crate::error::QecError;
 use crate::lattice::Lattice;
 use crate::pauli::{Pauli, PauliString};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A stochastic single-qubit error channel applied i.i.d. to every data qubit.
@@ -347,200 +346,6 @@ impl ErrorModel for BiasedChannel {
                 Pauli::Z
             }
         });
-    }
-}
-
-/// How a [`DriftingErrorModel`]'s rate evolves with the round index.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum DriftKind {
-    /// Linear ramp: `rate(n) = base + per_round * n`.
-    Ramp {
-        /// Per-round rate increment (may be negative for a cool-down ramp).
-        per_round: f64,
-    },
-    /// Sinusoidal oscillation:
-    /// `rate(n) = base + amplitude * sin(2π * n / period_rounds)`.
-    Sinusoid {
-        /// Peak deviation from the base rate.
-        amplitude: f64,
-        /// Oscillation period in rounds.
-        period_rounds: f64,
-    },
-}
-
-/// A pure-dephasing channel whose phase-flip probability varies with the
-/// measurement-round index — noise *physics*, as opposed to the runtime's
-/// injected faults.
-///
-/// `DriftingErrorModel` is a rate *schedule*: [`rate_at`](Self::rate_at) maps
-/// a round index to an instantaneous dephasing probability (clamped to
-/// `[0, 1]`), which the runtime's syndrome sources turn into a per-round
-/// [`PureDephasing`] channel.  A round draws once per fault, so a drifting
-/// stream is a function of its seed *and* its schedule — bit-for-bit
-/// reproducible from the two, and sharing with a differently scheduled
-/// stream only the rounds before the rates part.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DriftingErrorModel {
-    base: f64,
-    kind: DriftKind,
-}
-
-impl DriftingErrorModel {
-    /// Creates a linear ramp starting at `base` and moving by `per_round`
-    /// each round.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QecError::InvalidProbability`] if `base` is outside `[0, 1]`
-    /// and [`QecError::InvalidDriftParameter`] if `per_round` is not finite.
-    pub fn ramp(base: f64, per_round: f64) -> Result<Self, QecError> {
-        if !per_round.is_finite() {
-            return Err(QecError::InvalidDriftParameter {
-                name: "per_round",
-                value: per_round,
-            });
-        }
-        Ok(DriftingErrorModel {
-            base: check_probability(base)?,
-            kind: DriftKind::Ramp { per_round },
-        })
-    }
-
-    /// Creates a sinusoid oscillating around `base` with the given peak
-    /// `amplitude` and `period_rounds`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QecError::InvalidProbability`] if `base` is outside `[0, 1]`
-    /// and [`QecError::InvalidDriftParameter`] if `amplitude` is negative or
-    /// not finite, or `period_rounds` is not strictly positive and finite.
-    pub fn sinusoid(base: f64, amplitude: f64, period_rounds: f64) -> Result<Self, QecError> {
-        if !amplitude.is_finite() || amplitude < 0.0 {
-            return Err(QecError::InvalidDriftParameter {
-                name: "amplitude",
-                value: amplitude,
-            });
-        }
-        if !period_rounds.is_finite() || period_rounds <= 0.0 {
-            return Err(QecError::InvalidDriftParameter {
-                name: "period_rounds",
-                value: period_rounds,
-            });
-        }
-        Ok(DriftingErrorModel {
-            base: check_probability(base)?,
-            kind: DriftKind::Sinusoid {
-                amplitude,
-                period_rounds,
-            },
-        })
-    }
-
-    /// The rate at round 0 of the schedule.
-    #[must_use]
-    pub fn base_rate(&self) -> f64 {
-        self.base
-    }
-
-    /// The drift shape.
-    #[must_use]
-    pub fn kind(&self) -> DriftKind {
-        self.kind
-    }
-
-    /// The instantaneous dephasing probability at the given round, clamped
-    /// to `[0, 1]`.
-    #[must_use]
-    pub fn rate_at(&self, round: u64) -> f64 {
-        let n = round as f64;
-        let raw = match self.kind {
-            DriftKind::Ramp { per_round } => self.base + per_round * n,
-            DriftKind::Sinusoid {
-                amplitude,
-                period_rounds,
-            } => self.base + amplitude * (std::f64::consts::TAU * n / period_rounds).sin(),
-        };
-        raw.clamp(0.0, 1.0)
-    }
-
-    /// Returns the schedule with base and drift magnitude scaled by
-    /// `factor` — how burst episodes amplify a drifting patch.  The scaled
-    /// rate is still clamped to `[0, 1]` by [`rate_at`](Self::rate_at).
-    #[must_use]
-    pub fn amplified(&self, factor: f64) -> Self {
-        let kind = match self.kind {
-            DriftKind::Ramp { per_round } => DriftKind::Ramp {
-                per_round: per_round * factor,
-            },
-            DriftKind::Sinusoid {
-                amplitude,
-                period_rounds,
-            } => DriftKind::Sinusoid {
-                amplitude: amplitude * factor,
-                period_rounds,
-            },
-        };
-        DriftingErrorModel {
-            base: (self.base * factor).clamp(0.0, 1.0),
-            kind,
-        }
-    }
-}
-
-/// A transient noise episode that blankets a patch for a window of rounds.
-///
-/// This is *physics* — an elevated physical error rate the decoder must ride
-/// out, classified by the streaming residual path — distinct from the
-/// runtime's injected faults (worker crashes, channel stalls).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BurstEvent {
-    /// First round (inclusive) the burst covers.
-    pub start_round: u64,
-    /// Number of consecutive rounds the burst lasts.
-    pub rounds: u64,
-    /// Multiplier applied to the patch's error rate inside the window.
-    pub factor: f64,
-}
-
-impl BurstEvent {
-    /// Creates a burst covering `rounds` rounds from `start_round` with the
-    /// given rate multiplier.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QecError::InvalidDriftParameter`] if `factor` is negative
-    /// or not finite.
-    pub fn new(start_round: u64, rounds: u64, factor: f64) -> Result<Self, QecError> {
-        if !factor.is_finite() || factor < 0.0 {
-            return Err(QecError::InvalidDriftParameter {
-                name: "factor",
-                value: factor,
-            });
-        }
-        Ok(BurstEvent {
-            start_round,
-            rounds,
-            factor,
-        })
-    }
-
-    /// Whether the given round falls inside the burst window.
-    #[must_use]
-    pub fn covers(&self, round: u64) -> bool {
-        round >= self.start_round && round < self.end_round()
-    }
-
-    /// One past the last covered round.
-    #[must_use]
-    pub fn end_round(&self) -> u64 {
-        self.start_round.saturating_add(self.rounds)
-    }
-
-    /// The amplified rate for a patch whose quiescent rate is `base`,
-    /// clamped to `[0, 1]`.
-    #[must_use]
-    pub fn amplified_rate(&self, base: f64) -> f64 {
-        (base * self.factor).clamp(0.0, 1.0)
     }
 }
 
@@ -923,74 +728,5 @@ mod tests {
         let a = model.sample(&lattice, &mut ChaCha8Rng::seed_from_u64(42));
         let b = model.sample(&lattice, &mut ChaCha8Rng::seed_from_u64(42));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn ramp_drifts_linearly_and_clamps() {
-        let drift = DriftingErrorModel::ramp(0.01, 0.001).unwrap();
-        assert!((drift.rate_at(0) - 0.01).abs() < 1e-12);
-        assert!((drift.rate_at(10) - 0.02).abs() < 1e-12);
-        // Far past the ramp the rate saturates at 1.
-        assert_eq!(drift.rate_at(10_000_000), 1.0);
-        // A cool-down ramp clamps at 0.
-        let cool = DriftingErrorModel::ramp(0.01, -0.001).unwrap();
-        assert_eq!(cool.rate_at(1000), 0.0);
-    }
-
-    #[test]
-    fn sinusoid_oscillates_around_base() {
-        let drift = DriftingErrorModel::sinusoid(0.05, 0.02, 100.0).unwrap();
-        assert!((drift.rate_at(0) - 0.05).abs() < 1e-12);
-        assert!((drift.rate_at(25) - 0.07).abs() < 1e-9);
-        assert!((drift.rate_at(75) - 0.03).abs() < 1e-9);
-        // One full period returns (numerically close) to base.
-        assert!((drift.rate_at(100) - 0.05).abs() < 1e-9);
-    }
-
-    #[test]
-    fn drift_parameters_are_validated() {
-        assert!(DriftingErrorModel::ramp(1.5, 0.0).is_err());
-        assert!(DriftingErrorModel::ramp(0.1, f64::NAN).is_err());
-        assert!(DriftingErrorModel::sinusoid(0.1, -0.1, 10.0).is_err());
-        assert!(DriftingErrorModel::sinusoid(0.1, 0.1, 0.0).is_err());
-        assert!(DriftingErrorModel::sinusoid(0.1, 0.1, f64::INFINITY).is_err());
-        assert!(BurstEvent::new(0, 10, -1.0).is_err());
-        assert!(BurstEvent::new(0, 10, f64::NAN).is_err());
-    }
-
-    #[test]
-    fn amplified_drift_scales_and_clamps() {
-        let drift = DriftingErrorModel::ramp(0.02, 0.001).unwrap();
-        let hot = drift.amplified(10.0);
-        assert!((hot.rate_at(0) - 0.2).abs() < 1e-12);
-        assert!((hot.rate_at(10) - 0.3).abs() < 1e-12);
-        let sin = DriftingErrorModel::sinusoid(0.04, 0.01, 64.0).unwrap();
-        let hot = sin.amplified(5.0);
-        assert!((hot.base_rate() - 0.2).abs() < 1e-12);
-        match hot.kind() {
-            DriftKind::Sinusoid {
-                amplitude,
-                period_rounds,
-            } => {
-                assert!((amplitude - 0.05).abs() < 1e-12);
-                assert!((period_rounds - 64.0).abs() < 1e-12);
-            }
-            other => panic!("unexpected kind {other:?}"),
-        }
-    }
-
-    #[test]
-    fn burst_window_arithmetic() {
-        let burst = BurstEvent::new(100, 50, 8.0).unwrap();
-        assert!(!burst.covers(99));
-        assert!(burst.covers(100));
-        assert!(burst.covers(149));
-        assert!(!burst.covers(150));
-        assert_eq!(burst.end_round(), 150);
-        assert!((burst.amplified_rate(0.03) - 0.24).abs() < 1e-12);
-        assert_eq!(burst.amplified_rate(0.5), 1.0);
-        // Degenerate saturating window.
-        let tail = BurstEvent::new(u64::MAX, 10, 1.0).unwrap();
-        assert_eq!(tail.end_round(), u64::MAX);
     }
 }

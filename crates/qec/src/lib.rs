@@ -49,10 +49,7 @@ pub mod stabilizer;
 pub mod syndrome;
 
 pub use error::QecError;
-pub use error_model::{
-    BiasedChannel, BurstEvent, Depolarizing, DriftKind, DriftingErrorModel, ErrorModel,
-    PureDephasing,
-};
+pub use error_model::{BiasedChannel, Depolarizing, ErrorModel, PureDephasing};
 pub use frame::PauliFrame;
 pub use lattice::{Coord, Lattice, QubitKind, Sector};
 pub use logical::{LogicalState, ResidualTally};

@@ -179,7 +179,6 @@ impl From<RuntimeConfig> for MachineConfig {
                 seed: config.seed,
                 rounds: config.rounds,
                 cadence_cycles: config.cadence_cycles,
-                burst: None,
                 retunes: Vec::new(),
                 push_policy: None,
                 queue_budget: None,

@@ -151,8 +151,8 @@ impl RuntimeOutcome {
 pub struct StreamingEngine {
     config: MachineConfig,
     set: Arc<LatticeSet>,
-    /// The machine's live source — noise specs validated, burst episodes and
-    /// re-tunes applied.  Every live run streams a clone.
+    /// The machine's live source — noise specs validated, re-tunes applied.
+    /// Every live run streams a clone.
     source: InterleavedSource,
 }
 
@@ -193,8 +193,7 @@ impl StreamingEngine {
         );
         let set = Arc::new(LatticeSet::new(config.lattices.clone())?);
         // Configuration errors surface here, not inside a run: building the
-        // source validates every noise spec, re-tune and burst-amplified
-        // channel.
+        // source validates every noise spec and re-tune channel.
         let source = InterleavedSource::new(&set, &config.cycle_time)?;
         Ok(StreamingEngine {
             config,
@@ -462,7 +461,6 @@ mod tests {
     use crate::obs::EventKind;
     use crate::source::NoiseSpec;
     use nisqplus_decoders::{DynDecoder, GreedyMatchingDecoder};
-    use nisqplus_qec::error_model::BurstEvent;
 
     fn fast_config() -> RuntimeConfig {
         let mut config = RuntimeConfig::new(3);
@@ -665,7 +663,12 @@ mod tests {
     fn two_runs_of_one_engine_commit_equal_corrections() {
         let mut config = two_lattice_machine(2);
         config.record_corrections = true;
-        config.lattices[1].burst = Some(nisqplus_qec::BurstEvent::new(10, 20, 10.0).unwrap());
+        // A 10x burst on the 3% base over rounds 10..30: two re-tunes.
+        let (base, hot) = (
+            config.lattices[1].noise,
+            NoiseSpec::PureDephasing { p: 0.3 },
+        );
+        config.lattices[1].retunes = vec![(10, hot), (30, base)];
         let engine = StreamingEngine::with_machine(config).unwrap();
         let first = engine.run(&greedy_factory());
         let second = engine.run(&greedy_factory());
@@ -750,15 +753,18 @@ mod tests {
     }
 
     /// An invalid re-tune channel is the engine's typed error, so no engine
-    /// exists to start a thread — also inside a burst, whose amplification
-    /// would clamp the rate into range.
+    /// exists to start a thread — also one that a later re-tune at the same
+    /// round would override.
     #[test]
     fn an_invalid_retune_is_a_typed_error() {
         let invalid = NoiseSpec::PureDephasing { p: 1.5 };
-        for burst in [None, Some(BurstEvent::new(4, 8, 2.0).unwrap())] {
+        let valid = NoiseSpec::PureDephasing { p: 0.1 };
+        for retunes in [
+            vec![(8, invalid)],
+            vec![(4, valid), (8, invalid), (8, valid)],
+        ] {
             let mut config = MachineConfig::from(fast_config());
-            config.lattices[0].burst = burst;
-            config.lattices[0].retunes = vec![(8, invalid)];
+            config.lattices[0].retunes = retunes;
             assert_eq!(
                 StreamingEngine::with_machine(config).unwrap_err(),
                 QecError::InvalidProbability { value: 1.5 }

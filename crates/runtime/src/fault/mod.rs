@@ -5,10 +5,11 @@
 //! (worker id × rounds decoded, round index), never by wall clock or extra
 //! randomness.  The same plan against the same seeded machine therefore
 //! injects the same faults at the same points every run, which is what lets
-//! the recovery tests demand byte-identical frames.  A burst-noise episode
-//! is not in the plan: it is physics, part of a lattice's noise schedule
-//! ([`LatticeSpec::burst`](crate::lattice_set::LatticeSpec::burst), beside
-//! its noise and seed), not an injected fault.
+//! the recovery tests demand byte-identical frames.  A burst of noise is
+//! not in the plan: it is physics, two re-tunes in a lattice's noise
+//! schedule
+//! ([`LatticeSpec::retunes`](crate::lattice_set::LatticeSpec::retunes),
+//! beside its noise and seed), not an injected fault.
 //!
 //! The plan is carried by
 //! [`MachineConfig::fault`](crate::config::MachineConfig) and armed as a

@@ -301,14 +301,13 @@ impl RuntimeOutcome {
 mod tests {
     use super::*;
     use crate::fault::{silence_injected_crash_panics, FaultPlan};
-    use crate::{MachineConfig, PushPolicy, ShardedPauliFrame, StreamingEngine};
+    use crate::{MachineConfig, NoiseSpec, PushPolicy, ShardedPauliFrame, StreamingEngine};
     use nisqplus_decoders::{DynDecoder, GreedyMatchingDecoder};
-    use nisqplus_qec::BurstEvent;
 
     /// A small mixed machine whose run touches every identity: three
     /// lattices of two distances, a Drop lane behind a one-round budget, a
-    /// burst, an injected crash, residuals and the full correction
-    /// history.
+    /// burst (two re-tunes), an injected crash, residuals and the full
+    /// correction history.
     fn clean_run() -> RuntimeOutcome {
         silence_injected_crash_panics();
         let mut config = MachineConfig::new(&[3, 5, 3], 31);
@@ -318,7 +317,11 @@ mod tests {
         }
         config.lattices[0].push_policy = Some(PushPolicy::Drop);
         config.lattices[0].queue_budget = Some(1);
-        config.lattices[2].burst = Some(BurstEvent::new(10, 20, 4.0).unwrap());
+        let (base, hot) = (
+            config.lattices[2].noise,
+            NoiseSpec::PureDephasing { p: 0.12 },
+        );
+        config.lattices[2].retunes = vec![(10, hot), (30, base)];
         config.workers = 2;
         config.analyze_residuals = true;
         config.record_corrections = true;

@@ -16,7 +16,6 @@
 use crate::config::PushPolicy;
 use crate::source::NoiseSpec;
 use nisqplus_decoders::traits::{DecoderFactory, DynDecoder, SharedDecoderFactory};
-use nisqplus_qec::error_model::BurstEvent;
 use nisqplus_qec::lattice::Lattice;
 use nisqplus_qec::syndrome::Syndrome;
 use nisqplus_qec::QecError;
@@ -121,18 +120,13 @@ pub struct LatticeSpec {
     /// pacing for this lattice: its rounds are interleaved round-robin with
     /// other unpaced lattices as fast as the producer can generate them.
     pub cadence_cycles: usize,
-    /// A physics-plane burst episode blanketing this lattice for a window of
-    /// its own rounds: the noise channel's rate is multiplied by the
-    /// episode's factor inside the window.  Part of the stream's replayable
-    /// identity (unlike the fault plane's crashes and stalls, this is noise
-    /// the decoder must ride out).  `None` streams the base channel
-    /// throughout.
-    pub burst: Option<BurstEvent>,
-    /// Re-calibrations of this lattice's base channel, keyed on its own
-    /// rounds: from each entry's round on, the stream samples the entry's
-    /// channel (amplified inside the burst window) until the next re-tune.
-    /// Entries take effect in round order; of two at one round, the later
-    /// entry wins.  Empty streams `noise` throughout.
+    /// Changes of this lattice's channel, keyed on its own rounds: from
+    /// each entry's round on, the stream samples the entry's channel until
+    /// the next re-tune.  A re-calibration is one entry; a burst of noise
+    /// is two, one to the hot channel at its first round and one back at
+    /// its end.  Entries take effect in round order; of two at one round,
+    /// the later entry wins.  Part of the stream's replayable identity.
+    /// Empty streams `noise` throughout.
     pub retunes: Vec<(u64, NoiseSpec)>,
     /// This lattice's full-queue policy: `Some(Block)` for backpressure
     /// (lossless), `Some(Drop)` for load shedding, `None` to inherit the
@@ -170,7 +164,6 @@ impl LatticeSpec {
             seed: 2020,
             rounds: 10_000,
             cadence_cycles: crate::engine::RuntimeConfig::PAPER_CADENCE_CYCLES,
-            burst: None,
             retunes: Vec::new(),
             push_policy: None,
             queue_budget: None,
@@ -208,14 +201,7 @@ impl LatticeSpec {
         self
     }
 
-    /// Overlays a burst-noise episode on this lattice's stream.
-    #[must_use]
-    pub fn with_burst(mut self, burst: BurstEvent) -> Self {
-        self.burst = Some(burst);
-        self
-    }
-
-    /// Re-tunes this lattice's base channel to `noise` from its round
+    /// Re-tunes this lattice's channel to `noise` from its round
     /// `round` on (see [`LatticeSpec::retunes`]).
     #[must_use]
     pub fn with_retune(mut self, round: u64, noise: NoiseSpec) -> Self {

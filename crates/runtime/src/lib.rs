@@ -64,8 +64,8 @@
 //! * [`scenario`] — the scenario plane: versioned replayable
 //!   [`SyndromeTrace`]s (record a live run's full stream, replay it
 //!   byte-identically through the same pipeline) and the golden-trace
-//!   summaries they pin; a lattice's time-varying noise (drift, a burst,
-//!   re-tunes keyed on its own rounds) is part of its [`LatticeSpec`],
+//!   summaries they pin; a lattice's time-varying noise (re-tunes keyed on
+//!   its own rounds, a burst as two of them) is part of its [`LatticeSpec`],
 //! * [`telemetry`] — live atomic counters and the final [`RuntimeReport`]:
 //!   the run's one time series (the source's queue-depth and backlog
 //!   timeline), latency histograms, throughput, and the measured

@@ -69,8 +69,8 @@ pub enum EventKind {
     /// dead worker's frame shard adopted (`value` = restart attempt, 1-based).
     WorkerRestart,
     /// A lattice's stream crossed a boundary of its noise schedule — a
-    /// burst window's edge or a re-tune (`value` = the first
-    /// lattice round of the new regime).
+    /// re-tune's round (`value` = the first lattice round of the new
+    /// channel).
     NoiseChange,
     /// The producer's stall watchdog expired on a blocked seam and degraded
     /// the round instead of hanging (`value` = round force-shed).

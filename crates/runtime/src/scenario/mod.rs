@@ -10,18 +10,15 @@
 //! are the repo's scenario regression corpus: replaying one must reproduce
 //! per-lattice frames and corrections byte for byte.
 //!
-//! Time-varying noise *physics* lives next door: drifting rate schedules in
-//! [`nisqplus_qec::DriftingErrorModel`], burst episodes
-//! ([`nisqplus_qec::BurstEvent`]) and re-tunes of the base channel attach to
-//! a lattice via
-//! [`LatticeSpec::with_burst`](crate::lattice_set::LatticeSpec::with_burst)
-//! and [`LatticeSpec::with_retune`](crate::lattice_set::LatticeSpec::with_retune),
-//! all keyed on the lattice's own rounds.  They make one noise schedule per
-//! lattice, inside its
-//! [`SyndromeSource`](crate::source::SyndromeSource): each boundary the
-//! stream crosses is journaled as one `noise_change`, and the schedule
-//! surfaces per lattice as [`NoiseEpoch`](crate::source::NoiseEpoch)s in
-//! the final report.
+//! Time-varying noise *physics* lives next door: a lattice's noise is
+//! piecewise constant, its base channel changed by re-tunes
+//! ([`LatticeSpec::with_retune`](crate::lattice_set::LatticeSpec::with_retune))
+//! keyed on the lattice's own rounds — a burst of noise is two of them, to
+//! the hot channel and back.  They make one noise schedule per lattice,
+//! inside its [`SyndromeSource`](crate::source::SyndromeSource): each
+//! boundary the stream crosses is journaled as one `noise_change`, and the
+//! schedule surfaces per lattice as
+//! [`NoiseEpoch`](crate::source::NoiseEpoch)s in the final report.
 //!
 //! [`record_run`] and [`replay_run`] are the two entry points tests and
 //! examples use: record a live run's stream, then replay it and assert the

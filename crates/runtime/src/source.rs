@@ -13,10 +13,7 @@
 //! its rounds through the QoS gate into the channels.
 
 use crate::lattice_set::LatticeSet;
-use nisqplus_qec::error_model::{
-    check_probability, BurstEvent, Depolarizing, DriftKind, DriftingErrorModel, ErrorModel,
-    PureDephasing,
-};
+use nisqplus_qec::error_model::{Depolarizing, ErrorModel, PureDephasing};
 use nisqplus_qec::lattice::Lattice;
 use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::syndrome::Syndrome;
@@ -40,54 +37,22 @@ pub enum NoiseSpec {
         /// Total error probability per data qubit per round.
         p: f64,
     },
-    /// Time-varying dephasing: the phase-flip probability follows a
-    /// [`DriftingErrorModel`] schedule over the lattice's round index.
-    Drifting {
-        /// The rate schedule (ramp or sinusoid).
-        model: DriftingErrorModel,
-    },
 }
 
 impl NoiseSpec {
-    /// The total physical error rate of the channel (at round 0 for a
-    /// drifting channel).
+    /// The total physical error rate of the channel.
     #[must_use]
     pub fn physical_error_rate(&self) -> f64 {
         match *self {
             NoiseSpec::PureDephasing { p } | NoiseSpec::Depolarizing { p } => p,
-            NoiseSpec::Drifting { model } => model.base_rate(),
         }
     }
 
-    /// Checks that the channel's parameters are valid without building a
-    /// stream around it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`QecError`] the channel constructor would.
-    pub fn validate(&self) -> Result<(), QecError> {
-        match *self {
-            NoiseSpec::PureDephasing { p } | NoiseSpec::Depolarizing { p } => {
-                check_probability(p).map(|_| ())
-            }
-            NoiseSpec::Drifting { .. } => Ok(()),
-        }
-    }
-
-    /// The channel inside `burst`'s window: every rate multiplied by the
-    /// episode's factor, clamped to a valid probability.
-    #[must_use]
-    pub fn amplify(self, burst: &BurstEvent) -> NoiseSpec {
+    /// The channel's kind, as a [`NoiseEpoch`] labels it.
+    fn label(&self) -> &'static str {
         match self {
-            NoiseSpec::PureDephasing { p } => NoiseSpec::PureDephasing {
-                p: burst.amplified_rate(p),
-            },
-            NoiseSpec::Depolarizing { p } => NoiseSpec::Depolarizing {
-                p: burst.amplified_rate(p),
-            },
-            NoiseSpec::Drifting { model } => NoiseSpec::Drifting {
-                model: model.amplified(burst.factor),
-            },
+            NoiseSpec::PureDephasing { .. } => "dephasing",
+            NoiseSpec::Depolarizing { .. } => "depolarizing",
         }
     }
 }
@@ -97,7 +62,6 @@ impl NoiseSpec {
 enum NoiseModel {
     Dephasing(PureDephasing),
     Depolarizing(Depolarizing),
-    Drifting(DriftingErrorModel),
 }
 
 impl NoiseModel {
@@ -105,31 +69,24 @@ impl NoiseModel {
         Ok(match noise {
             NoiseSpec::PureDephasing { p } => NoiseModel::Dephasing(PureDephasing::new(p)?),
             NoiseSpec::Depolarizing { p } => NoiseModel::Depolarizing(Depolarizing::new(p)?),
-            NoiseSpec::Drifting { model } => NoiseModel::Drifting(model),
         })
     }
 
     /// Samples one round's error pattern into `error`, reusing its
-    /// allocation.  Every arm gap-samples
-    /// ([`ErrorModel::sample_into`]), so a round consumes as many draws as
-    /// it has faults: the stream is a function of the seed and of every
-    /// channel (and instantaneous drifting rate) that was ever active, and
-    /// a change of rate leaves the rounds before it untouched, not the
-    /// rounds after.
+    /// allocation.  Both arms gap-sample ([`ErrorModel::sample_into`]), so
+    /// a round consumes as many draws as it has faults: the stream is a
+    /// function of the seed and of every channel that was ever in force,
+    /// and a re-tune leaves the rounds before it untouched, not the rounds
+    /// after.
     fn sample_into<R: rand::Rng + ?Sized>(
         &self,
         lattice: &Lattice,
         rng: &mut R,
-        round: u64,
         error: &mut PauliString,
     ) {
         match self {
             NoiseModel::Dephasing(m) => m.sample_into(lattice, rng, error),
             NoiseModel::Depolarizing(m) => m.sample_into(lattice, rng, error),
-            // A drifting round builds its round's channel, table and all.
-            NoiseModel::Drifting(d) => PureDephasing::new(d.rate_at(round))
-                .expect("rate_at clamps to [0, 1]")
-                .sample_into(lattice, rng, error),
         }
     }
 }
@@ -143,85 +100,41 @@ pub struct NoiseEpoch {
     pub start_round: u64,
     /// One past the last covered round.
     pub end_round: u64,
-    /// Mean physical error rate over the epoch (sampled for drifting
-    /// channels, exact otherwise).
+    /// The physical error rate of the epoch's channel (its `p`).
     pub mean_rate: f64,
-    /// Human-readable regime label, e.g. `"dephasing"` or `"drift-ramp+burst"`.
+    /// The epoch's channel kind: `"dephasing"` or `"depolarizing"`.
     pub label: String,
 }
 
-/// Mean rate of `spec` over lattice rounds `[start, end)`.
-fn segment_mean_rate(spec: NoiseSpec, start: u64, end: u64) -> f64 {
-    match spec {
-        NoiseSpec::PureDephasing { p } | NoiseSpec::Depolarizing { p } => p,
-        NoiseSpec::Drifting { model } => {
-            let len = end - start;
-            let samples = len.min(64);
-            let sum: f64 = (0..samples)
-                .map(|i| model.rate_at(start + i * len / samples))
-                .sum();
-            sum / samples as f64
-        }
-    }
-}
-
-/// Regime label for an epoch under `base` noise, burst-qualified.
-fn epoch_label(base: NoiseSpec, in_burst: bool) -> String {
-    let kind = match base {
-        NoiseSpec::PureDephasing { .. } => "dephasing",
-        NoiseSpec::Depolarizing { .. } => "depolarizing",
-        NoiseSpec::Drifting { model } => match model.kind() {
-            DriftKind::Ramp { .. } => "drift-ramp",
-            DriftKind::Sinusoid { .. } => "drift-sinusoid",
-        },
-    };
-    if in_burst {
-        format!("{kind}+burst")
-    } else {
-        kind.to_string()
-    }
-}
-
 /// One segment of a lattice's noise schedule: the rounds from `start_round`
-/// up to the next segment's start are sampled from `base`, amplified by
-/// `burst` inside the lattice's burst window.
+/// up to the next segment's start are sampled from `noise`.
 #[derive(Debug, Clone)]
 struct Segment {
     start_round: u64,
-    base: NoiseSpec,
-    burst: Option<BurstEvent>,
+    noise: NoiseSpec,
     /// The channel the segment's rounds are sampled from, built once.
     model: NoiseModel,
 }
 
 impl Segment {
-    fn new(start_round: u64, base: NoiseSpec, burst: Option<BurstEvent>) -> Result<Self, QecError> {
-        let model = NoiseModel::build(effective(base, burst))?;
+    fn new(start_round: u64, noise: NoiseSpec) -> Result<Self, QecError> {
         Ok(Segment {
             start_round,
-            base,
-            burst,
-            model,
+            noise,
+            model: NoiseModel::build(noise)?,
         })
     }
-}
-
-/// The channel in force under `base` noise, amplified inside a burst.
-fn effective(base: NoiseSpec, burst: Option<BurstEvent>) -> NoiseSpec {
-    burst.map_or(base, |burst| base.amplify(&burst))
 }
 
 /// An endless, seeded stream of surface-code syndromes.
 #[derive(Debug, Clone)]
 pub struct SyndromeSource {
     lattice: Arc<Lattice>,
-    /// The noise schedule — base channel, burst window and re-tunes as one
-    /// list of segments, sorted by strictly increasing start, the first at
-    /// round 0.  Every cut is keyed by the lattice's own round index, never
-    /// by wall clock or extra randomness, so a stream replays exactly.
+    /// The noise schedule — the base channel and every re-tune as one list
+    /// of segments, sorted by strictly increasing start, the first at round
+    /// 0.  Every cut is keyed by the lattice's own round index, never by
+    /// wall clock or extra randomness, so a stream replays exactly.
     schedule: Vec<Segment>,
-    /// The rounds re-tunes start at, sorted: where each re-tune's reach ends.
-    retunes: Vec<u64>,
     /// The segment the last round was sampled from (0 before the first).
     cursor: usize,
     rng: ChaCha8Rng,
@@ -238,37 +151,20 @@ impl SyndromeSource {
     pub fn new(lattice: Arc<Lattice>, noise: NoiseSpec, seed: u64) -> Result<Self, QecError> {
         Ok(SyndromeSource {
             lattice,
-            schedule: vec![Segment::new(0, noise, None)?],
-            retunes: Vec::new(),
+            schedule: vec![Segment::new(0, noise)?],
             cursor: 0,
             rng: ChaCha8Rng::seed_from_u64(seed),
             rounds_emitted: 0,
         })
     }
 
-    /// Cuts the schedule's segment covering `round` at `round`, unless one
-    /// already starts there; returns the index of the segment starting at
-    /// `round`.
-    fn split_at(&mut self, round: u64) -> usize {
-        let covering = self.schedule.partition_point(|s| s.start_round <= round) - 1;
-        if self.schedule[covering].start_round == round {
-            return covering;
-        }
-        let tail = Segment {
-            start_round: round,
-            ..self.schedule[covering].clone()
-        };
-        self.schedule.insert(covering + 1, tail);
-        covering + 1
-    }
-
-    /// Swaps the stream's base channel from lattice round `round` on — a
-    /// re-calibration — up to the next re-tune's round.  Rounds inside the
-    /// burst window are sampled from the new base, amplified.  Re-tunes take
-    /// effect in round order whatever order they are added in; of two at the
-    /// same round, the one added last wins.  Replaying the stream with the
-    /// same re-tunes reproduces it bit for bit; a stream re-tuned differently
-    /// shares only the rounds before the first difference.
+    /// Swaps the stream's channel from lattice round `round` on — a
+    /// re-calibration, or one edge of a burst of noise — up to the next
+    /// re-tune's round.  Re-tunes take effect in round order whatever order
+    /// they are added in; of two at the same round, the one added last
+    /// wins.  Replaying the stream with the same re-tunes reproduces it bit
+    /// for bit; a stream re-tuned differently shares only the rounds before
+    /// the first difference.
     ///
     /// # Errors
     ///
@@ -280,41 +176,16 @@ impl SyndromeSource {
     /// identity from round zero.
     pub fn with_retune(mut self, round: u64, noise: NoiseSpec) -> Result<Self, QecError> {
         assert_eq!(self.rounds_emitted, 0, "a re-tune must precede the stream");
-        noise.validate()?;
-        let later = self.retunes.partition_point(|&at| at <= round);
-        let first = self.split_at(round);
-        let end = match self.retunes.get(later) {
-            Some(&next) => self.split_at(next),
-            None => self.schedule.len(),
-        };
-        for segment in &mut self.schedule[first..end] {
-            *segment = Segment::new(segment.start_round, noise, segment.burst)?;
-        }
-        self.retunes.insert(later, round);
-        Ok(self)
-    }
-
-    /// Overlays a time-varying burst episode on the stream: rounds the
-    /// episode covers are sampled from the amplified channel, all others
-    /// from the base channel.  An empty window changes nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QecError::InvalidProbability`] if the amplified probability
-    /// is invalid (it is clamped to `[0, 1]` first, so this is defensive).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a round has been emitted: the episode is part of the
-    /// stream's identity from round zero.
-    pub fn with_burst(mut self, burst: BurstEvent) -> Result<Self, QecError> {
-        assert_eq!(self.rounds_emitted, 0, "a burst must precede the stream");
-        if burst.start_round < burst.end_round() {
-            let first = self.split_at(burst.start_round);
-            let end = self.split_at(burst.end_round());
-            for segment in &mut self.schedule[first..end] {
-                *segment = Segment::new(segment.start_round, segment.base, Some(burst))?;
-            }
+        let segment = Segment::new(round, noise)?;
+        let at = self.schedule.partition_point(|s| s.start_round < round);
+        if self
+            .schedule
+            .get(at)
+            .is_some_and(|s| s.start_round == round)
+        {
+            self.schedule[at] = segment;
+        } else {
+            self.schedule.insert(at, segment);
         }
         Ok(self)
     }
@@ -327,15 +198,11 @@ impl SyndromeSource {
         let ends = self.schedule.iter().skip(1).map(|next| next.start_round);
         (self.schedule.iter().zip(ends.chain([total])))
             .take_while(|(segment, _)| segment.start_round < total)
-            .map(|(segment, end)| {
-                let (start, end) = (segment.start_round, end.min(total));
-                let spec = effective(segment.base, segment.burst);
-                NoiseEpoch {
-                    start_round: start,
-                    end_round: end,
-                    mean_rate: segment_mean_rate(spec, start, end),
-                    label: epoch_label(segment.base, segment.burst.is_some()),
-                }
+            .map(|(segment, end)| NoiseEpoch {
+                start_round: segment.start_round,
+                end_round: end.min(total),
+                mean_rate: segment.noise.physical_error_rate(),
+                label: segment.noise.label().to_string(),
             })
             .collect()
     }
@@ -380,7 +247,7 @@ impl SyndromeSource {
         self.cursor += usize::from(crossed);
         self.schedule[self.cursor]
             .model
-            .sample_into(&self.lattice, &mut self.rng, round, error);
+            .sample_into(&self.lattice, &mut self.rng, error);
         self.rounds_emitted += 1;
         self.lattice.syndrome_into(error, syndrome);
         crossed
@@ -408,7 +275,7 @@ pub struct SourcedRound {
     /// of replaying every lattice at the end of the run.
     pub error: PauliString,
     /// Whether the round is the first of a new segment of its lattice's
-    /// noise schedule (a burst window's edge or a re-tune): the source stage
+    /// noise schedule (a re-tune's round): the source stage
     /// journals it as one `noise_change`.
     pub noise_change: bool,
 }
@@ -485,9 +352,6 @@ impl InterleavedSource {
         let mut due = std::collections::BinaryHeap::with_capacity(set.len());
         for (lattice_id, spec, lattice) in set.iter() {
             let mut source = SyndromeSource::new(lattice.clone(), spec.noise, spec.seed)?;
-            if let Some(burst) = spec.burst {
-                source = source.with_burst(burst)?;
-            }
             for &(round, noise) in &spec.retunes {
                 source = source.with_retune(round, noise)?;
             }
@@ -608,24 +472,22 @@ mod tests {
     }
 
     /// The `_into` form draws what the allocating form draws, round for
-    /// round, whichever channel is active — dirty, wrong-sized buffers
+    /// round, whichever channel is in force — dirty, wrong-sized buffers
     /// included — and the two forms can alternate on one stream.
     #[test]
     fn into_form_yields_the_same_error_and_syndrome_sequence() {
-        let drift = DriftingErrorModel::ramp(0.01, 0.002).unwrap();
-        let burst = BurstEvent::new(5, 6, 20.0).unwrap();
         let calm = [
             NoiseSpec::PureDephasing { p: 0.05 },
             NoiseSpec::Depolarizing { p: 0.1 },
-            NoiseSpec::Drifting { model: drift },
         ];
         let streams = calm
             .iter()
             .map(|&noise| SyndromeSource::new(lattice(), noise, 31).unwrap())
             .chain(calm.iter().map(|&noise| {
-                SyndromeSource::new(lattice(), noise, 32)
-                    .unwrap()
-                    .with_burst(burst)
+                let hot = NoiseSpec::Depolarizing { p: 0.4 };
+                (SyndromeSource::new(lattice(), noise, 32).unwrap())
+                    .with_retune(5, hot)
+                    .and_then(|source| source.with_retune(11, noise))
                     .unwrap()
             }));
         for mut allocating in streams {
@@ -746,25 +608,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn burst_amplification_clamps_to_valid_probability() {
-        let burst = BurstEvent::new(0, 1, 1e6).unwrap();
-        let amplified = NoiseSpec::PureDephasing { p: 0.5 }.amplify(&burst);
-        assert_eq!(amplified, NoiseSpec::PureDephasing { p: 1.0 });
-        // And the bursty source builds fine even with an extreme factor.
-        let noise = NoiseSpec::PureDephasing { p: 0.5 };
-        assert!(SyndromeSource::new(lattice(), noise, 0)
-            .unwrap()
-            .with_burst(burst)
-            .is_ok());
-    }
-
+    /// A burst is two re-tunes, to the hot channel at its first round and
+    /// back at its end, and it touches only its own lattice's stream.
     #[test]
     fn interleaved_burst_applies_to_one_lattice_only() {
-        let burst = BurstEvent::new(2, 2, 30.0).unwrap();
+        let (base, hot) = (
+            NoiseSpec::PureDephasing { p: 0.03 },
+            NoiseSpec::PureDephasing { p: 0.9 },
+        );
         let calm_set = LatticeSet::new(vec![spec(3, 11, 6, 0), spec(3, 22, 6, 0)]).unwrap();
-        let bursty_set =
-            LatticeSet::new(vec![spec(3, 11, 6, 0), spec(3, 22, 6, 0).with_burst(burst)]).unwrap();
+        let bursty = (spec(3, 22, 6, 0).with_retune(2, hot)).with_retune(4, base);
+        let bursty_set = LatticeSet::new(vec![spec(3, 11, 6, 0), bursty]).unwrap();
         let cycle_time = CycleTimeConverter::paper_reference();
         let mut bursty = InterleavedSource::new(&bursty_set, &cycle_time).unwrap();
         let mut calm = InterleavedSource::new(&calm_set, &cycle_time).unwrap();
@@ -772,55 +626,58 @@ mod tests {
             let reference = calm.next_round().unwrap();
             assert_eq!(round.lattice_id, reference.lattice_id);
             assert_eq!(round.round, reference.round);
-            if round.lattice_id == 0 || !burst.covers(round.round) {
+            assert_eq!(
+                round.noise_change,
+                round.lattice_id == 1 && [2, 4].contains(&round.round)
+            );
+            if round.lattice_id == 0 || round.round < 2 {
                 assert_eq!(round.syndrome, reference.syndrome);
             }
         }
         assert!(calm.next_round().is_none());
+        let epochs = bursty.noise_epochs();
+        let rates: Vec<(u64, u64, f64)> = (epochs[1].iter())
+            .map(|e| (e.start_round, e.end_round, e.mean_rate))
+            .collect();
+        assert_eq!(rates, [(0, 2, 0.03), (2, 4, 0.9), (4, 6, 0.03)]);
     }
 
-    /// The brute-force oracle: round `round` sampled with the shared
-    /// generator `rng` from `base`, amplified by `burst`.
+    /// The brute-force oracle: one round sampled with the shared generator
+    /// `rng` from `noise`.
     fn oracle_round(
         lattice: &Lattice,
-        (base, burst): (NoiseSpec, Option<BurstEvent>),
+        noise: NoiseSpec,
         rng: &mut ChaCha8Rng,
-        round: u64,
     ) -> (PauliString, Syndrome) {
         let mut error = PauliString::default();
-        let model = NoiseModel::build(effective(base, burst)).unwrap();
-        model.sample_into(lattice, rng, round, &mut error);
+        NoiseModel::build(noise)
+            .unwrap()
+            .sample_into(lattice, rng, &mut error);
         let syndrome = lattice.syndrome_of(&error);
         (error, syndrome)
     }
 
-    /// A random channel of any of the three kinds.
+    /// A random channel of either kind.
     fn random_noise(rng: &mut ChaCha8Rng) -> NoiseSpec {
         let p = 0.2 * rng.gen::<f64>();
-        match rng.gen_range(0..4) {
-            0 => NoiseSpec::PureDephasing { p },
-            1 => NoiseSpec::Depolarizing { p },
-            2 => NoiseSpec::Drifting {
-                model: DriftingErrorModel::ramp(p, 0.004 * rng.gen::<f64>()).unwrap(),
-            },
-            _ => NoiseSpec::Drifting {
-                model: DriftingErrorModel::sinusoid(p, p / 2.0, 16.0).unwrap(),
-            },
+        if rng.gen() {
+            NoiseSpec::PureDephasing { p }
+        } else {
+            NoiseSpec::Depolarizing { p }
         }
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// The schedule against a brute-force oracle: a random base, an
-        /// optional burst (empty, past the end and straddling it included)
-        /// and 0–3 re-tunes at random lattice rounds, added in shuffled
-        /// order before the first round, give, round for round, the stream of
-        /// one generator that samples round `r` from the channel in force at
-        /// `r` — the latest re-tune at or before `r`, the last added on a
-        /// tie.  The epochs tile the emitted rounds, cut exactly where the
-        /// stream reported crossing a boundary, and each round's channel is
-        /// the one its epoch names.
+        /// The schedule against a brute-force oracle: a random base and
+        /// 0–5 re-tunes at random lattice rounds (past the end included),
+        /// added in shuffled order before the first round, give, round for
+        /// round, the stream of one generator that samples round `r` from
+        /// the channel in force at `r` — the latest re-tune at or before
+        /// `r`, the last added on a tie.  The epochs tile the emitted
+        /// rounds, cut exactly where the stream reported crossing a
+        /// boundary, and each epoch names the channel of every round in it.
         #[test]
         fn the_schedule_samples_the_channel_in_force_at_every_round(
             case in proptest::prelude::any::<u64>()
@@ -828,17 +685,12 @@ mod tests {
             const TOTAL: u64 = 48;
             let mut pick = ChaCha8Rng::seed_from_u64(case);
             let base = random_noise(&mut pick);
-            let burst = (pick.gen_range(0..4) > 0).then(|| {
-                let start = pick.gen_range(0..TOTAL as usize + 16) as u64;
-                let rounds = pick.gen_range(0..20) as u64;
-                BurstEvent::new(start, rounds, 10.0 * pick.gen::<f64>()).unwrap()
-            });
             let mut retunes: Vec<(u64, NoiseSpec)> = Vec::new();
-            for _ in 0..pick.gen_range(0..4) {
+            for _ in 0..pick.gen_range(0..6) {
                 // One draw in three repeats the last round, so ties come up.
                 let round = match retunes.last() {
                     Some(&(last, _)) if pick.gen_range(0..3) == 0 => last,
-                    _ => pick.gen_range(0..TOTAL as usize + 4) as u64,
+                    _ => pick.gen_range(0..TOTAL as usize + 16) as u64,
                 };
                 retunes.push((round, random_noise(&mut pick)));
             }
@@ -850,15 +702,11 @@ mod tests {
             in_round_order.sort_by_key(|&(round, _)| round);
             let in_force = |round: u64| {
                 let retuned = in_round_order.iter().rfind(|&&(at, _)| at <= round);
-                let base = retuned.map_or(base, |&(_, noise)| noise);
-                (base, burst.filter(|burst| burst.covers(round)))
+                retuned.map_or(base, |&(_, noise)| noise)
             };
 
             let lattice = Arc::new(Lattice::new(3).unwrap());
             let mut source = SyndromeSource::new(lattice.clone(), base, case).unwrap();
-            if let Some(burst) = burst {
-                source = source.with_burst(burst).unwrap();
-            }
             for &(round, noise) in &retunes {
                 source = source.with_retune(round, noise).unwrap();
             }
@@ -869,7 +717,7 @@ mod tests {
                 if source.next_error_and_syndrome_into(&mut error, &mut syndrome) {
                     crossed.push(round);
                 }
-                let expected = oracle_round(&lattice, in_force(round), &mut oracle, round);
+                let expected = oracle_round(&lattice, in_force(round), &mut oracle);
                 prop_assert_eq!((error.clone(), syndrome.clone()), expected, "round {}", round);
             }
 
@@ -880,61 +728,12 @@ mod tests {
             prop_assert_eq!(ends, [&crossed[..], &[TOTAL]].concat());
             for epoch in &epochs {
                 for round in epoch.start_round..epoch.end_round {
-                    let (base, burst) = in_force(round);
-                    prop_assert_eq!(&epoch.label, &epoch_label(base, burst.is_some()));
-                    if !matches!(base, NoiseSpec::Drifting { .. }) {
-                        let rate = effective(base, burst).physical_error_rate();
-                        prop_assert_eq!(epoch.mean_rate, rate);
-                    }
+                    let noise = in_force(round);
+                    prop_assert_eq!(epoch.label.as_str(), noise.label());
+                    prop_assert_eq!(epoch.mean_rate, noise.physical_error_rate());
                 }
             }
         }
-    }
-
-    /// A re-tune inside a burst re-amplifies the new base for the
-    /// rest of the window, then leaves the new base in force.
-    #[test]
-    fn a_retune_inside_a_burst_re_amplifies_the_new_base() {
-        let calm = NoiseSpec::PureDephasing { p: 0.02 };
-        let retuned = NoiseSpec::Depolarizing { p: 0.03 };
-        let burst = BurstEvent::new(8, 8, 5.0).unwrap();
-        let lattice_spec = (spec(5, 3, 24, 0).with_noise(calm))
-            .with_burst(burst)
-            .with_retune(12, retuned);
-        let set = LatticeSet::new(vec![lattice_spec]).unwrap();
-        let mut source =
-            InterleavedSource::new(&set, &CycleTimeConverter::paper_reference()).unwrap();
-        let in_force = |round: u64| {
-            let base = if round < 12 { calm } else { retuned };
-            (base, Some(burst).filter(|burst| burst.covers(round)))
-        };
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let mut emitted = 0;
-        while let Some(sourced) = source.next_round() {
-            let expected = oracle_round(set.lattice(0), in_force(emitted), &mut rng, emitted);
-            assert_eq!(sourced.round, emitted);
-            assert_eq!(sourced.noise_change, [8, 12, 16].contains(&emitted));
-            assert_eq!(
-                (sourced.error, sourced.syndrome),
-                expected,
-                "round {emitted}"
-            );
-            emitted += 1;
-        }
-        assert_eq!(emitted, 24);
-        let epochs = source.noise_epochs().swap_remove(0);
-        let epochs: Vec<(u64, u64, &str)> = (epochs.iter())
-            .map(|e| (e.start_round, e.end_round, e.label.as_str()))
-            .collect();
-        assert_eq!(
-            epochs,
-            [
-                (0, 8, "dephasing"),
-                (8, 12, "dephasing+burst"),
-                (12, 16, "depolarizing+burst"),
-                (16, 24, "depolarizing"),
-            ]
-        );
     }
 
     #[test]

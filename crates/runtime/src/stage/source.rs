@@ -38,7 +38,7 @@ pub struct PipelineOptions {
     pub watchdog: Duration,
     /// Re-serve this recorded trace instead of sampling the seeded sources.
     /// The trace's rounds flow through the same gate/channel/decode pipeline
-    /// verbatim; the machine's noise specs, bursts and re-tunes are ignored
+    /// verbatim; the machine's noise specs and re-tunes are ignored
     /// (the trace already embodies their effects).
     pub replay: Option<SyndromeTrace>,
     /// Tap every emitted round into a [`TraceRecorder`]; the finished

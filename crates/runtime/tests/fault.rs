@@ -15,7 +15,6 @@
 //!   same run without the crash.  Recovery is exact, not best-effort.
 
 use nisqplus_decoders::{Decoder, DynDecoder, GreedyMatchingDecoder};
-use nisqplus_qec::error_model::BurstEvent;
 use nisqplus_qec::lattice::{Lattice, Sector};
 use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::syndrome::Syndrome;
@@ -181,13 +180,15 @@ fn a_lone_worker_always_reaches_its_crash_round() {
 }
 
 /// A burst episode belongs to the lattice's noise schedule, not to the
-/// fault plan: a spec burst beside an unrelated crash plan journals its two
-/// edges as noise changes, the crash as one crash, and the books hold.
+/// fault plan: a burst (two re-tunes) beside an unrelated crash plan
+/// journals its two edges as noise changes, the crash as one crash, and the
+/// books hold.
 #[test]
 fn spec_burst_beside_a_crash_plan_reconciles() {
     silence_injected_crash_panics();
     let mut machine = crash_machine(7, 1, FaultPlan::default().crash_worker(0, 50));
-    machine.lattices[0].burst = Some(BurstEvent::new(20, 10, 8.0).unwrap());
+    let hot = NoiseSpec::Depolarizing { p: 0.04 * 8.0 };
+    machine.lattices[0].retunes = vec![(20, hot), (30, machine.lattices[0].noise)];
     let outcome = run_machine(machine);
     outcome.check_invariants().unwrap();
     let report = &outcome.report;

@@ -2,13 +2,15 @@
 //! burst-window and re-tune edges of the noise schedule, and replay checks.
 //!
 //! The golden traces under `tests/traces/` are recorded runs of small but
-//! scenario-rich machines (burst episodes, drifting noise, a re-tune inside
-//! a burst).  Each file pins the reference outcome — counters,
-//! per-lattice shed counts, merged-frame digests, residual tallies — as a
-//! [`GoldenSummary`]; replaying the trace through today's pipeline must
-//! reproduce every pinned quantity exactly, with its books holding.  Any change that perturbs
-//! routing, decoding, frame commits or residual classification on a recorded
-//! stream fails here byte-for-byte, not statistically.
+//! scenario-rich machines (a burst of noise, a step schedule, a re-tune
+//! inside a burst, one re-tune per round).  Each file pins the reference
+//! outcome — counters, per-lattice shed counts, merged-frame digests,
+//! residual tallies — as a [`GoldenSummary`]; replaying the trace through
+//! today's pipeline must reproduce every pinned quantity exactly, with its
+//! books holding, and a live run of the same machine must emit the file's
+//! rounds.  Any change that perturbs the stream, routing, decoding, frame
+//! commits or residual classification fails here byte-for-byte, not
+//! statistically.
 //!
 //! Regenerate the corpus (after an *intentional* stream-shape change) with:
 //!
@@ -20,7 +22,6 @@
 //! written, and the two outcomes must already agree.
 
 use nisqplus_decoders::{DecoderFactory, DynDecoder, GreedyMatchingDecoder};
-use nisqplus_qec::error_model::{BurstEvent, DriftingErrorModel};
 use nisqplus_runtime::{
     golden_summary, record_run, replay_run, EventKind, ExportError, MachineConfig, NoiseSpec,
     PushPolicy, RuntimeOutcome, StreamingEngine, SyndromeTrace,
@@ -49,35 +50,61 @@ fn scenario_machine(distances: &[usize], rounds: u64, base_seed: u64) -> Machine
     config
 }
 
-/// Golden case 1: a d=3 patch riding out a 6× burst episode mid-stream.
+/// Golden case 1: a d=3 patch riding out a 6× burst over its rounds
+/// 12..22 — two re-tunes, to the hot channel and back.
 fn d3_burst_machine() -> MachineConfig {
     let mut config = scenario_machine(&[3], 64, 41);
-    config.lattices[0].noise = NoiseSpec::PureDephasing { p: 0.02 };
-    config.lattices[0].burst = Some(BurstEvent::new(12, 10, 6.0).expect("valid burst"));
+    let base = NoiseSpec::PureDephasing { p: 0.02 };
+    let hot = NoiseSpec::PureDephasing { p: 0.02 * 6.0 };
+    config.lattices[0].noise = base;
+    config.lattices[0].retunes = vec![(12, hot), (22, base)];
     config
 }
 
-/// Golden case 2: a d=5 patch under sinusoidally drifting dephasing.
-fn d5_drift_machine() -> MachineConfig {
+/// Golden case 2: a d=5 patch whose dephasing steps, every four rounds,
+/// through 1.5 %, 2.5 %, 1.5 % and 0.5 % and round again — a sinusoid's
+/// samples at its quarter periods, with no libm call.
+fn d5_steps_machine() -> MachineConfig {
+    const STEPS: [f64; 4] = [0.015, 0.025, 0.015, 0.005];
     let mut config = scenario_machine(&[5], 48, 97);
-    config.lattices[0].noise = NoiseSpec::Drifting {
-        model: DriftingErrorModel::sinusoid(0.015, 0.01, 16.0).expect("valid drift"),
-    };
+    config.lattices[0].noise = NoiseSpec::PureDephasing { p: STEPS[0] };
+    config.lattices[0].retunes = (4..48)
+        .step_by(4)
+        .map(|r: u64| {
+            (
+                r,
+                NoiseSpec::PureDephasing {
+                    p: STEPS[(r / 4) as usize % 4],
+                },
+            )
+        })
+        .collect();
     config
 }
 
 /// Golden case 3: a two-patch machine, both live from round 0 — the d=3
-/// patch under a 3× burst over its rounds 5..13 and re-tuned to depolarizing
-/// noise at its own round 12, inside the burst; the d=5 patch under a ramp
-/// drift.
+/// patch under a 3× burst over its rounds 5..13, re-tuned to depolarizing
+/// noise (also 3×) at its own round 12, inside the burst; the d=5 patch
+/// under a ramp, one re-tune per round.
 fn d3d5_retune_machine() -> MachineConfig {
     let mut config = scenario_machine(&[3, 5], 40, 2020);
     config.lattices[0].noise = NoiseSpec::PureDephasing { p: 0.03 };
-    config.lattices[0].burst = Some(BurstEvent::new(5, 8, 3.0).expect("valid burst"));
-    config.lattices[0].retunes = vec![(12, NoiseSpec::Depolarizing { p: 0.05 })];
-    config.lattices[1].noise = NoiseSpec::Drifting {
-        model: DriftingErrorModel::ramp(0.01, 0.0005).expect("valid drift"),
-    };
+    config.lattices[0].retunes = vec![
+        (5, NoiseSpec::PureDephasing { p: 0.03 * 3.0 }),
+        (12, NoiseSpec::Depolarizing { p: 0.05 * 3.0 }),
+        (13, NoiseSpec::Depolarizing { p: 0.05 }),
+    ];
+    config.lattices[1].noise = NoiseSpec::PureDephasing { p: 0.01 };
+    config.lattices[1].retunes = (1..40)
+        .map(|r: u64| {
+            (
+                r,
+                NoiseSpec::PureDephasing {
+                    p: 0.01 + 0.0005 * r as f64,
+                },
+            )
+        })
+        .collect();
     config
 }
 
@@ -85,7 +112,7 @@ fn d3d5_retune_machine() -> MachineConfig {
 fn golden_cases() -> Vec<(&'static str, MachineConfig)> {
     vec![
         ("d3_burst", d3_burst_machine()),
-        ("d5_drift", d5_drift_machine()),
+        ("d5_steps", d5_steps_machine()),
         ("d3d5_retune", d3d5_retune_machine()),
     ]
 }
@@ -94,17 +121,19 @@ fn trace_path(name: &str) -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/traces")).join(format!("{name}.json"))
 }
 
-/// Records `config` live, pins its outcome, self-checks the replay, and
-/// writes the trace file.
-fn regenerate(name: &str, config: &MachineConfig) -> SyndromeTrace {
+/// Records `config` live and pins its outcome on the recorded trace.
+fn record(config: &MachineConfig) -> SyndromeTrace {
     let engine = StreamingEngine::with_machine(config.clone()).expect("valid golden machine");
     let outcome = record_run(&engine, &greedy_factory());
     outcome.check_invariants().unwrap();
     let golden = golden_summary(&outcome);
-    let trace = outcome
-        .trace
-        .expect("record_run records a trace")
-        .with_golden(golden.clone());
+    (outcome.trace.expect("record_run records a trace")).with_golden(golden)
+}
+
+/// Records `config` live, self-checks the replay, and writes the trace file.
+fn regenerate(name: &str, config: &MachineConfig) -> SyndromeTrace {
+    let trace = record(config);
+    let golden = trace.golden.clone().expect("recorded with its summary");
     let replay_engine =
         StreamingEngine::with_machine(config.clone()).expect("valid golden machine");
     let replayed = replay_run(&replay_engine, &trace, &greedy_factory()).expect("the trace fits");
@@ -120,9 +149,9 @@ fn regenerate(name: &str, config: &MachineConfig) -> SyndromeTrace {
 }
 
 /// The golden-trace regression suite: every committed trace replays to its
-/// pinned summary exactly, and its books hold.  Set `NISQ_TRACE_REGEN=1` to
-/// re-record the corpus instead (the regenerated files must then be
-/// committed).
+/// pinned summary exactly, its books hold, and a live run of its machine
+/// emits its rounds.  Set `NISQ_TRACE_REGEN=1` to re-record the corpus
+/// instead (the regenerated files must then be committed).
 #[test]
 fn golden_traces_replay_to_their_pinned_summaries() {
     let regen = std::env::var_os("NISQ_TRACE_REGEN").is_some();
@@ -130,12 +159,17 @@ fn golden_traces_replay_to_their_pinned_summaries() {
         let trace = if regen {
             regenerate(name, &config)
         } else {
-            SyndromeTrace::read_from(trace_path(name)).unwrap_or_else(|err| {
+            let trace = SyndromeTrace::read_from(trace_path(name)).unwrap_or_else(|err| {
                 panic!(
                     "golden trace {name} unreadable ({err}); regenerate the corpus with \
                      NISQ_TRACE_REGEN=1 and commit the files"
                 )
-            })
+            });
+            assert!(
+                record(&config).rounds == trace.rounds,
+                "golden trace {name}: a live run no longer emits the recorded rounds"
+            );
+            trace
         };
         let golden = trace
             .golden
@@ -155,8 +189,8 @@ fn golden_traces_replay_to_their_pinned_summaries() {
 }
 
 /// A replay journals no noise change — the trace is the record: its feed
-/// carries no noise schedule, and its lattices report no epochs — so a bursty
-/// machine's replay holds its books.
+/// carries no noise schedule, and its lattices report no epochs — so a
+/// re-tuned machine's replay holds its books.
 #[test]
 fn a_replay_of_a_bursty_machine_journals_no_noise_change() {
     let engine = StreamingEngine::with_machine(d3_burst_machine()).unwrap();
@@ -173,35 +207,39 @@ fn a_replay_of_a_bursty_machine_journals_no_noise_change() {
     assert_eq!((changes(&live), changes(&replayed)), ((2, 3), (0, 0)));
 }
 
-/// Wherever a burst window sits against the end of a 64-round stream —
-/// inside it, flush with its end, straddling it (cut short by the stream's
-/// end), past it, or empty — the lattice's epochs are exactly the schedule's
-/// segments it reached, the journal holds one noise change per boundary it
-/// crossed, and the books hold.
+/// Wherever a burst — two re-tunes, to 6× the base at its first round
+/// and back at its end — sits against the end of a 64-round stream (inside
+/// it, flush with its end, straddling it, past it, or empty), the lattice's
+/// epochs are exactly the schedule's segments it reached, the journal holds
+/// one noise change per boundary it crossed, and the books hold.  An empty
+/// burst is two re-tunes at one round, the second (back to the base)
+/// winning: it still cuts the timeline there.
 #[test]
 fn every_burst_window_journals_exactly_the_boundaries_it_crossed() {
-    const CALM: &str = "dephasing";
-    const HOT: &str = "dephasing+burst";
-    type Case = ((u64, u64), &'static [(u64, u64, &'static str)]);
+    const CALM: f64 = 0.02;
+    const HOT: f64 = 0.02 * 6.0;
+    type Case = ((u64, u64), &'static [(u64, u64, f64)]);
     let cases: [Case; 5] = [
         ((12, 22), &[(0, 12, CALM), (12, 22, HOT), (22, 64, CALM)]),
         ((54, 64), &[(0, 54, CALM), (54, 64, HOT)]),
         ((60, 70), &[(0, 60, CALM), (60, 64, HOT)]),
         ((80, 85), &[(0, 64, CALM)]),
-        ((20, 20), &[(0, 64, CALM)]),
+        ((20, 20), &[(0, 20, CALM), (20, 64, CALM)]),
     ];
     for ((start, end), expected) in cases {
         let mut config = scenario_machine(&[3], 64, 41);
-        config.lattices[0].noise = NoiseSpec::PureDephasing { p: 0.02 };
-        config.lattices[0].burst = Some(BurstEvent::new(start, end - start, 6.0).unwrap());
+        let base = NoiseSpec::PureDephasing { p: CALM };
+        config.lattices[0].noise = base;
+        config.lattices[0].retunes =
+            vec![(start, NoiseSpec::PureDephasing { p: HOT }), (end, base)];
         let engine = StreamingEngine::with_machine(config).unwrap();
         let outcome = engine.run(&greedy_factory());
         outcome
             .check_invariants()
             .unwrap_or_else(|broken| panic!("burst [{start},{end}): {broken}"));
         let report = &outcome.report;
-        let epochs: Vec<(u64, u64, &str)> = (report.lattices[0].noise_epochs.iter())
-            .map(|e| (e.start_round, e.end_round, e.label.as_str()))
+        let epochs: Vec<(u64, u64, f64)> = (report.lattices[0].noise_epochs.iter())
+            .map(|e| (e.start_round, e.end_round, e.mean_rate))
             .collect();
         assert_eq!(epochs, expected, "burst [{start},{end})");
         let changes = report.journal.counts[EventKind::NoiseChange];

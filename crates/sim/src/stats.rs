@@ -32,12 +32,6 @@ impl Summary {
         Summary::of_runs(samples.iter().map(|&s| (s, 1)))
     }
 
-    /// Computes the summary of an integer-valued sample.
-    #[must_use]
-    pub fn of_counts(samples: &[usize]) -> Summary {
-        Summary::of_runs(samples.iter().map(|&c| (c as f64, 1)))
-    }
-
     /// Computes the summary of a sample given as `(value, count)` runs, each
     /// value counted `count` times ([`SampleCounts::runs`]), with the
     /// conventions of [`Summary::of`].
@@ -269,13 +263,6 @@ mod tests {
         assert!((quantile_sorted(&sorted, 0.5) - 25.0).abs() < 1e-12);
         assert_eq!(quantile_sorted(&[], 0.5), 0.0);
         assert_eq!(quantile_sorted(&[7.0], 0.99), 7.0);
-    }
-
-    #[test]
-    fn summary_of_counts_matches_float_version() {
-        let a = Summary::of_counts(&[2, 4, 6]);
-        let b = Summary::of(&[2.0, 4.0, 6.0]);
-        assert_eq!(a, b);
     }
 
     #[test]

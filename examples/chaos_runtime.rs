@@ -11,7 +11,8 @@
 //!   the stalled ring refused, but the stall arms on a `Block` round, so
 //!   the source waits it out there and lattice 1 sheds nothing,
 //! * lattice 2 (d=3, `Block`) — the burst target: rounds 40..60 run at 8x
-//!   the base dephasing rate.  The burst is part of the stream's seeded
+//!   the base dephasing rate (two re-tunes, to the hot channel at round 40
+//!   and back at round 60).  The burst is part of the stream's seeded
 //!   identity, so the reference run replays the *same* burst and the frames
 //!   still match exactly.
 //!
@@ -31,7 +32,6 @@
 //! `docs/OPERATIONS.md`.
 
 use nisqplus_decoders::{DynDecoder, UnionFindDecoder};
-use nisqplus_qec::error_model::BurstEvent;
 use nisqplus_runtime::{
     fault::silence_injected_crash_panics, EventKind, FaultPlan, LatticeSpec, MachineConfig,
     NoiseSpec, PushPolicy, RuntimeConfig, RuntimeOutcome, StreamingEngine,
@@ -45,19 +45,18 @@ const ROUNDS: u64 = 300;
 /// the run BOUNDED — the chaos, not the clock, is what's under test.
 const CADENCE_CYCLES: usize = RuntimeConfig::PAPER_CADENCE_CYCLES * 250;
 
-/// The burst episode lattice 2's stream carries: rounds 40..60 at 8x noise.
-const BURST: BurstEvent = BurstEvent {
-    start_round: 40,
-    rounds: 20,
-    factor: 8.0,
-};
+/// The base channel of every lattice.
+const BASE: NoiseSpec = NoiseSpec::PureDephasing { p: 0.02 };
+
+/// The channel of lattice 2's burst, rounds 40..60: 8x the base rate.
+const HOT: NoiseSpec = NoiseSpec::PureDephasing { p: 0.02 * 8.0 };
 
 /// Builds the three-lattice machine; `plan` is the only difference between
 /// the chaos run and the fault-free reference.
 fn machine(plan: FaultPlan) -> MachineConfig {
     let spec = |distance: usize, seed: u64| {
         LatticeSpec::new(distance)
-            .with_noise(NoiseSpec::PureDephasing { p: 0.02 })
+            .with_noise(BASE)
             .with_seed(seed)
             .with_rounds(ROUNDS)
             .with_cadence_cycles(CADENCE_CYCLES)
@@ -68,7 +67,8 @@ fn machine(plan: FaultPlan) -> MachineConfig {
         spec(3, 9001).with_push_policy(PushPolicy::Drop),
         spec(3, 9002)
             .with_push_policy(PushPolicy::Block)
-            .with_burst(BURST),
+            .with_retune(40, HOT)
+            .with_retune(60, BASE),
     ];
     config.workers = 2;
     config.queue_capacity = 4_096;
@@ -144,11 +144,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!(
-        "survived: crash caught+restarted ({} restart), burst {}..{} replayed, 2 ms stall \
+        "survived: crash caught+restarted ({} restart), burst 40..60 replayed, 2 ms stall \
          absorbed ({} watchdog trips)",
         counts[EventKind::WorkerRestart],
-        BURST.start_round,
-        BURST.end_round(),
         counts[EventKind::WatchdogTrip]
     );
     println!(
