@@ -14,4 +14,4 @@ pub mod output;
 pub mod soak;
 
 pub use output::{print_header, print_table, trials_from_env};
-pub use soak::{SoakClass, SoakProfile};
+pub use soak::SoakProfile;

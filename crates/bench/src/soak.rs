@@ -12,25 +12,21 @@
 //!
 //! Two profiles, selected by environment:
 //!
+//! Both profiles run every lattice under blocking backpressure (the
+//! machine-wide `Block` policy: an un-paced producer outruns the workers,
+//! so a `Drop` machine would shed the moment the ring filled):
+//!
 //! * **full** (the default): [`SoakProfile::FULL_ROUNDS`] rounds over
-//!   [`SoakProfile::FULL_LATTICES`] lattices, distances cycling 3/5/7,
-//!   a Drop-policy lane every fourth lattice, and lattice 0 served by a
-//!   deliberately throttled decoder behind a tiny queue budget so sustained
-//!   shedding (and its residual cost) is part of what the soak exercises.
+//!   [`SoakProfile::FULL_LATTICES`] lattices, distances cycling 3/5/7.
 //! * **smoke** (`NISQ_SOAK_SMOKE=1`): [`SoakProfile::SMOKE_ROUNDS`] rounds
-//!   over [`SoakProfile::SMOKE_LATTICES`] lattices, every lane under
-//!   blocking backpressure (an un-paced producer outruns the workers, so
-//!   any Drop lane would shed the moment the ring filled), so every verdict
-//!   must come back `BOUNDED` — the CI-sized regression gate.
+//!   over [`SoakProfile::SMOKE_LATTICES`] lattices behind a shallow ring, so
+//!   every verdict must come back `BOUNDED` — the CI-sized regression gate.
 //!
 //! [`SoakProfile`]'s fields are public for any other scale; [`run`] checks
 //! the books.
 
 use nisqplus_decoders::{DynDecoder, UnionFindDecoder};
-use nisqplus_runtime::{
-    LatticeSpec, MachineConfig, PushPolicy, RuntimeOutcome, StreamingEngine, ThrottledDecoder,
-};
-use std::sync::Arc;
+use nisqplus_runtime::{LatticeSpec, MachineConfig, PushPolicy, RuntimeOutcome, StreamingEngine};
 
 /// The scale and shape of one soak run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,22 +37,9 @@ pub struct SoakProfile {
     pub num_lattices: usize,
     /// Decoder worker threads.
     pub workers: usize,
-    /// Smoke mode: CI scale, no throttled lane, all verdicts must be
+    /// Smoke mode: CI scale, a shallow ring, all verdicts must be
     /// `BOUNDED`.
     pub smoke: bool,
-}
-
-/// Which QoS class a soak lattice belongs to — the unit the soak example's
-/// per-class summary sums over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SoakClass {
-    /// Blocking backpressure: no round may be lost.
-    Block,
-    /// Load shedding under a queue budget: rounds may be dropped.
-    Drop,
-    /// The deliberately slow lane (full profile only): a throttled decoder
-    /// behind a tiny budget, shedding sustainedly by design.
-    Throttled,
 }
 
 impl SoakProfile {
@@ -70,8 +53,6 @@ impl SoakProfile {
     pub const SMOKE_LATTICES: usize = 16;
     /// Seed base: lattice `i` streams from `SEED_BASE + i`.
     pub const SEED_BASE: u64 = 0x50AC;
-    /// Enforced decode floor of the throttled lane, nanoseconds.
-    pub const THROTTLE_FLOOR_NS: u64 = 2_000;
 
     /// Resolves the profile from the environment: the smoke scale when
     /// `NISQ_SOAK_SMOKE` is set, the full scale otherwise; two to four
@@ -102,24 +83,6 @@ impl SoakProfile {
         (self.rounds_total / self.num_lattices as u64).max(1)
     }
 
-    /// The QoS class of lattice `i`: in the full profile lattice 0 is the
-    /// throttled lane and every fourth lattice a Drop lane, the rest running
-    /// under blocking backpressure.  The smoke profile is all-Block: its
-    /// gate demands every verdict come back `BOUNDED`, and a Drop lane
-    /// under an un-paced producer sheds as soon as the ring fills.
-    #[must_use]
-    pub fn class_of(&self, i: usize) -> SoakClass {
-        if self.smoke {
-            SoakClass::Block
-        } else if i == 0 {
-            SoakClass::Throttled
-        } else if i % 4 == 3 {
-            SoakClass::Drop
-        } else {
-            SoakClass::Block
-        }
-    }
-
     /// The machine this profile describes: mixed distances (cycling 3/5/7),
     /// independent seeded streams, un-paced (the soak measures sustained
     /// capacity, not a cadence), streaming residual classification on, every
@@ -130,35 +93,18 @@ impl SoakProfile {
         let distances: Vec<usize> = (0..self.num_lattices).map(|i| [3, 5, 7][i % 3]).collect();
         let mut config = MachineConfig::new(&distances, Self::SEED_BASE);
         let rounds = self.rounds_per_lattice();
-        let drop_budget = 256;
-        let throttled = ThrottledDecoder::factory(
-            Arc::new(|| Box::new(UnionFindDecoder::new()) as DynDecoder),
-            Self::THROTTLE_FLOOR_NS,
-        );
         for (i, spec) in config.lattices.iter_mut().enumerate() {
-            let mut s = LatticeSpec::new(spec.distance)
+            *spec = LatticeSpec::new(spec.distance)
                 .with_seed(Self::SEED_BASE + i as u64)
                 .with_rounds(rounds)
                 .with_cadence_cycles(0);
-            s = match self.class_of(i) {
-                SoakClass::Block => s,
-                SoakClass::Drop => s
-                    .with_push_policy(PushPolicy::Drop)
-                    .with_queue_budget(drop_budget),
-                SoakClass::Throttled => s
-                    .with_push_policy(PushPolicy::Drop)
-                    .with_queue_budget(32)
-                    .with_shed_slo(1.0)
-                    .with_shared_decoder(throttled.clone()),
-            };
-            *spec = s;
         }
         config.workers = self.workers;
         // Smoke keeps the ring shallow enough that even a *full* ring at the
         // instant generation stops sits under the GROWING threshold
         // (`final_backlog * 20 < rounds_per_lattice`) — the all-BOUNDED gate
         // must hold however slowly the workers drain (debug builds, loaded
-        // CI hosts).  The full profile gives the mixed-QoS lanes headroom.
+        // CI hosts).  The full profile gives the workers headroom.
         config.queue_capacity = if self.smoke {
             usize::try_from(rounds / 64)
                 .unwrap_or(usize::MAX)
@@ -233,7 +179,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn full_profile_mixes_classes_and_distances() {
+    fn full_profile_mixes_distances() {
         let profile = SoakProfile {
             rounds_total: 1000,
             num_lattices: 12,
@@ -242,20 +188,13 @@ mod tests {
         };
         let config = profile.machine_config();
         assert_eq!(config.lattices.len(), 12);
-        assert_eq!(profile.class_of(0), SoakClass::Throttled);
-        assert_eq!(profile.class_of(3), SoakClass::Drop);
-        assert_eq!(profile.class_of(1), SoakClass::Block);
         let distances: std::collections::BTreeSet<usize> =
             config.lattices.iter().map(|s| s.distance).collect();
         assert_eq!(distances.into_iter().collect::<Vec<_>>(), vec![3, 5, 7]);
         assert!(config.streams_residuals());
         assert!(!config.record_corrections);
-        // The throttled lane sheds by design: Drop policy, tiny budget, its
-        // own (slow) decoder.
-        let lane = &config.lattices[0];
-        assert_eq!(lane.push_policy, Some(PushPolicy::Drop));
-        assert_eq!(lane.queue_budget, Some(32));
-        assert!(lane.decoder.is_some());
+        assert_eq!(config.push_policy, PushPolicy::Block);
+        assert_eq!(config.queue_capacity, 4096);
     }
 
     #[test]
@@ -267,7 +206,7 @@ mod tests {
             smoke: true,
         };
         let config = profile.machine_config();
-        assert_eq!(profile.class_of(0), SoakClass::Block);
+        assert_eq!(config.push_policy, PushPolicy::Block);
         assert!(config.lattices.iter().all(|s| s.decoder.is_none()));
     }
 

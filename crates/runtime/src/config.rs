@@ -3,7 +3,7 @@
 //! actually executes, plus the full-queue [`PushPolicy`].
 //!
 //! These types describe *what* to run; the stages a run is wired from —
-//! source, gate, channel, decode workers, sinks — live in [`crate::stage`],
+//! source, channel, decode workers, sinks — live in [`crate::stage`],
 //! and the wiring itself in [`crate::engine`].
 
 use crate::fault::FaultPlan;
@@ -180,9 +180,6 @@ impl From<RuntimeConfig> for MachineConfig {
                 rounds: config.rounds,
                 cadence_cycles: config.cadence_cycles,
                 retunes: Vec::new(),
-                push_policy: None,
-                queue_budget: None,
-                shed_slo: None,
                 decoder: None,
             }],
             workers: config.workers,
@@ -295,13 +292,6 @@ impl MachineConfig {
     #[must_use]
     pub fn streams_residuals(&self) -> bool {
         self.analyze_residuals
-    }
-
-    /// The push policy `spec` runs under: its own override, or this
-    /// machine's [`MachineConfig::push_policy`] when it has none.
-    #[must_use]
-    pub fn policy_for(&self, spec: &LatticeSpec) -> PushPolicy {
-        spec.push_policy.unwrap_or(self.push_policy)
     }
 
     /// The nominal *aggregate* inter-arrival time across the machine, in

@@ -1,14 +1,13 @@
 //! The streaming engine: the one place a run is assembled, from seeded
 //! syndrome streams to the [`RuntimeReport`].
 //!
-//! All of the moving parts — paced generation, QoS admission, the bounded
-//! channel, batch filling, the prepared-decoder hot path, frame and depth
-//! sinks — live as stages in [`crate::stage`]; the one shape they are wired
-//! into lives here:
+//! All of the moving parts — paced generation, the bounded channel, batch
+//! filling, the prepared-decoder hot path, frame and depth sinks — live as
+//! stages in [`crate::stage`]; the one shape they are wired into lives here:
 //!
 //! ```text
-//! source ──► gate ──► channel ──► decode[w] ──► frame
-//!  (paced)  (QoS)   (one ring)   (N threads)
+//! source ──► channel ──► decode[w] ──► frame
+//!  (paced)   (one ring)   (N threads)
 //! ```
 //!
 //! [`StreamingEngine::run_with`] builds the run's codec, one bounded channel
@@ -316,11 +315,14 @@ impl StreamingEngine {
         let elapsed_s = epoch.elapsed().as_secs_f64();
 
         // ---- Fold the source stage's and the workers' results -----------
-        // One row per stage: source, gate, depth sink, the channel, then
-        // every worker's decode stage — whose `emitted` is the rounds that
-        // worker's sink committed and whose `stall_cycles` is its idle polls.
-        let mut stages = std::mem::take(&mut source_run.reports);
-        stages.push(channel.report("channel"));
+        // One row per stage: source, depth sink, the channel, then every
+        // worker's decode stage — whose `emitted` is the rounds that worker's
+        // sink committed and whose `stall_cycles` is its idle polls.
+        let mut stages = vec![
+            source_run.source,
+            source_run.depth,
+            channel.report("channel"),
+        ];
         let (worker_outputs, decode_reports): (Vec<_>, Vec<_>) = worker_results.into_iter().unzip();
         stages.extend(decode_reports);
         let worker_batches = (counters.per_worker.iter())
@@ -386,10 +388,6 @@ impl StreamingEngine {
                     .get(lattice_id)
                     .cloned()
                     .unwrap_or_default(),
-                push_policy: config.policy_for(spec),
-                push_policy_overridden: spec.push_policy.is_some(),
-                queue_budget: spec.queue_budget,
-                shed_slo: spec.shed_slo,
                 residual,
                 noise_epochs: std::mem::take(&mut source_run.noise_epochs[lattice_id]),
                 cadence_ns: config.cycle_time.cycles_to_ns(spec.cadence_cycles),
@@ -556,10 +554,10 @@ mod tests {
         let outcome = engine.run(&greedy_factory());
         outcome.check_invariants().unwrap();
         let stages = &outcome.report.stages;
-        let (source, gate) = (&stages[0], &stages[1]);
+        let source = &stages[0];
         assert_eq!(
-            (source.accepted, source.emitted, gate.accepted),
-            (200, 200, 200)
+            (source.stage.as_str(), source.accepted, source.emitted),
+            ("source", 200, 200)
         );
         let channel = stages.iter().find(|r| r.stage == "channel").unwrap();
         assert_eq!((channel.accepted, channel.emitted), (200, 200));
@@ -611,7 +609,7 @@ mod tests {
         let names: Vec<&str> = report.stages.iter().map(|r| r.stage.as_str()).collect();
         assert_eq!(
             names,
-            ["source", "gate", "depth", "channel", "decode.0", "decode.1"]
+            ["source", "depth", "channel", "decode.0", "decode.1"]
         );
     }
 
@@ -703,8 +701,8 @@ mod tests {
         );
     }
 
-    /// A ring whose consumers never drain (an infinite injected stall on a
-    /// Block lane) trips the watchdog: the run ends with force-shed
+    /// A ring whose consumers never drain (an infinite injected stall
+    /// under the Block policy) trips the watchdog: the run ends with force-shed
     /// rounds and WatchdogTrip events — each naming its round — instead of
     /// hanging forever.
     #[test]

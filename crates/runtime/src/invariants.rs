@@ -305,9 +305,9 @@ mod tests {
     use nisqplus_decoders::{DynDecoder, GreedyMatchingDecoder};
 
     /// A small mixed machine whose run touches every identity: three
-    /// lattices of two distances, a Drop lane behind a one-round budget, a
-    /// burst (two re-tunes), an injected crash, residuals and the full
-    /// correction history.
+    /// lattices of two distances shedding at a four-slot ring, a burst (two
+    /// re-tunes), an injected crash, residuals and the full correction
+    /// history.
     fn clean_run() -> RuntimeOutcome {
         silence_injected_crash_panics();
         let mut config = MachineConfig::new(&[3, 5, 3], 31);
@@ -315,8 +315,8 @@ mod tests {
             spec.rounds = 60;
             spec.cadence_cycles = 0;
         }
-        config.lattices[0].push_policy = Some(PushPolicy::Drop);
-        config.lattices[0].queue_budget = Some(1);
+        config.push_policy = PushPolicy::Drop;
+        config.queue_capacity = 4;
         let (base, hot) = (
             config.lattices[2].noise,
             NoiseSpec::PureDephasing { p: 0.12 },
@@ -362,8 +362,8 @@ mod tests {
             }),
             ("LatticeSum", |o| o.report.counters.backpressure_spins += 1),
             ("ShedAccounting", |o| o.report.journal.counts[Shed] += 1),
-            ("ChannelFlow", |o| o.report.stages[3].accepted += 1),
-            ("DecodeFlow", |o| o.report.stages[5].emitted += 1),
+            ("ChannelFlow", |o| o.report.stages[2].accepted += 1),
+            ("DecodeFlow", |o| o.report.stages[4].emitted += 1),
             ("ResidualCoverage", |o| {
                 o.report.lattices[2].residual.as_mut().unwrap().shed.rounds += 1;
             }),
@@ -377,8 +377,8 @@ mod tests {
             ("Corrections", |o| o.corrections.swap(0, 1)),
             ("Corrections", |o| o.corrections.truncate(1)),
         ];
-        assert_eq!(clean.report.stages[3].stage, "channel");
-        assert_eq!(clean.report.stages[5].stage, "decode.1");
+        assert_eq!(clean.report.stages[2].stage, "channel");
+        assert_eq!(clean.report.stages[4].stage, "decode.1");
         for (variant, mutate) in mutations {
             let mut outcome = clean.clone();
             mutate(&mut outcome);

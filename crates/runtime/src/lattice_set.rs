@@ -9,11 +9,10 @@
 //! what the packet header's `lattice_id` field refers to and what the
 //! per-lattice telemetry is keyed by.
 //!
-//! Each spec's QoS contract (policy, budget, SLO, decoder override) is what
-//! the pipeline's [`QosGate`](crate::stage::QosGate) enforces at the
-//! admission seam: one gate lane per registered lattice.
+//! Every lattice's rounds share the machine's one ring and its one
+//! [`PushPolicy`](crate::PushPolicy): a spec says what its lattice streams
+//! and which decoder serves it, not how its rounds are admitted.
 
-use crate::config::PushPolicy;
 use crate::source::NoiseSpec;
 use nisqplus_decoders::traits::{DecoderFactory, DynDecoder, SharedDecoderFactory};
 use nisqplus_qec::lattice::Lattice;
@@ -82,27 +81,20 @@ impl PartialEq for LatticeDecoder {
 }
 
 /// Everything that defines one logical qubit's syndrome stream, plus the
-/// lattice's quality-of-service contract with the decoder fabric.
+/// decoder that serves it.
 ///
 /// The stream fields (`distance`, `noise`, `seed`, `rounds`,
-/// `cadence_cycles`) say what the lattice *produces*; the QoS fields say
-/// what the machine owes it when the fabric cannot keep up: whether its
-/// rounds may be shed ([`LatticeSpec::push_policy`]), how much outstanding
-/// work it may pile up ([`LatticeSpec::queue_budget`]), what shed rate is
-/// acceptable ([`LatticeSpec::shed_slo`]), and which decoder serves it
-/// ([`LatticeSpec::decoder`]).  All QoS fields default to "inherit the
-/// machine-wide setting" / "unlimited"; the builder methods chain:
+/// `cadence_cycles`, `retunes`) say what the lattice *produces*;
+/// [`LatticeSpec::decoder`] optionally overrides the machine-wide decoder
+/// factory.  What happens when the fabric cannot keep up is the machine's
+/// one [`PushPolicy`](crate::PushPolicy) at its one ring, the same for every
+/// lattice.  The builder methods chain:
 ///
 /// ```rust
-/// use nisqplus_runtime::{LatticeSpec, PushPolicy};
+/// use nisqplus_runtime::LatticeSpec;
 ///
-/// let spec = LatticeSpec::new(3)
-///     .with_rounds(500)
-///     .with_push_policy(PushPolicy::Drop)
-///     .with_queue_budget(8)
-///     .with_shed_slo(0.05);
-/// assert_eq!(spec.push_policy, Some(PushPolicy::Drop));
-/// assert_eq!(spec.queue_budget, Some(8));
+/// let spec = LatticeSpec::new(3).with_rounds(500).with_seed(7);
+/// assert_eq!((spec.rounds, spec.seed), (500, 7));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LatticeSpec {
@@ -128,23 +120,6 @@ pub struct LatticeSpec {
     /// the later entry wins.  Part of the stream's replayable identity.
     /// Empty streams `noise` throughout.
     pub retunes: Vec<(u64, NoiseSpec)>,
-    /// This lattice's full-queue policy: `Some(Block)` for backpressure
-    /// (lossless), `Some(Drop)` for load shedding, `None` to inherit the
-    /// machine-wide [`MachineConfig::push_policy`](crate::MachineConfig).
-    pub push_policy: Option<PushPolicy>,
-    /// Upper bound on this lattice's *outstanding* rounds (accepted by a
-    /// ring but not yet decoded).  When the bound is reached the lattice's
-    /// effective push policy applies — a `Drop` lattice sheds, a `Block`
-    /// lattice stalls the producer — even if the shared ring still has
-    /// space, so one low-priority patch cannot monopolize pooled capacity.
-    /// `None` means only the shared ring capacity limits it.
-    pub queue_budget: Option<usize>,
-    /// Shed-rate service-level objective: the highest acceptable fraction of
-    /// this lattice's generated rounds that may be shed (`0.0..=1.0`).  The
-    /// run never enforces it; the final
-    /// [`LatticeReport`](crate::telemetry::LatticeReport) verdicts against
-    /// it.  `None` disables the verdict.
-    pub shed_slo: Option<f64>,
     /// Per-lattice decoder override; `None` uses the factory passed to
     /// [`StreamingEngine::run`](crate::StreamingEngine::run).  Not
     /// serialized (factories are code, not data).
@@ -154,8 +129,7 @@ pub struct LatticeSpec {
 
 impl LatticeSpec {
     /// A paper-shaped spec: pure dephasing at 3%, 10 000 rounds, one round
-    /// per 400 ns, machine-default QoS (inherited policy, no budget, no SLO,
-    /// machine-wide decoder).
+    /// per 400 ns, the machine-wide decoder.
     #[must_use]
     pub fn new(distance: usize) -> Self {
         LatticeSpec {
@@ -165,9 +139,6 @@ impl LatticeSpec {
             rounds: 10_000,
             cadence_cycles: crate::engine::RuntimeConfig::PAPER_CADENCE_CYCLES,
             retunes: Vec::new(),
-            push_policy: None,
-            queue_budget: None,
-            shed_slo: None,
             decoder: None,
         }
     }
@@ -206,27 +177,6 @@ impl LatticeSpec {
     #[must_use]
     pub fn with_retune(mut self, round: u64, noise: NoiseSpec) -> Self {
         self.retunes.push((round, noise));
-        self
-    }
-
-    /// Overrides the machine-wide push policy for this lattice.
-    #[must_use]
-    pub fn with_push_policy(mut self, policy: PushPolicy) -> Self {
-        self.push_policy = Some(policy);
-        self
-    }
-
-    /// Caps this lattice's outstanding (accepted-but-undecoded) rounds.
-    #[must_use]
-    pub fn with_queue_budget(mut self, budget: usize) -> Self {
-        self.queue_budget = Some(budget);
-        self
-    }
-
-    /// Sets the shed-rate SLO this lattice's report is verdicted against.
-    #[must_use]
-    pub fn with_shed_slo(mut self, max_shed_rate: f64) -> Self {
-        self.shed_slo = Some(max_shed_rate);
         self
     }
 
@@ -272,8 +222,7 @@ impl LatticeSet {
     ///
     /// # Panics
     ///
-    /// Panics if `specs` is empty, any spec streams zero rounds, any queue
-    /// budget is zero, or any shed-rate SLO is outside `[0, 1]`.
+    /// Panics if `specs` is empty or any spec streams zero rounds.
     pub fn new(specs: Vec<LatticeSpec>) -> Result<Self, QecError> {
         assert!(
             !specs.is_empty(),
@@ -282,16 +231,6 @@ impl LatticeSet {
         let mut lattices: Vec<Arc<Lattice>> = Vec::with_capacity(specs.len());
         for spec in &specs {
             assert!(spec.rounds > 0, "every lattice streams at least one round");
-            assert!(
-                spec.queue_budget != Some(0),
-                "a queue budget of zero rounds would shed or stall every round"
-            );
-            if let Some(slo) = spec.shed_slo {
-                assert!(
-                    (0.0..=1.0).contains(&slo),
-                    "shed-rate SLO must be a fraction in [0, 1], got {slo}"
-                );
-            }
             let existing = lattices
                 .iter()
                 .find(|l| l.distance() == spec.distance)
@@ -464,27 +403,17 @@ mod tests {
     #[test]
     fn builders_chain_and_default_to_inherit() {
         use nisqplus_decoders::GreedyMatchingDecoder;
-        let plain = LatticeSpec::new(3);
-        assert_eq!(plain.push_policy, None);
-        assert_eq!(plain.queue_budget, None);
-        assert_eq!(plain.shed_slo, None);
-        assert!(plain.decoder.is_none());
+        assert!(LatticeSpec::new(3).decoder.is_none());
         let spec = LatticeSpec::new(5)
             .with_noise(NoiseSpec::Depolarizing { p: 0.01 })
             .with_seed(7)
             .with_rounds(123)
             .with_cadence_cycles(0)
-            .with_push_policy(PushPolicy::Drop)
-            .with_queue_budget(4)
-            .with_shed_slo(0.25)
             .with_decoder(|| Box::new(GreedyMatchingDecoder::new()) as DynDecoder);
         assert_eq!(spec.distance, 5);
         assert_eq!(spec.seed, 7);
         assert_eq!(spec.rounds, 123);
         assert_eq!(spec.cadence_cycles, 0);
-        assert_eq!(spec.push_policy, Some(PushPolicy::Drop));
-        assert_eq!(spec.queue_budget, Some(4));
-        assert_eq!(spec.shed_slo, Some(0.25));
         assert_eq!(
             spec.decoder.as_ref().unwrap().build().name(),
             "greedy-matching"
@@ -511,17 +440,5 @@ mod tests {
         let mut spec_c = spec_a.clone();
         spec_c.decoder = Some(c);
         assert!(spec_a != spec_c);
-    }
-
-    #[test]
-    #[should_panic(expected = "queue budget of zero")]
-    fn zero_queue_budget_rejected() {
-        let _ = LatticeSet::new(vec![LatticeSpec::new(3).with_queue_budget(0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "shed-rate SLO")]
-    fn out_of_range_slo_rejected() {
-        let _ = LatticeSet::new(vec![LatticeSpec::new(3).with_shed_slo(1.5)]);
     }
 }

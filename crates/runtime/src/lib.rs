@@ -10,11 +10,9 @@
 //!
 //! * [`lattice_set`] — the registry of lattices (logical qubits) one engine
 //!   serves: a full NISQ+ machine is many patches of possibly different
-//!   distances, each with its own seeded stream and cadence — and its own
-//!   QoS contract: a per-lattice push policy (Block/Drop), an outstanding
-//!   queue budget, a shed-rate SLO, and optionally its own decoder factory
-//!   ([`LatticeDecoder`], e.g. lookup for d=3 patches beside union-find for
-//!   d=7),
+//!   distances, each with its own seeded stream and cadence, and
+//!   optionally its own decoder factory ([`LatticeDecoder`], e.g. lookup
+//!   for d=3 patches beside union-find for d=7),
 //! * [`source`] — the seeded endless syndrome stream, one per lattice,
 //!   interleaved on independent cadences by [`InterleavedSource`] (same
 //!   seed, same stream, which is what makes stream-versus-batch equivalence
@@ -28,16 +26,16 @@
 //!   receivers, which is also the channel's flow control: a run has one
 //!   ring, and every worker pops from it,
 //! * [`stage`] — the pipeline stages the engine is wired from: the bounded
-//!   channel over the ring, the QoS admission gate, the prepared-decoder
-//!   decode stage and its supervised worker loop, frame and depth sinks,
-//!   and the source stage — every stage reporting its flow through a
-//!   uniform [`StageReport`],
+//!   channel over the ring, the prepared-decoder decode stage and its
+//!   supervised worker loop, frame and depth sinks, and the source stage —
+//!   every stage reporting its flow through a uniform [`StageReport`],
 //! * [`config`] — the [`RuntimeConfig`] / [`MachineConfig`] run
 //!   configuration (re-exported through [`engine`] for compatibility),
 //! * [`engine`] — the [`StreamingEngine`], which wires the stages into the
-//!   one running, backpressured shape — `source → gate → channel →
-//!   decode[w] → frame`: one paced source thread sending every lattice's
-//!   rounds into the one channel, and a pool of decoder workers built from a
+//!   one running, backpressured shape — `source → channel → decode[w] →
+//!   frame`: one paced source thread sending every lattice's rounds into
+//!   the one channel under the machine's one [`PushPolicy`] (the ring is
+//!   the only bound on what is outstanding), and a pool of decoder workers built from a
 //!   [`DecoderFactory`](nisqplus_decoders::DecoderFactory), each keeping one
 //!   prepared decoder per code distance and decoding up to
 //!   [`RuntimeConfig::batch_size`] consecutive rounds per batch through the
@@ -57,8 +55,7 @@
 //!   on demand,
 //! * [`obs`] — the observability plane: the workers' bounded-memory
 //!   log-bucketed latency books ([`LocalHistogram`]) and a fixed-capacity
-//!   structured [`EventJournal`] (sheds, stalls, budget exhaustion,
-//!   crashes),
+//!   structured [`EventJournal`] (sheds, stalls, crashes),
 //! * [`report`] — schema-versioned, dependency-free JSON export of the
 //!   final report,
 //! * [`scenario`] — the scenario plane: versioned replayable
@@ -72,9 +69,8 @@
 //!   backlog growth compared against the closed-form
 //!   [`BacklogModel`](nisqplus_system::backlog::BacklogModel) (the
 //!   empirical counterpart of Figures 5 and 6), aggregate *and* per lattice
-//!   ([`LatticeReport`]): which patch is falling behind, under which QoS
-//!   contract, served by which decoder, at what shed rate (verdicted
-//!   against its SLO) — and, when the run enables the residual analysis, at
+//!   ([`LatticeReport`]): which patch is falling behind, served by which
+//!   decoder, how much of it was shed — and, when the run enables the residual analysis, at
 //!   what *measured* logical cost ([`ResidualReport`]): shed rounds enter
 //!   the per-lattice frame as identity corrections, every round's seeded
 //!   error rides the wire, and its residual is classified as the round

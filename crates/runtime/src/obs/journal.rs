@@ -2,7 +2,7 @@
 //!
 //! Counters say *how much*; the journal says *what happened, when, to
 //! whom*.  Every noteworthy pipeline incident — a shed round, a
-//! backpressure stall, an exhausted QoS budget, a worker crash and its
+//! backpressure stall, a worker crash and its
 //! restart, a change of a lattice's noise regime, a
 //! watchdog trip — is published as a [`RuntimeEvent`] with a severity and
 //! per-lattice/per-worker attribution.  The journal is a
@@ -24,7 +24,7 @@ use std::sync::Mutex;
 pub enum EventSeverity {
     /// Expected under load; useful for trend-watching (stalls, noise changes).
     Info,
-    /// Service degraded by policy (shed rounds, exhausted budgets).
+    /// Service degraded by policy (shed rounds).
     Warning,
     /// A round or a worker was lost to a fault (crash, watchdog trip).
     Critical,
@@ -57,11 +57,9 @@ impl fmt::Display for EventSeverity {
 pub enum EventKind {
     /// A round was discarded under the `Drop` push policy (`value` = round).
     Shed,
-    /// The source stalled on a full downstream seam under the `Block`
-    /// policy (`value` = spin iterations burned on the round).
+    /// The source stalled on a full ring under the `Block` policy
+    /// (`value` = spin iterations burned on the round).
     BackpressureStall,
-    /// A QoS budget refused an admission (`value` = round).
-    BudgetExhausted,
     /// A worker's decode loop panicked and was caught by its supervisor
     /// (`value` = rounds the worker had committed before dying).
     WorkerCrash,
@@ -83,10 +81,9 @@ const KINDS: usize = EventKind::LABELS.len();
 impl EventKind {
     /// Every kind beside its label, in declaration order (so `kind as usize`
     /// indexes it).  The labels' only spelling.
-    pub(crate) const LABELS: [(EventKind, &'static str); 7] = [
+    pub(crate) const LABELS: [(EventKind, &'static str); 6] = [
         (EventKind::Shed, "shed"),
         (EventKind::BackpressureStall, "backpressure_stall"),
-        (EventKind::BudgetExhausted, "budget_exhausted"),
         (EventKind::WorkerCrash, "worker_crash"),
         (EventKind::WorkerRestart, "worker_restart"),
         (EventKind::NoiseChange, "noise_change"),

@@ -8,7 +8,7 @@
 //! writer and the reader from that one list — a key is its field's name, so
 //! the two directions cannot drift apart.  Changing a table changes the
 //! format: bump [`SCHEMA_VERSION`] (`tests/obs.rs` pins the key paths
-//! against `tests/report_schema_v16.txt`).
+//! against `tests/report_schema_v17.txt`).
 //!
 //! Reading rejects documents whose version does not match
 //! [`SCHEMA_VERSION`] exactly, so a stale artifact fails loudly instead of
@@ -18,7 +18,6 @@
 //! real report (floats use shortest-round-trip formatting).  Every key is
 //! documented in `docs/OPERATIONS.md` (test-pinned).
 
-use crate::config::PushPolicy;
 use crate::fault::FaultReport;
 use crate::obs::{EventCounts, EventKind, EventSeverity, JournalSnapshot, RuntimeEvent};
 use crate::report::codec::{
@@ -116,7 +115,14 @@ use std::path::Path;
 /// v10's choice of `measured` as the owner of those two facts: a backlog
 /// view always carries copies of `counters.generated` and
 /// `counters.dropped`, so it can never be the only owner of anything.
-pub const SCHEMA_VERSION: u64 = 16;
+///
+/// v17: one bound on what is outstanding, the ring — the per-lattice
+/// admission gate is gone, and with it the four per-lattice keys of its
+/// contract (the lattice's push policy, whether it was its own, its
+/// outstanding-round budget and its shed-rate objective: every lattice runs
+/// under the machine's one push policy) and the `journal.counts` key of
+/// the budget's refusals.  `stages` files no `gate` row.
+pub const SCHEMA_VERSION: u64 = 17;
 
 /// Why an export or import failed.
 #[derive(Debug)]
@@ -222,12 +228,6 @@ record!(DepthSample {
     per_lattice_backlog,
 });
 
-labels!(
-    PushPolicy,
-    "push policy",
-    [(PushPolicy::Block, "block"), (PushPolicy::Drop, "drop")]
-);
-
 record!(ResidualTally {
     rounds,
     successes,
@@ -303,10 +303,6 @@ record!(LatticeReport {
     lattice_id,
     distance,
     decoder,
-    push_policy,
-    push_policy_overridden,
-    queue_budget,
-    shed_slo,
     residual,
     noise_epochs,
     cadence_ns,

@@ -10,7 +10,7 @@
 //!
 //! In the pipeline (`crate::stage`), an [`InterleavedSource`] is the heart
 //! of the *source* stage, which paces it to each lattice's cadence and feeds
-//! its rounds through the QoS gate into the channels.
+//! its rounds into the run's one channel.
 
 use crate::lattice_set::LatticeSet;
 use nisqplus_qec::error_model::{Depolarizing, ErrorModel, PureDephasing};

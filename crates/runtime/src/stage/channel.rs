@@ -23,7 +23,7 @@
 //! next round and no placement or rebalancing sits between the two.
 
 use crate::queue::SpmcRing;
-use crate::stage::{resume_stride, StageReport};
+use crate::stage::StageReport;
 use crate::telemetry::bump;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -105,15 +105,14 @@ impl Channel {
     }
 
     /// What a sender waits for after a refused send, before it sends again:
-    /// [`resume_stride`] slots claimed by receivers ([`SpmcRing::has_room`]),
-    /// so that a full channel's sender offers once per eighth of the ring
-    /// instead of once per record.  It reads the ring's `tail`, so the
+    /// an eighth of the ring's slots (at least one) claimed by receivers
+    /// ([`SpmcRing::has_room`]), so that a full channel's sender offers once
+    /// per eighth of the ring instead of once per record.  It reads the ring's `tail`, so the
     /// sender asks it once per yield of its wait.  A refusal still loses
     /// nothing and the wait adds nothing to the bound — a sender that does
     /// not wait is merely refused again.
     pub(crate) fn can_resume(&self) -> bool {
-        self.ring
-            .has_room(resume_stride(self.ring.capacity() as u64))
+        self.ring.has_room((self.ring.capacity() as u64 / 8).max(1))
     }
 
     /// Attempts to receive one record into `out`.  Returns `false` when the

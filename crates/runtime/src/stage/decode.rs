@@ -342,8 +342,7 @@ impl Batch {
 
 /// One supervised decode attempt: fill batches from the shared channel,
 /// decode every record through the lattice's prepared hot path, commit to
-/// the shared frame sink and count the round decoded — which is also what
-/// lowers its lattice's outstanding count for the gate.
+/// the shared frame sink and count the round decoded.
 /// An idle poll is one turn of the shared busy wait ([`pause`]), so the
 /// worker spins on the channel and yields only every
 /// [`TURNS_PER_YIELD`](crate::stage::TURNS_PER_YIELD)th empty poll.

@@ -3,24 +3,23 @@
 //! The paper's argument is a *pipeline* argument: syndromes must flow
 //! through extraction, transport, and decode without the backlog ever
 //! growing.  The streaming engine is one fixed graph of latency-insensitive
-//! stages — `source → gate → channel → decode[w] → frame` — in which
-//! every seam between two stages is a valid/ready handshake over a bound
-//! with exactly one book, so backpressure is a first-class, *measurable*
-//! signal instead of an accident of buffer sizes:
+//! stages — `source → channel → decode[w] → frame` — in which every seam
+//! between two stages is a valid/ready handshake over a bound with exactly
+//! one book, so backpressure is a first-class, *measurable* signal instead
+//! of an accident of buffer sizes:
 //!
 //! * [`Channel`] — the lock-free [`SpmcRing`](crate::queue::SpmcRing) plus
-//!   its sender-side statistics; the ring is the capacity bound, a full ring
-//!   a counted refusal, never a lost record, and every worker pops from it,
-//! * [`QosGate`] — per-lattice admission control (push policy +
-//!   outstanding-round budget, read off the lattice's own
-//!   `enqueued − decoded` counters),
+//!   its sender-side statistics; the ring is the one bound on what is
+//!   outstanding, a full ring a counted refusal, never a lost record, and
+//!   every worker pops from it,
 //! * the decode stage (`decode.rs`) — the prepared-decoder hot path that
 //!   turns a wire record into a composed correction ([`DecodedRound`]), and
 //!   the supervised worker loop that drives it,
 //! * [`FrameSink`] (frame commit + latency telemetry) and the depth sink
 //!   (down-sampled backlog timelines, aggregate and per lattice),
-//! * the source stage (`source.rs`) — paced generation and admission on the
-//!   calling thread, configured by [`PipelineOptions`].
+//! * the source stage (`source.rs`) — paced generation on the calling
+//!   thread under the machine's push policy, configured by
+//!   [`PipelineOptions`].
 //!
 //! [`StreamingEngine::run_with`](crate::StreamingEngine::run_with) wires
 //! them into the running pipeline: one paced source thread, one channel,
@@ -38,14 +37,12 @@
 
 mod channel;
 mod decode;
-mod gate;
 mod sink;
 mod source;
 
 pub use channel::Channel;
 pub use decode::DecodedRound;
 pub(crate) use decode::{run_worker, WorkerSeat};
-pub use gate::{Admission, QosGate};
 pub use sink::FrameSink;
 pub(crate) use sink::{DepthSink, WorkerOutput};
 pub use source::PipelineOptions;
@@ -60,9 +57,10 @@ use std::thread;
 /// microseconds.
 pub(crate) const TURNS_PER_YIELD: u32 = 64;
 
-/// One turn of a busy wait — the source's pacing wait and both Block-lane
-/// waits (sharing the run's `turns` count), a worker polling an empty channel
-/// and a throttled decode spinning out its floor: a `spin_loop` hint, and
+/// One turn of a busy wait — the source's pacing wait and its Block-policy
+/// wait on a full ring (sharing the run's `turns` count), a worker polling
+/// an empty channel and a throttled decode spinning out its floor: a
+/// `spin_loop` hint, and
 /// every [`TURNS_PER_YIELD`]th turn a `yield_now` instead.  Returns whether
 /// it yielded.
 pub(crate) fn pause(turns: &mut u32) -> bool {
@@ -76,17 +74,11 @@ pub(crate) fn pause(turns: &mut u32) -> bool {
     yields
 }
 
-/// How much of a bound (a channel's capacity, a lane's budget) must come free
-/// before a refused `Block` lane offers again: an eighth, at least one.
-pub(crate) fn resume_stride(bound: u64) -> u64 {
-    (bound / 8).max(1)
-}
-
 /// One stage's uniform self-report, folded into
 /// [`RuntimeReport::stages`](crate::telemetry::RuntimeReport::stages).
 ///
-/// The fields are deliberately generic so every stage — source, gate,
-/// channel, decode, depth sink — answers the same questions: how much flowed
+/// The fields are deliberately generic so every stage — source, channel,
+/// decode, depth sink — answers the same questions: how much flowed
 /// through, how much was refused, how full it got and how often it stalled.
 /// A stage leaves fields it has no notion of at zero.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -98,16 +90,16 @@ pub struct StageReport {
     pub accepted: u64,
     /// Items the stage handed downstream.
     pub emitted: u64,
-    /// Items the stage refused (a full channel's rejected send, a gate's
+    /// Items the stage refused (a full channel's rejected send, a source's
     /// shed round).  Refusals under a blocking policy are retried and show
     /// up as [`StageReport::stall_cycles`] instead.
     pub rejected: u64,
     /// The most items ever resident in the stage at once.
     pub occupancy_peak: u64,
     /// Spin/poll iterations spent blocked on a not-ready neighbour: a
-    /// source pacing to its cadence, a gate waiting for budget, a worker
-    /// polling an empty channel.  A channel's is always 0: an accepted send
-    /// never waits, and a refused one is `rejected`.
+    /// source waiting on a full ring, a worker polling an empty channel.  A
+    /// channel's is always 0: an accepted send never waits, and a refused
+    /// one is `rejected`.
     pub stall_cycles: u64,
 }
 

@@ -1,13 +1,14 @@
-//! The source stage: paced generation and QoS admission.
+//! The source stage: paced generation into the run's one channel.
 //!
 //! `run_source` runs on the thread that called the engine.  It draws rounds
 //! from the machine's [`InterleavedSource`] (or re-serves a recorded trace),
 //! paces each to its lattice's cadence, encodes it into one reused record,
-//! offers it to the lattice's lane of a [`QosGate`] it owns, sends it into
-//! the run's one channel, and samples the backlog into a depth sink — plus
-//! the run's hostile-stream hooks: ring-stall emulation and the
-//! backpressure watchdog.  What it hands back when generation ends is
-//! a `SourceRun`.
+//! sends it into the run's one channel under the machine's [`PushPolicy`],
+//! and samples the backlog into a depth sink — plus the run's hostile-stream
+//! hooks: ring-stall emulation and the backpressure watchdog.  The ring is
+//! the only bound a round meets: under `Block` a full ring stalls the
+//! source, under `Drop` it sheds the round.  What it hands back when
+//! generation ends is a `SourceRun`.
 //! [`PipelineOptions`] carries what a caller may attach to a run — the
 //! watchdog window, a trace to replay or record — all of it the source
 //! stage's to act on.
@@ -19,7 +20,7 @@ use crate::obs::{EventJournal, EventKind, EventSeverity};
 use crate::packet::{PacketCodec, SyndromePacket};
 use crate::scenario::{SyndromeTrace, TraceRecorder, TraceSource};
 use crate::source::{InterleavedSource, NoiseEpoch, SourcedRound};
-use crate::stage::{pause, Admission, Channel, DepthSink, QosGate, StageReport};
+use crate::stage::{pause, Channel, DepthSink, StageReport};
 use crate::telemetry::{bump, DepthSample, LatticeCounters, RuntimeCounters};
 use nisqplus_qec::logical::{classify_shed_round, ResidualTally};
 use std::time::{Duration, Instant};
@@ -29,15 +30,15 @@ use std::time::{Duration, Instant};
 /// pipeline's shape is not among it.
 #[derive(Debug)]
 pub struct PipelineOptions {
-    /// The Block-lane backpressure watchdog: the longest the producer spins
-    /// on one round (per refused lane) before force-shedding it with a
+    /// The Block-policy backpressure watchdog: the longest the producer
+    /// spins on one round before force-shedding it with a
     /// [`EventKind::WatchdogTrip`] so a dead consumer degrades the run into
     /// a diagnostic report instead of hanging it forever.  The default is
     /// generous — orders of magnitude beyond any healthy stall — so
     /// existing runs and benches never meet it.
     pub watchdog: Duration,
     /// Re-serve this recorded trace instead of sampling the seeded sources.
-    /// The trace's rounds flow through the same gate/channel/decode pipeline
+    /// The trace's rounds flow through the same channel/decode pipeline
     /// verbatim; the machine's noise specs and re-tunes are ignored
     /// (the trace already embodies their effects).
     pub replay: Option<SyndromeTrace>,
@@ -81,8 +82,10 @@ pub(crate) struct SourceRun {
     /// were shed when [`MachineConfig::analyze_residuals`] is on; all-zero
     /// otherwise.
     pub(crate) shed_tallies: Vec<ResidualTally>,
-    /// The source-side stage rows: `source`, `gate`, `depth`.
-    pub(crate) reports: Vec<StageReport>,
+    /// The source's stage row.
+    pub(crate) source: StageReport,
+    /// The depth sink's stage row.
+    pub(crate) depth: StageReport,
     /// The recorded trace, when [`PipelineOptions::record_trace`] was set.
     pub(crate) trace: Option<SyndromeTrace>,
     /// Each lattice's noise timeline over the rounds it actually emitted
@@ -115,8 +118,8 @@ pub(crate) struct SourceSeat<'a> {
 
 /// Where the source stage's rounds come from: the live seeded sources (with
 /// their noise schedules applied) or a recorded trace re-served verbatim.
-/// Everything downstream of the feed — pacing, QoS admission, routing,
-/// decode — is byte-identical between the two, which is what makes replay a
+/// Everything downstream of the feed — pacing, the ring, decode — is
+/// byte-identical between the two, which is what makes replay a
 /// regression oracle.
 enum RoundFeed {
     Live(Box<InterleavedSource>),
@@ -160,12 +163,12 @@ fn journal_noise_change(journal: &EventJournal, sourced: &SourcedRound, epoch: I
 
 /// Retries `attempt` until it succeeds, counting every refusal as one
 /// backpressure spin against the lattice, for at most `watchdog`: the one
-/// lossless wait of a Block lane, whichever bound (budget or channel
-/// capacity) is refusing.  Between a refusal and the next attempt it waits,
-/// uncounted, for `can_resume`.  That poll reads a line the workers write
-/// (the ring's `tail`, the lattice's `decoded`), so it is asked only on the
-/// wait's yield turns, every [`TURNS_PER_YIELD`](crate::stage::TURNS_PER_YIELD)th:
-/// the workers' claims and commits keep their lines between two polls.  Returns
+/// lossless wait of the Block policy, on a full (or stalled) ring.  Between
+/// a refusal and the next attempt it waits, uncounted, for `can_resume`.
+/// That poll reads a line the workers write (the ring's `tail`), so it is
+/// asked only on the wait's yield turns, every
+/// [`TURNS_PER_YIELD`](crate::stage::TURNS_PER_YIELD)th: the workers' claims
+/// and commits keep their lines between two polls.  Returns
 /// whether the attempt succeeded and how often it was refused.  The clock is
 /// read at the first refusal, and then once per yield.
 fn spin_until(
@@ -197,8 +200,8 @@ fn spin_until(
 }
 
 /// The source stage: paced interleaved generation, encoding into one reused
-/// record, gate admission under each lattice's QoS lane, sends into the
-/// channel, depth sampling — plus the run's hostile-stream hooks: ring-stall
+/// record, sends into the channel under the machine's push policy, depth
+/// sampling — plus the run's hostile-stream hooks: ring-stall
 /// emulation and the backpressure watchdog.  A trace in
 /// `options.replay` has already been checked against the machine by
 /// [`StreamingEngine::run_with`](crate::StreamingEngine::run_with).
@@ -219,8 +222,6 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
         replay,
         record_trace,
     } = options;
-    // Admission is the source's own state: workers never see the gate.
-    let mut gate = QosGate::for_machine(config, set);
     // How many rounds each lattice will emit: the trace's own tallies on
     // replay, the configured per-lattice rounds live.
     let (expected_rounds, mut feed): (Vec<u64>, RoundFeed) = match replay {
@@ -241,14 +242,14 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
     let mut recorder = record_trace.then(|| TraceRecorder::new(set));
     let mut depth = DepthSink::new(total_rounds, config.max_depth_samples);
     // The round's encoded record, overwritten every round: it rests here
-    // while the channel is full, so a Block-lane round exists in
+    // while the channel is full, so a Block-policy round exists in
     // exactly one place at every instant of a stall, and a shed round is
     // simply never sent.
     let mut record = vec![0u64; codec.words_per_packet()];
     let mut lattice_stats = vec![LatticeGenStats::default(); set.len()];
     let mut shed_tallies = vec![ResidualTally::default(); set.len()];
     // The one place a shed round is accounted for, whichever seam shed it
-    // (budget lane, full or stalled channel, watchdog).
+    // (full or stalled channel, watchdog).
     // With the residual analysis on it is classified here, the moment it is
     // shed: it gets the identity correction, so its residual *is* its seeded
     // error ([`classify_shed_round`] reads it in place, allocation-free).
@@ -268,7 +269,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
     let mut packet = SyndromePacket::new(0, 0, 0, &sourced.syndrome);
 
     while feed.next_round_into(&mut sourced) {
-        // The tap sees every emitted round — including ones the gate will
+        // The tap sees every emitted round — including ones the source will
         // shed — so a replay of the trace regenerates the *offered* load,
         // not just the admitted slice.
         if let Some(recorder) = recorder.as_mut() {
@@ -312,55 +313,33 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
                 && injector.stall_active(emitted_total, epoch.elapsed().as_nanos() as u64)
         };
         // `delivered`: the record reached the channel.
-        let delivered = match gate.policy(lattice_id as usize) {
+        let delivered = match config.push_policy {
             PushPolicy::Block => {
-                // Two bounds, both lossless: the lattice's own budget lane
-                // first, then a channel slot; every refused retry is
-                // one counted backpressure spin, and between retries the
-                // lane waits until an eighth of the bound has come free.
+                // One bound, lossless: a channel slot.  Every refused retry
+                // is one counted backpressure spin, and between retries the
+                // source waits until an eighth of the ring has come free.
                 // Stall *events* are published once per contended round
                 // (value = spins), not per spin — the journal records
-                // episodes, the counters record magnitude.  Each lane spins
-                // at most `watchdog` long; past that the round is force-shed
+                // episodes, the counters record magnitude.  The wait lasts
+                // at most `watchdog`; past that the round is force-shed
                 // with a WatchdogTrip so a dead consumer cannot hang the run.
-                let resume_at = gate.resume_at(lattice_id as usize);
-                let (admitted, budget_spins) = spin_until(
+                let (sent, spins) = spin_until(
                     lattice_counters,
                     watchdog,
                     &mut turns,
-                    || gate.admit(lattice_id as usize, lattice_counters) != Admission::Blocked,
-                    || resume_at.map_or(true, |at| lattice_counters.outstanding() <= at),
+                    || !channel_stalled() && channel.try_send(&record),
+                    || channel.can_resume(),
                 );
-                if budget_spins > 0 {
+                if spins > 0 {
                     journal.publish(
-                        EventKind::BudgetExhausted,
-                        EventSeverity::Warning,
+                        EventKind::BackpressureStall,
+                        EventSeverity::Info,
                         Some(lattice_id),
                         None,
                         emitted_ns,
-                        budget_spins,
+                        spins,
                     );
                 }
-                let sent = admitted && {
-                    let (sent, send_spins) = spin_until(
-                        lattice_counters,
-                        watchdog,
-                        &mut turns,
-                        || !channel_stalled() && channel.try_send(&record),
-                        || channel.can_resume(),
-                    );
-                    if send_spins > 0 {
-                        journal.publish(
-                            EventKind::BackpressureStall,
-                            EventSeverity::Info,
-                            Some(lattice_id),
-                            None,
-                            emitted_ns,
-                            send_spins,
-                        );
-                    }
-                    sent
-                };
                 if !sent {
                     account_shed(&sourced);
                     journal.publish(
@@ -375,26 +354,11 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
                 sent
             }
             PushPolicy::Drop => {
-                // Shed when the lattice's budget lane refuses *or* the
-                // channel is full (or stalled); a shed round enters the
-                // frame path as an identity correction later.
-                let admission = gate.admit(lattice_id as usize, lattice_counters);
-                let stalled = channel_stalled();
-                let delivered =
-                    admission == Admission::Granted && !stalled && channel.try_send(&record);
+                // Shed when the channel is full (or stalled); a shed round
+                // enters the frame path as an identity correction later.
+                let delivered = !channel_stalled() && channel.try_send(&record);
                 if !delivered {
                     account_shed(&sourced);
-                    if admission != Admission::Granted {
-                        // Shed at the budget lane, not at a full channel.
-                        journal.publish(
-                            EventKind::BudgetExhausted,
-                            EventSeverity::Warning,
-                            Some(lattice_id),
-                            None,
-                            emitted_ns,
-                            sourced.round,
-                        );
-                    }
                     journal.publish(
                         EventKind::Shed,
                         EventSeverity::Warning,
@@ -437,14 +401,14 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
         stall_cycles: totals.backpressure_spins,
         ..StageReport::named("source")
     };
-    let reports = vec![source_report, gate.report("gate"), depth.report("depth")];
     SourceRun {
+        source: source_report,
+        depth: depth.report("depth"),
         depth_timeline: depth.finish(),
         generation_elapsed_ns,
         final_backlog,
         lattice_stats,
         shed_tallies,
-        reports,
         noise_epochs: feed.noise_epochs(set),
         trace: recorder.map(TraceRecorder::into_trace),
     }
@@ -456,9 +420,9 @@ mod tests {
     use crate::stage::TURNS_PER_YIELD;
     use std::sync::atomic::Ordering;
 
-    /// The Block-lane wait with the consumer played by the wait predicate
+    /// The Block-policy wait with the consumer played by the wait predicate
     /// itself, so no schedule is involved: a full 16-slot channel refuses
-    /// once, the lane then waits out two receives (an eighth of the ring)
+    /// once, the source then waits out two receives (an eighth of the ring)
     /// without offering again, and the second offer is accepted.
     #[test]
     fn a_refused_lane_re_offers_once_an_eighth_of_the_ring_is_free() {

@@ -7,9 +7,8 @@
 //! final counter values, the depth timeline and the per-lattice latency
 //! histograms into a [`RuntimeReport`]: aggregate counters, and one
 //! [`LatticeReport`] per registered lattice — which patch is falling behind,
-//! under which QoS contract (push policy, queue budget, shed-rate SLO
-//! verdict), served by which decoder, and, when the residual analysis ran,
-//! at what measured logical cost ([`ResidualReport`]).
+//! how much of it was shed, served by which decoder, and, when the residual
+//! analysis ran, at what measured logical cost ([`ResidualReport`]).
 //!
 //! The report stores only what was measured.  Its views are computed when
 //! asked, from those measurements: the backlog trajectory in model terms
@@ -22,7 +21,6 @@
 //! Every field the report prints is documented line by line for operators
 //! in `docs/OPERATIONS.md` at the repository root.
 
-use crate::config::PushPolicy;
 use crate::obs::{bucket_bounds, EventKind, HistogramSnapshot, JournalSnapshot};
 use crate::source::NoiseEpoch;
 use crate::stage::StageReport;
@@ -62,11 +60,11 @@ pub struct LatticeCounters {
     pub generated: AtomicU64,
     /// This lattice's packets accepted by a ring.
     pub enqueued: AtomicU64,
-    /// This lattice's packets dropped (shed) because the ring was full or
-    /// the lattice's queue budget was exhausted.
+    /// This lattice's packets dropped (shed) because the ring was full (or
+    /// stalled), or the watchdog gave up on it.
     pub dropped: AtomicU64,
     /// Producer spin-retries attributable to this lattice: its packet found
-    /// the ring full, or its queue budget exhausted, under a blocking policy.
+    /// the ring full under a blocking policy.
     pub backpressure_spins: AtomicU64,
     /// Everything above is written by the source, everything below by the
     /// workers.
@@ -96,16 +94,6 @@ impl LatticeCounters {
             .load(Ordering::Relaxed)
             .saturating_sub(self.decoded.load(Ordering::Relaxed))
             .saturating_sub(self.dropped.load(Ordering::Relaxed))
-    }
-
-    /// This lattice's outstanding rounds: accepted by a ring but not yet
-    /// decoded.  This is the quantity a per-lattice
-    /// [`queue_budget`](crate::LatticeSpec::queue_budget) bounds.
-    #[must_use]
-    pub fn outstanding(&self) -> u64 {
-        self.enqueued
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.decoded.load(Ordering::Relaxed))
     }
 }
 
@@ -170,7 +158,7 @@ impl RuntimeCounters {
     /// The current aggregate backlog: rounds generated but neither decoded
     /// nor shed, summed over the lattices.  Dropped rounds are lost, not
     /// owed, so they don't count as outstanding work (under
-    /// [`PushPolicy::Block`] nothing is
+    /// [`PushPolicy::Block`](crate::PushPolicy::Block) nothing is
     /// ever dropped and this is exactly generated minus decoded).
     #[must_use]
     pub fn backlog(&self) -> u64 {
@@ -236,8 +224,8 @@ pub struct LatticeCounterSnapshot {
     pub generated: u64,
     /// This lattice's packets accepted by a ring.
     pub enqueued: u64,
-    /// This lattice's packets dropped (shed) because the ring was full or
-    /// its queue budget was exhausted.
+    /// This lattice's packets dropped (shed) because the ring was full (or
+    /// stalled), or the watchdog gave up on it.
     pub dropped: u64,
     /// Producer spin-retries attributable to this lattice under a blocking
     /// policy.
@@ -390,8 +378,8 @@ impl ResidualReport {
 }
 
 /// One lattice's slice of the run telemetry: the per-patch breakdown that
-/// says *which* logical qubit is falling behind, under *which* QoS contract,
-/// served by *which* decoder, and at what measured logical cost.
+/// says *which* logical qubit is falling behind, served by *which* decoder,
+/// and at what measured logical cost.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LatticeReport {
     /// The lattice's id in the engine's registry.
@@ -401,16 +389,6 @@ pub struct LatticeReport {
     /// Name of the decoder that served this lattice (the per-lattice
     /// override's product if one was set, else the machine-wide factory's).
     pub decoder: String,
-    /// The push policy this lattice ran under (its override, or the
-    /// machine-wide policy it inherited).
-    pub push_policy: PushPolicy,
-    /// Whether [`LatticeReport::push_policy`] came from the lattice's own
-    /// spec (`false` = inherited from the machine config).
-    pub push_policy_overridden: bool,
-    /// This lattice's outstanding-round budget, if one was configured.
-    pub queue_budget: Option<usize>,
-    /// This lattice's shed-rate SLO, if one was configured.
-    pub shed_slo: Option<f64>,
     /// The residual analysis, when the run requested it.
     pub residual: Option<ResidualReport>,
     /// This lattice's noise timeline: one epoch per segment of its noise
@@ -497,24 +475,6 @@ impl LatticeReport {
         )
     }
 
-    /// The fraction of this lattice's generated rounds that were shed.
-    #[must_use]
-    pub fn shed_rate(&self) -> f64 {
-        if self.counters.generated == 0 {
-            0.0
-        } else {
-            self.counters.dropped as f64 / self.counters.generated as f64
-        }
-    }
-
-    /// The shed-rate SLO verdict: `Some(true)` when a SLO is configured and
-    /// the measured shed rate is within it, `Some(false)` when it is
-    /// violated, `None` when no SLO was configured.
-    #[must_use]
-    pub fn meets_shed_slo(&self) -> Option<bool> {
-        self.shed_slo.map(|slo| self.shed_rate() <= slo)
-    }
-
     /// The one-word queue verdict the report prints: `SHEDDING` when any of
     /// this lattice's rounds were dropped, otherwise `BOUNDED`/`GROWING`
     /// from [`LatticeReport::queue_stayed_bounded`].
@@ -561,8 +521,8 @@ pub struct RuntimeReport {
     /// worker thread).  The rounds a worker committed and the polls it
     /// found the ring empty are its `decode.<w>` row in `stages`.
     pub worker_batches: Vec<u64>,
-    /// One [`StageReport`] per pipeline stage (source, gate, depth sink,
-    /// the channel, every worker's decode stage): the flow, refusal,
+    /// One [`StageReport`] per pipeline stage (source, depth sink, the
+    /// channel, every worker's decode stage): the flow, refusal,
     /// occupancy and stall picture at every seam.
     pub stages: Vec<StageReport>,
     /// The event journal's end-of-run state: per-kind/per-severity totals
@@ -704,11 +664,10 @@ impl fmt::Display for RuntimeReport {
         )?;
         writeln!(
             f,
-            "  obs: {} event(s) ({} shed, {} stall, {} budget; {} overwritten)",
+            "  obs: {} event(s) ({} shed, {} stall; {} overwritten)",
             self.journal.published,
             self.journal.counts[EventKind::Shed],
             self.journal.counts[EventKind::BackpressureStall],
-            self.journal.counts[EventKind::BudgetExhausted],
             self.journal.overwritten,
         )?;
         let counts = &self.journal.counts;
@@ -773,26 +732,6 @@ impl fmt::Display for RuntimeReport {
                 comparison.measured_growth_per_round,
                 comparison.predicted_growth_per_round,
                 lattice.verdict()
-            )?;
-            write!(
-                f,
-                "\n      qos: policy {:?} ({}) | budget {} | shed rate {:.2}% | SLO {}",
-                lattice.push_policy,
-                if lattice.push_policy_overridden {
-                    "per-lattice"
-                } else {
-                    "inherited"
-                },
-                match lattice.queue_budget {
-                    Some(budget) => budget.to_string(),
-                    None => "none".to_string(),
-                },
-                lattice.shed_rate() * 100.0,
-                match (lattice.shed_slo, lattice.meets_shed_slo()) {
-                    (Some(slo), Some(true)) => format!("{:.2}% MET", slo * 100.0),
-                    (Some(slo), _) => format!("{:.2}% VIOLATED", slo * 100.0),
-                    (None, _) => "none".to_string(),
-                },
             )?;
             if let Some(residual) = &lattice.residual {
                 write!(

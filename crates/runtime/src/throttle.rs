@@ -7,8 +7,8 @@
 //! floor has elapsed, emulating a slow software decoder (e.g. MWPM at
 //! ~100 µs/round, Section IV) without changing the corrections produced.
 //! Because it is just a `Decoder`, it plugs into the pipeline's decode
-//! stage like any other factory product — the QoS and stage-graph examples
-//! use it to overload chosen seams of the graph on demand.  To slow only
+//! stage like any other factory product — the tests and examples use it to
+//! overload the pipeline on demand.  To slow only
 //! some patches of a machine, give those lattices a throttled per-lattice
 //! override ([`ThrottledDecoder::factory`] into
 //! [`LatticeSpec::with_shared_decoder`](crate::LatticeSpec::with_shared_decoder)).

@@ -8,8 +8,8 @@ use nisqplus_runtime::obs::{bucket_bounds, bucket_index};
 use nisqplus_runtime::report::{parse, report_from_str, report_to_string, Json};
 use nisqplus_runtime::scenario::{record_run, replay_run};
 use nisqplus_runtime::{
-    EventKind, ExportError, FaultPlan, LatticeSpec, LogHistogram, MachineConfig, NoiseSpec,
-    PushPolicy, RuntimeConfig, StreamingEngine, ThrottledDecoder, SCHEMA_VERSION,
+    EventKind, ExportError, FaultPlan, LogHistogram, MachineConfig, NoiseSpec, PushPolicy,
+    RuntimeConfig, StreamingEngine, ThrottledDecoder, SCHEMA_VERSION,
 };
 
 fn greedy_factory() -> impl nisqplus_decoders::traits::DecoderFactory {
@@ -71,9 +71,9 @@ fn histogram_quantiles_match_exact_order_statistics_within_one_bucket() {
     assert_eq!(snapshot.max_ns, *exact.last().unwrap());
 }
 
-/// The exported document's key paths as schema v16 writes them,
+/// The exported document's key paths as schema v17 writes them,
 /// in document order, arrays collapsed to `[]`.
-const SCHEMA_LISTING: &str = include_str!("report_schema_v16.txt");
+const SCHEMA_LISTING: &str = include_str!("report_schema_v17.txt");
 
 /// The operator's manual, which documents the export field by field.
 const OPERATIONS: &str = include_str!("../../../docs/OPERATIONS.md");
@@ -117,7 +117,7 @@ fn assert_schema_is_pinned_and_documented(text: &str) {
     let fresh: String = paths.iter().map(|path| format!("{path}\n")).collect();
     assert!(
         fresh == SCHEMA_LISTING,
-        "the exported key paths differ from crates/runtime/tests/report_schema_v16.txt: bump \
+        "the exported key paths differ from crates/runtime/tests/report_schema_v17.txt: bump \
          `SCHEMA_VERSION` and commit the fresh listing under the new version's name:\n{fresh}"
     );
     for key in paths
@@ -132,35 +132,28 @@ fn assert_schema_is_pinned_and_documented(text: &str) {
     }
 }
 
-/// A real multi-lattice QoS run (Drop + Block lanes, shed rounds, journal
-/// events) survives the JSON export round trip exactly,
-/// and a bumped `schema_version` is rejected on the way back in.
+/// A real multi-lattice run that sheds (a machine-wide Drop policy at a
+/// two-slot ring, shed rounds, journal events) survives the JSON export
+/// round trip exactly, and a bumped `schema_version` is rejected on the way
+/// back in.
 #[test]
 fn multi_lattice_qos_report_round_trips_through_json() {
     let mut config = MachineConfig::new(&[3, 3], 77);
-    config.lattices = vec![
-        LatticeSpec::new(3)
-            .with_noise(NoiseSpec::PureDephasing { p: 0.02 })
-            .with_seed(77)
-            .with_rounds(300)
-            .with_push_policy(PushPolicy::Drop)
-            .with_queue_budget(2)
-            .with_shed_slo(0.05),
-        LatticeSpec::new(3)
-            .with_noise(NoiseSpec::PureDephasing { p: 0.02 })
-            .with_seed(78)
-            .with_rounds(300),
-    ];
+    for spec in &mut config.lattices {
+        spec.noise = NoiseSpec::PureDephasing { p: 0.02 };
+        spec.rounds = 300;
+    }
     config.workers = 2;
-    config.queue_capacity = 64;
+    config.queue_capacity = 2;
+    config.push_policy = PushPolicy::Drop;
     config.analyze_residuals = true;
     let engine = StreamingEngine::with_machine(config).unwrap();
-    // Throttle so the Drop lane's 2-round budget actually refuses rounds.
+    // Throttle so the two-slot ring actually refuses rounds.
     let outcome = engine
         .run(&|| Box::new(ThrottledDecoder::new(UnionFindDecoder::new(), 20_000)) as DynDecoder);
     outcome.check_invariants().unwrap();
     let report = &outcome.report;
-    assert!(report.counters.dropped > 0, "Drop lane must shed");
+    assert!(report.counters.dropped > 0, "the full ring must shed");
 
     // The in-stream residual analysis filled the per-lattice tallies; the
     // round trip below must carry them.
@@ -210,11 +203,11 @@ fn multi_lattice_qos_report_round_trips_through_json() {
     assert_eq!(&reloaded, report, "JSON must round-trip bit-for-bit");
     assert_eq!(failures(&reloaded), failures(report));
 
-    // A document from a future schema — or from the previous one, v15,
-    // which still stored the backlog views beside what they are computed
-    // from — is refused, loudly and typed.
-    assert_eq!(SCHEMA_VERSION, 16);
-    for other_version in [SCHEMA_VERSION + 1, 15] {
+    // A document from a future schema — or from the previous one, v16,
+    // which still stored each lattice's admission contract — is refused,
+    // loudly and typed.
+    assert_eq!(SCHEMA_VERSION, 17);
+    for other_version in [SCHEMA_VERSION + 1, 16] {
         let restamped = text.replacen(
             &format!("\"schema_version\": {SCHEMA_VERSION}"),
             &format!("\"schema_version\": {other_version}"),
@@ -234,10 +227,7 @@ fn multi_lattice_qos_report_round_trips_through_json() {
     // event about lattice 2^32 used to load as an event about lattice 0.
     let (head, journal) = text.split_at(text.find("\"journal\"").expect("a journal section"));
     let restamped = journal.replacen("\"lattice_id\": 0", "\"lattice_id\": 4294967296", 1);
-    assert_ne!(
-        restamped, journal,
-        "the Drop lane's shed events name lattice 0"
-    );
+    assert_ne!(restamped, journal, "the shed events name lattice 0");
     match report_from_str(&format!("{head}{restamped}")) {
         Err(ExportError::Schema(message)) => {
             assert!(message.contains("'lattice_id'"), "{message}");
@@ -269,8 +259,8 @@ fn backlog_views_are_computed_from_their_owners() {
         spec.rounds = 400;
         spec.cadence_cycles = 0;
     }
-    config.lattices[1].push_policy = Some(PushPolicy::Drop);
-    config.lattices[1].queue_budget = Some(1);
+    config.push_policy = PushPolicy::Drop;
+    config.queue_capacity = 2;
     config.workers = 2;
     let engine = StreamingEngine::with_machine(config).unwrap();
     let outcome = engine.run(&greedy_factory());
@@ -345,9 +335,9 @@ fn stage_reports_cover_a_paced_run() {
     let names: Vec<&str> = report.stages.iter().map(|s| s.stage.as_str()).collect();
     assert_eq!(
         names,
-        ["source", "gate", "depth", "channel", "decode.0", "decode.1"]
+        ["source", "depth", "channel", "decode.0", "decode.1"]
     );
-    assert_eq!(report.stages[1].accepted, 2_000);
+    assert_eq!(report.stages[0].accepted, 2_000);
 }
 
 /// The report carries the whole resident journal: a run that publishes more

@@ -2,15 +2,13 @@
 //! episode, and a stalled ring — and can prove, frame by frame, that
 //! nothing was lost.
 //!
-//! A three-lattice machine, one lattice carrying a burst episode, under a
-//! seeded [`FaultPlan`]:
+//! A three-lattice machine under the machine-wide `Block` policy, one
+//! lattice carrying a burst episode, under a seeded [`FaultPlan`]:
 //!
-//! * lattice 0 (d=5, `Block`) — the protected patch; it must come through
-//!   the chaos byte-identical to a fault-free reference run,
-//! * lattice 1 (d=3, `Drop`) — a load-shedding patch: it would shed a round
-//!   the stalled ring refused, but the stall arms on a `Block` round, so
-//!   the source waits it out there and lattice 1 sheds nothing,
-//! * lattice 2 (d=3, `Block`) — the burst target: rounds 40..60 run at 8x
+//! * lattice 0 (d=5) — the protected patch; it must come through the chaos
+//!   byte-identical to a fault-free reference run,
+//! * lattice 1 (d=3) — a plain neighbour sharing the ring,
+//! * lattice 2 (d=3) — the burst target: rounds 40..60 run at 8x
 //!   the base dephasing rate (two re-tunes, to the hot channel at round 40
 //!   and back at round 60).  The burst is part of the stream's seeded
 //!   identity, so the reference run replays the *same* burst and the frames
@@ -23,8 +21,8 @@
 //! exercising the backpressure path without tripping the watchdog.
 //!
 //! The acceptance criteria: the run ends (no hang), no panic escapes, its
-//! books hold ([`RuntimeOutcome::check_invariants`]), no round is shed, both
-//! `Block` lattices end `BOUNDED`, and every lattice's merged Pauli frame is
+//! books hold ([`RuntimeOutcome::check_invariants`]), no round is shed,
+//! lattices 0 and 2 end `BOUNDED`, and every lattice's merged Pauli frame is
 //! byte-identical to the reference.
 //!
 //! Run with `cargo run --release --example chaos_runtime`.  The fault
@@ -41,8 +39,8 @@ use nisqplus_runtime::{
 const ROUNDS: u64 = 300;
 
 /// Per-lattice syndrome-generation period: the paper's 400 ns scaled by
-/// 250x (~100 us) so the decoders keep up and the Block lattices can end
-/// the run BOUNDED — the chaos, not the clock, is what's under test.
+/// 250x (~100 us) so the decoders keep up and the lattices can end the
+/// run BOUNDED — the chaos, not the clock, is what's under test.
 const CADENCE_CYCLES: usize = RuntimeConfig::PAPER_CADENCE_CYCLES * 250;
 
 /// The base channel of every lattice.
@@ -63,12 +61,9 @@ fn machine(plan: FaultPlan) -> MachineConfig {
     };
     let mut config = MachineConfig::new(&[5, 3, 3], 9000);
     config.lattices = vec![
-        spec(5, 9000).with_push_policy(PushPolicy::Block),
-        spec(3, 9001).with_push_policy(PushPolicy::Drop),
-        spec(3, 9002)
-            .with_push_policy(PushPolicy::Block)
-            .with_retune(40, HOT)
-            .with_retune(60, BASE),
+        spec(5, 9000),
+        spec(3, 9001),
+        spec(3, 9002).with_retune(40, HOT).with_retune(60, BASE),
     ];
     config.workers = 2;
     config.queue_capacity = 4_096;
@@ -96,9 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // byte for byte.
     let reference_plan = FaultPlan::default();
 
-    println!(
-        "chaos run: 3 lattices (d=5 Block, d=3 Drop, d=3 Block) x {ROUNDS} rounds on 2 workers"
-    );
+    println!("chaos run: 3 lattices (d=5, d=3, d=3; Block) x {ROUNDS} rounds on 2 workers");
     println!("  plan: kill worker 0 after 10 decodes; 8x burst on lattice 2 rounds 40..60;");
     println!("        stall the ring for 2 ms");
     println!();
@@ -126,7 +119,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "a 2 ms stall must ride out on backpressure, far below the watchdog"
     );
 
-    // --- Nothing was shed; the Block lattices stayed bounded. -------------
+    // --- Nothing was shed; lattices 0 and 2 stayed bounded. ---------------
     assert_eq!(report.counters.dropped, 0, "the stall was ridden out");
     for &id in &[0usize, 2] {
         let lattice = &report.lattices[id];

@@ -6,18 +6,17 @@
 //! NISQ_SOAK_SMOKE=1 cargo run --release --example soak   # CI smoke: 50k rounds, 16 lattices
 //! ```
 //!
-//! The full profile mixes distances (3/5/7) and QoS classes (blocking
-//! backpressure, load-shedding Drop lanes, one deliberately throttled lane),
-//! classifies every round's residual *in stream* — memory stays
-//! O(lattices), not O(rounds) — and asserts conservation (every generated
+//! Both profiles mix distances (3/5/7) under blocking backpressure,
+//! classify every round's residual *in stream* — memory stays
+//! O(lattices), not O(rounds) — and assert conservation (every generated
 //! round decoded or shed) per lattice.  The smoke profile additionally
 //! demands every verdict come back `BOUNDED`.  The latency quantiles
-//! printed are the engine's own exactly-merged aggregate; per QoS class only
-//! what sums exactly is shown.  See `nisqplus_bench::soak` for the harness
+//! printed are the engine's own exactly-merged aggregate; over the lattices
+//! of the machine's push policy only what sums exactly is shown.  See `nisqplus_bench::soak` for the harness
 //! itself and `docs/OPERATIONS.md` ("Running a soak") for the operator's
 //! guide.
 
-use nisqplus_bench::soak::{self, SoakClass, SoakProfile};
+use nisqplus_bench::soak::{self, SoakProfile};
 use nisqplus_qec::logical::ResidualTally;
 
 /// Orders verdicts: `GROWING` is worse than `SHEDDING` is worse than
@@ -63,40 +62,26 @@ fn main() {
         "  decode p50 {:.0} ns p99 {:.0} ns p99.9 {:.0} ns | e2e p99 {:.0} ns p99.9 {:.0} ns",
         decode.p50, decode.p99, decode.p999, total.p99, total.p999,
     );
-    for class in [SoakClass::Block, SoakClass::Drop, SoakClass::Throttled] {
-        let members = report
-            .lattices
-            .iter()
-            .filter(|l| profile.class_of(l.lattice_id) == class);
-        let (mut lattices, mut generated, mut decoded, mut shed) = (0usize, 0u64, 0u64, 0u64);
-        let mut tally = ResidualTally::default();
-        let mut worst = "BOUNDED";
-        for lattice in members {
-            lattices += 1;
-            generated += lattice.counters.generated;
-            decoded += lattice.counters.decoded;
-            shed += lattice.counters.dropped;
-            if let Some(residual) = &lattice.residual {
-                tally.absorb(&residual.total());
-            }
-            if severity(lattice.verdict()) > severity(worst) {
-                worst = lattice.verdict();
-            }
+    let mut tally = ResidualTally::default();
+    let mut worst = "BOUNDED";
+    for lattice in &report.lattices {
+        if let Some(residual) = &lattice.residual {
+            tally.absorb(&residual.total());
         }
-        if lattices == 0 {
-            continue;
+        if severity(lattice.verdict()) > severity(worst) {
+            worst = lattice.verdict();
         }
-        println!(
-            "  {:<9} {:>3} lattices | decoded {:>8} | shed {:>7} ({:>6.3}%) | residual fail {:>6.4}% | {}",
-            format!("{class:?}"),
-            lattices,
-            decoded,
-            shed,
-            100.0 * shed as f64 / generated.max(1) as f64,
-            100.0 * tally.failure_rate(),
-            worst,
-        );
     }
+    println!(
+        "  {:<9} {:>3} lattices | decoded {:>8} | shed {:>7} ({:>6.3}%) | residual fail {:>6.4}% | {}",
+        format!("{:?}", profile.machine_config().push_policy),
+        report.lattices.len(),
+        report.counters.decoded,
+        report.counters.dropped,
+        100.0 * report.counters.dropped as f64 / report.counters.generated.max(1) as f64,
+        100.0 * tally.failure_rate(),
+        worst,
+    );
     let rss = soak::peak_rss_bytes();
     if rss > 0 {
         println!("  peak RSS {:.1} MiB", rss as f64 / (1024.0 * 1024.0));

@@ -79,7 +79,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert!(quantiles.p99 >= quantiles.p50);
     assert!(
-        fast.report.stages.iter().any(|stage| stage.stage == "gate"),
+        fast.report
+            .stages
+            .iter()
+            .any(|stage| stage.stage == "channel"),
         "every stage files a report"
     );
 
