@@ -6,7 +6,6 @@
 //! source, channel, decode workers, sinks — live in [`crate::stage`],
 //! and the wiring itself in [`crate::engine`].
 
-use crate::fault::FaultPlan;
 use crate::lattice_set::LatticeSpec;
 use crate::source::NoiseSpec;
 use nisqplus_sim::timing::CycleTimeConverter;
@@ -193,7 +192,6 @@ impl From<RuntimeConfig> for MachineConfig {
             correction_cap: config.correction_cap,
             track_shed_rounds: config.track_shed_rounds,
             obs: ObsConfig::default(),
-            fault: FaultPlan::default(),
         }
     }
 }
@@ -238,11 +236,6 @@ pub struct MachineConfig {
     pub track_shed_rounds: bool,
     /// The live observability plane: snapshot cadence, journal capacity.
     pub obs: ObsConfig,
-    /// The deterministic fault schedule for this run — worker crashes and
-    /// ring stalls (see
-    /// [`crate::fault`]).  Empty by default: a plan-free run pays nothing
-    /// for the injection hooks.
-    pub fault: FaultPlan,
 }
 
 impl MachineConfig {
@@ -282,7 +275,6 @@ impl MachineConfig {
             correction_cap: template.correction_cap,
             track_shed_rounds: template.track_shed_rounds,
             obs: ObsConfig::default(),
-            fault: FaultPlan::default(),
         }
     }
 

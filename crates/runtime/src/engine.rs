@@ -11,8 +11,8 @@
 //! ```
 //!
 //! [`StreamingEngine::run_with`] builds the run's codec, one bounded channel
-//! of `queue_capacity` slots, the event journal and the fault injector,
-//! scopes the decode workers, drives the source stage on the calling thread
+//! of `queue_capacity` slots and the event journal, scopes the decode
+//! workers, drives the source stage on the calling thread
 //! — every worker popping its next batch from the one channel — joins, and
 //! folds what the source stage and the workers hand back straight into the
 //! final [`RuntimeOutcome`]:
@@ -23,18 +23,21 @@
 //! [`StageReport`](crate::stage::StageReport) per pipeline stage, and —
 //! when [`MachineConfig::analyze_residuals`] is set — the measured logical
 //! cost of shedding, classified in stream (workers tally decoded rounds as
-//! they commit, the producer tallies shed rounds as it sheds).
+//! they commit, the producer tallies shed rounds as it sheds).  A worker
+//! crashes only when its decoder panics; its supervisor restarts it and
+//! books the round the panic struck as shed, so every book holds and the
+//! journal's `worker_crash` names the round.
 //! [`PipelineOptions`] attach to a run what is not its shape: the watchdog
 //! window, a trace to replay or record.
 //!
-//! Shed rounds stay accounted for end to end: they are fed into the
+//! Shed rounds — the source's and those lost to a decoder panic — stay
+//! accounted for end to end: they are fed into the
 //! per-lattice frame path as identity corrections, counted in
 //! `counters.dropped` (the backlog view's
 //! [`MeasuredBacklog::shed`](nisqplus_system::backlog::MeasuredBacklog::shed)),
 //! and priced in measured logical failures by
 //! the residual analysis.
 
-use crate::fault::{FaultInjector, FaultReport};
 use crate::frame::ShardedPauliFrame;
 use crate::lattice_set::LatticeSet;
 use crate::obs::{EventJournal, HistogramSnapshot};
@@ -263,13 +266,12 @@ impl StreamingEngine {
         };
         let channel = Channel::new(config.queue_capacity, codec.words_per_packet());
         let journal = EventJournal::new(config.obs.journal_capacity);
-        let injector = FaultInjector::new(config.fault.clone());
         let done = AtomicBool::new(false);
         let epoch = Instant::now();
 
         let (mut source_run, worker_results) = thread::scope(|s| {
             let (codec, channel, counters) = (&codec, &channel, &counters);
-            let (journal, injector, done) = (&journal, &injector, &done);
+            let (journal, done) = (&journal, &done);
             let workers: Vec<_> = (0..config.workers)
                 .map(|worker_id| {
                     s.spawn(move || {
@@ -286,7 +288,6 @@ impl StreamingEngine {
                             correction_cap: config.correction_cap,
                             batch_size: config.batch_size,
                             journal,
-                            injector,
                         })
                     })
                 })
@@ -300,7 +301,6 @@ impl StreamingEngine {
                 channel,
                 counters,
                 journal,
-                injector,
                 epoch,
             };
             let source_run = run_source(source_seat, options);
@@ -355,6 +355,7 @@ impl StreamingEngine {
                 per_lattice_decode[lattice_id].merge(&lattice_output.decode_hist);
                 per_lattice_total[lattice_id].merge(&lattice_output.total_hist);
                 decoded_tallies[lattice_id].absorb(&lattice_output.residuals);
+                source_run.shed_tallies[lattice_id].absorb(&lattice_output.shed);
                 per_lattice_shards[lattice_id].push(lattice_output.frame);
             }
         }
@@ -375,8 +376,8 @@ impl StreamingEngine {
             // lattice *actually* generated.
             let inter_arrival_ns = stats.gen_elapsed_ns / snapshot.generated.max(1) as f64;
             // Already classified in stream: the workers tallied decoded
-            // rounds, the producer tallied shed rounds — nothing O(rounds)
-            // to walk.
+            // rounds and the rounds a panic lost, the producer the rounds it
+            // shed — nothing O(rounds) to walk.
             let residual = config.streams_residuals().then(|| ResidualReport {
                 decoded: decoded_tallies[lattice_id],
                 shed: source_run.shed_tallies[lattice_id],
@@ -441,7 +442,6 @@ impl StreamingEngine {
                 total_latency,
                 lattices,
                 worker_batches,
-                fault: FaultReport::assemble(&config.fault, injector.snapshot()),
                 stages,
                 journal: journal.snapshot(),
             },
@@ -456,8 +456,10 @@ impl StreamingEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::invariants::{Violation, Violations};
     use crate::obs::EventKind;
     use crate::source::NoiseSpec;
+    use crate::stage::panicking;
     use nisqplus_decoders::{DynDecoder, GreedyMatchingDecoder};
 
     fn fast_config() -> RuntimeConfig {
@@ -619,28 +621,37 @@ mod tests {
     /// its idle polls on it.
     #[test]
     fn worker_decoded_counts_are_the_sinks_committed_counts() {
-        crate::fault::silence_injected_crash_panics();
-        // One paced worker, idle between rounds, that dies after five
-        // commits.
+        // One paced worker, idle between rounds, whose decoder panics on
+        // round 5 (decode 10 is its X sector): 19 rounds commit.
         let mut paced = MachineConfig::new(&[3], 5);
         paced.lattices[0].rounds = 20;
         // ≈ 163 µs a round: far above a debug-build decode, so the worker
         // idles before every round.
         paced.lattices[0].cadence_cycles = 1_000_000;
         paced.workers = 1;
-        paced.fault = crate::fault::FaultPlan::default().crash_worker(0, 5);
-        let legs = [
-            (two_lattice_machine(1), 200, 0),
-            (two_lattice_machine(3), 200, 0),
-            (paced, 20, 1),
+        let greedy = greedy_factory();
+        let panics = panicking(|n| n == 10);
+        let legs: [(MachineConfig, &dyn DecoderFactory, u64, u64); 3] = [
+            (two_lattice_machine(1), &greedy, 200, 0),
+            (two_lattice_machine(3), &greedy, 200, 0),
+            (paced, &panics, 19, 1),
         ];
-        for (config, rounds, crashes) in legs {
+        for (config, factory, rounds, crashes) in legs {
             let workers = config.workers;
             let engine = StreamingEngine::with_machine(config).unwrap();
-            let report = engine.run(&greedy_factory()).report;
-            report.check_invariants().unwrap();
+            let report = engine.run(factory).report;
+            let crashed = Violation::Crashes {
+                crashed: crashes,
+                restarted: crashes,
+            };
+            let expected = if crashes == 0 {
+                Ok(())
+            } else {
+                Err(Violations(vec![crashed]))
+            };
+            assert_eq!(report.check_invariants(), expected);
             assert_eq!(report.counters.decoded, rounds);
-            assert_eq!(report.fault.injected_crashes, crashes);
+            assert_eq!(report.counters.dropped, crashes);
             assert_eq!(report.worker_batches.len(), workers);
             let rows: Vec<_> = (0..workers)
                 .map(|w| {
@@ -679,60 +690,36 @@ mod tests {
         }
     }
 
-    /// An injected worker crash is caught, journaled and answered by a
-    /// restart that adopts the dead worker's frame shard: every generated
-    /// round is still decoded exactly once.
+    /// A decoder panic is caught, journaled and answered by a restart that
+    /// adopts the dead worker's frame shard: the one round the panic struck
+    /// is booked shed and named by the crash event, every other round is
+    /// decoded exactly once, and only `Crashes` objects.
     #[test]
-    fn crashed_worker_is_restarted_and_no_round_is_lost() {
-        crate::fault::silence_injected_crash_panics();
-        // One worker: with a second one popping the same ring, worker 0 is
-        // not guaranteed to commit the 10 rounds that arm its crash.
-        let mut config = two_lattice_machine(1);
-        config.fault = crate::fault::FaultPlan::default().crash_worker(0, 10);
+    fn crashed_worker_is_restarted_and_its_lost_round_is_booked_shed() {
+        // The source serves the two unpaced lattices in turn, so decode 21
+        // is the Z sector of the eleventh round served: lattice 0's round 5.
+        let config = two_lattice_machine(1);
         let engine = StreamingEngine::with_machine(config).unwrap();
-        let outcome = engine.run(&greedy_factory());
-        // The crash was caught and restarted once, and the crashed worker's
-        // shard survived: the frames carry every round.
-        outcome.check_invariants().unwrap();
-        assert_eq!(outcome.report.fault.injected_crashes, 1);
+        let outcome = engine.run(&panicking(|n| n == 21));
+        let crashed = Violation::Crashes {
+            crashed: 1,
+            restarted: 1,
+        };
+        assert_eq!(outcome.check_invariants(), Err(Violations(vec![crashed])));
+        let counters = outcome.report.counters;
         assert_eq!(
-            outcome.report.counters.decoded, 200,
+            (counters.decoded, counters.dropped),
+            (199, 1),
             "the restarted worker drains the rest"
         );
-    }
-
-    /// A ring whose consumers never drain (an infinite injected stall
-    /// under the Block policy) trips the watchdog: the run ends with force-shed
-    /// rounds and WatchdogTrip events — each naming its round — instead of
-    /// hanging forever.
-    #[test]
-    fn dead_consumer_trips_the_watchdog_instead_of_hanging() {
-        let mut config = MachineConfig::new(&[3], 3);
-        config.lattices[0].rounds = 4;
-        config.lattices[0].cadence_cycles = 0;
-        config.workers = 1;
-        config.queue_capacity = 16;
-        config.fault = crate::fault::FaultPlan::default().stall_ring(0, u64::MAX);
-        let engine = StreamingEngine::with_machine(config).unwrap();
-        let options = PipelineOptions {
-            watchdog: std::time::Duration::from_millis(20),
-            ..PipelineOptions::default()
-        };
-        let report = engine
-            .run_with(options, &greedy_factory())
-            .expect("no replay to check")
-            .report;
-        report.check_invariants().unwrap();
-        assert_eq!(report.counters.dropped, 4, "every round was force-shed");
-        assert_eq!(report.fault.injected_stalls, 1);
-        let tripped: Vec<u64> = report
-            .journal
-            .recent
-            .iter()
-            .filter(|event| event.kind == EventKind::WatchdogTrip)
-            .map(|event| event.value)
-            .collect();
-        assert_eq!(tripped, [0, 1, 2, 3]);
+        assert_eq!(outcome.report.lattices[0].counters.dropped, 1);
+        let crash = (outcome.report.journal.recent.iter())
+            .find(|event| event.kind == EventKind::WorkerCrash)
+            .unwrap();
+        assert_eq!(
+            (crash.lattice_id, crash.worker_id, crash.value),
+            (Some(0), Some(0), 5)
+        );
     }
 
     #[test]

@@ -35,7 +35,10 @@ pub enum Violation {
         /// `counters.<counter>`.
         machine: u64,
     },
-    /// `dropped != journal shed + watchdog_trip`.
+    /// `dropped != journal shed + watchdog_trip + worker_crash`: every
+    /// round is lost one way, and each way journals it once — a shed, a
+    /// watchdog trip, or the crash of the worker whose decoder panicked on
+    /// it.
     ShedAccounting {
         /// `counters.dropped`.
         dropped: u64,
@@ -43,6 +46,8 @@ pub enum Violation {
         shed: u64,
         /// `journal.counts.watchdog_trip`.
         watchdog_trips: u64,
+        /// `journal.counts.worker_crash`.
+        crashes: u64,
     },
     /// The `channel` row's `accepted` == its `emitted` == `enqueued` fails.
     ChannelFlow {
@@ -76,12 +81,12 @@ pub enum Violation {
         /// `counters.dropped`.
         dropped: u64,
     },
-    /// Injected == journal `worker_crash` == `worker_restart` fails (a
-    /// decoder bug, or a record whose header fails verification, reads as a
-    /// crash nothing injected).
+    /// A worker crashed, or a crash went without its restart: journal
+    /// `worker_crash > 0`, or `worker_crash != worker_restart`.  A decoder
+    /// panic is the only way a worker crashes, so any crash is a decoder
+    /// bug (or a record whose header fails verification), even when the
+    /// books around it hold.
     Crashes {
-        /// `fault.injected_crashes`.
-        injected: u64,
         /// `journal.counts.worker_crash`.
         crashed: u64,
         /// `journal.counts.worker_restart`.
@@ -205,12 +210,14 @@ impl RuntimeReport {
         }
         let counts = &self.journal.counts;
         let (shed, watchdog_trips) = (counts[Shed], counts[WatchdogTrip]);
+        let (crashed, restarted) = (counts[WorkerCrash], counts[WorkerRestart]);
         require(
-            c.dropped == shed + watchdog_trips,
+            c.dropped == shed + watchdog_trips + crashed,
             Violation::ShedAccounting {
                 dropped: c.dropped,
                 shed,
                 watchdog_trips,
+                crashes: crashed,
             },
         );
         let (accepted, emitted) = self
@@ -238,15 +245,9 @@ impl RuntimeReport {
                 decoded: c.decoded,
             },
         );
-        let fault = &self.fault;
-        let (crashed, restarted) = (counts[WorkerCrash], counts[WorkerRestart]);
         require(
-            fault.injected_crashes == crashed && crashed == restarted,
-            Violation::Crashes {
-                injected: fault.injected_crashes,
-                crashed,
-                restarted,
-            },
+            crashed == 0 && crashed == restarted,
+            Violation::Crashes { crashed, restarted },
         );
         let boundaries = (self.lattices.iter())
             .map(|l| l.noise_epochs.len().saturating_sub(1) as u64)
@@ -300,16 +301,15 @@ impl RuntimeOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{silence_injected_crash_panics, FaultPlan};
     use crate::{MachineConfig, NoiseSpec, PushPolicy, ShardedPauliFrame, StreamingEngine};
     use nisqplus_decoders::{DynDecoder, GreedyMatchingDecoder};
 
     /// A small mixed machine whose run touches every identity: three
     /// lattices of two distances shedding at a four-slot ring, a burst (two
-    /// re-tunes), an injected crash, residuals and the full correction
-    /// history.
+    /// re-tunes), residuals and the full correction history.  (A crash
+    /// breaks `Crashes` by design; `tests/fault.rs` checks that a decoder
+    /// panic breaks nothing else.)
     fn clean_run() -> RuntimeOutcome {
-        silence_injected_crash_panics();
         let mut config = MachineConfig::new(&[3, 5, 3], 31);
         for spec in &mut config.lattices {
             spec.rounds = 60;
@@ -325,9 +325,6 @@ mod tests {
         config.workers = 2;
         config.analyze_residuals = true;
         config.record_corrections = true;
-        // Worker 0 checks its crash hook before its first batch, so a crash
-        // after 0 rounds always fires, whatever the schedule.
-        config.fault = FaultPlan::default().crash_worker(0, 0);
         let engine = StreamingEngine::with_machine(config).unwrap();
         engine.run(&|| Box::new(GreedyMatchingDecoder::new()) as DynDecoder)
     }
@@ -352,7 +349,6 @@ mod tests {
         let clean = clean_run();
         assert_eq!(clean.check_invariants(), Ok(()));
         assert!(clean.report.to_string().contains("\n  invariants: hold\n"));
-        assert_eq!(clean.report.fault.injected_crashes, 1);
         assert_eq!(clean.report.journal.counts[NoiseChange], 2);
         type Mutation = fn(&mut RuntimeOutcome);
         let mutations: [(&str, Mutation); 11] = [

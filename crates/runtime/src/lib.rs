@@ -28,7 +28,11 @@
 //! * [`stage`] — the pipeline stages the engine is wired from: the bounded
 //!   channel over the ring, the prepared-decoder decode stage and its
 //!   supervised worker loop, frame and depth sinks, and the source stage —
-//!   every stage reporting its flow through a uniform [`StageReport`],
+//!   every stage reporting its flow through a uniform [`StageReport`].
+//!   A worker crashes only when its decoder panics: the supervisor books
+//!   the one round the panic struck as shed and restarts the worker over
+//!   the same frame shard, and a `Block` send that a dead consumer never
+//!   takes is force-shed by the source's backpressure watchdog,
 //! * [`config`] — the [`RuntimeConfig`] / [`MachineConfig`] run
 //!   configuration (re-exported through [`engine`] for compatibility),
 //! * [`engine`] — the [`StreamingEngine`], which wires the stages into the
@@ -43,13 +47,6 @@
 //!   [`Decoder::decode_into`](nisqplus_decoders::Decoder::decode_into) path,
 //! * [`frame`] — the sharded Pauli frames (one per lattice) the workers
 //!   commit corrections to,
-//! * [`fault`] — deterministic fault injection and self-healing: a seeded
-//!   [`FaultPlan`] schedules worker crashes (caught and answered by a
-//!   supervisor restart that re-prepares decoders over the same frame
-//!   shard) and ring stalls (bounded by a backpressure watchdog); the
-//!   report's [`FaultReport`] carries what was injected, and
-//!   [`RuntimeReport::check_invariants`] holds it against what the journal
-//!   observed,
 //! * [`throttle`] — a wrapper making any decoder deliberately slow (for all
 //!   lattices or one code distance), so the backlog blow-up can be provoked
 //!   on demand,
@@ -107,7 +104,6 @@
 
 pub mod config;
 pub mod engine;
-pub mod fault;
 pub mod frame;
 mod invariants;
 pub mod lattice_set;
@@ -125,7 +121,6 @@ pub use config::ObsConfig;
 pub use engine::{
     MachineConfig, PushPolicy, RoundCorrection, RuntimeConfig, RuntimeOutcome, StreamingEngine,
 };
-pub use fault::{CrashFault, FaultInjections, FaultInjector, FaultPlan, FaultReport, StallFault};
 pub use frame::ShardedPauliFrame;
 pub use invariants::{Violation, Violations};
 pub use lattice_set::{LatticeDecoder, LatticeSet, LatticeSpec};

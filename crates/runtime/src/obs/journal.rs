@@ -60,8 +60,10 @@ pub enum EventKind {
     /// The source stalled on a full ring under the `Block` policy
     /// (`value` = spin iterations burned on the round).
     BackpressureStall,
-    /// A worker's decode loop panicked and was caught by its supervisor
-    /// (`value` = rounds the worker had committed before dying).
+    /// A worker's decoder panicked and its supervisor caught the unwind,
+    /// booking the round the panic struck as shed (`value` = that round;
+    /// the lattice is the round's, and `None` when no round could be
+    /// booked).
     WorkerCrash,
     /// A crashed worker's replacement came up: decoders re-prepared, the
     /// dead worker's frame shard adopted (`value` = restart attempt, 1-based).

@@ -398,6 +398,12 @@ impl PacketCodec {
         Ok(())
     }
 
+    /// The round a record's header names, read whether or not the header
+    /// verifies.
+    pub(crate) fn round_of(words: &[u64]) -> u64 {
+        words[1]
+    }
+
     /// Unpacks a record that [`PacketCodec::verify`] has already accepted as
     /// belonging to `lattice_id` — the second half of
     /// [`PacketCodec::try_decode_into`], for the decode stage, which verifies
@@ -422,7 +428,7 @@ impl PacketCodec {
             bits
         );
         packet.lattice_id = lattice_id;
-        packet.round = words[1];
+        packet.round = Self::round_of(words);
         packet.emitted_ns = words[2];
         let payload_words = Syndrome::words_for(bits);
         packet

@@ -8,7 +8,7 @@
 //! writer and the reader from that one list — a key is its field's name, so
 //! the two directions cannot drift apart.  Changing a table changes the
 //! format: bump [`SCHEMA_VERSION`] (`tests/obs.rs` pins the key paths
-//! against `tests/report_schema_v17.txt`).
+//! against `tests/report_schema_v18.txt`).
 //!
 //! Reading rejects documents whose version does not match
 //! [`SCHEMA_VERSION`] exactly, so a stale artifact fails loudly instead of
@@ -18,7 +18,6 @@
 //! real report (floats use shortest-round-trip formatting).  Every key is
 //! documented in `docs/OPERATIONS.md` (test-pinned).
 
-use crate::fault::FaultReport;
 use crate::obs::{EventCounts, EventKind, EventSeverity, JournalSnapshot, RuntimeEvent};
 use crate::report::codec::{
     check_header, field, labels, record, with_header, Codec, Plain, Record, HEADER,
@@ -122,7 +121,13 @@ use std::path::Path;
 /// outstanding-round budget and its shed-rate objective: every lattice runs
 /// under the machine's one push policy) and the `journal.counts` key of
 /// the budget's refusals.  `stages` files no `gate` row.
-pub const SCHEMA_VERSION: u64 = 17;
+///
+/// v18: one way to crash, a decoder panic — the report-level `fault`
+/// object is gone with the fault-injection plane that filled it (whether
+/// a plan was armed, and the crashes and stalls it injected).  Crashes,
+/// restarts and watchdog trips are `journal.counts`; the round a crash lost
+/// is booked in `counters.dropped` and named by its `worker_crash` event.
+pub const SCHEMA_VERSION: u64 = 18;
 
 /// Why an export or import failed.
 #[derive(Debug)]
@@ -286,12 +291,6 @@ record!(JournalSnapshot {
     recent,
 });
 
-record!(FaultReport {
-    enabled,
-    injected_crashes,
-    injected_stalls,
-});
-
 record!(NoiseEpoch {
     start_round,
     end_round,
@@ -328,7 +327,6 @@ record!(RuntimeReport {
     worker_batches,
     stages,
     journal,
-    fault,
 });
 
 // ---------------------------------------------------------------------------

@@ -18,11 +18,11 @@
 //! [`Channel`], decodes every record, and commits to a
 //! [`FrameSink`](crate::stage::FrameSink) (which also owns the count of
 //! committed rounds); the sink and the in-flight batch both outlive a
-//! crashed decode attempt.
+//! crashed decode attempt.  A decoder panic is the only way a worker
+//! crashes, and the round it struck is booked once, as shed.
 //!
 //! [`Decoder::decode_into`]: nisqplus_decoders::Decoder::decode_into
 
-use crate::fault::{FaultInjector, CRASH_PANIC_MARKER};
 use crate::lattice_set::{LatticeDecoder, LatticeSet};
 use crate::obs::{EventJournal, EventKind, EventSeverity};
 use crate::packet::{PacketCodec, SyndromePacket};
@@ -30,7 +30,7 @@ use crate::stage::{pause, Channel, FrameSink, StageReport, WorkerOutput};
 use crate::telemetry::{bump, RuntimeCounters};
 use nisqplus_decoders::traits::{DecoderFactory, DynDecoder};
 use nisqplus_qec::lattice::Sector;
-use nisqplus_qec::logical::{classify_both_sectors_into, LogicalState};
+use nisqplus_qec::logical::{classify_both_sectors_into, classify_shed_round, LogicalState};
 use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::syndrome::Syndrome;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -240,23 +240,21 @@ pub(crate) struct WorkerSeat<'a> {
     pub(crate) batch_size: usize,
     /// The run's event journal.
     pub(crate) journal: &'a EventJournal,
-    /// The run's armed fault schedule (crash hooks; a plan-free injector
-    /// costs one branch per batch).
-    pub(crate) injector: &'a FaultInjector,
 }
 
 /// One decode worker under supervision: the frame sink and the in-flight
 /// [`Batch`] — the worker's durable state — live out here, outside the
 /// unwind boundary, while the decode attempt loop runs inside
-/// [`catch_unwind`].  A panic in the decode path (injected or real) is
-/// caught, journaled as a [`EventKind::WorkerCrash`], and answered by a
-/// same-thread restart ([`EventKind::WorkerRestart`]) that rebuilds the
-/// decode stage — freshly `prepare`d decoders — over the *same* sink and
-/// batch, so the replacement adopts the dead worker's frame shard, every
-/// round it had already committed, and the rest of its batch.  A real panic
-/// loses only the record it panicked on: the batch's cursor had already
-/// passed it, so the replacement resumes after it and never retries it — a
-/// decoder that panics on every round still drains the channel.
+/// [`catch_unwind`].  A decoder panic is caught, the round it struck is
+/// booked as shed ([`book_lost_round`]) and journaled as a
+/// [`EventKind::WorkerCrash`], and the worker is restarted on the same
+/// thread ([`EventKind::WorkerRestart`]): the decode stage is rebuilt —
+/// freshly `prepare`d decoders — over the *same* sink and batch, so the
+/// replacement adopts the dead worker's frame shard, every round it had
+/// already committed, and the rest of its batch.  The batch's cursor had
+/// already passed the struck record, so the replacement resumes after it
+/// and never retries it — a decoder that panics on every round still
+/// drains the channel.
 /// Returns the worker's output plus its decode [`StageReport`], whose
 /// `emitted` is the sink's committed count and whose `stall_cycles` is the
 /// worker's `stall_polls` counter — both span every attempt, a crashed one
@@ -289,17 +287,18 @@ pub(crate) fn run_worker(seat: WorkerSeat<'_>) -> (WorkerOutput, StageReport) {
             }
             Err(_) => {
                 // The worker died mid-run.  Its sink — and every round it
-                // committed — and its batch survive out here; journal the
-                // crash (value = rounds the dead worker had committed), then
-                // go around the loop: the next attempt re-prepares the
+                // committed — and its batch survive out here; book the
+                // round the panic struck and journal the crash, then go
+                // around the loop: the next attempt re-prepares the
                 // decoders, adopts the shard and finishes the batch.
+                let (lattice, round) = book_lost_round(&seat, &mut batch, &mut sink);
                 seat.journal.publish(
                     EventKind::WorkerCrash,
                     EventSeverity::Critical,
-                    None,
+                    lattice,
                     Some(worker_id as u32),
                     seat.epoch.elapsed().as_nanos() as u64,
-                    sink.committed(),
+                    round,
                 );
                 restarts += 1;
                 seat.journal.publish(
@@ -315,6 +314,41 @@ pub(crate) fn run_worker(seat: WorkerSeat<'_>) -> (WorkerOutput, StageReport) {
     }
 }
 
+/// Books the round a panic struck, once, as shed: the record between its
+/// claim (`batch.next += 1`) and its `decoded` bump, if the panic came
+/// inside that window.  Its lattice's `dropped` counts it, and with
+/// residuals streaming its carried error is classified as a shed round's
+/// (the identity correction) into the sink's shed tally.  Returns the
+/// lattice and round the crash event names: the round is the one the
+/// record's header names; the lattice is `None` when nothing was booked —
+/// no record was in flight (the round is then 0), or its header fails
+/// [`PacketCodec::verify`], so it has no lattice to book against.
+#[cold]
+fn book_lost_round(
+    seat: &WorkerSeat<'_>,
+    batch: &mut Batch,
+    sink: &mut FrameSink,
+) -> (Option<u32>, u64) {
+    if !std::mem::take(&mut batch.in_flight) {
+        return (None, 0);
+    }
+    let record = &batch.records[batch.next - 1];
+    let round = PacketCodec::round_of(record);
+    let Ok(lattice_id) = seat.codec.verify(record) else {
+        return (None, round);
+    };
+    let id = lattice_id as usize;
+    bump(&seat.counters.per_lattice[id].dropped, 1);
+    if seat.codec.carries_errors() {
+        let lattice = seat.set.lattice(id);
+        let mut error = PauliString::identity(lattice.num_data());
+        seat.codec.decode_error_into(record, lattice_id, &mut error);
+        let (x, z) = classify_shed_round(lattice, &error);
+        sink.record_shed(id, x, z);
+    }
+    (Some(lattice_id), round)
+}
+
 /// A worker's in-flight batch: records popped from the channel and not yet
 /// all decoded.  `records[next..filled]` are still to decode; the batch is
 /// spent when `next == filled`.
@@ -326,6 +360,9 @@ struct Batch {
     filled: usize,
     /// The next record to decode, advanced *before* its decode starts.
     next: usize,
+    /// Whether `records[next - 1]` is between its claim and its `decoded`
+    /// bump: the record a panic now would lose.
+    in_flight: bool,
 }
 
 impl Batch {
@@ -336,6 +373,7 @@ impl Batch {
                 .collect(),
             filled: 0,
             next: 0,
+            in_flight: false,
         }
     }
 }
@@ -357,12 +395,6 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink, batch: &mut Batch) -
     let mut turns = 0u32;
     loop {
         if batch.next == batch.filled {
-            // The crash hook sits at the batch boundary: no record is in
-            // flight inside the worker when an injected panic fires, so
-            // nothing a restart can't recover is ever lost.
-            if seat.injector.should_crash(worker_id, sink.committed()) {
-                panic!("{CRASH_PANIC_MARKER}: worker {worker_id}");
-            }
             // ---- Fill a batch from the shared channel --------------------
             batch.next = 0;
             batch.filled = 0;
@@ -385,14 +417,16 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink, batch: &mut Batch) -
         // Per-packet service time keeps its meaning (the full
         // unpack-to-commit span of that round — what the backlog model's `f`
         // ratio is about): timestamps are chained, one clock read per
-        // packet, so batching amortizes the crash check and counter updates
+        // packet, so batching amortizes the counter updates
         // without flattening latency spikes into a batch mean.
         let mut prev = Instant::now();
         while batch.next < batch.filled {
             let record = &batch.records[batch.next];
             // Past the record before its decode starts: if the decode
-            // panics, the restarted attempt resumes after it.
+            // panics, the supervisor books it lost and the restarted
+            // attempt resumes after it.
             batch.next += 1;
+            batch.in_flight = true;
             let decoded = decode.decode(record);
             let lattice_id = decoded.lattice_id as usize;
             let emitted_ns = decoded.emitted_ns;
@@ -406,6 +440,7 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink, batch: &mut Batch) -
             counters.per_lattice[lattice_id]
                 .decoded
                 .fetch_add(1, Ordering::Relaxed);
+            batch.in_flight = false;
             prev = now;
         }
         bump(&worker_counters.batches, 1);
@@ -413,11 +448,55 @@ fn worker_loop(seat: &WorkerSeat<'_>, sink: &mut FrameSink, batch: &mut Batch) -
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::lattice_set::LatticeSpec;
     use crate::source::{NoiseSpec, SyndromeSource};
     use nisqplus_decoders::{GreedyMatchingDecoder, SharedDecoderFactory};
+    use nisqplus_qec::lattice::Lattice;
+    use std::sync::atomic::AtomicU64;
+    use std::sync::Arc;
+
+    /// Greedy matching whose instances share one count of sector decodes
+    /// and panic — a decoder bug — on each decode `panics` picks by its
+    /// 0-based index, whichever worker, or restart, makes it.
+    struct PanickingDecoder {
+        inner: GreedyMatchingDecoder,
+        decodes: Arc<AtomicU64>,
+        panics: fn(u64) -> bool,
+    }
+
+    impl nisqplus_decoders::Decoder for PanickingDecoder {
+        fn name(&self) -> &str {
+            "panicking"
+        }
+        fn decode_into(
+            &mut self,
+            l: &Lattice,
+            s: &Syndrome,
+            sector: Sector,
+            out: &mut PauliString,
+        ) {
+            if (self.panics)(self.decodes.fetch_add(1, Ordering::Relaxed)) {
+                panic!("decoder bug");
+            }
+            self.inner.decode_into(l, s, sector, out);
+        }
+    }
+
+    /// A factory of [`PanickingDecoder`]s sharing one count of decodes.
+    pub(crate) fn panicking(panics: fn(u64) -> bool) -> impl DecoderFactory {
+        let decodes = Arc::new(AtomicU64::new(0));
+        move || {
+            let inner = GreedyMatchingDecoder::new();
+            let decodes = Arc::clone(&decodes);
+            Box::new(PanickingDecoder {
+                inner,
+                decodes,
+                panics,
+            }) as DynDecoder
+        }
+    }
 
     fn set_of(distances: &[usize]) -> LatticeSet {
         let specs: Vec<LatticeSpec> = distances
@@ -459,7 +538,6 @@ mod tests {
             correction_cap: None,
             batch_size: 4,
             journal,
-            injector: &FaultInjector::disabled(),
         })
     }
 
@@ -518,35 +596,72 @@ mod tests {
     /// A decoder that panics on every round loses each round it panicked
     /// on and nothing else, and the worker still drains the channel: each
     /// restart resumes after the record that panicked instead of retrying
-    /// it.  (`tests/fault.rs` pins the single-panic case: one round lost.)
+    /// it.  Every lost round is booked dropped once and named by its crash
+    /// event.  (`tests/fault.rs` pins the single-panic case: one round
+    /// lost.)
     #[test]
     fn a_decoder_that_always_panics_still_drains_the_channel() {
-        use nisqplus_qec::lattice::Lattice;
-
-        struct AlwaysPanics;
-        impl nisqplus_decoders::Decoder for AlwaysPanics {
-            fn name(&self) -> &str {
-                "always-panics"
-            }
-            fn decode_into(&mut self, _: &Lattice, _: &Syndrome, _: Sector, _: &mut PauliString) {
-                panic!("decoder bug");
-            }
-        }
-
         let set = one_lattice(8);
         let codec = PacketCodec::for_lattice_bits(&set.ancilla_bits());
         let channel = filled_channel(&set, &codec, 8);
         let counters = RuntimeCounters::new(1, 1);
         let journal = EventJournal::new(64);
-        let always_panics = || Box::new(AlwaysPanics) as DynDecoder;
-        let (output, report) =
-            drain_with_worker_0(&set, &codec, &channel, &counters, &journal, &always_panics);
+        let (output, report) = drain_with_worker_0(
+            &set,
+            &codec,
+            &channel,
+            &counters,
+            &journal,
+            &panicking(|_| true),
+        );
         assert!(channel.is_empty());
         assert_eq!((report.emitted, counters.snapshot().decoded), (0, 0));
         assert_eq!(output.per_lattice[0].frame.recorded_cycles(), 0);
-        let counts = journal.snapshot().counts;
-        assert_eq!(counts[EventKind::WorkerCrash], 8, "one crash per round");
-        assert_eq!(counts[EventKind::WorkerRestart], 8);
+        assert_eq!(counters.per_lattice[0].snapshot().dropped, 8);
+        let journal = journal.snapshot();
+        assert_eq!(
+            journal.counts[EventKind::WorkerCrash],
+            8,
+            "one crash per round"
+        );
+        assert_eq!(journal.counts[EventKind::WorkerRestart], 8);
+        let lost: Vec<(Option<u32>, u64)> = (journal.recent.iter())
+            .filter(|event| event.kind == EventKind::WorkerCrash)
+            .map(|event| (event.lattice_id, event.value))
+            .collect();
+        assert_eq!(
+            lost,
+            (0..8).map(|round| (Some(0), round)).collect::<Vec<_>>()
+        );
+    }
+
+    /// A crash with no record in flight books nothing: here the decoder
+    /// panics on round 0, and the restart's rebuild panics before any
+    /// record is claimed.  Round 0 is booked once — not again by the
+    /// second crash — and the second crash event names no lattice.
+    #[test]
+    fn a_crash_between_records_books_nothing() {
+        let set = one_lattice(8);
+        let codec = PacketCodec::for_lattice_bits(&set.ancilla_bits());
+        let channel = filled_channel(&set, &codec, 8);
+        let counters = RuntimeCounters::new(1, 1);
+        let journal = EventJournal::new(64);
+        let (inner, builds) = (panicking(|n| n == 0), AtomicU64::new(0));
+        let factory = move || {
+            if builds.fetch_add(1, Ordering::Relaxed) == 1 {
+                panic!("factory bug");
+            }
+            inner.build()
+        };
+        drain_with_worker_0(&set, &codec, &channel, &counters, &journal, &factory);
+        let snapshot = counters.per_lattice[0].snapshot();
+        assert_eq!((snapshot.decoded, snapshot.dropped), (7, 1));
+        let journal = journal.snapshot();
+        let crashes: Vec<(Option<u32>, u64)> = (journal.recent.iter())
+            .filter(|event| event.kind == EventKind::WorkerCrash)
+            .map(|event| (event.lattice_id, event.value))
+            .collect();
+        assert_eq!(crashes, [(Some(0), 0), (None, 0)]);
     }
 
     /// A two-lattice worker routes each packet to its lattice's state: the
@@ -727,7 +842,9 @@ mod tests {
 
     /// A header that fails `verify` is a bug, not a record to skip: the
     /// worker crashes on it, the supervisor restarts the worker, and only
-    /// that record is lost — the clean records beside it still commit.
+    /// that record is lost — the clean records beside it still commit.  It
+    /// names no lattice to book against, so nothing is booked dropped, and
+    /// its crash event names no lattice and the round its header claims.
     /// (`packet.rs` pins the typed [`PacketError`](crate::packet::PacketError)
     /// `verify` returns for such a header.)
     #[test]
@@ -749,14 +866,23 @@ mod tests {
         let (output, _) =
             drain_with_worker_0(&set, &codec, &channel, &counters, &journal, &factory());
         assert_eq!(counters.snapshot().decoded, 2);
+        assert_eq!(counters.snapshot().dropped, 0, "no lattice to book against");
         assert_eq!(output.per_lattice[0].frame.recorded_cycles(), 2);
-        let counts = journal.snapshot().counts;
+        let journal = journal.snapshot();
+        let counts = journal.counts;
         assert_eq!(
             (
                 counts[EventKind::WorkerCrash],
                 counts[EventKind::WorkerRestart]
             ),
             (1, 1)
+        );
+        let crash = (journal.recent.iter())
+            .find(|event| event.kind == EventKind::WorkerCrash)
+            .unwrap();
+        assert_eq!(
+            (crash.lattice_id, crash.worker_id, crash.value),
+            (None, Some(0), 1)
         );
     }
 }

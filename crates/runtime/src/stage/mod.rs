@@ -41,6 +41,8 @@ mod sink;
 mod source;
 
 pub use channel::Channel;
+#[cfg(test)]
+pub(crate) use decode::tests::panicking;
 pub use decode::DecodedRound;
 pub(crate) use decode::{run_worker, WorkerSeat};
 pub use sink::FrameSink;

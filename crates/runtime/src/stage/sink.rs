@@ -26,7 +26,7 @@ use crate::stage::decode::DecodedRound;
 use crate::stage::StageReport;
 use crate::telemetry::{DepthSample, RuntimeCounters};
 use nisqplus_qec::frame::PauliFrame;
-use nisqplus_qec::logical::ResidualTally;
+use nisqplus_qec::logical::{LogicalState, ResidualTally};
 
 /// One lattice's slice of a worker's output.
 #[derive(Debug)]
@@ -41,6 +41,11 @@ pub(crate) struct WorkerLatticeOutput {
     /// the run classifies residuals in stream).  Tallies are plain integer
     /// sums, so the engine's cross-worker merge is order-independent.
     pub(crate) residuals: ResidualTally,
+    /// The residual tally of this lattice's rounds the worker lost to a
+    /// decoder panic, classified as shed rounds (empty unless the run
+    /// classifies residuals in stream); the engine merges it with the
+    /// source's shed tally.
+    pub(crate) shed: ResidualTally,
 }
 
 /// What one worker thread hands back when the stream ends.
@@ -62,6 +67,7 @@ struct LatticeSlot {
     decode: LocalHistogram,
     total: LocalHistogram,
     residuals: ResidualTally,
+    shed: ResidualTally,
 }
 
 /// One worker's commit stage: private frame shards, optional correction
@@ -91,6 +97,7 @@ impl FrameSink {
                     decode: LocalHistogram::new(),
                     total: LocalHistogram::new(),
                     residuals: ResidualTally::new(),
+                    shed: ResidualTally::new(),
                 })
                 .collect(),
             corrections: Vec::new(),
@@ -156,6 +163,13 @@ impl FrameSink {
         slot.total.record(total_ns);
     }
 
+    /// Folds the residual of a round of `lattice_id` the worker lost to a
+    /// decoder panic — a shed round's, classified by the supervisor — into
+    /// the lattice's shed tally.  The round is not committed.
+    pub(crate) fn record_shed(&mut self, lattice_id: usize, x: LogicalState, z: LogicalState) {
+        self.slots[lattice_id].shed.record_states(x, z);
+    }
+
     /// Rounds committed so far.
     #[must_use]
     pub fn committed(&self) -> u64 {
@@ -176,6 +190,7 @@ impl FrameSink {
                     decode_hist: slot.decode.snapshot(),
                     total_hist: slot.total.snapshot(),
                     residuals: slot.residuals,
+                    shed: slot.shed,
                 })
                 .collect(),
             corrections: self.corrections,

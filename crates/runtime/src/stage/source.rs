@@ -4,17 +4,16 @@
 //! from the machine's [`InterleavedSource`] (or re-serves a recorded trace),
 //! paces each to its lattice's cadence, encodes it into one reused record,
 //! sends it into the run's one channel under the machine's [`PushPolicy`],
-//! and samples the backlog into a depth sink — plus the run's hostile-stream
-//! hooks: ring-stall emulation and the backpressure watchdog.  The ring is
-//! the only bound a round meets: under `Block` a full ring stalls the
-//! source, under `Drop` it sheds the round.  What it hands back when
-//! generation ends is a `SourceRun`.
+//! and samples the backlog into a depth sink.  The ring is the only bound a
+//! round meets: under `Block` a full ring stalls the source — for at most
+//! the backpressure watchdog's window, past which the round is force-shed,
+//! so a dead consumer cannot hang the run — and under `Drop` it sheds the
+//! round.  What it hands back when generation ends is a `SourceRun`.
 //! [`PipelineOptions`] carries what a caller may attach to a run — the
 //! watchdog window, a trace to replay or record — all of it the source
 //! stage's to act on.
 
 use crate::config::{MachineConfig, PushPolicy};
-use crate::fault::FaultInjector;
 use crate::lattice_set::LatticeSet;
 use crate::obs::{EventJournal, EventKind, EventSeverity};
 use crate::packet::{PacketCodec, SyndromePacket};
@@ -110,8 +109,6 @@ pub(crate) struct SourceSeat<'a> {
     pub(crate) counters: &'a RuntimeCounters,
     /// The run's event journal.
     pub(crate) journal: &'a EventJournal,
-    /// The run's armed fault schedule (the stall hook).
-    pub(crate) injector: &'a FaultInjector,
     /// The run's epoch, for pacing and emission timestamps.
     pub(crate) epoch: Instant,
 }
@@ -163,7 +160,7 @@ fn journal_noise_change(journal: &EventJournal, sourced: &SourcedRound, epoch: I
 
 /// Retries `attempt` until it succeeds, counting every refusal as one
 /// backpressure spin against the lattice, for at most `watchdog`: the one
-/// lossless wait of the Block policy, on a full (or stalled) ring.  Between
+/// lossless wait of the Block policy, on a full ring.  Between
 /// a refusal and the next attempt it waits, uncounted, for `can_resume`.
 /// That poll reads a line the workers write (the ring's `tail`), so it is
 /// asked only on the wait's yield turns, every
@@ -201,8 +198,7 @@ fn spin_until(
 
 /// The source stage: paced interleaved generation, encoding into one reused
 /// record, sends into the channel under the machine's push policy, depth
-/// sampling — plus the run's hostile-stream hooks: ring-stall
-/// emulation and the backpressure watchdog.  A trace in
+/// sampling, and the backpressure watchdog.  A trace in
 /// `options.replay` has already been checked against the machine by
 /// [`StreamingEngine::run_with`](crate::StreamingEngine::run_with).
 pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> SourceRun {
@@ -214,7 +210,6 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
         channel,
         counters,
         journal,
-        injector,
         epoch,
     } = seat;
     let PipelineOptions {
@@ -248,14 +243,18 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
     let mut record = vec![0u64; codec.words_per_packet()];
     let mut lattice_stats = vec![LatticeGenStats::default(); set.len()];
     let mut shed_tallies = vec![ResidualTally::default(); set.len()];
-    // The one place a shed round is accounted for, whichever seam shed it
-    // (full or stalled channel, watchdog).
+    // Rounds the source shed: its own refusals, apart from any round a
+    // worker lost to a decoder panic.
+    let mut shed_total = 0u64;
+    // The one place the source accounts for a round it sheds, whichever
+    // seam shed it (full channel, watchdog).
     // With the residual analysis on it is classified here, the moment it is
     // shed: it gets the identity correction, so its residual *is* its seeded
     // error ([`classify_shed_round`] reads it in place, allocation-free).
     let mut account_shed = |sourced: &SourcedRound| {
         let lattice_id = sourced.lattice_id as usize;
         bump(&counters.per_lattice[lattice_id].dropped, 1);
+        shed_total += 1;
         if config.streams_residuals() {
             let (x, z) = classify_shed_round(set.lattice(lattice_id), &sourced.error);
             shed_tallies[lattice_id].record_states(x, z);
@@ -306,12 +305,6 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
         }
         let lattice_counters = &counters.per_lattice[lattice_id as usize];
         bump(&lattice_counters.generated, 1);
-        // Whether an injected stall is holding the ring shut (asking also
-        // arms a stall whose round has come).
-        let channel_stalled = || {
-            injector.has_stalls()
-                && injector.stall_active(emitted_total, epoch.elapsed().as_nanos() as u64)
-        };
         // `delivered`: the record reached the channel.
         let delivered = match config.push_policy {
             PushPolicy::Block => {
@@ -327,7 +320,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
                     lattice_counters,
                     watchdog,
                     &mut turns,
-                    || !channel_stalled() && channel.try_send(&record),
+                    || channel.try_send(&record),
                     || channel.can_resume(),
                 );
                 if spins > 0 {
@@ -354,9 +347,9 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
                 sent
             }
             PushPolicy::Drop => {
-                // Shed when the channel is full (or stalled); a shed round
-                // enters the frame path as an identity correction later.
-                let delivered = !channel_stalled() && channel.try_send(&record);
+                // Shed when the channel is full; a shed round enters the
+                // frame path as an identity correction later.
+                let delivered = channel.try_send(&record);
                 if !delivered {
                     account_shed(&sourced);
                     journal.publish(
@@ -397,7 +390,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
     let source_report = StageReport {
         accepted: totals.generated,
         emitted: totals.enqueued,
-        rejected: totals.dropped,
+        rejected: shed_total,
         stall_cycles: totals.backpressure_spins,
         ..StageReport::named("source")
     };
@@ -417,6 +410,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::EventKind;
     use crate::stage::TURNS_PER_YIELD;
     use std::sync::atomic::Ordering;
 
@@ -473,5 +467,52 @@ mod tests {
         assert!(started.elapsed() >= watchdog);
         assert_eq!((spins, offers), (1, 1));
         assert!(turns >= TURNS_PER_YIELD);
+    }
+
+    /// A consumer that does not exist: the source runs into a four-slot
+    /// channel that nothing pops, under the Block policy.  The first four
+    /// rounds fit; each later one waits out the watchdog and is force-shed,
+    /// counted dropped and named by one `watchdog_trip` — the run ends
+    /// instead of hanging.
+    #[test]
+    fn dead_consumer_trips_the_watchdog_instead_of_hanging() {
+        let mut config = MachineConfig::new(&[3], 3);
+        config.lattices[0].rounds = 7;
+        config.lattices[0].cadence_cycles = 0;
+        let set = LatticeSet::new(config.lattices.clone()).unwrap();
+        let source = InterleavedSource::new(&set, &config.cycle_time).unwrap();
+        let codec = PacketCodec::for_lattice_bits(&set.ancilla_bits());
+        let channel = Channel::new(4, codec.words_per_packet());
+        let counters = RuntimeCounters::new(1, 1);
+        let journal = EventJournal::new(64);
+        let seat = SourceSeat {
+            config: &config,
+            set: &set,
+            source: &source,
+            codec: &codec,
+            channel: &channel,
+            counters: &counters,
+            journal: &journal,
+            epoch: Instant::now(),
+        };
+        let options = PipelineOptions {
+            watchdog: Duration::from_millis(2),
+            ..PipelineOptions::default()
+        };
+        let run = run_source(seat, options);
+        let totals = counters.snapshot();
+        assert_eq!(
+            (totals.generated, totals.enqueued, totals.dropped),
+            (7, 4, 3)
+        );
+        assert_eq!((run.source.emitted, run.source.rejected), (4, 3));
+        assert_eq!(channel.len(), 4);
+        let journal = journal.snapshot();
+        let tripped: Vec<u64> = (journal.recent.iter())
+            .filter(|event| event.kind == EventKind::WatchdogTrip)
+            .map(|event| event.value)
+            .collect();
+        assert_eq!(tripped, [4, 5, 6]);
+        assert_eq!(journal.counts[EventKind::WatchdogTrip], 3);
     }
 }

@@ -60,8 +60,8 @@ pub struct LatticeCounters {
     pub generated: AtomicU64,
     /// This lattice's packets accepted by a ring.
     pub enqueued: AtomicU64,
-    /// This lattice's packets dropped (shed) because the ring was full (or
-    /// stalled), or the watchdog gave up on it.
+    /// This lattice's packets dropped (shed) because the ring was full, or
+    /// the watchdog gave up on it, or a decoder panic struck it.
     pub dropped: AtomicU64,
     /// Producer spin-retries attributable to this lattice: its packet found
     /// the ring full under a blocking policy.
@@ -173,7 +173,8 @@ pub struct CounterSnapshot {
     pub generated: u64,
     /// Packets accepted by the ring buffer.
     pub enqueued: u64,
-    /// Packets dropped because the ring was full.
+    /// Packets dropped: shed at a full ring, force-shed by the watchdog,
+    /// or struck by a decoder panic.
     pub dropped: u64,
     /// Producer spin-retries while the ring was full.
     pub backpressure_spins: u64,
@@ -224,8 +225,8 @@ pub struct LatticeCounterSnapshot {
     pub generated: u64,
     /// This lattice's packets accepted by a ring.
     pub enqueued: u64,
-    /// This lattice's packets dropped (shed) because the ring was full (or
-    /// stalled), or the watchdog gave up on it.
+    /// This lattice's packets dropped (shed) because the ring was full, or
+    /// the watchdog gave up on it, or a decoder panic struck it.
     pub dropped: u64,
     /// Producer spin-retries attributable to this lattice under a blocking
     /// policy.
@@ -528,10 +529,6 @@ pub struct RuntimeReport {
     /// The event journal's end-of-run state: per-kind/per-severity totals
     /// plus the newest resident events.
     pub journal: JournalSnapshot,
-    /// What the run's fault plan injected (all-zero and `enabled: false` for
-    /// a plan-free run); what the runtime observed is in `journal` and
-    /// `counters`.
-    pub fault: crate::fault::FaultReport,
 }
 
 impl RuntimeReport {
@@ -672,13 +669,12 @@ impl fmt::Display for RuntimeReport {
         )?;
         let counts = &self.journal.counts;
         let seen = [EventKind::WorkerCrash, EventKind::WatchdogTrip];
-        if self.fault.enabled || seen.into_iter().any(|kind| counts[kind] > 0) {
+        if seen.into_iter().any(|kind| counts[kind] > 0) {
             writeln!(
                 f,
-                "  fault: {} crash(es)/{} restart(s) | {} stall(s) | {} watchdog trip(s)",
-                self.fault.injected_crashes,
+                "  fault: {} crash(es)/{} restart(s) | {} watchdog trip(s)",
+                counts[EventKind::WorkerCrash],
                 counts[EventKind::WorkerRestart],
-                self.fault.injected_stalls,
                 counts[EventKind::WatchdogTrip],
             )?;
         }

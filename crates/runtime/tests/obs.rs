@@ -2,15 +2,19 @@
 //! against exact quantiles, JSON export round trips on real runs, bounded
 //! timelines and journals.
 
-use nisqplus_decoders::{DynDecoder, GreedyMatchingDecoder, UnionFindDecoder};
-use nisqplus_runtime::fault::silence_injected_crash_panics;
+use nisqplus_decoders::{Decoder, DynDecoder, GreedyMatchingDecoder, UnionFindDecoder};
+use nisqplus_qec::lattice::{Lattice, Sector};
+use nisqplus_qec::pauli::PauliString;
+use nisqplus_qec::syndrome::Syndrome;
 use nisqplus_runtime::obs::{bucket_bounds, bucket_index};
 use nisqplus_runtime::report::{parse, report_from_str, report_to_string, Json};
 use nisqplus_runtime::scenario::{record_run, replay_run};
 use nisqplus_runtime::{
-    EventKind, ExportError, FaultPlan, LogHistogram, MachineConfig, NoiseSpec, PushPolicy,
-    RuntimeConfig, StreamingEngine, ThrottledDecoder, SCHEMA_VERSION,
+    EventKind, ExportError, LogHistogram, MachineConfig, NoiseSpec, PushPolicy, RuntimeConfig,
+    StreamingEngine, ThrottledDecoder, Violation, Violations, SCHEMA_VERSION,
 };
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn greedy_factory() -> impl nisqplus_decoders::traits::DecoderFactory {
     || Box::new(GreedyMatchingDecoder::new()) as DynDecoder
@@ -71,9 +75,9 @@ fn histogram_quantiles_match_exact_order_statistics_within_one_bucket() {
     assert_eq!(snapshot.max_ns, *exact.last().unwrap());
 }
 
-/// The exported document's key paths as schema v17 writes them,
+/// The exported document's key paths as schema v18 writes them,
 /// in document order, arrays collapsed to `[]`.
-const SCHEMA_LISTING: &str = include_str!("report_schema_v17.txt");
+const SCHEMA_LISTING: &str = include_str!("report_schema_v18.txt");
 
 /// The operator's manual, which documents the export field by field.
 const OPERATIONS: &str = include_str!("../../../docs/OPERATIONS.md");
@@ -117,7 +121,7 @@ fn assert_schema_is_pinned_and_documented(text: &str) {
     let fresh: String = paths.iter().map(|path| format!("{path}\n")).collect();
     assert!(
         fresh == SCHEMA_LISTING,
-        "the exported key paths differ from crates/runtime/tests/report_schema_v17.txt: bump \
+        "the exported key paths differ from crates/runtime/tests/report_schema_v18.txt: bump \
          `SCHEMA_VERSION` and commit the fresh listing under the new version's name:\n{fresh}"
     );
     for key in paths
@@ -198,16 +202,20 @@ fn multi_lattice_qos_report_round_trips_through_json() {
             "v12 folded the burst books into `noise_change`, {book} among them"
         );
     }
+    assert!(
+        !text.contains("\"fault\""),
+        "v18 dropped the fault-injection report with the plane that filled it"
+    );
     assert_schema_is_pinned_and_documented(&text);
     let reloaded = report_from_str(&text).expect("round trip");
     assert_eq!(&reloaded, report, "JSON must round-trip bit-for-bit");
     assert_eq!(failures(&reloaded), failures(report));
 
-    // A document from a future schema — or from the previous one, v16,
-    // which still stored each lattice's admission contract — is refused,
-    // loudly and typed.
-    assert_eq!(SCHEMA_VERSION, 17);
-    for other_version in [SCHEMA_VERSION + 1, 16] {
+    // A document from a future schema — or from the previous one, v17,
+    // which still stored the fault-injection report — is refused, loudly
+    // and typed.
+    assert_eq!(SCHEMA_VERSION, 18);
+    for other_version in [SCHEMA_VERSION + 1, 17] {
         let restamped = text.replacen(
             &format!("\"schema_version\": {SCHEMA_VERSION}"),
             &format!("\"schema_version\": {other_version}"),
@@ -352,14 +360,43 @@ fn an_overflowing_journal_reports_every_resident_event() {
     config.queue_capacity = 256;
     config.obs.journal_capacity = 4;
     // Five crashes of the lone worker, each journaled as a crash and a
-    // restart: ten events into a four-slot ring.  The worker checks its
-    // crash hook before every batch and once more after the stream drains,
-    // so every threshold is met.
-    silence_injected_crash_panics();
-    config.fault = (0..5).fold(FaultPlan::default(), |plan, i| plan.crash_worker(0, i * 20));
+    // restart: ten events into a four-slot ring.  Its decoder panics on
+    // every 40th sector decode, so on five of the 100 rounds.
+    struct PanicsEvery40th {
+        inner: GreedyMatchingDecoder,
+        decodes: Arc<AtomicU64>,
+    }
+    impl Decoder for PanicsEvery40th {
+        fn name(&self) -> &str {
+            "panics-every-40th"
+        }
+        fn decode_into(
+            &mut self,
+            l: &Lattice,
+            s: &Syndrome,
+            sector: Sector,
+            out: &mut PauliString,
+        ) {
+            if self.decodes.fetch_add(1, Ordering::Relaxed) % 40 == 39 {
+                panic!("decoder bug");
+            }
+            self.inner.decode_into(l, s, sector, out);
+        }
+    }
+    let decodes = Arc::new(AtomicU64::new(0));
+    let factory = move || {
+        Box::new(PanicsEvery40th {
+            inner: GreedyMatchingDecoder::new(),
+            decodes: Arc::clone(&decodes),
+        }) as DynDecoder
+    };
     let engine = StreamingEngine::with_machine(config).unwrap();
-    let outcome = engine.run(&greedy_factory());
-    outcome.check_invariants().unwrap();
+    let outcome = engine.run(&factory);
+    let crashes = Violation::Crashes {
+        crashed: 5,
+        restarted: 5,
+    };
+    assert_eq!(outcome.check_invariants(), Err(Violations(vec![crashes])));
     let journal = outcome.report.journal;
     assert_eq!(journal.counts[EventKind::WorkerCrash], 5);
     assert_eq!(journal.counts[EventKind::WorkerRestart], 5);

@@ -2,9 +2,9 @@
 //! hot path that promises it to **zero** heap allocations in steady state —
 //! a prepared decoder's `decode_into` loop, the offline Monte-Carlo trial
 //! loop, streaming residual classification, the observability plane's
-//! histogram records and journal publishes, the disabled fault hooks, the
-//! source stage's round (generate, copy, encode) and a whole engine run,
-//! whose allocations must not scale with its rounds.
+//! histogram records and journal publishes, the source stage's round
+//! (generate, copy, encode) and a whole engine run, whose allocations must
+//! not scale with its rounds.
 //!
 //! Built with `harness = false`: the allocation counter is process-wide, so
 //! the guards run one after another on the only thread instead of beside
@@ -19,9 +19,9 @@ use nisqplus_qec::lattice::{Lattice, Sector};
 use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::syndrome::Syndrome;
 use nisqplus_runtime::{
-    EventJournal, EventKind, EventSeverity, FaultInjector, InterleavedSource, LatticeSet,
-    LatticeSpec, LocalHistogram, MachineConfig, PacketCodec, RuntimeConfig, SourcedRound,
-    StreamingEngine, SyndromePacket, ThrottledDecoder,
+    EventJournal, EventKind, EventSeverity, InterleavedSource, LatticeSet, LatticeSpec,
+    LocalHistogram, MachineConfig, PacketCodec, RuntimeConfig, SourcedRound, StreamingEngine,
+    SyndromePacket, ThrottledDecoder,
 };
 use nisqplus_sim::timing::CycleTimeConverter;
 use nisqplus_sim::{run_sfq_lifetime, MonteCarloConfig};
@@ -264,30 +264,6 @@ fn assert_residual_classification_is_allocation_free(distance: usize) {
     );
 }
 
-/// The fault plane's allocation guard: with an empty [`FaultPlan`] (the
-/// production default) the injector's hot-path hooks — the per-batch crash
-/// check and the per-send stall gate —
-/// sit on the decode path of every run, so they must be free of heap
-/// allocations (and, plan-free, of clock reads and atomics beyond one load).
-fn assert_fault_hooks_are_allocation_free() {
-    let injector = FaultInjector::disabled();
-    // Warm-up, parallel in shape to the other guards.
-    assert!(!injector.should_crash(0, 0));
-    assert!(!injector.stall_active(0, 0));
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for round in 0..512u64 {
-        assert!(!injector.should_crash((round % 4) as usize, round));
-        assert!(!injector.stall_active(round, round * 100));
-    }
-    let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(
-        allocated, 0,
-        "disabled fault-injector hooks performed {allocated} heap allocations over 512 \
-         steady-state rounds; the fault-free hot path must not allocate"
-    );
-    eprintln!("alloc-guard: fault hooks       : 0 allocations over 512 disabled-plan rounds");
-}
-
 /// The source side of the hand-off: generating a round into a reused
 /// [`SourcedRound`], copying its syndrome into a reused packet (`clone_from`,
 /// which must reuse the word buffer) and encoding the record — with and
@@ -378,7 +354,6 @@ fn main() {
     assert_lifetime_trials_are_allocation_free();
     assert_streaming_residual_classification_is_allocation_free();
     assert_obs_hot_path_is_allocation_free();
-    assert_fault_hooks_are_allocation_free();
     assert_source_rounds_are_allocation_free();
     assert_engine_rounds_are_allocation_free();
 }
