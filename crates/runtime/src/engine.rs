@@ -10,9 +10,11 @@
 //!  (paced)   (one ring)   (N threads)
 //! ```
 //!
-//! [`StreamingEngine::run_with`] builds the run's codec, one bounded channel
-//! of `queue_capacity` slots and the event journal, scopes the decode
-//! workers, drives the source stage on the calling thread
+//! [`StreamingEngine::run`] builds the run's codec, one bounded channel
+//! of `queue_capacity` slots and the event journal, checks that the
+//! decoder factory builds, scopes the decode workers, drives the source stage — fed
+//! by the machine's live
+//! [`InterleavedSource`], the pipeline's only feed — on the calling thread
 //! — every worker popping its next batch from the one channel — joins, and
 //! folds what the source stage and the workers hand back straight into the
 //! final [`RuntimeOutcome`]:
@@ -26,9 +28,9 @@
 //! they commit, the producer tallies shed rounds as it sheds).  A worker
 //! crashes only when its decoder panics; its supervisor restarts it and
 //! books the round the panic struck as shed, so every book holds and the
-//! journal's `worker_crash` names the round.
-//! [`PipelineOptions`] attach to a run what is not its shape: the watchdog
-//! window, a trace to replay or record.
+//! journal's `worker_crash` names the round.  A factory that panics is not
+//! a crash: it panics `run` on the calling thread, before any round is
+//! generated.
 //!
 //! Shed rounds — the source's and those lost to a decoder panic — stay
 //! accounted for end to end: they are fed into the
@@ -42,10 +44,10 @@ use crate::frame::ShardedPauliFrame;
 use crate::lattice_set::LatticeSet;
 use crate::obs::{EventJournal, HistogramSnapshot};
 use crate::packet::PacketCodec;
-use crate::report::ExportError;
-use crate::scenario::SyndromeTrace;
 use crate::source::InterleavedSource;
-use crate::stage::{run_source, run_worker, Channel, PipelineOptions, SourceSeat, WorkerSeat};
+use crate::stage::{
+    run_source, run_worker, Channel, DecodeStage, SourceSeat, WorkerSeat, WATCHDOG,
+};
 use crate::telemetry::{
     LatencyProfile, LatticeReport, ResidualReport, RuntimeCounters, RuntimeReport,
 };
@@ -87,10 +89,6 @@ pub struct RuntimeOutcome {
     /// Per-round corrections sorted by `(lattice_id, round)`; empty unless
     /// [`MachineConfig::record_corrections`] was set.
     pub corrections: Vec<RoundCorrection>,
-    /// The run's recorded syndrome trace; `None` unless the run was started
-    /// through [`record_run`](crate::scenario::record_run) (or with
-    /// [`PipelineOptions::record_trace`] set).
-    pub trace: Option<SyndromeTrace>,
     /// Whether `corrections` holds every decoded round: recording was on and
     /// uncapped.
     pub(crate) complete_corrections: bool,
@@ -227,33 +225,17 @@ impl StreamingEngine {
     /// and reports the telemetry.
     ///
     /// The calling thread becomes the source; `config.workers` decoder
-    /// threads are spawned for the duration of the call.  Returns once every
-    /// generated round has been decoded (or shed) and all workers have
-    /// exited.
+    /// threads are spawned for the duration of the call, so a run is the
+    /// calling thread plus exactly that many.  Returns once every generated
+    /// round has been decoded (or shed) and all workers have exited.
+    ///
+    /// # Panics
+    ///
+    /// Panics, on the calling thread and before any round is generated, if
+    /// the factory (or a lattice's own) panics while building a decoder.
     #[must_use]
     pub fn run(&self, factory: &dyn DecoderFactory) -> RuntimeOutcome {
-        self.run_with(PipelineOptions::default(), factory)
-            .expect("a run without a replay has no trace to check")
-    }
-
-    /// Like [`StreamingEngine::run`], with `options` attached to the run: a
-    /// shorter watchdog, a trace to replay or record.  A run is the calling
-    /// thread plus exactly `config.workers` decoder threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SyndromeTrace::check_against`]'s error, before any thread
-    /// starts, if `options.replay` holds a trace whose lattice shapes differ
-    /// from the machine's.
-    pub fn run_with(
-        &self,
-        options: PipelineOptions,
-        factory: &dyn DecoderFactory,
-    ) -> Result<RuntimeOutcome, ExportError> {
         let (config, set) = (&self.config, &*self.set);
-        if let Some(trace) = &options.replay {
-            trace.check_against(set)?;
-        }
         let counters = RuntimeCounters::new(set.len(), config.workers);
         // The residual analysis widens the wire: each record carries its
         // round's seeded error after the syndrome, so workers classify
@@ -266,6 +248,11 @@ impl StreamingEngine {
         };
         let channel = Channel::new(config.queue_capacity, codec.words_per_packet());
         let journal = EventJournal::new(config.obs.journal_capacity);
+        // One decode stage is built here, before any thread starts, and
+        // dropped: a factory that always panics panics `run` with its own
+        // message, instead of a supervisor rebuilding it forever.  Each
+        // worker then builds its own in its thread, under supervision.
+        drop(DecodeStage::new(set, &codec, factory));
         let done = AtomicBool::new(false);
         let epoch = Instant::now();
 
@@ -303,7 +290,7 @@ impl StreamingEngine {
                 journal,
                 epoch,
             };
-            let source_run = run_source(source_seat, options);
+            let source_run = run_source(source_seat, WATCHDOG);
             done.store(true, Ordering::Release);
 
             let worker_results: Vec<_> = workers
@@ -371,9 +358,7 @@ impl StreamingEngine {
             let total_latency = LatencyProfile::from_histogram(&per_lattice_total[lattice_id]);
             let stats = &source_run.lattice_stats[lattice_id];
             let snapshot = counters.per_lattice[lattice_id].snapshot();
-            // A replay serves whatever the trace holds, which need not be
-            // the configured rounds, so every rate is normalised by what the
-            // lattice *actually* generated.
+            // Every rate is normalised by what the lattice generated.
             let inter_arrival_ns = stats.gen_elapsed_ns / snapshot.generated.max(1) as f64;
             // Already classified in stream: the workers tallied decoded
             // rounds and the rounds a panic lost, the producer the rounds it
@@ -418,8 +403,7 @@ impl StreamingEngine {
         let decode_latency = LatencyProfile::from_histogram(&machine_decode);
         let total_latency = LatencyProfile::from_histogram(&machine_total);
         let snapshot = counters.snapshot();
-        // The machine-level books follow the same rule: rounds are what the
-        // source actually emitted, not what the specs configured.
+        // The machine-level books follow the same rule.
         let inter_arrival_ns = source_run.generation_elapsed_ns / snapshot.generated.max(1) as f64;
         let depth_timeline = source_run.depth_timeline;
         let max_queue_depth = depth_timeline
@@ -428,7 +412,7 @@ impl StreamingEngine {
             .max()
             .unwrap_or(0);
 
-        Ok(RuntimeOutcome {
+        RuntimeOutcome {
             report: RuntimeReport {
                 batch_size: config.batch_size,
                 cadence_ns: config.aggregate_cadence_ns(),
@@ -447,9 +431,8 @@ impl StreamingEngine {
             },
             frames,
             corrections,
-            trace: source_run.trace,
             complete_corrections: config.record_corrections && config.correction_cap.is_none(),
-        })
+        }
     }
 }
 

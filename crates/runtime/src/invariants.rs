@@ -2,7 +2,7 @@
 //! variant and checked by [`RuntimeReport::check_invariants`] (plus, for the
 //! frames and corrections only an outcome holds,
 //! [`RuntimeOutcome::check_invariants`]) on any finished run.  Tests,
-//! examples, the soak and the golden replay call a checker once per run
+//! examples, the soak and the golden suite call a checker once per run
 //! instead of restating the identities; the report prints its verdict on
 //! its `invariants:` line.
 
@@ -98,7 +98,7 @@ pub enum Violation {
         /// `journal.counts.noise_change`.
         journaled: u64,
         /// Σ over lattices of the epoch count less one (0 for a lattice
-        /// that emitted nothing, or for every lattice of a replay).
+        /// that emitted nothing).
         boundaries: u64,
     },
     /// A lattice's frame does not record every generated round.

@@ -14,9 +14,9 @@
 //!   optionally its own decoder factory ([`LatticeDecoder`], e.g. lookup
 //!   for d=3 patches beside union-find for d=7),
 //! * [`source`] — the seeded endless syndrome stream, one per lattice,
-//!   interleaved on independent cadences by [`InterleavedSource`] (same
-//!   seed, same stream, which is what makes stream-versus-batch equivalence
-//!   testable),
+//!   interleaved on independent cadences by [`InterleavedSource`], the
+//!   pipeline's only feed (same seed, same stream, which is what makes
+//!   stream-versus-batch equivalence testable),
 //! * [`packet`] — bit-packed [`SyndromePacket`]s and the fixed-size
 //!   `u64`-word records the ring carries; the header holds the
 //!   `lattice_id` + ancilla count, so a record encoded against another
@@ -55,11 +55,11 @@
 //!   structured [`EventJournal`] (sheds, stalls, crashes),
 //! * [`report`] — schema-versioned, dependency-free JSON export of the
 //!   final report,
-//! * [`scenario`] — the scenario plane: versioned replayable
-//!   [`SyndromeTrace`]s (record a live run's full stream, replay it
-//!   byte-identically through the same pipeline) and the golden-trace
-//!   summaries they pin; a lattice's time-varying noise (re-tunes keyed on
-//!   its own rounds, a burst as two of them) is part of its [`LatticeSpec`],
+//! * [`scenario`] — the scenario plane: versioned [`SyndromeTrace`]s (a
+//!   machine's full stream, drained offline from its [`InterleavedSource`])
+//!   and the golden summaries of live runs they pin; a lattice's
+//!   time-varying noise (re-tunes keyed on its own rounds, a burst as two of
+//!   them) is part of its [`LatticeSpec`],
 //! * [`telemetry`] — live atomic counters and the final [`RuntimeReport`]:
 //!   the run's one time series (the source's queue-depth and backlog
 //!   timeline), latency histograms, throughput, and the measured
@@ -131,12 +131,9 @@ pub use obs::{
 pub use packet::{PacketCodec, PacketError, SyndromePacket};
 pub use queue::{RingFull, SpmcRing};
 pub use report::{ExportError, Json, SCHEMA_VERSION};
-pub use scenario::{
-    golden_summary, record_run, replay_run, GoldenSummary, SyndromeTrace, TraceRecorder,
-    TraceSource, TRACE_VERSION,
-};
+pub use scenario::{golden_summary, GoldenSummary, SyndromeTrace, TRACE_VERSION};
 pub use source::{InterleavedSource, NoiseEpoch, NoiseSpec, SourcedRound, SyndromeSource};
-pub use stage::{PipelineOptions, StageReport};
+pub use stage::StageReport;
 pub use telemetry::{
     CounterSnapshot, DepthSample, LatencyProfile, LatencyQuantiles, LatticeCounterSnapshot,
     LatticeCounters, LatticeReport, ResidualReport, RuntimeCounters, RuntimeReport,

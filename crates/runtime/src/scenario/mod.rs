@@ -1,14 +1,15 @@
-//! The scenario plane: replayable syndrome traces and their golden summaries.
+//! The scenario plane: golden syndrome traces and the summaries they pin.
 //!
 //! A *scenario* is everything that makes a run's workload hostile beyond
-//! stationary noise.  Its recorded form lives here ([`trace`]): a
-//! [`TraceRecorder`] taps every round the source emits (syndrome *and*
-//! seeded error payload) into a versioned [`SyndromeTrace`]; a
-//! [`TraceSource`] re-serves a recorded stream deterministically through the
-//! same pipeline, interchangeable with the live
-//! [`InterleavedSource`](crate::source::InterleavedSource).  Recorded traces
-//! are the repo's scenario regression corpus: replaying one must reproduce
-//! per-lattice frames and corrections byte for byte.
+//! stationary noise.  Its recorded form lives here ([`trace`]): a versioned
+//! [`SyndromeTrace`] is a machine's whole stream — every round's syndrome
+//! *and* seeded error payload, drained offline from its
+//! [`InterleavedSource`](crate::source::InterleavedSource) by
+//! [`SyndromeTrace::drain`] — plus, for a golden trace, the
+//! [`GoldenSummary`] of a live run ([`golden_summary`]).  A machine's stream
+//! is a pure function of its configuration, and the live source is the
+//! pipeline's only feed, so a committed golden trace pins both halves of a
+//! run: the stream the machine serves, and what the pipeline makes of it.
 //!
 //! Time-varying noise *physics* lives next door: a lattice's noise is
 //! piecewise constant, its base channel changed by re-tunes
@@ -19,23 +20,12 @@
 //! boundary the stream crosses is journaled as one `noise_change`, and the
 //! schedule surfaces per lattice as
 //! [`NoiseEpoch`](crate::source::NoiseEpoch)s in the final report.
-//!
-//! [`record_run`] and [`replay_run`] are the two entry points tests and
-//! examples use: record a live run's stream, then replay it and assert the
-//! outcomes agree.
 
 pub mod trace;
 
-pub use trace::{
-    GoldenSummary, SyndromeTrace, TraceLattice, TraceRecorder, TraceRound, TraceSource,
-    TRACE_VERSION,
-};
+pub use trace::{GoldenSummary, SyndromeTrace, TraceLattice, TraceRound, TRACE_VERSION};
 
-use crate::engine::{RuntimeOutcome, StreamingEngine};
-use crate::report::ExportError;
-use crate::stage::PipelineOptions;
-use nisqplus_decoders::traits::DecoderFactory;
-
+use crate::engine::RuntimeOutcome;
 /// Pins a finished run's deterministic outcome as a [`GoldenSummary`]: the
 /// quantities a golden-trace regression test compares exactly.  Contended
 /// counters (backpressure spins, batches, stall polls) are excluded
@@ -65,43 +55,4 @@ pub fn golden_summary(outcome: &RuntimeOutcome) -> GoldenSummary {
             .map(|l| l.residual.map(|r| r.total()).unwrap_or_default())
             .collect(),
     }
-}
-
-/// Runs `engine` live while recording every emitted round, returning the
-/// outcome together with the recorded trace.
-///
-/// # Panics
-///
-/// Panics if the engine's pipeline does (invalid configuration); the
-/// recording itself cannot fail.
-#[must_use]
-pub fn record_run(engine: &StreamingEngine, factory: &dyn DecoderFactory) -> RuntimeOutcome {
-    let options = PipelineOptions {
-        record_trace: true,
-        ..PipelineOptions::default()
-    };
-    engine
-        .run_with(options, factory)
-        .expect("a recording run has no trace to check")
-}
-
-/// Replays a recorded trace through `engine`'s pipeline: the trace's rounds
-/// are re-served verbatim instead of sampling the seeded sources.  The
-/// engine's machine must match the trace's lattice shapes
-/// ([`SyndromeTrace::check_against`]).
-///
-/// # Errors
-///
-/// Returns [`SyndromeTrace::check_against`]'s error, before the pipeline
-/// starts, if the trace does not match the engine's machine.
-pub fn replay_run(
-    engine: &StreamingEngine,
-    trace: &SyndromeTrace,
-    factory: &dyn DecoderFactory,
-) -> Result<RuntimeOutcome, ExportError> {
-    let options = PipelineOptions {
-        replay: Some(trace.clone()),
-        ..PipelineOptions::default()
-    };
-    engine.run_with(options, factory)
 }

@@ -1,13 +1,11 @@
-//! Versioned, replayable syndrome traces.
+//! Versioned syndrome traces.
 //!
-//! A [`SyndromeTrace`] is a full recording of what a run's source emitted:
-//! every round, in machine-global emission order, with its syndrome *and* the
-//! seeded error payload behind it.  [`TraceRecorder`] taps the live
-//! [`InterleavedSource`](crate::source::InterleavedSource) as the producer
-//! stage runs; [`TraceSource`] re-serves a recorded trace through the same
-//! pipeline, so a replay exercises every stage downstream of sampling —
-//! encode, route, decode, residual classification — against byte-identical
-//! inputs.
+//! A [`SyndromeTrace`] is a machine's whole stream: every round, in
+//! machine-global emission order, with its syndrome *and* the seeded error
+//! payload behind it.  [`SyndromeTrace::drain`] drains it offline from the
+//! machine's [`InterleavedSource`] — the same stream the pipeline's one feed
+//! serves a live run, since a machine's stream is a pure function of its
+//! configuration.
 //!
 //! Traces serialize to the same JSON envelope as run reports
 //! (`schema_version` + `kind: "syndrome_trace"`), with a trace-local
@@ -24,20 +22,22 @@
 //! *not* recorded: a trace captures the stream's identity, not one machine's
 //! timing.
 //!
-//! A trace may carry a [`GoldenSummary`] — the pinned outcome of a reference
-//! run (frame digests, counters, residual tallies).  The golden-trace
-//! regression suite replays each committed trace and asserts the fresh
-//! outcome matches its summary exactly.
+//! A trace may carry a [`GoldenSummary`] — the pinned outcome of a live
+//! reference run (frame digests, counters, residual tallies).  The
+//! golden-trace regression suite checks each committed trace's rounds
+//! against its machine's offline stream and its summary against a fresh
+//! live run, exactly.  A trace file is the one input the runtime reads from
+//! outside, so [`SyndromeTrace::from_json`] checks its shape before anything
+//! indexes by it.
 
 use crate::lattice_set::LatticeSet;
 use crate::report::codec::{
     check_header, field, record, schema, with_header, Codec, Plain, Record, HEADER,
 };
 use crate::report::{ExportError, Json};
-use crate::source::SourcedRound;
+use crate::source::InterleavedSource;
 use nisqplus_qec::logical::ResidualTally;
 use nisqplus_qec::pauli::PauliString;
-use nisqplus_qec::syndrome::Syndrome;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -83,8 +83,8 @@ pub fn digest_pauli(string: &PauliString) -> u64 {
     digest_words(std::iter::once(string.len() as u64).chain(string.words().iter().copied()))
 }
 
-/// The recorded shape of one lattice, pinned so a replay can verify the
-/// machine it runs on matches the machine that was recorded.
+/// The recorded shape of one lattice, pinned so a round's indices and
+/// payload can be checked against it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceLattice {
     /// Code distance.
@@ -135,7 +135,7 @@ pub struct GoldenSummary {
     pub residuals: Vec<ResidualTally>,
 }
 
-/// A recorded syndrome stream: lattice shapes, every emitted round, and an
+/// A machine's syndrome stream: lattice shapes, every emitted round, and an
 /// optional pinned reference outcome.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct SyndromeTrace {
@@ -148,6 +148,39 @@ pub struct SyndromeTrace {
 }
 
 impl SyndromeTrace {
+    /// The stream `source` serves, drained to its end: the shapes of `set`'s
+    /// lattices (the machine `source` was built for) and every round, with
+    /// no golden summary attached.
+    #[must_use]
+    pub fn drain(set: &LatticeSet, mut source: InterleavedSource) -> Self {
+        let lattices = (0..set.len())
+            .map(|id| {
+                let lattice = set.lattice(id);
+                TraceLattice {
+                    distance: lattice.distance(),
+                    ancilla_bits: lattice.num_ancillas(),
+                    data_bits: lattice.num_data(),
+                }
+            })
+            .collect();
+        let rounds = std::iter::from_fn(|| source.next_round())
+            .map(|sourced| TraceRound {
+                lattice_id: sourced.lattice_id,
+                round: sourced.round,
+                due_ns: sourced.due_ns,
+                hot: (sourced.syndrome.hot_indices().into_iter())
+                    .map(|i| i as u32)
+                    .collect(),
+                error_words: sourced.error.words().to_vec(),
+            })
+            .collect();
+        SyndromeTrace {
+            lattices,
+            rounds,
+            golden: None,
+        }
+    }
+
     /// The number of recorded rounds.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -165,43 +198,6 @@ impl SyndromeTrace {
     pub fn with_golden(mut self, golden: GoldenSummary) -> Self {
         self.golden = Some(golden);
         self
-    }
-
-    /// Checks that this trace was recorded on a machine shaped like `set`:
-    /// same lattice count, and per lattice the same distance and bit widths.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExportError::Schema`] naming the first mismatch.
-    pub fn check_against(&self, set: &LatticeSet) -> Result<(), ExportError> {
-        if self.lattices.len() != set.len() {
-            return Err(ExportError::Schema(format!(
-                "trace records {} lattices, machine has {}",
-                self.lattices.len(),
-                set.len()
-            )));
-        }
-        for (id, recorded) in self.lattices.iter().enumerate() {
-            let lattice = set.lattice(id);
-            let live = TraceLattice {
-                distance: lattice.distance(),
-                ancilla_bits: lattice.num_ancillas(),
-                data_bits: lattice.num_data(),
-            };
-            if *recorded != live {
-                return Err(ExportError::Schema(format!(
-                    "trace lattice {id} was recorded as d={} ({} ancillas, {} data qubits), \
-                     machine has d={} ({} ancillas, {} data qubits)",
-                    recorded.distance,
-                    recorded.ancilla_bits,
-                    recorded.data_bits,
-                    live.distance,
-                    live.ancilla_bits,
-                    live.data_bits
-                )));
-            }
-        }
-        Ok(())
     }
 
     /// Serializes the trace to its versioned JSON document.
@@ -238,7 +234,7 @@ impl SyndromeTrace {
 
     /// Checks what the field types cannot: every round names a recorded
     /// lattice and fits its bit widths, and a golden summary has one entry
-    /// per lattice.  [`TraceSource`] indexes by these without looking again.
+    /// per lattice.
     fn check_shape(&self) -> Result<(), ExportError> {
         for recorded in &self.rounds {
             let lattice_id = recorded.lattice_id;
@@ -364,110 +360,11 @@ record!(SyndromeTrace {
     golden,
 });
 
-/// Records every round an [`InterleavedSource`](crate::source::InterleavedSource)
-/// emits.  The producer stage calls [`TraceRecorder::record`] on each
-/// [`SourcedRound`] *before* shedding decisions, so the trace is the stream's
-/// full content regardless of delivery outcome.
-#[derive(Debug, Clone)]
-pub struct TraceRecorder {
-    lattices: Vec<TraceLattice>,
-    rounds: Vec<TraceRound>,
-}
-
-impl TraceRecorder {
-    /// Creates a recorder for a machine's lattice set.
-    #[must_use]
-    pub fn new(set: &LatticeSet) -> Self {
-        let lattices = (0..set.len())
-            .map(|id| {
-                let lattice = set.lattice(id);
-                TraceLattice {
-                    distance: lattice.distance(),
-                    ancilla_bits: lattice.num_ancillas(),
-                    data_bits: lattice.num_data(),
-                }
-            })
-            .collect();
-        TraceRecorder {
-            lattices,
-            rounds: Vec::new(),
-        }
-    }
-
-    /// Records one emitted round.
-    pub fn record(&mut self, sourced: &SourcedRound) {
-        self.rounds.push(TraceRound {
-            lattice_id: sourced.lattice_id,
-            round: sourced.round,
-            due_ns: sourced.due_ns,
-            hot: sourced
-                .syndrome
-                .hot_indices()
-                .into_iter()
-                .map(|i| i as u32)
-                .collect(),
-            error_words: sourced.error.words().to_vec(),
-        });
-    }
-
-    /// Finishes recording, yielding the trace (no golden summary attached).
-    #[must_use]
-    pub fn into_trace(self) -> SyndromeTrace {
-        SyndromeTrace {
-            lattices: self.lattices,
-            rounds: self.rounds,
-            golden: None,
-        }
-    }
-}
-
-/// Re-serves a recorded trace as a round stream, interchangeable with the
-/// live [`InterleavedSource`](crate::source::InterleavedSource) from the
-/// pipeline's point of view.
-#[derive(Debug, Clone)]
-pub struct TraceSource {
-    trace: SyndromeTrace,
-    cursor: usize,
-}
-
-impl TraceSource {
-    /// Creates a replay source after checking the trace matches `set`
-    /// ([`SyndromeTrace::check_against`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExportError::Schema`] if the trace's lattice shapes differ
-    /// from the machine's.
-    pub fn new(trace: SyndromeTrace, set: &LatticeSet) -> Result<Self, ExportError> {
-        trace.check_against(set)?;
-        Ok(TraceSource { trace, cursor: 0 })
-    }
-
-    /// Serves the next recorded round, or `None` when the trace is drained.
-    pub fn next_round(&mut self) -> Option<SourcedRound> {
-        let recorded = self.trace.rounds.get(self.cursor)?;
-        self.cursor += 1;
-        let shape = &self.trace.lattices[recorded.lattice_id as usize];
-        let hot: Vec<usize> = recorded.hot.iter().map(|&i| i as usize).collect();
-        let mut error = PauliString::identity(shape.data_bits);
-        error.copy_from_words(&recorded.error_words);
-        Some(SourcedRound {
-            lattice_id: recorded.lattice_id,
-            round: recorded.round,
-            due_ns: recorded.due_ns,
-            syndrome: Syndrome::from_hot(shape.ancilla_bits, &hot),
-            error,
-            // The trace is the record: a replay journals no noise change.
-            noise_change: false,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lattice_set::{LatticeSet, LatticeSpec};
-    use crate::source::{InterleavedSource, NoiseSpec};
+    use crate::source::NoiseSpec;
     use nisqplus_sim::timing::CycleTimeConverter;
 
     fn small_set() -> LatticeSet {
@@ -481,36 +378,16 @@ mod tests {
         .expect("valid lattice set")
     }
 
-    fn record_all(set: &LatticeSet) -> SyndromeTrace {
-        let mut source = InterleavedSource::new(set, &CycleTimeConverter::paper_reference())
+    fn drain_all(set: &LatticeSet) -> SyndromeTrace {
+        let source = InterleavedSource::new(set, &CycleTimeConverter::paper_reference())
             .expect("valid source");
-        let mut recorder = TraceRecorder::new(set);
-        while let Some(round) = source.next_round() {
-            recorder.record(&round);
-        }
-        recorder.into_trace()
-    }
-
-    #[test]
-    fn record_then_replay_reproduces_every_round() {
-        let set = small_set();
-        let trace = record_all(&set);
-        assert_eq!(trace.len(), 12);
-
-        let mut live = InterleavedSource::new(&set, &CycleTimeConverter::paper_reference())
-            .expect("valid source");
-        let mut replay = TraceSource::new(trace, &set).expect("trace matches set");
-        while let Some(expected) = live.next_round() {
-            let served = replay.next_round().expect("replay exhausted early");
-            assert_eq!(served, expected);
-        }
-        assert!(replay.next_round().is_none());
+        SyndromeTrace::drain(set, source)
     }
 
     #[test]
     fn json_round_trip_is_lossless() {
         let set = small_set();
-        let trace = record_all(&set).with_golden(GoldenSummary {
+        let trace = drain_all(&set).with_golden(GoldenSummary {
             decoder: "greedy-matching".to_string(),
             workers: 2,
             generated: 12,
@@ -520,6 +397,7 @@ mod tests {
             frame_digests: vec![u64::MAX, 0x1234_5678_9abc_def0],
             residuals: vec![ResidualTally::default(); 2],
         });
+        assert_eq!(trace.len(), 12, "every round of both lattices");
         let doc = trace.to_json();
         let back = SyndromeTrace::from_json(&doc).expect("round trip parses");
         assert_eq!(back, trace);
@@ -528,7 +406,7 @@ mod tests {
     #[test]
     fn readers_reject_bad_envelopes() {
         let set = small_set();
-        let trace = record_all(&set);
+        let trace = drain_all(&set);
         let mut doc = trace.to_json();
         if let Json::Obj(fields) = &mut doc {
             for (key, value) in fields.iter_mut() {
@@ -567,21 +445,6 @@ mod tests {
             SyndromeTrace::from_json(&doc),
             Err(ExportError::Schema(_))
         ));
-    }
-
-    #[test]
-    fn replay_rejects_mismatched_machines() {
-        let set = small_set();
-        let trace = record_all(&set);
-        let other = LatticeSet::new(vec![
-            LatticeSpec::new(3).with_rounds(8),
-            LatticeSpec::new(3).with_rounds(4),
-        ])
-        .expect("valid lattice set");
-        let err = TraceSource::new(trace.clone(), &other).expect_err("shape mismatch");
-        assert!(err.to_string().contains("lattice 1"));
-        let fewer = LatticeSet::new(vec![LatticeSpec::new(3).with_rounds(8)]).expect("valid");
-        assert!(TraceSource::new(trace, &fewer).is_err());
     }
 
     #[test]

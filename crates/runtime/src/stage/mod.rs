@@ -17,12 +17,13 @@
 //!   the supervised worker loop that drives it,
 //! * [`FrameSink`] (frame commit + latency telemetry) and the depth sink
 //!   (down-sampled backlog timelines, aggregate and per lattice),
-//! * the source stage (`source.rs`) — paced generation on the calling
-//!   thread under the machine's push policy, configured by
-//!   [`PipelineOptions`].
+//! * the source stage (`source.rs`) — paced generation from the machine's
+//!   live [`InterleavedSource`](crate::source::InterleavedSource), the
+//!   pipeline's one feed, on the calling thread under the machine's push
+//!   policy.
 //!
-//! [`StreamingEngine::run_with`](crate::StreamingEngine::run_with) wires
-//! them into the running pipeline: one paced source thread, one channel,
+//! [`StreamingEngine::run`](crate::StreamingEngine::run) wires them into
+//! the running pipeline: one paced source thread, one channel,
 //! N decode workers popping from it, backpressure at every seam.  Only what
 //! code outside the crate names is `pub`; the rest of the kit is
 //! crate-private, so the compiler's `dead_code` lint audits it.
@@ -44,11 +45,10 @@ pub use channel::Channel;
 #[cfg(test)]
 pub(crate) use decode::tests::panicking;
 pub use decode::DecodedRound;
-pub(crate) use decode::{run_worker, WorkerSeat};
+pub(crate) use decode::{run_worker, DecodeStage, WorkerSeat};
 pub use sink::FrameSink;
 pub(crate) use sink::{DepthSink, WorkerOutput};
-pub use source::PipelineOptions;
-pub(crate) use source::{run_source, SourceSeat};
+pub(crate) use source::{run_source, SourceSeat, WATCHDOG};
 
 use serde::{Deserialize, Serialize};
 use std::thread;

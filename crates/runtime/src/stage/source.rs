@@ -1,61 +1,32 @@
 //! The source stage: paced generation into the run's one channel.
 //!
 //! `run_source` runs on the thread that called the engine.  It draws rounds
-//! from the machine's [`InterleavedSource`] (or re-serves a recorded trace),
-//! paces each to its lattice's cadence, encodes it into one reused record,
-//! sends it into the run's one channel under the machine's [`PushPolicy`],
-//! and samples the backlog into a depth sink.  The ring is the only bound a
-//! round meets: under `Block` a full ring stalls the source — for at most
-//! the backpressure watchdog's window, past which the round is force-shed,
-//! so a dead consumer cannot hang the run — and under `Drop` it sheds the
-//! round.  What it hands back when generation ends is a `SourceRun`.
-//! [`PipelineOptions`] carries what a caller may attach to a run — the
-//! watchdog window, a trace to replay or record — all of it the source
-//! stage's to act on.
+//! from a clone of the machine's [`InterleavedSource`] — the pipeline's one
+//! feed — paces each to its lattice's cadence, encodes it into one reused
+//! record, sends it into the run's one channel under the machine's
+//! [`PushPolicy`], and samples the backlog into a depth sink.  The ring is
+//! the only bound a round meets: under `Block` a full ring stalls the
+//! source — for at most the backpressure watchdog's window ([`WATCHDOG`]),
+//! past which the round is force-shed, so a dead consumer cannot hang the
+//! run — and under `Drop` it sheds the round.  What it hands back when
+//! generation ends is a `SourceRun`.
 
 use crate::config::{MachineConfig, PushPolicy};
 use crate::lattice_set::LatticeSet;
 use crate::obs::{EventJournal, EventKind, EventSeverity};
 use crate::packet::{PacketCodec, SyndromePacket};
-use crate::scenario::{SyndromeTrace, TraceRecorder, TraceSource};
 use crate::source::{InterleavedSource, NoiseEpoch, SourcedRound};
 use crate::stage::{pause, Channel, DepthSink, StageReport};
 use crate::telemetry::{bump, DepthSample, LatticeCounters, RuntimeCounters};
 use nisqplus_qec::logical::{classify_shed_round, ResidualTally};
 use std::time::{Duration, Instant};
 
-/// What a caller may attach to one run
-/// ([`StreamingEngine::run_with`](crate::StreamingEngine::run_with)); the
-/// pipeline's shape is not among it.
-#[derive(Debug)]
-pub struct PipelineOptions {
-    /// The Block-policy backpressure watchdog: the longest the producer
-    /// spins on one round before force-shedding it with a
-    /// [`EventKind::WatchdogTrip`] so a dead consumer degrades the run into
-    /// a diagnostic report instead of hanging it forever.  The default is
-    /// generous — orders of magnitude beyond any healthy stall — so
-    /// existing runs and benches never meet it.
-    pub watchdog: Duration,
-    /// Re-serve this recorded trace instead of sampling the seeded sources.
-    /// The trace's rounds flow through the same channel/decode pipeline
-    /// verbatim; the machine's noise specs and re-tunes are ignored
-    /// (the trace already embodies their effects).
-    pub replay: Option<SyndromeTrace>,
-    /// Tap every emitted round into a [`TraceRecorder`]; the finished
-    /// [`SyndromeTrace`] is returned in
-    /// [`RuntimeOutcome::trace`](crate::RuntimeOutcome::trace).
-    pub record_trace: bool,
-}
-
-impl Default for PipelineOptions {
-    fn default() -> Self {
-        PipelineOptions {
-            watchdog: Duration::from_secs(5),
-            replay: None,
-            record_trace: false,
-        }
-    }
-}
+/// The Block-policy backpressure watchdog: the longest the producer spins
+/// on one round before force-shedding it with a [`EventKind::WatchdogTrip`],
+/// so a dead consumer degrades the run into a diagnostic report instead of
+/// hanging it forever.  Orders of magnitude beyond any healthy stall, so
+/// healthy runs and benches never meet it.
+pub(crate) const WATCHDOG: Duration = Duration::from_secs(5);
 
 /// Per-lattice generation statistics tracked by the source stage.
 #[derive(Debug, Clone, Copy, Default)]
@@ -85,10 +56,7 @@ pub(crate) struct SourceRun {
     pub(crate) source: StageReport,
     /// The depth sink's stage row.
     pub(crate) depth: StageReport,
-    /// The recorded trace, when [`PipelineOptions::record_trace`] was set.
-    pub(crate) trace: Option<SyndromeTrace>,
-    /// Each lattice's noise timeline over the rounds it actually emitted
-    /// (empty per-lattice lists on replay runs — the trace is the record).
+    /// Each lattice's noise timeline over the rounds it emitted.
     pub(crate) noise_epochs: Vec<Vec<NoiseEpoch>>,
 }
 
@@ -98,8 +66,7 @@ pub(crate) struct SourceSeat<'a> {
     pub(crate) config: &'a MachineConfig,
     /// The lattices being served.
     pub(crate) set: &'a LatticeSet,
-    /// The engine's validated live source; cloned for a live run, untouched
-    /// by a replay.
+    /// The engine's validated live source; every run streams a clone.
     pub(crate) source: &'a InterleavedSource,
     /// The shared wire codec.
     pub(crate) codec: &'a PacketCodec,
@@ -111,35 +78,6 @@ pub(crate) struct SourceSeat<'a> {
     pub(crate) journal: &'a EventJournal,
     /// The run's epoch, for pacing and emission timestamps.
     pub(crate) epoch: Instant,
-}
-
-/// Where the source stage's rounds come from: the live seeded sources (with
-/// their noise schedules applied) or a recorded trace re-served verbatim.
-/// Everything downstream of the feed — pacing, the ring, decode — is
-/// byte-identical between the two, which is what makes replay a
-/// regression oracle.
-enum RoundFeed {
-    Live(Box<InterleavedSource>),
-    Replay(TraceSource),
-}
-
-impl RoundFeed {
-    /// Fills `out` with the next round; `false` when the feed has ended.  The
-    /// live feed reuses `out`'s buffers; a replay re-materialises each
-    /// recorded round (replays are regression runs, not the measured path).
-    fn next_round_into(&mut self, out: &mut SourcedRound) -> bool {
-        match self {
-            RoundFeed::Live(source) => source.next_round_into(out),
-            RoundFeed::Replay(source) => source.next_round().map(|round| *out = round).is_some(),
-        }
-    }
-
-    fn noise_epochs(&self, set: &LatticeSet) -> Vec<Vec<NoiseEpoch>> {
-        match self {
-            RoundFeed::Live(source) => source.noise_epochs(),
-            RoundFeed::Replay(_) => vec![Vec::new(); set.len()],
-        }
-    }
 }
 
 /// Journals the noise-schedule boundary `sourced` crossed.  Out of line and
@@ -198,10 +136,9 @@ fn spin_until(
 
 /// The source stage: paced interleaved generation, encoding into one reused
 /// record, sends into the channel under the machine's push policy, depth
-/// sampling, and the backpressure watchdog.  A trace in
-/// `options.replay` has already been checked against the machine by
-/// [`StreamingEngine::run_with`](crate::StreamingEngine::run_with).
-pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> SourceRun {
+/// sampling, and the backpressure watchdog, which force-sheds a round the
+/// Block policy has waited on for `watchdog` ([`WATCHDOG`] in every run).
+pub(crate) fn run_source(seat: SourceSeat<'_>, watchdog: Duration) -> SourceRun {
     let SourceSeat {
         config,
         set,
@@ -212,29 +149,12 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
         journal,
         epoch,
     } = seat;
-    let PipelineOptions {
-        watchdog,
-        replay,
-        record_trace,
-    } = options;
-    // How many rounds each lattice will emit: the trace's own tallies on
-    // replay, the configured per-lattice rounds live.
-    let (expected_rounds, mut feed): (Vec<u64>, RoundFeed) = match replay {
-        Some(trace) => {
-            let mut recorded = vec![0; set.len()];
-            for round in &trace.rounds {
-                recorded[round.lattice_id as usize] += 1;
-            }
-            let replay = TraceSource::new(trace, set).expect("run_with checked the trace");
-            (recorded, RoundFeed::Replay(replay))
-        }
-        None => (
-            set.iter().map(|(_, spec, _)| spec.rounds).collect(),
-            RoundFeed::Live(Box::new(source.clone())),
-        ),
-    };
+    // Boxed: with the clone on this frame, the d = 5 benchmark's commit
+    // p50 read ~1.3x worse (alternated pairs, 2-vCPU VM); boxed it matches.
+    let mut feed = Box::new(source.clone());
+    // How many rounds each lattice will emit, and the run in all.
+    let expected_rounds: Vec<u64> = set.iter().map(|(_, spec, _)| spec.rounds).collect();
     let total_rounds: u64 = expected_rounds.iter().sum();
-    let mut recorder = record_trace.then(|| TraceRecorder::new(set));
     let mut depth = DepthSink::new(total_rounds, config.max_depth_samples);
     // The round's encoded record, overwritten every round: it rests here
     // while the channel is full, so a Block-policy round exists in
@@ -268,12 +188,6 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
     let mut packet = SyndromePacket::new(0, 0, 0, &sourced.syndrome);
 
     while feed.next_round_into(&mut sourced) {
-        // The tap sees every emitted round — including ones the source will
-        // shed — so a replay of the trace regenerates the *offered* load,
-        // not just the admitted slice.
-        if let Some(recorder) = recorder.as_mut() {
-            recorder.record(&sourced);
-        }
         if sourced.noise_change {
             journal_noise_change(journal, &sourced, epoch);
         }
@@ -305,67 +219,50 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
         }
         let lattice_counters = &counters.per_lattice[lattice_id as usize];
         bump(&lattice_counters.generated, 1);
-        // `delivered`: the record reached the channel.
-        let delivered = match config.push_policy {
-            PushPolicy::Block => {
-                // One bound, lossless: a channel slot.  Every refused retry
-                // is one counted backpressure spin, and between retries the
-                // source waits until an eighth of the ring has come free.
-                // Stall *events* are published once per contended round
-                // (value = spins), not per spin — the journal records
-                // episodes, the counters record magnitude.  The wait lasts
-                // at most `watchdog`; past that the round is force-shed
-                // with a WatchdogTrip so a dead consumer cannot hang the run.
-                let (sent, spins) = spin_until(
-                    lattice_counters,
-                    watchdog,
-                    &mut turns,
-                    || channel.try_send(&record),
-                    || channel.can_resume(),
-                );
-                if spins > 0 {
-                    journal.publish(
-                        EventKind::BackpressureStall,
-                        EventSeverity::Info,
-                        Some(lattice_id),
-                        None,
-                        emitted_ns,
-                        spins,
-                    );
-                }
-                if !sent {
-                    account_shed(&sourced);
-                    journal.publish(
-                        EventKind::WatchdogTrip,
-                        EventSeverity::Critical,
-                        Some(lattice_id),
-                        None,
-                        epoch.elapsed().as_nanos() as u64,
-                        sourced.round,
-                    );
-                }
-                sent
-            }
-            PushPolicy::Drop => {
-                // Shed when the channel is full; a shed round enters the
-                // frame path as an identity correction later.
-                let delivered = channel.try_send(&record);
-                if !delivered {
-                    account_shed(&sourced);
-                    journal.publish(
-                        EventKind::Shed,
-                        EventSeverity::Warning,
-                        Some(lattice_id),
-                        None,
-                        emitted_ns,
-                        sourced.round,
-                    );
-                }
-                delivered
-            }
+        // One send under the machine's policy.  Block: one bound, lossless —
+        // a channel slot.  Every refused retry is one counted backpressure
+        // spin, and between retries the source waits until an eighth of
+        // the ring has come free; the wait lasts at most `watchdog`, past
+        // which the round is force-shed so a dead consumer cannot hang the
+        // run.  Drop: a full channel sheds the round at once.
+        let (sent, spins) = match config.push_policy {
+            PushPolicy::Block => spin_until(
+                lattice_counters,
+                watchdog,
+                &mut turns,
+                || channel.try_send(&record),
+                || channel.can_resume(),
+            ),
+            PushPolicy::Drop => (channel.try_send(&record), 0),
         };
-        if delivered {
+        if spins > 0 {
+            // Stall *events* are published once per contended round (value
+            // = spins), not per spin — the journal records episodes, the
+            // counters record magnitude.
+            journal.publish(
+                EventKind::BackpressureStall,
+                EventSeverity::Info,
+                Some(lattice_id),
+                None,
+                emitted_ns,
+                spins,
+            );
+        }
+        if sent {
             bump(&lattice_counters.enqueued, 1);
+        } else {
+            // A shed round enters the frame path as an identity correction
+            // later.  Block names it a watchdog trip, at the trip's instant.
+            account_shed(&sourced);
+            let (kind, severity, at_ns) = match config.push_policy {
+                PushPolicy::Block => (
+                    EventKind::WatchdogTrip,
+                    EventSeverity::Critical,
+                    epoch.elapsed().as_nanos() as u64,
+                ),
+                PushPolicy::Drop => (EventKind::Shed, EventSeverity::Warning, emitted_ns),
+            };
+            journal.publish(kind, severity, Some(lattice_id), None, at_ns, sourced.round);
         }
         let stats = &mut lattice_stats[lattice_id as usize];
         // Reuse the emission timestamp: it is this round's generation
@@ -402,8 +299,7 @@ pub(crate) fn run_source(seat: SourceSeat<'_>, options: PipelineOptions) -> Sour
         final_backlog,
         lattice_stats,
         shed_tallies,
-        noise_epochs: feed.noise_epochs(set),
-        trace: recorder.map(TraceRecorder::into_trace),
+        noise_epochs: feed.noise_epochs(),
     }
 }
 
@@ -495,11 +391,7 @@ mod tests {
             journal: &journal,
             epoch: Instant::now(),
         };
-        let options = PipelineOptions {
-            watchdog: Duration::from_millis(2),
-            ..PipelineOptions::default()
-        };
-        let run = run_source(seat, options);
+        let run = run_source(seat, Duration::from_millis(2));
         let totals = counters.snapshot();
         assert_eq!(
             (totals.generated, totals.enqueued, totals.dropped),

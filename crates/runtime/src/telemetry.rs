@@ -395,8 +395,7 @@ pub struct LatticeReport {
     /// This lattice's noise timeline: one epoch per segment of its noise
     /// schedule it reached, cut at every re-tune and burst boundary; each
     /// cut between two epochs is one `noise_change` in the journal.  A
-    /// single full-run epoch for stationary noise; empty on trace replays
-    /// (the trace is the record).
+    /// single full-run epoch for stationary noise.
     pub noise_epochs: Vec<NoiseEpoch>,
     /// This lattice's nominal syndrome-generation cadence in nanoseconds per
     /// round (`0.0` when unpaced).
@@ -405,7 +404,7 @@ pub struct LatticeReport {
     /// nanoseconds: its generation span over the rounds it streamed.
     pub inter_arrival_ns: f64,
     /// Final values of this lattice's counters; `generated` is the rounds it
-    /// actually streamed (on a replay, the rounds the trace holds).
+    /// streamed.
     pub counters: LatticeCounterSnapshot,
     /// This lattice's backlog when *its* generation stopped: rounds
     /// generated but neither decoded nor shed.

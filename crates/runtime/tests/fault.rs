@@ -3,10 +3,10 @@
 //! Two property families pin down the robustness contract:
 //!
 //! * **Hostile bytes** — the one place the runtime reads bytes it did not
-//!   write itself is a recorded trace file.  Every single-bit flip of one is
-//!   refused with a typed error, or reads back as a trace that replays to
-//!   its end and differs from the recording unless the flipped text is the
-//!   same JSON document.  Never a panic.  (The records that travel between
+//!   write itself is a trace file.  Every single-bit flip of one is refused
+//!   with a typed error, or reads back as a trace that differs from the
+//!   written one unless the flipped text is the same JSON document.  Never
+//!   a panic.  (The records that travel between
 //!   the runtime's own threads carry no checksum: nothing outside the
 //!   process touches them.)
 //! * **Recovery determinism** — for any (seed, crash point, worker count),
@@ -15,7 +15,8 @@
 //!   booked shed and named by the journal's `worker_crash`, every other
 //!   per-round correction is byte-identical to the same run without the
 //!   panic, and the merged Pauli frame differs from that run's by the lost
-//!   round's correction alone.  Only `Crashes` objects.
+//!   round's correction alone.  Only `Crashes` objects.  A factory that
+//!   panics is not a crash: it panics `run` itself, before any round.
 
 use nisqplus_decoders::traits::DecoderFactory;
 use nisqplus_decoders::{Decoder, DynDecoder, GreedyMatchingDecoder};
@@ -25,20 +26,19 @@ use nisqplus_qec::pauli::PauliString;
 use nisqplus_qec::syndrome::Syndrome;
 use nisqplus_runtime::report::parse;
 use nisqplus_runtime::{
-    golden_summary, record_run, EventKind, LatticeSpec, MachineConfig, NoiseSpec, PushPolicy,
-    RuntimeConfig, RuntimeOutcome, StreamingEngine, SyndromeSource, SyndromeTrace, TraceSource,
+    golden_summary, EventKind, InterleavedSource, LatticeSpec, MachineConfig, NoiseSpec,
+    PushPolicy, RuntimeConfig, RuntimeOutcome, StreamingEngine, SyndromeSource, SyndromeTrace,
     Violation, Violations,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Every single-bit flip of a small golden trace file — a recorded
-/// two-lattice run with its pinned summary, as `write_to` writes it — is
-/// refused (not UTF-8, not JSON, or not a valid trace), or reads back as a
-/// trace that differs from the recording exactly when the flipped text is a
-/// different JSON document; one that also fits the machine replays to its
-/// end.
+/// Every single-bit flip of a small golden trace file — a two-lattice
+/// machine's stream with the pinned summary of its live run, as `write_to`
+/// writes it — is refused (not UTF-8, not JSON, or not a valid trace), or
+/// reads back as a trace that differs from the written one exactly when the
+/// flipped text is a different JSON document.
 #[test]
 fn every_single_bit_flip_of_a_trace_file_is_refused_or_read_as_changed() {
     let mut config = MachineConfig::new(&[3, 5], 9);
@@ -48,24 +48,20 @@ fn every_single_bit_flip_of_a_trace_file_is_refused_or_read_as_changed() {
     ];
     config.analyze_residuals = true;
     let engine = StreamingEngine::with_machine(config).expect("valid config");
-    let outcome = record_run(&engine, &|| {
-        Box::new(GreedyMatchingDecoder::new()) as DynDecoder
-    });
+    let outcome = engine.run(&|| Box::new(GreedyMatchingDecoder::new()) as DynDecoder);
     outcome
         .check_invariants()
-        .expect("the recorded run's books hold");
-    let recorded = outcome
-        .trace
-        .clone()
-        .expect("record_run records a trace")
-        .with_golden(golden_summary(&outcome));
-    let text = recorded.to_json().to_pretty();
+        .expect("the live run's books hold");
+    let set = engine.lattice_set();
+    let source = InterleavedSource::new(set, &engine.config().cycle_time).expect("valid source");
+    let written = SyndromeTrace::drain(set, source).with_golden(golden_summary(&outcome));
+    let text = written.to_json().to_pretty();
     let original = parse(&text);
     let read = |bytes: &[u8]| -> Option<SyndromeTrace> {
         let doc = parse(std::str::from_utf8(bytes).ok()?).ok()?;
         SyndromeTrace::from_json(&doc).ok()
     };
-    assert_eq!(read(text.as_bytes()).as_ref(), Some(&recorded));
+    assert_eq!(read(text.as_bytes()).as_ref(), Some(&written));
     let (mut refused, mut changed) = (0u32, 0u32);
     let mut bytes = text.into_bytes();
     for at in 0..bytes.len() {
@@ -76,23 +72,15 @@ fn every_single_bit_flip_of_a_trace_file_is_refused_or_read_as_changed() {
                 Some(trace) => {
                     // Only a flip that keeps the document — a last digit of
                     // a float that rounds to the same double — reads back
-                    // as the recording.
+                    // as the written trace.
                     let same_document = parse(std::str::from_utf8(&bytes).unwrap()) == original;
                     assert_eq!(
-                        trace == recorded,
+                        trace == written,
                         same_document,
                         "byte {at} bit {bit}: {:?}",
                         String::from_utf8_lossy(&bytes[at.saturating_sub(24)..at + 8])
                     );
                     changed += u32::from(!same_document);
-                    let served = trace.len();
-                    if let Ok(mut replay) = TraceSource::new(trace, engine.lattice_set()) {
-                        let mut count = 0;
-                        while replay.next_round().is_some() {
-                            count += 1;
-                        }
-                        assert_eq!(count, served, "byte {at} bit {bit}");
-                    }
                 }
             }
             bytes[at] ^= 1 << bit;
@@ -318,5 +306,27 @@ fn an_uninjected_decoder_panic_prints_an_unreconciled_fault_line() {
                 "{leg}: {text}"
             );
         }
+    }
+}
+
+/// A factory whose `build` always panics is a bug in the caller's code, not
+/// a worker crash: `run` builds a decode stage on the calling thread before
+/// any round is generated, so the factory's own panic ends `run` there — at 1 and 2 workers, with more rounds than ring slots, so a
+/// run that spawned its workers first would fill the ring behind them.
+#[test]
+fn a_factory_that_always_panics_panics_run_before_any_round() {
+    for workers in [1, 2] {
+        let mut machine = crash_machine(5, workers);
+        machine.queue_capacity = 16;
+        let engine = StreamingEngine::with_machine(machine).expect("valid config");
+        let factory = || -> DynDecoder { panic!("factory bug") };
+        let panicked =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.run(&factory)))
+                .expect_err("a factory that panics must panic the run");
+        assert_eq!(
+            panicked.downcast_ref::<&str>(),
+            Some(&"factory bug"),
+            "{workers} worker(s)"
+        );
     }
 }

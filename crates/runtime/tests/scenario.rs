@@ -1,32 +1,31 @@
-//! Scenario-plane integration tests: the golden-trace regression suite, the
-//! burst-window and re-tune edges of the noise schedule, and replay checks.
+//! Scenario-plane integration tests: the golden-trace regression suite and
+//! the burst-window and re-tune edges of the noise schedule.
 //!
-//! The golden traces under `tests/traces/` are recorded runs of small but
+//! The golden traces under `tests/traces/` are the streams of small but
 //! scenario-rich machines (a burst of noise, a step schedule, a re-tune
-//! inside a burst, one re-tune per round).  Each file pins the reference
-//! outcome — counters, per-lattice shed counts, merged-frame digests,
-//! residual tallies — as a [`GoldenSummary`]; replaying the trace through
-//! today's pipeline must reproduce every pinned quantity exactly, with its
-//! books holding, and a live run of the same machine must emit the file's
-//! rounds.  Any change that perturbs the stream, routing, decoding, frame
-//! commits or residual classification fails here byte-for-byte, not
-//! statistically.
+//! inside a burst, one re-tune per round), each drained offline from the
+//! machine's `InterleavedSource`.  Each file also pins the outcome of a live
+//! run — counters, per-lattice shed counts, merged-frame digests, residual
+//! tallies — as a [`GoldenSummary`]: today's stream must equal the file's
+//! rounds, and a live run of today's pipeline must reproduce every pinned
+//! quantity exactly, with its books holding.  Any change that perturbs the
+//! stream, routing, decoding, frame commits or residual classification
+//! fails here byte-for-byte, not statistically.
 //!
 //! Regenerate the corpus (after an *intentional* stream-shape change) with:
 //!
 //! ```text
-//! NISQ_TRACE_REGEN=1 cargo test -p nisqplus-runtime --test scenario
+//! NISQ_TRACE_REGEN=1 cargo test -p nisqplus-runtime --test scenario golden_traces
 //! ```
 //!
-//! Regeneration self-checks: the live run is replayed before the file is
-//! written, and the two outcomes must already agree.
+//! Regeneration self-checks: a file is written only if a second live run
+//! gives the same summary as the first.
 
 use nisqplus_decoders::{DecoderFactory, DynDecoder, GreedyMatchingDecoder};
 use nisqplus_runtime::{
-    golden_summary, record_run, replay_run, EventKind, ExportError, MachineConfig, NoiseSpec,
-    PushPolicy, RuntimeOutcome, StreamingEngine, SyndromeTrace,
+    golden_summary, EventKind, ExportError, GoldenSummary, InterleavedSource, MachineConfig,
+    NoiseSpec, PushPolicy, StreamingEngine, SyndromeTrace,
 };
-use proptest::prelude::*;
 use std::path::PathBuf;
 
 fn greedy_factory() -> impl DecoderFactory {
@@ -121,90 +120,61 @@ fn trace_path(name: &str) -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/traces")).join(format!("{name}.json"))
 }
 
-/// Records `config` live and pins its outcome on the recorded trace.
-fn record(config: &MachineConfig) -> SyndromeTrace {
-    let engine = StreamingEngine::with_machine(config.clone()).expect("valid golden machine");
-    let outcome = record_run(&engine, &greedy_factory());
-    outcome.check_invariants().unwrap();
-    let golden = golden_summary(&outcome);
-    (outcome.trace.expect("record_run records a trace")).with_golden(golden)
+/// The machine's stream, drained offline from its `InterleavedSource`.
+fn offline_stream(engine: &StreamingEngine) -> SyndromeTrace {
+    let set = engine.lattice_set();
+    let source =
+        InterleavedSource::new(set, &engine.config().cycle_time).expect("valid golden machine");
+    SyndromeTrace::drain(set, source)
 }
 
-/// Records `config` live, self-checks the replay, and writes the trace file.
-fn regenerate(name: &str, config: &MachineConfig) -> SyndromeTrace {
-    let trace = record(config);
-    let golden = trace.golden.clone().expect("recorded with its summary");
-    let replay_engine =
-        StreamingEngine::with_machine(config.clone()).expect("valid golden machine");
-    let replayed = replay_run(&replay_engine, &trace, &greedy_factory()).expect("the trace fits");
-    assert_eq!(
-        golden_summary(&replayed),
-        golden,
-        "golden case {name}: replay diverged from the live run it was recorded from"
-    );
-    trace
-        .write_to(trace_path(name))
-        .expect("golden trace written");
-    trace
+/// The summary of one live run of `engine`, whose books must hold.
+fn live_summary(name: &str, engine: &StreamingEngine) -> GoldenSummary {
+    let outcome = engine.run(&greedy_factory());
+    outcome
+        .check_invariants()
+        .unwrap_or_else(|broken| panic!("golden trace {name}: {broken}"));
+    golden_summary(&outcome)
 }
 
-/// The golden-trace regression suite: every committed trace replays to its
-/// pinned summary exactly, its books hold, and a live run of its machine
-/// emits its rounds.  Set `NISQ_TRACE_REGEN=1` to re-record the corpus
-/// instead (the regenerated files must then be committed).
+/// The golden-trace regression suite: every committed trace's lattices and
+/// rounds are its machine's offline stream, and its pinned summary is a live
+/// run's, whose books hold.  Set `NISQ_TRACE_REGEN=1` to rewrite the corpus
+/// first from the offline stream and a live run (the regenerated files must
+/// then be committed).
 #[test]
-fn golden_traces_replay_to_their_pinned_summaries() {
+fn golden_traces_are_the_offline_stream_and_a_live_runs_summary() {
     let regen = std::env::var_os("NISQ_TRACE_REGEN").is_some();
     for (name, config) in golden_cases() {
-        let trace = if regen {
-            regenerate(name, &config)
-        } else {
-            let trace = SyndromeTrace::read_from(trace_path(name)).unwrap_or_else(|err| {
-                panic!(
-                    "golden trace {name} unreadable ({err}); regenerate the corpus with \
-                     NISQ_TRACE_REGEN=1 and commit the files"
-                )
-            });
-            assert!(
-                record(&config).rounds == trace.rounds,
-                "golden trace {name}: a live run no longer emits the recorded rounds"
-            );
-            trace
-        };
-        let golden = trace
-            .golden
-            .clone()
-            .unwrap_or_else(|| panic!("golden trace {name} carries no pinned summary"));
         let engine = StreamingEngine::with_machine(config).expect("valid golden machine");
-        let outcome = replay_run(&engine, &trace, &greedy_factory()).expect("the trace fits");
-        outcome
-            .check_invariants()
-            .unwrap_or_else(|broken| panic!("golden trace {name}: {broken}"));
+        let stream = offline_stream(&engine);
+        let live = live_summary(name, &engine);
+        if regen {
+            assert_eq!(
+                live_summary(name, &engine),
+                live,
+                "golden case {name}: two live runs of one machine disagree"
+            );
+            (stream.clone().with_golden(live.clone()))
+                .write_to(trace_path(name))
+                .expect("golden trace written");
+        }
+        let trace = SyndromeTrace::read_from(trace_path(name)).unwrap_or_else(|err| {
+            panic!(
+                "golden trace {name} unreadable ({err}); regenerate the corpus with \
+                 NISQ_TRACE_REGEN=1 and commit the files"
+            )
+        });
+        assert!(
+            trace.lattices == stream.lattices && trace.rounds == stream.rounds,
+            "golden trace {name}: the machine's stream no longer equals the file's rounds"
+        );
         assert_eq!(
-            golden_summary(&outcome),
-            golden,
-            "golden trace {name}: replay no longer reproduces the pinned outcome"
+            trace.golden,
+            Some(live),
+            "golden trace {name}: a live run no longer reproduces the pinned outcome"
         );
     }
-}
-
-/// A replay journals no noise change — the trace is the record: its feed
-/// carries no noise schedule, and its lattices report no epochs — so a
-/// re-tuned machine's replay holds its books.
-#[test]
-fn a_replay_of_a_bursty_machine_journals_no_noise_change() {
-    let engine = StreamingEngine::with_machine(d3_burst_machine()).unwrap();
-    let live = record_run(&engine, &greedy_factory());
-    let trace = live.trace.clone().expect("record_run records a trace");
-    let replayed = replay_run(&engine, &trace, &greedy_factory()).expect("the trace fits");
-    live.check_invariants().unwrap();
-    replayed.check_invariants().unwrap();
-    let changes = |outcome: &RuntimeOutcome| {
-        let report = &outcome.report;
-        let epochs = report.lattices[0].noise_epochs.len();
-        (report.journal.counts[EventKind::NoiseChange], epochs)
-    };
-    assert_eq!((changes(&live), changes(&replayed)), ((2, 3), (0, 0)));
 }
 
 /// Wherever a burst — two re-tunes, to 6× the base at its first round
@@ -247,29 +217,6 @@ fn every_burst_window_journals_exactly_the_boundaries_it_crossed() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Replaying a trace is byte-equivalent to the live run that recorded
-    /// it — for any seed, not just the pinned corpus.
-    #[test]
-    fn recorded_runs_replay_identically(seed in 0u64..1_000) {
-        let mut config = scenario_machine(&[3], 32, seed);
-        config.lattices[0].noise = NoiseSpec::Depolarizing { p: 0.04 };
-        let engine = StreamingEngine::with_machine(config.clone()).unwrap();
-        let live = record_run(&engine, &greedy_factory());
-        let trace = live.trace.clone().expect("record_run records a trace");
-        prop_assert_eq!(trace.len() as u64, live.report.counters.generated);
-
-        let replay_engine = StreamingEngine::with_machine(config).unwrap();
-        let replayed =
-            replay_run(&replay_engine, &trace, &greedy_factory()).expect("the trace fits");
-        prop_assert_eq!(live.check_invariants(), Ok(()));
-        prop_assert_eq!(replayed.check_invariants(), Ok(()));
-        prop_assert_eq!(golden_summary(&replayed), golden_summary(&live));
-    }
-}
-
 /// A key the trace format does not have is refused, typed and named, not
 /// skipped: here the golden summary's `quarantined` count, a key traces
 /// carried before the quarantine plane was deleted.
@@ -292,21 +239,6 @@ fn a_golden_trace_with_an_unknown_key_is_refused() {
         }
         other => panic!("a stale key must fail with Schema, got {other:?}"),
     }
-}
-
-/// A trace replayed on a machine of another shape is refused with
-/// `SyndromeTrace::check_against`'s typed error before the pipeline starts.
-#[test]
-fn mismatched_replay_returns_a_typed_error() {
-    let d3 = StreamingEngine::with_machine(scenario_machine(&[3], 16, 3)).unwrap();
-    let live = record_run(&d3, &greedy_factory());
-    live.check_invariants().unwrap();
-    let trace = live.trace.expect("record_run records a trace");
-    let d5 = StreamingEngine::with_machine(scenario_machine(&[5], 16, 3)).unwrap();
-    assert!(matches!(
-        replay_run(&d5, &trace, &greedy_factory()),
-        Err(ExportError::Schema(_))
-    ));
 }
 
 /// A re-tune cuts the lattice's noise timeline into epochs at its round,

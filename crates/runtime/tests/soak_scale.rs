@@ -5,9 +5,11 @@
 //! * The residual property: the per-lattice [`ResidualReport`]s a run files
 //!   (workers tally residuals the moment corrections commit, the producer
 //!   tallies shed rounds, nothing O(rounds) retained) must equal a reference
-//!   computed after the fact from the *same* run's recorded trace and
-//!   correction history — across seeds, distances {3, 5, 7}, worker counts,
-//!   Block/Drop push policies, timing-dependent sheds and a re-tune.
+//!   computed after the fact from the machine's offline stream and the
+//!   run's correction history — across seeds, distances {3, 5, 7}, worker
+//!   counts, Block/Drop push policies, timing-dependent sheds and a
+//!   re-tune.  The pipeline's one feed is the live source, so this also
+//!   checks that a run serves exactly the offline stream.
 //! * The memory property: growing a run 10× (20k → 200k rounds) must not
 //!   grow the retained telemetry — timelines, correction history, journal,
 //!   histograms and the serialized report all stay within a constant
@@ -20,8 +22,8 @@ use nisqplus_qec::logical::ResidualTally;
 use nisqplus_qec::pauli::PauliString;
 use nisqplus_runtime::report::report_to_string;
 use nisqplus_runtime::{
-    record_run, EventKind, LatticeSpec, MachineConfig, NoiseSpec, PushPolicy, RuntimeOutcome,
-    StreamingEngine, ThrottledDecoder,
+    EventKind, InterleavedSource, LatticeSpec, MachineConfig, NoiseSpec, PushPolicy,
+    RuntimeOutcome, StreamingEngine, ThrottledDecoder,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -50,38 +52,36 @@ fn residual_config(policy: PushPolicy, seed: u64, workers: usize) -> MachineConf
     config
 }
 
-/// The reference classification, computed from one finished run's own
-/// records: every round of the recorded trace carries the error that was
-/// actually sampled (whatever burst or re-tune shaped it), and it
-/// was served either by the correction recorded under its `(lattice,
-/// round)` or — when none was recorded — by nothing at all, i.e. it was shed
-/// and gets the identity.  Reading recorded errors instead of re-deriving
-/// the seeded streams is what lets this hold for timing-dependent sheds and
-/// re-tuned streams alike.
+/// The reference classification, computed from the machine's offline stream
+/// and one finished run's corrections: every round the machine's
+/// `InterleavedSource` serves carries its seeded error (whatever burst or
+/// re-tune shaped it), and it was served either by the correction recorded
+/// under its `(lattice, round)` or — when none was recorded — by nothing at
+/// all, i.e. it was shed and gets the identity.  Pairing by `(lattice,
+/// round)` is what lets this hold for timing-dependent sheds.
 fn residual_oracle(engine: &StreamingEngine, outcome: &RuntimeOutcome) -> Vec<ResidualTally> {
     let set = engine.lattice_set();
-    let trace = outcome.trace.as_ref().expect("run was recorded");
+    let mut source =
+        InterleavedSource::new(set, &engine.config().cycle_time).expect("valid machine");
     let applied: HashMap<(u32, u64), &PauliString> = outcome
         .corrections
         .iter()
         .map(|c| ((c.lattice_id, c.round), &c.correction))
         .collect();
     let mut tallies = vec![ResidualTally::default(); set.len()];
-    for round in &trace.rounds {
+    while let Some(round) = source.next_round() {
         let lattice = set.lattice(round.lattice_id as usize);
-        let mut error = PauliString::identity(lattice.num_data());
-        error.copy_from_words(&round.error_words);
         let identity = PauliString::identity(lattice.num_data());
         let correction = applied
             .get(&(round.lattice_id, round.round))
             .copied()
             .unwrap_or(&identity);
-        tallies[round.lattice_id as usize].record(lattice, &error, correction);
+        tallies[round.lattice_id as usize].record(lattice, &round.error, correction);
     }
     tallies
 }
 
-/// Runs `config` once, recorded, and requires the run's books to hold and
+/// Runs `config` once and requires the run's books to hold and
 /// its residual tallies to equal the reference.  Returns the outcome for
 /// case-specific assertions.
 fn assert_residuals_match_the_oracle(
@@ -89,7 +89,7 @@ fn assert_residuals_match_the_oracle(
     factory: &dyn nisqplus_decoders::traits::DecoderFactory,
 ) -> RuntimeOutcome {
     let engine = StreamingEngine::with_machine(config).expect("valid config");
-    let outcome = record_run(&engine, factory);
+    let outcome = engine.run(factory);
     outcome.check_invariants().unwrap();
     let oracle = residual_oracle(&engine, &outcome);
     for (lattice, expected) in outcome.report.lattices.iter().zip(&oracle) {
@@ -141,7 +141,7 @@ fn streaming_residuals_match_the_oracle_under_a_full_drop_ring() {
 
 /// A re-tuned machine: the d=3 patch switches to depolarizing noise at its
 /// own round 10, so its stream is not drawn from `spec.noise` throughout —
-/// the reference reads what was actually emitted.
+/// the reference reads the stream the source serves, re-tune included.
 #[test]
 fn streaming_residuals_match_the_oracle_under_a_retune() {
     let mut config = residual_config(PushPolicy::Block, 2020, 2);

@@ -1,8 +1,8 @@
-//! Scenario demo: one machine under time-varying noise, recorded to a
-//! replayable trace — and the replay proven byte-identical.
+//! Scenario demo: one machine under time-varying noise, every re-tune
+//! accounted for.
 //!
 //! A two-lattice machine runs everything the scenario plane offers in a
-//! single pass:
+//! single live pass:
 //!
 //! * lattice 0 (d=3) — the burst target: rounds 20..50 run at 5x the base
 //!   rate, and its channel becomes depolarizing at its own round 40, inside
@@ -15,15 +15,12 @@
 //! Every edge of either lattice's noise schedule shows afterwards as a cut
 //! in its noise-epoch timeline and a `noise_change` in the journal.
 //!
-//! The run is recorded by a [`TraceRecorder`] tap ([`record_run`]); the
-//! recorded [`SyndromeTrace`] is then re-served through the *same* pipeline
-//! by a [`TraceSource`] ([`replay_run`]).  The checks at the bottom are
-//! the acceptance criteria: both runs' books hold, the replay reproduces
-//! the live run's
-//! [`GoldenSummary`] — counters, per-lattice shed counts, merged-frame
-//! digests, residual tallies — *exactly*, and the scenario actually
-//! happened (the re-tunes cut each lattice's epochs, one `noise_change`
-//! each).
+//! The checks at the bottom are the acceptance criteria: the run's books
+//! hold, the scenario actually happened (the re-tunes cut each lattice's
+//! epochs exactly, one `noise_change` each), and blocking backpressure
+//! shed nothing.  The run's [`GoldenSummary`](nisqplus_runtime::GoldenSummary)
+//! — counters, per-lattice shed counts, merged-frame digests, residual
+//! tallies, the quantities a golden trace pins — is printed last.
 //!
 //! Run with `cargo run --release --example scenario_runtime`.  The trace
 //! format and the noise schedule are documented in `docs/OPERATIONS.md`
@@ -31,8 +28,7 @@
 
 use nisqplus_decoders::{DynDecoder, GreedyMatchingDecoder};
 use nisqplus_runtime::{
-    golden_summary, record_run, replay_run, EventKind, LatticeSpec, MachineConfig, NoiseSpec,
-    PushPolicy, StreamingEngine,
+    golden_summary, EventKind, LatticeSpec, MachineConfig, NoiseSpec, PushPolicy, StreamingEngine,
 };
 
 /// Rounds streamed per lattice.
@@ -81,20 +77,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  lattice 1: dephasing steps {STEPS:?}, one per quarter of the run");
     println!();
 
-    // --- Act one: the live run, recorded round by round. -----------------
     let engine = StreamingEngine::with_machine(machine())?;
-    let live = record_run(&engine, &factory);
+    let live = engine.run(&factory);
     println!("{}", live.report);
     println!();
     live.check_invariants()?;
-
     let report = &live.report;
-    let golden = golden_summary(&live);
-    let trace = live
-        .trace
-        .clone()
-        .expect("record_run records a trace")
-        .with_golden(golden.clone());
 
     // --- The scenario actually happened. ---------------------------------
     let epochs = |id: usize| -> Vec<(u64, u64, &str, f64)> {
@@ -133,36 +121,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.counters.dropped, 0,
         "blocking backpressure sheds nothing"
     );
-    assert_eq!(trace.len() as u64, report.counters.generated);
 
-    // --- Act two: the replay, byte for byte. -----------------------------
-    let replay_engine = StreamingEngine::with_machine(machine())?;
-    let replayed = replay_run(&replay_engine, &trace, &factory)?;
-    replayed.check_invariants()?;
-    let replay_summary = golden_summary(&replayed);
-    assert_eq!(
-        replay_summary, golden,
-        "replaying the recorded trace must reproduce the live outcome exactly"
-    );
-    for id in 0..2 {
-        assert_eq!(
-            replayed.frame_for(id).merged(),
-            live.frame_for(id).merged(),
-            "lattice {id}'s merged Pauli frame must be byte-identical under replay"
-        );
-    }
-
+    let golden = golden_summary(&live);
     println!(
-        "recorded {} rounds across {} lattices; replayed them byte-identically",
-        trace.len(),
-        report.lattices.len()
-    );
-    println!(
-        "{} + {} noise epochs, frame digests {:?}",
+        "{} rounds across {} lattices; {} + {} noise epochs",
+        report.counters.generated,
+        report.lattices.len(),
         report.lattices[0].noise_epochs.len(),
-        report.lattices[1].noise_epochs.len(),
+        report.lattices[1].noise_epochs.len()
+    );
+    println!(
+        "golden summary: {} on {} workers, {} generated / {} decoded / {} dropped, \
+         shed {:?}, frame digests {:x?}",
+        golden.decoder,
+        golden.workers,
+        golden.generated,
+        golden.decoded,
+        golden.dropped,
+        golden.shed,
         golden.frame_digests
     );
-    println!("replay == live: counters, shed counts, frames, residual tallies all exact.");
     Ok(())
 }
